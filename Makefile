@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lintdoc test race race-live bench bench-json bench-onesided benchguard chaos onesided multitenant loadgen trace-export flows scale ci
+.PHONY: build vet fmt lintdoc test race race-live bench bench-json bench-onesided benchguard benchmark-smoke chaos onesided multitenant loadgen trace-export flows scale ci
 
 build:
 	$(GO) build ./...
@@ -32,10 +32,9 @@ race:
 	$(GO) test -race ./internal/...
 
 # Live-backend smoke under the race detector: the goroutine transport and
-# progress engine, driven end to end through the bench ping-pong.
+# progress engine, driven end to end through the bench ping-pong. (The
+# live and conformance suites themselves run under -race in `race`.)
 race-live:
-	$(GO) test -race ./internal/transport/live/
-	$(GO) test -race ./internal/core/ -run 'Conformance|Live'
 	$(GO) run -race ./cmd/dcgn-bench -backend live -exp pingpong
 
 # Bench smoke: every benchmark runs exactly once so they can't bit-rot.
@@ -52,11 +51,9 @@ bench-json:
 bench-onesided:
 	$(GO) run ./cmd/dcgn-bench -onesided BENCH_7.json
 
-# One-sided lane gate: conformance + triggered-path suite and the chaos
-# differential under the race detector, then the ablation JSON.
+# One-sided lane gate: the classic-vs-triggered ablation JSON. (The
+# conformance, triggered-path and chaos suites run under -race in `race`.)
 onesided:
-	$(GO) test -race ./internal/core/ -run 'OneSided|Triggered'
-	$(GO) test -race ./internal/core/ -run 'ChaosOneSided'
 	$(GO) run ./cmd/dcgn-bench -onesided BENCH_7.json
 
 # Allocation tripwire: fails if allocs/op on the matching benchmarks
@@ -65,6 +62,14 @@ benchguard:
 	$(GO) test -run='^$$' -bench='BenchmarkMatchIndex|BenchmarkHighFanoutMatching|BenchmarkEnginePingPong/(sim|live-multitenant)|BenchmarkShardedHighFanout|BenchmarkLoadgenArrivals' \
 		-benchtime=1x -benchmem ./... | $(GO) run ./cmd/benchguard -baseline testdata/bench_baseline.json
 
+# The repository benchmark is a module of its own (benchmark/go.mod), so
+# `go build ./... && go test ./...` never see it, yet it compiles against
+# core's API: vet it, test it, and run every workload once.
+benchmark-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	$(GO) run -C benchmark dcgn/benchmark -quick -seed 1 -out /tmp/dcgn-bench-smoke
+
 # Scale smoke mirroring the CI scale/determinism matrix: a 1024-node sharded
 # run (virtual results asserted identical to -shards 1) plus the seeded
 # shard-determinism diff at shard counts 1, 2 and 8 on 256 nodes.
@@ -72,29 +77,26 @@ scale:
 	$(GO) run ./cmd/dcgn-bench -nodes 1024 -shards 8
 	$(GO) run ./cmd/dcgn-bench -scale-verify "1,2,8" -nodes 256
 
-# Chaos smoke: the wire-hardening differential (reliability layer vs
-# injected faults) under the race detector on both backends, plus the
-# lossy-wire application runs and a seeded standalone chaos run.
+# Chaos smoke: the lossy-wire application runs and a seeded standalone
+# chaos run on the live backend under the race detector. (The
+# wire-hardening differential suites run under -race in `race`.)
 chaos:
-	$(GO) test -race ./internal/core/ -run 'Chaos|Reliable'
 	$(GO) test ./internal/apps/ -run 'SurvivesLossyWire'
 	$(GO) run -race ./cmd/dcgn-bench -chaos -backend live -chaos-collfail 0.2 -chaos-seed 11
 
-# Multi-tenant runtime gate: the Runtime suite (admission, fair-share,
-# isolation, cancel, control API) under the race detector — including the
-# 8-concurrent-live-jobs test — plus the per-job-overhead benches and the
-# fairness/overhead JSON report.
+# Multi-tenant runtime gate: the per-job-overhead benches and the
+# fairness/overhead JSON report. (The Runtime suite — admission,
+# fair-share, isolation, lifecycle, control API, 8 concurrent live jobs —
+# runs under -race in `race`.)
 multitenant:
-	$(GO) test -race ./internal/core/ -run 'Runtime'
 	$(GO) test -run='^$$' -bench='BenchmarkEnginePingPong/(sim-multitenant|live-multitenant)' -benchtime=1x -benchmem .
 	$(GO) run ./cmd/dcgn-bench -jobs 8 -tenants "light:1,heavy:3" -multitenant-out BENCH_8.json
 
-# Loadgen gate mirroring the CI loadgen-smoke job: the workload-layer
-# suite under the race detector, a seeded Poisson run on the sim backend
-# diffed for byte-identical SLO reports, and the same preset on the live
-# backend.
+# Loadgen gate mirroring the CI loadgen-smoke job: a seeded Poisson run on
+# the sim backend diffed for byte-identical SLO reports, and the same
+# preset on the live backend. (The workload-layer suite runs under -race
+# in `race`.)
 loadgen:
-	$(GO) test -race ./internal/loadgen/
 	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o /tmp/dcgn-slo-a.json
 	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o /tmp/dcgn-slo-b.json
 	diff /tmp/dcgn-slo-a.json /tmp/dcgn-slo-b.json
@@ -108,14 +110,13 @@ trace-export:
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -format csv -o /tmp/dcgn-trace.csv
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -metrics > /dev/null
 
-# Causal flow-tracing gate: the stitching/critical-path suites under the
-# race detector, the chaos differential with flows on, a seeded
+# Causal flow-tracing gate: the chrome-exporter flow-event test, a seeded
 # determinism diff of the dcgn-trace critical-path text (two runs must
 # render byte-identically), a Perfetto flow-event schema check on the
-# exported chrome trace, and the flows-on loadgen determinism diff.
+# exported chrome trace, and the flows-on loadgen determinism diff. (The
+# stitching/critical-path suites and the flows-on chaos differential run
+# under -race in `race`.)
 flows:
-	$(GO) test -race ./internal/obs/flow/
-	$(GO) test -race ./internal/core/ -run 'Flow|ChaosDifferentialFlows'
 	$(GO) test ./internal/obs/ -run 'ChromeTraceFlowEvents'
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-a.txt
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-b.txt
@@ -127,4 +128,4 @@ flows:
 	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o /tmp/dcgn-slo-flows-b.json
 	diff /tmp/dcgn-slo-flows-a.json /tmp/dcgn-slo-flows-b.json
 
-ci: build vet fmt lintdoc test race race-live bench benchguard chaos onesided multitenant loadgen trace-export flows scale
+ci: build vet fmt lintdoc test race race-live bench benchguard benchmark-smoke chaos onesided multitenant loadgen trace-export flows scale

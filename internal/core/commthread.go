@@ -71,7 +71,7 @@ type nodeState struct {
 	// Stats.
 	requestsHandled int
 	// collRetried counts node-level collective calls re-executed after a
-	// transient transport failure (collCall); read atomically by fillReport.
+	// transient transport failure (collCall); read atomically by Job.report.
 	collRetried int64
 }
 

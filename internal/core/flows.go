@@ -131,8 +131,8 @@ func (r *Runtime) handleFlows(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	for _, c := range r.jobs {
 		var spans []obs.Span
-		if ts := c.job.trace; ts != nil {
-			spans = ts.spans()
+		if c.job != nil && c.job.trace != nil {
+			spans = c.job.trace.spans()
 		} else {
 			spans = c.report.Trace
 		}

@@ -7,15 +7,13 @@ import (
 
 	"dcgn/internal/bufpool"
 	"dcgn/internal/device"
-	"dcgn/internal/fabric"
-	"dcgn/internal/mpi"
 	"dcgn/internal/obs"
 	"dcgn/internal/obs/flow"
 	"dcgn/internal/pcie"
 	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 	"dcgn/internal/transport/faults"
-	"dcgn/internal/transport/simmpi"
+	"dcgn/internal/transport/live"
 )
 
 // Job is one DCGN application run: a cluster configuration plus the CPU
@@ -26,26 +24,12 @@ type Job struct {
 	cfg  Config
 	rmap RankMap
 
-	// rt is the execution substrate: the deterministic simulator (runSim)
-	// or goroutines on the wall clock (runLive).
-	rt    rt
-	sim   *sim.Sim // non-nil only on the simulated backend
-	net   *fabric.Network
-	world *mpi.World
+	// engineEnv is the host's half of the running engine — substrate,
+	// endpoints, pool, clock, wire totals — installed by start. Job.Run
+	// fills it from a substrate of its own, a Runtime from its tenant's
+	// share of the one it serves every job on.
+	engineEnv
 	nodes []*nodeState
-
-	// pool recycles every host-side staging buffer the run creates — GPU
-	// payload staging, wire pack/unpack, collective scratch, and (shared
-	// via mpi.Config.Pool) the MPI layer's envelope staging. Buffer reuse
-	// is host-side only and never observable in virtual time.
-	pool *bufpool.Pool
-
-	// trFactory, when set, supplies each node's raw transport endpoint in
-	// place of the default world-wide simulated-MPI endpoint. A multi-tenant
-	// Runtime installs it to hand every node a tenant-scoped endpoint
-	// (private tag band, group collectives) over the shared world; nil — the
-	// single-job path — keeps the legacy endpoint, bit-identically.
-	trFactory func(node int) transport.Transport
 
 	cpuKernel func(*CPUCtx)
 
@@ -57,12 +41,6 @@ type Job struct {
 	// debug is the live-inspection HTTP endpoint (Config.DebugAddr); see
 	// debug.go.
 	debug debugServer
-
-	// flowEpoch is the start of the critical-path analysis window: the
-	// job's admission instant on a multi-tenant runtime (whose simulated
-	// clock is shared across jobs), zero for exclusive and live runs
-	// (job-local clocks).
-	flowEpoch time.Duration
 
 	gpuGrid     int
 	gpuBlockDim int
@@ -293,80 +271,100 @@ type NodeStats struct {
 // configured backend: virtual time on the default simulated transport,
 // wall-clock time on the live goroutine transport.
 func (j *Job) Run() (Report, error) {
-	if j.cpuKernel == nil && j.gpuKernel == nil {
-		return Report{}, fmt.Errorf("dcgn: no kernels installed")
+	if err := j.checkRunnable(); err != nil {
+		return Report{}, err
 	}
-	if j.cfg.Trace {
-		j.trace = newTraceSink(j.cfg.Nodes, j.rmap.Total(), j.cfg.TraceCap, j.cfg.Flows)
-	}
-	if j.cfg.Metrics {
-		j.metrics = obs.NewRegistry()
-	}
+	j.setupObs(obs.NewRegistry)
 	if err := j.startDebugServer(); err != nil {
 		return Report{}, err
 	}
 	defer j.stopDebugServer()
-	return runExclusive(j)
+	if j.cfg.Transport.Name() == transport.BackendLive {
+		pool := bufpool.New()
+		cluster := live.New(j.cfg.Nodes, pool)
+		return j.runLive(liveEndpoints(j.cfg.Nodes, cluster.Node), pool, cluster, nil)
+	}
+	sub := newSubstrate(j.cfg.Nodes, j.cfg.Net, j.cfg.MPI, j.cfg.Shards,
+		j.cfg.MaxVirtualTime, j.cfg.JitterFrac, j.cfg.JitterSeed)
+	j.start(sub.exclusiveEnv())
+	err := sub.run()
+	return j.report(), err
 }
 
-// runSim executes the job on the simulated backend and reports
-// virtual-time results.
-func (j *Job) runSim() (Report, error) {
-	s := sim.New()
-	if j.cfg.JitterFrac > 0 || j.cfg.JitterSeed != 0 {
-		s.SetJitter(j.cfg.JitterFrac, j.cfg.JitterSeed)
+// checkRunnable validates the job's kernels and shape against its backend,
+// before anything is built: once it passes, bringing the engine up cannot
+// fail, so no host ever has half-started daemons to unwind. Job.Run and
+// Runtime.Submit both start here.
+func (j *Job) checkRunnable() error {
+	if j.cpuKernel == nil && j.gpuKernel == nil {
+		return fmt.Errorf("dcgn: no kernels installed")
 	}
-	s.SetMaxTime(j.cfg.MaxVirtualTime)
-	j.sim = s
-	j.rt = simRT{s: s}
-	j.net = fabric.New(s, j.cfg.Nodes, j.cfg.Net)
-	j.pool = bufpool.New()
-	nodeOf := make([]int, j.cfg.Nodes) // one underlying MPI rank per node
-	for i := range nodeOf {
-		nodeOf[i] = i
-	}
-	mpiCfg := j.cfg.MPI
-	mpiCfg.Pool = j.pool // one pool across layers, so leak accounting is exact
-	j.world = mpi.NewWorld(s, j.net, nodeOf, mpiCfg)
-
-	j.nodes = nil
-	for n := 0; n < j.cfg.Nodes; n++ {
-		j.nodes = append(j.nodes, j.buildSimNode(n, s, j.rt))
-	}
-
-	// CPU-kernel threads.
-	if err := j.spawnCPUKernels(); err != nil {
-		return Report{}, err
-	}
-
-	// GPU-kernel threads: setup, launch, wait, teardown.
-	if err := j.spawnGPUKernels(); err != nil {
-		return Report{}, err
-	}
-
-	err := s.Run()
-	rep := Report{Elapsed: s.Now(), NetPackets: j.net.PacketsSent, NetBytes: j.net.BytesSent}
-	j.fillReport(&rep)
-	return rep, err
-}
-
-// buildSimNode constructs and starts one node's progress engine on the
-// given simulator (the job-wide one, or the owning shard's in a sharded
-// run). The world must already exist.
-func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt) *nodeState {
-	raw := func() transport.Transport {
-		if j.trFactory != nil {
-			return j.trFactory(n)
+	switch j.cfg.Transport.Name() {
+	case transport.BackendSim:
+	case transport.BackendLive:
+		// The simulated device model does not exist on the live backend, so
+		// only CPU kernels are supported; GPU jobs use the simulated one.
+		if j.cfg.Shards > 0 {
+			return fmt.Errorf("dcgn: sharded runs need the simulated backend (the live backend has no virtual clock to window)")
 		}
-		return simmpi.New(j.world.Rank(n))
-	}()
+		if j.hasGPUs() {
+			return fmt.Errorf("dcgn: live backend supports CPU kernels only (GPUs need the simulated device model)")
+		}
+		if j.cfg.JitterFrac > 0 {
+			return fmt.Errorf("dcgn: live backend has no virtual-time jitter model")
+		}
+	default:
+		return fmt.Errorf("dcgn: unknown transport backend %q", j.cfg.Transport.Backend)
+	}
+	if j.cpuKernel == nil && j.hasCPUs() {
+		return fmt.Errorf("dcgn: CPU-kernel threads requested but no CPU kernel installed")
+	}
+	return nil
+}
+
+// setupObs creates the job's trace sink and metrics registry as configured.
+// newRegistry supplies the registry: a fresh one for Job.Run, the job's
+// tenant partition under a Runtime.
+func (j *Job) setupObs(newRegistry func() *obs.Registry) {
+	if j.cfg.Trace {
+		j.trace = newTraceSink(j.cfg.Nodes, j.rmap.Total(), j.cfg.TraceCap, j.cfg.Flows)
+	}
+	if j.cfg.Metrics {
+		j.metrics = newRegistry()
+	}
+}
+
+// start brings the job's engine up on env: every node's progress engine,
+// then the CPU-kernel threads, then the GPU-kernel threads — in that spawn
+// order on every substrate, which is what keeps simulated schedules
+// bit-identical across hosts. checkRunnable has already passed.
+func (j *Job) start(env engineEnv) {
+	j.engineEnv = env
+	j.nodes = make([]*nodeState, j.cfg.Nodes)
+	for n := range j.nodes {
+		j.nodes[n] = j.newNodeState(n)
+	}
+	j.spawnCPUKernels()
+	j.spawnGPUKernels()
+}
+
+// newNodeState constructs and starts one node's progress engine on the
+// job's substrate.
+func (j *Job) newNodeState(n int) *nodeState {
+	rtv := j.rt
+	var s *sim.Sim
+	if j.sims != nil {
+		s = j.sims[n]
+		if rtv == nil {
+			rtv = simRT{s: s} // a 1:1 veneer: no allocation, no behavior of its own
+		}
+	}
 	ns := &nodeState{
 		job:    j,
 		node:   n,
 		rt:     rtv,
 		sim:    s,
-		tr:     j.wrapTransport(n, raw),
-		bus:    pcie.New(s, fmt.Sprintf("n%d", n), j.cfg.Bus),
+		tr:     j.wrapTransport(n, j.endpoints[n]),
 		intake: newIntake(rtv.NewQueue(fmt.Sprintf("commq:%d", n))),
 		index:  newMatchIndex(),
 	}
@@ -382,12 +380,17 @@ func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt) *nodeState {
 	if j.cfg.OneSided {
 		ns.initOneSided()
 	}
-	for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
-		devCfg := j.cfg.Device
-		devCfg.Name = fmt.Sprintf("gpu%d.%d", n, g)
-		dev := device.New(s, devCfg)
-		ns.devs = append(ns.devs, dev)
-		ns.gpus = append(ns.gpus, newGPUThread(ns, g, dev))
+	if s != nil {
+		// The device model — PCIe bus, devices, their monitors — exists only
+		// in virtual time.
+		ns.bus = pcie.New(s, fmt.Sprintf("n%d", n), j.cfg.Bus)
+		for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
+			devCfg := j.cfg.Device
+			devCfg.Name = fmt.Sprintf("gpu%d.%d", n, g)
+			dev := device.New(s, devCfg)
+			ns.devs = append(ns.devs, dev)
+			ns.gpus = append(ns.gpus, newGPUThread(ns, g, dev))
+		}
 	}
 	ns.start()
 	for _, gt := range ns.gpus {
@@ -401,12 +404,9 @@ func (j *Job) buildSimNode(n int, s *sim.Sim, rtv rt) *nodeState {
 
 // spawnGPUKernels starts the per-device setup/launch/wait/teardown threads
 // on each node's own simulator.
-func (j *Job) spawnGPUKernels() error {
+func (j *Job) spawnGPUKernels() {
 	if j.gpuKernel == nil {
-		if j.hasGPUs() && j.cpuKernel == nil {
-			return fmt.Errorf("dcgn: GPUs requested but no GPU kernel installed")
-		}
-		return nil
+		return
 	}
 	for n := 0; n < j.cfg.Nodes; n++ {
 		for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
@@ -432,13 +432,12 @@ func (j *Job) spawnGPUKernels() error {
 			})
 		}
 	}
-	return nil
 }
 
 // wrapTransport layers the configured middlewares over a node's raw
 // endpoint: the Config.WrapTransport hook first, then Config.Faults
 // outermost — faults perturb the fully-wrapped wire, exactly where a real
-// fabric would, and the outermost position is what fillReport type-asserts
+// fabric would, and the outermost position is what report type-asserts
 // for FaultStats.
 func (j *Job) wrapTransport(node int, tr transport.Transport) transport.Transport {
 	if j.cfg.WrapTransport != nil {
@@ -452,12 +451,9 @@ func (j *Job) wrapTransport(node int, tr transport.Transport) transport.Transpor
 
 // spawnCPUKernels starts one thread per CPU-kernel rank on the job's
 // substrate (simulated procs or live goroutines).
-func (j *Job) spawnCPUKernels() error {
+func (j *Job) spawnCPUKernels() {
 	if j.cpuKernel == nil {
-		if j.hasCPUs() {
-			return fmt.Errorf("dcgn: CPU-kernel threads requested but no CPU kernel installed")
-		}
-		return nil
+		return
 	}
 	for n := 0; n < j.cfg.Nodes; n++ {
 		for c := 0; c < j.rmap.Spec(n).CPUKernels; c++ {
@@ -468,18 +464,22 @@ func (j *Job) spawnCPUKernels() error {
 			})
 		}
 	}
-	return nil
 }
 
-// fillReport assembles the backend-independent portion of a Report from
-// the per-node engine state (trace, node stats, bus/GPU aggregates, pool
-// accounting).
-func (j *Job) fillReport(rep *Report) {
+// report assembles the job's Report from its host's clock and wire totals
+// and the per-node engine state (trace, node stats, bus/GPU aggregates,
+// pool accounting). The host calls it once the engine is quiescent.
+func (j *Job) report() Report {
+	rep := Report{
+		Elapsed:    j.clock.Now() - j.epoch,
+		NetPackets: int(j.wire.Packets()),
+		NetBytes:   j.wire.Bytes(),
+	}
 	if j.trace != nil {
 		rep.Trace = j.trace.spans()
 		rep.TraceDropped = j.trace.dropped()
 		if j.cfg.Flows && rep.Elapsed > 0 {
-			rep.CriticalPath = flow.CriticalPath(rep.Trace, j.flowEpoch, j.flowEpoch+rep.Elapsed)
+			rep.CriticalPath = flow.CriticalPath(rep.Trace, j.epoch, j.epoch+rep.Elapsed)
 		}
 	}
 	if j.metrics != nil {
@@ -539,4 +539,5 @@ func (j *Job) fillReport(rep *Report) {
 	rep.PoolAcquires = j.pool.Acquires()
 	rep.PoolReleases = j.pool.Releases()
 	rep.PoolHits = j.pool.Hits()
+	return rep
 }

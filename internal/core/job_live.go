@@ -10,92 +10,37 @@ import (
 	"dcgn/internal/transport/live"
 )
 
+// liveEndpoints collects a live cluster's or tenant group's n endpoints.
+func liveEndpoints(n int, at func(int) *live.Endpoint) []transport.Transport {
+	eps := make([]transport.Transport, n)
+	for i := range eps {
+		eps[i] = at(i)
+	}
+	return eps
+}
+
+// liveWire is the live transport under one engine run: a whole private
+// cluster for Job.Run, one tenant group of a shared cluster for a Runtime.
+// Closing it is how the run is torn down.
+type liveWire interface {
+	wireTotals
+	Close() error
+}
+
 // runLive executes the job on the live backend: the same progress engine
 // (intake, matcher, collective accumulator, comm thread) running on real
 // goroutines over the in-process goroutine/channel transport, on the wall
-// clock. The simulated device model does not exist here, so only CPU
-// kernels are supported; GPU jobs use the default simulated backend.
+// clock. It owns everything job-scoped — the liveRT, the engine, the
+// wait, teardown and report — while the wire (cluster or tenant group)
+// is the caller's. cancel, when non-nil, aborts the run when closed — the
+// Runtime's Cancel control — by the same teardown as the watchdog.
 //
 // The live backend trades determinism for real concurrency: it is how the
 // engine's thread-confinement discipline is exercised under the race
 // detector, which the one-goroutine-at-a-time simulator cannot do.
-func (j *Job) runLive() (Report, error) {
-	if j.hasGPUs() {
-		return Report{}, fmt.Errorf("dcgn: live backend supports CPU kernels only (GPUs need the simulated device model)")
-	}
-	if j.cfg.JitterFrac > 0 {
-		return Report{}, fmt.Errorf("dcgn: live backend has no virtual-time jitter model")
-	}
-
-	j.pool = bufpool.New()
-	cluster := live.New(j.cfg.Nodes, j.pool)
-	return j.runLiveEnv(&liveEnv{
-		endpoint: func(n int) transport.Transport { return cluster.Node(n) },
-		closeTr:  func() { _ = cluster.Close() },
-		packets:  cluster.Packets,
-		bytes:    cluster.Bytes,
-	})
-}
-
-// liveEnv abstracts what a live engine run needs from its transport
-// substrate: an endpoint per node, a teardown hook, wire totals, and an
-// optional external cancellation signal. The single-job path backs it
-// with a whole private cluster; a multi-tenant Runtime backs it with one
-// tenant group of a shared cluster.
-type liveEnv struct {
-	endpoint func(n int) transport.Transport
-	closeTr  func()
-	packets  func() int64
-	bytes    func() int64
-	// cancel, when non-nil, aborts the run when closed — the Runtime's
-	// Cancel control. Teardown is the watchdog path: close the transport
-	// and intakes and report what is safely readable.
-	cancel <-chan struct{}
-}
-
-// runLiveEnv executes the job's progress engine over the given live
-// substrate. It owns everything job-scoped — the liveRT, node states,
-// kernels, teardown, report — while the substrate (cluster or tenant
-// group) is the caller's.
-func (j *Job) runLiveEnv(env *liveEnv) (Report, error) {
+func (j *Job) runLive(endpoints []transport.Transport, pool *bufpool.Pool, wire liveWire, cancel <-chan struct{}) (Report, error) {
 	rt := newLiveRT()
-	j.rt = rt
-
-	j.nodes = nil
-	for n := 0; n < j.cfg.Nodes; n++ {
-		ns := &nodeState{
-			job:    j,
-			node:   n,
-			rt:     rt,
-			tr:     j.wrapTransport(n, env.endpoint(n)),
-			intake: newIntake(rt.NewQueue(fmt.Sprintf("commq:%d", n))),
-			index:  newMatchIndex(),
-		}
-		if j.cfg.Reliability.Enabled {
-			ns.rel = newRelState(j.cfg.Nodes)
-		}
-		if j.metrics != nil {
-			ns.met = newNodeMetrics(j.metrics)
-		}
-		ns.obsOn = j.trace != nil || j.metrics != nil
-		ns.flowsOn = j.cfg.Flows && j.trace != nil
-		ns.coll = newCollAccum(ns)
-		if j.cfg.OneSided {
-			ns.initOneSided()
-		}
-		ns.start()
-		j.nodes = append(j.nodes, ns)
-	}
-
-	if err := j.spawnCPUKernels(); err != nil {
-		// Engine daemons are already running; unwind them before returning.
-		env.closeTr()
-		for _, ns := range j.nodes {
-			ns.intake.close()
-		}
-		rt.daemons.Wait()
-		return Report{}, err
-	}
+	j.start(engineEnv{rt: rt, endpoints: endpoints, pool: pool, clock: rt, wire: wire})
 
 	// MaxVirtualTime doubles as the wall-clock watchdog: a deadlocked
 	// application (unmatched receive, incomplete collective) would block
@@ -115,14 +60,14 @@ func (j *Job) runLiveEnv(env *liveEnv) (Report, error) {
 	case <-watchdog.C:
 		runErr = fmt.Errorf("dcgn: live run exceeded %v (deadlocked kernels?)%s",
 			j.cfg.MaxVirtualTime, liveStallDiagnosis(j.nodes))
-	case <-env.cancel:
+	case <-cancel:
 		runErr = ErrJobCanceled
 	}
 
 	// Teardown: closing the transport unwinds blocked receivers and
 	// collective participants; closing the intakes unwinds the comm
 	// threads. Quiesce the daemons before reading any engine state.
-	env.closeTr()
+	_ = wire.Close() // idempotent, always nil: closing is the teardown signal itself
 	for _, ns := range j.nodes {
 		ns.intake.close()
 	}
@@ -139,13 +84,7 @@ func (j *Job) runLiveEnv(env *liveEnv) (Report, error) {
 	// counters, or the report reads acquires > releases.
 	rt.workers.Wait()
 
-	rep := Report{
-		Elapsed:    rt.Now(),
-		NetPackets: int(env.packets()),
-		NetBytes:   env.bytes(),
-	}
-	j.fillReport(&rep)
-	return rep, nil
+	return j.report(), nil
 }
 
 // liveStallDiagnosis summarizes, per node, what the intake layer still had

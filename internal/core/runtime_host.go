@@ -17,15 +17,16 @@ import (
 	"dcgn/internal/transport/simmpi"
 )
 
-// Runtime hosts many concurrent DCGN jobs over one shared backend — the
-// multi-tenant generalization of Job.Run (which is exactly a runtime of
-// one: the whole cluster, one tenant, admitted immediately). Jobs are
-// submitted with a tenant label, weight and priority; the runtime admits
-// them onto free nodes under stride-based weighted fair sharing, queues
-// them (bounded, never silently dropped) when the cluster is saturated,
-// and gives every admitted job fully isolated engine state: its own
-// buffer pool, matcher, intake, reliability sequence space, metrics
-// partition and Report.
+// Runtime hosts many concurrent DCGN jobs over one shared backend. It runs
+// the same engine Job.Run does — one bring-up (Job.start over an
+// engineEnv), one report — and differs only in who owns the substrate:
+// Job.Run builds a whole one for its single job, a Runtime builds one and
+// lends each admitted job a tenant's share of it. Jobs are submitted with
+// a tenant label, weight and priority; the runtime admits them onto free
+// nodes under stride-based weighted fair sharing, queues them (bounded,
+// never silently dropped) when the cluster is saturated, and gives every
+// admitted job fully isolated engine state: its own buffer pool, matcher,
+// intake, reliability sequence space, metrics partition and Report.
 //
 // Isolation is by construction, not by locking: each tenant gets a
 // private tag band (simulated backend) or a private channel group (live
@@ -33,18 +34,27 @@ import (
 // and nodes are exclusively owned by one job at a time — tenants
 // multiplex the cluster over time, not space-share a node.
 //
-// The two backends host differently:
+// Every job follows one lifecycle — queued, admitted by admitLocked,
+// ended by retire — whatever the backend and however it ends. What the
+// two backends do differently is what their clocks force:
 //
 //   - Live (transport.BackendLive): the runtime is long-lived. Submit
-//     admits immediately when nodes are free; jobs run concurrently on
-//     goroutines and handles resolve as they finish. Cancel aborts a
-//     running job by closing its transport group.
+//     admits immediately when nodes are free; each job waits on its own
+//     goroutine (Job.runLive: wall-clock watchdog, teardown by closing its
+//     transport group) and handles resolve as they finish. Cancel aborts
+//     a running job through that same teardown.
 //   - Simulated (transport.BackendSim): the runtime is batch-mode, because
 //     virtual time only advances inside one Run. Submit everything first,
 //     then Run executes the whole batch on a single shared simulator —
 //     admission happens at t=0 and again, in virtual time, whenever a
-//     finishing job frees its nodes. Scheduling is exactly as
-//     deterministic as a single-job run.
+//     finishing job frees its nodes; a job is complete when its worker
+//     procs' count crosses zero, and Cancel is injected at an event
+//     boundary. Scheduling is exactly as deterministic as a single-job run.
+//
+// A tenant's Report is not a solo run's: its NetPackets are metered at its
+// endpoints (the fabric's counters aggregate all tenants) and its Elapsed
+// ends at its completion instant on the shared clock, which is why Job.Run
+// is not a runtime of one and why sharded runs stay exclusive.
 type Runtime struct {
 	cfg   RuntimeConfig
 	epoch time.Time // live clock origin for JobStatus times
@@ -54,12 +64,10 @@ type Runtime struct {
 	jobs    []*rtJob
 	queue   []*rtJob
 	tenants map[string]*tenantState
-	// free / freeNodes track node occupancy. The simulated backend needs
-	// real node identities (fabric distances are id-based); the live
-	// backend's nodes are interchangeable goroutines, so only the count
-	// matters there.
+	// free marks the unclaimed nodes. The simulated backend needs the
+	// identities (fabric distances are id-based); the live backend's nodes
+	// are interchangeable goroutines and only the count matters there.
 	free      []bool
-	freeNodes int
 	draining  bool
 	closed    bool
 	templates map[string]func() *Job
@@ -68,20 +76,16 @@ type Runtime struct {
 	debug    debugServer
 
 	// Live substrate: one shared cluster, one tenant group per job.
-	pool    *bufpool.Pool
 	cluster *live.Cluster
 	wg      sync.WaitGroup
 
-	// Simulated substrate, built by Run: one simulator, fabric and MPI
-	// world shared by every tenant.
-	sim     *sim.Sim
-	net     *fabric.Network
-	world   *mpi.World
-	simPool *bufpool.Pool
-	ran     bool
+	// sub is the simulated substrate, built by Run: one simulator, fabric
+	// and MPI world shared by every tenant.
+	sub *substrate
+	ran bool
 	// simActive is true while Run is driving the simulator; it gates the
-	// sim-context-only paths (mid-batch Submit from an OnJobDone callback,
-	// Cancel of a running simulated job).
+	// sim-context-only paths (admission, mid-batch Submit from an OnJobDone
+	// callback, Cancel of a running simulated job).
 	simActive bool
 	// scheduled holds SubmitAt submissions awaiting their virtual arrival
 	// time; Run turns each into an arrival proc.
@@ -95,11 +99,8 @@ type Runtime struct {
 	sched *obs.Registry
 
 	// onJobDone, when set (before Run / the first Submit), is invoked
-	// without locks held each time a job reaches a terminal state on the
-	// execution path — sim completions and cancellations run it in sim
-	// context, live completions on the job's goroutine. Closed-loop load
-	// generators use it to submit follow-up work; on the simulated backend
-	// that is the only way to submit mid-batch.
+	// without locks held each time a job reaches a terminal state; see
+	// SetOnJobDone.
 	onJobDone func(JobStatus)
 }
 
@@ -256,7 +257,11 @@ type rtJob struct {
 	tenant   string
 	weight   int
 	priority int
-	job      *Job
+	nodes    int
+	// job is the engine; retire drops it, so a long-lived runtime retaining
+	// every rtJob does not also retain every finished job's node state,
+	// pools and trace rings.
+	job *Job
 
 	state       JobState
 	submittedAt time.Duration
@@ -268,8 +273,8 @@ type rtJob struct {
 	// reaches it.
 	notBefore time.Duration
 
-	// placement / simGroup are the simulated backend's node assignment and
-	// tenant transport group.
+	// placement is the nodes the job holds while running; simGroup is the
+	// simulated backend's tenant transport group over them.
 	placement []int
 	simGroup  *simmpi.Group
 	// simProcs holds every worker proc the job spawned on the shared
@@ -348,17 +353,15 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		epoch:     time.Now(),
 		tenants:   make(map[string]*tenantState),
 		templates: make(map[string]func() *Job),
-		freeNodes: cfg.Nodes,
+		free:      make([]bool, cfg.Nodes),
 		obsParts:  obs.NewPartitioned(),
 	}
-	r.free = make([]bool, cfg.Nodes)
 	for i := range r.free {
 		r.free[i] = true
 	}
 	r.sched = r.obsParts.Partition("runtime")
 	if cfg.Transport.Name() == transport.BackendLive {
-		r.pool = bufpool.New()
-		r.cluster = live.New(cfg.Nodes, r.pool)
+		r.cluster = live.New(cfg.Nodes, bufpool.New())
 	}
 	if err := r.startControl(); err != nil {
 		return nil, err
@@ -370,12 +373,13 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 func (r *Runtime) backend() string { return r.cfg.Transport.Name() }
 
 // SetOnJobDone installs a callback invoked, without runtime locks held,
-// each time a job reaches a terminal state on the execution path (done,
-// failed, canceled, or shed at its virtual arrival time). It must be set
-// before Run (simulated) or before the first Submit (live). On the
-// simulated backend the callback runs in sim context and may Submit
-// follow-up jobs mid-batch — the closed-loop arrival hook; spawn-failure
-// and post-Run sweep terminations do not fire it.
+// exactly once for every accepted job, when it reaches its terminal state
+// — done, failed, canceled, or shed at its virtual arrival time — on the
+// goroutine that retired it. It must be set before Run (simulated) or
+// before the first Submit (live). While a simulated batch is running the
+// callback runs in sim context and may Submit follow-up jobs mid-batch —
+// the closed-loop arrival hook; for jobs the batch left unfinished it runs
+// after the simulator has stopped, when Submit is refused.
 func (r *Runtime) SetOnJobDone(fn func(JobStatus)) { r.onJobDone = fn }
 
 // SchedSnapshot copies the runtime-wide scheduling registry: queue_wait_ns
@@ -383,18 +387,6 @@ func (r *Runtime) SetOnJobDone(fn func(JobStatus)) { r.onJobDone = fn }
 // jobs_{submitted,done,failed,canceled,rejected} counters. Unlike per-job
 // metrics partitions it is never dropped, so it is readable after Run.
 func (r *Runtime) SchedSnapshot() obs.Snapshot { return r.sched.Snapshot() }
-
-// notifyJobDone runs the terminal-state callback for c. Never called with
-// r.mu held.
-func (r *Runtime) notifyJobDone(c *rtJob) {
-	if r.onJobDone == nil {
-		return
-	}
-	r.mu.Lock()
-	st := r.statusLocked(c)
-	r.mu.Unlock()
-	r.onJobDone(st)
-}
 
 // schedEnqueuedLocked records a submission entering the admission queue.
 func (r *Runtime) schedEnqueuedLocked(c *rtJob) {
@@ -432,10 +424,10 @@ func (r *Runtime) schedFinishedLocked(c *rtJob) {
 // (zero before Run), wall time since creation on the live backend.
 func (r *Runtime) now() time.Duration {
 	if r.backend() == transport.BackendSim {
-		if r.sim == nil {
+		if r.sub == nil {
 			return 0
 		}
-		return r.sim.Now()
+		return r.sub.Now()
 	}
 	return time.Since(r.epoch)
 }
@@ -474,38 +466,10 @@ func (r *Runtime) Submit(job *Job, opts SubmitOpts) (*JobHandle, error) {
 		r.sched.Counter("jobs_rejected").Add(1)
 		return nil, ErrQueueFull
 	}
-	r.nextID++ // ids start at 1: tenant 0 is the single-job compatibility band
-	c := &rtJob{
-		id:       r.nextID,
-		name:     opts.Name,
-		tenant:   opts.Tenant,
-		weight:   opts.Weight,
-		priority: opts.Priority,
-		job:      job,
-		state:    JobQueued,
-		done:     make(chan struct{}),
-		cancelCh: make(chan struct{}),
-	}
-	if c.name == "" {
-		c.name = fmt.Sprintf("job-%d", c.id)
-	}
-	if c.tenant == "" {
-		c.tenant = c.name
-	}
-	if c.weight <= 0 {
-		c.weight = 1
-	}
-	c.submittedAt = r.now()
-	r.ensureTenantLocked(c.tenant, c.weight)
-	r.jobs = append(r.jobs, c)
+	c := r.newJobLocked(job, opts, r.now())
 	r.queue = append(r.queue, c)
 	r.schedEnqueuedLocked(c)
-	switch {
-	case r.backend() == transport.BackendLive:
-		r.admitLiveLocked()
-	case r.simActive:
-		r.admitSimLocked()
-	}
+	r.admitLocked()
 	return &JobHandle{r: r, j: c}, nil
 }
 
@@ -538,18 +502,29 @@ func (r *Runtime) SubmitAt(job *Job, opts SubmitOpts, at time.Duration) (*JobHan
 	if r.ran {
 		return nil, fmt.Errorf("dcgn: simulated runtime is batch-mode: schedule arrivals before Run")
 	}
+	c := r.newJobLocked(job, opts, at)
+	c.notBefore = at
+	r.scheduled = append(r.scheduled, c)
+	return &JobHandle{r: r, j: c}, nil
+}
+
+// newJobLocked registers a submission: the next id (ids start at 1: tenant
+// 0 is the single-job compatibility band), defaulted labels, its tenant's
+// stride account, and a place in List.
+func (r *Runtime) newJobLocked(job *Job, opts SubmitOpts, submittedAt time.Duration) *rtJob {
 	r.nextID++
 	c := &rtJob{
-		id:        r.nextID,
-		name:      opts.Name,
-		tenant:    opts.Tenant,
-		weight:    opts.Weight,
-		priority:  opts.Priority,
-		job:       job,
-		state:     JobQueued,
-		notBefore: at,
-		done:      make(chan struct{}),
-		cancelCh:  make(chan struct{}),
+		id:          r.nextID,
+		name:        opts.Name,
+		tenant:      opts.Tenant,
+		weight:      opts.Weight,
+		priority:    opts.Priority,
+		nodes:       job.cfg.Nodes,
+		job:         job,
+		state:       JobQueued,
+		submittedAt: submittedAt,
+		done:        make(chan struct{}),
+		cancelCh:    make(chan struct{}),
 	}
 	if c.name == "" {
 		c.name = fmt.Sprintf("job-%d", c.id)
@@ -560,11 +535,9 @@ func (r *Runtime) SubmitAt(job *Job, opts SubmitOpts, at time.Duration) (*JobHan
 	if c.weight <= 0 {
 		c.weight = 1
 	}
-	c.submittedAt = at
 	r.ensureTenantLocked(c.tenant, c.weight)
 	r.jobs = append(r.jobs, c)
-	r.scheduled = append(r.scheduled, c)
-	return &JobHandle{r: r, j: c}, nil
+	return c
 }
 
 // arriveSimJob moves a scheduled job into the admission queue at its
@@ -580,27 +553,23 @@ func (r *Runtime) arriveSimJob(c *rtJob, now time.Duration) {
 	c.submittedAt = now
 	r.ensureTenantLocked(c.tenant, c.weight)
 	if len(r.queue) >= r.cfg.MaxQueue {
-		c.state = JobFailed
-		c.err = ErrQueueFull
-		c.finishedAt = now
-		r.schedFinishedLocked(c)
-		r.mu.Unlock()
-		close(c.done)
-		r.notifyJobDone(c)
+		r.retire(c, JobFailed, Report{}, ErrQueueFull)
 		return
 	}
 	r.queue = append(r.queue, c)
 	r.schedEnqueuedLocked(c)
-	r.admitSimLocked()
+	r.admitLocked()
 	r.mu.Unlock()
 }
 
-// checkSubmittable validates a job against the runtime's substrate.
+// checkSubmittable validates a job against the runtime's substrate: what
+// any run of it needs (Job.checkRunnable), then what sharing a substrate
+// adds.
 func (r *Runtime) checkSubmittable(job *Job) error {
-	cfg := job.Config()
-	if job.cpuKernel == nil && job.gpuKernel == nil {
-		return fmt.Errorf("dcgn: no kernels installed")
+	if err := job.checkRunnable(); err != nil {
+		return err
 	}
+	cfg := job.Config()
 	if cfg.Transport.Name() != r.backend() {
 		return fmt.Errorf("dcgn: job backend %q does not match runtime backend %q", cfg.Transport.Name(), r.backend())
 	}
@@ -627,20 +596,12 @@ func (r *Runtime) checkSubmittable(job *Job) error {
 	if counted == 0 {
 		return fmt.Errorf("dcgn: job spawns no kernel threads (its completion would be undetectable)")
 	}
-	switch r.backend() {
-	case transport.BackendSim:
+	if r.backend() == transport.BackendSim {
 		if cfg.Faults.Enabled() {
 			return fmt.Errorf("dcgn: per-job fault injection is exclusive-mode only on the simulated backend (it perturbs co-tenant determinism)")
 		}
 		if cfg.JitterFrac > 0 || cfg.JitterSeed != 0 {
 			return fmt.Errorf("dcgn: per-job jitter is exclusive-mode only (the virtual clock is runtime-wide)")
-		}
-	case transport.BackendLive:
-		if job.hasGPUs() {
-			return fmt.Errorf("dcgn: live backend supports CPU kernels only (GPUs need the simulated device model)")
-		}
-		if cfg.JitterFrac > 0 {
-			return fmt.Errorf("dcgn: live backend has no virtual-time jitter model")
 		}
 	}
 	return nil
@@ -734,20 +695,7 @@ func (r *Runtime) dequeueLocked(c *rtJob) {
 // node-time claim.
 func (r *Runtime) chargeTenantLocked(c *rtJob) {
 	t := r.tenants[c.tenant]
-	t.pass += int64(c.job.cfg.Nodes) * strideScale / int64(t.weight)
-}
-
-// setupObsLocked wires the job's trace sink and its tenant metrics
-// partition (dropped again after the final Report snapshot).
-func (r *Runtime) setupObsLocked(c *rtJob) {
-	j := c.job
-	if j.cfg.Trace {
-		j.trace = newTraceSink(j.cfg.Nodes, j.rmap.Total(), j.cfg.TraceCap, j.cfg.Flows)
-	}
-	if j.cfg.Metrics {
-		c.partKey = fmt.Sprintf("%s/job-%d", c.tenant, c.id)
-		j.metrics = r.obsParts.Partition(c.partKey)
-	}
+	t.pass += int64(c.nodes) * strideScale / int64(t.weight)
 }
 
 // statusLocked snapshots one job.
@@ -757,7 +705,7 @@ func (r *Runtime) statusLocked(c *rtJob) JobStatus {
 		Name:        c.name,
 		Tenant:      c.tenant,
 		State:       c.state,
-		Nodes:       c.job.cfg.Nodes,
+		Nodes:       c.nodes,
 		Weight:      c.weight,
 		Priority:    c.priority,
 		SubmittedAt: c.submittedAt,
@@ -801,30 +749,16 @@ func (r *Runtime) Cancel(id int) error {
 	}
 	switch c.state {
 	case JobQueued:
-		r.dequeueLocked(c)
-		c.state = JobCanceled
-		c.err = ErrJobCanceled
-		c.finishedAt = r.now()
-		r.schedFinishedLocked(c)
-		if r.backend() == transport.BackendLive {
-			// The canceled job may have been the blocked head of line.
-			r.admitLiveLocked()
-		}
-		r.mu.Unlock()
-		close(c.done)
-		r.notifyJobDone(c)
+		r.retire(c, JobCanceled, Report{}, ErrJobCanceled)
 		return nil
 	case JobRunning:
-		if r.backend() == transport.BackendSim {
-			s := r.sim
-			r.mu.Unlock()
-			if s == nil || !s.Inject(func() { r.cancelSimJobNow(c) }) {
-				return fmt.Errorf("dcgn: job %d is running but the batch has ended", id)
-			}
-			return nil
-		}
+		sub := r.sub
 		r.mu.Unlock()
-		c.cancelOnce.Do(func() { close(c.cancelCh) })
+		if r.backend() == transport.BackendLive {
+			c.cancelOnce.Do(func() { close(c.cancelCh) })
+		} else if !sub.sim.Inject(func() { r.cancelSimJobNow(c) }) {
+			return fmt.Errorf("dcgn: job %d is running but the batch has ended", id)
+		}
 		return nil
 	default:
 		r.mu.Unlock()
@@ -838,8 +772,8 @@ func (r *Runtime) Cancel(id int) error {
 // release staging state; pending timers for dead procs become no-ops),
 // the partial Report is assembled exactly like a completion, and the
 // freed nodes admit successors at the current virtual time. The job's
-// engine daemons stay parked in their tag band, which is the same
-// harmless leftover failAdmittedSimLocked documents.
+// engine daemons stay parked in their tag band, tag-isolated and harmless
+// to the next tenant of those nodes.
 func (r *Runtime) cancelSimJobNow(c *rtJob) {
 	r.mu.Lock()
 	if c.state != JobRunning || c.finished {
@@ -847,41 +781,59 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 		r.mu.Unlock()
 		return
 	}
-	// Latch finished first: killed procs still run their deferred exit(),
-	// and the zero-crossing there must not double-finish the job.
+	// Latch finished first: a helper the job's parked daemons spawn later
+	// must not cross zero and finish the job a second time.
 	c.finished = true
 	procs := c.simProcs
 	c.simProcs = nil
 	r.mu.Unlock()
 
 	for _, p := range procs {
-		r.sim.Kill(p)
+		r.sub.sim.Kill(p)
 	}
-
-	rep := Report{
-		Elapsed:    r.sim.Now() - c.startedAt,
-		NetPackets: int(c.simGroup.Packets()),
-		NetBytes:   c.simGroup.Bytes(),
-	}
-	c.job.fillReport(&rep)
-
+	rep := c.job.report()
 	r.mu.Lock()
-	c.report = rep
-	c.state = JobCanceled
-	c.err = ErrJobCanceled
-	c.finishedAt = r.sim.Now()
+	r.retire(c, JobCanceled, rep, ErrJobCanceled)
+}
+
+// retire is the one terminal transition: every way a job can end — done,
+// failed, canceled while queued or running, shed at its arrival, left
+// unfinished by the batch — ends here, so none can skip a step. Called
+// with r.mu held and returns with it released, because its last step,
+// OnJobDone, must run without it: the callback may Submit.
+//
+// In order: record the outcome; count it; drop the job's metrics
+// partition and the engine itself (the Report owns the spans now, so this
+// frees the preallocated trace rings with it — safe even with a canceled
+// live job's goroutines still unwinding, which reach the engine through
+// their own references, never through c); leave the queue or free the
+// nodes; admit successors; resolve the handle; notify.
+func (r *Runtime) retire(c *rtJob, state JobState, rep Report, err error) {
+	c.state, c.report, c.err = state, rep, err
+	c.finishedAt = r.now()
 	r.schedFinishedLocked(c)
 	if c.partKey != "" {
 		r.obsParts.Drop(c.partKey)
 	}
+	c.job = nil
+	r.dequeueLocked(c)
 	for _, n := range c.placement {
 		r.free[n] = true
 	}
-	r.freeNodes += len(c.placement)
-	r.admitSimLocked()
+	// Freed nodes — or a canceled head of line — may let queued work in. A
+	// simulated admission spawns procs, so it may only happen in sim
+	// context: where a job that held nodes ends, never on a foreign
+	// goroutine's Cancel of a queued one.
+	if c.placement != nil || r.backend() == transport.BackendLive {
+		r.admitLocked()
+	}
+	c.placement = nil
+	st := r.statusLocked(c)
 	r.mu.Unlock()
 	close(c.done)
-	r.notifyJobDone(c)
+	if r.onJobDone != nil {
+		r.onJobDone(st)
+	}
 }
 
 // Drain stops admitting new submissions and blocks until every accepted
@@ -912,74 +864,77 @@ func (r *Runtime) Close() error {
 	return nil
 }
 
-// --- Live admission ------------------------------------------------------
+// --- Admission -------------------------------------------------------------
 
-// admitLiveLocked starts every queued job that fits, best-candidate
-// first, each on its own goroutine over a fresh tenant group of the
-// shared cluster.
-func (r *Runtime) admitLiveLocked() {
+// admitLocked starts every queued job that fits, best candidate first, on
+// the lowest-numbered free nodes. On the live backend it runs on Submit
+// and whenever a job retires; on the simulated one at t=0 and, in virtual
+// time, from arrivals and retiring jobs — never outside a running batch,
+// where there is no simulator to spawn on.
+func (r *Runtime) admitLocked() {
+	if r.backend() == transport.BackendSim && !r.simActive {
+		return
+	}
 	for {
 		c := r.pickLocked()
-		if c == nil || c.job.cfg.Nodes > r.freeNodes {
+		if c == nil {
+			return
+		}
+		free := 0
+		for _, f := range r.free {
+			if f {
+				free++
+			}
+		}
+		if c.nodes > free {
 			return
 		}
 		r.dequeueLocked(c)
 		r.chargeTenantLocked(c)
-		n := c.job.cfg.Nodes
-		r.freeNodes -= n
+		c.placement = make([]int, 0, c.nodes)
+		for n := 0; len(c.placement) < c.nodes; n++ {
+			if r.free[n] {
+				r.free[n] = false
+				c.placement = append(c.placement, n)
+			}
+		}
 		c.state = JobRunning
 		c.startedAt = r.now()
 		r.schedAdmittedLocked(c)
-		c.job.pool = bufpool.New()
-		g, err := r.cluster.Join(c.id, n, c.job.pool)
-		if err != nil {
-			c.state = JobFailed
-			c.err = err
-			c.finishedAt = r.now()
-			r.freeNodes += n
-			close(c.done)
-			continue
+		// The job's metrics live in a tenant partition of the runtime's
+		// registry, dropped again after the final Report snapshot.
+		c.job.setupObs(func() *obs.Registry {
+			c.partKey = fmt.Sprintf("%s/job-%d", c.tenant, c.id)
+			return r.obsParts.Partition(c.partKey)
+		})
+		// The placement step is all the backends differ in.
+		if r.backend() == transport.BackendLive {
+			r.wg.Add(1)
+			go r.runLiveJob(c)
+		} else {
+			r.startSimJobLocked(c)
 		}
-		r.setupObsLocked(c)
-		r.wg.Add(1)
-		go r.runLiveJob(c, g)
 	}
 }
 
-// runLiveJob executes one admitted job over its tenant group and then
-// frees its nodes, triggering the next admission round.
-func (r *Runtime) runLiveJob(c *rtJob, g *live.Group) {
+// runLiveJob executes one admitted job over a fresh tenant group of the
+// shared cluster, on its own goroutine.
+func (r *Runtime) runLiveJob(c *rtJob) {
 	defer r.wg.Done()
-	env := &liveEnv{
-		endpoint: func(n int) transport.Transport { return g.Endpoint(n) },
-		closeTr:  func() { _ = g.Close() },
-		packets:  g.Packets,
-		bytes:    g.Bytes,
-		cancel:   c.cancelCh,
+	state, rep := JobFailed, Report{}
+	pool := bufpool.New()
+	g, err := r.cluster.Join(c.id, c.nodes, pool)
+	if err == nil {
+		rep, err = c.job.runLive(liveEndpoints(c.nodes, g.Endpoint), pool, g, c.cancelCh)
 	}
-	rep, err := c.job.runLiveEnv(env)
-	r.mu.Lock()
-	c.report, c.err = rep, err
 	switch {
 	case err == nil:
-		c.state = JobDone
+		state = JobDone
 	case errors.Is(err, ErrJobCanceled):
-		c.state = JobCanceled
-	default:
-		c.state = JobFailed
+		state = JobCanceled
 	}
-	c.finishedAt = r.now()
-	r.schedFinishedLocked(c)
-	if c.partKey != "" {
-		r.obsParts.Drop(c.partKey)
-	}
-	r.freeNodes += c.job.cfg.Nodes
-	if !r.closed {
-		r.admitLiveLocked()
-	}
-	r.mu.Unlock()
-	close(c.done)
-	r.notifyJobDone(c)
+	r.mu.Lock()
+	r.retire(c, state, rep, err)
 }
 
 // --- Simulated batch execution -------------------------------------------
@@ -1001,145 +956,73 @@ func (r *Runtime) Run() error {
 		return fmt.Errorf("dcgn: runtime batch already ran")
 	}
 	r.ran = true
-	s := sim.New()
-	s.SetMaxTime(r.cfg.MaxVirtualTime)
-	r.sim = s
-	r.net = fabric.New(s, r.cfg.Nodes, r.cfg.Net)
-	r.simPool = bufpool.New()
-	nodeOf := make([]int, r.cfg.Nodes)
-	for i := range nodeOf {
-		nodeOf[i] = i
-	}
-	mpiCfg := r.cfg.MPI
-	mpiCfg.Pool = r.simPool
-	r.world = mpi.NewWorld(s, r.net, nodeOf, mpiCfg)
+	r.sub = newSubstrate(r.cfg.Nodes, r.cfg.Net, r.cfg.MPI, 0, r.cfg.MaxVirtualTime, 0, 0)
 	// Turn every SubmitAt schedule into an arrival proc. Arrivals are
 	// non-daemon so the batch stays alive through gaps in the schedule;
 	// spawn order (schedule order) plus the timer heap's (time, seq)
 	// ordering keeps simultaneous arrivals deterministic.
 	for _, c := range r.scheduled {
 		c := c
-		s.SpawnID("arrival", c.id, func(p *sim.Proc) {
+		r.sub.sim.SpawnID("arrival", c.id, func(p *sim.Proc) {
 			p.Sleep(c.notBefore)
 			r.arriveSimJob(c, p.Now())
 		})
 	}
 	r.simActive = true
-	r.admitSimLocked()
+	r.admitLocked()
 	r.mu.Unlock()
 
-	err := s.Run()
-
-	r.mu.Lock()
-	r.simActive = false
-	r.mu.Unlock()
+	err := r.sub.run()
 
 	// Anything not terminal after the simulator drained hit the virtual
-	// time cap (or could never be admitted); resolve its handle so Wait
-	// and Drain cannot hang.
+	// time cap (or could never be admitted); retire it so Wait and Drain
+	// cannot hang. Nothing joins r.jobs any more: Submit refuses once the
+	// batch has run.
 	r.mu.Lock()
-	for _, c := range r.jobs {
-		if c.state == JobQueued || c.state == JobRunning {
-			c.state = JobFailed
-			if err != nil {
-				c.err = fmt.Errorf("dcgn: batch ended before job %d finished: %w", c.id, err)
-			} else {
-				c.err = fmt.Errorf("dcgn: batch ended before job %d finished", c.id)
-			}
-			c.finishedAt = r.now()
-			r.schedFinishedLocked(c)
-			close(c.done)
-		}
-	}
+	r.simActive = false
+	jobs := r.jobs
 	r.mu.Unlock()
+	for _, c := range jobs {
+		r.mu.Lock()
+		if c.state != JobQueued && c.state != JobRunning {
+			r.mu.Unlock()
+			continue
+		}
+		cerr := fmt.Errorf("dcgn: batch ended before job %d finished", c.id)
+		if err != nil {
+			cerr = fmt.Errorf("dcgn: batch ended before job %d finished: %w", c.id, err)
+		}
+		r.retire(c, JobFailed, Report{}, cerr)
+	}
 	return err
 }
 
-// admitSimLocked admits every queued job that fits onto concrete free
-// nodes, lowest ids first. Called at t=0 and, in virtual time, from
-// finishing jobs.
-func (r *Runtime) admitSimLocked() {
-	for {
-		c := r.pickLocked()
-		if c == nil || c.job.cfg.Nodes > r.freeNodes {
-			return
-		}
-		r.dequeueLocked(c)
-		r.chargeTenantLocked(c)
-		placement := make([]int, 0, c.job.cfg.Nodes)
-		for n := 0; n < len(r.free) && len(placement) < c.job.cfg.Nodes; n++ {
-			if r.free[n] {
-				r.free[n] = false
-				placement = append(placement, n)
-			}
-		}
-		r.freeNodes -= len(placement)
-		r.admitSimJobLocked(c, placement)
-	}
-}
-
-// admitSimJobLocked builds one admitted job's engine over the shared
-// substrate: a private buffer pool retargeted under its world ranks, a
-// tenant transport group in its own tag band, per-node engines in
-// tenant-local node space, and kernels spawned through the counting rt
-// whose zero-crossing is the job's completion.
-func (r *Runtime) admitSimJobLocked(c *rtJob, placement []int) {
-	j := c.job
-	c.placement = placement
-	c.state = JobRunning
-	c.startedAt = r.sim.Now()
-	// The runtime's simulated clock is shared across tenants, so the
-	// critical-path window of this job starts at its admission instant.
-	j.flowEpoch = c.startedAt
-	r.schedAdmittedLocked(c)
-
-	j.sim = r.sim
-	crt := &countingRT{simRT: simRT{s: r.sim}, c: c, r: r}
-	j.rt = crt
-	j.net = r.net
-	j.world = r.world
-	j.pool = bufpool.New()
+// startSimJobLocked brings one admitted job's engine up on its share of
+// the substrate: a private buffer pool retargeted under its world ranks, a
+// tenant transport group in its own tag band over its placement, and the
+// counting rt whose zero-crossing is the job's completion.
+func (r *Runtime) startSimJobLocked(c *rtJob) {
+	pool := bufpool.New()
 	// Exclusive node ownership makes the pool retarget safe: the previous
 	// tenant of these ranks has quiesced (its proc count crossed zero), so
 	// no staging acquired from the old pool is still in flight.
-	for _, w := range placement {
-		r.world.SetRankPool(w, j.pool)
+	for _, w := range c.placement {
+		r.sub.world.SetRankPool(w, pool)
 	}
-	c.simGroup = simmpi.NewGroup(r.world, placement, c.id)
-	j.trFactory = func(local int) transport.Transport { return c.simGroup.Endpoint(local) }
-	r.setupObsLocked(c)
-
-	j.nodes = nil
-	for n := 0; n < j.cfg.Nodes; n++ {
-		j.nodes = append(j.nodes, j.buildSimNode(n, r.sim, crt))
+	c.simGroup = simmpi.NewGroup(r.sub.world, c.placement, c.id)
+	endpoints := make([]transport.Transport, c.nodes)
+	for n := range endpoints {
+		endpoints[n] = c.simGroup.Endpoint(n)
 	}
-	if err := j.spawnCPUKernels(); err != nil {
-		r.failAdmittedSimLocked(c, err)
-		return
-	}
-	if err := j.spawnGPUKernels(); err != nil {
-		r.failAdmittedSimLocked(c, err)
-		return
-	}
-}
-
-// failAdmittedSimLocked resolves a job whose kernel spawn failed after
-// its nodes were claimed. The nodes are returned (their leftover engine
-// daemons are tag-isolated and harmless); no procs were spawned, so
-// there is nothing to quiesce.
-func (r *Runtime) failAdmittedSimLocked(c *rtJob, err error) {
-	c.state = JobFailed
-	c.err = err
-	c.finishedAt = r.sim.Now()
-	r.schedFinishedLocked(c)
-	for _, n := range c.placement {
-		r.free[n] = true
-	}
-	r.freeNodes += len(c.placement)
-	if c.partKey != "" {
-		r.obsParts.Drop(c.partKey)
-	}
-	close(c.done)
+	c.job.start(engineEnv{
+		rt:        &countingRT{simRT: simRT{s: r.sub.sim}, c: c, r: r},
+		sims:      r.sub.sims[:c.nodes], // one shared simulator: any c.nodes entries will do
+		endpoints: endpoints,
+		pool:      pool,
+		clock:     r.sub,
+		epoch:     c.startedAt,
+		wire:      c.simGroup,
+	})
 }
 
 // countingRT is the per-tenant execution substrate on a shared
@@ -1155,12 +1038,15 @@ type countingRT struct {
 }
 
 // Spawn counts and starts a worker proc, retaining the proc handle so
-// Cancel can tear the job down mid-run.
+// Cancel can tear the job down mid-run. Only a proc that returns counts as
+// finished: one killed — by Cancel, or by the simulator shutting down at
+// the virtual-time cap — unwinds past exit, so a job cut short can never
+// cross zero and pass for complete.
 func (k *countingRT) Spawn(name string, fn func(transport.Proc)) {
 	k.c.procs.Add(1)
 	p := k.s.Spawn(name, func(p *sim.Proc) {
-		defer k.exit()
 		fn(p)
+		k.exit()
 	})
 	k.c.simProcs = append(k.c.simProcs, p)
 }
@@ -1169,76 +1055,23 @@ func (k *countingRT) Spawn(name string, fn func(transport.Proc)) {
 func (k *countingRT) SpawnID(prefix string, id int, fn func(transport.Proc)) {
 	k.c.procs.Add(1)
 	p := k.s.SpawnID(prefix, id, func(p *sim.Proc) {
-		defer k.exit()
 		fn(p)
+		k.exit()
 	})
 	k.c.simProcs = append(k.c.simProcs, p)
 }
 
 // exit retires one worker proc; the first zero-crossing completes the
-// job, in virtual time, on the proc that crossed it.
+// job, in virtual time, on the proc that crossed it: its Report (per-tenant
+// wire totals from its group, per-job pool and engine counters) is final,
+// its nodes free up and successors are admitted, all at that instant. Safe
+// to read the engine here: the job's procs have all exited and the sim
+// event loop is single-threaded.
 func (k *countingRT) exit() {
 	if k.c.procs.Add(-1) == 0 && !k.c.finished {
 		k.c.finished = true
-		k.r.finishSimJob(k.c)
-	}
-}
-
-// finishSimJob assembles a finished tenant's Report (per-tenant wire
-// totals from its group, per-job pool and engine counters via
-// fillReport), frees its nodes and admits successors — all at the
-// current virtual time.
-func (r *Runtime) finishSimJob(c *rtJob) {
-	j := c.job
-	rep := Report{
-		Elapsed:    r.sim.Now() - c.startedAt,
-		NetPackets: int(c.simGroup.Packets()),
-		NetBytes:   c.simGroup.Bytes(),
-	}
-	j.fillReport(&rep)
-	// The report owns the spans now; releasing the sink frees the
-	// preallocated per-node rings, which a long-lived runtime retaining
-	// every rtJob would otherwise hold forever. Safe here: the job's procs
-	// have all exited (this runs at the zero-crossing) and the sim event
-	// loop is single-threaded.
-	j.trace = nil
-	r.mu.Lock()
-	c.report = rep
-	c.state = JobDone
-	c.finishedAt = r.sim.Now()
-	r.schedFinishedLocked(c)
-	if c.partKey != "" {
-		r.obsParts.Drop(c.partKey)
-	}
-	for _, n := range c.placement {
-		r.free[n] = true
-	}
-	r.freeNodes += len(c.placement)
-	r.admitSimLocked()
-	r.mu.Unlock()
-	close(c.done)
-	r.notifyJobDone(c)
-}
-
-// --- Exclusive (single-job) execution ------------------------------------
-
-// runExclusive executes j as a runtime of one — the whole cluster, one
-// tenant, admitted immediately — on the legacy engine paths, which is
-// what keeps dcgn.NewJob(cfg).Run() bit-identical to the pre-runtime
-// engine. Job.Run delegates here after its observability setup.
-func runExclusive(j *Job) (Report, error) {
-	switch j.cfg.Transport.Name() {
-	case transport.BackendSim:
-		if j.cfg.Shards > 0 {
-			return j.runShardedSim()
-		}
-		return j.runSim()
-	case transport.BackendLive:
-		if j.cfg.Shards > 0 {
-			return Report{}, fmt.Errorf("dcgn: sharded runs need the simulated backend (the live backend has no virtual clock to window)")
-		}
-		return j.runLive()
-	default:
-		return Report{}, fmt.Errorf("dcgn: unknown transport backend %q", j.cfg.Transport.Backend)
+		rep := k.c.job.report()
+		k.r.mu.Lock()
+		k.r.retire(k.c, JobDone, rep, nil)
 	}
 }

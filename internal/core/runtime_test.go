@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,16 +85,134 @@ func checkTenantReportInvariant(t *testing.T, label string, rep Report, wantNode
 	}
 }
 
+// engineHost names one way of hosting a job's engine: Job.Run on its own
+// substrate (classic event loop, or sharded), or a Runtime of one on either
+// backend.
+type engineHost struct {
+	name    string
+	backend string // "" = simulated
+	shards  int
+	runtime bool
+}
+
+// engineHosts is every host the one engine bring-up runs under.
+var engineHosts = []engineHost{
+	{name: "Job.Run"},
+	{name: "Job.Run/shards=1", shards: 1},
+	{name: "Job.Run/shards=4", shards: 4},
+	{name: "Runtime/sim", runtime: true},
+	{name: "Runtime/live", backend: transport.BackendLive, runtime: true},
+	{name: "Job.Run/live", backend: transport.BackendLive},
+}
+
+// runOnHost runs the job mk builds (for the host's backend and shard
+// count) to completion under the given host and returns its Report.
+func runOnHost(t *testing.T, h engineHost, mk func(backend string, shards int) *Job) Report {
+	t.Helper()
+	backend := h.backend
+	if backend == "" {
+		backend = transport.BackendSim
+	}
+	job := mk(backend, h.shards)
+	if !h.runtime {
+		rep, err := job.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
+		return rep
+	}
+	r, err := NewRuntime(runtimeConfig(backend, job.Config().Nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	hd, err := r.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatalf("%s: %v", h.name, err)
+	}
+	if backend == transport.BackendSim {
+		if err := r.Run(); err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
+	}
+	rep, err := hd.Wait()
+	if err != nil {
+		t.Fatalf("%s: %v", h.name, err)
+	}
+	return rep
+}
+
+// TestSameEngineOnEveryHost runs a ping-pong and a collective job under
+// every host and checks the backend-independent Report fields agree: the
+// engine brought up is the same one whoever hosts it, which is the
+// invariant that lets a substrate be retired rather than a copy of the
+// bring-up. Virtual Elapsed is compared only across the three Job.Run
+// substrates: a tenant's ends at its completion instant on the shared
+// clock, a live run's is wall time.
+func TestSameEngineOnEveryHost(t *testing.T) {
+	jobs := map[string]func(backend string, shards int) *Job{
+		"pingpong": func(backend string, shards int) *Job {
+			job := pingPongJob(backend, 8)
+			job.cfg.Shards = min(shards, job.cfg.Nodes)
+			return job
+		},
+		"collective": func(backend string, shards int) *Job {
+			cfg := backendConfig(backend, 4, 2)
+			cfg.Shards = shards
+			job := NewJob(cfg)
+			job.SetCPUKernel(func(c *CPUCtx) {
+				buf := make([]byte, 512)
+				all := make([]byte, 512*c.Size())
+				c.Barrier()
+				c.Bcast(0, buf)
+				c.Gather(0, buf, all)
+				c.SendRecvReplace((c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size(), buf)
+				c.AllToAll(all, make([]byte, len(all)))
+			})
+			return job
+		},
+	}
+	for name, mk := range jobs {
+		t.Run(name, func(t *testing.T) {
+			var ref Report
+			for i, h := range engineHosts {
+				rep := runOnHost(t, h, mk)
+				checkTenantReportInvariant(t, h.name, rep, len(rep.Nodes))
+				if rep.Requests == 0 {
+					t.Fatalf("%s: no requests handled; test is vacuous", h.name)
+				}
+				if i == 0 {
+					ref = rep
+					continue
+				}
+				if rep.Requests != ref.Requests || len(rep.Nodes) != len(ref.Nodes) {
+					t.Fatalf("%s: %d requests on %d nodes, %s had %d on %d",
+						h.name, rep.Requests, len(rep.Nodes), engineHosts[0].name, ref.Requests, len(ref.Nodes))
+				}
+				for n, st := range rep.Nodes {
+					if st.LocalRequests != ref.Nodes[n].LocalRequests || st.WireMessages != ref.Nodes[n].WireMessages {
+						t.Errorf("%s node %d: local/wire %d/%d, %s had %d/%d", h.name, n,
+							st.LocalRequests, st.WireMessages, engineHosts[0].name,
+							ref.Nodes[n].LocalRequests, ref.Nodes[n].WireMessages)
+					}
+				}
+				if !h.runtime && h.backend == "" && rep.Elapsed != ref.Elapsed {
+					t.Errorf("%s: virtual Elapsed %v, %s had %v", h.name, rep.Elapsed, engineHosts[0].name, ref.Elapsed)
+				}
+			}
+		})
+	}
+}
+
 // TestRuntimeSimBatchIsolation runs two identical jobs concurrently on a
 // shared simulated runtime and pins their reports against a solo run of
 // the same job: identical pool counters, request counts and wire totals
 // mean neither tenant observed the other's existence. The two co-tenants
 // must also agree with each other exactly — they are symmetric.
 func TestRuntimeSimBatchIsolation(t *testing.T) {
-	solo, err := pingPongJob(transport.BackendSim, 8).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := runOnHost(t, engineHost{name: "Job.Run"}, func(backend string, _ int) *Job {
+		return pingPongJob(backend, 8)
+	})
 
 	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 4))
 	if err != nil {
@@ -418,31 +538,232 @@ func TestRuntimeSimPriority(t *testing.T) {
 	}
 }
 
-// TestRuntimeCancelQueued cancels a queued submission before the batch
-// runs; it must never execute, and its handle resolves with
-// ErrJobCanceled.
-func TestRuntimeCancelQueued(t *testing.T) {
-	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 2))
-	if err != nil {
-		t.Fatal(err)
+// TestRuntimeLifecycle drives one job through every way a submission can
+// end, on both backends, and checks the parts of the lifecycle that no
+// ending may skip: the handle resolves with the right state and error,
+// OnJobDone fires exactly once per accepted job, the scheduler's counters
+// balance, the job's nodes, metrics partition and engine are released,
+// and a follow-up job gets to run on what was freed.
+func TestRuntimeLifecycle(t *testing.T) {
+	// obsJob is a 2-node job with a metrics partition and a trace sink to
+	// release.
+	obsJob := func(backend string, kernel func(*CPUCtx)) *Job {
+		cfg := backendConfig(backend, 2, 1)
+		cfg.Metrics, cfg.Trace = true, true
+		job := NewJob(cfg)
+		job.SetCPUKernel(kernel)
+		return job
 	}
-	h1, _ := r.Submit(pingPongJob(transport.BackendSim, 4), SubmitOpts{})
-	h2, _ := r.Submit(pingPongJob(transport.BackendSim, 4), SubmitOpts{})
-	if err := h2.Cancel(); err != nil {
-		t.Fatal(err)
+	quick := func(c *CPUCtx) { c.Barrier() }
+	submit := func(t *testing.T, r *Runtime, job *Job) *JobHandle {
+		t.Helper()
+		h, err := r.Submit(job, SubmitOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	if _, err := h2.Wait(); !errors.Is(err, ErrJobCanceled) {
-		t.Fatalf("canceled handle: err=%v, want ErrJobCanceled", err)
+	submitAt := func(t *testing.T, r *Runtime, job *Job, at time.Duration) *JobHandle {
+		t.Helper()
+		h, err := r.SubmitAt(job, SubmitOpts{}, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	if err := r.Run(); err != nil {
-		t.Fatal(err)
+
+	rows := []struct {
+		name     string
+		backends []string
+		maxQueue int
+		maxTime  time.Duration
+		// drive submits the subject and whatever provokes its ending. It
+		// returns the subject's handle (nil when Submit rejected it) and a
+		// follow-up that can only run on the nodes the subject gives up
+		// (nil when the batch is over by then).
+		drive     func(t *testing.T, r *Runtime, backend string) (subject, followUp *JobHandle)
+		wantState JobState
+		wantErr   string // substring; "" = nil error
+		runFails  bool   // the simulated batch itself returns an error
+	}{
+		{
+			name: "done", backends: backends,
+			drive: func(t *testing.T, r *Runtime, backend string) (*JobHandle, *JobHandle) {
+				return submit(t, r, obsJob(backend, quick)), submit(t, r, pingPongJob(backend, 2))
+			},
+			wantState: JobDone,
+		},
+		{
+			name: "cancel-queued", backends: backends,
+			drive: func(t *testing.T, r *Runtime, backend string) (*JobHandle, *JobHandle) {
+				// On the live backend a job is only ever queued behind a
+				// running one; before a simulated batch runs, everything is.
+				var blocker *JobHandle
+				if backend == transport.BackendLive {
+					blocker = submit(t, r, obsJob(backend, func(c *CPUCtx) {
+						c.Recv(1-c.Rank(), make([]byte, 8)) // both receive: holds the nodes until canceled
+					}))
+				}
+				subject := submit(t, r, obsJob(backend, quick))
+				if st := subject.Status().State; st != JobQueued {
+					t.Fatalf("subject is %v, want queued", st)
+				}
+				if err := subject.Cancel(); err != nil {
+					t.Fatal(err)
+				}
+				followUp := submit(t, r, pingPongJob(backend, 2))
+				if blocker != nil {
+					if err := blocker.Cancel(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return subject, followUp
+			},
+			wantState: JobCanceled, wantErr: ErrJobCanceled.Error(),
+		},
+		{
+			name: "cancel-running", backends: backends,
+			drive: func(t *testing.T, r *Runtime, backend string) (*JobHandle, *JobHandle) {
+				// The subject cancels itself from inside its kernel, which is
+				// mid-run by construction on both clocks, then blocks for good.
+				var subject *JobHandle
+				ready := make(chan struct{})
+				subject = submit(t, r, obsJob(backend, func(c *CPUCtx) {
+					if c.Rank() == 0 {
+						<-ready
+						if err := subject.Cancel(); err != nil {
+							t.Errorf("cancel of running job: %v", err)
+						}
+					}
+					c.Recv(1-c.Rank(), make([]byte, 8))
+				}))
+				close(ready)
+				return subject, submit(t, r, pingPongJob(backend, 2))
+			},
+			wantState: JobCanceled, wantErr: ErrJobCanceled.Error(),
+		},
+		{
+			name: "shed-at-arrival", backends: []string{transport.BackendSim}, maxQueue: 1,
+			drive: func(t *testing.T, r *Runtime, backend string) (*JobHandle, *JobHandle) {
+				submitAt(t, r, pingPongJob(backend, 8), 0)                            // holds the cluster
+				followUp := submitAt(t, r, pingPongJob(backend, 2), time.Microsecond) // fills the queue
+				return submitAt(t, r, obsJob(backend, quick), 2*time.Microsecond), followUp
+			},
+			wantState: JobFailed, wantErr: ErrQueueFull.Error(),
+		},
+		{
+			name: "time-cap", backends: []string{transport.BackendSim}, maxTime: time.Second,
+			drive: func(t *testing.T, r *Runtime, backend string) (*JobHandle, *JobHandle) {
+				subject := submit(t, r, obsJob(backend, func(c *CPUCtx) { c.Compute(10 * time.Minute) }))
+				submit(t, r, pingPongJob(backend, 2)) // still queued when the batch ends
+				return subject, nil
+			},
+			wantState: JobFailed, wantErr: "batch ended before job 1 finished", runFails: true,
+		},
+		{
+			name: "rejected", backends: backends,
+			drive: func(t *testing.T, r *Runtime, backend string) (*JobHandle, *JobHandle) {
+				// CPU-kernel threads in the shape, only a GPU kernel installed:
+				// validation must refuse it before any engine is brought up.
+				mk := func() *Job {
+					cfg := backendConfig(backend, 2, 1)
+					if backend == transport.BackendSim {
+						cfg.GPUs = 1 // its GPU threads used to get it past Submit
+					}
+					job := NewJob(cfg)
+					job.SetGPUKernel(1, 1, func(*GPUCtx) {})
+					return job
+				}
+				const want = "CPU-kernel threads requested but no CPU kernel installed"
+				if _, err := r.Submit(mk(), SubmitOpts{}); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("Submit: err=%v, want %q", err, want)
+				}
+				solo := mk()
+				if _, err := solo.Run(); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("Job.Run: err=%v, want %q", err, want)
+				}
+				if solo.nodes != nil {
+					t.Error("Job.Run built node engines before rejecting the job")
+				}
+				return nil, submit(t, r, pingPongJob(backend, 2))
+			},
+		},
 	}
-	defer r.Close()
-	if _, err := h1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if st := h2.Status().State; st != JobCanceled {
-		t.Errorf("canceled job state %v", st)
+	for _, row := range rows {
+		for _, backend := range row.backends {
+			t.Run(row.name+"/"+backend, func(t *testing.T) {
+				cfg := runtimeConfig(backend, 2)
+				cfg.MaxQueue = row.maxQueue
+				if row.maxTime > 0 {
+					cfg.MaxVirtualTime = row.maxTime
+				}
+				r, err := NewRuntime(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				notified := map[int]int{}
+				r.SetOnJobDone(func(st JobStatus) {
+					mu.Lock()
+					notified[st.ID]++
+					mu.Unlock()
+				})
+
+				subject, followUp := row.drive(t, r, backend)
+				if backend == transport.BackendSim {
+					if err := r.Run(); (err != nil) != row.runFails {
+						t.Fatalf("Run: err=%v, want failure=%v", err, row.runFails)
+					}
+				}
+				if subject != nil {
+					_, err := subject.Wait()
+					if row.wantErr == "" && err != nil || row.wantErr != "" && (err == nil || !strings.Contains(err.Error(), row.wantErr)) {
+						t.Errorf("subject: err=%v, want %q", err, row.wantErr)
+					}
+					if st := subject.Status().State; st != row.wantState {
+						t.Errorf("subject: state %v, want %v", st, row.wantState)
+					}
+				}
+				if followUp != nil {
+					if rep, err := followUp.Wait(); err != nil || rep.Requests == 0 {
+						t.Errorf("follow-up on the freed nodes: err=%v, %d requests", err, rep.Requests)
+					}
+				}
+				if err := r.Close(); err != nil { // drains: every accepted job is terminal after this
+					t.Fatal(err)
+				}
+
+				for _, st := range r.List() {
+					if notified[st.ID] != 1 {
+						t.Errorf("job %d (%v): OnJobDone fired %d times, want exactly once", st.ID, st.State, notified[st.ID])
+					}
+				}
+				if len(notified) != len(r.List()) {
+					t.Errorf("OnJobDone fired for %d jobs, %d were accepted", len(notified), len(r.List()))
+				}
+				cnt := r.SchedSnapshot().Counters
+				if cnt["jobs_submitted"] != cnt["jobs_done"]+cnt["jobs_failed"]+cnt["jobs_canceled"] {
+					t.Errorf("counters do not balance: submitted %d != done %d + failed %d + canceled %d (rejected %d)",
+						cnt["jobs_submitted"], cnt["jobs_done"], cnt["jobs_failed"], cnt["jobs_canceled"], cnt["jobs_rejected"])
+				}
+				if parts := r.obsParts.Tenants(); len(parts) != 1 || parts[0] != "runtime" {
+					t.Errorf("metrics partitions left behind: %v", parts)
+				}
+				for n, free := range r.free {
+					if !free {
+						t.Errorf("node %d still claimed", n)
+					}
+				}
+				for _, c := range r.jobs {
+					if c.job != nil || c.placement != nil {
+						t.Errorf("job %d: engine or placement retained after it ended", c.id)
+					}
+				}
+				if len(r.queue) != 0 {
+					t.Errorf("%d jobs left in the admission queue", len(r.queue))
+				}
+			})
+		}
 	}
 }
 

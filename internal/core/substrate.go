@@ -1,0 +1,168 @@
+package core
+
+import (
+	"time"
+
+	"dcgn/internal/bufpool"
+	"dcgn/internal/fabric"
+	"dcgn/internal/mpi"
+	"dcgn/internal/sim"
+	"dcgn/internal/transport"
+	"dcgn/internal/transport/simmpi"
+)
+
+// engineEnv is what one engine bring-up needs from whoever hosts it, and
+// everything the three substrates — one event loop, a sharded one, live
+// goroutines — and their two kinds of host differ in: Job.Run owns a whole
+// substrate, a Runtime lends each admitted job a tenant's share of one. It
+// is a plain value of slices and pointers because a Runtime fills one per
+// job: no closure per node, nothing boxed that is not already a pointer.
+type engineEnv struct {
+	// rt is the substrate every node's threads run on: the live rt, or a
+	// tenant's counting veneer over the shared simulator. Nil means each
+	// node runs directly on its own simulator, sims[n].
+	rt rt
+	// sims maps node -> owning simulator: the same one throughout, or the
+	// owning shard's in a sharded run, so everything a node spawns stays on
+	// its shard. Nil on the live backend, which has no device model.
+	sims []*sim.Sim
+	// endpoints holds each node's raw transport endpoint, in job-local node
+	// space, before the configured middlewares wrap it.
+	endpoints []transport.Transport
+	// pool recycles every host-side staging buffer the run creates — GPU
+	// payload staging, wire pack/unpack, collective scratch, and (shared
+	// via mpi.Config.Pool or World.SetRankPool) the MPI layer's envelope
+	// staging, so leak accounting is exact. Buffer reuse is host-side only
+	// and never observable in virtual time.
+	pool *bufpool.Pool
+	// clock read at report time, less epoch, is the job's Elapsed; the
+	// clocks are deliberately not normalised. An exclusive event loop reads
+	// its time after Run drained trailing wire procs, a sharded run reads
+	// the coordinator's shard-count-invariant elapsed time, a tenant reads
+	// the shared clock at its completion instant, a live run the wall.
+	clock interface{ Now() time.Duration }
+	// epoch is the job's start on clock: its admission instant on a
+	// multi-tenant runtime's shared simulated clock, zero on job-local
+	// clocks. It is also where the critical-path analysis window starts.
+	epoch time.Duration
+	// wire meters the inter-node traffic that is this job's: the whole
+	// fabric's or cluster's for an exclusive run, the tenant group's
+	// endpoint-level count under a runtime (the fabric's counters
+	// aggregate all tenants).
+	wire wireTotals
+}
+
+// wireTotals meters inter-node traffic: packets and bytes carried so far.
+type wireTotals interface {
+	Packets() int64
+	Bytes() int64
+}
+
+// substrate is a simulated cluster: the event loop (or the sharded set of
+// them), the fabric, the staging pool and the underlying MPI world. Job.Run
+// builds one per run and a simulated Runtime one per batch.
+type substrate struct {
+	// sim is the single event loop; nil when the run is sharded.
+	sim *sim.Sim
+	// sharded coordinates the per-shard event loops; nil when Shards == 0.
+	sharded *sim.Sharded
+	sims    []*sim.Sim // node -> owning event loop
+	net     *fabric.Network
+	pool    *bufpool.Pool
+	world   *mpi.World
+}
+
+// newSubstrate builds a simulated cluster of the given shape. Shards == 0
+// is the classic single event loop. Shards >= 1 splits the nodes into that
+// many groups, each owning its own event loop (sim.Sharded), which advance
+// in parallel through conservative lookahead windows bounded by the
+// fabric's minimum cross-shard latency; cross-shard packets are exchanged
+// only at window barriers, in a total order independent of the shard
+// count, so a sharded run's Report is bit-identical for every Shards value
+// — only the wall-clock time changes. Jitter applies to the single event
+// loop only (Config.validate rejects it on sharded runs).
+func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int, maxTime time.Duration, jitterFrac float64, jitterSeed int64) *substrate {
+	sub := &substrate{pool: bufpool.New(), sims: make([]*sim.Sim, nodes)}
+	mpiCfg.Pool = sub.pool       // one pool across layers, so leak accounting is exact
+	nodeOf := make([]int, nodes) // one underlying MPI rank per node
+	for n := range nodeOf {
+		nodeOf[n] = n
+	}
+	if shards == 0 {
+		s := sim.New()
+		if jitterFrac > 0 || jitterSeed != 0 {
+			s.SetJitter(jitterFrac, jitterSeed)
+		}
+		s.SetMaxTime(maxTime)
+		for n := range sub.sims {
+			sub.sims[n] = s
+		}
+		sub.sim = s
+		sub.net = fabric.New(s, nodes, netCfg)
+		sub.world = mpi.NewWorld(s, sub.net, nodeOf, mpiCfg)
+		return sub
+	}
+	sc := sim.NewSharded(shards)
+	sc.SetMaxTime(maxTime)
+	// Topology-aware node -> shard partition: whole locality groups
+	// (fat-tree pods, dragonfly groups) go to one shard, so intra-group
+	// traffic — the short-hop majority — stays on the shard's same-shard
+	// fast path, and the cross-shard latency (and therefore the lookahead
+	// window) is set by the multi-hop inter-group tier instead of the
+	// cheapest link. On flat/ungrouped fabrics this degenerates to the
+	// legacy contiguous block partition. The partition only changes which
+	// event loop owns a node, never event ordering, so Reports stay
+	// bit-identical across shard counts either way.
+	shardOf := fabric.ShardPartition(netCfg.Topology, nodes, shards)
+	sub.sharded = sc
+	sub.net = fabric.NewSharded(sc, nodes, netCfg, shardOf)
+	sc.SetLookahead(sub.net.Lookahead())
+	for n := range sub.sims {
+		sub.sims[n] = sc.Shard(shardOf[n]).Sim()
+	}
+	sub.world = mpi.NewWorldSharded(sub.sims, sub.net, nodeOf, mpiCfg)
+	return sub
+}
+
+// run drives the substrate's event loop(s) until every non-daemon proc has
+// finished.
+func (sub *substrate) run() error {
+	if sub.sharded != nil {
+		return sub.sharded.Run()
+	}
+	return sub.sim.Run()
+}
+
+// Now is the substrate's clock as a host reads it: the event loop's
+// current time, or — once a sharded run has returned — the instant its
+// last non-daemon proc finished (each shard's own clock may have run to
+// the window edge).
+func (sub *substrate) Now() time.Duration {
+	if sub.sharded != nil {
+		return sub.sharded.Elapsed()
+	}
+	return sub.sim.Now()
+}
+
+// Packets counts the inter-node packets the fabric carried.
+func (sub *substrate) Packets() int64 {
+	pk, _ := sub.net.Totals()
+	return int64(pk)
+}
+
+// Bytes counts the inter-node bytes the fabric carried.
+func (sub *substrate) Bytes() int64 {
+	_, by := sub.net.Totals()
+	return by
+}
+
+// exclusiveEnv hosts one job on the whole substrate: every node on its own
+// simulator, the world-wide simulated-MPI endpoints, the substrate's pool,
+// clock and fabric totals.
+func (sub *substrate) exclusiveEnv() engineEnv {
+	endpoints := make([]transport.Transport, len(sub.sims))
+	for n := range endpoints {
+		endpoints[n] = simmpi.New(sub.world.Rank(n))
+	}
+	return engineEnv{sims: sub.sims, endpoints: endpoints, pool: sub.pool, clock: sub, wire: sub}
+}

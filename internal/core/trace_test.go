@@ -231,7 +231,7 @@ func TestObservabilityDoesNotPerturbVirtualTime(t *testing.T) {
 // scheduler churn each); the ring append must stay allocation-free.
 func BenchmarkRecordSpan(b *testing.B) {
 	s := sim.New()
-	j := &Job{rt: simRT{s: s}, trace: newTraceSink(1, 1, 1024, false)}
+	j := &Job{trace: newTraceSink(1, 1, 1024, false)}
 	ns := &nodeState{job: j, node: 0, rt: simRT{s: s}}
 	req := &request{op: opSend, rank: 0, peer: 1, ns: ns, traced: true,
 		postedAt: time.Microsecond, handledAt: 2 * time.Microsecond}
