@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lintdoc test race race-live bench bench-json bench-onesided benchguard benchmark-smoke chaos onesided multitenant loadgen trace-export flows scale ci
+.PHONY: build vet fmt lintdoc test race race-live fuzz-smoke bench bench-json bench-onesided benchguard benchmark-smoke chaos multitenant loadgen trace-export flows scale ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,12 @@ race:
 race-live:
 	$(GO) run -race ./cmd/dcgn-bench -backend live -exp pingpong
 
+# Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
+# every lane layout, starting from the committed corpus
+# (internal/core/testdata/fuzz). (The corpus itself replays in `test`.)
+fuzz-smoke:
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUnpackFrame -fuzztime 10s
+
 # Bench smoke: every benchmark runs exactly once so they can't bit-rot.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -46,14 +52,10 @@ bench:
 bench-json:
 	$(GO) run ./cmd/dcgn-bench -json BENCH_6.json
 
-# Classic-vs-triggered one-sided ablation: GPU->CPU one-way latency over
-# both paths per Fig. 6 size, written as JSON.
-bench-onesided:
-	$(GO) run ./cmd/dcgn-bench -onesided BENCH_7.json
-
-# One-sided lane gate: the classic-vs-triggered ablation JSON. (The
+# One-sided lane gate: the classic-vs-triggered ablation, GPU->CPU one-way
+# latency over both paths per Fig. 6 size, written as JSON. (The
 # conformance, triggered-path and chaos suites run under -race in `race`.)
-onesided:
+bench-onesided:
 	$(GO) run ./cmd/dcgn-bench -onesided BENCH_7.json
 
 # Allocation tripwire: fails if allocs/op on the matching benchmarks
@@ -77,19 +79,17 @@ scale:
 	$(GO) run ./cmd/dcgn-bench -nodes 1024 -shards 8
 	$(GO) run ./cmd/dcgn-bench -scale-verify "1,2,8" -nodes 256
 
-# Chaos smoke: the lossy-wire application runs and a seeded standalone
-# chaos run on the live backend under the race detector. (The
-# wire-hardening differential suites run under -race in `race`.)
+# Chaos smoke: a seeded standalone chaos run on the live backend under the
+# race detector. (The lossy-wire application runs and the wire-hardening
+# differential suites run in `test` and, under -race, in `race`.)
 chaos:
-	$(GO) test ./internal/apps/ -run 'SurvivesLossyWire'
 	$(GO) run -race ./cmd/dcgn-bench -chaos -backend live -chaos-collfail 0.2 -chaos-seed 11
 
-# Multi-tenant runtime gate: the per-job-overhead benches and the
-# fairness/overhead JSON report. (The Runtime suite — admission,
-# fair-share, isolation, lifecycle, control API, 8 concurrent live jobs —
-# runs under -race in `race`.)
+# Multi-tenant runtime gate: the fairness/overhead JSON report. (The
+# per-job-overhead benches run in `bench` and `benchguard`; the Runtime
+# suite — admission, fair-share, isolation, lifecycle, control API, 8
+# concurrent live jobs — runs under -race in `race`.)
 multitenant:
-	$(GO) test -run='^$$' -bench='BenchmarkEnginePingPong/(sim-multitenant|live-multitenant)' -benchtime=1x -benchmem .
 	$(GO) run ./cmd/dcgn-bench -jobs 8 -tenants "light:1,heavy:3" -multitenant-out BENCH_8.json
 
 # Loadgen gate mirroring the CI loadgen-smoke job: a seeded Poisson run on
@@ -102,22 +102,20 @@ loadgen:
 	diff /tmp/dcgn-slo-a.json /tmp/dcgn-slo-b.json
 	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 100 -duration 1s -backend live -nodes 8 -seed 7 -o /tmp/dcgn-slo-live.json
 
-# Exporter validation: the typed-struct schema tests plus a 4-node fixture
-# run through every dcgn-trace output format.
+# Exporter validation: a 4-node fixture run through every dcgn-trace
+# output format. (The typed-struct schema tests run in `test`.)
 trace-export:
-	$(GO) test ./cmd/dcgn-trace/ ./internal/obs/
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -format chrome -o /tmp/dcgn-trace.json
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -format csv -o /tmp/dcgn-trace.csv
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -metrics > /dev/null
 
-# Causal flow-tracing gate: the chrome-exporter flow-event test, a seeded
-# determinism diff of the dcgn-trace critical-path text (two runs must
-# render byte-identically), a Perfetto flow-event schema check on the
-# exported chrome trace, and the flows-on loadgen determinism diff. (The
-# stitching/critical-path suites and the flows-on chaos differential run
-# under -race in `race`.)
+# Causal flow-tracing gate: a seeded determinism diff of the dcgn-trace
+# critical-path text (two runs must render byte-identically), a Perfetto
+# flow-event schema check on the exported chrome trace, and the flows-on
+# loadgen determinism diff. (The chrome-exporter flow-event test runs in
+# `test`; the stitching/critical-path suites and the flows-on chaos
+# differential run under -race in `race`.)
 flows:
-	$(GO) test ./internal/obs/ -run 'ChromeTraceFlowEvents'
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-a.txt
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-b.txt
 	diff /tmp/dcgn-cp-a.txt /tmp/dcgn-cp-b.txt
@@ -128,4 +126,4 @@ flows:
 	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o /tmp/dcgn-slo-flows-b.json
 	diff /tmp/dcgn-slo-flows-a.json /tmp/dcgn-slo-flows-b.json
 
-ci: build vet fmt lintdoc test race race-live bench benchguard benchmark-smoke chaos onesided multitenant loadgen trace-export flows scale
+ci: build vet fmt lintdoc test race race-live fuzz-smoke bench benchguard benchmark-smoke chaos bench-onesided multitenant loadgen trace-export flows scale

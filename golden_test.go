@@ -31,6 +31,7 @@ import (
 	"dcgn/internal/apps"
 	"dcgn/internal/core"
 	"dcgn/internal/gas"
+	"dcgn/internal/transport/faults"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_virtual.json from the current code")
@@ -244,6 +245,182 @@ func collectiveMix() (map[string]int64, error) {
 	return m, nil
 }
 
+// laneMetrics is the wire-lane slice of a Report: the virtual clock, the
+// wire totals and the reliability counters, plus a checksum of what the
+// kernel received.
+func laneMetrics(rep core.Report, sums []uint64) map[string]int64 {
+	m := map[string]int64{
+		"elapsed-ns":      rep.Elapsed.Nanoseconds(),
+		"net-packets":     int64(rep.NetPackets),
+		"net-bytes":       rep.NetBytes,
+		"retransmits":     rep.Retransmits,
+		"acks-sent":       rep.AcksSent,
+		"acks-received":   rep.AcksReceived,
+		"dup-wire-frames": rep.DupWireFrames,
+	}
+	h := fnv.New64a()
+	for _, s := range sums {
+		fmt.Fprintf(h, "%x,", s)
+	}
+	m["result-fnv"] = int64(h.Sum64())
+	return m
+}
+
+// lanePingPong is the two-sided lane kernel: every rank ping-pongs with
+// its r^1 partner and then its r^2 partner over an empty, an eager and a
+// rendezvous-sized payload, so both directions of several node pairs
+// carry frames at once.
+func lanePingPong(cfg core.Config) (map[string]int64, error) {
+	job := core.NewJob(cfg)
+	sums := make([]uint64, cfg.Nodes)
+	var kernErr error
+	job.SetCPUKernel(func(c *core.CPUCtx) {
+		r := c.Rank()
+		h := fnv.New64a()
+		for _, stride := range []int{1, 2} {
+			peer := r ^ stride
+			for _, size := range []int{0, 1024, 96 << 10} {
+				out := make([]byte, size)
+				for i := range out {
+					out[i] = byte(r*29 + stride*11 + i)
+				}
+				in := make([]byte, size)
+				for iter := 0; iter < 2; iter++ {
+					var err error
+					if r < peer {
+						if err = c.Send(peer, out); err == nil {
+							_, err = c.Recv(peer, in)
+						}
+					} else {
+						if _, err = c.Recv(peer, in); err == nil {
+							err = c.Send(peer, out)
+						}
+					}
+					if err != nil && kernErr == nil {
+						kernErr = fmt.Errorf("rank %d <-> %d, %d B: %w", r, peer, size, err)
+					}
+					h.Write(in)
+				}
+			}
+		}
+		c.Barrier()
+		sums[r] = h.Sum64()
+	})
+	rep, err := job.Run()
+	if err == nil {
+		err = kernErr
+	}
+	return laneMetrics(rep, sums), err
+}
+
+// laneOneSided is the one-sided lane kernel: every rank drives each frame
+// kind at its right-hand neighbour's window — dynamic and persistent puts,
+// an accumulate, a fetch-and-op, then a get reading the result back — and
+// all ranks contend on one fetch-and-add counter at rank 0.
+func laneOneSided(cfg core.Config) (map[string]int64, error) {
+	const (
+		winSize  = 1024
+		accumOff = 512
+		fetchOff = 576
+		countOff = 584
+	)
+	cfg.OneSided = true
+	job := core.NewJob(cfg)
+	n := cfg.Nodes
+	sums := make([]uint64, n)
+	var kernErr error
+	job.SetCPUKernel(func(c *core.CPUCtx) {
+		r := c.Rank()
+		fail := func(tag string, err error) {
+			if err != nil && kernErr == nil {
+				kernErr = fmt.Errorf("rank %d %s: %w", r, tag, err)
+			}
+		}
+		win := make([]byte, winSize)
+		c.RegisterWindow(0, win)
+		c.Barrier()
+
+		t := (r + 1) % n
+		data := make([]byte, 300)
+		for i := range data {
+			data[i] = byte(r*17 + i)
+		}
+		fail("put", c.Put(t, 0, 0, data))
+		fail("put", c.Put(t, 0, 100, data[:200])) // overlaps the first: apply order shows
+		pp := c.NewPersistentPut(t, 0, 256, data[:128])
+		for fire := 0; fire < 2; fire++ {
+			data[0] = byte(fire + 1)
+			fail("persistent put", pp.Start())
+		}
+		pp.Free()
+		fail("accumulate", c.Accumulate(t, 0, accumOff, core.AtomicSum, []int64{int64(r + 1), -7, 1 << 40}))
+		prior, err := c.FetchAndOp(t, 0, fetchOff, core.AtomicReplace, int64(r+100))
+		fail("fetch-and-op", err)
+		ticket, err := c.FetchAndOp(0, 0, countOff, core.AtomicSum, 1)
+		fail("fetch-and-add", err)
+
+		// Six arrivals from the left-hand neighbour; rank 0 also hosts the
+		// shared counter, which every rank bumps once.
+		want := 6
+		if r == 0 {
+			want += n
+		}
+		c.WinWait(0, want)
+		back := make([]byte, fetchOff+8)
+		_, err = c.Get(t, 0, 0, back)
+		fail("get", err)
+		c.Barrier()
+
+		h := fnv.New64a()
+		h.Write(win)
+		h.Write(back)
+		fmt.Fprintf(h, "%d,%d", prior, ticket)
+		sums[r] = h.Sum64()
+	})
+	rep, err := job.Run()
+	if err == nil {
+		err = kernErr
+	}
+	return laneMetrics(rep, sums), err
+}
+
+// laneMatrix pins what no other scenario turns on: both wire lanes with
+// reliability off, on over a clean wire, and on over the chaos suite's
+// seeded fault mix, each with flows off and on, on the classic loop and on
+// four shards. (Sharded runs refuse fault injection, so the faulted cells
+// exist at Shards 0 only.)
+func laneMatrix(put func(string, map[string]int64, error) error) error {
+	kernels := []struct {
+		name string
+		run  func(core.Config) (map[string]int64, error)
+	}{{"pingpong", lanePingPong}, {"onesided", laneOneSided}}
+	for _, k := range kernels {
+		for _, rel := range []string{"unreliable", "reliable", "faulted"} {
+			for _, flows := range []bool{false, true} {
+				for _, shards := range []int{0, 4} {
+					if rel == "faulted" && shards > 0 {
+						continue
+					}
+					cfg := core.DefaultConfig()
+					cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 4, 1, 0, 0
+					cfg.Shards = shards
+					cfg.Flows = flows
+					cfg.Reliability.Enabled = rel != "unreliable"
+					if rel == "faulted" {
+						cfg.Faults = faults.Config{Seed: 42, Drop: 0.12, Dup: 0.08, Reorder: 0.08}
+					}
+					name := fmt.Sprintf("lane/%s/%s/flows=%t/shards%d", k.name, rel, flows, shards)
+					m, err := k.run(cfg)
+					if err := put(name, m, err); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // goldenResults runs every scenario and collects exact metrics.
 func goldenResults() (goldenMetrics, error) {
 	out := goldenMetrics{}
@@ -386,6 +563,10 @@ func goldenResults() (goldenMetrics, error) {
 	// Collective mix with per-rank content checksums.
 	cm, err := collectiveMix()
 	if err := put("collective-mix", cm, err); err != nil {
+		return nil, err
+	}
+
+	if err := laneMatrix(put); err != nil {
 		return nil, err
 	}
 

@@ -156,8 +156,10 @@ func (ns *nodeState) osAccumFrom(p transport.Proc, srcRank, dstRank, winID, offs
 	for i, v := range vals {
 		le.PutUint64(payload[8*i:], uint64(v))
 	}
-	f := &osFrame{kind: osAccum, src: srcRank, dst: dstRank, win: winID, offset: offset, postedNs: int64(p.Now()), aux: uint64(op), payload: payload}
-	err := ns.osSendFrame(p, dstNode, f)
+	err := ns.osSendFrame(p, dstNode, &frame{
+		kind: kindAccum, src: srcRank, dst: dstRank, payload: payload,
+		os: osAddr{win: winID, offset: offset, postedNs: int64(p.Now()), aux: uint64(op)},
+	})
 	ns.job.pool.Put(payload)
 	return err
 }
@@ -197,7 +199,10 @@ func (ns *nodeState) osFetchFrom(p transport.Proc, srcRank, dstRank, winID, offs
 	osw.getMu.Unlock()
 	var operandBuf [8]byte
 	binary.LittleEndian.PutUint64(operandBuf[:], uint64(operand))
-	f := &osFrame{kind: osFetchReq, src: srcRank, dst: dstRank, win: winID, token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(op), payload: operandBuf[:]}
+	f := &frame{
+		kind: kindFetchReq, src: srcRank, dst: dstRank, payload: operandBuf[:],
+		os: osAddr{win: winID, token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(op)},
+	}
 	if err := ns.osSendFrame(p, dstNode, f); err != nil {
 		osw.getMu.Lock()
 		delete(osw.gets, token)
@@ -213,47 +218,43 @@ func (ns *nodeState) osFetchFrom(p transport.Proc, srcRank, dstRank, winID, offs
 
 // osApplyAccum lands one accumulate in its target window under the
 // window lock and counts the remote completion like a put.
-func (ns *nodeState) osApplyAccum(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osApplyAccum(p transport.Proc, f *frame) {
 	osw := ns.osw
-	w := osw.window(f.dst, f.win)
+	w := osw.window(f.dst, f.os.win)
 	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
 	le := binary.LittleEndian
 	vals := make([]int64, len(f.payload)/8)
 	for i := range vals {
 		vals[i] = int64(le.Uint64(f.payload[8*i:]))
 	}
-	_, clipped := ns.atomicApply(p, w, f.offset, AtomicOp(f.aux), vals)
+	_, clipped := ns.atomicApply(p, w, f.os.offset, AtomicOp(f.os.aux), vals)
 	atomic.AddInt64(&osw.applied, 1)
 	if clipped {
 		atomic.AddInt64(&osw.truncated, 1)
 	}
-	if ns.met != nil {
-		if lat := int64(p.Now()) - f.postedNs; lat >= 0 {
-			ns.met.osRemoteComplete.Observe(lat)
-		}
-	}
+	ns.observeRemoteComplete(p, f)
 	w.arrive(clipped)
 }
 
 // osApplyFetchReq serves one fetch-and-op request: combine under the
 // window lock, then reply with the prior value from a spawned helper so
 // the sink daemon never blocks in a transport send.
-func (ns *nodeState) osApplyFetchReq(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osApplyFetchReq(p transport.Proc, f *frame) {
 	osw := ns.osw
-	w := osw.window(f.dst, f.win)
+	w := osw.window(f.dst, f.os.win)
 	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
 	if len(f.payload) < 8 {
 		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: fetch-and-op frame without operand", ns.node))
 	}
 	operand := int64(binary.LittleEndian.Uint64(f.payload))
-	rep := &osFrame{kind: osFetchRep, src: f.dst, dst: f.src, win: f.win, token: f.token, postedNs: f.postedNs}
+	rep := &frame{kind: kindFetchRep, src: f.dst, dst: f.src, os: osAddr{win: f.os.win, token: f.os.token, postedNs: f.os.postedNs}}
 	if ns.flowsOn && f.spanID != 0 {
 		// The reply joins the requesting fetch's flow (span minted for the
 		// serving rank, parent carried implicitly by trace membership).
 		rep.traceID = f.traceID
 		rep.spanID = ns.job.trace.newSpanID(f.dst)
 	}
-	old, ok := ns.atomicFetch(p, w, f.offset, AtomicOp(f.aux), operand)
+	old, ok := ns.atomicFetch(p, w, f.os.offset, AtomicOp(f.os.aux), operand)
 	var buf []byte
 	if ok {
 		atomic.AddInt64(&osw.applied, 1)
@@ -263,7 +264,7 @@ func (ns *nodeState) osApplyFetchReq(p transport.Proc, f *osFrame) {
 		w.arrive(false)
 	} else {
 		atomic.AddInt64(&osw.truncated, 1)
-		rep.flags = osFlagTrunc
+		rep.flags = flagTrunc
 	}
 	srcNode := ns.job.rmap.Node(f.src)
 	ns.rt.SpawnID("os-fetchrep", ns.node, func(h transport.Proc) {

@@ -49,12 +49,14 @@ type nodeState struct {
 	index  matcher
 	coll   collector
 
-	// rel holds the wire-level reliability state (reliable.go) when
-	// Config.Reliability is enabled; nil means the legacy wire format.
-	rel *relState
+	// wire is the two-sided frame lane (reliable.go): handleSend transmits
+	// on it and its receiver daemon feeds the intake. rel counts the
+	// reliability traffic of this lane and the one-sided one.
+	wire relLane
+	rel  relStats
 
-	// osw holds the one-sided engine (onesided.go) when Config.OneSided is
-	// set; nil means the lane (and its sink daemon) does not exist.
+	// osw holds the one-sided engine (onesided.go) and its lane when
+	// Config.OneSided is set; nil means neither exists.
 	osw *osState
 
 	// met caches this node's metric instruments (Config.Metrics); nil when
@@ -75,13 +77,13 @@ type nodeState struct {
 	collRetried int64
 }
 
-// start spawns the node's communication thread and its transport receiver
-// helper. Both run for the life of the application (daemons).
+// start spawns the node's communication thread and the receiver daemon of
+// each frame lane. All run for the life of the application (daemons).
 func (ns *nodeState) start() {
 	ns.rt.SpawnDaemonID("comm", ns.node, ns.runCommThread)
-	ns.rt.SpawnDaemonID("mpi-recv", ns.node, ns.runReceiver)
+	ns.rt.SpawnDaemonID("mpi-recv", ns.node, ns.wire.run)
 	if ns.osw != nil {
-		ns.rt.SpawnDaemonID("os-recv", ns.node, ns.runOneSidedReceiver)
+		ns.rt.SpawnDaemonID("os-recv", ns.node, ns.osw.lane.run)
 	}
 }
 
@@ -114,36 +116,21 @@ func (ns *nodeState) runCommThread(p transport.Proc) {
 	}
 }
 
-// runReceiver blocks in transport receives for inbound DCGN messages and
-// funnels them to the comm thread. The take-ownership receive hands us the
-// sender's pooled wire buffer directly — no staging buffer and no copy;
-// the payload aliases the wire buffer until the comm thread delivers it
-// and returns the buffer to the pool.
-func (ns *nodeState) runReceiver(p transport.Proc) {
-	for {
-		msg, err := ns.tr.RecvMsg(p)
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				if ns.rel != nil {
-					// Teardown can close the wire with resequencing gaps
-					// still parked; their buffers go back to the pool.
-					ns.rel.releaseHeld(ns.job.pool)
-				}
-				return // transport shut down (live backend teardown)
-			}
-			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", ns.node, err))
-		}
-		if ns.rel != nil {
-			ns.recvReliable(p, msg)
-			continue
-		}
-		src, dst, payload, traceID, spanID, err := unpackWire(msg, ns.flowsOn)
-		if err != nil {
-			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", ns.node, err))
-		}
-		p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-		ns.intake.postInbound(&inbound{src: src, dst: dst, data: payload, backing: msg, traceID: traceID, spanID: spanID})
-	}
+// twoSidedEnd is the node as the two-sided lane's laneEnd: frames move over
+// the transport's Send/RecvMsg, and an arrival is funneled to the comm
+// thread, which returns the wire buffer to the pool once it has delivered
+// the payload.
+type twoSidedEnd nodeState
+
+func (e *twoSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
+	return e.tr.Send(p, dstNode, msg)
+}
+
+func (e *twoSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.tr.RecvMsg(p) }
+
+func (e *twoSidedEnd) deliver(p transport.Proc, f frame) {
+	p.SleepJit(e.job.cfg.Params.RemoteRelayCost)
+	e.intake.postInbound(&inbound{src: f.src, dst: f.dst, data: f.payload, backing: f.backing, traceID: f.traceID, spanID: f.spanID})
 }
 
 // handleRequest routes one local request.

@@ -170,16 +170,10 @@ func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
 
 	dstNode := ns.job.rmap.Node(dstRank)
 	if dstNode == ns.node {
-		w := osw.window(dstRank, winID)
-		p.SleepJit(params.OneSidedApplyCost)
-		_, clipped := ns.writeWindow(p, w, offset, payload)
-		atomic.AddInt64(&osw.applied, 1)
-		if clipped {
-			atomic.AddInt64(&osw.truncated, 1)
-		}
+		w, clipped := ns.applyPut(p, dstRank, winID, offset, payload)
 		w.arrive(clipped)
 	} else {
-		f := &osFrame{kind: osPut, src: srcRank, dst: dstRank, win: winID, offset: offset, postedNs: int64(p.Now()), payload: payload}
+		f := &frame{kind: kindPut, src: srcRank, dst: dstRank, payload: payload, os: osAddr{win: winID, offset: offset, postedNs: int64(p.Now())}}
 		if err := ns.osSendFrame(p, dstNode, f); err != nil {
 			panic(fmt.Sprintf("dcgn: triggered put from rank %d to rank %d: %v", srcRank, dstRank, err))
 		}

@@ -368,14 +368,12 @@ func (j *Job) newNodeState(n int) *nodeState {
 		intake: newIntake(rtv.NewQueue(fmt.Sprintf("commq:%d", n))),
 		index:  newMatchIndex(),
 	}
-	if j.cfg.Reliability.Enabled {
-		ns.rel = newRelState(j.cfg.Nodes)
-	}
 	if j.metrics != nil {
 		ns.met = newNodeMetrics(j.metrics)
 	}
 	ns.obsOn = j.trace != nil || j.metrics != nil
 	ns.flowsOn = j.cfg.Flows && j.trace != nil
+	ns.wire.init(ns, (*twoSidedEnd)(ns), false)
 	ns.coll = newCollAccum(ns)
 	if j.cfg.OneSided {
 		ns.initOneSided()
@@ -497,16 +495,14 @@ func (j *Job) report() Report {
 			PeakIntakeDepth: int(ns.intake.peakDepth.Load()),
 			PeakPending:     ns.index.peakDepth(),
 		}
-		if ns.rel != nil {
-			st.Retransmits = atomic.LoadInt64(&ns.rel.retransmits)
-			st.DupWireFrames = atomic.LoadInt64(&ns.rel.dupFrames)
-			st.AcksSent = atomic.LoadInt64(&ns.rel.acksSent)
-			st.AcksReceived = atomic.LoadInt64(&ns.rel.acksReceived)
-			rep.Retransmits += st.Retransmits
-			rep.DupWireFrames += st.DupWireFrames
-			rep.AcksSent += st.AcksSent
-			rep.AcksReceived += st.AcksReceived
-		}
+		st.Retransmits = atomic.LoadInt64(&ns.rel.retransmits)
+		st.DupWireFrames = atomic.LoadInt64(&ns.rel.dupFrames)
+		st.AcksSent = atomic.LoadInt64(&ns.rel.acksSent)
+		st.AcksReceived = atomic.LoadInt64(&ns.rel.acksReceived)
+		rep.Retransmits += st.Retransmits
+		rep.DupWireFrames += st.DupWireFrames
+		rep.AcksSent += st.AcksSent
+		rep.AcksReceived += st.AcksReceived
 		st.CollRetries = atomic.LoadInt64(&ns.collRetried)
 		rep.CollRetries += st.CollRetries
 		if ns.osw != nil {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -51,124 +49,6 @@ import (
 // Config.OneSided.
 const osErrNotEnabled = "dcgn: one-sided operation without Config.OneSided (enable the lane in the job config)"
 
-// One-sided frame kinds.
-const (
-	osPut      = 1 // apply payload into the target window
-	osGetReq   = 2 // read aux bytes from the target window, reply with osGetRep
-	osGetRep   = 3 // get reply: payload for the requester's pending token
-	osAck      = 4 // one-sided-lane ack (reliability); src is the acking NODE
-	osAccum    = 5 // element-wise atomic update into the target window (aux = op)
-	osFetchReq = 6 // atomic fetch-and-op on one int64 (aux = op, payload = operand)
-	osFetchRep = 7 // fetch-and-op reply: prior value for the pending token
-)
-
-// osFlagTrunc marks a get reply whose payload was clipped to the window.
-const osFlagTrunc = 1
-
-// osHeaderLen is the fixed one-sided frame header:
-//
-//	0  u32 kind      8  i64 src rank   24 u32 win      32 u64 offset
-//	4  u32 flags     16 i64 dst rank   28 u32 token    40 u64 payload len
-//	48 u64 seq       56 i64 posted-at (origin clock, ns)   64 u64 aux
-//
-// aux carries the requested byte count of a get (whose request frame has
-// no payload). posted-at feeds the remote-completion histogram: virtual
-// clocks are global on the simulated backend, so target-minus-origin is
-// exact there and best-effort on the live backend.
-//
-// With Config.Flows on, the flow context (trace ID u64, span ID u64)
-// follows at [72, 88) and the payload moves to offset 88.
-const osHeaderLen = 72
-
-// osLen returns the one-sided header length for the frame layout in use.
-func osLen(flows bool) int {
-	if flows {
-		return osHeaderLen + flowCtxLen
-	}
-	return osHeaderLen
-}
-
-// osFrame is one parsed one-sided frame; payload aliases backing, which
-// the consumer returns to the pool after the frame is applied.
-type osFrame struct {
-	kind     int
-	flags    uint32
-	src, dst int
-	win      int
-	token    uint32
-	offset   int
-	seq      uint64
-	postedNs int64
-	aux      uint64
-	payload  []byte
-	backing  []byte
-	// traceID and spanID are the flow context (Config.Flows): the causal
-	// flow this frame belongs to and the origin operation's span, which
-	// the target's apply span parents itself on. Zero with flows off.
-	traceID uint64
-	spanID  uint64
-}
-
-// packOSFrame builds a one-sided frame in a pooled buffer, in the
-// flows-on layout when Config.Flows is set.
-func (ns *nodeState) packOSFrame(f *osFrame) []byte {
-	hdr := osLen(ns.flowsOn)
-	msg := ns.job.pool.Get(hdr + len(f.payload))
-	le := binary.LittleEndian
-	le.PutUint32(msg[0:], uint32(f.kind))
-	le.PutUint32(msg[4:], f.flags)
-	le.PutUint64(msg[8:], uint64(int64(f.src)))
-	le.PutUint64(msg[16:], uint64(int64(f.dst)))
-	le.PutUint32(msg[24:], uint32(f.win))
-	le.PutUint32(msg[28:], f.token)
-	le.PutUint64(msg[32:], uint64(int64(f.offset)))
-	le.PutUint64(msg[40:], uint64(len(f.payload)))
-	le.PutUint64(msg[48:], f.seq)
-	le.PutUint64(msg[56:], uint64(f.postedNs))
-	le.PutUint64(msg[64:], f.aux)
-	if ns.flowsOn {
-		le.PutUint64(msg[72:], f.traceID)
-		le.PutUint64(msg[80:], f.spanID)
-	}
-	copy(msg[hdr:], f.payload)
-	return msg
-}
-
-// unpackOSFrame parses a one-sided frame; the payload aliases msg.
-func unpackOSFrame(msg []byte, flows bool) (*osFrame, error) {
-	hdr := osLen(flows)
-	if len(msg) < hdr {
-		return nil, fmt.Errorf("core: short one-sided frame (%d bytes)", len(msg))
-	}
-	le := binary.LittleEndian
-	f := &osFrame{
-		kind:     int(le.Uint32(msg[0:])),
-		flags:    le.Uint32(msg[4:]),
-		src:      int(int64(le.Uint64(msg[8:]))),
-		dst:      int(int64(le.Uint64(msg[16:]))),
-		win:      int(le.Uint32(msg[24:])),
-		token:    le.Uint32(msg[28:]),
-		offset:   int(int64(le.Uint64(msg[32:]))),
-		seq:      le.Uint64(msg[48:]),
-		postedNs: int64(le.Uint64(msg[56:])),
-		aux:      le.Uint64(msg[64:]),
-		backing:  msg,
-	}
-	if flows {
-		f.traceID = le.Uint64(msg[72:])
-		f.spanID = le.Uint64(msg[80:])
-	}
-	n := int(le.Uint64(msg[40:]))
-	if f.kind < osPut || f.kind > osFetchRep {
-		return nil, fmt.Errorf("core: unknown one-sided frame kind %d", f.kind)
-	}
-	if hdr+n > len(msg) {
-		return nil, fmt.Errorf("core: one-sided frame truncated: header says %d, have %d", n, len(msg)-hdr)
-	}
-	f.payload = msg[hdr : hdr+n]
-	return f, nil
-}
-
 // osWinKey identifies a registered window: the owning rank and the
 // application-chosen window id.
 type osWinKey struct {
@@ -215,14 +95,14 @@ type osGet struct {
 	done   completion
 }
 
-// osState is one node's one-sided engine: the window registry, the
-// origin-side get correlation table, and — under Config.Reliability — the
-// lane's own seq/ack bookkeeping (reliable.go), kept separate from the
-// two-sided relState so the two frame streams cannot collide on
-// (node, seq) keys.
+// osState is one node's one-sided engine: the lane its frames travel on
+// (reliable.go — under Config.Reliability with a sequence space of its
+// own, so the two frame streams cannot collide on (node, seq) keys), the
+// window registry and the origin-side get correlation table.
 type osState struct {
-	ns *nodeState
-	tr transport.OneSided
+	ns   *nodeState
+	tr   transport.OneSided
+	lane relLane
 
 	// mu guards the window registry (registration is rare; lookups copy
 	// the pointer out).
@@ -234,40 +114,12 @@ type osState struct {
 	nextToken uint32
 	gets      map[uint32]*osGet
 
-	// Reliability lane. txMu guards nextTx (seq assignment happens on
-	// whatever proc posts the put — CPU kernel or NIC daemon — unlike the
-	// two-sided lane where the comm thread serializes it); waitMu guards
-	// waiters. nextRx and held are confined to the sink daemon.
-	txMu    sync.Mutex
-	nextTx  []uint64
-	waitMu  sync.Mutex
-	waiters map[relKey]*relWaiter
-	nextRx  []uint64
-	held    []map[uint64]*osFrame
-
 	// Atomic counters surfaced in Report/NodeStats.
 	putsSent  int64
 	getsSent  int64
 	trigFired int64
 	applied   int64
 	truncated int64
-}
-
-func newOSState(ns *nodeState, tr transport.OneSided, nodes int) *osState {
-	held := make([]map[uint64]*osFrame, nodes)
-	for i := range held {
-		held[i] = make(map[uint64]*osFrame)
-	}
-	return &osState{
-		ns:      ns,
-		tr:      tr,
-		windows: make(map[osWinKey]*osWindow),
-		gets:    make(map[uint32]*osGet),
-		nextTx:  make([]uint64, nodes),
-		waiters: make(map[relKey]*relWaiter),
-		nextRx:  make([]uint64, nodes),
-		held:    held,
-	}
 }
 
 // initOneSided discovers the transport's one-sided lane and builds the
@@ -278,8 +130,28 @@ func (ns *nodeState) initOneSided() {
 	if !ok {
 		panic(fmt.Sprintf("dcgn: Config.OneSided requires a transport with a one-sided lane, got %T (WrapTransport hooks must forward transport.OneSided)", ns.tr))
 	}
-	ns.osw = newOSState(ns, osT, ns.job.rmap.Nodes())
+	ns.osw = &osState{
+		ns:      ns,
+		tr:      osT,
+		windows: make(map[osWinKey]*osWindow),
+		gets:    make(map[uint32]*osGet),
+	}
+	ns.osw.lane.init(ns, (*oneSidedEnd)(ns.osw), true)
 }
+
+// oneSidedEnd is the one-sided engine as its lane's laneEnd: frames move
+// over the transport's one-sided lane, and the sink daemon applies an
+// arrival straight into its window — the progress engine's intake/matcher
+// layers never see this traffic.
+type oneSidedEnd osState
+
+func (e *oneSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
+	return e.tr.SendOneSided(p, dstNode, msg)
+}
+
+func (e *oneSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.tr.RecvOneSided(p) }
+
+func (e *oneSidedEnd) deliver(p transport.Proc, f frame) { e.ns.osDispatch(p, &f) }
 
 // osRequire returns the node's one-sided state or panics with guidance.
 func (ns *nodeState) osRequire() *osState {
@@ -365,13 +237,13 @@ func (ns *nodeState) waitWindow(p transport.Proc, rank, id int, target int) {
 
 // writeWindow applies payload at offset, clipping to the window, and
 // charges the apply cost on p: a host memcpy for host windows, a PCIe
-// payload transfer for device windows. Reports delivered bytes and
-// whether the write was clipped.
-func (ns *nodeState) writeWindow(p transport.Proc, w *osWindow, offset int, payload []byte) (int, bool) {
+// payload transfer for device windows. Reports whether the write was
+// clipped.
+func (ns *nodeState) writeWindow(p transport.Proc, w *osWindow, offset int, payload []byte) bool {
 	n := len(payload)
 	clipped := false
 	if offset >= w.size {
-		return 0, true
+		return true
 	}
 	if offset+n > w.size {
 		n = w.size - offset
@@ -383,7 +255,24 @@ func (ns *nodeState) writeWindow(p transport.Proc, w *osWindow, offset int, payl
 	} else {
 		w.gt.dev.CopyIn(p.(*sim.Proc), w.gt.payloadBus(), w.ptr+device.Ptr(offset), payload[:n])
 	}
-	return n, clipped
+	return clipped
+}
+
+// applyPut lands data in the locally-owned window (rank, winID) at offset
+// and counts the apply — the target side of every put, whether it arrived
+// in a frame or its origin shares the node. The caller finishes with
+// w.arrive(clipped), the remote-completion notification, once it has
+// recorded what it observes of the apply: a WinWait released by arrive may
+// end the run.
+func (ns *nodeState) applyPut(p transport.Proc, rank, winID, offset int, data []byte) (w *osWindow, clipped bool) {
+	w = ns.osw.window(rank, winID)
+	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
+	clipped = ns.writeWindow(p, w, offset, data)
+	atomic.AddInt64(&ns.osw.applied, 1)
+	if clipped {
+		atomic.AddInt64(&ns.osw.truncated, 1)
+	}
+	return w, clipped
 }
 
 // readWindow copies up to want bytes at offset out of the window into a
@@ -429,13 +318,7 @@ func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset
 	}
 	dstNode := ns.job.rmap.Node(dstRank)
 	if dstNode == ns.node {
-		w := osw.window(dstRank, winID)
-		p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-		_, clipped := ns.writeWindow(p, w, offset, data)
-		atomic.AddInt64(&osw.applied, 1)
-		if clipped {
-			atomic.AddInt64(&osw.truncated, 1)
-		}
+		w, clipped := ns.applyPut(p, dstRank, winID, offset, data)
 		w.arrive(clipped)
 		ns.recordFlowSpan(obs.Span{
 			Op: "put", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: len(data),
@@ -443,8 +326,10 @@ func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset
 		})
 		return nil
 	}
-	f := &osFrame{kind: osPut, src: srcRank, dst: dstRank, win: winID, offset: offset, postedNs: int64(p.Now()), payload: data, traceID: traceID, spanID: spanID}
-	err := ns.osSendFrame(p, dstNode, f)
+	err := ns.osSendFrame(p, dstNode, &frame{
+		kind: kindPut, src: srcRank, dst: dstRank, payload: data, traceID: traceID, spanID: spanID,
+		os: osAddr{win: winID, offset: offset, postedNs: int64(p.Now())},
+	})
 	ns.recordFlowSpan(obs.Span{
 		Op: "put", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: len(data),
 		Failed: err != nil, Post: post, WireSent: p.Now(), Done: p.Now(),
@@ -494,7 +379,10 @@ func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset
 	token := osw.nextToken
 	osw.gets[token] = g
 	osw.getMu.Unlock()
-	f := &osFrame{kind: osGetReq, src: srcRank, dst: dstRank, win: winID, token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(len(dst)), traceID: traceID, spanID: spanID}
+	f := &frame{
+		kind: kindGetReq, src: srcRank, dst: dstRank, traceID: traceID, spanID: spanID,
+		os: osAddr{win: winID, token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(len(dst))},
+	}
 	if err := ns.osSendFrame(p, dstNode, f); err != nil {
 		osw.getMu.Lock()
 		delete(osw.gets, token)
@@ -514,12 +402,12 @@ func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset
 	return g.status, g.err
 }
 
-// osSendFrame packs and transmits one data-class frame (put, get request
-// or get reply) to dstNode on the one-sided lane, inline on the calling
-// proc. Under Config.Reliability it assigns the lane's next sequence
-// number for the node pair and blocks until acknowledged.
-func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *osFrame) error {
-	osw := ns.osw
+// osSendFrame packs and transmits one data-class frame to dstNode on the
+// one-sided lane, inline on the calling proc. Under Config.Reliability it
+// takes the lane's next sequence number for the node pair and blocks until
+// acknowledged.
+func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *frame) error {
+	lane := &ns.osw.lane
 	if ns.flowsOn && f.spanID == 0 {
 		// Catch-all flow-context assignment for frames whose producer did
 		// not set one (GPU-triggered descriptors fired by the NIC daemon):
@@ -529,62 +417,29 @@ func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *osFrame) erro
 			f.traceID = f.spanID
 		}
 	}
-	if ns.rel == nil {
-		frame := ns.packOSFrame(f)
-		err := osw.tr.SendOneSided(p, dstNode, frame)
-		ns.job.pool.Put(frame)
-		return err
-	}
-	osw.txMu.Lock()
-	f.seq = osw.nextTx[dstNode]
-	osw.nextTx[dstNode]++
-	osw.txMu.Unlock()
-	frame := ns.packOSFrame(f)
-	return ns.osSendReliable(p, dstNode, f.seq, frame)
-}
-
-// runOneSidedReceiver is the node's one-sided sink daemon: it drains the
-// transport's one-sided lane and applies frames straight into windows —
-// the progress engine's intake/matcher layers never see this traffic.
-func (ns *nodeState) runOneSidedReceiver(p transport.Proc) {
-	osw := ns.osw
-	for {
-		raw, err := osw.tr.RecvOneSided(p)
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				osw.releaseHeld(ns.job)
-				return // transport shut down (live backend teardown)
-			}
-			panic(fmt.Sprintf("dcgn: one-sided receiver on node %d: %v", ns.node, err))
-		}
-		f, err := unpackOSFrame(raw, ns.flowsOn)
-		if err != nil {
-			panic(fmt.Sprintf("dcgn: one-sided receiver on node %d: %v", ns.node, err))
-		}
-		if ns.rel != nil {
-			ns.osRecvReliable(p, f)
-			continue
-		}
-		ns.osDispatch(p, f)
-	}
+	f.seq = lane.assignSeq(dstNode)
+	msg := packFrame(ns.job.pool, lane.layout, f)
+	err := lane.transmit(p, dstNode, f.seq, msg, nil)
+	ns.job.pool.Put(msg)
+	return err
 }
 
 // osDispatch applies one in-order data-class frame and releases its
 // backing buffer.
-func (ns *nodeState) osDispatch(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osDispatch(p transport.Proc, f *frame) {
 	switch f.kind {
-	case osPut:
+	case kindPut:
 		ns.osApplyPut(p, f)
-	case osGetReq:
+	case kindGetReq:
 		ns.osApplyGetReq(p, f)
-	case osGetRep, osFetchRep:
+	case kindGetRep, kindFetchRep:
 		// A fetch reply resolves its pending token exactly like a get
 		// reply: the payload (the prior value) lands in the waiter's
 		// 8-byte destination buffer.
 		ns.osApplyGetRep(p, f)
-	case osAccum:
+	case kindAccum:
 		ns.osApplyAccum(p, f)
-	case osFetchReq:
+	case kindFetchReq:
 		ns.osApplyFetchReq(p, f)
 	default:
 		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: unexpected frame kind %d", ns.node, f.kind))
@@ -594,24 +449,13 @@ func (ns *nodeState) osDispatch(p transport.Proc, f *osFrame) {
 
 // osApplyPut lands one put in its target window and counts the remote
 // completion.
-func (ns *nodeState) osApplyPut(p transport.Proc, f *osFrame) {
-	osw := ns.osw
+func (ns *nodeState) osApplyPut(p transport.Proc, f *frame) {
 	var post time.Duration
 	if ns.flowsOn {
 		post = p.Now()
 	}
-	w := osw.window(f.dst, f.win)
-	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-	_, clipped := ns.writeWindow(p, w, f.offset, f.payload)
-	atomic.AddInt64(&osw.applied, 1)
-	if clipped {
-		atomic.AddInt64(&osw.truncated, 1)
-	}
-	if ns.met != nil {
-		if lat := int64(p.Now()) - f.postedNs; lat >= 0 {
-			ns.met.osRemoteComplete.Observe(lat)
-		}
-	}
+	w, clipped := ns.applyPut(p, f.dst, f.os.win, f.os.offset, f.payload)
+	ns.observeRemoteComplete(p, f)
 	if ns.flowsOn && f.spanID != 0 {
 		// Target-side apply span, parented on the origin put's span so the
 		// stitched flow crosses the wire.
@@ -624,19 +468,32 @@ func (ns *nodeState) osApplyPut(p transport.Proc, f *osFrame) {
 	w.arrive(clipped)
 }
 
+// observeRemoteComplete feeds the remote-completion histogram with the
+// origin-post to target-apply latency of f.
+func (ns *nodeState) observeRemoteComplete(p transport.Proc, f *frame) {
+	if ns.met != nil {
+		if lat := int64(p.Now()) - f.os.postedNs; lat >= 0 {
+			ns.met.osRemoteComplete.Observe(lat)
+		}
+	}
+}
+
 // osApplyGetReq serves one get request: read the window, then reply from
 // a spawned helper so the sink daemon never blocks in a transport send.
-func (ns *nodeState) osApplyGetReq(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osApplyGetReq(p transport.Proc, f *frame) {
 	osw := ns.osw
 	var post time.Duration
 	if ns.flowsOn {
 		post = p.Now()
 	}
-	w := osw.window(f.dst, f.win)
+	w := osw.window(f.dst, f.os.win)
 	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-	buf, clipped := ns.readWindow(p, w, f.offset, int(f.aux))
+	buf, clipped := ns.readWindow(p, w, f.os.offset, int(f.os.aux))
 	atomic.AddInt64(&osw.applied, 1)
-	rep := &osFrame{kind: osGetRep, src: f.dst, dst: f.src, win: f.win, token: f.token, postedNs: f.postedNs, payload: buf}
+	rep := &frame{
+		kind: kindGetRep, src: f.dst, dst: f.src, payload: buf,
+		os: osAddr{win: f.os.win, token: f.os.token, postedNs: f.os.postedNs},
+	}
 	if ns.flowsOn && f.spanID != 0 {
 		// The reply joins the requesting get's flow; its own span (minted
 		// for the serving rank) parents on the request and is recorded as
@@ -650,7 +507,7 @@ func (ns *nodeState) osApplyGetReq(p transport.Proc, f *osFrame) {
 		})
 	}
 	if clipped {
-		rep.flags = osFlagTrunc
+		rep.flags = flagTrunc
 	}
 	srcNode := ns.job.rmap.Node(f.src)
 	ns.rt.SpawnID("os-getrep", ns.node, func(h transport.Proc) {
@@ -662,11 +519,11 @@ func (ns *nodeState) osApplyGetReq(p transport.Proc, f *osFrame) {
 }
 
 // osApplyGetRep resolves one pending get with its reply payload.
-func (ns *nodeState) osApplyGetRep(p transport.Proc, f *osFrame) {
+func (ns *nodeState) osApplyGetRep(p transport.Proc, f *frame) {
 	osw := ns.osw
 	osw.getMu.Lock()
-	g := osw.gets[f.token]
-	delete(osw.gets, f.token)
+	g := osw.gets[f.os.token]
+	delete(osw.gets, f.os.token)
 	osw.getMu.Unlock()
 	if g == nil {
 		// Duplicate reply (reliability dedups, but a pre-reliability
@@ -675,26 +532,11 @@ func (ns *nodeState) osApplyGetRep(p transport.Proc, f *osFrame) {
 	}
 	n := copy(g.dst, f.payload)
 	g.status = CommStatus{Source: f.src, Bytes: n}
-	if f.flags&osFlagTrunc != 0 {
+	if f.flags&flagTrunc != 0 {
 		g.err = ErrTruncate
 	}
-	if ns.met != nil {
-		if lat := int64(p.Now()) - f.postedNs; lat >= 0 {
-			ns.met.osRemoteComplete.Observe(lat)
-		}
-	}
+	ns.observeRemoteComplete(p, f)
 	g.done.Fire()
-}
-
-// releaseHeld returns parked out-of-order one-sided frames to the pool on
-// teardown.
-func (osw *osState) releaseHeld(j *Job) {
-	for _, m := range osw.held {
-		for seq, f := range m {
-			j.pool.Put(f.backing)
-			delete(m, seq)
-		}
-	}
 }
 
 // --- CPU-kernel one-sided API -------------------------------------------
@@ -742,77 +584,59 @@ func (c *CPUCtx) WinStats(winID int) WinStats {
 // no per-fire descriptor building or pool churn, the CPU-side analogue of
 // a persistent MPI request. One Start at a time per handle.
 type PersistentPut struct {
-	c       *CPUCtx
-	dstNode int
-	frame   []byte
-	data    []byte
+	c                *CPUCtx
+	dst, win, offset int
+	data             []byte
+	// frame is the pre-packed wire frame, body its payload region.
+	frame, body []byte
 }
 
 // NewPersistentPut registers a persistent put of data into window winID
 // of rank dst at offset. The data slice is re-read at every Start, so the
 // kernel can update it in place between fires.
 func (c *CPUCtx) NewPersistentPut(dst, winID, offset int, data []byte) *PersistentPut {
-	osw := c.ns.osRequire()
-	_ = osw
-	f := &osFrame{kind: osPut, src: c.rank, dst: dst, win: winID, offset: offset, payload: data}
-	if c.ns.flowsOn {
+	ns := c.ns
+	lay := ns.osRequire().lane.layout
+	f := &frame{kind: kindPut, src: c.rank, dst: dst, payload: data, os: osAddr{win: winID, offset: offset}}
+	if ns.flowsOn {
 		// A persistent handle is one flow: every fire (and every
 		// retransmission) carries the context packed here, so the target's
 		// apply spans all stitch onto it.
-		f.spanID = c.ns.job.trace.newSpanID(c.rank)
+		f.spanID = ns.job.trace.newSpanID(c.rank)
 		f.traceID = f.spanID
 	}
-	return &PersistentPut{
-		c:       c,
-		dstNode: c.ns.job.rmap.Node(dst),
-		frame:   c.ns.packOSFrame(f),
-		data:    data,
-	}
+	pp := &PersistentPut{c: c, dst: dst, win: winID, offset: offset, data: data}
+	pp.frame = packFrame(ns.job.pool, lay, f)
+	pp.body = pp.frame[lay.hdrLen(kindPut):]
+	return pp
 }
 
 // Start fires the persistent put once, blocking like Put (acknowledged
 // under Config.Reliability).
 func (pp *PersistentPut) Start() error {
-	c := pp.c
-	ns := c.ns
-	osw := ns.osw
-	p := c.tp
+	ns := pp.c.ns
+	p := pp.c.tp
 	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
-	atomic.AddInt64(&osw.putsSent, 1)
+	atomic.AddInt64(&ns.osw.putsSent, 1)
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)
 	}
-	le := binary.LittleEndian
-	if pp.dstNode == ns.node {
-		f, err := unpackOSFrame(pp.frame, ns.flowsOn)
-		if err != nil {
-			panic(fmt.Sprintf("dcgn: persistent put frame corrupt: %v", err))
-		}
-		w := osw.window(f.dst, f.win)
-		p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-		_, clipped := ns.writeWindow(p, w, f.offset, pp.data)
-		atomic.AddInt64(&osw.applied, 1)
-		if clipped {
-			atomic.AddInt64(&osw.truncated, 1)
-		}
+	dstNode := ns.job.rmap.Node(pp.dst)
+	if dstNode == ns.node {
+		w, clipped := ns.applyPut(p, pp.dst, pp.win, pp.offset, pp.data)
 		w.arrive(clipped)
 		return nil
 	}
-	copy(pp.frame[osLen(ns.flowsOn):], pp.data)
-	le.PutUint64(pp.frame[56:], uint64(int64(p.Now())))
-	if ns.rel == nil {
-		return osw.tr.SendOneSided(p, pp.dstNode, pp.frame)
-	}
-	osw.txMu.Lock()
-	seq := osw.nextTx[pp.dstNode]
-	osw.nextTx[pp.dstNode]++
-	osw.txMu.Unlock()
-	le.PutUint64(pp.frame[48:], seq)
-	return ns.osSendReliablePersistent(p, pp.dstNode, seq, pp.frame)
+	lane := &ns.osw.lane
+	copy(pp.body, pp.data)
+	setPostedAt(pp.frame, int64(p.Now()))
+	seq := lane.assignSeq(dstNode)
+	setSeq(pp.frame, seq)
+	return lane.transmit(p, dstNode, seq, pp.frame, nil)
 }
 
 // Free releases the handle's pre-packed frame back to the pool.
 func (pp *PersistentPut) Free() {
 	pp.c.ns.job.pool.Put(pp.frame)
-	pp.frame = nil
+	pp.frame, pp.body = nil, nil
 }

@@ -74,8 +74,8 @@ func runOneSidedChaosInner(t *testing.T, cfg Config) (Report, []byte) {
 		if c.Rank() != 0 {
 			base := (c.Rank() - 1) * osChaosRegion
 			// First half dynamic puts, second half a persistent handle —
-			// both reliable paths (osSendReliable / ...Persistent) see
-			// faults.
+			// both senders (osSendFrame's packed-per-fire frame and the
+			// handle's patched-in-place one) see faults.
 			data := make([]byte, osChaosRegion)
 			for i := 0; i < rounds/2; i++ {
 				off, n, fill := osChaosPut(c.Rank(), i)

@@ -54,29 +54,27 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 	ns.observe(p, req)
 	dstNode := ns.job.rmap.Node(req.peer)
 	if dstNode != ns.node {
-		if ns.rel != nil {
-			// Reliable path: sequence numbers are assigned here, on the comm
-			// thread, so per-destination ordering is fixed before concurrent
-			// tx helpers race to the transport; the receiver resequences by
-			// these numbers and FIFO matching survives any wire order.
-			seq := ns.rel.nextTx[dstNode]
-			ns.rel.nextTx[dstNode]++
-			msg := packRelData(ns.job.pool, req.rank, req.peer, seq, req.buf, ns.flowsOn, req.traceID, req.spanID)
-			ns.rt.SpawnID("dcgn-tx", ns.node, func(h transport.Proc) {
-				ns.sendReliable(h, req, dstNode, seq, msg)
-			})
-			return
-		}
-		// Remote: a helper performs the (possibly rendezvous) transport send
-		// so the comm thread keeps draining its queue; completion is signaled
-		// when the underlying send completes, as in the paper's dataflow
-		// (Fig. 2, steps 2-3).
-		msg := packWire(ns.job.pool, req.rank, req.peer, req.buf, ns.flowsOn, req.traceID, req.spanID)
+		// Remote. The frame takes its place in the lane's stream here, on
+		// the comm thread, so per-destination order is fixed before concurrent
+		// tx helpers race to the transport. A helper performs the (possibly
+		// rendezvous) transport send so the comm thread keeps draining its
+		// queue; completion is signaled when the underlying send completes
+		// (and, on a reliable lane, is acknowledged), as in the paper's
+		// dataflow (Fig. 2, steps 2-3).
+		seq := ns.wire.assignSeq(dstNode)
+		msg := packFrame(ns.job.pool, ns.wire.layout, &frame{
+			kind: kindData, src: req.rank, dst: req.peer, seq: seq,
+			payload: req.buf, traceID: req.traceID, spanID: req.spanID,
+		})
 		ns.rt.SpawnID("dcgn-tx", ns.node, func(h transport.Proc) {
 			h.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-			err := ns.tr.Send(h, dstNode, msg)
+			var sentAt *time.Duration
 			if ns.obsOn {
-				req.wireSentAt = h.Now()
+				sentAt = &req.wireSentAt
+			}
+			err := ns.wire.transmit(h, dstNode, seq, msg, sentAt)
+			if ns.obsOn && ns.wire.seq != nil && err == nil {
+				req.ackedAt = h.Now()
 			}
 			// Send has buffered semantics (eager copy or rendezvous
 			// snapshot), so the wire buffer is ours again once it returns.

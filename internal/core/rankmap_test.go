@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-
-	"dcgn/internal/bufpool"
 )
 
 func TestRankMapPaperExample(t *testing.T) {
@@ -157,51 +155,6 @@ func TestRankMapBijectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: the wire format round-trips arbitrary payloads and rank
-// pairs, in both the legacy and the flows-on layout (where the carried
-// flow context must round-trip too).
-func TestWireRoundtripProperty(t *testing.T) {
-	f := func(src, dst uint16, payload []byte, flows bool, traceID, spanID uint64) bool {
-		msg := packWire(bufpool.New(), int(src), int(dst), payload, flows, traceID, spanID)
-		s, d, p, tr, sp, err := unpackWire(msg, flows)
-		if err != nil || s != int(src) || d != int(dst) {
-			return false
-		}
-		if flows && (tr != traceID || sp != spanID) {
-			return false
-		}
-		if !flows && (tr != 0 || sp != 0) {
-			return false
-		}
-		if len(p) != len(payload) {
-			return false
-		}
-		for i := range p {
-			if p[i] != payload[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnpackWireRejectsGarbage(t *testing.T) {
-	if _, _, _, _, _, err := unpackWire([]byte{1, 2, 3}, false); err == nil {
-		t.Fatal("short message accepted")
-	}
-	msg := packWire(bufpool.New(), 1, 2, []byte("hello"), false, 0, 0)
-	if _, _, _, _, _, err := unpackWire(msg[:len(msg)-2], false); err == nil {
-		t.Fatal("truncated payload accepted")
-	}
-	flowMsg := packWire(bufpool.New(), 1, 2, []byte("hello"), true, 7, 9)
-	if _, _, _, _, _, err := unpackWire(flowMsg[:wireHeaderLen+4], true); err == nil {
-		t.Fatal("short flows header accepted")
 	}
 }
 

@@ -1,119 +1,40 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dcgn/internal/bufpool"
 	"dcgn/internal/transport"
 )
 
-// Wire-level reliability (Config.Reliability): every inter-node frame
-// carries a per-(sender node, receiver node) sequence number, receivers
-// acknowledge every data frame and resequence out-of-order arrivals, and
-// senders retransmit on ack timeout with capped exponential backoff. The
-// result is that a lossy transport (internal/transport/faults) degrades
-// throughput instead of deadlocking a receive forever, while DCGN's
-// FIFO-per-(source, destination) matching semantics survive drops,
-// duplicates and reordering unchanged.
+// The wire lane. A node talks to its peers over two frame streams: the
+// two-sided lane (transport.Transport's Send/RecvMsg, feeding the comm
+// thread's intake) and, under Config.OneSided, the one-sided lane
+// (transport.OneSided, feeding the window sink). Below the point where a
+// received frame is handed on, the two are the same machine, so there is
+// one relLane type and each node makes it twice, differing only in the
+// frame layout and in the transport functions and the deliver step of its
+// laneEnd.
 //
-// The layer is strictly opt-in: with Reliability.Enabled false the engine
-// speaks the legacy 24-byte wire format of PR 3, byte-identical, which the
-// golden determinism suite pins.
+// With Config.Reliability on, a lane numbers every frame per (sender node,
+// receiver node), the receiver acknowledges every data frame and
+// resequences out-of-order arrivals, and the sender retransmits on ack
+// timeout with capped exponential backoff. A lossy transport
+// (internal/transport/faults) then degrades throughput instead of
+// deadlocking a receive forever, and per-pair FIFO order — DCGN's matching
+// rule, and the apply order of puts from one origin — survives drops,
+// duplicates and reordering. Each lane has a sequence space of its own:
+// numbering the streams jointly would couple their FIFOs and put one-sided
+// traffic back behind the comm thread. With reliability off a lane sends
+// each frame once and delivers each arrival as it comes.
 
 // ErrUnacked is reported by a send whose wire frame was never acknowledged
 // within Reliability.MaxRetries retransmissions — the reliability layer's
 // "the peer is unreachable" verdict.
 var ErrUnacked = errors.New("dcgn: send unacknowledged after retries")
-
-// Sequenced wire format: the legacy header (src rank, dst rank, payload
-// len — request.go) extended with a sequence number and a frame kind.
-const (
-	relHeaderLen = wireHeaderLen + 16
-
-	relKindData = 1 // sequenced payload frame; src/dst are virtual ranks
-	relKindAck  = 2 // acknowledgment; src is the acking NODE id, no payload
-)
-
-// relLen returns the sequenced data-frame header length: the flow
-// context, when on, sits after the frame kind so acks (which never
-// carry it) still parse at the fixed legacy offsets.
-func relLen(flows bool) int {
-	if flows {
-		return relHeaderLen + flowCtxLen
-	}
-	return relHeaderLen
-}
-
-// packRelData builds a sequenced data frame in a pooled buffer. With
-// flows on the header carries the sending request's flow context;
-// retransmissions resend these exact bytes, so a retried frame keeps
-// its original trace ID by construction.
-func packRelData(pool *bufpool.Pool, src, dst int, seq uint64, payload []byte, flows bool, traceID, spanID uint64) []byte {
-	hdr := relLen(flows)
-	msg := pool.Get(hdr + len(payload))
-	le := binary.LittleEndian
-	le.PutUint64(msg[0:], uint64(int64(src)))
-	le.PutUint64(msg[8:], uint64(int64(dst)))
-	le.PutUint64(msg[16:], uint64(len(payload)))
-	le.PutUint64(msg[24:], seq)
-	le.PutUint64(msg[32:], relKindData)
-	if flows {
-		le.PutUint64(msg[40:], traceID)
-		le.PutUint64(msg[48:], spanID)
-	}
-	copy(msg[hdr:], payload)
-	return msg
-}
-
-// packRelAck builds an ack frame for seq, identifying the acking node in
-// the src field (ranks don't matter to the sender's waiter bookkeeping;
-// the node pair does).
-func packRelAck(pool *bufpool.Pool, ackerNode int, seq uint64) []byte {
-	msg := pool.Get(relHeaderLen)
-	le := binary.LittleEndian
-	le.PutUint64(msg[0:], uint64(int64(ackerNode)))
-	le.PutUint64(msg[8:], 0)
-	le.PutUint64(msg[16:], 0)
-	le.PutUint64(msg[24:], seq)
-	le.PutUint64(msg[32:], relKindAck)
-	return msg
-}
-
-// unpackRel splits a sequenced frame. The returned payload aliases msg;
-// traceID/spanID are the carried flow context (zero on acks and with
-// flows off).
-func unpackRel(msg []byte, flows bool) (kind int, src, dst int, seq uint64, payload []byte, traceID, spanID uint64, err error) {
-	if len(msg) < relHeaderLen {
-		return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: short sequenced frame (%d bytes)", len(msg))
-	}
-	le := binary.LittleEndian
-	src = int(int64(le.Uint64(msg[0:])))
-	dst = int(int64(le.Uint64(msg[8:])))
-	n := int(le.Uint64(msg[16:]))
-	seq = le.Uint64(msg[24:])
-	kind = int(le.Uint64(msg[32:]))
-	if kind != relKindData && kind != relKindAck {
-		return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: unknown frame kind %d", kind)
-	}
-	hdr := relHeaderLen
-	if flows && kind == relKindData {
-		hdr = relLen(true)
-		if len(msg) < hdr {
-			return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: short sequenced flow frame (%d bytes)", len(msg))
-		}
-		traceID = le.Uint64(msg[40:])
-		spanID = le.Uint64(msg[48:])
-	}
-	if hdr+n > len(msg) {
-		return 0, 0, 0, 0, nil, 0, 0, fmt.Errorf("core: sequenced frame truncated: header says %d, have %d", n, len(msg)-hdr)
-	}
-	return kind, src, dst, seq, msg[hdr : hdr+n], traceID, spanID, nil
-}
 
 // relKey identifies one in-flight frame: the peer node and the sequence
 // number on that node pair.
@@ -123,63 +44,86 @@ type relKey struct {
 }
 
 // relWaiter is a sender-side record of an unacknowledged frame. ev is the
-// completion the tx helper currently waits on (re-created per retry); the
+// completion the sender currently waits on (re-created per retry); the
 // ack path and the retransmit timer both fire it, and acked — read and
-// written only under relState.mu — disambiguates which happened.
+// written only under relSeq.mu — disambiguates which happened.
 type relWaiter struct {
 	ev    completion
 	acked bool
 }
 
-// relState is one node's reliability bookkeeping. Ownership is split by
-// thread, mirroring the engine's confinement rules:
-//
-//   - nextTx is touched only by the comm thread (handleSend), which
-//     serializes sequence assignment per destination;
-//   - nextRx and held are touched only by the receiver helper
-//     (runReceiver → recvReliable);
-//   - waiters is shared between tx helpers, the ack path and timers,
-//     guarded by mu. mu is never held across a blocking operation — on the
-//     simulated backend a proc parking with a sync.Mutex held would wedge
-//     the cooperative scheduler (completion.Fire does not block; Wait does
-//     and is always called unlocked).
-type relState struct {
-	mu      sync.Mutex
-	waiters map[relKey]*relWaiter
-
-	nextTx []uint64              // per dst node: next sequence to assign
-	nextRx []uint64              // per src node: next sequence to deliver
-	held   []map[uint64]*inbound // per src node: out-of-order frames parked
-
+// relStats counts one node's reliability traffic over both lanes: a
+// retransmitted put is a retransmission, whichever lane carried it.
+type relStats struct {
 	retransmits  int64
 	dupFrames    int64
 	acksSent     int64
 	acksReceived int64
 }
 
-func newRelState(nodes int) *relState {
-	held := make([]map[uint64]*inbound, nodes)
-	for i := range held {
-		held[i] = make(map[uint64]*inbound)
-	}
-	return &relState{
-		waiters: make(map[relKey]*relWaiter),
-		nextTx:  make([]uint64, nodes),
-		nextRx:  make([]uint64, nodes),
-		held:    held,
+// laneEnd is what differs between a node's two frame streams: the
+// transport functions that move a packed frame, and the step that takes an
+// in-order data frame (and its backing buffer) from the receiver daemon.
+// Both implementations (twoSidedEnd, oneSidedEnd) are pointer conversions
+// of state the node has anyway, so a lane costs no allocation of its own.
+type laneEnd interface {
+	send(p transport.Proc, dstNode int, msg []byte) error
+	recv(p transport.Proc) ([]byte, error)
+	deliver(p transport.Proc, f frame)
+}
+
+// relLane is one node's end of one frame stream.
+type relLane struct {
+	ns     *nodeState
+	end    laneEnd
+	layout layout
+	// seq is the lane's sequencing state under Config.Reliability; nil
+	// otherwise.
+	seq *relSeq
+}
+
+// relSeq is a reliable lane's bookkeeping. Senders are any thread that
+// posts a frame — the comm thread's tx helpers, CPU kernels, NIC daemons,
+// reply helpers — so nextTx and waiters are guarded by mu, which is never
+// held across a blocking operation: on the simulated backend a proc
+// parking with a sync.Mutex held would wedge the cooperative scheduler
+// (completion.Fire does not block; Wait does and is always called
+// unlocked). nextRx and held belong to the lane's receiver daemon.
+type relSeq struct {
+	mu      sync.Mutex
+	nextTx  []uint64 // per dst node: next sequence to assign
+	waiters map[relKey]*relWaiter
+
+	nextRx []uint64           // per src node: next sequence to deliver
+	held   []map[uint64]frame // per src node: out-of-order frames parked
+}
+
+func (l *relLane) init(ns *nodeState, end laneEnd, oneSided bool) {
+	cfg := &ns.job.cfg
+	*l = relLane{ns: ns, end: end, layout: laneLayout(oneSided, cfg.Reliability.Enabled, ns.flowsOn)}
+	if cfg.Reliability.Enabled {
+		l.seq = &relSeq{
+			nextTx:  make([]uint64, cfg.Nodes),
+			waiters: make(map[relKey]*relWaiter),
+			nextRx:  make([]uint64, cfg.Nodes),
+			held:    make([]map[uint64]frame, cfg.Nodes),
+		}
 	}
 }
 
-// ackArrived resolves the waiter for (peerNode, seq), waking its tx
-// helper. Late or duplicate acks (waiter already gone or resolved) are
-// no-ops.
-func (r *relState) ackArrived(peerNode int, seq uint64) {
-	r.mu.Lock()
-	if w, ok := r.waiters[relKey{peerNode, seq}]; ok && !w.acked {
-		w.acked = true
-		w.ev.Fire()
+// assignSeq takes the next sequence number towards dstNode. A sender calls
+// it at the point that fixes the frame's place in the stream — handleSend
+// on the comm thread, before concurrent tx helpers race to the transport.
+func (l *relLane) assignSeq(dstNode int) uint64 {
+	s := l.seq
+	if s == nil {
+		return 0
 	}
-	r.mu.Unlock()
+	s.mu.Lock()
+	seq := s.nextTx[dstNode]
+	s.nextTx[dstNode]++
+	s.mu.Unlock()
+	return seq
 }
 
 // relBackoff returns the ack timeout for the given attempt number:
@@ -198,69 +142,67 @@ func relBackoff(r Reliability, attempt int) time.Duration {
 	return d
 }
 
-// sendReliable is the sequenced counterpart of the legacy dcgn-tx body:
-// it transmits msg and retransmits on ack timeout until acknowledged, the
-// retry budget is exhausted, or the transport fails hard. The retransmit
-// timer is armed only after Send returns, so a rendezvous transfer never
-// eats into its own ack timeout.
-func (ns *nodeState) sendReliable(h transport.Proc, req *request, dstNode int, seq uint64, msg []byte) {
-	rel := ns.rel
+// transmit puts the packed frame msg, numbered seq, on the wire to dstNode,
+// inline on the calling proc. On a reliable lane it returns once the frame
+// is acknowledged, retransmitting the same bytes on ack timeout until the
+// retry budget is spent or the transport fails hard. The retransmit timer
+// is armed only after send returns, so a rendezvous transfer never eats
+// into its own ack timeout. sentAt, when not nil, receives the time the
+// frame first reached the wire. msg stays the caller's.
+func (l *relLane) transmit(h transport.Proc, dstNode int, seq uint64, msg []byte, sentAt *time.Duration) error {
+	ns, s := l.ns, l.seq
 	cfg := ns.job.cfg.Reliability
 	key := relKey{dstNode, seq}
-	w := &relWaiter{ev: ns.rt.NewEventID("rel-wait", int(seq))}
-	rel.mu.Lock()
-	rel.waiters[key] = w
-	rel.mu.Unlock()
-
-	h.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-	var err error
+	var w *relWaiter
+	if s != nil {
+		w = &relWaiter{ev: ns.rt.NewEventID("rel-wait", int(seq))}
+		s.mu.Lock()
+		s.waiters[key] = w
+		s.mu.Unlock()
+		defer func() {
+			s.mu.Lock()
+			delete(s.waiters, key)
+			s.mu.Unlock()
+		}()
+	}
 	for attempt := 0; ; attempt++ {
-		if sendErr := ns.tr.Send(h, dstNode, msg); sendErr != nil {
-			err = sendErr
-			break
+		if err := l.end.send(h, dstNode, msg); err != nil {
+			return err
 		}
-		if ns.obsOn && req.wireSentAt == 0 {
-			req.wireSentAt = h.Now()
+		if sentAt != nil && *sentAt == 0 {
+			*sentAt = h.Now()
 		}
-		rel.mu.Lock()
-		if w.acked {
-			rel.mu.Unlock()
-			break
+		if s == nil {
+			return nil
 		}
-		ev := w.ev
-		rel.mu.Unlock()
+		s.mu.Lock()
+		acked, ev := w.acked, w.ev
+		s.mu.Unlock()
+		if acked {
+			return nil
+		}
 		cancel := ns.rt.After(relBackoff(cfg, attempt), ev.Fire)
 		ev.Wait(h)
 		cancel()
-		rel.mu.Lock()
-		if w.acked {
-			rel.mu.Unlock()
-			break
+		s.mu.Lock()
+		acked = w.acked
+		if !acked && attempt < cfg.MaxRetries {
+			// Timed out: re-arm with a fresh completion (the old one is
+			// spent) and go around for a retransmission.
+			w.ev = ns.rt.NewEventID("rel-wait", int(seq))
+		}
+		s.mu.Unlock()
+		if acked {
+			return nil
 		}
 		if attempt >= cfg.MaxRetries {
-			rel.mu.Unlock()
-			err = fmt.Errorf("dcgn: node %d seq %d to node %d: %w", ns.node, seq, dstNode, ErrUnacked)
-			break
+			return fmt.Errorf("dcgn: node %d seq %d to node %d: %w", ns.node, seq, dstNode, ErrUnacked)
 		}
-		// Timed out: re-arm with a fresh completion (the old one is spent)
-		// and go around for a retransmission.
-		w.ev = ns.rt.NewEventID("rel-wait", int(seq))
-		rel.mu.Unlock()
-		atomic.AddInt64(&rel.retransmits, 1)
+		atomic.AddInt64(&ns.rel.retransmits, 1)
 		if ns.met != nil {
 			ns.met.backoff.Observe(int64(relBackoff(cfg, attempt)))
 		}
 	}
-	if ns.obsOn && err == nil {
-		// The only clean exit from the loop is an acknowledged frame.
-		req.ackedAt = h.Now()
-	}
-	rel.mu.Lock()
-	delete(rel.waiters, key)
-	rel.mu.Unlock()
-	ns.job.pool.Put(msg)
-	h.SleepJit(ns.job.cfg.Params.NotifyCost)
-	req.complete(req.rank, len(req.buf), err)
 }
 
 // sendAck acknowledges seq to peerNode from a spawned helper so the
@@ -268,219 +210,112 @@ func (ns *nodeState) sendReliable(h transport.Proc, req *request, dstNode int, s
 // synchronously acking into each other's full inbound queues would
 // deadlock). The helper is a worker, not a daemon: the run stays alive
 // until the ack is out and its buffer is back in the pool.
-func (ns *nodeState) sendAck(peerNode int, seq uint64) {
-	ack := packRelAck(ns.job.pool, ns.node, seq)
+func (l *relLane) sendAck(peerNode int, seq uint64) {
+	ns := l.ns
+	ack := packFrame(ns.job.pool, l.layout, &frame{kind: kindAck, src: ns.node, seq: seq})
 	atomic.AddInt64(&ns.rel.acksSent, 1)
-	ns.rt.SpawnID("dcgn-ack", ns.node, func(h transport.Proc) {
+	ns.rt.SpawnID("rel-ack", ns.node, func(h transport.Proc) {
 		// Best-effort: a dropped or post-close ack is recovered by the
 		// sender's retransmission, which we will re-ack.
-		_ = ns.tr.Send(h, peerNode, ack)
+		_ = l.end.send(h, peerNode, ack)
 		ns.job.pool.Put(ack)
 	})
 }
 
-// recvReliable dispatches one sequenced frame inside the receiver helper.
-// Data frames are always (re-)acknowledged — the previous ack may itself
-// have been the frame the fabric dropped — then deduplicated and
-// resequenced so the comm thread observes per-node-pair FIFO delivery no
-// matter what order the wire produced.
-func (ns *nodeState) recvReliable(p transport.Proc, msg []byte) {
-	kind, src, dst, seq, payload, traceID, spanID, err := unpackRel(msg, ns.flowsOn)
-	if err != nil {
-		panic(fmt.Sprintf("dcgn: receiver on node %d: %v", ns.node, err))
-	}
-	rel := ns.rel
-	if kind == relKindAck {
-		atomic.AddInt64(&rel.acksReceived, 1)
-		rel.ackArrived(src, seq)
-		ns.job.pool.Put(msg)
+// receive dispatches one sequenced frame inside the receiver daemon. An
+// ack resolves its waiter (late and duplicate acks find none and are
+// no-ops). A data frame is always (re-)acknowledged — the previous ack may
+// itself have been the frame the fabric dropped — then deduplicated and
+// resequenced, so deliver observes per-node-pair FIFO order no matter what
+// order the wire produced.
+func (l *relLane) receive(p transport.Proc, f frame) {
+	ns, s := l.ns, l.seq
+	if f.kind == kindAck {
+		atomic.AddInt64(&ns.rel.acksReceived, 1)
+		s.mu.Lock()
+		if w, ok := s.waiters[relKey{f.src, f.seq}]; ok && !w.acked {
+			w.acked = true
+			w.ev.Fire()
+		}
+		s.mu.Unlock()
+		ns.job.pool.Put(f.backing)
 		return
 	}
-	srcNode := ns.job.rmap.Node(src)
-	ns.sendAck(srcNode, seq)
-	switch {
-	case seq < rel.nextRx[srcNode]:
+	src := ns.job.rmap.Node(f.src)
+	l.sendAck(src, f.seq)
+	switch next := s.nextRx[src]; {
+	case f.seq < next:
 		// Already delivered: a retransmission whose ack was lost.
-		atomic.AddInt64(&rel.dupFrames, 1)
-		ns.job.pool.Put(msg)
-	case seq == rel.nextRx[srcNode]:
-		p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-		ns.intake.postInbound(&inbound{src: src, dst: dst, data: payload, backing: msg, traceID: traceID, spanID: spanID})
-		rel.nextRx[srcNode]++
+		l.dropDup(f)
+	case f.seq == next:
+		l.end.deliver(p, f)
+		s.nextRx[src]++
 		for {
-			in, ok := rel.held[srcNode][rel.nextRx[srcNode]]
+			g, ok := s.held[src][s.nextRx[src]]
 			if !ok {
 				break
 			}
-			delete(rel.held[srcNode], rel.nextRx[srcNode])
-			p.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
-			ns.intake.postInbound(in)
-			rel.nextRx[srcNode]++
+			delete(s.held[src], g.seq)
+			l.end.deliver(p, g)
+			s.nextRx[src]++
 		}
 	default:
 		// Ahead of the cursor: park it until the gap fills (the sender
 		// retransmits the missing frame until we ack it, so it will).
-		if _, dup := rel.held[srcNode][seq]; dup {
-			atomic.AddInt64(&rel.dupFrames, 1)
-			ns.job.pool.Put(msg)
-		} else {
-			rel.held[srcNode][seq] = &inbound{src: src, dst: dst, data: payload, backing: msg, traceID: traceID, spanID: spanID}
+		if _, parked := s.held[src][f.seq]; parked {
+			l.dropDup(f)
+			return
 		}
+		if s.held[src] == nil {
+			s.held[src] = make(map[uint64]frame)
+		}
+		s.held[src][f.seq] = f
 	}
+}
+
+// dropDup counts and releases a data frame the lane has already seen.
+func (l *relLane) dropDup(f frame) {
+	atomic.AddInt64(&l.ns.rel.dupFrames, 1)
+	l.ns.job.pool.Put(f.backing)
 }
 
 // releaseHeld returns parked out-of-order frames to the pool; called when
 // the receiver unwinds on a closed transport (live teardown can close the
 // wire with unfilled gaps still parked).
-func (r *relState) releaseHeld(pool *bufpool.Pool) {
-	for _, m := range r.held {
-		for seq, in := range m {
-			pool.Put(in.backing)
+func (l *relLane) releaseHeld() {
+	if l.seq == nil {
+		return
+	}
+	for _, m := range l.seq.held {
+		for seq, f := range m {
+			l.ns.job.pool.Put(f.backing)
 			delete(m, seq)
 		}
 	}
 }
 
-// --- One-sided lane ------------------------------------------------------
-//
-// One-sided frames get seq/ack exactly like sends, but in a sequence space
-// of their own (osState.nextTx/nextRx/waiters): the lane is a separate
-// wire stream, so numbering it jointly with two-sided traffic would couple
-// the two FIFOs and reintroduce the comm-thread serialization the lane
-// exists to avoid. Unlike handleSend, sequence assignment has no single
-// owning thread — CPU kernels, persistent puts and the per-device NIC
-// daemons all post frames — so nextTx is mutex-guarded (osState.txMu).
-// Retransmit/ack/dup accounting feeds the shared relState counters: a
-// retransmitted put is a retransmission, whichever lane carried it.
-
-// osAckArrived resolves the one-sided waiter for (peerNode, seq).
-func (osw *osState) osAckArrived(peerNode int, seq uint64) {
-	osw.waitMu.Lock()
-	if w, ok := osw.waiters[relKey{peerNode, seq}]; ok && !w.acked {
-		w.acked = true
-		w.ev.Fire()
-	}
-	osw.waitMu.Unlock()
-}
-
-// osSendReliable transmits one pooled one-sided frame and blocks on the
-// calling proc until it is acknowledged (or the retry budget is spent),
-// then releases the frame. Unlike sendReliable this runs inline on the
-// producing proc — the lane has no comm-thread relay to hand off to.
-func (ns *nodeState) osSendReliable(h transport.Proc, dstNode int, seq uint64, frame []byte) error {
-	err := ns.osSendLoop(h, dstNode, seq, frame)
-	ns.job.pool.Put(frame)
-	return err
-}
-
-// osSendReliablePersistent is osSendReliable for a persistent request's
-// pre-packed frame, which stays with its handle across fires.
-func (ns *nodeState) osSendReliablePersistent(h transport.Proc, dstNode int, seq uint64, frame []byte) error {
-	return ns.osSendLoop(h, dstNode, seq, frame)
-}
-
-// osSendLoop is the one-sided retransmit loop: send, await ack with capped
-// exponential backoff, retransmit on timeout. Same shape and Reliability
-// knobs as sendReliable, against the one-sided waiter table.
-func (ns *nodeState) osSendLoop(h transport.Proc, dstNode int, seq uint64, frame []byte) error {
-	osw := ns.osw
-	rel := ns.rel
-	cfg := ns.job.cfg.Reliability
-	key := relKey{dstNode, seq}
-	w := &relWaiter{ev: ns.rt.NewEventID("os-wait", int(seq))}
-	osw.waitMu.Lock()
-	osw.waiters[key] = w
-	osw.waitMu.Unlock()
-
-	var err error
-	for attempt := 0; ; attempt++ {
-		if sendErr := osw.tr.SendOneSided(h, dstNode, frame); sendErr != nil {
-			err = sendErr
-			break
-		}
-		osw.waitMu.Lock()
-		if w.acked {
-			osw.waitMu.Unlock()
-			break
-		}
-		ev := w.ev
-		osw.waitMu.Unlock()
-		cancel := ns.rt.After(relBackoff(cfg, attempt), ev.Fire)
-		ev.Wait(h)
-		cancel()
-		osw.waitMu.Lock()
-		if w.acked {
-			osw.waitMu.Unlock()
-			break
-		}
-		if attempt >= cfg.MaxRetries {
-			osw.waitMu.Unlock()
-			err = fmt.Errorf("dcgn: node %d one-sided seq %d to node %d: %w", ns.node, seq, dstNode, ErrUnacked)
-			break
-		}
-		w.ev = ns.rt.NewEventID("os-wait", int(seq))
-		osw.waitMu.Unlock()
-		atomic.AddInt64(&rel.retransmits, 1)
-		if ns.met != nil {
-			ns.met.backoff.Observe(int64(relBackoff(cfg, attempt)))
-		}
-	}
-	osw.waitMu.Lock()
-	delete(osw.waiters, key)
-	osw.waitMu.Unlock()
-	return err
-}
-
-// osSendAck acknowledges one-sided seq to peerNode from a spawned worker,
-// mirroring sendAck's never-block-the-sink rule.
-func (ns *nodeState) osSendAck(peerNode int, seq uint64) {
-	osw := ns.osw
-	ack := ns.packOSFrame(&osFrame{kind: osAck, src: ns.node, seq: seq})
-	atomic.AddInt64(&ns.rel.acksSent, 1)
-	ns.rt.SpawnID("os-ack", ns.node, func(h transport.Proc) {
-		// Best-effort, like sendAck: the sender retransmits and we re-ack.
-		_ = osw.tr.SendOneSided(h, peerNode, ack)
-		ns.job.pool.Put(ack)
-	})
-}
-
-// osRecvReliable dispatches one sequenced one-sided frame inside the sink
-// daemon: ack-always, dedup, resequence per source node, then apply in
-// order — so puts from one origin land in post order no matter what the
-// faulted wire did, and chaos runs stay bit-identical to clean ones.
-func (ns *nodeState) osRecvReliable(p transport.Proc, f *osFrame) {
-	osw := ns.osw
-	rel := ns.rel
-	if f.kind == osAck {
-		atomic.AddInt64(&rel.acksReceived, 1)
-		osw.osAckArrived(f.src, f.seq)
-		ns.job.pool.Put(f.backing)
-		return
-	}
-	srcNode := ns.job.rmap.Node(f.src)
-	ns.osSendAck(srcNode, f.seq)
-	switch {
-	case f.seq < osw.nextRx[srcNode]:
-		atomic.AddInt64(&rel.dupFrames, 1)
-		ns.job.pool.Put(f.backing)
-	case f.seq == osw.nextRx[srcNode]:
-		ns.osDispatch(p, f)
-		osw.nextRx[srcNode]++
-		for {
-			next, ok := osw.held[srcNode][osw.nextRx[srcNode]]
-			if !ok {
-				break
+// run is the lane's receiver daemon. The take-ownership receive hands over
+// the sender's pooled wire buffer directly — no staging buffer and no
+// copy; the payload aliases it until deliver's consumer returns it to the
+// pool.
+func (l *relLane) run(p transport.Proc) {
+	for {
+		msg, err := l.end.recv(p)
+		if err != nil {
+			if errors.Is(err, transport.ErrClosed) {
+				l.releaseHeld()
+				return // transport shut down (live backend teardown)
 			}
-			delete(osw.held[srcNode], osw.nextRx[srcNode])
-			ns.osDispatch(p, next)
-			osw.nextRx[srcNode]++
+			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", l.ns.node, err))
 		}
-	default:
-		if _, dup := osw.held[srcNode][f.seq]; dup {
-			atomic.AddInt64(&rel.dupFrames, 1)
-			ns.job.pool.Put(f.backing)
+		f, err := unpackFrame(l.layout, msg)
+		if err != nil {
+			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", l.ns.node, err))
+		}
+		if l.seq != nil {
+			l.receive(p, f)
 		} else {
-			osw.held[srcNode][f.seq] = f
+			l.end.deliver(p, f)
 		}
 	}
 }

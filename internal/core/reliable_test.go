@@ -7,78 +7,14 @@ import (
 	"testing"
 	"time"
 
-	"dcgn/internal/bufpool"
 	"dcgn/internal/transport"
 	"dcgn/internal/transport/faults"
 )
 
-// Tests for the wire-level reliability layer (reliable.go): the sequenced
-// frame format, the backoff schedule, and — end to end — that a lossy,
+// Tests for the wire-level reliability layer (reliable.go): the backoff
+// schedule, and — end to end — that a lossy,
 // duplicating, reordering fabric degrades throughput instead of
 // deadlocking, while DCGN's FIFO matching semantics hold unchanged.
-
-func TestRelFrameRoundtrip(t *testing.T) {
-	pool := bufpool.New()
-	payload := pattern(300, 5)
-	msg := packRelData(pool, 7, 12, 99, payload, false, 0, 0)
-	kind, src, dst, seq, got, _, _, err := unpackRel(msg, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindData || src != 7 || dst != 12 || seq != 99 || !bytes.Equal(got, payload) {
-		t.Fatalf("data frame roundtrip: kind=%d src=%d dst=%d seq=%d", kind, src, dst, seq)
-	}
-	pool.Put(msg)
-
-	ack := packRelAck(pool, 3, 42)
-	kind, src, _, seq, got, _, _, err = unpackRel(ack, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindAck || src != 3 || seq != 42 || len(got) != 0 {
-		t.Fatalf("ack frame roundtrip: kind=%d src=%d seq=%d payload=%d", kind, src, seq, len(got))
-	}
-	pool.Put(ack)
-
-	if _, _, _, _, _, _, _, err := unpackRel(make([]byte, 10), false); err == nil {
-		t.Fatal("short frame unpacked without error")
-	}
-	bad := packRelAck(pool, 0, 0)
-	bad[32] = 9 // unknown kind
-	if _, _, _, _, _, _, _, err := unpackRel(bad, false); err == nil {
-		t.Fatal("unknown frame kind unpacked without error")
-	}
-}
-
-// TestRelFrameRoundtripFlows pins the flows-on data-frame layout (flow
-// context after the kind, payload at offset 56) and that acks — which
-// never carry context — still parse in the same stream.
-func TestRelFrameRoundtripFlows(t *testing.T) {
-	pool := bufpool.New()
-	payload := pattern(300, 5)
-	msg := packRelData(pool, 7, 12, 99, payload, true, 0xabcd, 0x1234)
-	kind, src, dst, seq, got, traceID, spanID, err := unpackRel(msg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindData || src != 7 || dst != 12 || seq != 99 || !bytes.Equal(got, payload) {
-		t.Fatalf("flows data frame roundtrip: kind=%d src=%d dst=%d seq=%d", kind, src, dst, seq)
-	}
-	if traceID != 0xabcd || spanID != 0x1234 {
-		t.Fatalf("flow context lost: trace=%#x span=%#x", traceID, spanID)
-	}
-	pool.Put(msg)
-
-	ack := packRelAck(pool, 3, 42)
-	kind, src, _, seq, got, traceID, spanID, err = unpackRel(ack, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != relKindAck || src != 3 || seq != 42 || len(got) != 0 || traceID != 0 || spanID != 0 {
-		t.Fatalf("ack frame roundtrip under flows: kind=%d src=%d seq=%d payload=%d trace=%#x", kind, src, seq, len(got), traceID)
-	}
-	pool.Put(ack)
-}
 
 func TestRelBackoffSchedule(t *testing.T) {
 	r := Reliability{AckTimeout: 20 * time.Millisecond, BackoffCap: 500 * time.Millisecond}

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
-
-	"dcgn/internal/bufpool"
 )
 
 // CommStatus is DCGN's receive status (the paper's dcgn::CommStatus).
@@ -131,8 +128,10 @@ func (r *request) complete(src, n int, err error) {
 	r.done.Fire()
 }
 
-// inbound is a message received from another node, already demultiplexed
-// from the underlying MPI by the receiver helper.
+// inbound is a two-sided message received from another node, already
+// demultiplexed from the underlying MPI by the receiver helper. It is the
+// slice of a parsed frame the matcher needs, kept apart from frame so a
+// queued message does not carry the one-sided fields.
 type inbound struct {
 	src  int // sending virtual rank
 	dst  int // destination virtual rank (local to this node)
@@ -164,63 +163,4 @@ func packPeers(dst, src int) int64 {
 // unpackPeers is the inverse of packPeers.
 func unpackPeers(v int64) (dst, src int) {
 	return int(int32(uint32(v))), int(int32(v >> 32))
-}
-
-// wireHeaderLen is the length of the DCGN message header on the wire.
-const wireHeaderLen = 24
-
-// flowCtxLen is the flow context appended to every wire header when
-// Config.Flows is on: trace ID then parent span ID, 8 bytes each,
-// little-endian. Both ends of a job share one Config, so frame layout
-// never has to be negotiated.
-const flowCtxLen = 16
-
-// wireLen returns the legacy header length plus the flow context when
-// flows is on.
-func wireLen(flows bool) int {
-	if flows {
-		return wireHeaderLen + flowCtxLen
-	}
-	return wireHeaderLen
-}
-
-// packWire builds header+payload for one inter-node DCGN message in a
-// pooled buffer; the sender helper returns it to the pool once the
-// underlying MPI send has buffered or delivered it. With flows on the
-// header carries the sending request's flow context (trace ID + span ID)
-// so the remote match can stitch the receive onto the send's flow.
-func packWire(pool *bufpool.Pool, src, dst int, payload []byte, flows bool, traceID, spanID uint64) []byte {
-	hdr := wireLen(flows)
-	msg := pool.Get(hdr + len(payload))
-	le := binary.LittleEndian
-	le.PutUint64(msg[0:], uint64(int64(src)))
-	le.PutUint64(msg[8:], uint64(int64(dst)))
-	le.PutUint64(msg[16:], uint64(len(payload)))
-	if flows {
-		le.PutUint64(msg[24:], traceID)
-		le.PutUint64(msg[32:], spanID)
-	}
-	copy(msg[hdr:], payload)
-	return msg
-}
-
-// unpackWire splits a received DCGN message. The returned payload aliases
-// msg; traceID/spanID are the carried flow context (zero with flows off).
-func unpackWire(msg []byte, flows bool) (src, dst int, payload []byte, traceID, spanID uint64, err error) {
-	hdr := wireLen(flows)
-	if len(msg) < hdr {
-		return 0, 0, nil, 0, 0, fmt.Errorf("core: short DCGN message (%d bytes)", len(msg))
-	}
-	le := binary.LittleEndian
-	src = int(int64(le.Uint64(msg[0:])))
-	dst = int(int64(le.Uint64(msg[8:])))
-	n := int(le.Uint64(msg[16:]))
-	if flows {
-		traceID = le.Uint64(msg[24:])
-		spanID = le.Uint64(msg[32:])
-	}
-	if hdr+n > len(msg) {
-		return 0, 0, nil, 0, 0, fmt.Errorf("core: DCGN message truncated: header says %d, have %d", n, len(msg)-hdr)
-	}
-	return src, dst, msg[hdr : hdr+n], traceID, spanID, nil
 }
