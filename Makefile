@@ -1,9 +1,15 @@
-# Local targets mirroring .github/workflows/ci.yml, so `make ci` runs the
-# same gate the workflow enforces.
+# Every gate is written here, once: each job in .github/workflows/ci.yml is
+# a single `make <target>` step (plus the Go-version matrix), so `make ci`
+# runs exactly what the workflow enforces. Assertions on a command's JSON
+# output live in scripts/ci_check.py, one function per gate.
 
 GO ?= go
+PYTHON ?= python3
+# OUT is where the gates leave their scratch output.
+OUT ?= /tmp
+CHECK = $(PYTHON) scripts/ci_check.py
 
-.PHONY: build vet fmt lintdoc test race race-live fuzz-smoke bench bench-json bench-onesided benchguard benchmark-smoke chaos multitenant loadgen trace-export flows scale ci
+.PHONY: build vet fmt lintdoc test race race-live fuzz-smoke bench bench-json bench-onesided benchguard benchmark-smoke chaos multitenant loadgen trace-export flows scale scale-smoke shard-determinism ci
 
 build:
 	$(GO) build ./...
@@ -53,10 +59,12 @@ bench-json:
 	$(GO) run ./cmd/dcgn-bench -json BENCH_6.json
 
 # One-sided lane gate: the classic-vs-triggered ablation, GPU->CPU one-way
-# latency over both paths per Fig. 6 size, written as JSON. (The
-# conformance, triggered-path and chaos suites run under -race in `race`.)
+# latency over both paths per Fig. 6 size, written as JSON; below 4 KiB the
+# triggered path must win without a single poll hit. (The conformance,
+# triggered-path and chaos suites run under -race in `race`.)
 bench-onesided:
 	$(GO) run ./cmd/dcgn-bench -onesided BENCH_7.json
+	$(CHECK) onesided BENCH_7.json
 
 # Allocation tripwire: fails if allocs/op on the matching benchmarks
 # regresses >20% against the committed baseline.
@@ -70,14 +78,24 @@ benchguard:
 benchmark-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
-	$(GO) run -C benchmark dcgn/benchmark -quick -seed 1 -out /tmp/dcgn-bench-smoke
+	$(GO) run -C benchmark dcgn/benchmark -quick -seed 1 -out $(OUT)/dcgn-bench-smoke
 
-# Scale smoke mirroring the CI scale/determinism matrix: a 1024-node sharded
-# run (virtual results asserted identical to -shards 1) plus the seeded
-# shard-determinism diff at shard counts 1, 2 and 8 on 256 nodes.
-scale:
-	$(GO) run ./cmd/dcgn-bench -nodes 1024 -shards 8
+# Scale smoke: a 1024-node run on a fat-tree fabric at 8 shards. The binary
+# itself asserts -shards 8 reproduces -shards 1 bit-identically;
+# -min-speedup additionally gates the parallel speedup, but only where there
+# are cores to speed up on (the 4-vCPU CI runner; one- and two-core
+# containers measure ~1.0x).
+SCALE_MIN_SPEEDUP ?= $(shell [ "$$(nproc 2>/dev/null || echo 1)" -ge 4 ] && echo 1.3 || echo 0)
+scale-smoke:
+	$(GO) run ./cmd/dcgn-bench -nodes 1024 -shards 8 -topology fattree -min-speedup $(SCALE_MIN_SPEEDUP)
+
+# Seeded scenario diffed across shard counts 1, 2 and 8 on 256 nodes, on the
+# flat fabric and on a dragonfly.
+shard-determinism:
 	$(GO) run ./cmd/dcgn-bench -scale-verify "1,2,8" -nodes 256
+	$(GO) run ./cmd/dcgn-bench -scale-verify "1,2,8" -nodes 256 -topology dragonfly
+
+scale: scale-smoke shard-determinism
 
 # Chaos smoke: a seeded standalone chaos run on the live backend under the
 # race detector. (The lossy-wire application runs and the wire-hardening
@@ -85,45 +103,50 @@ scale:
 chaos:
 	$(GO) run -race ./cmd/dcgn-bench -chaos -backend live -chaos-collfail 0.2 -chaos-seed 11
 
-# Multi-tenant runtime gate: the fairness/overhead JSON report. (The
-# per-job-overhead benches run in `bench` and `benchguard`; the Runtime
-# suite — admission, fair-share, isolation, lifecycle, control API, 8
-# concurrent live jobs — runs under -race in `race`.)
+# Multi-tenant runtime gate: the fairness/overhead JSON report, with
+# per-job overhead <= 10% and every tenant within 0.15 of its weighted
+# share. (The per-job-overhead benches run in `bench` and `benchguard`; the
+# Runtime suite — admission, fair-share, isolation, lifecycle, control API,
+# 8 concurrent live jobs — runs under -race in `race`.)
 multitenant:
 	$(GO) run ./cmd/dcgn-bench -jobs 8 -tenants "light:1,heavy:3" -multitenant-out BENCH_8.json
+	$(CHECK) multitenant BENCH_8.json
 
-# Loadgen gate mirroring the CI loadgen-smoke job: a seeded Poisson run on
-# the sim backend diffed for byte-identical SLO reports, and the same
-# preset on the live backend. (The workload-layer suite runs under -race
+# Loadgen gate: a seeded Poisson run on the sim backend diffed for
+# byte-identical SLO reports, the chat preset on the live backend, and a
+# schema check of both reports. (The workload-layer suite runs under -race
 # in `race`.)
 loadgen:
-	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o /tmp/dcgn-slo-a.json
-	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o /tmp/dcgn-slo-b.json
-	diff /tmp/dcgn-slo-a.json /tmp/dcgn-slo-b.json
-	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 100 -duration 1s -backend live -nodes 8 -seed 7 -o /tmp/dcgn-slo-live.json
+	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o $(OUT)/dcgn-slo-a.json
+	$(GO) run ./cmd/dcgn-loadgen -preset mixed -rate 300 -duration 1s -seed 7 -o $(OUT)/dcgn-slo-b.json
+	diff $(OUT)/dcgn-slo-a.json $(OUT)/dcgn-slo-b.json
+	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 100 -duration 1s -backend live -nodes 8 -seed 7 -o $(OUT)/dcgn-slo-live.json
+	$(CHECK) slo $(OUT)/dcgn-slo-a.json $(OUT)/dcgn-slo-live.json
 
 # Exporter validation: a 4-node fixture run through every dcgn-trace
-# output format. (The typed-struct schema tests run in `test`.)
+# output format; the chrome trace must not be empty. (The typed-struct
+# schema tests run in `test`.)
 trace-export:
-	$(GO) run ./cmd/dcgn-trace -nodes 4 -format chrome -o /tmp/dcgn-trace.json
-	$(GO) run ./cmd/dcgn-trace -nodes 4 -format csv -o /tmp/dcgn-trace.csv
+	$(GO) run ./cmd/dcgn-trace -nodes 4 -format chrome -o $(OUT)/dcgn-trace.json
+	$(CHECK) trace $(OUT)/dcgn-trace.json
+	$(GO) run ./cmd/dcgn-trace -nodes 4 -format csv -o $(OUT)/dcgn-trace.csv
 	$(GO) run ./cmd/dcgn-trace -nodes 4 -metrics > /dev/null
 
 # Causal flow-tracing gate: a seeded determinism diff of the dcgn-trace
 # critical-path text (two runs must render byte-identically), a Perfetto
-# flow-event schema check on the exported chrome trace, and the flows-on
-# loadgen determinism diff. (The chrome-exporter flow-event test runs in
+# flow-event schema check on the exported chrome trace, the flows-on
+# loadgen determinism diff, and the check that each tenant's phase means
+# sum to its mean e2e. (The chrome-exporter flow-event test runs in
 # `test`; the stitching/critical-path suites and the flows-on chaos
 # differential run under -race in `race`.)
 flows:
-	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-a.txt
-	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o /tmp/dcgn-flow.json > /tmp/dcgn-cp-b.txt
-	diff /tmp/dcgn-cp-a.txt /tmp/dcgn-cp-b.txt
-	grep -q '"ph": *"s"' /tmp/dcgn-flow.json
-	grep -q '"ph": *"f"' /tmp/dcgn-flow.json
-	grep -q '"bp": *"e"' /tmp/dcgn-flow.json
-	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o /tmp/dcgn-slo-flows-a.json
-	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o /tmp/dcgn-slo-flows-b.json
-	diff /tmp/dcgn-slo-flows-a.json /tmp/dcgn-slo-flows-b.json
+	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o $(OUT)/dcgn-flow.json > $(OUT)/dcgn-cp-a.txt
+	$(GO) run ./cmd/dcgn-trace -nodes 4 -critical-path -format chrome -o $(OUT)/dcgn-flow.json > $(OUT)/dcgn-cp-b.txt
+	diff $(OUT)/dcgn-cp-a.txt $(OUT)/dcgn-cp-b.txt
+	$(CHECK) flow-events $(OUT)/dcgn-flow.json
+	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o $(OUT)/dcgn-slo-flows-a.json
+	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o $(OUT)/dcgn-slo-flows-b.json
+	diff $(OUT)/dcgn-slo-flows-a.json $(OUT)/dcgn-slo-flows-b.json
+	$(CHECK) flow-phases $(OUT)/dcgn-slo-flows-a.json
 
 ci: build vet fmt lintdoc test race race-live fuzz-smoke bench benchguard benchmark-smoke chaos bench-onesided multitenant loadgen trace-export flows scale

@@ -36,19 +36,6 @@ func (ns *nodeState) collCall(p transport.Proc, call func() error) error {
 	return err
 }
 
-// collector is the progress engine's collective-accumulation layer: it
-// gathers local arrivals for each collective until every resident rank has
-// joined, then executes one node-level transport call and disperses the
-// results locally (paper §3.2.3).
-type collector interface {
-	// add registers one rank's arrival, executing the collective once all
-	// resident ranks have joined.
-	add(p transport.Proc, req *request)
-	// pending reports how many collective requests are parked waiting for
-	// the rest of their group.
-	pending() int
-}
-
 // collGroup gathers local arrivals for one in-progress collective.
 type collGroup struct {
 	root    int
@@ -64,7 +51,10 @@ type collGroup struct {
 	err error
 }
 
-// collAccum is the default collector, owned by one comm thread.
+// collAccum is the progress engine's collective-accumulation layer, owned
+// by one comm thread: it gathers local arrivals for each collective until
+// every resident rank has joined, then executes one node-level transport
+// call and disperses the results locally (paper §3.2.3).
 type collAccum struct {
 	ns     *nodeState
 	groups map[opKind]*collGroup
@@ -74,6 +64,8 @@ func newCollAccum(ns *nodeState) *collAccum {
 	return &collAccum{ns: ns, groups: make(map[opKind]*collGroup)}
 }
 
+// pending reports how many collective requests are parked waiting for the
+// rest of their group.
 func (ca *collAccum) pending() int {
 	n := 0
 	for _, g := range ca.groups {

@@ -46,8 +46,8 @@ type nodeState struct {
 	gpus []*gpuThread
 
 	intake *intake
-	index  matcher
-	coll   collector
+	index  *matchIndex
+	coll   *collAccum
 
 	// wire is the two-sided frame lane (reliable.go): handleSend transmits
 	// on it and its receiver daemon feeds the intake. rel counts the

@@ -63,19 +63,7 @@ func (c *CPUCtx) Recv(src int, buf []byte) (CommStatus, error) {
 // AnySource) into recvBuf as one combined request — the exchange primitive
 // Cannon's algorithm rotates chunks with (§5.1).
 func (c *CPUCtx) SendRecv(dst int, sendBuf []byte, src int, recvBuf []byte) (CommStatus, error) {
-	req := &request{
-		op:    opSendrecv,
-		rank:  c.rank,
-		peer:  dst,
-		peer2: src,
-		buf:   sendBuf,
-		done:  c.ns.rt.NewEventID("cpu-req", c.rank),
-		ns:    c.ns,
-	}
-	req.recvBuf = recvBuf
-	c.tp.SleepJit(c.job.cfg.Params.EnqueueCost)
-	c.job.trace.record(c.ns.rt, req)
-	c.ns.intake.postRequest(req)
+	req := c.post("cpu-req", opSendrecv, dst, src, sendBuf, recvBuf)
 	req.done.Wait(c.tp)
 	return req.status, req.err
 }
@@ -160,46 +148,38 @@ func (a *AsyncOp) Test() (CommStatus, bool) {
 // ISend starts a nonblocking send. The buffer must not be modified until
 // Wait reports completion.
 func (c *CPUCtx) ISend(dst int, buf []byte) *AsyncOp {
-	return c.relayAsync(opSend, dst, buf, nil)
+	return &AsyncOp{req: c.post("cpu-areq", opSend, dst, 0, buf, nil)}
 }
 
 // IRecv starts a nonblocking receive into buf from src (or AnySource).
 func (c *CPUCtx) IRecv(src int, buf []byte) *AsyncOp {
-	return c.relayAsync(opRecv, src, buf, nil)
+	return &AsyncOp{req: c.post("cpu-areq", opRecv, src, 0, buf, nil)}
 }
 
-// relayAsync posts one request and returns without waiting.
-func (c *CPUCtx) relayAsync(op opKind, peer int, buf, recvBuf []byte) *AsyncOp {
+// post charges the enqueue cost and hands one request to the comm thread's
+// queue without waiting for it; done is named event:rank. peer2 is the
+// receive side of a combined send/receive and zero otherwise.
+func (c *CPUCtx) post(event string, op opKind, peer, peer2 int, buf, recvBuf []byte) *request {
 	req := &request{
-		op:   op,
-		rank: c.rank,
-		peer: peer,
-		buf:  buf,
-		done: c.ns.rt.NewEventID("cpu-areq", c.rank),
-		ns:   c.ns,
+		op:      op,
+		rank:    c.rank,
+		peer:    peer,
+		peer2:   peer2,
+		buf:     buf,
+		recvBuf: recvBuf,
+		done:    c.ns.rt.NewEventID(event, c.rank),
+		ns:      c.ns,
 	}
-	req.recvBuf = recvBuf
 	c.tp.SleepJit(c.job.cfg.Params.EnqueueCost)
 	c.job.trace.record(c.ns.rt, req)
 	c.ns.intake.postRequest(req)
-	return &AsyncOp{req: req}
+	return req
 }
 
 // relay posts one request into the comm thread's queue and blocks on its
 // completion event.
 func (c *CPUCtx) relay(op opKind, peer int, buf, recvBuf []byte) *request {
-	req := &request{
-		op:   op,
-		rank: c.rank,
-		peer: peer,
-		buf:  buf,
-		done: c.ns.rt.NewEventID("cpu-req", c.rank),
-		ns:   c.ns,
-	}
-	req.recvBuf = recvBuf
-	c.tp.SleepJit(c.job.cfg.Params.EnqueueCost)
-	c.job.trace.record(c.ns.rt, req)
-	c.ns.intake.postRequest(req)
+	req := c.post("cpu-req", op, peer, 0, buf, recvBuf)
 	req.done.Wait(c.tp)
 	return req
 }

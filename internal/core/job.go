@@ -275,10 +275,10 @@ func (j *Job) Run() (Report, error) {
 		return Report{}, err
 	}
 	j.setupObs(obs.NewRegistry)
-	if err := j.startDebugServer(); err != nil {
+	if err := j.debug.serve(j.cfg.DebugAddr, j.debugMux); err != nil {
 		return Report{}, err
 	}
-	defer j.stopDebugServer()
+	defer j.debug.stop()
 	if j.cfg.Transport.Name() == transport.BackendLive {
 		pool := bufpool.New()
 		cluster := live.New(j.cfg.Nodes, pool)

@@ -23,23 +23,6 @@ package core
 // itself, so all operations are amortized O(1) and matched requests are
 // never pinned by a retained backing array.
 
-// matcher is the progress engine's matching layer: it parks pending
-// sends, receives and unexpected inbound messages and hands back the
-// FIFO-correct counterpart for each new arrival. matchIndex is the
-// default (and only) implementation; the interface exists so the event
-// loop depends on match semantics, not on the index's data structures.
-type matcher interface {
-	addSend(req *request)
-	takeSendFrom(src, dst int) *request
-	takeSendTo(dst int) *request
-	addRecv(req *request)
-	takeRecvFor(src, dst int) *request
-	addUnexpected(in *inbound)
-	takeUnexpectedFor(src, dst int) *inbound
-	depth() int
-	peakDepth() int
-}
-
 // pairKey identifies one (source rank, destination rank) FIFO channel.
 type pairKey struct{ src, dst int }
 
@@ -113,7 +96,10 @@ type recvEntry struct {
 	seq uint64
 }
 
-// matchIndex holds all pending matching state for one node.
+// matchIndex is the progress engine's matching layer and holds all pending
+// matching state for one node: it parks pending sends, receives and
+// unexpected inbound messages and hands back the FIFO-correct counterpart
+// for each new arrival.
 type matchIndex struct {
 	seq uint64 // arrival stamp, monotonically increasing
 

@@ -363,7 +363,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	if cfg.Transport.Name() == transport.BackendLive {
 		r.cluster = live.New(cfg.Nodes, bufpool.New())
 	}
-	if err := r.startControl(); err != nil {
+	if err := r.debug.serve(cfg.DebugAddr, r.controlMux); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -860,7 +860,7 @@ func (r *Runtime) Close() error {
 	if r.cluster != nil {
 		r.cluster.Close()
 	}
-	r.stopControl()
+	r.debug.stop()
 	return nil
 }
 
@@ -1010,14 +1010,10 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 		r.sub.world.SetRankPool(w, pool)
 	}
 	c.simGroup = simmpi.NewGroup(r.sub.world, c.placement, c.id)
-	endpoints := make([]transport.Transport, c.nodes)
-	for n := range endpoints {
-		endpoints[n] = c.simGroup.Endpoint(n)
-	}
 	c.job.start(engineEnv{
 		rt:        &countingRT{simRT: simRT{s: r.sub.sim}, c: c, r: r},
 		sims:      r.sub.sims[:c.nodes], // one shared simulator: any c.nodes entries will do
-		endpoints: endpoints,
+		endpoints: groupEndpoints(c.simGroup, c.nodes),
 		pool:      pool,
 		clock:     r.sub,
 		epoch:     c.startedAt,

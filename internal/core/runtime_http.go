@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -38,24 +37,10 @@ func (r *Runtime) RegisterTemplate(name string, factory func() *Job) {
 
 // ControlAddr reports the bound control endpoint ("host:port"), or ""
 // when RuntimeConfig.DebugAddr is unset.
-func (r *Runtime) ControlAddr() string {
-	r.debug.mu.Lock()
-	defer r.debug.mu.Unlock()
-	if r.debug.ln == nil {
-		return ""
-	}
-	return r.debug.ln.Addr().String()
-}
+func (r *Runtime) ControlAddr() string { return r.debug.addr() }
 
-// startControl binds the control endpoint; no-op without a DebugAddr.
-func (r *Runtime) startControl() error {
-	if r.cfg.DebugAddr == "" {
-		return nil
-	}
-	ln, err := net.Listen("tcp", r.cfg.DebugAddr)
-	if err != nil {
-		return fmt.Errorf("dcgn: runtime control endpoint %q: %w", r.cfg.DebugAddr, err)
-	}
+// controlMux routes the control API listed above.
+func (r *Runtime) controlMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/dcgn", obs.PartitionedDebugHandler(r.obsParts))
 	mux.HandleFunc("/debug/dcgn/flows", r.handleFlows)
@@ -63,23 +48,7 @@ func (r *Runtime) startControl() error {
 	mux.HandleFunc("/runtime/submit", r.handleSubmit)
 	mux.HandleFunc("/runtime/cancel", r.handleCancel)
 	mux.HandleFunc("/runtime/drain", r.handleDrain)
-	srv := &http.Server{Handler: mux}
-	r.debug.mu.Lock()
-	r.debug.ln, r.debug.srv = ln, srv
-	r.debug.mu.Unlock()
-	go func() { _ = srv.Serve(ln) }() // exits with ErrServerClosed on stop
-	return nil
-}
-
-// stopControl tears the endpoint down; safe when it never started.
-func (r *Runtime) stopControl() {
-	r.debug.mu.Lock()
-	srv := r.debug.srv
-	r.debug.ln, r.debug.srv = nil, nil
-	r.debug.mu.Unlock()
-	if srv != nil {
-		_ = srv.Close()
-	}
+	return mux
 }
 
 // jobStatusJSON is the wire shape of a JobStatus: states by name,

@@ -146,9 +146,11 @@ func runOnHost(t *testing.T, h engineHost, mk func(backend string, shards int) *
 // every host and checks the backend-independent Report fields agree: the
 // engine brought up is the same one whoever hosts it, which is the
 // invariant that lets a substrate be retired rather than a copy of the
-// bring-up. Virtual Elapsed is compared only across the three Job.Run
-// substrates: a tenant's ends at its completion instant on the shared
-// clock, a live run's is wall time.
+// bring-up. Virtual Elapsed and the wire totals are compared only across
+// the three Job.Run substrates: a tenant's Elapsed ends at its completion
+// instant on the shared clock and its NetPackets/NetBytes are metered at the
+// endpoint rather than on the fabric; a live run's Elapsed is wall time and
+// its wire carries no MPI envelopes.
 func TestSameEngineOnEveryHost(t *testing.T) {
 	jobs := map[string]func(backend string, shards int) *Job{
 		"pingpong": func(backend string, shards int) *Job {
@@ -196,8 +198,15 @@ func TestSameEngineOnEveryHost(t *testing.T) {
 							ref.Nodes[n].LocalRequests, ref.Nodes[n].WireMessages)
 					}
 				}
-				if !h.runtime && h.backend == "" && rep.Elapsed != ref.Elapsed {
+				if h.runtime || h.backend != "" {
+					continue
+				}
+				if rep.Elapsed != ref.Elapsed {
 					t.Errorf("%s: virtual Elapsed %v, %s had %v", h.name, rep.Elapsed, engineHosts[0].name, ref.Elapsed)
+				}
+				if rep.NetPackets == 0 || rep.NetPackets != ref.NetPackets || rep.NetBytes != ref.NetBytes {
+					t.Errorf("%s: fabric carried %d packets / %d bytes, %s had %d / %d", h.name,
+						rep.NetPackets, rep.NetBytes, engineHosts[0].name, ref.NetPackets, ref.NetBytes)
 				}
 			}
 		})

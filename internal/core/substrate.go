@@ -72,55 +72,56 @@ type substrate struct {
 	world   *mpi.World
 }
 
-// newSubstrate builds a simulated cluster of the given shape. Shards == 0
-// is the classic single event loop. Shards >= 1 splits the nodes into that
-// many groups, each owning its own event loop (sim.Sharded), which advance
-// in parallel through conservative lookahead windows bounded by the
-// fabric's minimum cross-shard latency; cross-shard packets are exchanged
-// only at window barriers, in a total order independent of the shard
-// count, so a sharded run's Report is bit-identical for every Shards value
-// — only the wall-clock time changes. Jitter applies to the single event
-// loop only (Config.validate rejects it on sharded runs).
+// newSubstrate builds a simulated cluster of the given shape: one fabric,
+// one MPI world with a rank per node, one pool. The only fork is the event
+// loop under them. Shards == 0 is the classic single event loop. Shards >=
+// 1 splits the nodes into that many groups, each owning its own event loop
+// (sim.Sharded), which advance in parallel through conservative lookahead
+// windows bounded by the fabric's minimum cross-shard latency; cross-shard
+// packets are exchanged only at window barriers, in a total order
+// independent of the shard count, so a sharded run's Report is
+// bit-identical for every Shards value — only the wall-clock time changes.
+// Jitter applies to the single event loop only (Config.validate rejects it
+// on sharded runs).
+//
+// Below this constructor the two differ in three places, which is the list
+// a golden re-baseline has to flip before the classic loop can go:
+// sim.(*Sim).step (an arrival is served before a timer of the same
+// instant; a plain Sim has no arrivals), fabric.(*Node).Send (the wire hop
+// is a sleeping proc, or a timestamped arrival posted to the destination's
+// shard), and gpuThread.monitorPhase (the poll daemon's first-tick offset).
 func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int, maxTime time.Duration, jitterFrac float64, jitterSeed int64) *substrate {
 	sub := &substrate{pool: bufpool.New(), sims: make([]*sim.Sim, nodes)}
-	mpiCfg.Pool = sub.pool       // one pool across layers, so leak accounting is exact
+	if shards == 0 {
+		sub.sim = sim.New()
+		if jitterFrac > 0 || jitterSeed != 0 {
+			sub.sim.SetJitter(jitterFrac, jitterSeed)
+		}
+		sub.sim.SetMaxTime(maxTime)
+		sub.net = fabric.New(sub.sim, nodes, netCfg)
+	} else {
+		sub.sharded = sim.NewSharded(shards)
+		sub.sharded.SetMaxTime(maxTime)
+		// Topology-aware node -> shard partition: whole locality groups
+		// (fat-tree pods, dragonfly groups) go to one shard, so intra-group
+		// traffic — the short-hop majority — stays on the shard's same-shard
+		// fast path, and the cross-shard latency (and therefore the
+		// lookahead window) is set by the multi-hop inter-group tier instead
+		// of the cheapest link. On flat/ungrouped fabrics this degenerates
+		// to the legacy contiguous block partition. The partition only
+		// changes which event loop owns a node, never event ordering, so
+		// Reports stay bit-identical across shard counts either way.
+		shardOf := fabric.ShardPartition(netCfg.Topology, nodes, shards)
+		sub.net = fabric.NewSharded(sub.sharded, nodes, netCfg, shardOf)
+		sub.sharded.SetLookahead(sub.net.Lookahead())
+	}
 	nodeOf := make([]int, nodes) // one underlying MPI rank per node
 	for n := range nodeOf {
 		nodeOf[n] = n
+		sub.sims[n] = sub.net.Node(n).Sim()
 	}
-	if shards == 0 {
-		s := sim.New()
-		if jitterFrac > 0 || jitterSeed != 0 {
-			s.SetJitter(jitterFrac, jitterSeed)
-		}
-		s.SetMaxTime(maxTime)
-		for n := range sub.sims {
-			sub.sims[n] = s
-		}
-		sub.sim = s
-		sub.net = fabric.New(s, nodes, netCfg)
-		sub.world = mpi.NewWorld(s, sub.net, nodeOf, mpiCfg)
-		return sub
-	}
-	sc := sim.NewSharded(shards)
-	sc.SetMaxTime(maxTime)
-	// Topology-aware node -> shard partition: whole locality groups
-	// (fat-tree pods, dragonfly groups) go to one shard, so intra-group
-	// traffic — the short-hop majority — stays on the shard's same-shard
-	// fast path, and the cross-shard latency (and therefore the lookahead
-	// window) is set by the multi-hop inter-group tier instead of the
-	// cheapest link. On flat/ungrouped fabrics this degenerates to the
-	// legacy contiguous block partition. The partition only changes which
-	// event loop owns a node, never event ordering, so Reports stay
-	// bit-identical across shard counts either way.
-	shardOf := fabric.ShardPartition(netCfg.Topology, nodes, shards)
-	sub.sharded = sc
-	sub.net = fabric.NewSharded(sc, nodes, netCfg, shardOf)
-	sc.SetLookahead(sub.net.Lookahead())
-	for n := range sub.sims {
-		sub.sims[n] = sc.Shard(shardOf[n]).Sim()
-	}
-	sub.world = mpi.NewWorldSharded(sub.sims, sub.net, nodeOf, mpiCfg)
+	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
+	sub.world = mpi.NewWorld(sub.sim, sub.net, nodeOf, mpiCfg)
 	return sub
 }
 
@@ -157,12 +158,19 @@ func (sub *substrate) Bytes() int64 {
 }
 
 // exclusiveEnv hosts one job on the whole substrate: every node on its own
-// simulator, the world-wide simulated-MPI endpoints, the substrate's pool,
-// clock and fabric totals.
+// simulator, the world group's simulated-MPI endpoints, the substrate's
+// pool, clock and fabric totals.
 func (sub *substrate) exclusiveEnv() engineEnv {
-	endpoints := make([]transport.Transport, len(sub.sims))
+	return engineEnv{sims: sub.sims, endpoints: groupEndpoints(simmpi.WorldGroup(sub.world), len(sub.sims)),
+		pool: sub.pool, clock: sub, wire: sub}
+}
+
+// groupEndpoints lists a simulated-MPI group's per-node endpoints as the
+// raw transports an engine bring-up wraps.
+func groupEndpoints(g *simmpi.Group, nodes int) []transport.Transport {
+	endpoints := make([]transport.Transport, nodes)
 	for n := range endpoints {
-		endpoints[n] = simmpi.New(sub.world.Rank(n))
+		endpoints[n] = g.Endpoint(n)
 	}
-	return engineEnv{sims: sub.sims, endpoints: endpoints, pool: sub.pool, clock: sub, wire: sub}
+	return endpoints
 }

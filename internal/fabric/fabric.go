@@ -9,6 +9,17 @@
 // serializes here). Intra-node packets skip the NICs and pay the
 // shared-memory latency/bandwidth instead — this is the MVAPICH2 IPC path of
 // the paper's testbed.
+//
+// New builds a network on one simulator, NewSharded the same nodes spread
+// over the shards of a sim.Sharded; either way a Node knows the simulator
+// that owns it (Node.Sim), which is all the layers above need, and counts
+// its own inter-node traffic (Network.Totals sums the nodes; there is no
+// other wire counter). The two kinds of network differ in one place, the
+// wire hop in Node.Send: a proc that sleeps the flight latency on the
+// shared simulator, or a timestamped arrival posted to the destination's
+// shard. That is one of the three classic-vs-sharded branch points left;
+// the others are sim.(*Sim).step's arrival-before-timer rule and
+// core.(*gpuThread).monitorPhase.
 package fabric
 
 import (
@@ -63,26 +74,18 @@ type Packet struct {
 
 // Network is the switch fabric plus all node endpoints.
 type Network struct {
-	s     *sim.Sim
 	cfg   Config
 	nodes []*Node
 
 	// shardOf maps node id → shard index in a sharded network (nil for a
 	// plain single-Sim network).
 	shardOf []int
-
-	// PacketsSent and BytesSent count inter-node traffic only. They are
-	// maintained on plain networks; sharded networks keep per-node
-	// counters instead (shards mutate concurrently) — use Totals for a
-	// mode-independent view.
-	PacketsSent int
-	BytesSent   int64
 }
 
 // New creates a network of n nodes.
 func New(s *sim.Sim, n int, cfg Config) *Network {
 	checkConfig(n, cfg)
-	net := &Network{s: s, cfg: cfg}
+	net := &Network{cfg: cfg}
 	for i := 0; i < n; i++ {
 		net.nodes = append(net.nodes, newNode(net, i, s, nil))
 	}
@@ -161,8 +164,9 @@ func (n *Network) Lookahead() time.Duration {
 	return n.cfg.Lat
 }
 
-// Totals returns inter-node packet and byte counts regardless of whether
-// the network is plain or sharded.
+// Totals returns the inter-node packets and bytes sent so far, summed over
+// the per-node counters (shards mutate them concurrently, so there is no
+// network-wide one). Intra-node traffic is not counted.
 func (n *Network) Totals() (packets int, bytes int64) {
 	for _, nd := range n.nodes {
 		packets += nd.pkts
@@ -203,6 +207,12 @@ type Node struct {
 // ID returns the node id.
 func (nd *Node) ID() int { return nd.id }
 
+// Sim returns the simulator owning this node's endpoint state: the one
+// shared simulator of a plain network, the node's shard's in a sharded
+// one. Whatever runs on the node (an MPI rank, its progress engine) must
+// be spawned there.
+func (nd *Node) Sim() *sim.Sim { return nd.s }
+
 // Send transmits a packet to node dst. The calling proc is blocked for the
 // outbound serialization time (NIC contention included); delivery completes
 // asynchronously after the flight latency and receiver processing.
@@ -229,10 +239,6 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	}
 	nd.pkts++
 	nd.bytes += int64(size)
-	if nd.shard == nil {
-		nd.net.PacketsSent++
-		nd.net.BytesSent += int64(size)
-	}
 	// Outbound: hold the TX NIC for overhead + serialization.
 	nd.sendNIC.Use(p, cfg.SendOverhead+time.Duration(float64(size)/cfg.BW*1e9))
 	// In flight + receiver processing. Flight latency is NOT jittered so

@@ -65,7 +65,7 @@ func TestIntraNodeSharedMemoryPathIsCheaper(t *testing.T) {
 	if want := 1200 * time.Nanosecond; shmAt != want {
 		t.Fatalf("shm delivery at %v, want %v", shmAt, want)
 	}
-	if net.PacketsSent != 0 {
+	if pkts, bytes := net.Totals(); pkts != 0 || bytes != 0 {
 		t.Fatal("intra-node packet counted as inter-node traffic")
 	}
 }
@@ -129,8 +129,8 @@ func TestStatsCount(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if net.PacketsSent != 2 || net.BytesSent != 300 {
-		t.Fatalf("stats %d pkts %d bytes", net.PacketsSent, net.BytesSent)
+	if pkts, bytes := net.Totals(); pkts != 2 || bytes != 300 {
+		t.Fatalf("stats %d pkts %d bytes", pkts, bytes)
 	}
 }
 

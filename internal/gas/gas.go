@@ -164,8 +164,9 @@ func Run(cfg Config, worker func(w *Worker)) (Report, error) {
 		}
 	}
 	err := s.Run()
+	pkts, bytes := net.Totals()
 	return Report{
-		Elapsed: s.Now(), NetPackets: net.PacketsSent, NetBytes: net.BytesSent,
+		Elapsed: s.Now(), NetPackets: pkts, NetBytes: bytes,
 		PoolAcquires: cfg.MPI.Pool.Acquires(), PoolReleases: cfg.MPI.Pool.Releases(),
 	}, err
 }

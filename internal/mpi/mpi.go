@@ -13,6 +13,11 @@
 //
 // Every rank is driven by exactly one simulated proc; per-node progress
 // engines (daemon procs) perform matching and the rendezvous handshake.
+//
+// NewWorld is the only constructor. A world runs on whatever fabric it is
+// given, plain or sharded: each rank's procs, events and progress engine
+// live on the simulator that owns its fabric node (fabric.Node.Sim), so
+// this package holds no classic-vs-sharded branch of its own.
 package mpi
 
 import (
@@ -92,8 +97,6 @@ type Status struct {
 
 // World is a set of ranks mapped onto fabric nodes (MPI_COMM_WORLD).
 type World struct {
-	s      *sim.Sim   // plain-mode simulation (nil in sharded worlds)
-	sims   []*sim.Sim // per-node simulations in sharded worlds (nil otherwise)
 	net    *fabric.Network
 	cfg    Config
 	ranks  []*Rank
@@ -111,39 +114,22 @@ type World struct {
 }
 
 // NewWorld creates a world with len(nodeOf) ranks; rank i runs on fabric
-// node nodeOf[i]. A progress-engine daemon is started per node.
-func NewWorld(s *sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World {
-	w := &World{s: s}
-	w.init(net, nodeOf, cfg)
-	return w
-}
-
-// NewWorldSharded creates a world over a sharded fabric: sims[n] is the
-// simulation owning node n (from the shard the node was placed on), and
-// every rank's procs, events and progress engine live on its own node's
-// Sim. All cross-node traffic flows through the sharded fabric's
-// deterministic arrival order, so rank-level behavior is identical for
-// every shard count.
-func NewWorldSharded(sims []*sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World {
-	if len(sims) != net.Size() {
-		panic("mpi: sims length does not match network size")
-	}
-	w := &World{sims: sims}
-	w.init(net, nodeOf, cfg)
-	return w
-}
-
-func (w *World) init(net *fabric.Network, nodeOf []int, cfg Config) {
+// node nodeOf[i]. A progress-engine daemon is started per node. Every
+// rank's procs, events and progress engine live on the simulator that owns
+// its fabric node (fabric.Node.Sim) — the one shared simulator of a plain
+// network, the node's shard's in a sharded one, where all cross-node
+// traffic flows through the fabric's deterministic arrival order and
+// rank-level behavior is identical for every shard count. The simulator
+// argument is therefore redundant and ignored (pass nil over a sharded
+// fabric); it stays because callers outside this module pass it.
+func NewWorld(_ *sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World {
 	if len(nodeOf) == 0 {
 		panic("mpi: empty world")
 	}
 	if cfg.Pool == nil {
 		cfg.Pool = bufpool.New()
 	}
-	w.net = net
-	w.cfg = cfg
-	w.nodeOf = append([]int(nil), nodeOf...)
-	w.commIDs = make(map[[3]int]int)
+	w := &World{net: net, cfg: cfg, nodeOf: append([]int(nil), nodeOf...), commIDs: make(map[[3]int]int)}
 	for id, node := range nodeOf {
 		if node < 0 || node >= net.Size() {
 			panic(fmt.Sprintf("mpi: rank %d mapped to bad node %d", id, node))
@@ -152,6 +138,7 @@ func (w *World) init(net *fabric.Network, nodeOf []int, cfg Config) {
 			w:            w,
 			id:           id,
 			node:         node,
+			sim:          net.Node(node).Sim(),
 			bound:        make(map[uint64]*recvReq),
 			pendingSends: make(map[uint64]*sendReq),
 			sendPrefix:   "isend:" + strconv.Itoa(id),
@@ -168,15 +155,7 @@ func (w *World) init(net *fabric.Network, nodeOf []int, cfg Config) {
 			w.startEngine(n)
 		}
 	}
-}
-
-// simFor returns the simulation owning a fabric node: the per-node Sim of
-// a sharded world, or the single shared Sim otherwise.
-func (w *World) simFor(node int) *sim.Sim {
-	if w.sims != nil {
-		return w.sims[node]
-	}
-	return w.s
+	return w
 }
 
 // Size returns the number of ranks.
@@ -198,14 +177,12 @@ func (w *World) Rank(id int) *Rank { return w.ranks[id] }
 // completion tracking guarantees.
 func (w *World) SetRankPool(id int, pool *bufpool.Pool) { w.ranks[id].pool = pool }
 
-// NodeOf returns the fabric node hosting rank id.
-func (w *World) NodeOf(id int) int { return w.nodeOf[id] }
-
 // Rank is one communication endpoint (MPI process).
 type Rank struct {
 	w    *World
 	id   int
 	node int
+	sim  *sim.Sim // the simulator owning this rank's fabric node
 
 	// pool, when non-nil, overrides the world pool for this rank's staging
 	// acquires (eager copies, rendezvous snapshots, scratch). A multi-tenant
@@ -240,9 +217,6 @@ func (r *Rank) Node() int { return r.node }
 
 // World returns the world this rank belongs to.
 func (r *Rank) World() *World { return r.w }
-
-// sim returns the simulation owning this rank's node.
-func (r *Rank) sim() *sim.Sim { return r.w.simFor(r.node) }
 
 // stagingPool returns the pool this rank's staging buffers come from: the
 // per-rank override when set (multi-tenant worlds), else the world pool.
@@ -388,7 +362,7 @@ func (r *Rank) deliver(rr *recvReq, env *envelope) {
 // completes requests.
 func (w *World) startEngine(node int) {
 	nd := w.net.Node(node)
-	w.simFor(node).SpawnDaemon(fmt.Sprintf("mpi-engine:%d", node), func(p *sim.Proc) {
+	nd.Sim().SpawnDaemon(fmt.Sprintf("mpi-engine:%d", node), func(p *sim.Proc) {
 		for {
 			pkt := nd.Inbox.Get(p)
 			env, ok := pkt.Payload.(*envelope)
@@ -425,7 +399,7 @@ func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
 		delete(r.pendingSends, env.seq)
 		// Transmit the bulk data on a helper so the engine keeps making
 		// progress for other ranks on this node.
-		w.simFor(r.node).Spawn("mpi-rndv-data", func(h *sim.Proc) {
+		nd.Sim().Spawn("mpi-rndv-data", func(h *sim.Proc) {
 			// Snapshot the payload: once the DMA is in flight the sender may
 			// reuse its buffer (its request completes on injection), so the
 			// wire must carry a copy, not a reference.

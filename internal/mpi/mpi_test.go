@@ -24,7 +24,7 @@ func testWorld(s *sim.Sim, ranks, nodes int) *World {
 // runRanks spawns one proc per rank running body and runs the sim.
 func runRanks(t *testing.T, w *World, body func(p *sim.Proc, r *Rank)) {
 	t.Helper()
-	s := w.s
+	s := w.Rank(0).sim
 	for i := 0; i < w.Size(); i++ {
 		r := w.Rank(i)
 		s.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) { body(p, r) })

@@ -22,7 +22,7 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 	p.SleepJit(r.w.cfg.CallOverhead)
 	r.nextSeq++
 	seq := r.nextSeq
-	done := r.sim().NewEventID(r.sendPrefix, dst)
+	done := r.sim.NewEventID(r.sendPrefix, dst)
 	var errv error
 	req := &Request{done: done, stat: &Status{}, err: &errv}
 	nd := r.w.net.Node(r.node)
@@ -32,7 +32,7 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 		data := r.stagingPool().Get(len(buf)) // buffered semantics
 		copy(data, buf)
 		env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data}
-		r.sim().Spawn("mpi-eager", func(h *sim.Proc) {
+		r.sim.Spawn("mpi-eager", func(h *sim.Proc) {
 			nd.Send(h, dstNode, headerBytes+len(data), env)
 		})
 		done.Fire() // locally complete: the payload is buffered
@@ -53,7 +53,7 @@ func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 		panic(fmt.Sprintf("mpi: Irecv from bad rank %d", src))
 	}
 	p.SleepJit(r.w.cfg.CallOverhead)
-	done := r.sim().NewEventID(r.recvPrefix, src)
+	done := r.sim.NewEventID(r.recvPrefix, src)
 	rr := &recvReq{buf: buf, src: src, tag: tag, done: done}
 	req := &Request{done: done, stat: &rr.stat, err: &rr.err}
 	return r.post(p, rr, req)
@@ -100,7 +100,7 @@ func (r *Rank) RecvMsg(p *sim.Proc, src, tag int) (Status, []byte, error) {
 		panic(fmt.Sprintf("mpi: RecvMsg from bad rank %d", src))
 	}
 	p.SleepJit(r.w.cfg.CallOverhead)
-	done := r.sim().NewEventID(r.recvPrefix, src)
+	done := r.sim.NewEventID(r.recvPrefix, src)
 	rr := &recvReq{src: src, tag: tag, done: done, take: true}
 	req := &Request{done: done, stat: &rr.stat, err: &rr.err}
 	st, err := r.post(p, rr, req).Wait(p)

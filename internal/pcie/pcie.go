@@ -95,13 +95,6 @@ func (b *Bus) Ctl(p *sim.Proc, n int) {
 	b.res.Use(p, d)
 }
 
-// Transfer charges a generic DMA of n bytes; direction-agnostic convenience
-// satisfying device.BusLike.
-func (b *Bus) Transfer(p *sim.Proc, n int) {
-	b.Transfers++
-	b.res.Use(p, b.xferTime(n))
-}
-
 // Direct charges a GPUDirect-style transfer: the device pushes/pulls n
 // bytes to a peer PCIe device (NIC) from pinned buffers — full bandwidth,
 // doorbell-level setup latency instead of a host-driven DMA program.

@@ -94,17 +94,6 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	return w.val, w.ok
 }
 
-// TryRecv receives without blocking. ok reports whether a value was
-// obtained; closed reports a closed-and-drained channel.
-func (c *Chan[T]) TryRecv() (v T, ok bool, closed bool) {
-	v, ok, done := c.tryRecvInternal()
-	if done {
-		return v, ok, !ok
-	}
-	var zero T
-	return zero, false, false
-}
-
 // tryRecvInternal attempts a non-blocking receive. done=true means the
 // operation completed (either a value with ok=true, or closed with
 // ok=false).
@@ -179,15 +168,4 @@ func (q *Queue[T]) Get(p *Proc) T {
 	q.recvq = append(q.recvq, w)
 	p.park(parkQueueGet, q, 0)
 	return w.val
-}
-
-// TryGet removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) > 0 {
-		v = q.items[0]
-		q.items = q.items[1:]
-		return v, true
-	}
-	var zero T
-	return zero, false
 }

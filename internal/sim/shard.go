@@ -41,17 +41,15 @@ type Sharded struct {
 }
 
 // Shard is one partition of a sharded simulation: it owns a private Sim
-// (event heap, clock, procs) plus the arrival heap and outbox used to
-// exchange cross-shard events at window barriers.
+// (event heap, clock, procs) plus the outbox used to exchange cross-shard
+// events at window barriers. Arrivals routed to the shard wait in its Sim's
+// arrival heap: the coordinator pushes them at barriers, the shard itself
+// pushes same-shard ones mid-window, and only its window loop pops.
 type Shard struct {
 	coord *Sharded
 	id    int
 	sim   *Sim
 
-	// arrivals holds cross-node deliveries routed to this shard, ordered
-	// by (at, src, seq); only the coordinator pushes (at barriers) and
-	// only this shard's window loop pops.
-	arrivals arrivalHeap
 	// outbox buffers arrivals posted during the current window; it is
 	// touched only by this shard's goroutine mid-window and drained by
 	// the coordinator at the barrier.
@@ -154,7 +152,7 @@ func (sh *Shard) PostArrival(at time.Duration, dstShard, src int, seq uint64, pr
 			panic(fmt.Sprintf("sim: same-shard arrival at %v before current time %v",
 				at, time.Duration(sh.sim.now)))
 		}
-		sh.arrivals.push(a)
+		sh.sim.arrivals.push(a)
 		return
 	}
 	if at64 < sh.windowEnd {
@@ -165,75 +163,21 @@ func (sh *Shard) PostArrival(at time.Duration, dstShard, src int, seq uint64, pr
 }
 
 // nextEventAt returns the earliest virtual time at which this shard has
-// work (a ready proc, a timer, or a pending arrival), or -1 if idle.
+// work (a ready proc, a timer, or a pending arrival), or never if idle.
 func (sh *Shard) nextEventAt() int64 {
 	if len(sh.sim.ready) > 0 {
 		return sh.sim.now
 	}
-	at := int64(-1)
-	if sh.sim.timers.len() > 0 {
-		at = sh.sim.timers.peek().at
-	}
-	if sh.arrivals.len() > 0 {
-		if a := sh.arrivals.peek().at; at < 0 || a < at {
-			at = a
-		}
-	}
-	return at
+	tAt, aAt := sh.sim.pendingAt()
+	return min(tAt, aAt)
 }
 
 // runWindow executes this shard's events with virtual time strictly below
-// end. At equal timestamps arrivals are delivered before local timers fire
-// (the cross-shard ordering rule); ready procs always run first because
-// they hold the current time.
+// end: Sim.step with the window edge as its horizon, stopped early only by
+// a failure.
 func (sh *Shard) runWindow(end int64) {
-	s := sh.sim
 	sh.windowEnd = end
-	for {
-		if s.failure != nil {
-			return
-		}
-		if len(s.ready) > 0 {
-			p := s.ready[0]
-			s.ready = s.ready[1:]
-			if p.state == stateDone {
-				continue
-			}
-			s.runProc(p)
-			continue
-		}
-		tAt, aAt := int64(-1), int64(-1)
-		if s.timers.len() > 0 {
-			tAt = s.timers.peek().at
-		}
-		if sh.arrivals.len() > 0 {
-			aAt = sh.arrivals.peek().at
-		}
-		if aAt >= 0 && (tAt < 0 || aAt <= tAt) {
-			if aAt >= end {
-				return
-			}
-			a := sh.arrivals.pop()
-			if a.at < s.now {
-				panic("sim: arrival in the past")
-			}
-			s.now = a.at
-			s.spawn(a.name, a.fn, false)
-			continue
-		}
-		if tAt >= 0 {
-			if tAt >= end {
-				return
-			}
-			t := s.timers.pop()
-			if t.at < s.now {
-				panic("sim: timer in the past")
-			}
-			s.now = t.at
-			s.unblock(t.p)
-			continue
-		}
-		return
+	for sh.sim.failure == nil && sh.sim.step(end) {
 	}
 }
 
@@ -258,7 +202,7 @@ func (sc *Sharded) Run() error {
 	for {
 		for _, sh := range sc.shards {
 			for _, a := range sh.outbox {
-				sc.shards[a.dst].arrivals.push(a)
+				sc.shards[a.dst].sim.arrivals.push(a)
 			}
 			sh.outbox = sh.outbox[:0]
 		}
@@ -271,19 +215,17 @@ func (sc *Sharded) Run() error {
 		live, pending := 0, 0
 		for _, sh := range sc.shards {
 			live += sh.sim.live
-			pending += sh.arrivals.len()
+			pending += sh.sim.arrivals.len()
 		}
 		if live == 0 && pending == 0 {
 			sc.recordElapsed()
 			return nil
 		}
-		w := int64(-1)
+		w := int64(never)
 		for _, sh := range sc.shards {
-			if at := sh.nextEventAt(); at >= 0 && (w < 0 || at < w) {
-				w = at
-			}
+			w = min(w, sh.nextEventAt())
 		}
-		if w < 0 {
+		if w == never {
 			sc.recordElapsed()
 			return sc.deadlockError()
 		}
@@ -325,11 +267,7 @@ func (sc *Sharded) deadlockError() error {
 	var blocked []string
 	var at int64
 	for _, sh := range sc.shards {
-		for _, p := range sh.sim.procs {
-			if p.state == stateBlocked {
-				blocked = append(blocked, fmt.Sprintf("%s: %s", p.Name(), p.blockReason()))
-			}
-		}
+		blocked = sh.sim.appendBlocked(blocked)
 		if sh.sim.now > at {
 			at = sh.sim.now
 		}

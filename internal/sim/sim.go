@@ -12,6 +12,15 @@
 // Chan, Semaphore, ...). Plain Go computation inside a Proc consumes zero
 // virtual time; simulated cost must be charged explicitly with Sleep.
 //
+// There is one event loop. New builds a Sim and Run drives it; a sharded
+// simulation (NewSharded, shard.go) is several Sims whose windows the
+// coordinator drives, and both loops are made of the same step (Sim.step):
+// run the ready proc at the head of the queue, else fire the earliest
+// arrival or timer below a horizon. step's arrival-before-timer rule is one
+// of the three places a classic run and a sharded one still differ; the
+// other two are the wire hop in fabric.(*Node).Send and the GPU monitor's
+// first-tick offset in core.(*gpuThread).monitorPhase.
+//
 // IMPORTANT: user code must not spawn raw goroutines that touch simulation
 // state; all concurrency goes through Spawn. Every blocking primitive checks
 // that it is invoked by the currently-running Proc and panics otherwise.
@@ -19,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -33,8 +43,7 @@ import (
 type procState int
 
 const (
-	stateNew procState = iota
-	stateReady
+	stateReady procState = iota
 	stateRunning
 	stateBlocked
 	stateDone
@@ -42,8 +51,6 @@ const (
 
 func (s procState) String() string {
 	switch s {
-	case stateNew:
-		return "new"
 	case stateReady:
 		return "ready"
 	case stateRunning:
@@ -120,6 +127,9 @@ type Proc struct {
 	blockKind parkKind
 	blockObj  labeler
 	blockArg  int64
+	// prev/next are the Proc's neighbours in its Sim's ring of unfinished
+	// procs (Sim.procs).
+	prev, next *Proc
 }
 
 // Name returns the name the Proc was spawned with.
@@ -133,12 +143,22 @@ func (p *Proc) Now() time.Duration { return time.Duration(p.sim.now) }
 
 // Sim is a deterministic discrete-event scheduler.
 type Sim struct {
-	now     int64 // virtual time in nanoseconds since simulation start
-	seq     uint64
-	ready   []*Proc
-	timers  timerHeap
-	procs   []*Proc // all procs ever spawned (for shutdown/diagnostics)
-	live    int     // procs not yet done
+	now    int64 // virtual time in nanoseconds since simulation start
+	seq    uint64
+	ready  []*Proc
+	timers timerHeap
+	// arrivals holds the cross-node deliveries of a sharded run (shard.go),
+	// ordered by (at, src, seq). A plain Sim never has any, which is the
+	// whole of the classic/sharded difference inside the event loop: step
+	// serves an arrival before a timer of the same instant.
+	arrivals arrivalHeap
+	// procs is the sentinel of the ring of unfinished procs, in spawn order
+	// (for shutdown and deadlock reports), linked through Proc.prev/next:
+	// procs.next is the oldest, procs.prev the newest. A proc unlinks
+	// itself as it finishes, so a long run of short-lived procs retains
+	// memory in proportion to the procs alive, not the procs ever spawned.
+	procs   Proc
+	live    int // non-daemon procs not yet done
 	current *Proc
 	yieldCh chan struct{}
 	failure error
@@ -165,10 +185,12 @@ type Sim struct {
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	return &Sim{
+	s := &Sim{
 		yieldCh: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(1)),
 	}
+	s.procs.prev, s.procs.next = &s.procs, &s.procs
+	return s
 }
 
 // SetJitter configures multiplicative timing jitter: every duration passed
@@ -243,7 +265,8 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 		state:  stateReady,
 		daemon: daemon,
 	}
-	s.procs = append(s.procs, p)
+	p.prev, p.next = s.procs.prev, &s.procs
+	p.prev.next, s.procs.prev = p, p
 	if !daemon {
 		s.live++
 	}
@@ -251,14 +274,14 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 	go func() {
 		msg := <-p.resume
 		if msg.kill {
-			p.state = stateDone
+			p.finish()
 			s.yieldCh <- struct{}{}
 			return
 		}
 		defer func() {
 			r := recover()
 			if _, isKill := r.(killSentinelType); isKill {
-				p.state = stateDone
+				p.finish()
 				s.yieldCh <- struct{}{}
 				return
 			}
@@ -267,7 +290,7 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 					s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
 				}
 			}
-			p.state = stateDone
+			p.finish()
 			if !p.daemon {
 				s.live--
 				if s.live == 0 {
@@ -279,6 +302,17 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 		fn(p)
 	}()
 	return p
+}
+
+// finish marks p done and unlinks it from the Sim's ring of unfinished
+// procs. It runs on p's own goroutine as its last act before yielding for
+// good, while the scheduler waits on that yield — never concurrently with
+// the scheduler or another proc. Its own links are cleared so that a handle
+// someone still holds to a finished Proc does not pin its old neighbours.
+func (p *Proc) finish() {
+	p.state = stateDone
+	p.prev.next, p.next.prev = p.next, p.prev
+	p.prev, p.next = nil, nil
 }
 
 // checkCurrent panics unless p is the Proc currently scheduled to run. It
@@ -436,12 +470,65 @@ func (s *Sim) Kill(p *Proc) {
 	}
 }
 
+// never is the due time of an event that does not exist.
+const never = math.MaxInt64
+
+// pendingAt returns when the earliest timer and the earliest arrival are
+// due, never for an empty heap.
+func (s *Sim) pendingAt() (timerAt, arrivalAt int64) {
+	timerAt, arrivalAt = never, never
+	if s.timers.len() > 0 {
+		timerAt = s.timers.peek().at
+	}
+	if s.arrivals.len() > 0 {
+		arrivalAt = s.arrivals.peek().at
+	}
+	return timerAt, arrivalAt
+}
+
+// step executes one scheduler event, the unit both event loops are built
+// from: it runs the proc at the head of the ready queue (ready procs hold
+// the current time, so they always go first), or else fires the earliest
+// arrival or timer strictly below horizon. At equal timestamps an arrival
+// is delivered before a timer fires — the cross-shard ordering rule, inert
+// on a plain Sim. It reports false when nothing is runnable below horizon.
+func (s *Sim) step(horizon int64) bool {
+	if len(s.ready) > 0 {
+		p := s.ready[0]
+		s.ready = s.ready[1:]
+		if p.state != stateDone {
+			s.runProc(p)
+		}
+		return true
+	}
+	tAt, aAt := s.pendingAt()
+	at := min(tAt, aAt)
+	if at >= horizon {
+		return false
+	}
+	if at < s.now {
+		panic("sim: event in the past")
+	}
+	s.now = at
+	if aAt <= tAt {
+		a := s.arrivals.pop()
+		s.spawn(a.name, a.fn, false)
+	} else {
+		s.unblock(s.timers.pop().p)
+	}
+	return true
+}
+
 // Run executes the simulation until every Proc has finished. It returns an
 // error if a Proc panicked or if the simulation deadlocked (some Procs are
 // blocked but no timer can wake anyone up). After Run returns, all remaining
 // Proc goroutines have been torn down.
 func (s *Sim) Run() error {
 	defer s.shutdown()
+	horizon := int64(never)
+	if s.maxTime > 0 {
+		horizon = s.maxTime + 1
+	}
 	for {
 		if s.injPending.Load() > 0 {
 			s.drainInjected()
@@ -449,35 +536,20 @@ func (s *Sim) Run() error {
 		if s.failure != nil {
 			return s.failure
 		}
-		// Drain ready Procs before testing live: the last non-daemon Proc's
-		// exit may leave daemons woken by final deliveries — a sink holding
-		// a just-handed staging buffer mid-transfer. Running them to their
-		// next block point (same virtual instant; timers below still never
-		// fire once nothing is live) lets those handoffs finish so
-		// end-of-run resource accounting balances.
-		if len(s.ready) > 0 {
-			p := s.ready[0]
-			s.ready = s.ready[1:]
-			if p.state == stateDone {
-				continue
-			}
-			s.runProc(p)
-			continue
-		}
-		if s.live == 0 {
+		// Ready Procs drain before live is tested: the last non-daemon
+		// Proc's exit may leave daemons woken by final deliveries — a sink
+		// holding a just-handed staging buffer mid-transfer. Running them to
+		// their next block point (same virtual instant; timers never fire
+		// once nothing is live) lets those handoffs finish so end-of-run
+		// resource accounting balances.
+		if len(s.ready) == 0 && s.live == 0 {
 			return nil
 		}
-		if s.timers.len() > 0 {
-			t := s.timers.pop()
-			if t.at < s.now {
-				panic("sim: timer in the past")
-			}
-			if s.maxTime > 0 && t.at > s.maxTime {
-				return &TimeoutError{Limit: time.Duration(s.maxTime)}
-			}
-			s.now = t.at
-			s.unblock(t.p)
+		if s.step(horizon) {
 			continue
+		}
+		if s.timers.len() > 0 {
+			return &TimeoutError{Limit: time.Duration(s.maxTime)}
 		}
 		return s.deadlockError()
 	}
@@ -491,46 +563,6 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("sim: virtual time exceeded limit %v", e.Limit)
 }
 
-// RunFor executes the simulation like Run but stops (successfully) once the
-// virtual clock would pass the deadline, leaving remaining procs un-run.
-// It is intended for driving open-ended workloads in tests.
-func (s *Sim) RunFor(deadline time.Duration) error {
-	defer s.shutdown()
-	for {
-		if s.injPending.Load() > 0 {
-			s.drainInjected()
-		}
-		if s.failure != nil {
-			return s.failure
-		}
-		if s.live == 0 {
-			return nil
-		}
-		if len(s.ready) > 0 {
-			p := s.ready[0]
-			s.ready = s.ready[1:]
-			if p.state == stateDone {
-				continue
-			}
-			s.runProc(p)
-			continue
-		}
-		if s.timers.len() > 0 {
-			if s.timers.peek().at > int64(deadline) {
-				return nil
-			}
-			t := s.timers.pop()
-			s.now = t.at
-			s.unblock(t.p)
-			continue
-		}
-		if s.live == 0 {
-			return nil
-		}
-		return s.deadlockError()
-	}
-}
-
 // shutdown kills every goroutine still parked so they do not leak.
 func (s *Sim) shutdown() {
 	if s.stopped {
@@ -542,23 +574,29 @@ func (s *Sim) shutdown() {
 	s.injected = nil
 	s.injPending.Store(0)
 	s.injMu.Unlock()
-	for _, p := range s.procs {
-		if p.state == stateDone || p.state == stateRunning {
-			continue
+	for p := s.procs.next; p != &s.procs; {
+		next := p.next // a killed proc unlinks itself
+		if p.state != stateRunning {
+			p.resume <- resumeMsg{kill: true}
+			<-s.yieldCh
 		}
-		p.resume <- resumeMsg{kill: true}
-		<-s.yieldCh
+		p = next
 	}
 }
 
-// deadlockError builds a diagnostic listing every blocked Proc.
-func (s *Sim) deadlockError() error {
-	var blocked []string
-	for _, p := range s.procs {
+// appendBlocked appends a "name: reason" line for every blocked Proc.
+func (s *Sim) appendBlocked(blocked []string) []string {
+	for p := s.procs.next; p != &s.procs; p = p.next {
 		if p.state == stateBlocked {
 			blocked = append(blocked, fmt.Sprintf("%s: %s", p.Name(), p.blockReason()))
 		}
 	}
+	return blocked
+}
+
+// deadlockError builds a diagnostic listing every blocked Proc.
+func (s *Sim) deadlockError() error {
+	blocked := s.appendBlocked(nil)
 	sort.Strings(blocked)
 	return &DeadlockError{Time: time.Duration(s.now), Blocked: blocked}
 }

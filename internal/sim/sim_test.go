@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -364,27 +365,6 @@ func TestSemaphoreFIFONoStarvation(t *testing.T) {
 	}
 }
 
-func TestMutex(t *testing.T) {
-	s := New()
-	mu := s.NewMutex("mu")
-	counter := 0
-	for i := 0; i < 4; i++ {
-		s.Spawn("w", func(p *Proc) {
-			mu.Lock(p)
-			c := counter
-			p.Sleep(time.Millisecond)
-			counter = c + 1
-			mu.Unlock()
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if counter != 4 {
-		t.Fatalf("counter %d, want 4 (lost update => mutex broken)", counter)
-	}
-}
-
 func TestResourceSerialization(t *testing.T) {
 	s := New()
 	r := s.NewResource("bus", 1)
@@ -479,23 +459,6 @@ func TestJitterDisabled(t *testing.T) {
 	s := New()
 	if s.Jitter(time.Second) != time.Second {
 		t.Fatal("jitter should default to identity")
-	}
-}
-
-func TestRunForStopsAtDeadline(t *testing.T) {
-	s := New()
-	ticks := 0
-	s.Spawn("ticker", func(p *Proc) {
-		for {
-			p.Sleep(time.Millisecond)
-			ticks++
-		}
-	})
-	if err := s.RunFor(10*time.Millisecond + time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 10 {
-		t.Fatalf("ticks %d, want 10", ticks)
 	}
 }
 
@@ -657,5 +620,51 @@ func TestWholeSimDeterminismProperty(t *testing.T) {
 		if a != b {
 			t.Fatalf("seed %d: run times differ: %v vs %v", seed, a, b)
 		}
+	}
+}
+
+// Finished procs must not stay pinned by the kernel's bookkeeping: a long
+// run of short-lived procs keeps the ring of unfinished procs as long as the
+// procs alive, in spawn order, while shutdown and the deadlock report still
+// see every unfinished one.
+func TestFinishedProcsAreUnlinked(t *testing.T) {
+	s := New()
+	listed := func() (names []string) {
+		for p := s.procs.next; p != &s.procs; p = p.next {
+			names = append(names, p.Name())
+		}
+		return names
+	}
+	never := s.NewEvent("never")
+	s.SpawnDaemon("parked", func(p *Proc) { never.Wait(p) })
+	peak := 0
+	s.Spawn("parent", func(p *Proc) {
+		for i := 0; i < 10000; i++ {
+			s.Spawn("child", func(c *Proc) { c.Sleep(time.Microsecond) })
+			p.Sleep(2 * time.Microsecond)
+			peak = max(peak, len(listed()))
+		}
+		s.Spawn("late", func(c *Proc) { never.Wait(c) })
+		if got := listed(); !slices.Equal(got, []string{"parked", "parent", "late"}) {
+			t.Errorf("unfinished procs listed as %v, want spawn order", got)
+		}
+		never.Wait(p)
+	})
+	err := s.Run()
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("Run = %v, want a deadlock on the unfired event", err)
+	}
+	if len(de.Blocked) != 3 {
+		t.Fatalf("deadlock report lists %v, want parked, parent and late", de.Blocked)
+	}
+	if peak != 2 {
+		t.Fatalf("%d procs listed after each child finished, want parked and parent", peak)
+	}
+	if s.Now() != 20*time.Millisecond {
+		t.Fatalf("virtual time %v, want 20ms", s.Now())
+	}
+	if left := listed(); len(left) != 0 || s.procs.prev != &s.procs {
+		t.Fatalf("procs %v still listed after shutdown", left)
 	}
 }

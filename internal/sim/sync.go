@@ -24,9 +24,6 @@ func (s *Sim) NewSemaphore(name string, permits int) *Semaphore {
 	return &Semaphore{s: s, name: name, avail: permits}
 }
 
-// Available returns the current number of free permits.
-func (sem *Semaphore) Available() int { return sem.avail }
-
 func (sem *Semaphore) label() string { return sem.name }
 
 // Acquire obtains n permits, blocking p until they are available. FIFO
@@ -45,15 +42,6 @@ func (sem *Semaphore) Acquire(p *Proc, n int) {
 	p.park(parkSemaphore, sem, int64(n))
 }
 
-// TryAcquire obtains n permits without blocking, reporting success.
-func (sem *Semaphore) TryAcquire(n int) bool {
-	if len(sem.waiters) == 0 && sem.avail >= n {
-		sem.avail -= n
-		return true
-	}
-	return false
-}
-
 // Release returns n permits and wakes as many queued waiters as now fit.
 func (sem *Semaphore) Release(n int) {
 	if n <= 0 {
@@ -67,20 +55,6 @@ func (sem *Semaphore) Release(n int) {
 		sem.s.unblock(w.p)
 	}
 }
-
-// Mutex is a binary semaphore.
-type Mutex struct{ sem *Semaphore }
-
-// NewMutex creates an unlocked mutex.
-func (s *Sim) NewMutex(name string) *Mutex {
-	return &Mutex{sem: s.NewSemaphore(name, 1)}
-}
-
-// Lock acquires the mutex, blocking p until it is free.
-func (m *Mutex) Lock(p *Proc) { m.sem.Acquire(p, 1) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.sem.Release(1) }
 
 // Resource models a serially-reusable facility (a bus, a NIC, a memory
 // controller): at most `width` concurrent users, each holding the resource

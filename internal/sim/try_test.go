@@ -5,13 +5,10 @@ import (
 	"time"
 )
 
-func TestChanTrySendTryRecv(t *testing.T) {
+func TestChanTrySend(t *testing.T) {
 	s := New()
 	s.Spawn("p", func(p *Proc) {
 		ch := NewChan[int](s, "ch", 1)
-		if v, ok, closed := ch.TryRecv(); ok || closed || v != 0 {
-			t.Error("TryRecv on empty chan should miss")
-		}
 		if !ch.TrySend(7) {
 			t.Error("TrySend into empty buffered chan should succeed")
 		}
@@ -21,13 +18,8 @@ func TestChanTrySendTryRecv(t *testing.T) {
 		if ch.Len() != 1 {
 			t.Errorf("Len = %d", ch.Len())
 		}
-		v, ok, closed := ch.TryRecv()
-		if !ok || closed || v != 7 {
-			t.Errorf("TryRecv = %d,%v,%v", v, ok, closed)
-		}
-		ch.Close()
-		if _, ok, closed := ch.TryRecv(); ok || !closed {
-			t.Error("TryRecv after close should report closed")
+		if v, ok := ch.Recv(p); !ok || v != 7 {
+			t.Errorf("Recv = %d,%v", v, ok)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -53,50 +45,6 @@ func TestChanTrySendHandsToWaitingReceiver(t *testing.T) {
 	}
 	if got != "x" {
 		t.Fatalf("got %q", got)
-	}
-}
-
-func TestQueueTryGet(t *testing.T) {
-	s := New()
-	s.Spawn("p", func(p *Proc) {
-		q := NewQueue[int](s, "q")
-		if _, ok := q.TryGet(); ok {
-			t.Error("TryGet on empty queue should miss")
-		}
-		q.Put(5)
-		q.Put(6)
-		if q.Len() != 2 {
-			t.Errorf("Len = %d", q.Len())
-		}
-		if v, ok := q.TryGet(); !ok || v != 5 {
-			t.Errorf("TryGet = %d,%v", v, ok)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	s := New()
-	s.Spawn("p", func(p *Proc) {
-		sem := s.NewSemaphore("sem", 2)
-		if !sem.TryAcquire(2) {
-			t.Error("TryAcquire within capacity should succeed")
-		}
-		if sem.TryAcquire(1) {
-			t.Error("TryAcquire beyond capacity should fail")
-		}
-		sem.Release(1)
-		if sem.Available() != 1 {
-			t.Errorf("Available = %d", sem.Available())
-		}
-		if !sem.TryAcquire(1) {
-			t.Error("TryAcquire after release should succeed")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

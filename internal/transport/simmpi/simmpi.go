@@ -4,10 +4,14 @@
 // underlying communication library", §3.2.2) on the deterministic
 // simulated cluster fabric.
 //
-// Every operation forwards to the wrapped *mpi.Rank on the calling
-// *sim.Proc, so the virtual-time behavior of a job using this backend is
-// bit-identical to the pre-seam engine that called mpi.Rank directly —
-// the property the golden determinism suite pins.
+// There is one way in: a Group — a placement of job-local nodes onto world
+// ranks, a tag band and a communicator — hands out one Endpoint per node
+// (the shape live.Cluster/live.Group have). A job that owns the whole
+// world runs on WorldGroup; a Runtime tenant on NewGroup over the nodes it
+// was placed on. Every operation forwards to the endpoint's *mpi.Rank on
+// the calling *sim.Proc, so the virtual-time behavior of a job using this
+// backend is bit-identical to an engine calling mpi.Rank directly — the
+// property the golden determinism suite pins.
 package simmpi
 
 import (
@@ -28,13 +32,104 @@ const dcgnTag = 770001
 // perturb comm-thread matching order (FIFO independence).
 const osTag = 770002
 
-// Transport is one node's simulated-MPI endpoint.
-type Transport struct {
-	rank *mpi.Rank
+// tenantTagStride separates the tag bands of co-resident tenants: tenant
+// (job) i's point-to-point traffic rides dcgnTag + i*tenantTagStride and
+// its one-sided lane osTag + i*tenantTagStride. Tenant 0's tags are
+// exactly dcgnTag and osTag. The stride leaves room for more per-tenant
+// lanes without re-banding.
+const tenantTagStride = 16
+
+// Group is one job's view of a simulated-MPI world: a placement (job-local
+// node -> world rank), a private tag band for point-to-point and
+// one-sided traffic, and a communicator over exactly the placed ranks for
+// node-level collectives. Endpoints drawn from a Group carry only that
+// job's frames — co-resident jobs can never match each other's traffic —
+// and meter their own wire totals, which is where a multi-tenant Report's
+// NetPackets/NetBytes come from (the fabric's counters aggregate all
+// tenants).
+type Group struct {
+	comm      *mpi.Comm
+	placement []int
+	p2pTag    int
+	osTag     int
+	eps       []Endpoint
 }
 
-// New wraps one underlying MPI rank (one per node) as a Transport.
-func New(rank *mpi.Rank) *Transport { return &Transport{rank: rank} }
+// WorldGroup is the group of a job that owns the whole world: tenant 0 on
+// the world communicator, every node on the rank of the same number.
+func WorldGroup(w *mpi.World) *Group {
+	placement := make([]int, w.Size())
+	for n := range placement {
+		placement[n] = n
+	}
+	return newGroup(w, w.Comm(), placement, 0)
+}
+
+// NewGroup builds tenant id's group over the given placement (strictly
+// ascending world ranks; tenant-local node i runs on world rank
+// placement[i]), on a group communicator of its own. Tenant 0 with the
+// identity placement moves the same bytes at the same virtual times as
+// WorldGroup (TestWorldGroupMatchesTenantZero).
+func NewGroup(w *mpi.World, placement []int, tenant int) *Group {
+	if tenant < 0 {
+		panic("simmpi: negative tenant id")
+	}
+	return newGroup(w, w.NewGroupComm(placement), append([]int(nil), placement...), tenant)
+}
+
+func newGroup(w *mpi.World, comm *mpi.Comm, placement []int, tenant int) *Group {
+	g := &Group{
+		comm:      comm,
+		placement: placement,
+		p2pTag:    dcgnTag + tenant*tenantTagStride,
+		osTag:     osTag + tenant*tenantTagStride,
+		eps:       make([]Endpoint, len(placement)),
+	}
+	for n, rank := range placement {
+		g.eps[n] = Endpoint{g: g, rank: w.Rank(rank)}
+	}
+	return g
+}
+
+// New wraps one underlying MPI rank as its node's endpoint in the world
+// group.
+func New(rank *mpi.Rank) *Endpoint { return WorldGroup(rank.World()).Endpoint(rank.ID()) }
+
+// Endpoint returns the job-local node's transport endpoint.
+func (g *Group) Endpoint(local int) *Endpoint { return &g.eps[local] }
+
+// Packets returns the number of wire messages this group's endpoints have
+// sent (point-to-point and one-sided frames). Like fabric.Network.Totals
+// it sums per-endpoint counters at report time, so the send path of a
+// sharded run shares no counter between shards.
+func (g *Group) Packets() int64 {
+	var n int64
+	for i := range g.eps {
+		n += g.eps[i].packets
+	}
+	return n
+}
+
+// Bytes returns the total wire bytes this group's endpoints have sent.
+func (g *Group) Bytes() int64 {
+	var n int64
+	for i := range g.eps {
+		n += g.eps[i].bytes
+	}
+	return n
+}
+
+// Endpoint is one job-local node's simulated-MPI endpoint. Destinations
+// and collective roots are in job-local node space; the group
+// communicator's ranks coincide with job-local nodes (both are the
+// placement's ascending order), so roots and counts need no translation.
+type Endpoint struct {
+	g    *Group
+	rank *mpi.Rank
+	// packets/bytes count the frames this endpoint sent. Only procs of the
+	// endpoint's own node touch them, and those share one simulator.
+	packets, bytes int64
+}
 
 // proc recovers the simulated proc a transport call runs under.
 func proc(p transport.Proc) *sim.Proc {
@@ -45,60 +140,73 @@ func proc(p transport.Proc) *sim.Proc {
 	return sp
 }
 
-// Send transmits one framed wire message to dstNode with buffered
-// semantics (eager copy or rendezvous snapshot in the underlying MPI).
-func (t *Transport) Send(p transport.Proc, dstNode int, msg []byte) error {
-	return t.rank.Send(proc(p), msg, dstNode, dcgnTag)
+// send transmits one frame to job-local dstNode on the given tag with
+// buffered semantics (eager copy or rendezvous snapshot in the underlying
+// MPI) and meters it.
+func (e *Endpoint) send(p transport.Proc, dstNode, tag int, frame []byte) error {
+	err := e.rank.Send(proc(p), frame, e.g.placement[dstNode], tag)
+	if err == nil {
+		e.packets++
+		e.bytes += int64(len(frame))
+	}
+	return err
 }
 
-// RecvMsg blocks for the next inbound wire message, taking ownership of
-// the underlying MPI's pooled staging buffer (zero-copy relay).
-func (t *Transport) RecvMsg(p transport.Proc) ([]byte, error) {
-	_, msg, err := t.rank.RecvMsg(proc(p), mpi.AnySource, dcgnTag)
-	return msg, err
-}
-
-// SendOneSided transmits one framed one-sided message to dstNode on the
-// dedicated one-sided tag, with the same buffered semantics as Send.
-func (t *Transport) SendOneSided(p transport.Proc, dstNode int, frame []byte) error {
-	return t.rank.Send(proc(p), frame, dstNode, osTag)
-}
-
-// RecvOneSided blocks for the next inbound one-sided frame, taking
-// ownership of the underlying MPI's pooled staging buffer. It runs
-// concurrently with RecvMsg on the same rank: the two posted receives
-// are disjoint by tag.
-func (t *Transport) RecvOneSided(p transport.Proc) ([]byte, error) {
-	_, frame, err := t.rank.RecvMsg(proc(p), mpi.AnySource, osTag)
+// recv blocks for the next inbound frame on the given tag, taking
+// ownership of the underlying MPI's pooled staging buffer (zero-copy
+// relay).
+func (e *Endpoint) recv(p transport.Proc, tag int) ([]byte, error) {
+	_, frame, err := e.rank.RecvMsg(proc(p), mpi.AnySource, tag)
 	return frame, err
 }
 
-// Barrier runs the node-level MPI barrier.
-func (t *Transport) Barrier(p transport.Proc) error {
-	t.rank.Barrier(proc(p))
+// Send transmits one framed wire message to dstNode on the group's
+// point-to-point tag.
+func (e *Endpoint) Send(p transport.Proc, dstNode int, msg []byte) error {
+	return e.send(p, dstNode, e.g.p2pTag, msg)
+}
+
+// RecvMsg blocks for the next inbound wire message on the group's
+// point-to-point tag.
+func (e *Endpoint) RecvMsg(p transport.Proc) ([]byte, error) { return e.recv(p, e.g.p2pTag) }
+
+// SendOneSided transmits one framed one-sided message to dstNode on the
+// group's one-sided tag.
+func (e *Endpoint) SendOneSided(p transport.Proc, dstNode int, frame []byte) error {
+	return e.send(p, dstNode, e.g.osTag, frame)
+}
+
+// RecvOneSided blocks for the next inbound one-sided frame. It runs
+// concurrently with RecvMsg on the same rank: the two posted receives are
+// disjoint by tag.
+func (e *Endpoint) RecvOneSided(p transport.Proc) ([]byte, error) { return e.recv(p, e.g.osTag) }
+
+// Barrier runs the group-wide node-level barrier.
+func (e *Endpoint) Barrier(p transport.Proc) error {
+	e.g.comm.Barrier(proc(p), e.rank)
 	return nil
 }
 
-// Bcast runs the node-level MPI broadcast from rootNode.
-func (t *Transport) Bcast(p transport.Proc, buf []byte, rootNode int) error {
-	return t.rank.Bcast(proc(p), buf, rootNode)
+// Bcast runs the group-wide broadcast from rootNode.
+func (e *Endpoint) Bcast(p transport.Proc, buf []byte, rootNode int) error {
+	return e.g.comm.Bcast(proc(p), e.rank, buf, rootNode)
 }
 
-// Gatherv runs the vector MPI gather to rootNode.
-func (t *Transport) Gatherv(p transport.Proc, sendBuf, recvBuf []byte, counts []int, rootNode int) error {
-	return t.rank.Gatherv(proc(p), sendBuf, recvBuf, counts, rootNode)
+// Gatherv runs the group-wide vector gather to rootNode.
+func (e *Endpoint) Gatherv(p transport.Proc, sendBuf, recvBuf []byte, counts []int, rootNode int) error {
+	return e.g.comm.Gatherv(proc(p), e.rank, sendBuf, recvBuf, counts, rootNode)
 }
 
-// Scatterv runs the vector MPI scatter from rootNode.
-func (t *Transport) Scatterv(p transport.Proc, sendBuf []byte, counts []int, recvBuf []byte, rootNode int) error {
-	return t.rank.Scatterv(proc(p), sendBuf, counts, recvBuf, rootNode)
+// Scatterv runs the group-wide vector scatter from rootNode.
+func (e *Endpoint) Scatterv(p transport.Proc, sendBuf []byte, counts []int, recvBuf []byte, rootNode int) error {
+	return e.g.comm.Scatterv(proc(p), e.rank, sendBuf, counts, recvBuf, rootNode)
 }
 
-// Alltoallv runs the vector MPI all-to-all.
-func (t *Transport) Alltoallv(p transport.Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error {
-	return t.rank.Alltoallv(proc(p), sendBuf, sendCounts, recvBuf, recvCounts)
+// Alltoallv runs the group-wide vector all-to-all.
+func (e *Endpoint) Alltoallv(p transport.Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error {
+	return e.g.comm.Alltoallv(proc(p), e.rank, sendBuf, sendCounts, recvBuf, recvCounts)
 }
 
 // Close is a no-op: simulated daemons are torn down by the simulator at
-// the end of the run.
-func (t *Transport) Close() error { return nil }
+// the end of the run, and a shared world outlives every tenant.
+func (e *Endpoint) Close() error { return nil }

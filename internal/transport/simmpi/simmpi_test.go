@@ -1,0 +1,184 @@
+package simmpi
+
+import (
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"dcgn/internal/fabric"
+	"dcgn/internal/mpi"
+	"dcgn/internal/sim"
+	"dcgn/internal/transport"
+)
+
+func testWorld(nodes int) (*sim.Sim, *mpi.World) {
+	s := sim.New()
+	s.SetMaxTime(time.Second)
+	nodeOf := make([]int, nodes)
+	for n := range nodeOf {
+		nodeOf[n] = n
+	}
+	return s, mpi.NewWorld(s, fabric.New(s, nodes, fabric.DefaultConfig()), nodeOf, mpi.DefaultConfig())
+}
+
+// payload is a deterministic size-byte message whose content depends on
+// the sender, so a misrouted frame changes the receiver's digest.
+func payload(from, size int) []byte {
+	b := make([]byte, size)
+	for i := range b {
+		b[i] = byte(from*31 + i)
+	}
+	return b
+}
+
+// runScript drives every endpoint through the same exchange — eager and
+// rendezvous ping-pongs with the neighbouring node on both lanes, then a
+// Gatherv of uneven pieces to node 0 — and returns the virtual time it
+// ended at and a digest of every byte each node received.
+func runScript(t *testing.T, s *sim.Sim, w *mpi.World, eps []transport.Transport) (time.Duration, []uint64) {
+	t.Helper()
+	sizes := []int{1, 100, 20 << 10} // 20 KiB is past the eager limit
+	digests := make([]uint64, len(eps))
+	counts := make([]int, len(eps))
+	for n := range counts {
+		counts[n] = 64 * (n + 1)
+	}
+	for n, ep := range eps {
+		os := ep.(transport.OneSided)
+		s.Spawn("node", func(p *sim.Proc) {
+			h := fnv.New64a()
+			recv := func(msg []byte, err error) {
+				if err != nil {
+					t.Errorf("node %d: %v", n, err)
+				}
+				h.Write(msg)
+				w.Pool().Put(msg)
+			}
+			peer := n ^ 1
+			for _, size := range sizes {
+				if n < peer {
+					check(t, ep.Send(p, peer, payload(n, size)))
+					recv(ep.RecvMsg(p))
+					check(t, os.SendOneSided(p, peer, payload(n, size+1)))
+					recv(os.RecvOneSided(p))
+				} else {
+					recv(ep.RecvMsg(p))
+					check(t, ep.Send(p, peer, payload(n, size)))
+					recv(os.RecvOneSided(p))
+					check(t, os.SendOneSided(p, peer, payload(n, size+1)))
+				}
+			}
+			check(t, ep.Barrier(p))
+			var all []byte
+			if n == 0 {
+				for _, c := range counts {
+					all = append(all, make([]byte, c)...)
+				}
+			}
+			check(t, ep.Gatherv(p, payload(n, counts[n]), all, counts, 0))
+			h.Write(all)
+			digests[n] = h.Sum64()
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return s.Now(), digests
+}
+
+func check(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// TestWorldGroupMatchesTenantZero backs the claim Job.Run's substrate
+// rests on: an exclusive endpoint (simmpi.New, i.e. the world group) and a
+// tenant-0 endpoint of a NewGroup with the identity placement run the same
+// script to the same virtual time and the same per-node bytes.
+func TestWorldGroupMatchesTenantZero(t *testing.T) {
+	const nodes = 4
+	s, w := testWorld(nodes)
+	exclusive := make([]transport.Transport, nodes)
+	for n := range exclusive {
+		exclusive[n] = New(w.Rank(n))
+	}
+	wantAt, want := runScript(t, s, w, exclusive)
+
+	s, w = testWorld(nodes)
+	g := NewGroup(w, []int{0, 1, 2, 3}, 0)
+	tenant := make([]transport.Transport, nodes)
+	for n := range tenant {
+		tenant[n] = g.Endpoint(n)
+	}
+	gotAt, got := runScript(t, s, w, tenant)
+
+	if gotAt != wantAt || wantAt == 0 {
+		t.Errorf("tenant-0 group ended at %v, world group at %v", gotAt, wantAt)
+	}
+	for n := range want {
+		if got[n] != want[n] {
+			t.Errorf("node %d: tenant-0 digest %#x, world group %#x", n, got[n], want[n])
+		}
+	}
+}
+
+// TestGroupMetersItsOwnFrames places two tenants on interleaved ranks of
+// one world and checks each group's Packets/Bytes are exactly the frames
+// its own endpoints sent, on both lanes — and nothing of its neighbour's.
+func TestGroupMetersItsOwnFrames(t *testing.T) {
+	s, w := testWorld(4)
+	type tenant struct {
+		g      *Group
+		frames []int // sizes node 0 sends node 1, alternating lanes
+	}
+	tenants := []tenant{
+		{g: NewGroup(w, []int{1, 3}, 3), frames: []int{10, 2000, 30000}},
+		{g: NewGroup(w, []int{0, 2}, 5), frames: []int{7, 7, 7, 7, 9000}},
+	}
+	for _, tn := range tenants {
+		tx, rx := tn.g.Endpoint(0), tn.g.Endpoint(1)
+		s.Spawn("tx", func(p *sim.Proc) {
+			for i, size := range tn.frames {
+				if i%2 == 0 {
+					check(t, tx.Send(p, 1, make([]byte, size)))
+				} else {
+					check(t, tx.SendOneSided(p, 1, make([]byte, size)))
+				}
+			}
+		})
+		s.Spawn("rx", func(p *sim.Proc) {
+			for i, size := range tn.frames {
+				recv := rx.RecvMsg
+				if i%2 == 1 {
+					recv = rx.RecvOneSided
+				}
+				msg, err := recv(p)
+				if err != nil || len(msg) != size {
+					t.Errorf("frame %d: %d bytes, err %v; want %d", i, len(msg), err, size)
+				}
+				w.Pool().Put(msg)
+			}
+			check(t, rx.Send(p, 0, make([]byte, 5))) // the receiver's frames count too
+		})
+		s.Spawn("ack", func(p *sim.Proc) {
+			msg, err := tx.RecvMsg(p)
+			check(t, err)
+			w.Pool().Put(msg)
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, tn := range tenants {
+		wantBytes := int64(5)
+		for _, size := range tn.frames {
+			wantBytes += int64(size)
+		}
+		if got, want := tn.g.Packets(), int64(len(tn.frames)+1); got != want || tn.g.Bytes() != wantBytes {
+			t.Errorf("tenant %d: metered %d packets / %d bytes, its endpoints sent %d / %d",
+				i, got, tn.g.Bytes(), want, wantBytes)
+		}
+	}
+}
