@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +35,6 @@ import (
 
 	"dcgn/internal/core"
 	"dcgn/internal/device"
-	"dcgn/internal/metrics"
 	"dcgn/internal/obs"
 	"dcgn/internal/obs/flow"
 )
@@ -45,7 +45,7 @@ var (
 	nodes       = flag.Int("nodes", 2, "cluster nodes (each contributes one CPU-kernel rank and one single-slot GPU rank)")
 	format      = flag.String("format", "table", "output format: table, chrome (Perfetto trace-event JSON), csv")
 	outPath     = flag.String("o", "", "write the trace to this file instead of stdout")
-	showMetrics = flag.Bool("metrics", false, "print the metrics-registry histograms after the trace (table format only)")
+	showMetrics = flag.Bool("metrics", false, "print the metrics-registry histograms after the trace (needs -format table)")
 	flows       = flag.Bool("flows", false, "enable causal flow tracing (chrome format draws flow arrows)")
 	critPath    = flag.Bool("critical-path", false, "print the critical path and slowest flows (implies -flows and reliability)")
 	topk        = flag.Int("topk", 5, "slowest flows to print with -critical-path")
@@ -114,10 +114,26 @@ func runTraceJob(cfg core.Config) (core.Report, error) {
 	return job.Run()
 }
 
+// checkFlags rejects flag combinations the run would otherwise silently
+// ignore part of.
+func checkFlags(nodes int, format string, metrics bool) error {
+	switch {
+	case nodes < 2:
+		return errors.New("-nodes must be >= 2 (the workload crosses the wire)")
+	case format != "table" && format != "chrome" && format != "csv":
+		return fmt.Errorf("unknown -format %q (want table, chrome or csv)", format)
+	case metrics && format != "table":
+		return fmt.Errorf("-metrics prints a text table and cannot be combined with -format %s", format)
+	}
+	return nil
+}
+
 func main() {
 	flag.Parse()
-	if *nodes < 2 {
-		log.Fatal("dcgn-trace: -nodes must be >= 2 (the workload crosses the wire)")
+	if err := checkFlags(*nodes, *format, *showMetrics); err != nil {
+		fmt.Fprintln(os.Stderr, "dcgn-trace:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	rep, err := runTraceJob(traceConfig(*nodes, *poll, *future, *showMetrics, *flows, *critPath))
 	if err != nil {
@@ -156,14 +172,14 @@ func main() {
 		}
 		if *showMetrics {
 			fmt.Fprintln(out)
-			metrics.WriteHistograms(out, rep.Histograms)
+			if err := obs.WriteHistograms(out, rep.Histograms); err != nil {
+				log.Fatal(err)
+			}
 		}
 		fmt.Fprintln(out, "\nGPU-sourced requests show the polling stages (discovery, relay,")
 		fmt.Fprintln(out, "completion write-back) in their latency; re-run with -future to see")
 		fmt.Fprintln(out, "them collapse, -poll to trade latency against CPU load, or")
 		fmt.Fprintln(out, "-format chrome to inspect the same spans in Perfetto.")
-	default:
-		log.Fatalf("dcgn-trace: unknown -format %q (want table, chrome or csv)", *format)
 	}
 
 	// The critical-path analysis always prints to stdout: with -o the

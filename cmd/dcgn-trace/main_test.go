@@ -114,3 +114,29 @@ func TestChromeTraceDeterminism(t *testing.T) {
 		t.Fatal("chrome export diverged across identical sim runs")
 	}
 }
+
+// TestCheckFlags pins the usage errors: -metrics prints a text table, so
+// asking for it with a chrome or csv export is refused rather than
+// silently dropping the histograms.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		nodes   int
+		format  string
+		metrics bool
+		ok      bool
+	}{
+		{2, "table", false, true},
+		{4, "table", true, true},
+		{4, "chrome", false, true},
+		{4, "csv", false, true},
+		{4, "chrome", true, false},
+		{4, "csv", true, false},
+		{4, "yaml", false, false},
+		{1, "table", false, false},
+	} {
+		err := checkFlags(tc.nodes, tc.format, tc.metrics)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkFlags(%d, %q, metrics=%t) = %v, want ok=%t", tc.nodes, tc.format, tc.metrics, err, tc.ok)
+		}
+	}
+}

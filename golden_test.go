@@ -6,8 +6,9 @@ package dcgn_test
 // below cover the canonical config matrix — Table 1 barrier shapes, the
 // Fig. 6 send pairings, Fig. 7 broadcasts, the §5.1 apps, the high-fanout
 // matching stressor, a jittered run (pinning the RNG consumption
-// pattern), and a collective-mix kernel exercising every CPUCtx
-// operation including wildcard receives and truncation.
+// pattern), a collective-mix kernel exercising every CPUCtx operation
+// including wildcard receives and truncation, the wire-lane matrix, and
+// the classic-vs-triggered one-sided ablation.
 //
 // Values are captured as exact int64s (durations in ns, counters, FNV-1a
 // checksums of result payloads) in testdata/golden_virtual.json.
@@ -568,6 +569,23 @@ func goldenResults() (goldenMetrics, error) {
 
 	if err := laneMatrix(put); err != nil {
 		return nil, err
+	}
+
+	// Classic vs GPU-triggered one-way at every Fig. 6 size: the repo's
+	// answer to GPU-triggered communication, with the polls and
+	// control-plane PCIe operations each path needed.
+	for _, size := range apps.SendSizes {
+		for _, path := range triggeredAblation {
+			d, rep, err := path.run(size)
+			if err := put(fmt.Sprintf("onesided-ablation/%dB/%s", size, path.name), map[string]int64{
+				"elapsed-ns": d.Nanoseconds(),
+				"polls":      int64(rep.Polls),
+				"poll-hits":  int64(rep.PollHits),
+				"ctl-ops":    int64(rep.BusCtlOps),
+			}, err); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	return out, nil

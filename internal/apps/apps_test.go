@@ -5,7 +5,6 @@ import (
 
 	"dcgn/internal/core"
 	"dcgn/internal/gas"
-	"dcgn/internal/metrics"
 )
 
 // smallDCGN returns a DCGN cluster sized (nodes, cpus, gpus) per node.
@@ -187,7 +186,7 @@ func TestNBodyDCGNAndGASAgreeWithReference(t *testing.T) {
 	if t1.Elapsed <= 0 || tp.Elapsed <= 0 {
 		t.Fatal("missing timings")
 	}
-	eff := metrics.Efficiency(t1.Elapsed, tp.Elapsed, 4)
+	eff := float64(t1.Elapsed) / float64(tp.Elapsed) / 4
 	if eff <= 0 || eff > 1.05 {
 		t.Fatalf("nonsensical efficiency %.2f", eff)
 	}

@@ -11,8 +11,8 @@ import (
 // ranks blast 8-byte messages at it, holding the node's pending population
 // at the in-flight count. It is the canonical stressor for the comm
 // thread's matching index and for per-message allocation overhead; the
-// bench harness, the dcgn-bench JSON emitter and the golden determinism
-// test all run it through this function so they measure the same thing.
+// bench harness, its allocation budget and the golden determinism test all
+// run it through this function so they measure the same thing.
 func HighFanout(cfg core.Config, sources, inflight int) (core.Report, error) {
 	if inflight%sources != 0 {
 		return core.Report{}, fmt.Errorf("apps: inflight %d not divisible by %d sources", inflight, sources)

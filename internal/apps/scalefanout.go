@@ -26,7 +26,7 @@ const (
 // The returned slice holds the gathered per-rank digests in rank order.
 // Two runs agree on it — and on Report.Elapsed — if and only if every
 // rank saw the same messages in the same order at the same virtual times,
-// which is what the shard-determinism CI job diffs across shard counts.
+// which is what TestScaleFanoutShardInvariance diffs across shard counts.
 func ScaleFanout(cfg core.Config, rounds, fanout int) (core.Report, []uint64, error) {
 	n := cfg.Nodes
 	if n < 2 {

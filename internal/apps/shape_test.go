@@ -12,7 +12,6 @@ import (
 
 	"dcgn/internal/core"
 	"dcgn/internal/gas"
-	"dcgn/internal/metrics"
 )
 
 func TestShapeFig6SendCurves(t *testing.T) {
@@ -133,8 +132,8 @@ func TestShapeSec51Mandelbrot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gasEff := metrics.Efficiency(t1.Elapsed, gasR.Elapsed, 8)
-	dcgnEff := metrics.Efficiency(t1.Elapsed, dcgnR.Elapsed, 8)
+	gasEff := float64(t1.Elapsed) / float64(gasR.Elapsed) / 8
+	dcgnEff := float64(t1.Elapsed) / float64(dcgnR.Elapsed) / 8
 	if gasEff < 0.30 || gasEff > 0.50 {
 		t.Errorf("GAS efficiency %.0f%%, paper reports 38%%", 100*gasEff)
 	}
@@ -163,8 +162,8 @@ func TestShapeSec51Cannon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gasEff := metrics.Efficiency(t1.Elapsed, gasR.Elapsed, 4)
-	dcgnEff := metrics.Efficiency(t1.Elapsed, dcgnR.Elapsed, 4)
+	gasEff := float64(t1.Elapsed) / float64(gasR.Elapsed) / 4
+	dcgnEff := float64(t1.Elapsed) / float64(dcgnR.Elapsed) / 4
 	if gasEff < 0.6 || gasEff > 0.88 {
 		t.Errorf("GAS efficiency %.0f%%, paper reports 74%%", 100*gasEff)
 	}
@@ -191,7 +190,7 @@ func TestShapeSec51NBodyEfficiencyCurve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eff := metrics.Efficiency(t1.Elapsed, dcgnR.Elapsed, 8)
+		eff := float64(t1.Elapsed) / float64(dcgnR.Elapsed) / 8
 		if eff <= prev {
 			t.Errorf("efficiency should rise with problem size: %.0f%% after %.0f%%", 100*eff, 100*prev)
 		}
@@ -247,5 +246,28 @@ func TestShapeFutureHWConverges(t *testing.T) {
 	}
 	if future > 3*cpu {
 		t.Errorf("future HW GPU send (%v) should approach DCGN CPU:CPU cost (%v)", future, cpu)
+	}
+}
+
+// TestShapeTriggeredBeatsClassic pins the one-sided lane's claim at every
+// small size: a GPU-triggered put reaches the remote CPU sooner than the
+// classic device-sourced send, and without a single productive monitor
+// poll — the polling tax is off the critical path, not merely shorter.
+func TestShapeTriggeredBeatsClassic(t *testing.T) {
+	for _, size := range []int{0, 1 << 10, 4 << 10} {
+		classic, _, err := DCGNSendOneWayReport(core.DefaultConfig(), EPGPU, EPCPU, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		triggered, rep, err := DCGNTriggeredOneWay(core.DefaultConfig(), size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if triggered >= classic {
+			t.Errorf("%d B: triggered %v not faster than classic %v", size, triggered, classic)
+		}
+		if rep.PollHits != 0 {
+			t.Errorf("%d B: triggered path consumed %d poll hits", size, rep.PollHits)
+		}
 	}
 }

@@ -8,10 +8,8 @@
 // (internal/core/reliable.go) dropped, duplicated or reordered something
 // it promised to hide.
 //
-// The harness is used two ways: internal/core/chaos_test.go asserts
-// digest equality (with prefix-shrinking on failure) and pool balance;
-// `dcgn-bench -chaos` runs it standalone and prints the fault/retransmit
-// accounting.
+// internal/core/chaos_test.go asserts digest equality (with
+// prefix-shrinking on failure) and pool balance over it, on both backends.
 package chaos
 
 import (

@@ -154,6 +154,15 @@ func TestChaosDifferentialLive(t *testing.T) {
 	if got.Report.Retransmits == 0 && got.Report.FaultsInjected.Drops > 0 {
 		t.Error("live drops but zero retransmits")
 	}
+	// The full fault mix with transient collective failures on top: the
+	// collective retry loop on wall-clock timers, which the sim suites
+	// above cannot race.
+	got = requireDifferential(t, transport.BackendLive, 24, 11,
+		faults.Config{Seed: 11, Drop: 0.12, Dup: 0.08, Reorder: 0.08, CollFail: 0.2})
+	if got.Report.FaultsInjected.CollFails == 0 || got.Report.CollRetries == 0 {
+		t.Errorf("live collective faults: %d injected, %d retries; the row proves nothing",
+			got.Report.FaultsInjected.CollFails, got.Report.CollRetries)
+	}
 }
 
 // TestChaosDifferentialFlows reruns the faulted differential with

@@ -302,27 +302,57 @@ func TestRingFIFOAndCompaction(t *testing.T) {
 // 64 to 4096 while the linear reference grows superlinearly.
 var matchBenchSizes = []int{64, 256, 1024, 4096}
 
+// postedIndex returns an index holding n posted receives on rank 0, from
+// peers 1..n in posting order.
+func postedIndex(n int) *matchIndex {
+	idx := newMatchIndex()
+	for i := 0; i < n; i++ {
+		idx.addRecv(&request{op: opRecv, rank: 0, peer: i + 1})
+	}
+	return idx
+}
+
+// rematchDeepest is one steady-state match against n in-flight receives,
+// the worst case for a linear scan: take the last one posted, post it
+// again. It reports whether a receive matched.
+func rematchDeepest(idx *matchIndex, n int) bool {
+	rr := idx.takeRecvFor(n, 0)
+	if rr != nil {
+		idx.addRecv(rr)
+	}
+	return rr != nil
+}
+
 // BenchmarkMatchIndex measures one match against a node with n in-flight
-// receives, where the matching receive is the worst case for a linear
-// scan: the last one posted.
+// receives.
 func BenchmarkMatchIndex(b *testing.B) {
 	for _, n := range matchBenchSizes {
 		b.Run(fmt.Sprintf("inflight%d", n), func(b *testing.B) {
-			idx := newMatchIndex()
-			reqs := make([]*request, n)
-			for i := 0; i < n; i++ {
-				reqs[i] = &request{op: opRecv, rank: 0, peer: i + 1}
-				idx.addRecv(reqs[i])
-			}
+			idx := postedIndex(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rr := idx.takeRecvFor(n, 0) // deepest-posted receive
-				if rr == nil {
+				if !rematchDeepest(idx, n) {
 					b.Fatal("no match")
 				}
-				idx.addRecv(rr)
 			}
 		})
+	}
+}
+
+// TestMatchIndexMatchesWithoutAllocating pins the steady-state match at
+// zero allocations at every population: rings and tombstones are reused,
+// so a match must not grow the heap however many receives are in flight.
+func TestMatchIndexMatchesWithoutAllocating(t *testing.T) {
+	for _, n := range matchBenchSizes {
+		idx := postedIndex(n)
+		allocs := testing.AllocsPerRun(100, func() {
+			if !rematchDeepest(idx, n) {
+				t.Error("no match")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("inflight %d: %.1f allocs per match, want 0", n, allocs)
+		}
 	}
 }
 

@@ -258,6 +258,11 @@ func TestRuntimeSimBatchIsolation(t *testing.T) {
 			t.Errorf("%s: %d pool acquires, solo %d (shared pool counters?)",
 				label, rep.PoolAcquires, solo.PoolAcquires)
 		}
+		// Zero per-job overhead in virtual time: sharing the runtime must
+		// not cost a tenant one nanosecond over running alone.
+		if rep.Elapsed != solo.Elapsed {
+			t.Errorf("%s: elapsed %v, solo run took %v", label, rep.Elapsed, solo.Elapsed)
+		}
 	}
 	// Symmetric co-tenants on disjoint equal node sets: bitwise-equal
 	// virtual elapsed time and per-tenant wire metering, or determinism

@@ -391,8 +391,8 @@ func TestFlowsOffOmitsPhases(t *testing.T) {
 	}
 }
 
-// BenchmarkLoadgenArrivals is the benchguard row for the loadgen hot
-// path: sampling one second of mixed-preset open-loop traffic.
+// BenchmarkLoadgenArrivals times the loadgen hot path: sampling one
+// second of mixed-preset open-loop traffic.
 func BenchmarkLoadgenArrivals(b *testing.B) {
 	spec := Spec{Backend: "sim", Seed: 1, Rate: 1000, Duration: time.Second, Preset: "mixed"}
 	if err := spec.normalize(); err != nil {

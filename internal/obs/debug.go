@@ -2,7 +2,13 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"sort"
+	"strings"
+	"text/tabwriter"
+	"time"
 )
 
 // DebugState is the JSON document served by the live-inspection endpoint:
@@ -48,20 +54,55 @@ func DebugSnapshot(s Snapshot) DebugState {
 		Histograms: make(map[string]DebugHistogram, len(s.Histograms)),
 	}
 	for name, h := range s.Histograms {
-		out.Histograms[name] = DebugHistogram{
-			Count:   h.Count,
-			Sum:     h.Sum,
-			Mean:    h.Mean(),
-			P50:     h.Quantile(0.50),
-			P90:     h.Quantile(0.90),
-			P99:     h.Quantile(0.99),
-			P50F:    h.QuantileF(0.50),
-			P90F:    h.QuantileF(0.90),
-			P99F:    h.QuantileF(0.99),
-			Buckets: h.Buckets,
-		}
+		out.Histograms[name] = summarize(h)
 	}
 	return out
+}
+
+// summarize derives one histogram's count, mean and quantile columns.
+func summarize(h HistogramSnapshot) DebugHistogram {
+	return DebugHistogram{
+		Count:   h.Count,
+		Sum:     h.Sum,
+		Mean:    h.Mean(),
+		P50:     h.Quantile(0.50),
+		P90:     h.Quantile(0.90),
+		P99:     h.Quantile(0.99),
+		P50F:    h.QuantileF(0.50),
+		P90F:    h.QuantileF(0.90),
+		P99F:    h.QuantileF(0.99),
+		Buckets: h.Buckets,
+	}
+}
+
+// WriteHistograms renders a run's metric distributions (Report.Histograms)
+// as an aligned table sorted by instrument name, with the columns of the
+// debug document: count, mean, the log2-bucket p50/p90/p99 upper bounds and
+// the interpolated p50f/p90f/p99f. An instrument whose base name (before
+// any "/label=value" tags) ends in "_ns" prints as durations; everything
+// else (queue depths, counts) prints raw.
+func WriteHistograms(w io.Writer, hists map[string]HistogramSnapshot) error {
+	names := make([]string, 0, len(hists))
+	for name := range hists {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "histogram\tcount\tmean\tp50\tp90\tp99\tp50f\tp90f\tp99f")
+	for _, name := range names {
+		h := summarize(hists[name])
+		base, _, _ := strings.Cut(name, "/")
+		isDuration := strings.HasSuffix(base, "_ns")
+		val := func(v float64) string {
+			if isDuration {
+				return time.Duration(v).String()
+			}
+			return fmt.Sprintf("%.0f", v)
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n", name, h.Count, val(h.Mean),
+			val(float64(h.P50)), val(float64(h.P90)), val(float64(h.P99)), val(h.P50F), val(h.P90F), val(h.P99F))
+	}
+	return tw.Flush()
 }
 
 // DebugHandler serves the registry as JSON (the live backend mounts it at

@@ -345,3 +345,45 @@ func TestDebugHandler(t *testing.T) {
 		t.Fatalf("histogram summary = %+v", h)
 	}
 }
+
+// TestWriteHistograms pins the text rendering of Report.Histograms: rows
+// sorted by name under the nine debug-document columns, "_ns" instruments
+// as durations (also when the name carries label tags), everything else
+// raw, and the interpolated columns not quantized to bucket bounds.
+func TestWriteHistograms(t *testing.T) {
+	r := NewRegistry()
+	for _, v := range []int64{1000, 1000, 3000, 3000} {
+		r.Histogram("wait_ns/op=recv").Observe(v)
+	}
+	r.Histogram("depth").Observe(5)
+	var buf bytes.Buffer
+	if err := WriteHistograms(&buf, r.Snapshot().Histograms); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		rows = append(rows, strings.Fields(line))
+	}
+	want := [][]string{
+		{"histogram", "count", "mean", "p50", "p90", "p99", "p50f", "p90f", "p99f"},
+		{"depth", "1", "5", "7", "7", "7"},
+		{"wait_ns/op=recv", "4", "2µs", "1.023µs", "4.095µs", "4.095µs"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d:\n%s", len(rows), len(want), buf.String())
+	}
+	for i, w := range want {
+		if len(rows[i]) != 9 {
+			t.Fatalf("row %d has %d columns, want 9: %v", i, len(rows[i]), rows[i])
+		}
+		for j, cell := range w {
+			if rows[i][j] != cell {
+				t.Errorf("row %d column %d = %q, want %q", i, j, rows[i][j], cell)
+			}
+		}
+	}
+	wait := r.Snapshot().Histograms["wait_ns/op=recv"]
+	if got, want := rows[2][6], time.Duration(wait.QuantileF(0.50)).String(); got != want || got == rows[2][3] {
+		t.Errorf("p50f = %q, want the interpolated %q (p50 is %q)", got, want, rows[2][3])
+	}
+}

@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Assertions the Makefile gates run on the JSON their commands emit.
 
-Usage: ci_check.py GATE FILE...   (one function per gate, named below)
+Usage: ci_check.py GATE ARG...   (one function per gate, named below)
 """
 import json
+import os
+import shutil
+import statistics
+import subprocess
 import sys
 
 
@@ -15,24 +19,6 @@ def load(path):
 def trace(path):
     """trace-export: the chrome trace of the fixture run is not empty."""
     assert load(path)['traceEvents'], 'empty trace'
-
-
-def onesided(path):
-    """bench-onesided: the triggered path beats the classic one without polling."""
-    small = [r for r in load(path) if r['size'] <= 4096]
-    assert small, 'no small-message rows'
-    for r in small:
-        assert r['triggered_ns'] < r['classic_ns'], f"triggered not faster at {r['size']}B"
-        assert r['triggered_poll_hits'] == 0, f"triggered path consumed poll hits at {r['size']}B"
-
-
-def multitenant(path):
-    """multitenant: per-job overhead and per-tenant fair share stay in bounds."""
-    rep = load(path)
-    assert rep['perjob_overhead_pct'] <= 10, f"per-job overhead {rep['perjob_overhead_pct']:.1f}% > 10%"
-    for t in rep['fairness']:
-        assert abs(t['share'] - t['expected_share']) <= 0.15, \
-            f"tenant {t['name']}: share {t['share']:.2f} vs expected {t['expected_share']:.2f}"
 
 
 def slo(sim_path, live_path):
@@ -73,8 +59,78 @@ def flow_phases(path):
         assert abs(total - e2e) <= 0.01 * e2e, f'{name}: phases sum {total} vs e2e {e2e}'
 
 
+def benchmark_gate(contract, base, workdir, pairs, seconds):
+    """benchmark-gate: the change against commit `base`, judged by the contract's own rule.
+
+    Runs the contract's command with -trace 0 on a `git archive` of base and
+    on this tree, every workload, `pairs` times each in alternating order, and
+    compares the medians of every end-to-end metric against the bounds in
+    `contract` (BENCHMARK.json). A metric the parent's own runs spread wider
+    than its bound is unresolved, not failed. Prints the trajectory document
+    (BENCH_<pr>.json) on stdout and the verdict table on stderr.
+    """
+    spec = load(contract)
+    workdir = os.path.abspath(workdir)  # the command runs from another directory
+    parent = os.path.join(workdir, 'parent')
+    shutil.rmtree(workdir, ignore_errors=True)
+    os.makedirs(parent)
+    archive = subprocess.run(['git', 'archive', base], check=True, capture_output=True).stdout
+    subprocess.run(['tar', '-x', '-C', parent], input=archive, check=True)
+    roots = {'parent': parent, 'change': os.getcwd()}
+    workloads = [w['name'] for w in spec['workloads']]
+
+    runs = {}  # (side, workload) -> one results.json workload entry per pair
+    hygiene = None  # results.json's header, less what differs from run to run
+    for pair in range(1, int(pairs) + 1):
+        for w in workloads:
+            for side in ('parent', 'change') if pair % 2 else ('change', 'parent'):
+                out = os.path.join(workdir, 'runs', f'{side}-{w}-{pair}')
+                subprocess.run(spec['command'] + ['-workload', w, '-seed', str(pair), '-seconds', str(seconds),
+                                                  '-trace', '0', '-out', out],
+                               cwd=roots[side], check=True, stdout=subprocess.DEVNULL)
+                res = load(os.path.join(out, 'results.json'))
+                runs.setdefault((side, w), []).append(res['workloads'][0])
+                hygiene = hygiene or {k: v for k, v in res['header'].items()
+                                      if k not in ('commit', 'seed', 'repetitions', 'wall_s')}
+                hygiene['gomaxprocs'].update(res['header']['gomaxprocs'])
+                print(f'pair {pair} {w} {side}', file=sys.stderr)
+
+    def git(*args):
+        return subprocess.run(['git', *args], check=True, capture_output=True, text=True).stdout.strip()
+    doc = {'parent': git('rev-parse', base), 'change': git('rev-parse', 'HEAD'),
+           'change_uncommitted': bool(git('status', '--porcelain')), 'pairs': int(pairs), 'hygiene': hygiene,
+           'metrics': {}, 'failed_frac': {}}
+    bad = []
+    for w in workloads:
+        for m in spec['end_to_end']:
+            p, c = ([r['end_to_end'][m['name']] for r in runs[side, w]] for side in ('parent', 'change'))
+            sign = 1 if m['better'] == 'lower' else -1
+            pm, cm = statistics.median(p), statistics.median(c)
+            worse_by = sign * (cm - pm) / abs(pm)
+            q = statistics.quantiles(p, n=4, method='inclusive') if len(p) > 1 else [pm] * 3
+            spread = (q[2] - q[0]) / abs(pm)
+            verdict = 'unresolved' if spread > m['bound'] else 'regressed' if worse_by > m['bound'] else 'ok'
+            doc['metrics'][f"{w}/{m['name']}"] = {
+                'unit': m['unit'], 'better': m['better'], 'bound': m['bound'], 'parent': pm, 'change': cm,
+                'worse_by': worse_by, 'parent_spread': spread,
+                'pairs_worse': sum(sign * (b - a) > 0 for a, b in zip(p, c)), 'verdict': verdict}
+            print(f"{w + '/' + m['name']:32} parent {pm:12.6g} change {cm:12.6g} {m['unit']:6} "
+                  f"worse by {worse_by:+7.2%} (bound {m['bound']:.0%}, parent spread {spread:.1%}) {verdict}",
+                  file=sys.stderr)
+            if verdict == 'regressed':
+                bad.append(f"{w}/{m['name']} worse by {worse_by:.1%}")
+        share = {side: sum(r['failed'] for r in runs[side, w]) / sum(r['attempted'] for r in runs[side, w])
+                 for side in ('parent', 'change')}
+        doc['failed_frac'][w] = share
+        if share['change'] > share['parent']:
+            bad.append(f"{w}: failed share {share['change']:.3g}, parent {share['parent']:.3g}")
+    json.dump(doc, sys.stdout, indent='\t')
+    print()
+    assert not bad, '; '.join(bad)
+
+
 GATES = {f.__name__.replace('_', '-'): f
-         for f in (trace, onesided, multitenant, slo, flow_events, flow_phases)}
+         for f in (trace, slo, flow_events, flow_phases, benchmark_gate)}
 
 if __name__ == '__main__':
     if len(sys.argv) < 3 or sys.argv[1] not in GATES:
