@@ -38,9 +38,12 @@ test:
 	$(GO) test ./...
 
 # The live transport, chaos differential (sim and live, wire and collective
-# faults), conformance, runtime and loadgen suites under the race detector.
+# faults, one shard and several), conformance, runtime and loadgen suites
+# under the race detector, and from the root package the goldens re-run on
+# four shards: the only cells there that use more than one thread.
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -run 'TestGoldenShardInvariant' .
 
 # Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
 # every lane layout, starting from the committed corpus

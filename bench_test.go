@@ -379,8 +379,10 @@ var engineLanes = []struct {
 	// Causal flow tracing on top: the ID counters live in the trace sink
 	// and the 16 header bytes come from the same pools.
 	{"sim-flows", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 10163},
-	// The sharded engine, one shard per node: windows, outbox merges and
-	// the per-shard event loops.
+	// One shard per node: an outbox merge at every barrier, and a second
+	// goroutine only for the windows in which both nodes have work — most
+	// of a ping-pong's have one busy shard, which the coordinator runs on
+	// its own goroutine, as it does every window of the rows above.
 	{"sim-sharded", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Shards = 2 }), 0},
 	{"sim-onesided", 2 * laneIters, oneSidedLane, 6108},
 	{"sim-triggered", laneIters, triggeredLane, 3877},
@@ -589,14 +591,12 @@ func BenchmarkAblationFutureHardware(b *testing.B) {
 // harness pins the same pair at every size.
 var triggeredAblation = []struct {
 	name string
-	run  func(size int) (time.Duration, core.Report, error)
+	run  func(cfg core.Config, size int) (time.Duration, core.Report, error)
 }{
-	{"classic", func(size int) (time.Duration, core.Report, error) {
-		return apps.DCGNSendOneWayReport(core.DefaultConfig(), apps.EPGPU, apps.EPCPU, size)
+	{"classic", func(cfg core.Config, size int) (time.Duration, core.Report, error) {
+		return apps.DCGNSendOneWayReport(cfg, apps.EPGPU, apps.EPCPU, size)
 	}},
-	{"triggered", func(size int) (time.Duration, core.Report, error) {
-		return apps.DCGNTriggeredOneWay(core.DefaultConfig(), size)
-	}},
+	{"triggered", apps.DCGNTriggeredOneWay},
 }
 
 // BenchmarkAblationTriggered regenerates EXPERIMENTS.md's one-sided
@@ -608,7 +608,7 @@ func BenchmarkAblationTriggered(b *testing.B) {
 		for _, path := range triggeredAblation {
 			b.Run(fmt.Sprintf("%s/%s", path.name, sizeName(size)), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					d, rep, err := path.run(size)
+					d, rep, err := path.run(core.DefaultConfig(), size)
 					if err != nil {
 						b.Fatal(err)
 					}

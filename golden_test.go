@@ -17,7 +17,9 @@ package dcgn_test
 //	go test -run TestGoldenDeterminism -update
 //
 // Any diff after a pure host-side optimization is a bug in the
-// optimization, not an expected churn.
+// optimization, not an expected churn. Config.Shards is host-side too:
+// TestGoldenShardInvariant re-runs the scenarios on several shard counts
+// against the same file.
 
 import (
 	"encoding/json"
@@ -92,9 +94,8 @@ func reportMetrics(rep core.Report) map[string]int64 {
 // collectives, blocking and nonblocking point-to-point, wildcard-source
 // receives and a deliberate truncation — and returns per-rank payload
 // checksums plus the full Report.
-func collectiveMix() (map[string]int64, error) {
+func collectiveMix(cfg core.Config) (map[string]int64, error) {
 	const chunk = 96
-	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs = 2, 3, 0
 	cfg.SlotsPerGPU = 0
 	n := cfg.Nodes * cfg.CPUKernels
@@ -387,10 +388,8 @@ func laneOneSided(cfg core.Config) (map[string]int64, error) {
 
 // laneMatrix pins what no other scenario turns on: both wire lanes with
 // reliability off, on over a clean wire, and on over the chaos suite's
-// seeded fault mix, each with flows off and on, on the classic loop and on
-// four shards. (Sharded runs refuse fault injection, so the faulted cells
-// exist at Shards 0 only.)
-func laneMatrix(put func(string, map[string]int64, error) error) error {
+// seeded fault mix, each with flows off and on.
+func laneMatrix(base core.Config, put func(string, map[string]int64, error) error) error {
 	kernels := []struct {
 		name string
 		run  func(core.Config) (map[string]int64, error)
@@ -398,23 +397,16 @@ func laneMatrix(put func(string, map[string]int64, error) error) error {
 	for _, k := range kernels {
 		for _, rel := range []string{"unreliable", "reliable", "faulted"} {
 			for _, flows := range []bool{false, true} {
-				for _, shards := range []int{0, 4} {
-					if rel == "faulted" && shards > 0 {
-						continue
-					}
-					cfg := core.DefaultConfig()
-					cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 4, 1, 0, 0
-					cfg.Shards = shards
-					cfg.Flows = flows
-					cfg.Reliability.Enabled = rel != "unreliable"
-					if rel == "faulted" {
-						cfg.Faults = faults.Config{Seed: 42, Drop: 0.12, Dup: 0.08, Reorder: 0.08}
-					}
-					name := fmt.Sprintf("lane/%s/%s/flows=%t/shards%d", k.name, rel, flows, shards)
-					m, err := k.run(cfg)
-					if err := put(name, m, err); err != nil {
-						return err
-					}
+				cfg := base
+				cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 4, 1, 0, 0
+				cfg.Flows = flows
+				cfg.Reliability.Enabled = rel != "unreliable"
+				if rel == "faulted" {
+					cfg.Faults = faults.Config{Seed: 42, Drop: 0.12, Dup: 0.08, Reorder: 0.08}
+				}
+				m, err := k.run(cfg)
+				if err := put(fmt.Sprintf("lane/%s/%s/flows=%t", k.name, rel, flows), m, err); err != nil {
+					return err
 				}
 			}
 		}
@@ -422,8 +414,18 @@ func laneMatrix(put func(string, map[string]int64, error) error) error {
 	return nil
 }
 
-// goldenResults runs every scenario and collects exact metrics.
-func goldenResults() (goldenMetrics, error) {
+// goldenResults runs every scenario with the simulated ones on the given
+// shard count (the gas/MPI baselines have none) and collects exact metrics.
+// The jittered scenario needs one event loop, so it is left out above one
+// shard.
+func goldenResults(shards int) (goldenMetrics, error) {
+	base := core.DefaultConfig()
+	base.Shards = shards
+	shape := func(nodes, cpus, gpus int) core.Config {
+		cfg := dcgnCfg(nodes, cpus, gpus)
+		cfg.Shards = shards
+		return cfg
+	}
 	out := goldenMetrics{}
 	put := func(name string, m map[string]int64, err error) error {
 		if err != nil {
@@ -438,7 +440,7 @@ func goldenResults() (goldenMetrics, error) {
 		{1, 2, 0}, {1, 0, 2}, {2, 2, 2}, {4, 2, 2},
 	} {
 		name := fmt.Sprintf("barrier/%dn%dc%dg", row.nodes, row.cpus, row.gpus)
-		d, err := apps.DCGNBarrier(core.DefaultConfig(), row.nodes, row.cpus, row.gpus)
+		d, err := apps.DCGNBarrier(base, row.nodes, row.cpus, row.gpus)
 		if err := put(name, map[string]int64{"barrier-ns": d.Nanoseconds()}, err); err != nil {
 			return nil, err
 		}
@@ -462,7 +464,7 @@ func goldenResults() (goldenMetrics, error) {
 	for _, size := range []int{0, 4096, 1 << 20} {
 		for _, pr := range pairings {
 			name := fmt.Sprintf("send/%s/%dB", pr.name, size)
-			d, err := apps.DCGNSendOneWay(core.DefaultConfig(), pr.src, pr.dst, size)
+			d, err := apps.DCGNSendOneWay(base, pr.src, pr.dst, size)
 			if err := put(name, map[string]int64{"oneway-ns": d.Nanoseconds()}, err); err != nil {
 				return nil, err
 			}
@@ -475,20 +477,22 @@ func goldenResults() (goldenMetrics, error) {
 
 	// Jittered send: pins the timing-noise RNG consumption pattern — a
 	// refactor that adds or removes a SleepJit call shifts every number.
-	jcfg := core.DefaultConfig()
-	jcfg.JitterFrac = 0.25
-	jcfg.JitterSeed = 7
-	jd, err := apps.DCGNSendOneWay(jcfg, apps.EPCPU, apps.EPGPU, 4096)
-	if err := put("send-jittered/CPUtoGPU/4096B", map[string]int64{"oneway-ns": jd.Nanoseconds()}, err); err != nil {
-		return nil, err
+	if shards <= 1 {
+		jcfg := base
+		jcfg.JitterFrac = 0.25
+		jcfg.JitterSeed = 7
+		jd, err := apps.DCGNSendOneWay(jcfg, apps.EPCPU, apps.EPGPU, 4096)
+		if err := put(jitteredScenario, map[string]int64{"oneway-ns": jd.Nanoseconds()}, err); err != nil {
+			return nil, err
+		}
 	}
 
 	// Fig. 7 broadcasts at 64 kB.
-	bcpu, err := apps.DCGNBroadcastCPU(core.DefaultConfig(), 64<<10)
+	bcpu, err := apps.DCGNBroadcastCPU(base, 64<<10)
 	if err := put("bcast/dcgn-cpu/64kB", map[string]int64{"bcast-ns": bcpu.Nanoseconds()}, err); err != nil {
 		return nil, err
 	}
-	bgpu, err := apps.DCGNBroadcastGPU(core.DefaultConfig(), 64<<10)
+	bgpu, err := apps.DCGNBroadcastGPU(base, 64<<10)
 	if err := put("bcast/dcgn-gpu/64kB", map[string]int64{"bcast-ns": bgpu.Nanoseconds()}, err); err != nil {
 		return nil, err
 	}
@@ -501,7 +505,7 @@ func goldenResults() (goldenMetrics, error) {
 	// corrupted (not just retimed) result also fails.
 	mc := apps.DefaultMandelConfig()
 	mc.Width, mc.Height = 256, 128
-	mres, err := apps.MandelbrotDCGN(dcgnCfg(4, 1, 2), mc)
+	mres, err := apps.MandelbrotDCGN(shape(4, 1, 2), mc)
 	if err := put("app/mandelbrot", map[string]int64{
 		"elapsed-ns":      mres.Elapsed.Nanoseconds(),
 		"pixels":          int64(mres.Pixels),
@@ -515,7 +519,7 @@ func goldenResults() (goldenMetrics, error) {
 	cc := apps.DefaultCannonConfig()
 	cc.N = 256
 	cc.RealMath = true
-	cres, err := apps.CannonDCGN(dcgnCfg(2, 0, 2), cc)
+	cres, err := apps.CannonDCGN(shape(2, 0, 2), cc)
 	if err := put("app/cannon", map[string]int64{
 		"elapsed-ns": cres.Elapsed.Nanoseconds(),
 		"targets":    int64(cres.Targets),
@@ -527,7 +531,7 @@ func goldenResults() (goldenMetrics, error) {
 	nc := apps.DefaultNBodyConfig()
 	nc.Bodies, nc.Steps = 1024, 2
 	nc.RealMath = true
-	nres, err := apps.NBodyDCGN(dcgnCfg(4, 0, 2), nc)
+	nres, err := apps.NBodyDCGN(shape(4, 0, 2), nc)
 	if err := put("app/nbody", map[string]int64{
 		"elapsed-ns":  nres.Elapsed.Nanoseconds(),
 		"steptime-ns": nres.StepTime.Nanoseconds(),
@@ -537,7 +541,7 @@ func goldenResults() (goldenMetrics, error) {
 		return nil, err
 	}
 
-	mrres, err := apps.MapReduceDCGN(dcgnCfg(1, 1, 1), apps.DefaultMapReduceConfig(2))
+	mrres, err := apps.MapReduceDCGN(shape(1, 1, 1), apps.DefaultMapReduceConfig(2))
 	if err := put("app/mapreduce", map[string]int64{
 		"elapsed-ns": mrres.Elapsed.Nanoseconds(),
 		"sum":        mrres.Sum,
@@ -546,7 +550,7 @@ func goldenResults() (goldenMetrics, error) {
 		return nil, err
 	}
 
-	pres, err := apps.PipelineDCGN(dcgnCfg(2, 1, 2), apps.DefaultPipelineConfig(false))
+	pres, err := apps.PipelineDCGN(shape(2, 1, 2), apps.DefaultPipelineConfig(false))
 	if err := put("app/pipeline", map[string]int64{
 		"elapsed-ns": pres.Elapsed.Nanoseconds(),
 		"verified":   b2i(pres.Verified),
@@ -556,18 +560,18 @@ func goldenResults() (goldenMetrics, error) {
 
 	// High-fanout matching stressor: the full Report, since this is the
 	// workload the allocation work targets hardest.
-	hrep, err := apps.HighFanout(core.DefaultConfig(), 16, 512)
+	hrep, err := apps.HighFanout(base, 16, 512)
 	if err := put("highfanout/16src-512inflight", reportMetrics(hrep), err); err != nil {
 		return nil, err
 	}
 
 	// Collective mix with per-rank content checksums.
-	cm, err := collectiveMix()
+	cm, err := collectiveMix(base)
 	if err := put("collective-mix", cm, err); err != nil {
 		return nil, err
 	}
 
-	if err := laneMatrix(put); err != nil {
+	if err := laneMatrix(base, put); err != nil {
 		return nil, err
 	}
 
@@ -576,7 +580,7 @@ func goldenResults() (goldenMetrics, error) {
 	// control-plane PCIe operations each path needed.
 	for _, size := range apps.SendSizes {
 		for _, path := range triggeredAblation {
-			d, rep, err := path.run(size)
+			d, rep, err := path.run(base, size)
 			if err := put(fmt.Sprintf("onesided-ablation/%dB/%s", size, path.name), map[string]int64{
 				"elapsed-ns": d.Nanoseconds(),
 				"polls":      int64(rep.Polls),
@@ -592,7 +596,7 @@ func goldenResults() (goldenMetrics, error) {
 }
 
 func TestGoldenDeterminism(t *testing.T) {
-	got, err := goldenResults()
+	got, err := goldenResults(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,7 +615,34 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Logf("wrote %s (%d scenarios)", goldenPath, len(got))
 		return
 	}
+	checkGolden(t, got, readGolden(t))
+}
 
+// TestGoldenShardInvariant makes every golden a shard-invariance test: each
+// scenario re-run on one shard and on four must reproduce the committed
+// rows bit for bit, every Report-derived metric included.
+func TestGoldenShardInvariant(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			got, err := goldenResults(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := readGolden(t)
+			if shards > 1 {
+				delete(want, jitteredScenario)
+			}
+			checkGolden(t, got, want)
+		})
+	}
+}
+
+// jitteredScenario is the one golden with timing noise on.
+const jitteredScenario = "send-jittered/CPUtoGPU/4096B"
+
+// readGolden loads the committed golden file.
+func readGolden(t *testing.T) goldenMetrics {
+	t.Helper()
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("missing golden file (run `go test -run TestGoldenDeterminism -update`): %v", err)
@@ -620,7 +651,13 @@ func TestGoldenDeterminism(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
 
+// checkGolden fails on any metric of any scenario that differs between got
+// and want, and on scenarios only one of them has.
+func checkGolden(t *testing.T, got, want goldenMetrics) {
+	t.Helper()
 	names := make([]string, 0, len(want))
 	for name := range want {
 		names = append(names, name)

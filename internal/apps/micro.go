@@ -5,6 +5,7 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dcgn/internal/core"
@@ -154,6 +155,7 @@ const BcastIters = 5
 // eagerly).
 type bcastTimer struct {
 	start  [BcastIters]time.Duration
+	mu     sync.Mutex // ranks on different shards finish concurrently
 	finish [BcastIters]time.Duration
 }
 
@@ -164,6 +166,8 @@ func (bt *bcastTimer) enter(iter int, isRoot bool, now time.Duration) {
 }
 
 func (bt *bcastTimer) done(iter int, now time.Duration) {
+	bt.mu.Lock()
+	defer bt.mu.Unlock()
 	if now > bt.finish[iter] {
 		bt.finish[iter] = now
 	}

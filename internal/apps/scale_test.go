@@ -26,9 +26,9 @@ func runScale(t *testing.T, nodes, shards, rounds, fanout int, topo fabric.Topol
 
 // TestScaleFanoutShardInvariance is the determinism tentpole check: the
 // digest vector and the virtual elapsed time must be bit-identical for
-// every shard count, including the single-shard sharded engine — on the
-// flat fabric and on topologies, where the lookahead derives from the
-// cross-shard latency instead of the flat link latency. The 256-node
+// every shard count, Shards 0 included — on the flat fabric and on
+// topologies, where the lookahead derives from the cross-shard latency
+// instead of the flat link latency. The 256-node
 // cells also pin the FNV fold of the digests and the elapsed time, so a
 // change that moves every shard count together still fails here rather
 // than in a human's diff against the parent commit.
@@ -41,13 +41,13 @@ func TestScaleFanoutShardInvariance(t *testing.T) {
 		fold                  uint64
 		elapsed               time.Duration
 	}{
-		{name: "flat64", nodes: 64, rounds: 3, fanout: 3, shards: []int{1, 2, 4, 8}},
-		{name: "fattree16", nodes: 16, rounds: 3, fanout: 3, shards: []int{1, 2, 4},
+		{name: "flat64", nodes: 64, rounds: 3, fanout: 3, shards: []int{0, 1, 2, 4, 8}},
+		{name: "fattree16", nodes: 16, rounds: 3, fanout: 3, shards: []int{0, 1, 2, 4},
 			topo: fabric.NewFatTree(4, 100*time.Nanosecond)},
-		{name: "flat256", nodes: 256, rounds: 4, fanout: 4, shards: []int{1, 2, 8},
+		{name: "flat256", nodes: 256, rounds: 4, fanout: 4, shards: []int{0, 1, 2, 8},
 			fold: 0xdf60891d956fb425, elapsed: 1385240 * time.Nanosecond},
 		// The smallest balanced dragonfly (a = h, p = a/2) with 256 hosts.
-		{name: "dragonfly256", nodes: 256, rounds: 4, fanout: 4, shards: []int{1, 2, 8},
+		{name: "dragonfly256", nodes: 256, rounds: 4, fanout: 4, shards: []int{0, 1, 2, 8},
 			topo: fabric.NewDragonfly(6, 3, 6, 300*time.Nanosecond),
 			fold: 0xdf60891d956fb425, elapsed: 1383840 * time.Nanosecond},
 	} {

@@ -37,6 +37,10 @@ type Options struct {
 	Seed int64
 	// Faults perturbs the wire; the zero value is a clean run.
 	Faults faults.Config
+	// Shards is core Config.Shards (simulated backend): how many event
+	// loops the nodes are spread over. No value may change a digest or a
+	// virtual number.
+	Shards int
 	// AckTimeout overrides the reliability layer's retransmit timeout
 	// (zero keeps the default; live runs want it short).
 	AckTimeout time.Duration
@@ -111,6 +115,7 @@ func Run(o Options) (Result, error) {
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = o.Nodes, o.CPUs, 0, 0
 	cfg.Transport.Backend = o.Backend
 	cfg.Faults = o.Faults
+	cfg.Shards = o.Shards
 	cfg.Trace = o.Trace
 	cfg.Flows = o.Flows
 	if o.AckTimeout > 0 {

@@ -117,14 +117,37 @@ func requireDifferential(t *testing.T, backend string, rounds int, seed int64, f
 	return got
 }
 
+// requireShardInvariant reruns a faulted simulated run on two and on four
+// shards: the fault streams are seeded per endpoint, so the digests and
+// every number the faults shaped must equal the one-shard run's.
+func requireShardInvariant(t *testing.T, rounds int, seed int64, f faults.Config, one chaos.Result) {
+	t.Helper()
+	for _, shards := range []int{2, 4} {
+		opts := chaosOpts(transport.BackendSim, rounds, seed, f)
+		opts.Shards = shards
+		got, err := chaos.Run(opts)
+		if err != nil {
+			t.Fatalf("seed %d shards %d: %v", seed, shards, err)
+		}
+		a, b := got.Report, one.Report
+		if !equalDigests(got.Digests, one.Digests) || a.Elapsed != b.Elapsed || a.Retransmits != b.Retransmits ||
+			a.DupWireFrames != b.DupWireFrames || a.CollRetries != b.CollRetries || a.FaultsInjected != b.FaultsInjected {
+			t.Errorf("seed %d shards %d diverged from one shard:\n got %x elapsed %v retransmits %d dups %d coll-retries %d faults %+v\nwant %x elapsed %v retransmits %d dups %d coll-retries %d faults %+v",
+				seed, shards, got.Digests, a.Elapsed, a.Retransmits, a.DupWireFrames, a.CollRetries, a.FaultsInjected,
+				one.Digests, b.Elapsed, b.Retransmits, b.DupWireFrames, b.CollRetries, b.FaultsInjected)
+		}
+	}
+}
+
 // TestChaosDifferentialSim sweeps seeds on the simulated backend with a
 // drop rate past the acceptance bar (>= 10%), plus duplication and
 // reordering; every seed must reproduce the clean digests and show the
-// retransmit machinery actually firing.
+// retransmit machinery actually firing, identically on every shard count.
 func TestChaosDifferentialSim(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1009} {
 		f := faults.Config{Seed: seed, Drop: 0.12, Dup: 0.08, Reorder: 0.08}
 		got := requireDifferential(t, transport.BackendSim, 24, seed, f)
+		requireShardInvariant(t, 24, seed, f, got)
 		if got.Report.FaultsInjected.Drops == 0 {
 			t.Errorf("seed %d: no drops injected; differential proves nothing", seed)
 		}
@@ -142,6 +165,7 @@ func TestChaosDifferentialSimCollFaults(t *testing.T) {
 	if got.Report.FaultsInjected.CollFails == 0 {
 		t.Error("no collective faults injected; test proves nothing")
 	}
+	requireShardInvariant(t, 24, 11, f, got)
 }
 
 // TestChaosDifferentialLive runs the same differential on the live

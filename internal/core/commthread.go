@@ -33,12 +33,10 @@ var ErrTruncate = errors.New("dcgn: message truncated (recv buffer too small)")
 type nodeState struct {
 	job  *Job
 	node int
-	// rt is this node's execution substrate. On the plain backends it is
-	// the job-wide substrate; in a sharded run it is the owning shard's
-	// simulator, so everything the node spawns stays on its shard.
+	// rt is this node's execution substrate: a veneer over its simulator
+	// (so everything the node spawns stays on its shard), or the live rt.
 	rt rt
-	// sim is this node's simulator on the simulated backends (the job-wide
-	// one, or the owning shard's in a sharded run); nil on the live backend.
+	// sim is this node's simulator, its shard's; nil on the live backend.
 	sim  *sim.Sim
 	tr   transport.Transport
 	bus  *pcie.Bus

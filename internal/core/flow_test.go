@@ -281,10 +281,10 @@ func TestFlowStitchingShardInvariant(t *testing.T) {
 		flow.WritePath(&b, rep.CriticalPath)
 		return b.Bytes()
 	}
-	want := render(1)
-	for _, shards := range []int{2, 4} {
+	want := render(0)
+	for _, shards := range []int{1, 2, 4} {
 		if got := render(shards); !bytes.Equal(got, want) {
-			t.Fatalf("stitching diverged between 1 and %d shards:\n--- 1 shard ---\n%s--- %d shards ---\n%s",
+			t.Fatalf("stitching diverged between Shards 0 and %d:\n--- Shards 0 ---\n%s--- Shards %d ---\n%s",
 				shards, want, shards, got)
 		}
 	}

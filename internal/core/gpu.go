@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"dcgn/internal/device"
@@ -152,20 +153,22 @@ func (gt *gpuThread) startMonitor() {
 	})
 }
 
-// monitorPhase returns the monitor's random initial phase in [0, span).
-// The classic backend draws from the job-wide simulator rng — an order
-// the golden suite pins. Sharded runs derive it from the node and device
-// ids instead: per-shard rng draw order depends on how nodes map to
-// shards, which would break the shards-don't-change-results guarantee.
+// monitorPhase returns the monitor's random initial phase in [0, span): the
+// next draw of the job's phase stream, taken once per device in (node,
+// device) bring-up order, before anything runs — an order no shard count
+// changes. The stream is seeded like the job's jitter stream (1 when there
+// is no jitter configuration) and built on first use: a CPU-only job never
+// pays for the ~5 kB of generator state.
 func (gt *gpuThread) monitorPhase(span int64) int64 {
-	if gt.ns.job.cfg.Shards == 0 {
-		return gt.ns.sim.Rand().Int63n(span)
+	j := gt.ns.job
+	if j.phases == nil {
+		seed := j.cfg.JitterSeed
+		if seed == 0 && j.cfg.JitterFrac <= 0 {
+			seed = 1
+		}
+		j.phases = rand.New(rand.NewSource(seed))
 	}
-	h := uint64(gt.ns.node)*0x9e3779b97f4a7c15 + uint64(gt.index) + 0x94d049bb133111eb
-	h ^= h >> 31
-	h *= 0xd6e8feb86659fd93
-	h ^= h >> 27
-	return int64(h % uint64(span))
+	return j.phases.Int63n(span)
 }
 
 // payloadBus returns the bus interface used for payload staging: the

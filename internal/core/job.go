@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -32,6 +33,10 @@ type Job struct {
 	nodes []*nodeState
 
 	cpuKernel func(*CPUCtx)
+
+	// phases is the stream the GPU monitors' initial poll phases are drawn
+	// from (gpuThread.monitorPhase); nil until a device needs it.
+	phases *rand.Rand
 
 	// trace collects lifecycle spans (Config.Trace); metrics is the
 	// job-wide instrument registry (Config.Metrics). Both nil when off.
@@ -287,7 +292,7 @@ func (j *Job) Run() (Report, error) {
 	sub := newSubstrate(j.cfg.Nodes, j.cfg.Net, j.cfg.MPI, j.cfg.Shards,
 		j.cfg.MaxVirtualTime, j.cfg.JitterFrac, j.cfg.JitterSeed)
 	j.start(sub.exclusiveEnv())
-	err := sub.run()
+	err := sub.loop.Run()
 	return j.report(), err
 }
 
@@ -301,6 +306,9 @@ func (j *Job) checkRunnable() error {
 	}
 	switch j.cfg.Transport.Name() {
 	case transport.BackendSim:
+		if j.cfg.Shards > 1 && j.cfg.JitterFrac > 0 {
+			return fmt.Errorf("dcgn: jitter needs Shards <= 1 (each event loop draws from its own stream, so the draws would depend on the shard count)")
+		}
 	case transport.BackendLive:
 		// The simulated device model does not exist on the live backend, so
 		// only CPU kernels are supported; GPU jobs use the simulated one.

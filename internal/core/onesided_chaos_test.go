@@ -47,9 +47,10 @@ func osChaosPut(r, i int) (off, n int, fill byte) {
 
 // runOneSidedChaos executes the workload and returns the report plus the
 // target window contents.
-func runOneSidedChaos(t *testing.T, backend string, f faults.Config) (Report, []byte) {
+func runOneSidedChaos(t *testing.T, backend string, shards int, f faults.Config) (Report, []byte) {
 	t.Helper()
 	cfg := backendConfig(backend, 3, 1)
+	cfg.Shards = shards
 	cfg.OneSided = true
 	cfg.Faults = f
 	if f.Enabled() {
@@ -121,12 +122,22 @@ func runOneSidedChaosInner(t *testing.T, cfg Config) (Report, []byte) {
 
 // TestChaosOneSidedSim sweeps fault seeds on the simulated backend: every
 // faulted run must reproduce the clean image bit for bit, with drops
-// actually injected and retransmits actually fired.
+// actually injected and retransmits actually fired — the same drops and
+// retransmits, at the same virtual instants, on two and four shards.
 func TestChaosOneSidedSim(t *testing.T) {
-	_, clean := runOneSidedChaos(t, transport.BackendSim, faults.Config{})
+	_, clean := runOneSidedChaos(t, transport.BackendSim, 0, faults.Config{})
 	for _, seed := range []int64{1, 7, 42} {
 		f := faults.Config{Seed: seed, Drop: 0.12, Dup: 0.08, Reorder: 0.08}
-		rep, got := runOneSidedChaos(t, transport.BackendSim, f)
+		rep, got := runOneSidedChaos(t, transport.BackendSim, 0, f)
+		for _, shards := range []int{2, 4} {
+			srep, sgot := runOneSidedChaos(t, transport.BackendSim, shards, f)
+			if !bytes.Equal(sgot, got) || srep.Elapsed != rep.Elapsed || srep.Retransmits != rep.Retransmits ||
+				srep.DupWireFrames != rep.DupWireFrames || srep.FaultsInjected != rep.FaultsInjected {
+				t.Errorf("seed %d shards %d: elapsed %v retransmits %d dups %d faults %+v, one shard had %v %d %d %+v",
+					seed, shards, srep.Elapsed, srep.Retransmits, srep.DupWireFrames, srep.FaultsInjected,
+					rep.Elapsed, rep.Retransmits, rep.DupWireFrames, rep.FaultsInjected)
+			}
+		}
 		if !bytes.Equal(got, clean) {
 			t.Errorf("seed %d: one-sided window diverged under faults", seed)
 		}
@@ -147,8 +158,8 @@ func TestChaosOneSidedSim(t *testing.T) {
 // real goroutines racing on the lane's locks, wall-clock retransmit
 // timers. CI runs this package under -race.
 func TestChaosOneSidedLive(t *testing.T) {
-	_, clean := runOneSidedChaos(t, transport.BackendSim, faults.Config{})
-	rep, got := runOneSidedChaos(t, transport.BackendLive,
+	_, clean := runOneSidedChaos(t, transport.BackendSim, 0, faults.Config{})
+	rep, got := runOneSidedChaos(t, transport.BackendLive, 0,
 		faults.Config{Seed: 5, Drop: 0.12, Dup: 0.05})
 	if !bytes.Equal(got, clean) {
 		t.Error("live one-sided window diverged under faults")

@@ -182,14 +182,13 @@ type Config struct {
 	// the classic configurations the golden suite pins stay untouched.
 	OneSided bool
 
-	// Shards splits the simulated cluster into that many per-node-group
-	// event loops that advance in parallel OS threads, synchronized by
-	// conservative lookahead windows derived from the fabric's minimum
-	// cross-shard latency (internal/sim.Sharded). Zero keeps the classic
-	// single event loop; any value >= 1 selects the sharded engine, whose
-	// results are bit-identical for every shard count — Shards=1 is the
-	// way to check that on one thread. Clamped to Nodes. Sharded runs are
-	// simulated-backend only and exclude jitter and fault injection.
+	// Shards is how many OS threads the simulated cluster's event loops may
+	// use: the nodes are split into that many groups, each with its own
+	// loop, synchronized by conservative lookahead windows derived from the
+	// fabric's minimum cross-shard latency (internal/sim.Sharded). Results
+	// are bit-identical for every value, 0 (which means 1) included; only
+	// the wall-clock time changes. Clamped to Nodes. Simulated backend
+	// only; jitter needs Shards <= 1.
 	Shards int
 
 	// JitterFrac/JitterSeed add multiplicative timing noise (for the
@@ -281,14 +280,6 @@ func (c *Config) validate() {
 	}
 	if c.Shards > c.Nodes {
 		c.Shards = c.Nodes
-	}
-	if c.Shards > 0 {
-		if c.JitterFrac > 0 {
-			panic("core: sharded runs do not support jitter (per-shard rng draws would depend on the shard count)")
-		}
-		if c.Faults.Enabled() {
-			panic("core: sharded runs do not support fault injection (the chaos harness runs on the single event loop)")
-		}
 	}
 	if c.Params.MaxMsg == 0 {
 		c.Params = DefaultParams()

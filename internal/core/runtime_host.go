@@ -54,7 +54,8 @@ import (
 // A tenant's Report is not a solo run's: its NetPackets are metered at its
 // endpoints (the fabric's counters aggregate all tenants) and its Elapsed
 // ends at its completion instant on the shared clock, which is why Job.Run
-// is not a runtime of one and why sharded runs stay exclusive.
+// is not a runtime of one. A Runtime's substrate has one shard: tenants
+// share its rt, its arrival procs and its cancel injections.
 type Runtime struct {
 	cfg   RuntimeConfig
 	epoch time.Time // live clock origin for JobStatus times
@@ -427,7 +428,7 @@ func (r *Runtime) now() time.Duration {
 		if r.sub == nil {
 			return 0
 		}
-		return r.sub.Now()
+		return r.sub.loop.Now()
 	}
 	return time.Since(r.epoch)
 }
@@ -756,7 +757,7 @@ func (r *Runtime) Cancel(id int) error {
 		r.mu.Unlock()
 		if r.backend() == transport.BackendLive {
 			c.cancelOnce.Do(func() { close(c.cancelCh) })
-		} else if !sub.sim.Inject(func() { r.cancelSimJobNow(c) }) {
+		} else if !sub.sims[0].Inject(func() { r.cancelSimJobNow(c) }) {
 			return fmt.Errorf("dcgn: job %d is running but the batch has ended", id)
 		}
 		return nil
@@ -789,7 +790,7 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 	r.mu.Unlock()
 
 	for _, p := range procs {
-		r.sub.sim.Kill(p)
+		p.Sim().Kill(p)
 	}
 	rep := c.job.report()
 	r.mu.Lock()
@@ -956,14 +957,14 @@ func (r *Runtime) Run() error {
 		return fmt.Errorf("dcgn: runtime batch already ran")
 	}
 	r.ran = true
-	r.sub = newSubstrate(r.cfg.Nodes, r.cfg.Net, r.cfg.MPI, 0, r.cfg.MaxVirtualTime, 0, 0)
+	r.sub = newSubstrate(r.cfg.Nodes, r.cfg.Net, r.cfg.MPI, 1, r.cfg.MaxVirtualTime, 0, 0)
 	// Turn every SubmitAt schedule into an arrival proc. Arrivals are
 	// non-daemon so the batch stays alive through gaps in the schedule;
 	// spawn order (schedule order) plus the timer heap's (time, seq)
 	// ordering keeps simultaneous arrivals deterministic.
 	for _, c := range r.scheduled {
 		c := c
-		r.sub.sim.SpawnID("arrival", c.id, func(p *sim.Proc) {
+		r.sub.sims[0].SpawnID("arrival", c.id, func(p *sim.Proc) {
 			p.Sleep(c.notBefore)
 			r.arriveSimJob(c, p.Now())
 		})
@@ -972,7 +973,7 @@ func (r *Runtime) Run() error {
 	r.admitLocked()
 	r.mu.Unlock()
 
-	err := r.sub.run()
+	err := r.sub.loop.Run()
 
 	// Anything not terminal after the simulator drained hit the virtual
 	// time cap (or could never be admitted); retire it so Wait and Drain
@@ -1011,11 +1012,11 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 	}
 	c.simGroup = simmpi.NewGroup(r.sub.world, c.placement, c.id)
 	c.job.start(engineEnv{
-		rt:        &countingRT{simRT: simRT{s: r.sub.sim}, c: c, r: r},
+		rt:        &countingRT{simRT: simRT{s: r.sub.sims[0]}, c: c, r: r},
 		sims:      r.sub.sims[:c.nodes], // one shared simulator: any c.nodes entries will do
 		endpoints: groupEndpoints(c.simGroup, c.nodes),
 		pool:      pool,
-		clock:     r.sub,
+		clock:     r.sub.loop,
 		epoch:     c.startedAt,
 		wire:      c.simGroup,
 	})

@@ -12,19 +12,19 @@ import (
 )
 
 // engineEnv is what one engine bring-up needs from whoever hosts it, and
-// everything the three substrates — one event loop, a sharded one, live
-// goroutines — and their two kinds of host differ in: Job.Run owns a whole
-// substrate, a Runtime lends each admitted job a tenant's share of one. It
-// is a plain value of slices and pointers because a Runtime fills one per
-// job: no closure per node, nothing boxed that is not already a pointer.
+// everything the two substrates — the sharded simulator, live goroutines —
+// and their two kinds of host differ in: Job.Run owns a whole substrate, a
+// Runtime lends each admitted job a tenant's share of one. It is a plain
+// value of slices and pointers because a Runtime fills one per job: no
+// closure per node, nothing boxed that is not already a pointer.
 type engineEnv struct {
 	// rt is the substrate every node's threads run on: the live rt, or a
 	// tenant's counting veneer over the shared simulator. Nil means each
 	// node runs directly on its own simulator, sims[n].
 	rt rt
-	// sims maps node -> owning simulator: the same one throughout, or the
-	// owning shard's in a sharded run, so everything a node spawns stays on
-	// its shard. Nil on the live backend, which has no device model.
+	// sims maps node -> owning simulator (its shard's), so everything a node
+	// spawns stays on its shard. Nil on the live backend, which has no
+	// device model.
 	sims []*sim.Sim
 	// endpoints holds each node's raw transport endpoint, in job-local node
 	// space, before the configured middlewares wrap it.
@@ -36,10 +36,10 @@ type engineEnv struct {
 	// and never observable in virtual time.
 	pool *bufpool.Pool
 	// clock read at report time, less epoch, is the job's Elapsed; the
-	// clocks are deliberately not normalised. An exclusive event loop reads
-	// its time after Run drained trailing wire procs, a sharded run reads
-	// the coordinator's shard-count-invariant elapsed time, a tenant reads
-	// the shared clock at its completion instant, a live run the wall.
+	// clocks are deliberately not normalised. An exclusive run reads the
+	// simulator's shard-count-invariant time after Run delivered its
+	// trailing arrivals, a tenant reads the shared clock at its completion
+	// instant, a live run the wall.
 	clock interface{ Now() time.Duration }
 	// epoch is the job's start on clock: its admission instant on a
 	// multi-tenant runtime's shared simulated clock, zero on job-local
@@ -58,91 +58,54 @@ type wireTotals interface {
 	Bytes() int64
 }
 
-// substrate is a simulated cluster: the event loop (or the sharded set of
-// them), the fabric, the staging pool and the underlying MPI world. Job.Run
-// builds one per run and a simulated Runtime one per batch.
+// substrate is a simulated cluster: the event loops and their coordinator,
+// the fabric, the staging pool and the underlying MPI world. Job.Run builds
+// one per run and a simulated Runtime one per batch.
 type substrate struct {
-	// sim is the single event loop; nil when the run is sharded.
-	sim *sim.Sim
-	// sharded coordinates the per-shard event loops; nil when Shards == 0.
-	sharded *sim.Sharded
-	sims    []*sim.Sim // node -> owning event loop
-	net     *fabric.Network
-	pool    *bufpool.Pool
-	world   *mpi.World
+	// loop drives the per-shard event loops and is the cluster's clock.
+	loop  *sim.Sharded
+	sims  []*sim.Sim // node -> owning event loop
+	net   *fabric.Network
+	pool  *bufpool.Pool
+	world *mpi.World
 }
 
 // newSubstrate builds a simulated cluster of the given shape: one fabric,
-// one MPI world with a rank per node, one pool. The only fork is the event
-// loop under them. Shards == 0 is the classic single event loop. Shards >=
-// 1 splits the nodes into that many groups, each owning its own event loop
-// (sim.Sharded), which advance in parallel through conservative lookahead
-// windows bounded by the fabric's minimum cross-shard latency; cross-shard
-// packets are exchanged only at window barriers, in a total order
-// independent of the shard count, so a sharded run's Report is
-// bit-identical for every Shards value — only the wall-clock time changes.
-// Jitter applies to the single event loop only (Config.validate rejects it
-// on sharded runs).
-//
-// Below this constructor the two differ in three places, which is the list
-// a golden re-baseline has to flip before the classic loop can go:
-// sim.(*Sim).step (an arrival is served before a timer of the same
-// instant; a plain Sim has no arrivals), fabric.(*Node).Send (the wire hop
-// is a sleeping proc, or a timestamped arrival posted to the destination's
-// shard), and gpuThread.monitorPhase (the poll daemon's first-tick offset).
+// one MPI world with a rank per node, one pool, over one sharded simulator.
+// shards is how many groups the nodes are split into, each owning its own
+// event loop (0 means 1); they advance in parallel through conservative
+// lookahead windows bounded by the fabric's minimum cross-shard latency,
+// and cross-node packets travel as timestamped arrivals in a total order
+// independent of the shard count, so a run's Report is bit-identical for
+// every value — only the wall-clock time changes. Jitter draws from the
+// owning event loop's stream, which is why checkRunnable allows it on one
+// shard only.
 func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int, maxTime time.Duration, jitterFrac float64, jitterSeed int64) *substrate {
-	sub := &substrate{pool: bufpool.New(), sims: make([]*sim.Sim, nodes)}
-	if shards == 0 {
-		sub.sim = sim.New()
-		if jitterFrac > 0 || jitterSeed != 0 {
-			sub.sim.SetJitter(jitterFrac, jitterSeed)
-		}
-		sub.sim.SetMaxTime(maxTime)
-		sub.net = fabric.New(sub.sim, nodes, netCfg)
-	} else {
-		sub.sharded = sim.NewSharded(shards)
-		sub.sharded.SetMaxTime(maxTime)
-		// Topology-aware node -> shard partition: whole locality groups
-		// (fat-tree pods, dragonfly groups) go to one shard, so intra-group
-		// traffic — the short-hop majority — stays on the shard's same-shard
-		// fast path, and the cross-shard latency (and therefore the
-		// lookahead window) is set by the multi-hop inter-group tier instead
-		// of the cheapest link. On flat/ungrouped fabrics this degenerates
-		// to the legacy contiguous block partition. The partition only
-		// changes which event loop owns a node, never event ordering, so
-		// Reports stay bit-identical across shard counts either way.
-		shardOf := fabric.ShardPartition(netCfg.Topology, nodes, shards)
-		sub.net = fabric.NewSharded(sub.sharded, nodes, netCfg, shardOf)
-		sub.sharded.SetLookahead(sub.net.Lookahead())
+	sub := &substrate{pool: bufpool.New(), sims: make([]*sim.Sim, nodes), loop: sim.NewSharded(max(shards, 1))}
+	sub.loop.SetMaxTime(maxTime)
+	if jitterFrac > 0 {
+		sub.loop.Shard(0).Sim().SetJitter(jitterFrac, jitterSeed) // the only shard
 	}
+	// Topology-aware node -> shard partition: whole locality groups
+	// (fat-tree pods, dragonfly groups) go to one shard, so intra-group
+	// traffic — the short-hop majority — stays on the shard's same-shard
+	// fast path, and the cross-shard latency (and therefore the
+	// lookahead window) is set by the multi-hop inter-group tier instead
+	// of the cheapest link. On flat/ungrouped fabrics this degenerates
+	// to the legacy contiguous block partition. The partition only
+	// changes which event loop owns a node, never event ordering, so
+	// Reports stay bit-identical across shard counts either way.
+	shardOf := fabric.ShardPartition(netCfg.Topology, nodes, sub.loop.Shards())
+	sub.net = fabric.NewSharded(sub.loop, nodes, netCfg, shardOf)
+	sub.loop.SetLookahead(sub.net.Lookahead())
 	nodeOf := make([]int, nodes) // one underlying MPI rank per node
 	for n := range nodeOf {
 		nodeOf[n] = n
 		sub.sims[n] = sub.net.Node(n).Sim()
 	}
 	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
-	sub.world = mpi.NewWorld(sub.sim, sub.net, nodeOf, mpiCfg)
+	sub.world = mpi.NewWorld(nil, sub.net, nodeOf, mpiCfg)
 	return sub
-}
-
-// run drives the substrate's event loop(s) until every non-daemon proc has
-// finished.
-func (sub *substrate) run() error {
-	if sub.sharded != nil {
-		return sub.sharded.Run()
-	}
-	return sub.sim.Run()
-}
-
-// Now is the substrate's clock as a host reads it: the event loop's
-// current time, or — once a sharded run has returned — the instant its
-// last non-daemon proc finished (each shard's own clock may have run to
-// the window edge).
-func (sub *substrate) Now() time.Duration {
-	if sub.sharded != nil {
-		return sub.sharded.Elapsed()
-	}
-	return sub.sim.Now()
 }
 
 // Packets counts the inter-node packets the fabric carried.
@@ -162,7 +125,7 @@ func (sub *substrate) Bytes() int64 {
 // pool, clock and fabric totals.
 func (sub *substrate) exclusiveEnv() engineEnv {
 	return engineEnv{sims: sub.sims, endpoints: groupEndpoints(simmpi.WorldGroup(sub.world), len(sub.sims)),
-		pool: sub.pool, clock: sub, wire: sub}
+		pool: sub.pool, clock: sub.loop, wire: sub}
 }
 
 // groupEndpoints lists a simulated-MPI group's per-node endpoints as the

@@ -12,14 +12,11 @@
 //
 // New builds a network on one simulator, NewSharded the same nodes spread
 // over the shards of a sim.Sharded; either way a Node knows the simulator
-// that owns it (Node.Sim), which is all the layers above need, and counts
-// its own inter-node traffic (Network.Totals sums the nodes; there is no
-// other wire counter). The two kinds of network differ in one place, the
-// wire hop in Node.Send: a proc that sleeps the flight latency on the
-// shared simulator, or a timestamped arrival posted to the destination's
-// shard. That is one of the three classic-vs-sharded branch points left;
-// the others are sim.(*Sim).step's arrival-before-timer rule and
-// core.(*gpuThread).monitorPhase.
+// that owns it (Node.Sim), which is all the layers above need, counts its
+// own inter-node traffic (Network.Totals sums the nodes; there is no other
+// wire counter), and hands every inter-node packet to the destination's
+// simulator as a timestamped arrival, ordered by (delivery time, source
+// node, per-source sequence) wherever the two nodes live.
 package fabric
 
 import (
@@ -87,17 +84,15 @@ func New(s *sim.Sim, n int, cfg Config) *Network {
 	checkConfig(n, cfg)
 	net := &Network{cfg: cfg}
 	for i := 0; i < n; i++ {
-		net.nodes = append(net.nodes, newNode(net, i, s, nil))
+		net.nodes = append(net.nodes, newNode(net, i, s))
 	}
 	return net
 }
 
 // NewSharded creates a network of n nodes spread across the shards of a
 // sharded simulation: node i's endpoint state (NICs, inbox) lives on
-// shard shardOf[i]'s Sim, and inter-node packets whose endpoints may be
-// on different shards are delivered through the coordinator's arrival
-// mechanism, ordered by (delivery time, source node, per-source sequence)
-// so the schedule is identical for every shard count.
+// shard shardOf[i]'s Sim, and the schedule is identical for every shard
+// count.
 func NewSharded(sc *sim.Sharded, n int, cfg Config, shardOf []int) *Network {
 	checkConfig(n, cfg)
 	if len(shardOf) != n {
@@ -105,8 +100,7 @@ func NewSharded(sc *sim.Sharded, n int, cfg Config, shardOf []int) *Network {
 	}
 	net := &Network{cfg: cfg, shardOf: shardOf}
 	for i := 0; i < n; i++ {
-		sh := sc.Shard(shardOf[i])
-		net.nodes = append(net.nodes, newNode(net, i, sh.Sim(), sh))
+		net.nodes = append(net.nodes, newNode(net, i, sc.Shard(shardOf[i]).Sim()))
 	}
 	return net
 }
@@ -124,12 +118,11 @@ func checkConfig(n int, cfg Config) {
 	}
 }
 
-func newNode(net *Network, id int, s *sim.Sim, shard *sim.Shard) *Node {
+func newNode(net *Network, id int, s *sim.Sim) *Node {
 	return &Node{
 		net:     net,
 		id:      id,
 		s:       s,
-		shard:   shard,
 		sendNIC: s.NewResource(fmt.Sprintf("nic-tx%d", id), 1),
 		recvNIC: s.NewResource(fmt.Sprintf("nic-rx%d", id), 1),
 		Inbox:   sim.NewQueue[*Packet](s, fmt.Sprintf("inbox%d", id)),
@@ -189,15 +182,14 @@ func (n *Network) Node(id int) *Node { return n.nodes[id] }
 type Node struct {
 	net     *Network
 	id      int
-	s       *sim.Sim   // the Sim owning this node's endpoint state
-	shard   *sim.Shard // non-nil when the network is sharded
+	s       *sim.Sim // the Sim owning this node's endpoint state
 	sendNIC *sim.Resource
 	recvNIC *sim.Resource
 	// Inbox receives every packet addressed to this node, in arrival order.
 	Inbox *sim.Queue[*Packet]
 
 	// xseq numbers this node's inter-node packets; with the delivery time
-	// and node id it forms the deterministic cross-shard ordering key.
+	// and node id it forms the deterministic arrival ordering key.
 	xseq uint64
 	// pkts/bytes count inter-node traffic from this node (see Totals).
 	pkts  int
@@ -224,9 +216,7 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	cfg := nd.net.cfg
 	if dst == nd.id {
 		// Intra-node shared-memory transport: sender pays the copy, a tiny
-		// helper completes delivery after the latency. Both endpoints are
-		// the same node (hence the same shard), so this path is identical
-		// in plain and sharded networks.
+		// helper completes delivery after the latency.
 		p.SleepJit(time.Duration(float64(size) / cfg.ShmBW * 1e9))
 		target := nd.net.nodes[dst]
 		// Delivery latency is deliberately NOT jittered: constant flight
@@ -241,25 +231,14 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	nd.bytes += int64(size)
 	// Outbound: hold the TX NIC for overhead + serialization.
 	nd.sendNIC.Use(p, cfg.SendOverhead+time.Duration(float64(size)/cfg.BW*1e9))
-	// In flight + receiver processing. Flight latency is NOT jittered so
-	// per-sender packet order is preserved (MPI non-overtaking); jitter
-	// applies to NIC serialization.
+	// In flight + receiver processing: an arrival on the destination's
+	// simulator (at least the lookahead away when that is another shard, by
+	// construction). Flight latency is NOT jittered so per-sender packet
+	// order is preserved (MPI non-overtaking); jitter applies to NIC
+	// serialization.
 	target := nd.net.nodes[dst]
-	lat := nd.net.latency(nd.id, dst)
-	if nd.shard != nil {
-		// The destination may live on another shard: route through the
-		// coordinator's arrival mechanism, whose (time, src, seq) order
-		// makes delivery identical at every shard count. The wire latency
-		// is at least the configured lookahead by construction.
-		nd.xseq++
-		nd.shard.PostArrival(p.Now()+lat, nd.net.shardOf[dst], nd.id, nd.xseq, "wire", func(w *sim.Proc) {
-			target.recvNIC.Use(w, cfg.RecvOverhead)
-			target.Inbox.Put(pkt)
-		})
-		return
-	}
-	nd.s.Spawn("wire", func(w *sim.Proc) {
-		w.Sleep(lat)
+	nd.xseq++
+	nd.s.PostArrival(p.Now()+nd.net.latency(nd.id, dst), target.s, nd.id, nd.xseq, "wire", func(w *sim.Proc) {
 		target.recvNIC.Use(w, cfg.RecvOverhead)
 		target.Inbox.Put(pkt)
 	})

@@ -16,8 +16,7 @@
 //
 // NewWorld is the only constructor. A world runs on whatever fabric it is
 // given, plain or sharded: each rank's procs, events and progress engine
-// live on the simulator that owns its fabric node (fabric.Node.Sim), so
-// this package holds no classic-vs-sharded branch of its own.
+// live on the simulator that owns its fabric node (fabric.Node.Sim).
 package mpi
 
 import (

@@ -1,43 +1,74 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
 // Inject and Kill: the event-boundary escape hatch external controllers
 // (job cancellation, the runtime control API) use to mutate simulation
-// state without racing the single-threaded kernel.
+// state without racing the single-threaded kernel. They must work under
+// every loop that drives a Sim: its own Run, and a Sharded coordinator's —
+// of one shard, which is what a Runtime runs on, and of two.
+
+// testLoop is one way of driving simulators to completion.
+type testLoop struct {
+	name string
+	// first and last are the simulators of the first and the last shard: the
+	// same Sim unless the loop has two.
+	first, last *Sim
+	run         func() error
+	now         func() time.Duration
+}
+
+func testLoops() []testLoop {
+	s := New()
+	loops := []testLoop{{"sim", s, s, s.Run, s.Now}}
+	for _, shards := range []int{1, 2} {
+		sc := NewSharded(shards)
+		sc.SetLookahead(time.Microsecond)
+		loops = append(loops, testLoop{fmt.Sprintf("sharded%d", shards),
+			sc.Shard(0).Sim(), sc.Shard(shards - 1).Sim(), sc.Run, sc.Now})
+	}
+	return loops
+}
 
 // TestInjectRunsBeforeEvents: a thunk posted before Run executes at the
 // first scheduler boundary, ahead of any proc step.
 func TestInjectRunsBeforeEvents(t *testing.T) {
-	s := New()
-	var order []string
-	s.Spawn("worker", func(p *Proc) {
-		order = append(order, "worker")
-	})
-	if !s.Inject(func() { order = append(order, "inject") }) {
-		t.Fatal("Inject refused before Run")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "inject" || order[1] != "worker" {
-		t.Fatalf("execution order %v, want [inject worker]", order)
+	for _, l := range testLoops() {
+		t.Run(l.name, func(t *testing.T) {
+			var order []string
+			l.last.Spawn("worker", func(p *Proc) {
+				order = append(order, "worker")
+			})
+			if !l.first.Inject(func() { order = append(order, "inject") }) {
+				t.Fatal("Inject refused before Run")
+			}
+			if err := l.run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) != 2 || order[0] != "inject" || order[1] != "worker" {
+				t.Fatalf("execution order %v, want [inject worker]", order)
+			}
+		})
 	}
 }
 
 // TestInjectAfterShutdown: once the simulation has shut down, Inject
 // refuses the thunk instead of queueing it forever.
 func TestInjectAfterShutdown(t *testing.T) {
-	s := New()
-	s.Spawn("noop", func(p *Proc) {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Inject(func() {}) {
-		t.Fatal("Inject accepted a thunk after shutdown")
+	for _, l := range testLoops() {
+		t.Run(l.name, func(t *testing.T) {
+			l.first.Spawn("noop", func(p *Proc) {})
+			if err := l.run(); err != nil {
+				t.Fatal(err)
+			}
+			if l.first.Inject(func() {}) || l.last.Inject(func() {}) {
+				t.Fatal("Inject accepted a thunk after shutdown")
+			}
+		})
 	}
 }
 
@@ -45,21 +76,24 @@ func TestInjectAfterShutdown(t *testing.T) {
 // it done and adjusts the live count, so Run terminates at once instead
 // of waiting out the proc's timer.
 func TestKillUnwindsProc(t *testing.T) {
-	s := New()
-	var executed bool
-	victim := s.Spawn("victim", func(p *Proc) {
-		p.Sleep(time.Hour)
-		executed = true
-	})
-	s.Inject(func() { s.Kill(victim) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if executed {
-		t.Error("victim ran after being killed")
-	}
-	if s.Now() != 0 {
-		t.Errorf("virtual clock advanced to %v waiting on a killed proc", s.Now())
+	for _, l := range testLoops() {
+		t.Run(l.name, func(t *testing.T) {
+			var executed bool
+			victim := l.last.Spawn("victim", func(p *Proc) {
+				p.Sleep(time.Hour)
+				executed = true
+			})
+			l.first.Inject(func() { l.last.Kill(victim) })
+			if err := l.run(); err != nil {
+				t.Fatal(err)
+			}
+			if executed {
+				t.Error("victim ran after being killed")
+			}
+			if l.now() != 0 {
+				t.Errorf("virtual clock advanced to %v waiting on a killed proc", l.now())
+			}
+		})
 	}
 }
 
@@ -67,38 +101,44 @@ func TestKillUnwindsProc(t *testing.T) {
 // next virtual-time event boundary — the clock stops there, not at the
 // victim's distant wakeup — and the victim's defers run on the unwind.
 func TestKillAtEventBoundary(t *testing.T) {
-	s := New()
-	var executed, cleaned bool
-	victim := s.Spawn("victim", func(p *Proc) {
-		defer func() { cleaned = true }()
-		p.Sleep(time.Hour)
-		executed = true
-	})
-	s.Spawn("watcher", func(p *Proc) {
-		p.Sleep(10 * time.Millisecond)
-		s.Inject(func() { s.Kill(victim) })
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if executed {
-		t.Error("victim survived the injected kill")
-	}
-	if !cleaned {
-		t.Error("victim's defer did not run on kill")
-	}
-	if s.Now() != 10*time.Millisecond {
-		t.Errorf("run ended at %v, want the 10ms kill boundary", s.Now())
+	for _, l := range testLoops() {
+		t.Run(l.name, func(t *testing.T) {
+			var executed, cleaned bool
+			victim := l.last.Spawn("victim", func(p *Proc) {
+				defer func() { cleaned = true }()
+				p.Sleep(time.Hour)
+				executed = true
+			})
+			l.first.Spawn("watcher", func(p *Proc) {
+				p.Sleep(10 * time.Millisecond)
+				l.last.Inject(func() { l.last.Kill(victim) })
+			})
+			if err := l.run(); err != nil {
+				t.Fatal(err)
+			}
+			if executed {
+				t.Error("victim survived the injected kill")
+			}
+			if !cleaned {
+				t.Error("victim's defer did not run on kill")
+			}
+			if l.now() != 10*time.Millisecond {
+				t.Errorf("run ended at %v, want the 10ms kill boundary", l.now())
+			}
+		})
 	}
 }
 
 // TestKillFinishedProcIsNoOp: Kill after the proc already exited (or
 // after the run) must not panic or block.
 func TestKillFinishedProcIsNoOp(t *testing.T) {
-	s := New()
-	p := s.Spawn("quick", func(p *Proc) {})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
+	for _, l := range testLoops() {
+		t.Run(l.name, func(t *testing.T) {
+			p := l.last.Spawn("quick", func(p *Proc) {})
+			if err := l.run(); err != nil {
+				t.Fatal(err)
+			}
+			l.last.Kill(p) // already done: no-op
+		})
 	}
-	s.Kill(p) // already done: no-op
 }

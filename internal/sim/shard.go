@@ -11,22 +11,23 @@ import (
 // lookahead synchronization, the classic parallel-discrete-event recipe
 // (Chandy/Misra/Bryant): all shards share a window [W, W+L) where W is the
 // earliest pending event anywhere and L is the lookahead — the minimum
-// latency of any cross-shard interaction. Within a window every shard
-// advances independently on its own goroutine; at the window edge all
-// shards barrier and exchange the cross-shard events generated inside it.
+// latency of any cross-shard interaction. Within a window every shard with
+// work advances independently; at the window edge all shards barrier and
+// exchange the cross-shard events generated inside it. A Sharded of one
+// shard is the same loop on one goroutine.
 //
 // Correctness requires that every interaction between procs on different
-// shards is posted through Shard.PostArrival with a delivery time at least
-// L past the time the posting proc observed, which holds by construction
-// when L is the minimum cross-shard wire latency of the modeled fabric.
+// shards is posted through PostArrival with a delivery time at least L past
+// the time the posting proc observed, which holds by construction when L is
+// the minimum cross-shard wire latency of the modeled fabric.
 //
-// Determinism across shard counts (the property the scale CI gate pins:
-// -shards 1 must be bit-identical to -shards N) comes from two rules:
+// Determinism across shard counts (Shards 1 must be bit-identical to Shards
+// N) comes from two rules:
 //
 //  1. Arrivals are totally ordered by (virtual time, source id, per-source
 //     sequence) — shard-count-invariant keys, never by shard id or posting
 //     order, which both change with the shard count.
-//  2. At equal virtual time a shard delivers arrivals before firing local
+//  2. At equal virtual time a Sim delivers arrivals before firing local
 //     timers, uniformly at every shard count.
 //
 // Per-node event order is then invariant by induction: a node's procs only
@@ -37,7 +38,10 @@ type Sharded struct {
 	shards    []*Shard
 	lookahead int64
 	maxTime   int64
-	elapsed   int64
+	// busy lists the shards with work inside the window being run.
+	busy []*Shard
+	// finished is set as Run returns nil; see Now.
+	finished bool
 }
 
 // Shard is one partition of a sharded simulation: it owns a private Sim
@@ -59,14 +63,14 @@ type Shard struct {
 	windowEnd int64
 }
 
-// arrival is one cross-shard event delivery: at time at, spawn a proc
-// running fn on the destination shard. src and seq form the deterministic
-// tiebreak for simultaneous arrivals (see the ordering rule on Sharded).
+// arrival is one cross-node event delivery: at time at, spawn a proc
+// running fn on simulator dst. src and seq form the deterministic tiebreak
+// for simultaneous arrivals (see the ordering rule on Sharded).
 type arrival struct {
 	at   int64
 	src  int
 	seq  uint64
-	dst  int // destination shard index
+	dst  *Sim
 	name ident
 	fn   func(p *Proc)
 }
@@ -78,7 +82,9 @@ func NewSharded(n int) *Sharded {
 	}
 	sc := &Sharded{shards: make([]*Shard, n)}
 	for i := range sc.shards {
-		sc.shards[i] = &Shard{coord: sc, id: i, sim: New()}
+		sh := &Shard{coord: sc, id: i, sim: New()}
+		sh.sim.shard = sh
+		sc.shards[i] = sh
 	}
 	return sc
 }
@@ -104,12 +110,25 @@ func (sc *Sharded) SetLookahead(d time.Duration) {
 // lies beyond it.
 func (sc *Sharded) SetMaxTime(d time.Duration) { sc.maxTime = int64(d) }
 
-// Elapsed returns, after Run, the virtual time at which the last
-// non-daemon proc finished — the sharded equivalent of Sim.Now at the end
-// of a plain run. Daemon-only activity (poll loops racing to the window
-// edge) deliberately does not count, so the value is identical for every
-// shard count.
-func (sc *Sharded) Elapsed() time.Duration { return time.Duration(sc.elapsed) }
+// Now returns the simulation's clock. Once Run has returned nil it is the
+// virtual time at which the last non-daemon proc finished: daemon-only
+// activity (poll loops racing to the window edge) deliberately does not
+// count, so the value is identical for every shard count. Until then — and
+// after a run cut short by an error — it is the furthest any shard has
+// advanced (on one shard, that shard's clock), which procs may read only
+// when there is one shard, and Inject thunks (they run at a barrier)
+// always.
+func (sc *Sharded) Now() time.Duration {
+	var now int64
+	for _, sh := range sc.shards {
+		if sc.finished {
+			now = max(now, sh.sim.idleAt)
+		} else {
+			now = max(now, sh.sim.now)
+		}
+	}
+	return time.Duration(now)
+}
 
 // ID returns the shard's index within its Sharded coordinator.
 func (sh *Shard) ID() int { return sh.id }
@@ -118,48 +137,49 @@ func (sh *Shard) ID() int { return sh.id }
 // resources belonging to this shard's partition are created on it.
 func (sh *Shard) Sim() *Sim { return sh.sim }
 
-// PostArrival schedules fn to run as a fresh proc on shard dstShard at
-// virtual time at. It must be called from a proc running on this shard.
-// src is a shard-count-invariant source identifier (a node id) and seq a
-// monotonically increasing per-source counter; together with at they form
-// the total delivery order, so equal-time arrivals are delivered
-// identically at every shard count.
+// PostArrival schedules fn to run as a fresh proc on simulator dst at
+// virtual time at; it is the one way procs of different nodes interact, and
+// must be called from a proc running on s. src is a shard-count-invariant
+// source identifier (a node id) and seq a monotonically increasing
+// per-source counter; together with at they form the total delivery order,
+// so equal-time arrivals are delivered identically at every shard count.
 //
-// A cross-shard at must lie at or beyond the current window's edge — i.e.
-// at least the configured lookahead past the time the posting proc
-// observed — or PostArrival panics, because delivering it this window on
-// another shard that already advanced past it would break causality. A
-// same-shard delivery carries no such bound (two hosts under one fat-tree
-// edge switch are closer than the cheapest cross-shard path) and goes
-// straight into this shard's own arrival heap instead of the outbox; the
-// heap's (at, src, seq) order makes delivery identical either way, so the
-// shortcut is invisible to the determinism gate.
-func (sh *Shard) PostArrival(at time.Duration, dstShard, src int, seq uint64, prefix string, fn func(p *Proc)) {
-	at64 := int64(at)
-	if dstShard < 0 || dstShard >= len(sh.coord.shards) {
-		panic(fmt.Sprintf("sim: PostArrival to unknown shard %d", dstShard))
-	}
-	a := arrival{
-		at:   at64,
-		src:  src,
-		seq:  seq,
-		dst:  dstShard,
-		name: ident{prefix: prefix, id: src},
-		fn:   fn,
-	}
-	if dstShard == sh.id {
-		if at64 < sh.sim.now {
-			panic(fmt.Sprintf("sim: same-shard arrival at %v before current time %v",
-				at, time.Duration(sh.sim.now)))
+// dst is s itself or another shard of the same sharded simulation. A
+// cross-shard at must lie at or beyond the current window's edge — i.e. at
+// least the configured lookahead past the time the posting proc observed —
+// or PostArrival panics, because delivering it this window on another shard
+// that already advanced past it would break causality. A same-simulator
+// delivery carries no such bound (two hosts under one fat-tree edge switch
+// are closer than the cheapest cross-shard path) and goes straight into s's
+// own arrival heap instead of the outbox; the heap's (at, src, seq) order
+// makes delivery identical either way.
+func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefix string, fn func(p *Proc)) {
+	a := arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{prefix: prefix, id: src}, fn: fn}
+	if dst == s {
+		if a.at < s.now {
+			panic(fmt.Sprintf("sim: arrival at %v before current time %v", at, time.Duration(s.now)))
 		}
-		sh.sim.arrivals.push(a)
+		s.arrivals.push(a)
 		return
 	}
-	if at64 < sh.windowEnd {
+	sh := s.shard
+	if sh == nil || dst.shard == nil || dst.shard.coord != sh.coord {
+		panic("sim: PostArrival to a simulator that is not a shard of the same simulation")
+	}
+	if a.at < sh.windowEnd {
 		panic(fmt.Sprintf("sim: arrival at %v inside current window ending %v: cross-shard latency below lookahead",
 			at, time.Duration(sh.windowEnd)))
 	}
 	sh.outbox = append(sh.outbox, a)
+}
+
+// PostArrival is Sim.PostArrival from this shard's simulator to shard
+// dstShard's.
+func (sh *Shard) PostArrival(at time.Duration, dstShard, src int, seq uint64, prefix string, fn func(p *Proc)) {
+	if dstShard < 0 || dstShard >= len(sh.coord.shards) {
+		panic(fmt.Sprintf("sim: PostArrival to unknown shard %d", dstShard))
+	}
+	sh.sim.PostArrival(at, sh.coord.shards[dstShard].sim, src, seq, prefix, fn)
 }
 
 // nextEventAt returns the earliest virtual time at which this shard has
@@ -183,13 +203,15 @@ func (sh *Shard) runWindow(end int64) {
 
 // Run executes all shards to completion. Each iteration merges the
 // outboxes filled during the previous window into the destination shards'
-// arrival heaps, checks for failure/termination/deadlock/timeout, computes
-// the next window [W, W+lookahead) from the globally earliest pending
-// event, and runs every shard's window on its own goroutine. It returns
-// the first failure (lowest shard index), a DeadlockError aggregating
-// blocked procs across all shards, a TimeoutError if the clock would pass
-// SetMaxTime, or nil once every non-daemon proc has finished and no
-// arrivals remain in flight.
+// arrival heaps and runs the thunks Injected since (so they may Spawn and
+// Kill, as under Sim.Run), checks for failure/termination/deadlock/timeout,
+// computes the next window [W, W+lookahead) from the globally earliest
+// pending event, and runs the window on every shard that has work in it.
+// It returns the first failure (lowest shard index), a DeadlockError
+// aggregating blocked procs across all shards, a TimeoutError if the clock
+// would pass SetMaxTime, or nil once every non-daemon proc has finished and
+// no arrivals remain in flight. The window in which that happens still runs
+// to its edge, so daemons may tick past the instant Now reports.
 func (sc *Sharded) Run() error {
 	if sc.lookahead <= 0 {
 		panic("sim: Sharded.Run without SetLookahead")
@@ -202,35 +224,28 @@ func (sc *Sharded) Run() error {
 	for {
 		for _, sh := range sc.shards {
 			for _, a := range sh.outbox {
-				sc.shards[a.dst].sim.arrivals.push(a)
+				a.dst.arrivals.push(a)
 			}
 			sh.outbox = sh.outbox[:0]
+			sh.sim.drainInjected()
 		}
+		live, pending, w := 0, 0, int64(never)
 		for _, sh := range sc.shards {
 			if sh.sim.failure != nil {
-				sc.recordElapsed()
 				return sh.sim.failure
 			}
-		}
-		live, pending := 0, 0
-		for _, sh := range sc.shards {
 			live += sh.sim.live
 			pending += sh.sim.arrivals.len()
-		}
-		if live == 0 && pending == 0 {
-			sc.recordElapsed()
-			return nil
-		}
-		w := int64(never)
-		for _, sh := range sc.shards {
 			w = min(w, sh.nextEventAt())
 		}
+		if live == 0 && pending == 0 {
+			sc.finished = true
+			return nil
+		}
 		if w == never {
-			sc.recordElapsed()
 			return sc.deadlockError()
 		}
 		if sc.maxTime > 0 && w > sc.maxTime {
-			sc.recordElapsed()
 			return &TimeoutError{Limit: time.Duration(sc.maxTime)}
 		}
 		end := w + sc.lookahead
@@ -239,26 +254,36 @@ func (sc *Sharded) Run() error {
 			// barrier then reports the timeout deterministically.
 			end = sc.maxTime + 1
 		}
-		var wg sync.WaitGroup
+		sc.busy = sc.busy[:0]
 		for _, sh := range sc.shards {
-			wg.Add(1)
-			go func(sh *Shard) {
-				defer wg.Done()
-				sh.runWindow(end)
-			}(sh)
+			if sh.nextEventAt() < end {
+				sc.busy = append(sc.busy, sh)
+			}
 		}
-		wg.Wait()
+		sc.runBusy(end)
 	}
 }
 
-// recordElapsed captures the shard-count-invariant elapsed time: the max
-// over shards of the moment their last non-daemon proc finished.
-func (sc *Sharded) recordElapsed() {
-	for _, sh := range sc.shards {
-		if sh.sim.idleAt > sc.elapsed {
-			sc.elapsed = sh.sim.idleAt
-		}
+// runBusy runs the window ending at end on every busy shard: the last on
+// the caller's goroutine, any others each on one of their own. A window
+// with one busy shard — every window of a one-shard simulation, and most
+// of a ping-pong's — therefore starts no goroutine and allocates nothing.
+func (sc *Sharded) runBusy(end int64) {
+	last := len(sc.busy) - 1
+	if last == 0 {
+		sc.busy[0].runWindow(end)
+		return
 	}
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for _, sh := range sc.busy[:last] {
+		go func(sh *Shard) {
+			defer wg.Done()
+			sh.runWindow(end)
+		}(sh)
+	}
+	sc.busy[last].runWindow(end)
+	wg.Wait()
 }
 
 // deadlockError aggregates blocked procs across every shard into one

@@ -69,7 +69,7 @@ func runFanout(t *testing.T, nodes, shards, rounds int) ([][]string, time.Durati
 	for i, n := range ns {
 		logs[i] = n.log
 	}
-	return logs, sc.Elapsed()
+	return logs, sc.Now()
 }
 
 // TestShardedDeterminism pins the core property: per-node event logs and
@@ -126,6 +126,48 @@ func TestShardedArrivalBeforeTimer(t *testing.T) {
 	}
 }
 
+// TestSimRunDeliversArrivals pins the same hop on a plain Sim: Run stays
+// alive for an arrival posted to its own simulator after the last proc has
+// exited, delivers it ahead of a timer of the same instant, and reports a
+// TimeoutError when only an arrival lies beyond SetMaxTime.
+func TestSimRunDeliversArrivals(t *testing.T) {
+	const lat = 100 * time.Nanosecond
+	s := New()
+	var log []string
+	s.Spawn("poster", func(p *Proc) {
+		for seq := uint64(1); seq <= 2; seq++ { // the second lands when no proc is left
+			s.PostArrival(p.Now()+time.Duration(seq)*lat, s, 0, seq, "arr", func(w *Proc) {
+				log = append(log, fmt.Sprintf("%d arrival", w.Now().Nanoseconds()))
+			})
+		}
+	})
+	s.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(lat)
+		log = append(log, fmt.Sprintf("%d timer", p.Now().Nanoseconds()))
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(log), "[100 arrival 100 timer 200 arrival]"; got != want {
+		t.Errorf("log %v, want %v", got, want)
+	}
+	if s.Now() != 2*lat {
+		t.Errorf("run ended at %v, want %v", s.Now(), 2*lat)
+	}
+
+	s = New()
+	s.SetMaxTime(10 * lat)
+	s.Spawn("poster", func(p *Proc) {
+		s.PostArrival(p.Now()+time.Second, s, 0, 1, "arr", func(*Proc) {
+			t.Error("arrival beyond the ceiling was delivered")
+		})
+	})
+	var to *TimeoutError
+	if err := s.Run(); !errors.As(err, &to) {
+		t.Fatalf("got %v, want TimeoutError", err)
+	}
+}
+
 // TestShardedElapsedIgnoresDaemons pins that daemon poll timers racing to
 // the window edge do not perturb Elapsed across shard counts.
 func TestShardedElapsedIgnoresDaemons(t *testing.T) {
@@ -154,12 +196,12 @@ func TestShardedElapsedIgnoresDaemons(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if i == 0 {
-			ref = sc.Elapsed()
+			ref = sc.Now()
 			if ref != 200*time.Nanosecond {
 				t.Fatalf("elapsed %v, want 200ns", ref)
 			}
-		} else if sc.Elapsed() != ref {
-			t.Errorf("shards=%d: elapsed %v != %v", shards, sc.Elapsed(), ref)
+		} else if sc.Now() != ref {
+			t.Errorf("shards=%d: elapsed %v != %v", shards, sc.Now(), ref)
 		}
 	}
 }
@@ -186,7 +228,7 @@ func TestShardedDeadlock(t *testing.T) {
 }
 
 // TestShardedTimeout reports a TimeoutError once all pending events lie
-// beyond the virtual-time ceiling.
+// beyond the virtual-time ceiling, with the clock where the run stopped.
 func TestShardedTimeout(t *testing.T) {
 	sc := NewSharded(2)
 	sc.SetLookahead(time.Microsecond)
@@ -207,6 +249,10 @@ func TestShardedTimeout(t *testing.T) {
 	var to *TimeoutError
 	if !errors.As(err, &to) {
 		t.Fatalf("got %v, want TimeoutError", err)
+	}
+	// No proc ever finished; a run cut short reports how far it got.
+	if now := sc.Now(); now != 10*time.Microsecond {
+		t.Errorf("clock after the timeout %v, want the last bounce at 10µs", now)
 	}
 }
 

@@ -16,10 +16,10 @@
 // simulation (NewSharded, shard.go) is several Sims whose windows the
 // coordinator drives, and both loops are made of the same step (Sim.step):
 // run the ready proc at the head of the queue, else fire the earliest
-// arrival or timer below a horizon. step's arrival-before-timer rule is one
-// of the three places a classic run and a sharded one still differ; the
-// other two are the wire hop in fabric.(*Node).Send and the GPU monitor's
-// first-tick offset in core.(*gpuThread).monitorPhase.
+// arrival or timer below a horizon, an arrival before a timer of the same
+// instant. Procs on different nodes interact only through arrivals
+// (PostArrival), so a schedule does not depend on how many Sims the nodes
+// are spread over.
 //
 // IMPORTANT: user code must not spawn raw goroutines that touch simulation
 // state; all concurrency goes through Spawn. Every blocking primitive checks
@@ -147,11 +147,12 @@ type Sim struct {
 	seq    uint64
 	ready  []*Proc
 	timers timerHeap
-	// arrivals holds the cross-node deliveries of a sharded run (shard.go),
-	// ordered by (at, src, seq). A plain Sim never has any, which is the
-	// whole of the classic/sharded difference inside the event loop: step
-	// serves an arrival before a timer of the same instant.
+	// arrivals holds the cross-node deliveries posted to this Sim
+	// (PostArrival), ordered by (at, src, seq).
 	arrivals arrivalHeap
+	// shard is this Sim's place in a sharded simulation: where arrivals for
+	// other shards' Sims wait for the window barrier. Nil for a plain Sim.
+	shard *Shard
 	// procs is the sentinel of the ring of unfinished procs, in spawn order
 	// (for shutdown and deadlock reports), linked through Proc.prev/next:
 	// procs.next is the oldest, procs.prev the newest. A proc unlinks
@@ -215,11 +216,6 @@ func (s *Sim) Jitter(d time.Duration) time.Duration {
 	f := 1 + s.jitterFrac*(2*s.rng.Float64()-1)
 	return time.Duration(float64(d) * f)
 }
-
-// Rand returns the simulation's seeded random generator. It must only be
-// used from the currently-running Proc (or before Run), keeping runs
-// deterministic.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return time.Duration(s.now) }
@@ -490,8 +486,8 @@ func (s *Sim) pendingAt() (timerAt, arrivalAt int64) {
 // from: it runs the proc at the head of the ready queue (ready procs hold
 // the current time, so they always go first), or else fires the earliest
 // arrival or timer strictly below horizon. At equal timestamps an arrival
-// is delivered before a timer fires — the cross-shard ordering rule, inert
-// on a plain Sim. It reports false when nothing is runnable below horizon.
+// is delivered before a timer fires (the ordering rule on Sharded). It
+// reports false when nothing is runnable below horizon.
 func (s *Sim) step(horizon int64) bool {
 	if len(s.ready) > 0 {
 		p := s.ready[0]
@@ -519,10 +515,11 @@ func (s *Sim) step(horizon int64) bool {
 	return true
 }
 
-// Run executes the simulation until every Proc has finished. It returns an
-// error if a Proc panicked or if the simulation deadlocked (some Procs are
-// blocked but no timer can wake anyone up). After Run returns, all remaining
-// Proc goroutines have been torn down.
+// Run executes the simulation until every Proc has finished and every
+// posted arrival has been delivered. It returns an error if a Proc panicked
+// or if the simulation deadlocked (some Procs are blocked but no timer or
+// arrival can wake anyone up). After Run returns, all remaining Proc
+// goroutines have been torn down.
 func (s *Sim) Run() error {
 	defer s.shutdown()
 	horizon := int64(never)
@@ -540,15 +537,15 @@ func (s *Sim) Run() error {
 		// Proc's exit may leave daemons woken by final deliveries — a sink
 		// holding a just-handed staging buffer mid-transfer. Running them to
 		// their next block point (same virtual instant; timers never fire
-		// once nothing is live) lets those handoffs finish so end-of-run
-		// resource accounting balances.
-		if len(s.ready) == 0 && s.live == 0 {
+		// once nothing is live or in flight) lets those handoffs finish so
+		// end-of-run resource accounting balances.
+		if len(s.ready) == 0 && s.live == 0 && s.arrivals.len() == 0 {
 			return nil
 		}
 		if s.step(horizon) {
 			continue
 		}
-		if s.timers.len() > 0 {
+		if s.timers.len() > 0 || s.arrivals.len() > 0 {
 			return &TimeoutError{Limit: time.Duration(s.maxTime)}
 		}
 		return s.deadlockError()
