@@ -12,7 +12,7 @@ CHECK = $(PYTHON) scripts/ci_check.py
 
 GATES = build vet fmt lintdoc test race fuzz-smoke bench benchmark-smoke loadgen trace-export flows benchmark-gate
 
-.PHONY: $(GATES) ci
+.PHONY: $(GATES) ci loc
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,20 @@ flows:
 	$(GO) run ./cmd/dcgn-loadgen -preset chat -rate 300 -duration 1s -seed 7 -flows -o $(OUT)/dcgn-slo-flows-b.json
 	diff $(OUT)/dcgn-slo-flows-a.json $(OUT)/dcgn-slo-flows-b.json
 	$(CHECK) flow-phases $(OUT)/dcgn-slo-flows-a.json
+
+# Not a gate: the size figures issues and CHANGES.md quote. Per package, the
+# non-test Go lines that are neither blank nor comment-only, and the panic(
+# sites among them.
+LOC_PKGS = internal/core internal/transport internal/transport/faults internal/transport/simmpi \
+	internal/transport/live internal/obs internal/sim internal/fabric internal/mpi
+loc:
+	@printf '%-32s %8s %8s\n' package lines panics; \
+	for d in $(LOC_PKGS); do \
+		files="$$(ls $$d/*.go | grep -v _test.go)"; \
+		printf '%-32s %8d %8d\n' $$d \
+			"$$(cat $$files | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)" \
+			"$$(cat $$files | grep -v '^\s*//' | grep -c 'panic(')"; \
+	done
 
 # Every gate in turn; none of them may create, change or delete a file in
 # the working tree.

@@ -425,7 +425,6 @@ func twoSidedLane(set func(*dcgn.Config)) func(testing.TB) dcgn.Report {
 func oneSidedLane(tb testing.TB) dcgn.Report {
 	cfg := dcgn.DefaultConfig()
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs = 2, 1, 0
-	cfg.OneSided = true
 	job := dcgn.NewJob(cfg)
 	job.SetCPUKernel(func(c *dcgn.CPUCtx) {
 		buf := make([]byte, lanePayload)
@@ -454,7 +453,6 @@ func oneSidedLane(tb testing.TB) dcgn.Report {
 func triggeredLane(tb testing.TB) dcgn.Report {
 	cfg := dcgn.DefaultConfig()
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 2, 1, 1, 1
-	cfg.OneSided = true
 	job := dcgn.NewJob(cfg)
 	rm := job.Ranks()
 	srcRank := rm.GPURank(0, 0, 0)

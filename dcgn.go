@@ -100,7 +100,7 @@ type (
 	// (Report.FaultsInjected, NodeStats.Faults).
 	FaultStats = transport.FaultStats
 	// WinStats is a one-sided window's completion accounting (arrivals,
-	// target-side truncations) from CPUCtx.WinStats (Config.OneSided).
+	// target-side truncations) from CPUCtx.WinStats.
 	WinStats = core.WinStats
 	// PersistentPut is a registered one-sided put handle: register once
 	// with CPUCtx.NewPersistentPut, fire many times with Start.
@@ -210,10 +210,6 @@ var ErrTruncate = core.ErrTruncate
 // ErrUnacked is reported when the reliability layer exhausts its
 // retransmit budget without an acknowledgement.
 var ErrUnacked = core.ErrUnacked
-
-// ErrNoOneSided is reported when a one-sided operation reaches a
-// transport stack without a one-sided lane (Config.OneSided unset).
-var ErrNoOneSided = transport.ErrNoOneSided
 
 // NewJob creates a job for the given cluster configuration.
 func NewJob(cfg Config) *Job { return core.NewJob(cfg) }

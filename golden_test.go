@@ -326,7 +326,6 @@ func laneOneSided(cfg core.Config) (map[string]int64, error) {
 		fetchOff = 576
 		countOff = 584
 	)
-	cfg.OneSided = true
 	job := core.NewJob(cfg)
 	n := cfg.Nodes
 	sums := make([]uint64, n)

@@ -20,7 +20,6 @@ func DCGNTriggeredOneWay(cfg core.Config, size int) (time.Duration, core.Report,
 	cfg.CPUKernels = 1
 	cfg.GPUs = 1
 	cfg.SlotsPerGPU = 1
-	cfg.OneSided = true
 	job := core.NewJob(cfg)
 	rm := job.Ranks()
 	srcRank := rm.GPURank(0, 0, 0)

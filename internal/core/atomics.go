@@ -19,10 +19,10 @@ import (
 // The element type is int64, little-endian in the window (the window is
 // plain bytes; atomics interpret 8-byte slots). Atomicity is
 // per-element with respect to OTHER atomics on the same window: remote
-// frames serialize on the target's sink daemon, and the local fast path
-// takes the same per-window lock, so concurrent Accumulates from many
-// origins always combine (never lose updates). A plain Put racing an
-// atomic is not atomic, exactly as in MPI.
+// frames serialize on the target's sink daemon, and a same-node origin
+// runs the same target-side function under the same per-window lock, so
+// concurrent Accumulates from many origins always combine (never lose
+// updates). A plain Put racing an atomic is not atomic, exactly as in MPI.
 //
 // Atomics require host windows: a device window would need a
 // read-modify-write round trip over the PCIe payload path, which the
@@ -82,17 +82,16 @@ func (w *osWindow) hostWindow() {
 	}
 }
 
-// atomicApply combines vals element-wise into the window starting at
-// offset, clipping to whole elements inside the window. The
-// read-modify-write runs under the window lock so concurrent atomics
-// never lose updates. Reports elements applied and whether the span was
-// clipped.
-func (ns *nodeState) atomicApply(p transport.Proc, w *osWindow, offset int, op AtomicOp, vals []int64) (int, bool) {
+// atomicApply combines vals — little-endian int64 operands, as the frame
+// carries them — element-wise into the window starting at offset, clipping
+// to whole elements inside the window. The read-modify-write runs under the
+// window lock so concurrent atomics never lose updates. Reports whether the
+// span was clipped.
+func (ns *nodeState) atomicApply(p transport.Proc, w *osWindow, offset int, op AtomicOp, vals []byte) (clipped bool) {
 	w.hostWindow()
-	n := len(vals)
-	clipped := false
+	n := len(vals) / 8
 	if offset < 0 || offset >= w.size {
-		return 0, true
+		return true
 	}
 	if avail := (w.size - offset) / 8; n > avail {
 		n = avail
@@ -101,36 +100,40 @@ func (ns *nodeState) atomicApply(p transport.Proc, w *osWindow, offset int, op A
 	ns.chargeMemcpy(p, 8*n)
 	le := binary.LittleEndian
 	w.mu.Lock()
-	for i := 0; i < n; i++ {
-		at := offset + 8*i
-		old := int64(le.Uint64(w.host[at:]))
-		le.PutUint64(w.host[at:], uint64(op.apply(old, vals[i])))
+	for i := 0; i < 8*n; i += 8 {
+		old := int64(le.Uint64(w.host[offset+i:]))
+		le.PutUint64(w.host[offset+i:], uint64(op.apply(old, int64(le.Uint64(vals[i:])))))
 	}
 	w.mu.Unlock()
-	return n, clipped
+	return clipped
 }
 
 // atomicFetch atomically reads the int64 at offset, stores op(old,
-// operand) back, and returns the prior value. ok is false when the slot
-// does not fit the window (nothing is applied).
-func (ns *nodeState) atomicFetch(p transport.Proc, w *osWindow, offset int, op AtomicOp, operand int64) (int64, bool) {
+// operand) back, and returns the prior value in a pooled 8-byte buffer, as
+// the reply frame carries it. A slot that does not fit the window is
+// clipped: nothing is applied and there is no prior value.
+func (ns *nodeState) atomicFetch(p transport.Proc, w *osWindow, offset int, op AtomicOp, operand []byte) (prior []byte, clipped bool) {
 	w.hostWindow()
+	if len(operand) < 8 {
+		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: fetch-and-op frame without operand", ns.node))
+	}
 	if offset < 0 || offset+8 > w.size {
-		return 0, false
+		return nil, true
 	}
 	ns.chargeMemcpy(p, 8)
+	prior = ns.job.pool.Get(8)
 	le := binary.LittleEndian
 	w.mu.Lock()
-	old := int64(le.Uint64(w.host[offset:]))
-	le.PutUint64(w.host[offset:], uint64(op.apply(old, operand)))
+	copy(prior, w.host[offset:offset+8])
+	le.PutUint64(w.host[offset:], uint64(op.apply(int64(le.Uint64(prior)), int64(le.Uint64(operand)))))
 	w.mu.Unlock()
-	return old, true
+	return prior, false
 }
 
 // osAccumFrom is the origin side of an accumulate on behalf of srcRank:
-// doorbell charge, then local locked apply or an osAccum frame on the
-// one-sided lane. Accumulates count in the put counters (they are
-// put-class traffic) and in the target window's arrival count.
+// doorbell charge, then delivery of the operands in wire form. Accumulates
+// count in the put counters (they are put-class traffic) and in the target
+// window's arrival count.
 func (ns *nodeState) osAccumFrom(p transport.Proc, srcRank, dstRank, winID, offset int, op AtomicOp, vals []int64) error {
 	osw := ns.osRequire()
 	op.validate()
@@ -139,26 +142,13 @@ func (ns *nodeState) osAccumFrom(p transport.Proc, srcRank, dstRank, winID, offs
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)
 	}
-	dstNode := ns.job.rmap.Node(dstRank)
-	if dstNode == ns.node {
-		w := osw.window(dstRank, winID)
-		p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-		_, clipped := ns.atomicApply(p, w, offset, op, vals)
-		atomic.AddInt64(&osw.applied, 1)
-		if clipped {
-			atomic.AddInt64(&osw.truncated, 1)
-		}
-		w.arrive(clipped)
-		return nil
-	}
 	payload := ns.job.pool.Get(8 * len(vals))
-	le := binary.LittleEndian
 	for i, v := range vals {
-		le.PutUint64(payload[8*i:], uint64(v))
+		binary.LittleEndian.PutUint64(payload[8*i:], uint64(v))
 	}
-	err := ns.osSendFrame(p, dstNode, &frame{
+	_, err := ns.osDeliver(p, &frame{
 		kind: kindAccum, src: srcRank, dst: dstRank, payload: payload,
-		os: osAddr{win: winID, offset: offset, postedNs: int64(p.Now()), aux: uint64(op)},
+		os: osAddr{win: winID, offset: offset, aux: uint64(op)},
 	})
 	ns.job.pool.Put(payload)
 	return err
@@ -177,104 +167,16 @@ func (ns *nodeState) osFetchFrom(p transport.Proc, srcRank, dstRank, winID, offs
 	if ns.met != nil {
 		ns.met.osGets.Add(1)
 	}
-	dstNode := ns.job.rmap.Node(dstRank)
-	if dstNode == ns.node {
-		w := osw.window(dstRank, winID)
-		p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-		old, ok := ns.atomicFetch(p, w, offset, op, operand)
-		if !ok {
-			atomic.AddInt64(&osw.truncated, 1)
-			return 0, ErrTruncate
-		}
-		atomic.AddInt64(&osw.applied, 1)
-		w.arrive(false)
-		return old, nil
-	}
-	rep := make([]byte, 8)
-	g := &osGet{dst: rep, done: ns.rt.NewEventID("os-fetch", srcRank)}
-	osw.getMu.Lock()
-	osw.nextToken++
-	token := osw.nextToken
-	osw.gets[token] = g
-	osw.getMu.Unlock()
-	var operandBuf [8]byte
-	binary.LittleEndian.PutUint64(operandBuf[:], uint64(operand))
-	f := &frame{
-		kind: kindFetchReq, src: srcRank, dst: dstRank, payload: operandBuf[:],
-		os: osAddr{win: winID, token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(op)},
-	}
-	if err := ns.osSendFrame(p, dstNode, f); err != nil {
-		osw.getMu.Lock()
-		delete(osw.gets, token)
-		osw.getMu.Unlock()
+	buf := make([]byte, 16) // operand out, prior value back
+	binary.LittleEndian.PutUint64(buf, uint64(operand))
+	_, _, err := ns.osRequest(p, &frame{
+		kind: kindFetchReq, src: srcRank, dst: dstRank, payload: buf[:8],
+		os: osAddr{win: winID, offset: offset, aux: uint64(op)},
+	}, buf[8:])
+	if err != nil {
 		return 0, err
 	}
-	g.done.Wait(p)
-	if g.err != nil {
-		return 0, g.err
-	}
-	return int64(binary.LittleEndian.Uint64(rep)), nil
-}
-
-// osApplyAccum lands one accumulate in its target window under the
-// window lock and counts the remote completion like a put.
-func (ns *nodeState) osApplyAccum(p transport.Proc, f *frame) {
-	osw := ns.osw
-	w := osw.window(f.dst, f.os.win)
-	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-	le := binary.LittleEndian
-	vals := make([]int64, len(f.payload)/8)
-	for i := range vals {
-		vals[i] = int64(le.Uint64(f.payload[8*i:]))
-	}
-	_, clipped := ns.atomicApply(p, w, f.os.offset, AtomicOp(f.os.aux), vals)
-	atomic.AddInt64(&osw.applied, 1)
-	if clipped {
-		atomic.AddInt64(&osw.truncated, 1)
-	}
-	ns.observeRemoteComplete(p, f)
-	w.arrive(clipped)
-}
-
-// osApplyFetchReq serves one fetch-and-op request: combine under the
-// window lock, then reply with the prior value from a spawned helper so
-// the sink daemon never blocks in a transport send.
-func (ns *nodeState) osApplyFetchReq(p transport.Proc, f *frame) {
-	osw := ns.osw
-	w := osw.window(f.dst, f.os.win)
-	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-	if len(f.payload) < 8 {
-		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: fetch-and-op frame without operand", ns.node))
-	}
-	operand := int64(binary.LittleEndian.Uint64(f.payload))
-	rep := &frame{kind: kindFetchRep, src: f.dst, dst: f.src, os: osAddr{win: f.os.win, token: f.os.token, postedNs: f.os.postedNs}}
-	if ns.flowsOn && f.spanID != 0 {
-		// The reply joins the requesting fetch's flow (span minted for the
-		// serving rank, parent carried implicitly by trace membership).
-		rep.traceID = f.traceID
-		rep.spanID = ns.job.trace.newSpanID(f.dst)
-	}
-	old, ok := ns.atomicFetch(p, w, f.os.offset, AtomicOp(f.os.aux), operand)
-	var buf []byte
-	if ok {
-		atomic.AddInt64(&osw.applied, 1)
-		buf = ns.job.pool.Get(8)
-		binary.LittleEndian.PutUint64(buf, uint64(old))
-		rep.payload = buf
-		w.arrive(false)
-	} else {
-		atomic.AddInt64(&osw.truncated, 1)
-		rep.flags = flagTrunc
-	}
-	srcNode := ns.job.rmap.Node(f.src)
-	ns.rt.SpawnID("os-fetchrep", ns.node, func(h transport.Proc) {
-		// Best-effort on a closing transport, exactly like get replies:
-		// under reliability the requester retransmits the request.
-		_ = ns.osSendFrame(h, srcNode, rep)
-		if buf != nil {
-			ns.job.pool.Put(buf)
-		}
-	})
+	return int64(binary.LittleEndian.Uint64(buf[8:])), nil
 }
 
 // --- CPU-kernel atomics API ---------------------------------------------

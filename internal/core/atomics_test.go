@@ -24,7 +24,7 @@ func winInt64(win []byte, i int) int64 {
 func TestConformanceAccumulateSum(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		const reps = 25
-		cfg := osConfig(backend, 2, 2) // ranks 0,1 on node 0; 2,3 on node 1
+		cfg := backendConfig(backend, 2, 2) // ranks 0,1 on node 0; 2,3 on node 1
 		job := NewJob(cfg)
 		win := make([]byte, 64)
 		vals := []int64{1, 10, 100}
@@ -58,7 +58,7 @@ func TestConformanceAccumulateSum(t *testing.T) {
 // functions on both backends, via both the local fast path and the wire.
 func TestConformanceAccumulateOps(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		win := make([]byte, 32)
 		binary.LittleEndian.PutUint64(win[0:], uint64(int64(50)))
 		binary.LittleEndian.PutUint64(win[8:], uint64(int64(50)))
@@ -112,7 +112,7 @@ func TestConformanceAccumulateOps(t *testing.T) {
 func TestConformanceFetchAndOp(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		const reps = 20
-		job := NewJob(osConfig(backend, 2, 2))
+		job := NewJob(backendConfig(backend, 2, 2))
 		win := make([]byte, 8)
 		olds := make([][]int64, 4) // one slot per rank: no cross-rank writes
 		job.SetCPUKernel(func(c *CPUCtx) {
@@ -158,7 +158,7 @@ func TestConformanceFetchAndOp(t *testing.T) {
 // installed.
 func TestConformanceFetchSwap(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		win := make([]byte, 16)
 		job.SetCPUKernel(func(c *CPUCtx) {
 			switch c.Rank() {
@@ -194,7 +194,7 @@ func TestConformanceFetchSwap(t *testing.T) {
 // applies nothing and reports ErrTruncate at the origin.
 func TestConformanceAtomicTruncation(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		win := make([]byte, 20) // two whole int64 slots + 4 stray bytes
 		job.SetCPUKernel(func(c *CPUCtx) {
 			switch c.Rank() {

@@ -109,6 +109,26 @@ func TestCollectiveTransportErrorSurfaces(t *testing.T) {
 	})
 }
 
+// TestWrapTransportCarriesOneSidedLane checks that a hook which merely
+// embeds transport.Transport carries the one-sided lane with no forwarding
+// code of its own: the lane is part of the interface, not a capability the
+// engine has to discover behind the wrapper.
+func TestWrapTransportCarriesOneSidedLane(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		cfg := backendConfig(backend, 2, 1)
+		cfg.WrapTransport = func(tr transport.Transport) transport.Transport {
+			return &faultyTransport{Transport: tr}
+		}
+		win := make([]byte, 2)
+		if _, err := putStreamJob(t, cfg, win).Run(); err != nil {
+			t.Fatal(err)
+		}
+		if win[0] != 1 || win[1] != 2 {
+			t.Fatalf("window holds %v, want [1 2]", win)
+		}
+	})
+}
+
 // TestWrapTransportSeesTraffic sanity-checks that the hook actually wraps
 // the path the engine uses (a do-nothing wrapper must be transparent).
 func TestWrapTransportSeesTraffic(t *testing.T) {

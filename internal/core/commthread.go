@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"dcgn/internal/device"
 	"dcgn/internal/pcie"
 	"dcgn/internal/sim"
 	"dcgn/internal/transport"
+	"dcgn/internal/transport/faults"
 )
 
 // ErrTruncate is reported when a received message exceeds the posted
@@ -37,11 +39,15 @@ type nodeState struct {
 	// (so everything the node spawns stays on its shard), or the live rt.
 	rt rt
 	// sim is this node's simulator, its shard's; nil on the live backend.
-	sim  *sim.Sim
-	tr   transport.Transport
-	bus  *pcie.Bus
-	devs []*device.Device
-	gpus []*gpuThread
+	sim *sim.Sim
+	// tr is the node's transport endpoint as the engine uses it: the raw
+	// endpoint under the configured middlewares. faults is the outermost of
+	// them when Config.Faults is on (wrapTransport), else nil.
+	tr     transport.Transport
+	faults *faults.Endpoint
+	bus    *pcie.Bus
+	devs   []*device.Device
+	gpus   []*gpuThread
 
 	intake *intake
 	index  *matchIndex
@@ -53,9 +59,11 @@ type nodeState struct {
 	wire relLane
 	rel  relStats
 
-	// osw holds the one-sided engine (onesided.go) and its lane when
-	// Config.OneSided is set; nil means neither exists.
-	osw *osState
+	// osw holds the one-sided engine (onesided.go) and its lane, built by
+	// the node's first one-sided call under osOnce (osRequire); nil means
+	// neither exists, nor the sink daemon.
+	osOnce sync.Once
+	osw    *osState
 
 	// met caches this node's metric instruments (Config.Metrics); nil when
 	// metrics are off. obsOn is true when either tracing or metrics are
@@ -75,14 +83,12 @@ type nodeState struct {
 	collRetried int64
 }
 
-// start spawns the node's communication thread and the receiver daemon of
-// each frame lane. All run for the life of the application (daemons).
+// start spawns the node's communication thread and the two-sided lane's
+// receiver daemon; both run for the life of the application. (The
+// one-sided lane's receiver comes up with the lane, in osRequire.)
 func (ns *nodeState) start() {
 	ns.rt.SpawnDaemonID("comm", ns.node, ns.runCommThread)
 	ns.rt.SpawnDaemonID("mpi-recv", ns.node, ns.wire.run)
-	if ns.osw != nil {
-		ns.rt.SpawnDaemonID("os-recv", ns.node, ns.osw.lane.run)
-	}
 }
 
 // runCommThread is the progress engine's event loop: it drains the intake

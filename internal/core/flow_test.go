@@ -168,7 +168,6 @@ func TestFlowRetransmitKeepsTraceContext(t *testing.T) {
 // one-sided traffic stitches across nodes exactly like two-sided.
 func TestFlowOneSidedStitching(t *testing.T) {
 	cfg := cpuOnlyConfig(2, 1)
-	cfg.OneSided = true
 	cfg.Flows = true
 	job := NewJob(cfg)
 	job.SetCPUKernel(func(c *CPUCtx) {

@@ -91,9 +91,9 @@ type gpuThread struct {
 	// it on post instead of waiting to be polled.
 	doorbell *sim.Queue[*slotState]
 
-	// Triggered one-sided state (gputrigger.go), non-nil only under
-	// Config.OneSided: the device-resident descriptor ring, the NIC
-	// doorbell, and registered persistent descriptors.
+	// Triggered one-sided state (gputrigger.go), nil until the device's
+	// first triggered call (requireNIC): the device-resident descriptor
+	// ring, the NIC doorbell, and registered persistent descriptors.
 	trig    []*trigSlot
 	trigQ   *sim.Queue[*trigToken]
 	persist []*osPersist
@@ -113,10 +113,6 @@ func newGPUThread(ns *nodeState, index int, dev *device.Device) *gpuThread {
 			rank: rm.GPURank(ns.node, index, s),
 			mb:   dev.Mem().MustAlloc(mailboxBytes),
 		})
-	}
-	if ns.job.cfg.OneSided {
-		// After the mailboxes, so classic slot addresses are unchanged.
-		gt.initTriggered()
 	}
 	return gt
 }

@@ -11,10 +11,10 @@ import (
 	"dcgn/internal/sim"
 )
 
-// GPU-triggered one-sided operations (Config.OneSided): the device kernel
-// enqueues a put descriptor into a device-resident ring and rings a
-// doorbell; a per-device NIC daemon fires the put directly onto the
-// transport's one-sided lane. Contrast with the classic mailbox path
+// GPU-triggered one-sided operations: the device kernel enqueues a put
+// descriptor into a device-resident ring and rings a doorbell; a
+// per-device NIC daemon fires the put directly onto the transport's
+// one-sided lane. Contrast with the classic mailbox path
 // (gpu.go), where the same device-sourced message costs a monitor poll
 // tick to be DISCOVERED, a comm-thread relay to be SENT, and another poll
 // tick to be COMPLETED (paper §5.2's three communications). The triggered
@@ -103,20 +103,22 @@ type trigToken struct {
 	firedAt time.Duration
 }
 
-// initTriggered allocates the device-resident descriptor ring and the
-// doorbell queue; called from newGPUThread when Config.OneSided is set,
-// after the mailboxes (so classic slot addresses are unchanged).
-func (gt *gpuThread) initTriggered() {
+// requireNIC brings the device's triggered-operation machinery up on its
+// first use: the descriptor ring in device global memory, the doorbell
+// queue, the NIC daemon that drains it — fires are serviced in ring order,
+// which keeps one-sided sequence assignment aligned with wire order per
+// destination — and the node's one-sided lane, which the daemon posts on
+// and whose sink takes its acks. The device model exists only in virtual
+// time, where a node's procs run one at a time, so a nil test is the once.
+func (gt *gpuThread) requireNIC() {
+	if gt.trigQ != nil {
+		return
+	}
+	gt.ns.osRequire()
 	for i := 0; i < trigRingSlots; i++ {
 		gt.trig = append(gt.trig, &trigSlot{idx: i, mb: gt.dev.Mem().MustAlloc(trigDescBytes)})
 	}
 	gt.trigQ = sim.NewQueue[*trigToken](gt.ns.sim, fmt.Sprintf("nic-db:%d.%d", gt.ns.node, gt.index))
-}
-
-// startNIC spawns the per-device NIC daemon that drains the triggered
-// doorbell. Fires are serviced in ring order, which keeps one-sided
-// sequence assignment aligned with wire order per destination.
-func (gt *gpuThread) startNIC() {
 	gt.ns.sim.SpawnDaemon(fmt.Sprintf("gpu-nic:%d.%d", gt.ns.node, gt.index), func(p *sim.Proc) {
 		for {
 			tk := gt.trigQ.Get(p)
@@ -168,15 +170,9 @@ func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
 	payload := ns.job.pool.Get(size)
 	gt.dev.CopyOut(p, gt.payloadBus(), ptr, payload)
 
-	dstNode := ns.job.rmap.Node(dstRank)
-	if dstNode == ns.node {
-		w, clipped := ns.applyPut(p, dstRank, winID, offset, payload)
-		w.arrive(clipped)
-	} else {
-		f := &frame{kind: kindPut, src: srcRank, dst: dstRank, payload: payload, os: osAddr{win: winID, offset: offset, postedNs: int64(p.Now())}}
-		if err := ns.osSendFrame(p, dstNode, f); err != nil {
-			panic(fmt.Sprintf("dcgn: triggered put from rank %d to rank %d: %v", srcRank, dstRank, err))
-		}
+	f := &frame{kind: kindPut, src: srcRank, dst: dstRank, payload: payload, os: osAddr{win: winID, offset: offset}}
+	if _, err := ns.osDeliver(p, f); err != nil {
+		panic(fmt.Sprintf("dcgn: triggered put from rank %d to rank %d: %v", srcRank, dstRank, err))
 	}
 	ns.job.pool.Put(payload)
 
@@ -203,9 +199,7 @@ func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
 // completion fence. One outstanding operation per ring entry.
 func (g *GPUCtx) TriggerPut(ring, srcSlot, dst, winID, offset int, ptr device.Ptr, n int) {
 	gt := g.gt
-	if gt.trigQ == nil {
-		panic(osErrNotEnabled)
-	}
+	gt.requireNIC()
 	if ring < 0 || ring >= len(gt.trig) {
 		panic(fmt.Sprintf("dcgn: bad trigger ring entry %d (device has %d)", ring, len(gt.trig)))
 	}
@@ -233,9 +227,7 @@ func (g *GPUCtx) TriggerPut(ring, srcSlot, dst, winID, offset int, ptr device.Pt
 // under Config.Reliability). A free entry returns immediately.
 func (g *GPUCtx) TriggerFence(ring int) {
 	gt := g.gt
-	if gt.trigQ == nil {
-		panic(osErrNotEnabled)
-	}
+	gt.requireNIC()
 	ss := gt.trig[ring]
 	if !ss.busy {
 		return
@@ -247,10 +239,7 @@ func (g *GPUCtx) TriggerFence(ring int) {
 // once: a bare doorbell ring, no descriptor transfer at all. Returns
 // immediately; TriggerDrain is the fence.
 func (g *GPUCtx) TriggerStart(pid int) {
-	gt := g.gt
-	if gt.trigQ == nil {
-		panic(osErrNotEnabled)
-	}
+	gt := g.gt // a registered descriptor means RegisterTrigger brought the NIC up
 	if pid < 0 || pid >= len(gt.persist) {
 		panic(fmt.Sprintf("dcgn: bad persistent trigger id %d (device has %d)", pid, len(gt.persist)))
 	}
@@ -265,9 +254,6 @@ func (g *GPUCtx) TriggerStart(pid int) {
 // persistent descriptor pid so far has completed.
 func (g *GPUCtx) TriggerDrain(pid int) {
 	gt := g.gt
-	if gt.trigQ == nil {
-		panic(osErrNotEnabled)
-	}
 	pp := gt.persist[pid]
 	pp.mu.Lock()
 	if pp.completed >= pp.fired {

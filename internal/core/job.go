@@ -81,26 +81,24 @@ func (gs *GPUSetup) Ranks() []int {
 }
 
 // RegisterWindow exposes n bytes of device memory at ptr as slot's rank's
-// one-sided window id (Config.OneSided): peers Put into it over the PCIe
-// payload path without any mailbox transaction on this device. Setup runs
-// before kernels launch, so windows registered here are visible before
-// any traffic.
+// one-sided window id: peers Put into it over the PCIe payload path
+// without any mailbox transaction on this device. Setup runs before
+// kernels launch, so windows registered here are visible before any
+// traffic.
 func (gs *GPUSetup) RegisterWindow(slot, id int, ptr device.Ptr, n int) {
 	ns := gs.Job.nodes[gs.Node]
 	rank := gs.Job.rmap.GPURank(gs.Node, gs.GPU, slot)
 	ns.registerWindow(&osWindow{key: osWinKey{rank, id}, gt: ns.gpus[gs.GPU], ptr: ptr, size: n})
 }
 
-// RegisterTrigger registers a persistent triggered put on this device
-// (Config.OneSided): n bytes of device memory at ptr into window winID of
-// rank dst at offset, on behalf of srcSlot's rank. The returned id is
+// RegisterTrigger registers a persistent triggered put on this device: n
+// bytes of device memory at ptr into window winID of rank dst at offset, on
+// behalf of srcSlot's rank. The returned id is
 // fired from the kernel with GPUCtx.TriggerStart — register once, fire
 // many times, with no descriptor transfer on any fire.
 func (gs *GPUSetup) RegisterTrigger(srcSlot, dst, winID, offset int, ptr device.Ptr, n int) int {
 	gt := gs.Job.nodes[gs.Node].gpus[gs.GPU]
-	if gt.trigQ == nil {
-		panic(osErrNotEnabled)
-	}
+	gt.requireNIC()
 	gt.persist = append(gt.persist, &osPersist{
 		srcRank: gs.Job.rmap.GPURank(gs.Node, gs.GPU, srcSlot),
 		dstRank: dst, winID: winID, offset: offset, ptr: ptr, size: n,
@@ -199,9 +197,9 @@ type Report struct {
 	// transient transport failure, summed over all nodes.
 	CollRetries int64
 	// OneSidedPuts / OneSidedGets count origin-side Put/Get operations and
-	// TriggeredOps counts NIC-fired device descriptors over all nodes
-	// (Config.OneSided); OneSidedTruncated counts target-side clipped
-	// applies. All zero when the lane is off.
+	// TriggeredOps counts NIC-fired device descriptors over all nodes;
+	// OneSidedTruncated counts target-side clipped applies. All zero for a
+	// job that made no one-sided call.
 	OneSidedPuts      int64
 	OneSidedGets      int64
 	TriggeredOps      int64
@@ -225,7 +223,7 @@ type Report struct {
 	// Counters / Gauges / Histograms snapshot the metrics registry when
 	// Config.Metrics is on: flat instrument names ("match_wait_ns/op=send/
 	// src=cpu/size=<2KiB") to final values. Histogram quantiles come from
-	// HistogramSnapshot.Quantile.
+	// HistogramSnapshot.QuantileF.
 	Counters   map[string]int64
 	Gauges     map[string]int64
 	Histograms map[string]HistogramSnapshot
@@ -233,7 +231,7 @@ type Report struct {
 
 // HistogramSnapshot is an immutable log2-bucketed distribution from the
 // metrics registry (= obs.HistogramSnapshot), carrying count, sum and
-// per-bucket counts with Mean and Quantile accessors.
+// per-bucket counts with Mean and QuantileF accessors.
 type HistogramSnapshot = obs.HistogramSnapshot
 
 // NodeStats is one node's progress-engine activity, layer by layer.
@@ -263,7 +261,7 @@ type NodeStats struct {
 	// transient transport failures.
 	CollRetries int64
 	// OneSidedPuts / OneSidedGets / TriggeredOps are this node's
-	// origin-side one-sided activity (Config.OneSided).
+	// origin-side one-sided activity.
 	OneSidedPuts int64
 	OneSidedGets int64
 	TriggeredOps int64
@@ -372,10 +370,10 @@ func (j *Job) newNodeState(n int) *nodeState {
 		node:   n,
 		rt:     rtv,
 		sim:    s,
-		tr:     j.wrapTransport(n, j.endpoints[n]),
 		intake: newIntake(rtv.NewQueue(fmt.Sprintf("commq:%d", n))),
 		index:  newMatchIndex(),
 	}
+	ns.wrapTransport(j.endpoints[n])
 	if j.metrics != nil {
 		ns.met = newNodeMetrics(j.metrics)
 	}
@@ -383,9 +381,6 @@ func (j *Job) newNodeState(n int) *nodeState {
 	ns.flowsOn = j.cfg.Flows && j.trace != nil
 	ns.wire.init(ns, (*twoSidedEnd)(ns), false)
 	ns.coll = newCollAccum(ns)
-	if j.cfg.OneSided {
-		ns.initOneSided()
-	}
 	if s != nil {
 		// The device model — PCIe bus, devices, their monitors — exists only
 		// in virtual time.
@@ -401,9 +396,6 @@ func (j *Job) newNodeState(n int) *nodeState {
 	ns.start()
 	for _, gt := range ns.gpus {
 		gt.startMonitor()
-		if gt.trigQ != nil {
-			gt.startNIC()
-		}
 	}
 	return ns
 }
@@ -440,19 +432,21 @@ func (j *Job) spawnGPUKernels() {
 	}
 }
 
-// wrapTransport layers the configured middlewares over a node's raw
+// wrapTransport layers the configured middlewares over the node's raw
 // endpoint: the Config.WrapTransport hook first, then Config.Faults
 // outermost — faults perturb the fully-wrapped wire, exactly where a real
-// fabric would, and the outermost position is what report type-asserts
-// for FaultStats.
-func (j *Job) wrapTransport(node int, tr transport.Transport) transport.Transport {
-	if j.cfg.WrapTransport != nil {
-		tr = j.cfg.WrapTransport(tr)
+// fabric would. The node keeps the middleware it built, for report's
+// FaultStats.
+func (ns *nodeState) wrapTransport(tr transport.Transport) {
+	cfg := &ns.job.cfg
+	if cfg.WrapTransport != nil {
+		tr = cfg.WrapTransport(tr)
 	}
-	if j.cfg.Faults.Enabled() {
-		tr = faults.New(tr, j.cfg.Faults, node)
+	if cfg.Faults.Enabled() {
+		ns.faults = faults.New(tr, cfg.Faults, ns.node)
+		tr = ns.faults
 	}
-	return tr
+	ns.tr = tr
 }
 
 // spawnCPUKernels starts one thread per CPU-kernel rank on the job's
@@ -522,8 +516,8 @@ func (j *Job) report() Report {
 			rep.TriggeredOps += st.TriggeredOps
 			rep.OneSidedTruncated += atomic.LoadInt64(&ns.osw.truncated)
 		}
-		if fr, ok := ns.tr.(transport.FaultReporter); ok {
-			st.Faults = fr.FaultStats()
+		if ns.faults != nil {
+			st.Faults = ns.faults.FaultStats()
 			rep.FaultsInjected = rep.FaultsInjected.Plus(st.Faults)
 		}
 		rep.Nodes = append(rep.Nodes, st)

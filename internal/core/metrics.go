@@ -43,7 +43,7 @@ type nodeMetrics struct {
 	// (FutureHW.DeviceSignal) — the poll-free complement of gpuPolls.
 	gpuSignals *obs.Counter
 
-	// One-sided lane (Config.OneSided). osPuts/osGets count origin-side
+	// One-sided lane. osPuts/osGets count origin-side
 	// operations, osTriggered counts NIC-fired device descriptors;
 	// osTrigFire observes device-enqueue → NIC-fire latency and
 	// osRemoteComplete observes origin-post → target-apply latency, the

@@ -54,9 +54,9 @@ func TestMetricsHistograms(t *testing.T) {
 		if mw.Count == 0 {
 			t.Fatal("match-wait histogram is empty")
 		}
-		p50, p99 := mw.Quantile(0.50), mw.Quantile(0.99)
+		p50, p99 := mw.QuantileF(0.50), mw.QuantileF(0.99)
 		if p50 < 0 || p99 < p50 {
-			t.Errorf("incoherent quantiles: p50=%d p99=%d", p50, p99)
+			t.Errorf("incoherent quantiles: p50=%v p99=%v", p50, p99)
 		}
 		if backend == transport.BackendSim && p50 == 0 {
 			t.Error("sim match waits are deterministic and nonzero, p50 = 0")

@@ -12,20 +12,28 @@ import (
 	"dcgn/internal/transport"
 )
 
-// One-sided communication (Config.OneSided): Put/Get against registered
-// memory windows, with remote-completion notification (WinWait) and — on
-// the GPU side (gputrigger.go) — triggered operations the NIC daemon
-// fires straight from a device descriptor ring.
+// One-sided communication: Put/Get against registered memory windows,
+// with remote-completion notification (WinWait) and — on the GPU side
+// (gputrigger.go) — triggered operations the NIC daemon fires straight
+// from a device descriptor ring.
 //
 // The lane deliberately bypasses the whole two-sided progress engine. A
 // classic device-sourced send costs two PCIe control trips plus
 // sleep-based polling per message (paper §5.2: poll, copy, notify — each
 // landing on a poll tick) and then rides intake → matcher → transport on
 // the comm thread. A one-sided frame is posted directly by the producing
-// thread onto the transport's dedicated one-sided lane
-// (transport.OneSided) and applied directly into the target window by the
-// target's sink daemon: no comm-thread dispatch, no matching, no monitor
-// poll tick anywhere on the critical path.
+// thread onto the transport's one-sided lane and applied directly into the
+// target window by the target's sink daemon: no comm-thread dispatch, no
+// matching, no monitor poll tick anywhere on the critical path.
+//
+// The lane is not a mode. Every transport carries it and a node brings its
+// end up — window registry, sink daemon — on its first one-sided call
+// (osRequire), so a job that never touches a window builds, allocates and
+// spawns nothing for it. Every operation has one target side (osTarget),
+// run by the sink daemon for a frame off the wire and by the origin itself
+// when the target shares its node; the same-node case then packs no frame,
+// spawns no reply helper, records no apply/serve span and feeds no
+// remote-completion histogram.
 //
 // Semantics, aligned with the engine's two-sided conventions:
 //
@@ -33,6 +41,9 @@ import (
 //     local (CPUCtx.RegisterWindow / GPUSetup.RegisterWindow); as with
 //     MPI window creation, every rank must register before any peer
 //     targets it — a Barrier after registration is the canonical pattern.
+//     A frame for a node that has made no one-sided call yet waits in the
+//     transport like an unmatched two-sided send, until that node's first
+//     call brings its sink up.
 //   - Truncation is target-side, like receives: a put overflowing its
 //     window is clipped (the window counts it in WinStats.Truncated) and
 //     still completes; a get larger than the window returns the clipped
@@ -44,10 +55,6 @@ import (
 //   - Completion: Put returns when the frame is on the wire (and
 //     acknowledged, under reliability); the TARGET observes delivery via
 //     WinWait's arrival count — the remote-completion notification.
-
-// osErrNotEnabled is the panic message for one-sided calls without
-// Config.OneSided.
-const osErrNotEnabled = "dcgn: one-sided operation without Config.OneSided (enable the lane in the job config)"
 
 // osWinKey identifies a registered window: the owning rank and the
 // application-chosen window id.
@@ -87,7 +94,8 @@ type WinStats struct {
 	Truncated int64
 }
 
-// osGet is an origin-side pending get awaiting its reply frame.
+// osGet is an origin-side pending get or fetch-and-op awaiting its reply
+// frame.
 type osGet struct {
 	dst    []byte
 	status CommStatus
@@ -101,7 +109,6 @@ type osGet struct {
 // window registry and the origin-side get correlation table.
 type osState struct {
 	ns   *nodeState
-	tr   transport.OneSided
 	lane relLane
 
 	// mu guards the window registry (registration is rare; lookups copy
@@ -118,25 +125,7 @@ type osState struct {
 	putsSent  int64
 	getsSent  int64
 	trigFired int64
-	applied   int64
 	truncated int64
-}
-
-// initOneSided discovers the transport's one-sided lane and builds the
-// node's one-sided state. Called from the node builders when
-// Config.OneSided is set, before ns.start() spawns the sink daemon.
-func (ns *nodeState) initOneSided() {
-	osT, ok := ns.tr.(transport.OneSided)
-	if !ok {
-		panic(fmt.Sprintf("dcgn: Config.OneSided requires a transport with a one-sided lane, got %T (WrapTransport hooks must forward transport.OneSided)", ns.tr))
-	}
-	ns.osw = &osState{
-		ns:      ns,
-		tr:      osT,
-		windows: make(map[osWinKey]*osWindow),
-		gets:    make(map[uint32]*osGet),
-	}
-	ns.osw.lane.init(ns, (*oneSidedEnd)(ns.osw), true)
 }
 
 // oneSidedEnd is the one-sided engine as its lane's laneEnd: frames move
@@ -146,18 +135,28 @@ func (ns *nodeState) initOneSided() {
 type oneSidedEnd osState
 
 func (e *oneSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
-	return e.tr.SendOneSided(p, dstNode, msg)
+	return e.ns.tr.SendOneSided(p, dstNode, msg)
 }
 
-func (e *oneSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.tr.RecvOneSided(p) }
+func (e *oneSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.ns.tr.RecvOneSided(p) }
 
 func (e *oneSidedEnd) deliver(p transport.Proc, f frame) { e.ns.osDispatch(p, &f) }
 
-// osRequire returns the node's one-sided state or panics with guidance.
+// osRequire returns the node's one-sided engine, bringing it up — state,
+// lane and sink daemon — on the node's first one-sided call. Every entry
+// point passes through here, origins included: acks and replies come back
+// to the origin's own sink. CPU kernels of one node race to it on the live
+// backend, hence the Once.
 func (ns *nodeState) osRequire() *osState {
-	if ns.osw == nil {
-		panic(osErrNotEnabled)
-	}
+	ns.osOnce.Do(func() {
+		ns.osw = &osState{
+			ns:      ns,
+			windows: make(map[osWinKey]*osWindow),
+			gets:    make(map[uint32]*osGet),
+		}
+		ns.osw.lane.init(ns, (*oneSidedEnd)(ns.osw), true)
+		ns.rt.SpawnDaemonID("os-recv", ns.node, ns.osw.lane.run)
+	})
 	return ns.osw
 }
 
@@ -258,23 +257,6 @@ func (ns *nodeState) writeWindow(p transport.Proc, w *osWindow, offset int, payl
 	return clipped
 }
 
-// applyPut lands data in the locally-owned window (rank, winID) at offset
-// and counts the apply — the target side of every put, whether it arrived
-// in a frame or its origin shares the node. The caller finishes with
-// w.arrive(clipped), the remote-completion notification, once it has
-// recorded what it observes of the apply: a WinWait released by arrive may
-// end the run.
-func (ns *nodeState) applyPut(p transport.Proc, rank, winID, offset int, data []byte) (w *osWindow, clipped bool) {
-	w = ns.osw.window(rank, winID)
-	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-	clipped = ns.writeWindow(p, w, offset, data)
-	atomic.AddInt64(&ns.osw.applied, 1)
-	if clipped {
-		atomic.AddInt64(&ns.osw.truncated, 1)
-	}
-	return w, clipped
-}
-
 // readWindow copies up to want bytes at offset out of the window into a
 // pooled buffer, clipping to the window bounds.
 func (ns *nodeState) readWindow(p transport.Proc, w *osWindow, offset, want int) ([]byte, bool) {
@@ -299,41 +281,115 @@ func (ns *nodeState) readWindow(p transport.Proc, w *osWindow, offset, want int)
 	return buf, clipped
 }
 
-// osPutFrom is the origin side of a put on behalf of srcRank: doorbell
-// charge, then local apply or a frame on the transport's one-sided lane
-// (sequenced and acknowledged under Config.Reliability).
+// osTarget is the target side of every one-sided operation, run by the
+// sink daemon for a frame off the wire and by the origin itself when the
+// target shares its node: resolve the window, charge the apply cost, do
+// what the frame's kind asks of the window, count a truncation. A request
+// kind returns its reply payload in a pooled buffer (nil for a fetch-and-op
+// whose slot lies outside the window). The arrival of a put-class
+// operation is the caller's to signal — w.arrive(clipped), the
+// remote-completion notification — once it has recorded what it observes
+// of the apply: a WinWait released by arrive may end the run. A fetch-and-op
+// that applied has nothing between its update and its arrival, so it
+// arrives here; a get never arrives, and its clipping is the origin's
+// ErrTruncate, not a truncation of the window's.
+func (ns *nodeState) osTarget(p transport.Proc, f *frame) (w *osWindow, reply []byte, clipped bool) {
+	w = ns.osw.window(f.dst, f.os.win)
+	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
+	switch f.kind {
+	case kindPut:
+		clipped = ns.writeWindow(p, w, f.os.offset, f.payload)
+	case kindAccum:
+		clipped = ns.atomicApply(p, w, f.os.offset, AtomicOp(f.os.aux), f.payload)
+	case kindGetReq:
+		reply, clipped = ns.readWindow(p, w, f.os.offset, int(f.os.aux))
+		return w, reply, clipped
+	case kindFetchReq:
+		if reply, clipped = ns.atomicFetch(p, w, f.os.offset, AtomicOp(f.os.aux), f.payload); !clipped {
+			w.arrive(false)
+		}
+	}
+	if clipped {
+		atomic.AddInt64(&ns.osw.truncated, 1)
+	}
+	return w, reply, clipped
+}
+
+// osDeliver is the origin side of a put-class operation (put, accumulate,
+// triggered put) once its doorbell is charged: apply it here when the
+// target shares the node, else send it on the lane (sequenced and
+// acknowledged under Config.Reliability). wireSent is when the send
+// returned, zero for a same-node apply.
+func (ns *nodeState) osDeliver(p transport.Proc, f *frame) (wireSent time.Duration, err error) {
+	if dstNode := ns.job.rmap.Node(f.dst); dstNode != ns.node {
+		f.os.postedNs = int64(p.Now())
+		err = ns.osSendFrame(p, dstNode, f)
+		return p.Now(), err
+	}
+	w, _, clipped := ns.osTarget(p, f)
+	w.arrive(clipped)
+	return 0, nil
+}
+
+// osRequest is the origin side of a request-class operation (get,
+// fetch-and-op) once its doorbell is charged: serve it here when the target
+// shares the node, else park a token, send the request and wait for the
+// sink to resolve the token with the reply. The reply payload lands in dst;
+// a request that over-ran the window returns ErrTruncate with what fit.
+// wireSent is when the send returned, zero for a same-node serve.
+func (ns *nodeState) osRequest(p transport.Proc, f *frame, dst []byte) (st CommStatus, wireSent time.Duration, err error) {
+	dstNode := ns.job.rmap.Node(f.dst)
+	if dstNode == ns.node {
+		_, reply, clipped := ns.osTarget(p, f)
+		st = CommStatus{Source: f.dst, Bytes: copy(dst, reply)}
+		ns.job.pool.Put(reply)
+		if clipped {
+			err = ErrTruncate
+		}
+		return st, 0, err
+	}
+	osw := ns.osw
+	g := &osGet{dst: dst, done: ns.rt.NewEventID("os-req", f.src)}
+	osw.getMu.Lock()
+	osw.nextToken++
+	f.os.token = osw.nextToken
+	osw.gets[f.os.token] = g
+	osw.getMu.Unlock()
+	f.os.postedNs = int64(p.Now())
+	if err := ns.osSendFrame(p, dstNode, f); err != nil {
+		osw.getMu.Lock()
+		delete(osw.gets, f.os.token)
+		osw.getMu.Unlock()
+		return CommStatus{}, 0, err
+	}
+	wireSent = p.Now()
+	g.done.Wait(p)
+	return g.status, wireSent, g.err
+}
+
+// osPutFrom is the origin side of a put on behalf of srcRank: flow context,
+// doorbell charge, delivery.
 func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset int, data []byte) error {
 	osw := ns.osRequire()
 	var post time.Duration
-	var traceID, spanID uint64
+	var spanID uint64
 	if ns.flowsOn {
 		post = p.Now()
 		spanID = ns.job.trace.newSpanID(srcRank)
-		traceID = spanID
 	}
 	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&osw.putsSent, 1)
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)
 	}
-	dstNode := ns.job.rmap.Node(dstRank)
-	if dstNode == ns.node {
-		w, clipped := ns.applyPut(p, dstRank, winID, offset, data)
-		w.arrive(clipped)
-		ns.recordFlowSpan(obs.Span{
-			Op: "put", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: len(data),
-			Post: post, Done: p.Now(), TraceID: traceID, SpanID: spanID,
-		})
-		return nil
-	}
-	err := ns.osSendFrame(p, dstNode, &frame{
-		kind: kindPut, src: srcRank, dst: dstRank, payload: data, traceID: traceID, spanID: spanID,
-		os: osAddr{win: winID, offset: offset, postedNs: int64(p.Now())},
+	wireSent, err := ns.osDeliver(p, &frame{
+		kind: kindPut, src: srcRank, dst: dstRank, payload: data, traceID: spanID, spanID: spanID,
+		os: osAddr{win: winID, offset: offset},
 	})
 	ns.recordFlowSpan(obs.Span{
 		Op: "put", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: len(data),
-		Failed: err != nil, Post: post, WireSent: p.Now(), Done: p.Now(),
-		TraceID: traceID, SpanID: spanID,
+		Failed: err != nil, Post: post, WireSent: wireSent, Done: p.Now(),
+		TraceID: spanID, SpanID: spanID,
 	})
 	return err
 }
@@ -345,61 +401,26 @@ func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset
 func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset int, dst []byte) (CommStatus, error) {
 	osw := ns.osRequire()
 	var post time.Duration
-	var traceID, spanID uint64
+	var spanID uint64
 	if ns.flowsOn {
 		post = p.Now()
 		spanID = ns.job.trace.newSpanID(srcRank)
-		traceID = spanID
 	}
 	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&osw.getsSent, 1)
 	if ns.met != nil {
 		ns.met.osGets.Add(1)
 	}
-	dstNode := ns.job.rmap.Node(dstRank)
-	if dstNode == ns.node {
-		w := osw.window(dstRank, winID)
-		p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-		buf, clipped := ns.readWindow(p, w, offset, len(dst))
-		n := copy(dst, buf)
-		ns.job.pool.Put(buf)
-		st := CommStatus{Source: dstRank, Bytes: n}
-		ns.recordFlowSpan(obs.Span{
-			Op: "get", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: n,
-			Failed: clipped, Post: post, Done: p.Now(), TraceID: traceID, SpanID: spanID,
-		})
-		if clipped {
-			return st, ErrTruncate
-		}
-		return st, nil
-	}
-	g := &osGet{dst: dst, done: ns.rt.NewEventID("os-get", srcRank)}
-	osw.getMu.Lock()
-	osw.nextToken++
-	token := osw.nextToken
-	osw.gets[token] = g
-	osw.getMu.Unlock()
-	f := &frame{
-		kind: kindGetReq, src: srcRank, dst: dstRank, traceID: traceID, spanID: spanID,
-		os: osAddr{win: winID, token: token, offset: offset, postedNs: int64(p.Now()), aux: uint64(len(dst))},
-	}
-	if err := ns.osSendFrame(p, dstNode, f); err != nil {
-		osw.getMu.Lock()
-		delete(osw.gets, token)
-		osw.getMu.Unlock()
-		return CommStatus{}, err
-	}
-	wireSent := time.Duration(0)
-	if ns.flowsOn {
-		wireSent = p.Now()
-	}
-	g.done.Wait(p)
+	st, wireSent, err := ns.osRequest(p, &frame{
+		kind: kindGetReq, src: srcRank, dst: dstRank, traceID: spanID, spanID: spanID,
+		os: osAddr{win: winID, offset: offset, aux: uint64(len(dst))},
+	}, dst)
 	ns.recordFlowSpan(obs.Span{
-		Op: "get", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: g.status.Bytes,
-		Failed: g.err != nil, Post: post, WireSent: wireSent, Done: p.Now(),
-		TraceID: traceID, SpanID: spanID,
+		Op: "get", Node: ns.node, Rank: srcRank, Peer: dstRank, Bytes: st.Bytes,
+		Failed: err != nil, Post: post, WireSent: wireSent, Done: p.Now(),
+		TraceID: spanID, SpanID: spanID,
 	})
-	return g.status, g.err
+	return st, err
 }
 
 // osSendFrame packs and transmits one data-class frame to dstNode on the
@@ -410,8 +431,8 @@ func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *frame) error 
 	lane := &ns.osw.lane
 	if ns.flowsOn && f.spanID == 0 {
 		// Catch-all flow-context assignment for frames whose producer did
-		// not set one (GPU-triggered descriptors fired by the NIC daemon):
-		// the frame roots a new flow at the issuing rank.
+		// not set one (atomics, GPU-triggered descriptors fired by the NIC
+		// daemon): the frame roots a new flow at the issuing rank.
 		f.spanID = ns.job.trace.newSpanID(f.src)
 		if f.traceID == 0 {
 			f.traceID = f.spanID
@@ -424,39 +445,32 @@ func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *frame) error 
 	return err
 }
 
-// osDispatch applies one in-order data-class frame and releases its
-// backing buffer.
+// osDispatch hands one in-order data-class frame to the sink's step for its
+// class and releases its backing buffer.
 func (ns *nodeState) osDispatch(p transport.Proc, f *frame) {
 	switch f.kind {
-	case kindPut:
-		ns.osApplyPut(p, f)
-	case kindGetReq:
-		ns.osApplyGetReq(p, f)
+	case kindPut, kindAccum:
+		ns.osApply(p, f)
+	case kindGetReq, kindFetchReq:
+		ns.osServe(p, f)
 	case kindGetRep, kindFetchRep:
-		// A fetch reply resolves its pending token exactly like a get
-		// reply: the payload (the prior value) lands in the waiter's
-		// 8-byte destination buffer.
-		ns.osApplyGetRep(p, f)
-	case kindAccum:
-		ns.osApplyAccum(p, f)
-	case kindFetchReq:
-		ns.osApplyFetchReq(p, f)
+		ns.osResolve(p, f)
 	default:
 		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: unexpected frame kind %d", ns.node, f.kind))
 	}
 	ns.job.pool.Put(f.backing)
 }
 
-// osApplyPut lands one put in its target window and counts the remote
-// completion.
-func (ns *nodeState) osApplyPut(p transport.Proc, f *frame) {
+// osApply lands one put-class frame in its target window and counts the
+// remote completion.
+func (ns *nodeState) osApply(p transport.Proc, f *frame) {
 	var post time.Duration
 	if ns.flowsOn {
 		post = p.Now()
 	}
-	w, clipped := ns.applyPut(p, f.dst, f.os.win, f.os.offset, f.payload)
+	w, _, clipped := ns.osTarget(p, f)
 	ns.observeRemoteComplete(p, f)
-	if ns.flowsOn && f.spanID != 0 {
+	if f.kind == kindPut && ns.flowsOn && f.spanID != 0 {
 		// Target-side apply span, parented on the origin put's span so the
 		// stitched flow crosses the wire.
 		ns.recordFlowSpan(obs.Span{
@@ -478,48 +492,47 @@ func (ns *nodeState) observeRemoteComplete(p transport.Proc, f *frame) {
 	}
 }
 
-// osApplyGetReq serves one get request: read the window, then reply from
-// a spawned helper so the sink daemon never blocks in a transport send.
-func (ns *nodeState) osApplyGetReq(p transport.Proc, f *frame) {
-	osw := ns.osw
+// osServe serves one request-class frame and answers it with the next kind
+// up (kindGetRep, kindFetchRep) under the requester's token, from a spawned
+// helper so the sink daemon never blocks in a transport send.
+func (ns *nodeState) osServe(p transport.Proc, f *frame) {
 	var post time.Duration
 	if ns.flowsOn {
 		post = p.Now()
 	}
-	w := osw.window(f.dst, f.os.win)
-	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
-	buf, clipped := ns.readWindow(p, w, f.os.offset, int(f.os.aux))
-	atomic.AddInt64(&osw.applied, 1)
+	_, reply, clipped := ns.osTarget(p, f)
 	rep := &frame{
-		kind: kindGetRep, src: f.dst, dst: f.src, payload: buf,
+		kind: f.kind + 1, src: f.dst, dst: f.src, payload: reply,
 		os: osAddr{win: f.os.win, token: f.os.token, postedNs: f.os.postedNs},
-	}
-	if ns.flowsOn && f.spanID != 0 {
-		// The reply joins the requesting get's flow; its own span (minted
-		// for the serving rank) parents on the request and is recorded as
-		// the target-side serve span.
-		rep.traceID = f.traceID
-		rep.spanID = ns.job.trace.newSpanID(f.dst)
-		ns.recordFlowSpan(obs.Span{
-			Op: "get-serve", Node: ns.node, Rank: f.dst, Peer: f.src, Bytes: len(buf),
-			Failed: clipped, Post: post, Done: p.Now(),
-			TraceID: f.traceID, SpanID: rep.spanID, ParentID: f.spanID,
-		})
 	}
 	if clipped {
 		rep.flags = flagTrunc
 	}
+	if ns.flowsOn && f.spanID != 0 {
+		// The reply joins the request's flow under a span minted for the
+		// serving rank; a get records it as the target-side serve span,
+		// parented on the request.
+		rep.traceID = f.traceID
+		rep.spanID = ns.job.trace.newSpanID(f.dst)
+		if f.kind == kindGetReq {
+			ns.recordFlowSpan(obs.Span{
+				Op: "get-serve", Node: ns.node, Rank: f.dst, Peer: f.src, Bytes: len(reply),
+				Failed: clipped, Post: post, Done: p.Now(),
+				TraceID: f.traceID, SpanID: rep.spanID, ParentID: f.spanID,
+			})
+		}
+	}
 	srcNode := ns.job.rmap.Node(f.src)
-	ns.rt.SpawnID("os-getrep", ns.node, func(h transport.Proc) {
+	ns.rt.SpawnID("os-rep", ns.node, func(h transport.Proc) {
 		// Best-effort on a closing transport, exactly like ack helpers:
 		// under reliability the requester retransmits the request.
 		_ = ns.osSendFrame(h, srcNode, rep)
-		ns.job.pool.Put(buf)
+		ns.job.pool.Put(reply)
 	})
 }
 
-// osApplyGetRep resolves one pending get with its reply payload.
-func (ns *nodeState) osApplyGetRep(p transport.Proc, f *frame) {
+// osResolve resolves one pending get or fetch-and-op with its reply payload.
+func (ns *nodeState) osResolve(p transport.Proc, f *frame) {
 	osw := ns.osw
 	osw.getMu.Lock()
 	g := osw.gets[f.os.token]
@@ -554,6 +567,12 @@ func (c *CPUCtx) RegisterWindow(id int, buf []byte) {
 // (acknowledged, under Config.Reliability); the target observes delivery
 // via WinWait. Writes overflowing the window are clipped target-side,
 // like receive truncation.
+//
+// The target must have registered the window first. A node whose one-sided
+// lane is up panics on a put into a window it does not know; a node that
+// has made no one-sided call at all has no sink yet, so the frame waits in
+// the transport like an unmatched two-sided send — and Put returns
+// ErrUnacked under Config.Reliability.
 func (c *CPUCtx) Put(dst, winID, offset int, data []byte) error {
 	return c.ns.osPutFrom(c.tp, c.rank, dst, winID, offset, data)
 }
@@ -584,10 +603,10 @@ func (c *CPUCtx) WinStats(winID int) WinStats {
 // no per-fire descriptor building or pool churn, the CPU-side analogue of
 // a persistent MPI request. One Start at a time per handle.
 type PersistentPut struct {
-	c                *CPUCtx
-	dst, win, offset int
-	data             []byte
-	// frame is the pre-packed wire frame, body its payload region.
+	c *CPUCtx
+	// f is the put in parsed form (its payload is the caller's data slice),
+	// frame the pre-packed wire frame and body its payload region.
+	f           frame
 	frame, body []byte
 }
 
@@ -597,16 +616,15 @@ type PersistentPut struct {
 func (c *CPUCtx) NewPersistentPut(dst, winID, offset int, data []byte) *PersistentPut {
 	ns := c.ns
 	lay := ns.osRequire().lane.layout
-	f := &frame{kind: kindPut, src: c.rank, dst: dst, payload: data, os: osAddr{win: winID, offset: offset}}
+	pp := &PersistentPut{c: c, f: frame{kind: kindPut, src: c.rank, dst: dst, payload: data, os: osAddr{win: winID, offset: offset}}}
 	if ns.flowsOn {
 		// A persistent handle is one flow: every fire (and every
 		// retransmission) carries the context packed here, so the target's
 		// apply spans all stitch onto it.
-		f.spanID = ns.job.trace.newSpanID(c.rank)
-		f.traceID = f.spanID
+		pp.f.spanID = ns.job.trace.newSpanID(c.rank)
+		pp.f.traceID = pp.f.spanID
 	}
-	pp := &PersistentPut{c: c, dst: dst, win: winID, offset: offset, data: data}
-	pp.frame = packFrame(ns.job.pool, lay, f)
+	pp.frame = packFrame(ns.job.pool, lay, &pp.f)
 	pp.body = pp.frame[lay.hdrLen(kindPut):]
 	return pp
 }
@@ -621,14 +639,14 @@ func (pp *PersistentPut) Start() error {
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)
 	}
-	dstNode := ns.job.rmap.Node(pp.dst)
+	dstNode := ns.job.rmap.Node(pp.f.dst)
 	if dstNode == ns.node {
-		w, clipped := ns.applyPut(p, pp.dst, pp.win, pp.offset, pp.data)
-		w.arrive(clipped)
-		return nil
+		// No wire to pre-pack for: the shared same-node apply.
+		_, err := ns.osDeliver(p, &pp.f)
+		return err
 	}
 	lane := &ns.osw.lane
-	copy(pp.body, pp.data)
+	copy(pp.body, pp.f.payload)
 	setPostedAt(pp.frame, int64(p.Now()))
 	seq := lane.assignSeq(dstNode)
 	setSeq(pp.frame, seq)

@@ -51,7 +51,6 @@ func runOneSidedChaos(t *testing.T, backend string, shards int, f faults.Config)
 	t.Helper()
 	cfg := backendConfig(backend, 3, 1)
 	cfg.Shards = shards
-	cfg.OneSided = true
 	cfg.Faults = f
 	if f.Enabled() {
 		cfg.Reliability.Enabled = true

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,19 +17,12 @@ import (
 // zero monitor polls on the triggered path and lower device-sourced
 // small-message latency than the classic mailbox relay.
 
-// osConfig is a CPU-only config with the one-sided lane enabled.
-func osConfig(backend string, nodes, cpus int) Config {
-	cfg := backendConfig(backend, nodes, cpus)
-	cfg.OneSided = true
-	return cfg
-}
-
 // TestOneSidedPutWinWait checks the basic remote put: origin returns
 // without the target posting anything, the target observes delivery via
 // WinWait, and the bytes land at the requested offset.
 func TestOneSidedPutWinWait(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		msg := pattern(1024, 11)
 		win := make([]byte, 4096)
 		job.SetCPUKernel(func(c *CPUCtx) {
@@ -68,7 +63,7 @@ func TestOneSidedPutWinWait(t *testing.T) {
 // TestOneSidedGet checks the origin-blocking read path, local and remote.
 func TestOneSidedGet(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		job := NewJob(osConfig(backend, 2, 2))
+		job := NewJob(backendConfig(backend, 2, 2))
 		src := pattern(2048, 23)
 		job.SetCPUKernel(func(c *CPUCtx) {
 			switch c.Rank() {
@@ -109,7 +104,7 @@ func TestOneSidedGet(t *testing.T) {
 // origin — mirroring receive truncation on the two-sided path.
 func TestConformanceOneSidedTruncation(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		big := pattern(100, 3)
 		win := make([]byte, 40)
 		job.SetCPUKernel(func(c *CPUCtx) {
@@ -159,7 +154,7 @@ func TestConformanceOneSidedTruncation(t *testing.T) {
 // never touches the matcher, so it cannot.
 func TestConformanceOneSidedFIFOIndependence(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		win := make([]byte, 8)
 		job.SetCPUKernel(func(c *CPUCtx) {
 			switch c.Rank() {
@@ -198,7 +193,7 @@ func TestConformanceOneSidedFIFOIndependence(t *testing.T) {
 func TestConformanceOneSidedRemoteCompletionOrdering(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		const n = 16
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		win := make([]byte, 4)
 		job.SetCPUKernel(func(c *CPUCtx) {
 			switch c.Rank() {
@@ -230,7 +225,7 @@ func TestConformanceOneSidedRemoteCompletionOrdering(t *testing.T) {
 func TestOneSidedPersistentPutCPU(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		const fires = 8
-		job := NewJob(osConfig(backend, 2, 1))
+		job := NewJob(backendConfig(backend, 2, 1))
 		win := make([]byte, 4)
 		job.SetCPUKernel(func(c *CPUCtx) {
 			switch c.Rank() {
@@ -323,7 +318,6 @@ func triggeredJob(t *testing.T, cfg Config, msgs, size int, persistent bool) (*J
 // single message without polling.
 func TestTriggeredZeroPolls(t *testing.T) {
 	cfg := gpuConfig(2, 1, 1, 1)
-	cfg.OneSided = true
 	cfg.PollInterval = time.Second // far beyond the virtual run time
 	const msgs, size = 5, 64
 	job, wins := triggeredJob(t, cfg, msgs, size, false)
@@ -390,7 +384,6 @@ func TestTriggeredBeatsClassicLatency(t *testing.T) {
 
 	triggered := func() time.Duration {
 		cfg := gpuConfig(2, 1, 1, 1)
-		cfg.OneSided = true
 		job, _ := triggeredJob(t, cfg, 1, size, false)
 		rep, err := job.Run()
 		if err != nil {
@@ -414,7 +407,6 @@ func TestPersistentTriggerFewerCtlOps(t *testing.T) {
 	const msgs, size = 6, 32
 	run := func(persistent bool) Report {
 		cfg := gpuConfig(2, 1, 1, 1)
-		cfg.OneSided = true
 		cfg.PollInterval = time.Second
 		job, _ := triggeredJob(t, cfg, msgs, size, persistent)
 		rep, err := job.Run()
@@ -440,7 +432,6 @@ func TestPersistentTriggerFewerCtlOps(t *testing.T) {
 // a triggered workload.
 func TestOneSidedCounters(t *testing.T) {
 	cfg := gpuConfig(2, 1, 1, 1)
-	cfg.OneSided = true
 	cfg.Metrics = true
 	const msgs, size = 4, 64
 	job, _ := triggeredJob(t, cfg, msgs, size, false)
@@ -474,7 +465,6 @@ func TestOneSidedCounters(t *testing.T) {
 func TestOneSidedDeterminism(t *testing.T) {
 	run := func() time.Duration {
 		cfg := gpuConfig(2, 1, 1, 1)
-		cfg.OneSided = true
 		const msgs, size = 3, 128
 		job, _ := triggeredJob(t, cfg, msgs, size, false)
 		rep, err := job.Run()
@@ -489,14 +479,181 @@ func TestOneSidedDeterminism(t *testing.T) {
 	}
 }
 
-// TestOneSidedNotEnabledPanics pins the guidance panic for one-sided
-// calls without Config.OneSided.
-func TestOneSidedNotEnabledPanics(t *testing.T) {
+// TestClassicJobNeverBringsLaneUp is the census that replaced the
+// Config switch: a job of CPU and GPU ranks that makes no one-sided call
+// ends with no one-sided engine on any node and no descriptor ring or NIC
+// doorbell on any device — nothing was built, allocated or spawned for the
+// lane, which is why no classic golden can move.
+func TestClassicJobNeverBringsLaneUp(t *testing.T) {
+	job := NewJob(gpuConfig(2, 1, 1, 1))
+	job.SetCPUKernel(func(c *CPUCtx) {
+		peer := (c.Rank() + 2) % 4 // the other node's CPU rank
+		if _, err := c.SendRecv(peer, pattern(64, 1), peer, make([]byte, 64)); err != nil {
+			t.Error(err)
+		}
+		c.Barrier()
+	})
+	job.SetGPUKernel(1, 4, func(g *GPUCtx) {
+		if g.Block().Idx == 0 {
+			g.Barrier(0)
+		}
+	})
+	if _, err := job.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ns := range job.nodes {
+		if ns.osw != nil {
+			t.Errorf("node %d: a classic job brought the one-sided engine up", ns.node)
+		}
+		for _, gt := range ns.gpus {
+			if gt.trigQ != nil || gt.trig != nil {
+				t.Errorf("device %d.%d: a classic job brought the triggered ring up", ns.node, gt.index)
+			}
+		}
+	}
+}
+
+// TestOneSidedFirstUseRace has two CPU kernels of one node make their first
+// one-sided calls at the same moment — one registers a window, one puts to
+// another node — on the live backend, where they are real goroutines (CI
+// runs this package under -race). One lane must result: the window one call
+// registered is the one a later put finds, and the other call's ack found
+// the same sink.
+func TestOneSidedFirstUseRace(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		cfg := backendConfig(transport.BackendLive, 2, 2) // ranks 0,1 on node 0; 2,3 on node 1
+		cfg.Reliability.Enabled = true
+		job := NewJob(cfg)
+		win0, win2 := make([]byte, 1), make([]byte, 1)
+		job.SetCPUKernel(func(c *CPUCtx) {
+			if c.Rank() == 2 {
+				c.RegisterWindow(0, win2)
+			}
+			c.Barrier()
+			switch c.Rank() {
+			case 0: // node 0's first call, racing rank 1's
+				c.RegisterWindow(0, win0)
+			case 1:
+				if err := c.Put(2, 0, 0, []byte{7}); err != nil {
+					t.Errorf("put: %v", err)
+				}
+			}
+			c.Barrier()
+			switch c.Rank() {
+			case 0:
+				c.WinWait(0, 1)
+			case 2:
+				c.WinWait(0, 1)
+			case 3:
+				if err := c.Put(0, 0, 0, []byte{9}); err != nil {
+					t.Errorf("put: %v", err)
+				}
+			}
+		})
+		if _, err := job.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if win0[0] != 9 || win2[0] != 7 {
+			t.Fatalf("round %d: windows hold %d and %d, want 9 and 7", round, win0[0], win2[0])
+		}
+	}
+}
+
+// putStreamJob builds the smallest origin/target job on cfg (two ranks on
+// two nodes): rank 1 exposes win and waits for len(win) puts; rank 0, which
+// never registers a window of its own, writes byte i+1 at offset i.
+func putStreamJob(t *testing.T, cfg Config, win []byte) *Job {
+	job := NewJob(cfg)
+	job.SetCPUKernel(func(c *CPUCtx) {
+		if c.Rank() == 1 {
+			c.RegisterWindow(0, win)
+		}
+		c.Barrier()
+		if c.Rank() == 1 {
+			c.WinWait(0, len(win))
+			return
+		}
+		for i := range win {
+			if err := c.Put(1, 0, i, []byte{byte(i + 1)}); err != nil {
+				t.Errorf("put %d: %v", i, err)
+			}
+		}
+	})
+	return job
+}
+
+// TestOneSidedOriginOnlyNode checks that a node which never registers a
+// window still gets its acks: its own first Put brings up the sink they
+// arrive at, so reliable puts complete without a retransmission.
+func TestOneSidedOriginOnlyNode(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		cfg := backendConfig(backend, 2, 1)
+		cfg.Reliability.Enabled = true
+		win := make([]byte, 5)
+		job := putStreamJob(t, cfg, win)
+		rep, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(win, []byte{1, 2, 3, 4, 5}) {
+			t.Fatalf("window holds %v", win)
+		}
+		if n := len(job.nodes[0].osw.windows); n != 0 {
+			t.Errorf("origin node registered %d windows, want none", n)
+		}
+		if backend == transport.BackendSim && rep.Retransmits != 0 {
+			t.Errorf("%d retransmits on a clean wire: the acks did not find the origin's sink", rep.Retransmits)
+		}
+	})
+}
+
+// TestTriggeredOriginOnlyDevice is the same for a GPU-only node whose first
+// one-sided act is a TriggerPut inside the kernel: the device's NIC comes up
+// there and pulls the node's lane up with it, so the fence — released by the
+// ack, under reliability — returns.
+func TestTriggeredOriginOnlyDevice(t *testing.T) {
+	const size = 64
+	cfg := gpuConfig(2, 0, 0, 0)
+	cfg.PerNode = []NodeSpec{{GPUs: 1, SlotsPerGPU: 1}, {CPUKernels: 1}}
+	cfg.Reliability.Enabled = true
+	job := NewJob(cfg)
+	dst := job.Ranks().CPURank(1, 0)
+	win := make([]byte, size)
+	job.SetCPUKernel(func(c *CPUCtx) {
+		c.RegisterWindow(0, win) // at t=0, inside the device's launch latency
+		c.WinWait(0, 1)
+	})
+	job.SetGPUSetup(func(s *GPUSetup) { s.Args["buf"] = s.Dev.Mem().MustAlloc(size) })
+	job.SetGPUKernel(1, 4, func(g *GPUCtx) {
+		if g.Block().Idx != 0 {
+			return
+		}
+		ptr := g.Arg("buf").(device.Ptr)
+		copy(g.Block().Bytes(ptr, size), pattern(size, 3))
+		g.TriggerPut(0, 0, dst, 0, 0, ptr, size)
+		g.TriggerFence(0)
+	})
+	rep, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(win, pattern(size, 3)) {
+		t.Fatal("triggered put payload wrong")
+	}
+	if rep.TriggeredOps != 1 || rep.Retransmits != 0 {
+		t.Errorf("%d triggered ops, %d retransmits; want 1 and 0", rep.TriggeredOps, rep.Retransmits)
+	}
+}
+
+// TestOneSidedUnregisteredWindowPanics pins the guidance panic for a put
+// into a window its target never registered, on a node whose lane is up
+// (here the origin's own: its Put brought it up).
+func TestOneSidedUnregisteredWindowPanics(t *testing.T) {
 	job := NewJob(cpuOnlyConfig(1, 1))
 	job.SetCPUKernel(func(c *CPUCtx) {
 		defer func() {
-			if recover() == nil {
-				t.Error("Put without Config.OneSided did not panic")
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "not registered") {
+				t.Errorf("put into an unregistered window: recovered %q, want the registration guidance", msg)
 			}
 		}()
 		_ = c.Put(0, 0, 0, []byte{1})
@@ -506,13 +663,43 @@ func TestOneSidedNotEnabledPanics(t *testing.T) {
 	}
 }
 
+// TestOneSidedPutAtUntouchedNode pins what a put does at a node that has
+// made no one-sided call: there is no sink to take the frame, so it waits
+// in the transport like an unmatched two-sided send, and under reliability
+// the put gives up with ErrUnacked. The target's lane stays down.
+func TestOneSidedPutAtUntouchedNode(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		cfg := backendConfig(backend, 2, 1)
+		cfg.Reliability = Reliability{Enabled: true, AckTimeout: time.Millisecond, MaxRetries: 2}
+		job := NewJob(cfg)
+		job.SetCPUKernel(func(c *CPUCtx) {
+			if c.Rank() == 0 {
+				if err := c.Put(1, 0, 0, []byte{1}); !errors.Is(err, ErrUnacked) {
+					t.Errorf("put at a node without a sink: %v, want ErrUnacked", err)
+				}
+			}
+			c.Barrier()
+		})
+		rep, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Retransmits != 2 {
+			t.Errorf("%d retransmits, want the whole budget of 2", rep.Retransmits)
+		}
+		if job.nodes[1].osw != nil {
+			t.Error("a frame nobody received brought the target's lane up")
+		}
+	})
+}
+
 // TestLiveBackendOneSided smoke-checks the lane on the live transport
 // under a shape the conformance loops do not cover: many origins putting
 // into one target window concurrently, with real goroutines racing on the
 // lane's locks (CI runs this package under -race).
 func TestLiveBackendOneSided(t *testing.T) {
 	const nodes, putsPer = 4, 8
-	cfg := osConfig(transport.BackendLive, nodes, 1)
+	cfg := backendConfig(transport.BackendLive, nodes, 1)
 	job := NewJob(cfg)
 	win := make([]byte, nodes)
 	job.SetCPUKernel(func(c *CPUCtx) {

@@ -172,16 +172,6 @@ type Config struct {
 	// Reliability type. Zero value = off (legacy wire format).
 	Reliability Reliability
 
-	// OneSided enables the one-sided communication lane: window
-	// registration (CPUCtx.RegisterWindow / GPUSetup.RegisterWindow),
-	// Put/Get with remote-completion notification (WinWait), persistent
-	// puts, and GPU-triggered operations (GPUCtx.TriggerPut /
-	// TriggerStart) that a per-device NIC daemon fires without any
-	// comm-thread relay or monitor poll tick. Off by default: enabling it
-	// spawns one sink daemon per node (and one NIC daemon per device), so
-	// the classic configurations the golden suite pins stay untouched.
-	OneSided bool
-
 	// Shards is how many OS threads the simulated cluster's event loops may
 	// use: the nodes are split into that many groups, each with its own
 	// loop, synchronized by conservative lookahead windows derived from the

@@ -10,14 +10,14 @@ import (
 	"dcgn/internal/transport"
 )
 
-// The wire lane. A node talks to its peers over two frame streams: the
-// two-sided lane (transport.Transport's Send/RecvMsg, feeding the comm
-// thread's intake) and, under Config.OneSided, the one-sided lane
-// (transport.OneSided, feeding the window sink). Below the point where a
+// The wire lane. A node talks to its peers over two frame streams, the two
+// lanes of transport.Transport: the two-sided lane (Send/RecvMsg, feeding
+// the comm thread's intake) and, once the node has made a one-sided call,
+// the one-sided lane (feeding the window sink). Below the point where a
 // received frame is handed on, the two are the same machine, so there is
-// one relLane type and each node makes it twice, differing only in the
-// frame layout and in the transport functions and the deliver step of its
-// laneEnd.
+// one relLane type and a node makes it once per lane, differing only in
+// the frame layout and in the transport functions and the deliver step of
+// its laneEnd.
 //
 // With Config.Reliability on, a lane numbers every frame per (sender node,
 // receiver node), the receiver acknowledges every data frame and

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +91,7 @@ type Runtime struct {
 	// callback, Cancel of a running simulated job).
 	simActive bool
 	// scheduled holds SubmitAt submissions awaiting their virtual arrival
-	// time; Run turns each into an arrival proc.
+	// time; Run hands them, in arrival order, to one arrivals proc.
 	scheduled []*rtJob
 
 	// sched is the runtime-wide scheduling registry (queue-wait and
@@ -107,7 +109,7 @@ type Runtime struct {
 
 // RuntimeConfig describes the shared substrate a Runtime serves jobs on.
 // Submitted jobs bring their own kernels, node counts and engine tuning
-// (Config.Params, Bus, Device, Reliability, OneSided...); the cluster
+// (Config.Params, Bus, Device, Reliability...); the cluster
 // shape and wire model below are runtime-wide and the corresponding
 // fields of submitted job Configs are ignored.
 type RuntimeConfig struct {
@@ -274,14 +276,12 @@ type rtJob struct {
 	// reaches it.
 	notBefore time.Duration
 
-	// placement is the nodes the job holds while running; simGroup is the
-	// simulated backend's tenant transport group over them.
+	// placement is the nodes the job holds while running.
 	placement []int
-	simGroup  *simmpi.Group
-	// simProcs holds every worker proc the job spawned on the shared
-	// simulator, so a running job can be torn down by Cancel. Appended in
-	// sim context, drained by the cancel injection; dead procs are
-	// harmless leftovers (Kill skips them).
+	// simProcs holds the job's unfinished worker procs on the shared
+	// simulator, in spawn order, so a running job can be torn down by
+	// Cancel. A proc joins when spawned and leaves when it returns, both in
+	// sim context; the cancel injection drains it and retire drops it.
 	simProcs []*sim.Proc
 	// procs counts live engine procs (kernels and the helpers their
 	// requests spawn) on the simulated backend; the zero-crossing after
@@ -308,6 +308,9 @@ type tenantState struct {
 	// it by nodes*strideScale/weight, so under contention tenants accrue
 	// node-time proportionally to weight.
 	pass int64
+	// active counts the tenant's submissions that have not retired: queued,
+	// running, or scheduled and not yet arrived.
+	active int
 }
 
 // strideScale keeps pass arithmetic integral.
@@ -537,6 +540,7 @@ func (r *Runtime) newJobLocked(job *Job, opts SubmitOpts, submittedAt time.Durat
 		c.weight = 1
 	}
 	r.ensureTenantLocked(c.tenant, c.weight)
+	r.tenants[c.tenant].active++
 	r.jobs = append(r.jobs, c)
 	return c
 }
@@ -621,22 +625,11 @@ func (r *Runtime) ensureTenantLocked(name string, weight int) {
 	if weight > 0 {
 		t.weight = weight
 	}
-	if !r.tenantActiveLocked(name) {
+	if t.active == 0 {
 		if min := r.minActivePassLocked(); min > t.pass {
 			t.pass = min
 		}
 	}
-}
-
-// tenantActiveLocked reports whether the tenant has queued or running
-// jobs.
-func (r *Runtime) tenantActiveLocked(name string) bool {
-	for _, c := range r.jobs {
-		if c.tenant == name && (c.state == JobQueued || c.state == JobRunning) {
-			return true
-		}
-	}
-	return false
 }
 
 // minActivePassLocked is the stride scheduler's global virtual time: the
@@ -644,8 +637,8 @@ func (r *Runtime) tenantActiveLocked(name string) bool {
 // to the overall maximum, keeping pass monotone for fresh tenants).
 func (r *Runtime) minActivePassLocked() int64 {
 	min, have := int64(0), false
-	for name, t := range r.tenants {
-		if !r.tenantActiveLocked(name) {
+	for _, t := range r.tenants {
+		if t.active == 0 {
 			continue
 		}
 		if !have || t.pass < min {
@@ -803,20 +796,22 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 // with r.mu held and returns with it released, because its last step,
 // OnJobDone, must run without it: the callback may Submit.
 //
-// In order: record the outcome; count it; drop the job's metrics
-// partition and the engine itself (the Report owns the spans now, so this
-// frees the preallocated trace rings with it — safe even with a canceled
-// live job's goroutines still unwinding, which reach the engine through
-// their own references, never through c); leave the queue or free the
-// nodes; admit successors; resolve the handle; notify.
+// In order: leave the tenant's active count; record the outcome; count it;
+// drop the job's metrics partition and the engine itself with its proc
+// handles (the Report owns the spans now, so this frees the
+// preallocated trace rings with it — safe even with a canceled live job's
+// goroutines still unwinding, which reach the engine through their own
+// references, never through c); leave the queue or free the nodes; admit
+// successors; resolve the handle; notify.
 func (r *Runtime) retire(c *rtJob, state JobState, rep Report, err error) {
+	r.tenants[c.tenant].active--
 	c.state, c.report, c.err = state, rep, err
 	c.finishedAt = r.now()
 	r.schedFinishedLocked(c)
 	if c.partKey != "" {
 		r.obsParts.Drop(c.partKey)
 	}
-	c.job = nil
+	c.job, c.simProcs = nil, nil
 	r.dequeueLocked(c)
 	for _, n := range c.placement {
 		r.free[n] = true
@@ -958,15 +953,18 @@ func (r *Runtime) Run() error {
 	}
 	r.ran = true
 	r.sub = newSubstrate(r.cfg.Nodes, r.cfg.Net, r.cfg.MPI, 1, r.cfg.MaxVirtualTime, 0, 0)
-	// Turn every SubmitAt schedule into an arrival proc. Arrivals are
-	// non-daemon so the batch stays alive through gaps in the schedule;
-	// spawn order (schedule order) plus the timer heap's (time, seq)
-	// ordering keeps simultaneous arrivals deterministic.
-	for _, c := range r.scheduled {
-		c := c
-		r.sub.sims[0].SpawnID("arrival", c.id, func(p *sim.Proc) {
-			p.Sleep(c.notBefore)
-			r.arriveSimJob(c, p.Now())
+	// One arrivals proc walks the SubmitAt schedule in arrival order,
+	// schedule order breaking ties. It is non-daemon, so the batch stays
+	// alive through gaps in the schedule, and it sleeps before every
+	// arrival — zero between simultaneous ones, a yield — so whatever the
+	// previous arrival admitted runs first, as if each had its own proc.
+	if sched := r.scheduled; len(sched) > 0 {
+		sort.SliceStable(sched, func(a, b int) bool { return sched[a].notBefore < sched[b].notBefore })
+		r.sub.sims[0].Spawn("arrivals", func(p *sim.Proc) {
+			for _, c := range sched {
+				p.Sleep(c.notBefore - p.Now())
+				r.arriveSimJob(c, p.Now())
+			}
 		})
 	}
 	r.simActive = true
@@ -1010,15 +1008,15 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 	for _, w := range c.placement {
 		r.sub.world.SetRankPool(w, pool)
 	}
-	c.simGroup = simmpi.NewGroup(r.sub.world, c.placement, c.id)
+	group := simmpi.NewGroup(r.sub.world, c.placement, c.id)
 	c.job.start(engineEnv{
 		rt:        &countingRT{simRT: simRT{s: r.sub.sims[0]}, c: c, r: r},
 		sims:      r.sub.sims[:c.nodes], // one shared simulator: any c.nodes entries will do
-		endpoints: groupEndpoints(c.simGroup, c.nodes),
+		endpoints: groupEndpoints(group, c.nodes),
 		pool:      pool,
 		clock:     r.sub.loop,
 		epoch:     c.startedAt,
-		wire:      c.simGroup,
+		wire:      group,
 	})
 }
 
@@ -1034,37 +1032,39 @@ type countingRT struct {
 	r *Runtime
 }
 
-// Spawn counts and starts a worker proc, retaining the proc handle so
-// Cancel can tear the job down mid-run. Only a proc that returns counts as
-// finished: one killed — by Cancel, or by the simulator shutting down at
+// Spawn counts and starts a worker proc, holding its handle while it runs
+// so Cancel can tear the job down mid-run. Only a proc that returns counts
+// as finished: one killed — by Cancel, or by the simulator shutting down at
 // the virtual-time cap — unwinds past exit, so a job cut short can never
 // cross zero and pass for complete.
 func (k *countingRT) Spawn(name string, fn func(transport.Proc)) {
 	k.c.procs.Add(1)
-	p := k.s.Spawn(name, func(p *sim.Proc) {
+	k.c.simProcs = append(k.c.simProcs, k.s.Spawn(name, func(p *sim.Proc) {
 		fn(p)
-		k.exit()
-	})
-	k.c.simProcs = append(k.c.simProcs, p)
+		k.exit(p)
+	}))
 }
 
 // SpawnID counts and starts a worker proc with a formatted name.
 func (k *countingRT) SpawnID(prefix string, id int, fn func(transport.Proc)) {
 	k.c.procs.Add(1)
-	p := k.s.SpawnID(prefix, id, func(p *sim.Proc) {
+	k.c.simProcs = append(k.c.simProcs, k.s.SpawnID(prefix, id, func(p *sim.Proc) {
 		fn(p)
-		k.exit()
-	})
-	k.c.simProcs = append(k.c.simProcs, p)
+		k.exit(p)
+	}))
 }
 
-// exit retires one worker proc; the first zero-crossing completes the
-// job, in virtual time, on the proc that crossed it: its Report (per-tenant
-// wire totals from its group, per-job pool and engine counters) is final,
-// its nodes free up and successors are admitted, all at that instant. Safe
-// to read the engine here: the job's procs have all exited and the sim
-// event loop is single-threaded.
-func (k *countingRT) exit() {
+// exit retires worker proc p: its handle goes (a scan of the few that are
+// live), and the first zero-crossing completes the job, in virtual time, on
+// the proc that crossed it: its Report (per-tenant wire totals from its
+// group, per-job pool and engine counters) is final, its nodes free up and
+// successors are admitted, all at that instant. Safe to read the engine
+// here: the job's procs have all exited and the sim event loop is
+// single-threaded.
+func (k *countingRT) exit(p *sim.Proc) {
+	if i := slices.Index(k.c.simProcs, p); i >= 0 {
+		k.c.simProcs = slices.Delete(k.c.simProcs, i, i+1)
+	}
 	if k.c.procs.Add(-1) == 0 && !k.c.finished {
 		k.c.finished = true
 		rep := k.c.job.report()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -399,6 +400,151 @@ func TestRuntimeSimSaturationQueues(t *testing.T) {
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 	if !(starts[0] < starts[1] && starts[1] < starts[2]) {
 		t.Errorf("expected strictly staggered starts on a saturated cluster, got %v", starts)
+	}
+}
+
+// TestRuntimeSimArrivalOrder pins what the one arrivals proc keeps of the
+// proc-per-arrival schedule it replaced: SubmitAt arrivals are taken in time
+// order whatever order they were scheduled in, and simultaneous ones one at
+// a time in schedule order — the first is admitted before the second has
+// arrived. The cluster fits one job and the first of the tied pair belongs
+// to the tenant that has already been charged, so had both been queued
+// before either was admitted, fair share would have picked the other.
+func TestRuntimeSimArrivalOrder(t *testing.T) {
+	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 10 * time.Millisecond
+	submitAt := func(name, tenant string, when time.Duration) *JobHandle {
+		h, err := r.SubmitAt(pingPongJob(transport.BackendSim, 2), SubmitOpts{Name: name, Tenant: tenant}, when)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	tieA := submitAt("tie-a", "busy", at)
+	tieB := submitAt("tie-b", "fresh", at)
+	first := submitAt("first", "busy", 0) // scheduled last, arrives first
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, h := range []*JobHandle{first, tieA, tieB} {
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, a, b := first.Status(), tieA.Status(), tieB.Status()
+	if f.StartedAt != 0 || f.FinishedAt >= at {
+		t.Fatalf("first ran %v..%v, want it started at 0 and done before %v", f.StartedAt, f.FinishedAt, at)
+	}
+	if a.SubmittedAt != at || b.SubmittedAt != at {
+		t.Errorf("tied arrivals stamped %v and %v, want %v", a.SubmittedAt, b.SubmittedAt, at)
+	}
+	if a.StartedAt != at || b.StartedAt != a.FinishedAt {
+		t.Errorf("tie-a ran %v..%v, tie-b started %v; want tie-a admitted on arrival at %v and tie-b behind it",
+			a.StartedAt, a.FinishedAt, b.StartedAt, at)
+	}
+}
+
+// TestRuntimeSimHoldsLiveProcsOnly checks the runtime keeps handles of a
+// tenant's unfinished worker procs only: a reliable ping-pong spawns a tx
+// helper per send and an ack helper per frame, hundreds over the run, yet
+// the set Cancel would kill stays a handful while the job runs, and goes —
+// with the engine — when it retires.
+func TestRuntimeSimHoldsLiveProcsOnly(t *testing.T) {
+	const reps = 100
+	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := backendConfig(transport.BackendSim, 2, 1)
+	cfg.Reliability.Enabled = true
+	job := NewJob(cfg)
+	var h *JobHandle
+	peak := 0
+	job.SetCPUKernel(func(c *CPUCtx) {
+		buf := make([]byte, 64)
+		for i := 0; i < reps; i++ {
+			if c.Rank() == 0 {
+				c.Send(1, buf)
+				c.Recv(1, buf)
+			} else {
+				c.Recv(0, buf)
+				c.Send(0, buf)
+			}
+			peak = max(peak, len(h.j.simProcs)) // sim context: one proc at a time
+		}
+	})
+	if h, err = r.Submit(job, SubmitOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rep, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AcksSent < 2*reps {
+		t.Fatalf("%d acks sent, want a helper per frame (%d)", rep.AcksSent, 2*reps)
+	}
+	if peak < 2 || peak > 8 {
+		t.Errorf("held %d proc handles at the peak, want the two kernels and the helpers of the frames in flight", peak)
+	}
+	if h.j.simProcs != nil || h.j.job != nil {
+		t.Errorf("a retired job still holds %d proc handles (engine dropped: %v)", len(h.j.simProcs), h.j.job == nil)
+	}
+}
+
+// TestRuntimeSimOneSidedTenant has a tenant register windows and put into
+// them under a default Config — the lane needs no switch, so any job a
+// runtime serves may use it — next to a classic co-tenant, whose Report and
+// start and finish times must equal, field for field, the ones it gets with
+// the cluster to itself.
+func TestRuntimeSimOneSidedTenant(t *testing.T) {
+	const puts = 6
+	type outcome struct {
+		Report
+		JobStatus
+	}
+	classic := func(cotenant bool) outcome {
+		r, err := NewRuntime(runtimeConfig(transport.BackendSim, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		h, err := r.Submit(pingPongJob(transport.BackendSim, 8), SubmitOpts{Tenant: "classic"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hw *JobHandle
+		win := make([]byte, puts)
+		if cotenant {
+			job := putStreamJob(t, backendConfig(transport.BackendSim, 2, 1), win)
+			if hw, err = r.Submit(job, SubmitOpts{Tenant: "windows"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if cotenant {
+			rep, err := hw.Wait()
+			if err != nil || rep.OneSidedPuts != puts || win[puts-1] != puts {
+				t.Errorf("one-sided tenant: err %v, %d puts counted, window %v", err, rep.OneSidedPuts, win)
+			}
+		}
+		rep, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{rep, h.Status()}
+	}
+	if alone, shared := classic(false), classic(true); !reflect.DeepEqual(alone, shared) {
+		t.Errorf("classic tenant changed next to a one-sided co-tenant:\nalone  %+v\nshared %+v", alone, shared)
 	}
 }
 

@@ -32,16 +32,12 @@ type DebugHistogram struct {
 	Sum int64 `json:"sum"`
 	// Mean is Sum/Count.
 	Mean float64 `json:"mean"`
-	// P50, P90 and P99 are log2-bucket quantile upper bounds.
-	P50 int64 `json:"p50"`
-	P90 int64 `json:"p90"`
-	P99 int64 `json:"p99"`
-	// P50F, P90F and P99F are the interpolated quantiles
-	// (HistogramSnapshot.QuantileF): estimated within the bucket rather
-	// than quantized to its power-of-two upper bound.
-	P50F float64 `json:"p50f"`
-	P90F float64 `json:"p90f"`
-	P99F float64 `json:"p99f"`
+	// P50, P90 and P99 are the quantiles HistogramSnapshot.QuantileF
+	// estimates: interpolated within the log2 bucket, not quantized to its
+	// power-of-two bound.
+	P50 float64 `json:"p50"`
+	P90 float64 `json:"p90"`
+	P99 float64 `json:"p99"`
 	// Buckets holds the raw per-log2-bucket counts.
 	Buckets []uint64 `json:"buckets"`
 }
@@ -65,22 +61,19 @@ func summarize(h HistogramSnapshot) DebugHistogram {
 		Count:   h.Count,
 		Sum:     h.Sum,
 		Mean:    h.Mean(),
-		P50:     h.Quantile(0.50),
-		P90:     h.Quantile(0.90),
-		P99:     h.Quantile(0.99),
-		P50F:    h.QuantileF(0.50),
-		P90F:    h.QuantileF(0.90),
-		P99F:    h.QuantileF(0.99),
+		P50:     h.QuantileF(0.50),
+		P90:     h.QuantileF(0.90),
+		P99:     h.QuantileF(0.99),
 		Buckets: h.Buckets,
 	}
 }
 
 // WriteHistograms renders a run's metric distributions (Report.Histograms)
 // as an aligned table sorted by instrument name, with the columns of the
-// debug document: count, mean, the log2-bucket p50/p90/p99 upper bounds and
-// the interpolated p50f/p90f/p99f. An instrument whose base name (before
-// any "/label=value" tags) ends in "_ns" prints as durations; everything
-// else (queue depths, counts) prints raw.
+// debug document: count, mean and the interpolated p50/p90/p99. An
+// instrument whose base name (before any "/label=value" tags) ends in
+// "_ns" prints as durations; everything else (queue depths, counts) prints
+// raw.
 func WriteHistograms(w io.Writer, hists map[string]HistogramSnapshot) error {
 	names := make([]string, 0, len(hists))
 	for name := range hists {
@@ -88,7 +81,7 @@ func WriteHistograms(w io.Writer, hists map[string]HistogramSnapshot) error {
 	}
 	sort.Strings(names)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "histogram\tcount\tmean\tp50\tp90\tp99\tp50f\tp90f\tp99f")
+	fmt.Fprintln(tw, "histogram\tcount\tmean\tp50\tp90\tp99")
 	for _, name := range names {
 		h := summarize(hists[name])
 		base, _, _ := strings.Cut(name, "/")
@@ -99,8 +92,7 @@ func WriteHistograms(w io.Writer, hists map[string]HistogramSnapshot) error {
 			}
 			return fmt.Sprintf("%.0f", v)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n", name, h.Count, val(h.Mean),
-			val(float64(h.P50)), val(float64(h.P90)), val(float64(h.P99)), val(h.P50F), val(h.P90F), val(h.P99F))
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\t%s\n", name, h.Count, val(h.Mean), val(h.P50), val(h.P90), val(h.P99))
 	}
 	return tw.Flush()
 }

@@ -74,17 +74,12 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if want := int64(90*100 + 10*100000); s.Sum != want {
 		t.Fatalf("Sum = %d, want %d", s.Sum, want)
 	}
-	if got := s.Quantile(0.5); got != 127 {
-		t.Errorf("p50 = %d, want 127", got)
-	}
-	if got := s.Quantile(0.99); got != 131071 {
-		t.Errorf("p99 = %d, want 131071", got)
-	}
-	if got := s.Quantile(0); got != 127 {
-		t.Errorf("p0 = %d, want 127", got)
-	}
-	if got := s.Quantile(1); got != 131071 {
-		t.Errorf("p100 = %d, want 131071", got)
+	for _, c := range []struct{ q, lo, hi float64 }{
+		{0.5, 64, 128}, {0.99, 65536, 131072}, {0, 64, 64}, {1, 65536, 131072},
+	} {
+		if got := s.QuantileF(c.q); got < c.lo || got > c.hi {
+			t.Errorf("QuantileF(%v) = %v, want it in its bucket [%v, %v]", c.q, got, c.lo, c.hi)
+		}
 	}
 	if m := s.Mean(); m != float64(s.Sum)/100 {
 		t.Errorf("Mean = %v", m)
@@ -99,15 +94,15 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	if s.Count != 2 || len(s.Buckets) != 1 || s.Buckets[0] != 2 {
 		t.Fatalf("snapshot = %+v, want both observations in bucket 0", s)
 	}
-	if got := s.Quantile(0.5); got != 0 {
-		t.Errorf("p50 = %d, want 0", got)
+	if got := s.QuantileF(0.5); got != 0 {
+		t.Errorf("p50 = %v, want 0", got)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := &Histogram{}
 	s := h.Snapshot()
-	if s.Quantile(0.5) != 0 || s.Mean() != 0 || len(s.Buckets) != 0 {
+	if s.QuantileF(0.5) != 0 || s.Mean() != 0 || len(s.Buckets) != 0 {
 		t.Fatalf("empty snapshot misbehaves: %+v", s)
 	}
 }
@@ -341,15 +336,15 @@ func TestDebugHandler(t *testing.T) {
 		t.Fatalf("decoded state = %+v", st)
 	}
 	h := st.Histograms["wait"]
-	if h.Count != 4 || h.P50 != 1023 || h.Mean != 1000 {
+	if h.Count != 4 || h.P50 != 704 || h.Mean != 1000 { // p50: 1.5 ranks of 4 into [512, 1024)
 		t.Fatalf("histogram summary = %+v", h)
 	}
 }
 
 // TestWriteHistograms pins the text rendering of Report.Histograms: rows
-// sorted by name under the nine debug-document columns, "_ns" instruments
+// sorted by name under the six debug-document columns, "_ns" instruments
 // as durations (also when the name carries label tags), everything else
-// raw, and the interpolated columns not quantized to bucket bounds.
+// raw, and the quantiles interpolated, not quantized to bucket bounds.
 func TestWriteHistograms(t *testing.T) {
 	r := NewRegistry()
 	for _, v := range []int64{1000, 1000, 3000, 3000} {
@@ -365,16 +360,16 @@ func TestWriteHistograms(t *testing.T) {
 		rows = append(rows, strings.Fields(line))
 	}
 	want := [][]string{
-		{"histogram", "count", "mean", "p50", "p90", "p99", "p50f", "p90f", "p99f"},
-		{"depth", "1", "5", "7", "7", "7"},
-		{"wait_ns/op=recv", "4", "2µs", "1.023µs", "4.095µs", "4.095µs"},
+		{"histogram", "count", "mean", "p50", "p90", "p99"},
+		{"depth", "1", "5", "4", "4", "4"},
+		{"wait_ns/op=recv", "4", "2µs", "896ns", "2.764µs", "3.041µs"},
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("%d rows, want %d:\n%s", len(rows), len(want), buf.String())
 	}
 	for i, w := range want {
-		if len(rows[i]) != 9 {
-			t.Fatalf("row %d has %d columns, want 9: %v", i, len(rows[i]), rows[i])
+		if len(rows[i]) != len(w) {
+			t.Fatalf("row %d has %d columns, want %d: %v", i, len(rows[i]), len(w), rows[i])
 		}
 		for j, cell := range w {
 			if rows[i][j] != cell {
@@ -383,7 +378,7 @@ func TestWriteHistograms(t *testing.T) {
 		}
 	}
 	wait := r.Snapshot().Histograms["wait_ns/op=recv"]
-	if got, want := rows[2][6], time.Duration(wait.QuantileF(0.50)).String(); got != want || got == rows[2][3] {
-		t.Errorf("p50f = %q, want the interpolated %q (p50 is %q)", got, want, rows[2][3])
+	if got, want := rows[2][3], time.Duration(wait.QuantileF(0.50)).String(); got != want {
+		t.Errorf("p50 = %q, want QuantileF's %q", got, want)
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // QuantileF: interpolated percentile extraction from the log2-bucketed
-// histograms. The legacy Quantile reports a bucket's upper bound, which
-// quantizes tails like p999 to a factor-of-two grid; these tests pin the
-// interpolated variant against exact recorded samples.
+// histograms. Reporting a bucket's upper bound would quantize tails like
+// p999 to a factor-of-two grid; these tests pin the interpolation against
+// exact recorded samples.
 
 // exactQuantile is the reference: the continuous empirical q-quantile of
 // the recorded samples (linear interpolation between order statistics,
@@ -29,9 +29,9 @@ func exactQuantile(samples []int64, q float64) float64 {
 }
 
 // TestQuantileFExactOnFilledBucket records every integer in one bucket
-// ([1024, 2048)) once. The legacy Quantile returns 2047 for every q —
-// the power-of-two quantization bug — while QuantileF reproduces the
-// exact empirical quantile of the recorded samples.
+// ([1024, 2048)) once. Reporting the bucket's bound would give 2047 for
+// every q; QuantileF reproduces the exact empirical quantile of the
+// recorded samples.
 func TestQuantileFExactOnFilledBucket(t *testing.T) {
 	h := &Histogram{}
 	var samples []int64
@@ -45,10 +45,6 @@ func TestQuantileFExactOnFilledBucket(t *testing.T) {
 		got := s.QuantileF(q)
 		if math.Abs(got-want) > 1e-6 {
 			t.Errorf("QuantileF(%v) = %v, want exact %v", q, got, want)
-		}
-		// The un-interpolated quantile is pinned to the bucket ceiling.
-		if lq := s.Quantile(q); lq != 2047 {
-			t.Errorf("Quantile(%v) = %d, want the quantized 2047", q, lq)
 		}
 	}
 }
@@ -76,7 +72,7 @@ func TestQuantileFExactAcrossBuckets(t *testing.T) {
 // TestQuantileFP999NotQuantized is the regression pin for the p999 bug:
 // on a realistic multi-bucket latency shape, QuantileF must land within
 // half a percent of the exact recorded p999, strictly closer than the
-// power-of-two value the legacy Quantile reports.
+// containing bucket's power-of-two ceiling.
 func TestQuantileFP999NotQuantized(t *testing.T) {
 	h := &Histogram{}
 	var samples []int64
@@ -93,15 +89,12 @@ func TestQuantileFP999NotQuantized(t *testing.T) {
 	s := h.Snapshot()
 	exact := exactQuantile(samples, 0.999)
 	got := s.QuantileF(0.999)
-	legacy := float64(s.Quantile(0.999))
-	if legacy != 16383 {
-		t.Fatalf("Quantile(0.999) = %v, want the bucket ceiling 16383", legacy)
-	}
+	const ceiling = 16383 // of bucket 14, where p999 falls
 	if rel := math.Abs(got-exact) / exact; rel > 0.005 {
 		t.Errorf("QuantileF(0.999) = %v, exact %v: relative error %.4f > 0.5%%", got, exact, rel)
 	}
-	if math.Abs(got-exact) >= math.Abs(legacy-exact) {
-		t.Errorf("QuantileF(0.999) = %v is no closer to exact %v than quantized %v", got, exact, legacy)
+	if math.Abs(got-exact) >= math.Abs(ceiling-exact) {
+		t.Errorf("QuantileF(0.999) = %v is no closer to exact %v than the bucket ceiling %v", got, exact, ceiling)
 	}
 }
 

@@ -159,41 +159,11 @@ func (s HistogramSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// Quantile returns the inclusive upper bound of the bucket containing the
-// q-quantile observation (q in [0, 1]): 0 for bucket 0, 2^i - 1 for
-// bucket i. Log2 bucketing makes this exact to within a factor of two,
-// which is the resolution the registry trades for fixed memory.
-func (s HistogramSnapshot) Quantile(q float64) int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(s.Count-1))
-	var cum uint64
-	for i, b := range s.Buckets {
-		cum += b
-		if cum > rank {
-			if i == 0 {
-				return 0
-			}
-			return int64(uint64(1)<<i - 1)
-		}
-	}
-	return int64(uint64(1)<<len(s.Buckets) - 1)
-}
-
-// QuantileF returns the q-quantile with linear interpolation inside the
-// containing log2 bucket. Quantile reports only the bucket's inclusive
-// upper bound (a power of two minus one), which quantizes tail figures
-// like p999 to a factor-of-two grid; QuantileF instead assumes the
-// bucket's observations are uniformly spread over [2^(i-1), 2^i) and
-// interpolates by rank, which is what SLO reporting wants. Bucket 0
-// (v <= 0) still reports 0 exactly.
+// QuantileF returns the q-quantile (q in [0, 1]) with linear interpolation
+// inside the containing log2 bucket: it assumes the bucket's observations
+// are uniformly spread over [2^(i-1), 2^i) and interpolates by rank, so
+// tail figures like p999 are not quantized to the factor-of-two grid of
+// the bucket bounds. Bucket 0 (v <= 0) reports 0 exactly.
 func (s HistogramSnapshot) QuantileF(q float64) float64 {
 	if s.Count == 0 {
 		return 0

@@ -75,15 +75,11 @@ func (c Config) maxDelay() time.Duration {
 	return 500 * time.Microsecond
 }
 
-// Endpoint wraps one node's transport with fault injection. It implements
-// transport.Transport and transport.FaultReporter.
+// Endpoint wraps one node's transport with fault injection on both lanes.
 type Endpoint struct {
 	inner transport.Transport
-	// innerOS is the inner transport's one-sided lane, nil when the
-	// wrapped backend does not implement it.
-	innerOS transport.OneSided
-	cfg     Config
-	node    int
+	cfg   Config
+	node  int
 
 	// mu guards the RNG, stats and held-message slots. It is never held
 	// across a (potentially blocking) inner transport call: on the
@@ -103,14 +99,12 @@ type Endpoint struct {
 // of a cluster must share the same Config (in particular Seed), or the
 // cluster-consistent collective failure decisions diverge.
 func New(inner transport.Transport, cfg Config, node int) *Endpoint {
-	e := &Endpoint{
+	return &Endpoint{
 		inner: inner,
 		cfg:   cfg,
 		node:  node,
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(node)<<17 ^ 0x5bd1e995)),
 	}
-	e.innerOS, _ = inner.(transport.OneSided)
-	return e
 }
 
 // FaultStats returns a snapshot of the faults injected so far.
@@ -184,10 +178,7 @@ func (e *Endpoint) Send(p transport.Proc, dstNode int, msg []byte) error {
 // frames, with a held-message slot of its own so the two lanes reorder
 // independently (a parked put can never block a wire send's flush).
 func (e *Endpoint) SendOneSided(p transport.Proc, dstNode int, frame []byte) error {
-	if e.innerOS == nil {
-		return transport.ErrNoOneSided
-	}
-	return e.sendFaulty(p, dstNode, frame, &e.heldOS, &e.heldOSDst, e.innerOS.SendOneSided)
+	return e.sendFaulty(p, dstNode, frame, &e.heldOS, &e.heldOSDst, e.inner.SendOneSided)
 }
 
 // recvFaulty injects latency on a successfully received message with
@@ -219,10 +210,7 @@ func (e *Endpoint) RecvMsg(p transport.Proc) ([]byte, error) {
 // RecvOneSided forwards the inner one-sided receive, injecting latency on
 // delivery with probability Config.Delay.
 func (e *Endpoint) RecvOneSided(p transport.Proc) ([]byte, error) {
-	if e.innerOS == nil {
-		return nil, transport.ErrNoOneSided
-	}
-	frame, err := e.innerOS.RecvOneSided(p)
+	frame, err := e.inner.RecvOneSided(p)
 	return e.recvFaulty(p, frame, err)
 }
 

@@ -23,7 +23,11 @@ func (r *recorder) Send(_ transport.Proc, dstNode int, msg []byte) error {
 	return nil
 }
 func (r *recorder) RecvMsg(transport.Proc) ([]byte, error) { return []byte("inbound"), nil }
-func (r *recorder) Barrier(transport.Proc) error           { return nil }
+func (r *recorder) SendOneSided(p transport.Proc, dstNode int, frame []byte) error {
+	return r.Send(p, dstNode, frame)
+}
+func (r *recorder) RecvOneSided(p transport.Proc) ([]byte, error) { return r.RecvMsg(p) }
+func (r *recorder) Barrier(transport.Proc) error                  { return nil }
 func (r *recorder) Bcast(transport.Proc, []byte, int) error {
 	return nil
 }

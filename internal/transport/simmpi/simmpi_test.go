@@ -44,7 +44,6 @@ func runScript(t *testing.T, s *sim.Sim, w *mpi.World, eps []transport.Transport
 		counts[n] = 64 * (n + 1)
 	}
 	for n, ep := range eps {
-		os := ep.(transport.OneSided)
 		s.Spawn("node", func(p *sim.Proc) {
 			h := fnv.New64a()
 			recv := func(msg []byte, err error) {
@@ -59,13 +58,13 @@ func runScript(t *testing.T, s *sim.Sim, w *mpi.World, eps []transport.Transport
 				if n < peer {
 					check(t, ep.Send(p, peer, payload(n, size)))
 					recv(ep.RecvMsg(p))
-					check(t, os.SendOneSided(p, peer, payload(n, size+1)))
-					recv(os.RecvOneSided(p))
+					check(t, ep.SendOneSided(p, peer, payload(n, size+1)))
+					recv(ep.RecvOneSided(p))
 				} else {
 					recv(ep.RecvMsg(p))
 					check(t, ep.Send(p, peer, payload(n, size)))
-					recv(os.RecvOneSided(p))
-					check(t, os.SendOneSided(p, peer, payload(n, size+1)))
+					recv(ep.RecvOneSided(p))
+					check(t, ep.SendOneSided(p, peer, payload(n, size+1)))
 				}
 			}
 			check(t, ep.Barrier(p))

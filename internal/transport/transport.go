@@ -1,23 +1,35 @@
 // Package transport defines the wire seam of the DCGN progress engine:
-// the interface between the per-node communication thread (intake +
-// matching + collective accumulation, internal/core) and whatever
+// the interface between a node's engine (internal/core) and whatever
 // substrate actually moves bytes between nodes.
 //
 // The paper's design (§3.2.2) has the communication thread own "the
 // underlying communication library" — MPI in the original. Everything the
-// comm thread needs from that library is node-level: send one framed wire
-// message to a peer node, block for the next inbound message, and run
-// node-level collectives. Transport captures exactly that surface, so the
-// matching/ordering semantics live once in internal/core and backends are
-// interchangeable:
+// engine needs from that library is node-level, and it is one interface,
+// Transport, with two lanes:
+//
+//   - the two-sided lane (Send/RecvMsg) and the node-level collectives
+//     serve the comm thread: send one framed wire message to a peer node,
+//     block for the next inbound one, run a collective once every resident
+//     rank has joined;
+//   - the one-sided lane (SendOneSided/RecvOneSided) models an RDMA-capable
+//     NIC: frames posted here never enter the comm thread's intake→matcher
+//     path at either end — the origin posts from the producing thread (a
+//     CPU kernel or a GPU-triggered NIC daemon) and the target's sink
+//     daemon applies them straight into registered windows. Every transport
+//     carries it; an engine that never registers a window never calls it.
+//
+// The matching/ordering semantics live once in internal/core and backends
+// are interchangeable:
 //
 //   - simmpi: the default deterministic backend, adapting internal/mpi
 //     over the simulated cluster fabric (the configuration every golden
-//     determinism test pins).
+//     determinism test pins); the lanes are two tags of one rank.
 //   - live: real goroutines and channels on the wall clock, with no
 //     dependency on internal/sim — proof that the engine/transport seam is
 //     real, and a harness for running DCGN semantics under the race
-//     detector.
+//     detector; the lanes are two channels per endpoint.
+//   - faults: a middleware over either, perturbing both lanes with the same
+//     drop/dup/reorder/delay machinery.
 package transport
 
 import (
@@ -43,13 +55,6 @@ var ErrClosed = errors.New("transport: closed")
 // try again" from a real backend error. Engines retry bounded times on
 // errors.Is(err, ErrTransient) and surface everything else.
 var ErrTransient = errors.New("transport: transient injected fault")
-
-// ErrNoOneSided is returned by a middleware's OneSided methods when the
-// transport it wraps does not implement the one-sided lane, so a stack
-// that type-asserts successfully at the outermost layer still fails
-// loudly (rather than silently dropping frames) if an inner layer cannot
-// carry them.
-var ErrNoOneSided = errors.New("transport: wrapped backend has no one-sided lane")
 
 // Config selects the progress-engine substrate for a job.
 type Config struct {
@@ -89,7 +94,8 @@ type Proc interface {
 // header + payload). Send has buffered semantics: when it returns, the
 // caller may reuse msg. RecvMsg has take-ownership semantics: the returned
 // buffer belongs to the caller, who releases it to the job's buffer pool
-// after delivery.
+// after delivery. SendOneSided and RecvOneSided mirror them exactly on the
+// one-sided lane, whose frames never mix with the RecvMsg stream.
 //
 // The collectives are node-level (one call per node, every node
 // participating), mirroring the paper's "one MPI collective per node once
@@ -102,6 +108,13 @@ type Transport interface {
 	// transfers ownership of its buffer to the caller. After Close it
 	// returns ErrClosed.
 	RecvMsg(p Proc) ([]byte, error)
+	// SendOneSided transmits one framed one-sided message (a put, get or
+	// atomic descriptor, or an ack of one) to dstNode's one-sided lane.
+	SendOneSided(p Proc, dstNode int, frame []byte) error
+	// RecvOneSided blocks until the next inbound one-sided frame arrives
+	// and transfers ownership of its buffer to the caller. After Close it
+	// returns ErrClosed.
+	RecvOneSided(p Proc) ([]byte, error)
 	// Barrier blocks until every node has entered the barrier.
 	Barrier(p Proc) error
 	// Bcast broadcasts buf from rootNode; every node passes an
@@ -120,32 +133,6 @@ type Transport interface {
 	// Close shuts the endpoint down, waking blocked receivers and
 	// collective participants with ErrClosed. It is idempotent.
 	Close() error
-}
-
-// OneSided is the optional second lane of a Transport: framed one-sided
-// messages (put/get/ack descriptors built by internal/core's one-sided
-// engine) that travel outside the two-sided RecvMsg stream. It models an
-// RDMA-capable NIC: frames sent here never enter the comm thread's
-// intake→matcher path at either end — the origin posts directly from the
-// producing thread (CPU kernel or GPU-triggered NIC daemon) and the
-// target's one-sided sink daemon applies them straight into registered
-// windows.
-//
-// Both built-in backends implement it (simmpi demuxes the lane on a
-// dedicated tag; live uses a dedicated channel per endpoint), and the
-// faults middleware forwards it with the same drop/dup/reorder/delay
-// machinery as the two-sided lane, so chaos coverage holds. The engine
-// discovers the lane by type-asserting the node's outermost transport.
-//
-// SendOneSided has buffered semantics (frame is reusable on return);
-// RecvOneSided has take-ownership semantics and returns ErrClosed after
-// Close, exactly mirroring Send/RecvMsg.
-type OneSided interface {
-	// SendOneSided transmits one framed one-sided message to dstNode.
-	SendOneSided(p Proc, dstNode int, frame []byte) error
-	// RecvOneSided blocks until the next inbound one-sided frame arrives
-	// and transfers ownership of its buffer to the caller.
-	RecvOneSided(p Proc) ([]byte, error)
 }
 
 // FaultStats counts the faults a fault-injection middleware has inflicted
@@ -180,14 +167,6 @@ func (s FaultStats) Plus(o FaultStats) FaultStats {
 		Delays:    s.Delays + o.Delays,
 		CollFails: s.CollFails + o.CollFails,
 	}
-}
-
-// FaultReporter is implemented by transports (or middlewares) that count
-// injected faults. The engine type-asserts each node's outermost transport
-// against it when assembling Report.Nodes.
-type FaultReporter interface {
-	// FaultStats returns a snapshot of the faults injected so far.
-	FaultStats() FaultStats
 }
 
 // WallProc is the Proc of live-backend threads: Now is wall-clock time
