@@ -284,8 +284,8 @@ func (j *Job) Run() (Report, error) {
 	defer j.debug.stop()
 	if j.cfg.Transport.Name() == transport.BackendLive {
 		pool := bufpool.New()
-		cluster := live.New(j.cfg.Nodes, pool)
-		return j.runLive(liveEndpoints(j.cfg.Nodes, cluster.Node), pool, cluster, nil)
+		g := live.New(j.cfg.Nodes, pool).Default()
+		return j.runLive(liveEndpoints(j.cfg.Nodes, g.Endpoint), pool, g, nil)
 	}
 	sub := newSubstrate(j.cfg.Nodes, j.cfg.Net, j.cfg.MPI, j.cfg.Shards,
 		j.cfg.MaxVirtualTime, j.cfg.JitterFrac, j.cfg.JitterSeed)
@@ -361,9 +361,7 @@ func (j *Job) newNodeState(n int) *nodeState {
 	var s *sim.Sim
 	if j.sims != nil {
 		s = j.sims[n]
-		if rtv == nil {
-			rtv = simRT{s: s} // a 1:1 veneer: no allocation, no behavior of its own
-		}
+		rtv = simRT{s: s} // a 1:1 veneer: no allocation, no behavior of its own
 	}
 	ns := &nodeState{
 		job:    j,
@@ -410,11 +408,7 @@ func (j *Job) spawnGPUKernels() {
 		for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
 			ns := j.nodes[n]
 			gt := ns.gpus[g]
-			// Spawn through the node's rt (a 1:1 veneer over the simulator
-			// for a single job) so a multi-tenant runtime's per-job proc
-			// accounting sees GPU kernels too.
-			ns.rt.Spawn(fmt.Sprintf("gpu-kern:%d.%d", n, g), func(tp transport.Proc) {
-				p := tp.(*sim.Proc)
+			ns.sim.Spawn(fmt.Sprintf("gpu-kern:%d.%d", n, g), func(p *sim.Proc) {
 				setup := &GPUSetup{Job: j, Node: ns.node, GPU: gt.index, Dev: gt.dev, Bus: ns.bus, Proc: p, Args: map[string]any{}}
 				if j.gpuSetup != nil {
 					j.gpuSetup(setup)
@@ -470,11 +464,8 @@ func (j *Job) spawnCPUKernels() {
 // and the per-node engine state (trace, node stats, bus/GPU aggregates,
 // pool accounting). The host calls it once the engine is quiescent.
 func (j *Job) report() Report {
-	rep := Report{
-		Elapsed:    j.clock.Now() - j.epoch,
-		NetPackets: int(j.wire.Packets()),
-		NetBytes:   j.wire.Bytes(),
-	}
+	rep := Report{Elapsed: j.clock.Now() - j.epoch}
+	rep.NetPackets, rep.NetBytes = j.wire.Totals()
 	if j.trace != nil {
 		rep.Trace = j.trace.spans()
 		rep.TraceDropped = j.trace.dropped()

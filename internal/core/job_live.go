@@ -19,9 +19,9 @@ func liveEndpoints(n int, at func(int) *live.Endpoint) []transport.Transport {
 	return eps
 }
 
-// liveWire is the live transport under one engine run: a whole private
-// cluster for Job.Run, one tenant group of a shared cluster for a Runtime.
-// Closing it is how the run is torn down.
+// liveWire is the live transport under one engine run: the default group
+// of a private cluster for Job.Run, one tenant group of a shared cluster
+// for a Runtime. Closing it is how the run is torn down.
 type liveWire interface {
 	wireTotals
 	Close() error

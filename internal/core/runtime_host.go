@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcgn/internal/bufpool"
@@ -49,15 +47,18 @@ import (
 //     virtual time only advances inside one Run. Submit everything first,
 //     then Run executes the whole batch on a single shared simulator —
 //     admission happens at t=0 and again, in virtual time, whenever a
-//     finishing job frees its nodes; a job is complete when its worker
-//     procs' count crosses zero, and Cancel is injected at an event
-//     boundary. Scheduling is exactly as deterministic as a single-job run.
+//     finishing job frees its nodes. A job is a proc group of the shared
+//     simulator (sim.Group): complete when the last of its kernels and
+//     helpers returns, canceled by killing the group at an event boundary,
+//     and either way every proc it started — comm threads, receivers,
+//     monitors, timers, device blocks, MPI helpers — ends with it.
+//     Scheduling is exactly as deterministic as a single-job run.
 //
-// A tenant's Report is not a solo run's: its NetPackets are metered at its
-// endpoints (the fabric's counters aggregate all tenants) and its Elapsed
-// ends at its completion instant on the shared clock, which is why Job.Run
-// is not a runtime of one. A Runtime's substrate has one shard: tenants
-// share its rt, its arrival procs and its cancel injections.
+// A tenant's Report is a solo run's in everything but its clock: its
+// Elapsed ends at its completion instant on the shared clock rather than
+// after the run's trailing deliveries, which is why Job.Run is not a
+// runtime of one. A Runtime's substrate has one shard: tenants share its
+// simulator, its arrival procs and its cancel injections.
 type Runtime struct {
 	cfg   RuntimeConfig
 	epoch time.Time // live clock origin for JobStatus times
@@ -278,18 +279,10 @@ type rtJob struct {
 
 	// placement is the nodes the job holds while running.
 	placement []int
-	// simProcs holds the job's unfinished worker procs on the shared
-	// simulator, in spawn order, so a running job can be torn down by
-	// Cancel. A proc joins when spawned and leaves when it returns, both in
-	// sim context; the cancel injection drains it and retire drops it.
-	simProcs []*sim.Proc
-	// procs counts live engine procs (kernels and the helpers their
-	// requests spawn) on the simulated backend; the zero-crossing after
-	// kernels spawn is the job's completion point. finished latches the
-	// first crossing — a straggling post-completion helper (a re-ack for a
-	// duplicate frame) must not finish the job twice.
-	procs    atomic.Int64
-	finished bool
+	// group holds every proc the job started on the shared simulator; the
+	// simulator keeps the count whose zero is completion and the handles
+	// Cancel kills.
+	group *sim.Group
 
 	partKey string
 
@@ -724,10 +717,11 @@ func (r *Runtime) List() []JobStatus {
 // unwinds its engine (its handle resolves with ErrJobCanceled and a
 // partial Report). A running simulated job is torn down at the next
 // virtual-time event boundary: the cancel is injected into the scheduler,
-// which kills the job's procs, frees its nodes and resolves the handle
-// with ErrJobCanceled and a partial Report — co-tenant determinism is
-// preserved because the teardown happens between events on the shared
-// clock. Canceling an unknown id fails with ErrNoSuchJob.
+// which kills the job's proc group — kernels, helpers, daemons, device
+// blocks, all of it — frees its nodes and resolves the handle with
+// ErrJobCanceled and a partial Report. Co-tenant determinism is preserved
+// because the teardown happens between events on the shared clock.
+// Canceling an unknown id fails with ErrNoSuchJob.
 func (r *Runtime) Cancel(id int) error {
 	r.mu.Lock()
 	var c *rtJob
@@ -762,29 +756,18 @@ func (r *Runtime) Cancel(id int) error {
 
 // cancelSimJobNow tears down a running simulated job. It executes in
 // scheduler context (via sim.Inject) at an event boundary, where no proc
-// is mid-step: every worker proc the job spawned is killed (their defers
-// release staging state; pending timers for dead procs become no-ops),
-// the partial Report is assembled exactly like a completion, and the
-// freed nodes admit successors at the current virtual time. The job's
-// engine daemons stay parked in their tag band, tag-isolated and harmless
-// to the next tenant of those nodes.
+// is mid-step: the job's proc group is killed (defers release staging
+// state, posted receives and fabric NICs; pending timers for dead procs
+// become no-ops), the partial Report is assembled exactly like a
+// completion, and the freed nodes admit successors at the current virtual
+// time.
 func (r *Runtime) cancelSimJobNow(c *rtJob) {
-	r.mu.Lock()
-	if c.state != JobRunning || c.finished {
-		// Completed (or already canceled) before the injection ran.
-		r.mu.Unlock()
+	if c.job == nil {
+		// Completed (or already canceled) before the injection ran: retire,
+		// which drops a running job's engine, runs in sim context like this.
 		return
 	}
-	// Latch finished first: a helper the job's parked daemons spawn later
-	// must not cross zero and finish the job a second time.
-	c.finished = true
-	procs := c.simProcs
-	c.simProcs = nil
-	r.mu.Unlock()
-
-	for _, p := range procs {
-		p.Sim().Kill(p)
-	}
+	c.group.Kill()
 	rep := c.job.report()
 	r.mu.Lock()
 	r.retire(c, JobCanceled, rep, ErrJobCanceled)
@@ -797,12 +780,13 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 // OnJobDone, must run without it: the callback may Submit.
 //
 // In order: leave the tenant's active count; record the outcome; count it;
-// drop the job's metrics partition and the engine itself with its proc
-// handles (the Report owns the spans now, so this frees the
-// preallocated trace rings with it — safe even with a canceled live job's
-// goroutines still unwinding, which reach the engine through their own
-// references, never through c); leave the queue or free the nodes; admit
-// successors; resolve the handle; notify.
+// drop the job's metrics partition and the engine itself (the Report owns
+// the spans now, so this frees the preallocated trace rings with it: a
+// simulated job's procs, the only other references, are dead or about to
+// be killed with its group, and a canceled live job's goroutines still
+// unwinding reach the engine through their own references, never through
+// c); leave the queue or free the nodes; admit successors; resolve the
+// handle; notify.
 func (r *Runtime) retire(c *rtJob, state JobState, rep Report, err error) {
 	r.tenants[c.tenant].active--
 	c.state, c.report, c.err = state, rep, err
@@ -811,7 +795,7 @@ func (r *Runtime) retire(c *rtJob, state JobState, rep Report, err error) {
 	if c.partKey != "" {
 		r.obsParts.Drop(c.partKey)
 	}
-	c.job, c.simProcs = nil, nil
+	c.job = nil
 	r.dequeueLocked(c)
 	for _, n := range c.placement {
 		r.free[n] = true
@@ -998,77 +982,40 @@ func (r *Runtime) Run() error {
 
 // startSimJobLocked brings one admitted job's engine up on its share of
 // the substrate: a private buffer pool retargeted under its world ranks, a
-// tenant transport group in its own tag band over its placement, and the
-// counting rt whose zero-crossing is the job's completion.
+// tenant transport group in its own tag band over its placement, a meter
+// over its nodes' fabric counters, and — around the bring-up, so that every
+// proc it spawns and every proc those spawn is a member — a proc group
+// whose going idle is the job's completion.
 func (r *Runtime) startSimJobLocked(c *rtJob) {
 	pool := bufpool.New()
 	// Exclusive node ownership makes the pool retarget safe: the previous
-	// tenant of these ranks has quiesced (its proc count crossed zero), so
-	// no staging acquired from the old pool is still in flight.
+	// tenant of these ranks has quiesced (its group went idle or was
+	// killed), so no staging acquired from the old pool is still in flight.
 	for _, w := range c.placement {
 		r.sub.world.SetRankPool(w, pool)
 	}
-	group := simmpi.NewGroup(r.sub.world, c.placement, c.id)
-	c.job.start(engineEnv{
-		rt:        &countingRT{simRT: simRT{s: r.sub.sims[0]}, c: c, r: r},
-		sims:      r.sub.sims[:c.nodes], // one shared simulator: any c.nodes entries will do
-		endpoints: groupEndpoints(group, c.nodes),
-		pool:      pool,
-		clock:     r.sub.loop,
-		epoch:     c.startedAt,
-		wire:      group,
+	s := r.sub.sims[0]
+	// Completion happens in virtual time, on the proc whose return emptied
+	// the group: the Report is final (the engine is quiescent — every kernel
+	// and helper has returned and the event loop is single-threaded), the
+	// nodes free up and successors are admitted, all at that instant. What
+	// is left of the job — parked daemons, monitors still polling — is
+	// killed at the next event boundary, which is as soon as a proc can ask:
+	// Kill needs the scheduler's context.
+	c.group = s.NewGroup(func() {
+		rep := c.job.report()
+		r.mu.Lock()
+		r.retire(c, JobDone, rep, nil)
+		s.Inject(c.group.Kill)
 	})
-}
-
-// countingRT is the per-tenant execution substrate on a shared
-// simulator: a 1:1 veneer over simRT that counts worker procs (kernels
-// and the helpers their requests spawn — daemons pass through), so the
-// runtime observes the job's completion as the count's zero-crossing.
-// Spawns happen strictly before the spawned proc runs, so the count can
-// never cross zero while work remains.
-type countingRT struct {
-	simRT
-	c *rtJob
-	r *Runtime
-}
-
-// Spawn counts and starts a worker proc, holding its handle while it runs
-// so Cancel can tear the job down mid-run. Only a proc that returns counts
-// as finished: one killed — by Cancel, or by the simulator shutting down at
-// the virtual-time cap — unwinds past exit, so a job cut short can never
-// cross zero and pass for complete.
-func (k *countingRT) Spawn(name string, fn func(transport.Proc)) {
-	k.c.procs.Add(1)
-	k.c.simProcs = append(k.c.simProcs, k.s.Spawn(name, func(p *sim.Proc) {
-		fn(p)
-		k.exit(p)
-	}))
-}
-
-// SpawnID counts and starts a worker proc with a formatted name.
-func (k *countingRT) SpawnID(prefix string, id int, fn func(transport.Proc)) {
-	k.c.procs.Add(1)
-	k.c.simProcs = append(k.c.simProcs, k.s.SpawnID(prefix, id, func(p *sim.Proc) {
-		fn(p)
-		k.exit(p)
-	}))
-}
-
-// exit retires worker proc p: its handle goes (a scan of the few that are
-// live), and the first zero-crossing completes the job, in virtual time, on
-// the proc that crossed it: its Report (per-tenant wire totals from its
-// group, per-job pool and engine counters) is final, its nodes free up and
-// successors are admitted, all at that instant. Safe to read the engine
-// here: the job's procs have all exited and the sim event loop is
-// single-threaded.
-func (k *countingRT) exit(p *sim.Proc) {
-	if i := slices.Index(k.c.simProcs, p); i >= 0 {
-		k.c.simProcs = slices.Delete(k.c.simProcs, i, i+1)
-	}
-	if k.c.procs.Add(-1) == 0 && !k.c.finished {
-		k.c.finished = true
-		rep := k.c.job.report()
-		k.r.mu.Lock()
-		k.r.retire(k.c, JobDone, rep, nil)
-	}
+	s.InGroup(c.group, func() {
+		c.job.start(engineEnv{
+			sims:      r.sub.sims[:c.nodes], // one shared simulator: any c.nodes entries will do
+			endpoints: groupEndpoints(simmpi.NewGroup(r.sub.world, c.placement, c.id), c.nodes),
+			pool:      pool,
+			clock:     r.sub.loop,
+			epoch:     c.startedAt,
+			wire:      r.sub.meter(c.placement),
+		})
+	})
 }

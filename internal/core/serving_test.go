@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"dcgn/internal/device"
 	"dcgn/internal/transport"
 )
 
@@ -31,52 +33,149 @@ func computeJob(backend string, d time.Duration) *Job {
 // next virtual-time event boundary (via sim.Inject), the job lands in
 // JobCanceled with ErrJobCanceled, and the co-tenant batch drains
 // normally. Before the fix this returned "cannot cancel running sim job".
+//
+// Two victims are canceled when the quick tenant completes: one computing,
+// one a GPU tenant whose devices wait on each other forever while node 0's
+// four CPU ranks stream eager sends — so the cancel finds device blocks
+// parked, monitors polling, and a fabric NIC mid-packet with senders queued
+// behind it. Everything either victim
+// started must go with it: a bystander running across the cancel sees
+// nothing (its Report and times equal those of a batch without victims,
+// and so does the simulator's proc count at its completion), the monitors
+// stop, and a successor that needs the victims' nodes — NICs included —
+// runs to completion on them.
 func TestRuntimeSimCancelRunning(t *testing.T) {
-	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 4))
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		Report
+		JobStatus
+		procs int // unfinished on the simulator as the bystander completes
 	}
-	// The victim computes for 10 virtual minutes; the quick co-tenant
-	// finishes in microseconds and its completion callback cancels the
-	// victim mid-run, deterministically inside virtual time.
-	victim, err := r.Submit(computeJob(transport.BackendSim, 10*time.Minute), SubmitOpts{Tenant: "victim"})
-	if err != nil {
-		t.Fatal(err)
+	gpuVictim := func() *Job {
+		cfg := gpuConfig(2, 4, 1, 1) // per node: four CPU ranks, then the GPU's
+		cfg.Device.MemBytes = 256 << 10
+		job := NewJob(cfg)
+		job.SetGPUSetup(func(s *GPUSetup) { s.Args["buf"] = s.Dev.Mem().MustAlloc(64) })
+		job.SetGPUKernel(2, 4, func(g *GPUCtx) {
+			if g.Block().Idx == 0 { // neither device ever sends
+				g.Recv(0, (g.Rank(0)+g.Size()/2)%g.Size(), g.Arg("buf").(device.Ptr), 64)
+			}
+			g.Block().ChargeTime(time.Hour)
+		})
+		job.SetCPUKernel(func(c *CPUCtx) {
+			buf, half := make([]byte, 4096), c.Size()/2
+			for {
+				if c.Rank() < half {
+					c.Send(c.Rank()+half, buf)
+				} else {
+					c.Recv(c.Rank()-half, buf)
+				}
+			}
+		})
+		return job
 	}
-	quick, err := r.Submit(pingPongJob(transport.BackendSim, 2), SubmitOpts{Tenant: "quick"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cancelErr error
-	r.SetOnJobDone(func(st JobStatus) {
-		if st.ID == quick.Status().ID {
-			cancelErr = r.Cancel(victim.Status().ID)
+	run := func(withVictims bool) outcome {
+		r, err := NewRuntime(runtimeConfig(transport.BackendSim, 8))
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err := r.Run(); err != nil {
-		t.Fatal(err)
+		defer r.Close()
+		// Victims are submitted last, so quick and the bystander get the same
+		// nodes with and without them.
+		quick, err := r.Submit(pingPongJob(transport.BackendSim, 2), SubmitOpts{Tenant: "quick"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bystander, err := r.Submit(pingPongJob(transport.BackendSim, 40), SubmitOpts{Tenant: "bystander"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var victim, gpu, successor *JobHandle
+		var gpuJob *Job
+		if withVictims {
+			// The victim computes for 10 virtual minutes; the quick co-tenant
+			// finishes in microseconds and its completion callback cancels both
+			// victims mid-run, deterministically inside virtual time.
+			if victim, err = r.Submit(computeJob(transport.BackendSim, 10*time.Minute), SubmitOpts{Tenant: "victim"}); err != nil {
+				t.Fatal(err)
+			}
+			gpuJob = gpuVictim()
+			if gpu, err = r.Submit(gpuJob, SubmitOpts{Tenant: "gpu-victim"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var cancelErr error
+		var out outcome
+		pollsAtCancel, pollsAfter := 0, 0
+		r.SetOnJobDone(func(st JobStatus) {
+			switch {
+			case st.ID == quick.ID() && withVictims:
+				cancelErr = errors.Join(r.Cancel(victim.ID()), r.Cancel(gpu.ID()))
+			case withVictims && st.ID == gpu.ID():
+				pollsAtCancel = jobPolls(gpuJob)
+			case st.ID == bystander.ID():
+				out.procs = r.sub.sims[0].Unfinished()
+				if !withVictims {
+					return
+				}
+				pollsAfter = jobPolls(gpuJob)
+				// All eight nodes, the victims' among them.
+				job := NewJob(backendConfig(transport.BackendSim, 8, 1))
+				job.SetCPUKernel(func(c *CPUCtx) {
+					c.SendRecvReplace((c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size(), make([]byte, 4096))
+					c.Barrier()
+				})
+				if successor, err = r.Submit(job, SubmitOpts{Tenant: "successor"}); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if out.Report, err = bystander.Wait(); err != nil {
+			t.Fatalf("bystander: %v", err)
+		}
+		out.JobStatus = bystander.Status()
+		if _, err := quick.Wait(); err != nil {
+			t.Fatalf("co-tenant: %v", err)
+		}
+		if !withVictims {
+			return out
+		}
+		if cancelErr != nil {
+			t.Fatalf("cancel of running sim jobs: %v", cancelErr)
+		}
+		for _, h := range []*JobHandle{victim, gpu} {
+			if _, err := h.Wait(); !errors.Is(err, ErrJobCanceled) {
+				t.Fatalf("victim Wait: err=%v, want ErrJobCanceled", err)
+			}
+			st := h.Status()
+			if st.State != JobCanceled {
+				t.Errorf("victim state %v, want canceled", st.State)
+			}
+			if st.FinishedAt <= 0 || st.FinishedAt >= 10*time.Minute {
+				t.Errorf("victim FinishedAt %v, want a mid-run event boundary", st.FinishedAt)
+			}
+		}
+		if pollsAtCancel == 0 || pollsAfter != pollsAtCancel {
+			t.Errorf("GPU victim's monitors: %d polls when it was canceled, %d when the bystander finished; want the same, non-zero",
+				pollsAtCancel, pollsAfter)
+		}
+		if successor == nil {
+			t.Fatal("no successor was submitted")
+		}
+		if rep, err := successor.Wait(); err != nil || rep.Requests == 0 {
+			t.Errorf("successor on the victims' nodes: %d requests, err %v", rep.Requests, err)
+		}
+		snap := r.SchedSnapshot()
+		if snap.Counters["jobs_canceled"] != 2 || snap.Counters["jobs_done"] != 3 {
+			t.Errorf("scheduler counters = canceled %d done %d, want 2/3",
+				snap.Counters["jobs_canceled"], snap.Counters["jobs_done"])
+		}
+		return out
 	}
-	defer r.Close()
-	if cancelErr != nil {
-		t.Fatalf("cancel of running sim job: %v", cancelErr)
-	}
-	if _, err := victim.Wait(); !errors.Is(err, ErrJobCanceled) {
-		t.Fatalf("victim Wait: err=%v, want ErrJobCanceled", err)
-	}
-	st := victim.Status()
-	if st.State != JobCanceled {
-		t.Errorf("victim state %v, want canceled", st.State)
-	}
-	if st.FinishedAt <= 0 || st.FinishedAt >= 10*time.Minute {
-		t.Errorf("victim FinishedAt %v, want a mid-run event boundary", st.FinishedAt)
-	}
-	if _, err := quick.Wait(); err != nil {
-		t.Fatalf("co-tenant: %v", err)
-	}
-	snap := r.SchedSnapshot()
-	if snap.Counters["jobs_canceled"] != 1 || snap.Counters["jobs_done"] != 1 {
-		t.Errorf("scheduler counters = canceled %d done %d, want 1/1",
-			snap.Counters["jobs_canceled"], snap.Counters["jobs_done"])
+	if alone, shared := run(false), run(true); !reflect.DeepEqual(alone, shared) {
+		t.Errorf("bystander changed next to canceled neighbours:\nalone  %+v\nshared %+v", alone, shared)
 	}
 }
 

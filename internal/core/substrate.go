@@ -18,9 +18,10 @@ import (
 // value of slices and pointers because a Runtime fills one per job: no
 // closure per node, nothing boxed that is not already a pointer.
 type engineEnv struct {
-	// rt is the substrate every node's threads run on: the live rt, or a
-	// tenant's counting veneer over the shared simulator. Nil means each
-	// node runs directly on its own simulator, sims[n].
+	// rt is the live substrate every node's threads run on. Nil on the
+	// simulated backend, where each node runs on its own simulator, sims[n]
+	// — a tenant's nodes inside its proc group, which is all that tells them
+	// from an exclusive run's.
 	rt rt
 	// sims maps node -> owning simulator (its shard's), so everything a node
 	// spawns stays on its shard. Nil on the live backend, which has no
@@ -46,16 +47,14 @@ type engineEnv struct {
 	// clocks. It is also where the critical-path analysis window starts.
 	epoch time.Duration
 	// wire meters the inter-node traffic that is this job's: the whole
-	// fabric's or cluster's for an exclusive run, the tenant group's
-	// endpoint-level count under a runtime (the fabric's counters
-	// aggregate all tenants).
+	// fabric's for an exclusive simulated run, a tenant's wireMeter, the
+	// live group's.
 	wire wireTotals
 }
 
 // wireTotals meters inter-node traffic: packets and bytes carried so far.
 type wireTotals interface {
-	Packets() int64
-	Bytes() int64
+	Totals() (packets int, bytes int64)
 }
 
 // substrate is a simulated cluster: the event loops and their coordinator,
@@ -108,16 +107,34 @@ func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int
 	return sub
 }
 
-// Packets counts the inter-node packets the fabric carried.
-func (sub *substrate) Packets() int64 {
-	pk, _ := sub.net.Totals()
-	return int64(pk)
+// wireMeter is a tenant's wire totals: what the fabric's per-node counters
+// show its nodes sent since it was admitted onto them. A node has one owner
+// at a time and a retired owner's procs are gone, so that is the tenant's
+// own traffic by the definition an exclusive run reads off the whole
+// fabric, MPI-internal control packets and collectives included.
+type wireMeter struct {
+	net   *fabric.Network
+	nodes []int
+	pk0   int
+	by0   int64
 }
 
-// Bytes counts the inter-node bytes the fabric carried.
-func (sub *substrate) Bytes() int64 {
-	_, by := sub.net.Totals()
-	return by
+// meter starts a wireMeter over nodes at the current counts.
+func (sub *substrate) meter(nodes []int) *wireMeter {
+	m := &wireMeter{net: sub.net, nodes: nodes}
+	m.pk0, m.by0 = m.Totals()
+	return m
+}
+
+// Totals counts the inter-node packets and bytes the nodes sent since the
+// meter started.
+func (m *wireMeter) Totals() (packets int, bytes int64) {
+	packets, bytes = -m.pk0, -m.by0
+	for _, n := range m.nodes {
+		pk, by := m.net.Node(n).Totals()
+		packets, bytes = packets+pk, bytes+by
+	}
+	return packets, bytes
 }
 
 // exclusiveEnv hosts one job on the whole substrate: every node on its own
@@ -125,7 +142,7 @@ func (sub *substrate) Bytes() int64 {
 // pool, clock and fabric totals.
 func (sub *substrate) exclusiveEnv() engineEnv {
 	return engineEnv{sims: sub.sims, endpoints: groupEndpoints(simmpi.WorldGroup(sub.world), len(sub.sims)),
-		pool: sub.pool, clock: sub.loop, wire: sub}
+		pool: sub.pool, clock: sub.loop, wire: sub.net}
 }
 
 // groupEndpoints lists a simulated-MPI group's per-node endpoints as the

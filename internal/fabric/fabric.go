@@ -205,6 +205,10 @@ func (nd *Node) ID() int { return nd.id }
 // be spawned there.
 func (nd *Node) Sim() *sim.Sim { return nd.s }
 
+// Totals returns the inter-node packets and bytes this node has sent so far
+// (see Network.Totals).
+func (nd *Node) Totals() (packets int, bytes int64) { return nd.pkts, nd.bytes }
+
 // Send transmits a packet to node dst. The calling proc is blocked for the
 // outbound serialization time (NIC contention included); delivery completes
 // asynchronously after the flight latency and receiver processing.

@@ -217,6 +217,10 @@ func (r *Rank) Node() int { return r.node }
 // World returns the world this rank belongs to.
 func (r *Rank) World() *World { return r.w }
 
+// Posted returns how many receives wait on the rank's posted list — what
+// every inbound message is matched against, oldest first.
+func (r *Rank) Posted() int { return len(r.posted) }
+
 // stagingPool returns the pool this rank's staging buffers come from: the
 // per-rank override when set (multi-tenant worlds), else the world pool.
 // Traffic never crosses tenants, so a buffer acquired here is always

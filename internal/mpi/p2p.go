@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"dcgn/internal/sim"
 )
@@ -49,19 +50,19 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 // Irecv starts a nonblocking receive into buf from rank src (or AnySource)
 // with the given tag (or AnyTag).
 func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
-	if src != AnySource && (src < 0 || src >= len(r.w.ranks)) {
-		panic(fmt.Sprintf("mpi: Irecv from bad rank %d", src))
-	}
-	p.SleepJit(r.w.cfg.CallOverhead)
-	done := r.sim.NewEventID(r.recvPrefix, src)
-	rr := &recvReq{buf: buf, src: src, tag: tag, done: done}
-	req := &Request{done: done, stat: &rr.stat, err: &rr.err}
-	return r.post(p, rr, req)
+	rr := r.newRecv(p, &recvReq{buf: buf, src: src, tag: tag})
+	return &Request{done: rr.done, stat: &rr.stat, err: &rr.err}
 }
 
-// post matches a freshly-created receive against the unexpected queue or
-// parks it on the posted list (shared by Irecv and RecvMsg).
-func (r *Rank) post(p *sim.Proc, rr *recvReq, req *Request) *Request {
+// newRecv charges the call, gives rr its completion event and matches it
+// against the unexpected queue or parks it on the posted list: the one way
+// a receive — Irecv, Recv, RecvMsg — is posted.
+func (r *Rank) newRecv(p *sim.Proc, rr *recvReq) *recvReq {
+	if rr.src != AnySource && (rr.src < 0 || rr.src >= len(r.w.ranks)) {
+		panic(fmt.Sprintf("mpi: receive from bad rank %d", rr.src))
+	}
+	p.SleepJit(r.w.cfg.CallOverhead)
+	rr.done = r.sim.NewEventID(r.recvPrefix, rr.src)
 	if env := r.takeUnexpected(rr); env != nil {
 		switch env.kind {
 		case kindEager:
@@ -72,10 +73,24 @@ func (r *Rank) post(p *sim.Proc, rr *recvReq, req *Request) *Request {
 		default:
 			panic("mpi: bad kind in unexpected queue")
 		}
-		return req
+		return rr
 	}
 	r.posted = append(r.posted, rr)
-	return req
+	return rr
+}
+
+// await blocks p until rr completes. A proc that unwinds first — killed
+// with its simulated tenant — takes its posted receive with it, so nothing
+// is left for takePosted to scan or for a later frame to land in.
+func (r *Rank) await(p *sim.Proc, rr *recvReq) {
+	defer func() {
+		if !rr.done.Fired() {
+			if i := slices.Index(r.posted, rr); i >= 0 {
+				r.posted = slices.Delete(r.posted, i, i+1)
+			}
+		}
+	}()
+	rr.done.Wait(p)
 }
 
 // Send is a blocking send (Isend + Wait).
@@ -84,9 +99,11 @@ func (r *Rank) Send(p *sim.Proc, buf []byte, dst, tag int) error {
 	return err
 }
 
-// Recv is a blocking receive (Irecv + Wait).
+// Recv is a blocking receive.
 func (r *Rank) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
-	return r.Irecv(p, buf, src, tag).Wait(p)
+	rr := r.newRecv(p, &recvReq{buf: buf, src: src, tag: tag})
+	r.await(p, rr)
+	return rr.stat, rr.err
 }
 
 // RecvMsg is a take-ownership blocking receive: instead of copying the
@@ -96,15 +113,9 @@ func (r *Rank) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 // slice must be released to the world's Pool when the caller is done with
 // it (it may be nil for zero-length messages; releasing nil is a no-op).
 func (r *Rank) RecvMsg(p *sim.Proc, src, tag int) (Status, []byte, error) {
-	if src != AnySource && (src < 0 || src >= len(r.w.ranks)) {
-		panic(fmt.Sprintf("mpi: RecvMsg from bad rank %d", src))
-	}
-	p.SleepJit(r.w.cfg.CallOverhead)
-	done := r.sim.NewEventID(r.recvPrefix, src)
-	rr := &recvReq{src: src, tag: tag, done: done, take: true}
-	req := &Request{done: done, stat: &rr.stat, err: &rr.err}
-	st, err := r.post(p, rr, req).Wait(p)
-	return st, rr.data, err
+	rr := r.newRecv(p, &recvReq{src: src, tag: tag, take: true})
+	r.await(p, rr)
+	return rr.stat, rr.data, rr.err
 }
 
 // Sendrecv posts a send and a receive simultaneously and waits for both —

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"dcgn/internal/sim"
 )
@@ -98,5 +99,58 @@ func TestRecvMsgUnexpected(t *testing.T) {
 	})
 	if out := w.Pool().Outstanding(); out != 0 {
 		t.Errorf("pool outstanding = %d after balanced run, want 0", out)
+	}
+}
+
+// TestKilledReceiverUnposts: a proc killed while blocked in RecvMsg (or
+// Recv) takes its posted receive with it — the rank's posted list is empty
+// afterwards, and a frame with that tag sent later queues as unexpected
+// rather than landing in the dead receive. A receive that completed
+// normally is not touched by the same unwind path.
+func TestKilledReceiverUnposts(t *testing.T) {
+	s := sim.New()
+	w := testWorld(s, 2, 2)
+	r1 := w.Rank(1)
+	receivers := []*sim.Proc{
+		s.SpawnDaemon("mpi-recv", func(p *sim.Proc) { r1.RecvMsg(p, AnySource, 7) }),
+		s.SpawnDaemon("recv", func(p *sim.Proc) { r1.Recv(p, make([]byte, 8), 0, 8) }),
+	}
+	s.Spawn("sender", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		if n := len(r1.posted); n != 2 {
+			t.Errorf("%d receives posted before the kill, want 2", n)
+		}
+		s.Inject(func() {
+			for _, rp := range receivers {
+				s.Kill(rp)
+			}
+		})
+		p.Sleep(time.Millisecond)
+		if n := len(r1.posted); n != 0 {
+			t.Errorf("%d receives still posted after their procs were killed", n)
+		}
+		if err := w.Rank(0).Send(p, fill(16, 1), 1, 7); err != nil {
+			t.Error(err)
+		}
+		p.Sleep(time.Millisecond)
+		if len(r1.posted) != 0 || len(r1.unexpected) != 1 {
+			t.Errorf("after a send on the dead receive's tag: %d posted, %d unexpected; want 0, 1",
+				len(r1.posted), len(r1.unexpected))
+		}
+		// A live receiver still gets it, and leaves nothing behind.
+		_, data, err := r1.RecvMsg(p, 0, 7)
+		if err != nil || len(data) != 16 {
+			t.Errorf("live RecvMsg: %d bytes, %v", len(data), err)
+		}
+		w.Pool().Put(data)
+		if len(r1.posted) != 0 || len(r1.unexpected) != 0 {
+			t.Errorf("after the live receive: %d posted, %d unexpected", len(r1.posted), len(r1.unexpected))
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if out := w.Pool().Outstanding(); out != 0 {
+		t.Errorf("pool outstanding = %d, want 0", out)
 	}
 }

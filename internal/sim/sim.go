@@ -21,6 +21,18 @@
 // (PostArrival), so a schedule does not depend on how many Sims the nodes
 // are spread over.
 //
+// A Group (NewGroup) is a set of procs that ends together — one tenant of a
+// shared simulation. A proc is a member for life, by one rule: it was
+// spawned inside InGroup, or by a running member. Everything else stays
+// outside: arrival procs (the scheduler spawns them, whoever's frame they
+// carry), procs spawned from Inject thunks, and daemons that were up before
+// the group existed. The group's onIdle fires once, on the member whose
+// return takes the count of unreturned non-daemon members to zero; a member
+// that is killed or panics never leaves that count, so a group cut short
+// cannot pass for complete. Group.Kill takes every member, daemons and
+// parked ones included. A Sim without groups pays a nil test or two per
+// spawn and one per return.
+//
 // IMPORTANT: user code must not spawn raw goroutines that touch simulation
 // state; all concurrency goes through Spawn. Every blocking primitive checks
 // that it is invoked by the currently-running Proc and panics otherwise.
@@ -39,8 +51,9 @@ import (
 )
 
 // procState describes what a Proc is currently doing; used for deadlock
-// diagnostics.
-type procState int
+// diagnostics. One byte, like parkKind: with the daemon flag they share a
+// word, which keeps a Proc in the 128-byte allocation class.
+type procState uint8
 
 const (
 	stateReady procState = iota
@@ -48,20 +61,6 @@ const (
 	stateBlocked
 	stateDone
 )
-
-func (s procState) String() string {
-	switch s {
-	case stateReady:
-		return "ready"
-	case stateRunning:
-		return "running"
-	case stateBlocked:
-		return "blocked"
-	case stateDone:
-		return "done"
-	}
-	return "unknown"
-}
 
 // killSentinel is the panic value used to unwind a Proc's goroutine when the
 // simulation shuts down while the Proc is still blocked.
@@ -98,7 +97,7 @@ type labeler interface{ label() string }
 // parkKind says which primitive a Proc is blocked on; together with the
 // blocked-on object and one integer argument it reconstructs the
 // human-readable block reason without any formatting on the hot path.
-type parkKind int
+type parkKind uint8
 
 const (
 	parkNone parkKind = iota
@@ -127,6 +126,8 @@ type Proc struct {
 	blockKind parkKind
 	blockObj  labeler
 	blockArg  int64
+	// group is the Group the Proc belongs to, nil for most.
+	group *Group
 	// prev/next are the Proc's neighbours in its Sim's ring of unfinished
 	// procs (Sim.procs).
 	prev, next *Proc
@@ -161,6 +162,8 @@ type Sim struct {
 	procs   Proc
 	live    int // non-daemon procs not yet done
 	current *Proc
+	// inGroup is the group InGroup is spawning into, nil otherwise.
+	inGroup *Group
 	yieldCh chan struct{}
 	failure error
 	stopped bool
@@ -263,8 +266,14 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 	}
 	p.prev, p.next = s.procs.prev, &s.procs
 	p.prev.next, s.procs.prev = p, p
+	if p.group = s.inGroup; p.group == nil && s.current != nil {
+		p.group = s.current.group
+	}
 	if !daemon {
 		s.live++
+		if p.group != nil {
+			p.group.live++
+		}
 	}
 	s.ready = append(s.ready, p)
 	go func() {
@@ -296,8 +305,52 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 			s.yieldCh <- struct{}{}
 		}()
 		fn(p)
+		if g := p.group; g != nil && !p.daemon {
+			if g.live--; g.live == 0 && g.idleAt == never {
+				g.idleAt = s.now
+				g.onIdle()
+			}
+		}
 	}()
 	return p
+}
+
+// Group is a set of procs that ends together; see the package comment for
+// who is a member.
+type Group struct {
+	s      *Sim
+	live   int // non-daemon members that have not returned
+	onIdle func()
+	// idleAt is when live first reached zero, never until then: the latch
+	// that keeps a helper a member daemon spawns afterwards from firing
+	// onIdle again.
+	idleAt int64
+}
+
+// NewGroup creates an empty group. onIdle runs in proc context — it may
+// Spawn, not Kill — on the member whose return empties the group.
+func (s *Sim) NewGroup(onIdle func()) *Group {
+	return &Group{s: s, onIdle: onIdle, idleAt: never}
+}
+
+// InGroup runs fn with every proc it spawns joining g, whoever calls it:
+// the bring-up of a group's first members.
+func (s *Sim) InGroup(g *Group, fn func()) {
+	s.inGroup, g = g, s.inGroup
+	fn()
+	s.inGroup = g // whatever it was before
+}
+
+// Kill kills every unfinished member, in spawn order; a second call finds
+// none. Like Sim.Kill it must run in scheduler context.
+func (g *Group) Kill() {
+	for p := g.s.procs.next; p != &g.s.procs; {
+		next := p.next // a killed proc unlinks itself
+		if p.group == g {
+			g.s.Kill(p)
+		}
+		p = next
+	}
 }
 
 // finish marks p done and unlinks it from the Sim's ring of unfinished
@@ -579,6 +632,15 @@ func (s *Sim) shutdown() {
 		}
 		p = next
 	}
+}
+
+// Unfinished counts the procs spawned and not yet done, daemons included:
+// what a long run retains, and what shutdown will have to kill.
+func (s *Sim) Unfinished() (n int) {
+	for p := s.procs.next; p != &s.procs; p = p.next {
+		n++
+	}
+	return n
 }
 
 // appendBlocked appends a "name: reason" line for every blocked Proc.

@@ -6,6 +6,8 @@ import "time"
 type semWaiter struct {
 	p *Proc
 	n int
+	// granted is set once Release has handed p its permits.
+	granted bool
 }
 
 // Semaphore is a counting semaphore with FIFO fairness.
@@ -38,21 +40,34 @@ func (sem *Semaphore) Acquire(p *Proc, n int) {
 		sem.avail -= n
 		return
 	}
-	sem.waiters = append(sem.waiters, &semWaiter{p: p, n: n})
+	w := &semWaiter{p: p, n: n}
+	sem.waiters = append(sem.waiters, w)
+	defer func() {
+		if w.granted && p.state != stateRunning { // killed before it resumed with them
+			sem.Release(n)
+		}
+	}()
 	p.park(parkSemaphore, sem, int64(n))
 }
 
-// Release returns n permits and wakes as many queued waiters as now fit.
+// Release returns n permits and wakes as many queued waiters as now fit. A
+// waiter killed in the queue takes none.
 func (sem *Semaphore) Release(n int) {
 	if n <= 0 {
 		panic("sim: Release of non-positive permits")
 	}
 	sem.avail += n
-	for len(sem.waiters) > 0 && sem.waiters[0].n <= sem.avail {
+	for len(sem.waiters) > 0 {
 		w := sem.waiters[0]
+		if w.p.state != stateDone {
+			if w.n > sem.avail {
+				return
+			}
+			sem.avail -= w.n
+			w.granted = true
+			sem.s.unblock(w.p)
+		}
 		sem.waiters = sem.waiters[1:]
-		sem.avail -= w.n
-		sem.s.unblock(w.p)
 	}
 }
 
@@ -69,11 +84,12 @@ func (s *Sim) NewResource(name string, width int) *Resource {
 }
 
 // Use occupies one unit of the resource for duration d (jittered), blocking
-// p for queueing plus service time.
+// p for queueing plus service time. A proc killed in service gives its unit
+// back as it unwinds.
 func (r *Resource) Use(p *Proc, d time.Duration) {
 	r.sem.Acquire(p, 1)
+	defer r.sem.Release(1)
 	p.SleepJit(d)
-	r.sem.Release(1)
 }
 
 // Acquire and Release expose the underlying semaphore for multi-phase holds.

@@ -42,11 +42,6 @@ type Cluster struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	// packets/bytes aggregate delivered wire traffic across every tenant;
-	// per-tenant totals live on the Groups.
-	packets atomic.Int64
-	bytes   atomic.Int64
-
 	groupsMu sync.Mutex
 	groups   map[int]*Group
 	def      *Group
@@ -108,13 +103,9 @@ func (c *Cluster) Join(tenant, size int, pool *bufpool.Pool) (*Group, error) {
 // Node returns the default group's endpoint serving node n.
 func (c *Cluster) Node(n int) *Endpoint { return c.def.eps[n] }
 
-// Packets returns the number of wire messages delivered so far, summed
-// over every tenant.
-func (c *Cluster) Packets() int64 { return c.packets.Load() }
-
-// Bytes returns the total wire bytes delivered so far, summed over every
-// tenant.
-func (c *Cluster) Bytes() int64 { return c.bytes.Load() }
+// Default returns the whole-cluster group (tenant 0) that New created: the
+// single job's wire totals, and what it closes to tear itself down.
+func (c *Cluster) Default() *Group { return c.def }
 
 // Close shuts the whole cluster down: every tenant group closes (blocked
 // receivers and collective participants unwind with transport.ErrClosed,
@@ -182,11 +173,11 @@ func (g *Group) Size() int { return len(g.eps) }
 // Endpoint returns the group's endpoint for tenant-local node n.
 func (g *Group) Endpoint(n int) *Endpoint { return g.eps[n] }
 
-// Packets returns the number of wire messages this group delivered.
-func (g *Group) Packets() int64 { return g.packets.Load() }
-
-// Bytes returns the total wire bytes this group delivered.
-func (g *Group) Bytes() int64 { return g.bytes.Load() }
+// Totals returns the wire messages and bytes this group delivered so far;
+// there is no cluster-wide counter beside the groups'.
+func (g *Group) Totals() (packets int, bytes int64) {
+	return int(g.packets.Load()), g.bytes.Load()
+}
 
 // Close shuts this tenant's group down: its blocked receivers and
 // collective participants unwind with transport.ErrClosed and its
@@ -265,8 +256,6 @@ func (e *Endpoint) sendOn(dstNode int, msg []byte, lane func(*Endpoint) chan []b
 	case lane(g.eps[dstNode]) <- cp:
 		g.packets.Add(1)
 		g.bytes.Add(int64(len(msg)))
-		g.c.packets.Add(1)
-		g.c.bytes.Add(int64(len(msg)))
 		return nil
 	case <-g.closed:
 		g.pool.Put(cp)

@@ -28,8 +28,8 @@ func TestSendRecvRoundtrip(t *testing.T) {
 	if !bytes.Equal(got[:len(msg)], msg) {
 		t.Fatalf("payload corrupted: %q", got)
 	}
-	if c.Packets() != 1 || c.Bytes() != int64(len(msg)) {
-		t.Fatalf("counters: %d packets, %d bytes", c.Packets(), c.Bytes())
+	if pk, by := c.Default().Totals(); pk != 1 || by != int64(len(msg)) {
+		t.Fatalf("counters: %d packets, %d bytes", pk, by)
 	}
 }
 

@@ -43,10 +43,8 @@ const tenantTagStride = 16
 // node -> world rank), a private tag band for point-to-point and
 // one-sided traffic, and a communicator over exactly the placed ranks for
 // node-level collectives. Endpoints drawn from a Group carry only that
-// job's frames — co-resident jobs can never match each other's traffic —
-// and meter their own wire totals, which is where a multi-tenant Report's
-// NetPackets/NetBytes come from (the fabric's counters aggregate all
-// tenants).
+// job's frames — co-resident jobs can never match each other's traffic.
+// They count nothing: wire totals are the fabric's per-node counters.
 type Group struct {
 	comm      *mpi.Comm
 	placement []int
@@ -98,27 +96,6 @@ func New(rank *mpi.Rank) *Endpoint { return WorldGroup(rank.World()).Endpoint(ra
 // Endpoint returns the job-local node's transport endpoint.
 func (g *Group) Endpoint(local int) *Endpoint { return &g.eps[local] }
 
-// Packets returns the number of wire messages this group's endpoints have
-// sent (point-to-point and one-sided frames). Like fabric.Network.Totals
-// it sums per-endpoint counters at report time, so the send path of a
-// sharded run shares no counter between shards.
-func (g *Group) Packets() int64 {
-	var n int64
-	for i := range g.eps {
-		n += g.eps[i].packets
-	}
-	return n
-}
-
-// Bytes returns the total wire bytes this group's endpoints have sent.
-func (g *Group) Bytes() int64 {
-	var n int64
-	for i := range g.eps {
-		n += g.eps[i].bytes
-	}
-	return n
-}
-
 // Endpoint is one job-local node's simulated-MPI endpoint. Destinations
 // and collective roots are in job-local node space; the group
 // communicator's ranks coincide with job-local nodes (both are the
@@ -126,9 +103,6 @@ func (g *Group) Bytes() int64 {
 type Endpoint struct {
 	g    *Group
 	rank *mpi.Rank
-	// packets/bytes count the frames this endpoint sent. Only procs of the
-	// endpoint's own node touch them, and those share one simulator.
-	packets, bytes int64
 }
 
 // proc recovers the simulated proc a transport call runs under.
@@ -142,14 +116,9 @@ func proc(p transport.Proc) *sim.Proc {
 
 // send transmits one frame to job-local dstNode on the given tag with
 // buffered semantics (eager copy or rendezvous snapshot in the underlying
-// MPI) and meters it.
+// MPI).
 func (e *Endpoint) send(p transport.Proc, dstNode, tag int, frame []byte) error {
-	err := e.rank.Send(proc(p), frame, e.g.placement[dstNode], tag)
-	if err == nil {
-		e.packets++
-		e.bytes += int64(len(frame))
-	}
-	return err
+	return e.rank.Send(proc(p), frame, e.g.placement[dstNode], tag)
 }
 
 // recv blocks for the next inbound frame on the given tag, taking
@@ -207,6 +176,10 @@ func (e *Endpoint) Alltoallv(p transport.Proc, sendBuf []byte, sendCounts []int,
 	return e.g.comm.Alltoallv(proc(p), e.rank, sendBuf, sendCounts, recvBuf, recvCounts)
 }
 
-// Close is a no-op: simulated daemons are torn down by the simulator at
-// the end of the run, and a shared world outlives every tenant.
+// Close does nothing and wakes no one: a simulated endpoint has no state of
+// its own to shut, and a proc blocked in its RecvMsg or RecvOneSided ends
+// when the simulator kills it — with its tenant's proc group (sim.Group)
+// when a Runtime retires or cancels the job, with everything else when the
+// run ends — unposting its receive from the rank as it unwinds. The world
+// underneath is shared and outlives every tenant.
 func (e *Endpoint) Close() error { return nil }

@@ -123,10 +123,12 @@ func TestWorldGroupMatchesTenantZero(t *testing.T) {
 	}
 }
 
-// TestGroupMetersItsOwnFrames places two tenants on interleaved ranks of
-// one world and checks each group's Packets/Bytes are exactly the frames
-// its own endpoints sent, on both lanes — and nothing of its neighbour's.
-func TestGroupMetersItsOwnFrames(t *testing.T) {
+// TestGroupsCarryOnlyTheirOwnFrames places two tenants on interleaved ranks
+// of one world and checks each group's receivers see exactly the frames its
+// own endpoints sent, in order, on both lanes — and nothing of its
+// neighbour's. (What a tenant's traffic counts as is the fabric's business:
+// core's TestRuntimeSimBatchIsolation.)
+func TestGroupsCarryOnlyTheirOwnFrames(t *testing.T) {
 	s, w := testWorld(4)
 	type tenant struct {
 		g      *Group
@@ -159,7 +161,7 @@ func TestGroupMetersItsOwnFrames(t *testing.T) {
 				}
 				w.Pool().Put(msg)
 			}
-			check(t, rx.Send(p, 0, make([]byte, 5))) // the receiver's frames count too
+			check(t, rx.Send(p, 0, make([]byte, 5)))
 		})
 		s.Spawn("ack", func(p *sim.Proc) {
 			msg, err := tx.RecvMsg(p)
@@ -169,15 +171,5 @@ func TestGroupMetersItsOwnFrames(t *testing.T) {
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
-	}
-	for i, tn := range tenants {
-		wantBytes := int64(5)
-		for _, size := range tn.frames {
-			wantBytes += int64(size)
-		}
-		if got, want := tn.g.Packets(), int64(len(tn.frames)+1); got != want || tn.g.Bytes() != wantBytes {
-			t.Errorf("tenant %d: metered %d packets / %d bytes, its endpoints sent %d / %d",
-				i, got, tn.g.Bytes(), want, wantBytes)
-		}
 	}
 }

@@ -106,7 +106,7 @@ type Transport interface {
 	Send(p Proc, dstNode int, msg []byte) error
 	// RecvMsg blocks until the next inbound wire message arrives and
 	// transfers ownership of its buffer to the caller. After Close it
-	// returns ErrClosed.
+	// returns ErrClosed (live backend; see Close).
 	RecvMsg(p Proc) ([]byte, error)
 	// SendOneSided transmits one framed one-sided message (a put, get or
 	// atomic descriptor, or an ack of one) to dstNode's one-sided lane.
@@ -130,8 +130,12 @@ type Transport interface {
 	// j (length sendCounts[j]) lands in node j's recvBuf segment i (length
 	// recvCounts[i]), with segments packed in node order.
 	Alltoallv(p Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error
-	// Close shuts the endpoint down, waking blocked receivers and
-	// collective participants with ErrClosed. It is idempotent.
+	// Close shuts the endpoint down; it is idempotent. On the live backend
+	// it wakes blocked receivers and collective participants with
+	// ErrClosed, which is how a run is torn down. A simulated endpoint's
+	// Close is a no-op and no receiver ever sees ErrClosed there: procs
+	// blocked in it are killed by the simulator, with their tenant's proc
+	// group or at the end of the run.
 	Close() error
 }
 
