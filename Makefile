@@ -40,10 +40,14 @@ test:
 # The live transport, chaos differential (sim and live, wire and collective
 # faults, one shard and several), conformance, runtime and loadgen suites
 # under the race detector, and from the root package the goldens re-run on
-# four shards: the only cells there that use more than one thread.
+# four shards: the only cells there that use more than one thread. The sim
+# kernel runs five more times on one thread and on four: its goroutine
+# hand-offs are ordered by nothing but their channels, and this is the cheap
+# place to catch a missing one.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestGoldenShardInvariant' .
+	$(GO) test -race -count=5 -cpu 1,4 ./internal/sim
 
 # Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
 # every lane layout, starting from the committed corpus

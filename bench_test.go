@@ -320,7 +320,7 @@ func BenchmarkAblationTreeDispersal(b *testing.B) {
 var highFanoutRows = []struct {
 	inflight    int
 	allocBudget float64
-}{{64, 1925}, {512, 11038}, {4096, 84352}}
+}{{64, 1031}, {512, 4314}, {4096, 30166}}
 
 // BenchmarkHighFanoutMatching stresses the comm thread's matching index
 // at ROADMAP scale: one sink rank posts thousands of nonblocking receives
@@ -371,21 +371,21 @@ var engineLanes = []struct {
 	{"sim", 2 * laneIters, twoSidedLane(func(*dcgn.Config) {}), 0},
 	// The no-fault overhead of the seq/ack wire format: one ack frame and
 	// one retransmit timer per message.
-	{"sim-reliable", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Reliability.Enabled = true }), 17041},
+	{"sim-reliable", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Reliability.Enabled = true }), 7386},
 	// Spans plus the metrics registry: ring buffers and cached instrument
 	// handles are set up once, so tracing costs a fixed number of
 	// allocations per run, not per request.
-	{"sim-traced", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 9655},
+	{"sim-traced", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 3395},
 	// Causal flow tracing on top: the ID counters live in the trace sink
 	// and the 16 header bytes come from the same pools.
-	{"sim-flows", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 10163},
+	{"sim-flows", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 3899},
 	// One shard per node: an outbox merge at every barrier, and a second
 	// goroutine only for the windows in which both nodes have work — most
 	// of a ping-pong's have one busy shard, which the coordinator runs on
 	// its own goroutine, as it does every window of the rows above.
 	{"sim-sharded", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Shards = 2 }), 0},
-	{"sim-onesided", 2 * laneIters, oneSidedLane, 6108},
-	{"sim-triggered", laneIters, triggeredLane, 3877},
+	{"sim-onesided", 2 * laneIters, oneSidedLane, 2662},
+	{"sim-triggered", laneIters, triggeredLane, 1553},
 }
 
 // twoSidedLane is the Send/Recv ping-pong between two CPU ranks under the

@@ -10,16 +10,33 @@ type chanWaiter[T any] struct {
 	ok  bool // for receivers: whether a value was delivered (false = closed)
 }
 
+// popLive removes and returns the oldest waiter whose proc has not been
+// killed in the queue, nil if there is none: a killed receiver takes no
+// value, and a killed sender's Send never happened.
+func popLive[T any](q *ring[*chanWaiter[T]]) *chanWaiter[T] {
+	for q.len() > 0 {
+		if w := q.pop(); w.p.state != stateDone {
+			return w
+		}
+	}
+	return nil
+}
+
 // Chan is a simulated typed channel with the semantics of a Go channel:
 // capacity 0 means rendezvous, Send blocks while full, Recv blocks while
 // empty, Close wakes all blocked receivers.
+//
+// A proc killed (Sim.Kill) while parked on the channel leaves it as if it
+// had never called: a killed receiver is skipped by the next Send, and the
+// value a killed sender was parked with is dropped with it — its Send did
+// not complete, so no receiver ever sees the value.
 type Chan[T any] struct {
 	s      *Sim
 	name   string
-	buf    []T
+	buf    ring[T]
 	cap    int
-	sendq  []*chanWaiter[T]
-	recvq  []*chanWaiter[T]
+	sendq  ring[*chanWaiter[T]]
+	recvq  ring[*chanWaiter[T]]
 	closed bool
 }
 
@@ -32,7 +49,7 @@ func NewChan[T any](s *Sim, name string, capacity int) *Chan[T] {
 }
 
 // Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 func (c *Chan[T]) label() string { return c.name }
 
@@ -43,19 +60,17 @@ func (c *Chan[T]) Close() {
 		panic(fmt.Sprintf("sim: close of closed channel %q", c.name))
 	}
 	c.closed = true
-	for _, w := range c.recvq {
+	for w := popLive(&c.recvq); w != nil; w = popLive(&c.recvq) {
 		w.ok = false
 		c.s.unblock(w.p)
 	}
-	c.recvq = nil
 }
 
 // Send delivers v, blocking p while the channel is full.
 func (c *Chan[T]) Send(p *Proc, v T) {
 	p.checkCurrent("Chan.Send")
 	if !c.TrySend(v) {
-		w := &chanWaiter[T]{p: p, val: v}
-		c.sendq = append(c.sendq, w)
+		c.sendq.push(&chanWaiter[T]{p: p, val: v})
 		p.park(parkChanSend, c, 0)
 	}
 }
@@ -66,16 +81,14 @@ func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		panic(fmt.Sprintf("sim: send on closed channel %q", c.name))
 	}
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
+	if w := popLive(&c.recvq); w != nil {
 		w.val = v
 		w.ok = true
 		c.s.unblock(w.p)
 		return true
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return true
 	}
 	return false
@@ -89,7 +102,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 		return v, ok
 	}
 	w := &chanWaiter[T]{p: p}
-	c.recvq = append(c.recvq, w)
+	c.recvq.push(w)
 	p.park(parkChanRecv, c, 0)
 	return w.val, w.ok
 }
@@ -98,39 +111,34 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 // operation completed (either a value with ok=true, or closed with
 // ok=false).
 func (c *Chan[T]) tryRecvInternal() (v T, ok bool, done bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.len() > 0 {
+		v = c.buf.pop()
 		// A blocked sender can now buffer its value.
-		if len(c.sendq) > 0 {
-			w := c.sendq[0]
-			c.sendq = c.sendq[1:]
-			c.buf = append(c.buf, w.val)
+		if w := popLive(&c.sendq); w != nil {
+			c.buf.push(w.val)
 			c.s.unblock(w.p)
 		}
 		return v, true, true
 	}
-	if len(c.sendq) > 0 { // unbuffered rendezvous
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
+	if w := popLive(&c.sendq); w != nil { // unbuffered rendezvous
 		c.s.unblock(w.p)
 		return w.val, true, true
 	}
-	if c.closed {
-		var zero T
-		return zero, false, true
-	}
-	var zero T
-	return zero, false, false
+	return v, false, c.closed
 }
 
 // Queue is an unbounded FIFO: Put never blocks, Get blocks while empty.
-// It is the work-queue primitive the DCGN threads communicate through.
+// It is the work-queue primitive the DCGN threads communicate through. A
+// proc killed while parked in Get is skipped by the next Put.
 type Queue[T any] struct {
 	s     *Sim
 	name  string
-	items []T
-	recvq []*chanWaiter[T]
+	items ring[T]
+	recvq ring[*chanWaiter[T]]
+	// spare holds the waiters of Gets that have returned, for the next Get
+	// that has to park. A killed proc's waiter is never among them: it may
+	// still sit in recvq.
+	spare []*chanWaiter[T]
 }
 
 // NewQueue creates an empty unbounded queue.
@@ -139,33 +147,38 @@ func NewQueue[T any](s *Sim, name string) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 func (q *Queue[T]) label() string { return q.name }
 
 // Put appends v. It never blocks and may be called from any running Proc.
 func (q *Queue[T]) Put(v T) {
-	if len(q.recvq) > 0 {
-		w := q.recvq[0]
-		q.recvq = q.recvq[1:]
+	if w := popLive(&q.recvq); w != nil {
 		w.val = v
-		w.ok = true
 		q.s.unblock(w.p)
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Get removes and returns the oldest item, blocking p while empty.
 func (q *Queue[T]) Get(p *Proc) T {
 	p.checkCurrent("Queue.Get")
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		return v
+	if q.items.len() > 0 {
+		return q.items.pop()
 	}
-	w := &chanWaiter[T]{p: p}
-	q.recvq = append(q.recvq, w)
+	var w *chanWaiter[T]
+	if n := len(q.spare); n > 0 {
+		w, q.spare = q.spare[n-1], q.spare[:n-1]
+		w.p = p
+	} else {
+		w = &chanWaiter[T]{p: p}
+	}
+	q.recvq.push(w)
 	p.park(parkQueueGet, q, 0)
-	return w.val
+	var zero T
+	v := w.val
+	w.p, w.val = nil, zero
+	q.spare = append(q.spare, w)
+	return v
 }

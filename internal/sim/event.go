@@ -6,9 +6,12 @@ import "fmt"
 // Fire wakes all of them, and any later Wait returns immediately. The zero
 // value is not usable; create Events with NewEvent.
 type Event struct {
-	s       *Sim
-	ident   ident
-	fired   bool
+	s     *Sim
+	ident ident
+	fired bool
+	// first is the earliest waiter, held inline because most events have
+	// exactly one; waiters are the ones after it.
+	first   *Proc
 	waiters []*Proc
 }
 
@@ -40,10 +43,13 @@ func (e *Event) Fire() {
 		return
 	}
 	e.fired = true
+	if e.first != nil {
+		e.s.unblock(e.first)
+	}
 	for _, p := range e.waiters {
 		e.s.unblock(p)
 	}
-	e.waiters = nil
+	e.first, e.waiters = nil, nil
 }
 
 // Wait blocks p until the event fires. Returns immediately if it already
@@ -53,7 +59,11 @@ func (e *Event) Wait(p *Proc) {
 	if e.fired {
 		return
 	}
-	e.waiters = append(e.waiters, p)
+	if e.first == nil {
+		e.first = p
+	} else {
+		e.waiters = append(e.waiters, p)
+	}
 	p.park(parkEvent, e, 0)
 }
 

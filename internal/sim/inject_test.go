@@ -20,16 +20,17 @@ type testLoop struct {
 	first, last *Sim
 	run         func() error
 	now         func() time.Duration
+	setMaxTime  func(time.Duration)
 }
 
 func testLoops() []testLoop {
 	s := New()
-	loops := []testLoop{{"sim", s, s, s.Run, s.Now}}
+	loops := []testLoop{{"sim", s, s, s.Run, s.Now, s.SetMaxTime}}
 	for _, shards := range []int{1, 2} {
 		sc := NewSharded(shards)
 		sc.SetLookahead(time.Microsecond)
 		loops = append(loops, testLoop{fmt.Sprintf("sharded%d", shards),
-			sc.Shard(0).Sim(), sc.Shard(shards - 1).Sim(), sc.Run, sc.Now})
+			sc.Shard(0).Sim(), sc.Shard(shards - 1).Sim(), sc.Run, sc.Now, sc.SetMaxTime})
 	}
 	return loops
 }

@@ -14,7 +14,9 @@ import (
 // latency of any cross-shard interaction. Within a window every shard with
 // work advances independently; at the window edge all shards barrier and
 // exchange the cross-shard events generated inside it. A Sharded of one
-// shard is the same loop on one goroutine.
+// shard is the same loop with nobody to wait for at the barrier, so its
+// procs open the next window themselves (nextWindowInline) and come back to
+// the coordinator only for what a barrier may do and a proc may not.
 //
 // Correctness requires that every interaction between procs on different
 // shards is posted through PostArrival with a delivery time at least L past
@@ -56,11 +58,10 @@ type Shard struct {
 
 	// outbox buffers arrivals posted during the current window; it is
 	// touched only by this shard's goroutine mid-window and drained by
-	// the coordinator at the barrier.
+	// the coordinator at the barrier. The exclusive upper bound of that
+	// window is sim.horizon; PostArrival uses it to detect lookahead
+	// violations.
 	outbox []arrival
-	// windowEnd is the exclusive upper bound of the window currently (or
-	// last) executed; PostArrival uses it to detect lookahead violations.
-	windowEnd int64
 }
 
 // arrival is one cross-node event delivery: at time at, spawn a proc
@@ -166,9 +167,9 @@ func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefi
 	if sh == nil || dst.shard == nil || dst.shard.coord != sh.coord {
 		panic("sim: PostArrival to a simulator that is not a shard of the same simulation")
 	}
-	if a.at < sh.windowEnd {
+	if a.at < s.horizon {
 		panic(fmt.Sprintf("sim: arrival at %v inside current window ending %v: cross-shard latency below lookahead",
-			at, time.Duration(sh.windowEnd)))
+			at, time.Duration(s.horizon)))
 	}
 	sh.outbox = append(sh.outbox, a)
 }
@@ -182,23 +183,32 @@ func (sh *Shard) PostArrival(at time.Duration, dstShard, src int, seq uint64, pr
 	sh.sim.PostArrival(at, sh.coord.shards[dstShard].sim, src, seq, prefix, fn)
 }
 
-// nextEventAt returns the earliest virtual time at which this shard has
-// work (a ready proc, a timer, or a pending arrival), or never if idle.
-func (sh *Shard) nextEventAt() int64 {
-	if len(sh.sim.ready) > 0 {
-		return sh.sim.now
-	}
-	tAt, aAt := sh.sim.pendingAt()
-	return min(tAt, aAt)
+// runWindow executes this shard's events with virtual time strictly below
+// end: Sim.pickNext with the window edge as its horizon, stopped early only
+// by a failure.
+func (sh *Shard) runWindow(end int64) {
+	sh.sim.horizon = end
+	sh.sim.drive()
 }
 
-// runWindow executes this shard's events with virtual time strictly below
-// end: Sim.step with the window edge as its horizon, stopped early only by
-// a failure.
-func (sh *Shard) runWindow(end int64) {
-	sh.windowEnd = end
-	for sh.sim.failure == nil && sh.sim.step(end) {
+// nextWindowInline is the barrier of a one-shard simulation, taken by the
+// proc that reached the window's edge: with no other shard to wait for and
+// no outbox to merge, a barrier that would neither run an Inject thunk nor
+// end the run just moves the horizon. It skips the coordinator's exchange
+// and nothing else — the end-of-run, deadlock and timeout tests are
+// nextWindow's, made at the same edges — and it must not run thunks: they
+// may Kill, and belong on the coordinator's goroutine. It reports whether
+// the next window is open.
+func (sh *Shard) nextWindowInline() bool {
+	sc := sh.coord
+	if len(sc.shards) != 1 || sh.sim.injPending.Load() != 0 {
+		return false
 	}
+	end, _, done := sc.nextWindow()
+	if !done {
+		sh.sim.horizon = end
+	}
+	return !done
 }
 
 // Run executes all shards to completion. Each iteration merges the
@@ -229,39 +239,52 @@ func (sc *Sharded) Run() error {
 			sh.outbox = sh.outbox[:0]
 			sh.sim.drainInjected()
 		}
-		live, pending, w := 0, 0, int64(never)
-		for _, sh := range sc.shards {
-			if sh.sim.failure != nil {
-				return sh.sim.failure
-			}
-			live += sh.sim.live
-			pending += sh.sim.arrivals.len()
-			w = min(w, sh.nextEventAt())
-		}
-		if live == 0 && pending == 0 {
-			sc.finished = true
-			return nil
-		}
-		if w == never {
-			return sc.deadlockError()
-		}
-		if sc.maxTime > 0 && w > sc.maxTime {
-			return &TimeoutError{Limit: time.Duration(sc.maxTime)}
-		}
-		end := w + sc.lookahead
-		if sc.maxTime > 0 && end > sc.maxTime+1 {
-			// Clamp so no event beyond the ceiling executes; the next
-			// barrier then reports the timeout deterministically.
-			end = sc.maxTime + 1
+		end, err, done := sc.nextWindow()
+		if done {
+			return err
 		}
 		sc.busy = sc.busy[:0]
 		for _, sh := range sc.shards {
-			if sh.nextEventAt() < end {
+			if sh.sim.nextEventAt() < end {
 				sc.busy = append(sc.busy, sh)
 			}
 		}
 		sc.runBusy(end)
 	}
+}
+
+// nextWindow is the barrier's decision, made with every shard at rest:
+// done with the run's result (the first failure, nil once nothing is live
+// or in flight, a deadlock, a timeout), or the exclusive end of the next
+// window, which opens at the globally earliest pending event. Asking twice
+// with nothing changed gives the same answer.
+func (sc *Sharded) nextWindow() (end int64, err error, done bool) {
+	live, pending, w := 0, 0, int64(never)
+	for _, sh := range sc.shards {
+		if sh.sim.failure != nil {
+			return 0, sh.sim.failure, true
+		}
+		live += sh.sim.live
+		pending += sh.sim.arrivals.len()
+		w = min(w, sh.sim.nextEventAt())
+	}
+	if live == 0 && pending == 0 {
+		sc.finished = true
+		return 0, nil, true
+	}
+	if w == never {
+		return 0, sc.deadlockError(), true
+	}
+	if sc.maxTime > 0 && w > sc.maxTime {
+		return 0, &TimeoutError{Limit: time.Duration(sc.maxTime)}, true
+	}
+	end = w + sc.lookahead
+	if sc.maxTime > 0 && end > sc.maxTime+1 {
+		// Clamp so no event beyond the ceiling executes; the next
+		// barrier then reports the timeout deterministically.
+		end = sc.maxTime + 1
+	}
+	return end, nil, false
 }
 
 // runBusy runs the window ending at end on every busy shard: the last on

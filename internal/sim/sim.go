@@ -8,16 +8,27 @@
 // simulation state needs no locking and every run is fully deterministic:
 // the ready queue is FIFO and simultaneous timers fire in creation order.
 //
+// "The scheduler" is whichever goroutine holds the baton, not a goroutine of
+// its own. A proc that parks or returns advances the schedule itself
+// (pickNext) and hands the baton straight to the next proc's goroutine: one
+// goroutine switch per proc switch, none when the next proc is the parking
+// one (a Sleep whose timer is the earliest event) or has not started yet and
+// the picker has just finished (it runs on the same pooled worker). The baton
+// goes back to the goroutine that called Run — the loop goroutine — only for
+// what must not run on a proc's stack: Inject thunks and Kill, reporting a
+// failure, a deadlock or a timeout, the end of the run, and the window
+// barrier of a simulation of several shards.
+//
 // Procs advance virtual time only through blocking primitives (Sleep, Event,
 // Chan, Semaphore, ...). Plain Go computation inside a Proc consumes zero
 // virtual time; simulated cost must be charged explicitly with Sleep.
 //
 // There is one event loop. New builds a Sim and Run drives it; a sharded
 // simulation (NewSharded, shard.go) is several Sims whose windows the
-// coordinator drives, and both loops are made of the same step (Sim.step):
-// run the ready proc at the head of the queue, else fire the earliest
-// arrival or timer below a horizon, an arrival before a timer of the same
-// instant. Procs on different nodes interact only through arrivals
+// coordinator drives, and both loops are made of the same step
+// (Sim.pickNext): run the ready proc at the head of the queue, else fire the
+// earliest arrival or timer below a horizon, an arrival before a timer of
+// the same instant. Procs on different nodes interact only through arrivals
 // (PostArrival), so a schedule does not depend on how many Sims the nodes
 // are spread over.
 //
@@ -68,8 +79,19 @@ type killSentinelType struct{}
 
 var killSentinel = killSentinelType{}
 
+// resumeMsg is what a worker's goroutine is woken with. kill tells a parked
+// proc to unwind, and an idle worker to exit.
 type resumeMsg struct {
 	kill bool
+}
+
+// worker is a pooled goroutine that runs procs to completion, one after
+// another; a Sim starts one only when a proc must start while every worker
+// it has is in the middle of another proc. p is the proc the worker is
+// running (or about to), nil while it sits in Sim.idle.
+type worker struct {
+	resume chan resumeMsg
+	p      *Proc
 }
 
 // ident is a lazily-formatted identifier: either a fixed name or a
@@ -113,11 +135,14 @@ const (
 // Proc is a simulated process (a cooperative green thread). A Proc handle is
 // also the capability through which the process calls blocking primitives.
 type Proc struct {
-	sim    *Sim
-	ident  ident
-	id     uint64
-	resume chan resumeMsg
-	state  procState
+	sim   *Sim
+	ident ident
+	id    uint64
+	// fn is the Proc's body, and w the worker it runs on from its first
+	// resume to its last; both are nil once it is done.
+	fn    func(p *Proc)
+	w     *worker
+	state procState
 	// daemon procs (poll loops, progress engines) do not keep the
 	// simulation alive: Run finishes when every non-daemon proc is done.
 	daemon bool
@@ -146,7 +171,7 @@ func (p *Proc) Now() time.Duration { return time.Duration(p.sim.now) }
 type Sim struct {
 	now    int64 // virtual time in nanoseconds since simulation start
 	seq    uint64
-	ready  []*Proc
+	ready  ring[*Proc]
 	timers timerHeap
 	// arrivals holds the cross-node deliveries posted to this Sim
 	// (PostArrival), ordered by (at, src, seq).
@@ -164,7 +189,13 @@ type Sim struct {
 	current *Proc
 	// inGroup is the group InGroup is spawning into, nil otherwise.
 	inGroup *Group
+	// horizon is the exclusive bound on the events pickNext may fire: the
+	// SetMaxTime ceiling under Run, the window's edge under a Sharded.
+	horizon int64
+	// yieldCh is how the baton comes back to the loop goroutine.
 	yieldCh chan struct{}
+	// idle holds the workers with no proc to run, last in first out.
+	idle    []*worker
 	failure error
 	stopped bool
 
@@ -173,7 +204,7 @@ type Sim struct {
 	maxTime    int64
 
 	// injected holds thunks posted by Inject from foreign goroutines;
-	// the scheduler drains them between events. injPending mirrors
+	// the loop goroutine drains them between events. injPending mirrors
 	// len(injected) so the hot loop can skip the mutex when empty.
 	injMu      sync.Mutex
 	injected   []func()
@@ -260,7 +291,7 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 		sim:    s,
 		ident:  name,
 		id:     s.seq,
-		resume: make(chan resumeMsg),
+		fn:     fn,
 		state:  stateReady,
 		daemon: daemon,
 	}
@@ -275,44 +306,94 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 			p.group.live++
 		}
 	}
-	s.ready = append(s.ready, p)
-	go func() {
-		msg := <-p.resume
-		if msg.kill {
-			p.finish()
-			s.yieldCh <- struct{}{}
+	s.ready.push(p)
+	return p
+}
+
+// run is a worker's goroutine. Each turn runs w.p to completion and then,
+// still holding the baton, advances the schedule: a proc that has not
+// started yet runs right here, with no goroutine switch; otherwise the
+// worker joins the idle list — only now, so that nothing pickNext spawned
+// can have been bound to it — and hands the baton on. A killed proc's
+// worker picks nothing: the baton goes back to the killer.
+func (w *worker) run() {
+	for {
+		p := w.p
+		s := p.sim
+		var next *Proc
+		if !p.exec() { // not killed: the baton is still ours
+			if next = s.pickNext(); next != nil && next.w == nil {
+				w.p, next.w = next, w
+				continue
+			}
+		}
+		w.p = nil
+		s.idle = append(s.idle, w)
+		s.handOff(next)
+		if (<-w.resume).kill {
 			return
 		}
-		defer func() {
-			r := recover()
-			if _, isKill := r.(killSentinelType); isKill {
-				p.finish()
-				s.yieldCh <- struct{}{}
-				return
-			}
-			if r != nil {
-				if s.failure == nil {
-					s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
-				}
-			}
+	}
+}
+
+// exec runs p's body on the calling worker and settles p's accounts when it
+// returns, panics or is unwound by Kill (the only case reported as killed).
+func (p *Proc) exec() (killed bool) {
+	s := p.sim
+	returned := false
+	defer func() {
+		r := recover()
+		if _, isKill := r.(killSentinelType); isKill {
 			p.finish()
-			if !p.daemon {
-				s.live--
-				if s.live == 0 {
-					s.idleAt = s.now
-				}
-			}
-			s.yieldCh <- struct{}{}
-		}()
-		fn(p)
-		if g := p.group; g != nil && !p.daemon {
-			if g.live--; g.live == 0 && g.idleAt == never {
-				g.idleAt = s.now
-				g.onIdle()
+			killed = true
+			return
+		}
+		if r != nil && s.failure == nil {
+			s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
+		}
+		p.finish()
+		if !p.daemon {
+			s.live--
+			if s.live == 0 {
+				s.idleAt = s.now
 			}
 		}
+		if r == nil && !returned {
+			// runtime.Goexit — a t.Fatal inside a proc — is taking this
+			// goroutine with it: pass the baton on before it goes.
+			s.handOff(s.pickNext())
+		}
 	}()
-	return p
+	p.fn(p)
+	returned = true
+	if g := p.group; g != nil && !p.daemon {
+		if g.live--; g.live == 0 && g.idleAt == never {
+			g.idleAt = s.now
+			g.onIdle()
+		}
+	}
+	return false
+}
+
+// handOff passes the baton to next, which pickNext has made current: one
+// goroutine switch. A proc that has not started is bound to an idle worker,
+// or to a new one. A nil next sends the baton back to the loop goroutine.
+func (s *Sim) handOff(next *Proc) {
+	switch {
+	case next == nil:
+		s.yieldCh <- struct{}{}
+	case next.w != nil:
+		next.w.resume <- resumeMsg{}
+	case len(s.idle) > 0:
+		w := s.idle[len(s.idle)-1]
+		s.idle = s.idle[:len(s.idle)-1]
+		w.p, next.w = next, w
+		w.resume <- resumeMsg{}
+	default:
+		w := &worker{resume: make(chan resumeMsg), p: next}
+		next.w = w
+		go w.run()
+	}
 }
 
 // Group is a set of procs that ends together; see the package comment for
@@ -354,14 +435,15 @@ func (g *Group) Kill() {
 }
 
 // finish marks p done and unlinks it from the Sim's ring of unfinished
-// procs. It runs on p's own goroutine as its last act before yielding for
-// good, while the scheduler waits on that yield — never concurrently with
-// the scheduler or another proc. Its own links are cleared so that a handle
-// someone still holds to a finished Proc does not pin its old neighbours.
+// procs. It runs under the baton: on p's worker as its last act, or on the
+// loop goroutine when a proc that never started is killed. Its links are
+// cleared so that a handle someone still holds to a finished Proc does not
+// pin its old neighbours, its body or its worker.
 func (p *Proc) finish() {
 	p.state = stateDone
 	p.prev.next, p.next.prev = p.next, p.prev
 	p.prev, p.next = nil, nil
+	p.fn, p.w = nil, nil
 }
 
 // checkCurrent panics unless p is the Proc currently scheduled to run. It
@@ -378,19 +460,22 @@ func (p *Proc) checkCurrent(op string) {
 // is recorded as (kind, object, argument) and only rendered to a string by
 // deadlock reports — parking is the hottest operation in the simulator and
 // must not allocate.
+//
+// The parking proc holds the baton, so it advances the schedule itself: if
+// the next proc to run is p again there is nothing to wait for; otherwise p
+// hands the baton on and sleeps until someone hands it back.
 func (p *Proc) park(kind parkKind, obj labeler, arg int64) {
 	p.checkCurrent("park")
 	p.state = stateBlocked
 	p.blockKind = kind
 	p.blockObj = obj
 	p.blockArg = arg
-	s := p.sim
-	s.yieldCh <- struct{}{}
-	msg := <-p.resume
-	if msg.kill {
-		panic(killSentinel)
+	if next := p.sim.pickNext(); next != p {
+		p.sim.handOff(next)
+		if (<-p.w.resume).kill {
+			panic(killSentinel)
+		}
 	}
-	p.state = stateRunning
 	p.blockKind = parkNone
 	p.blockObj = nil
 }
@@ -424,7 +509,7 @@ func (s *Sim) unblock(p *Proc) {
 		return
 	}
 	p.state = stateReady
-	s.ready = append(s.ready, p)
+	s.ready.push(p)
 }
 
 // Sleep advances the Proc's virtual time by d. Sleep(0) yields to the back
@@ -450,24 +535,16 @@ func (p *Proc) SleepJit(d time.Duration) {
 // Yield gives other ready Procs a chance to run at the same virtual time.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// runProc hands control to p and waits for it to block, finish or spawn.
-func (s *Sim) runProc(p *Proc) {
-	s.current = p
-	p.state = stateRunning
-	p.resume <- resumeMsg{}
-	<-s.yieldCh
-	s.current = nil
-}
-
-// Inject posts fn to be executed by the scheduler goroutine at the next
-// virtual-time event boundary (between proc steps, with no proc running).
+// Inject posts fn to be executed by the loop goroutine — the caller of Run —
+// at the next virtual-time event boundary (between proc steps, with no proc
+// running; inside a Sharded, at the next window barrier).
 // It is the only Sim entry point that is safe to call from a foreign
 // goroutine, and exists so external controllers (job cancellation, a
 // control API) can mutate simulation state without racing the
-// single-threaded kernel. fn runs with the full rights of the scheduler:
-// it may Spawn and Kill procs. Inject reports whether the thunk was
+// single-threaded kernel. fn runs in scheduler context, holding the baton
+// with no proc current: it may Spawn and Kill procs. Inject reports whether the thunk was
 // accepted; it returns false once the simulation has shut down. An
-// accepted thunk runs only if the scheduler reaches another boundary, so
+// accepted thunk runs only if the run reaches another boundary, so
 // callers must tolerate thunks posted in the run's final instants being
 // dropped.
 func (s *Sim) Inject(fn func()) bool {
@@ -482,7 +559,7 @@ func (s *Sim) Inject(fn func()) bool {
 }
 
 // drainInjected runs every pending injected thunk in post order. Called
-// only from the scheduler between events.
+// only on the loop goroutine, between events.
 func (s *Sim) drainInjected() {
 	for s.injPending.Load() > 0 {
 		s.injMu.Lock()
@@ -509,14 +586,26 @@ func (s *Sim) Kill(p *Proc) {
 	if s.current != nil {
 		panic("sim: Kill called while a proc is running; use Inject")
 	}
-	p.resume <- resumeMsg{kill: true}
-	<-s.yieldCh
+	s.unwind(p)
 	if !p.daemon {
 		s.live--
 		if s.live == 0 {
 			s.idleAt = s.now
 		}
 	}
+}
+
+// unwind finishes a proc that is not running, on the loop goroutine: a proc
+// that never started has no frames and is simply marked done; a parked one
+// is lent the baton to run its defers and gives it back as its worker goes
+// idle.
+func (s *Sim) unwind(p *Proc) {
+	if p.w == nil {
+		p.finish()
+		return
+	}
+	p.w.resume <- resumeMsg{kill: true}
+	<-s.yieldCh
 }
 
 // never is the due time of an event that does not exist.
@@ -535,73 +624,123 @@ func (s *Sim) pendingAt() (timerAt, arrivalAt int64) {
 	return timerAt, arrivalAt
 }
 
-// step executes one scheduler event, the unit both event loops are built
-// from: it runs the proc at the head of the ready queue (ready procs hold
-// the current time, so they always go first), or else fires the earliest
-// arrival or timer strictly below horizon. At equal timestamps an arrival
-// is delivered before a timer fires (the ordering rule on Sharded). It
-// reports false when nothing is runnable below horizon.
-func (s *Sim) step(horizon int64) bool {
-	if len(s.ready) > 0 {
-		p := s.ready[0]
-		s.ready = s.ready[1:]
-		if p.state != stateDone {
-			s.runProc(p)
-		}
-		return true
+// nextEventAt returns the earliest virtual time at which s has work (a
+// ready proc, a timer, or a pending arrival), or never if idle.
+func (s *Sim) nextEventAt() int64 {
+	if s.ready.len() > 0 {
+		return s.now
 	}
 	tAt, aAt := s.pendingAt()
-	at := min(tAt, aAt)
-	if at >= horizon {
+	return min(tAt, aAt)
+}
+
+// pickNext advances the schedule to the next proc that is to run, makes it
+// current and returns it. Whoever holds the baton calls it — a proc parking
+// or returning, or the loop goroutine — and no proc is current while it
+// runs, so the procs it spawns for arrivals join no group. Each turn is one
+// scheduler event, the unit both event loops are built from, taken only if
+// the loop's own pre-step test (mayStep) passes: pop the head of the ready
+// queue (ready procs hold the current time, so they always go first), or
+// else fire the earliest arrival or timer strictly below the horizon. At
+// equal timestamps an arrival is delivered before a timer fires (the
+// ordering rule on Sharded). It returns nil when the baton has to go back to
+// the loop goroutine: the pre-step test failed, or nothing is runnable below
+// the horizon and no further window can be opened from here.
+func (s *Sim) pickNext() *Proc {
+	s.current = nil
+	for s.mayStep() {
+		if s.ready.len() > 0 {
+			p := s.ready.pop()
+			if p.state == stateDone {
+				continue
+			}
+			s.current = p
+			p.state = stateRunning
+			return p
+		}
+		tAt, aAt := s.pendingAt()
+		at := min(tAt, aAt)
+		if at >= s.horizon {
+			if s.shard == nil || !s.shard.nextWindowInline() {
+				return nil
+			}
+			continue
+		}
+		if at < s.now {
+			panic("sim: event in the past")
+		}
+		s.now = at
+		if aAt <= tAt {
+			a := s.arrivals.pop()
+			s.spawn(a.name, a.fn, false)
+		} else {
+			s.unblock(s.timers.pop().p)
+		}
+	}
+	return nil
+}
+
+// mayStep is the test the running loop makes before every scheduler event.
+// A failure always stops the procs. Under Run so do a pending Inject thunk
+// and the end of the run; inside a Sharded's window both wait for the
+// barrier, so that they land at the same instant at every shard count.
+func (s *Sim) mayStep() bool {
+	if s.failure != nil {
 		return false
 	}
-	if at < s.now {
-		panic("sim: event in the past")
+	return s.shard != nil || (s.injPending.Load() == 0 && !s.finished())
+}
+
+// finished reports whether a run is over: every non-daemon proc is done, no
+// arrival is in flight and nothing is ready. Ready procs drain first: the
+// last non-daemon Proc's exit may leave daemons woken by final deliveries —
+// a sink holding a just-handed staging buffer mid-transfer. Running them to
+// their next block point (same virtual instant; timers never fire once
+// nothing is live or in flight) lets those handoffs finish so end-of-run
+// resource accounting balances.
+func (s *Sim) finished() bool {
+	return s.ready.len() == 0 && s.live == 0 && s.arrivals.len() == 0
+}
+
+// drive lends the baton to the procs and returns when it comes back, with
+// no proc current.
+func (s *Sim) drive() {
+	if p := s.pickNext(); p != nil {
+		s.handOff(p)
+		<-s.yieldCh
 	}
-	s.now = at
-	if aAt <= tAt {
-		a := s.arrivals.pop()
-		s.spawn(a.name, a.fn, false)
-	} else {
-		s.unblock(s.timers.pop().p)
-	}
-	return true
 }
 
 // Run executes the simulation until every Proc has finished and every
 // posted arrival has been delivered. It returns an error if a Proc panicked
 // or if the simulation deadlocked (some Procs are blocked but no timer or
 // arrival can wake anyone up). After Run returns, all remaining Proc
-// goroutines have been torn down.
+// goroutines have been torn down. The simulator of a Shard is driven by
+// Sharded.Run, never by this.
 func (s *Sim) Run() error {
+	if s.shard != nil {
+		panic("sim: Run on a shard's simulator; use Sharded.Run")
+	}
 	defer s.shutdown()
-	horizon := int64(never)
+	s.horizon = never
 	if s.maxTime > 0 {
-		horizon = s.maxTime + 1
+		s.horizon = s.maxTime + 1
 	}
 	for {
-		if s.injPending.Load() > 0 {
-			s.drainInjected()
-		}
+		s.drainInjected()
 		if s.failure != nil {
 			return s.failure
 		}
-		// Ready Procs drain before live is tested: the last non-daemon
-		// Proc's exit may leave daemons woken by final deliveries — a sink
-		// holding a just-handed staging buffer mid-transfer. Running them to
-		// their next block point (same virtual instant; timers never fire
-		// once nothing is live or in flight) lets those handoffs finish so
-		// end-of-run resource accounting balances.
-		if len(s.ready) == 0 && s.live == 0 && s.arrivals.len() == 0 {
+		if s.finished() {
 			return nil
 		}
-		if s.step(horizon) {
-			continue
+		if s.nextEventAt() >= s.horizon {
+			if s.timers.len() > 0 || s.arrivals.len() > 0 {
+				return &TimeoutError{Limit: time.Duration(s.maxTime)}
+			}
+			return s.deadlockError()
 		}
-		if s.timers.len() > 0 || s.arrivals.len() > 0 {
-			return &TimeoutError{Limit: time.Duration(s.maxTime)}
-		}
-		return s.deadlockError()
+		s.drive()
 	}
 }
 
@@ -613,7 +752,8 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("sim: virtual time exceeded limit %v", e.Limit)
 }
 
-// shutdown kills every goroutine still parked so they do not leak.
+// shutdown unwinds every proc still parked and tells every worker to exit,
+// so that no goroutine outlives the run.
 func (s *Sim) shutdown() {
 	if s.stopped {
 		return
@@ -627,11 +767,14 @@ func (s *Sim) shutdown() {
 	for p := s.procs.next; p != &s.procs; {
 		next := p.next // a killed proc unlinks itself
 		if p.state != stateRunning {
-			p.resume <- resumeMsg{kill: true}
-			<-s.yieldCh
+			s.unwind(p)
 		}
 		p = next
 	}
+	for _, w := range s.idle {
+		w.resume <- resumeMsg{kill: true}
+	}
+	s.idle = nil
 }
 
 // Unfinished counts the procs spawned and not yet done, daemons included:

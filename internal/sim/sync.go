@@ -15,7 +15,7 @@ type Semaphore struct {
 	s       *Sim
 	name    string
 	avail   int
-	waiters []*semWaiter
+	waiters ring[*semWaiter]
 }
 
 // NewSemaphore creates a semaphore with an initial number of permits.
@@ -36,12 +36,12 @@ func (sem *Semaphore) Acquire(p *Proc, n int) {
 	if n <= 0 {
 		panic("sim: Acquire of non-positive permits")
 	}
-	if len(sem.waiters) == 0 && sem.avail >= n {
+	if sem.waiters.len() == 0 && sem.avail >= n {
 		sem.avail -= n
 		return
 	}
 	w := &semWaiter{p: p, n: n}
-	sem.waiters = append(sem.waiters, w)
+	sem.waiters.push(w)
 	defer func() {
 		if w.granted && p.state != stateRunning { // killed before it resumed with them
 			sem.Release(n)
@@ -57,8 +57,8 @@ func (sem *Semaphore) Release(n int) {
 		panic("sim: Release of non-positive permits")
 	}
 	sem.avail += n
-	for len(sem.waiters) > 0 {
-		w := sem.waiters[0]
+	for sem.waiters.len() > 0 {
+		w := sem.waiters.peek()
 		if w.p.state != stateDone {
 			if w.n > sem.avail {
 				return
@@ -67,7 +67,7 @@ func (sem *Semaphore) Release(n int) {
 			w.granted = true
 			sem.s.unblock(w.p)
 		}
-		sem.waiters = sem.waiters[1:]
+		sem.waiters.pop()
 	}
 }
 
