@@ -12,7 +12,7 @@ CHECK = $(PYTHON) scripts/ci_check.py
 
 GATES = build vet fmt lintdoc test race fuzz-smoke bench benchmark-smoke loadgen trace-export flows benchmark-gate
 
-.PHONY: $(GATES) ci loc
+.PHONY: $(GATES) ci loc virtual-diff
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,13 @@ GATE_PAIRS ?= 3
 GATE_SECONDS ?= 3
 benchmark-gate:
 	@$(CHECK) benchmark-gate BENCHMARK.json $(BASE) $(OUT)/benchmark-gate $(GATE_PAIRS) $(GATE_SECONDS)
+
+# Not a gate: what a change to internal/core or below moved in virtual time.
+# Every workload's traced pass once on this tree and twice on BASE; each
+# metric the two parent runs agree on to the last bit (virtual times, counts
+# per op, phase shares) that reads differently here is printed. ~4 min.
+virtual-diff:
+	@$(CHECK) virtual-diff BENCHMARK.json $(BASE) $(OUT)/virtual-diff
 
 # Loadgen gate: a seeded Poisson run on the sim backend diffed for
 # byte-identical SLO reports, the chat preset on the live backend, and a

@@ -9,7 +9,9 @@
 // it promised to hide.
 //
 // internal/core/chaos_test.go asserts digest equality (with
-// prefix-shrinking on failure) and pool balance over it, on both backends.
+// prefix-shrinking on failure) and pool balance over it, on both backends
+// and under both hosts: Run is the job run on a substrate of its own, and a
+// test that wants it as a tenant of a Runtime submits New's Job itself.
 package chaos
 
 import (
@@ -104,12 +106,45 @@ func payloadFor(seed int64, r, src, dst int) []byte {
 	return b
 }
 
+// Workload is one chaos run before it has a host: the job to run, and the
+// ledgers its ranks fill in as they go.
+type Workload struct {
+	// Job is the configured job, kernel installed; run it once, under any
+	// host.
+	Job      *core.Job
+	digests  []uint64
+	rankErrs []error
+}
+
 // Run executes one chaos run and returns the per-rank digests plus the
 // engine report. Rank errors (lost payloads, corrupted bytes, unexpected
 // sources) surface as an error, with the first offending round named.
 func Run(o Options) (Result, error) {
+	w, err := New(o)
+	if err != nil {
+		return Result{}, err
+	}
+	return w.Result(w.Job.Run())
+}
+
+// Result folds what the host returned for w.Job — Job.Run, or a Runtime
+// handle's Wait — and what the ranks recorded into the run's outcome.
+func (w *Workload) Result(rep core.Report, err error) (Result, error) {
+	if err != nil {
+		return Result{Report: rep}, err
+	}
+	for _, e := range w.rankErrs {
+		if e != nil {
+			return Result{Digests: w.digests, Report: rep}, e
+		}
+	}
+	return Result{Digests: w.digests, Report: rep}, nil
+}
+
+// New builds the chaos workload o describes.
+func New(o Options) (*Workload, error) {
 	if o.Nodes <= 0 || o.CPUs <= 0 || o.Rounds <= 0 {
-		return Result{}, fmt.Errorf("chaos: need positive nodes/cpus/rounds")
+		return nil, fmt.Errorf("chaos: need positive nodes/cpus/rounds")
 	}
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = o.Nodes, o.CPUs, 0, 0
@@ -232,16 +267,7 @@ func Run(o Options) (Result, error) {
 		}
 		digests[me] = h.Sum64()
 	})
-	rep, err := job.Run()
-	if err != nil {
-		return Result{Report: rep}, err
-	}
-	for _, e := range rankErrs {
-		if e != nil {
-			return Result{Digests: digests, Report: rep}, e
-		}
-	}
-	return Result{Digests: digests, Report: rep}, nil
+	return &Workload{Job: job, digests: digests, rankErrs: rankErrs}, nil
 }
 
 func equal(a, b []byte) bool {

@@ -9,10 +9,12 @@ package core_test
 
 import (
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"dcgn/internal/chaos"
+	"dcgn/internal/core"
 	"dcgn/internal/obs"
 	"dcgn/internal/transport"
 	"dcgn/internal/transport/faults"
@@ -139,15 +141,59 @@ func requireShardInvariant(t *testing.T, rounds int, seed int64, f faults.Config
 	}
 }
 
+// requireHostInvariant reruns a faulted simulated run as a tenant of a
+// Runtime, beside a clean bystander running another seed's script: the
+// digests and the whole Report must equal the ones Job.Run gave it, and so
+// must the bystander's.
+func requireHostInvariant(t *testing.T, rounds int, seed int64, f faults.Config, solo chaos.Result) {
+	t.Helper()
+	r, err := core.NewRuntime(core.RuntimeConfig{Nodes: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	clean := chaosOpts(transport.BackendSim, rounds, seed+1, faults.Config{})
+	var ws [2]*chaos.Workload
+	var hs [2]*core.JobHandle
+	for i, o := range []chaos.Options{chaosOpts(transport.BackendSim, rounds, seed, f), clean} {
+		if ws[i], err = chaos.New(o); err != nil {
+			t.Fatal(err)
+		}
+		if hs[i], err = r.Submit(ws[i].Job, core.SubmitOpts{}); err != nil {
+			t.Fatalf("seed %d: Submit: %v", seed, err)
+		}
+	}
+	if err := r.Run(); err != nil {
+		t.Fatalf("seed %d: batch: %v", seed, err)
+	}
+	bystander, err := chaos.Run(clean)
+	if err != nil {
+		t.Fatalf("clean reference run: %v", err)
+	}
+	for i, want := range []chaos.Result{solo, bystander} {
+		got, err := ws[i].Result(hs[i].Wait())
+		if err != nil {
+			t.Fatalf("seed %d, tenant %d: %v", seed, i, err)
+		}
+		if !equalDigests(got.Digests, want.Digests) || !reflect.DeepEqual(got.Report, want.Report) {
+			t.Errorf("seed %d, tenant %d diverged from its Job.Run:\n got %x %+v\nwant %x %+v", seed, i, got.Digests, got.Report, want.Digests, want.Report)
+		}
+	}
+}
+
 // TestChaosDifferentialSim sweeps seeds on the simulated backend with a
 // drop rate past the acceptance bar (>= 10%), plus duplication and
 // reordering; every seed must reproduce the clean digests and show the
-// retransmit machinery actually firing, identically on every shard count.
+// retransmit machinery actually firing, identically on every shard count
+// and — three of the seeds — as a tenant of a Runtime.
 func TestChaosDifferentialSim(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1009} {
 		f := faults.Config{Seed: seed, Drop: 0.12, Dup: 0.08, Reorder: 0.08}
 		got := requireDifferential(t, transport.BackendSim, 24, seed, f)
 		requireShardInvariant(t, 24, seed, f, got)
+		if seed != 1009 {
+			requireHostInvariant(t, 24, seed, f, got)
+		}
 		if got.Report.FaultsInjected.Drops == 0 {
 			t.Errorf("seed %d: no drops injected; differential proves nothing", seed)
 		}

@@ -136,7 +136,7 @@ func (r *Runtime) handleFlows(w http.ResponseWriter, req *http.Request) {
 		} else {
 			spans = c.report.Trace
 		}
-		flows = append(flows, stitchJSON(spans, c.id, c.name, c.tenant)...)
+		flows = append(flows, stitchJSON(spans, c.ID, c.Name, c.Tenant)...)
 	}
 	r.mu.Unlock()
 	writeJSON(w, flowsDocument(flows, flowsTopK(req)))

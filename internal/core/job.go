@@ -15,6 +15,7 @@ import (
 	"dcgn/internal/transport"
 	"dcgn/internal/transport/faults"
 	"dcgn/internal/transport/live"
+	"dcgn/internal/transport/simmpi"
 )
 
 // Job is one DCGN application run: a cluster configuration plus the CPU
@@ -26,9 +27,9 @@ type Job struct {
 	rmap RankMap
 
 	// engineEnv is the host's half of the running engine — substrate,
-	// endpoints, pool, clock, wire totals — installed by start. Job.Run
-	// fills it from a substrate of its own, a Runtime from its tenant's
-	// share of the one it serves every job on.
+	// endpoints, pool, clock, wire totals — installed by start: all of a
+	// substrate Job.Run builds for the one job, or a tenant's share of the
+	// one a Runtime serves every job on.
 	engineEnv
 	nodes []*nodeState
 
@@ -289,7 +290,7 @@ func (j *Job) Run() (Report, error) {
 	}
 	sub := newSubstrate(j.cfg.Nodes, j.cfg.Net, j.cfg.MPI, j.cfg.Shards,
 		j.cfg.MaxVirtualTime, j.cfg.JitterFrac, j.cfg.JitterSeed)
-	j.start(sub.exclusiveEnv())
+	j.start(sub.env(simmpi.WorldGroup(sub.world), sub.nodes, sub.pool, 0))
 	err := sub.loop.Run()
 	return j.report(), err
 }

@@ -165,7 +165,10 @@ type Config struct {
 
 	// Faults installs the deterministic fault-injection middleware
 	// (internal/transport/faults) outermost on every node's transport.
-	// Any nonzero wire-fault probability auto-enables Reliability.
+	// Any nonzero wire-fault probability auto-enables Reliability. The
+	// streams are seeded per endpoint, so the job's faults are its own under
+	// any host: a Runtime tenant's Report is its Job.Run's, its co-tenants'
+	// are theirs.
 	Faults faults.Config
 
 	// Reliability configures the wire-level ack/retransmit layer; see the
@@ -178,7 +181,8 @@ type Config struct {
 	// fabric's minimum cross-shard latency (internal/sim.Sharded). Results
 	// are bit-identical for every value, 0 (which means 1) included; only
 	// the wall-clock time changes. Clamped to Nodes. Simulated backend
-	// only; jitter needs Shards <= 1.
+	// only; jitter needs Shards <= 1. Read by Job.Run, which builds the
+	// cluster; a Runtime built its own and ignores it, like Net and MPI.
 	Shards int
 
 	// JitterFrac/JitterSeed add multiplicative timing noise (for the

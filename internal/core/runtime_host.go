@@ -19,9 +19,10 @@ import (
 
 // Runtime hosts many concurrent DCGN jobs over one shared backend. It runs
 // the same engine Job.Run does — one bring-up (Job.start over an
-// engineEnv), one report — and differs only in who owns the substrate:
-// Job.Run builds a whole one for its single job, a Runtime builds one and
-// lends each admitted job a tenant's share of it. Jobs are submitted with
+// engineEnv, which on the simulated backend substrate.env fills for both),
+// one report — and differs only in who owns the substrate: Job.Run builds
+// a whole one for its single job, a Runtime builds one and lends each
+// admitted job a tenant's share of it. Jobs are submitted with
 // a tenant label, weight and priority; the runtime admits them onto free
 // nodes under stride-based weighted fair sharing, queues them (bounded,
 // never silently dropped) when the cluster is saturated, and gives every
@@ -54,11 +55,12 @@ import (
 //     monitors, timers, device blocks, MPI helpers — ends with it.
 //     Scheduling is exactly as deterministic as a single-job run.
 //
-// A tenant's Report is a solo run's in everything but its clock: its
-// Elapsed ends at its completion instant on the shared clock rather than
-// after the run's trailing deliveries, which is why Job.Run is not a
-// runtime of one. A Runtime's substrate has one shard: tenants share its
-// simulator, its arrival procs and its cancel injections.
+// A simulated tenant's Report is the one Job.Run returns for the same job,
+// field for field, whatever its co-tenants do — lossy wire, retransmits and
+// frames still in flight at its end included (TestSameEngineOnEveryHost,
+// TestRuntimeSimLossyTenant). Only jitter is refused: its stream is the
+// simulator's, not the job's. A Runtime's substrate has one shard: tenants
+// share its simulator, its arrival procs and its cancel injections.
 type Runtime struct {
 	cfg   RuntimeConfig
 	epoch time.Time // live clock origin for JobStatus times
@@ -109,10 +111,11 @@ type Runtime struct {
 }
 
 // RuntimeConfig describes the shared substrate a Runtime serves jobs on.
-// Submitted jobs bring their own kernels, node counts and engine tuning
-// (Config.Params, Bus, Device, Reliability...); the cluster
-// shape and wire model below are runtime-wide and the corresponding
-// fields of submitted job Configs are ignored.
+// Submitted jobs bring their own kernels, node counts, engine tuning and
+// wire conditions (Config.Params, Bus, Device, Reliability, Faults...); the
+// cluster shape and wire model below are runtime-wide, and the fields of a
+// submitted job's Config that shape a substrate — Net, MPI, MaxVirtualTime
+// and Shards — are ignored.
 type RuntimeConfig struct {
 	// Nodes is the shared cluster size; a submitted job may request at
 	// most this many nodes.
@@ -254,23 +257,14 @@ var (
 	ErrNoSuchJob = errors.New("dcgn: no such job")
 )
 
-// rtJob is the runtime's bookkeeping for one submission.
+// rtJob is the runtime's bookkeeping for one submission: its status, kept
+// current under r.mu, and what running it takes.
 type rtJob struct {
-	id       int
-	name     string
-	tenant   string
-	weight   int
-	priority int
-	nodes    int
+	JobStatus
 	// job is the engine; retire drops it, so a long-lived runtime retaining
 	// every rtJob does not also retain every finished job's node state,
 	// pools and trace rings.
 	job *Job
-
-	state       JobState
-	submittedAt time.Duration
-	startedAt   time.Duration
-	finishedAt  time.Duration
 
 	// notBefore is the job's virtual arrival time when it was scheduled
 	// with SubmitAt; it enters the admission queue only once the clock
@@ -316,7 +310,7 @@ type JobHandle struct {
 }
 
 // ID returns the runtime-assigned job id.
-func (h *JobHandle) ID() int { return h.j.id }
+func (h *JobHandle) ID() int { return h.j.ID }
 
 // Wait blocks until the job reaches a terminal state and returns its
 // Report. On the simulated backend jobs only execute inside Runtime.Run,
@@ -336,7 +330,7 @@ func (h *JobHandle) Status() JobStatus {
 }
 
 // Cancel cancels the job; see Runtime.Cancel.
-func (h *JobHandle) Cancel() error { return h.r.Cancel(h.j.id) }
+func (h *JobHandle) Cancel() error { return h.r.Cancel(h.j.ID) }
 
 // NewRuntime builds a runtime over the given shared substrate. Live
 // runtimes are ready immediately and long-lived; simulated runtimes
@@ -393,9 +387,9 @@ func (r *Runtime) schedEnqueuedLocked(c *rtJob) {
 
 // schedAdmittedLocked records a job's admission queue wait.
 func (r *Runtime) schedAdmittedLocked(c *rtJob) {
-	w := int64(c.startedAt - c.submittedAt)
+	w := int64(c.StartedAt - c.SubmittedAt)
 	r.sched.Histogram("queue_wait_ns").Observe(w)
-	r.sched.Histogram("queue_wait_ns/tenant=" + c.tenant).Observe(w)
+	r.sched.Histogram("queue_wait_ns/tenant=" + c.Tenant).Observe(w)
 }
 
 // schedFinishedLocked records a job's terminal state: the per-outcome
@@ -403,12 +397,12 @@ func (r *Runtime) schedAdmittedLocked(c *rtJob) {
 // latency.
 func (r *Runtime) schedFinishedLocked(c *rtJob) {
 	switch {
-	case c.state == JobDone:
+	case c.State == JobDone:
 		r.sched.Counter("jobs_done").Add(1)
-		e := int64(c.finishedAt - c.submittedAt)
+		e := int64(c.FinishedAt - c.SubmittedAt)
 		r.sched.Histogram("e2e_ns").Observe(e)
-		r.sched.Histogram("e2e_ns/tenant=" + c.tenant).Observe(e)
-	case c.state == JobCanceled:
+		r.sched.Histogram("e2e_ns/tenant=" + c.Tenant).Observe(e)
+	case c.State == JobCanceled:
 		r.sched.Counter("jobs_canceled").Add(1)
 	case errors.Is(c.err, ErrQueueFull):
 		r.sched.Counter("jobs_rejected").Add(1)
@@ -436,11 +430,12 @@ func (r *Runtime) now() time.Duration {
 // cluster is saturated the job queues; only past MaxQueue pending jobs
 // does Submit fail with ErrQueueFull.
 //
-// The job's Config.Transport must match the runtime's backend, its node
-// count must fit the cluster, and runtime-wide concerns must be left to
-// the runtime: per-job DebugAddr and Shards are rejected, and on the
-// simulated backend per-job fault injection and jitter are too (they
-// would perturb co-tenants; run those jobs exclusively via Job.Run).
+// The job's Config.Transport must match the runtime's backend and its node
+// count must fit the cluster. Beyond that a Runtime takes every job Job.Run
+// does, as it is — fault injection, Reliability, one-sided and GPU traffic,
+// Shards set (the substrate is the runtime's, so it is ignored) — except
+// two: a per-job DebugAddr (the runtime owns the endpoint) and, on the
+// simulated backend, jitter (see checkSubmittable).
 func (r *Runtime) Submit(job *Job, opts SubmitOpts) (*JobHandle, error) {
 	if job == nil {
 		return nil, fmt.Errorf("dcgn: Submit needs a job")
@@ -511,29 +506,23 @@ func (r *Runtime) SubmitAt(job *Job, opts SubmitOpts, at time.Duration) (*JobHan
 func (r *Runtime) newJobLocked(job *Job, opts SubmitOpts, submittedAt time.Duration) *rtJob {
 	r.nextID++
 	c := &rtJob{
-		id:          r.nextID,
-		name:        opts.Name,
-		tenant:      opts.Tenant,
-		weight:      opts.Weight,
-		priority:    opts.Priority,
-		nodes:       job.cfg.Nodes,
-		job:         job,
-		state:       JobQueued,
-		submittedAt: submittedAt,
-		done:        make(chan struct{}),
-		cancelCh:    make(chan struct{}),
+		JobStatus: JobStatus{ID: r.nextID, Name: opts.Name, Tenant: opts.Tenant, State: JobQueued, Nodes: job.cfg.Nodes,
+			Weight: opts.Weight, Priority: opts.Priority, SubmittedAt: submittedAt},
+		job:      job,
+		done:     make(chan struct{}),
+		cancelCh: make(chan struct{}),
 	}
-	if c.name == "" {
-		c.name = fmt.Sprintf("job-%d", c.id)
+	if c.Name == "" {
+		c.Name = fmt.Sprintf("job-%d", c.ID)
 	}
-	if c.tenant == "" {
-		c.tenant = c.name
+	if c.Tenant == "" {
+		c.Tenant = c.Name
 	}
-	if c.weight <= 0 {
-		c.weight = 1
+	if c.Weight <= 0 {
+		c.Weight = 1
 	}
-	r.ensureTenantLocked(c.tenant, c.weight)
-	r.tenants[c.tenant].active++
+	r.ensureTenantLocked(c.Tenant, c.Weight)
+	r.tenants[c.Tenant].active++
 	r.jobs = append(r.jobs, c)
 	return c
 }
@@ -543,13 +532,13 @@ func (r *Runtime) newJobLocked(job *Job, opts SubmitOpts, submittedAt time.Durat
 // sheds the arrival with ErrQueueFull.
 func (r *Runtime) arriveSimJob(c *rtJob, now time.Duration) {
 	r.mu.Lock()
-	if c.state != JobQueued {
+	if c.State != JobQueued {
 		// Canceled (or otherwise resolved) before it arrived.
 		r.mu.Unlock()
 		return
 	}
-	c.submittedAt = now
-	r.ensureTenantLocked(c.tenant, c.weight)
+	c.SubmittedAt = now
+	r.ensureTenantLocked(c.Tenant, c.Weight)
 	if len(r.queue) >= r.cfg.MaxQueue {
 		r.retire(c, JobFailed, Report{}, ErrQueueFull)
 		return
@@ -574,9 +563,6 @@ func (r *Runtime) checkSubmittable(job *Job) error {
 	if cfg.Nodes > r.cfg.Nodes {
 		return fmt.Errorf("dcgn: job wants %d nodes, runtime has %d", cfg.Nodes, r.cfg.Nodes)
 	}
-	if cfg.Shards > 0 {
-		return fmt.Errorf("dcgn: sharded jobs run exclusively (Job.Run), not under a runtime")
-	}
 	if cfg.DebugAddr != "" {
 		return fmt.Errorf("dcgn: the runtime owns the debug endpoint; clear the job's DebugAddr")
 	}
@@ -594,13 +580,12 @@ func (r *Runtime) checkSubmittable(job *Job) error {
 	if counted == 0 {
 		return fmt.Errorf("dcgn: job spawns no kernel threads (its completion would be undetectable)")
 	}
-	if r.backend() == transport.BackendSim {
-		if cfg.Faults.Enabled() {
-			return fmt.Errorf("dcgn: per-job fault injection is exclusive-mode only on the simulated backend (it perturbs co-tenant determinism)")
-		}
-		if cfg.JitterFrac > 0 || cfg.JitterSeed != 0 {
-			return fmt.Errorf("dcgn: per-job jitter is exclusive-mode only (the virtual clock is runtime-wide)")
-		}
+	// Jitter is the one thing a tenant cannot bring: the stream is its
+	// simulator's, so under a shared one its draws — and the shared MPI
+	// engine daemons' — would interleave with every co-tenant's, and no
+	// tenant's numbers would be its solo run's.
+	if r.backend() == transport.BackendSim && (cfg.JitterFrac > 0 || cfg.JitterSeed != 0) {
+		return fmt.Errorf("dcgn: a runtime takes no jittered jobs: jitter draws from the simulator's stream, which tenants share (use Job.Run)")
 	}
 	return nil
 }
@@ -658,10 +643,10 @@ func (r *Runtime) pickLocked() *rtJob {
 	var best *rtJob
 	var bestPass int64
 	for _, c := range r.queue {
-		p := r.tenants[c.tenant].pass
+		p := r.tenants[c.Tenant].pass
 		if best == nil ||
-			c.priority > best.priority ||
-			(c.priority == best.priority && (p < bestPass || (p == bestPass && c.id < best.id))) {
+			c.Priority > best.Priority ||
+			(c.Priority == best.Priority && (p < bestPass || (p == bestPass && c.ID < best.ID))) {
 			best, bestPass = c, p
 		}
 	}
@@ -681,25 +666,12 @@ func (r *Runtime) dequeueLocked(c *rtJob) {
 // chargeTenantLocked advances the admitted job's tenant pass by its
 // node-time claim.
 func (r *Runtime) chargeTenantLocked(c *rtJob) {
-	t := r.tenants[c.tenant]
-	t.pass += int64(c.nodes) * strideScale / int64(t.weight)
+	t := r.tenants[c.Tenant]
+	t.pass += int64(c.Nodes) * strideScale / int64(t.weight)
 }
 
 // statusLocked snapshots one job.
-func (r *Runtime) statusLocked(c *rtJob) JobStatus {
-	return JobStatus{
-		ID:          c.id,
-		Name:        c.name,
-		Tenant:      c.tenant,
-		State:       c.state,
-		Nodes:       c.nodes,
-		Weight:      c.weight,
-		Priority:    c.priority,
-		SubmittedAt: c.submittedAt,
-		StartedAt:   c.startedAt,
-		FinishedAt:  c.finishedAt,
-	}
-}
+func (r *Runtime) statusLocked(c *rtJob) JobStatus { return c.JobStatus }
 
 // List snapshots every submission, in submit order.
 func (r *Runtime) List() []JobStatus {
@@ -726,7 +698,7 @@ func (r *Runtime) Cancel(id int) error {
 	r.mu.Lock()
 	var c *rtJob
 	for _, q := range r.jobs {
-		if q.id == id {
+		if q.ID == id {
 			c = q
 			break
 		}
@@ -735,7 +707,7 @@ func (r *Runtime) Cancel(id int) error {
 		r.mu.Unlock()
 		return fmt.Errorf("dcgn: job %d: %w", id, ErrNoSuchJob)
 	}
-	switch c.state {
+	switch c.State {
 	case JobQueued:
 		r.retire(c, JobCanceled, Report{}, ErrJobCanceled)
 		return nil
@@ -750,7 +722,7 @@ func (r *Runtime) Cancel(id int) error {
 		return nil
 	default:
 		r.mu.Unlock()
-		return fmt.Errorf("dcgn: job %d already %s", id, c.state)
+		return fmt.Errorf("dcgn: job %d already %s", id, c.State)
 	}
 }
 
@@ -788,9 +760,9 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 // c); leave the queue or free the nodes; admit successors; resolve the
 // handle; notify.
 func (r *Runtime) retire(c *rtJob, state JobState, rep Report, err error) {
-	r.tenants[c.tenant].active--
-	c.state, c.report, c.err = state, rep, err
-	c.finishedAt = r.now()
+	r.tenants[c.Tenant].active--
+	c.State, c.report, c.err = state, rep, err
+	c.FinishedAt = r.now()
 	r.schedFinishedLocked(c)
 	if c.partKey != "" {
 		r.obsParts.Drop(c.partKey)
@@ -866,25 +838,25 @@ func (r *Runtime) admitLocked() {
 				free++
 			}
 		}
-		if c.nodes > free {
+		if c.Nodes > free {
 			return
 		}
 		r.dequeueLocked(c)
 		r.chargeTenantLocked(c)
-		c.placement = make([]int, 0, c.nodes)
-		for n := 0; len(c.placement) < c.nodes; n++ {
+		c.placement = make([]int, 0, c.Nodes)
+		for n := 0; len(c.placement) < c.Nodes; n++ {
 			if r.free[n] {
 				r.free[n] = false
 				c.placement = append(c.placement, n)
 			}
 		}
-		c.state = JobRunning
-		c.startedAt = r.now()
+		c.State = JobRunning
+		c.StartedAt = r.now()
 		r.schedAdmittedLocked(c)
 		// The job's metrics live in a tenant partition of the runtime's
 		// registry, dropped again after the final Report snapshot.
 		c.job.setupObs(func() *obs.Registry {
-			c.partKey = fmt.Sprintf("%s/job-%d", c.tenant, c.id)
+			c.partKey = fmt.Sprintf("%s/job-%d", c.Tenant, c.ID)
 			return r.obsParts.Partition(c.partKey)
 		})
 		// The placement step is all the backends differ in.
@@ -903,9 +875,9 @@ func (r *Runtime) runLiveJob(c *rtJob) {
 	defer r.wg.Done()
 	state, rep := JobFailed, Report{}
 	pool := bufpool.New()
-	g, err := r.cluster.Join(c.id, c.nodes, pool)
+	g, err := r.cluster.Join(c.ID, c.Nodes, pool)
 	if err == nil {
-		rep, err = c.job.runLive(liveEndpoints(c.nodes, g.Endpoint), pool, g, c.cancelCh)
+		rep, err = c.job.runLive(liveEndpoints(c.Nodes, g.Endpoint), pool, g, c.cancelCh)
 	}
 	switch {
 	case err == nil:
@@ -967,15 +939,19 @@ func (r *Runtime) Run() error {
 	r.mu.Unlock()
 	for _, c := range jobs {
 		r.mu.Lock()
-		if c.state != JobQueued && c.state != JobRunning {
+		if c.State != JobQueued && c.State != JobRunning {
 			r.mu.Unlock()
 			continue
 		}
-		cerr := fmt.Errorf("dcgn: batch ended before job %d finished", c.id)
+		cerr := fmt.Errorf("dcgn: batch ended before job %d finished", c.ID)
 		if err != nil {
-			cerr = fmt.Errorf("dcgn: batch ended before job %d finished: %w", c.id, err)
+			cerr = fmt.Errorf("dcgn: batch ended before job %d finished: %w", c.ID, err)
 		}
-		r.retire(c, JobFailed, Report{}, cerr)
+		var rep Report
+		if c.State == JobRunning {
+			rep = c.job.report() // cut short: what Job.Run returns beside its timeout
+		}
+		r.retire(c, JobFailed, rep, cerr)
 	}
 	return err
 }
@@ -1009,13 +985,6 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 		s.Inject(c.group.Kill)
 	})
 	s.InGroup(c.group, func() {
-		c.job.start(engineEnv{
-			sims:      r.sub.sims[:c.nodes], // one shared simulator: any c.nodes entries will do
-			endpoints: groupEndpoints(simmpi.NewGroup(r.sub.world, c.placement, c.id), c.nodes),
-			pool:      pool,
-			clock:     r.sub.loop,
-			epoch:     c.startedAt,
-			wire:      r.sub.meter(c.placement),
-		})
+		c.job.start(r.sub.env(simmpi.NewGroup(r.sub.world, c.placement, c.ID), c.placement, pool, c.StartedAt))
 	})
 }

@@ -13,15 +13,14 @@ import (
 
 // engineEnv is what one engine bring-up needs from whoever hosts it, and
 // everything the two substrates — the sharded simulator, live goroutines —
-// and their two kinds of host differ in: Job.Run owns a whole substrate, a
-// Runtime lends each admitted job a tenant's share of one. It is a plain
-// value of slices and pointers because a Runtime fills one per job: no
-// closure per node, nothing boxed that is not already a pointer.
+// differ in. On the simulated one there is a single way to fill it,
+// substrate.env, whether the job has the cluster to itself (Job.Run) or a
+// tenant's share of it (a Runtime). It is a plain value of slices and
+// pointers because a Runtime fills one per job: no closure per node, nothing
+// boxed that is not already a pointer.
 type engineEnv struct {
 	// rt is the live substrate every node's threads run on. Nil on the
-	// simulated backend, where each node runs on its own simulator, sims[n]
-	// — a tenant's nodes inside its proc group, which is all that tells them
-	// from an exclusive run's.
+	// simulated backend, where each node runs on its own simulator, sims[n].
 	rt rt
 	// sims maps node -> owning simulator (its shard's), so everything a node
 	// spawns stays on its shard. Nil on the live backend, which has no
@@ -36,19 +35,17 @@ type engineEnv struct {
 	// staging, so leak accounting is exact. Buffer reuse is host-side only
 	// and never observable in virtual time.
 	pool *bufpool.Pool
-	// clock read at report time, less epoch, is the job's Elapsed; the
-	// clocks are deliberately not normalised. An exclusive run reads the
-	// simulator's shard-count-invariant time after Run delivered its
-	// trailing arrivals, a tenant reads the shared clock at its completion
-	// instant, a live run the wall.
+	// clock read at report time, less epoch, is the job's Elapsed: on the
+	// simulated backend the instant the last of the job's own procs returned
+	// (a tenant reads it there and then, Job.Run after the run, from the
+	// simulator's idle instant — the same one), on the live backend the wall.
 	clock interface{ Now() time.Duration }
 	// epoch is the job's start on clock: its admission instant on a
 	// multi-tenant runtime's shared simulated clock, zero on job-local
 	// clocks. It is also where the critical-path analysis window starts.
 	epoch time.Duration
-	// wire meters the inter-node traffic that is this job's: the whole
-	// fabric's for an exclusive simulated run, a tenant's wireMeter, the
-	// live group's.
+	// wire meters the inter-node traffic that is this job's: a wireMeter
+	// over its nodes, the live group's counters.
 	wire wireTotals
 }
 
@@ -62,8 +59,11 @@ type wireTotals interface {
 // one per run and a simulated Runtime one per batch.
 type substrate struct {
 	// loop drives the per-shard event loops and is the cluster's clock.
-	loop  *sim.Sharded
-	sims  []*sim.Sim // node -> owning event loop
+	loop *sim.Sharded
+	sims []*sim.Sim // node -> owning event loop
+	// nodes lists every node, in order: the placement of a job that has the
+	// cluster to itself, and the node of each underlying MPI rank.
+	nodes []int
 	net   *fabric.Network
 	pool  *bufpool.Pool
 	world *mpi.World
@@ -80,7 +80,7 @@ type substrate struct {
 // owning event loop's stream, which is why checkRunnable allows it on one
 // shard only.
 func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int, maxTime time.Duration, jitterFrac float64, jitterSeed int64) *substrate {
-	sub := &substrate{pool: bufpool.New(), sims: make([]*sim.Sim, nodes), loop: sim.NewSharded(max(shards, 1))}
+	sub := &substrate{pool: bufpool.New(), sims: make([]*sim.Sim, nodes), nodes: make([]int, nodes), loop: sim.NewSharded(max(shards, 1))}
 	sub.loop.SetMaxTime(maxTime)
 	if jitterFrac > 0 {
 		sub.loop.Shard(0).Sim().SetJitter(jitterFrac, jitterSeed) // the only shard
@@ -97,21 +97,20 @@ func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int
 	shardOf := fabric.ShardPartition(netCfg.Topology, nodes, sub.loop.Shards())
 	sub.net = fabric.NewSharded(sub.loop, nodes, netCfg, shardOf)
 	sub.loop.SetLookahead(sub.net.Lookahead())
-	nodeOf := make([]int, nodes) // one underlying MPI rank per node
-	for n := range nodeOf {
-		nodeOf[n] = n
+	for n := range sub.nodes {
+		sub.nodes[n] = n
 		sub.sims[n] = sub.net.Node(n).Sim()
 	}
 	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
-	sub.world = mpi.NewWorld(nil, sub.net, nodeOf, mpiCfg)
+	sub.world = mpi.NewWorld(nil, sub.net, sub.nodes, mpiCfg)
 	return sub
 }
 
-// wireMeter is a tenant's wire totals: what the fabric's per-node counters
-// show its nodes sent since it was admitted onto them. A node has one owner
-// at a time and a retired owner's procs are gone, so that is the tenant's
-// own traffic by the definition an exclusive run reads off the whole
-// fabric, MPI-internal control packets and collectives included.
+// wireMeter is a job's wire totals: what the fabric's per-node counters show
+// its nodes sent since it was started on them, MPI-internal control packets
+// and collectives included. A node has one owner at a time and a retired
+// owner's procs are gone, so that is the job's own traffic; over every node
+// from time zero it is the fabric's total.
 type wireMeter struct {
 	net   *fabric.Network
 	nodes []int
@@ -137,20 +136,16 @@ func (m *wireMeter) Totals() (packets int, bytes int64) {
 	return packets, bytes
 }
 
-// exclusiveEnv hosts one job on the whole substrate: every node on its own
-// simulator, the world group's simulated-MPI endpoints, the substrate's
-// pool, clock and fabric totals.
-func (sub *substrate) exclusiveEnv() engineEnv {
-	return engineEnv{sims: sub.sims, endpoints: groupEndpoints(simmpi.WorldGroup(sub.world), len(sub.sims)),
-		pool: sub.pool, clock: sub.loop, wire: sub.net}
-}
-
-// groupEndpoints lists a simulated-MPI group's per-node endpoints as the
-// raw transports an engine bring-up wraps.
-func groupEndpoints(g *simmpi.Group, nodes int) []transport.Transport {
-	endpoints := make([]transport.Transport, nodes)
-	for n := range endpoints {
-		endpoints[n] = g.Endpoint(n)
+// env hosts one job on the substrate: job-local node n on the simulator of
+// cluster node placement[n], behind g's endpoint for it, staging from pool,
+// the cluster's clock read from epoch, and a meter over the placement started
+// now. Job.Run passes the world group, every node, the substrate's own pool
+// and epoch zero; a Runtime its tenant's.
+func (sub *substrate) env(g *simmpi.Group, placement []int, pool *bufpool.Pool, epoch time.Duration) engineEnv {
+	env := engineEnv{sims: make([]*sim.Sim, len(placement)), endpoints: make([]transport.Transport, len(placement)),
+		pool: pool, clock: sub.loop, epoch: epoch, wire: sub.meter(placement)}
+	for n, w := range placement {
+		env.sims[n], env.endpoints[n] = sub.sims[w], g.Endpoint(n)
 	}
-	return endpoints
+	return env
 }

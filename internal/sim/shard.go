@@ -112,9 +112,11 @@ func (sc *Sharded) SetLookahead(d time.Duration) {
 func (sc *Sharded) SetMaxTime(d time.Duration) { sc.maxTime = int64(d) }
 
 // Now returns the simulation's clock. Once Run has returned nil it is the
-// virtual time at which the last non-daemon proc finished: daemon-only
-// activity (poll loops racing to the window edge) deliberately does not
-// count, so the value is identical for every shard count. Until then — and
+// simulation's idle instant (Sim.idleAt, the latest of any shard): when the
+// last non-daemon proc that no arrival started finished. Daemons racing to
+// the window edge and deliveries still in flight then do not count, so the
+// value is identical for every shard count, and for a simulation that was
+// one group of a larger one's procs (Group). Until then — and
 // after a run cut short by an error — it is the furthest any shard has
 // advanced (on one shard, that shard's clock), which procs may read only
 // when there is one shard, and Inject thunks (they run at a barrier)

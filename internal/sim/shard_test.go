@@ -290,3 +290,62 @@ func TestShardedLookaheadViolation(t *testing.T) {
 		t.Fatalf("got %v, want PanicError for lookahead violation", err)
 	}
 }
+
+// TestIdleInstantIgnoresArrivals: an arrival still in flight when the last of
+// a simulation's own procs returns keeps the run alive — it is delivered, and
+// the proc it spawns runs to its end — but neither moves the idle instant,
+// and nor does a daemon ticking on: Now() after the run is the last own
+// proc's return, under Sim.Run and on one shard and two.
+func TestIdleInstantIgnoresArrivals(t *testing.T) {
+	const lat = 100 * time.Nanosecond
+	const ownDone, childDone = 70 * time.Nanosecond, 220 * time.Nanosecond
+	// scenario puts an origin on a and everything else on b, and returns
+	// where the arrival's child leaves the time of its return.
+	scenario := func(a, b *Sim) *time.Duration {
+		child := new(time.Duration)
+		a.Spawn("origin", func(p *Proc) {
+			p.Sleep(50 * time.Nanosecond)
+			a.PostArrival(p.Now()+lat, b, 0, 1, "arr", func(w *Proc) {
+				w.Sleep(30 * time.Nanosecond)
+				b.Spawn("child", func(c *Proc) {
+					c.Sleep(40 * time.Nanosecond)
+					*child = c.Now()
+				})
+			})
+		})
+		b.Spawn("own", func(p *Proc) { p.Sleep(ownDone) })
+		b.SpawnDaemon("ticker", func(p *Proc) {
+			for {
+				p.Sleep(7 * time.Nanosecond)
+			}
+		})
+		return child
+	}
+	check := func(t *testing.T, err error, idle, child time.Duration) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if child != childDone {
+			t.Errorf("the arrival's child returned at %v, want %v: the run did not stay alive for it", child, childDone)
+		}
+		if idle != ownDone {
+			t.Errorf("idle instant %v, want the last own proc's return at %v", idle, ownDone)
+		}
+	}
+	t.Run("Sim.Run", func(t *testing.T) {
+		s := New()
+		child := scenario(s, s)
+		err := s.Run()
+		check(t, err, time.Duration(s.idleAt), *child)
+	})
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sc := NewSharded(shards)
+			sc.SetLookahead(lat)
+			child := scenario(sc.Shard(0).Sim(), sc.Shard(shards-1).Sim())
+			err := sc.Run()
+			check(t, err, sc.Now(), *child)
+		})
+	}
+}

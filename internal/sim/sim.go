@@ -36,13 +36,20 @@
 // shared simulation. A proc is a member for life, by one rule: it was
 // spawned inside InGroup, or by a running member. Everything else stays
 // outside: arrival procs (the scheduler spawns them, whoever's frame they
-// carry), procs spawned from Inject thunks, and daemons that were up before
-// the group existed. The group's onIdle fires once, on the member whose
-// return takes the count of unreturned non-daemon members to zero; a member
-// that is killed or panics never leaves that count, so a group cut short
-// cannot pass for complete. Group.Kill takes every member, daemons and
-// parked ones included. A Sim without groups pays a nil test or two per
-// spawn and one per return.
+// carry) and what they spawn, procs spawned from Inject thunks, and daemons
+// that were up before the group existed. The group's onIdle fires once, on
+// the member whose return takes the count of unreturned non-daemon members
+// to zero; a member that is killed or panics never leaves that count, so a
+// group cut short cannot pass for complete. Group.Kill takes every member,
+// daemons and parked ones included. A Sim without groups pays a nil test or
+// two per spawn and one per return.
+//
+// A simulation's own idle instant — what Sharded.Now reports after a clean
+// run — follows the same rule with the whole simulation as the group: the
+// last return of a non-daemon proc that is neither an arrival proc nor
+// descended from one. Arrivals keep a run alive until they are delivered
+// and what they started has ended, but a run that is idle in this sense has
+// the elapsed time it would have as one tenant of a larger simulation.
 //
 // IMPORTANT: user code must not spawn raw goroutines that touch simulation
 // state; all concurrency goes through Spawn. Every blocking primitive checks
@@ -62,8 +69,8 @@ import (
 )
 
 // procState describes what a Proc is currently doing; used for deadlock
-// diagnostics. One byte, like parkKind: with the daemon flag they share a
-// word, which keeps a Proc in the 128-byte allocation class.
+// diagnostics. One byte, like parkKind: with the daemon and arrival flags
+// they share a word, which keeps a Proc in the 128-byte allocation class.
 type procState uint8
 
 const (
@@ -137,7 +144,6 @@ const (
 type Proc struct {
 	sim   *Sim
 	ident ident
-	id    uint64
 	// fn is the Proc's body, and w the worker it runs on from its first
 	// resume to its last; both are nil once it is done.
 	fn    func(p *Proc)
@@ -146,6 +152,10 @@ type Proc struct {
 	// daemon procs (poll loops, progress engines) do not keep the
 	// simulation alive: Run finishes when every non-daemon proc is done.
 	daemon bool
+	// arrival procs — the ones the scheduler spawns for a PostArrival, and
+	// everything they spawn — keep the simulation alive like any other, but
+	// their returns do not move its idle instant (Sim.idleAt).
+	arrival bool
 	// blockKind/blockObj/blockArg describe what the Proc is blocked on;
 	// the human-readable reason is only formatted for deadlock reports.
 	blockKind parkKind
@@ -211,10 +221,13 @@ type Sim struct {
 	injPending atomic.Int32
 	injClosed  bool
 
-	// idleAt records the virtual time at which the live (non-daemon) proc
-	// count last dropped to zero. Sharded runs report elapsed time as the
-	// max of idleAt across shards so that daemon poll timers — whose
-	// progress depends on window placement — cannot leak into Elapsed.
+	// idleAt is the simulation's idle instant: when the last non-daemon
+	// proc that is not an arrival proc, nor spawned by one, finished — the
+	// instant a Group reports for its members, by the same membership rule.
+	// Arrivals still in flight then, and whatever they start, keep the run
+	// alive (live, finished) without moving it, and so do daemons ticking on
+	// to a window's edge: a run's elapsed time (Sharded.Now, the latest
+	// idleAt of any shard) is the same whoever hosts it, on any shard count.
 	idleAt int64
 }
 
@@ -286,19 +299,21 @@ func (s *Sim) SpawnDaemonID(prefix string, id int, fn func(p *Proc)) *Proc {
 }
 
 func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
-	s.seq++
 	p := &Proc{
 		sim:    s,
 		ident:  name,
-		id:     s.seq,
 		fn:     fn,
 		state:  stateReady,
 		daemon: daemon,
 	}
 	p.prev, p.next = s.procs.prev, &s.procs
 	p.prev.next, s.procs.prev = p, p
-	if p.group = s.inGroup; p.group == nil && s.current != nil {
-		p.group = s.current.group
+	p.group = s.inGroup
+	if s.current != nil {
+		p.arrival = s.current.arrival
+		if p.group == nil {
+			p.group = s.current.group
+		}
 	}
 	if !daemon {
 		s.live++
@@ -343,21 +358,11 @@ func (p *Proc) exec() (killed bool) {
 	returned := false
 	defer func() {
 		r := recover()
-		if _, isKill := r.(killSentinelType); isKill {
-			p.finish()
-			killed = true
-			return
-		}
-		if r != nil && s.failure == nil {
+		_, killed = r.(killSentinelType)
+		if r != nil && !killed && s.failure == nil {
 			s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
 		}
 		p.finish()
-		if !p.daemon {
-			s.live--
-			if s.live == 0 {
-				s.idleAt = s.now
-			}
-		}
 		if r == nil && !returned {
 			// runtime.Goexit — a t.Fatal inside a proc — is taking this
 			// goroutine with it: pass the baton on before it goes.
@@ -434,16 +439,23 @@ func (g *Group) Kill() {
 	}
 }
 
-// finish marks p done and unlinks it from the Sim's ring of unfinished
-// procs. It runs under the baton: on p's worker as its last act, or on the
-// loop goroutine when a proc that never started is killed. Its links are
-// cleared so that a handle someone still holds to a finished Proc does not
-// pin its old neighbours, its body or its worker.
+// finish marks p done, unlinks it from the Sim's ring of unfinished procs
+// and settles its place in the live count and the idle instant. It runs
+// under the baton: on p's worker as its last act, or on the loop goroutine
+// when a proc that never started is killed. Its links are cleared so that a
+// handle someone still holds to a finished Proc does not pin its old
+// neighbours, its body or its worker.
 func (p *Proc) finish() {
 	p.state = stateDone
 	p.prev.next, p.next.prev = p.next, p.prev
 	p.prev, p.next = nil, nil
 	p.fn, p.w = nil, nil
+	if s := p.sim; !p.daemon {
+		s.live--
+		if !p.arrival {
+			s.idleAt = s.now
+		}
+	}
 }
 
 // checkCurrent panics unless p is the Proc currently scheduled to run. It
@@ -574,8 +586,8 @@ func (s *Sim) drainInjected() {
 }
 
 // Kill tears down a proc that has not finished: its goroutine unwinds via
-// the kill sentinel (running its defers) and the proc is marked done, with
-// the live count adjusted so Run's termination condition stays correct.
+// the kill sentinel (running its defers) and the proc is marked done and
+// leaves the live count, so Run's termination condition stays correct.
 // Pending timers and waiter-list entries for the proc become no-ops.
 // Kill must run in scheduler context — from an Inject thunk or between
 // Run calls — never from a running proc.
@@ -587,12 +599,6 @@ func (s *Sim) Kill(p *Proc) {
 		panic("sim: Kill called while a proc is running; use Inject")
 	}
 	s.unwind(p)
-	if !p.daemon {
-		s.live--
-		if s.live == 0 {
-			s.idleAt = s.now
-		}
-	}
 }
 
 // unwind finishes a proc that is not running, on the loop goroutine: a proc
@@ -672,7 +678,7 @@ func (s *Sim) pickNext() *Proc {
 		s.now = at
 		if aAt <= tAt {
 			a := s.arrivals.pop()
-			s.spawn(a.name, a.fn, false)
+			s.spawn(a.name, a.fn, false).arrival = true
 		} else {
 			s.unblock(s.timers.pop().p)
 		}

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Assertions the Makefile gates run on the JSON their commands emit.
+"""Assertions the Makefile gates run on the JSON their commands emit, and
+the parent-against-change comparisons made of the same runs.
 
 Usage: ci_check.py GATE ARG...   (one function per gate, named below)
 """
@@ -59,6 +60,47 @@ def flow_phases(path):
         assert abs(total - e2e) <= 0.01 * e2e, f'{name}: phases sum {total} vs e2e {e2e}'
 
 
+def parent_tree(base, workdir):
+    """Empties workdir and unpacks a `git archive` of commit `base` into workdir/parent."""
+    parent = os.path.join(workdir, 'parent')
+    shutil.rmtree(workdir, ignore_errors=True)
+    os.makedirs(parent)
+    archive = subprocess.run(['git', 'archive', base], check=True, capture_output=True).stdout
+    subprocess.run(['tar', '-x', '-C', parent], input=archive, check=True)
+    return parent
+
+
+def virtual_diff(contract, base, workdir):
+    """virtual-diff (not a gate): the deterministic metrics the change moved against commit `base`.
+
+    One -trace 1 -seed 1 run of every workload of the contract on a `git
+    archive` of base, twice, and on this tree, once. A traced metric that
+    reads the same in both parent runs is deterministic — virtual times,
+    counts per operation, shares, never a host timing — and each of those
+    that reads differently on this tree is printed, `workload/metric parent
+    → change`; a tally per workload goes to stderr. The host.* family (GC
+    cycles, RSS) is left out: small numbers two runs can agree on by chance.
+    serve_live runs on the wall clock, so a count it shows as moved
+    (core.peak_pending) may be a race, not a change.
+    """
+    spec = load(contract)
+    workdir = os.path.abspath(workdir)  # the command runs from another directory
+    roots = {'parent': parent_tree(base, workdir), 'change': os.getcwd()}
+    for w in (w['name'] for w in spec['workloads']):
+        layers = []
+        for side, run in (('parent', 'a'), ('parent', 'b'), ('change', 'c')):
+            out = os.path.join(workdir, 'runs', f'{w}-{run}')
+            subprocess.run(spec['command'] + ['-workload', w, '-seed', '1', '-trace', '1', '-out', out],
+                           cwd=roots[side], check=True, stdout=subprocess.DEVNULL)
+            layers.append(load(os.path.join(out, 'results.json'))['workloads'][0]['per_layer'])
+        a, b, c = layers
+        fixed = [m for m in sorted(a) if a[m] == b.get(m) and not m.startswith('host.')]
+        moved = [m for m in fixed if c.get(m) != a[m]]
+        for m in moved:
+            print(f'{w}/{m} {a[m]!r} → {c.get(m)!r}')
+        print(f'{w}: {len(fixed)} of {len(a)} traced metrics deterministic, {len(moved)} moved', file=sys.stderr)
+
+
 def benchmark_gate(contract, base, workdir, pairs, seconds):
     """benchmark-gate: the change against commit `base`, judged by the contract's own rule.
 
@@ -71,12 +113,7 @@ def benchmark_gate(contract, base, workdir, pairs, seconds):
     """
     spec = load(contract)
     workdir = os.path.abspath(workdir)  # the command runs from another directory
-    parent = os.path.join(workdir, 'parent')
-    shutil.rmtree(workdir, ignore_errors=True)
-    os.makedirs(parent)
-    archive = subprocess.run(['git', 'archive', base], check=True, capture_output=True).stdout
-    subprocess.run(['tar', '-x', '-C', parent], input=archive, check=True)
-    roots = {'parent': parent, 'change': os.getcwd()}
+    roots = {'parent': parent_tree(base, workdir), 'change': os.getcwd()}
     workloads = [w['name'] for w in spec['workloads']]
 
     runs = {}  # (side, workload) -> one results.json workload entry per pair
@@ -130,7 +167,7 @@ def benchmark_gate(contract, base, workdir, pairs, seconds):
 
 
 GATES = {f.__name__.replace('_', '-'): f
-         for f in (trace, slo, flow_events, flow_phases, benchmark_gate)}
+         for f in (trace, slo, flow_events, flow_phases, benchmark_gate, virtual_diff)}
 
 if __name__ == '__main__':
     if len(sys.argv) < 3 or sys.argv[1] not in GATES:
