@@ -10,9 +10,9 @@ PYTHON ?= python3
 OUT ?= /tmp
 CHECK = $(PYTHON) scripts/ci_check.py
 
-GATES = build vet fmt lintdoc test race fuzz-smoke bench benchmark-smoke loadgen trace-export flows benchmark-gate
+GATES = build vet fmt lintdoc loc test race fuzz-smoke bench benchmark-smoke loadgen trace-export flows benchmark-gate
 
-.PHONY: $(GATES) ci loc virtual-diff
+.PHONY: $(GATES) ci virtual-diff
 
 build:
 	$(GO) build ./...
@@ -122,19 +122,17 @@ flows:
 	diff $(OUT)/dcgn-slo-flows-a.json $(OUT)/dcgn-slo-flows-b.json
 	$(CHECK) flow-phases $(OUT)/dcgn-slo-flows-a.json
 
-# Not a gate: the size figures issues and CHANGES.md quote. Per package, the
-# non-test Go lines that are neither blank nor comment-only, and the panic(
-# sites among them.
-LOC_PKGS = internal/core internal/transport internal/transport/faults internal/transport/simmpi \
-	internal/transport/live internal/obs internal/sim internal/fabric internal/mpi
+# Size gate: per package, the non-test Go lines that are neither blank nor
+# comment-only and the panic( sites among them, against a ceiling of each
+# (package:lines:panics) — the figures issues and CHANGES.md quote. The
+# ceilings are what the tree measured when they were last set; a PR that
+# needs more room raises one here, in its own diff, where review sees it,
+# and one that shrinks a package lowers it.
+LOC_CEILINGS = internal/core:4531:43 internal/transport:62:0 internal/transport/faults:192:0 \
+	internal/transport/simmpi:88:2 internal/transport/live:353:2 internal/obs:627:0 \
+	internal/sim:1110:19 internal/fabric:404:16 internal/mpi:731:18
 loc:
-	@printf '%-32s %8s %8s\n' package lines panics; \
-	for d in $(LOC_PKGS); do \
-		files="$$(ls $$d/*.go | grep -v _test.go)"; \
-		printf '%-32s %8d %8d\n' $$d \
-			"$$(cat $$files | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)" \
-			"$$(cat $$files | grep -v '^\s*//' | grep -c 'panic(')"; \
-	done
+	@$(CHECK) loc $(LOC_CEILINGS)
 
 # Every gate in turn; none of them may create, change or delete a file in
 # the working tree.

@@ -645,6 +645,69 @@ func TestTriggeredOriginOnlyDevice(t *testing.T) {
 	}
 }
 
+// TestOneSidedDeviceWindow drives device memory as a one-sided target
+// (GPUSetup.RegisterWindow): a CPU rank on the other node puts a pattern
+// into a GPU slot's window, gets it back, and over-runs the window's end by
+// 8 bytes. No mailbox transaction happens on the device — its kernel only
+// watches the window's last byte for the final put — so every bus transfer
+// before teardown is the lane's, through the device arms of writeWindow and
+// readWindow.
+func TestOneSidedDeviceWindow(t *testing.T) {
+	const size = 64
+	cfg := gpuConfig(2, 0, 0, 0)
+	cfg.PerNode = []NodeSpec{{GPUs: 1, SlotsPerGPU: 1}, {CPUKernels: 1}}
+	job := NewJob(cfg)
+	target := job.Ranks().GPURank(0, 0, 0)
+	first, tail := pattern(size, 3), pattern(16, 0x80)
+	want := append(append([]byte(nil), first[:size-8]...), tail[:8]...)
+	job.SetGPUSetup(func(s *GPUSetup) {
+		ptr := s.Dev.Mem().MustAlloc(size)
+		s.Args["buf"] = ptr
+		s.RegisterWindow(0, 0, ptr, size)
+	})
+	job.SetGPUKernel(1, 4, func(g *GPUCtx) {
+		if g.Block().Idx != 0 {
+			return
+		}
+		win := g.Block().Bytes(g.Arg("buf").(device.Ptr), size)
+		for i := 0; win[size-1] != want[size-1] && i < 10_000; i++ {
+			g.Block().ChargeTime(time.Microsecond)
+		}
+	})
+	job.SetCPUKernel(func(c *CPUCtx) {
+		if err := c.Put(target, 0, 0, first); err != nil {
+			t.Errorf("put: %v", err)
+		}
+		back := make([]byte, size)
+		if st, err := c.Get(target, 0, 0, back); err != nil || st.Bytes != size || !bytes.Equal(back, first) {
+			t.Errorf("get returned %v %+v, payload equal: %v", err, st, bytes.Equal(back, first))
+		}
+		if err := c.Put(target, 0, size-8, tail); err != nil {
+			t.Errorf("over-running put: want nil (target-side clipping), got %v", err)
+		}
+	})
+	var got []byte
+	windowTransfers := 0
+	job.SetGPUTeardown(func(s *GPUSetup) {
+		windowTransfers = s.Bus.Transfers
+		got = make([]byte, size)
+		s.Dev.CopyOut(s.Proc, s.Bus, s.Args["buf"].(device.Ptr), got)
+	})
+	rep, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("device window holds %x\nwant %x", got, want)
+	}
+	if rep.OneSidedTruncated != 1 || rep.OneSidedPuts != 2 || rep.OneSidedGets != 1 {
+		t.Errorf("%d truncated, %d puts, %d gets; want 1, 2, 1", rep.OneSidedTruncated, rep.OneSidedPuts, rep.OneSidedGets)
+	}
+	if windowTransfers != 3 || rep.BusTransfers != windowTransfers+1 {
+		t.Errorf("%d bus transfers before teardown, %d in all; want one per window operation (3) and teardown's read", windowTransfers, rep.BusTransfers)
+	}
+}
+
 // TestOneSidedUnregisteredWindowPanics pins the guidance panic for a put
 // into a window its target never registered, on a node whose lane is up
 // (here the origin's own: its Put brought it up).

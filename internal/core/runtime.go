@@ -22,10 +22,9 @@ type rt interface {
 	Spawn(name string, fn func(p transport.Proc))
 	// SpawnID is Spawn with a lazily-formatted "prefix:id" name.
 	SpawnID(prefix string, id int, fn func(p transport.Proc))
-	// SpawnDaemon starts a thread that does not keep the run alive (poll
-	// loops, progress engines, trace collectors).
-	SpawnDaemon(name string, fn func(p transport.Proc))
-	// SpawnDaemonID is SpawnDaemon with a lazily-formatted "prefix:id" name.
+	// SpawnDaemonID starts a thread that does not keep the run alive (the
+	// comm thread, lane receivers), with a lazily-formatted "prefix:id"
+	// name.
 	SpawnDaemonID(prefix string, id int, fn func(p transport.Proc))
 	// NewQueue creates an unbounded FIFO work queue.
 	NewQueue(name string) commQueue
@@ -53,7 +52,6 @@ type completion interface {
 type commQueue interface {
 	Put(m commMsg)
 	Get(p transport.Proc) (m commMsg, ok bool)
-	Len() int
 }
 
 // simRT is the simulated substrate: a thin 1:1 veneer over sim.Sim.
@@ -73,10 +71,6 @@ func (r simRT) Spawn(name string, fn func(transport.Proc)) {
 
 func (r simRT) SpawnID(prefix string, id int, fn func(transport.Proc)) {
 	r.s.SpawnID(prefix, id, func(p *sim.Proc) { fn(p) })
-}
-
-func (r simRT) SpawnDaemon(name string, fn func(transport.Proc)) {
-	r.s.SpawnDaemon(name, func(p *sim.Proc) { fn(p) })
 }
 
 func (r simRT) SpawnDaemonID(prefix string, id int, fn func(transport.Proc)) {
@@ -120,4 +114,3 @@ func (s *simQueue) Put(m commMsg) { s.q.Put(m) }
 func (s *simQueue) Get(p transport.Proc) (commMsg, bool) {
 	return s.q.Get(p.(*sim.Proc)), true
 }
-func (s *simQueue) Len() int { return s.q.Len() }

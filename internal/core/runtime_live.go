@@ -42,7 +42,6 @@ func (r *liveRT) go1(wg *sync.WaitGroup, fn func(transport.Proc)) {
 
 func (r *liveRT) Spawn(_ string, fn func(transport.Proc))          { r.go1(&r.workers, fn) }
 func (r *liveRT) SpawnID(_ string, _ int, fn func(transport.Proc)) { r.go1(&r.workers, fn) }
-func (r *liveRT) SpawnDaemon(_ string, fn func(transport.Proc))    { r.go1(&r.daemons, fn) }
 func (r *liveRT) SpawnDaemonID(_ string, _ int, fn func(transport.Proc)) {
 	r.go1(&r.daemons, fn)
 }
@@ -120,12 +119,6 @@ func (q *liveQueue) Get(transport.Proc) (commMsg, bool) {
 		q.head = 0
 	}
 	return m, true
-}
-
-func (q *liveQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) - q.head
 }
 
 // close shuts the queue down, waking blocked getters.

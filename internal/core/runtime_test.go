@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -719,6 +720,65 @@ func TestRuntimeSimRetiredTenantLeavesNothing(t *testing.T) {
 	}
 	if done != tenants || polled == 0 {
 		t.Fatalf("%d of %d tenants retired, GPU tenants polled up to %d times; test is vacuous", done, tenants, polled)
+	}
+}
+
+// TestRuntimeSimCanceledCollectiveStaysWithItsTenant cancels tenant A
+// between its root node's Bcast send and the other node's join, so A's
+// frame is left in world rank 1's unexpected queue, and then runs tenant B
+// on the same two nodes: B's Bcast must deliver what B's root sent. A
+// communicator's collective context is its own (mpi.NewGroupComm), not its
+// member set's — at the parent commit B's rank 1 received A's 0xaa.
+func TestRuntimeSimCanceledCollectiveStaysWithItsTenant(t *testing.T) {
+	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var a *JobHandle
+	jobA := NewJob(backendConfig(transport.BackendSim, 2, 1))
+	jobA.SetCPUKernel(func(c *CPUCtx) {
+		if c.Rank() == 1 {
+			c.Compute(50 * time.Millisecond) // still computing when A is canceled
+			c.Bcast(0, make([]byte, 64))
+			return
+		}
+		c.Bcast(0, bytes.Repeat([]byte{0xAA}, 64))
+		c.Compute(time.Millisecond) // the frame is at node 1 by now
+		if err := a.Cancel(); err != nil {
+			t.Errorf("cancel of running tenant: %v", err)
+		}
+		c.Recv(1, make([]byte, 8))
+	})
+	if a, err = r.Submit(jobA, SubmitOpts{Tenant: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	jobB := NewJob(backendConfig(transport.BackendSim, 2, 1))
+	jobB.SetCPUKernel(func(c *CPUCtx) {
+		buf := make([]byte, 64)
+		if c.Rank() == 0 {
+			buf = bytes.Repeat([]byte{0xBB}, 64)
+		}
+		if err := c.Bcast(0, buf); err != nil {
+			t.Error(err)
+		}
+		if !bytes.Equal(buf, bytes.Repeat([]byte{0xBB}, 64)) {
+			t.Errorf("tenant b rank %d received %#x…, its own root sent 0xbb…", c.Rank(), buf[0])
+		}
+		c.Barrier()
+	})
+	b, err := r.Submit(jobB, SubmitOpts{Tenant: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Status().State; st != JobCanceled {
+		t.Errorf("tenant a is %v, want canceled", st)
+	}
+	if st := b.Status().State; st != JobDone {
+		t.Errorf("tenant b is %v, want done", st)
 	}
 }
 

@@ -48,10 +48,6 @@ func NewArena(size int) *Arena {
 	}
 }
 
-// Size returns the total arena capacity in bytes (including the reserved
-// null page).
-func (a *Arena) Size() int { return len(a.data) }
-
 // FreeBytes returns the total bytes currently available (possibly
 // fragmented).
 func (a *Arena) FreeBytes() int64 {

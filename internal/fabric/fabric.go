@@ -171,9 +171,6 @@ func (n *Network) Totals() (packets int, bytes int64) {
 // Size returns the number of nodes.
 func (n *Network) Size() int { return len(n.nodes) }
 
-// Config returns the interconnect configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Node returns the endpoint with the given id.
 func (n *Network) Node(id int) *Node { return n.nodes[id] }
 
@@ -195,9 +192,6 @@ type Node struct {
 	pkts  int
 	bytes int64
 }
-
-// ID returns the node id.
-func (nd *Node) ID() int { return nd.id }
 
 // Sim returns the simulator owning this node's endpoint state: the one
 // shared simulator of a plain network, the node's shard's in a sharded

@@ -154,9 +154,6 @@ func (c *collector) addCompleted(tenant string, rep core.Report, st core.JobStat
 	}
 }
 
-// HistSnapshot aliases the core report's histogram snapshot type.
-type HistSnapshot = obs.HistogramSnapshot
-
 // buildReport assembles the final SLO report from the collector, the
 // runtime scheduling snapshot and the spec.
 func buildReport(spec Spec, offered int, c *collector, sched obs.Snapshot) *Report {

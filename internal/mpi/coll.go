@@ -7,11 +7,11 @@ import (
 	"dcgn/internal/sim"
 )
 
-// Collective operations use a reserved tag range far above user and
-// communicator tag contexts. Per-sender non-overtaking makes the matching
-// of back-to-back collectives of the same kind safe; the round number
-// disambiguates phases within one collective and the communicator id
-// isolates overlapping groups.
+// Collective operations use a reserved tag range far above user tags.
+// Per-sender non-overtaking makes the matching of back-to-back collectives
+// of the same kind safe; the round number disambiguates phases within one
+// collective and the communicator id isolates groups that overlap, in
+// members or in time.
 const collTagBase = 1 << 28
 
 func (c *Comm) collTag(op, round int) int {
@@ -23,9 +23,7 @@ const (
 	opBcast
 	opGather
 	opScatter
-	opAllgather
 	opAlltoall
-	opReduce
 )
 
 // collHop charges the per-level collective overhead for an n-byte hop.
@@ -50,47 +48,6 @@ func (r *Rank) Bcast(p *sim.Proc, buf []byte, root int) error {
 // lands at recvBuf[i*len(sendBuf)]. recvBuf is only used at root.
 func (r *Rank) Gather(p *sim.Proc, sendBuf, recvBuf []byte, root int) error {
 	return r.w.Comm().Gather(p, r, sendBuf, recvBuf, root)
-}
-
-// Gatherv collects variable-sized contributions at root, packed
-// contiguously in rank order: rank i contributes counts[i] bytes.
-func (r *Rank) Gatherv(p *sim.Proc, sendBuf, recvBuf []byte, counts []int, root int) error {
-	return r.w.Comm().Gatherv(p, r, sendBuf, recvBuf, counts, root)
-}
-
-// Scatter distributes equal-sized chunks of root's sendBuf: rank i
-// receives sendBuf[i*len(recvBuf)] into recvBuf.
-func (r *Rank) Scatter(p *sim.Proc, sendBuf, recvBuf []byte, root int) error {
-	return r.w.Comm().Scatter(p, r, sendBuf, recvBuf, root)
-}
-
-// Scatterv distributes variable-sized chunks (packed contiguously in rank
-// order) from root; rank i receives counts[i] bytes into recvBuf.
-func (r *Rank) Scatterv(p *sim.Proc, sendBuf []byte, counts []int, recvBuf []byte, root int) error {
-	return r.w.Comm().Scatterv(p, r, sendBuf, counts, recvBuf, root)
-}
-
-// Allgather gathers every rank's sendBuf into every rank's recvBuf (ring
-// algorithm). recvBuf must be world-size times len(sendBuf).
-func (r *Rank) Allgather(p *sim.Proc, sendBuf, recvBuf []byte) error {
-	return r.w.Comm().Allgather(p, r, sendBuf, recvBuf)
-}
-
-// Alltoall exchanges chunk j of rank i's sendBuf into chunk i of rank j's
-// recvBuf (pairwise exchange).
-func (r *Rank) Alltoall(p *sim.Proc, sendBuf, recvBuf []byte, count int) error {
-	return r.w.Comm().Alltoall(p, r, sendBuf, recvBuf, count)
-}
-
-// Reduce folds every rank's sendBuf element-wise into recvBuf at root
-// (binomial tree). recvBuf is only used at root.
-func (r *Rank) Reduce(p *sim.Proc, sendBuf, recvBuf []byte, dt Datatype, op Op, root int) error {
-	return r.w.Comm().Reduce(p, r, sendBuf, recvBuf, dt, op, root)
-}
-
-// Allreduce is Reduce to rank 0 followed by Bcast.
-func (r *Rank) Allreduce(p *sim.Proc, sendBuf, recvBuf []byte, dt Datatype, op Op) error {
-	return r.w.Comm().Allreduce(p, r, sendBuf, recvBuf, dt, op)
 }
 
 // --- Communicator collective algorithms ---------------------------------
@@ -252,15 +209,6 @@ func (c *Comm) Gatherv(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, counts []i
 	return nil
 }
 
-// Scatter distributes equal-sized chunks from the root member.
-func (c *Comm) Scatter(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, root int) error {
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = len(recvBuf)
-	}
-	return c.Scatterv(p, r, sendBuf, counts, recvBuf, root)
-}
-
 // Scatterv distributes variable-sized chunks from the root member. With
 // Config.TreeCollectives it runs as a binomial tree (see treeScatterv);
 // otherwise the root posts a flat fan-out of n-1 sends.
@@ -419,58 +367,6 @@ func minClip(v, n int) int {
 	return n
 }
 
-// Allgather gathers every member's sendBuf into every member's recvBuf
-// (ring algorithm, n-1 steps).
-func (c *Comm) Allgather(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte) error {
-	n := c.Size()
-	me := c.RankOf(r)
-	count := len(sendBuf)
-	if len(recvBuf) != n*count {
-		panic("mpi: Allgather recvBuf size mismatch")
-	}
-	p.SleepJit(r.w.cfg.CallOverhead)
-	copy(recvBuf[me*count:(me+1)*count], sendBuf)
-	if n == 1 {
-		return nil
-	}
-	right := c.Translate((me + 1) % n)
-	left := c.Translate((me - 1 + n) % n)
-	for step := 0; step < n-1; step++ {
-		sendIdx := (me - step + n) % n
-		recvIdx := (me - step - 1 + n) % n
-		r.collHop(p, count)
-		if _, err := r.Sendrecv(p,
-			recvBuf[sendIdx*count:(sendIdx+1)*count], right, c.collTag(opAllgather, step),
-			recvBuf[recvIdx*count:(recvIdx+1)*count], left, c.collTag(opAllgather, step)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Alltoall exchanges chunk j of member i's sendBuf into chunk i of member
-// j's recvBuf (pairwise exchange).
-func (c *Comm) Alltoall(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, count int) error {
-	n := c.Size()
-	me := c.RankOf(r)
-	if len(sendBuf) != n*count || len(recvBuf) != n*count {
-		panic("mpi: Alltoall buffer size mismatch")
-	}
-	p.SleepJit(r.w.cfg.CallOverhead)
-	copy(recvBuf[me*count:(me+1)*count], sendBuf[me*count:(me+1)*count])
-	for step := 1; step < n; step++ {
-		dst := (me + step) % n
-		src := (me - step + n) % n
-		r.collHop(p, count)
-		if _, err := r.Sendrecv(p,
-			sendBuf[dst*count:(dst+1)*count], c.Translate(dst), c.collTag(opAlltoall, step),
-			recvBuf[src*count:(src+1)*count], c.Translate(src), c.collTag(opAlltoall, step)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Alltoallv is the variable-size all-to-all: member i sends
 // sendCounts[j] bytes to member j (packed contiguously in member order in
 // sendBuf) and receives recvCounts[j] bytes from member j (packed in
@@ -496,51 +392,6 @@ func (c *Comm) Alltoallv(p *sim.Proc, r *Rank, sendBuf []byte, sendCounts []int,
 		}
 	}
 	return nil
-}
-
-// Alltoallv on the world communicator.
-func (r *Rank) Alltoallv(p *sim.Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error {
-	return r.w.Comm().Alltoallv(p, r, sendBuf, sendCounts, recvBuf, recvCounts)
-}
-
-// Reduce folds every member's sendBuf element-wise into recvBuf at the
-// root member (binomial tree).
-func (c *Comm) Reduce(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, dt Datatype, op Op, root int) error {
-	n := c.Size()
-	me := c.RankOf(r)
-	p.SleepJit(r.w.cfg.CallOverhead)
-	acc := r.stagingPool().Get(len(sendBuf))
-	copy(acc, sendBuf)
-	tmp := r.stagingPool().Get(len(sendBuf))
-	defer r.stagingPool().Put(acc)
-	defer r.stagingPool().Put(tmp)
-	vr := (me - root + n) % n
-	for mask, round := 1, 0; mask < n; mask, round = mask<<1, round+1 {
-		if vr&mask != 0 {
-			parent := c.Translate((vr - mask + root) % n)
-			r.collHop(p, len(acc))
-			return r.Send(p, acc, parent, c.collTag(opReduce, round))
-		}
-		child := vr + mask
-		if child < n {
-			r.collHop(p, len(tmp))
-			if _, err := r.Recv(p, tmp, c.Translate((child+root)%n), c.collTag(opReduce, round)); err != nil {
-				return err
-			}
-			reduceBytes(dt, op, acc, tmp)
-		}
-	}
-	// Only the root reaches here.
-	copy(recvBuf, acc)
-	return nil
-}
-
-// Allreduce is Reduce to member 0 followed by Bcast from member 0.
-func (c *Comm) Allreduce(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, dt Datatype, op Op) error {
-	if err := c.Reduce(p, r, sendBuf, recvBuf, dt, op, 0); err != nil {
-		return err
-	}
-	return c.Bcast(p, r, recvBuf, 0)
 }
 
 // displacements returns the prefix-sum offsets for packed variable-size

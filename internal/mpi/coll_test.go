@@ -2,11 +2,7 @@ package mpi
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"dcgn/internal/sim"
@@ -87,7 +83,11 @@ func TestGatherScatterRoundtrip(t *testing.T) {
 		// Scatter the gathered data back out; every rank must get its own
 		// chunk again.
 		back := make([]byte, chunk)
-		if err := r.Scatter(p, gathered, back, root); err != nil {
+		counts := make([]int, n)
+		for i := range counts {
+			counts[i] = chunk
+		}
+		if err := r.World().Comm().Scatterv(p, r, gathered, counts, back, root); err != nil {
 			t.Error(err)
 		}
 		if !bytes.Equal(back, mine) {
@@ -111,7 +111,7 @@ func TestGathervScattervVariableSizes(t *testing.T) {
 		if r.ID() == 0 {
 			gathered = make([]byte, total)
 		}
-		if err := r.Gatherv(p, mine, gathered, counts, 0); err != nil {
+		if err := r.World().Comm().Gatherv(p, r, mine, gathered, counts, 0); err != nil {
 			t.Error(err)
 		}
 		if r.ID() == 0 {
@@ -124,121 +124,13 @@ func TestGathervScattervVariableSizes(t *testing.T) {
 			}
 		}
 		back := make([]byte, counts[r.ID()])
-		if err := r.Scatterv(p, gathered, counts, back, 0); err != nil {
+		if err := r.World().Comm().Scatterv(p, r, gathered, counts, back, 0); err != nil {
 			t.Error(err)
 		}
 		if !bytes.Equal(back, mine) {
 			t.Errorf("rank %d scatterv mismatch", r.ID())
 		}
 	})
-}
-
-func TestAllgather(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 6} {
-		const chunk = 300
-		s := sim.New()
-		w := testWorld(s, n, min(n, 3))
-		runRanks(t, w, func(p *sim.Proc, r *Rank) {
-			mine := fill(chunk, byte(r.ID()*3))
-			all := make([]byte, n*chunk)
-			if err := r.Allgather(p, mine, all); err != nil {
-				t.Error(err)
-			}
-			for i := 0; i < n; i++ {
-				if !bytes.Equal(all[i*chunk:(i+1)*chunk], fill(chunk, byte(i*3))) {
-					t.Errorf("n=%d rank %d: allgather chunk %d corrupted", n, r.ID(), i)
-				}
-			}
-		})
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	for _, n := range []int{2, 4, 5} {
-		const chunk = 128
-		s := sim.New()
-		w := testWorld(s, n, min(n, 2))
-		runRanks(t, w, func(p *sim.Proc, r *Rank) {
-			out := make([]byte, n*chunk)
-			for j := 0; j < n; j++ {
-				copy(out[j*chunk:], fill(chunk, byte(10*r.ID()+j)))
-			}
-			in := make([]byte, n*chunk)
-			if err := r.Alltoall(p, out, in, chunk); err != nil {
-				t.Error(err)
-			}
-			for i := 0; i < n; i++ {
-				// Chunk i of my inbox = chunk me of rank i's outbox.
-				want := fill(chunk, byte(10*i+r.ID()))
-				if !bytes.Equal(in[i*chunk:(i+1)*chunk], want) {
-					t.Errorf("n=%d rank %d chunk %d corrupted", n, r.ID(), i)
-				}
-			}
-		})
-	}
-}
-
-func TestReduceSumFloat64(t *testing.T) {
-	const n, elems = 7, 50
-	s := sim.New()
-	w := testWorld(s, n, 4)
-	root := 3
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		buf := make([]byte, elems*8)
-		for i := 0; i < elems; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64FromFloat(float64(r.ID()*100+i)))
-		}
-		var out []byte
-		if r.ID() == root {
-			out = make([]byte, elems*8)
-		}
-		if err := r.Reduce(p, buf, out, TFloat64, OpSum, root); err != nil {
-			t.Error(err)
-		}
-		if r.ID() == root {
-			for i := 0; i < elems; i++ {
-				got := floatFromUint64(binary.LittleEndian.Uint64(out[i*8:]))
-				want := 0.0
-				for rr := 0; rr < n; rr++ {
-					want += float64(rr*100 + i)
-				}
-				if got != want {
-					t.Errorf("elem %d: got %v want %v", i, got, want)
-				}
-			}
-		}
-	})
-}
-
-func TestAllreduceMinMaxInt32(t *testing.T) {
-	const n = 6
-	for _, op := range []Op{OpMin, OpMax, OpSum} {
-		s := sim.New()
-		w := testWorld(s, n, 3)
-		runRanks(t, w, func(p *sim.Proc, r *Rank) {
-			in := make([]byte, 4)
-			binary.LittleEndian.PutUint32(in, uint32(int32(r.ID()*10-25)))
-			out := make([]byte, 4)
-			if err := r.Allreduce(p, in, out, TInt32, op); err != nil {
-				t.Error(err)
-			}
-			got := int32(binary.LittleEndian.Uint32(out))
-			var want int32
-			switch op {
-			case OpMin:
-				want = -25
-			case OpMax:
-				want = int32((n-1)*10 - 25)
-			case OpSum:
-				for i := 0; i < n; i++ {
-					want += int32(i*10 - 25)
-				}
-			}
-			if got != want {
-				t.Errorf("op %d rank %d: got %d want %d", op, r.ID(), got, want)
-			}
-		})
-	}
 }
 
 func TestBackToBackCollectivesDoNotCrossTalk(t *testing.T) {
@@ -265,90 +157,6 @@ func TestBackToBackCollectivesDoNotCrossTalk(t *testing.T) {
 	})
 }
 
-// Property: Reduce(OpSum over int64) equals the sequential sum for random
-// world sizes, roots and contributions.
-func TestReducePropertyMatchesSequential(t *testing.T) {
-	f := func(contrib []int64, rootRaw uint8) bool {
-		n := len(contrib)
-		if n == 0 || n > 9 {
-			return true
-		}
-		root := int(rootRaw) % n
-		s := sim.New()
-		w := testWorld(s, n, min(n, 3))
-		var got int64
-		for i := 0; i < n; i++ {
-			r := w.Rank(i)
-			v := contrib[i]
-			s.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-				in := make([]byte, 8)
-				binary.LittleEndian.PutUint64(in, uint64(v))
-				out := make([]byte, 8)
-				if err := r.Reduce(p, in, out, TInt64, OpSum, root); err != nil {
-					t.Error(err)
-				}
-				if r.ID() == root {
-					got = int64(binary.LittleEndian.Uint64(out))
-				}
-			})
-		}
-		s.SetMaxTime(time.Hour)
-		if err := s.Run(); err != nil {
-			t.Error(err)
-			return false
-		}
-		var want int64
-		for _, v := range contrib {
-			want += v
-		}
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Allgather delivers every rank's exact payload to every rank for
-// random sizes and world shapes.
-func TestAllgatherProperty(t *testing.T) {
-	f := func(sizeRaw uint16, nRaw, nodesRaw uint8) bool {
-		n := int(nRaw)%7 + 1
-		nodes := int(nodesRaw)%n + 1
-		size := int(sizeRaw) % 3000
-		s := sim.New()
-		w := testWorld(s, n, nodes)
-		ok := true
-		for i := 0; i < n; i++ {
-			r := w.Rank(i)
-			s.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-				mine := fill(size, byte(r.ID()+7))
-				all := make([]byte, n*size)
-				if err := r.Allgather(p, mine, all); err != nil {
-					ok = false
-					return
-				}
-				for j := 0; j < n; j++ {
-					if !bytes.Equal(all[j*size:(j+1)*size], fill(size, byte(j+7))) {
-						ok = false
-					}
-				}
-			})
-		}
-		s.SetMaxTime(time.Hour)
-		if err := s.Run(); err != nil {
-			return false
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func uint64FromFloat(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromUint64(u uint64) float64 { return math.Float64frombits(u) }
-
 func TestAlltoallvVariableSizes(t *testing.T) {
 	const n = 4
 	s := sim.New()
@@ -371,7 +179,7 @@ func TestAlltoallvVariableSizes(t *testing.T) {
 			sendBuf = append(sendBuf, fill(size(me, j), byte(me*10+j))...)
 		}
 		recvBuf := make([]byte, totalR)
-		if err := r.Alltoallv(p, sendBuf, sendCounts, recvBuf, recvCounts); err != nil {
+		if err := r.World().Comm().Alltoallv(p, r, sendBuf, sendCounts, recvBuf, recvCounts); err != nil {
 			t.Error(err)
 		}
 		off := 0

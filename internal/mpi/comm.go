@@ -1,17 +1,14 @@
 package mpi
 
-import (
-	"encoding/binary"
-	"fmt"
-	"sort"
-	"sync"
+import "fmt"
 
-	"dcgn/internal/sim"
-)
-
-// Comm is a communicator: an ordered group of world ranks with an isolated
-// tag context. The zero communicator does not exist; obtain the world
-// communicator from World.Comm and derive groups with Split.
+// Comm is a communicator: an ordered group of world ranks whose collectives
+// run in a tag context of their own (the id in every collective tag), so
+// two communicators never match each other's collective traffic even when
+// they span the same ranks. Collectives take comm ranks for roots and
+// counts; point-to-point stays on Rank, in world ranks, and is isolated by
+// the tags its caller picks. There are two ways to get one: World.Comm
+// (every rank, context 0) and World.NewGroupComm.
 type Comm struct {
 	w  *World
 	id int
@@ -19,40 +16,14 @@ type Comm struct {
 	members []int
 	// index maps world rank -> comm rank.
 	index map[int]int
-	// splits counts Split calls made on this communicator (per member,
-	// but all members call collectives in the same order, so the local
-	// count agrees everywhere — MPI's ordering requirement). mu guards it:
-	// in a sharded world, members on different shards call Split
-	// concurrently. Host-side bookkeeping only; the per-member counts are
-	// independent, so locking cannot perturb determinism.
-	mu     sync.Mutex
-	splits map[int]int
 }
 
-// ctxStride separates the tag spaces of different communicators; user
-// tags must stay below it.
-const ctxStride = 1 << 16
-
-// MaxUserTag is the largest tag usable with communicator operations.
-const MaxUserTag = ctxStride - 1
-
-// Comm returns the world communicator containing every rank. The world
-// constructors call it eagerly, so lookups after construction are
-// read-only even in sharded worlds.
-func (w *World) Comm() *Comm {
-	if w.world == nil {
-		members := make([]int, len(w.ranks))
-		for i := range members {
-			members[i] = i
-		}
-		w.world = w.newComm(0, members)
-	}
-	return w.world
-}
+// Comm returns the world communicator containing every rank, context 0.
+func (w *World) Comm() *Comm { return w.world }
 
 // newComm builds a communicator structure.
 func (w *World) newComm(id int, members []int) *Comm {
-	c := &Comm{w: w, id: id, members: members, index: make(map[int]int, len(members)), splits: map[int]int{}}
+	c := &Comm{w: w, id: id, members: members, index: make(map[int]int, len(members))}
 	for i, wr := range members {
 		c.index[wr] = i
 	}
@@ -61,11 +32,14 @@ func (w *World) newComm(id int, members []int) *Comm {
 
 // NewGroupComm builds a communicator over an explicit, strictly ascending
 // set of world ranks without any collective exchange — the host-side
-// constructor a multi-tenant runtime uses to give each admitted job an
-// isolated tag context over the nodes it was placed on. Unlike Split it
-// involves no traffic, so it can be called before (or between) the
-// members' procs running; every caller passing the same member set gets a
-// communicator with the same context id.
+// constructor a multi-tenant runtime uses to give each admitted job a
+// collective context over the nodes it was placed on. It involves no
+// traffic, so it can be called before (or between) the members' procs
+// running. The context belongs to the call, not to the member set: every
+// call takes the next id, so a communicator built over ranks an earlier one
+// held cannot match a frame the earlier one left behind (a canceled
+// tenant's Bcast still in an unexpected queue). One caller builds a group's
+// communicator once and hands the same *Comm to every member.
 func (w *World) NewGroupComm(members []int) *Comm {
 	if len(members) == 0 {
 		panic("mpi: NewGroupComm needs at least one member")
@@ -78,55 +52,15 @@ func (w *World) NewGroupComm(members []int) *Comm {
 			panic("mpi: NewGroupComm members must be strictly ascending")
 		}
 	}
-	// Key the id on the member set via the first member and length plus a
-	// parent of -1 (never used by Split, whose parents are real comm ids);
-	// distinct groups sharing (first, len) are disambiguated by a full-set
-	// lookup under the same lock.
 	w.commMu.Lock()
-	defer w.commMu.Unlock()
-	key := groupKey(members)
-	if id, ok := w.groupIDs[key]; ok {
-		return w.newComm(id, append([]int(nil), members...))
-	}
 	w.nextCommID++
-	if w.groupIDs == nil {
-		w.groupIDs = make(map[string]int)
-	}
-	w.groupIDs[key] = w.nextCommID
-	return w.newComm(w.nextCommID, append([]int(nil), members...))
-}
-
-// groupKey serializes a member set for NewGroupComm's id map.
-func groupKey(members []int) string {
-	b := make([]byte, 0, 4*len(members))
-	for _, m := range members {
-		var e [4]byte
-		binary.LittleEndian.PutUint32(e[:], uint32(m))
-		b = append(b, e[:]...)
-	}
-	return string(b)
-}
-
-// commID returns the stable id for a communicator derived from (parent,
-// split sequence, color): every member computing the same key receives the
-// same id.
-func (w *World) commID(parent, seq, color int) int {
-	w.commMu.Lock()
-	defer w.commMu.Unlock()
-	key := [3]int{parent, seq, color}
-	if id, ok := w.commIDs[key]; ok {
-		return id
-	}
-	w.nextCommID++
-	w.commIDs[key] = w.nextCommID
-	return w.nextCommID
+	id := w.nextCommID
+	w.commMu.Unlock()
+	return w.newComm(id, append([]int(nil), members...))
 }
 
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return len(c.members) }
-
-// ID returns the communicator's context id (0 = world).
-func (c *Comm) ID() int { return c.id }
 
 // RankOf returns r's rank within the communicator, panicking if r is not
 // a member.
@@ -138,107 +72,10 @@ func (c *Comm) RankOf(r *Rank) int {
 	return cr
 }
 
-// Member reports whether r belongs to the communicator.
-func (c *Comm) Member(r *Rank) bool {
-	_, ok := c.index[r.id]
-	return ok
-}
-
 // Translate converts a comm rank to its world rank.
 func (c *Comm) Translate(commRank int) int {
 	if commRank < 0 || commRank >= len(c.members) {
 		panic(fmt.Sprintf("mpi: comm %d has no rank %d", c.id, commRank))
 	}
 	return c.members[commRank]
-}
-
-// ctxTag moves a user tag into this communicator's context.
-func (c *Comm) ctxTag(tag int) int {
-	if tag != AnyTag && (tag < 0 || tag > MaxUserTag) {
-		panic(fmt.Sprintf("mpi: tag %d outside [0,%d] for communicator ops", tag, MaxUserTag))
-	}
-	if tag == AnyTag {
-		return AnyTag
-	}
-	return c.id*ctxStride + tag
-}
-
-// Send sends within the communicator; dst is a comm rank.
-func (c *Comm) Send(p *sim.Proc, r *Rank, buf []byte, dst, tag int) error {
-	return r.Send(p, buf, c.Translate(dst), c.ctxTag(tag))
-}
-
-// Recv receives within the communicator; src is a comm rank or AnySource.
-// The returned Status.Source is a comm rank.
-func (c *Comm) Recv(p *sim.Proc, r *Rank, buf []byte, src, tag int) (Status, error) {
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.Translate(src)
-	}
-	st, err := r.Recv(p, buf, wsrc, c.ctxTag(tag))
-	if err == nil || err == ErrTruncate {
-		st.Source = c.index[st.Source]
-	}
-	return st, err
-}
-
-// Isend is the nonblocking communicator send.
-func (c *Comm) Isend(p *sim.Proc, r *Rank, buf []byte, dst, tag int) *Request {
-	return r.Isend(p, buf, c.Translate(dst), c.ctxTag(tag))
-}
-
-// Irecv is the nonblocking communicator receive. Statuses report world
-// ranks; use RankOfWorld to translate if needed.
-func (c *Comm) Irecv(p *sim.Proc, r *Rank, buf []byte, src, tag int) *Request {
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.Translate(src)
-	}
-	return r.Irecv(p, buf, wsrc, c.ctxTag(tag))
-}
-
-// Split partitions the communicator by color, ordering each new group by
-// (key, world rank) — MPI_Comm_split. Every member must call Split
-// collectively, in the same order relative to other collectives. A
-// negative color returns nil (MPI_UNDEFINED): the caller joins no group.
-func (c *Comm) Split(p *sim.Proc, r *Rank, color, key int) (*Comm, error) {
-	me := c.RankOf(r)
-	c.mu.Lock()
-	seq := c.splits[me]
-	c.splits[me] = seq + 1
-	c.mu.Unlock()
-
-	// Allgather (color, key, worldRank) triplets.
-	mine := make([]byte, 12)
-	binary.LittleEndian.PutUint32(mine[0:], uint32(int32(color)))
-	binary.LittleEndian.PutUint32(mine[4:], uint32(int32(key)))
-	binary.LittleEndian.PutUint32(mine[8:], uint32(int32(r.id)))
-	all := make([]byte, 12*c.Size())
-	if err := c.Allgather(p, r, mine, all); err != nil {
-		return nil, err
-	}
-	if color < 0 {
-		return nil, nil
-	}
-	type entry struct{ key, world int }
-	var group []entry
-	for i := 0; i < c.Size(); i++ {
-		ci := int(int32(binary.LittleEndian.Uint32(all[12*i:])))
-		ki := int(int32(binary.LittleEndian.Uint32(all[12*i+4:])))
-		wi := int(int32(binary.LittleEndian.Uint32(all[12*i+8:])))
-		if ci == color {
-			group = append(group, entry{ki, wi})
-		}
-	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].world < group[j].world
-	})
-	members := make([]int, len(group))
-	for i, e := range group {
-		members[i] = e.world
-	}
-	return c.w.newComm(c.w.commID(c.id, seq, color), members), nil
 }

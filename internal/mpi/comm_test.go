@@ -2,9 +2,8 @@ package mpi
 
 import (
 	"bytes"
-	"encoding/binary"
+	"slices"
 	"testing"
-	"time"
 
 	"dcgn/internal/sim"
 )
@@ -13,14 +12,14 @@ func TestWorldCommCoversAllRanks(t *testing.T) {
 	s := sim.New()
 	w := testWorld(s, 5, 2)
 	c := w.Comm()
-	if c.Size() != 5 || c.ID() != 0 {
-		t.Fatalf("world comm size=%d id=%d", c.Size(), c.ID())
+	if c.Size() != 5 {
+		t.Fatalf("world comm size=%d", c.Size())
 	}
 	for i := 0; i < 5; i++ {
 		if c.Translate(i) != i {
 			t.Fatal("world comm should be identity")
 		}
-		if !c.Member(w.Rank(i)) || c.RankOf(w.Rank(i)) != i {
+		if c.RankOf(w.Rank(i)) != i {
 			t.Fatal("membership wrong")
 		}
 	}
@@ -29,94 +28,21 @@ func TestWorldCommCoversAllRanks(t *testing.T) {
 	}
 }
 
-func TestSplitEvenOdd(t *testing.T) {
-	s := sim.New()
-	w := testWorld(s, 6, 3)
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		sub, err := w.Comm().Split(p, r, r.ID()%2, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if sub.Size() != 3 {
-			t.Errorf("rank %d: sub size %d", r.ID(), sub.Size())
-		}
-		// Members ordered by world rank (equal keys).
-		want := []int{r.ID() % 2, r.ID()%2 + 2, r.ID()%2 + 4}
-		for i, wr := range want {
-			if sub.Translate(i) != wr {
-				t.Errorf("rank %d: member %d = %d, want %d", r.ID(), i, sub.Translate(i), wr)
-			}
-		}
-		// Same-color groups must agree on the communicator id; opposite
-		// groups must differ.
-		if r.ID()%2 == 0 && sub.ID() == 0 {
-			t.Error("sub comm got world id")
-		}
-	})
-}
-
-func TestSplitKeyOrdersMembers(t *testing.T) {
-	s := sim.New()
-	w := testWorld(s, 4, 2)
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		// Reverse order via descending keys.
-		sub, err := w.Comm().Split(p, r, 7, -r.ID())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 4; i++ {
-			if sub.Translate(i) != 3-i {
-				t.Errorf("member %d = %d, want %d", i, sub.Translate(i), 3-i)
-			}
-		}
-		if sub.RankOf(r) != 3-r.ID() {
-			t.Errorf("rank %d has comm rank %d", r.ID(), sub.RankOf(r))
-		}
-	})
-}
-
-func TestSplitUndefinedColor(t *testing.T) {
-	s := sim.New()
-	w := testWorld(s, 3, 1)
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		color := 1
-		if r.ID() == 2 {
-			color = -1 // MPI_UNDEFINED
-		}
-		sub, err := w.Comm().Split(p, r, color, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if r.ID() == 2 {
-			if sub != nil {
-				t.Error("undefined color should yield nil comm")
-			}
-			return
-		}
-		if sub.Size() != 2 {
-			t.Errorf("sub size %d", sub.Size())
-		}
-	})
-}
-
 func TestSubCommCollectivesIsolated(t *testing.T) {
-	// Two groups run DIFFERENT collective schedules concurrently: group 0
-	// does Bcast+Reduce, group 1 does Allgather. Contexts must not
-	// cross-match.
+	// Two interleaved groups run DIFFERENT collective schedules concurrently:
+	// {0,2,4} does Bcast+Gatherv, {1,3,5} does Alltoallv+Barrier. Contexts
+	// must not cross-match. This is what a Runtime relies on for co-resident
+	// tenants.
 	s := sim.New()
 	w := testWorld(s, 6, 3)
+	groups := []*Comm{w.NewGroupComm([]int{0, 2, 4}), w.NewGroupComm([]int{1, 3, 5})}
 	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		group := r.ID() % 2
-		sub, err := w.Comm().Split(p, r, group, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		sub := groups[r.ID()%2]
 		me := sub.RankOf(r)
-		if group == 0 {
+		if sub.Translate(me) != r.ID() || sub.Size() != 3 {
+			t.Errorf("rank %d: comm rank %d of %d translates to %d", r.ID(), me, sub.Size(), sub.Translate(me))
+		}
+		if r.ID()%2 == 0 {
 			buf := make([]byte, 512)
 			if me == 0 {
 				copy(buf, fill(512, 77))
@@ -127,137 +53,62 @@ func TestSubCommCollectivesIsolated(t *testing.T) {
 			if !bytes.Equal(buf, fill(512, 77)) {
 				t.Errorf("group 0 bcast corrupted at comm rank %d", me)
 			}
-			in := make([]byte, 8)
-			binary.LittleEndian.PutUint64(in, uint64(me+1))
-			out := make([]byte, 8)
-			if err := sub.Reduce(p, r, in, out, TInt64, OpSum, 0); err != nil {
+			counts := []int{8, 300, 64}
+			var all []byte
+			if me == 0 {
+				all = make([]byte, 8+300+64)
+			}
+			if err := sub.Gatherv(p, r, fill(counts[me], byte(20+me)), all, counts, 0); err != nil {
 				t.Error(err)
 			}
-			if me == 0 && binary.LittleEndian.Uint64(out) != 6 { // 1+2+3
-				t.Errorf("group 0 reduce = %d", binary.LittleEndian.Uint64(out))
+			if me == 0 && !bytes.Equal(all, slices.Concat(fill(8, 20), fill(300, 21), fill(64, 22))) {
+				t.Error("group 0 gatherv corrupted")
 			}
 		} else {
-			mine := fill(64, byte(10+me))
-			all := make([]byte, 3*64)
-			if err := sub.Allgather(p, r, mine, all); err != nil {
+			counts := []int{64, 64, 64}
+			out := slices.Concat(fill(64, byte(10*me)), fill(64, byte(10*me+1)), fill(64, byte(10*me+2)))
+			in := make([]byte, 3*64)
+			if err := sub.Alltoallv(p, r, out, counts, in, counts); err != nil {
 				t.Error(err)
 			}
 			for i := 0; i < 3; i++ {
-				if !bytes.Equal(all[i*64:(i+1)*64], fill(64, byte(10+i))) {
-					t.Errorf("group 1 allgather chunk %d corrupted", i)
+				if !bytes.Equal(in[i*64:(i+1)*64], fill(64, byte(10*i+me))) {
+					t.Errorf("group 1 alltoallv chunk %d corrupted at comm rank %d", i, me)
 				}
 			}
+			sub.Barrier(p, r)
 		}
 	})
 }
 
-func TestSubCommP2PTranslation(t *testing.T) {
+// TestGroupCommContextsAreFresh: a communicator's context is its call's, not
+// its member set's. Rank 0 broadcasts on the first communicator and rank 1
+// never joins — a tenant canceled between its root's send and the other
+// node's join — so the frame stays in rank 1's unexpected queue, where the
+// second communicator's Bcast over the same members must not match it.
+func TestGroupCommContextsAreFresh(t *testing.T) {
 	s := sim.New()
-	w := testWorld(s, 4, 2)
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		// Odd ranks form a comm: world 1,3 -> comm 0,1.
-		color := r.ID() % 2
-		sub, err := w.Comm().Split(p, r, color, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if color == 0 {
-			return // even group idle
-		}
-		me := sub.RankOf(r)
-		other := 1 - me
-		out := []byte{byte(100 + me)}
-		in := make([]byte, 1)
-		if me == 0 {
-			if err := sub.Send(p, r, out, other, 9); err != nil {
-				t.Error(err)
-			}
-			st, err := sub.Recv(p, r, in, other, 9)
-			if err != nil || st.Source != other {
-				t.Errorf("comm recv: %v %+v", err, st)
-			}
-		} else {
-			st, err := sub.Recv(p, r, in, other, 9)
-			if err != nil || st.Source != other {
-				t.Errorf("comm recv: %v %+v", err, st)
-			}
-			if err := sub.Send(p, r, out, other, 9); err != nil {
-				t.Error(err)
-			}
-		}
-		if in[0] != byte(100+other) {
-			t.Errorf("comm rank %d got %d", me, in[0])
-		}
-	})
-}
-
-func TestNestedSplit(t *testing.T) {
-	// Split the world into halves, then split each half again; the leaf
-	// communicators must have distinct ids and correct membership.
-	s := sim.New()
-	w := testWorld(s, 8, 4)
-	ids := map[int][]int{}
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		half, err := w.Comm().Split(p, r, r.ID()/4, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		quarter, err := half.Split(p, r, half.RankOf(r)/2, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if quarter.Size() != 2 {
-			t.Errorf("leaf comm size %d", quarter.Size())
-		}
-		ids[quarter.ID()] = append(ids[quarter.ID()], r.ID())
-		// A barrier inside the leaf comm must involve only its 2 members.
-		start := p.Now()
-		quarter.Barrier(p, r)
-		_ = start
-	})
-	if len(ids) != 4 {
-		t.Fatalf("expected 4 distinct leaf comms, got %d: %v", len(ids), ids)
+	w := testWorld(s, 2, 2)
+	first, second := w.NewGroupComm([]int{0, 1}), w.NewGroupComm([]int{0, 1})
+	if first.id == second.id || first.id == w.Comm().id || second.id == w.Comm().id {
+		t.Fatalf("contexts not distinct: world %d, first %d, second %d", w.Comm().id, first.id, second.id)
 	}
-}
-
-func TestSequentialSplitsGetDistinctContexts(t *testing.T) {
-	// Two consecutive splits with identical colors produce distinct
-	// communicator ids (no tag cross-talk between them).
-	s := sim.New()
-	w := testWorld(s, 2, 1)
 	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		c1, err := w.Comm().Split(p, r, 1, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		c2, err := w.Comm().Split(p, r, 1, 0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if c1.ID() == c2.ID() {
-			t.Errorf("sequential splits share id %d", c1.ID())
-		}
-	})
-}
-
-func TestCommTagBoundsEnforced(t *testing.T) {
-	s := sim.New()
-	w := testWorld(s, 2, 1)
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		if r.ID() != 0 {
-			p.Sleep(time.Millisecond)
-			return
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("oversized comm tag accepted")
+		buf := make([]byte, 64)
+		if r.ID() == 0 {
+			if err := first.Bcast(p, r, fill(64, 0xAA), 0); err != nil {
+				t.Error(err)
 			}
-		}()
-		w.Comm().Send(p, r, []byte{1}, 1, MaxUserTag+1)
+			copy(buf, fill(64, 0xBB))
+		}
+		if err := second.Bcast(p, r, buf, 0); err != nil {
+			t.Error(err)
+		}
+		if !bytes.Equal(buf, fill(64, 0xBB)) {
+			t.Errorf("rank %d: second communicator's Bcast delivered %#x…, its root sent 0xbb…", r.ID(), buf[0])
+		}
 	})
+	if n := len(w.Rank(1).unexpected); n != 1 {
+		t.Errorf("rank 1 holds %d unexpected frames, want the first communicator's one", n)
+	}
 }

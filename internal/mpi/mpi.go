@@ -2,14 +2,22 @@
 // the simulated cluster fabric. It plays the role MVAPICH2 plays in the
 // paper: it is both the baseline every experiment compares against and the
 // underlying communication library DCGN layers on top of (paper §3.2.2:
-// "DCGN uses MPI as its underlying communication library").
+// "DCGN uses MPI as its underlying communication library"). It holds the
+// calls those two roles make and no more of the standard than that:
 //
-// Features: point-to-point with (source, tag) matching including wildcards,
-// an eager/rendezvous protocol split, nonblocking operations with
-// Wait/Test, Sendrecv(+Replace), and the collectives the paper exercises
-// (Barrier, Bcast, Gather(v), Scatter(v), Allgather, Alltoall, Reduce,
-// Allreduce) implemented with the classic algorithms (dissemination,
-// binomial trees, ring, pairwise exchange).
+//   - point-to-point with (source, tag) matching including wildcards and an
+//     eager/rendezvous protocol split: Send, Recv, RecvMsg (take-ownership),
+//     Isend, Irecv, Request.Wait, WaitAll, Sendrecv, SendrecvReplace;
+//   - collectives on a communicator (Comm): Barrier (dissemination), Bcast
+//     (binomial tree; scatter + ring allgather for large payloads), Gather,
+//     Gatherv and Scatterv (flat or binomial tree), Alltoallv (pairwise
+//     exchange), with Rank.Barrier/Bcast/Gather as the world-communicator
+//     shorthands the baselines call;
+//   - communicators: the world's (World.Comm) and one per explicit member
+//     set (World.NewGroupComm), each a collective tag context of its own.
+//
+// No communicator is derived by a collective exchange, nothing is reduced
+// and payloads are bytes: nothing above asks for more.
 //
 // Every rank is driven by exactly one simulated proc; per-node progress
 // engines (daemon procs) perform matching and the rendezvous handshake.
@@ -66,7 +74,7 @@ type Config struct {
 	// its job-wide pool so acquire/release accounting spans both layers.
 	Pool *bufpool.Pool
 	// TreeCollectives switches Gatherv/Scatterv (and the fixed-size
-	// Gather/Scatter built on them) from the flat fan-in/fan-out — the
+	// Gather built on Gatherv) from the flat fan-in/fan-out — the
 	// root posting n-1 receives or sends — to binomial trees, bounding
 	// the root's incast to log2(n) messages at scale. It also switches
 	// Bcast payloads larger than bcastLargeMin to binomial scatter + ring
@@ -101,14 +109,12 @@ type World struct {
 	ranks  []*Rank
 	nodeOf []int
 
-	// Communicator bookkeeping (see comm.go). commMu guards the id map:
-	// in a sharded world, ranks on different shards derive communicators
-	// concurrently. This is host-side bookkeeping only — it never orders
-	// virtual-time events, so the lock cannot perturb determinism.
+	// Communicator bookkeeping (see comm.go): the world communicator, built
+	// by NewWorld and read-only after, and the last context id handed out.
+	// commMu guards the counter: NewGroupComm is a host-side call that a
+	// Runtime makes from whichever goroutine admits a tenant.
 	commMu     sync.Mutex
 	world      *Comm
-	commIDs    map[[3]int]int
-	groupIDs   map[string]int // NewGroupComm member-set -> comm id
 	nextCommID int
 }
 
@@ -128,7 +134,7 @@ func NewWorld(_ *sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World 
 	if cfg.Pool == nil {
 		cfg.Pool = bufpool.New()
 	}
-	w := &World{net: net, cfg: cfg, nodeOf: append([]int(nil), nodeOf...), commIDs: make(map[[3]int]int)}
+	w := &World{net: net, cfg: cfg, nodeOf: append([]int(nil), nodeOf...)}
 	for id, node := range nodeOf {
 		if node < 0 || node >= net.Size() {
 			panic(fmt.Sprintf("mpi: rank %d mapped to bad node %d", id, node))
@@ -144,9 +150,11 @@ func NewWorld(_ *sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World 
 			recvPrefix:   "irecv:" + strconv.Itoa(id),
 		})
 	}
-	// Build the world communicator eagerly: in a sharded world the first
-	// Comm() calls race from different shards.
-	w.Comm()
+	members := make([]int, len(w.ranks))
+	for i := range members {
+		members[i] = i
+	}
+	w.world = w.newComm(0, members)
 	nodes := map[int]bool{}
 	for _, n := range nodeOf {
 		if !nodes[n] {
@@ -207,12 +215,6 @@ type Rank struct {
 
 // ID returns the rank number.
 func (r *Rank) ID() int { return r.id }
-
-// Size returns the world size.
-func (r *Rank) Size() int { return len(r.w.ranks) }
-
-// Node returns the fabric node this rank lives on.
-func (r *Rank) Node() int { return r.node }
 
 // World returns the world this rank belongs to.
 func (r *Rank) World() *World { return r.w }
@@ -287,14 +289,6 @@ type Request struct {
 func (req *Request) Wait(p *sim.Proc) (Status, error) {
 	req.done.Wait(p)
 	return *req.stat, *req.err
-}
-
-// Test reports whether the operation has completed, without blocking.
-func (req *Request) Test() (Status, bool) {
-	if !req.done.Fired() {
-		return Status{}, false
-	}
-	return *req.stat, true
 }
 
 // matches reports whether a posted receive accepts an envelope.

@@ -141,15 +141,3 @@ func (r *Rank) SendrecvReplace(p *sim.Proc, buf []byte, dst, sendTag, src, recvT
 	copy(buf, tmp[:st.Count])
 	return st, nil
 }
-
-// Probe reports whether a message matching (src, tag) is waiting in the
-// unexpected queue, without receiving it.
-func (r *Rank) Probe(src, tag int) (Status, bool) {
-	probe := &recvReq{src: src, tag: tag}
-	for _, env := range r.unexpected {
-		if probe.matches(env) {
-			return Status{Source: env.src, Tag: env.tag, Count: env.size}, true
-		}
-	}
-	return Status{}, false
-}

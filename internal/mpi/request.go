@@ -17,37 +17,3 @@ func WaitAll(p *sim.Proc, reqs ...*Request) ([]Status, error) {
 	}
 	return stats, firstErr
 }
-
-// WaitAny blocks p until at least one of the requests completes and
-// returns its index, status and error. With several already-complete
-// requests the lowest index wins (deterministic, unlike MPI's unspecified
-// choice).
-func WaitAny(p *sim.Proc, reqs ...*Request) (int, Status, error) {
-	if len(reqs) == 0 {
-		panic("mpi: WaitAny with no requests")
-	}
-	for i, r := range reqs {
-		if st, done := r.Test(); done {
-			return i, st, *r.err
-		}
-	}
-	// Nothing complete yet: fan the individual completion events into one
-	// shared event via watcher daemons (daemons, so watchers of requests
-	// that complete later — or never — do not keep the simulation alive).
-	s := p.Sim()
-	shared := s.NewEvent("waitany")
-	for _, r := range reqs {
-		req := r
-		s.SpawnDaemon("mpi-waitany", func(w *sim.Proc) {
-			req.done.Wait(w)
-			shared.Fire()
-		})
-	}
-	shared.Wait(p)
-	for i, r := range reqs {
-		if st, done := r.Test(); done {
-			return i, st, *r.err
-		}
-	}
-	panic("mpi: WaitAny woke with no completed request")
-}

@@ -55,55 +55,3 @@ func TestWaitAllPropagatesFirstError(t *testing.T) {
 		}
 	})
 }
-
-func TestWaitAnyReturnsFirstCompletion(t *testing.T) {
-	s := sim.New()
-	w := testWorld(s, 3, 3)
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		switch r.ID() {
-		case 0:
-			b1, b2 := make([]byte, 8), make([]byte, 8)
-			req1 := r.Irecv(p, b1, 1, 0) // arrives at ~5ms
-			req2 := r.Irecv(p, b2, 2, 0) // arrives at ~1ms
-			idx, st, err := WaitAny(p, req1, req2)
-			if err != nil {
-				t.Error(err)
-			}
-			if idx != 1 || st.Source != 2 {
-				t.Errorf("WaitAny returned idx=%d st=%+v, want the rank-2 message", idx, st)
-			}
-			if p.Now() > 3*time.Millisecond {
-				t.Errorf("WaitAny returned at %v; it waited for the slow request", p.Now())
-			}
-			// Drain the remaining request so the world quiesces.
-			if _, err := req1.Wait(p); err != nil {
-				t.Error(err)
-			}
-		case 1:
-			p.Sleep(5 * time.Millisecond)
-			r.Send(p, make([]byte, 8), 0, 0)
-		case 2:
-			p.Sleep(time.Millisecond)
-			r.Send(p, make([]byte, 8), 0, 0)
-		}
-	})
-}
-
-func TestWaitAnyImmediateCompletion(t *testing.T) {
-	s := sim.New()
-	w := testWorld(s, 2, 1)
-	runRanks(t, w, func(p *sim.Proc, r *Rank) {
-		switch r.ID() {
-		case 0:
-			buf := make([]byte, 4)
-			req := r.Irecv(p, buf, 1, 0)
-			p.Sleep(time.Millisecond) // message already arrived
-			idx, _, err := WaitAny(p, req)
-			if idx != 0 || err != nil {
-				t.Errorf("idx=%d err=%v", idx, err)
-			}
-		case 1:
-			r.Send(p, make([]byte, 4), 0, 0)
-		}
-	})
-}

@@ -42,7 +42,7 @@ func TestTreeGatherv(t *testing.T) {
 				if r.ID() == root {
 					recv = got
 				}
-				if err := r.Gatherv(p, send, recv, counts, root); err != nil {
+				if err := r.World().Comm().Gatherv(p, r, send, recv, counts, root); err != nil {
 					t.Errorf("n=%d root=%d rank=%d: %v", n, root, r.ID(), err)
 				}
 			})
@@ -81,7 +81,7 @@ func TestTreeScatterv(t *testing.T) {
 					send = src
 				}
 				recv := make([]byte, counts[r.ID()])
-				if err := r.Scatterv(p, send, counts, recv, root); err != nil {
+				if err := r.World().Comm().Scatterv(p, r, send, counts, recv, root); err != nil {
 					t.Errorf("n=%d root=%d rank=%d: %v", n, root, r.ID(), err)
 				}
 				results[r.ID()] = recv
@@ -182,7 +182,7 @@ func TestTreeGatherRendezvous(t *testing.T) {
 		if r.ID() == 0 {
 			recv = got
 		}
-		if err := r.Gatherv(p, send, recv, counts, 0); err != nil {
+		if err := r.World().Comm().Gatherv(p, r, send, recv, counts, 0); err != nil {
 			t.Errorf("rank %d: %v", r.ID(), err)
 		}
 	})
@@ -221,7 +221,7 @@ func TestTreeRootIncast(t *testing.T) {
 			if r.ID() == 0 {
 				recv = got
 			}
-			if err := r.Gatherv(p, send, recv, counts, 0); err != nil {
+			if err := r.World().Comm().Gatherv(p, r, send, recv, counts, 0); err != nil {
 				t.Errorf("rank %d: %v", r.ID(), err)
 			}
 			if r.ID() == 0 {

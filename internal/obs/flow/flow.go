@@ -23,11 +23,6 @@ import (
 	"dcgn/internal/obs"
 )
 
-// ContextLen is the size of the flow context carried in wire frame
-// headers when Config.Flows is on: trace ID and parent span ID, eight
-// bytes each, little-endian.
-const ContextLen = 16
-
 // Phase labels. Every span tiles [Post, Done] with a subset of these;
 // the critical path adds PhaseCompute for the gaps between spans and
 // the loadgen SLO report adds PhaseSchedWait for admission-queue time.

@@ -61,9 +61,6 @@ func New(s *sim.Sim, name string, cfg Config) *Bus {
 	return &Bus{s: s, cfg: cfg, res: s.NewResource("pcie:"+name, 1)}
 }
 
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
 // xferTime returns the service time for an n-byte DMA.
 func (b *Bus) xferTime(n int) time.Duration {
 	return b.cfg.Lat + time.Duration(float64(n)/b.cfg.BW*1e9)

@@ -40,11 +40,15 @@ const osTag = 770002
 const tenantTagStride = 16
 
 // Group is one job's view of a simulated-MPI world: a placement (job-local
-// node -> world rank), a private tag band for point-to-point and
-// one-sided traffic, and a communicator over exactly the placed ranks for
-// node-level collectives. Endpoints drawn from a Group carry only that
-// job's frames — co-resident jobs can never match each other's traffic.
-// They count nothing: wire totals are the fabric's per-node counters.
+// node -> world rank) and the two things that isolate the job on ranks it
+// shares, at once or in turn, with others. Its two lanes ride a tag band
+// derived from the job's id, which no other job has; its node-level
+// collectives run on a communicator over exactly the placed ranks whose
+// context is this group's alone (mpi.NewGroupComm: a fresh one per call,
+// whatever the members). So endpoints drawn from a Group carry only that
+// job's frames — a co-resident job cannot match them, nor can a successor
+// on the same nodes match what a canceled job left in flight. They count
+// nothing: wire totals are the fabric's per-node counters.
 type Group struct {
 	comm      *mpi.Comm
 	placement []int

@@ -4,6 +4,7 @@ the parent-against-change comparisons made of the same runs.
 
 Usage: ci_check.py GATE ARG...   (one function per gate, named below)
 """
+import glob
 import json
 import os
 import shutil
@@ -58,6 +59,30 @@ def flow_phases(path):
         total = sum(st['mean_ns'] for st in scope['phases'].values())
         e2e = scope['e2e']['mean_ns']
         assert abs(total - e2e) <= 0.01 * e2e, f'{name}: phases sum {total} vs e2e {e2e}'
+
+
+def loc(*ceilings):
+    """loc: no package outgrew its ceiling; prints the size table issues and CHANGES.md quote.
+
+    Each argument is `package:lines:panics`. A package's lines are those of
+    its non-test Go files that are neither blank nor comment-only, its panics
+    the ones among them with a `panic(` site. A PR that needs more room
+    raises the ceiling in the Makefile, in its own diff.
+    """
+    print(f"{'package':32} {'lines':>8} {'panics':>8} {'ceilings':>14}")
+    over = []
+    for pkg, *limits in (c.split(':') for c in ceilings):
+        code = []
+        for path in glob.glob(os.path.join(pkg, '*.go')):
+            if not path.endswith('_test.go'):
+                with open(path) as f:
+                    code += [line for line in f if line.strip() and not line.lstrip().startswith('//')]
+        sizes = [len(code), sum('panic(' in line for line in code)]
+        limits = [int(x) for x in limits]
+        print(f"{pkg:32} {sizes[0]:8} {sizes[1]:8} {limits[0]:8} {limits[1]:5}")
+        over += [f'{pkg}: {n} {what}, ceiling {cap}'
+                 for n, cap, what in zip(sizes, limits, ('lines', 'panic( sites')) if n > cap]
+    assert not over, '; '.join(over)
 
 
 def parent_tree(base, workdir):
@@ -167,7 +192,7 @@ def benchmark_gate(contract, base, workdir, pairs, seconds):
 
 
 GATES = {f.__name__.replace('_', '-'): f
-         for f in (trace, slo, flow_events, flow_phases, benchmark_gate, virtual_diff)}
+         for f in (trace, slo, flow_events, flow_phases, loc, benchmark_gate, virtual_diff)}
 
 if __name__ == '__main__':
     if len(sys.argv) < 3 or sys.argv[1] not in GATES:
