@@ -415,8 +415,6 @@ func laneMatrix(base core.Config, put func(string, map[string]int64, error) erro
 
 // goldenResults runs every scenario with the simulated ones on the given
 // shard count (the gas/MPI baselines have none) and collects exact metrics.
-// The jittered scenario needs one event loop, so it is left out above one
-// shard.
 func goldenResults(shards int) (goldenMetrics, error) {
 	base := core.DefaultConfig()
 	base.Shards = shards
@@ -475,15 +473,15 @@ func goldenResults(shards int) (goldenMetrics, error) {
 	}
 
 	// Jittered send: pins the timing-noise RNG consumption pattern — a
-	// refactor that adds or removes a SleepJit call shifts every number.
-	if shards <= 1 {
-		jcfg := base
-		jcfg.JitterFrac = 0.25
-		jcfg.JitterSeed = 7
-		jd, err := apps.DCGNSendOneWay(jcfg, apps.EPCPU, apps.EPGPU, 4096)
-		if err := put(jitteredScenario, map[string]int64{"oneway-ns": jd.Nanoseconds()}, err); err != nil {
-			return nil, err
-		}
+	// refactor that adds, removes or reorders a noise draw on some node
+	// shifts the number — and, on four shards, that no two event loops share
+	// a stream.
+	jcfg := base
+	jcfg.JitterFrac = 0.25
+	jcfg.JitterSeed = 7
+	jd, err := apps.DCGNSendOneWay(jcfg, apps.EPCPU, apps.EPGPU, 4096)
+	if err := put("send-jittered/CPUtoGPU/4096B", map[string]int64{"oneway-ns": jd.Nanoseconds()}, err); err != nil {
+		return nil, err
 	}
 
 	// Fig. 7 broadcasts at 64 kB.
@@ -627,17 +625,10 @@ func TestGoldenShardInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := readGolden(t)
-			if shards > 1 {
-				delete(want, jitteredScenario)
-			}
-			checkGolden(t, got, want)
+			checkGolden(t, got, readGolden(t))
 		})
 	}
 }
-
-// jitteredScenario is the one golden with timing noise on.
-const jitteredScenario = "send-jittered/CPUtoGPU/4096B"
 
 // readGolden loads the committed golden file.
 func readGolden(t *testing.T) goldenMetrics {

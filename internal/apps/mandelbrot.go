@@ -279,7 +279,7 @@ func MandelbrotGAS(cfg gas.Config, mc MandelConfig) (MandelResult, error) {
 						panic(err)
 					}
 				},
-				w.P.SleepJit)
+				w.Compute)
 		case w.IsGPU():
 			stripPtr := w.Dev.Mem().MustAlloc(mc.resultLen())
 			host := make([]byte, mc.resultLen())

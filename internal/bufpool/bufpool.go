@@ -25,8 +25,7 @@ const (
 	// minClassBits is the smallest class (64 B) — below that, slack from
 	// rounding up dominates and the allocator's size classes are fine.
 	minClassBits = 6
-	// maxClassBits caps pooled buffers at 128 MB, comfortably above the
-	// 64 MB MaxMsg plus wire-header overhead. Larger requests fall
+	// maxClassBits caps pooled buffers at 128 MB. Larger requests fall
 	// through to the allocator and are not pooled.
 	maxClassBits = 27
 	numClasses   = maxClassBits - minClassBits + 1

@@ -137,7 +137,7 @@ func (ns *nodeState) atomicFetch(p transport.Proc, w *osWindow, offset int, op A
 func (ns *nodeState) osAccumFrom(p transport.Proc, srcRank, dstRank, winID, offset int, op AtomicOp, vals []int64) error {
 	osw := ns.osRequire()
 	op.validate()
-	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
+	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&osw.putsSent, 1)
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)
@@ -162,7 +162,7 @@ func (ns *nodeState) osAccumFrom(p transport.Proc, srcRank, dstRank, winID, offs
 func (ns *nodeState) osFetchFrom(p transport.Proc, srcRank, dstRank, winID, offset int, op AtomicOp, operand int64) (int64, error) {
 	osw := ns.osRequire()
 	op.validate()
-	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
+	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&osw.getsSent, 1)
 	if ns.met != nil {
 		ns.met.osGets.Add(1)

@@ -27,7 +27,7 @@ func (ns *nodeState) collCall(p transport.Proc, call func() error) error {
 	for attempt := 0; attempt <= collRetries; attempt++ {
 		if attempt > 0 {
 			atomic.AddInt64(&ns.collRetried, 1)
-			p.SleepJit(relBackoff(ns.job.cfg.Reliability, attempt-1))
+			ns.charge(p, relBackoff(ns.job.cfg.Reliability, attempt-1))
 		}
 		if err = call(); err == nil || !errors.Is(err, transport.ErrTransient) {
 			return err
@@ -187,7 +187,7 @@ func (ns *nodeState) execAlltoall(p transport.Proc, g *collGroup) {
 	}
 	ns.job.pool.Put(recvBuf)
 	for _, m := range g.members {
-		p.SleepJit(ns.job.cfg.Params.NotifyCost)
+		ns.charge(p, ns.job.cfg.Params.NotifyCost)
 		m.complete(0, chunk, nil)
 	}
 }
@@ -214,7 +214,7 @@ func (ns *nodeState) execBarrier(p transport.Proc, g *collGroup) {
 		return
 	}
 	for _, m := range g.members {
-		p.SleepJit(ns.job.cfg.Params.NotifyCost)
+		ns.charge(p, ns.job.cfg.Params.NotifyCost)
 		m.complete(0, 0, nil)
 	}
 }
@@ -242,7 +242,7 @@ func (ns *nodeState) execBcast(p transport.Proc, g *collGroup) {
 		}
 	})
 	for _, m := range g.members {
-		p.SleepJit(ns.job.cfg.Params.NotifyCost)
+		ns.charge(p, ns.job.cfg.Params.NotifyCost)
 		m.complete(g.root, len(m.buf), nil)
 	}
 }
@@ -281,7 +281,7 @@ func (ns *nodeState) execGather(p transport.Proc, g *collGroup) {
 		return
 	}
 	for _, m := range g.members {
-		p.SleepJit(ns.job.cfg.Params.NotifyCost)
+		ns.charge(p, ns.job.cfg.Params.NotifyCost)
 		m.complete(g.root, chunk, nil)
 	}
 }
@@ -318,7 +318,7 @@ func (ns *nodeState) execScatter(p transport.Proc, g *collGroup) {
 		copy(m.recvBuf, nodeBuf[i*chunk:(i+1)*chunk])
 	})
 	for _, m := range g.members {
-		p.SleepJit(ns.job.cfg.Params.NotifyCost)
+		ns.charge(p, ns.job.cfg.Params.NotifyCost)
 		m.complete(g.root, chunk, nil)
 	}
 }
@@ -337,9 +337,9 @@ func (ns *nodeState) disperse(p transport.Proc, g *collGroup, cp func(m *request
 	per := time.Duration(float64(collPayloadOf(g)) / ns.job.cfg.Params.LocalMemcpyBW * 1e9)
 	if ns.job.cfg.Params.TreeDispersal {
 		rounds := int(math.Ceil(math.Log2(float64(k + 1))))
-		p.SleepJit(time.Duration(rounds) * per)
+		ns.charge(p, time.Duration(rounds)*per)
 	} else {
-		p.SleepJit(time.Duration(k) * per)
+		ns.charge(p, time.Duration(k)*per)
 	}
 	for _, m := range g.members {
 		cp(m)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"dcgn/internal/device"
 	"dcgn/internal/pcie"
@@ -38,8 +39,11 @@ type nodeState struct {
 	// rt is this node's execution substrate: a veneer over its simulator
 	// (so everything the node spawns stays on its shard), or the live rt.
 	rt rt
-	// sim is this node's simulator, its shard's; nil on the live backend.
+	// sim is this node's simulator, its shard's, and jit the noise stream of
+	// the substrate node it runs on, seeded from the job's JitterFrac and
+	// JitterSeed and this node's index; both nil on the live backend.
 	sim *sim.Sim
+	jit *sim.Jitter
 	// tr is the node's transport endpoint as the engine uses it: the raw
 	// endpoint under the configured middlewares. faults is the outermost of
 	// them when Config.Faults is on (wrapTransport), else nil.
@@ -91,6 +95,11 @@ func (ns *nodeState) start() {
 	ns.rt.SpawnDaemonID("mpi-recv", ns.node, ns.wire.run)
 }
 
+// charge bills d of modeled time to p on this node's behalf, scaled by the
+// node's noise. Every cost the engine models goes through here; on the live
+// backend, where costs are real, it charges nothing.
+func (ns *nodeState) charge(p transport.Proc, d time.Duration) { p.Sleep(ns.jit.Scale(d)) }
+
 // runCommThread is the progress engine's event loop: it drains the intake
 // stream and routes each event to the matching layer (point-to-point),
 // the collective accumulator, or the transport (remote relays). All
@@ -109,7 +118,7 @@ func (ns *nodeState) runCommThread(p transport.Proc) {
 				ns.met.intakeDepth.Observe(int64(ns.intake.depth()))
 			}
 		}
-		p.SleepJit(ns.job.cfg.Params.DispatchCost)
+		ns.charge(p, ns.job.cfg.Params.DispatchCost)
 		ns.requestsHandled++
 		switch {
 		case msg.req != nil:
@@ -133,7 +142,7 @@ func (e *twoSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
 func (e *twoSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.tr.RecvMsg(p) }
 
 func (e *twoSidedEnd) deliver(p transport.Proc, f frame) {
-	p.SleepJit(e.job.cfg.Params.RemoteRelayCost)
+	(*nodeState)(e).charge(p, e.job.cfg.Params.RemoteRelayCost)
 	e.intake.postInbound(&inbound{src: f.src, dst: f.dst, data: f.payload, backing: f.backing, traceID: f.traceID, spanID: f.spanID})
 }
 

@@ -42,7 +42,7 @@ func (c *CPUCtx) Proc() *sim.Proc {
 func (c *CPUCtx) Now() time.Duration { return c.tp.Now() }
 
 // Compute charges d of CPU work to this kernel.
-func (c *CPUCtx) Compute(d time.Duration) { c.tp.SleepJit(d) }
+func (c *CPUCtx) Compute(d time.Duration) { c.ns.charge(c.tp, d) }
 
 // Send transmits buf to rank dst, blocking until the communication thread
 // reports completion (local: matched+copied; remote: underlying MPI send
@@ -170,7 +170,7 @@ func (c *CPUCtx) post(event string, op opKind, peer, peer2 int, buf, recvBuf []b
 		done:    c.ns.rt.NewEventID(event, c.rank),
 		ns:      c.ns,
 	}
-	c.tp.SleepJit(c.job.cfg.Params.EnqueueCost)
+	c.ns.charge(c.tp, c.job.cfg.Params.EnqueueCost)
 	c.job.trace.record(c.ns.rt, req)
 	c.ns.intake.postRequest(req)
 	return req

@@ -121,23 +121,35 @@ func (j *Job) flowsHandler() http.Handler {
 
 // handleFlows serves the runtime flows document: running jobs
 // contribute their live sinks, finished jobs the trace retained in
-// their reports.
+// their reports. Only the spans are collected under the runtime's lock —
+// a ring snapshot per running job, a slice header per finished one, whose
+// retained trace nothing writes again; stitching and ranking them, which
+// sorts and walks every span of every job, happens after it is released,
+// so a request cannot stall Submit, retire or the simulated event loop for
+// longer than that.
 func (r *Runtime) handleFlows(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	var flows []flowJSON
+	type jobSpans struct {
+		spans        []obs.Span
+		id           int
+		name, tenant string
+	}
 	r.mu.Lock()
+	jobs := make([]jobSpans, 0, len(r.jobs))
 	for _, c := range r.jobs {
-		var spans []obs.Span
+		spans := c.report.Trace
 		if c.job != nil && c.job.trace != nil {
 			spans = c.job.trace.spans()
-		} else {
-			spans = c.report.Trace
 		}
-		flows = append(flows, stitchJSON(spans, c.ID, c.Name, c.Tenant)...)
+		jobs = append(jobs, jobSpans{spans, c.ID, c.Name, c.Tenant})
 	}
 	r.mu.Unlock()
+	var flows []flowJSON
+	for _, j := range jobs {
+		flows = append(flows, stitchJSON(j.spans, j.id, j.name, j.tenant)...)
+	}
 	writeJSON(w, flowsDocument(flows, flowsTopK(req)))
 }

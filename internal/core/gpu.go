@@ -143,7 +143,7 @@ func (gt *gpuThread) startMonitor() {
 	gt.ns.sim.SpawnDaemon(fmt.Sprintf("gpu-mon:%d.%d", gt.ns.node, gt.index), func(p *sim.Proc) {
 		p.Sleep(offset)
 		for {
-			p.SleepJit(cfg.PollInterval)
+			gt.ns.charge(p, cfg.PollInterval)
 			gt.poll(p)
 		}
 	})
@@ -180,22 +180,15 @@ func (gt *gpuThread) payloadBus() device.BusLike {
 // claim, stage, relay, and (on a helper) immediate completion write-back —
 // no poll-tick alignment anywhere.
 func (gt *gpuThread) serviceSignaled(p *sim.Proc, ss *slotState) {
-	le := binary.LittleEndian
 	mb := gt.dev.Bytes(ss.mb, mailboxBytes)
-	if le.Uint32(mb[mbStatus:]) != mbPosted {
+	if binary.LittleEndian.Uint32(mb[mbStatus:]) != mbPosted {
 		panic("dcgn: doorbell rung without posted request")
 	}
-	le.PutUint32(mb[mbStatus:], mbClaimed)
-	gt.ns.bus.Ctl(p, 4+mailboxBytes) // one transaction: claim + descriptor read
+	gt.claim(p, ss, mb, 4+mailboxBytes) // one transaction: claim + descriptor read
 	if met := gt.ns.met; met != nil {
 		met.gpuSignals.Add(1)
 	}
-	gt.parseDescriptor(ss, mb)
-	req := gt.buildRequest(p, ss)
-	ss.req = req
-	p.SleepJit(gt.ns.job.cfg.Params.EnqueueCost)
-	gt.ns.job.trace.record(gt.ns.rt, req)
-	gt.ns.intake.postRequest(req)
+	req := gt.relay(p, ss)
 	gt.ns.sim.SpawnID("gpu-sig-wb", ss.rank, func(h *sim.Proc) {
 		req.done.Wait(h)
 		gt.writeBack(h, ss, mb)
@@ -236,21 +229,15 @@ func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) bool {
 		}
 		// Stage 1: discovery. Claim the request and capture the
 		// descriptor (it travelled with the poll read).
-		le.PutUint32(mb[mbStatus:], mbClaimed)
-		gt.ns.bus.Ctl(p, 4)
-		gt.parseDescriptor(ss, mb)
+		gt.claim(p, ss, mb, 4)
 		ss.stage = stageDiscovered
 		return true
 
 	case stageDiscovered:
 		// Stage 2: stage outbound payloads device -> host (Fig. 2 step 1)
 		// and relay the request to the comm thread.
-		req := gt.buildRequest(p, ss)
-		ss.req = req
 		ss.doneReady = false
-		p.SleepJit(gt.ns.job.cfg.Params.EnqueueCost)
-		gt.ns.job.trace.record(gt.ns.rt, req)
-		gt.ns.intake.postRequest(req)
+		req := gt.relay(p, ss)
 		// A tiny helper marks the slot ready for its completion stage; the
 		// write-back itself happens on a poll tick (stage 3).
 		gt.ns.sim.SpawnID("gpu-done", ss.rank, func(h *sim.Proc) {
@@ -271,16 +258,32 @@ func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) bool {
 	return false
 }
 
-// parseDescriptor captures the mailbox descriptor fields into the slot
-// state (the bytes travelled with the claiming bus transaction).
-func (gt *gpuThread) parseDescriptor(ss *slotState, mb []byte) {
+// claim takes a posted request for the host: the claimed flag is written in
+// an n-byte control transaction, and the descriptor fields — which travelled
+// with it, or with the poll read before it — are captured into the slot
+// state.
+func (gt *gpuThread) claim(p *sim.Proc, ss *slotState, mb []byte, n int) {
 	le := binary.LittleEndian
+	le.PutUint32(mb[mbStatus:], mbClaimed)
+	gt.ns.bus.Ctl(p, n)
 	ss.op = opKind(le.Uint32(mb[mbOp:]))
 	ss.peerRaw = int64(le.Uint64(mb[mbPeer:]))
 	ss.ptr = device.Ptr(le.Uint64(mb[mbPtr:]))
 	ss.size = int(le.Uint64(mb[mbSize:]))
 	ss.ptr2 = device.Ptr(le.Uint64(mb[mbPtr2:]))
 	ss.size2 = int(le.Uint64(mb[mbSize2:]))
+}
+
+// relay hands a claimed request to the comm thread: outbound payloads staged
+// device -> host (buildRequest), the enqueue charged, the request recorded
+// and posted.
+func (gt *gpuThread) relay(p *sim.Proc, ss *slotState) *request {
+	req := gt.buildRequest(p, ss)
+	ss.req = req
+	gt.ns.charge(p, gt.ns.job.cfg.Params.EnqueueCost)
+	gt.ns.job.trace.record(gt.ns.rt, req)
+	gt.ns.intake.postRequest(req)
+	return req
 }
 
 // buildRequest stages outbound payloads device -> host (Fig. 2 step 1) and

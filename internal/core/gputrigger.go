@@ -158,7 +158,7 @@ func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
 		size = int(le.Uint64(desc[tdSize:]))
 	}
 
-	p.SleepJit(params.DoorbellCost)
+	ns.charge(p, params.DoorbellCost)
 	atomic.AddInt64(&osw.trigFired, 1)
 	if ns.met != nil {
 		ns.met.osTriggered.Add(1)

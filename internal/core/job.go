@@ -288,8 +288,7 @@ func (j *Job) Run() (Report, error) {
 		g := live.New(j.cfg.Nodes, pool).Default()
 		return j.runLive(liveEndpoints(j.cfg.Nodes, g.Endpoint), pool, g, nil)
 	}
-	sub := newSubstrate(j.cfg.Nodes, j.cfg.Net, j.cfg.MPI, j.cfg.Shards,
-		j.cfg.MaxVirtualTime, j.cfg.JitterFrac, j.cfg.JitterSeed)
+	sub := newSubstrate(j.cfg.Nodes, j.cfg.Net, j.cfg.MPI, j.cfg.Shards, j.cfg.MaxVirtualTime)
 	j.start(sub.env(simmpi.WorldGroup(sub.world), sub.nodes, sub.pool, 0))
 	err := sub.loop.Run()
 	return j.report(), err
@@ -305,9 +304,6 @@ func (j *Job) checkRunnable() error {
 	}
 	switch j.cfg.Transport.Name() {
 	case transport.BackendSim:
-		if j.cfg.Shards > 1 && j.cfg.JitterFrac > 0 {
-			return fmt.Errorf("dcgn: jitter needs Shards <= 1 (each event loop draws from its own stream, so the draws would depend on the shard count)")
-		}
 	case transport.BackendLive:
 		// The simulated device model does not exist on the live backend, so
 		// only CPU kernels are supported; GPU jobs use the simulated one.
@@ -356,12 +352,17 @@ func (j *Job) start(env engineEnv) {
 }
 
 // newNodeState constructs and starts one node's progress engine on the
-// job's substrate.
+// job's substrate. On the simulated one it also makes the substrate node's
+// noise stream this job's: seeded from (JitterFrac, JitterSeed, n), so the
+// draws depend on the job and its node and on nothing about the host, and
+// whatever the node's previous tenant had seeded ends here.
 func (j *Job) newNodeState(n int) *nodeState {
 	rtv := j.rt
 	var s *sim.Sim
-	if j.sims != nil {
-		s = j.sims[n]
+	var jit *sim.Jitter
+	if j.hosts != nil {
+		s, jit = j.hosts[n].Sim(), j.hosts[n].Jitter()
+		jit.Seed(j.cfg.JitterFrac, j.cfg.JitterSeed, n)
 		rtv = simRT{s: s} // a 1:1 veneer: no allocation, no behavior of its own
 	}
 	ns := &nodeState{
@@ -369,6 +370,7 @@ func (j *Job) newNodeState(n int) *nodeState {
 		node:   n,
 		rt:     rtv,
 		sim:    s,
+		jit:    jit,
 		intake: newIntake(rtv.NewQueue(fmt.Sprintf("commq:%d", n))),
 		index:  newMatchIndex(),
 	}
@@ -384,10 +386,12 @@ func (j *Job) newNodeState(n int) *nodeState {
 		// The device model — PCIe bus, devices, their monitors — exists only
 		// in virtual time.
 		ns.bus = pcie.New(s, fmt.Sprintf("n%d", n), j.cfg.Bus)
+		ns.bus.Jit = jit
 		for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
 			devCfg := j.cfg.Device
 			devCfg.Name = fmt.Sprintf("gpu%d.%d", n, g)
 			dev := device.New(s, devCfg)
+			dev.Jit = jit
 			ns.devs = append(ns.devs, dev)
 			ns.gpus = append(ns.gpus, newGPUThread(ns, g, dev))
 		}

@@ -40,6 +40,19 @@ func pattern(n int, seed byte) []byte {
 	return b
 }
 
+// A caller who starts from a zero Config and sets part of the overhead model
+// keeps what they set: only a Params nobody touched is defaulted. (At the
+// parent commit a dead knob, Params.MaxMsg, decided, and this read 10µs.)
+func TestPartlySetParamsAreKept(t *testing.T) {
+	cfg := NewJob(Config{Nodes: 2, CPUKernels: 1, Params: Params{DispatchCost: time.Millisecond, LocalMemcpyBW: 4e9}}).Config()
+	if got := cfg.Params.DispatchCost; got != time.Millisecond {
+		t.Errorf("DispatchCost = %v, want the 1ms the caller set", got)
+	}
+	if got := NewJob(Config{Nodes: 2, CPUKernels: 1}).Config().Params; got != DefaultParams() {
+		t.Errorf("a zero Params was not defaulted: %+v", got)
+	}
+}
+
 func TestCPUPingPongRemote(t *testing.T) {
 	job := NewJob(cpuOnlyConfig(2, 1))
 	msg := pattern(1000, 5)

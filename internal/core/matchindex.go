@@ -8,16 +8,13 @@ package core
 // the exact same match decisions in amortized O(1):
 //
 //   - pending sends live in a per-(src, dst) FIFO and, in parallel, in a
-//     per-destination FIFO (consulted by AnySource receives). The entry is
-//     shared; whichever queue matches first flips a tombstone the other
-//     queue skips lazily.
+//     per-destination FIFO (consulted by AnySource receives): a twoIndex.
 //   - pending receives live in a per-(src, dst) FIFO (specific source) or
 //     a per-destination FIFO (AnySource). A send or inbound message from
 //     src to dst compares the two heads' arrival stamps and takes the
 //     older — reproducing the seed's arrival-order tie-break between a
 //     specific-source and an AnySource receive racing for one message.
-//   - unexpected inbound messages mirror the send layout: per-(src, dst)
-//     plus per-destination, tombstoned.
+//   - unexpected inbound messages are a second twoIndex.
 //
 // Every queue pops each tombstone at most once and the ring compacts
 // itself, so all operations are amortized O(1) and matched requests are
@@ -76,17 +73,64 @@ func (q *ring[T]) len() int {
 	return len(q.items) - q.head
 }
 
-// sendEntry is one pending send, shared between its per-pair and per-dst
-// queues; matched is the lazy-deletion tombstone.
-type sendEntry struct {
-	req     *request
-	matched bool
+// twoIndex parks values of one kind — pending sends, unexpected inbound
+// messages — in two FIFOs at once, per (src, dst) pair and per dst. The
+// entry is shared; whichever queue hands it out first flips a tombstone the
+// other queue skips lazily. No method of T is called, so the instantiations
+// cost what the hand-written copies did.
+type twoIndex[T any] struct {
+	byPair map[pairKey]*ring[*parked[T]]
+	byDst  map[int]*ring[*parked[T]]
+	n      int // live entries
 }
 
-// inEntry is one unexpected inbound message, shared the same way.
-type inEntry struct {
-	in      *inbound
-	matched bool
+// parked is one twoIndex entry; taken is the lazy-deletion tombstone.
+type parked[T any] struct {
+	v     T
+	taken bool
+}
+
+func newTwoIndex[T any]() twoIndex[T] {
+	return twoIndex[T]{byPair: make(map[pairKey]*ring[*parked[T]]), byDst: make(map[int]*ring[*parked[T]])}
+}
+
+// queueOf returns m's FIFO for k, creating it on first use.
+func queueOf[K comparable, T any](m map[K]*ring[T], k K) *ring[T] {
+	q := m[k]
+	if q == nil {
+		q = &ring[T]{}
+		m[k] = q
+	}
+	return q
+}
+
+// add parks v, sent by src for dst.
+func (ix *twoIndex[T]) add(src, dst int, v T) {
+	e := &parked[T]{v: v}
+	queueOf(ix.byPair, pairKey{src: src, dst: dst}).push(e)
+	queueOf(ix.byDst, dst).push(e)
+	ix.n++
+}
+
+// take removes and returns the oldest value parked for dst by src — by
+// anyone when src is AnySource — or the zero T.
+func (ix *twoIndex[T]) take(src, dst int) (v T) {
+	q := ix.byDst[dst]
+	if src != AnySource {
+		q = ix.byPair[pairKey{src: src, dst: dst}]
+	}
+	for {
+		e, ok := q.pop()
+		if !ok {
+			return v
+		}
+		if e.taken {
+			continue // already taken through the sibling queue
+		}
+		e.taken = true
+		ix.n--
+		return e.v
+	}
 }
 
 // recvEntry is one pending receive. seq is its arrival stamp, used to
@@ -103,33 +147,30 @@ type recvEntry struct {
 type matchIndex struct {
 	seq uint64 // arrival stamp, monotonically increasing
 
-	sendsByPair map[pairKey]*ring[*sendEntry]
-	sendsByDst  map[int]*ring[*sendEntry]
+	// sends holds local-destination sends that found no receive, unexp
+	// inbound wire messages with no posted receive.
+	sends twoIndex[*request]
+	unexp twoIndex[*inbound]
 
 	recvsByPair map[pairKey]*ring[recvEntry]
 	recvsAny    map[int]*ring[recvEntry] // AnySource receives, per destination
+	recvs       int                      // live receives
 
-	unexpByPair map[pairKey]*ring[*inEntry]
-	unexpByDst  map[int]*ring[*inEntry]
-
-	sends, recvs, unexp int // live entry counts
-	peak                int // high-water mark of depth()
+	peak int // high-water mark of depth()
 }
 
 func newMatchIndex() *matchIndex {
 	return &matchIndex{
-		sendsByPair: make(map[pairKey]*ring[*sendEntry]),
-		sendsByDst:  make(map[int]*ring[*sendEntry]),
+		sends:       newTwoIndex[*request](),
+		unexp:       newTwoIndex[*inbound](),
 		recvsByPair: make(map[pairKey]*ring[recvEntry]),
 		recvsAny:    make(map[int]*ring[recvEntry]),
-		unexpByPair: make(map[pairKey]*ring[*inEntry]),
-		unexpByDst:  make(map[int]*ring[*inEntry]),
 	}
 }
 
 // depth is the total number of live pending entries (sends + recvs +
 // unexpected inbound), the per-node queue depth reported in traces.
-func (mi *matchIndex) depth() int { return mi.sends + mi.recvs + mi.unexp }
+func (mi *matchIndex) depth() int { return mi.sends.n + mi.recvs + mi.unexp.n }
 
 // peakDepth is the high-water mark of depth() over the run.
 func (mi *matchIndex) peakDepth() int { return mi.peak }
@@ -142,58 +183,14 @@ func (mi *matchIndex) note() {
 
 // addSend queues a local-destination send that found no receive.
 func (mi *matchIndex) addSend(req *request) {
-	e := &sendEntry{req: req}
-	k := pairKey{src: req.rank, dst: req.peer}
-	qp := mi.sendsByPair[k]
-	if qp == nil {
-		qp = &ring[*sendEntry]{}
-		mi.sendsByPair[k] = qp
-	}
-	qp.push(e)
-	qd := mi.sendsByDst[req.peer]
-	if qd == nil {
-		qd = &ring[*sendEntry]{}
-		mi.sendsByDst[req.peer] = qd
-	}
-	qd.push(e)
-	mi.sends++
+	mi.sends.add(req.rank, req.peer, req)
 	mi.note()
 }
 
-// takeSendFrom removes and returns the oldest pending send from src to
-// dst, or nil. Consulted by a specific-source receive.
-func (mi *matchIndex) takeSendFrom(src, dst int) *request {
-	q := mi.sendsByPair[pairKey{src: src, dst: dst}]
-	for {
-		e, ok := q.pop()
-		if !ok {
-			return nil
-		}
-		if e.matched {
-			continue // already taken through the per-dst queue
-		}
-		e.matched = true
-		mi.sends--
-		return e.req
-	}
-}
-
-// takeSendTo removes and returns the oldest pending send destined to dst
-// from any source, or nil. Consulted by an AnySource receive.
-func (mi *matchIndex) takeSendTo(dst int) *request {
-	q := mi.sendsByDst[dst]
-	for {
-		e, ok := q.pop()
-		if !ok {
-			return nil
-		}
-		if e.matched {
-			continue // already taken through the per-pair queue
-		}
-		e.matched = true
-		mi.sends--
-		return e.req
-	}
+// addUnexpected queues an inbound wire message with no posted receive.
+func (mi *matchIndex) addUnexpected(in *inbound) {
+	mi.unexp.add(in.src, in.dst, in)
+	mi.note()
 }
 
 // addRecv queues a posted receive that found neither a pending send nor an
@@ -202,20 +199,9 @@ func (mi *matchIndex) addRecv(req *request) {
 	mi.seq++
 	e := recvEntry{req: req, seq: mi.seq}
 	if req.peer == AnySource {
-		q := mi.recvsAny[req.rank]
-		if q == nil {
-			q = &ring[recvEntry]{}
-			mi.recvsAny[req.rank] = q
-		}
-		q.push(e)
+		queueOf(mi.recvsAny, req.rank).push(e)
 	} else {
-		k := pairKey{src: req.peer, dst: req.rank}
-		q := mi.recvsByPair[k]
-		if q == nil {
-			q = &ring[recvEntry]{}
-			mi.recvsByPair[k] = q
-		}
-		q.push(e)
+		queueOf(mi.recvsByPair, pairKey{src: req.peer, dst: req.rank}).push(e)
 	}
 	mi.recvs++
 	mi.note()
@@ -241,47 +227,4 @@ func (mi *matchIndex) takeRecvFor(src, dst int) *request {
 	e, _ := q.pop()
 	mi.recvs--
 	return e.req
-}
-
-// addUnexpected queues an inbound wire message with no posted receive.
-func (mi *matchIndex) addUnexpected(in *inbound) {
-	e := &inEntry{in: in}
-	k := pairKey{src: in.src, dst: in.dst}
-	qp := mi.unexpByPair[k]
-	if qp == nil {
-		qp = &ring[*inEntry]{}
-		mi.unexpByPair[k] = qp
-	}
-	qp.push(e)
-	qd := mi.unexpByDst[in.dst]
-	if qd == nil {
-		qd = &ring[*inEntry]{}
-		mi.unexpByDst[in.dst] = qd
-	}
-	qd.push(e)
-	mi.unexp++
-	mi.note()
-}
-
-// takeUnexpectedFor removes and returns the oldest unexpected inbound
-// message a receive posted at dst for src (or AnySource) matches, or nil.
-func (mi *matchIndex) takeUnexpectedFor(src, dst int) *inbound {
-	var q *ring[*inEntry]
-	if src == AnySource {
-		q = mi.unexpByDst[dst]
-	} else {
-		q = mi.unexpByPair[pairKey{src: src, dst: dst}]
-	}
-	for {
-		e, ok := q.pop()
-		if !ok {
-			return nil
-		}
-		if e.matched {
-			continue // already taken through the sibling queue
-		}
-		e.matched = true
-		mi.unexp--
-		return e.in
-	}
 }

@@ -103,15 +103,15 @@ func (im *indexMatcher) recv(id, src, dst int, any bool) (matched int, fromUnexp
 		peer = AnySource
 	}
 	if !any {
-		if sr := im.idx.takeSendFrom(src, dst); sr != nil {
+		if sr := im.idx.sends.take(src, dst); sr != nil {
 			return im.reqID[sr], false
 		}
 	} else {
-		if sr := im.idx.takeSendTo(dst); sr != nil {
+		if sr := im.idx.sends.take(AnySource, dst); sr != nil {
 			return im.reqID[sr], false
 		}
 	}
-	if in := im.idx.takeUnexpectedFor(peer, dst); in != nil {
+	if in := im.idx.unexp.take(peer, dst); in != nil {
 		return im.inID[in], true
 	}
 	req := &request{op: opRecv, rank: dst, peer: peer}
@@ -168,9 +168,9 @@ func TestMatchIndexScanEquivalenceProperty(t *testing.T) {
 				}
 			}
 		}
-		if len(lm.sends) != im.idx.sends || len(lm.recvs) != im.idx.recvs || len(lm.unexp) != im.idx.unexp {
+		if len(lm.sends) != im.idx.sends.n || len(lm.recvs) != im.idx.recvs || len(lm.unexp) != im.idx.unexp.n {
 			t.Logf("pending mismatch: linear (%d,%d,%d), index (%d,%d,%d)",
-				len(lm.sends), len(lm.recvs), len(lm.unexp), im.idx.sends, im.idx.recvs, im.idx.unexp)
+				len(lm.sends), len(lm.recvs), len(lm.unexp), im.idx.sends.n, im.idx.recvs, im.idx.unexp.n)
 			return false
 		}
 		return true
@@ -224,17 +224,17 @@ func TestMatchIndexTombstones(t *testing.T) {
 	if idx.depth() != 2 {
 		t.Fatalf("depth %d, want 2", idx.depth())
 	}
-	if got := idx.takeSendFrom(1, 0); got != s1 {
-		t.Fatalf("takeSendFrom matched %p, want s1", got)
+	if got := idx.sends.take(1, 0); got != s1 {
+		t.Fatalf("take from rank 1 matched %p, want s1", got)
 	}
 	// The per-destination queue must skip s1's tombstone and yield s2.
-	if got := idx.takeSendTo(0); got != s2 {
-		t.Fatalf("takeSendTo matched %p, want s2", got)
+	if got := idx.sends.take(AnySource, 0); got != s2 {
+		t.Fatalf("AnySource take matched %p, want s2", got)
 	}
 	if idx.depth() != 0 {
 		t.Fatalf("depth %d after draining, want 0", idx.depth())
 	}
-	if got := idx.takeSendTo(0); got != nil {
+	if got := idx.sends.take(AnySource, 0); got != nil {
 		t.Fatalf("empty index yielded %p", got)
 	}
 
@@ -244,14 +244,14 @@ func TestMatchIndexTombstones(t *testing.T) {
 	i2 := &inbound{src: 2, dst: 0}
 	idx.addUnexpected(i1)
 	idx.addUnexpected(i2)
-	if got := idx.takeUnexpectedFor(1, 0); got != i1 {
-		t.Fatalf("takeUnexpectedFor matched %p, want i1", got)
+	if got := idx.unexp.take(1, 0); got != i1 {
+		t.Fatalf("take from rank 1 matched %p, want i1", got)
 	}
-	if got := idx.takeUnexpectedFor(AnySource, 0); got != i2 {
+	if got := idx.unexp.take(AnySource, 0); got != i2 {
 		t.Fatalf("AnySource take matched %p, want i2", got)
 	}
-	if idx.unexp != 0 {
-		t.Fatalf("unexp count %d, want 0", idx.unexp)
+	if idx.unexp.n != 0 {
+		t.Fatalf("unexp count %d, want 0", idx.unexp.n)
 	}
 }
 

@@ -295,7 +295,7 @@ func (ns *nodeState) readWindow(p transport.Proc, w *osWindow, offset, want int)
 // ErrTruncate, not a truncation of the window's.
 func (ns *nodeState) osTarget(p transport.Proc, f *frame) (w *osWindow, reply []byte, clipped bool) {
 	w = ns.osw.window(f.dst, f.os.win)
-	p.SleepJit(ns.job.cfg.Params.OneSidedApplyCost)
+	ns.charge(p, ns.job.cfg.Params.OneSidedApplyCost)
 	switch f.kind {
 	case kindPut:
 		clipped = ns.writeWindow(p, w, f.os.offset, f.payload)
@@ -377,7 +377,7 @@ func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset
 		post = p.Now()
 		spanID = ns.job.trace.newSpanID(srcRank)
 	}
-	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
+	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&osw.putsSent, 1)
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)
@@ -406,7 +406,7 @@ func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset
 		post = p.Now()
 		spanID = ns.job.trace.newSpanID(srcRank)
 	}
-	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
+	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&osw.getsSent, 1)
 	if ns.met != nil {
 		ns.met.osGets.Add(1)
@@ -634,7 +634,7 @@ func (c *CPUCtx) NewPersistentPut(dst, winID, offset int, data []byte) *Persiste
 func (pp *PersistentPut) Start() error {
 	ns := pp.c.ns
 	p := pp.c.tp
-	p.SleepJit(ns.job.cfg.Params.DoorbellCost)
+	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
 	atomic.AddInt64(&ns.osw.putsSent, 1)
 	if ns.met != nil {
 		ns.met.osPuts.Add(1)

@@ -67,7 +67,7 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 			payload: req.buf, traceID: req.traceID, spanID: req.spanID,
 		})
 		ns.rt.SpawnID("dcgn-tx", ns.node, func(h transport.Proc) {
-			h.SleepJit(ns.job.cfg.Params.RemoteRelayCost)
+			ns.charge(h, ns.job.cfg.Params.RemoteRelayCost)
 			var sentAt *time.Duration
 			if ns.obsOn {
 				sentAt = &req.wireSentAt
@@ -79,7 +79,7 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 			// Send has buffered semantics (eager copy or rendezvous
 			// snapshot), so the wire buffer is ours again once it returns.
 			ns.job.pool.Put(msg)
-			h.SleepJit(ns.job.cfg.Params.NotifyCost)
+			ns.charge(h, ns.job.cfg.Params.NotifyCost)
 			req.complete(req.rank, len(req.buf), err)
 		})
 		return
@@ -107,22 +107,15 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 // TestConformanceAnySourceLocalVsWire.
 func (ns *nodeState) handleRecv(p transport.Proc, req *request) {
 	ns.observe(p, req)
-	if req.peer != AnySource && ns.job.rmap.Node(req.peer) == ns.node {
+	if req.peer == AnySource || ns.job.rmap.Node(req.peer) == ns.node {
 		// Potential local sender.
-		if sr := ns.index.takeSendFrom(req.peer, req.rank); sr != nil {
+		if sr := ns.index.sends.take(req.peer, req.rank); sr != nil {
 			ns.matched(p, req, sr)
 			ns.deliverLocal(p, sr, req)
 			return
 		}
 	}
-	if req.peer == AnySource {
-		if sr := ns.index.takeSendTo(req.rank); sr != nil {
-			ns.matched(p, req, sr)
-			ns.deliverLocal(p, sr, req)
-			return
-		}
-	}
-	if in := ns.index.takeUnexpectedFor(req.peer, req.rank); in != nil {
+	if in := ns.index.unexp.take(req.peer, req.rank); in != nil {
 		ns.matched(p, req, nil)
 		ns.deliverInbound(p, in, req, true)
 		return
@@ -192,9 +185,9 @@ func (ns *nodeState) deliverLocal(p transport.Proc, send, recv *request) {
 		recv.traceID = send.traceID
 		recv.parentID = send.spanID
 	}
-	p.SleepJit(ns.job.cfg.Params.NotifyCost)
+	ns.charge(p, ns.job.cfg.Params.NotifyCost)
 	send.complete(send.rank, len(send.buf), nil)
-	p.SleepJit(ns.job.cfg.Params.NotifyCost)
+	ns.charge(p, ns.job.cfg.Params.NotifyCost)
 	recv.complete(send.rank, n, err)
 }
 
@@ -222,7 +215,7 @@ func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request
 		ns.job.pool.Put(in.backing)
 		in.backing, in.data = nil, nil
 	}
-	p.SleepJit(ns.job.cfg.Params.NotifyCost)
+	ns.charge(p, ns.job.cfg.Params.NotifyCost)
 	recv.complete(in.src, n, err)
 }
 
@@ -231,5 +224,5 @@ func (ns *nodeState) chargeMemcpy(p transport.Proc, n int) {
 	if n == 0 {
 		return
 	}
-	p.SleepJit(time.Duration(float64(n) / ns.job.cfg.Params.LocalMemcpyBW * 1e9))
+	ns.charge(p, time.Duration(float64(n)/ns.job.cfg.Params.LocalMemcpyBW*1e9))
 }

@@ -79,9 +79,6 @@ type Params struct {
 	// copying collective results to local buffers in a tree instead of
 	// sequentially (§3.2.3); off by default, as in the paper.
 	TreeDispersal bool
-	// MaxMsg is the largest DCGN message payload; sized for staging
-	// buffers.
-	MaxMsg int
 	// DoorbellCost is charged per one-sided descriptor post: the doorbell
 	// write that hands a put/get to the NIC model, whether rung by a CPU
 	// kernel or by a GPU-triggered descriptor (default 1µs). Only charged
@@ -116,7 +113,6 @@ func DefaultParams() Params {
 		NotifyCost:        7 * time.Microsecond,
 		RemoteRelayCost:   18 * time.Microsecond,
 		LocalMemcpyBW:     4e9,
-		MaxMsg:            64 << 20,
 		DoorbellCost:      1 * time.Microsecond,
 		OneSidedApplyCost: 2 * time.Microsecond,
 	}
@@ -180,13 +176,19 @@ type Config struct {
 	// loop, synchronized by conservative lookahead windows derived from the
 	// fabric's minimum cross-shard latency (internal/sim.Sharded). Results
 	// are bit-identical for every value, 0 (which means 1) included; only
-	// the wall-clock time changes. Clamped to Nodes. Simulated backend
-	// only; jitter needs Shards <= 1. Read by Job.Run, which builds the
+	// the wall-clock time changes, with jitter on as with it off. Clamped to
+	// Nodes. Simulated backend only. Read by Job.Run, which builds the
 	// cluster; a Runtime built its own and ignores it, like Net and MPI.
 	Shards int
 
 	// JitterFrac/JitterSeed add multiplicative timing noise (for the
-	// run-to-run variation experiments, Fig. 5). Zero disables jitter.
+	// run-to-run variation experiments, Fig. 5): every modeled cost charged
+	// on a node — engine, MPI library, NICs, bus, devices — is scaled by a
+	// factor in [1-JitterFrac, 1+JitterFrac] drawn from that node's stream,
+	// which the job seeds from JitterSeed and the node's index. The noise is
+	// the job's: the same on every shard count and as a Runtime tenant. A
+	// zero JitterFrac disables it; the live backend, which models no time,
+	// refuses it.
 	JitterFrac float64
 	JitterSeed int64
 
@@ -275,7 +277,7 @@ func (c *Config) validate() {
 	if c.Shards > c.Nodes {
 		c.Shards = c.Nodes
 	}
-	if c.Params.MaxMsg == 0 {
+	if c.Params == (Params{}) { // a partly set model is the caller's, as it is
 		c.Params = DefaultParams()
 	}
 	if c.Params.DoorbellCost <= 0 {

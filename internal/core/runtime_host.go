@@ -57,10 +57,11 @@ import (
 //
 // A simulated tenant's Report is the one Job.Run returns for the same job,
 // field for field, whatever its co-tenants do — lossy wire, retransmits and
-// frames still in flight at its end included (TestSameEngineOnEveryHost,
-// TestRuntimeSimLossyTenant). Only jitter is refused: its stream is the
-// simulator's, not the job's. A Runtime's substrate has one shard: tenants
-// share its simulator, its arrival procs and its cancel injections.
+// frames still in flight at its end included, and its timing noise too: the
+// streams are its nodes', seeded by the job (TestSameEngineOnEveryHost,
+// TestRuntimeSimLossyTenant, TestJitterIsTheJobs). A Runtime's substrate has
+// one shard: tenants share its simulator, its arrival procs and its cancel
+// injections.
 type Runtime struct {
 	cfg   RuntimeConfig
 	epoch time.Time // live clock origin for JobStatus times
@@ -432,10 +433,9 @@ func (r *Runtime) now() time.Duration {
 //
 // The job's Config.Transport must match the runtime's backend and its node
 // count must fit the cluster. Beyond that a Runtime takes every job Job.Run
-// does, as it is — fault injection, Reliability, one-sided and GPU traffic,
-// Shards set (the substrate is the runtime's, so it is ignored) — except
-// two: a per-job DebugAddr (the runtime owns the endpoint) and, on the
-// simulated backend, jitter (see checkSubmittable).
+// does, as it is — fault injection, Reliability, jitter, one-sided and GPU
+// traffic, Shards set (the substrate is the runtime's, so it is ignored) —
+// except one with a per-job DebugAddr: the runtime owns the endpoint.
 func (r *Runtime) Submit(job *Job, opts SubmitOpts) (*JobHandle, error) {
 	if job == nil {
 		return nil, fmt.Errorf("dcgn: Submit needs a job")
@@ -580,13 +580,6 @@ func (r *Runtime) checkSubmittable(job *Job) error {
 	if counted == 0 {
 		return fmt.Errorf("dcgn: job spawns no kernel threads (its completion would be undetectable)")
 	}
-	// Jitter is the one thing a tenant cannot bring: the stream is its
-	// simulator's, so under a shared one its draws — and the shared MPI
-	// engine daemons' — would interleave with every co-tenant's, and no
-	// tenant's numbers would be its solo run's.
-	if r.backend() == transport.BackendSim && (cfg.JitterFrac > 0 || cfg.JitterSeed != 0) {
-		return fmt.Errorf("dcgn: a runtime takes no jittered jobs: jitter draws from the simulator's stream, which tenants share (use Job.Run)")
-	}
 	return nil
 }
 
@@ -716,7 +709,7 @@ func (r *Runtime) Cancel(id int) error {
 		r.mu.Unlock()
 		if r.backend() == transport.BackendLive {
 			c.cancelOnce.Do(func() { close(c.cancelCh) })
-		} else if !sub.sims[0].Inject(func() { r.cancelSimJobNow(c) }) {
+		} else if !sub.loop.Shard(0).Sim().Inject(func() { r.cancelSimJobNow(c) }) {
 			return fmt.Errorf("dcgn: job %d is running but the batch has ended", id)
 		}
 		return nil
@@ -908,7 +901,7 @@ func (r *Runtime) Run() error {
 		return fmt.Errorf("dcgn: runtime batch already ran")
 	}
 	r.ran = true
-	r.sub = newSubstrate(r.cfg.Nodes, r.cfg.Net, r.cfg.MPI, 1, r.cfg.MaxVirtualTime, 0, 0)
+	r.sub = newSubstrate(r.cfg.Nodes, r.cfg.Net, r.cfg.MPI, 1, r.cfg.MaxVirtualTime)
 	// One arrivals proc walks the SubmitAt schedule in arrival order,
 	// schedule order breaking ties. It is non-daemon, so the batch stays
 	// alive through gaps in the schedule, and it sleeps before every
@@ -916,7 +909,7 @@ func (r *Runtime) Run() error {
 	// previous arrival admitted runs first, as if each had its own proc.
 	if sched := r.scheduled; len(sched) > 0 {
 		sort.SliceStable(sched, func(a, b int) bool { return sched[a].notBefore < sched[b].notBefore })
-		r.sub.sims[0].Spawn("arrivals", func(p *sim.Proc) {
+		r.sub.loop.Shard(0).Sim().Spawn("arrivals", func(p *sim.Proc) {
 			for _, c := range sched {
 				p.Sleep(c.notBefore - p.Now())
 				r.arriveSimJob(c, p.Now())
@@ -970,7 +963,7 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 	for _, w := range c.placement {
 		r.sub.world.SetRankPool(w, pool)
 	}
-	s := r.sub.sims[0]
+	s := r.sub.loop.Shard(0).Sim()
 	// Completion happens in virtual time, on the proc whose return emptied
 	// the group: the Report is final (the engine is quiescent — every kernel
 	// and helper has returned and the event loop is single-threaded), the

@@ -187,7 +187,7 @@ func lossyJob(backend string) *Job {
 // Runtime of one — must return the same Report, reflect.DeepEqual: Elapsed
 // to the nanosecond with frames still in flight at the job's end, every
 // retransmit and duplicate of a lossy wire, every poll tick of a GPU job's
-// monitors, pool and wire totals. Two fields are set apart, neither a
+// monitors, every draw of a jittered job's noise, pool and wire totals. Two fields are set apart, neither a
 // virtual-time number. PoolHits on four shards: which of two shards' threads
 // reached the shared pool first decides whether a Get reuses the other's
 // Put. PoolReleases of the one row that quits with frames on the wire: no
@@ -233,6 +233,8 @@ func TestSameEngineOnEveryHost(t *testing.T) {
 			job, _ := triggeredJob(t, cfg, 3, 64, false)
 			return job
 		}},
+		// Refused at the parent commit by Job.Run on four shards and by Submit.
+		{name: "jittered", simOnly: true, mk: func(string) *Job { return jitteredJob(t, 0.25, 7, 2) }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -698,7 +700,7 @@ func TestRuntimeSimRetiredTenantLeavesNothing(t *testing.T) {
 		for n := 0; n < rc.Nodes; n++ {
 			posted += r.sub.world.Rank(n).Posted()
 		}
-		procs, goroutines := r.sub.sims[0].Unfinished(), runtime.NumGoroutine()-baseGoroutines
+		procs, goroutines := r.sub.loop.Shard(0).Sim().Unfinished(), runtime.NumGoroutine()-baseGoroutines
 		if procs > maxProcs || goroutines > maxProcs || posted > maxPosted {
 			t.Errorf("after %d retirements: %d unfinished procs, %d goroutines, %d posted receives; want at most %d, %d, %d",
 				done, procs, goroutines, posted, maxProcs, maxProcs, maxPosted)
@@ -1218,7 +1220,6 @@ func TestRuntimeSubmitValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		job  *Job
-		want string // substring of the error
 	}{
 		{name: "wrong backend", job: pingPongJob(transport.BackendLive, 1)},
 		{name: "too many nodes", job: func() *Job {
@@ -1234,60 +1235,134 @@ func TestRuntimeSubmitValidation(t *testing.T) {
 			j.SetCPUKernel(func(*CPUCtx) {})
 			return j
 		}()},
-		{name: "jitter", want: "the simulator's stream, which tenants share", job: func() *Job {
-			cfg := backendConfig(transport.BackendSim, 2, 1)
-			cfg.JitterFrac = 0.1
-			j := NewJob(cfg)
-			j.SetCPUKernel(func(*CPUCtx) {})
-			return j
-		}()},
 	}
 	for _, tc := range cases {
-		if _, err := r.Submit(tc.job, SubmitOpts{}); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: Submit: err=%v, want a refusal naming %q", tc.name, err, tc.want)
+		if _, err := r.Submit(tc.job, SubmitOpts{}); err == nil {
+			t.Errorf("%s: Submit accepted the job", tc.name)
 		}
 	}
 }
 
-// TestShardsJitter pins the one combination of modes still refused, and its
-// edge: jitter draws from the owning event loop's stream, so it needs one
-// loop. Above one shard it is an error from Job.Run and Runtime.Submit —
-// NewJob does not panic — and on one shard it is legal and equal to
-// Shards 0.
-func TestShardsJitter(t *testing.T) {
-	run := func(shards int, frac float64) (*Job, Report, error) {
-		cfg := backendConfig(transport.BackendSim, 2, 1)
-		cfg.Shards, cfg.JitterFrac, cfg.JitterSeed = shards, frac, 7
-		job := NewJob(cfg)
-		job.SetCPUKernel(pingPongJob(transport.BackendSim, 8).cpuKernel)
+// jitteredJob is a 4-node job with a CPU kernel and a device on every node,
+// noisy at frac from seed: the CPU ranks compute and pass 4 KiB round the
+// cluster, the GPU ranks ping-pong with the neighbouring node's — so every
+// owner of a noise draw (engine, MPI rank, NICs, bus, device) makes some, on
+// every node.
+func jitteredJob(t *testing.T, frac float64, seed int64, reps int) *Job {
+	cfg := gpuConfig(4, 1, 1, 1)
+	cfg.Device.MemBytes = 256 << 10
+	cfg.JitterFrac, cfg.JitterSeed = frac, seed
+	job := NewJob(cfg)
+	rm := job.Ranks()
+	job.SetCPUKernel(func(c *CPUCtx) {
+		buf := make([]byte, 4<<10)
+		next, prev := rm.CPURank((c.Node()+1)%4, 0), rm.CPURank((c.Node()+3)%4, 0)
+		for i := 0; i < reps; i++ {
+			c.Compute(20 * time.Microsecond)
+			if _, err := c.SendRecvReplace(next, prev, buf); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	const n = 64
+	job.SetGPUSetup(func(s *GPUSetup) { s.Args["buf"] = s.Dev.Mem().MustAlloc(n) })
+	job.SetGPUKernel(1, 4, func(g *GPUCtx) {
+		node := rm.Node(g.Rank(0))
+		ptr, peer := g.Arg("buf").(device.Ptr), rm.GPURank(node^1, 0, 0)
+		for i := 0; i < reps; i++ {
+			var err error
+			if node%2 == 0 {
+				if err = g.Send(0, peer, ptr, n); err == nil {
+					_, err = g.Recv(0, peer, ptr, n)
+				}
+			} else if _, err = g.Recv(0, peer, ptr, n); err == nil {
+				err = g.Send(0, peer, ptr, n)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	return job
+}
+
+// TestJitterIsTheJobs: a job's timing noise is drawn from its nodes' streams,
+// seeded by the job, so the whole Report of a jittered job is the same on
+// every shard count and under a Runtime — beside a jittered tenant of another
+// seed, and as the successor on the nodes that tenant leaves — and an
+// unjittered successor of a jittered tenant inherits none of its noise. At
+// the parent commit Job.Run refused the sharded runs ("jitter needs Shards
+// <= 1") and Submit every tenant here ("a runtime takes no jittered jobs").
+func TestJitterIsTheJobs(t *testing.T) {
+	subject := func() *Job { return jitteredJob(t, 0.25, 7, 4) }
+	calm := func() *Job { return jitteredJob(t, 0, 0, 4) }
+	solo := func(mk func() *Job, shards int) Report {
+		job := mk()
+		job.cfg.Shards = shards
 		rep, err := job.Run()
-		return job, rep, err
+		if err != nil {
+			t.Fatalf("Shards %d: %v", shards, err)
+		}
+		checkTenantReportInvariant(t, "Job.Run", rep, 4)
+		return rep
 	}
-	const want = "jitter needs Shards <= 1"
-	job, _, err := run(2, 0.25)
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Job.Run: err=%v, want %q", err, want)
+	want, wantCalm := solo(subject, 0), solo(calm, 0)
+	if want.Polls == 0 || want.NetPackets == 0 {
+		t.Fatalf("no polls or no packets: the job is not the one described: %+v", want)
 	}
-	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 2))
+	for _, shards := range []int{1, 2, 4} {
+		rep := solo(subject, shards)
+		rep.PoolHits = want.PoolHits // which thread reached the shared pool first
+		if !reflect.DeepEqual(rep, want) {
+			t.Errorf("Shards %d and Shards 0 report differently:\n%+v\n%+v", shards, rep, want)
+		}
+	}
+	if want.Elapsed == wantCalm.Elapsed {
+		t.Errorf("jitter left Elapsed at %v; the comparisons prove nothing", want.Elapsed)
+	}
+	if other := solo(func() *Job { return jitteredJob(t, 0.25, 8, 4) }, 0); other.Elapsed == want.Elapsed {
+		t.Errorf("seeds 7 and 8 both ran %v", want.Elapsed)
+	}
+
+	// Eight nodes: a short seed-8 tenant and the subject start together, the
+	// subject again takes the seed-8 tenant's nodes when it retires, and an
+	// unjittered job the first nodes a seed-7 tenant frees.
+	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.Submit(job, SubmitOpts{}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Submit: err=%v, want %q", err, want)
+	mks := []func() *Job{func() *Job { return jitteredJob(t, 0.25, 8, 2) }, subject, subject, calm}
+	hs := make([]*JobHandle, len(mks))
+	for i, mk := range mks {
+		if hs[i], err = r.Submit(mk(), SubmitOpts{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	_, zero, err0 := run(0, 0.25)
-	_, one, err1 := run(1, 0.25)
-	_, calm, err2 := run(2, 0)
-	if err0 != nil || err1 != nil || err2 != nil {
-		t.Fatalf("jittered Shards 0: %v, Shards 1: %v, unjittered Shards 2: %v", err0, err1, err2)
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if one.Elapsed != zero.Elapsed || one.NetBytes != zero.NetBytes {
-		t.Errorf("jittered run on Shards 1: %v / %d B, on Shards 0: %v / %d B", one.Elapsed, one.NetBytes, zero.Elapsed, zero.NetBytes)
+	if first, succ, last := hs[0].Status(), hs[2].Status(), hs[3].Status(); succ.StartedAt != first.FinishedAt ||
+		first.FinishedAt == 0 || last.StartedAt != hs[1].Status().FinishedAt {
+		t.Fatalf("tenants ran %v..%v, %v.., %v..: not each on the nodes its predecessor freed",
+			first.StartedAt, first.FinishedAt, succ.StartedAt, last.StartedAt)
 	}
-	if zero.Elapsed == calm.Elapsed {
-		t.Errorf("jitter left Elapsed at %v; the comparison proves nothing", calm.Elapsed)
+	for _, tc := range []struct {
+		h    *JobHandle
+		name string
+		solo Report
+	}{
+		{hs[1], "co-tenant of a seed-8 tenant", want},
+		{hs[2], "successor of a seed-8 tenant", want},
+		{hs[3], "unjittered successor of a seed-7 tenant", wantCalm},
+	} {
+		rep, err := tc.h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, tc.solo) {
+			t.Errorf("%s reports differently from its solo run:\n%+v\n%+v", tc.name, rep, tc.solo)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func TestRuntimeSimCancelRunning(t *testing.T) {
 			case withVictims && st.ID == gpu.ID():
 				pollsAtCancel = jobPolls(gpuJob)
 			case st.ID == bystander.ID():
-				out.procs = r.sub.sims[0].Unfinished()
+				out.procs = r.sub.loop.Shard(0).Sim().Unfinished()
 				if !withVictims {
 					return
 				}
@@ -304,27 +304,49 @@ func TestRuntimeHTTPContentType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobCfg := backendConfig(transport.BackendLive, 2, 1)
-	jobCfg.Flows = true
-	job := NewJob(jobCfg)
-	job.SetCPUKernel(func(c *CPUCtx) {
-		buf := make([]byte, 64)
-		switch c.Rank() {
-		case 0:
-			c.Send(1, buf)
-			c.Recv(1, buf)
-		case 1:
-			c.Recv(0, buf)
-			c.Send(0, buf)
+	runOne := func() error {
+		jobCfg := backendConfig(transport.BackendLive, 2, 1)
+		jobCfg.Flows = true
+		job := NewJob(jobCfg)
+		job.SetCPUKernel(func(c *CPUCtx) {
+			buf := make([]byte, 64)
+			switch c.Rank() {
+			case 0:
+				c.Send(1, buf)
+				c.Recv(1, buf)
+			case 1:
+				c.Recv(0, buf)
+				c.Send(0, buf)
+			}
+		})
+		h, err := r.Submit(job, SubmitOpts{Tenant: "flows"})
+		if err == nil {
+			_, err = h.Wait()
 		}
-	})
-	h, err := r.Submit(job, SubmitOpts{Tenant: "flows"})
-	if err != nil {
+		return err
+	}
+	if err := runOne(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	// More of the same job are submitted, run and retired beside the requests
+	// below: the flows endpoint reads every job's spans, live sinks and
+	// retained traces alike, and stitches them outside the runtime's lock
+	// (`make race` runs this under the race detector).
+	stop, submits := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				submits <- nil
+				return
+			default:
+			}
+			if err := runOne(); err != nil {
+				submits <- err
+				return
+			}
+		}
+	}()
 	base := "http://" + r.ControlAddr()
 	for _, path := range []string{"/debug/dcgn", "/debug/dcgn/flows", "/runtime/jobs"} {
 		resp, err := http.Get(base + path)
@@ -372,6 +394,10 @@ func TestRuntimeHTTPContentType(t *testing.T) {
 		if i > 0 && f.LatencyNs > doc.Top[i-1].LatencyNs {
 			t.Errorf("flows not latency-descending at %d", i)
 		}
+	}
+	close(stop)
+	if err := <-submits; err != nil {
+		t.Errorf("submit beside the requests: %v", err)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

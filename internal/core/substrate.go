@@ -20,12 +20,13 @@ import (
 // boxed that is not already a pointer.
 type engineEnv struct {
 	// rt is the live substrate every node's threads run on. Nil on the
-	// simulated backend, where each node runs on its own simulator, sims[n].
+	// simulated backend, where each node runs on hosts[n]'s simulator.
 	rt rt
-	// sims maps node -> owning simulator (its shard's), so everything a node
-	// spawns stays on its shard. Nil on the live backend, which has no
-	// device model.
-	sims []*sim.Sim
+	// hosts maps node -> the substrate node it is placed on, which knows the
+	// simulator that owns it (its shard's, so everything a node spawns stays
+	// on its shard) and the node's noise stream. Nil on the live backend,
+	// which has no device model and no modeled time to perturb.
+	hosts []*fabric.Node
 	// endpoints holds each node's raw transport endpoint, in job-local node
 	// space, before the configured middlewares wrap it.
 	endpoints []transport.Transport
@@ -60,7 +61,6 @@ type wireTotals interface {
 type substrate struct {
 	// loop drives the per-shard event loops and is the cluster's clock.
 	loop *sim.Sharded
-	sims []*sim.Sim // node -> owning event loop
 	// nodes lists every node, in order: the placement of a job that has the
 	// cluster to itself, and the node of each underlying MPI rank.
 	nodes []int
@@ -76,15 +76,12 @@ type substrate struct {
 // lookahead windows bounded by the fabric's minimum cross-shard latency,
 // and cross-node packets travel as timestamped arrivals in a total order
 // independent of the shard count, so a run's Report is bit-identical for
-// every value — only the wall-clock time changes. Jitter draws from the
-// owning event loop's stream, which is why checkRunnable allows it on one
-// shard only.
-func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int, maxTime time.Duration, jitterFrac float64, jitterSeed int64) *substrate {
-	sub := &substrate{pool: bufpool.New(), sims: make([]*sim.Sim, nodes), nodes: make([]int, nodes), loop: sim.NewSharded(max(shards, 1))}
+// every value — only the wall-clock time changes. Timing noise is no
+// exception: each node carries its own stream (fabric.Node.Jitter), which
+// the job running on the node seeds and only that node's procs draw from.
+func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int, maxTime time.Duration) *substrate {
+	sub := &substrate{pool: bufpool.New(), nodes: make([]int, nodes), loop: sim.NewSharded(max(shards, 1))}
 	sub.loop.SetMaxTime(maxTime)
-	if jitterFrac > 0 {
-		sub.loop.Shard(0).Sim().SetJitter(jitterFrac, jitterSeed) // the only shard
-	}
 	// Topology-aware node -> shard partition: whole locality groups
 	// (fat-tree pods, dragonfly groups) go to one shard, so intra-group
 	// traffic — the short-hop majority — stays on the shard's same-shard
@@ -99,7 +96,6 @@ func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int
 	sub.loop.SetLookahead(sub.net.Lookahead())
 	for n := range sub.nodes {
 		sub.nodes[n] = n
-		sub.sims[n] = sub.net.Node(n).Sim()
 	}
 	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
 	sub.world = mpi.NewWorld(nil, sub.net, sub.nodes, mpiCfg)
@@ -136,16 +132,16 @@ func (m *wireMeter) Totals() (packets int, bytes int64) {
 	return packets, bytes
 }
 
-// env hosts one job on the substrate: job-local node n on the simulator of
-// cluster node placement[n], behind g's endpoint for it, staging from pool,
+// env hosts one job on the substrate: job-local node n on cluster node
+// placement[n] — its simulator, its noise stream — behind g's endpoint for it, staging from pool,
 // the cluster's clock read from epoch, and a meter over the placement started
 // now. Job.Run passes the world group, every node, the substrate's own pool
 // and epoch zero; a Runtime its tenant's.
 func (sub *substrate) env(g *simmpi.Group, placement []int, pool *bufpool.Pool, epoch time.Duration) engineEnv {
-	env := engineEnv{sims: make([]*sim.Sim, len(placement)), endpoints: make([]transport.Transport, len(placement)),
+	env := engineEnv{hosts: make([]*fabric.Node, len(placement)), endpoints: make([]transport.Transport, len(placement)),
 		pool: pool, clock: sub.loop, epoch: epoch, wire: sub.meter(placement)}
 	for n, w := range placement {
-		env.sims[n], env.endpoints[n] = sub.sims[w], g.Endpoint(n)
+		env.hosts[n], env.endpoints[n] = sub.net.Node(w), g.Endpoint(n)
 	}
 	return env
 }

@@ -72,6 +72,10 @@ type Device struct {
 	mem     *Arena
 	smSlots *sim.Semaphore
 
+	// Jit is the noise stream of the node the device sits in, set by whoever
+	// built the device; nil (as New leaves it) charges nominal times.
+	Jit *sim.Jitter
+
 	// Precomputed proc/sync labels: launches are per-iteration and blocks
 	// per-launch, so formatting these on every spawn shows up in profiles.
 	gridName, gridDoneName, dispatchName, blockPrefix string
@@ -148,7 +152,7 @@ func (d *Device) Launch(p *sim.Proc, gridDim, blockDim int, k Kernel) *Launch {
 		panic("device: invalid launch dimensions")
 	}
 	d.KernelsLaunched++
-	p.SleepJit(d.cfg.LaunchLat)
+	p.Sleep(d.Jit.Scale(d.cfg.LaunchLat))
 
 	l := &Launch{
 		wg:   d.s.NewWaitGroup(d.gridName, gridDim),
@@ -217,12 +221,12 @@ func (b *Block) Charge(nFLOPs float64) {
 	if nFLOPs <= 0 {
 		return
 	}
-	b.p.SleepJit(time.Duration(nFLOPs / b.flops * 1e9))
+	b.ChargeTime(time.Duration(nFLOPs / b.flops * 1e9))
 }
 
 // ChargeTime advances virtual time by a raw duration (for non-FLOP costs
 // such as memory-bound phases).
-func (b *Block) ChargeTime(d time.Duration) { b.p.SleepJit(d) }
+func (b *Block) ChargeTime(d time.Duration) { b.p.Sleep(b.dev.Jit.Scale(d)) }
 
 // Bytes accesses device memory directly (device code may do this; host code
 // must use the bus).

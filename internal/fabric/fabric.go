@@ -184,6 +184,7 @@ type Node struct {
 	recvNIC *sim.Resource
 	// Inbox receives every packet addressed to this node, in arrival order.
 	Inbox *sim.Queue[*Packet]
+	jit   sim.Jitter // the node's noise stream; see Jitter
 
 	// xseq numbers this node's inter-node packets; with the delivery time
 	// and node id it forms the deterministic arrival ordering key.
@@ -198,6 +199,14 @@ type Node struct {
 // one. Whatever runs on the node (an MPI rank, its progress engine) must
 // be spawned there.
 func (nd *Node) Sim() *sim.Sim { return nd.s }
+
+// Jitter returns the node's noise stream. Everything that charges modeled
+// time on the node's behalf — its NICs here, the MPI rank, bus, devices and
+// engine above — scales the charge through it, on the node's simulator, so
+// the draws come in the node's own event order. It is unseeded (the
+// identity) until whoever runs a job on the node seeds it, and stays that
+// job's until the next one seeds it again.
+func (nd *Node) Jitter() *sim.Jitter { return &nd.jit }
 
 // Totals returns the inter-node packets and bytes this node has sent so far
 // (see Network.Totals).
@@ -215,7 +224,7 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	if dst == nd.id {
 		// Intra-node shared-memory transport: sender pays the copy, a tiny
 		// helper completes delivery after the latency.
-		p.SleepJit(time.Duration(float64(size) / cfg.ShmBW * 1e9))
+		p.Sleep(nd.jit.Scale(time.Duration(float64(size) / cfg.ShmBW * 1e9)))
 		target := nd.net.nodes[dst]
 		// Delivery latency is deliberately NOT jittered: constant flight
 		// times preserve per-sender packet order (MPI non-overtaking).
@@ -228,16 +237,16 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	nd.pkts++
 	nd.bytes += int64(size)
 	// Outbound: hold the TX NIC for overhead + serialization.
-	nd.sendNIC.Use(p, cfg.SendOverhead+time.Duration(float64(size)/cfg.BW*1e9))
+	nd.sendNIC.Use(p, nd.jit.Scale(cfg.SendOverhead+time.Duration(float64(size)/cfg.BW*1e9)))
 	// In flight + receiver processing: an arrival on the destination's
 	// simulator (at least the lookahead away when that is another shard, by
 	// construction). Flight latency is NOT jittered so per-sender packet
 	// order is preserved (MPI non-overtaking); jitter applies to NIC
-	// serialization.
+	// serialization, each NIC's from its own node's stream.
 	target := nd.net.nodes[dst]
 	nd.xseq++
 	nd.s.PostArrival(p.Now()+nd.net.latency(nd.id, dst), target.s, nd.id, nd.xseq, "wire", func(w *sim.Proc) {
-		target.recvNIC.Use(w, cfg.RecvOverhead)
+		target.recvNIC.Use(w, target.jit.Scale(cfg.RecvOverhead))
 		target.Inbox.Put(pkt)
 	})
 }

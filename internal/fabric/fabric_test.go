@@ -97,7 +97,9 @@ func TestSenderNICSerializes(t *testing.T) {
 func TestPerSenderOrderPreserved(t *testing.T) {
 	s := sim.New()
 	net := New(s, 2, testCfg())
-	s.SetJitter(0.3, 99) // jitter on serialization must not reorder packets
+	for n := 0; n < 2; n++ { // jitter on serialization must not reorder packets
+		net.Node(n).Jitter().Seed(0.3, 99, n)
+	}
 	const n = 20
 	s.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {

@@ -19,7 +19,6 @@ import (
 	"dcgn/internal/mpi"
 	"dcgn/internal/pcie"
 	"dcgn/internal/sim"
-	"dcgn/internal/transport"
 )
 
 // Config describes a GAS cluster.
@@ -32,13 +31,6 @@ type Config struct {
 	Net    fabric.Config
 	Bus    pcie.Config
 	MPI    mpi.Config
-
-	// Transport selects the execution backend, mirroring core.Config. GAS
-	// benchmarks the simulated MPI library itself (the paper's MVAPICH2
-	// baseline), so only the default simulated backend is supported; the
-	// field exists so harnesses can thread one backend setting through
-	// both models and get a clear error rather than silent divergence.
-	Transport transport.Config
 
 	JitterFrac     float64
 	JitterSeed     int64
@@ -73,7 +65,13 @@ type Worker struct {
 	GPU int
 	// Bus is the node's PCIe bus (nil when the node has no devices).
 	Bus *pcie.Bus
+	// jit is the node's noise stream, seeded from the run's JitterFrac and
+	// JitterSeed and the node index.
+	jit *sim.Jitter
 }
+
+// Compute charges d of host CPU work to this rank.
+func (w *Worker) Compute(d time.Duration) { w.P.Sleep(w.jit.Scale(d)) }
 
 // IsGPU reports whether this rank owns a device.
 func (w *Worker) IsGPU() bool { return w.Dev != nil }
@@ -123,13 +121,7 @@ func Run(cfg Config, worker func(w *Worker)) (Report, error) {
 	if cfg.MaxVirtualTime == 0 {
 		cfg.MaxVirtualTime = time.Hour
 	}
-	if cfg.Transport.Name() != transport.BackendSim {
-		return Report{}, fmt.Errorf("gas: backend %q not supported (GAS benchmarks the simulated MPI library itself)", cfg.Transport.Backend)
-	}
 	s := sim.New()
-	if cfg.JitterFrac > 0 {
-		s.SetJitter(cfg.JitterFrac, cfg.JitterSeed)
-	}
 	s.SetMaxTime(cfg.MaxVirtualTime)
 	net := fabric.New(s, cfg.Nodes, cfg.Net)
 
@@ -143,18 +135,22 @@ func Run(cfg Config, worker func(w *Worker)) (Report, error) {
 	world := mpi.NewWorld(s, net, nodeOf, cfg.MPI)
 
 	for n := 0; n < cfg.Nodes; n++ {
+		jit := net.Node(n).Jitter()
+		jit.Seed(cfg.JitterFrac, cfg.JitterSeed, n)
 		var bus *pcie.Bus
 		if cfg.GPUsPerNode > 0 {
 			bus = pcie.New(s, fmt.Sprintf("n%d", n), cfg.Bus)
+			bus.Jit = jit
 		}
 		for l := 0; l < perNode; l++ {
 			rank := n*perNode + l
-			w := &Worker{Rank: world.Rank(rank), Node: n, GPU: -1, Bus: bus}
+			w := &Worker{Rank: world.Rank(rank), Node: n, GPU: -1, Bus: bus, jit: jit}
 			if l >= cfg.CPUsPerNode {
 				g := l - cfg.CPUsPerNode
 				devCfg := cfg.Device
 				devCfg.Name = fmt.Sprintf("gpu%d.%d", n, g)
 				w.Dev = device.New(s, devCfg)
+				w.Dev.Jit = jit
 				w.GPU = g
 			}
 			s.SpawnID("gas-rank", rank, func(p *sim.Proc) {

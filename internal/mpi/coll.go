@@ -29,7 +29,7 @@ const (
 // collHop charges the per-level collective overhead for an n-byte hop.
 func (r *Rank) collHop(p *sim.Proc, n int) {
 	if n >= collHopMinSize && r.w.cfg.CollHopOverhead > 0 {
-		p.SleepJit(r.w.cfg.CollHopOverhead)
+		p.Sleep(r.jit.Scale(r.w.cfg.CollHopOverhead))
 	}
 }
 
@@ -57,7 +57,7 @@ func (r *Rank) Gather(p *sim.Proc, sendBuf, recvBuf []byte, root int) error {
 func (c *Comm) Barrier(p *sim.Proc, r *Rank) {
 	n := c.Size()
 	me := c.RankOf(r)
-	p.SleepJit(r.w.cfg.CallOverhead)
+	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	if n == 1 {
 		return
 	}
@@ -81,7 +81,7 @@ const bcastLargeMin = 8 << 10
 func (c *Comm) Bcast(p *sim.Proc, r *Rank, buf []byte, root int) error {
 	n := c.Size()
 	me := c.RankOf(r)
-	p.SleepJit(r.w.cfg.CallOverhead)
+	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	if n == 1 {
 		return nil
 	}
@@ -183,7 +183,7 @@ func (c *Comm) Gatherv(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, counts []i
 	if len(counts) != n {
 		panic("mpi: Gatherv counts length != communicator size")
 	}
-	p.SleepJit(r.w.cfg.CallOverhead)
+	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	if r.w.cfg.TreeCollectives && n > 2 {
 		return c.treeGatherv(p, r, sendBuf, recvBuf, counts, root)
 	}
@@ -218,7 +218,7 @@ func (c *Comm) Scatterv(p *sim.Proc, r *Rank, sendBuf []byte, counts []int, recv
 	if len(counts) != n {
 		panic("mpi: Scatterv counts length != communicator size")
 	}
-	p.SleepJit(r.w.cfg.CallOverhead)
+	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	if r.w.cfg.TreeCollectives && n > 2 {
 		return c.treeScatterv(p, r, sendBuf, counts, recvBuf, root)
 	}
@@ -377,7 +377,7 @@ func (c *Comm) Alltoallv(p *sim.Proc, r *Rank, sendBuf []byte, sendCounts []int,
 	if len(sendCounts) != n || len(recvCounts) != n {
 		panic("mpi: Alltoallv counts length != communicator size")
 	}
-	p.SleepJit(r.w.cfg.CallOverhead)
+	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	sd := displacements(sendCounts)
 	rd := displacements(recvCounts)
 	copy(recvBuf[rd[me]:rd[me]+recvCounts[me]], sendBuf[sd[me]:sd[me]+sendCounts[me]])

@@ -144,6 +144,7 @@ func NewWorld(_ *sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World 
 			id:           id,
 			node:         node,
 			sim:          net.Node(node).Sim(),
+			jit:          net.Node(node).Jitter(),
 			bound:        make(map[uint64]*recvReq),
 			pendingSends: make(map[uint64]*sendReq),
 			sendPrefix:   "isend:" + strconv.Itoa(id),
@@ -189,7 +190,8 @@ type Rank struct {
 	w    *World
 	id   int
 	node int
-	sim  *sim.Sim // the simulator owning this rank's fabric node
+	sim  *sim.Sim    // the simulator owning this rank's fabric node
+	jit  *sim.Jitter // that node's noise stream: library-call overheads scale through it
 
 	// pool, when non-nil, overrides the world pool for this rank's staging
 	// acquires (eager copies, rendezvous snapshots, scratch). A multi-tenant

@@ -20,7 +20,7 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 	if tag < 0 {
 		panic("mpi: negative user tag")
 	}
-	p.SleepJit(r.w.cfg.CallOverhead)
+	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	r.nextSeq++
 	seq := r.nextSeq
 	done := r.sim.NewEventID(r.sendPrefix, dst)
@@ -61,7 +61,7 @@ func (r *Rank) newRecv(p *sim.Proc, rr *recvReq) *recvReq {
 	if rr.src != AnySource && (rr.src < 0 || rr.src >= len(r.w.ranks)) {
 		panic(fmt.Sprintf("mpi: receive from bad rank %d", rr.src))
 	}
-	p.SleepJit(r.w.cfg.CallOverhead)
+	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	rr.done = r.sim.NewEventID(r.recvPrefix, rr.src)
 	if env := r.takeUnexpected(rr); env != nil {
 		switch env.kind {

@@ -46,6 +46,10 @@ type Bus struct {
 	cfg Config
 	res *sim.Resource
 
+	// Jit is the noise stream of the node the bus sits in, set by whoever
+	// built the bus; nil (as New leaves it) charges nominal times.
+	Jit *sim.Jitter
+
 	// Stats
 	Transfers int
 	BytesUp   int64 // device -> host
@@ -71,14 +75,14 @@ func (b *Bus) xferTime(n int) time.Duration {
 func (b *Bus) Down(p *sim.Proc, n int) {
 	b.Transfers++
 	b.BytesDown += int64(n)
-	b.res.Use(p, b.xferTime(n))
+	b.res.Use(p, b.Jit.Scale(b.xferTime(n)))
 }
 
 // Up charges a device-to-host DMA of n bytes.
 func (b *Bus) Up(p *sim.Proc, n int) {
 	b.Transfers++
 	b.BytesUp += int64(n)
-	b.res.Use(p, b.xferTime(n))
+	b.res.Use(p, b.Jit.Scale(b.xferTime(n)))
 }
 
 // Ctl charges a small control transaction (poll read / flag write) of n
@@ -89,7 +93,7 @@ func (b *Bus) Ctl(p *sim.Proc, n int) {
 	if n > 64 {
 		d += time.Duration(float64(n) / b.cfg.BW * 1e9)
 	}
-	b.res.Use(p, d)
+	b.res.Use(p, b.Jit.Scale(d))
 }
 
 // Direct charges a GPUDirect-style transfer: the device pushes/pulls n
@@ -97,5 +101,5 @@ func (b *Bus) Ctl(p *sim.Proc, n int) {
 // doorbell-level setup latency instead of a host-driven DMA program.
 func (b *Bus) Direct(p *sim.Proc, n int) {
 	b.Transfers++
-	b.res.Use(p, b.cfg.CtlLat+time.Duration(float64(n)/b.cfg.BW*1e9))
+	b.res.Use(p, b.Jit.Scale(b.cfg.CtlLat+time.Duration(float64(n)/b.cfg.BW*1e9)))
 }

@@ -59,7 +59,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -209,9 +208,7 @@ type Sim struct {
 	failure error
 	stopped bool
 
-	rng        *rand.Rand
-	jitterFrac float64
-	maxTime    int64
+	maxTime int64
 
 	// injected holds thunks posted by Inject from foreign goroutines;
 	// the loop goroutine drains them between events. injPending mirrors
@@ -233,35 +230,9 @@ type Sim struct {
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	s := &Sim{
-		yieldCh: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(1)),
-	}
+	s := &Sim{yieldCh: make(chan struct{})}
 	s.procs.prev, s.procs.next = &s.procs, &s.procs
 	return s
-}
-
-// SetJitter configures multiplicative timing jitter: every duration passed
-// through Jitter is scaled by a factor drawn uniformly from
-// [1-frac, 1+frac] using the seeded generator. frac = 0 disables jitter.
-// Jitter models run-to-run OS/network noise while keeping each seed's run
-// fully deterministic.
-func (s *Sim) SetJitter(frac float64, seed int64) {
-	if frac < 0 {
-		frac = 0
-	}
-	s.jitterFrac = frac
-	s.rng = rand.New(rand.NewSource(seed))
-}
-
-// Jitter perturbs d by the configured jitter fraction. With jitter disabled
-// it returns d unchanged.
-func (s *Sim) Jitter(d time.Duration) time.Duration {
-	if s.jitterFrac == 0 || d <= 0 {
-		return d
-	}
-	f := 1 + s.jitterFrac*(2*s.rng.Float64()-1)
-	return time.Duration(float64(d) * f)
 }
 
 // Now returns the current virtual time.
@@ -537,11 +508,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	at := s.now + int64(d)
 	s.timers.push(timer{at: at, seq: s.seq, p: p})
 	p.park(parkSleep, nil, at)
-}
-
-// SleepJit sleeps for a jitter-perturbed d.
-func (p *Proc) SleepJit(d time.Duration) {
-	p.Sleep(p.sim.Jitter(d))
 }
 
 // Yield gives other ready Procs a chance to run at the same virtual time.

@@ -424,16 +424,16 @@ func TestSpawnFromRunningProc(t *testing.T) {
 }
 
 func TestJitterDeterministicPerSeed(t *testing.T) {
-	sample := func(seed int64) []time.Duration {
-		s := New()
-		s.SetJitter(0.1, seed)
+	sample := func(seed int64, stream int) []time.Duration {
+		var j Jitter
+		j.Seed(0.1, seed, stream)
 		var out []time.Duration
 		for i := 0; i < 20; i++ {
-			out = append(out, s.Jitter(time.Millisecond))
+			out = append(out, j.Scale(time.Millisecond))
 		}
 		return out
 	}
-	a, b, c := sample(7), sample(7), sample(8)
+	a, b, c := sample(7, 0), sample(7, 0), sample(8, 0)
 	same, diff := true, false
 	for i := range a {
 		if a[i] != b[i] {
@@ -453,12 +453,26 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 	if !diff {
 		t.Fatal("different seeds produced identical jitter")
 	}
+	// One seed fans out into a stream per node, and a neighbouring seed's
+	// streams are not the same ones shifted by a node.
+	if slices.Equal(a, sample(7, 1)) || slices.Equal(sample(7, 1), c) {
+		t.Fatal("streams 0 and 1 of seed 7, or seed 7's stream 1 and seed 8's stream 0, are identical")
+	}
 }
 
+// A nil stream, an unseeded one and one seeded back to no noise are all the
+// identity, and none of them draws.
 func TestJitterDisabled(t *testing.T) {
-	s := New()
-	if s.Jitter(time.Second) != time.Second {
-		t.Fatal("jitter should default to identity")
+	var unseeded, reseeded Jitter
+	reseeded.Seed(0.3, 7, 0)
+	reseeded.Seed(0, 7, 0)
+	for name, j := range map[string]*Jitter{"nil": nil, "unseeded": &unseeded, "reseeded to zero": &reseeded} {
+		if j.Scale(time.Second) != time.Second {
+			t.Fatalf("%s jitter should be the identity", name)
+		}
+	}
+	if reseeded != (Jitter{}) {
+		t.Fatal("a stream seeded to no noise still holds its generator")
 	}
 }
 
@@ -588,13 +602,14 @@ func TestChanFIFOProperty(t *testing.T) {
 func TestWholeSimDeterminismProperty(t *testing.T) {
 	build := func(seed int64) time.Duration {
 		s := New()
-		s.SetJitter(0.2, seed)
+		var jit Jitter
+		jit.Seed(0.2, seed, 0)
 		q := NewQueue[int](s, "work")
 		sem := s.NewSemaphore("cap", 3)
 		for i := 0; i < 4; i++ {
 			s.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
 				for j := 0; j < 10; j++ {
-					p.SleepJit(50 * time.Microsecond)
+					p.Sleep(jit.Scale(50 * time.Microsecond))
 					q.Put(j)
 				}
 			})
@@ -604,7 +619,7 @@ func TestWholeSimDeterminismProperty(t *testing.T) {
 				for j := 0; j < 20; j++ {
 					q.Get(p)
 					sem.Acquire(p, 1)
-					p.SleepJit(80 * time.Microsecond)
+					p.Sleep(jit.Scale(80 * time.Microsecond))
 					sem.Release(1)
 				}
 			})

@@ -83,13 +83,14 @@ func (s *Sim) NewResource(name string, width int) *Resource {
 	return &Resource{sem: s.NewSemaphore(name, width)}
 }
 
-// Use occupies one unit of the resource for duration d (jittered), blocking
-// p for queueing plus service time. A proc killed in service gives its unit
-// back as it unwinds.
+// Use occupies one unit of the resource for duration d, blocking p for
+// queueing plus service time. A caller with a noise stream scales d before
+// the call, so the draw is made when its proc asks and not when the queue
+// lets it in. A proc killed in service gives its unit back as it unwinds.
 func (r *Resource) Use(p *Proc, d time.Duration) {
 	r.sem.Acquire(p, 1)
 	defer r.sem.Release(1)
-	p.SleepJit(d)
+	p.Sleep(d)
 }
 
 // Acquire and Release expose the underlying semaphore for multi-phase holds.

@@ -74,16 +74,14 @@ func (c Config) Name() string {
 // Proc is the thread of control a Transport call runs under. On the
 // simulated backend it is the calling *sim.Proc (which satisfies this
 // interface directly, and which the backend type-asserts back to schedule
-// on the simulator); on the live backend it is a WallProc, whose sleeps
-// are no-ops because modeled costs are replaced by real execution time.
+// on the simulator); on the live backend it is a WallProc, whose Sleep
+// is a no-op because modeled costs are replaced by real execution time.
 type Proc interface {
 	// Now returns the current time on the backend's clock (virtual or
 	// wall) since the start of the run.
 	Now() time.Duration
 	// Sleep charges d of execution time to the calling thread.
 	Sleep(d time.Duration)
-	// SleepJit charges d perturbed by the run's configured jitter.
-	SleepJit(d time.Duration)
 }
 
 // Transport is a node-level communication endpoint: the pluggable layer 3
@@ -174,7 +172,7 @@ func (s FaultStats) Plus(o FaultStats) FaultStats {
 }
 
 // WallProc is the Proc of live-backend threads: Now is wall-clock time
-// since Epoch, and the sleeps are no-ops because modeled overheads are
+// since Epoch, and Sleep is a no-op because modeled overheads are
 // replaced by the real cost of execution.
 type WallProc struct {
 	// Epoch is the instant the run started; Now is measured from it.
@@ -186,6 +184,3 @@ func (w *WallProc) Now() time.Duration { return time.Since(w.Epoch) }
 
 // Sleep is a no-op: live-backend costs are real, not modeled.
 func (w *WallProc) Sleep(time.Duration) {}
-
-// SleepJit is a no-op: live-backend costs are real, not modeled.
-func (w *WallProc) SleepJit(time.Duration) {}
