@@ -131,10 +131,10 @@ flows:
 # ceilings are what the tree measured when they were last set; a PR that
 # needs more room raises one here, in its own diff, where review sees it,
 # and one that shrinks a package lowers it.
-LOC_CEILINGS = internal/core:4465:43 internal/transport:60:0 internal/transport/faults:192:0 \
+LOC_CEILINGS = internal/core:4468:43 internal/transport:60:0 internal/transport/faults:192:0 \
 	internal/transport/simmpi:88:2 internal/transport/live:353:2 internal/obs:627:0 \
 	internal/sim:1110:19 internal/fabric:406:16 internal/mpi:733:18 \
-	internal/pcie:58:1 internal/device:249:7 internal/gas:118:3
+	internal/pcie:58:1 internal/device:279:7 internal/gas:118:3 internal/apps:1919:45
 loc:
 	@$(CHECK) loc $(LOC_CEILINGS)
 

@@ -57,37 +57,56 @@ type MandelResult struct {
 	Report core.Report
 }
 
-// mandelStrip computes iteration counts for rows [y0, y0+rows) into out and
-// returns the total iteration count (the compute cost driver).
-func mandelStrip(mc MandelConfig, y0, rows int, out []uint16) int64 {
+// mandelStrip computes iteration counts for rows [y0, y0+rows) into out, a
+// little-endian uint16 per pixel as the device strip and the wire carry
+// them, and returns the total iteration count (the compute cost driver).
+// A pixel strictly inside the main cardioid or the period-2 bulb never
+// escapes (its orbit is drawn to an attracting fixed point or 2-cycle well
+// inside the escape radius), so it gets MaxIter without iterating: the same
+// counts and total the escape loop would produce (TestMandelStripExact).
+func mandelStrip(mc MandelConfig, y0, rows int, out []byte) int64 {
 	const xMin, xMax, yMin, yMax = -2.5, 1.0, -1.25, 1.25
 	dx := (xMax - xMin) / float64(mc.Width)
 	dy := (yMax - yMin) / float64(mc.Height)
 	var total int64
 	for r := 0; r < rows; r++ {
 		cy := yMin + float64(y0+r)*dy
+		row := out[2*r*mc.Width : 2*(r+1)*mc.Width]
 		for i := 0; i < mc.Width; i++ {
 			cx := xMin + float64(i)*dx
-			var zx, zy float64
-			iter := 0
-			for ; iter < mc.MaxIter; iter++ {
-				zx2, zy2 := zx*zx, zy*zy
-				if zx2+zy2 > 4 {
-					break
+			iter := mc.MaxIter
+			xq, y2 := cx-0.25, cy*cy
+			q := xq*xq + y2
+			if q*(q+xq) >= y2/4 && (cx+1)*(cx+1)+y2 >= 1.0/16 {
+				var zx, zy float64
+				for iter = 0; iter < mc.MaxIter; iter++ {
+					zx2, zy2 := zx*zx, zy*zy
+					if zx2+zy2 > 4 {
+						break
+					}
+					zx, zy = zx2-zy2+cx, 2*zx*zy+cy
 				}
-				zx, zy = zx2-zy2+cx, 2*zx*zy+cy
 			}
-			out[r*mc.Width+i] = uint16(iter)
+			binary.LittleEndian.PutUint16(row[2*i:], uint16(iter))
 			total += int64(iter) + 1
 		}
 	}
 	return total
 }
 
+// decodeCounts unpacks little-endian iteration counts into dst.
+func decodeCounts(dst []uint16, src []byte) {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint16(src[2*i:])
+	}
+}
+
 // MandelReference computes the full image sequentially (for verification).
 func MandelReference(mc MandelConfig) []uint16 {
+	buf := make([]byte, 2*mc.Width*mc.Height)
+	mandelStrip(mc, 0, mc.Height, buf)
 	img := make([]uint16, mc.Width*mc.Height)
-	mandelStrip(mc, 0, mc.Height, img)
+	decodeCounts(img, buf)
 	return img
 }
 
@@ -145,9 +164,7 @@ func mandelMaster(mc MandelConfig, workers []int,
 		strip := int(int32(binary.LittleEndian.Uint32(buf)))
 		y0 := strip * mc.StripRows
 		rows := min(mc.StripRows, mc.Height-y0)
-		for i := 0; i < rows*mc.Width; i++ {
-			img[y0*mc.Width+i] = binary.LittleEndian.Uint16(buf[4+2*i:])
-		}
+		decodeCounts(img[y0*mc.Width:(y0+rows)*mc.Width], buf[4:])
 		returned++
 	}
 	return owner, img
@@ -158,12 +175,8 @@ func mandelMaster(mc MandelConfig, workers []int,
 func mandelWorkerCompute(mc MandelConfig, strip int, dst []byte) time.Duration {
 	y0 := strip * mc.StripRows
 	rows := min(mc.StripRows, mc.Height-y0)
-	pix := make([]uint16, rows*mc.Width)
-	iters := mandelStrip(mc, y0, rows, pix)
 	binary.LittleEndian.PutUint32(dst, uint32(strip))
-	for i, v := range pix {
-		binary.LittleEndian.PutUint16(dst[4+2*i:], v)
-	}
+	iters := mandelStrip(mc, y0, rows, dst[4:])
 	return time.Duration(float64(iters) * mc.NsPerIter)
 }
 
@@ -318,18 +331,17 @@ func MandelbrotSingleGPU(cfg gas.Config, mc MandelConfig) (MandelResult, error) 
 	cfg.GPUsPerNode = 1
 	cfg.JitterFrac = mc.JitterFrac
 	cfg.JitterSeed = mc.Seed
-	var img []uint16
+	img := make([]uint16, mc.Width*mc.Height)
 	rep, err := gas.Run(cfg, func(w *gas.Worker) {
-		pix := make([]uint16, mc.Width*mc.Height)
+		host := make([]byte, 2*len(img))
+		ptr := w.Dev.Mem().MustAlloc(len(host))
 		w.LaunchSync(1, 8, func(b *device.Block) {
-			iters := mandelStrip(mc, 0, mc.Height, pix)
+			iters := mandelStrip(mc, 0, mc.Height, b.Bytes(ptr, len(host)))
 			b.ChargeTime(time.Duration(float64(iters) * mc.NsPerIter))
 		})
 		// One result download.
-		host := make([]byte, 2*len(pix))
-		ptr := w.Dev.Mem().MustAlloc(len(host))
 		w.CopyOut(ptr, host)
-		img = pix
+		decodeCounts(img, host)
 	})
 	if err != nil {
 		return MandelResult{}, err

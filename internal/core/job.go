@@ -304,6 +304,9 @@ func (j *Job) checkRunnable() error {
 	}
 	switch j.cfg.Transport.Name() {
 	case transport.BackendSim:
+		if d := j.cfg.Device; j.hasGPUs() && (d.SMs <= 0 || d.BlocksPerSM <= 0 || d.CoresPerSM <= 0 || d.GFLOPS <= 0 || d.MemBytes < 512) {
+			return fmt.Errorf("dcgn: invalid device config %+v: SMs, BlocksPerSM, CoresPerSM and GFLOPS must be positive, MemBytes at least 512", d)
+		}
 	case transport.BackendLive:
 		// The simulated device model does not exist on the live backend, so
 		// only CPU kernels are supported; GPU jobs use the simulated one.

@@ -1243,6 +1243,51 @@ func TestRuntimeSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestBadDeviceConfigIsAnError: a job with GPUs and an unusable
+// Config.Device is refused with an error by Job.Run and by Submit, before
+// anything is built. At the parent commit Job.Run panicked "device: invalid
+// geometry", and Submit accepted the job so that Runtime.Run panicked
+// "device: arena too small" in the shared loop, taking the co-tenant with it.
+func TestBadDeviceConfigIsAnError(t *testing.T) {
+	mk := func(dev device.Config) *Job {
+		cfg := gpuConfig(2, 0, 1, 1)
+		cfg.Device = dev
+		job := NewJob(cfg)
+		job.SetGPUKernel(1, 1, func(*GPUCtx) {})
+		return job
+	}
+	tiny := gpuConfig(1, 0, 1, 1).Device
+	tiny.MemBytes = 100
+	for name, dev := range map[string]device.Config{"zero": {}, "tiny arena": tiny} {
+		solo := mk(dev)
+		if _, err := solo.Run(); err == nil || !strings.Contains(err.Error(), "invalid device config") {
+			t.Errorf("%s: Job.Run err=%v, want an invalid device config error", name, err)
+		}
+		if solo.nodes != nil {
+			t.Errorf("%s: Job.Run built node engines before rejecting the job", name)
+		}
+
+		r, err := NewRuntime(runtimeConfig(transport.BackendSim, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		coTenant, err := r.Submit(pingPongJob(transport.BackendSim, 2), SubmitOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Submit(mk(dev), SubmitOpts{}); err == nil || !strings.Contains(err.Error(), "invalid device config") {
+			t.Errorf("%s: Submit err=%v, want an invalid device config error", name, err)
+		}
+		if err := r.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		if rep, err := coTenant.Wait(); err != nil || rep.Requests == 0 {
+			t.Errorf("%s: co-tenant: err=%v, %d requests", name, err, rep.Requests)
+		}
+		r.Close()
+	}
+}
+
 // jitteredJob is a 4-node job with a CPU kernel and a device on every node,
 // noisy at frac from seed: the CPU ranks compute and pass 4 KiB round the
 // cluster, the GPU ranks ping-pong with the neighbouring node's — so every

@@ -3,6 +3,7 @@ package device
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,6 +19,11 @@ const Null Ptr = 0
 // alignment guarantee.
 const allocAlign = 256
 
+// slabBytes is the size of the host chunks small allocations are carved
+// from, and slabMax the largest rounded allocation carved from one: a
+// device's mailboxes, trigger descriptors and tiny buffers share one make.
+const slabBytes, slabMax = 4 << 10, 1 << 10
+
 // ErrOutOfMemory is returned when the arena cannot satisfy an allocation.
 var ErrOutOfMemory = errors.New("device: out of memory")
 
@@ -27,25 +33,46 @@ type span struct {
 	len int64
 }
 
-// Arena is a first-fit device-memory allocator over a flat byte array.
+// block is one live allocation: its base offset and its host backing, as
+// long as the allocation's rounded size.
+type block struct {
+	off  int64
+	data []byte
+}
+
+// Arena is a first-fit allocator over a device address space. Only what is
+// allocated has host backing, so an arena costs the host what its program
+// allocates, whatever its size. Every allocation gets fresh zeroed backing
+// (memory handed out again reads zero) that never moves once handed out.
 // All methods are called from simulated procs only, so no locking is needed.
 type Arena struct {
-	data []byte
-	free []span        // sorted by offset, coalesced
-	live map[Ptr]int64 // allocation size by base pointer
+	free   []span  // sorted by offset, coalesced
+	blocks []block // live allocations, sorted by offset
+	slab   []byte  // the unused tail of the current small-allocation chunk
+
+	// The first backing arrays of free and blocks, so that a device with a
+	// handful of allocations costs the host one allocation for its arena.
+	free0   [1]span
+	blocks0 [8]block
 }
 
 // NewArena creates an arena of the given size. The first alignment unit is
 // reserved so that no valid allocation has offset 0.
 func NewArena(size int) *Arena {
+	a := new(Arena)
+	a.init(size)
+	return a
+}
+
+// init readies a zero Arena in place (a Device embeds its own).
+func (a *Arena) init(size int) {
 	if size < 2*allocAlign {
+		// Internal invariant: a job's Config.Device is validated before any
+		// device is built.
 		panic("device: arena too small")
 	}
-	return &Arena{
-		data: make([]byte, size),
-		free: []span{{off: allocAlign, len: int64(size) - allocAlign}},
-		live: make(map[Ptr]int64),
-	}
+	a.free0[0] = span{off: allocAlign, len: int64(size) - allocAlign}
+	a.free, a.blocks = a.free0[:], a.blocks0[:0]
 }
 
 // FreeBytes returns the total bytes currently available (possibly
@@ -59,7 +86,7 @@ func (a *Arena) FreeBytes() int64 {
 }
 
 // LiveAllocs returns the number of outstanding allocations.
-func (a *Arena) LiveAllocs() int { return len(a.live) }
+func (a *Arena) LiveAllocs() int { return len(a.blocks) }
 
 // roundUp rounds n up to the allocation alignment.
 func roundUp(n int64) int64 {
@@ -74,17 +101,30 @@ func (a *Arena) Alloc(n int) (Ptr, error) {
 	need := roundUp(int64(n))
 	for i, s := range a.free {
 		if s.len >= need {
-			p := Ptr(s.off)
 			if s.len == need {
-				a.free = append(a.free[:i], a.free[i+1:]...)
+				a.free = slices.Delete(a.free, i, i+1)
 			} else {
 				a.free[i] = span{off: s.off + need, len: s.len - need}
 			}
-			a.live[p] = need
-			return p, nil
+			a.blocks = slices.Insert(a.blocks, a.find(s.off)+1, block{off: s.off, data: a.backing(need)})
+			return Ptr(s.off), nil
 		}
 	}
 	return Null, ErrOutOfMemory
+}
+
+// backing returns n fresh zeroed host bytes: carved from the slab when n is
+// small, a make of its own otherwise.
+func (a *Arena) backing(n int64) []byte {
+	if n > slabMax {
+		return make([]byte, n)
+	}
+	if int64(len(a.slab)) < n {
+		a.slab = make([]byte, slabBytes)
+	}
+	b := a.slab[:n:n]
+	a.slab = a.slab[n:]
+	return b
 }
 
 // MustAlloc is Alloc that panics on failure; for setup code.
@@ -96,25 +136,23 @@ func (a *Arena) MustAlloc(n int) Ptr {
 	return p
 }
 
-// Free releases an allocation made by Alloc. Freeing Null is a no-op;
-// freeing an unknown pointer panics (it indicates memory corruption in the
-// simulated program).
+// Free releases an allocation made by Alloc, backing and all. Freeing Null
+// is a no-op; freeing an unknown pointer panics (it indicates memory
+// corruption in the simulated program).
 func (a *Arena) Free(p Ptr) {
 	if p == Null {
 		return
 	}
-	size, ok := a.live[p]
-	if !ok {
+	i := a.find(int64(p))
+	if i < 0 || a.blocks[i].off != int64(p) {
 		panic(fmt.Sprintf("device: free of unallocated pointer %#x", int64(p)))
 	}
-	delete(a.live, p)
-	s := span{off: int64(p), len: size}
+	s := span{off: int64(p), len: int64(len(a.blocks[i].data))}
+	a.blocks = slices.Delete(a.blocks, i, i+1)
 	// Insert sorted and coalesce with neighbours.
-	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off > s.off })
-	a.free = append(a.free, span{})
-	copy(a.free[i+1:], a.free[i:])
-	a.free[i] = s
-	a.coalesce(i)
+	j := sort.Search(len(a.free), func(j int) bool { return a.free[j].off > s.off })
+	a.free = slices.Insert(a.free, j, s)
+	a.coalesce(j)
 }
 
 // coalesce merges the span at index i with adjacent free spans.
@@ -131,12 +169,30 @@ func (a *Arena) coalesce(i int) {
 	}
 }
 
-// Bytes returns the n-byte slice of device memory at p. The caller must
-// stay within an allocation; out-of-arena access panics like a device
-// segfault would.
-func (a *Arena) Bytes(p Ptr, n int) []byte {
-	if p <= 0 || int64(n) < 0 || int64(p)+int64(n) > int64(len(a.data)) {
-		panic(fmt.Sprintf("device: invalid memory access ptr=%#x len=%d", int64(p), n))
+// find returns the index of the live block with the greatest base offset
+// not above off, or -1. Bytes is on every device access, so this is a
+// hand-written binary search rather than a sort.Search closure.
+func (a *Arena) find(off int64) int {
+	lo, hi := 0, len(a.blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a.blocks[m].off <= off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return a.data[p : int64(p)+int64(n)]
+	return lo - 1
+}
+
+// Bytes returns the n-byte slice of device memory at p. An access that is
+// not within one live allocation panics like a device segfault would.
+func (a *Arena) Bytes(p Ptr, n int) []byte {
+	if i := a.find(int64(p)); i >= 0 && n >= 0 {
+		b := a.blocks[i]
+		if lo := int64(p) - b.off; lo+int64(n) <= int64(len(b.data)) {
+			return b.data[lo : lo+int64(n)]
+		}
+	}
+	panic(fmt.Sprintf("device: invalid memory access ptr=%#x len=%d", int64(p), n))
 }

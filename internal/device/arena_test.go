@@ -1,8 +1,12 @@
 package device
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"dcgn/internal/sim"
 )
 
 func TestArenaAllocBasics(t *testing.T) {
@@ -85,6 +89,112 @@ func TestArenaOutOfBoundsAccessPanics(t *testing.T) {
 	a.Bytes(Ptr(1<<12-8), 64)
 }
 
+// mustFault fails t unless access panics like a device segfault.
+func mustFault(t *testing.T, what string, access func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not fault", what)
+		}
+	}()
+	access()
+}
+
+// A fresh allocation reads zero, including one at an address whose previous
+// allocation was written and freed.
+func TestArenaFreshAllocReadsZero(t *testing.T) {
+	a := NewArena(1 << 20)
+	for _, n := range []int{64, 4096} { // one carved from the slab, one not
+		p := a.MustAlloc(n)
+		buf := a.Bytes(p, n)
+		for i := range buf {
+			buf[i] = 0xAB
+		}
+		a.Free(p)
+		q := a.MustAlloc(n)
+		if q != p {
+			t.Fatalf("first fit moved: %#x then %#x", int64(p), int64(q))
+		}
+		for i, b := range a.Bytes(q, n) {
+			if b != 0 {
+				t.Fatalf("size %d: byte %d of a reused address reads %#x", n, i, b)
+			}
+		}
+	}
+}
+
+// Writes through one allocation are never visible through another.
+func TestArenaAllocationsIsolated(t *testing.T) {
+	a := NewArena(1 << 20)
+	sizes := []int{1, 64, 256, 300, 1024, 1025, 5000, 8}
+	ptrs := make([]Ptr, len(sizes))
+	for i, n := range sizes {
+		ptrs[i] = a.MustAlloc(n)
+		buf := a.Bytes(ptrs[i], int(roundUp(int64(n))))
+		for j := range buf {
+			buf[j] = byte(i + 1)
+		}
+	}
+	for i, n := range sizes {
+		for j, b := range a.Bytes(ptrs[i], int(roundUp(int64(n)))) {
+			if b != byte(i+1) {
+				t.Fatalf("allocation %d byte %d reads %d, want %d", i, j, b, i+1)
+			}
+		}
+	}
+}
+
+// An access outside every live allocation, or straddling two adjacent ones,
+// faults.
+func TestArenaAccessFaults(t *testing.T) {
+	a := NewArena(1 << 16)
+	p := a.MustAlloc(100)
+	q := a.MustAlloc(100) // adjacent: q == p + allocAlign
+	r := a.MustAlloc(100)
+	a.Free(r)
+	if q != p+allocAlign {
+		t.Fatalf("allocations not adjacent: %#x, %#x", int64(p), int64(q))
+	}
+	mustFault(t, "null access", func() { a.Bytes(Null, 1) })
+	mustFault(t, "access below the first allocation", func() { a.Bytes(p-1, 1) })
+	mustFault(t, "access to a freed allocation", func() { a.Bytes(r, 1) })
+	mustFault(t, "access past every allocation", func() { a.Bytes(r+allocAlign, 1) })
+	mustFault(t, "access straddling two allocations", func() { a.Bytes(q-8, 16) })
+	mustFault(t, "negative length", func() { a.Bytes(p, -1) })
+	if got := len(a.Bytes(q-8, 8)); got != 8 {
+		t.Fatalf("tail of an allocation: %d bytes", got)
+	}
+}
+
+// An arena, or a device, the size of a real GPU's memory costs the host a
+// few hundred bytes until something is allocated in it.
+func TestArenaHostCost(t *testing.T) {
+	const limit = 4 << 10
+	s := sim.New()
+	cfg := testCfg()
+	cfg.MemBytes = 1 << 30
+	for name, build := range map[string]func(){
+		"NewArena": func() { NewArena(1 << 30) },
+		"New":      func() { New(s, cfg) },
+	} {
+		if allocs := testing.AllocsPerRun(10, build); allocs > 4 {
+			t.Errorf("%s(1 GiB): %.0f allocations", name, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+			t.Errorf("%s(1 GiB): %d bytes of host memory, want < %d", name, n, limit)
+		}
+	}
+	d := New(s, cfg)
+	if got := []string{d.gridName, d.gridDoneName, d.dispatchName, d.blockPrefix}; !slices.Equal(got,
+		[]string{"gpu0:grid", "gpu0:grid-done", "gpu0:dispatch", "gpu0:b"}) {
+		t.Errorf("device labels %q", got)
+	}
+}
+
 func TestArenaZeroSizeAllocRejected(t *testing.T) {
 	a := NewArena(1 << 12)
 	if _, err := a.Alloc(0); err == nil {
@@ -122,6 +232,10 @@ func TestArenaInvariantsProperty(t *testing.T) {
 				need := roundUp(int64(n))
 				// Bounds.
 				if int64(p) < allocAlign || int64(p)+need > size {
+					return false
+				}
+				// Addressable for its full rounded length.
+				if len(a.Bytes(p, int(need))) != int(need) {
 					return false
 				}
 				// Overlap with any live allocation.

@@ -51,8 +51,9 @@ type Config struct {
 }
 
 // DefaultConfig models a 2008-era NVIDIA G92: 16 SMs, 8 cores each,
-// ~500 GFLOPS peak, 512 MB memory. MemBytes is reduced to 64 MB by default
-// to keep simulations light; tests that need more ask for it.
+// ~500 GFLOPS peak. Its 64 MB MemBytes is a model number (the address space
+// allocations may fail against), not a host cost: the host backs only what
+// is allocated, so a job that needs the G92's full 512 MB asks for it.
 func DefaultConfig(name string) Config {
 	return Config{
 		Name:        name,
@@ -69,7 +70,7 @@ func DefaultConfig(name string) Config {
 type Device struct {
 	s       *sim.Sim
 	cfg     Config
-	mem     *Arena
+	mem     Arena
 	smSlots *sim.Semaphore
 
 	// Jit is the noise stream of the node the device sits in, set by whoever
@@ -86,22 +87,24 @@ type Device struct {
 
 // New creates a device on the given simulation.
 func New(s *sim.Sim, cfg Config) *Device {
+	// Internal invariants, like NewArena's size: a DCGN job's Config.Device
+	// is checked (core's checkRunnable returns the error) before any device
+	// is built.
 	if cfg.SMs <= 0 || cfg.BlocksPerSM <= 0 || cfg.CoresPerSM <= 0 {
 		panic("device: invalid geometry")
 	}
 	if cfg.GFLOPS <= 0 {
 		panic("device: non-positive GFLOPS")
 	}
-	return &Device{
-		s:            s,
-		cfg:          cfg,
-		mem:          NewArena(cfg.MemBytes),
-		smSlots:      s.NewSemaphore("sm:"+cfg.Name, cfg.SMs*cfg.BlocksPerSM),
-		gridName:     cfg.Name + ":grid",
-		gridDoneName: cfg.Name + ":grid-done",
-		dispatchName: cfg.Name + ":dispatch",
-		blockPrefix:  cfg.Name + ":b",
-	}
+	d := &Device{s: s, cfg: cfg}
+	d.mem.init(cfg.MemBytes)
+	// Every label is a slice of one string, one allocation for all five:
+	// name:grid-done (name:grid is its prefix), name:dispatch, name:b, sm:name.
+	l, n := cfg.Name+":grid-done"+cfg.Name+":dispatch"+cfg.Name+":bsm:"+cfg.Name, len(cfg.Name)
+	d.gridDoneName, d.gridName = l[:n+10], l[:n+5]
+	d.dispatchName, d.blockPrefix = l[n+10:2*n+19], l[2*n+19:3*n+21]
+	d.smSlots = s.NewSemaphore(l[3*n+21:], cfg.SMs*cfg.BlocksPerSM)
+	return d
 }
 
 // Config returns the device configuration.
@@ -111,7 +114,7 @@ func (d *Device) Config() Config { return d.cfg }
 func (d *Device) Name() string { return d.cfg.Name }
 
 // Mem returns the device memory arena.
-func (d *Device) Mem() *Arena { return d.mem }
+func (d *Device) Mem() *Arena { return &d.mem }
 
 // Bytes is shorthand for d.Mem().Bytes.
 func (d *Device) Bytes(p Ptr, n int) []byte { return d.mem.Bytes(p, n) }

@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +136,12 @@ func TestNonPreemptiveSchedulingDeadlock(t *testing.T) {
 	var dl *sim.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("expected deadlock, got %v", err)
+	}
+	// Every label New slices from one string names what it should.
+	for _, want := range []string{`gpu0:b:1: event "flag"`, `gpu0:dispatch: semaphore "sm:gpu0"`, `event "gpu0:grid-done"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("deadlock report %q lacks %q", err, want)
+		}
 	}
 }
 
@@ -321,5 +328,16 @@ func TestChargeZeroAndNegativeNoop(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkDeviceNew: building a device at DefaultConfig's size, as every
+// job does for each of its GPUs.
+func BenchmarkDeviceNew(b *testing.B) {
+	s := sim.New()
+	cfg := DefaultConfig("gpu0")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(s, cfg)
 	}
 }
