@@ -44,9 +44,10 @@ test:
 # lines are also what proves no two shards share a noise stream: the jittered
 # golden runs on four shards in the second, and a jittered 4-node CPU+GPU job
 # (internal/core TestJitterIsTheJobs) on one, two and four in the first. The sim
-# kernel runs five more times on one thread and on four: its goroutine
-# hand-offs are ordered by nothing but their channels, and this is the cheap
-# place to catch a missing one.
+# kernel runs five more times on one thread and on four: its procs run on
+# coroutines that whichever goroutine runs a window resumes, a different one
+# from window to window on several shards, and this is the cheap place to
+# catch state one of them touches outside the baton.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestGoldenShardInvariant' .
@@ -133,7 +134,7 @@ flows:
 # and one that shrinks a package lowers it.
 LOC_CEILINGS = internal/core:4468:43 internal/transport:60:0 internal/transport/faults:192:0 \
 	internal/transport/simmpi:88:2 internal/transport/live:353:2 internal/obs:627:0 \
-	internal/sim:1110:19 internal/fabric:406:16 internal/mpi:733:18 \
+	internal/sim:1130:19 internal/fabric:405:16 internal/mpi:731:18 \
 	internal/pcie:58:1 internal/device:279:7 internal/gas:118:3 internal/apps:1919:45
 loc:
 	@$(CHECK) loc $(LOC_CEILINGS)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -84,7 +85,7 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 	ns := ca.ns
 	g := ca.groups[req.op]
 	if g == nil {
-		g = &collGroup{root: req.peer, size: -1, firstAt: p.Now()}
+		g = &collGroup{root: req.peer, size: -1, firstAt: p.Now(), members: make([]*request, 0, ns.localRanks())}
 		ca.groups[req.op] = g
 	}
 	if req.peer != g.root && g.err == nil {
@@ -108,7 +109,7 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 	if ns.met != nil {
 		ns.met.observeCollWait(req.op, p.Now()-g.firstAt)
 	}
-	sort.Slice(g.members, func(i, j int) bool { return g.members[i].rank < g.members[j].rank })
+	slices.SortFunc(g.members, func(a, b *request) int { return a.rank - b.rank })
 	if g.err != nil {
 		ns.failCollective(g, g.err)
 		return

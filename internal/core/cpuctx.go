@@ -126,34 +126,33 @@ func (c *CPUCtx) AllToAll(send, recv []byte) error {
 
 // AsyncOp is a handle to a nonblocking DCGN operation started with ISend
 // or IRecv (the "asynchronous sends and receives" §5.1 mentions users
-// would otherwise manage manually).
-type AsyncOp struct {
-	req *request
-}
+// would otherwise manage manually). It is the request itself, so starting
+// one allocates no handle.
+type AsyncOp request
 
 // Wait blocks until the operation completes.
 func (a *AsyncOp) Wait(c *CPUCtx) (CommStatus, error) {
-	a.req.done.Wait(c.tp)
-	return a.req.status, a.req.err
+	a.done.Wait(c.tp)
+	return a.status, a.err
 }
 
 // Test reports whether the operation has completed, without blocking.
 func (a *AsyncOp) Test() (CommStatus, bool) {
-	if !a.req.done.Fired() {
+	if !a.done.Fired() {
 		return CommStatus{}, false
 	}
-	return a.req.status, true
+	return a.status, true
 }
 
 // ISend starts a nonblocking send. The buffer must not be modified until
 // Wait reports completion.
 func (c *CPUCtx) ISend(dst int, buf []byte) *AsyncOp {
-	return &AsyncOp{req: c.post("cpu-areq", opSend, dst, 0, buf, nil)}
+	return (*AsyncOp)(c.post("cpu-areq", opSend, dst, 0, buf, nil))
 }
 
 // IRecv starts a nonblocking receive into buf from src (or AnySource).
 func (c *CPUCtx) IRecv(src int, buf []byte) *AsyncOp {
-	return &AsyncOp{req: c.post("cpu-areq", opRecv, src, 0, buf, nil)}
+	return (*AsyncOp)(c.post("cpu-areq", opRecv, src, 0, buf, nil))
 }
 
 // post charges the enqueue cost and hands one request to the comm thread's

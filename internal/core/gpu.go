@@ -192,7 +192,7 @@ func (gt *gpuThread) serviceSignaled(p *sim.Proc, ss *slotState) {
 	gt.ns.sim.SpawnID("gpu-sig-wb", ss.rank, func(h *sim.Proc) {
 		req.done.Wait(h)
 		gt.writeBack(h, ss, mb)
-	})
+	}, nil)
 }
 
 // poll performs one polling round: a control read of the whole mailbox
@@ -243,7 +243,7 @@ func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) bool {
 		gt.ns.sim.SpawnID("gpu-done", ss.rank, func(h *sim.Proc) {
 			req.done.Wait(h)
 			ss.doneReady = true
-		})
+		}, nil)
 		ss.stage = stageRelayed
 		return true
 

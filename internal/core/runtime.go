@@ -70,8 +70,12 @@ func (r simRT) Spawn(name string, fn func(transport.Proc)) {
 }
 
 func (r simRT) SpawnID(prefix string, id int, fn func(transport.Proc)) {
-	r.s.SpawnID(prefix, id, func(p *sim.Proc) { fn(p) })
+	r.s.SpawnID(prefix, id, runArg, fn)
 }
+
+// runArg runs the body a proc was spawned with as its argument, so a
+// per-message spawn wraps fn in no closure.
+func runArg(p *sim.Proc) { p.Arg().(func(transport.Proc))(p) }
 
 func (r simRT) SpawnDaemonID(prefix string, id int, fn func(transport.Proc)) {
 	r.s.SpawnDaemonID(prefix, id, func(p *sim.Proc) { fn(p) })

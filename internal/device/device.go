@@ -181,7 +181,7 @@ func (d *Device) Launch(p *sim.Proc, gridDim, blockDim int, k Kernel) *Launch {
 					flops:   flops,
 				}
 				k(b)
-			})
+			}, nil)
 		}
 		l.wg.Wait(disp)
 		l.done.Fire()

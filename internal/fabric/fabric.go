@@ -67,6 +67,7 @@ type Packet struct {
 	Src, Dst int // node ids
 	Size     int // bytes charged on the wire
 	Payload  any
+	net      *Network // where Dst is, for the proc that delivers it
 }
 
 // Network is the switch fabric plus all node endpoints.
@@ -74,15 +75,15 @@ type Network struct {
 	cfg   Config
 	nodes []*Node
 
-	// shardOf maps node id → shard index in a sharded network (nil for a
-	// plain single-Sim network).
+	// shardOf maps node id → shard index in a sharded network (all zero for
+	// a plain single-Sim network).
 	shardOf []int
 }
 
 // New creates a network of n nodes.
 func New(s *sim.Sim, n int, cfg Config) *Network {
 	checkConfig(n, cfg)
-	net := &Network{cfg: cfg}
+	net := &Network{cfg: cfg, shardOf: make([]int, n)}
 	for i := 0; i < n; i++ {
 		net.nodes = append(net.nodes, newNode(net, i, s))
 	}
@@ -147,11 +148,7 @@ func (n *Network) Lookahead() time.Duration {
 		// Flat crossbar: every inter-node latency is cfg.Lat.
 		return n.cfg.Lat
 	}
-	shardOf := n.shardOf
-	if shardOf == nil {
-		shardOf = make([]int, len(n.nodes))
-	}
-	if l := MinCrossLatency(topo, shardOf); l > 0 {
+	if l := MinCrossLatency(topo, n.shardOf); l > 0 {
 		return l
 	}
 	return n.cfg.Lat
@@ -219,19 +216,13 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	if dst < 0 || dst >= len(nd.net.nodes) {
 		panic(fmt.Sprintf("fabric: bad destination node %d", dst))
 	}
-	pkt := &Packet{Src: nd.id, Dst: dst, Size: size, Payload: payload}
+	pkt := &Packet{Src: nd.id, Dst: dst, Size: size, Payload: payload, net: nd.net}
 	cfg := nd.net.cfg
 	if dst == nd.id {
 		// Intra-node shared-memory transport: sender pays the copy, a tiny
 		// helper completes delivery after the latency.
 		p.Sleep(nd.jit.Scale(time.Duration(float64(size) / cfg.ShmBW * 1e9)))
-		target := nd.net.nodes[dst]
-		// Delivery latency is deliberately NOT jittered: constant flight
-		// times preserve per-sender packet order (MPI non-overtaking).
-		nd.s.Spawn("shm-deliver", func(d *sim.Proc) {
-			d.Sleep(cfg.ShmLat)
-			target.Inbox.Put(pkt)
-		})
+		nd.s.SpawnID("shm-deliver", nd.id, deliver, pkt)
 		return
 	}
 	nd.pkts++
@@ -243,10 +234,22 @@ func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
 	// construction). Flight latency is NOT jittered so per-sender packet
 	// order is preserved (MPI non-overtaking); jitter applies to NIC
 	// serialization, each NIC's from its own node's stream.
-	target := nd.net.nodes[dst]
 	nd.xseq++
-	nd.s.PostArrival(p.Now()+nd.net.latency(nd.id, dst), target.s, nd.id, nd.xseq, "wire", func(w *sim.Proc) {
-		target.recvNIC.Use(w, target.jit.Scale(cfg.RecvOverhead))
-		target.Inbox.Put(pkt)
-	})
+	nd.s.PostArrival(p.Now()+nd.net.latency(nd.id, dst), nd.net.nodes[dst].s, nd.id, nd.xseq, "wire", deliver, pkt)
+}
+
+// deliver is the proc that hands the packet it carries (Proc.Arg) to its
+// destination's inbox: after the shared-memory latency for an intra-node
+// packet — not jittered, so that constant flight times preserve per-sender
+// packet order (MPI non-overtaking) — and after holding the destination's
+// RX NIC for the receive overhead for one that arrived off the wire.
+func deliver(d *sim.Proc) {
+	pkt := d.Arg().(*Packet)
+	net, to := pkt.net, pkt.net.nodes[pkt.Dst]
+	if pkt.Src == pkt.Dst {
+		d.Sleep(net.cfg.ShmLat)
+	} else {
+		to.recvNIC.Use(d, to.jit.Scale(net.cfg.RecvOverhead))
+	}
+	to.Inbox.Put(pkt)
 }

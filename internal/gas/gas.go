@@ -156,7 +156,7 @@ func Run(cfg Config, worker func(w *Worker)) (Report, error) {
 			s.SpawnID("gas-rank", rank, func(p *sim.Proc) {
 				w.P = p
 				worker(w)
-			})
+			}, nil)
 		}
 	}
 	err := s.Run()

@@ -254,6 +254,9 @@ type envelope struct {
 	seq  uint64
 	size int    // full payload size (RTS announces it without data)
 	data []byte // eager or rendezvous-data payload
+	// from is the sending rank of an eager envelope, for the helper that
+	// sends it.
+	from *Rank
 }
 
 // recvReq is a posted receive.
@@ -271,8 +274,9 @@ type recvReq struct {
 	data []byte
 }
 
-// sendReq is a rendezvous send awaiting its CTS.
+// sendReq is a rendezvous send awaiting its CTS, from rank from.
 type sendReq struct {
+	from *Rank
 	data []byte
 	dst  int
 	tag  int
@@ -280,17 +284,24 @@ type sendReq struct {
 	done *sim.Event
 }
 
-// Request is a handle to a nonblocking operation.
+// Request is a handle to a nonblocking operation: a receive's rr, or a
+// send's completion event, nil for an eager send (complete once its payload
+// is buffered). A send reports a zero Status and no error.
 type Request struct {
 	done *sim.Event
-	stat *Status
-	err  *error
+	rr   *recvReq
 }
 
 // Wait blocks p until the operation completes and returns its status.
 func (req *Request) Wait(p *sim.Proc) (Status, error) {
-	req.done.Wait(p)
-	return *req.stat, *req.err
+	if req.rr != nil {
+		req.rr.done.Wait(p)
+		return req.rr.stat, req.rr.err
+	}
+	if req.done != nil {
+		req.done.Wait(p)
+	}
+	return Status{}, nil
 }
 
 // matches reports whether a posted receive accepts an envelope.
@@ -398,16 +409,7 @@ func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
 		delete(r.pendingSends, env.seq)
 		// Transmit the bulk data on a helper so the engine keeps making
 		// progress for other ranks on this node.
-		nd.Sim().Spawn("mpi-rndv-data", func(h *sim.Proc) {
-			// Snapshot the payload: once the DMA is in flight the sender may
-			// reuse its buffer (its request completes on injection), so the
-			// wire must carry a copy, not a reference.
-			payload := r.stagingPool().Get(len(sr.data))
-			copy(payload, sr.data)
-			data := &envelope{kind: kindData, src: r.id, dst: sr.dst, tag: sr.tag, seq: sr.seq, size: len(payload), data: payload}
-			nd.Send(h, w.nodeOf[sr.dst], headerBytes+len(payload), data)
-			sr.done.Fire()
-		})
+		nd.Sim().SpawnID("mpi-rndv-data", r.id, sendRndvData, sr)
 	case kindData:
 		rr, ok := r.bound[env.seq]
 		if !ok {
@@ -416,6 +418,21 @@ func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
 		delete(r.bound, env.seq)
 		r.deliver(rr, env)
 	}
+}
+
+// sendRndvData is the body of an mpi-rndv-data helper: it injects the
+// payload of the rendezvous send it carries (Proc.Arg) and completes the
+// send. The payload is snapshot: once the DMA is in flight the sender may
+// reuse its buffer (its request completes on injection), so the wire must
+// carry a copy, not a reference.
+func sendRndvData(h *sim.Proc) {
+	sr := h.Arg().(*sendReq)
+	r := sr.from
+	payload := r.stagingPool().Get(len(sr.data))
+	copy(payload, sr.data)
+	data := &envelope{kind: kindData, src: r.id, dst: sr.dst, tag: sr.tag, seq: sr.seq, size: len(payload), data: payload}
+	r.w.net.Node(r.node).Send(h, r.w.nodeOf[sr.dst], headerBytes+len(payload), data)
+	sr.done.Fire()
 }
 
 // sendCTS issues the clear-to-send for a matched rendezvous.

@@ -14,8 +14,16 @@ import (
 // has arrived and the data has been injected. The caller must not modify
 // buf until the request completes.
 func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
+	return &Request{done: r.send(p, buf, dst, tag)}
+}
+
+// send starts a send — Send, Isend and Sendrecv all go through here — and
+// returns the event that completes it, nil for an eager send: its payload
+// is copied into a staging buffer (buffered semantics) and an mpi-eager
+// helper puts it on the wire, so it is complete already.
+func (r *Rank) send(p *sim.Proc, buf []byte, dst, tag int) *sim.Event {
 	if dst < 0 || dst >= len(r.w.ranks) {
-		panic(fmt.Sprintf("mpi: Isend to bad rank %d", dst))
+		panic(fmt.Sprintf("mpi: send to bad rank %d", dst))
 	}
 	if tag < 0 {
 		panic("mpi: negative user tag")
@@ -23,35 +31,33 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	r.nextSeq++
 	seq := r.nextSeq
-	done := r.sim.NewEventID(r.sendPrefix, dst)
-	var errv error
-	req := &Request{done: done, stat: &Status{}, err: &errv}
-	nd := r.w.net.Node(r.node)
-	dstNode := r.w.nodeOf[dst]
-
 	if len(buf) <= r.w.cfg.EagerLimit {
-		data := r.stagingPool().Get(len(buf)) // buffered semantics
+		data := r.stagingPool().Get(len(buf))
 		copy(data, buf)
-		env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data}
-		r.sim.Spawn("mpi-eager", func(h *sim.Proc) {
-			nd.Send(h, dstNode, headerBytes+len(data), env)
-		})
-		done.Fire() // locally complete: the payload is buffered
-		return req
+		env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data, from: r}
+		r.sim.SpawnID("mpi-eager", r.id, injectEager, env)
+		return nil
 	}
-
-	sr := &sendReq{data: buf, dst: dst, tag: tag, seq: seq, done: done}
-	r.pendingSends[seq] = sr
+	done := r.sim.NewEventID(r.sendPrefix, dst)
+	r.pendingSends[seq] = &sendReq{from: r, data: buf, dst: dst, tag: tag, seq: seq, done: done}
 	rts := &envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
-	nd.Send(p, dstNode, headerBytes, rts)
-	return req
+	r.w.net.Node(r.node).Send(p, r.w.nodeOf[dst], headerBytes, rts)
+	return done
+}
+
+// injectEager is the body of an mpi-eager helper: it sends the envelope it
+// carries (Proc.Arg) from its source rank's node.
+func injectEager(h *sim.Proc) {
+	env := h.Arg().(*envelope)
+	r := env.from
+	r.w.net.Node(r.node).Send(h, r.w.nodeOf[env.dst], headerBytes+len(env.data), env)
 }
 
 // Irecv starts a nonblocking receive into buf from rank src (or AnySource)
 // with the given tag (or AnyTag).
 func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
 	rr := r.newRecv(p, &recvReq{buf: buf, src: src, tag: tag})
-	return &Request{done: rr.done, stat: &rr.stat, err: &rr.err}
+	return &Request{rr: rr}
 }
 
 // newRecv charges the call, gives rr its completion event and matches it
@@ -93,10 +99,13 @@ func (r *Rank) await(p *sim.Proc, rr *recvReq) {
 	rr.done.Wait(p)
 }
 
-// Send is a blocking send (Isend + Wait).
+// Send is a blocking send (Isend + Wait); an eager one waits for nothing,
+// so it builds no request. It reports no error.
 func (r *Rank) Send(p *sim.Proc, buf []byte, dst, tag int) error {
-	_, err := r.Isend(p, buf, dst, tag).Wait(p)
-	return err
+	if done := r.send(p, buf, dst, tag); done != nil {
+		done.Wait(p)
+	}
+	return nil
 }
 
 // Recv is a blocking receive.
@@ -121,12 +130,10 @@ func (r *Rank) RecvMsg(p *sim.Proc, src, tag int) (Status, []byte, error) {
 // Sendrecv posts a send and a receive simultaneously and waits for both —
 // the deadlock-free exchange primitive.
 func (r *Rank) Sendrecv(p *sim.Proc, sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
-	rreq := r.Irecv(p, recvBuf, src, recvTag)
-	sreq := r.Isend(p, sendBuf, dst, sendTag)
-	if _, err := sreq.Wait(p); err != nil {
-		return Status{}, err
-	}
-	return rreq.Wait(p)
+	rr := r.newRecv(p, &recvReq{buf: recvBuf, src: src, tag: recvTag})
+	r.Send(p, sendBuf, dst, sendTag)
+	r.await(p, rr)
+	return rr.stat, rr.err
 }
 
 // SendrecvReplace exchanges buf with a partner in place, the primitive

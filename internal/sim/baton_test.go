@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -74,7 +75,7 @@ func TestGoroutinesBoundedByLiveProcs(t *testing.T) {
 							c.Sleep(time.Duration(1+i%7) * time.Nanosecond)
 							sample()
 							wg.Done()
-						})
+						}, nil)
 					}
 					wg.Wait(p)
 					done := s.NewEvent("chain")
@@ -115,7 +116,7 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			})
 		}
 		for i := 0; i < 20; i++ { // these leave idle workers behind
-			s.SpawnID("short", i, func(p *Proc) { p.Sleep(time.Duration(i) * time.Nanosecond) })
+			s.SpawnID("short", i, func(p *Proc) { p.Sleep(time.Duration(i) * time.Nanosecond) }, nil)
 		}
 	}
 	var deadlock *DeadlockError
@@ -181,7 +182,7 @@ func TestKillWhileBatonPasses(t *testing.T) {
 			s := l.last
 			loop := goid() // l.run is called below, on this goroutine
 			for i := 0; i < 4; i++ {
-				s.SpawnID("warm-up", i, func(p *Proc) { p.Sleep(time.Nanosecond) })
+				s.SpawnID("warm-up", i, func(p *Proc) { p.Sleep(time.Nanosecond) }, nil)
 			}
 			ping, pong := NewQueue[int](s, "ping"), NewQueue[int](s, "pong")
 			inbox := NewQueue[int](s, "inbox")
@@ -444,6 +445,119 @@ func TestGoexitInProcPassesBaton(t *testing.T) {
 			})
 			if err := l.run(); err != nil || !after {
 				t.Fatalf("run ended with %v, other finished %v", err, after)
+			}
+			settleGoroutines(t, base)
+		})
+	}
+}
+
+// pingPong spawns "pong" on s, which answers each even-indexed event of evs
+// by firing the odd one after it, and returns the round the caller's proc
+// plays against it: fire the next even event and wait for the answer. A
+// round is two proc switches.
+func pingPong(s *Sim, evs []*Event) (round func(p *Proc)) {
+	s.Spawn("pong", func(p *Proc) {
+		for i := 0; i+1 < len(evs); i += 2 {
+			evs[i].Wait(p)
+			evs[i+1].Fire()
+		}
+	})
+	next := 0
+	return func(p *Proc) {
+		evs[next].Fire()
+		evs[next+1].Wait(p)
+		next += 2
+	}
+}
+
+// switchEvents creates the events of n ping-pong rounds.
+func switchEvents(s *Sim, rounds int) []*Event {
+	evs := make([]*Event, 2*rounds)
+	for i := range evs {
+		evs[i] = s.NewEvent("switch")
+	}
+	return evs
+}
+
+// BenchmarkProcSwitch: two procs ping-ponging Events under Sim.Run; each
+// switch is a yield to the loop goroutine and the resume of the other
+// proc's worker. Reports ns per switch.
+func BenchmarkProcSwitch(b *testing.B) {
+	s := New()
+	round := pingPong(s, switchEvents(s, b.N))
+	s.Spawn("ping", func(p *Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round(p)
+		}
+		b.StopTimer()
+	})
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/switch")
+}
+
+// TestProcSwitchAllocatesNothing: once both procs of an Event ping-pong
+// are on their workers, a switch allocates nothing, at every loop.
+func TestProcSwitchAllocatesNothing(t *testing.T) {
+	for _, l := range testLoops() {
+		t.Run(l.name, func(t *testing.T) {
+			const runs = 1000
+			s := l.last
+			round := pingPong(s, switchEvents(s, runs+1)) // AllocsPerRun warms up with one more
+			allocs := -1.0
+			s.Spawn("ping", func(p *Proc) {
+				allocs = testing.AllocsPerRun(runs, func() { round(p) })
+			})
+			if err := l.run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Errorf("%v allocs per ping-pong round, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestKillLeavesNoGoroutine: on every shard, a thunk kills a parked proc
+// and a group whose members are asleep mid-run; once Run returns, the
+// goroutine count is back at its base, on one shard and on four (where
+// windows run on goroutines of their own and resume the workers).
+func TestKillLeavesNoGoroutine(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			sc := NewSharded(shards)
+			sc.SetLookahead(time.Microsecond)
+			var victims []*Proc
+			for i := 0; i < shards; i++ {
+				s := sc.Shard(i).Sim()
+				g := s.NewGroup(func() { t.Error("onIdle fired for a killed group") })
+				s.InGroup(g, func() {
+					for j := 0; j < 3; j++ {
+						victims = append(victims, s.SpawnID("member", j, func(p *Proc) { p.Sleep(time.Hour) }, nil))
+					}
+				})
+				never := s.NewEvent("never")
+				parked := s.Spawn("parked", func(p *Proc) { never.Wait(p) })
+				victims = append(victims, parked)
+				s.Spawn("killer", func(p *Proc) {
+					p.Sleep(time.Duration(i+1) * time.Microsecond)
+					s.Inject(func() {
+						s.Kill(parked)
+						g.Kill()
+					})
+					p.Sleep(time.Millisecond)
+				})
+			}
+			if err := sc.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range victims {
+				if v.state != stateDone {
+					t.Errorf("%s not done after its kill", v.Name())
+				}
 			}
 			settleGoroutines(t, base)
 		})

@@ -17,14 +17,14 @@ type Event struct {
 
 // NewEvent creates an unfired Event.
 func (s *Sim) NewEvent(name string) *Event {
-	return &Event{s: s, ident: ident{name: name}}
+	return &Event{s: s, ident: ident{name: name, id: noID}}
 }
 
 // NewEventID creates an unfired Event with a lazily-formatted "prefix:id"
 // name. Per-request completion events are created by the million; the
 // label is only rendered if a deadlock report or trace needs it.
 func (s *Sim) NewEventID(prefix string, id int) *Event {
-	return &Event{s: s, ident: ident{prefix: prefix, id: id}}
+	return &Event{s: s, ident: ident{name: prefix, id: id}}
 }
 
 // Name returns the event's name.

@@ -22,10 +22,10 @@ func TestGroupMembership(t *testing.T) {
 	s.InGroup(g, func() {
 		s.Spawn("root", func(p *Proc) {
 			child = s.Spawn("child", func(p *Proc) {
-				grandchild = s.SpawnID("grandchild", 0, func(*Proc) {})
+				grandchild = s.SpawnID("grandchild", 0, func(*Proc) {}, nil)
 			})
 			daemon = s.SpawnDaemon("daemon", func(p *Proc) { p.Sleep(time.Hour) })
-			s.PostArrival(p.Now()+time.Microsecond, s, 0, 1, "wire", func(a *Proc) { arrival = a })
+			s.PostArrival(p.Now()+time.Microsecond, s, 0, 1, "wire", func(a *Proc) { arrival = a }, nil)
 		})
 	})
 	after := s.Spawn("after", func(*Proc) {})

@@ -59,7 +59,7 @@ func (n *schedNode) post(p *Proc, dst *schedNode, lat time.Duration, v int) {
 	n.s.PostArrival(p.Now()+lat, dst.s, n.id, n.xseq, fmt.Sprintf("n%d/arr", dst.id), func(a *Proc) {
 		dst.resumed(a)
 		dst.inbox.Put(v)
-	})
+	}, nil)
 }
 
 type schedOp struct {
@@ -105,7 +105,7 @@ func (n *schedNode) do(p *Proc, op schedOp, tag int) {
 				c.Sleep(d)
 				n.resumed(c)
 				wg.Done()
-			})
+			}, nil)
 		}
 		wg.Wait(p)
 	case 7: // unbuffered Chan: k picks who parks first
@@ -223,7 +223,7 @@ func (n *schedNode) bringUp(rng *rand.Rand) {
 			for j, op := range script {
 				n.do(p, op, 100*i+j)
 			}
-		})
+		}, nil)
 	}
 }
 

@@ -65,8 +65,9 @@ type Shard struct {
 }
 
 // arrival is one cross-node event delivery: at time at, spawn a proc
-// running fn on simulator dst. src and seq form the deterministic tiebreak
-// for simultaneous arrivals (see the ordering rule on Sharded).
+// running fn with argument arg on simulator dst. src and seq form the
+// deterministic tiebreak for simultaneous arrivals (see the ordering rule
+// on Sharded).
 type arrival struct {
 	at   int64
 	src  int
@@ -74,6 +75,7 @@ type arrival struct {
 	dst  *Sim
 	name ident
 	fn   func(p *Proc)
+	arg  any
 }
 
 // NewSharded creates a sharded simulation with n empty shards.
@@ -141,11 +143,12 @@ func (sh *Shard) ID() int { return sh.id }
 func (sh *Shard) Sim() *Sim { return sh.sim }
 
 // PostArrival schedules fn to run as a fresh proc on simulator dst at
-// virtual time at; it is the one way procs of different nodes interact, and
-// must be called from a proc running on s. src is a shard-count-invariant
-// source identifier (a node id) and seq a monotonically increasing
-// per-source counter; together with at they form the total delivery order,
-// so equal-time arrivals are delivered identically at every shard count.
+// virtual time at, with arg as its Arg; it is the one way procs of
+// different nodes interact, and must be called from a proc running on s.
+// src is a shard-count-invariant source identifier (a node id) and seq a
+// monotonically increasing per-source counter; together with at they form
+// the total delivery order, so equal-time arrivals are delivered
+// identically at every shard count.
 //
 // dst is s itself or another shard of the same sharded simulation. A
 // cross-shard at must lie at or beyond the current window's edge — i.e. at
@@ -156,8 +159,8 @@ func (sh *Shard) Sim() *Sim { return sh.sim }
 // are closer than the cheapest cross-shard path) and goes straight into s's
 // own arrival heap instead of the outbox; the heap's (at, src, seq) order
 // makes delivery identical either way.
-func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefix string, fn func(p *Proc)) {
-	a := arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{prefix: prefix, id: src}, fn: fn}
+func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefix string, fn func(p *Proc), arg any) {
+	a := arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: fn, arg: arg}
 	if dst == s {
 		if a.at < s.now {
 			panic(fmt.Sprintf("sim: arrival at %v before current time %v", at, time.Duration(s.now)))
@@ -177,12 +180,12 @@ func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefi
 }
 
 // PostArrival is Sim.PostArrival from this shard's simulator to shard
-// dstShard's.
+// dstShard's, with no argument.
 func (sh *Shard) PostArrival(at time.Duration, dstShard, src int, seq uint64, prefix string, fn func(p *Proc)) {
 	if dstShard < 0 || dstShard >= len(sh.coord.shards) {
 		panic(fmt.Sprintf("sim: PostArrival to unknown shard %d", dstShard))
 	}
-	sh.sim.PostArrival(at, sh.coord.shards[dstShard].sim, src, seq, prefix, fn)
+	sh.sim.PostArrival(at, sh.coord.shards[dstShard].sim, src, seq, prefix, fn, nil)
 }
 
 // runWindow executes this shard's events with virtual time strictly below

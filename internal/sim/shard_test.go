@@ -60,7 +60,7 @@ func runFanout(t *testing.T, nodes, shards, rounds int) ([][]string, time.Durati
 					n.record(p, "recv", v)
 				}
 			}
-		})
+		}, nil)
 	}
 	if err := sc.Run(); err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
@@ -107,15 +107,15 @@ func TestShardedArrivalBeforeTimer(t *testing.T) {
 		b := newTnode(sc.Shard(shards-1), 1)
 		a.sh.Sim().SpawnID("node", 0, func(p *Proc) {
 			a.send(p, b, lat, 7) // arrives at exactly t=lat
-		})
+		}, nil)
 		b.sh.Sim().SpawnID("node", 1, func(p *Proc) {
 			b.sh.Sim().SpawnID("waiter", 1, func(w *Proc) {
 				v := b.q.Get(w)
 				b.record(w, "recv", v)
-			})
+			}, nil)
 			p.Sleep(lat) // timer at exactly t=lat
 			b.record(p, "timer", 0)
-		})
+		}, nil)
 		if err := sc.Run(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -138,7 +138,7 @@ func TestSimRunDeliversArrivals(t *testing.T) {
 		for seq := uint64(1); seq <= 2; seq++ { // the second lands when no proc is left
 			s.PostArrival(p.Now()+time.Duration(seq)*lat, s, 0, seq, "arr", func(w *Proc) {
 				log = append(log, fmt.Sprintf("%d arrival", w.Now().Nanoseconds()))
-			})
+			}, nil)
 		}
 	})
 	s.Spawn("sleeper", func(p *Proc) {
@@ -160,7 +160,7 @@ func TestSimRunDeliversArrivals(t *testing.T) {
 	s.Spawn("poster", func(p *Proc) {
 		s.PostArrival(p.Now()+time.Second, s, 0, 1, "arr", func(*Proc) {
 			t.Error("arrival beyond the ceiling was delivered")
-		})
+		}, nil)
 	})
 	var to *TimeoutError
 	if err := s.Run(); !errors.As(err, &to) {
@@ -187,11 +187,11 @@ func TestShardedElapsedIgnoresDaemons(t *testing.T) {
 		b := newTnode(sc.Shard(shards-1), 1)
 		a.sh.Sim().SpawnID("node", 0, func(p *Proc) {
 			a.send(p, b, 123*time.Nanosecond, 1)
-		})
+		}, nil)
 		b.sh.Sim().SpawnID("node", 1, func(p *Proc) {
 			b.q.Get(p)
 			p.Sleep(77 * time.Nanosecond)
-		})
+		}, nil)
 		if err := sc.Run(); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -215,7 +215,7 @@ func TestShardedDeadlock(t *testing.T) {
 		ev := s.NewEventID("never", i)
 		s.SpawnID("stuck", i, func(p *Proc) {
 			ev.Wait(p)
-		})
+		}, nil)
 	}
 	err := sc.Run()
 	var dl *DeadlockError
@@ -243,8 +243,8 @@ func TestShardedTimeout(t *testing.T) {
 			}
 		}
 	}
-	a.sh.Sim().SpawnID("node", 0, bounce(a, b))
-	b.sh.Sim().SpawnID("node", 1, bounce(b, a))
+	a.sh.Sim().SpawnID("node", 0, bounce(a, b), nil)
+	b.sh.Sim().SpawnID("node", 1, bounce(b, a), nil)
 	err := sc.Run()
 	var to *TimeoutError
 	if !errors.As(err, &to) {
@@ -280,10 +280,10 @@ func TestShardedLookaheadViolation(t *testing.T) {
 	a.sh.Sim().SpawnID("node", 0, func(p *Proc) {
 		p.Sleep(5 * time.Microsecond)
 		a.send(p, b, 10*time.Nanosecond, 1) // below lookahead
-	})
+	}, nil)
 	b.sh.Sim().SpawnID("node", 1, func(p *Proc) {
 		b.q.Get(p)
-	})
+	}, nil)
 	err := sc.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {
@@ -311,7 +311,7 @@ func TestIdleInstantIgnoresArrivals(t *testing.T) {
 					c.Sleep(40 * time.Nanosecond)
 					*child = c.Now()
 				})
-			})
+			}, nil)
 		})
 		b.Spawn("own", func(p *Proc) { p.Sleep(ownDone) })
 		b.SpawnDaemon("ticker", func(p *Proc) {

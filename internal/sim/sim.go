@@ -8,16 +8,18 @@
 // simulation state needs no locking and every run is fully deterministic:
 // the ready queue is FIFO and simultaneous timers fire in creation order.
 //
-// "The scheduler" is whichever goroutine holds the baton, not a goroutine of
-// its own. A proc that parks or returns advances the schedule itself
-// (pickNext) and hands the baton straight to the next proc's goroutine: one
-// goroutine switch per proc switch, none when the next proc is the parking
-// one (a Sleep whose timer is the earliest event) or has not started yet and
-// the picker has just finished (it runs on the same pooled worker). The baton
-// goes back to the goroutine that called Run — the loop goroutine — only for
-// what must not run on a proc's stack: Inject thunks and Kill, reporting a
-// failure, a deadlock or a timeout, the end of the run, and the window
-// barrier of a simulation of several shards.
+// "The scheduler" is whichever stack holds the baton, not a goroutine of its
+// own. Procs run on pooled coroutines (iter.Pull) that the goroutine that
+// called Run — the loop goroutine — resumes. A proc that parks or returns
+// advances the schedule itself (pickNext), names the next proc and yields
+// to the loop, which resumes that proc's coroutine: a yield and a resume per
+// proc switch, with no trip through the Go scheduler; none when the next
+// proc is the parking one (a Sleep whose timer is the earliest event) or
+// has not started yet and the picker has just finished (it runs on the same
+// pooled worker). The loop does more than resume only for what must not run
+// on a proc's stack: Inject thunks and Kill, reporting a failure, a
+// deadlock or a timeout, the end of the run, and the window barrier of a
+// simulation of several shards.
 //
 // Procs advance virtual time only through blocking primitives (Sleep, Event,
 // Chan, Semaphore, ...). Plain Go computation inside a Proc consumes zero
@@ -79,41 +81,34 @@ const (
 	stateDone
 )
 
-// killSentinel is the panic value used to unwind a Proc's goroutine when the
-// simulation shuts down while the Proc is still blocked.
+// killSentinel is the panic value that unwinds a worker's stack down to the
+// proc's exec: a parked proc that Kill resumes, and a proc whose coroutine
+// runtime.Goexit is taking (see exec).
 type killSentinelType struct{}
 
 var killSentinel = killSentinelType{}
 
-// resumeMsg is what a worker's goroutine is woken with. kill tells a parked
-// proc to unwind, and an idle worker to exit.
-type resumeMsg struct {
-	kill bool
-}
-
-// worker is a pooled goroutine that runs procs to completion, one after
-// another; a Sim starts one only when a proc must start while every worker
-// it has is in the middle of another proc. p is the proc the worker is
-// running (or about to), nil while it sits in Sim.idle.
-type worker struct {
-	resume chan resumeMsg
-	p      *Proc
-}
+// unwindStack raises the kill sentinel on the calling worker.
+func unwindStack() { panic(killSentinel) }
 
 // ident is a lazily-formatted identifier: either a fixed name or a
 // (prefix, id) pair whose "prefix:id" string form is only materialized
 // when something actually asks for it. Hot paths spawn procs and create
 // events by the million; skipping the fmt.Sprintf for names nobody reads
-// is one of the larger host-side allocation wins.
+// is one of the larger host-side allocation wins. name holds the prefix
+// until then, and id is noID once name is the whole identifier.
 type ident struct {
-	name   string
-	prefix string
-	id     int
+	name string
+	id   int
 }
 
+// noID is the id of a fixed name.
+const noID = math.MinInt
+
 func (d *ident) String() string {
-	if d.name == "" && d.prefix != "" {
-		d.name = d.prefix + ":" + strconv.Itoa(d.id)
+	if d.id != noID {
+		d.name += ":" + strconv.Itoa(d.id)
+		d.id = noID
 	}
 	return d.name
 }
@@ -143,9 +138,11 @@ const (
 type Proc struct {
 	sim   *Sim
 	ident ident
-	// fn is the Proc's body, and w the worker it runs on from its first
-	// resume to its last; both are nil once it is done.
+	// fn is the Proc's body, arg the value it was spawned with (Arg), and w
+	// the worker it runs on from its first resume to its last; all are nil
+	// once it is done.
 	fn    func(p *Proc)
+	arg   any
 	w     *worker
 	state procState
 	// daemon procs (poll loops, progress engines) do not keep the
@@ -172,6 +169,12 @@ func (p *Proc) Name() string { return p.ident.String() }
 
 // Sim returns the simulation this Proc belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
+
+// Arg returns the argument the Proc was spawned with by SpawnID or
+// PostArrival, nil for the other spawns. A
+// per-message helper is a static function that finds its work here, so
+// spawning one allocates no closure.
+func (p *Proc) Arg() any { return p.arg }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return time.Duration(p.sim.now) }
@@ -201,8 +204,13 @@ type Sim struct {
 	// horizon is the exclusive bound on the events pickNext may fire: the
 	// SetMaxTime ceiling under Run, the window's edge under a Sharded.
 	horizon int64
-	// yieldCh is how the baton comes back to the loop goroutine.
-	yieldCh chan struct{}
+	// next is the proc a yielding worker names for the loop to resume, nil
+	// to stop resuming. killing tells the parked proc the loop resumes that
+	// Kill has come for it, and goexited tells the loop that a worker died
+	// under runtime.Goexit.
+	next     *Proc
+	killing  bool
+	goexited bool
 	// idle holds the workers with no proc to run, last in first out.
 	idle    []*worker
 	failure error
@@ -230,7 +238,7 @@ type Sim struct {
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	s := &Sim{yieldCh: make(chan struct{})}
+	s := &Sim{}
 	s.procs.prev, s.procs.next = &s.procs, &s.procs
 	return s
 }
@@ -247,13 +255,14 @@ func (s *Sim) SetMaxTime(d time.Duration) { s.maxTime = int64(d) }
 // or from a running Proc. The new Proc is appended to the ready queue and
 // starts running at the current virtual time, after already-ready Procs.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{name: name}, fn, false)
+	return s.spawn(ident{name: name, id: noID}, fn, nil, false)
 }
 
-// SpawnID is Spawn with a lazily-formatted "prefix:id" name; per-message
-// spawn sites use it to avoid formatting a label nobody may ever read.
-func (s *Sim) SpawnID(prefix string, id int, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{prefix: prefix, id: id}, fn, false)
+// SpawnID is Spawn with a lazily-formatted "prefix:id" name and an argument
+// the Proc reads with Arg; per-message spawn sites use it to avoid
+// formatting a label nobody may ever read and a closure per message.
+func (s *Sim) SpawnID(prefix string, id int, fn func(p *Proc), arg any) *Proc {
+	return s.spawn(ident{name: prefix, id: id}, fn, arg, false)
 }
 
 // SpawnDaemon creates a Proc that does not keep the simulation alive:
@@ -261,19 +270,20 @@ func (s *Sim) SpawnID(prefix string, id int, fn func(p *Proc)) *Proc {
 // Use it for poll loops and progress engines that run "for the life of the
 // application" (paper §3.2.2).
 func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{name: name}, fn, true)
+	return s.spawn(ident{name: name, id: noID}, fn, nil, true)
 }
 
 // SpawnDaemonID is SpawnDaemon with a lazily-formatted "prefix:id" name.
 func (s *Sim) SpawnDaemonID(prefix string, id int, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{prefix: prefix, id: id}, fn, true)
+	return s.spawn(ident{name: prefix, id: id}, fn, nil, true)
 }
 
-func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
+func (s *Sim) spawn(name ident, fn func(p *Proc), arg any, daemon bool) *Proc {
 	p := &Proc{
 		sim:    s,
 		ident:  name,
 		fn:     fn,
+		arg:    arg,
 		state:  stateReady,
 		daemon: daemon,
 	}
@@ -296,32 +306,6 @@ func (s *Sim) spawn(name ident, fn func(p *Proc), daemon bool) *Proc {
 	return p
 }
 
-// run is a worker's goroutine. Each turn runs w.p to completion and then,
-// still holding the baton, advances the schedule: a proc that has not
-// started yet runs right here, with no goroutine switch; otherwise the
-// worker joins the idle list — only now, so that nothing pickNext spawned
-// can have been bound to it — and hands the baton on. A killed proc's
-// worker picks nothing: the baton goes back to the killer.
-func (w *worker) run() {
-	for {
-		p := w.p
-		s := p.sim
-		var next *Proc
-		if !p.exec() { // not killed: the baton is still ours
-			if next = s.pickNext(); next != nil && next.w == nil {
-				w.p, next.w = next, w
-				continue
-			}
-		}
-		w.p = nil
-		s.idle = append(s.idle, w)
-		s.handOff(next)
-		if (<-w.resume).kill {
-			return
-		}
-	}
-}
-
 // exec runs p's body on the calling worker and settles p's accounts when it
 // returns, panics or is unwound by Kill (the only case reported as killed).
 func (p *Proc) exec() (killed bool) {
@@ -336,8 +320,12 @@ func (p *Proc) exec() (killed bool) {
 		p.finish()
 		if r == nil && !returned {
 			// runtime.Goexit — a t.Fatal inside a proc — is taking this
-			// goroutine with it: pass the baton on before it goes.
-			s.handOff(s.pickNext())
+			// coroutine with it, and iter.Pull would re-raise it on the loop
+			// goroutine. Name the next proc and raise the kill sentinel
+			// instead: the exit still goes on, and the loop recovers the
+			// sentinel (resumeFrom) and carries on without this worker.
+			s.next, s.goexited = s.pickNext(), true
+			unwindStack()
 		}
 	}()
 	p.fn(p)
@@ -349,27 +337,6 @@ func (p *Proc) exec() (killed bool) {
 		}
 	}
 	return false
-}
-
-// handOff passes the baton to next, which pickNext has made current: one
-// goroutine switch. A proc that has not started is bound to an idle worker,
-// or to a new one. A nil next sends the baton back to the loop goroutine.
-func (s *Sim) handOff(next *Proc) {
-	switch {
-	case next == nil:
-		s.yieldCh <- struct{}{}
-	case next.w != nil:
-		next.w.resume <- resumeMsg{}
-	case len(s.idle) > 0:
-		w := s.idle[len(s.idle)-1]
-		s.idle = s.idle[:len(s.idle)-1]
-		w.p, next.w = next, w
-		w.resume <- resumeMsg{}
-	default:
-		w := &worker{resume: make(chan resumeMsg), p: next}
-		next.w = w
-		go w.run()
-	}
 }
 
 // Group is a set of procs that ends together; see the package comment for
@@ -415,12 +382,12 @@ func (g *Group) Kill() {
 // under the baton: on p's worker as its last act, or on the loop goroutine
 // when a proc that never started is killed. Its links are cleared so that a
 // handle someone still holds to a finished Proc does not pin its old
-// neighbours, its body or its worker.
+// neighbours, its body, its argument or its worker.
 func (p *Proc) finish() {
 	p.state = stateDone
 	p.prev.next, p.next.prev = p.next, p.prev
 	p.prev, p.next = nil, nil
-	p.fn, p.w = nil, nil
+	p.fn, p.arg, p.w = nil, nil, nil
 	if s := p.sim; !p.daemon {
 		s.live--
 		if !p.arrival {
@@ -446,17 +413,20 @@ func (p *Proc) checkCurrent(op string) {
 //
 // The parking proc holds the baton, so it advances the schedule itself: if
 // the next proc to run is p again there is nothing to wait for; otherwise p
-// hands the baton on and sleeps until someone hands it back.
+// names the next proc and yields to the loop goroutine until it is resumed.
 func (p *Proc) park(kind parkKind, obj labeler, arg int64) {
 	p.checkCurrent("park")
 	p.state = stateBlocked
 	p.blockKind = kind
 	p.blockObj = obj
 	p.blockArg = arg
-	if next := p.sim.pickNext(); next != p {
-		p.sim.handOff(next)
-		if (<-p.w.resume).kill {
-			panic(killSentinel)
+	s := p.sim
+	if next := s.pickNext(); next != p {
+		s.next = next
+		p.w.yield(struct{}{})
+		if s.killing {
+			s.killing = false
+			unwindStack()
 		}
 	}
 	p.blockKind = parkNone
@@ -569,15 +539,14 @@ func (s *Sim) Kill(p *Proc) {
 
 // unwind finishes a proc that is not running, on the loop goroutine: a proc
 // that never started has no frames and is simply marked done; a parked one
-// is lent the baton to run its defers and gives it back as its worker goes
-// idle.
+// is resumed to run its defers and yields back as its worker goes idle.
 func (s *Sim) unwind(p *Proc) {
 	if p.w == nil {
 		p.finish()
 		return
 	}
-	p.w.resume <- resumeMsg{kill: true}
-	<-s.yieldCh
+	s.killing = true
+	p.w.resume()
 }
 
 // never is the due time of an event that does not exist.
@@ -644,7 +613,7 @@ func (s *Sim) pickNext() *Proc {
 		s.now = at
 		if aAt <= tAt {
 			a := s.arrivals.pop()
-			s.spawn(a.name, a.fn, false).arrival = true
+			s.spawn(a.name, a.fn, a.arg, false).arrival = true
 		} else {
 			s.unblock(s.timers.pop().p)
 		}
@@ -677,10 +646,35 @@ func (s *Sim) finished() bool {
 // drive lends the baton to the procs and returns when it comes back, with
 // no proc current.
 func (s *Sim) drive() {
-	if p := s.pickNext(); p != nil {
-		s.handOff(p)
-		<-s.yieldCh
+	for p := s.pickNext(); p != nil; p = s.resumeFrom(p) {
 	}
+}
+
+// resumeFrom resumes p, then each proc the worker that yields names, until
+// one names none; a proc that has not started is bound to an idle worker,
+// or to a new one. It returns early, with the proc still to resume, only
+// when a worker dies under runtime.Goexit: the one recover per drive, not
+// per switch.
+func (s *Sim) resumeFrom(p *Proc) (rest *Proc) {
+	defer func() {
+		if s.goexited {
+			s.goexited = false
+			recover()
+			rest = s.next
+		}
+	}()
+	for ; p != nil; p = s.next {
+		if p.w == nil {
+			if n := len(s.idle); n > 0 {
+				p.w, s.idle = s.idle[n-1], s.idle[:n-1]
+				p.w.p = p
+			} else {
+				p.w = newWorker(p)
+			}
+		}
+		p.w.resume()
+	}
+	return nil
 }
 
 // Run executes the simulation until every Proc has finished and every
@@ -724,8 +718,8 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("sim: virtual time exceeded limit %v", e.Limit)
 }
 
-// shutdown unwinds every proc still parked and tells every worker to exit,
-// so that no goroutine outlives the run.
+// shutdown unwinds every proc still parked and stops every worker, so that
+// no coroutine outlives the run.
 func (s *Sim) shutdown() {
 	if s.stopped {
 		return
@@ -744,7 +738,7 @@ func (s *Sim) shutdown() {
 		p = next
 	}
 	for _, w := range s.idle {
-		w.resume <- resumeMsg{kill: true}
+		w.stop()
 	}
 	s.idle = nil
 }

@@ -2,12 +2,10 @@ package sim
 
 import "time"
 
-// semWaiter is a Proc parked on a semaphore acquire.
+// semWaiter is a Proc parked on a semaphore acquire of n permits.
 type semWaiter struct {
 	p *Proc
 	n int
-	// granted is set once Release has handed p its permits.
-	granted bool
 }
 
 // Semaphore is a counting semaphore with FIFO fairness.
@@ -15,7 +13,7 @@ type Semaphore struct {
 	s       *Sim
 	name    string
 	avail   int
-	waiters ring[*semWaiter]
+	waiters ring[semWaiter]
 }
 
 // NewSemaphore creates a semaphore with an initial number of permits.
@@ -40,10 +38,11 @@ func (sem *Semaphore) Acquire(p *Proc, n int) {
 		sem.avail -= n
 		return
 	}
-	w := &semWaiter{p: p, n: n}
-	sem.waiters.push(w)
+	sem.waiters.push(semWaiter{p: p, n: n})
 	defer func() {
-		if w.granted && p.state != stateRunning { // killed before it resumed with them
+		// Only Release makes p ready: it was handed its permits, then
+		// killed before it resumed with them.
+		if p.state == stateReady {
 			sem.Release(n)
 		}
 	}()
@@ -64,7 +63,6 @@ func (sem *Semaphore) Release(n int) {
 				return
 			}
 			sem.avail -= w.n
-			w.granted = true
 			sem.s.unblock(w.p)
 		}
 		sem.waiters.pop()
