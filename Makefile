@@ -132,9 +132,15 @@ flows:
 # ceilings are what the tree measured when they were last set; a PR that
 # needs more room raises one here, in its own diff, where review sees it,
 # and one that shrinks a package lowers it.
-LOC_CEILINGS = internal/core:4468:43 internal/transport:60:0 internal/transport/faults:192:0 \
-	internal/transport/simmpi:88:2 internal/transport/live:353:2 internal/obs:627:0 \
-	internal/sim:1130:19 internal/fabric:405:16 internal/mpi:731:18 \
+#
+# Last raised for the take-ownership transport seam: core packs a GPU send's
+# header in place, adopts arrived frames into GPU receives and counts
+# undecodable frames instead of panicking (4515, one panic fewer); mpi has
+# the owned send beside the buffered one (738); faults releases what it
+# drops and pools its duplicates (205).
+LOC_CEILINGS = internal/core:4515:42 internal/transport:60:0 internal/transport/faults:205:0 \
+	internal/transport/simmpi:88:2 internal/transport/live:351:2 internal/obs:627:0 \
+	internal/sim:1130:19 internal/fabric:405:16 internal/mpi:738:18 \
 	internal/pcie:58:1 internal/device:279:7 internal/gas:118:3 internal/apps:1919:45
 loc:
 	@$(CHECK) loc $(LOC_CEILINGS)

@@ -349,11 +349,14 @@ func highFanout(tb testing.TB, inflight int) core.Report {
 	return rep
 }
 
-// Every engine lane moves the same traffic: 64 round trips of 1 KiB
-// between two nodes.
+// Every engine lane moves the same traffic, 64 round trips between two
+// nodes: of 1 KiB, except in the two rows that put 1 MiB through the
+// copy path — host staging, the frame hand-off to the transport, and PCIe
+// for GPU ranks.
 const (
 	laneIters   = 64
 	lanePayload = 1024
+	laneLarge   = 1 << 20
 )
 
 // engineLanes are the ping-pong bodies BenchmarkEnginePingPong times and
@@ -361,43 +364,45 @@ const (
 // engine. msgs is the one-way messages a run moves. allocBudget is the
 // allocations one run may make — the committed 1x baseline plus 20% plus
 // 16 — and is 0 where a BENCHMARK.json workload gates the lane's
-// allocs_per_op instead (p2p_small, scale_sharded).
+// allocs_per_op instead (p2p_small, p2p_large, scale_sharded).
 var engineLanes = []struct {
 	name        string
 	msgs        int
 	run         func(testing.TB) dcgn.Report
 	allocBudget float64
 }{
-	{"sim", 2 * laneIters, twoSidedLane(func(*dcgn.Config) {}), 0},
+	{"sim", 2 * laneIters, twoSidedLane(lanePayload, func(*dcgn.Config) {}), 0},
+	{"sim-cpu-1MB", 2 * laneIters, twoSidedLane(laneLarge, func(*dcgn.Config) {}), 0},
+	{"sim-gpu-1MB", 2 * laneIters, gpuLane(laneLarge), 0},
 	// The no-fault overhead of the seq/ack wire format: one ack frame and
 	// one retransmit timer per message.
-	{"sim-reliable", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Reliability.Enabled = true }), 7386},
+	{"sim-reliable", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Reliability.Enabled = true }), 7386},
 	// Spans plus the metrics registry: ring buffers and cached instrument
 	// handles are set up once, so tracing costs a fixed number of
 	// allocations per run, not per request.
-	{"sim-traced", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 3395},
+	{"sim-traced", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 3395},
 	// Causal flow tracing on top: the ID counters live in the trace sink
 	// and the 16 header bytes come from the same pools.
-	{"sim-flows", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 3899},
+	{"sim-flows", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 3899},
 	// One shard per node: an outbox merge at every barrier, and a second
 	// goroutine only for the windows in which both nodes have work — most
 	// of a ping-pong's have one busy shard, which the coordinator runs on
 	// its own goroutine, as it does every window of the rows above.
-	{"sim-sharded", 2 * laneIters, twoSidedLane(func(c *dcgn.Config) { c.Shards = 2 }), 0},
+	{"sim-sharded", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Shards = 2 }), 0},
 	{"sim-onesided", 2 * laneIters, oneSidedLane, 2662},
 	{"sim-triggered", laneIters, triggeredLane, 1553},
 }
 
-// twoSidedLane is the Send/Recv ping-pong between two CPU ranks under the
-// given configuration.
-func twoSidedLane(set func(*dcgn.Config)) func(testing.TB) dcgn.Report {
+// twoSidedLane is the Send/Recv ping-pong of size-byte messages between two
+// CPU ranks under the given configuration.
+func twoSidedLane(size int, set func(*dcgn.Config)) func(testing.TB) dcgn.Report {
 	return func(tb testing.TB) dcgn.Report {
 		cfg := dcgn.DefaultConfig()
 		cfg.Nodes, cfg.CPUKernels, cfg.GPUs = 2, 1, 0
 		set(&cfg)
 		job := dcgn.NewJob(cfg)
 		job.SetCPUKernel(func(c *dcgn.CPUCtx) {
-			buf := make([]byte, lanePayload)
+			buf := make([]byte, size)
 			for k := 0; k < laneIters; k++ {
 				var err error
 				switch c.Rank() {
@@ -409,6 +414,38 @@ func twoSidedLane(set func(*dcgn.Config)) func(testing.TB) dcgn.Report {
 					if _, err = c.Recv(0, buf); err == nil {
 						err = c.Send(0, buf)
 					}
+				}
+				if err != nil {
+					tb.Error(err)
+					return
+				}
+			}
+		})
+		return runLane(tb, job)
+	}
+}
+
+// gpuLane is the same ping-pong between two GPU slots on different nodes:
+// every message is staged device -> host, relayed by both comm threads and
+// written back host -> device.
+func gpuLane(size int) func(testing.TB) dcgn.Report {
+	return func(tb testing.TB) dcgn.Report {
+		cfg := dcgn.DefaultConfig()
+		cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 2, 0, 1, 1
+		job := dcgn.NewJob(cfg)
+		job.SetGPUSetup(func(s *dcgn.GPUSetup) {
+			s.Args["buf"] = s.Dev.Mem().MustAlloc(size)
+		})
+		job.SetGPUKernel(1, 8, func(g *dcgn.GPUCtx) {
+			buf, me := g.Arg("buf").(dcgn.DevPtr), g.Rank(0)
+			for k := 0; k < laneIters; k++ {
+				var err error
+				if me == 0 {
+					if err = g.Send(0, 1, buf, size); err == nil {
+						_, err = g.Recv(0, 1, buf, size)
+					}
+				} else if _, err = g.Recv(0, 0, buf, size); err == nil {
+					err = g.Send(0, 0, buf, size)
 				}
 				if err != nil {
 					tb.Error(err)

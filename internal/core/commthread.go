@@ -95,6 +95,10 @@ func (ns *nodeState) start() {
 	ns.rt.SpawnDaemonID("mpi-recv", ns.node, ns.wire.run)
 }
 
+// dataHdr is the header length of a two-sided data frame: where its
+// payload starts.
+func (ns *nodeState) dataHdr() int { return ns.wire.layout.hdrLen(kindData) }
+
 // charge bills d of modeled time to p on this node's behalf, scaled by the
 // node's noise. Every cost the engine models goes through here; on the live
 // backend, where costs are real, it charges nothing.
@@ -132,7 +136,7 @@ func (ns *nodeState) runCommThread(p transport.Proc) {
 // twoSidedEnd is the node as the two-sided lane's laneEnd: frames move over
 // the transport's Send/RecvMsg, and an arrival is funneled to the comm
 // thread, which returns the wire buffer to the pool once it has delivered
-// the payload.
+// the payload — or hands it to the GPU receive that adopts it.
 type twoSidedEnd nodeState
 
 func (e *twoSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {

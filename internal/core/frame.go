@@ -135,10 +135,20 @@ type frame struct {
 }
 
 // packFrame builds header+payload for f in a pooled buffer, which the
-// sender returns to the pool once the frame is sent (and acknowledged).
+// sender hands to its lane's transmit.
 func packFrame(pool *bufpool.Pool, l layout, f *frame) []byte {
 	hdr := l.hdrLen(f.kind)
 	msg := pool.Get(hdr + len(f.payload))
+	putHeader(msg, l, f)
+	copy(msg[hdr:], f.payload)
+	return msg
+}
+
+// putHeader writes f's header into the first l.hdrLen(f.kind) bytes of msg,
+// announcing a payload of len(f.payload) bytes: packFrame's header, and the
+// whole of the packing when the payload already sits after it (a GPU
+// send's staging, gpu.go).
+func putHeader(msg []byte, l layout, f *frame) {
 	le := binary.LittleEndian
 	le.PutUint64(msg[0:], uint64(int64(f.src)))
 	le.PutUint64(msg[8:], uint64(int64(f.dst)))
@@ -162,8 +172,6 @@ func packFrame(pool *bufpool.Pool, l layout, f *frame) []byte {
 		le.PutUint64(msg[off:], f.traceID)
 		le.PutUint64(msg[off+8:], f.spanID)
 	}
-	copy(msg[hdr:], f.payload)
-	return msg
 }
 
 // unpackFrame parses one received frame. msg comes off the wire, so every

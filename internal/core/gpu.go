@@ -306,15 +306,13 @@ func (gt *gpuThread) buildRequest(p *sim.Proc, ss *slotState) *request {
 	switch ss.op {
 	case opSend:
 		req.peer = peer
-		req.buf = pool.Get(ss.size)
-		gt.dev.CopyOut(p, bus, ss.ptr, req.buf)
+		gt.stageSend(p, req, ss.ptr, ss.size)
 	case opRecv:
 		req.peer = peer
 		req.buf = pool.Get(ss.size)
 	case opSendrecv:
 		req.peer, req.peer2 = unpackPeers(ss.peerRaw)
-		req.buf = pool.Get(ss.size)
-		gt.dev.CopyOut(p, bus, ss.ptr, req.buf)
+		gt.stageSend(p, req, ss.ptr, ss.size)
 		req.recvBuf = pool.Get(ss.size2)
 	case opBarrier:
 		req.peer = peer
@@ -348,6 +346,21 @@ func (gt *gpuThread) buildRequest(p *sim.Proc, ss *slotState) *request {
 	return req
 }
 
+// stageSend copies the n outbound bytes at ptr device -> host into req.buf
+// (Fig. 2 step 1). For a peer on another node that staging buffer is the
+// wire frame itself: the payload lands behind room for the data header,
+// which handleSend writes in place, so no host copy comes between the PCIe
+// transfer and the wire.
+func (gt *gpuThread) stageSend(p *sim.Proc, req *request, ptr device.Ptr, n int) {
+	req.sendFrame = gt.ns.job.rmap.Node(req.peer) != gt.ns.node
+	off := 0
+	if req.sendFrame {
+		off = gt.ns.dataHdr()
+	}
+	req.buf = gt.ns.job.pool.Get(off + n)
+	gt.dev.CopyOut(p, gt.payloadBus(), ptr, req.buf[off:])
+}
+
 // writeBack copies inbound payloads host -> device, writes result words and
 // the done flag, and releases the spinning block (Fig. 2 step 7).
 func (gt *gpuThread) writeBack(p *sim.Proc, ss *slotState, mb []byte) {
@@ -355,10 +368,15 @@ func (gt *gpuThread) writeBack(p *sim.Proc, ss *slotState, mb []byte) {
 	bus := gt.payloadBus()
 	req := ss.req
 	switch ss.op {
-	case opRecv:
-		gt.dev.CopyIn(p, bus, ss.ptr, req.buf[:req.status.Bytes])
-	case opSendrecv:
-		gt.dev.CopyIn(p, bus, ss.ptr2, req.recvBuf[:req.status.Bytes])
+	case opRecv, opSendrecv:
+		ptr, in := ss.ptr, req.buf
+		if ss.op == opSendrecv {
+			ptr, in = ss.ptr2, req.recvBuf
+		}
+		if req.recvFrame {
+			in = req.recvBuf[gt.ns.dataHdr():]
+		}
+		gt.dev.CopyIn(p, bus, ptr, in[:req.status.Bytes])
 	case opBcast:
 		if ss.rank != req.peer {
 			gt.dev.CopyIn(p, bus, ss.ptr, req.buf)
@@ -386,8 +404,10 @@ func (gt *gpuThread) writeBack(p *sim.Proc, ss *slotState, mb []byte) {
 	// The host staging buffers are done once results are back on the
 	// device: the lifecycle span (if any) was recorded inside complete(),
 	// before this write-back ran, so nothing reads them after the pool
-	// reclaims the storage.
-	gt.ns.job.pool.Put(req.buf)
+	// reclaims the storage. A sendFrame buffer is the wire's, not ours.
+	if !req.sendFrame {
+		gt.ns.job.pool.Put(req.buf)
+	}
 	gt.ns.job.pool.Put(req.recvBuf)
 	ss.req = nil
 	ss.stage = stageIdle

@@ -194,6 +194,10 @@ type Report struct {
 	DupWireFrames int64
 	AcksSent      int64
 	AcksReceived  int64
+	// BadFrames counts arrivals on either lane that failed to decode as a
+	// wire frame, over all nodes: each was released and dropped, and only a
+	// reliable lane recovers what it carried, by retransmission.
+	BadFrames int64
 	// CollRetries counts node-level collective calls re-executed after a
 	// transient transport failure, summed over all nodes.
 	CollRetries int64
@@ -258,6 +262,9 @@ type NodeStats struct {
 	DupWireFrames int64
 	AcksSent      int64
 	AcksReceived  int64
+	// BadFrames counts this node's arrivals that failed to decode and were
+	// dropped.
+	BadFrames int64
 	// CollRetries counts this node's collective re-executions after
 	// transient transport failures.
 	CollRetries int64
@@ -445,7 +452,7 @@ func (ns *nodeState) wrapTransport(tr transport.Transport) {
 		tr = cfg.WrapTransport(tr)
 	}
 	if cfg.Faults.Enabled() {
-		ns.faults = faults.New(tr, cfg.Faults, ns.node)
+		ns.faults = faults.New(tr, cfg.Faults, ns.node, ns.job.pool)
 		tr = ns.faults
 	}
 	ns.tr = tr
@@ -487,6 +494,7 @@ func (j *Job) report() Report {
 		rep.Gauges = snap.Gauges
 		rep.Histograms = snap.Histograms
 	}
+	rep.Nodes = make([]NodeStats, 0, len(j.nodes))
 	for _, ns := range j.nodes {
 		st := NodeStats{
 			Node:            ns.node,
@@ -500,10 +508,12 @@ func (j *Job) report() Report {
 		st.DupWireFrames = atomic.LoadInt64(&ns.rel.dupFrames)
 		st.AcksSent = atomic.LoadInt64(&ns.rel.acksSent)
 		st.AcksReceived = atomic.LoadInt64(&ns.rel.acksReceived)
+		st.BadFrames = atomic.LoadInt64(&ns.rel.badFrames)
 		rep.Retransmits += st.Retransmits
 		rep.DupWireFrames += st.DupWireFrames
 		rep.AcksSent += st.AcksSent
 		rep.AcksReceived += st.AcksReceived
+		rep.BadFrames += st.BadFrames
 		st.CollRetries = atomic.LoadInt64(&ns.collRetried)
 		rep.CollRetries += st.CollRetries
 		if ns.osw != nil {

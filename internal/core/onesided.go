@@ -439,10 +439,7 @@ func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *frame) error 
 		}
 	}
 	f.seq = lane.assignSeq(dstNode)
-	msg := packFrame(ns.job.pool, lane.layout, f)
-	err := lane.transmit(p, dstNode, f.seq, msg, nil)
-	ns.job.pool.Put(msg)
-	return err
+	return lane.transmit(p, dstNode, f.seq, packFrame(ns.job.pool, lane.layout, f), nil)
 }
 
 // osDispatch hands one in-order data-class frame to the sink's step for its
@@ -598,16 +595,16 @@ func (c *CPUCtx) WinStats(winID int) WinStats {
 }
 
 // PersistentPut is a registered ("register once, fire many times")
-// one-sided put: the frame is packed at creation and every Start only
-// refreshes the payload bytes, sequence number and timestamp in place —
-// no per-fire descriptor building or pool churn, the CPU-side analogue of
-// a persistent MPI request. One Start at a time per handle.
+// one-sided put: the header is packed at creation and every Start hands
+// the lane a copy of it with the payload bytes, sequence number and
+// timestamp refreshed — no per-fire descriptor building, the CPU-side
+// analogue of a persistent MPI request. One Start at a time per handle.
 type PersistentPut struct {
 	c *CPUCtx
 	// f is the put in parsed form (its payload is the caller's data slice),
-	// frame the pre-packed wire frame and body its payload region.
-	f           frame
-	frame, body []byte
+	// hdr its pre-packed wire header.
+	f   frame
+	hdr []byte
 }
 
 // NewPersistentPut registers a persistent put of data into window winID
@@ -624,8 +621,8 @@ func (c *CPUCtx) NewPersistentPut(dst, winID, offset int, data []byte) *Persiste
 		pp.f.spanID = ns.job.trace.newSpanID(c.rank)
 		pp.f.traceID = pp.f.spanID
 	}
-	pp.frame = packFrame(ns.job.pool, lay, &pp.f)
-	pp.body = pp.frame[lay.hdrLen(kindPut):]
+	pp.hdr = ns.job.pool.Get(lay.hdrLen(kindPut))
+	putHeader(pp.hdr, lay, &pp.f)
 	return pp
 }
 
@@ -646,15 +643,16 @@ func (pp *PersistentPut) Start() error {
 		return err
 	}
 	lane := &ns.osw.lane
-	copy(pp.body, pp.f.payload)
-	setPostedAt(pp.frame, int64(p.Now()))
+	msg := ns.job.pool.Get(len(pp.hdr) + len(pp.f.payload))
+	copy(msg[copy(msg, pp.hdr):], pp.f.payload)
+	setPostedAt(msg, int64(p.Now()))
 	seq := lane.assignSeq(dstNode)
-	setSeq(pp.frame, seq)
-	return lane.transmit(p, dstNode, seq, pp.frame, nil)
+	setSeq(msg, seq)
+	return lane.transmit(p, dstNode, seq, msg, nil)
 }
 
-// Free releases the handle's pre-packed frame back to the pool.
+// Free releases the handle's pre-packed header back to the pool.
 func (pp *PersistentPut) Free() {
-	pp.c.ns.job.pool.Put(pp.frame)
-	pp.frame, pp.body = nil, nil
+	pp.c.ns.job.pool.Put(pp.hdr)
+	pp.hdr = nil
 }

@@ -18,7 +18,7 @@ func (ns *nodeState) handleSendrecv(p transport.Proc, req *request) {
 	rt := ns.rt
 	sendPart := &request{
 		op: opSend, rank: req.rank, peer: req.peer, buf: req.buf,
-		done: rt.NewEventID("srv-send", req.rank), ns: ns, gpu: req.gpu,
+		done: rt.NewEventID("srv-send", req.rank), ns: ns, gpu: req.gpu, sendFrame: req.sendFrame,
 	}
 	recvPart := &request{
 		op: opRecv, rank: req.rank, peer: req.peer2, buf: req.recvBuf,
@@ -44,6 +44,12 @@ func (ns *nodeState) handleSendrecv(p transport.Proc, req *request) {
 			req.traceID = recvPart.traceID
 			req.parentID = recvPart.parentID
 		}
+		if recvPart.recvFrame {
+			// The receive half adopted the arrived frame in place of the
+			// parent's staging, which nothing reads any more.
+			ns.job.pool.Put(req.recvBuf)
+			req.recvBuf, req.recvFrame = recvPart.recvBuf, true
+		}
 		req.complete(recvPart.status.Source, recvPart.status.Bytes, err)
 	})
 }
@@ -62,25 +68,29 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 		// (and, on a reliable lane, is acknowledged), as in the paper's
 		// dataflow (Fig. 2, steps 2-3).
 		seq := ns.wire.assignSeq(dstNode)
-		msg := packFrame(ns.job.pool, ns.wire.layout, &frame{
+		f := &frame{
 			kind: kindData, src: req.rank, dst: req.peer, seq: seq,
-			payload: req.buf, traceID: req.traceID, spanID: req.spanID,
-		})
+			payload: req.payload(), traceID: req.traceID, spanID: req.spanID,
+		}
+		msg := req.buf
+		if req.sendFrame {
+			putHeader(msg, ns.wire.layout, f) // the payload is staged behind room for it
+		} else {
+			msg = packFrame(ns.job.pool, ns.wire.layout, f)
+		}
 		ns.rt.SpawnID("dcgn-tx", ns.node, func(h transport.Proc) {
 			ns.charge(h, ns.job.cfg.Params.RemoteRelayCost)
 			var sentAt *time.Duration
 			if ns.obsOn {
 				sentAt = &req.wireSentAt
 			}
+			// The lane owns msg from here: the wire buffer is not ours again.
 			err := ns.wire.transmit(h, dstNode, seq, msg, sentAt)
 			if ns.obsOn && ns.wire.seq != nil && err == nil {
 				req.ackedAt = h.Now()
 			}
-			// Send has buffered semantics (eager copy or rendezvous
-			// snapshot), so the wire buffer is ours again once it returns.
-			ns.job.pool.Put(msg)
 			ns.charge(h, ns.job.cfg.Params.NotifyCost)
-			req.complete(req.rank, len(req.buf), err)
+			req.complete(req.rank, len(msg)-ns.dataHdr(), err)
 		})
 		return
 	}
@@ -194,7 +204,10 @@ func (ns *nodeState) deliverLocal(p transport.Proc, send, recv *request) {
 // deliverInbound completes a posted receive with a wire payload. A
 // pre-posted receive is delivered without a staging copy (the underlying
 // MPI lands data in the matched buffer); only messages that sat in the
-// unexpected queue pay the memcpy.
+// unexpected queue pay the memcpy. On the host, a CPU receive copies the
+// payload into its buffer; a GPU receive, whose buffer is only staging on
+// the way to the device, adopts the frame instead (recvFrame), and
+// writeBack copies its payload in.
 func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request, wasUnexpected bool) {
 	n := len(in.data)
 	var err error
@@ -205,15 +218,17 @@ func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request
 	if wasUnexpected {
 		ns.chargeMemcpy(p, n)
 	}
-	copy(recv.buf[:n], in.data[:n])
+	if recv.gpu {
+		recv.recvBuf, recv.recvFrame = in.backing, true
+	} else {
+		copy(recv.buf[:n], in.data[:n])
+		ns.job.pool.Put(in.backing)
+	}
+	in.backing, in.data = nil, nil
 	if ns.flowsOn && in.spanID != 0 {
 		// Stitch: the receive joins the flow carried in the wire header.
 		recv.traceID = in.traceID
 		recv.parentID = in.spanID
-	}
-	if in.backing != nil {
-		ns.job.pool.Put(in.backing)
-		in.backing, in.data = nil, nil
 	}
 	ns.charge(p, ns.job.cfg.Params.NotifyCost)
 	recv.complete(in.src, n, err)

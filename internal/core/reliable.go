@@ -53,12 +53,15 @@ type relWaiter struct {
 }
 
 // relStats counts one node's reliability traffic over both lanes: a
-// retransmitted put is a retransmission, whichever lane carried it.
+// retransmitted put is a retransmission, whichever lane carried it. Only
+// badFrames, the arrivals that did not decode, counts on unreliable lanes
+// too.
 type relStats struct {
 	retransmits  int64
 	dupFrames    int64
 	acksSent     int64
 	acksReceived int64
+	badFrames    int64
 }
 
 // laneEnd is what differs between a node's two frame streams: the
@@ -143,12 +146,14 @@ func relBackoff(r Reliability, attempt int) time.Duration {
 }
 
 // transmit puts the packed frame msg, numbered seq, on the wire to dstNode,
-// inline on the calling proc. On a reliable lane it returns once the frame
-// is acknowledged, retransmitting the same bytes on ack timeout until the
-// retry budget is spent or the transport fails hard. The retransmit timer
-// is armed only after send returns, so a rendezvous transfer never eats
-// into its own ack timeout. sentAt, when not nil, receives the time the
-// frame first reached the wire. msg stays the caller's.
+// inline on the calling proc, and takes ownership of msg. An unreliable
+// lane hands msg itself to the transport. A reliable one keeps msg until
+// the frame is acknowledged, sending a pooled copy per attempt and
+// retransmitting on ack timeout until the retry budget is spent or the
+// transport fails hard, and then releases it. The retransmit timer is
+// armed only after send returns, so a rendezvous transfer never eats into
+// its own ack timeout. sentAt, when not nil, receives the time the frame
+// first reached the wire.
 func (l *relLane) transmit(h transport.Proc, dstNode int, seq uint64, msg []byte, sentAt *time.Duration) error {
 	ns, s := l.ns, l.seq
 	cfg := ns.job.cfg.Reliability
@@ -163,10 +168,16 @@ func (l *relLane) transmit(h transport.Proc, dstNode int, seq uint64, msg []byte
 			s.mu.Lock()
 			delete(s.waiters, key)
 			s.mu.Unlock()
+			ns.job.pool.Put(msg)
 		}()
 	}
 	for attempt := 0; ; attempt++ {
-		if err := l.end.send(h, dstNode, msg); err != nil {
+		wire := msg
+		if s != nil {
+			wire = ns.job.pool.Get(len(msg))
+			copy(wire, msg)
+		}
+		if err := l.end.send(h, dstNode, wire); err != nil {
 			return err
 		}
 		if sentAt != nil && *sentAt == 0 {
@@ -209,7 +220,7 @@ func (l *relLane) transmit(h transport.Proc, dstNode int, seq uint64, msg []byte
 // receiver daemon never blocks in a transport send (two receivers
 // synchronously acking into each other's full inbound queues would
 // deadlock). The helper is a worker, not a daemon: the run stays alive
-// until the ack is out and its buffer is back in the pool.
+// until the ack is handed to the transport, which owns it from then on.
 func (l *relLane) sendAck(peerNode int, seq uint64) {
 	ns := l.ns
 	ack := packFrame(ns.job.pool, l.layout, &frame{kind: kindAck, src: ns.node, seq: seq})
@@ -218,7 +229,6 @@ func (l *relLane) sendAck(peerNode int, seq uint64) {
 		// Best-effort: a dropped or post-close ack is recovered by the
 		// sender's retransmission, which we will re-ack.
 		_ = l.end.send(h, peerNode, ack)
-		ns.job.pool.Put(ack)
 	})
 }
 
@@ -310,7 +320,11 @@ func (l *relLane) run(p transport.Proc) {
 		}
 		f, err := unpackFrame(l.layout, msg)
 		if err != nil {
-			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", l.ns.node, err))
+			// Outside bytes that do not decode: drop and count them. A
+			// reliable sender retransmits the frame they were meant to be.
+			atomic.AddInt64(&l.ns.rel.badFrames, 1)
+			l.ns.job.pool.Put(msg)
+			continue
 		}
 		if l.seq != nil {
 			l.receive(p, f)

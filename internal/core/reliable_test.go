@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 	"dcgn/internal/transport/faults"
 )
@@ -282,6 +285,90 @@ func TestCollectivesSurviveTransientFaults(t *testing.T) {
 		}
 		if rep.FaultsInjected.CollFails == 0 {
 			t.Fatal("no collective faults injected; test proves nothing")
+		}
+	})
+}
+
+// corruptOne is a WrapTransport hook that, once across all the nodes it
+// wraps, overwrites the payload-length word of the first two-sided data
+// frame sent, so that frame can no longer be decoded. A frame is the
+// transport's once sent, so the hook may rewrite it in place.
+func corruptOne() func(transport.Transport) transport.Transport {
+	var done atomic.Bool
+	return func(tr transport.Transport) transport.Transport {
+		return corruptingTransport{tr, &done}
+	}
+}
+
+type corruptingTransport struct {
+	transport.Transport
+	done *atomic.Bool
+}
+
+func (c corruptingTransport) Send(p transport.Proc, dstNode int, msg []byte) error {
+	if binary.LittleEndian.Uint64(msg[16:]) > 0 && c.done.CompareAndSwap(false, true) {
+		binary.LittleEndian.PutUint64(msg[16:], uint64(len(msg))) // longer than what follows the header
+	}
+	return c.Transport.Send(p, dstNode, msg)
+}
+
+// badFrameJob sends one 4 KiB message from rank 0 to rank 1 on another
+// node over a wire that corrupts it once; got receives what rank 1 got.
+func badFrameJob(cfg Config, got *[]byte) *Job {
+	cfg.WrapTransport = corruptOne()
+	job := NewJob(cfg)
+	job.SetCPUKernel(func(c *CPUCtx) {
+		switch c.Rank() {
+		case 0:
+			_ = c.Send(1, pattern(4096, 5))
+		case 1:
+			buf := make([]byte, 4096)
+			if st, err := c.Recv(0, buf); err == nil {
+				*got = buf[:st.Bytes]
+			}
+		}
+	})
+	return job
+}
+
+// TestBadFrameIsACountedDrop: a frame that fails to decode is released and
+// counted in BadFrames, and the receiver goes on. On a reliable lane the
+// sender's retransmission then delivers the message bit-correct.
+func TestBadFrameIsACountedDrop(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		var got []byte
+		rep, err := badFrameJob(reliableConfig(backend, faults.Config{}), &got).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pattern(4096, 5)) {
+			t.Errorf("received %d bytes, not the message sent", len(got))
+		}
+		if rep.BadFrames != 1 || rep.Nodes[1].BadFrames != 1 || rep.Retransmits < 1 {
+			t.Errorf("BadFrames %d (node 1: %d), Retransmits %d; want 1, 1, at least 1",
+				rep.BadFrames, rep.Nodes[1].BadFrames, rep.Retransmits)
+		}
+		if rep.PoolAcquires != rep.PoolReleases {
+			t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
+		}
+	})
+}
+
+// TestBadFrameOnUnreliableLaneFailsTheRun: with nothing to retransmit it,
+// the dropped message is never received — Job.Run reports that as an error
+// (a deadlock in virtual time, the watchdog on the wall clock) instead of
+// the receiver panicking.
+func TestBadFrameOnUnreliableLaneFailsTheRun(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		cfg := backendConfig(backend, 2, 1)
+		if backend == transport.BackendLive {
+			cfg.MaxVirtualTime = 200 * time.Millisecond
+		}
+		var got []byte
+		_, err := badFrameJob(cfg, &got).Run()
+		var pe *sim.PanicError
+		if err == nil || errors.As(err, &pe) || got != nil {
+			t.Fatalf("run with an undecodable frame: err %v, received %d bytes", err, len(got))
 		}
 	})
 }

@@ -89,6 +89,16 @@ type request struct {
 	// traced marks requests whose lifecycle span goes into the trace ring
 	// on completion (set by traceSink.record when Config.Trace is on).
 	traced bool
+	// sendFrame and recvFrame mark a buffer that is a whole two-sided wire
+	// frame, its payload after the data header (nodeState.dataHdr) — what
+	// spares a GPU's remote traffic the host copies nothing models. With
+	// sendFrame, buf is a GPU send's staging with room left for the header
+	// (buildRequest): handleSend writes the header in place and hands it to
+	// the wire, after which only its length is the request's. With
+	// recvFrame, recvBuf is an arrived frame a GPU receive adopted instead
+	// of copying its payload into buf (deliverInbound), and writeBack copies
+	// from it and releases it. They sit in padding: request must not grow.
+	sendFrame, recvFrame bool
 
 	// Lifecycle observability, stamped as the request moves through the
 	// engine's layers (trace.go). A point-to-point request records the
@@ -128,6 +138,15 @@ func (r *request) complete(src, n int, err error) {
 	r.done.Fire()
 }
 
+// payload returns the request's payload bytes: buf, less the header room
+// of a sendFrame buffer.
+func (r *request) payload() []byte {
+	if r.sendFrame {
+		return r.buf[r.ns.dataHdr():]
+	}
+	return r.buf
+}
+
 // inbound is a two-sided message received from another node, already
 // demultiplexed from the underlying MPI by the receiver helper. It is the
 // slice of a parsed frame the matcher needs, kept apart from frame so a
@@ -138,7 +157,7 @@ type inbound struct {
 	data []byte
 	// backing is the pooled wire buffer that data aliases (header included).
 	// The comm thread returns it to the job pool once the payload has been
-	// copied into the matched receive buffer.
+	// copied into the matched receive buffer, unless a GPU receive adopts it.
 	backing []byte
 	// traceID and spanID carry the sending request's flow context across
 	// the wire (Config.Flows), so the matched receive inherits the trace

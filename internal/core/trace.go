@@ -121,7 +121,7 @@ func (ns *nodeState) recordSpan(req *request) {
 		Node:       ns.node,
 		Rank:       req.rank,
 		Peer:       req.peer,
-		Bytes:      len(req.buf),
+		Bytes:      len(req.payload()),
 		GPU:        req.gpu,
 		Failed:     req.err != nil,
 		Post:       req.postedAt,

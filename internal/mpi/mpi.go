@@ -6,8 +6,9 @@
 // calls those two roles make and no more of the standard than that:
 //
 //   - point-to-point with (source, tag) matching including wildcards and an
-//     eager/rendezvous protocol split: Send, Recv, RecvMsg (take-ownership),
-//     Isend, Irecv, Request.Wait, WaitAll, Sendrecv, SendrecvReplace;
+//     eager/rendezvous protocol split: Send, SendMsg and RecvMsg
+//     (take-ownership), Recv, Isend, Irecv, Request.Wait, WaitAll, Sendrecv,
+//     SendrecvReplace;
 //   - collectives on a communicator (Comm): Barrier (dissemination), Bcast
 //     (binomial tree; scatter + ring allgather for large payloads), Gather,
 //     Gatherv and Scatterv (flat or binomial tree), Alltoallv (pairwise
@@ -274,7 +275,8 @@ type recvReq struct {
 	data []byte
 }
 
-// sendReq is a rendezvous send awaiting its CTS, from rank from.
+// sendReq is a rendezvous send awaiting its CTS, from rank from; data is
+// what goes on the wire.
 type sendReq struct {
 	from *Rank
 	data []byte
@@ -422,16 +424,12 @@ func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
 
 // sendRndvData is the body of an mpi-rndv-data helper: it injects the
 // payload of the rendezvous send it carries (Proc.Arg) and completes the
-// send. The payload is snapshot: once the DMA is in flight the sender may
-// reuse its buffer (its request completes on injection), so the wire must
-// carry a copy, not a reference.
+// send.
 func sendRndvData(h *sim.Proc) {
 	sr := h.Arg().(*sendReq)
 	r := sr.from
-	payload := r.stagingPool().Get(len(sr.data))
-	copy(payload, sr.data)
-	data := &envelope{kind: kindData, src: r.id, dst: sr.dst, tag: sr.tag, seq: sr.seq, size: len(payload), data: payload}
-	r.w.net.Node(r.node).Send(h, r.w.nodeOf[sr.dst], headerBytes+len(payload), data)
+	data := &envelope{kind: kindData, src: r.id, dst: sr.dst, tag: sr.tag, seq: sr.seq, size: len(sr.data), data: sr.data}
+	r.w.net.Node(r.node).Send(h, r.w.nodeOf[sr.dst], headerBytes+len(sr.data), data)
 	sr.done.Fire()
 }
 

@@ -14,14 +14,17 @@ import (
 // has arrived and the data has been injected. The caller must not modify
 // buf until the request completes.
 func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
-	return &Request{done: r.send(p, buf, dst, tag)}
+	return &Request{done: r.send(p, buf, dst, tag, false)}
 }
 
-// send starts a send — Send, Isend and Sendrecv all go through here — and
-// returns the event that completes it, nil for an eager send: its payload
-// is copied into a staging buffer (buffered semantics) and an mpi-eager
-// helper puts it on the wire, so it is complete already.
-func (r *Rank) send(p *sim.Proc, buf []byte, dst, tag int) *sim.Event {
+// send starts a send — Send, SendMsg, Isend and Sendrecv all go through
+// here — and returns the event that completes it, nil for an eager send: an
+// mpi-eager helper puts its payload on the wire, so it is complete already.
+// A buffered send (owned false) puts a staging copy of buf on the wire, so
+// the caller may reuse buf once the send completes — for a rendezvous, on
+// injection, before the receiver has the data; an owned one puts buf
+// itself on the wire.
+func (r *Rank) send(p *sim.Proc, buf []byte, dst, tag int, owned bool) *sim.Event {
 	if dst < 0 || dst >= len(r.w.ranks) {
 		panic(fmt.Sprintf("mpi: send to bad rank %d", dst))
 	}
@@ -31,15 +34,18 @@ func (r *Rank) send(p *sim.Proc, buf []byte, dst, tag int) *sim.Event {
 	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
 	r.nextSeq++
 	seq := r.nextSeq
-	if len(buf) <= r.w.cfg.EagerLimit {
-		data := r.stagingPool().Get(len(buf))
+	data := buf
+	if !owned {
+		data = r.stagingPool().Get(len(buf))
 		copy(data, buf)
+	}
+	if len(buf) <= r.w.cfg.EagerLimit {
 		env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data, from: r}
 		r.sim.SpawnID("mpi-eager", r.id, injectEager, env)
 		return nil
 	}
 	done := r.sim.NewEventID(r.sendPrefix, dst)
-	r.pendingSends[seq] = &sendReq{from: r, data: buf, dst: dst, tag: tag, seq: seq, done: done}
+	r.pendingSends[seq] = &sendReq{from: r, data: data, dst: dst, tag: tag, seq: seq, done: done}
 	rts := &envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
 	r.w.net.Node(r.node).Send(p, r.w.nodeOf[dst], headerBytes, rts)
 	return done
@@ -102,7 +108,19 @@ func (r *Rank) await(p *sim.Proc, rr *recvReq) {
 // Send is a blocking send (Isend + Wait); an eager one waits for nothing,
 // so it builds no request. It reports no error.
 func (r *Rank) Send(p *sim.Proc, buf []byte, dst, tag int) error {
-	if done := r.send(p, buf, dst, tag); done != nil {
+	return r.sendWait(p, buf, dst, tag, false)
+}
+
+// SendMsg is a take-ownership blocking send, the send-side twin of RecvMsg:
+// buf must come from the rank's staging pool, and it is the payload on the
+// wire — no eager copy, no rendezvous snapshot — until the receiver takes
+// it (RecvMsg) or releases it (Recv). Modeled costs and timing are Send's.
+func (r *Rank) SendMsg(p *sim.Proc, buf []byte, dst, tag int) error {
+	return r.sendWait(p, buf, dst, tag, true)
+}
+
+func (r *Rank) sendWait(p *sim.Proc, buf []byte, dst, tag int, owned bool) error {
+	if done := r.send(p, buf, dst, tag, owned); done != nil {
 		done.Wait(p)
 	}
 	return nil

@@ -102,6 +102,53 @@ func TestRecvMsgUnexpected(t *testing.T) {
 	}
 }
 
+// TestSendMsgHandsOverTheBuffer: a take-ownership send puts the caller's
+// pooled buffer itself on the wire, eager or rendezvous — RecvMsg returns
+// the same backing array — with the pool balanced once the receiver
+// releases it, at the virtual time a buffered Send of the same bytes ends.
+func TestSendMsgHandsOverTheBuffer(t *testing.T) {
+	run := func(size int, owned bool) (same bool, end time.Duration) {
+		s := sim.New()
+		w := testWorld(s, 2, 2)
+		msg := fill(size, 3)
+		var sent []byte
+		runRanks(t, w, func(p *sim.Proc, r *Rank) {
+			switch r.ID() {
+			case 0:
+				send, buf := r.Send, msg
+				if owned {
+					sent = w.Pool().Get(size)
+					copy(sent, msg)
+					send, buf = r.SendMsg, sent
+				}
+				if err := send(p, buf, 1, 4); err != nil {
+					t.Error(err)
+				}
+			case 1:
+				st, got, err := r.RecvMsg(p, 0, 4)
+				if err != nil || st.Count != size || !bytes.Equal(got, msg) {
+					t.Errorf("%d B: status %+v, err %v, payload intact %v", size, st, err, bytes.Equal(got, msg))
+				}
+				same = owned && &got[0] == &sent[0]
+				w.Pool().Put(got)
+			}
+		})
+		if a, r := w.Pool().Acquires(), w.Pool().Releases(); a != r || a != 1 {
+			t.Errorf("%d B, owned %v: %d acquires vs %d releases, want 1 of each", size, owned, a, r)
+		}
+		return same, s.Now()
+	}
+	for _, size := range []int{100, DefaultConfig().EagerLimit * 2} {
+		same, ownedEnd := run(size, true)
+		if !same {
+			t.Errorf("%d B: RecvMsg returned a different buffer from the one SendMsg was given", size)
+		}
+		if _, bufferedEnd := run(size, false); ownedEnd != bufferedEnd {
+			t.Errorf("%d B: SendMsg ends at %v, Send at %v", size, ownedEnd, bufferedEnd)
+		}
+	}
+}
+
 // TestKilledReceiverUnposts: a proc killed while blocked in RecvMsg (or
 // Recv) takes its posted receive with it — the rank's posted list is empty
 // afterwards, and a frame with that tag sent later queues as unexpected

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"dcgn/internal/bufpool"
 	"dcgn/internal/transport"
 )
 
@@ -76,10 +77,13 @@ func (c Config) maxDelay() time.Duration {
 }
 
 // Endpoint wraps one node's transport with fault injection on both lanes.
+// Like every transport it owns what it is sent; pool is the job's buffer
+// pool, which a dropped message goes back to and a duplicate comes from.
 type Endpoint struct {
 	inner transport.Transport
 	cfg   Config
 	node  int
+	pool  *bufpool.Pool
 
 	// mu guards the RNG, stats and held-message slots. It is never held
 	// across a (potentially blocking) inner transport call: on the
@@ -95,14 +99,16 @@ type Endpoint struct {
 	stats     transport.FaultStats
 }
 
-// New wraps inner with fault injection for the given node. Every endpoint
-// of a cluster must share the same Config (in particular Seed), or the
-// cluster-consistent collective failure decisions diverge.
-func New(inner transport.Transport, cfg Config, node int) *Endpoint {
+// New wraps inner with fault injection for the given node, whose frames
+// come from pool. Every endpoint of a cluster must share the same Config
+// (in particular Seed), or the cluster-consistent collective failure
+// decisions diverge.
+func New(inner transport.Transport, cfg Config, node int, pool *bufpool.Pool) *Endpoint {
 	return &Endpoint{
 		inner: inner,
 		cfg:   cfg,
 		node:  node,
+		pool:  pool,
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(node)<<17 ^ 0x5bd1e995)),
 	}
 }
@@ -118,15 +124,16 @@ func (e *Endpoint) FaultStats() transport.FaultStats {
 func (e *Endpoint) roll(p float64) bool { return p > 0 && e.rng.Float64() < p }
 
 // sendFaulty applies drop/dup/reorder to msg, then forwards the survivors
-// through send. Fault decisions apply to the primary message only; a
-// flushed (previously held) message and the duplicate copy are sent as-is,
-// so at most one message is ever parked per lane (held/heldDst point at
-// the lane's slot in the endpoint, guarded by mu).
+// through send, which owns each buffer it is given. Fault decisions apply
+// to the primary message only; a flushed (previously held) message and the
+// duplicate are sent as-is, so at most one message is ever parked per lane
+// (held/heldDst point at the lane's slot in the endpoint, guarded by mu).
 func (e *Endpoint) sendFaulty(p transport.Proc, dstNode int, msg []byte, held *[]byte, heldDst *int, send func(transport.Proc, int, []byte) error) error {
 	e.mu.Lock()
 	if e.roll(e.cfg.Drop) {
 		e.stats.Drops++
 		e.mu.Unlock()
+		e.pool.Put(msg)
 		return nil // "sent" into the void; reliability retransmits
 	}
 	dup := e.roll(e.cfg.Dup)
@@ -134,14 +141,16 @@ func (e *Endpoint) sendFaulty(p transport.Proc, dstNode int, msg []byte, held *[
 		e.stats.Dups++
 	}
 	if *held == nil && e.roll(e.cfg.Reorder) {
-		// Park a private copy (Send's buffered semantics return msg to the
-		// caller); it rides out with the endpoint's next send. The copy is
-		// a plain allocation, deliberately outside the job's buffer pool:
-		// held messages are fabric state, not engine staging.
+		// Park a private copy and release msg; the copy rides out with the
+		// endpoint's next send. It is a plain allocation, deliberately
+		// outside the job's buffer pool: held messages are fabric state, not
+		// engine staging, and one the endpoint dies holding must not count
+		// as a pooled buffer never released.
 		e.stats.Reorders++
 		*held = append([]byte(nil), msg...)
 		*heldDst = dstNode
 		e.mu.Unlock()
+		e.pool.Put(msg)
 		return nil
 	}
 	var flush []byte
@@ -152,20 +161,31 @@ func (e *Endpoint) sendFaulty(p transport.Proc, dstNode int, msg []byte, held *[
 	}
 	e.mu.Unlock()
 
+	var twin []byte
+	if dup {
+		twin = e.pooled(msg) // before send: msg is the inner transport's after
+	}
 	if err := send(p, dstNode, msg); err != nil {
+		e.pool.Put(twin)
 		return err
 	}
 	if dup {
-		if err := send(p, dstNode, msg); err != nil {
+		if err := send(p, dstNode, twin); err != nil {
 			return err
 		}
 	}
 	if flush != nil {
-		if err := send(p, flushDst, flush); err != nil {
-			return err
-		}
+		return send(p, flushDst, e.pooled(flush))
 	}
 	return nil
+}
+
+// pooled returns a copy of msg in a buffer from the job's pool, for the
+// inner transport to own.
+func (e *Endpoint) pooled(msg []byte) []byte {
+	cp := e.pool.Get(len(msg))
+	copy(cp, msg)
+	return cp
 }
 
 // Send applies drop/dup/reorder to msg, then forwards the survivors to

@@ -5,14 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"dcgn/internal/bufpool"
 	"dcgn/internal/transport"
 )
 
 var wall = &transport.WallProc{Epoch: time.Now()}
 
 // recorder is a loopback Transport that records every message Send
-// forwards to it, in order.
+// forwards to it, in order. Like any transport it owns what it is sent:
+// it keeps a copy and releases the buffer to pool.
 type recorder struct {
+	pool *bufpool.Pool
 	sent [][]byte
 	dsts []int
 }
@@ -20,6 +23,7 @@ type recorder struct {
 func (r *recorder) Send(_ transport.Proc, dstNode int, msg []byte) error {
 	r.sent = append(r.sent, append([]byte(nil), msg...))
 	r.dsts = append(r.dsts, dstNode)
+	r.pool.Put(msg)
 	return nil
 }
 func (r *recorder) RecvMsg(transport.Proc) ([]byte, error) { return []byte("inbound"), nil }
@@ -38,16 +42,28 @@ func (r *recorder) Scatterv(transport.Proc, []byte, []int, []byte, int) error {
 func (r *recorder) Alltoallv(transport.Proc, []byte, []int, []byte, []int) error { return nil }
 func (r *recorder) Close() error                                                 { return nil }
 
-func msgN(n int) []byte { return []byte{byte(n), byte(n >> 8)} }
+// newEndpoint wraps a fresh recorder for node, both on one fresh pool.
+func newEndpoint(cfg Config, node int) (*Endpoint, *recorder) {
+	rec := &recorder{pool: bufpool.New()}
+	return New(rec, cfg, node, rec.pool), rec
+}
+
+// pooled returns s in a buffer from pool, as a sender hands it over.
+func pooled(pool *bufpool.Pool, s string) []byte {
+	b := pool.Get(len(s))
+	copy(b, s)
+	return b
+}
+
+func msgN(n int) string { return string([]byte{byte(n), byte(n >> 8)}) }
 
 // driveSends pushes n distinct messages through a fresh endpoint and
 // returns what the inner transport saw plus the fault stats.
 func driveSends(t *testing.T, cfg Config, node, n int) (*recorder, transport.FaultStats) {
 	t.Helper()
-	rec := &recorder{}
-	ep := New(rec, cfg, node)
+	ep, rec := newEndpoint(cfg, node)
 	for i := 0; i < n; i++ {
-		if err := ep.Send(wall, i%4, msgN(i)); err != nil {
+		if err := ep.Send(wall, i%4, pooled(rec.pool, msgN(i))); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -107,6 +123,33 @@ func TestDropDupCounts(t *testing.T) {
 	}
 }
 
+// TestOwnershipKeepsPoolBalanced drives 1 000 seeded sends under drop,
+// dup and reorder on both lanes: every buffer handed to the endpoint, and
+// every duplicate or flushed copy it makes, is released exactly once —
+// by the endpoint when it drops or parks one, else by the transport under
+// it — whether or not a message is still parked at the end.
+func TestOwnershipKeepsPoolBalanced(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		ep, rec := newEndpoint(Config{Seed: seed, Drop: 0.2, Dup: 0.2, Reorder: 0.2}, 2)
+		for i := 0; i < 1000; i++ {
+			send := ep.Send
+			if i%3 == 0 {
+				send = ep.SendOneSided
+			}
+			if err := send(wall, i%4, pooled(rec.pool, msgN(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := ep.FaultStats()
+		if s.Drops == 0 || s.Dups == 0 || s.Reorders == 0 {
+			t.Fatalf("seed %d: a fault class never fired: %+v", seed, s)
+		}
+		if a, r := rec.pool.Acquires(), rec.pool.Releases(); a != r {
+			t.Fatalf("seed %d: %d acquires vs %d releases (%+v)", seed, a, r, s)
+		}
+	}
+}
+
 func TestReorderHoldsAndFlushes(t *testing.T) {
 	// Reorder=1 with one held slot: message 0 is parked, message 1 goes out
 	// and flushes message 0 behind it, message 2 is parked, ... so pairs
@@ -131,14 +174,14 @@ func TestReorderHoldsAndFlushes(t *testing.T) {
 }
 
 func TestReorderHeldCopyIsPrivate(t *testing.T) {
-	rec := &recorder{}
-	ep := New(rec, Config{Seed: 1, Reorder: 1}, 0)
-	msg := []byte("original")
+	ep, rec := newEndpoint(Config{Seed: 1, Reorder: 1}, 0)
+	msg := pooled(rec.pool, "original")
 	if err := ep.Send(wall, 1, msg); err != nil { // parked
 		t.Fatal(err)
 	}
-	copy(msg, "clobber!")                                      // caller reuses its buffer, per Send's contract
-	if err := ep.Send(wall, 1, []byte("second")); err != nil { // flushes the held copy
+	// The parked message went back to the pool, whose next user rewrites it.
+	copy(rec.pool.Get(len(msg)), "clobber!")
+	if err := ep.Send(wall, 1, pooled(rec.pool, "second")); err != nil { // flushes the held copy
 		t.Fatal(err)
 	}
 	if len(rec.sent) != 2 || string(rec.sent[1]) != "original" {
@@ -147,9 +190,8 @@ func TestReorderHeldCopyIsPrivate(t *testing.T) {
 }
 
 func TestCloseDropsHeldMessage(t *testing.T) {
-	rec := &recorder{}
-	ep := New(rec, Config{Seed: 1, Reorder: 1}, 0)
-	if err := ep.Send(wall, 1, []byte("doomed")); err != nil {
+	ep, rec := newEndpoint(Config{Seed: 1, Reorder: 1}, 0)
+	if err := ep.Send(wall, 1, pooled(rec.pool, "doomed")); err != nil {
 		t.Fatal(err)
 	}
 	if err := ep.Close(); err != nil {
@@ -164,7 +206,10 @@ func TestCollectiveFailuresClusterConsistent(t *testing.T) {
 	// Endpoints for different nodes share only the seed; their per-round
 	// collective verdicts must agree exactly.
 	cfg := Config{Seed: 99, CollFail: 0.3}
-	eps := []*Endpoint{New(&recorder{}, cfg, 0), New(&recorder{}, cfg, 1), New(&recorder{}, cfg, 5)}
+	eps := make([]*Endpoint, 3)
+	for i, node := range []int{0, 1, 5} {
+		eps[i], _ = newEndpoint(cfg, node)
+	}
 	failed := 0
 	for round := 0; round < 200; round++ {
 		verdicts := make([]bool, len(eps))
@@ -193,7 +238,7 @@ func TestCollectiveFailuresClusterConsistent(t *testing.T) {
 }
 
 func TestDelayCountsOnRecv(t *testing.T) {
-	ep := New(&recorder{}, Config{Seed: 3, Delay: 1, MaxDelay: time.Microsecond}, 0)
+	ep, _ := newEndpoint(Config{Seed: 3, Delay: 1, MaxDelay: time.Microsecond}, 0)
 	for i := 0; i < 10; i++ {
 		if _, err := ep.RecvMsg(wall); err != nil {
 			t.Fatal(err)

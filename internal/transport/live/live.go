@@ -84,12 +84,7 @@ func (c *Cluster) Join(tenant, size int, pool *bufpool.Pool) (*Group, error) {
 	g := &Group{c: c, tenant: tenant, pool: pool, closed: make(chan struct{})}
 	g.coll.init(g, size)
 	for n := 0; n < size; n++ {
-		g.eps = append(g.eps, &Endpoint{
-			g:    g,
-			node: n,
-			in:   make(chan []byte, wireDepth),
-			osIn: make(chan []byte, wireDepth),
-		})
+		g.eps = append(g.eps, &Endpoint{g: g, node: n, lanes: [2]chan []byte{make(chan []byte, wireDepth), make(chan []byte, wireDepth)}})
 	}
 	c.groupsMu.Lock()
 	defer c.groupsMu.Unlock()
@@ -195,7 +190,7 @@ func (g *Group) Close() error {
 		g.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 		g.senders.Wait()
 		for _, ep := range g.eps {
-			for _, ch := range []chan []byte{ep.in, ep.osIn} {
+			for _, ch := range ep.lanes {
 				for {
 					select {
 					case m := <-ch:
@@ -224,18 +219,25 @@ func (g *Group) isClosed() bool {
 type Endpoint struct {
 	g    *Group
 	node int
-	in   chan []byte
-	// osIn is the one-sided lane: a dedicated channel so put/get frames
-	// never interleave with (or stall behind) the two-sided wire stream.
-	osIn chan []byte
+	// lanes are the inbound channels of the two-sided lane (wire) and the
+	// one-sided lane (oneSided): a dedicated channel so put/get frames never
+	// interleave with (or stall behind) the two-sided wire stream.
+	lanes [2]chan []byte
 }
 
-// sendOn copies msg into a pooled buffer and delivers it to dstNode's
-// given inbound channel, with the Close-safe registration discipline
-// shared by both lanes.
-func (e *Endpoint) sendOn(dstNode int, msg []byte, lane func(*Endpoint) chan []byte) error {
+// The lanes of an endpoint, as indexes into Endpoint.lanes.
+const (
+	wire = iota
+	oneSided
+)
+
+// sendOn delivers msg itself to dstNode's inbound channel of the given
+// lane, with the Close-safe registration discipline shared by both lanes.
+// It owns msg: a send that fails releases it to the pool.
+func (e *Endpoint) sendOn(dstNode int, msg []byte, lane int) error {
 	g := e.g
 	if dstNode < 0 || dstNode >= len(g.eps) {
+		g.pool.Put(msg)
 		return fmt.Errorf("live: send to bad node %d (group of %d)", dstNode, len(g.eps))
 	}
 	// Register with the closed-check under the read lock so Close (write
@@ -245,20 +247,19 @@ func (e *Endpoint) sendOn(dstNode int, msg []byte, lane func(*Endpoint) chan []b
 	g.mu.RLock()
 	if g.isClosed() {
 		g.mu.RUnlock()
+		g.pool.Put(msg)
 		return transport.ErrClosed
 	}
 	g.senders.Add(1)
 	g.mu.RUnlock()
 	defer g.senders.Done()
-	cp := g.pool.Get(len(msg))
-	copy(cp, msg)
 	select {
-	case lane(g.eps[dstNode]) <- cp:
+	case g.eps[dstNode].lanes[lane] <- msg:
 		g.packets.Add(1)
 		g.bytes.Add(int64(len(msg)))
 		return nil
 	case <-g.closed:
-		g.pool.Put(cp)
+		g.pool.Put(msg)
 		return transport.ErrClosed
 	}
 }
@@ -281,29 +282,28 @@ func (e *Endpoint) recvOn(ch chan []byte) ([]byte, error) {
 	}
 }
 
-// Send copies msg into a pooled buffer and delivers it to dstNode's
-// inbound channel; the copy gives Send the same buffered semantics as the
-// simulated MPI backend (msg is the caller's again on return).
+// Send delivers msg to dstNode's inbound channel, taking ownership of it
+// as every transport does: the receiver's RecvMsg returns the same buffer.
 func (e *Endpoint) Send(_ transport.Proc, dstNode int, msg []byte) error {
-	return e.sendOn(dstNode, msg, func(ep *Endpoint) chan []byte { return ep.in })
+	return e.sendOn(dstNode, msg, wire)
 }
 
 // RecvMsg blocks for the next inbound wire message; the returned buffer
 // is the caller's to release. After Close it returns transport.ErrClosed.
 func (e *Endpoint) RecvMsg(_ transport.Proc) ([]byte, error) {
-	return e.recvOn(e.in)
+	return e.recvOn(e.lanes[wire])
 }
 
 // SendOneSided delivers one framed one-sided message to dstNode's
-// one-sided channel with the same buffered semantics as Send.
+// one-sided channel, taking ownership of it as Send does.
 func (e *Endpoint) SendOneSided(_ transport.Proc, dstNode int, frame []byte) error {
-	return e.sendOn(dstNode, frame, func(ep *Endpoint) chan []byte { return ep.osIn })
+	return e.sendOn(dstNode, frame, oneSided)
 }
 
 // RecvOneSided blocks for the next inbound one-sided frame; the returned
 // buffer is the caller's to release.
 func (e *Endpoint) RecvOneSided(_ transport.Proc) ([]byte, error) {
-	return e.recvOn(e.osIn)
+	return e.recvOn(e.lanes[oneSided])
 }
 
 // Barrier blocks until every node in the group has entered the barrier.

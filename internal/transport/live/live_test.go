@@ -33,20 +33,44 @@ func TestSendRecvRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSendIsBuffered(t *testing.T) {
-	c := New(2, nil)
-	defer c.Close()
-	msg := []byte("mutate me")
+// pooled returns s in a buffer from pool, as a sender hands it over.
+func pooled(pool *bufpool.Pool, s string) []byte {
+	b := pool.Get(len(s))
+	copy(b, s)
+	return b
+}
+
+// TestSendTakesOwnership pins the seam's contract: the receiver gets the
+// very buffer the sender handed over (no copy in between), and whichever
+// way a send ends — delivered and released, failed, or drained by Close —
+// the pool sees it released exactly once.
+func TestSendTakesOwnership(t *testing.T) {
+	pool := bufpool.New()
+	c := New(2, pool)
+	msg := pooled(pool, "hand me over")
 	if err := c.Node(0).Send(wall, 1, msg); err != nil {
 		t.Fatal(err)
 	}
-	copy(msg, "XXXXXXXXX") // caller reuses its buffer immediately
 	got, err := c.Node(1).RecvMsg(wall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got[:9], []byte("mutate me")) {
-		t.Fatalf("send aliased the caller's buffer: %q", got[:9])
+	if &got[0] != &msg[0] || string(got) != "hand me over" {
+		t.Fatalf("receiver got %q at %p, sender handed over %p", got, &got[0], &msg[0])
+	}
+	pool.Put(got)
+	if err := c.Node(0).SendOneSided(wall, 5, pooled(pool, "bad node")); err == nil {
+		t.Fatal("send to out-of-range node succeeded")
+	}
+	if err := c.Node(1).Send(wall, 0, pooled(pool, "never received")); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := c.Node(1).Send(wall, 0, pooled(pool, "after close")); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("send after close: %v", err)
+	}
+	if a, r := pool.Acquires(), pool.Releases(); a != 4 || r != 4 {
+		t.Fatalf("%d acquires vs %d releases, want 4 of each", a, r)
 	}
 }
 
@@ -110,9 +134,8 @@ func TestCloseSendRaceLeakGuard(t *testing.T) {
 			go func(s int) {
 				defer wg.Done()
 				<-start
-				msg := []byte("race payload")
 				for k := 0; k < 8; k++ {
-					if err := c.Node(s%2).Send(wall, (s+1)%2, msg); err != nil {
+					if err := c.Node(s%2).Send(wall, (s+1)%2, pooled(pool, "race payload")); err != nil {
 						return // closed under us: expected
 					}
 				}

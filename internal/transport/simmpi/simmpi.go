@@ -118,11 +118,12 @@ func proc(p transport.Proc) *sim.Proc {
 	return sp
 }
 
-// send transmits one frame to job-local dstNode on the given tag with
-// buffered semantics (eager copy or rendezvous snapshot in the underlying
-// MPI).
+// send transmits one frame to job-local dstNode on the given tag, handing
+// the frame itself to the underlying MPI (a take-ownership send: no eager
+// copy, no rendezvous snapshot); the receiving endpoint's recv hands the
+// same buffer on.
 func (e *Endpoint) send(p transport.Proc, dstNode, tag int, frame []byte) error {
-	return e.rank.Send(proc(p), frame, e.g.placement[dstNode], tag)
+	return e.rank.SendMsg(proc(p), frame, e.g.placement[dstNode], tag)
 }
 
 // recv blocks for the next inbound frame on the given tag, taking

@@ -89,25 +89,28 @@ type Proc interface {
 // methods are called by that node's communication thread and helpers.
 //
 // Send and RecvMsg carry opaque framed wire messages (internal/core's
-// header + payload). Send has buffered semantics: when it returns, the
-// caller may reuse msg. RecvMsg has take-ownership semantics: the returned
-// buffer belongs to the caller, who releases it to the job's buffer pool
-// after delivery. SendOneSided and RecvOneSided mirror them exactly on the
+// header + payload), and both take ownership. msg comes from the job's
+// buffer pool and belongs to the transport once Send is called: it is the
+// buffer the receiving endpoint's RecvMsg returns, and on every path
+// exactly one party releases it to the pool — the receiver once it has
+// delivered it, or the transport when it drops the message, is closed or
+// fails the send. SendOneSided and RecvOneSided mirror them exactly on the
 // one-sided lane, whose frames never mix with the RecvMsg stream.
 //
 // The collectives are node-level (one call per node, every node
 // participating), mirroring the paper's "one MPI collective per node once
 // all resident ranks have joined" pattern (§3.2.3).
 type Transport interface {
-	// Send transmits one framed wire message to dstNode, blocking until
-	// the message is buffered or delivered (msg is reusable on return).
+	// Send transmits one framed wire message to dstNode, taking ownership
+	// of msg, and blocks until the message is queued or delivered.
 	Send(p Proc, dstNode int, msg []byte) error
 	// RecvMsg blocks until the next inbound wire message arrives and
 	// transfers ownership of its buffer to the caller. After Close it
 	// returns ErrClosed (live backend; see Close).
 	RecvMsg(p Proc) ([]byte, error)
 	// SendOneSided transmits one framed one-sided message (a put, get or
-	// atomic descriptor, or an ack of one) to dstNode's one-sided lane.
+	// atomic descriptor, or an ack of one) to dstNode's one-sided lane,
+	// taking ownership of frame as Send does.
 	SendOneSided(p Proc, dstNode int, frame []byte) error
 	// RecvOneSided blocks until the next inbound one-sided frame arrives
 	// and transfers ownership of its buffer to the caller. After Close it
