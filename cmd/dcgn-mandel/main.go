@@ -9,8 +9,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"dcgn/internal/apps"
@@ -28,30 +30,34 @@ var (
 func main() {
 	flag.Parse()
 	mc := apps.DefaultMandelConfig()
-	mc.Width = *width
-	mc.Height = 256
-	mc.StripRows = *rows
+	mc.Width, mc.Height, mc.StripRows = *width, 256, *rows
 	mc.JitterFrac = 0.25
+	if err := fig5(os.Stdout, mc, *seedA, *seedB, *ppm); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	runOnce := func(seed int64) apps.MandelResult {
+// fig5 runs the work queue of mc on 8 GPU workers once per seed and prints
+// both strip-ownership rows, how many strips changed hands and each
+// worker's count; with ppmDir set it also writes one image per run there.
+func fig5(w io.Writer, mc apps.MandelConfig, seedA, seedB int64, ppmDir string) error {
+	var runs [2]apps.MandelResult
+	for i, seed := range []int64{seedA, seedB} {
 		m := mc
 		m.Seed = seed
 		cfg := core.DefaultConfig()
 		cfg.Nodes, cfg.CPUKernels, cfg.GPUs = 4, 1, 2
-		res, err := apps.MandelbrotDCGN(cfg, m)
-		if err != nil {
-			log.Fatal(err)
+		var err error
+		if runs[i], err = apps.MandelbrotDCGN(cfg, m); err != nil {
+			return err
 		}
-		return res
 	}
+	a, b := runs[0], runs[1]
 
-	a := runOnce(*seedA)
-	b := runOnce(*seedB)
-
-	fmt.Printf("Figure 5: Mandelbrot strip ownership across %d GPU workers\n", a.Workers)
-	fmt.Printf("(%d strips; each column is one strip, the digit is the owning worker)\n\n", len(a.StripOwner))
-	fmt.Printf("run 1 (seed %d): %s\n", *seedA, ownerBar(a.StripOwner))
-	fmt.Printf("run 2 (seed %d): %s\n", *seedB, ownerBar(b.StripOwner))
+	fmt.Fprintf(w, "Figure 5: Mandelbrot strip ownership across %d GPU workers\n", a.Workers)
+	fmt.Fprintf(w, "(%d strips; each column is one strip, the digit is the owning worker)\n\n", len(a.StripOwner))
+	fmt.Fprintf(w, "run 1 (seed %d): %s\n", seedA, ownerBar(a.StripOwner))
+	fmt.Fprintf(w, "run 2 (seed %d): %s\n", seedB, ownerBar(b.StripOwner))
 
 	diff := 0
 	for i := range a.StripOwner {
@@ -59,33 +65,34 @@ func main() {
 			diff++
 		}
 	}
-	fmt.Printf("\n%d/%d strips changed hands between the runs — identical parameters,\n", diff, len(a.StripOwner))
-	fmt.Println("different work distribution: network/device timing decides who gets what.")
+	fmt.Fprintf(w, "\n%d/%d strips changed hands between the runs — identical parameters,\n", diff, len(a.StripOwner))
+	fmt.Fprintln(w, "different work distribution: network/device timing decides who gets what.")
 
-	fmt.Println("\nstrips per worker:")
+	fmt.Fprintln(w, "\nstrips per worker:")
 	counts := func(owner []int, workers int) []int {
 		c := make([]int, workers)
-		for _, w := range owner {
-			c[w]++
+		for _, o := range owner {
+			c[o]++
 		}
 		return c
 	}
 	ca, cb := counts(a.StripOwner, a.Workers), counts(b.StripOwner, b.Workers)
-	for w := 0; w < a.Workers; w++ {
-		fmt.Printf("  worker %d: run1 %-3d %s\n", w, ca[w], strings.Repeat("#", ca[w]))
-		fmt.Printf("           run2 %-3d %s\n", cb[w], strings.Repeat("#", cb[w]))
+	for k := 0; k < a.Workers; k++ {
+		fmt.Fprintf(w, "  worker %d: run1 %-3d %s\n", k, ca[k], strings.Repeat("#", ca[k]))
+		fmt.Fprintf(w, "           run2 %-3d %s\n", cb[k], strings.Repeat("#", cb[k]))
 	}
 
-	if *ppm != "" {
-		m := mc
-		for i, res := range []apps.MandelResult{a, b} {
-			path := fmt.Sprintf("%s/fig5-run%d.ppm", *ppm, i+1)
-			if err := writePPM(path, m, res); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
+	if ppmDir == "" {
+		return nil
 	}
+	for i, res := range runs {
+		path := filepath.Join(ppmDir, fmt.Sprintf("fig5-run%d.ppm", i+1))
+		if err := writePPM(path, mc, res); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s\n", path)
+	}
+	return nil
 }
 
 // ownerBar renders the strip owners as a row of digits.

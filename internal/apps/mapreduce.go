@@ -7,7 +7,6 @@ import (
 
 	"dcgn/internal/core"
 	"dcgn/internal/device"
-	"dcgn/internal/gas"
 )
 
 // MapReduceConfig parameterizes the paper's §3.1 motivating example: a
@@ -83,8 +82,8 @@ func (mr MapReduceConfig) batchTime(start, count, smsUsed int) time.Duration {
 	return uniform/time.Duration(smsUsed) + tail
 }
 
-// MapReduceReference computes the expected reduction sequentially.
-func MapReduceReference(mr MapReduceConfig) int64 {
+// mapReduceReference computes the expected reduction sequentially.
+func mapReduceReference(mr MapReduceConfig) int64 {
 	var sum int64
 	for i := 0; i < mr.Elements; i++ {
 		sum += mrMapped(i)
@@ -189,84 +188,6 @@ func MapReduceDCGN(cfg core.Config, mr MapReduceConfig) (MapReduceResult, error)
 	return MapReduceResult{
 		Elapsed:  rep.Elapsed,
 		Sum:      sum,
-		Verified: sum == MapReduceReference(mr),
-	}, nil
-}
-
-// MapReduceGAS runs the same protocol in the GAS model: one MPI rank per
-// GPU, kernels split per batch (slots do not exist in GAS — the whole
-// device is one communication target, the paper's first mapping).
-func MapReduceGAS(cfg gas.Config, mr MapReduceConfig) (MapReduceResult, error) {
-	cfg.CPUsPerNode = 1
-	cfg.JitterSeed = mr.Seed
-	perNode := cfg.CPUsPerNode + cfg.GPUsPerNode
-	workers := cfg.Nodes * cfg.GPUsPerNode
-	_ = perNode
-
-	var sum int64
-	rep, err := gas.Run(cfg, func(w *gas.Worker) {
-		switch {
-		case w.Rank.ID() == 0:
-			next, terms := 0, 0
-			buf := make([]byte, 16)
-			for terms < workers {
-				st, err := w.Rank.Recv(w.P, buf, -1, 0)
-				if err != nil {
-					panic(err)
-				}
-				if st.Count == mrReqBytes {
-					reply := make([]byte, 16)
-					if next < mr.Elements {
-						count := min(mr.Batch, mr.Elements-next)
-						binary.LittleEndian.PutUint64(reply[0:], uint64(next))
-						binary.LittleEndian.PutUint64(reply[8:], uint64(count))
-						next += count
-					} else {
-						terms++
-					}
-					if err := w.Rank.Send(w.P, reply, st.Source, 0); err != nil {
-						panic(err)
-					}
-					continue
-				}
-				sum += int64(binary.LittleEndian.Uint64(buf))
-			}
-		case w.IsGPU():
-			req := make([]byte, mrReqBytes)
-			reply := make([]byte, 16)
-			ptr := w.Dev.Mem().MustAlloc(16)
-			for {
-				w.Rank.Send(w.P, req, 0, 0)
-				w.Rank.Recv(w.P, reply, 0, 0)
-				start := int(binary.LittleEndian.Uint64(reply[0:]))
-				count := int(binary.LittleEndian.Uint64(reply[8:]))
-				if count == 0 {
-					return
-				}
-				// Upload batch descriptor, run the map kernel, download the
-				// partial — the GAS per-batch kernel split.
-				w.CopyIn(ptr, reply)
-				var partial int64
-				smsAll := w.Dev.Config().SMs
-				w.LaunchSync(1, 8, func(b *device.Block) {
-					for i := start; i < start+count; i++ {
-						partial += mrMapped(i)
-					}
-					b.ChargeTime(mr.batchTime(start, count, smsAll))
-					binary.LittleEndian.PutUint64(b.Bytes(ptr, 8), uint64(partial))
-				})
-				out := make([]byte, 16)
-				w.CopyOut(ptr, out)
-				w.Rank.Send(w.P, out, 0, 0)
-			}
-		}
-	})
-	if err != nil {
-		return MapReduceResult{}, err
-	}
-	return MapReduceResult{
-		Elapsed:  rep.Elapsed,
-		Sum:      sum,
-		Verified: sum == MapReduceReference(mr),
+		Verified: sum == mapReduceReference(mr),
 	}, nil
 }

@@ -42,13 +42,13 @@ const warmup = 5 * time.Millisecond
 // from send initiation at the source to receive completion at the
 // destination.
 func DCGNSendOneWay(cfg core.Config, src, dst Endpoint, size int) (time.Duration, error) {
-	d, _, err := dcgnSendOneWay(cfg, src, dst, size)
+	d, _, err := DCGNSendOneWayReport(cfg, src, dst, size)
 	return d, err
 }
 
-// dcgnSendOneWay is the shared implementation; DCGNSendOneWayReport
-// (onesided.go) also returns the Report for path comparisons.
-func dcgnSendOneWay(cfg core.Config, src, dst Endpoint, size int) (time.Duration, core.Report, error) {
+// DCGNSendOneWayReport is DCGNSendOneWay returning the run's full Report
+// alongside the latency, for the classic-vs-triggered comparison.
+func DCGNSendOneWayReport(cfg core.Config, src, dst Endpoint, size int) (time.Duration, core.Report, error) {
 	cfg.Nodes = 2
 	cfg.CPUKernels = 1
 	cfg.GPUs = 1
@@ -145,18 +145,18 @@ func MPISendOneWay(cfg gas.Config, size int) (time.Duration, error) {
 	return tEnd - tStart, nil
 }
 
-// BcastIters is how many broadcasts are averaged per data point (the
+// bcastIters is how many broadcasts are averaged per data point (the
 // paper: "a series of iterations per data size").
-const BcastIters = 5
+const bcastIters = 5
 
 // bcastTimer accumulates per-iteration completion latencies: a broadcast's
 // time is from the root entering the call to the LAST rank holding the
 // data (a root-only timer would measure nothing once small sends complete
 // eagerly).
 type bcastTimer struct {
-	start  [BcastIters]time.Duration
+	start  [bcastIters]time.Duration
 	mu     sync.Mutex // ranks on different shards finish concurrently
-	finish [BcastIters]time.Duration
+	finish [bcastIters]time.Duration
 }
 
 func (bt *bcastTimer) enter(iter int, isRoot bool, now time.Duration) {
@@ -175,10 +175,10 @@ func (bt *bcastTimer) done(iter int, now time.Duration) {
 
 func (bt *bcastTimer) mean() time.Duration {
 	var total time.Duration
-	for i := 0; i < BcastIters; i++ {
+	for i := 0; i < bcastIters; i++ {
 		total += bt.finish[i] - bt.start[i]
 	}
-	return total / BcastIters
+	return total / bcastIters
 }
 
 // DCGNBroadcastCPU measures the mean DCGN broadcast completion latency
@@ -199,7 +199,7 @@ func DCGNBroadcastCPUShape(cfg core.Config, nodes, cpusPerNode, size int) (time.
 	var bt bcastTimer
 	job.SetCPUKernel(func(c *core.CPUCtx) {
 		buf := make([]byte, size)
-		for i := 0; i < BcastIters; i++ {
+		for i := 0; i < bcastIters; i++ {
 			c.Barrier()
 			bt.enter(i, c.Rank() == 0, c.Now())
 			if err := c.Bcast(0, buf); err != nil {
@@ -231,7 +231,7 @@ func DCGNBroadcastGPU(cfg core.Config, size int) (time.Duration, error) {
 	})
 	job.SetGPUKernel(1, 8, func(g *core.GPUCtx) {
 		ptr := g.Arg("buf").(device.Ptr)
-		for i := 0; i < BcastIters; i++ {
+		for i := 0; i < bcastIters; i++ {
 			g.Barrier(0)
 			bt.enter(i, g.Rank(0) == root, g.Block().Proc().Now())
 			if err := g.Bcast(0, root, ptr, size); err != nil {
@@ -255,7 +255,7 @@ func MPIBroadcast(cfg gas.Config, size int) (time.Duration, error) {
 	var bt bcastTimer
 	_, err := gas.Run(cfg, func(w *gas.Worker) {
 		buf := make([]byte, size)
-		for i := 0; i < BcastIters; i++ {
+		for i := 0; i < bcastIters; i++ {
 			w.Rank.Barrier(w.P)
 			bt.enter(i, w.Rank.ID() == 0, w.P.Now())
 			if err := w.Rank.Bcast(w.P, buf, 0); err != nil {

@@ -110,16 +110,7 @@ func nbodyStep(bodies []byte, lo, hi int) float64 {
 	return float64(hi-lo) * float64(n)
 }
 
-// NBodyReference integrates sequentially for verification.
-func NBodyReference(nc NBodyConfig) []byte {
-	bodies := nbodyInit(nc.Bodies)
-	for s := 0; s < nc.Steps; s++ {
-		nbodyStep(bodies, 0, nc.Bodies)
-	}
-	return bodies
-}
-
-// nbodyChargeFor returns the virtual compute time of `interactions`.
+// charge returns the virtual compute time of `interactions`.
 func (nc NBodyConfig) charge(interactions float64, gflopsPeak float64) time.Duration {
 	return time.Duration(interactions * nc.FlopsPerInteraction / (gflopsPeak * 1e9 * nc.NBodyEff) * 1e9)
 }
@@ -317,7 +308,10 @@ func nbodyResult(nc NBodyConfig, targets int, start time.Duration, ends map[int]
 		res.StepTime = res.Elapsed / time.Duration(nc.Steps)
 	}
 	if nc.RealMath && len(finals) == targets {
-		ref := NBodyReference(nc)
+		ref := nbodyInit(nc.Bodies)
+		for s := 0; s < nc.Steps; s++ {
+			nbodyStep(ref, 0, nc.Bodies)
+		}
 		res.Verified = true
 		for _, got := range finals {
 			for i := 0; i < len(ref); i += 4 {

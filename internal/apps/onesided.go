@@ -63,9 +63,3 @@ func DCGNTriggeredOneWay(cfg core.Config, size int) (time.Duration, core.Report,
 	}
 	return tEnd - tStart, rep, nil
 }
-
-// DCGNSendOneWayReport is DCGNSendOneWay returning the run's full Report
-// alongside the latency, for the classic-vs-triggered comparison.
-func DCGNSendOneWayReport(cfg core.Config, src, dst Endpoint, size int) (time.Duration, core.Report, error) {
-	return dcgnSendOneWay(cfg, src, dst, size)
-}

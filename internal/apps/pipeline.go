@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -79,29 +80,19 @@ func pipelineFrame(pc PipelineConfig, f int) []byte {
 	return b
 }
 
-// PipelineReference computes the fully-transformed frames sequentially.
-func PipelineReference(pc PipelineConfig, f int) []byte {
-	b := pipelineFrame(pc, f)
-	for s := 0; s < pc.Stages; s++ {
-		stageTransform(s, b)
-	}
-	return b
-}
-
-// pipelineVerify checks collected final frames against the reference.
+// pipelineVerify checks collected final frames against every stage applied
+// sequentially.
 func pipelineVerify(pc PipelineConfig, frames map[int][]byte) bool {
 	if len(frames) != pc.Frames {
 		return false
 	}
 	for f, data := range frames {
-		want := PipelineReference(pc, f)
-		if len(data) != len(want) {
-			return false
+		want := pipelineFrame(pc, f)
+		for s := 0; s < pc.Stages; s++ {
+			stageTransform(s, want)
 		}
-		for i := range want {
-			if data[i] != want[i] {
-				return false
-			}
+		if !bytes.Equal(data, want) {
+			return false
 		}
 	}
 	return true

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -170,6 +171,10 @@ func TestDebugEndpointLive(t *testing.T) {
 	}
 
 	release := make(chan struct{})
+	// The probe waits for both ranks' operations: the endpoint comes up
+	// before any traffic, and a snapshot taken then has nothing in it.
+	var traffic sync.WaitGroup
+	traffic.Add(2)
 	job.SetCPUKernel(func(c *CPUCtx) {
 		buf := make([]byte, 512)
 		switch c.Rank() {
@@ -182,6 +187,7 @@ func TestDebugEndpointLive(t *testing.T) {
 				t.Error(err)
 			}
 		}
+		traffic.Done()
 		<-release // park the run so the endpoint can be probed mid-flight
 	})
 
@@ -203,6 +209,7 @@ func TestDebugEndpointLive(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
+	traffic.Wait()
 	resp, err := http.Get(fmt.Sprintf("http://%s/debug/dcgn", addr))
 	if err != nil {
 		close(release)
