@@ -2,6 +2,7 @@ package apps
 
 import (
 	"testing"
+	"time"
 
 	"dcgn/internal/core"
 	"dcgn/internal/gas"
@@ -143,6 +144,40 @@ func TestCannonRejectsBadGeometry(t *testing.T) {
 	}()
 	cc := CannonConfig{N: 64, MatmulEff: 0.3}
 	CannonDCGN(smallDCGN(3, 0, 1), cc) //nolint:errcheck // panics first
+}
+
+// TestRealMathLeavesTimeAlone: RealMath decides what the inputs hold and
+// whether the products are computed, never what a run is charged — the
+// copies, rotations and broadcasts move the same bytes either way.
+func TestRealMathLeavesTimeAlone(t *testing.T) {
+	type times struct{ cannonDCGN, cannonGAS, nbodyDCGN, nbodyGAS, stepDCGN, stepGAS time.Duration }
+	run := func(realMath bool) times {
+		cc := CannonConfig{N: 128, MatmulEff: 0.09, RealMath: realMath}
+		nc := NBodyConfig{Bodies: 256, Steps: 2, FlopsPerInteraction: 20, NBodyEff: 0.12, RealMath: realMath}
+		cd, err := CannonDCGN(smallDCGN(2, 0, 2), cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cg, err := CannonGAS(smallGAS(2, 0, 2), cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, err := NBodyDCGN(smallDCGN(2, 0, 2), nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ng, err := NBodyGAS(smallGAS(2, 0, 2), nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if realMath && !(cd.Verified && cg.Verified && nd.Verified && ng.Verified) {
+			t.Fatal("a RealMath run failed verification")
+		}
+		return times{cd.Elapsed, cg.Elapsed, nd.Elapsed, ng.Elapsed, nd.StepTime, ng.StepTime}
+	}
+	if on, off := run(true), run(false); on != off {
+		t.Fatalf("RealMath on %+v, off %+v", on, off)
+	}
 }
 
 func TestNBodyDCGNCorrect(t *testing.T) {

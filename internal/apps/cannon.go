@@ -20,7 +20,9 @@ type CannonConfig struct {
 	// achieves (real dense kernels on a G92 reach a fraction of peak).
 	MatmulEff float64
 	// RealMath actually computes the float32 products (needed for
-	// verification; benches at paper scale charge time only).
+	// verification; benches at paper scale charge time only). Off, the
+	// input matrices are zeros: nothing reads them, and their copies and
+	// rotations charge the same time.
 	RealMath bool
 	Seed     int64
 }
@@ -64,22 +66,29 @@ func cannonGrid(cc CannonConfig, p int) int {
 func genA(i, j int) float32 { return float32((i*7+j*3)%13) - 6 }
 func genB(i, j int) float32 { return float32((i*5+j*11)%17) - 8 }
 
-// cannonChunks builds the pre-skewed initial chunk contents for target
-// (r,c) of a q x q grid: A chunk (r, (c+r) mod q), B chunk ((r+c) mod q, c),
-// as float32 row-major bytes.
-func cannonChunks(cc CannonConfig, q, r, c int) (aChunk, bChunk []byte) {
+// cannonInputs returns the source of the pre-skewed initial chunks of one
+// run: target (r,c) of a q x q grid gets A chunk (r, (c+r) mod q) and B
+// chunk ((r+c) mod q, c), as float32 row-major bytes. Without RealMath no
+// kernel reads them, so every target gets one zeroed chunk for both.
+func cannonInputs(cc CannonConfig, q int) func(r, c int) (aChunk, bChunk []byte) {
 	n := cc.N / q
-	a := make([]byte, 4*n*n)
-	b := make([]byte, 4*n*n)
-	ac := (c + r) % q
-	br := (r + c) % q
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			putF32(a[4*(i*n+j):], genA(r*n+i, ac*n+j))
-			putF32(b[4*(i*n+j):], genB(br*n+i, c*n+j))
-		}
+	if !cc.RealMath {
+		zero := make([]byte, 4*n*n)
+		return func(int, int) ([]byte, []byte) { return zero, zero }
 	}
-	return a, b
+	return func(r, c int) ([]byte, []byte) {
+		a := make([]byte, 4*n*n)
+		b := make([]byte, 4*n*n)
+		ac := (c + r) % q
+		br := (r + c) % q
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				putF32(a[4*(i*n+j):], genA(r*n+i, ac*n+j))
+				putF32(b[4*(i*n+j):], genB(br*n+i, c*n+j))
+			}
+		}
+		return a, b
+	}
 }
 
 // chunkMultiplyAdd performs cChunk += aChunk x bChunk over n x n float32
@@ -153,11 +162,12 @@ func CannonDCGN(cfg core.Config, cc CannonConfig) (CannonResult, error) {
 	ends := make(map[int]time.Duration)
 	var start time.Duration
 	cChunks := map[int][]byte{}
+	inputs := cannonInputs(cc, q)
 
 	job.SetGPUSetup(func(s *core.GPUSetup) {
 		t := targetOfRank[s.Job.Ranks().GPURank(s.Node, s.GPU, 0)]
 		r, c := t/q, t%q
-		aInit, bInit := cannonChunks(cc, q, r, c)
+		aInit, bInit := inputs(r, c)
 		aPtr := s.Dev.Mem().MustAlloc(chunkBytes)
 		bPtr := s.Dev.Mem().MustAlloc(chunkBytes)
 		cPtr := s.Dev.Mem().MustAlloc(chunkBytes)
@@ -235,11 +245,12 @@ func CannonGAS(cfg gas.Config, cc CannonConfig) (CannonResult, error) {
 	ends := make(map[int]time.Duration)
 	var start time.Duration
 	cChunks := map[int][]byte{}
+	inputs := cannonInputs(cc, q)
 
 	_, err := gas.Run(cfg, func(w *gas.Worker) {
 		t := w.Rank.ID()
 		r, c := t/q, t%q
-		aInit, bInit := cannonChunks(cc, q, r, c)
+		aInit, bInit := inputs(r, c)
 		aPtr := w.Dev.Mem().MustAlloc(chunkBytes)
 		bPtr := w.Dev.Mem().MustAlloc(chunkBytes)
 		cPtr := w.Dev.Mem().MustAlloc(chunkBytes)

@@ -3,6 +3,7 @@ package apps
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"dcgn/internal/core"
@@ -60,38 +61,104 @@ type MandelResult struct {
 // mandelStrip computes iteration counts for rows [y0, y0+rows) into out, a
 // little-endian uint16 per pixel as the device strip and the wire carry
 // them, and returns the total iteration count (the compute cost driver).
-// A pixel strictly inside the main cardioid or the period-2 bulb never
-// escapes (its orbit is drawn to an attracting fixed point or 2-cycle well
-// inside the escape radius), so it gets MaxIter without iterating: the same
-// counts and total the escape loop would produce (TestMandelStripExact).
+// It produces exactly the counts and total of the plain escape loop
+// (TestMandelStripExact) while iterating less:
+//   - A pixel strictly inside the main cardioid or the period-2 bulb never
+//     escapes (its orbit is drawn to an attracting fixed point or 2-cycle
+//     well inside the escape radius), so it gets MaxIter without iterating.
+//   - A row whose cy is the bit-exact negation of a row this call already
+//     computed copies that row: negating cy negates every zy the escape
+//     loop computes and changes nothing else, bit for bit (float rounding
+//     is symmetric in sign), so each pixel escapes at the same iteration.
+//     On a whole image whose dy is exact (the default 1024 rows) that is
+//     every row on one side of the real axis.
 func mandelStrip(mc MandelConfig, y0, rows int, out []byte) int64 {
-	const xMin, xMax, yMin, yMax = -2.5, 1.0, -1.25, 1.25
-	dx := (xMax - xMin) / float64(mc.Width)
+	const yMin, yMax = -1.25, 1.25
 	dy := (yMax - yMin) / float64(mc.Height)
+	w := 2 * mc.Width
 	var total int64
 	for r := 0; r < rows; r++ {
 		cy := yMin + float64(y0+r)*dy
-		row := out[2*r*mc.Width : 2*(r+1)*mc.Width]
-		for i := 0; i < mc.Width; i++ {
-			cx := xMin + float64(i)*dx
-			iter := mc.MaxIter
-			xq, y2 := cx-0.25, cy*cy
-			q := xq*xq + y2
-			if q*(q+xq) >= y2/4 && (cx+1)*(cx+1)+y2 >= 1.0/16 {
-				var zx, zy float64
-				for iter = 0; iter < mc.MaxIter; iter++ {
-					zx2, zy2 := zx*zx, zy*zy
-					if zx2+zy2 > 4 {
-						break
-					}
-					zx, zy = zx2-zy2+cx, 2*zx*zy+cy
-				}
+		row := out[r*w : (r+1)*w]
+		if m := mc.Height - 2*y0 - r; m >= 0 && m < r &&
+			math.Float64bits(yMin+float64(y0+m)*dy) == math.Float64bits(-cy) {
+			copy(row, out[m*w:(m+1)*w])
+			for i := 0; i < len(row); i += 2 {
+				total += int64(binary.LittleEndian.Uint16(row[i:])) + 1
 			}
-			binary.LittleEndian.PutUint16(row[2*i:], uint16(iter))
-			total += int64(iter) + 1
+			continue
 		}
+		total += mandelRow(mc, cy, row)
 	}
 	return total
+}
+
+// mandelRow computes one row of counts at cy and returns its iteration
+// total. The pixels that must iterate are taken two at a time and their
+// orbits advanced in one loop, so the two latency-bound multiply-add
+// chains overlap; an odd one out iterates alone.
+func mandelRow(mc MandelConfig, cy float64, row []byte) int64 {
+	const xMin, xMax = -2.5, 1.0
+	dx := (xMax - xMin) / float64(mc.Width)
+	y2 := cy * cy
+	var total int64
+	put := func(i, iter int) {
+		binary.LittleEndian.PutUint16(row[2*i:], uint16(iter))
+		total += int64(iter) + 1
+	}
+	held := -1 // a pixel waiting for a second orbit
+	for i := 0; i < mc.Width; i++ {
+		cx := xMin + float64(i)*dx
+		xq := cx - 0.25
+		q := xq*xq + y2
+		switch {
+		case q*(q+xq) < y2/4 || (cx+1)*(cx+1)+y2 < 1.0/16:
+			put(i, mc.MaxIter)
+		case held < 0:
+			held = i
+		default:
+			a, b := escape2(xMin+float64(held)*dx, cx, cy, mc.MaxIter)
+			put(held, a)
+			put(i, b)
+			held = -1
+		}
+	}
+	if held >= 0 {
+		put(held, escape(xMin+float64(held)*dx, cy, 0, 0, 0, mc.MaxIter))
+	}
+	return total
+}
+
+// escape continues the orbit of c = (cx, cy) from z = (zx, zy) at
+// iteration it and returns the iteration at which |z| exceeds 2, or
+// maxIter.
+func escape(cx, cy, zx, zy float64, it, maxIter int) int {
+	for ; it < maxIter; it++ {
+		zx2, zy2 := zx*zx, zy*zy
+		if zx2+zy2 > 4 {
+			break
+		}
+		zx, zy = zx2-zy2+cx, 2*zx*zy+cy
+	}
+	return it
+}
+
+// escape2 runs the orbits of (ca, cy) and (cb, cy) side by side until one
+// escapes, then lets escape finish each from there: the same operations
+// in the same order per orbit as escape alone, so the same counts.
+func escape2(ca, cb, cy float64, maxIter int) (int, int) {
+	var ax, ay, bx, by float64
+	it := 0
+	for ; it < maxIter; it++ {
+		ax2, ay2 := ax*ax, ay*ay
+		bx2, by2 := bx*bx, by*by
+		if ax2+ay2 > 4 || bx2+by2 > 4 {
+			break
+		}
+		ax, ay = ax2-ay2+ca, 2*ax*ay+cy
+		bx, by = bx2-by2+cb, 2*bx*by+cy
+	}
+	return escape(ca, cy, ax, ay, it, maxIter), escape(cb, cy, bx, by, it, maxIter)
 }
 
 // decodeCounts unpacks little-endian iteration counts into dst.

@@ -22,7 +22,9 @@ type NBodyConfig struct {
 	// NBodyEff is the fraction of device peak the kernel achieves.
 	NBodyEff float64
 	// RealMath actually integrates the physics (for verification; paper-
-	// scale benches charge time only).
+	// scale benches charge time only). Off, the initial bodies are zeros:
+	// nothing reads them, and their copies and broadcasts charge the same
+	// time.
 	RealMath bool
 	Seed     int64
 }
@@ -53,10 +55,14 @@ type NBodyResult struct {
 	Report core.Report
 }
 
-// nbodyInit produces deterministic initial conditions.
-func nbodyInit(n int) []byte {
-	buf := make([]byte, n*bodyBytes)
-	for i := 0; i < n; i++ {
+// nbodyInit produces deterministic initial conditions, or zeros without
+// RealMath, when no kernel reads them.
+func nbodyInit(nc NBodyConfig) []byte {
+	buf := make([]byte, nc.Bodies*bodyBytes)
+	if !nc.RealMath {
+		return buf
+	}
+	for i := 0; i < nc.Bodies; i++ {
 		b := buf[i*bodyBytes:]
 		putF32(b[0:], float32(math.Sin(float64(i)*0.7))*100)
 		putF32(b[4:], float32(math.Cos(float64(i)*1.3))*100)
@@ -141,7 +147,7 @@ func NBodyDCGN(cfg core.Config, nc NBodyConfig) (NBodyResult, error) {
 	var start time.Duration
 	ends := map[int]time.Duration{}
 	finals := map[int][]byte{}
-	init := nbodyInit(nc.Bodies)
+	init := nbodyInit(nc)
 
 	job.SetGPUSetup(func(s *core.GPUSetup) {
 		ptr := s.Dev.Mem().MustAlloc(total)
@@ -212,15 +218,14 @@ func NBodyGAS(cfg gas.Config, nc NBodyConfig) (NBodyResult, error) {
 	var start time.Duration
 	ends := map[int]time.Duration{}
 	finals := map[int][]byte{}
-	init := nbodyInit(nc.Bodies)
+	init := nbodyInit(nc)
 
 	_, err := gas.Run(cfg, func(w *gas.Worker) {
 		t := w.Rank.ID()
 		lo, hi := t*chunk, (t+1)*chunk
 		ptr := w.Dev.Mem().MustAlloc(total)
 		w.CopyIn(ptr, init)
-		host := make([]byte, total)
-		copy(host, init)
+		host := make([]byte, total) // every segment is refilled before its upload
 
 		w.Rank.Barrier(w.P)
 		if t == 0 {
@@ -273,7 +278,7 @@ func NBodySingleGPU(cfg gas.Config, nc NBodyConfig) (NBodyResult, error) {
 	var start, end time.Duration
 	_, err := gas.Run(cfg, func(w *gas.Worker) {
 		ptr := w.Dev.Mem().MustAlloc(total)
-		w.CopyIn(ptr, nbodyInit(nc.Bodies))
+		w.CopyIn(ptr, nbodyInit(nc))
 		start = w.P.Now()
 		for s := 0; s < nc.Steps; s++ {
 			w.LaunchSync(1, 8, func(b *device.Block) {
@@ -308,7 +313,7 @@ func nbodyResult(nc NBodyConfig, targets int, start time.Duration, ends map[int]
 		res.StepTime = res.Elapsed / time.Duration(nc.Steps)
 	}
 	if nc.RealMath && len(finals) == targets {
-		ref := nbodyInit(nc.Bodies)
+		ref := nbodyInit(nc)
 		for s := 0; s < nc.Steps; s++ {
 			nbodyStep(ref, 0, nc.Bodies)
 		}

@@ -262,10 +262,7 @@ func (ns *nodeState) execGather(p transport.Proc, g *collGroup) {
 		ns.chargeMemcpy(p, chunk)
 		copy(nodeBuf[i*chunk:], m.buf)
 	}
-	counts := make([]int, rm.Nodes())
-	for i := range counts {
-		counts[i] = rm.PerNode(i) * chunk
-	}
+	counts := ns.job.nodeCounts(chunk)
 	var rootDst []byte
 	for _, m := range g.members {
 		if m.rank == g.root {
@@ -287,16 +284,29 @@ func (ns *nodeState) execGather(p transport.Proc, g *collGroup) {
 	}
 }
 
+// nodeCounts returns every node's byte count in a gather or scatter of
+// chunk bytes per rank. Every node of the job shares the slice and only
+// reads it; it is rebuilt only when the chunk size changes.
+func (j *Job) nodeCounts(chunk int) []int {
+	j.countsMu.Lock()
+	defer j.countsMu.Unlock()
+	if j.counts == nil || j.countsChunk != chunk {
+		counts := make([]int, j.rmap.Nodes())
+		for i := range counts {
+			counts[i] = j.rmap.PerNode(i) * chunk
+		}
+		j.counts, j.countsChunk = counts, chunk
+	}
+	return j.counts
+}
+
 // execScatter runs the vector scatter from the root's buffer and disperses
 // per-rank chunks locally.
 func (ns *nodeState) execScatter(p transport.Proc, g *collGroup) {
 	rm := ns.job.rmap
 	rootNode := rm.Node(g.root)
 	chunk := g.size
-	counts := make([]int, rm.Nodes())
-	for i := range counts {
-		counts[i] = rm.PerNode(i) * chunk
-	}
+	counts := ns.job.nodeCounts(chunk)
 	var rootSrc []byte
 	for _, m := range g.members {
 		if m.rank == g.root {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,6 +54,12 @@ type Job struct {
 	gpuSetup    func(*GPUSetup)
 	gpuKernel   func(*GPUCtx)
 	gpuTeardown func(*GPUSetup)
+
+	// countsMu guards the per-node byte counts of the chunk size the
+	// job's last gather or scatter used (nodeCounts).
+	countsMu    sync.Mutex
+	countsChunk int
+	counts      []int
 }
 
 // GPUSetup is the host-side context handed to the GPU setup and teardown

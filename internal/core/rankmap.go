@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // AnySource matches any sending rank in Recv.
 const AnySource = -1
@@ -83,13 +86,7 @@ func (m RankMap) Total() int { return m.total }
 // Node returns the node owning a rank.
 func (m RankMap) Node(rank int) int {
 	m.check(rank)
-	// Nodes are few; linear scan keeps the structure simple.
-	for n := len(m.base) - 1; n >= 0; n-- {
-		if rank >= m.base[n] {
-			return n
-		}
-	}
-	panic("unreachable")
+	return sort.SearchInts(m.base, rank+1) - 1 // the last node based at or below rank
 }
 
 // Local returns the rank's index within its node.

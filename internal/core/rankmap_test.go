@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +156,35 @@ func TestRankMapBijectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRankMapNodeMatchesScan: Node's binary search names the node a scan
+// of every node's rank range finds, over heterogeneous maps of up to 1024
+// nodes.
+func TestRankMapNodeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, nodes := range []int{1, 2, 3, 7, 64, 1024} {
+		specs := make([]NodeSpec, nodes)
+		for i := range specs {
+			specs[i] = NodeSpec{CPUKernels: rng.Intn(4), GPUs: rng.Intn(3), SlotsPerGPU: 1 + rng.Intn(3)}
+			if specs[i].ranks() == 0 {
+				specs[i].CPUKernels = 1
+			}
+		}
+		m := NewRankMap(specs)
+		rank := 0
+		for node, spec := range specs {
+			for l := 0; l < spec.ranks(); l++ {
+				if got := m.Node(rank); got != node {
+					t.Fatalf("%d nodes: Node(%d) = %d, want %d", nodes, rank, got, node)
+				}
+				rank++
+			}
+		}
+		if rank != m.Total() {
+			t.Fatalf("%d nodes: %d ranks scanned, Total %d", nodes, rank, m.Total())
+		}
 	}
 }
 

@@ -242,17 +242,15 @@ func (c *Comm) Scatterv(p *sim.Proc, r *Rank, sendBuf []byte, counts []int, recv
 	return nil
 }
 
-// vrankBytes returns the packed-byte prefix sums in virtual-rank order
-// for a tree collective rooted at root: vd[v+1]-vd[v] is the byte count
-// of virtual rank v (comm rank (v+root)%n), so the bytes of the binomial
-// subtree [lo,hi) are vd[hi]-vd[lo].
-func vrankBytes(counts []int, root int) []int {
-	n := len(counts)
-	vd := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		vd[v+1] = vd[v] + counts[(v+root)%n]
+// vrankBytes returns the packed byte count of virtual ranks [lo, hi) of a
+// tree collective rooted at root, virtual rank v being comm rank
+// (v+root)%n. A member sums only ranges of its own subtree.
+func vrankBytes(counts []int, root, lo, hi int) int {
+	n, sum := len(counts), 0
+	for v := lo; v < hi; v++ {
+		sum += counts[(v+root)%n]
 	}
-	return vd
+	return sum
 }
 
 // subtreeEnd returns the exclusive upper virtual rank of vr's binomial
@@ -276,35 +274,35 @@ func (c *Comm) treeGatherv(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, counts
 	n := c.Size()
 	me := c.RankOf(r)
 	vr := (me - root + n) % n
-	vd := vrankBytes(counts, root)
-	scratch := r.stagingPool().Get(vd[subtreeEnd(vr, n)] - vd[vr])
+	scratch := r.stagingPool().Get(vrankBytes(counts, root, vr, subtreeEnd(vr, n)))
 	defer r.stagingPool().Put(scratch)
 	copy(scratch[:counts[me]], sendBuf)
+	got := counts[me] // bytes of [vr, vr+mask) so far
 	for mask := 1; mask < n; mask <<= 1 {
 		round := bits.Len(uint(mask)) - 1
 		if vr&mask != 0 {
 			// Covered [vr, vr+mask) so far; ship it to the parent.
 			parent := c.Translate((vr - mask + root) % n)
-			nb := vd[min(vr+mask, n)] - vd[vr]
-			r.collHop(p, nb)
-			return r.Send(p, scratch[:nb], parent, c.collTag(opGather, round))
+			r.collHop(p, got)
+			return r.Send(p, scratch[:got], parent, c.collTag(opGather, round))
 		}
 		child := vr + mask
 		if child < n {
-			lo, hi := vd[child], vd[min(child+mask, n)]
-			off := lo - vd[vr]
-			r.collHop(p, hi-lo)
-			if _, err := r.Recv(p, scratch[off:off+hi-lo], c.Translate((child+root)%n), c.collTag(opGather, round)); err != nil {
+			nb := vrankBytes(counts, root, child, min(child+mask, n))
+			r.collHop(p, nb)
+			if _, err := r.Recv(p, scratch[got:got+nb], c.Translate((child+root)%n), c.collTag(opGather, round)); err != nil {
 				return err
 			}
+			got += nb
 		}
 	}
 	// Only the root (vr == 0) reaches here: unpack virtual-rank order into
 	// the caller's comm-rank displacements.
 	displs := displacements(counts)
+	off := 0
 	for v := 0; v < n; v++ {
 		cr := (v + root) % n
-		copy(recvBuf[displs[cr]:displs[cr]+counts[cr]], scratch[vd[v]:vd[v+1]])
+		off += copy(recvBuf[displs[cr]:displs[cr]+counts[cr]], scratch[off:off+counts[cr]])
 	}
 	return nil
 }
@@ -316,8 +314,7 @@ func (c *Comm) treeScatterv(p *sim.Proc, r *Rank, sendBuf []byte, counts []int, 
 	n := c.Size()
 	me := c.RankOf(r)
 	vr := (me - root + n) % n
-	vd := vrankBytes(counts, root)
-	myBytes := vd[subtreeEnd(vr, n)] - vd[vr]
+	myBytes := vrankBytes(counts, root, vr, subtreeEnd(vr, n))
 	scratch := r.stagingPool().Get(myBytes)
 	defer r.stagingPool().Put(scratch)
 	// mask ends at the bit linking vr to its parent (its lowest set bit),
@@ -328,9 +325,10 @@ func (c *Comm) treeScatterv(p *sim.Proc, r *Rank, sendBuf []byte, counts []int, 
 	}
 	if vr == 0 {
 		displs := displacements(counts)
+		off := 0
 		for v := 0; v < n; v++ {
 			cr := (v + root) % n
-			copy(scratch[vd[v]:vd[v+1]], sendBuf[displs[cr]:displs[cr]+counts[cr]])
+			off += copy(scratch[off:], sendBuf[displs[cr]:displs[cr]+counts[cr]])
 		}
 	} else {
 		parent := c.Translate((vr - mask + root) % n)
@@ -344,10 +342,10 @@ func (c *Comm) treeScatterv(p *sim.Proc, r *Rank, sendBuf []byte, counts []int, 
 		if child >= n {
 			continue
 		}
-		lo, hi := vd[child], vd[min(child+cm, n)]
-		off := lo - vd[vr]
-		r.collHop(p, hi-lo)
-		r.Send(p, scratch[off:off+hi-lo], c.Translate((child+root)%n), c.collTag(opScatter, bits.Len(uint(cm))-1))
+		off := vrankBytes(counts, root, vr, child)
+		nb := vrankBytes(counts, root, child, min(child+cm, n))
+		r.collHop(p, nb)
+		r.Send(p, scratch[off:off+nb], c.Translate((child+root)%n), c.collTag(opScatter, bits.Len(uint(cm))-1))
 	}
 	copy(recvBuf[:counts[me]], scratch[:counts[me]])
 	return nil

@@ -102,8 +102,25 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 func TestHistogramEmpty(t *testing.T) {
 	h := &Histogram{}
 	s := h.Snapshot()
-	if s.QuantileF(0.5) != 0 || s.Mean() != 0 || len(s.Buckets) != 0 {
+	if s.QuantileF(0.5) != 0 || s.Mean() != 0 || s.Buckets == nil || len(s.Buckets) != 0 {
 		t.Fatalf("empty snapshot misbehaves: %+v", s)
+	}
+}
+
+// TestHistogramSnapshotKeepsOnlyItsPrefix: a snapshot allocates the
+// buckets it keeps, up to the last non-empty one, and nothing else.
+func TestHistogramSnapshotKeepsOnlyItsPrefix(t *testing.T) {
+	h := &Histogram{}
+	h.Observe(100) // bucket 7
+	s := h.Snapshot()
+	if len(s.Buckets) != 8 || cap(s.Buckets) != 8 || s.Buckets[7] != 1 {
+		t.Fatalf("buckets %v (cap %d), want 8 ending in bucket 7's count", s.Buckets, cap(s.Buckets))
+	}
+	if a := testing.AllocsPerRun(100, func() { h.Snapshot() }); a != 1 {
+		t.Errorf("Snapshot: %v allocations, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { (&Histogram{}).Snapshot() }); a != 0 {
+		t.Errorf("empty Snapshot: %v allocations, want 0", a)
 	}
 }
 

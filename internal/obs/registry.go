@@ -122,20 +122,20 @@ func (h *Histogram) Observe(v int64) {
 // Observe calls may land between field reads; the engine snapshots after
 // the run quiesces, where the copy is exact.)
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	// Trailing empty buckets are left out so snapshots serialize
+	// compactly; only the kept prefix is allocated.
+	n := len(h.buckets)
+	for n > 0 && h.buckets[n-1].Load() == 0 {
+		n--
+	}
 	s := HistogramSnapshot{
 		Count:   h.count.Load(),
 		Sum:     h.sum.Load(),
-		Buckets: make([]uint64, histBuckets),
+		Buckets: make([]uint64, n),
 	}
-	for i := range h.buckets {
+	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
-	// Trim trailing empty buckets so snapshots serialize compactly.
-	n := len(s.Buckets)
-	for n > 0 && s.Buckets[n-1] == 0 {
-		n--
-	}
-	s.Buckets = s.Buckets[:n]
 	return s
 }
 
