@@ -44,7 +44,7 @@ func BenchmarkAblationPollInterval(b *testing.B) {
 			cfg := core.DefaultConfig()
 			cfg.PollInterval = poll
 			for i := 0; i < b.N; i++ {
-				d, err := apps.DCGNSendOneWay(cfg, apps.EPGPU, apps.EPGPU, 1024)
+				d, _, err := apps.DCGNSendOneWayReport(cfg, apps.EPGPU, apps.EPGPU, 1024)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -381,7 +381,7 @@ func BenchmarkAblationFutureHardware(b *testing.B) {
 				cfg.FutureHW.DeviceSignal = m.signal
 				cfg.FutureHW.GPUDirect = m.direct
 				for i := 0; i < b.N; i++ {
-					d, err := apps.DCGNSendOneWay(cfg, apps.EPGPU, apps.EPGPU, size)
+					d, _, err := apps.DCGNSendOneWayReport(cfg, apps.EPGPU, apps.EPGPU, size)
 					if err != nil {
 						b.Fatal(err)
 					}

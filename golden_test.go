@@ -461,7 +461,7 @@ func goldenResults(shards int) (goldenMetrics, error) {
 	for _, size := range []int{0, 4096, 1 << 20} {
 		for _, pr := range pairings {
 			name := fmt.Sprintf("send/%s/%dB", pr.name, size)
-			d, err := apps.DCGNSendOneWay(base, pr.src, pr.dst, size)
+			d, _, err := apps.DCGNSendOneWayReport(base, pr.src, pr.dst, size)
 			if err := put(name, map[string]int64{"oneway-ns": d.Nanoseconds()}, err); err != nil {
 				return nil, err
 			}
@@ -479,7 +479,7 @@ func goldenResults(shards int) (goldenMetrics, error) {
 	jcfg := base
 	jcfg.JitterFrac = 0.25
 	jcfg.JitterSeed = 7
-	jd, err := apps.DCGNSendOneWay(jcfg, apps.EPCPU, apps.EPGPU, 4096)
+	jd, _, err := apps.DCGNSendOneWayReport(jcfg, apps.EPCPU, apps.EPGPU, 4096)
 	if err := put("send-jittered/CPUtoGPU/4096B", map[string]int64{"oneway-ns": jd.Nanoseconds()}, err); err != nil {
 		return nil, err
 	}

@@ -12,10 +12,10 @@ import (
 	"dcgn/internal/transport/faults"
 )
 
-// lossyDCGN is smallDCGN plus a 12% seeded drop rate; validate()
+// lossyDCGN is dcgnConfig plus a 12% seeded drop rate; validate()
 // auto-enables the reliability layer when wire faults are active.
 func lossyDCGN(nodes, cpus, gpus int, seed int64) core.Config {
-	cfg := smallDCGN(nodes, cpus, gpus)
+	cfg := dcgnConfig(nodes, cpus, gpus)
 	cfg.Faults = faults.Config{Seed: seed, Drop: 0.12}
 	return cfg
 }
@@ -38,7 +38,7 @@ func requireLossyRun(t *testing.T, app string, rep core.Report) {
 
 func TestMandelbrotDCGNSurvivesLossyWire(t *testing.T) {
 	mc := tinyMandel()
-	clean, err := MandelbrotDCGN(smallDCGN(2, 1, 2), mc)
+	clean, err := MandelbrotDCGN(dcgnConfig(2, 1, 2), mc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestNBodyDCGNSurvivesLossyWire(t *testing.T) {
 	// so its lossy run injects transient collective failures rather than
 	// point-to-point drops; the retry loop (collCall) must cover them.
 	nc := NBodyConfig{Bodies: 128, Steps: 3, FlopsPerInteraction: 20, NBodyEff: 0.2, RealMath: true}
-	cfg := smallDCGN(2, 0, 2)
+	cfg := dcgnConfig(2, 0, 2)
 	cfg.Faults = faults.Config{Seed: 59, Drop: 0.12, CollFail: 0.25}
 	res, err := NBodyDCGN(cfg, nc)
 	if err != nil {

@@ -9,7 +9,7 @@ func TestMapReduceDCGNCorrect(t *testing.T) {
 	for _, slots := range []int{1, 4} {
 		mr := DefaultMapReduceConfig(slots)
 		mr.Elements = 1024
-		res, err := MapReduceDCGN(smallDCGN(2, 1, 2), mr)
+		res, err := MapReduceDCGN(dcgnConfig(2, 1, 2), mr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestMapReduceSlotsTradeoff(t *testing.T) {
 		if !heavyTail {
 			mr.SlowEvery = 0
 		}
-		res, err := MapReduceDCGN(smallDCGN(1, 1, 1), mr)
+		res, err := MapReduceDCGN(dcgnConfig(1, 1, 1), mr)
 		if err != nil {
 			t.Fatal(err)
 		}

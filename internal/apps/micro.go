@@ -1,6 +1,8 @@
 // Package apps implements the paper's test applications (§4) on both
 // execution models: DCGN and GAS+MPI. Each experiment from the evaluation
-// (§5) has a function here that the bench harness and the cmd tools call.
+// (§5) has a function here, and Evaluate is the one place that evaluation
+// is put together: it runs every cell and sets the paper's numbers beside
+// ours.
 package apps
 
 import (
@@ -36,18 +38,11 @@ func (e Endpoint) String() string {
 // micro-benchmarks.
 const warmup = 5 * time.Millisecond
 
-// DCGNSendOneWay measures the one-way delivery time of one size-byte DCGN
-// message from a src-type rank on node 0 to a dst-type rank on node 1
-// (Fig. 6). Virtual clocks are global, so one-way time is measured directly
-// from send initiation at the source to receive completion at the
-// destination.
-func DCGNSendOneWay(cfg core.Config, src, dst Endpoint, size int) (time.Duration, error) {
-	d, _, err := DCGNSendOneWayReport(cfg, src, dst, size)
-	return d, err
-}
-
-// DCGNSendOneWayReport is DCGNSendOneWay returning the run's full Report
-// alongside the latency, for the classic-vs-triggered comparison.
+// DCGNSendOneWayReport measures the one-way delivery time of one
+// size-byte DCGN message from a src-type rank on node 0 to a dst-type rank
+// on node 1 (Fig. 6), and returns the run's Report with it. Virtual clocks
+// are global, so one-way time is measured directly from send initiation at
+// the source to receive completion at the destination.
 func DCGNSendOneWayReport(cfg core.Config, src, dst Endpoint, size int) (time.Duration, core.Report, error) {
 	cfg.Nodes = 2
 	cfg.CPUKernels = 1

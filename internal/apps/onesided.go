@@ -13,8 +13,8 @@ import (
 // 1: the device enqueues a descriptor, the NIC model fires it directly,
 // and the target's WinWait observes remote completion — no mailbox copy,
 // no monitor poll tick on the critical path. It is the one-sided
-// counterpart of DCGNSendOneWay(EPGPU, EPCPU, size); the returned Report
-// carries the Polls and BusCtlOps the comparison is about.
+// counterpart of DCGNSendOneWayReport(EPGPU, EPCPU, size); the returned
+// Report carries the Polls and BusCtlOps the comparison is about.
 func DCGNTriggeredOneWay(cfg core.Config, size int) (time.Duration, core.Report, error) {
 	cfg.Nodes = 2
 	cfg.CPUKernels = 1

@@ -6,7 +6,7 @@ import (
 
 func TestPipelineGASCorrect(t *testing.T) {
 	pc := DefaultPipelineConfig(false)
-	res, err := PipelineGAS(smallGAS(2, 1, 2), pc)
+	res, err := PipelineGAS(gasConfig(2, 1, 2), pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func TestPipelineGASCorrect(t *testing.T) {
 func TestPipelineDCGNCorrect(t *testing.T) {
 	for _, skewed := range []bool{false, true} {
 		pc := DefaultPipelineConfig(skewed)
-		res, err := PipelineDCGN(smallDCGN(2, 1, 2), pc)
+		res, err := PipelineDCGN(dcgnConfig(2, 1, 2), pc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,11 +35,11 @@ func TestPipelineDCGNCorrect(t *testing.T) {
 func TestPipelineSkewFavorsDynamic(t *testing.T) {
 	ratio := func(skewed bool) float64 {
 		pc := DefaultPipelineConfig(skewed)
-		gasRes, err := PipelineGAS(smallGAS(2, 1, 2), pc)
+		gasRes, err := PipelineGAS(gasConfig(2, 1, 2), pc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dcgnRes, err := PipelineDCGN(smallDCGN(2, 1, 2), pc)
+		dcgnRes, err := PipelineDCGN(dcgnConfig(2, 1, 2), pc)
 		if err != nil {
 			t.Fatal(err)
 		}

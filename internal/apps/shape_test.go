@@ -3,34 +3,46 @@ package apps
 // Shape-regression tests: these pin the qualitative results of the paper's
 // evaluation (who wins, by roughly what factor, where crossovers fall) so
 // that refactoring the substrates cannot silently break the reproduction.
-// Exact values live in EXPERIMENTS.md; the bands here are deliberately
-// generous.
+// The six paper tests read the one Evaluate result of the test binary;
+// its exact values are pinned by TestPaperEvaluation and tabulated in
+// EXPERIMENTS.md. The bands here are deliberately generous. The ablation
+// tests at the end run their own cells.
 
 import (
 	"testing"
 	"time"
 
 	"dcgn/internal/core"
-	"dcgn/internal/gas"
 )
 
+// sendRow is the Fig. 6 row of one message size.
+func sendRow(t *testing.T, p Paper, size int) SendRow {
+	t.Helper()
+	for _, r := range p.Fig6 {
+		if r.Size == size {
+			return r
+		}
+	}
+	t.Fatalf("no Fig. 6 row at %d B", size)
+	return SendRow{}
+}
+
+// barrierRow is the Table 1 row of one cluster shape.
+func barrierRow(t *testing.T, p Paper, nodes, cpus, gpus int) BarrierRow {
+	t.Helper()
+	for _, r := range p.Table1 {
+		if r.Nodes == nodes && r.CPUs == cpus && r.GPUs == gpus {
+			return r
+		}
+	}
+	t.Fatalf("no Table 1 row for %dn %dc %dg", nodes, cpus, gpus)
+	return BarrierRow{}
+}
+
 func TestShapeFig6SendCurves(t *testing.T) {
-	mpi0, err := MPISendOneWay(gas.DefaultConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc0, err := DCGNSendOneWay(core.DefaultConfig(), EPCPU, EPCPU, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gg0, err := DCGNSendOneWay(core.DefaultConfig(), EPGPU, EPGPU, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg0, err := DCGNSendOneWay(core.DefaultConfig(), EPCPU, EPGPU, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := evaluate(t)
+	zero, mb := sendRow(t, p, 0), sendRow(t, p, 1<<20)
+	mpi0, cc0, gg0, cg0 := zero.MPI, zero.DCGN[EPCPU][EPCPU], zero.DCGN[EPGPU][EPGPU], zero.DCGN[EPCPU][EPGPU]
 	// Zero-byte ordering: MPI << DCGN CPU:CPU << mixed << GPU:GPU.
 	r := func(a, b time.Duration) float64 { return float64(a) / float64(b) }
 	if r(cc0, mpi0) < 10 || r(cc0, mpi0) > 60 {
@@ -44,9 +56,7 @@ func TestShapeFig6SendCurves(t *testing.T) {
 	}
 	// Large messages converge: 1MB CPU:CPU within ~25% of raw MPI; GPU:GPU
 	// within a small factor (the paper reports 1.5x of CPU:CPU MVAPICH2).
-	mpi1m, _ := MPISendOneWay(gas.DefaultConfig(), 1<<20)
-	cc1m, _ := DCGNSendOneWay(core.DefaultConfig(), EPCPU, EPCPU, 1<<20)
-	gg1m, _ := DCGNSendOneWay(core.DefaultConfig(), EPGPU, EPGPU, 1<<20)
+	mpi1m, cc1m, gg1m := mb.MPI, mb.DCGN[EPCPU][EPCPU], mb.DCGN[EPGPU][EPGPU]
 	if r(cc1m, mpi1m) > 1.25 {
 		t.Errorf("1MB DCGN CPU:CPU / MPI = %.2f, want near-parity (paper: 1.04)", r(cc1m, mpi1m))
 	}
@@ -58,18 +68,10 @@ func TestShapeFig6SendCurves(t *testing.T) {
 func TestShapeFig7BroadcastCrossover(t *testing.T) {
 	// Small/medium DCGN CPU broadcasts beat MVAPICH2 (half the MPI ranks
 	// participate); DCGN GPU broadcasts are slower than both throughout.
-	for _, size := range []int{1 << 10, 8 << 10, 64 << 10} {
-		mpiT, err := MPIBroadcast(gas.DefaultConfig(), size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpuT, err := DCGNBroadcastCPU(core.DefaultConfig(), size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gpuT, err := DCGNBroadcastGPU(core.DefaultConfig(), size)
-		if err != nil {
-			t.Fatal(err)
+	for _, row := range evaluate(t).Fig7 {
+		size, mpiT, cpuT, gpuT := row.Size, row.MPI, row.CPU, row.GPU
+		if size > 64<<10 {
+			continue
 		}
 		if cpuT >= mpiT {
 			t.Errorf("size %d: DCGN CPU bcast (%v) should beat MVAPICH2 (%v) at small/medium sizes", size, cpuT, mpiT)
@@ -83,55 +85,28 @@ func TestShapeFig7BroadcastCrossover(t *testing.T) {
 func TestShapeTable1Barriers(t *testing.T) {
 	// CPU-only DCGN barriers are one order of magnitude over MPI;
 	// GPU-only barriers are another order up and grow with node count.
-	mpi1, err := MPIBarrier(gas.DefaultConfig(), 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcgnCPU, err := DCGNBarrier(core.DefaultConfig(), 1, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := evaluate(t)
+	cpu := barrierRow(t, p, 1, 2, 0)
+	mpi1, dcgnCPU := cpu.MPI, cpu.DCGN
 	ratio := float64(dcgnCPU) / float64(mpi1)
 	if ratio < 5 || ratio > 40 {
 		t.Errorf("1-node 2-CPU barrier ratio %.1f, paper reports 12.67x", ratio)
 	}
-	gpu1, err := DCGNBarrier(core.DefaultConfig(), 1, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpu4, err := DCGNBarrier(core.DefaultConfig(), 4, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gpu1, gpu4 := barrierRow(t, p, 1, 0, 2).DCGN, barrierRow(t, p, 4, 0, 2).DCGN
 	if gpu1 < 5*dcgnCPU {
 		t.Errorf("GPU-only barrier (%v) should dwarf CPU-only (%v)", gpu1, dcgnCPU)
 	}
 	if gpu4 <= gpu1 {
 		t.Errorf("GPU barrier should grow with nodes: 1-node %v vs 4-node %v", gpu1, gpu4)
 	}
-	mixed, err := DCGNBarrier(core.DefaultConfig(), 1, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed >= gpu1 {
+	if mixed := barrierRow(t, p, 1, 2, 2).DCGN; mixed >= gpu1 {
 		t.Errorf("mixed barrier (%v) should be far cheaper than GPU-only (%v), as in Table 1", mixed, gpu1)
 	}
 }
 
 func TestShapeSec51Mandelbrot(t *testing.T) {
-	mc := DefaultMandelConfig()
-	t1, err := MandelbrotSingleGPU(smallGAS(1, 0, 1), mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gasR, err := MandelbrotGAS(smallGAS(4, 1, 2), mc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcgnR, err := MandelbrotDCGN(smallDCGN(4, 1, 2), mc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := evaluate(t).Mandelbrot
+	t1, gasR, dcgnR := m.Single, m.GAS, m.DCGN
 	gasEff := float64(t1.Elapsed) / float64(gasR.Elapsed) / 8
 	dcgnEff := float64(t1.Elapsed) / float64(dcgnR.Elapsed) / 8
 	if gasEff < 0.30 || gasEff > 0.50 {
@@ -149,19 +124,8 @@ func TestShapeSec51Mandelbrot(t *testing.T) {
 }
 
 func TestShapeSec51Cannon(t *testing.T) {
-	cc := DefaultCannonConfig()
-	t1, err := MatmulSingleGPU(smallGAS(1, 0, 1), cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gasR, err := CannonGAS(smallGAS(2, 0, 2), cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dcgnR, err := CannonDCGN(smallDCGN(2, 0, 2), cc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := evaluate(t).Cannon
+	t1, gasR, dcgnR := c.Single, c.GAS, c.DCGN
 	gasEff := float64(t1.Elapsed) / float64(gasR.Elapsed) / 4
 	dcgnEff := float64(t1.Elapsed) / float64(dcgnR.Elapsed) / 4
 	if gasEff < 0.6 || gasEff > 0.88 {
@@ -179,18 +143,8 @@ func TestShapeSec51NBodyEfficiencyCurve(t *testing.T) {
 	// Efficiency must rise steeply with body count and exceed ~85% at 32k
 	// (the paper: 28% @4k, 64% @16k, >90% @32k).
 	var prev float64
-	for i, bodies := range []int{4096, 16384, 32768} {
-		nc := DefaultNBodyConfig()
-		nc.Bodies = bodies
-		t1, err := NBodySingleGPU(smallGAS(1, 0, 1), nc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dcgnR, err := NBodyDCGN(smallDCGN(4, 0, 2), nc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eff := float64(t1.Elapsed) / float64(dcgnR.Elapsed) / 8
+	for i, run := range evaluate(t).NBody {
+		eff := float64(run.Single.Elapsed) / float64(run.DCGN.Elapsed) / 8
 		if eff <= prev {
 			t.Errorf("efficiency should rise with problem size: %.0f%% after %.0f%%", 100*eff, 100*prev)
 		}
@@ -211,7 +165,7 @@ func TestShapePollIntervalMonotonic(t *testing.T) {
 	for i, poll := range []time.Duration{15 * time.Microsecond, 120 * time.Microsecond, 480 * time.Microsecond} {
 		cfg := core.DefaultConfig()
 		cfg.PollInterval = poll
-		d, err := DCGNSendOneWay(cfg, EPGPU, EPGPU, 1024)
+		d, _, err := DCGNSendOneWayReport(cfg, EPGPU, EPGPU, 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,18 +180,18 @@ func TestShapePollIntervalMonotonic(t *testing.T) {
 // device signaling + GPUDirect brings the 0-byte GPU:GPU send within an
 // order of magnitude of raw MPI-era CPU costs.
 func TestShapeFutureHWConverges(t *testing.T) {
-	classic, err := DCGNSendOneWay(core.DefaultConfig(), EPGPU, EPGPU, 0)
+	classic, _, err := DCGNSendOneWayReport(core.DefaultConfig(), EPGPU, EPGPU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fcfg := core.DefaultConfig()
 	fcfg.FutureHW.DeviceSignal = true
 	fcfg.FutureHW.GPUDirect = true
-	future, err := DCGNSendOneWay(fcfg, EPGPU, EPGPU, 0)
+	future, _, err := DCGNSendOneWayReport(fcfg, EPGPU, EPGPU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := DCGNSendOneWay(core.DefaultConfig(), EPCPU, EPCPU, 0)
+	cpu, _, err := DCGNSendOneWayReport(core.DefaultConfig(), EPCPU, EPCPU, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
