@@ -146,9 +146,15 @@ flows:
 # function its test runs. Then raised by the paper's evaluation moving into
 # the main module: apps holds the paper's numbers and Evaluate, which runs
 # every §5 cell once for the shape tests and EXPERIMENTS.md's tables (2006).
-LOC_CEILINGS = internal/core:4523:41 internal/transport:60:0 internal/transport/faults:205:0 \
+# Then raised for stackless procs: sim runs step functions on the baton
+# holder's stack, gives back what a killed step holds, counts its own
+# resumes, steps and spawns by proc kind, and keeps a 4-ary timer heap
+# (1342); fabric's send is two steps that Send, Inject and the MPI engine
+# drive (436); mpi's progress engine is a step function (750); core's GPU
+# completion helper is a static step (4524).
+LOC_CEILINGS = internal/core:4524:41 internal/transport:60:0 internal/transport/faults:205:0 \
 	internal/transport/simmpi:88:2 internal/transport/live:351:2 internal/obs:626:0 \
-	internal/sim:1130:19 internal/fabric:405:16 internal/mpi:737:18 \
+	internal/sim:1342:19 internal/fabric:436:16 internal/mpi:750:18 \
 	internal/pcie:58:1 internal/device:279:7 internal/gas:118:3 internal/apps:2006:39 \
 	cmd/dcgn-mandel:118:0
 loc:

@@ -1,11 +1,14 @@
 package apps
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"dcgn/internal/core"
 	"dcgn/internal/fabric"
+	"dcgn/internal/sim"
+	"dcgn/internal/transport"
 )
 
 // runScale runs ScaleFanout on nodes nodes with the given shard count and
@@ -92,5 +95,74 @@ func TestScaleFanoutDigestsNontrivial(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("all %d digests identical: %#x", len(digests), digests[0])
+	}
+}
+
+// simsOf makes cfg's transports record the simulators their sends run on,
+// so that a test can read the engine's self-counters (sim.Stats) after the
+// run: the simulated transport's Proc is the calling *sim.Proc.
+func simsOf(cfg *core.Config) func() sim.Stats {
+	var mu sync.Mutex // shards send from threads of their own
+	sims := map[*sim.Sim]bool{}
+	cfg.WrapTransport = func(tr transport.Transport) transport.Transport {
+		return simSeer{tr, func(s *sim.Sim) { mu.Lock(); sims[s] = true; mu.Unlock() }}
+	}
+	return func() sim.Stats {
+		var st sim.Stats
+		for s := range sims {
+			st.Add(s.Stats())
+		}
+		return st
+	}
+}
+
+type simSeer struct {
+	transport.Transport
+	saw func(*sim.Sim)
+}
+
+func (t simSeer) Send(p transport.Proc, dstNode int, msg []byte) error {
+	t.saw(p.(*sim.Proc).Sim())
+	return t.Transport.Send(p, dstNode, msg)
+}
+
+// TestEngineResumeBudget is the engine's switch tripwire: the proc resumes
+// (coroutine switches) a small fixed ScaleFanout costs per message must stay
+// inside their budget, and the per-message helpers and the MPI progress
+// engine — wire and shared-memory delivery, eager injection, rendezvous
+// data, the progress daemon, the GPU completion helper — run as stackless
+// steps, never resumed. A 1 MB GPU-to-GPU message adds the rendezvous and
+// GPU helpers that the 8-byte exchange never spawns. Resume counts are
+// deterministic, so the budget is the measured figure, rounded up.
+func TestEngineResumeBudget(t *testing.T) {
+	const nodes, rounds, fanout, budget = 64, 3, 3, 14.5
+	cfg := core.DefaultConfig()
+	cfg.Nodes, cfg.Shards, cfg.MPI.TreeCollectives = nodes, 2, true
+	stats := simsOf(&cfg)
+	if _, _, err := ScaleFanout(cfg, rounds, fanout); err != nil {
+		t.Fatal(err)
+	}
+	st := stats()
+	msgs := float64(nodes * rounds * 2 * fanout)
+	t.Logf("%.2f resumes, %.2f steps, %.2f spawns per message; peak timer heap %d",
+		float64(st.Resumes)/msgs, float64(st.Steps)/msgs, float64(st.Spawns)/msgs, st.PeakTimers)
+	if per := float64(st.Resumes) / msgs; per > budget {
+		t.Errorf("%.2f resumes per message, budget %.1f", per, budget)
+	}
+	gpu := core.DefaultConfig()
+	gpuStats := simsOf(&gpu)
+	if _, _, err := DCGNSendOneWayReport(gpu, EPGPU, EPGPU, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	st.Add(gpuStats())
+	for _, kind := range []string{"wire", "shm-deliver", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done"} {
+		if k := st.Kinds[kind]; k.Resumes != 0 {
+			t.Errorf("%s: %d resumes, want none: it runs as stackless steps", kind, k.Resumes)
+		}
+	}
+	for _, kind := range []string{"wire", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done"} {
+		if st.Kinds[kind].Steps == 0 {
+			t.Errorf("%s: no steps taken; the workload no longer exercises it", kind)
+		}
 	}
 }

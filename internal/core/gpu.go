@@ -237,13 +237,10 @@ func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) bool {
 		// Stage 2: stage outbound payloads device -> host (Fig. 2 step 1)
 		// and relay the request to the comm thread.
 		ss.doneReady = false
-		req := gt.relay(p, ss)
-		// A tiny helper marks the slot ready for its completion stage; the
-		// write-back itself happens on a poll tick (stage 3).
-		gt.ns.sim.SpawnID("gpu-done", ss.rank, func(h *sim.Proc) {
-			req.done.Wait(h)
-			ss.doneReady = true
-		}, nil)
+		gt.relay(p, ss)
+		// A tiny stackless helper marks the slot ready for its completion
+		// stage; the write-back itself happens on a poll tick (stage 3).
+		gt.ns.sim.SpawnStep("gpu-done", ss.rank, markDone, ss)
 		ss.stage = stageRelayed
 		return true
 
@@ -256,6 +253,14 @@ func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) bool {
 		return true
 	}
 	return false
+}
+
+// markDone is the step of a slot's gpu-done helper (Proc.Arg is the slot):
+// it marks the slot ready for its completion write-back once the request
+// it relayed is done.
+func markDone(h *sim.Proc) {
+	ss := h.Arg().(*slotState)
+	ss.doneReady = (*sim.Event)(ss.req.done.(*simEvent)).WaitStep(h)
 }
 
 // claim takes a posted request for the host: the claimed flag is written in

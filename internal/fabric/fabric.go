@@ -17,6 +17,11 @@
 // wire counter), and hands every inter-node packet to the destination's
 // simulator as a timestamped arrival, ordered by (delivery time, source
 // node, per-source sequence) wherever the two nodes live.
+//
+// Every send is two steps, written once: SendStep charges the outbound cost
+// as the sending proc's wake, and Sent puts the packet on its way. Send
+// drives them from a stackful proc, Inject from a stackless helper, and the
+// procs that deliver packets are stackless too (sim.SpawnStep).
 package fabric
 
 import (
@@ -211,45 +216,95 @@ func (nd *Node) Totals() (packets int, bytes int64) { return nd.pkts, nd.bytes }
 
 // Send transmits a packet to node dst. The calling proc is blocked for the
 // outbound serialization time (NIC contention included); delivery completes
-// asynchronously after the flight latency and receiver processing.
+// asynchronously after the flight latency and receiver processing. It is
+// SendStep, then Sent once the charge is over: the one send, driven from a
+// stackful proc.
 func (nd *Node) Send(p *sim.Proc, dst int, size int, payload any) {
+	pkt := nd.SendStep(p, dst, size, payload)
+	p.Await()
+	nd.Sent(p, pkt)
+}
+
+// SendStep is Send's non-parking form, for a stackless proc: it charges the
+// packet's outbound cost as p's next wake and returns the packet, which the
+// step that wake runs hands to Sent.
+func (nd *Node) SendStep(p *sim.Proc, dst int, size int, payload any) *Packet {
+	pkt := nd.packet(dst, size, payload)
+	nd.charge(p, pkt)
+	return pkt
+}
+
+// Inject sends a packet from a stackless helper proc named prefix:id, so
+// that the caller does not wait for the NIC: the helper's two steps are
+// SendStep's charge and Sent.
+func (nd *Node) Inject(prefix string, id, dst, size int, payload any) {
+	nd.s.SpawnStep(prefix, id, inject, nd.packet(dst, size, payload))
+}
+
+// inject is the step of an Inject helper, whose Arg is the packet.
+func inject(h *sim.Proc) {
+	pkt := h.Arg().(*Packet)
+	nd := pkt.net.nodes[pkt.Src]
+	if h.Woken() {
+		nd.Sent(h, pkt)
+		return
+	}
+	nd.charge(h, pkt)
+}
+
+// packet builds a packet from nd to node dst.
+func (nd *Node) packet(dst, size int, payload any) *Packet {
 	if dst < 0 || dst >= len(nd.net.nodes) {
 		panic(fmt.Sprintf("fabric: bad destination node %d", dst))
 	}
-	pkt := &Packet{Src: nd.id, Dst: dst, Size: size, Payload: payload, net: nd.net}
+	return &Packet{Src: nd.id, Dst: dst, Size: size, Payload: payload, net: nd.net}
+}
+
+// charge registers p's wake for the end of pkt's outbound cost: the
+// sender's copy of an intra-node packet through shared memory, or the TX
+// NIC held for overhead + serialization (contention included).
+func (nd *Node) charge(p *sim.Proc, pkt *Packet) {
 	cfg := nd.net.cfg
-	if dst == nd.id {
-		// Intra-node shared-memory transport: sender pays the copy, a tiny
-		// helper completes delivery after the latency.
-		p.Sleep(nd.jit.Scale(time.Duration(float64(size) / cfg.ShmBW * 1e9)))
-		nd.s.SpawnID("shm-deliver", nd.id, deliver, pkt)
+	if pkt.Dst == nd.id {
+		p.SleepStep(nd.jit.Scale(time.Duration(float64(pkt.Size) / cfg.ShmBW * 1e9)))
 		return
 	}
 	nd.pkts++
-	nd.bytes += int64(size)
-	// Outbound: hold the TX NIC for overhead + serialization.
-	nd.sendNIC.Use(p, nd.jit.Scale(cfg.SendOverhead+time.Duration(float64(size)/cfg.BW*1e9)))
-	// In flight + receiver processing: an arrival on the destination's
-	// simulator (at least the lookahead away when that is another shard, by
-	// construction). Flight latency is NOT jittered so per-sender packet
-	// order is preserved (MPI non-overtaking); jitter applies to NIC
-	// serialization, each NIC's from its own node's stream.
-	nd.xseq++
-	nd.s.PostArrival(p.Now()+nd.net.latency(nd.id, dst), nd.net.nodes[dst].s, nd.id, nd.xseq, "wire", deliver, pkt)
+	nd.bytes += int64(pkt.Size)
+	nd.sendNIC.UseStep(p, nd.jit.Scale(cfg.SendOverhead+time.Duration(float64(pkt.Size)/cfg.BW*1e9)))
 }
 
-// deliver is the proc that hands the packet it carries (Proc.Arg) to its
-// destination's inbox: after the shared-memory latency for an intra-node
-// packet — not jittered, so that constant flight times preserve per-sender
-// packet order (MPI non-overtaking) — and after holding the destination's
-// RX NIC for the receive overhead for one that arrived off the wire.
+// Sent puts a packet whose outbound cost p has paid on its way: an
+// intra-node one to a helper that delivers it after the shared-memory
+// latency, an inter-node one to the destination's simulator as an arrival
+// (at least the lookahead away when that is another shard, by
+// construction). Flight latency is NOT jittered so per-sender packet order
+// is preserved (MPI non-overtaking); jitter applies to NIC serialization,
+// each NIC's from its own node's stream.
+func (nd *Node) Sent(p *sim.Proc, pkt *Packet) {
+	if pkt.Dst == nd.id {
+		nd.s.SpawnStep("shm-deliver", nd.id, deliver, pkt)
+		return
+	}
+	nd.xseq++
+	nd.s.PostStep(p.Now()+nd.net.latency(nd.id, pkt.Dst), nd.net.nodes[pkt.Dst].s, nd.id, nd.xseq, "wire", deliver, pkt)
+}
+
+// deliver is the step of the stackless proc that hands the packet it
+// carries (Proc.Arg) to its destination's inbox: after the shared-memory
+// latency for an intra-node packet — not jittered, so that constant flight
+// times preserve per-sender packet order (MPI non-overtaking) — and after
+// holding the destination's RX NIC for the receive overhead for one that
+// arrived off the wire.
 func deliver(d *sim.Proc) {
 	pkt := d.Arg().(*Packet)
 	net, to := pkt.net, pkt.net.nodes[pkt.Dst]
-	if pkt.Src == pkt.Dst {
-		d.Sleep(net.cfg.ShmLat)
-	} else {
-		to.recvNIC.Use(d, to.jit.Scale(net.cfg.RecvOverhead))
+	switch {
+	case d.Woken():
+		to.Inbox.Put(pkt)
+	case pkt.Src == pkt.Dst:
+		d.SleepStep(net.cfg.ShmLat)
+	default:
+		to.recvNIC.UseStep(d, to.jit.Scale(net.cfg.RecvOverhead))
 	}
-	to.Inbox.Put(pkt)
 }

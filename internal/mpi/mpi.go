@@ -21,7 +21,8 @@
 // and payloads are bytes: nothing above asks for more.
 //
 // Every rank is driven by exactly one simulated proc; per-node progress
-// engines (daemon procs) perform matching and the rendezvous handshake.
+// engines (stackless daemon procs) perform matching and the rendezvous
+// handshake, and stackless helpers inject eager sends and rendezvous data.
 //
 // NewWorld is the only constructor. A world runs on whatever fabric it is
 // given, plain or sharded: each rank's procs, events and progress engine
@@ -255,9 +256,6 @@ type envelope struct {
 	seq  uint64
 	size int    // full payload size (RTS announces it without data)
 	data []byte // eager or rendezvous-data payload
-	// from is the sending rank of an eager envelope, for the helper that
-	// sends it.
-	from *Rank
 }
 
 // recvReq is a posted receive.
@@ -276,7 +274,7 @@ type recvReq struct {
 }
 
 // sendReq is a rendezvous send awaiting its CTS, from rank from; data is
-// what goes on the wire.
+// what goes on the wire, in pkt once its helper has started sending it.
 type sendReq struct {
 	from *Rank
 	data []byte
@@ -284,6 +282,7 @@ type sendReq struct {
 	tag  int
 	seq  uint64
 	done *sim.Event
+	pkt  *fabric.Packet
 }
 
 // Request is a handle to a nonblocking operation: a receive's rr, or a
@@ -369,25 +368,46 @@ func (r *Rank) deliver(rr *recvReq, env *envelope) {
 	rr.done.Fire()
 }
 
-// startEngine spawns the progress-engine daemon for a node. It drains the
+// engine is a node's progress daemon, a stackless proc: it drains the
 // node's fabric inbox, performs matching, runs the rendezvous handshake and
-// completes requests.
-func (w *World) startEngine(node int) {
-	nd := w.net.Node(node)
-	nd.Sim().SpawnDaemon(fmt.Sprintf("mpi-engine:%d", node), func(p *sim.Proc) {
-		for {
-			pkt := nd.Inbox.Get(p)
-			env, ok := pkt.Payload.(*envelope)
-			if !ok {
-				panic("mpi: foreign packet in inbox")
-			}
-			w.handle(p, nd, env)
-		}
-	})
+// completes requests. in is where a Put hands the engine the packet it
+// waits for, and cts the clear-to-send it is injecting, nil between them.
+type engine struct {
+	w   *World
+	nd  *fabric.Node
+	in  *fabric.Packet
+	cts *fabric.Packet
 }
 
-// handle processes one inbound envelope on the progress engine proc.
-func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
+// startEngine spawns the progress engine of a node.
+func (w *World) startEngine(node int) {
+	e := &engine{w: w, nd: w.net.Node(node)}
+	e.nd.Sim().SpawnStepDaemon("mpi-engine", node, e.step)
+}
+
+// step handles inbound envelopes until the inbox is empty or a matched RTS
+// has the engine send a CTS, which it puts on its way in the next step.
+func (e *engine) step(p *sim.Proc) {
+	if e.cts != nil {
+		e.nd.Sent(p, e.cts)
+		e.cts = nil
+	}
+	for e.in != nil || e.nd.Inbox.GetStep(p, &e.in) {
+		env, ok := e.in.Payload.(*envelope)
+		if !ok {
+			panic("mpi: foreign packet in inbox")
+		}
+		e.in = nil
+		if e.cts = e.handle(p, env); e.cts != nil {
+			return
+		}
+	}
+}
+
+// handle processes one inbound envelope and returns the CTS it starts
+// sending, if any.
+func (e *engine) handle(p *sim.Proc, env *envelope) *fabric.Packet {
+	w := e.w
 	r := w.ranks[env.dst]
 	switch env.kind {
 	case kindEager:
@@ -399,10 +419,9 @@ func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
 	case kindRTS:
 		if rr := r.takePosted(env); rr != nil {
 			r.bound[env.seq] = rr
-			w.sendCTS(p, nd, env)
-		} else {
-			r.unexpected = append(r.unexpected, env)
+			return e.nd.SendStep(p, w.nodeOf[env.src], headerBytes, cts(env))
 		}
+		r.unexpected = append(r.unexpected, env)
 	case kindCTS:
 		sr, ok := r.pendingSends[env.seq]
 		if !ok {
@@ -411,7 +430,7 @@ func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
 		delete(r.pendingSends, env.seq)
 		// Transmit the bulk data on a helper so the engine keeps making
 		// progress for other ranks on this node.
-		nd.Sim().SpawnID("mpi-rndv-data", r.id, sendRndvData, sr)
+		e.nd.Sim().SpawnStep("mpi-rndv-data", r.id, sendRndvData, sr)
 	case kindData:
 		rr, ok := r.bound[env.seq]
 		if !ok {
@@ -420,21 +439,26 @@ func (w *World) handle(p *sim.Proc, nd *fabric.Node, env *envelope) {
 		delete(r.bound, env.seq)
 		r.deliver(rr, env)
 	}
+	return nil
 }
 
-// sendRndvData is the body of an mpi-rndv-data helper: it injects the
-// payload of the rendezvous send it carries (Proc.Arg) and completes the
-// send.
+// sendRndvData is the step of an mpi-rndv-data helper: it injects the
+// payload of the rendezvous send it carries (Proc.Arg) and, once that is on
+// its way, completes the send.
 func sendRndvData(h *sim.Proc) {
 	sr := h.Arg().(*sendReq)
 	r := sr.from
+	nd := r.w.net.Node(r.node)
+	if h.Woken() {
+		nd.Sent(h, sr.pkt)
+		sr.done.Fire()
+		return
+	}
 	data := &envelope{kind: kindData, src: r.id, dst: sr.dst, tag: sr.tag, seq: sr.seq, size: len(sr.data), data: sr.data}
-	r.w.net.Node(r.node).Send(h, r.w.nodeOf[sr.dst], headerBytes+len(sr.data), data)
-	sr.done.Fire()
+	sr.pkt = nd.SendStep(h, r.w.nodeOf[sr.dst], headerBytes+len(sr.data), data)
 }
 
-// sendCTS issues the clear-to-send for a matched rendezvous.
-func (w *World) sendCTS(p *sim.Proc, nd *fabric.Node, rts *envelope) {
-	cts := &envelope{kind: kindCTS, src: rts.dst, dst: rts.src, tag: rts.tag, seq: rts.seq}
-	nd.Send(p, w.nodeOf[rts.src], headerBytes, cts)
+// cts returns the clear-to-send answering a matched rendezvous's RTS.
+func cts(rts *envelope) *envelope {
+	return &envelope{kind: kindCTS, src: rts.dst, dst: rts.src, tag: rts.tag, seq: rts.seq}
 }

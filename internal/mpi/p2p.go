@@ -40,8 +40,8 @@ func (r *Rank) send(p *sim.Proc, buf []byte, dst, tag int, owned bool) *sim.Even
 		copy(data, buf)
 	}
 	if len(buf) <= r.w.cfg.EagerLimit {
-		env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data, from: r}
-		r.sim.SpawnID("mpi-eager", r.id, injectEager, env)
+		env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data}
+		r.w.net.Node(r.node).Inject("mpi-eager", r.id, r.w.nodeOf[dst], headerBytes+len(data), env)
 		return nil
 	}
 	done := r.sim.NewEventID(r.sendPrefix, dst)
@@ -49,14 +49,6 @@ func (r *Rank) send(p *sim.Proc, buf []byte, dst, tag int, owned bool) *sim.Even
 	rts := &envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
 	r.w.net.Node(r.node).Send(p, r.w.nodeOf[dst], headerBytes, rts)
 	return done
-}
-
-// injectEager is the body of an mpi-eager helper: it sends the envelope it
-// carries (Proc.Arg) from its source rank's node.
-func injectEager(h *sim.Proc) {
-	env := h.Arg().(*envelope)
-	r := env.from
-	r.w.net.Node(r.node).Send(h, r.w.nodeOf[env.dst], headerBytes+len(env.data), env)
 }
 
 // Irecv starts a nonblocking receive into buf from rank src (or AnySource)
@@ -81,7 +73,7 @@ func (r *Rank) newRecv(p *sim.Proc, rr *recvReq) *recvReq {
 			r.deliver(rr, env)
 		case kindRTS:
 			r.bound[env.seq] = rr
-			r.w.sendCTS(p, r.w.net.Node(r.node), env)
+			r.w.net.Node(r.node).Send(p, r.w.nodeOf[env.src], headerBytes, cts(env))
 		default:
 			panic("mpi: bad kind in unexpected queue")
 		}

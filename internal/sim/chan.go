@@ -3,10 +3,11 @@ package sim
 import "fmt"
 
 // chanWaiter is one Proc parked on a channel operation, together with the
-// value being transferred.
+// value being transferred: in val, or for a stackless Queue.GetStep in *dst.
 type chanWaiter[T any] struct {
 	p   *Proc
 	val T
+	dst *T
 	ok  bool // for receivers: whether a value was delivered (false = closed)
 }
 
@@ -71,7 +72,8 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	p.checkCurrent("Chan.Send")
 	if !c.TrySend(v) {
 		c.sendq.push(&chanWaiter[T]{p: p, val: v})
-		p.park(parkChanSend, c, 0)
+		p.block(parkChanSend, c, 0)
+		p.await()
 	}
 }
 
@@ -103,7 +105,8 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	}
 	w := &chanWaiter[T]{p: p}
 	c.recvq.push(w)
-	p.park(parkChanRecv, c, 0)
+	p.block(parkChanRecv, c, 0)
+	p.await()
 	return w.val, w.ok
 }
 
@@ -153,12 +156,20 @@ func (q *Queue[T]) label() string { return q.name }
 
 // Put appends v. It never blocks and may be called from any running Proc.
 func (q *Queue[T]) Put(v T) {
-	if w := popLive(&q.recvq); w != nil {
+	w := popLive(&q.recvq)
+	switch {
+	case w == nil:
+		q.items.push(v)
+	case w.dst != nil:
+		*w.dst = v
+		p := w.p
+		w.p, w.dst = nil, nil
+		q.spare = append(q.spare, w)
+		q.s.unblock(p)
+	default:
 		w.val = v
 		q.s.unblock(w.p)
-		return
 	}
-	q.items.push(v)
 }
 
 // Get removes and returns the oldest item, blocking p while empty.
@@ -167,18 +178,39 @@ func (q *Queue[T]) Get(p *Proc) T {
 	if q.items.len() > 0 {
 		return q.items.pop()
 	}
-	var w *chanWaiter[T]
-	if n := len(q.spare); n > 0 {
-		w, q.spare = q.spare[n-1], q.spare[:n-1]
-		w.p = p
-	} else {
-		w = &chanWaiter[T]{p: p}
-	}
-	q.recvq.push(w)
-	p.park(parkQueueGet, q, 0)
+	w := q.wait(p, nil)
+	p.await()
 	var zero T
 	v := w.val
 	w.p, w.val = nil, zero
 	q.spare = append(q.spare, w)
 	return v
+}
+
+// GetStep is Get's non-parking form: it moves the oldest item to *v and
+// reports true, or, with the queue empty, registers p's wake for the next
+// Put, which stores its item in *v.
+func (q *Queue[T]) GetStep(p *Proc, v *T) bool {
+	p.checkCurrent("Queue.Get")
+	if q.items.len() > 0 {
+		*v = q.items.pop()
+		return true
+	}
+	q.wait(p, v)
+	return false
+}
+
+// wait queues p for the next Put, which hands its item to dst, or to the
+// waiter's val when dst is nil.
+func (q *Queue[T]) wait(p *Proc, dst *T) *chanWaiter[T] {
+	var w *chanWaiter[T]
+	if n := len(q.spare); n > 0 {
+		w, q.spare = q.spare[n-1], q.spare[:n-1]
+		w.p, w.dst = p, dst
+	} else {
+		w = &chanWaiter[T]{p: p, dst: dst}
+	}
+	q.recvq.push(w)
+	p.block(parkQueueGet, q, 0)
+	return w
 }

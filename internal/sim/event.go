@@ -55,16 +55,25 @@ func (e *Event) Fire() {
 // Wait blocks p until the event fires. Returns immediately if it already
 // fired.
 func (e *Event) Wait(p *Proc) {
+	if !e.WaitStep(p) {
+		p.await()
+	}
+}
+
+// WaitStep is Wait's non-parking form: it reports whether the event has
+// fired, and registers p's wake for when it does if not.
+func (e *Event) WaitStep(p *Proc) bool {
 	p.checkCurrent("Event.Wait")
 	if e.fired {
-		return
+		return true
 	}
 	if e.first == nil {
 		e.first = p
 	} else {
 		e.waiters = append(e.waiters, p)
 	}
-	p.park(parkEvent, e, 0)
+	p.block(parkEvent, e, 0)
+	return false
 }
 
 // WaitGroup counts outstanding work items, like sync.WaitGroup but for
@@ -107,5 +116,6 @@ func (w *WaitGroup) Wait(p *Proc) {
 		return
 	}
 	w.waiters = append(w.waiters, p)
-	p.park(parkWaitGroup, w, int64(w.count))
+	p.block(parkWaitGroup, w, int64(w.count))
+	p.await()
 }

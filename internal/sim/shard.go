@@ -65,17 +65,18 @@ type Shard struct {
 }
 
 // arrival is one cross-node event delivery: at time at, spawn a proc
-// running fn with argument arg on simulator dst. src and seq form the
-// deterministic tiebreak for simultaneous arrivals (see the ordering rule
-// on Sharded).
+// running fn with argument arg on simulator dst, a stackless one if
+// stackless is set. src and seq form the deterministic tiebreak for
+// simultaneous arrivals (see the ordering rule on Sharded).
 type arrival struct {
-	at   int64
-	src  int
-	seq  uint64
-	dst  *Sim
-	name ident
-	fn   func(p *Proc)
-	arg  any
+	at        int64
+	src       int
+	seq       uint64
+	dst       *Sim
+	name      ident
+	fn        func(p *Proc)
+	arg       any
+	stackless bool
 }
 
 // NewSharded creates a sharded simulation with n empty shards.
@@ -135,6 +136,16 @@ func (sc *Sharded) Now() time.Duration {
 	return time.Duration(now)
 }
 
+// Stats returns the self-counters of every shard's simulator, summed; the
+// peak timer-heap depth is the deepest of any shard's.
+func (sc *Sharded) Stats() Stats {
+	var st Stats
+	for _, sh := range sc.shards {
+		st.Add(sh.sim.Stats())
+	}
+	return st
+}
+
 // ID returns the shard's index within its Sharded coordinator.
 func (sh *Shard) ID() int { return sh.id }
 
@@ -160,10 +171,20 @@ func (sh *Shard) Sim() *Sim { return sh.sim }
 // own arrival heap instead of the outbox; the heap's (at, src, seq) order
 // makes delivery identical either way.
 func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefix string, fn func(p *Proc), arg any) {
-	a := arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: fn, arg: arg}
+	s.post(arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: fn, arg: arg})
+}
+
+// PostStep is PostArrival for an arrival proc that is stackless, with step
+// as its step (see SpawnStep).
+func (s *Sim) PostStep(at time.Duration, dst *Sim, src int, seq uint64, prefix string, step func(p *Proc), arg any) {
+	s.post(arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: step, arg: arg, stackless: true})
+}
+
+func (s *Sim) post(a arrival) {
+	dst := a.dst
 	if dst == s {
 		if a.at < s.now {
-			panic(fmt.Sprintf("sim: arrival at %v before current time %v", at, time.Duration(s.now)))
+			panic(fmt.Sprintf("sim: arrival at %v before current time %v", time.Duration(a.at), time.Duration(s.now)))
 		}
 		s.arrivals.push(a)
 		return
@@ -174,7 +195,7 @@ func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefi
 	}
 	if a.at < s.horizon {
 		panic(fmt.Sprintf("sim: arrival at %v inside current window ending %v: cross-shard latency below lookahead",
-			at, time.Duration(s.horizon)))
+			time.Duration(a.at), time.Duration(s.horizon)))
 	}
 	sh.outbox = append(sh.outbox, a)
 }

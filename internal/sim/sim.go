@@ -9,21 +9,40 @@
 // the ready queue is FIFO and simultaneous timers fire in creation order.
 //
 // "The scheduler" is whichever stack holds the baton, not a goroutine of its
-// own. Procs run on pooled coroutines (iter.Pull) that the goroutine that
-// called Run — the loop goroutine — resumes. A proc that parks or returns
-// advances the schedule itself (pickNext), names the next proc and yields
-// to the loop, which resumes that proc's coroutine: a yield and a resume per
-// proc switch, with no trip through the Go scheduler; none when the next
-// proc is the parking one (a Sleep whose timer is the earliest event) or
-// has not started yet and the picker has just finished (it runs on the same
-// pooled worker). The loop does more than resume only for what must not run
-// on a proc's stack: Inject thunks and Kill, reporting a failure, a
-// deadlock or a timeout, the end of the run, and the window barrier of a
-// simulation of several shards.
+// own. Stackful procs run on pooled coroutines (iter.Pull) that the
+// goroutine that called Run — the loop goroutine — resumes. A proc that
+// parks or returns advances the schedule itself (pickNext), names the next
+// proc and yields to the loop, which resumes that proc's coroutine: a yield
+// and a resume per proc switch, with no trip through the Go scheduler; none
+// when the next proc is the parking one (a Sleep whose timer is the
+// earliest event) or has not started yet and the picker has just finished
+// (it runs on the same pooled worker). The loop does more than resume only
+// for what must not run on a proc's stack: Inject thunks and Kill,
+// reporting a failure, a deadlock or a timeout, the end of the run, and the
+// window barrier of a simulation of several shards.
 //
 // Procs advance virtual time only through blocking primitives (Sleep, Event,
 // Chan, Semaphore, ...). Plain Go computation inside a Proc consumes zero
 // virtual time; simulated cost must be charged explicitly with Sleep.
+//
+// There are two kinds of proc. A stackful proc (Spawn) is a function that
+// runs on a worker and may block anywhere in it: user kernels, and threads
+// that block deep inside library calls. A stackless proc (SpawnStep) has no
+// worker: it is a step function that pickNext calls inline, on whichever
+// stack holds the baton, each time the proc comes off the ready queue. A
+// step registers its next wake with the non-parking form of a primitive
+// (SleepStep, Resource.UseStep, Queue.GetStep, Event.WaitStep) and returns,
+// and a step that registers none ends its proc. Each blocking primitive is
+// its non-parking form followed by Await, so the two kinds make the same
+// state changes in the same order: a stackless proc takes, slot for slot,
+// the timer-heap (at, seq) and ready-queue places the same body would take
+// on a stack, and converting a proc changes no schedule. What differs is
+// the bill: a stackless turn costs a function call where a stackful one
+// costs a coroutine switch each way and keeps a goroutine stack for the GC
+// to scan. Kill and shutdown give back what a stackless proc holds (a
+// Resource unit in service or granted), as a stackful proc's unwinding
+// does, and a panic in a step is its own proc's failure. Stats counts both
+// kinds' turns.
 //
 // There is one event loop. New builds a Sim and Run drives it; a sharded
 // simulation (NewSharded, shard.go) is several Sims whose windows the
@@ -64,6 +83,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,6 +151,10 @@ const (
 	parkChanRecv
 	parkQueueGet
 	parkSemaphore
+	// parkHold waits for a Resource unit that is to be held for blockArg
+	// nanoseconds, parkHeld holds one until blockArg (UseStep).
+	parkHold
+	parkHeld
 )
 
 // Proc is a simulated process (a cooperative green thread). A Proc handle is
@@ -138,9 +162,9 @@ const (
 type Proc struct {
 	sim   *Sim
 	ident ident
-	// fn is the Proc's body, arg the value it was spawned with (Arg), and w
-	// the worker it runs on from its first resume to its last; all are nil
-	// once it is done.
+	// fn is the Proc's body — a stackless proc's step — arg the value it was
+	// spawned with (Arg), and w the worker a stackful proc runs on from its
+	// first resume to its last; all are nil once it is done.
 	fn    func(p *Proc)
 	arg   any
 	w     *worker
@@ -152,8 +176,14 @@ type Proc struct {
 	// everything they spawn — keep the simulation alive like any other, but
 	// their returns do not move its idle instant (Sim.idleAt).
 	arrival bool
-	// blockKind/blockObj/blockArg describe what the Proc is blocked on;
-	// the human-readable reason is only formatted for deadlock reports.
+	// stackless procs run their step on the baton holder's stack (SpawnStep).
+	stackless bool
+	// turns counts the times the proc has taken the baton: the resumes of a
+	// stackful proc, the steps of a stackless one.
+	turns uint32
+	// blockKind/blockObj/blockArg describe what the Proc is blocked on, from
+	// the wake it registers until it takes the baton again; the
+	// human-readable reason is only formatted for deadlock reports.
 	blockKind parkKind
 	blockObj  labeler
 	blockArg  int64
@@ -178,6 +208,10 @@ func (p *Proc) Arg() any { return p.arg }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return time.Duration(p.sim.now) }
+
+// Woken reports whether p has taken the baton before the turn it is in:
+// false during a stackless proc's first step, true in every later one.
+func (p *Proc) Woken() bool { return p.turns > 1 }
 
 // Sim is a deterministic discrete-event scheduler.
 type Sim struct {
@@ -234,11 +268,16 @@ type Sim struct {
 	// to a window's edge: a run's elapsed time (Sharded.Now, the latest
 	// idleAt of any shard) is the same whoever hosts it, on any shard count.
 	idleAt int64
+
+	// spawns, resumes and steps are the self-counters Stats reports, and
+	// kinds their split by proc kind for the procs that have finished.
+	spawns, resumes, steps uint64
+	kinds                  map[string]*KindStats
 }
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	s := &Sim{}
+	s := &Sim{kinds: map[string]*KindStats{}}
 	s.procs.prev, s.procs.next = &s.procs, &s.procs
 	return s
 }
@@ -255,14 +294,14 @@ func (s *Sim) SetMaxTime(d time.Duration) { s.maxTime = int64(d) }
 // or from a running Proc. The new Proc is appended to the ready queue and
 // starts running at the current virtual time, after already-ready Procs.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{name: name, id: noID}, fn, nil, false)
+	return s.spawn(ident{name: name, id: noID}, fn, nil, false, false)
 }
 
 // SpawnID is Spawn with a lazily-formatted "prefix:id" name and an argument
 // the Proc reads with Arg; per-message spawn sites use it to avoid
 // formatting a label nobody may ever read and a closure per message.
 func (s *Sim) SpawnID(prefix string, id int, fn func(p *Proc), arg any) *Proc {
-	return s.spawn(ident{name: prefix, id: id}, fn, arg, false)
+	return s.spawn(ident{name: prefix, id: id}, fn, arg, false, false)
 }
 
 // SpawnDaemon creates a Proc that does not keep the simulation alive:
@@ -270,22 +309,42 @@ func (s *Sim) SpawnID(prefix string, id int, fn func(p *Proc), arg any) *Proc {
 // Use it for poll loops and progress engines that run "for the life of the
 // application" (paper §3.2.2).
 func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{name: name, id: noID}, fn, nil, true)
+	return s.spawn(ident{name: name, id: noID}, fn, nil, true, false)
 }
 
 // SpawnDaemonID is SpawnDaemon with a lazily-formatted "prefix:id" name.
 func (s *Sim) SpawnDaemonID(prefix string, id int, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{name: prefix, id: id}, fn, nil, true)
+	return s.spawn(ident{name: prefix, id: id}, fn, nil, true, false)
 }
 
-func (s *Sim) spawn(name ident, fn func(p *Proc), arg any, daemon bool) *Proc {
+// SpawnStep is SpawnID for a stackless proc: one with no stack of its own,
+// whose step runs to completion on whichever stack holds the baton each
+// time the proc takes it — when it starts, and after every wake it
+// registers. A step registers its next wake with the non-parking form of a
+// primitive (Proc.SleepStep, Resource.UseStep, Queue.GetStep,
+// Event.WaitStep), which takes the timer-heap and ready-queue slots the
+// blocking form would, and returns; a step that returns without registering
+// one ends the proc. Woken tells the first step from later ones. A step
+// must not call a blocking primitive.
+func (s *Sim) SpawnStep(prefix string, id int, step func(p *Proc), arg any) *Proc {
+	return s.spawn(ident{name: prefix, id: id}, step, arg, false, true)
+}
+
+// SpawnStepDaemon is SpawnStep for a daemon, with no argument.
+func (s *Sim) SpawnStepDaemon(prefix string, id int, step func(p *Proc)) *Proc {
+	return s.spawn(ident{name: prefix, id: id}, step, nil, true, true)
+}
+
+func (s *Sim) spawn(name ident, fn func(p *Proc), arg any, daemon, stackless bool) *Proc {
+	s.spawns++
 	p := &Proc{
-		sim:    s,
-		ident:  name,
-		fn:     fn,
-		arg:    arg,
-		state:  stateReady,
-		daemon: daemon,
+		sim:       s,
+		ident:     name,
+		fn:        fn,
+		arg:       arg,
+		state:     stateReady,
+		daemon:    daemon,
+		stackless: stackless,
 	}
 	p.prev, p.next = s.procs.prev, &s.procs
 	p.prev.next, s.procs.prev = p, p
@@ -330,13 +389,46 @@ func (p *Proc) exec() (killed bool) {
 	}()
 	p.fn(p)
 	returned = true
+	p.returned()
+	return false
+}
+
+// step runs one turn of a stackless proc p on the calling stack, which holds
+// the baton with p current: the kernel's part of the wake (proceed), then,
+// unless that leaves p asleep, p's step. A step that returns without
+// registering a wake has ended p. A panic in either is p's failure, and
+// gives back what p holds, as a stackful proc's unwinding would.
+func (s *Sim) step(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil && p.state != stateDone {
+			if s.failure == nil {
+				s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
+			}
+			p.drop()
+			p.finish()
+		}
+	}()
+	if !p.proceed() {
+		return
+	}
+	s.steps++
+	p.turns++
+	p.fn(p)
+	if p.state == stateRunning {
+		p.returned()
+		p.finish()
+	}
+}
+
+// returned settles the return of p's body in its group: the member whose
+// return empties the group fires its onIdle.
+func (p *Proc) returned() {
 	if g := p.group; g != nil && !p.daemon {
 		if g.live--; g.live == 0 && g.idleAt == never {
-			g.idleAt = s.now
+			g.idleAt = p.sim.now
 			g.onIdle()
 		}
 	}
-	return false
 }
 
 // Group is a set of procs that ends together; see the package comment for
@@ -387,12 +479,81 @@ func (p *Proc) finish() {
 	p.state = stateDone
 	p.prev.next, p.next.prev = p.next, p.prev
 	p.prev, p.next = nil, nil
-	p.fn, p.arg, p.w = nil, nil, nil
-	if s := p.sim; !p.daemon {
+	p.fn, p.arg, p.w, p.blockObj = nil, nil, nil, nil
+	s := p.sim
+	if !p.daemon {
 		s.live--
 		if !p.arrival {
 			s.idleAt = s.now
 		}
+	}
+	if k := s.kinds[p.kind()]; k != nil {
+		*k = k.add(p.tally())
+	} else {
+		t := p.tally()
+		s.kinds[p.kind()] = &t
+	}
+}
+
+// kind returns p's kind: its name up to the first ':'.
+func (p *Proc) kind() string {
+	name, _, _ := strings.Cut(p.ident.name, ":")
+	return name
+}
+
+// tally returns p's share of its kind's counts: its spawn and its turns.
+func (p *Proc) tally() KindStats {
+	if p.stackless {
+		return KindStats{Spawns: 1, Steps: uint64(p.turns)}
+	}
+	return KindStats{Spawns: 1, Resumes: uint64(p.turns)}
+}
+
+// KindStats are one proc kind's share of Stats.
+type KindStats struct{ Spawns, Resumes, Steps uint64 }
+
+func (k KindStats) add(o KindStats) KindStats {
+	return KindStats{k.Spawns + o.Spawns, k.Resumes + o.Resumes, k.Steps + o.Steps}
+}
+
+// Stats are a simulation's self-counters, kept in plain fields under the
+// baton: read them between runs, or in scheduler context.
+type Stats struct {
+	// Spawns counts procs spawned, arrival procs included.
+	Spawns uint64
+	// Resumes counts the turns of stackful procs — every time one took the
+	// baton, its start included — and Steps the turns of stackless ones.
+	Resumes, Steps uint64
+	// PeakTimers is the deepest the timer heap has been.
+	PeakTimers int
+	// Kinds splits the counts by proc kind, a proc's name up to its first
+	// ':' ("wire", "mpi-engine", "cpu-kern").
+	Kinds map[string]KindStats
+}
+
+// Stats returns the simulation's self-counters so far.
+func (s *Sim) Stats() Stats {
+	st := Stats{Spawns: s.spawns, Resumes: s.resumes, Steps: s.steps, PeakTimers: s.timers.peak, Kinds: map[string]KindStats{}}
+	for name, k := range s.kinds {
+		st.Kinds[name] = *k
+	}
+	for p := s.procs.next; p != &s.procs; p = p.next {
+		st.Kinds[p.kind()] = st.Kinds[p.kind()].add(p.tally())
+	}
+	return st
+}
+
+// Add folds o into st: counts add up, and the peak is the larger one.
+func (st *Stats) Add(o Stats) {
+	st.Spawns += o.Spawns
+	st.Resumes += o.Resumes
+	st.Steps += o.Steps
+	st.PeakTimers = max(st.PeakTimers, o.PeakTimers)
+	if st.Kinds == nil {
+		st.Kinds = map[string]KindStats{}
+	}
+	for name, k := range o.Kinds {
+		st.Kinds[name] = st.Kinds[name].add(k)
 	}
 }
 
@@ -404,22 +565,41 @@ func (p *Proc) checkCurrent(op string) {
 	}
 }
 
-// park blocks the calling Proc until something resumes it. The caller must
-// have registered p somewhere (timer heap, waiter list) that will eventually
-// call sim.unblock(p); otherwise the simulation deadlocks. The block reason
-// is recorded as (kind, object, argument) and only rendered to a string by
-// deadlock reports — parking is the hottest operation in the simulator and
-// must not allocate.
-//
-// The parking proc holds the baton, so it advances the schedule itself: if
-// the next proc to run is p again there is nothing to wait for; otherwise p
-// names the next proc and yields to the loop goroutine until it is resumed.
-func (p *Proc) park(kind parkKind, obj labeler, arg int64) {
-	p.checkCurrent("park")
+// block records that p waits for the wake it has just registered (timer
+// heap, waiter list): the state Run's deadlock report reads, and what p is
+// to do with the baton when that wake gives it back (proceed). The block
+// reason is recorded as (kind, object, argument) and only rendered to a
+// string by deadlock reports — blocking is the hottest operation in the
+// simulator and must not allocate.
+func (p *Proc) block(kind parkKind, obj labeler, arg int64) {
 	p.state = stateBlocked
 	p.blockKind = kind
 	p.blockObj = obj
 	p.blockArg = arg
+}
+
+// Await parks the calling stackful proc until the wake it registered with
+// a step form (SleepStep, Resource.UseStep, Queue.GetStep, Event.WaitStep)
+// has come, and returns at once if it registered none: each blocking
+// primitive is its step form followed by Await.
+func (p *Proc) Await() {
+	p.checkCurrent("Await")
+	p.await()
+}
+
+// await is Await for the blocking primitives, which have checked p already.
+func (p *Proc) await() {
+	for p.state == stateBlocked {
+		p.park()
+		p.proceed()
+	}
+}
+
+// park gives up the baton until p's wake resumes it. The parking proc holds
+// the baton, so it advances the schedule itself: if the next proc to run is
+// p again there is nothing to wait for; otherwise p names the next proc and
+// yields to the loop goroutine until it is resumed.
+func (p *Proc) park() {
 	s := p.sim
 	if next := s.pickNext(); next != p {
 		s.next = next
@@ -429,8 +609,44 @@ func (p *Proc) park(kind parkKind, obj labeler, arg int64) {
 			unwindStack()
 		}
 	}
-	p.blockKind = parkNone
-	p.blockObj = nil
+}
+
+// proceed does the kernel's part of the wake p has just taken the baton
+// for, and reports whether p's body goes on: a Resource unit granted to p
+// starts its service time, and p sleeps on; a service time that is over
+// gives its unit back.
+func (p *Proc) proceed() bool {
+	switch p.blockKind {
+	case parkHold:
+		p.hold(p.blockObj.(*Semaphore), time.Duration(p.blockArg))
+		return false
+	case parkHeld:
+		sem := p.blockObj.(*Semaphore)
+		p.blockKind, p.blockObj = parkNone, nil
+		sem.Release(1)
+		return true
+	}
+	p.blockKind, p.blockObj = parkNone, nil
+	return true
+}
+
+// drop gives back what p holds as it is killed, as its unwinding would
+// have: a Resource unit in service, or permits that Release granted it and
+// that it has not run to take.
+func (p *Proc) drop() {
+	n := 1
+	switch p.blockKind {
+	case parkSemaphore:
+		n = int(p.blockArg)
+		fallthrough
+	case parkHold:
+		if p.state != stateReady {
+			return
+		}
+		fallthrough
+	case parkHeld:
+		p.blockObj.(*Semaphore).Release(n)
+	}
 }
 
 // blockReason renders what a blocked Proc is waiting on (deadlock reports
@@ -449,9 +665,15 @@ func (p *Proc) blockReason() string {
 		return fmt.Sprintf("chan recv %q", p.blockObj.label())
 	case parkQueueGet:
 		return fmt.Sprintf("queue get %q", p.blockObj.label())
-	case parkSemaphore:
+	case parkSemaphore, parkHold:
+		want := p.blockArg
+		if p.blockKind == parkHold {
+			want = 1
+		}
 		sem := p.blockObj.(*Semaphore)
-		return fmt.Sprintf("semaphore %q (want %d, avail %d)", sem.name, p.blockArg, sem.avail)
+		return fmt.Sprintf("semaphore %q (want %d, avail %d)", sem.name, want, sem.avail)
+	case parkHeld:
+		return fmt.Sprintf("sleep until %v", time.Duration(p.blockArg))
 	}
 	return "blocked"
 }
@@ -469,15 +691,29 @@ func (s *Sim) unblock(p *Proc) {
 // of the ready queue without advancing time; negative durations are treated
 // as zero.
 func (p *Proc) Sleep(d time.Duration) {
+	p.SleepStep(d)
+	p.await()
+}
+
+// SleepStep is Sleep's non-parking form: it registers p's wake d from now.
+func (p *Proc) SleepStep(d time.Duration) {
 	p.checkCurrent("Sleep")
+	p.block(parkSleep, nil, p.timer(d))
+}
+
+// timer pushes p's wake d from now (a negative d is zero) onto the timer
+// heap and returns its instant.
+func (p *Proc) timer(d time.Duration) int64 {
 	s := p.sim
-	if d < 0 {
-		d = 0
-	}
 	s.seq++
-	at := s.now + int64(d)
+	at := s.now + max(int64(d), 0)
 	s.timers.push(timer{at: at, seq: s.seq, p: p})
-	p.park(parkSleep, nil, at)
+	return at
+}
+
+// hold starts p's service of d on a unit of sem that p has been given.
+func (p *Proc) hold(sem *Semaphore, d time.Duration) {
+	p.block(parkHeld, sem, p.timer(d))
 }
 
 // Yield gives other ready Procs a chance to run at the same virtual time.
@@ -537,10 +773,12 @@ func (s *Sim) Kill(p *Proc) {
 	s.unwind(p)
 }
 
-// unwind finishes a proc that is not running, on the loop goroutine: a proc
-// that never started has no frames and is simply marked done; a parked one
-// is resumed to run its defers and yields back as its worker goes idle.
+// unwind finishes a proc that is not running, on the loop goroutine: what
+// it holds goes back first (drop); a stackless proc, or one that never
+// started, has no frames and is simply marked done; a parked one is resumed
+// to run its defers and yields back as its worker goes idle.
 func (s *Sim) unwind(p *Proc) {
+	p.drop()
 	if p.w == nil {
 		p.finish()
 		return
@@ -575,14 +813,16 @@ func (s *Sim) nextEventAt() int64 {
 	return min(tAt, aAt)
 }
 
-// pickNext advances the schedule to the next proc that is to run, makes it
-// current and returns it. Whoever holds the baton calls it — a proc parking
-// or returning, or the loop goroutine — and no proc is current while it
-// runs, so the procs it spawns for arrivals join no group. Each turn is one
-// scheduler event, the unit both event loops are built from, taken only if
-// the loop's own pre-step test (mayStep) passes: pop the head of the ready
-// queue (ready procs hold the current time, so they always go first), or
-// else fire the earliest arrival or timer strictly below the horizon. At
+// pickNext advances the schedule to the next stackful proc that is to run,
+// makes it current and returns it. Whoever holds the baton calls it — a
+// proc parking or returning, or the loop goroutine — and no proc is current
+// while it runs, so the procs it spawns for arrivals join no group. Each
+// turn is one scheduler event, the unit both event loops are built from,
+// taken only if the loop's own pre-step test (mayStep) passes: pop the head
+// of the ready queue (ready procs hold the current time, so they always go
+// first) — a stackless one takes its step right here, current for the
+// step's length, and the turn is over — or else fire the earliest arrival
+// or timer strictly below the horizon. At
 // equal timestamps an arrival is delivered before a timer fires (the
 // ordering rule on Sharded). It returns nil when the baton has to go back to
 // the loop goroutine: the pre-step test failed, or nothing is runnable below
@@ -597,6 +837,13 @@ func (s *Sim) pickNext() *Proc {
 			}
 			s.current = p
 			p.state = stateRunning
+			if p.stackless {
+				s.step(p)
+				s.current = nil
+				continue
+			}
+			s.resumes++
+			p.turns++
 			return p
 		}
 		tAt, aAt := s.pendingAt()
@@ -613,7 +860,7 @@ func (s *Sim) pickNext() *Proc {
 		s.now = at
 		if aAt <= tAt {
 			a := s.arrivals.pop()
-			s.spawn(a.name, a.fn, a.arg, false).arrival = true
+			s.spawn(a.name, a.fn, a.arg, false, a.stackless).arrival = true
 		} else {
 			s.unblock(s.timers.pop().p)
 		}
@@ -799,66 +1046,83 @@ type timer struct {
 	p   *Proc
 }
 
-// timerHeap is a binary min-heap ordered by (at, seq).
+// timerHeap is a 4-ary min-heap ordered by (at, seq), with hold-and-shift
+// sifts: a moving timer is written once, at its final slot. Four children
+// per node halve the depth of a binary heap, and a pop, which compares all
+// of a node's children, touches one cache line of them per level. peak is
+// the largest size it has had.
 type timerHeap struct {
-	ts []timer
+	ts   []timer
+	peak int
 }
+
+// timerBefore orders timers by due time, then by the sequence number they
+// were pushed with: a total order, so any heap shape pops the same sequence.
+func timerBefore(a, b timer) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
 
 func (h *timerHeap) len() int { return len(h.ts) }
 
-// push sifts up with hold-and-shift: the new timer is written exactly once
-// at its final slot instead of swapping at every level.
 func (h *timerHeap) push(t timer) {
 	if h.ts == nil {
 		h.ts = make([]timer, 0, 64)
 	}
 	h.ts = append(h.ts, t)
-	i := len(h.ts) - 1
+	ts := h.ts
+	i := len(ts) - 1
+	h.peak = max(h.peak, i+1)
 	for i > 0 {
-		parent := (i - 1) / 2
-		pt := h.ts[parent]
-		if t.at > pt.at || (t.at == pt.at && t.seq > pt.seq) {
+		parent := (i - 1) / 4
+		if !timerBefore(t, ts[parent]) {
 			break
 		}
-		h.ts[i] = pt
+		ts[i] = ts[parent]
 		i = parent
 	}
-	h.ts[i] = t
+	ts[i] = t
 }
 
 func (h *timerHeap) peek() timer { return h.ts[0] }
 
-// pop sifts down with hold-and-shift, moving the displaced tail element
-// directly to its final slot.
+// pop moves the displaced tail timer straight to its final slot, comparing
+// the four children of a full node without a loop.
 func (h *timerHeap) pop() timer {
-	top := h.ts[0]
-	last := len(h.ts) - 1
-	t := h.ts[last]
-	h.ts = h.ts[:last]
-	if last == 0 {
+	ts := h.ts
+	top, n := ts[0], len(ts)-1
+	t := ts[n]
+	ts = ts[:n]
+	h.ts = ts
+	if n == 0 {
 		return top
 	}
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := -1
-		st := t
-		if l < len(h.ts) {
-			if lt := h.ts[l]; lt.at < st.at || (lt.at == st.at && lt.seq < st.seq) {
-				smallest, st = l, lt
+	for c := 1; c < n; c = 4*i + 1 {
+		m := c // the least child
+		if c+3 < n {
+			cs := ts[c : c+4 : c+4]
+			k := 0
+			if timerBefore(cs[1], cs[k]) {
+				k = 1
+			}
+			if timerBefore(cs[2], cs[k]) {
+				k = 2
+			}
+			if timerBefore(cs[3], cs[k]) {
+				k = 3
+			}
+			m = c + k
+		} else {
+			for j := c + 1; j < n; j++ {
+				if timerBefore(ts[j], ts[m]) {
+					m = j
+				}
 			}
 		}
-		if r < len(h.ts) {
-			if rt := h.ts[r]; rt.at < st.at || (rt.at == st.at && rt.seq < st.seq) {
-				smallest, st = r, rt
-			}
-		}
-		if smallest < 0 {
+		if !timerBefore(ts[m], t) {
 			break
 		}
-		h.ts[i] = st
-		i = smallest
+		ts[i] = ts[m]
+		i = m
 	}
-	h.ts[i] = t
+	ts[i] = t
 	return top
 }

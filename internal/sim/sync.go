@@ -39,14 +39,8 @@ func (sem *Semaphore) Acquire(p *Proc, n int) {
 		return
 	}
 	sem.waiters.push(semWaiter{p: p, n: n})
-	defer func() {
-		// Only Release makes p ready: it was handed its permits, then
-		// killed before it resumed with them.
-		if p.state == stateReady {
-			sem.Release(n)
-		}
-	}()
-	p.park(parkSemaphore, sem, int64(n))
+	p.block(parkSemaphore, sem, int64(n))
+	p.await()
 }
 
 // Release returns n permits and wakes as many queued waiters as now fit. A
@@ -84,11 +78,26 @@ func (s *Sim) NewResource(name string, width int) *Resource {
 // Use occupies one unit of the resource for duration d, blocking p for
 // queueing plus service time. A caller with a noise stream scales d before
 // the call, so the draw is made when its proc asks and not when the queue
-// lets it in. A proc killed in service gives its unit back as it unwinds.
+// lets it in. A proc killed in service, or granted its unit and killed
+// before it ran, gives the unit back.
 func (r *Resource) Use(p *Proc, d time.Duration) {
-	r.sem.Acquire(p, 1)
-	defer r.sem.Release(1)
-	p.Sleep(d)
+	r.UseStep(p, d)
+	p.await()
+}
+
+// UseStep is Use's non-parking form: it registers p's wake for the end of
+// its service of d on a unit — queued FIFO behind earlier users, as Acquire
+// is — and the kernel gives the unit back before p's next turn.
+func (r *Resource) UseStep(p *Proc, d time.Duration) {
+	p.checkCurrent("Resource.Use")
+	sem := r.sem
+	if sem.waiters.len() == 0 && sem.avail >= 1 {
+		sem.avail--
+		p.hold(sem, d)
+		return
+	}
+	sem.waiters.push(semWaiter{p: p, n: 1})
+	p.block(parkHold, sem, int64(d))
 }
 
 // Acquire and Release expose the underlying semaphore for multi-phase holds.

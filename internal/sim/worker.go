@@ -4,9 +4,9 @@ package sim
 
 import "iter"
 
-// worker is a coroutine (iter.Pull) that runs procs to completion, one after
-// another; a Sim starts one only when a proc must start while every worker
-// it has is in the middle of another proc. p is the proc the worker is
+// worker is a coroutine (iter.Pull) that runs stackful procs to completion,
+// one after another; a Sim starts one only when a proc must start while
+// every worker it has is in the middle of another proc. p is the proc the worker is
 // running (or about to), nil while it sits in Sim.idle. Only the loop
 // goroutine resumes a worker (Sim.resumeFrom, and Sim.unwind for a kill),
 // and a worker gives the baton back only by yielding to it: a switch from
