@@ -159,13 +159,13 @@ var engineLanes = []struct {
 	// The no-fault overhead of the seq/ack wire format: one ack frame and
 	// one retransmit timer per message.
 	{"sim-reliable", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Reliability.Enabled = true }), 7386},
-	// Spans plus the metrics registry: ring buffers and cached instrument
-	// handles are set up once, so tracing costs a fixed number of
-	// allocations per run, not per request.
-	{"sim-traced", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 3395},
+	// Spans plus metrics: the ring buffers are set up once and each
+	// histogram on its first observation, so tracing costs a fixed number
+	// of allocations per run, not per request.
+	{"sim-traced", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 2360},
 	// Causal flow tracing on top: the ID counters live in the trace sink
 	// and the 16 header bytes come from the same pools.
-	{"sim-flows", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 3899},
+	{"sim-flows", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 2853},
 	// One shard per node: an outbox merge at every barrier, and a second
 	// goroutine only for the windows in which both nodes have work — most
 	// of a ping-pong's have one busy shard, which the coordinator runs on

@@ -13,7 +13,7 @@
 //	-format csv     one row per request for spreadsheet/pandas analysis
 //
 // -metrics additionally prints the run's latency histograms (match wait,
-// queue depth, collective accumulation) from the metrics registry.
+// queue depth, collective accumulation) from the job's metrics.
 //
 // -flows enables causal flow tracing (Config.Flows): spans carry trace
 // and span IDs, and the chrome format draws Perfetto flow arrows from
@@ -45,7 +45,7 @@ var (
 	nodes       = flag.Int("nodes", 2, "cluster nodes (each contributes one CPU-kernel rank and one single-slot GPU rank)")
 	format      = flag.String("format", "table", "output format: table, chrome (Perfetto trace-event JSON), csv")
 	outPath     = flag.String("o", "", "write the trace to this file instead of stdout")
-	showMetrics = flag.Bool("metrics", false, "print the metrics-registry histograms after the trace (needs -format table)")
+	showMetrics = flag.Bool("metrics", false, "print the metrics histograms after the trace (needs -format table)")
 	flows       = flag.Bool("flows", false, "enable causal flow tracing (chrome format draws flow arrows)")
 	critPath    = flag.Bool("critical-path", false, "print the critical path and slowest flows (implies -flows and reliability)")
 	topk        = flag.Int("topk", 5, "slowest flows to print with -critical-path")

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"dcgn/internal/transport"
 )
@@ -135,13 +134,10 @@ func (ns *nodeState) atomicFetch(p transport.Proc, w *osWindow, offset int, op A
 // count in the put counters (they are put-class traffic) and in the target
 // window's arrival count.
 func (ns *nodeState) osAccumFrom(p transport.Proc, srcRank, dstRank, winID, offset int, op AtomicOp, vals []int64) error {
-	osw := ns.osRequire()
+	ns.osRequire()
 	op.validate()
 	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
-	atomic.AddInt64(&osw.putsSent, 1)
-	if ns.met != nil {
-		ns.met.osPuts.Add(1)
-	}
+	ns.osPuts.Add(1)
 	payload := ns.job.pool.Get(8 * len(vals))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(payload[8*i:], uint64(v))
@@ -160,13 +156,10 @@ func (ns *nodeState) osAccumFrom(p transport.Proc, srcRank, dstRank, winID, offs
 // slot outside the window applies nothing and returns ErrTruncate.
 // Fetches count in the get counters (they return a value).
 func (ns *nodeState) osFetchFrom(p transport.Proc, srcRank, dstRank, winID, offset int, op AtomicOp, operand int64) (int64, error) {
-	osw := ns.osRequire()
+	ns.osRequire()
 	op.validate()
 	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
-	atomic.AddInt64(&osw.getsSent, 1)
-	if ns.met != nil {
-		ns.met.osGets.Add(1)
-	}
+	ns.osGets.Add(1)
 	buf := make([]byte, 16) // operand out, prior value back
 	binary.LittleEndian.PutUint64(buf, uint64(operand))
 	_, _, err := ns.osRequest(p, &frame{

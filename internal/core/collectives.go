@@ -44,7 +44,7 @@ type collGroup struct {
 	members []*request
 	// firstAt is when the first local member arrived; the span from it to
 	// the last resident's arrival is the collective-accumulation wait the
-	// metrics registry histograms.
+	// job's metrics histogram.
 	firstAt time.Duration
 	// err records a mismatch among the arrivals (root or size). The group
 	// keeps accumulating so late ranks don't hang, and fails every member
@@ -106,8 +106,8 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 		return
 	}
 	delete(ca.groups, req.op)
-	if ns.met != nil {
-		ns.met.observeCollWait(req.op, p.Now()-g.firstAt)
+	if m := ns.job.metrics; m != nil {
+		m.observe(histKey{kind: histCollWait, op: req.op}, int64(p.Now()-g.firstAt))
 	}
 	slices.SortFunc(g.members, func(a, b *request) int { return a.rank - b.rank })
 	if g.err != nil {

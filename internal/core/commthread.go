@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcgn/internal/device"
@@ -69,14 +70,11 @@ type nodeState struct {
 	osOnce sync.Once
 	osw    *osState
 
-	// met caches this node's metric instruments (Config.Metrics); nil when
-	// metrics are off. obsOn is true when either tracing or metrics are
-	// enabled — the single branch the hot paths take before any
-	// observability stamp.
-	met   *nodeMetrics
+	// obsOn is true when either tracing or metrics are enabled — the
+	// single branch the hot paths take before any observability stamp.
 	obsOn bool
 	// flowsOn is true when Config.Flows is set: requests carry flow
-	// context, wire frames are flowCtxLen longer, and match points stitch
+	// context, wire frames are flowExtLen longer, and match points stitch
 	// receives onto their sender's trace.
 	flowsOn bool
 
@@ -85,6 +83,11 @@ type nodeState struct {
 	// collRetried counts node-level collective calls re-executed after a
 	// transient transport failure (collCall); read atomically by Job.report.
 	collRetried int64
+	// osPuts / osGets count origin-side one-sided operations, osTriggered
+	// NIC-fired device descriptors and osTruncated target-side clipped
+	// applies. They live here rather than on osw so that a mid-run metrics
+	// snapshot reads them without racing the lane's construction.
+	osPuts, osGets, osTriggered, osTruncated atomic.Int64
 }
 
 // start spawns the node's communication thread and the two-sided lane's
@@ -118,8 +121,8 @@ func (ns *nodeState) runCommThread(p transport.Proc) {
 			if msg.req != nil {
 				msg.req.dequeuedAt = p.Now()
 			}
-			if ns.met != nil {
-				ns.met.intakeDepth.Observe(int64(ns.intake.depth()))
+			if m := ns.job.metrics; m != nil {
+				m.observe(histKey{kind: histIntakeDepth}, int64(ns.intake.depth()))
 			}
 		}
 		ns.charge(p, ns.job.cfg.Params.DispatchCost)

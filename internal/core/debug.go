@@ -11,7 +11,7 @@ import (
 )
 
 // debugServer is the opt-in HTTP endpoint of a job (Config.DebugAddr:
-// expvar-style JSON snapshots of the metrics registry at /debug/dcgn while
+// expvar-style JSON snapshots of the job's metrics at /debug/dcgn while
 // the job runs) or of a Runtime (RuntimeConfig.DebugAddr: the same plus the
 // control API, runtime_http.go). The mutex makes the bound address
 // readable from any goroutine — tests and tooling poll Job.DebugAddr while
@@ -70,11 +70,11 @@ func (d *debugServer) addr() string {
 	return d.ln.Addr().String()
 }
 
-// debugMux routes a job's live-inspection endpoint: registry snapshots at
+// debugMux routes a job's live-inspection endpoint: metrics snapshots at
 // /debug/dcgn and the stitched flows at /debug/dcgn/flows.
 func (j *Job) debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/dcgn", obs.DebugHandler(j.metrics))
+	mux.Handle("/debug/dcgn", obs.DebugHandler(j.metrics.snapshot))
 	mux.Handle("/debug/dcgn/flows", j.flowsHandler())
 	return mux
 }

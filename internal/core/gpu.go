@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"dcgn/internal/device"
@@ -98,10 +99,12 @@ type gpuThread struct {
 	trigQ   *sim.Queue[*trigToken]
 	persist []*osPersist
 
-	// Polls counts poll iterations (CPU-load metric for the ablation).
-	Polls int
-	// Hits counts polls that progressed at least one slot.
-	Hits int
+	// polls counts poll iterations (the CPU-load metric of the ablation),
+	// hits the polls that progressed at least one slot, and signals the
+	// doorbell-serviced requests (FutureHW.DeviceSignal), the poll-free
+	// complement of polls. Atomics so a mid-run snapshot may read them;
+	// each has one writer, the monitor (or the doorbell daemon).
+	polls, hits, signals atomic.Int64
 }
 
 // newGPUThread allocates the mailbox region and registers slot ranks.
@@ -185,9 +188,7 @@ func (gt *gpuThread) serviceSignaled(p *sim.Proc, ss *slotState) {
 		panic("dcgn: doorbell rung without posted request")
 	}
 	gt.claim(p, ss, mb, 4+mailboxBytes) // one transaction: claim + descriptor read
-	if met := gt.ns.met; met != nil {
-		met.gpuSignals.Add(1)
-	}
+	gt.signals.Store(gt.signals.Load() + 1)
 	req := gt.relay(p, ss)
 	gt.ns.sim.SpawnID("gpu-sig-wb", ss.rank, func(h *sim.Proc) {
 		req.done.Wait(h)
@@ -198,7 +199,7 @@ func (gt *gpuThread) serviceSignaled(p *sim.Proc, ss *slotState) {
 // poll performs one polling round: a control read of the whole mailbox
 // region, then one stage of progress per active slot.
 func (gt *gpuThread) poll(p *sim.Proc) {
-	gt.Polls++
+	gt.polls.Store(gt.polls.Load() + 1)
 	gt.ns.bus.Ctl(p, len(gt.slots)*mailboxBytes)
 	hit := false
 	for _, ss := range gt.slots {
@@ -207,13 +208,7 @@ func (gt *gpuThread) poll(p *sim.Proc) {
 		}
 	}
 	if hit {
-		gt.Hits++
-	}
-	if met := gt.ns.met; met != nil {
-		met.gpuPolls.Add(1)
-		if hit {
-			met.gpuPollHits.Add(1)
-		}
+		gt.hits.Store(gt.hits.Load() + 1)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcgn/internal/device"
@@ -133,7 +132,6 @@ func (gt *gpuThread) requireNIC() {
 func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
 	ns := gt.ns
 	params := ns.job.cfg.Params
-	osw := ns.osw
 	le := binary.LittleEndian
 
 	var srcRank, dstRank, winID, offset, size int
@@ -159,11 +157,10 @@ func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
 	}
 
 	ns.charge(p, params.DoorbellCost)
-	atomic.AddInt64(&osw.trigFired, 1)
-	if ns.met != nil {
-		ns.met.osTriggered.Add(1)
+	ns.osTriggered.Add(1)
+	if m := ns.job.metrics; m != nil {
 		if lat := int64(p.Now() - tk.firedAt); lat >= 0 {
-			ns.met.osTrigFire.Observe(lat)
+			m.observe(histKey{kind: histTrigFire}, lat)
 		}
 	}
 

@@ -40,10 +40,10 @@ type Job struct {
 	// from (gpuThread.monitorPhase); nil until a device needs it.
 	phases *rand.Rand
 
-	// trace collects lifecycle spans (Config.Trace); metrics is the
-	// job-wide instrument registry (Config.Metrics). Both nil when off.
+	// trace collects lifecycle spans (Config.Trace); metrics holds the
+	// job's instruments (Config.Metrics). Both nil when off.
 	trace   *traceSink
-	metrics *obs.Registry
+	metrics *jobMetrics
 
 	// debug is the live-inspection HTTP endpoint (Config.DebugAddr); see
 	// debug.go.
@@ -232,17 +232,18 @@ type Report struct {
 	// compute gaps tiling the window exactly, so its per-phase totals sum
 	// to Elapsed.
 	CriticalPath flow.Path
-	// Counters / Gauges / Histograms snapshot the metrics registry when
+	// Counters / Gauges / Histograms snapshot the job's metrics when
 	// Config.Metrics is on: flat instrument names ("match_wait_ns/op=send/
-	// src=cpu/size=<2KiB") to final values. Histogram quantiles come from
-	// HistogramSnapshot.QuantileF.
+	// src=cpu/size=<2KiB") to final values, for every instrument observed
+	// at least once and every engine count that is nonzero. Histogram
+	// quantiles come from HistogramSnapshot.QuantileF.
 	Counters   map[string]int64
 	Gauges     map[string]int64
 	Histograms map[string]HistogramSnapshot
 }
 
 // HistogramSnapshot is an immutable log2-bucketed distribution from the
-// metrics registry (= obs.HistogramSnapshot), carrying count, sum and
+// job's metrics (= obs.HistogramSnapshot), carrying count, sum and
 // per-bucket counts with Mean and QuantileF accessors.
 type HistogramSnapshot = obs.HistogramSnapshot
 
@@ -292,7 +293,7 @@ func (j *Job) Run() (Report, error) {
 	if err := j.checkRunnable(); err != nil {
 		return Report{}, err
 	}
-	j.setupObs(obs.NewRegistry)
+	j.setupObs()
 	if err := j.debug.serve(j.cfg.DebugAddr, j.debugMux); err != nil {
 		return Report{}, err
 	}
@@ -342,15 +343,13 @@ func (j *Job) checkRunnable() error {
 	return nil
 }
 
-// setupObs creates the job's trace sink and metrics registry as configured.
-// newRegistry supplies the registry: a fresh one for Job.Run, the job's
-// tenant partition under a Runtime.
-func (j *Job) setupObs(newRegistry func() *obs.Registry) {
+// setupObs creates the job's trace sink and metrics as configured.
+func (j *Job) setupObs() {
 	if j.cfg.Trace {
 		j.trace = newTraceSink(j.cfg.Nodes, j.rmap.Total(), j.cfg.TraceCap, j.cfg.Flows)
 	}
 	if j.cfg.Metrics {
-		j.metrics = newRegistry()
+		j.metrics = &jobMetrics{}
 	}
 }
 
@@ -363,6 +362,9 @@ func (j *Job) start(env engineEnv) {
 	j.nodes = make([]*nodeState, j.cfg.Nodes)
 	for n := range j.nodes {
 		j.nodes[n] = j.newNodeState(n)
+	}
+	if j.metrics != nil {
+		j.metrics.nodes.Store(&j.nodes)
 	}
 	j.spawnCPUKernels()
 	j.spawnGPUKernels()
@@ -392,9 +394,6 @@ func (j *Job) newNodeState(n int) *nodeState {
 		index:  newMatchIndex(),
 	}
 	ns.wrapTransport(j.endpoints[n])
-	if j.metrics != nil {
-		ns.met = newNodeMetrics(j.metrics)
-	}
 	ns.obsOn = j.trace != nil || j.metrics != nil
 	ns.flowsOn = j.cfg.Flows && j.trace != nil
 	ns.wire.init(ns, (*twoSidedEnd)(ns), false)
@@ -496,10 +495,8 @@ func (j *Job) report() Report {
 		}
 	}
 	if j.metrics != nil {
-		snap := j.metrics.Snapshot()
-		rep.Counters = snap.Counters
-		rep.Gauges = snap.Gauges
-		rep.Histograms = snap.Histograms
+		snap := j.metrics.snapshot()
+		rep.Counters, rep.Gauges, rep.Histograms = snap.Counters, snap.Gauges, snap.Histograms
 	}
 	rep.Nodes = make([]NodeStats, 0, len(j.nodes))
 	for _, ns := range j.nodes {
@@ -523,15 +520,13 @@ func (j *Job) report() Report {
 		rep.BadFrames += st.BadFrames
 		st.CollRetries = atomic.LoadInt64(&ns.collRetried)
 		rep.CollRetries += st.CollRetries
-		if ns.osw != nil {
-			st.OneSidedPuts = atomic.LoadInt64(&ns.osw.putsSent)
-			st.OneSidedGets = atomic.LoadInt64(&ns.osw.getsSent)
-			st.TriggeredOps = atomic.LoadInt64(&ns.osw.trigFired)
-			rep.OneSidedPuts += st.OneSidedPuts
-			rep.OneSidedGets += st.OneSidedGets
-			rep.TriggeredOps += st.TriggeredOps
-			rep.OneSidedTruncated += atomic.LoadInt64(&ns.osw.truncated)
-		}
+		st.OneSidedPuts = ns.osPuts.Load()
+		st.OneSidedGets = ns.osGets.Load()
+		st.TriggeredOps = ns.osTriggered.Load()
+		rep.OneSidedPuts += st.OneSidedPuts
+		rep.OneSidedGets += st.OneSidedGets
+		rep.TriggeredOps += st.TriggeredOps
+		rep.OneSidedTruncated += ns.osTruncated.Load()
 		if ns.faults != nil {
 			st.Faults = ns.faults.FaultStats()
 			rep.FaultsInjected = rep.FaultsInjected.Plus(st.Faults)
@@ -546,8 +541,8 @@ func (j *Job) report() Report {
 			rep.PeakPending = st.PeakPending
 		}
 		for _, gt := range ns.gpus {
-			rep.Polls += gt.Polls
-			rep.PollHits += gt.Hits
+			rep.Polls += int(gt.polls.Load())
+			rep.PollHits += int(gt.hits.Load())
 		}
 	}
 	rep.PoolAcquires = j.pool.Acquires()

@@ -1,5 +1,7 @@
 package core
 
+import "sync/atomic"
+
 // matchIndex is the comm thread's indexed matching structure. DCGN has no
 // tags: matching is FIFO per (source, destination) pair with AnySource
 // receives (paper §3.2.3), and the seed implementation reproduced that
@@ -156,7 +158,9 @@ type matchIndex struct {
 	recvsAny    map[int]*ring[recvEntry] // AnySource receives, per destination
 	recvs       int                      // live receives
 
-	peak int // high-water mark of depth()
+	// peak is the high-water mark of depth(). The comm thread is its one
+	// writer; it is atomic so a mid-run metrics snapshot may read it.
+	peak atomic.Int64
 }
 
 func newMatchIndex() *matchIndex {
@@ -173,11 +177,11 @@ func newMatchIndex() *matchIndex {
 func (mi *matchIndex) depth() int { return mi.sends.n + mi.recvs + mi.unexp.n }
 
 // peakDepth is the high-water mark of depth() over the run.
-func (mi *matchIndex) peakDepth() int { return mi.peak }
+func (mi *matchIndex) peakDepth() int { return int(mi.peak.Load()) }
 
 func (mi *matchIndex) note() {
-	if d := mi.depth(); d > mi.peak {
-		mi.peak = d
+	if d := int64(mi.depth()); d > mi.peak.Load() {
+		mi.peak.Store(d)
 	}
 }
 

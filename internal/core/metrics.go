@@ -1,111 +1,135 @@
 package core
 
 import (
-	"time"
+	"sync/atomic"
 
 	"dcgn/internal/obs"
 )
 
-// matchKey identifies one match-wait histogram: the op, the source class
-// and the log2 payload size class. A struct key means steady-state metric
-// observation allocates nothing — the instrument handle is cached after
-// the first observation of each combination.
-type matchKey struct {
+// histKind is one histogram family of a job's metrics.
+type histKind uint8
+
+const (
+	// histIntakeDepth observes the intake queue depth at every comm-thread
+	// dequeue: how far the engine runs behind its event stream.
+	histIntakeDepth histKind = iota
+	// histBackoff observes each retransmission's ack-timeout backoff.
+	histBackoff
+	// histTrigFire observes a triggered descriptor's device-enqueue →
+	// NIC-fire latency, histRemoteComplete a one-sided operation's
+	// origin-post → target-apply latency.
+	histTrigFire
+	histRemoteComplete
+	// histMatchWait observes how long a point-to-point request sat in the
+	// matching layer, by op, source and size class; histCollWait how long a
+	// collective accumulated on a node, by op.
+	histMatchWait
+	histCollWait
+)
+
+// histKey identifies one histogram: its family and, for the labeled
+// families, the op, the source class and the log2 payload size class.
+type histKey struct {
+	kind histKind
 	op   opKind
 	gpu  bool
 	size uint8
 }
 
-// nodeMetrics is one node's cached handles into the job-wide metrics
-// registry (Config.Metrics). Instruments are shared across nodes — the
-// registry aggregates job-wide — but the lookup caches here are per node
-// and comm-thread-confined (maps are touched only by the owning comm
-// thread), so the hot path is a map hit plus one atomic add. The
-// instruments reached from helper goroutines (retransmit backoff, from tx
-// helpers) are plain struct fields resolved at construction, never the
-// maps.
-type nodeMetrics struct {
-	reg *obs.Registry
+// histBases are the families' base names, indexed by histKind.
+var histBases = [...]string{"queue_depth/layer=intake", "retransmit_backoff_ns", "onesided_trigger_fire_ns", "onesided_remote_complete_ns", "match_wait_ns", "coll_accum_wait_ns"}
 
-	// intakeDepth observes the intake queue depth at every comm-thread
-	// dequeue: the distribution of how far the engine runs behind its
-	// event stream.
-	intakeDepth *obs.Histogram
-	// matchDepthPeak is the high-water mark of the matching index.
-	matchDepthPeak *obs.Gauge
-	// backoff observes each retransmission's ack-timeout backoff (ns).
-	backoff *obs.Histogram
-	// gpuPolls / gpuPollHits count GPU-monitor polling activity; their
-	// ratio is the paper's §3.2.3 polling-efficiency trade-off.
-	gpuPolls    *obs.Counter
-	gpuPollHits *obs.Counter
-	// gpuSignals counts doorbell-serviced mailbox requests
-	// (FutureHW.DeviceSignal) — the poll-free complement of gpuPolls.
-	gpuSignals *obs.Counter
-
-	// One-sided lane. osPuts/osGets count origin-side
-	// operations, osTriggered counts NIC-fired device descriptors;
-	// osTrigFire observes device-enqueue → NIC-fire latency and
-	// osRemoteComplete observes origin-post → target-apply latency, the
-	// enqueued→triggered→remote-complete phases of the lane.
-	osPuts           *obs.Counter
-	osGets           *obs.Counter
-	osTriggered      *obs.Counter
-	osTrigFire       *obs.Histogram
-	osRemoteComplete *obs.Histogram
-
-	// matchWait caches match-wait histograms by op/src/size-class.
-	matchWait map[matchKey]*obs.Histogram
-	// collWait caches collective-accumulation-wait histograms by op.
-	collWait map[opKind]*obs.Histogram
-}
-
-func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
-	return &nodeMetrics{
-		reg:            reg,
-		intakeDepth:    reg.Histogram("queue_depth/layer=intake"),
-		matchDepthPeak: reg.Gauge("peak_depth/layer=match"),
-		backoff:        reg.Histogram("retransmit_backoff_ns"),
-		gpuPolls:       reg.Counter("gpu_polls"),
-		gpuPollHits:    reg.Counter("gpu_poll_hits"),
-		gpuSignals:     reg.Counter("gpu_doorbell_services"),
-
-		osPuts:           reg.Counter("onesided_puts"),
-		osGets:           reg.Counter("onesided_gets"),
-		osTriggered:      reg.Counter("onesided_triggered"),
-		osTrigFire:       reg.Histogram("onesided_trigger_fire_ns"),
-		osRemoteComplete: reg.Histogram("onesided_remote_complete_ns"),
-
-		matchWait: make(map[matchKey]*obs.Histogram),
-		collWait:  make(map[opKind]*obs.Histogram),
-	}
-}
-
-// observeMatchWait records how long a point-to-point request sat in the
-// matching layer (handled → matched), keyed by op, source and size class.
-// Called from matched() on the comm thread.
-func (m *nodeMetrics) observeMatchWait(req *request, now time.Duration) {
-	k := matchKey{op: req.op, gpu: req.gpu, size: obs.SizeClassIndex(len(req.buf))}
-	h := m.matchWait[k]
-	if h == nil {
+// name renders the key as its flat instrument name
+// ("match_wait_ns/op=send/src=cpu/size=<2KiB").
+func (k histKey) name() string {
+	name := histBases[k.kind]
+	switch k.kind {
+	case histMatchWait:
 		src := "cpu"
 		if k.gpu {
 			src = "gpu"
 		}
-		h = m.reg.Histogram("match_wait_ns/op=" + req.op.String() + "/src=" + src + "/size=" + obs.SizeClass(len(req.buf)))
-		m.matchWait[k] = h
+		name += "/op=" + k.op.String() + "/src=" + src + "/size=" + obs.SizeClass(k.size)
+	case histCollWait:
+		name += "/op=" + k.op.String()
 	}
-	h.Observe(int64(now - req.handledAt))
+	return name
 }
 
-// observeCollWait records how long a collective group accumulated on this
-// node (first local arrival → all resident ranks joined). Called from the
-// collective accumulator on the comm thread.
-func (m *nodeMetrics) observeCollWait(op opKind, wait time.Duration) {
-	h := m.collWait[op]
-	if h == nil {
-		h = m.reg.Histogram("coll_accum_wait_ns/op=" + op.String())
-		m.collWait[op] = h
+// jobMetrics is a job's metric instruments (Config.Metrics), one set
+// shared by all its nodes. It holds only the distributions; the counts the
+// engine keeps anyway (GPU polls, one-sided operations, the matching
+// index's peak) are read from the engine by snapshot, which is also the
+// only place a name is built.
+type jobMetrics struct {
+	// hists lists the histograms observed so far, newest first. An entry
+	// is created by the first observation of its key and published with
+	// one compare-and-swap, so nodes on different shards or live
+	// goroutines can observe concurrently without a lock.
+	hists atomic.Pointer[histEntry]
+	// nodes is the job's engine, published by Job.start once every node is
+	// built, so snapshot may read its counts from the HTTP goroutine.
+	nodes atomic.Pointer[[]*nodeState]
+}
+
+// histEntry is one histogram of jobMetrics.hists.
+type histEntry struct {
+	key  histKey
+	h    obs.Histogram
+	next *histEntry
+}
+
+// observe records v in k's histogram, creating it on first use.
+func (m *jobMetrics) observe(k histKey, v int64) {
+	for {
+		head := m.hists.Load()
+		for e := head; e != nil; e = e.next {
+			if e.key == k {
+				e.h.Observe(v)
+				return
+			}
+		}
+		if e := (&histEntry{key: k, next: head}); m.hists.CompareAndSwap(head, e) {
+			e.h.Observe(v)
+			return
+		}
 	}
-	h.Observe(int64(wait))
+}
+
+// snapshot names every instrument that was observed at least once, and
+// every engine count that is nonzero. Report's Counters, Gauges and
+// Histograms, the job's /debug/dcgn and a Runtime tenant's partition all
+// come from here; mid-run it reads only atomics.
+func (m *jobMetrics) snapshot() obs.Snapshot {
+	s := obs.Snapshot{
+		Counters:   make(map[string]int64),
+		Gauges:     make(map[string]int64),
+		Histograms: make(map[string]obs.HistogramSnapshot),
+	}
+	for e := m.hists.Load(); e != nil; e = e.next {
+		if h := e.h.Snapshot(); h.Count > 0 {
+			s.Histograms[e.key.name()] = h
+		}
+	}
+	count := func(name string, v int64) {
+		if v != 0 {
+			s.Counters[name] += v
+		}
+	}
+	if nodes := m.nodes.Load(); nodes != nil {
+		for _, ns := range *nodes {
+			count("onesided_puts", ns.osPuts.Load())
+			count("onesided_gets", ns.osGets.Load())
+			count("onesided_triggered", ns.osTriggered.Load())
+			if peak := ns.index.peak.Load(); peak > s.Gauges["peak_depth/layer=match"] {
+				s.Gauges["peak_depth/layer=match"] = peak
+			}
+			for _, gt := range ns.gpus {
+				count("gpu_polls", gt.polls.Load())
+				count("gpu_poll_hits", gt.hits.Load())
+				count("gpu_doorbell_services", gt.signals.Load())
+			}
+		}
+	}
+	return s
 }

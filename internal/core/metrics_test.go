@@ -122,6 +122,88 @@ func TestMetricsGPUPollEfficiency(t *testing.T) {
 	}
 }
 
+// TestMetricsMatchPeak pins the matching index's peak gauge to
+// Report.PeakPending: rank 1 posts four receives before any of rank 0's
+// four sends arrives off the wire, so the index holds four entries at
+// once. A gauge sampled when a request is first handled, before it is
+// parked, and never on a wire arrival would read one short.
+func TestMetricsMatchPeak(t *testing.T) {
+	cfg := cpuOnlyConfig(2, 1)
+	cfg.Metrics = true
+	job := NewJob(cfg)
+	const msgs = 4
+	job.SetCPUKernel(func(c *CPUCtx) {
+		bufs := make([][]byte, msgs)
+		ops := make([]*AsyncOp, msgs)
+		for i := range ops {
+			bufs[i] = make([]byte, 64)
+			if c.Rank() == 0 {
+				ops[i] = c.ISend(1, bufs[i])
+			} else {
+				ops[i] = c.IRecv(0, bufs[i])
+			}
+		}
+		for _, op := range ops {
+			if _, err := op.Wait(c); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	rep, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PeakPending != msgs {
+		t.Fatalf("PeakPending = %d, want %d: the receives did not all wait for the wire; test proves nothing", rep.PeakPending, msgs)
+	}
+	if got := rep.Gauges["peak_depth/layer=match"]; got != int64(rep.PeakPending) {
+		t.Errorf("peak_depth/layer=match = %d, Report.PeakPending = %d", got, rep.PeakPending)
+	}
+}
+
+// TestJobMetricsConcurrentObserve races first observations of the same
+// keys from several goroutines, as nodes on different shards or the live
+// backend's comm threads do, with a snapshot taken alongside: every key
+// must end up as exactly one histogram holding every observation.
+func TestJobMetricsConcurrentObserve(t *testing.T) {
+	var m jobMetrics
+	keys := []histKey{
+		{kind: histIntakeDepth},
+		{kind: histMatchWait, op: opRecv, size: 11},
+		{kind: histMatchWait, op: opRecv, gpu: true, size: 11},
+		{kind: histCollWait, op: opBarrier},
+	}
+	const workers, per = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				m.observe(keys[(w+i)%len(keys)], int64(i))
+			}
+		}()
+	}
+	m.snapshot()
+	wg.Wait()
+	snap := m.snapshot()
+	if len(snap.Histograms) != len(keys) {
+		t.Fatalf("%d histograms, want %d: %v", len(snap.Histograms), len(keys), histNames(Report{Histograms: snap.Histograms}))
+	}
+	entries := 0
+	for e := m.hists.Load(); e != nil; e = e.next {
+		entries++
+	}
+	if entries != len(keys) {
+		t.Errorf("%d list entries for %d keys: a racing first observation published a duplicate", entries, len(keys))
+	}
+	for _, k := range keys {
+		if got := snap.Histograms[k.name()].Count; got != workers*per/uint64(len(keys)) {
+			t.Errorf("%s: %d observations, want %d", k.name(), got, workers*per/len(keys))
+		}
+	}
+}
+
 // TestMetricsRetransmitBackoff drives a lossy reliable wire and checks the
 // backoff histogram observed one entry per retransmission.
 func TestMetricsRetransmitBackoff(t *testing.T) {
@@ -235,5 +317,90 @@ func TestDebugEndpointLive(t *testing.T) {
 	}
 	if job.DebugAddr() != "" {
 		t.Error("endpoint still bound after Run returned")
+	}
+}
+
+// TestDebugEndpointSim probes /debug/dcgn mid-run on the simulated backend,
+// where the engine's counts live on the simulator's goroutines: a CPU+GPU
+// job's device kernel parks on a Go channel after its first send, and the
+// test polls the endpoint until the snapshot shows that traffic — GPU polls
+// and the matching index's peak, read while the engine that wrote them is
+// still alive. The test takes no other synchronization with the kernel, so
+// under -race a count the snapshot reads without an atomic is reported.
+func TestDebugEndpointSim(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 1, 1, 1, 1
+	cfg.DebugAddr = "127.0.0.1:0"
+	job := NewJob(cfg)
+	release := make(chan struct{})
+	job.SetCPUKernel(func(c *CPUCtx) {
+		buf := make([]byte, 256)
+		for i := 0; i < 2; i++ {
+			if _, err := c.Recv(1, buf); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	job.SetGPUSetup(func(s *GPUSetup) {
+		s.Args["buf"] = s.Dev.Mem().MustAlloc(256)
+	})
+	job.SetGPUKernel(1, 4, func(g *GPUCtx) {
+		if g.Rank(0) != 1 {
+			return
+		}
+		for i := 0; i < 2; i++ {
+			if err := g.Send(0, 0, g.Arg("buf").(device.Ptr), 256); err != nil {
+				t.Error(err)
+			}
+			if i == 0 {
+				<-release // park the simulator so the endpoint is probed mid-run
+			}
+		}
+	})
+
+	done := make(chan error, 1)
+	var rep Report
+	go func() {
+		var err error
+		rep, err = job.Run()
+		done <- err
+	}()
+
+	var st obs.DebugState
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("no mid-run snapshot showed the first send; last: %+v", st)
+		}
+		addr := job.DebugAddr()
+		if addr == "" {
+			continue
+		}
+		resp, err := http.Get(fmt.Sprintf("http://%s/debug/dcgn", addr))
+		if err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+		st = obs.DebugState{}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+		if st.Counters["gpu_poll_hits"] > 0 && st.Gauges["peak_depth/layer=match"] > 0 {
+			break
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	if got, mid := rep.Counters["gpu_polls"], st.Counters["gpu_polls"]; got < mid {
+		t.Errorf("final gpu_polls %d below the mid-run snapshot's %d", got, mid)
+	}
+	if got := rep.Gauges["peak_depth/layer=match"]; got != int64(rep.PeakPending) {
+		t.Errorf("peak_depth/layer=match = %d, Report.PeakPending = %d", got, rep.PeakPending)
 	}
 }

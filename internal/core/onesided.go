@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dcgn/internal/device"
@@ -120,12 +119,6 @@ type osState struct {
 	getMu     sync.Mutex
 	nextToken uint32
 	gets      map[uint32]*osGet
-
-	// Atomic counters surfaced in Report/NodeStats.
-	putsSent  int64
-	getsSent  int64
-	trigFired int64
-	truncated int64
 }
 
 // oneSidedEnd is the one-sided engine as its lane's laneEnd: frames move
@@ -310,7 +303,7 @@ func (ns *nodeState) osTarget(p transport.Proc, f *frame) (w *osWindow, reply []
 		}
 	}
 	if clipped {
-		atomic.AddInt64(&ns.osw.truncated, 1)
+		ns.osTruncated.Add(1)
 	}
 	return w, reply, clipped
 }
@@ -370,7 +363,7 @@ func (ns *nodeState) osRequest(p transport.Proc, f *frame, dst []byte) (st CommS
 // osPutFrom is the origin side of a put on behalf of srcRank: flow context,
 // doorbell charge, delivery.
 func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset int, data []byte) error {
-	osw := ns.osRequire()
+	ns.osRequire()
 	var post time.Duration
 	var spanID uint64
 	if ns.flowsOn {
@@ -378,10 +371,7 @@ func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset
 		spanID = ns.job.trace.newSpanID(srcRank)
 	}
 	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
-	atomic.AddInt64(&osw.putsSent, 1)
-	if ns.met != nil {
-		ns.met.osPuts.Add(1)
-	}
+	ns.osPuts.Add(1)
 	wireSent, err := ns.osDeliver(p, &frame{
 		kind: kindPut, src: srcRank, dst: dstRank, payload: data, traceID: spanID, spanID: spanID,
 		os: osAddr{win: winID, offset: offset},
@@ -399,7 +389,7 @@ func (ns *nodeState) osPutFrom(p transport.Proc, srcRank, dstRank, winID, offset
 // returning ErrTruncate (with the delivered prefix) when the request
 // over-runs the window.
 func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset int, dst []byte) (CommStatus, error) {
-	osw := ns.osRequire()
+	ns.osRequire()
 	var post time.Duration
 	var spanID uint64
 	if ns.flowsOn {
@@ -407,10 +397,7 @@ func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset
 		spanID = ns.job.trace.newSpanID(srcRank)
 	}
 	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
-	atomic.AddInt64(&osw.getsSent, 1)
-	if ns.met != nil {
-		ns.met.osGets.Add(1)
-	}
+	ns.osGets.Add(1)
 	st, wireSent, err := ns.osRequest(p, &frame{
 		kind: kindGetReq, src: srcRank, dst: dstRank, traceID: spanID, spanID: spanID,
 		os: osAddr{win: winID, offset: offset, aux: uint64(len(dst))},
@@ -482,9 +469,9 @@ func (ns *nodeState) osApply(p transport.Proc, f *frame) {
 // observeRemoteComplete feeds the remote-completion histogram with the
 // origin-post to target-apply latency of f.
 func (ns *nodeState) observeRemoteComplete(p transport.Proc, f *frame) {
-	if ns.met != nil {
+	if m := ns.job.metrics; m != nil {
 		if lat := int64(p.Now()) - f.os.postedNs; lat >= 0 {
-			ns.met.osRemoteComplete.Observe(lat)
+			m.observe(histKey{kind: histRemoteComplete}, lat)
 		}
 	}
 }
@@ -632,10 +619,7 @@ func (pp *PersistentPut) Start() error {
 	ns := pp.c.ns
 	p := pp.c.tp
 	ns.charge(p, ns.job.cfg.Params.DoorbellCost)
-	atomic.AddInt64(&ns.osw.putsSent, 1)
-	if ns.met != nil {
-		ns.met.osPuts.Add(1)
-	}
+	ns.osPuts.Add(1)
 	dstNode := ns.job.rmap.Node(pp.f.dst)
 	if dstNode == ns.node {
 		// No wire to pre-pack for: the shared same-node apply.

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"dcgn/internal/obs"
 	"dcgn/internal/transport"
 )
 
@@ -149,9 +150,6 @@ func (ns *nodeState) handleInbound(p transport.Proc, in *inbound) {
 func (ns *nodeState) observe(p transport.Proc, req *request) {
 	req.handledAt = p.Now()
 	req.queueDepth = ns.index.depth()
-	if ns.met != nil {
-		ns.met.matchDepthPeak.SetMax(int64(req.queueDepth))
-	}
 }
 
 // matched stamps both sides of a match with the match time and feeds the
@@ -159,16 +157,13 @@ func (ns *nodeState) observe(p transport.Proc, req *request) {
 // not traced requests).
 func (ns *nodeState) matched(p transport.Proc, a, b *request) {
 	now := p.Now()
-	if a != nil {
-		a.matchedAt = now
-		if ns.met != nil {
-			ns.met.observeMatchWait(a, now)
+	for _, r := range [2]*request{a, b} {
+		if r == nil {
+			continue
 		}
-	}
-	if b != nil {
-		b.matchedAt = now
-		if ns.met != nil {
-			ns.met.observeMatchWait(b, now)
+		r.matchedAt = now
+		if m := ns.job.metrics; m != nil {
+			m.observe(histKey{kind: histMatchWait, op: r.op, gpu: r.gpu, size: obs.SizeClassIndex(len(r.buf))}, int64(now-r.handledAt))
 		}
 	}
 }

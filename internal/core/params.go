@@ -33,9 +33,8 @@ import (
 // Reliability configures the engine's wire-level reliability layer
 // (reliable.go): sequence numbers on every wire frame, receiver-side
 // dedup/resequencing, and sender-side ack/timeout/retransmit with capped
-// exponential backoff. Off by default — the legacy wire format is
-// byte-identical to PR 3 and the golden determinism suite pins it — and
-// auto-enabled whenever Config.Faults can drop or reorder wire messages,
+// exponential backoff. Off by default — frames then carry no sequence
+// number — and auto-enabled whenever Config.Faults can drop or reorder wire messages,
 // because an unreliable engine deadlocks on the first lost packet.
 type Reliability struct {
 	// Enabled switches every wire frame to the sequenced format and turns
@@ -220,14 +219,15 @@ type Config struct {
 	// flows-off runs.
 	Flows bool
 
-	// Metrics enables the job-wide metrics registry: counters, gauges and
-	// log2-bucketed histograms (match wait, queue depth, poll efficiency,
-	// retransmit backoff, collective-accumulation wait), snapshotted into
+	// Metrics enables the job's metrics: log2-bucketed histograms (match
+	// wait, queue depth, retransmit backoff, collective-accumulation wait,
+	// one-sided phases) plus the engine's own counts (poll efficiency,
+	// one-sided operations, the matching index's peak), snapshotted into
 	// Report.Histograms / Counters / Gauges. Off by default.
 	Metrics bool
 
 	// DebugAddr, when non-empty, serves live expvar-style JSON snapshots
-	// of the metrics registry over HTTP for mid-run inspection (":0"
+	// of the job's metrics over HTTP for mid-run inspection (":0"
 	// picks a free port; see Job.DebugAddr). Setting it implies Metrics.
 	DebugAddr string
 }

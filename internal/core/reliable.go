@@ -210,8 +210,8 @@ func (l *relLane) transmit(h transport.Proc, dstNode int, seq uint64, msg []byte
 			return fmt.Errorf("dcgn: node %d seq %d to node %d: %w", ns.node, seq, dstNode, ErrUnacked)
 		}
 		atomic.AddInt64(&ns.rel.retransmits, 1)
-		if ns.met != nil {
-			ns.met.backoff.Observe(int64(relBackoff(cfg, attempt)))
+		if m := ns.job.metrics; m != nil {
+			m.observe(histKey{kind: histBackoff}, int64(relBackoff(cfg, attempt)))
 		}
 	}
 }

@@ -100,8 +100,8 @@ type Runtime struct {
 
 	// sched is the runtime-wide scheduling registry (queue-wait and
 	// end-to-end latency histograms, admission counters), aggregate and
-	// per tenant. It lives in the "runtime" partition of obsParts so the
-	// debug endpoint serves it alongside per-job metrics, and it is never
+	// per tenant. It is the "runtime" partition of obsParts, so the debug
+	// endpoint serves it alongside per-job metrics, and it is never
 	// dropped.
 	sched *obs.Registry
 
@@ -299,6 +299,9 @@ type tenantState struct {
 	// active counts the tenant's submissions that have not retired: queued,
 	// running, or scheduled and not yet arrived.
 	active int
+	// queueWait and e2e are the tenant's "queue_wait_ns/tenant=<name>" and
+	// "e2e_ns/tenant=<name>" histograms in the sched registry.
+	queueWait, e2e *obs.Histogram
 }
 
 // strideScale keeps pass arithmetic integral.
@@ -347,11 +350,12 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		templates: make(map[string]func() *Job),
 		free:      make([]bool, cfg.Nodes),
 		obsParts:  obs.NewPartitioned(),
+		sched:     obs.NewRegistry(),
 	}
 	for i := range r.free {
 		r.free[i] = true
 	}
-	r.sched = r.obsParts.Partition("runtime")
+	r.obsParts.Add("runtime", r.sched.Snapshot)
 	if cfg.Transport.Name() == transport.BackendLive {
 		r.cluster = live.New(cfg.Nodes, bufpool.New())
 	}
@@ -390,7 +394,7 @@ func (r *Runtime) schedEnqueuedLocked(c *rtJob) {
 func (r *Runtime) schedAdmittedLocked(c *rtJob) {
 	w := int64(c.StartedAt - c.SubmittedAt)
 	r.sched.Histogram("queue_wait_ns").Observe(w)
-	r.sched.Histogram("queue_wait_ns/tenant=" + c.Tenant).Observe(w)
+	r.tenants[c.Tenant].queueWait.Observe(w)
 }
 
 // schedFinishedLocked records a job's terminal state: the per-outcome
@@ -402,7 +406,7 @@ func (r *Runtime) schedFinishedLocked(c *rtJob) {
 		r.sched.Counter("jobs_done").Add(1)
 		e := int64(c.FinishedAt - c.SubmittedAt)
 		r.sched.Histogram("e2e_ns").Observe(e)
-		r.sched.Histogram("e2e_ns/tenant=" + c.Tenant).Observe(e)
+		r.tenants[c.Tenant].e2e.Observe(e)
 	case c.State == JobCanceled:
 		r.sched.Counter("jobs_canceled").Add(1)
 	case errors.Is(c.err, ErrQueueFull):
@@ -589,7 +593,12 @@ func (r *Runtime) checkSubmittable(job *Job) error {
 func (r *Runtime) ensureTenantLocked(name string, weight int) {
 	t := r.tenants[name]
 	if t == nil {
-		t = &tenantState{weight: weight, pass: r.minActivePassLocked()}
+		t = &tenantState{
+			weight:    weight,
+			pass:      r.minActivePassLocked(),
+			queueWait: r.sched.Histogram("queue_wait_ns/tenant=" + name),
+			e2e:       r.sched.Histogram("e2e_ns/tenant=" + name),
+		}
 		r.tenants[name] = t
 		return
 	}
@@ -846,12 +855,13 @@ func (r *Runtime) admitLocked() {
 		c.State = JobRunning
 		c.StartedAt = r.now()
 		r.schedAdmittedLocked(c)
-		// The job's metrics live in a tenant partition of the runtime's
-		// registry, dropped again after the final Report snapshot.
-		c.job.setupObs(func() *obs.Registry {
+		// The job's metrics are a tenant partition of the runtime's debug
+		// view, dropped again after the final Report snapshot.
+		c.job.setupObs()
+		if m := c.job.metrics; m != nil {
 			c.partKey = fmt.Sprintf("%s/job-%d", c.Tenant, c.ID)
-			return r.obsParts.Partition(c.partKey)
-		})
+			r.obsParts.Add(c.partKey, m.snapshot)
+		}
 		// The placement step is all the backends differ in.
 		if r.backend() == transport.BackendLive {
 			r.wg.Add(1)

@@ -42,7 +42,7 @@ func (r *Runtime) ControlAddr() string { return r.debug.addr() }
 // controlMux routes the control API listed above.
 func (r *Runtime) controlMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/dcgn", obs.PartitionedDebugHandler(r.obsParts))
+	mux.Handle("/debug/dcgn", obs.DebugHandler(r.obsParts.Snapshot))
 	mux.HandleFunc("/debug/dcgn/flows", r.handleFlows)
 	mux.HandleFunc("/runtime/jobs", r.handleJobs)
 	mux.HandleFunc("/runtime/submit", r.handleSubmit)

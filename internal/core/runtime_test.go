@@ -465,8 +465,9 @@ func TestRuntimeSimReliabilityIsolation(t *testing.T) {
 	}
 }
 
-// TestRuntimeSimMetricsIsolation gives both tenants a metrics registry
-// and checks each report snapshots only its own partition.
+// TestRuntimeSimMetricsIsolation gives both tenants metrics and checks
+// each report snapshots only its own instruments: every counter, gauge and
+// histogram equals the solo run's.
 func TestRuntimeSimMetricsIsolation(t *testing.T) {
 	mk := func() *Job {
 		cfg := backendConfig(transport.BackendSim, 2, 1)
@@ -488,8 +489,8 @@ func TestRuntimeSimMetricsIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(solo.Counters) == 0 {
-		t.Fatal("solo metrics run recorded no counters; test is vacuous")
+	if len(solo.Histograms) == 0 || len(solo.Gauges) == 0 {
+		t.Fatal("solo metrics run recorded no histograms or gauges; test is vacuous")
 	}
 
 	r, err := NewRuntime(runtimeConfig(transport.BackendSim, 4))
@@ -505,14 +506,14 @@ func TestRuntimeSimMetricsIsolation(t *testing.T) {
 	repA, _ := ha.Wait()
 	repB, _ := hb.Wait()
 	for label, rep := range map[string]Report{"a": repA, "b": repB} {
-		if len(rep.Counters) != len(solo.Counters) {
-			t.Errorf("tenant %s: %d counters, solo had %d", label, len(rep.Counters), len(solo.Counters))
+		if !reflect.DeepEqual(rep.Counters, solo.Counters) {
+			t.Errorf("tenant %s counters %v, solo %v (shared instruments?)", label, rep.Counters, solo.Counters)
 		}
-		for name, want := range solo.Counters {
-			if got := rep.Counters[name]; got != want {
-				t.Errorf("tenant %s counter %s: got %d, solo %d (shared registry?)",
-					label, name, got, want)
-			}
+		if !reflect.DeepEqual(rep.Gauges, solo.Gauges) {
+			t.Errorf("tenant %s gauges %v, solo %v (shared instruments?)", label, rep.Gauges, solo.Gauges)
+		}
+		if !reflect.DeepEqual(rep.Histograms, solo.Histograms) {
+			t.Errorf("tenant %s histograms %v, solo %v (shared instruments?)", label, rep.Histograms, solo.Histograms)
 		}
 	}
 }
@@ -634,7 +635,7 @@ func gpuPingPongJob(t *testing.T, reps int) *Job {
 func jobPolls(j *Job) (polls int) {
 	for _, ns := range j.nodes {
 		for _, gt := range ns.gpus {
-			polls += gt.Polls
+			polls += int(gt.polls.Load())
 		}
 	}
 	return polls

@@ -20,10 +20,8 @@ type TraceRecord = obs.Span
 // traceSink collects lifecycle spans into one fixed-size ring per node.
 // Recording is folded into the request-completion path itself (see
 // request.complete → nodeState.recordSpan): a single struct copy under the
-// node ring's mutex, with no per-record goroutine. The previous design
-// spawned one daemon per traced request that slept until completion; on
-// the simulator that doubled the scheduler's proc churn and on the live
-// backend it was a goroutine per message.
+// node ring's mutex, with no proc or goroutine per record, so tracing adds
+// no scheduling work on either backend.
 type traceSink struct {
 	rings []*obs.Ring
 	// flows enables causal flow tracing (Config.Flows): record assigns

@@ -97,14 +97,14 @@ func WriteHistograms(w io.Writer, hists map[string]HistogramSnapshot) error {
 	return tw.Flush()
 }
 
-// DebugHandler serves the registry as JSON (the live backend mounts it at
-// /debug/dcgn when Config.DebugAddr is set). Each request takes a fresh
-// snapshot, so repeated polls watch the run progress.
-func DebugHandler(r *Registry) http.Handler {
+// DebugHandler serves snap's document as JSON at /debug/dcgn: a job's
+// metrics (Config.DebugAddr) or a runtime's merged partitions. Each request
+// takes a fresh snapshot, so repeated polls watch the run progress.
+func DebugHandler(snap func() Snapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "\t")
-		_ = enc.Encode(DebugSnapshot(r.Snapshot()))
+		_ = enc.Encode(DebugSnapshot(snap()))
 	})
 }

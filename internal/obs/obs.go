@@ -118,6 +118,6 @@ func SizeClassIndex(n int) uint8 {
 	return uint8(bits.Len64(uint64(n)))
 }
 
-// SizeClass renders a byte count's power-of-two class label ("0B", "1B",
-// "4KiB", ...), the size key used in per-message metric names.
-func SizeClass(n int) string { return sizeClasses[SizeClassIndex(n)] }
+// SizeClass renders size class i's label ("0B", "<2B", "<8KiB", ...), the
+// size key used in per-message metric names.
+func SizeClass(i uint8) string { return sizeClasses[i] }

@@ -25,7 +25,7 @@ func TestSizeClass(t *testing.T) {
 		{1 << 20, "<2MiB"},
 	}
 	for _, c := range cases {
-		if got := SizeClass(c.n); got != c.want {
+		if got := SizeClass(SizeClassIndex(c.n)); got != c.want {
 			t.Errorf("SizeClass(%d) = %q, want %q", c.n, got, c.want)
 		}
 	}
@@ -142,13 +142,13 @@ func TestRegistryInstruments(t *testing.T) {
 		t.Fatalf("SetMax did not raise the gauge: %d", g.Value())
 	}
 	r.Histogram("wait").Observe(42)
+	r.Histogram("idle") // never observed: not in the snapshot
 	snap := r.Snapshot()
 	if snap.Counters["acks"] != 3 || snap.Gauges["depth"] != 9 || snap.Histograms["wait"].Count != 1 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	names := r.HistogramNames()
-	if len(names) != 1 || names[0] != "wait" {
-		t.Fatalf("HistogramNames = %v", names)
+	if len(snap.Histograms) != 1 {
+		t.Fatalf("snapshot histograms = %v, want only the observed one", snap.Histograms)
 	}
 }
 
@@ -335,7 +335,7 @@ func TestDebugHandler(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Histogram("wait").Observe(1000)
 	}
-	srv := httptest.NewServer(DebugHandler(r))
+	srv := httptest.NewServer(DebugHandler(r.Snapshot))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {

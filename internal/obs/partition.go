@@ -1,38 +1,31 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
 	"sync"
 )
 
-// Partitioned is a registry of registries keyed by tenant: each tenant
-// (one admitted job of a multi-tenant runtime) gets its own isolated
-// Registry — same instrument names, zero cross-talk — and the runtime
+// Partitioned is a set of snapshot sources keyed by tenant: each tenant
+// (one admitted job of a multi-tenant runtime, or the runtime's own
+// scheduling registry) contributes a function that snapshots its
+// instruments — same instrument names, zero cross-talk — and the runtime
 // merges them on demand into one namespaced view for the debug endpoint.
-// Partition creation is idempotent and cheap; the per-tenant registries
-// themselves stay lock-free on the hot paths.
 type Partitioned struct {
 	mu    sync.Mutex
-	parts map[string]*Registry
+	parts map[string]func() Snapshot
 }
 
-// NewPartitioned creates an empty partitioned registry.
+// NewPartitioned creates an empty partitioned view.
 func NewPartitioned() *Partitioned {
-	return &Partitioned{parts: make(map[string]*Registry)}
+	return &Partitioned{parts: make(map[string]func() Snapshot)}
 }
 
-// Partition returns the tenant's registry, creating it on first use.
-func (p *Partitioned) Partition(tenant string) *Registry {
+// Add installs the tenant's snapshot source, replacing any earlier one.
+// snap may be called from any goroutine, at any time until Drop.
+func (p *Partitioned) Add(tenant string, snap func() Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r := p.parts[tenant]
-	if r == nil {
-		r = NewRegistry()
-		p.parts[tenant] = r
-	}
-	return r
+	p.parts[tenant] = snap
 }
 
 // Drop removes a tenant's partition (after its final Report snapshot), so
@@ -61,10 +54,10 @@ func (p *Partitioned) Tenants() []string {
 func (p *Partitioned) Snapshot() Snapshot {
 	p.mu.Lock()
 	keys := make([]string, 0, len(p.parts))
-	regs := make([]*Registry, 0, len(p.parts))
-	for t, r := range p.parts {
+	snaps := make([]func() Snapshot, 0, len(p.parts))
+	for t, snap := range p.parts {
 		keys = append(keys, t)
-		regs = append(regs, r)
+		snaps = append(snaps, snap)
 	}
 	p.mu.Unlock()
 
@@ -73,9 +66,9 @@ func (p *Partitioned) Snapshot() Snapshot {
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
-	for i, r := range regs {
+	for i, snap := range snaps {
 		prefix := "tenant=" + keys[i] + "/"
-		s := r.Snapshot()
+		s := snap()
 		for name, v := range s.Counters {
 			merged.Counters[prefix+name] = v
 		}
@@ -87,15 +80,4 @@ func (p *Partitioned) Snapshot() Snapshot {
 		}
 	}
 	return merged
-}
-
-// PartitionedDebugHandler serves the merged snapshot of every partition as
-// indented JSON — the multi-tenant analogue of DebugHandler.
-func PartitionedDebugHandler(p *Partitioned) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "\t")
-		_ = enc.Encode(DebugSnapshot(p.Snapshot()))
-	})
 }

@@ -2,16 +2,16 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Registry is a job-wide metrics namespace: counters, gauges and
-// log2-bucketed histograms, created on first use and identified by flat
-// string names ("match_wait/op=send/src=cpu/size=<2KiB"). Lookups take a
-// short registry lock; the returned instruments are lock-free atomics, so
-// hot paths hold a pointer and never touch the registry again.
+// Registry is a metrics namespace — a Runtime's scheduling metrics, a load
+// generator's phase histograms: counters, gauges and log2-bucketed
+// histograms, created on first use and identified by flat string names
+// ("queue_wait_ns/tenant=chat"). Lookups take a short registry lock; the
+// returned instruments are lock-free atomics, so hot paths hold a pointer
+// and never touch the registry again.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -225,8 +225,9 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
-// Snapshot is a point-in-time copy of a whole registry, ready for JSON
-// serialization (the debug endpoint) or report aggregation.
+// Snapshot is a point-in-time copy of a set of named instruments — a
+// registry's, or a job's metrics — ready for JSON serialization (the debug
+// endpoint) or report aggregation.
 type Snapshot struct {
 	// Counters maps counter name to value.
 	Counters map[string]int64 `json:"counters"`
@@ -236,7 +237,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Snapshot copies every instrument's current state.
+// Snapshot copies every instrument's current state. A histogram nothing
+// has observed yet is left out: the snapshot holds what was touched.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -252,19 +254,9 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
+		if h.count.Load() > 0 {
+			s.Histograms[name] = h.Snapshot()
+		}
 	}
 	return s
-}
-
-// HistogramNames returns the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
