@@ -9,6 +9,7 @@ import (
 	"dcgn/internal/fabric"
 	"dcgn/internal/sim"
 	"dcgn/internal/transport"
+	"dcgn/internal/transport/simmpi"
 )
 
 // runScale runs ScaleFanout on nodes nodes with the given shard count and
@@ -100,7 +101,9 @@ func TestScaleFanoutDigestsNontrivial(t *testing.T) {
 
 // simsOf makes cfg's transports record the simulators their sends run on,
 // so that a test can read the engine's self-counters (sim.Stats) after the
-// run: the simulated transport's Proc is the calling *sim.Proc.
+// run: the simulated transport's Proc is the calling *sim.Proc. The spy
+// forwards the transport's step forms, so the engine runs on the hosts it
+// runs on unwrapped.
 func simsOf(cfg *core.Config) func() sim.Stats {
 	var mu sync.Mutex // shards send from threads of their own
 	sims := map[*sim.Sim]bool{}
@@ -126,16 +129,37 @@ func (t simSeer) Send(p transport.Proc, dstNode int, msg []byte) error {
 	return t.Transport.Send(p, dstNode, msg)
 }
 
+func (t simSeer) Steps() simmpi.Stepper {
+	if st := simmpi.Steps(t.Transport); st != nil {
+		return stepSeer{st, t.saw}
+	}
+	return nil
+}
+
+type stepSeer struct {
+	simmpi.Stepper
+	saw func(*sim.Sim)
+}
+
+func (t stepSeer) SendStep(p *sim.Proc, op *simmpi.SendOp) bool {
+	t.saw(p.Sim())
+	return t.Stepper.SendStep(p, op)
+}
+
 // TestEngineResumeBudget is the engine's switch tripwire: the proc resumes
 // (coroutine switches) a small fixed ScaleFanout costs per message must stay
-// inside their budget, and the per-message helpers and the MPI progress
-// engine — wire and shared-memory delivery, eager injection, rendezvous
-// data, the progress daemon, the GPU completion helper — run as stackless
-// steps, never resumed. A 1 MB GPU-to-GPU message adds the rendezvous and
-// GPU helpers that the 8-byte exchange never spawns. Resume counts are
-// deterministic, so the budget is the measured figure, rounded up.
+// inside their budget, and the per-message helpers, the MPI progress engine
+// and the lane's sender and receiver — wire and shared-memory delivery,
+// eager injection, rendezvous data, the progress daemon, the GPU
+// completion helper, dcgn-tx and mpi-recv — run as stackless steps, never
+// resumed. What still has a stack is one comm thread and one CPU kernel per
+// node: the run starts exactly that many coroutine workers. A 1 MB
+// GPU-to-GPU message adds the rendezvous and GPU helpers that the 8-byte
+// exchange never spawns, and a reliable exchange the ack helpers and the
+// retransmit timers. Resume counts are deterministic, so the budget is the
+// measured figure, rounded up.
 func TestEngineResumeBudget(t *testing.T) {
-	const nodes, rounds, fanout, budget = 64, 3, 3, 14.5
+	const nodes, rounds, fanout, budget = 64, 3, 3, 7.9
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.Shards, cfg.MPI.TreeCollectives = nodes, 2, true
 	stats := simsOf(&cfg)
@@ -144,10 +168,13 @@ func TestEngineResumeBudget(t *testing.T) {
 	}
 	st := stats()
 	msgs := float64(nodes * rounds * 2 * fanout)
-	t.Logf("%.2f resumes, %.2f steps, %.2f spawns per message; peak timer heap %d",
-		float64(st.Resumes)/msgs, float64(st.Steps)/msgs, float64(st.Spawns)/msgs, st.PeakTimers)
+	t.Logf("%.2f resumes, %.2f steps, %.2f spawns per message; %d workers; peak timer heap %d",
+		float64(st.Resumes)/msgs, float64(st.Steps)/msgs, float64(st.Spawns)/msgs, st.Workers, st.PeakTimers)
 	if per := float64(st.Resumes) / msgs; per > budget {
 		t.Errorf("%.2f resumes per message, budget %.1f", per, budget)
+	}
+	if st.Workers != 2*nodes {
+		t.Errorf("%d coroutine workers started, want %d: a comm thread and a CPU kernel per node", st.Workers, 2*nodes)
 	}
 	gpu := core.DefaultConfig()
 	gpuStats := simsOf(&gpu)
@@ -155,12 +182,19 @@ func TestEngineResumeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Add(gpuStats())
-	for _, kind := range []string{"wire", "shm-deliver", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done"} {
+	rel := core.DefaultConfig()
+	rel.Nodes, rel.Reliability.Enabled = 8, true
+	relStats := simsOf(&rel)
+	if _, _, err := ScaleFanout(rel, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	st.Add(relStats())
+	for _, kind := range []string{"wire", "shm-deliver", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done", "dcgn-tx", "mpi-recv", "rel-ack", "timer"} {
 		if k := st.Kinds[kind]; k.Resumes != 0 {
 			t.Errorf("%s: %d resumes, want none: it runs as stackless steps", kind, k.Resumes)
 		}
 	}
-	for _, kind := range []string{"wire", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done"} {
+	for _, kind := range []string{"wire", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done", "dcgn-tx", "mpi-recv", "rel-ack", "timer"} {
 		if st.Kinds[kind].Steps == 0 {
 			t.Errorf("%s: no steps taken; the workload no longer exercises it", kind)
 		}

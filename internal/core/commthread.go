@@ -91,11 +91,12 @@ type nodeState struct {
 }
 
 // start spawns the node's communication thread and the two-sided lane's
-// receiver daemon; both run for the life of the application. (The
-// one-sided lane's receiver comes up with the lane, in osRequire.)
+// receiver daemon — stackless when the transport has step forms; both run
+// for the life of the application. (The one-sided lane's receiver comes up
+// with the lane, in osRequire.)
 func (ns *nodeState) start() {
 	ns.rt.SpawnDaemonID("comm", ns.node, ns.runCommThread)
-	ns.rt.SpawnDaemonID("mpi-recv", ns.node, ns.wire.run)
+	ns.rt.SpawnStep("mpi-recv", ns.node, &ns.wire, true, ns.wire.stackless())
 }
 
 // dataHdr is the header length of a two-sided data frame: where its
@@ -103,9 +104,14 @@ func (ns *nodeState) start() {
 func (ns *nodeState) dataHdr() int { return ns.wire.layout.hdrLen(kindData) }
 
 // charge bills d of modeled time to p on this node's behalf, scaled by the
-// node's noise. Every cost the engine models goes through here; on the live
-// backend, where costs are real, it charges nothing.
-func (ns *nodeState) charge(p transport.Proc, d time.Duration) { p.Sleep(ns.jit.Scale(d)) }
+// node's noise. Every cost the engine models goes through here or through
+// its step form, sleepStep; on the live backend, where costs are real, it
+// charges nothing.
+func (ns *nodeState) charge(p transport.Proc, d time.Duration) {
+	if !sleepStep(p, ns.jit, d) {
+		await(p)
+	}
+}
 
 // runCommThread is the progress engine's event loop: it drains the intake
 // stream and routes each event to the matching layer (point-to-point),
@@ -148,9 +154,13 @@ func (e *twoSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
 
 func (e *twoSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.tr.RecvMsg(p) }
 
-func (e *twoSidedEnd) deliver(p transport.Proc, f frame) {
-	(*nodeState)(e).charge(p, e.job.cfg.Params.RemoteRelayCost)
+// deliver charges the relay cost, then posts f to the intake.
+func (e *twoSidedEnd) deliver(p transport.Proc, f frame, again bool) bool {
+	if !again && !sleepStep(p, e.jit, e.job.cfg.Params.RemoteRelayCost) {
+		return false
+	}
 	e.intake.postInbound(&inbound{src: f.src, dst: f.dst, data: f.payload, backing: f.backing, traceID: f.traceID, spanID: f.spanID})
+	return true
 }
 
 // handleRequest routes one local request.

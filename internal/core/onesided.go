@@ -133,7 +133,12 @@ func (e *oneSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
 
 func (e *oneSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.ns.tr.RecvOneSided(p) }
 
-func (e *oneSidedEnd) deliver(p transport.Proc, f frame) { e.ns.osDispatch(p, &f) }
+// deliver dispatches f in place: the one-sided receiver is hosted on a
+// stackful proc, because a window apply blocks in device writes.
+func (e *oneSidedEnd) deliver(p transport.Proc, f frame, _ bool) bool {
+	e.ns.osDispatch(p, &f)
+	return true
+}
 
 // osRequire returns the node's one-sided engine, bringing it up — state,
 // lane and sink daemon — on the node's first one-sided call. Every entry
@@ -148,7 +153,7 @@ func (ns *nodeState) osRequire() *osState {
 			gets:    make(map[uint32]*osGet),
 		}
 		ns.osw.lane.init(ns, (*oneSidedEnd)(ns.osw), true)
-		ns.rt.SpawnDaemonID("os-recv", ns.node, ns.osw.lane.run)
+		ns.rt.SpawnStep("os-recv", ns.node, &ns.osw.lane, true, false)
 	})
 	return ns.osw
 }
@@ -415,6 +420,14 @@ func (ns *nodeState) osGetFrom(p transport.Proc, srcRank, dstRank, winID, offset
 // takes the lane's next sequence number for the node pair and blocks until
 // acknowledged.
 func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *frame) error {
+	msg := ns.osPack(dstNode, f)
+	return ns.osw.lane.transmit(p, dstNode, f.seq, msg, nil)
+}
+
+// osPack readies a data-class frame for the one-sided lane to dstNode —
+// its flow context, when its producer set none, and its place in the
+// lane's stream — and packs it.
+func (ns *nodeState) osPack(dstNode int, f *frame) []byte {
 	lane := &ns.osw.lane
 	if ns.flowsOn && f.spanID == 0 {
 		// Catch-all flow-context assignment for frames whose producer did
@@ -426,7 +439,7 @@ func (ns *nodeState) osSendFrame(p transport.Proc, dstNode int, f *frame) error 
 		}
 	}
 	f.seq = lane.assignSeq(dstNode)
-	return lane.transmit(p, dstNode, f.seq, packFrame(ns.job.pool, lane.layout, f), nil)
+	return packFrame(ns.job.pool, lane.layout, f)
 }
 
 // osDispatch hands one in-order data-class frame to the sink's step for its
@@ -485,7 +498,7 @@ func (ns *nodeState) osServe(p transport.Proc, f *frame) {
 		post = p.Now()
 	}
 	_, reply, clipped := ns.osTarget(p, f)
-	rep := &frame{
+	rep := frame{
 		kind: f.kind + 1, src: f.dst, dst: f.src, payload: reply,
 		os: osAddr{win: f.os.win, token: f.os.token, postedNs: f.os.postedNs},
 	}
@@ -506,14 +519,39 @@ func (ns *nodeState) osServe(p transport.Proc, f *frame) {
 			})
 		}
 	}
-	srcNode := ns.job.rmap.Node(f.src)
-	ns.rt.SpawnID("os-rep", ns.node, func(h transport.Proc) {
-		// Best-effort on a closing transport, exactly like ack helpers:
-		// under reliability the requester retransmits the request.
-		_ = ns.osSendFrame(h, srcNode, rep)
-		ns.job.pool.Put(reply)
-	})
+	ns.rt.SpawnStep("os-rep", ns.node, &osReply{ns: ns, dst: ns.job.rmap.Node(f.src), f: rep}, false, ns.osw.lane.stackless())
 }
+
+// osReply is an os-rep helper: the reply frame of a served request, sent
+// from a helper so the sink daemon never blocks in a transport send, and
+// its payload released once it is on the wire.
+type osReply struct {
+	ns      *nodeState
+	dst     int
+	f       frame
+	started bool
+	tx      txFrame
+}
+
+// step packs the reply on its first step, as osSendFrame does, then
+// transmits it. Best-effort on a closing transport, exactly like ack
+// helpers: under reliability the requester retransmits the request.
+func (r *osReply) step(h transport.Proc) bool {
+	ns := r.ns
+	if !r.started {
+		r.started = true
+		msg := ns.osPack(r.dst, &r.f)
+		ns.osw.lane.startTx(&r.tx, r.dst, r.f.seq, msg, nil)
+	}
+	if !r.tx.step(h) {
+		return false
+	}
+	ns.job.pool.Put(r.f.payload)
+	return true
+}
+
+// Drop ends a reply its helper was killed sending (sim.Dropper).
+func (r *osReply) Drop() { r.tx.Drop() }
 
 // osResolve resolves one pending get or fetch-and-op with its reply payload.
 func (ns *nodeState) osResolve(p transport.Proc, f *frame) {

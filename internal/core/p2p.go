@@ -12,47 +12,62 @@ import (
 // the transport. All matching state lives in ns.index (the matcher).
 
 // handleSendrecv splits a combined exchange into its send and receive
-// halves and completes the parent when both finish. The split happens
-// inside the comm thread, so a GPU-sourced exchange costs a single mailbox
-// round trip — the optimization §5.1 credits for Cannon's performance.
+// halves and completes the parent when both finish (sendrecvJoin). The
+// split happens inside the comm thread, so a GPU-sourced exchange costs a
+// single mailbox round trip — the optimization §5.1 credits for Cannon's
+// performance.
 func (ns *nodeState) handleSendrecv(p transport.Proc, req *request) {
 	rt := ns.rt
-	sendPart := &request{
+	j := &sendrecvJoin{parent: req}
+	j.send = request{
 		op: opSend, rank: req.rank, peer: req.peer, buf: req.buf,
 		done: rt.NewEventID("srv-send", req.rank), ns: ns, gpu: req.gpu, sendFrame: req.sendFrame,
 	}
-	recvPart := &request{
+	j.recv = request{
 		op: opRecv, rank: req.rank, peer: req.peer2, buf: req.recvBuf,
 		done: rt.NewEventID("srv-recv", req.rank), ns: ns, gpu: req.gpu,
 	}
 	if ns.flowsOn {
 		// The outgoing half carries the parent exchange's flow context; the
 		// parent itself inherits whatever flow the matched inbound half
-		// joins it to (copied back in the join below).
-		sendPart.traceID = req.traceID
-		sendPart.spanID = req.spanID
+		// joins it to (copied back in the join).
+		j.send.traceID = req.traceID
+		j.send.spanID = req.spanID
 	}
-	ns.handleRecv(p, recvPart)
-	ns.handleSend(p, sendPart)
-	rt.Spawn("dcgn-sendrecv-join", func(h transport.Proc) {
-		sendPart.done.Wait(h)
-		recvPart.done.Wait(h)
-		err := sendPart.err
-		if err == nil {
-			err = recvPart.err
-		}
-		if ns.flowsOn && recvPart.parentID != 0 {
-			req.traceID = recvPart.traceID
-			req.parentID = recvPart.parentID
-		}
-		if recvPart.recvFrame {
-			// The receive half adopted the arrived frame in place of the
-			// parent's staging, which nothing reads any more.
-			ns.job.pool.Put(req.recvBuf)
-			req.recvBuf, req.recvFrame = recvPart.recvBuf, true
-		}
-		req.complete(recvPart.status.Source, recvPart.status.Bytes, err)
-	})
+	ns.handleRecv(p, &j.recv)
+	ns.handleSend(p, &j.send)
+	rt.SpawnStep("dcgn-sendrecv-join", req.rank, j, false, true)
+}
+
+// sendrecvJoin is a combined exchange's dcgn-sendrecv-join helper, a
+// stackless proc on the simulated backend: the parent request and its two
+// halves, which it waits for before completing the parent.
+type sendrecvJoin struct {
+	parent     *request
+	send, recv request
+}
+
+func (j *sendrecvJoin) step(h transport.Proc) bool {
+	if !j.send.done.WaitStep(h) || !j.recv.done.WaitStep(h) {
+		return false
+	}
+	req, send, recv := j.parent, &j.send, &j.recv
+	err := send.err
+	if err == nil {
+		err = recv.err
+	}
+	if recv.ns.flowsOn && recv.parentID != 0 {
+		req.traceID = recv.traceID
+		req.parentID = recv.parentID
+	}
+	if recv.recvFrame {
+		// The receive half adopted the arrived frame in place of the
+		// parent's staging, which nothing reads any more.
+		recv.ns.job.pool.Put(req.recvBuf)
+		req.recvBuf, req.recvFrame = recv.recvBuf, true
+	}
+	req.complete(recv.status.Source, recv.status.Bytes, err)
+	return true
 }
 
 // handleSend matches a local-destination send against posted receives or
@@ -79,20 +94,14 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 		} else {
 			msg = packFrame(ns.job.pool, ns.wire.layout, f)
 		}
-		ns.rt.SpawnID("dcgn-tx", ns.node, func(h transport.Proc) {
-			ns.charge(h, ns.job.cfg.Params.RemoteRelayCost)
-			var sentAt *time.Duration
-			if ns.obsOn {
-				sentAt = &req.wireSentAt
-			}
-			// The lane owns msg from here: the wire buffer is not ours again.
-			err := ns.wire.transmit(h, dstNode, seq, msg, sentAt)
-			if ns.obsOn && ns.wire.seq != nil && err == nil {
-				req.ackedAt = h.Now()
-			}
-			ns.charge(h, ns.job.cfg.Params.NotifyCost)
-			req.complete(req.rank, len(msg)-ns.dataHdr(), err)
-		})
+		tx := &remoteSend{req: req}
+		var sentAt *time.Duration
+		if ns.obsOn {
+			sentAt = &req.wireSentAt
+		}
+		// The lane owns msg from here: the wire buffer is not ours again.
+		ns.wire.startTx(&tx.tx, dstNode, seq, msg, sentAt)
+		ns.rt.SpawnStep("dcgn-tx", ns.node, tx, false, ns.wire.stackless())
 		return
 	}
 	// Local destination: match a posted receive (FIFO).
@@ -103,6 +112,51 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 	}
 	ns.index.addSend(req)
 }
+
+// remoteSend is a remote send's dcgn-tx helper: the relay charge, the
+// frame's transmit, the notify charge, then the request's completion.
+type remoteSend struct {
+	req   *request
+	tx    txFrame
+	phase uint8
+}
+
+// The phases of a remoteSend.
+const (
+	rsRelay uint8 = iota
+	rsWire
+	rsNotify
+)
+
+func (x *remoteSend) step(h transport.Proc) bool {
+	req := x.req
+	ns := req.ns
+	switch x.phase {
+	case rsRelay:
+		x.phase = rsWire
+		if !sleepStep(h, ns.jit, ns.job.cfg.Params.RemoteRelayCost) {
+			return false
+		}
+		fallthrough
+	case rsWire:
+		if !x.tx.step(h) {
+			return false
+		}
+		if ns.obsOn && ns.wire.seq != nil && x.tx.err == nil {
+			req.ackedAt = h.Now()
+		}
+		x.phase = rsNotify
+		if !sleepStep(h, ns.jit, ns.job.cfg.Params.NotifyCost) {
+			return false
+		}
+	}
+	req.complete(req.rank, len(req.payload()), x.tx.err)
+	return true
+}
+
+// Drop ends a transmit the helper was killed in the middle of
+// (sim.Dropper).
+func (x *remoteSend) Drop() { x.tx.Drop() }
 
 // handleRecv matches a posted receive against pending local sends, then
 // against unexpected inbound messages; otherwise it is queued.

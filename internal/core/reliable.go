@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
+	"dcgn/internal/transport/simmpi"
 )
 
 // The wire lane. A node talks to its peers over two frame streams, the two
@@ -43,13 +45,20 @@ type relKey struct {
 	seq  uint64
 }
 
-// relWaiter is a sender-side record of an unacknowledged frame. ev is the
-// completion the sender currently waits on (re-created per retry); the
-// ack path and the retransmit timer both fire it, and acked — read and
-// written only under relSeq.mu — disambiguates which happened.
+// relWaiter is a sender-side record of an unacknowledged frame: the frame
+// (msg, which the lane keeps until the frame is acknowledged or given up
+// on), its key, the attempt the sender is on and the cancel of that
+// attempt's retransmit timer. ev is the completion the sender currently
+// waits on (re-created per retry); the ack path and the retransmit timer
+// both fire it, and acked — read and written only under relSeq.mu —
+// disambiguates which happened.
 type relWaiter struct {
-	ev    completion
-	acked bool
+	ev      completion
+	acked   bool
+	key     relKey
+	msg     []byte
+	attempt int
+	cancel  func()
 }
 
 // relStats counts one node's reliability traffic over both lanes: a
@@ -65,24 +74,45 @@ type relStats struct {
 }
 
 // laneEnd is what differs between a node's two frame streams: the
-// transport functions that move a packed frame, and the step that takes an
-// in-order data frame (and its backing buffer) from the receiver daemon.
-// Both implementations (twoSidedEnd, oneSidedEnd) are pointer conversions
-// of state the node has anyway, so a lane costs no allocation of its own.
+// transport calls that move a packed frame — the blocking ones, for a host
+// without the transport's step forms — and the step that takes an in-order
+// data frame (and its backing buffer) from the receiver. Both
+// implementations (twoSidedEnd, oneSidedEnd) are pointer conversions of
+// state the node has anyway, so a lane costs no allocation of its own.
 type laneEnd interface {
 	send(p transport.Proc, dstNode int, msg []byte) error
 	recv(p transport.Proc) ([]byte, error)
-	deliver(p transport.Proc, f frame)
+	// deliver hands f on as a step form: it reports whether f is handed
+	// on, and otherwise has registered p's next wake, after which the
+	// receiver calls it again with again set.
+	deliver(p transport.Proc, f frame, again bool) bool
 }
 
-// relLane is one node's end of one frame stream.
+// relLane is one node's end of one frame stream. Its receiver and every
+// frame it sends are step machines, each written once (step and txFrame):
+// with the transport's step forms a simulated sender or receiver is a
+// stackless proc, and without them — the live backend, a
+// Config.WrapTransport hook that hides them — each form blocks in place.
 type relLane struct {
-	ns     *nodeState
-	end    laneEnd
-	layout layout
+	ns       *nodeState
+	end      laneEnd
+	layout   layout
+	oneSided bool
 	// seq is the lane's sequencing state under Config.Reliability; nil
 	// otherwise.
 	seq *relSeq
+	// steps are the transport's step forms (simmpi.Steps), nil when it has
+	// none.
+	steps simmpi.Stepper
+	// The receiver's state between its steps: the transport receive in
+	// flight, and the arrived frame being delivered (rxMsg, from node
+	// rxSrc), whose deliver has registered a wake when rxAgain is set. The
+	// frame is kept packed and decoded again when the receiver wakes, so
+	// that every node's lane holds a slice, not a decoded frame.
+	rx      simmpi.RecvOp
+	rxMsg   []byte
+	rxSrc   int
+	rxAgain bool
 }
 
 // relSeq is a reliable lane's bookkeeping. Senders are any thread that
@@ -103,7 +133,10 @@ type relSeq struct {
 
 func (l *relLane) init(ns *nodeState, end laneEnd, oneSided bool) {
 	cfg := &ns.job.cfg
-	*l = relLane{ns: ns, end: end, layout: laneLayout(oneSided, cfg.Reliability.Enabled, ns.flowsOn)}
+	*l = relLane{
+		ns: ns, end: end, layout: laneLayout(oneSided, cfg.Reliability.Enabled, ns.flowsOn), oneSided: oneSided,
+		steps: simmpi.Steps(ns.tr), rx: simmpi.RecvOp{OneSided: oneSided},
+	}
 	if cfg.Reliability.Enabled {
 		l.seq = &relSeq{
 			nextTx:  make([]uint64, cfg.Nodes),
@@ -145,100 +178,210 @@ func relBackoff(r Reliability, attempt int) time.Duration {
 	return d
 }
 
-// transmit puts the packed frame msg, numbered seq, on the wire to dstNode,
-// inline on the calling proc, and takes ownership of msg. An unreliable
-// lane hands msg itself to the transport. A reliable one keeps msg until
-// the frame is acknowledged, sending a pooled copy per attempt and
-// retransmitting on ack timeout until the retry budget is spent or the
-// transport fails hard, and then releases it. The retransmit timer is
-// armed only after send returns, so a rendezvous transfer never eats into
-// its own ack timeout. sentAt, when not nil, receives the time the frame
-// first reached the wire.
+// stackless reports whether the lane's senders and receiver can be
+// stackless procs: whether the transport has step forms.
+func (l *relLane) stackless() bool { return l.steps != nil }
+
+// sendStep puts op on the wire as a step form: the transport's step form
+// on a simulated proc when it has them, else the blocking send, in place.
+func (l *relLane) sendStep(h transport.Proc, op *simmpi.SendOp) (bool, error) {
+	if sp, ok := h.(*sim.Proc); ok && l.steps != nil {
+		return l.steps.SendStep(sp, op), nil
+	}
+	return true, l.end.send(h, op.Dst, op.Msg)
+}
+
+// recvStep receives the lane's next frame as a step form, as sendStep
+// sends; done is false while the receive waits for a wake.
+func (l *relLane) recvStep(h transport.Proc) (msg []byte, err error, done bool) {
+	if sp, ok := h.(*sim.Proc); ok && l.steps != nil {
+		if !l.steps.RecvStep(sp, &l.rx) {
+			return nil, nil, false
+		}
+		return l.rx.Take(), nil, true
+	}
+	msg, err = l.end.recv(h)
+	return msg, err, true
+}
+
+// txFrame is one frame on its way out through a lane, as a step machine:
+// the state of transmit. An unreliable lane hands the frame itself to the
+// transport. A reliable one keeps it until the frame is acknowledged,
+// sending a pooled copy per attempt and retransmitting on ack timeout
+// until the retry budget is spent or the transport fails hard, and then
+// releases it. The retransmit timer is armed only after the send
+// completes, so a rendezvous transfer never eats into its own ack timeout.
+// sentAt, when not nil, receives the time the frame first reached the
+// wire.
+type txFrame struct {
+	l      *relLane
+	op     simmpi.SendOp
+	sentAt *time.Duration
+	w      *relWaiter
+	err    error
+	phase  uint8
+}
+
+// The phases of a txFrame.
+const (
+	txAttempt uint8 = iota // a reliable lane's attempt sends a pooled copy
+	txSend                 // the transport send of this attempt
+	txAck                  // waiting for the ack or the retransmit timer
+	txDone
+)
+
+// startTx readies t to transmit the packed frame msg, numbered seq, to
+// dstNode; the lane owns msg from here, and a reliable one registers it.
+func (l *relLane) startTx(t *txFrame, dstNode int, seq uint64, msg []byte, sentAt *time.Duration) {
+	*t = txFrame{l: l, op: simmpi.SendOp{Dst: dstNode, Msg: msg, OneSided: l.oneSided}, sentAt: sentAt}
+	if s := l.seq; s != nil {
+		t.w = &relWaiter{ev: l.ns.rt.NewEventID("rel-wait", int(seq)), key: relKey{dstNode, seq}, msg: msg}
+		s.mu.Lock()
+		s.waiters[t.w.key] = t.w
+		s.mu.Unlock()
+	}
+}
+
+// transmit puts the packed frame msg, numbered seq, on the wire to dstNode
+// inline on the calling proc, blocking until it is sent (acknowledged, on
+// a reliable lane), and takes ownership of msg: txFrame driven in place.
 func (l *relLane) transmit(h transport.Proc, dstNode int, seq uint64, msg []byte, sentAt *time.Duration) error {
+	t := new(txFrame)
+	l.startTx(t, dstNode, seq, msg, sentAt)
+	defer t.Drop()
+	for !t.step(h) {
+		await(h)
+	}
+	return t.err
+}
+
+// step advances the transmit; it has ended when it returns true, with the
+// outcome in t.err.
+func (t *txFrame) step(h transport.Proc) bool {
+	l := t.l
 	ns, s := l.ns, l.seq
 	cfg := ns.job.cfg.Reliability
-	key := relKey{dstNode, seq}
-	var w *relWaiter
-	if s != nil {
-		w = &relWaiter{ev: ns.rt.NewEventID("rel-wait", int(seq))}
-		s.mu.Lock()
-		s.waiters[key] = w
-		s.mu.Unlock()
-		defer func() {
+	for {
+		switch t.phase {
+		case txAttempt:
+			t.phase = txSend
+			if w := t.w; w != nil {
+				t.op = simmpi.SendOp{Dst: w.key.node, Msg: ns.job.pool.Get(len(w.msg)), OneSided: l.oneSided}
+				copy(t.op.Msg, w.msg)
+			}
+		case txSend:
+			done, err := l.sendStep(h, &t.op)
+			if !done {
+				return false
+			}
+			if err != nil {
+				t.err = err
+				return t.end()
+			}
+			if t.sentAt != nil && *t.sentAt == 0 {
+				*t.sentAt = h.Now()
+			}
+			w := t.w
+			if w == nil {
+				t.phase = txDone
+				return true
+			}
 			s.mu.Lock()
-			delete(s.waiters, key)
+			acked, ev := w.acked, w.ev
 			s.mu.Unlock()
-			ns.job.pool.Put(msg)
-		}()
-	}
-	for attempt := 0; ; attempt++ {
-		wire := msg
-		if s != nil {
-			wire = ns.job.pool.Get(len(msg))
-			copy(wire, msg)
-		}
-		if err := l.end.send(h, dstNode, wire); err != nil {
-			return err
-		}
-		if sentAt != nil && *sentAt == 0 {
-			*sentAt = h.Now()
-		}
-		if s == nil {
-			return nil
-		}
-		s.mu.Lock()
-		acked, ev := w.acked, w.ev
-		s.mu.Unlock()
-		if acked {
-			return nil
-		}
-		cancel := ns.rt.After(relBackoff(cfg, attempt), ev.Fire)
-		ev.Wait(h)
-		cancel()
-		s.mu.Lock()
-		acked = w.acked
-		if !acked && attempt < cfg.MaxRetries {
-			// Timed out: re-arm with a fresh completion (the old one is
-			// spent) and go around for a retransmission.
-			w.ev = ns.rt.NewEventID("rel-wait", int(seq))
-		}
-		s.mu.Unlock()
-		if acked {
-			return nil
-		}
-		if attempt >= cfg.MaxRetries {
-			return fmt.Errorf("dcgn: node %d seq %d to node %d: %w", ns.node, seq, dstNode, ErrUnacked)
-		}
-		atomic.AddInt64(&ns.rel.retransmits, 1)
-		if m := ns.job.metrics; m != nil {
-			m.observe(histKey{kind: histBackoff}, int64(relBackoff(cfg, attempt)))
+			if acked {
+				return t.end()
+			}
+			w.cancel = ns.rt.After(relBackoff(cfg, w.attempt), ev.Fire)
+			t.phase = txAck
+		case txAck:
+			w := t.w
+			if !w.ev.WaitStep(h) {
+				return false
+			}
+			w.cancel()
+			s.mu.Lock()
+			acked := w.acked
+			if !acked && w.attempt < cfg.MaxRetries {
+				// Timed out: re-arm with a fresh completion (the old one is
+				// spent) and go around for a retransmission.
+				w.ev = ns.rt.NewEventID("rel-wait", int(w.key.seq))
+			}
+			s.mu.Unlock()
+			if acked {
+				return t.end()
+			}
+			if w.attempt >= cfg.MaxRetries {
+				t.err = fmt.Errorf("dcgn: node %d seq %d to node %d: %w", ns.node, w.key.seq, w.key.node, ErrUnacked)
+				return t.end()
+			}
+			atomic.AddInt64(&ns.rel.retransmits, 1)
+			if m := ns.job.metrics; m != nil {
+				m.observe(histKey{kind: histBackoff}, int64(relBackoff(cfg, w.attempt)))
+			}
+			w.attempt++
+			t.phase = txAttempt
+		default:
+			return true
 		}
 	}
 }
 
+// end ends the transmit: a reliable lane forgets the frame and releases
+// it.
+func (t *txFrame) end() bool {
+	t.phase = txDone
+	if w := t.w; w != nil {
+		s := t.l.seq
+		s.mu.Lock()
+		delete(s.waiters, w.key)
+		s.mu.Unlock()
+		t.l.ns.job.pool.Put(w.msg)
+	}
+	return true
+}
+
+// Drop ends a transmit its proc was killed in the middle of, as end does
+// (sim.Dropper); the frame on the wire is the transport's.
+func (t *txFrame) Drop() {
+	if t.phase != txDone {
+		t.end()
+	}
+}
+
+// relAck is a rel-ack helper: one ack frame on its way to its peer.
+type relAck struct {
+	l  *relLane
+	op simmpi.SendOp
+}
+
+// step sends the ack. Best-effort: a dropped or post-close ack is recovered
+// by the sender's retransmission, which the receiver will re-ack.
+func (a *relAck) step(h transport.Proc) bool {
+	done, _ := a.l.sendStep(h, &a.op)
+	return done
+}
+
 // sendAck acknowledges seq to peerNode from a spawned helper so the
-// receiver daemon never blocks in a transport send (two receivers
-// synchronously acking into each other's full inbound queues would
-// deadlock). The helper is a worker, not a daemon: the run stays alive
-// until the ack is handed to the transport, which owns it from then on.
+// receiver never blocks in a transport send (two receivers synchronously
+// acking into each other's full inbound queues would deadlock). The helper
+// is not a daemon: the run stays alive until the ack is handed to the
+// transport, which owns it from then on.
 func (l *relLane) sendAck(peerNode int, seq uint64) {
 	ns := l.ns
 	ack := packFrame(ns.job.pool, l.layout, &frame{kind: kindAck, src: ns.node, seq: seq})
 	atomic.AddInt64(&ns.rel.acksSent, 1)
-	ns.rt.SpawnID("rel-ack", ns.node, func(h transport.Proc) {
-		// Best-effort: a dropped or post-close ack is recovered by the
-		// sender's retransmission, which we will re-ack.
-		_ = l.end.send(h, peerNode, ack)
-	})
+	ns.rt.SpawnStep("rel-ack", ns.node, &relAck{l: l, op: simmpi.SendOp{Dst: peerNode, Msg: ack, OneSided: l.oneSided}}, false, l.stackless())
 }
 
-// receive dispatches one sequenced frame inside the receiver daemon. An
-// ack resolves its waiter (late and duplicate acks find none and are
-// no-ops). A data frame is always (re-)acknowledged — the previous ack may
-// itself have been the frame the fabric dropped — then deduplicated and
-// resequenced, so deliver observes per-node-pair FIFO order no matter what
-// order the wire produced.
-func (l *relLane) receive(p transport.Proc, f frame) {
+// admit takes one arrived frame on a reliable lane and reports whether it
+// is the next in order from its node (src), to be delivered now. An ack
+// resolves its waiter (late and duplicate acks find none and are no-ops).
+// A data frame is always (re-)acknowledged — the previous ack may itself
+// have been the frame the fabric dropped — then deduplicated, or parked
+// until the gap before it fills, so deliver observes per-node-pair FIFO
+// order no matter what order the wire produced.
+func (l *relLane) admit(f frame) (src int, next bool) {
 	ns, s := l.ns, l.seq
 	if f.kind == kindAck {
 		atomic.AddInt64(&ns.rel.acksReceived, 1)
@@ -249,38 +392,29 @@ func (l *relLane) receive(p transport.Proc, f frame) {
 		}
 		s.mu.Unlock()
 		ns.job.pool.Put(f.backing)
-		return
+		return 0, false
 	}
-	src := ns.job.rmap.Node(f.src)
+	src = ns.job.rmap.Node(f.src)
 	l.sendAck(src, f.seq)
 	switch next := s.nextRx[src]; {
 	case f.seq < next:
 		// Already delivered: a retransmission whose ack was lost.
 		l.dropDup(f)
 	case f.seq == next:
-		l.end.deliver(p, f)
-		s.nextRx[src]++
-		for {
-			g, ok := s.held[src][s.nextRx[src]]
-			if !ok {
-				break
-			}
-			delete(s.held[src], g.seq)
-			l.end.deliver(p, g)
-			s.nextRx[src]++
-		}
+		return src, true
 	default:
 		// Ahead of the cursor: park it until the gap fills (the sender
 		// retransmits the missing frame until we ack it, so it will).
 		if _, parked := s.held[src][f.seq]; parked {
 			l.dropDup(f)
-			return
+			break
 		}
 		if s.held[src] == nil {
 			s.held[src] = make(map[uint64]frame)
 		}
 		s.held[src][f.seq] = f
 	}
+	return src, false
 }
 
 // dropDup counts and releases a data frame the lane has already seen.
@@ -304,32 +438,62 @@ func (l *relLane) releaseHeld() {
 	}
 }
 
-// run is the lane's receiver daemon. The take-ownership receive hands over
-// the sender's pooled wire buffer directly — no staging buffer and no
-// copy; the payload aliases it until deliver's consumer returns it to the
-// pool.
-func (l *relLane) run(p transport.Proc) {
+// step is the lane's receiver, a daemon: it receives each frame, drops
+// what does not decode, admits it on a reliable lane and delivers what is
+// in order — on a reliable lane, then every parked frame the delivery
+// brings into order. The take-ownership receive hands over the sender's
+// pooled wire buffer directly — no staging buffer and no copy; the payload
+// aliases it until deliver's consumer returns it to the pool. It ends only
+// when the transport is closed (live backend teardown).
+func (l *relLane) step(h transport.Proc) bool {
 	for {
-		msg, err := l.end.recv(p)
-		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				l.releaseHeld()
-				return // transport shut down (live backend teardown)
-			}
-			panic(fmt.Sprintf("dcgn: receiver on node %d: %v", l.ns.node, err))
-		}
-		f, err := unpackFrame(l.layout, msg)
-		if err != nil {
-			// Outside bytes that do not decode: drop and count them. A
-			// reliable sender retransmits the frame they were meant to be.
-			atomic.AddInt64(&l.ns.rel.badFrames, 1)
-			l.ns.job.pool.Put(msg)
-			continue
-		}
-		if l.seq != nil {
-			l.receive(p, f)
+		var f frame
+		if l.rxMsg != nil {
+			f, _ = unpackFrame(l.layout, l.rxMsg) // it decoded when it arrived
 		} else {
-			l.end.deliver(p, f)
+			msg, err, done := l.recvStep(h)
+			if !done {
+				return false
+			}
+			if err != nil {
+				if errors.Is(err, transport.ErrClosed) {
+					l.releaseHeld()
+					return true // transport shut down (live backend teardown)
+				}
+				panic(fmt.Sprintf("dcgn: receiver on node %d: %v", l.ns.node, err))
+			}
+			if f, err = unpackFrame(l.layout, msg); err != nil {
+				// Outside bytes that do not decode: drop and count them. A
+				// reliable sender retransmits the frame they were meant to be.
+				atomic.AddInt64(&l.ns.rel.badFrames, 1)
+				l.ns.job.pool.Put(msg)
+				continue
+			}
+			if l.seq != nil {
+				src, next := l.admit(f)
+				if !next {
+					continue
+				}
+				l.rxSrc = src
+			}
+			l.rxMsg = msg
+		}
+		if !l.end.deliver(h, f, l.rxAgain) {
+			l.rxAgain = true
+			return false
+		}
+		l.rxMsg, l.rxAgain = nil, false
+		if s := l.seq; s != nil {
+			src := l.rxSrc
+			s.nextRx[src]++
+			if g, ok := s.held[src][s.nextRx[src]]; ok {
+				delete(s.held[src], g.seq)
+				l.rxMsg = g.backing
+			}
 		}
 	}
 }
+
+// Drop takes back the receive a killed receiver leaves posted
+// (sim.Dropper).
+func (l *relLane) Drop() { l.rx.Drop() }

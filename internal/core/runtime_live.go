@@ -40,10 +40,24 @@ func (r *liveRT) go1(wg *sync.WaitGroup, fn func(transport.Proc)) {
 	}()
 }
 
-func (r *liveRT) Spawn(_ string, fn func(transport.Proc))          { r.go1(&r.workers, fn) }
-func (r *liveRT) SpawnID(_ string, _ int, fn func(transport.Proc)) { r.go1(&r.workers, fn) }
+func (r *liveRT) Spawn(_ string, fn func(transport.Proc)) { r.go1(&r.workers, fn) }
 func (r *liveRT) SpawnDaemonID(_ string, _ int, fn func(transport.Proc)) {
 	r.go1(&r.daemons, fn)
+}
+
+// SpawnStep runs s on a goroutine, where every form blocks in place: one
+// step is the whole machine. It starts the goroutine itself rather than
+// through go1, which would wrap s in a second closure per message.
+func (r *liveRT) SpawnStep(_ string, _ int, s stepper, daemon, _ bool) {
+	wg := &r.workers
+	if daemon {
+		wg = &r.daemons
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.step(r.proc)
+	}()
 }
 
 func (r *liveRT) NewQueue(string) commQueue {
@@ -80,6 +94,11 @@ func (e *liveEvent) Fired() bool {
 }
 
 func (e *liveEvent) Wait(transport.Proc) { <-e.ch }
+
+func (e *liveEvent) WaitStep(transport.Proc) bool {
+	<-e.ch
+	return true
+}
 
 // liveQueue is an unbounded multi-producer FIFO with shutdown: Get blocks
 // while empty and returns ok=false once the queue is closed and drained.

@@ -1,0 +1,194 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"dcgn/internal/device"
+	"dcgn/internal/sim"
+	"dcgn/internal/transport"
+	"dcgn/internal/transport/faults"
+	"dcgn/internal/transport/simmpi"
+)
+
+// hideSteps is a Config.WrapTransport middleware that only embeds the
+// transport: it hides the step forms, so every lane sender and receiver
+// is hosted on a stackful proc that blocks in each form.
+type hideSteps struct{ transport.Transport }
+
+// stepHostJob is one cell of TestStepHostsAgree: two nodes on two shards
+// exchanging size-byte messages between CPU ranks or GPU slots — a
+// ping-pong, then a combined exchange — and, between CPU ranks, a one-sided
+// get that the target answers from an os-rep helper.
+func stepHostJob(t *testing.T, gpu, reliable, faulty, flows bool, size int) *Job {
+	cfg := cpuOnlyConfig(2, 1)
+	if gpu {
+		cfg = gpuConfig(2, 0, 1, 1)
+	}
+	cfg.Shards = 2
+	cfg.Reliability.Enabled = reliable
+	if faulty {
+		cfg.Faults = faults.Config{Seed: 11, Drop: 0.1, Dup: 0.1, Reorder: 0.1, Delay: 0.1}
+	}
+	cfg.Trace, cfg.Flows = true, flows
+	job := NewJob(cfg)
+	const reps = 3
+	if gpu {
+		job.SetGPUSetup(func(s *GPUSetup) {
+			s.Args["a"] = s.Dev.Mem().MustAlloc(size)
+			s.Args["b"] = s.Dev.Mem().MustAlloc(size)
+		})
+		job.SetGPUKernel(1, 4, func(g *GPUCtx) {
+			if g.Block().Idx != 0 {
+				return
+			}
+			a, b, peer := g.Arg("a").(device.Ptr), g.Arg("b").(device.Ptr), 1-g.Rank(0)
+			for i := 0; i < reps; i++ {
+				if g.Rank(0) == 0 {
+					check(t, g.Send(0, peer, a, size))
+					_, err := g.Recv(0, peer, a, size)
+					check(t, err)
+				} else {
+					_, err := g.Recv(0, peer, a, size)
+					check(t, err)
+					check(t, g.Send(0, peer, a, size))
+				}
+			}
+			_, err := g.SendRecv(0, peer, a, size, peer, b, size)
+			check(t, err)
+		})
+		return job
+	}
+	job.SetCPUKernel(func(c *CPUCtx) {
+		buf, win, got := pattern(size, byte(c.Rank())), pattern(size, byte(7+c.Rank())), make([]byte, size)
+		peer := 1 - c.Rank()
+		c.RegisterWindow(0, win)
+		c.Barrier()
+		for i := 0; i < reps; i++ {
+			if c.Rank() == 0 {
+				check(t, c.Send(peer, buf))
+				_, err := c.Recv(peer, buf)
+				check(t, err)
+			} else {
+				_, err := c.Recv(peer, buf)
+				check(t, err)
+				check(t, c.Send(peer, buf))
+			}
+		}
+		_, err := c.SendRecvReplace(peer, peer, buf)
+		check(t, err)
+		_, err = c.Get(peer, 0, 0, got)
+		check(t, err)
+		c.Barrier()
+	})
+	return job
+}
+
+func check(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// laneKinds sums a finished job's proc counts over its nodes' simulators,
+// for the lane procs whose host the test is about.
+func laneKinds(j *Job) map[string]sim.KindStats {
+	seen := map[*sim.Sim]bool{}
+	var st sim.Stats
+	for _, ns := range j.nodes {
+		if !seen[ns.sim] {
+			seen[ns.sim] = true
+			st.Add(ns.sim.Stats())
+		}
+	}
+	return st.Kinds
+}
+
+// TestStepHostsAgree runs every lane step machine — dcgn-tx, the lane
+// receivers, rel-ack, os-rep, the retransmit timer and the sendrecv join —
+// on both of its simulated hosts: stackless procs, and stackful ones that
+// block in each form because a Config.WrapTransport hook hides the
+// transport's step forms. One body on two hosts is one schedule: the
+// Reports, traces and critical paths included, must be reflect.DeepEqual,
+// across reliability, faults, eager and rendezvous sizes, CPU and GPU
+// endpoints and flows. Each job runs on two shards, so under the race
+// detector (make race) the bodies run on two threads; PoolHits, a
+// host-side count of which shard's thread reached the shared pool first,
+// is set apart.
+func TestStepHostsAgree(t *testing.T) {
+	for _, reliable := range []bool{false, true} {
+		for _, faulty := range []bool{false, true} {
+			for _, size := range []int{8, 64 << 10} {
+				for _, gpu := range []bool{false, true} {
+					for _, flows := range []bool{false, true} {
+						name := fmt.Sprintf("reliable=%t/faults=%t/%dB/gpu=%t/flows=%t", reliable, faulty, size, gpu, flows)
+						t.Run(name, func(t *testing.T) {
+							stackless := stepHostJob(t, gpu, reliable, faulty, flows, size)
+							blocking := stepHostJob(t, gpu, reliable, faulty, flows, size)
+							blocking.cfg.WrapTransport = func(tr transport.Transport) transport.Transport { return hideSteps{tr} }
+							want, err := stackless.Run()
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := blocking.Run()
+							if err != nil {
+								t.Fatal(err)
+							}
+							got.PoolHits = want.PoolHits
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("blocking host reports differently:\n%+v\nstackless host:\n%+v", got, want)
+							}
+							for _, kind := range []string{"dcgn-tx", "mpi-recv"} {
+								if k := laneKinds(stackless)[kind]; k.Resumes != 0 || k.Steps == 0 {
+									t.Errorf("stackless host: %s %+v, want steps and no resumes", kind, k)
+								}
+								if k := laneKinds(blocking)[kind]; k.Resumes == 0 || k.Steps != 0 {
+									t.Errorf("blocking host: %s %+v, want resumes and no steps", kind, k)
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStacklessReceiverUnpostsOnKill: a node's stackless lane receiver,
+// parked in its MPI receive, gives the receive back when it is killed — by
+// a Group.Kill and by the end of the run — as a stackful receiver's
+// unwinding does, through sim.Dropper.
+func TestStacklessReceiverUnpostsOnKill(t *testing.T) {
+	for _, killer := range []string{"Group.Kill", "shutdown"} {
+		t.Run(killer, func(t *testing.T) {
+			cfg := DefaultConfig()
+			sub := newSubstrate(1, cfg.Net, cfg.MPI, 1, 0)
+			s := sub.loop.Shard(0).Sim()
+			rank := sub.world.Rank(0)
+			lane := &relLane{steps: simmpi.Steps(simmpi.WorldGroup(sub.world).Endpoint(0)), rx: simmpi.RecvOp{}}
+			g := s.NewGroup(func() {})
+			s.InGroup(g, func() { s.SpawnStepDaemon("mpi-recv", 0, stepArg, lane) })
+			s.Spawn("killer", func(p *sim.Proc) {
+				p.Sleep(10 * cfg.MPI.CallOverhead)
+				if rank.Posted() != 1 {
+					t.Errorf("%d receives posted before the kill, want the receiver's", rank.Posted())
+				}
+				if killer == "Group.Kill" {
+					s.Inject(g.Kill)
+					p.Sleep(10 * cfg.MPI.CallOverhead)
+					if n := rank.Posted(); n != 0 {
+						t.Errorf("%d receives left posted after Group.Kill", n)
+					}
+				}
+			})
+			if err := sub.loop.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if n := rank.Posted(); n != 0 {
+				t.Errorf("%d receives left posted after the run", n)
+			}
+		})
+	}
+}

@@ -7,8 +7,8 @@
 //
 //   - point-to-point with (source, tag) matching including wildcards and an
 //     eager/rendezvous protocol split: Send, SendMsg and RecvMsg
-//     (take-ownership), Recv, Isend, Irecv, Request.Wait, WaitAll, Sendrecv,
-//     SendrecvReplace;
+//     (take-ownership) and their step forms SendMsgStep and RecvMsgOp,
+//     Recv, Isend, Irecv, Request.Wait, WaitAll, Sendrecv, SendrecvReplace;
 //   - collectives on a communicator (Comm): Barrier (dissemination), Bcast
 //     (binomial tree; scatter + ring allgather for large payloads), Gather,
 //     Gatherv and Scatterv (flat or binomial tree), Alltoallv (pairwise
@@ -23,6 +23,8 @@
 // Every rank is driven by exactly one simulated proc; per-node progress
 // engines (stackless daemon procs) perform matching and the rendezvous
 // handshake, and stackless helpers inject eager sends and rendezvous data.
+// A send and a receive are step machines (SendOp, RecvOp): the blocking
+// calls drive one with Proc.Await, and a stackless proc steps one itself.
 //
 // NewWorld is the only constructor. A world runs on whatever fabric it is
 // given, plain or sharded: each rank's procs, events and progress engine
@@ -267,14 +269,15 @@ type recvReq struct {
 	stat Status
 	err  error
 	// take marks a take-ownership receive (RecvMsg): instead of copying
-	// into buf, deliver hands the matched payload slice over in data and
+	// into buf, deliver hands the matched payload slice over as buf and
 	// the caller assumes responsibility for releasing it to the pool.
 	take bool
-	data []byte
 }
 
 // sendReq is a rendezvous send awaiting its CTS, from rank from; data is
-// what goes on the wire, in pkt once its helper has started sending it.
+// what goes on the wire. pkt is the packet being sent for it — its RTS
+// while the sender pays the RTS's outbound cost, then its data once the
+// mpi-rndv-data helper has started sending it.
 type sendReq struct {
 	from *Rank
 	data []byte
@@ -350,7 +353,7 @@ func (r *Rank) takeUnexpected(rr *recvReq) *envelope {
 // receiver — the zero-copy wire relay.
 func (r *Rank) deliver(rr *recvReq, env *envelope) {
 	if rr.take {
-		rr.data = env.data
+		rr.buf = env.data
 		rr.stat = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
 		env.data = nil
 		rr.done.Fire()
@@ -382,7 +385,7 @@ type engine struct {
 // startEngine spawns the progress engine of a node.
 func (w *World) startEngine(node int) {
 	e := &engine{w: w, nd: w.net.Node(node)}
-	e.nd.Sim().SpawnStepDaemon("mpi-engine", node, e.step)
+	e.nd.Sim().SpawnStepDaemon("mpi-engine", node, e.step, nil)
 }
 
 // step handles inbound envelopes until the inbox is empty or a matched RTS

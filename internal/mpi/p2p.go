@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"dcgn/internal/fabric"
 	"dcgn/internal/sim"
 )
 
@@ -14,93 +15,206 @@ import (
 // has arrived and the data has been injected. The caller must not modify
 // buf until the request completes.
 func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
-	return &Request{done: r.send(p, buf, dst, tag, false)}
+	var op SendOp
+	for !r.sendStep(p, &op, buf, dst, tag, false, false) {
+		p.Await()
+	}
+	req := &Request{}
+	if op.sr != nil {
+		req.done = op.sr.done
+	}
+	return req
 }
 
-// send starts a send — Send, SendMsg, Isend and Sendrecv all go through
-// here — and returns the event that completes it, nil for an eager send: an
-// mpi-eager helper puts its payload on the wire, so it is complete already.
-// A buffered send (owned false) puts a staging copy of buf on the wire, so
-// the caller may reuse buf once the send completes — for a rendezvous, on
-// injection, before the receiver has the data; an owned one puts buf
-// itself on the wire.
-func (r *Rank) send(p *sim.Proc, buf []byte, dst, tag int, owned bool) *sim.Event {
-	if dst < 0 || dst >= len(r.w.ranks) {
-		panic(fmt.Sprintf("mpi: send to bad rank %d", dst))
+// SendOp is the progress of a send driven as a step machine — Send and
+// SendMsg drive one with Proc.Await, and a stackless proc steps one itself
+// (SendMsgStep). The zero value is a send not yet started; the message and
+// its destination are the caller's, passed to every step.
+type SendOp struct {
+	phase uint8
+	// sr is a rendezvous send's request, once its RTS is built.
+	sr *sendReq
+}
+
+// The phases of a SendOp.
+const (
+	sendCall uint8 = iota // the library call's overhead
+	sendPost              // inject the eager payload, or send the RTS
+	sendRTS               // the RTS's outbound cost is paid
+	sendWait              // wait for the rendezvous data to go
+)
+
+// SendMsgStep is SendMsg's step form: it advances op, a take-ownership
+// send of buf to rank dst with tag, on p and reports whether the send is
+// complete; if it is not, it has registered p's next wake, after which p
+// calls it again with the same arguments. The call overhead, an eager
+// injection (an mpi-eager helper puts the payload on the wire, so the send
+// is complete once it is spawned), a rendezvous's RTS (Node.SendStep, then
+// Sent) and the wait for its data take the slots they take in SendMsg,
+// which is this form driven by Await.
+func (r *Rank) SendMsgStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int) bool {
+	return r.sendStep(p, op, buf, dst, tag, true, true)
+}
+
+// sendStep advances any send, stopping once it is posted when wait is
+// false (Isend, Sendrecv). A buffered send (owned false) puts a staging
+// copy of buf on the wire, so the caller may reuse buf once the send
+// completes — for a rendezvous, on injection, before the receiver has the
+// data; an owned one puts buf itself on the wire.
+func (r *Rank) sendStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int, owned, wait bool) bool {
+	switch op.phase {
+	case sendCall:
+		if dst < 0 || dst >= len(r.w.ranks) {
+			panic(fmt.Sprintf("mpi: send to bad rank %d", dst))
+		}
+		if tag < 0 {
+			panic("mpi: negative user tag")
+		}
+		op.phase = sendPost
+		p.SleepStep(r.jit.Scale(r.w.cfg.CallOverhead))
+		return false
+	case sendPost:
+		r.nextSeq++
+		seq := r.nextSeq
+		data := buf
+		if !owned {
+			data = r.stagingPool().Get(len(buf))
+			copy(data, buf)
+		}
+		nd := r.w.net.Node(r.node)
+		if len(buf) <= r.w.cfg.EagerLimit {
+			env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data}
+			nd.Inject("mpi-eager", r.id, r.w.nodeOf[dst], headerBytes+len(data), env)
+			return true
+		}
+		sr := &sendReq{from: r, data: data, dst: dst, tag: tag, seq: seq, done: r.sim.NewEventID(r.sendPrefix, dst)}
+		r.pendingSends[seq] = sr
+		rts := &envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
+		sr.pkt = nd.SendStep(p, r.w.nodeOf[dst], headerBytes, rts)
+		op.sr, op.phase = sr, sendRTS
+		return false
+	case sendRTS:
+		r.w.net.Node(r.node).Sent(p, op.sr.pkt)
+		op.sr.pkt = nil
+		op.phase = sendWait
 	}
-	if tag < 0 {
-		panic("mpi: negative user tag")
-	}
-	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
-	r.nextSeq++
-	seq := r.nextSeq
-	data := buf
-	if !owned {
-		data = r.stagingPool().Get(len(buf))
-		copy(data, buf)
-	}
-	if len(buf) <= r.w.cfg.EagerLimit {
-		env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data}
-		r.w.net.Node(r.node).Inject("mpi-eager", r.id, r.w.nodeOf[dst], headerBytes+len(data), env)
-		return nil
-	}
-	done := r.sim.NewEventID(r.sendPrefix, dst)
-	r.pendingSends[seq] = &sendReq{from: r, data: data, dst: dst, tag: tag, seq: seq, done: done}
-	rts := &envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
-	r.w.net.Node(r.node).Send(p, r.w.nodeOf[dst], headerBytes, rts)
-	return done
+	return !wait || op.sr.done.WaitStep(p)
 }
 
 // Irecv starts a nonblocking receive into buf from rank src (or AnySource)
 // with the given tag (or AnyTag).
 func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
-	rr := r.newRecv(p, &recvReq{buf: buf, src: src, tag: tag})
-	return &Request{rr: rr}
+	op := &RecvOp{r: r, rr: recvReq{buf: buf, src: src, tag: tag}}
+	for !op.step(p, false) {
+		p.Await()
+	}
+	return &Request{rr: &op.rr}
 }
 
-// newRecv charges the call, gives rr its completion event and matches it
-// against the unexpected queue or parks it on the posted list: the one way
-// a receive — Irecv, Recv, RecvMsg — is posted.
-func (r *Rank) newRecv(p *sim.Proc, rr *recvReq) *recvReq {
-	if rr.src != AnySource && (rr.src < 0 || rr.src >= len(r.w.ranks)) {
-		panic(fmt.Sprintf("mpi: receive from bad rank %d", rr.src))
-	}
-	p.Sleep(r.jit.Scale(r.w.cfg.CallOverhead))
-	rr.done = r.sim.NewEventID(r.recvPrefix, rr.src)
-	if env := r.takeUnexpected(rr); env != nil {
-		switch env.kind {
-		case kindEager:
+// RecvOp is a receive in progress as a step machine — Recv and RecvMsg are
+// one driven by Step and Proc.Await, and a stackless proc steps one itself.
+// Posting it charges the call, gives the receive its completion event and
+// matches it against the unexpected queue or parks it on the posted list:
+// the one way a receive is posted.
+type RecvOp struct {
+	rr    recvReq
+	r     *Rank
+	phase uint8
+	// cts is the clear-to-send answering an unexpected RTS, while its
+	// outbound cost is paid.
+	cts *fabric.Packet
+}
+
+// The phases of a RecvOp.
+const (
+	recvCall uint8 = iota // the library call's overhead
+	recvPost              // match the unexpected queue, or post
+	recvCTS               // a CTS's outbound cost is paid
+	recvWait              // wait for the message
+)
+
+// RecvMsgOp returns the step form of RecvMsg(p, src, tag).
+func (r *Rank) RecvMsgOp(src, tag int) RecvOp {
+	return RecvOp{r: r, rr: recvReq{src: src, tag: tag, take: true}}
+}
+
+// Step advances the receive on p and reports whether it is complete; if it
+// is not, it has registered p's next wake, after which p calls Step again.
+// Its wakes take the slots RecvMsg's take, which is this op driven by Step
+// and Await.
+func (op *RecvOp) Step(p *sim.Proc) bool { return op.step(p, true) }
+
+// step is Step, stopping once the receive is posted when wait is false
+// (Irecv, Sendrecv).
+func (op *RecvOp) step(p *sim.Proc, wait bool) bool {
+	r, rr := op.r, &op.rr
+	switch op.phase {
+	case recvCall:
+		if rr.src != AnySource && (rr.src < 0 || rr.src >= len(r.w.ranks)) {
+			panic(fmt.Sprintf("mpi: receive from bad rank %d", rr.src))
+		}
+		op.phase = recvPost
+		p.SleepStep(r.jit.Scale(r.w.cfg.CallOverhead))
+		return false
+	case recvPost:
+		rr.done = r.sim.NewEventID(r.recvPrefix, rr.src)
+		op.phase = recvWait
+		env := r.takeUnexpected(rr)
+		switch {
+		case env == nil:
+			r.posted = append(r.posted, rr)
+		case env.kind == kindEager:
 			r.deliver(rr, env)
-		case kindRTS:
+		case env.kind == kindRTS:
 			r.bound[env.seq] = rr
-			r.w.net.Node(r.node).Send(p, r.w.nodeOf[env.src], headerBytes, cts(env))
+			op.cts = r.w.net.Node(r.node).SendStep(p, r.w.nodeOf[env.src], headerBytes, cts(env))
+			op.phase = recvCTS
+			return false
 		default:
 			panic("mpi: bad kind in unexpected queue")
 		}
-		return rr
+	case recvCTS:
+		r.w.net.Node(r.node).Sent(p, op.cts)
+		op.cts = nil
+		op.phase = recvWait
 	}
-	r.posted = append(r.posted, rr)
-	return rr
+	return !wait || rr.done.WaitStep(p)
 }
 
-// await blocks p until rr completes. A proc that unwinds first — killed
-// with its simulated tenant — takes its posted receive with it, so nothing
-// is left for takePosted to scan or for a later frame to land in.
-func (r *Rank) await(p *sim.Proc, rr *recvReq) {
-	defer func() {
-		if !rr.done.Fired() {
-			if i := slices.Index(r.posted, rr); i >= 0 {
-				r.posted = slices.Delete(r.posted, i, i+1)
-			}
-		}
-	}()
-	rr.done.Wait(p)
+// Result returns a completed receive's status, the payload a
+// take-ownership receive (RecvMsgOp) was handed, and its error.
+func (op *RecvOp) Result() (Status, []byte, error) { return op.rr.stat, op.rr.buf, op.rr.err }
+
+// Drop takes the receive off the posted list unless it has completed: what
+// a proc that ends before its receive does — killed with its simulated
+// tenant — must do, so that nothing is left for takePosted to scan or for a
+// later frame to land in.
+func (op *RecvOp) Drop() {
+	rr := &op.rr
+	if rr.done == nil || rr.done.Fired() {
+		return
+	}
+	if i := slices.Index(op.r.posted, rr); i >= 0 {
+		op.r.posted = slices.Delete(op.r.posted, i, i+1)
+	}
+}
+
+// await drives op to its end on p, dropping it if p unwinds first.
+func (r *Rank) await(p *sim.Proc, op *RecvOp) {
+	defer op.Drop()
+	for !op.Step(p) {
+		p.Await()
+	}
 }
 
 // Send is a blocking send (Isend + Wait); an eager one waits for nothing,
 // so it builds no request. It reports no error.
 func (r *Rank) Send(p *sim.Proc, buf []byte, dst, tag int) error {
-	return r.sendWait(p, buf, dst, tag, false)
+	var op SendOp
+	for !r.sendStep(p, &op, buf, dst, tag, false, true) {
+		p.Await()
+	}
+	return nil
 }
 
 // SendMsg is a take-ownership blocking send, the send-side twin of RecvMsg:
@@ -108,21 +222,18 @@ func (r *Rank) Send(p *sim.Proc, buf []byte, dst, tag int) error {
 // wire — no eager copy, no rendezvous snapshot — until the receiver takes
 // it (RecvMsg) or releases it (Recv). Modeled costs and timing are Send's.
 func (r *Rank) SendMsg(p *sim.Proc, buf []byte, dst, tag int) error {
-	return r.sendWait(p, buf, dst, tag, true)
-}
-
-func (r *Rank) sendWait(p *sim.Proc, buf []byte, dst, tag int, owned bool) error {
-	if done := r.send(p, buf, dst, tag, owned); done != nil {
-		done.Wait(p)
+	var op SendOp
+	for !r.SendMsgStep(p, &op, buf, dst, tag) {
+		p.Await()
 	}
 	return nil
 }
 
 // Recv is a blocking receive.
 func (r *Rank) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
-	rr := r.newRecv(p, &recvReq{buf: buf, src: src, tag: tag})
-	r.await(p, rr)
-	return rr.stat, rr.err
+	op := RecvOp{r: r, rr: recvReq{buf: buf, src: src, tag: tag}}
+	r.await(p, &op)
+	return op.rr.stat, op.rr.err
 }
 
 // RecvMsg is a take-ownership blocking receive: instead of copying the
@@ -132,18 +243,21 @@ func (r *Rank) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 // slice must be released to the world's Pool when the caller is done with
 // it (it may be nil for zero-length messages; releasing nil is a no-op).
 func (r *Rank) RecvMsg(p *sim.Proc, src, tag int) (Status, []byte, error) {
-	rr := r.newRecv(p, &recvReq{src: src, tag: tag, take: true})
-	r.await(p, rr)
-	return rr.stat, rr.data, rr.err
+	op := r.RecvMsgOp(src, tag)
+	r.await(p, &op)
+	return op.Result()
 }
 
 // Sendrecv posts a send and a receive simultaneously and waits for both —
 // the deadlock-free exchange primitive.
 func (r *Rank) Sendrecv(p *sim.Proc, sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
-	rr := r.newRecv(p, &recvReq{buf: recvBuf, src: src, tag: recvTag})
+	op := RecvOp{r: r, rr: recvReq{buf: recvBuf, src: src, tag: recvTag}}
+	for !op.step(p, false) {
+		p.Await()
+	}
 	r.Send(p, sendBuf, dst, sendTag)
-	r.await(p, rr)
-	return rr.stat, rr.err
+	r.await(p, &op)
+	return op.rr.stat, op.rr.err
 }
 
 // SendrecvReplace exchanges buf with a partner in place, the primitive

@@ -40,9 +40,17 @@
 // the bill: a stackless turn costs a function call where a stackful one
 // costs a coroutine switch each way and keeps a goroutine stack for the GC
 // to scan. Kill and shutdown give back what a stackless proc holds (a
-// Resource unit in service or granted), as a stackful proc's unwinding
-// does, and a panic in a step is its own proc's failure. Stats counts both
-// kinds' turns.
+// Resource unit in service or granted, and what its argument holds, a
+// Dropper), as a stackful proc's unwinding does, and a panic in a step is
+// its own proc's failure. Stats counts both kinds' turns.
+//
+// One body, two hosts: a layer above that must run one body on either kind
+// writes it once, as a step function over step forms. Stackless, each form
+// registers a wake and the step returns; on a stackful proc the same step
+// runs in a loop that calls Await after every step that registered a wake
+// — step form plus Await, the way the blocking primitives are made — so
+// both hosts take the same slots. No blocking copy of such a body is kept
+// beside it.
 //
 // There is one event loop. New builds a Sim and Run drives it; a sharded
 // simulation (NewSharded, shard.go) is several Sims whose windows the
@@ -200,10 +208,10 @@ func (p *Proc) Name() string { return p.ident.String() }
 // Sim returns the simulation this Proc belongs to.
 func (p *Proc) Sim() *Sim { return p.sim }
 
-// Arg returns the argument the Proc was spawned with by SpawnID or
-// PostArrival, nil for the other spawns. A
-// per-message helper is a static function that finds its work here, so
-// spawning one allocates no closure.
+// Arg returns the argument the Proc was spawned with by SpawnID,
+// SpawnDaemonID, SpawnStep, SpawnStepDaemon or PostArrival, nil for the
+// other spawns. A per-message helper is a static function that finds its
+// work here, so spawning one allocates no closure.
 func (p *Proc) Arg() any { return p.arg }
 
 // Now returns the current virtual time.
@@ -269,10 +277,11 @@ type Sim struct {
 	// idleAt of any shard) is the same whoever hosts it, on any shard count.
 	idleAt int64
 
-	// spawns, resumes and steps are the self-counters Stats reports, and
-	// kinds their split by proc kind for the procs that have finished.
-	spawns, resumes, steps uint64
-	kinds                  map[string]*KindStats
+	// spawns, resumes, steps and workers are the self-counters Stats
+	// reports, and kinds their split by proc kind for the procs that have
+	// finished.
+	spawns, resumes, steps, workers uint64
+	kinds                           map[string]*KindStats
 }
 
 // New creates an empty simulation with the virtual clock at zero.
@@ -312,9 +321,10 @@ func (s *Sim) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return s.spawn(ident{name: name, id: noID}, fn, nil, true, false)
 }
 
-// SpawnDaemonID is SpawnDaemon with a lazily-formatted "prefix:id" name.
-func (s *Sim) SpawnDaemonID(prefix string, id int, fn func(p *Proc)) *Proc {
-	return s.spawn(ident{name: prefix, id: id}, fn, nil, true, false)
+// SpawnDaemonID is SpawnDaemon with a lazily-formatted "prefix:id" name
+// and an argument the Proc reads with Arg.
+func (s *Sim) SpawnDaemonID(prefix string, id int, fn func(p *Proc), arg any) *Proc {
+	return s.spawn(ident{name: prefix, id: id}, fn, arg, true, false)
 }
 
 // SpawnStep is SpawnID for a stackless proc: one with no stack of its own,
@@ -330,10 +340,19 @@ func (s *Sim) SpawnStep(prefix string, id int, step func(p *Proc), arg any) *Pro
 	return s.spawn(ident{name: prefix, id: id}, step, arg, false, true)
 }
 
-// SpawnStepDaemon is SpawnStep for a daemon, with no argument.
-func (s *Sim) SpawnStepDaemon(prefix string, id int, step func(p *Proc)) *Proc {
-	return s.spawn(ident{name: prefix, id: id}, step, nil, true, true)
+// SpawnStepDaemon is SpawnStep for a daemon.
+func (s *Sim) SpawnStepDaemon(prefix string, id int, step func(p *Proc), arg any) *Proc {
+	return s.spawn(ident{name: prefix, id: id}, step, arg, true, true)
 }
+
+// Dropper is implemented by a proc's argument that holds something outside
+// the simulator's own primitives — a receive posted to a library's matching
+// list. Kill, Group.Kill and shutdown call Drop on the argument of every
+// proc they end, and so does a panic in a stackless proc's step: it is how
+// a stackless proc, which has no stack to unwind and so no defers, gives
+// such things back. A stackful proc whose argument is a Dropper is told
+// too, before its defers run.
+type Dropper interface{ Drop() }
 
 func (s *Sim) spawn(name ident, fn func(p *Proc), arg any, daemon, stackless bool) *Proc {
 	s.spawns++
@@ -524,6 +543,9 @@ type Stats struct {
 	// Resumes counts the turns of stackful procs — every time one took the
 	// baton, its start included — and Steps the turns of stackless ones.
 	Resumes, Steps uint64
+	// Workers counts the coroutine workers started: the goroutine stacks
+	// the run has had for the garbage collector to scan.
+	Workers uint64
 	// PeakTimers is the deepest the timer heap has been.
 	PeakTimers int
 	// Kinds splits the counts by proc kind, a proc's name up to its first
@@ -533,7 +555,7 @@ type Stats struct {
 
 // Stats returns the simulation's self-counters so far.
 func (s *Sim) Stats() Stats {
-	st := Stats{Spawns: s.spawns, Resumes: s.resumes, Steps: s.steps, PeakTimers: s.timers.peak, Kinds: map[string]KindStats{}}
+	st := Stats{Spawns: s.spawns, Resumes: s.resumes, Steps: s.steps, Workers: s.workers, PeakTimers: s.timers.peak, Kinds: map[string]KindStats{}}
 	for name, k := range s.kinds {
 		st.Kinds[name] = *k
 	}
@@ -548,6 +570,7 @@ func (st *Stats) Add(o Stats) {
 	st.Spawns += o.Spawns
 	st.Resumes += o.Resumes
 	st.Steps += o.Steps
+	st.Workers += o.Workers
 	st.PeakTimers = max(st.PeakTimers, o.PeakTimers)
 	if st.Kinds == nil {
 		st.Kinds = map[string]KindStats{}
@@ -631,9 +654,12 @@ func (p *Proc) proceed() bool {
 }
 
 // drop gives back what p holds as it is killed, as its unwinding would
-// have: a Resource unit in service, or permits that Release granted it and
-// that it has not run to take.
+// have: a Resource unit in service, permits that Release granted it and
+// that it has not run to take, and whatever its argument holds (Dropper).
 func (p *Proc) drop() {
+	if d, ok := p.arg.(Dropper); ok {
+		d.Drop()
+	}
 	n := 1
 	switch p.blockKind {
 	case parkSemaphore:
@@ -917,6 +943,7 @@ func (s *Sim) resumeFrom(p *Proc) (rest *Proc) {
 				p.w.p = p
 			} else {
 				p.w = newWorker(p)
+				s.workers++
 			}
 		}
 		p.w.resume()

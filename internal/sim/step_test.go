@@ -159,15 +159,15 @@ func TestStacklessKill(t *testing.T) {
 	}{
 		{"waiting", func(w *world, g *Group) int {
 			w.s.SpawnDaemon("holder", func(p *Proc) { w.res.Use(p, 2*d) })
-			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, d) }) })
+			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, d) }, nil) })
 			return 1
 		}, nil},
 		{"granted", func(w *world, g *Group) int {
-			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, d) }) })
+			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, d) }, nil) })
 			return 0 // the trigger's own Use grants the victim its unit
 		}, nil},
 		{"held", func(w *world, g *Group) int {
-			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, 4*d) }) })
+			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, 4*d) }, nil) })
 			return 1
 		}, nil},
 		{"queue", func(w *world, g *Group) int {
@@ -177,7 +177,7 @@ func TestStacklessKill(t *testing.T) {
 					if w.q.GetStep(p, &v) {
 						t.Errorf("victim got %d", v)
 					}
-				})
+				}, nil)
 			})
 			return 1
 		}, func(t *testing.T, w *world, p *Proc) {
@@ -193,7 +193,7 @@ func TestStacklessKill(t *testing.T) {
 						t.Error("killed victim took another step")
 					}
 					w.ev.WaitStep(p)
-				})
+				}, nil)
 			})
 			return 1
 		}, func(t *testing.T, w *world, p *Proc) { w.ev.Fire() }},
@@ -316,8 +316,9 @@ func TestDeadlockListsStacklessProcs(t *testing.T) {
 }
 
 // TestStats: the self-counters count spawns, resumes of stackful procs and
-// steps of stackless ones, by kind too, and the timer heap's peak; a
-// Sharded sums its shards'.
+// steps of stackless ones, by kind too, the workers started (one for each
+// shard's stackful sleeper) and the timer heap's peak; a Sharded sums its
+// shards'.
 func TestStats(t *testing.T) {
 	sc := NewSharded(2)
 	sc.SetLookahead(time.Microsecond)
@@ -329,13 +330,13 @@ func TestStats(t *testing.T) {
 				p.SleepStep(time.Microsecond)
 			}
 		}, nil)
-		s.SpawnStepDaemon("daemon", i, func(p *Proc) { p.SleepStep(time.Hour) })
+		s.SpawnStepDaemon("daemon", i, func(p *Proc) { p.SleepStep(time.Hour) }, nil)
 	}
 	if err := sc.Run(); err != nil {
 		t.Fatal(err)
 	}
 	st := sc.Stats()
-	want := Stats{Spawns: 6, Resumes: 6, Steps: 6, PeakTimers: 3, Kinds: map[string]KindStats{
+	want := Stats{Spawns: 6, Resumes: 6, Steps: 6, Workers: 2, PeakTimers: 3, Kinds: map[string]KindStats{
 		"sleeper": {Spawns: 2, Resumes: 6}, "stepper": {Spawns: 2, Steps: 4}, "daemon": {Spawns: 2, Steps: 2}}}
 	if fmt.Sprint(st) != fmt.Sprint(want) {
 		t.Errorf("stats %+v, want %+v", st, want)

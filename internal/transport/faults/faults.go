@@ -18,6 +18,11 @@
 // hash of (Config.Seed, per-endpoint collective call counter), which every
 // node computes identically because every node executes the same sequence
 // of node-level collectives.
+//
+// Over a transport with step forms (simmpi.Steps) the middleware forwards
+// them (Steps, SendStep, RecvStep), drawing each decision at the point its
+// blocking call draws it, so a stackless sender or receiver meets the same
+// faults as a blocking one.
 package faults
 
 import (
@@ -27,7 +32,9 @@ import (
 	"time"
 
 	"dcgn/internal/bufpool"
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
+	"dcgn/internal/transport/simmpi"
 )
 
 // Config holds the fault probabilities. The zero value injects nothing.
@@ -97,6 +104,8 @@ type Endpoint struct {
 	heldOSDst int
 	collCalls uint64
 	stats     transport.FaultStats
+	// step is the inner transport's step forms, nil when it has none.
+	step simmpi.Stepper
 }
 
 // New wraps inner with fault injection for the given node, whose frames
@@ -110,6 +119,7 @@ func New(inner transport.Transport, cfg Config, node int, pool *bufpool.Pool) *E
 		node:  node,
 		pool:  pool,
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(node)<<17 ^ 0x5bd1e995)),
+		step:  simmpi.Steps(inner),
 	}
 }
 
@@ -123,18 +133,28 @@ func (e *Endpoint) FaultStats() transport.FaultStats {
 // roll draws one Bernoulli decision; callers hold e.mu.
 func (e *Endpoint) roll(p float64) bool { return p > 0 && e.rng.Float64() < p }
 
-// sendFaulty applies drop/dup/reorder to msg, then forwards the survivors
-// through send, which owns each buffer it is given. Fault decisions apply
-// to the primary message only; a flushed (previously held) message and the
+// survivors are what is left of one message once its fault decisions are
+// drawn: the message itself unless it was dropped or held back, then its
+// duplicate, then the lane's held message flushed behind it; nil slices are
+// sends that do not happen.
+type survivors struct {
+	msg, twin, flush []byte
+	flushDst         int
+}
+
+// draw makes msg's drop/dup/reorder decisions. Fault decisions apply to
+// the primary message only; a flushed (previously held) message and the
 // duplicate are sent as-is, so at most one message is ever parked per lane
 // (held/heldDst point at the lane's slot in the endpoint, guarded by mu).
-func (e *Endpoint) sendFaulty(p transport.Proc, dstNode int, msg []byte, held *[]byte, heldDst *int, send func(transport.Proc, int, []byte) error) error {
+// The duplicate and the flushed message are pooled copies, for the inner
+// transport to own.
+func (e *Endpoint) draw(dstNode int, msg []byte, held *[]byte, heldDst *int) (sv survivors) {
 	e.mu.Lock()
 	if e.roll(e.cfg.Drop) {
 		e.stats.Drops++
 		e.mu.Unlock()
 		e.pool.Put(msg)
-		return nil // "sent" into the void; reliability retransmits
+		return sv // "sent" into the void; reliability retransmits
 	}
 	dup := e.roll(e.cfg.Dup)
 	if dup {
@@ -151,31 +171,43 @@ func (e *Endpoint) sendFaulty(p transport.Proc, dstNode int, msg []byte, held *[
 		*heldDst = dstNode
 		e.mu.Unlock()
 		e.pool.Put(msg)
+		return sv
+	}
+	flush := *held
+	sv.flushDst = *heldDst
+	*held = nil
+	e.mu.Unlock()
+	sv.msg = msg
+	if dup {
+		sv.twin = e.pooled(msg)
+	}
+	if flush != nil {
+		sv.flush = e.pooled(flush)
+	}
+	return sv
+}
+
+// sendFaulty applies drop/dup/reorder to msg, then forwards the survivors
+// through send, which owns each buffer it is given, and releases the ones
+// a failed send leaves unsent.
+func (e *Endpoint) sendFaulty(p transport.Proc, dstNode int, msg []byte, held *[]byte, heldDst *int, send func(transport.Proc, int, []byte) error) error {
+	sv := e.draw(dstNode, msg, held, heldDst)
+	if sv.msg == nil {
 		return nil
 	}
-	var flush []byte
-	var flushDst int
-	if *held != nil {
-		flush, flushDst = *held, *heldDst
-		*held = nil
-	}
-	e.mu.Unlock()
-
-	var twin []byte
-	if dup {
-		twin = e.pooled(msg) // before send: msg is the inner transport's after
-	}
-	if err := send(p, dstNode, msg); err != nil {
-		e.pool.Put(twin)
+	if err := send(p, dstNode, sv.msg); err != nil {
+		e.pool.Put(sv.twin)
+		e.pool.Put(sv.flush)
 		return err
 	}
-	if dup {
-		if err := send(p, dstNode, twin); err != nil {
+	if sv.twin != nil {
+		if err := send(p, dstNode, sv.twin); err != nil {
+			e.pool.Put(sv.flush)
 			return err
 		}
 	}
-	if flush != nil {
-		return send(p, flushDst, e.pooled(flush))
+	if sv.flush != nil {
+		return send(p, sv.flushDst, sv.flush)
 	}
 	return nil
 }
@@ -207,17 +239,73 @@ func (e *Endpoint) recvFaulty(p transport.Proc, msg []byte, err error) ([]byte, 
 	if err != nil {
 		return msg, err
 	}
-	e.mu.Lock()
-	var d time.Duration
-	if e.roll(e.cfg.Delay) {
-		e.stats.Delays++
-		d = time.Duration(1 + e.rng.Int63n(int64(e.cfg.maxDelay())))
-	}
-	e.mu.Unlock()
-	if d > 0 {
+	if d := e.delay(); d > 0 {
 		sleepFor(p, d)
 	}
 	return msg, nil
+}
+
+// delay draws the latency injected on one received message: zero, or with
+// probability Config.Delay up to the configured bound.
+func (e *Endpoint) delay() time.Duration {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.roll(e.cfg.Delay) {
+		return 0
+	}
+	e.stats.Delays++
+	return time.Duration(1 + e.rng.Int63n(int64(e.cfg.maxDelay())))
+}
+
+// Steps returns the endpoint's step forms when the transport it wraps has
+// them (simmpi.Steps), nil otherwise.
+func (e *Endpoint) Steps() simmpi.Stepper {
+	if e.step == nil {
+		return nil
+	}
+	return e
+}
+
+// SendStep is the step form of Send and SendOneSided: it draws op's fault
+// decisions on its first step, queues the duplicate and any flushed message
+// behind op's own frame, and forwards the op; a dropped or held-back frame
+// completes the op at once.
+func (e *Endpoint) SendStep(p *sim.Proc, op *simmpi.SendOp) bool {
+	if op.Mid == 0 {
+		op.Mid = 1
+		held, heldDst := &e.held, &e.heldDst
+		if op.OneSided {
+			held, heldDst = &e.heldOS, &e.heldOSDst
+		}
+		sv := e.draw(op.Dst, op.Msg, held, heldDst)
+		if sv.msg == nil {
+			return true
+		}
+		if sv.twin != nil {
+			op.Then(op.Dst, sv.twin)
+		}
+		if sv.flush != nil {
+			op.Then(sv.flushDst, sv.flush)
+		}
+	}
+	return e.step.SendStep(p, op)
+}
+
+// RecvStep is the step form of RecvMsg and RecvOneSided: the inner
+// receive, then the injected latency, if one is drawn, as p's next wake.
+func (e *Endpoint) RecvStep(p *sim.Proc, op *simmpi.RecvOp) bool {
+	if op.Mid != 0 {
+		return true // the delay is over
+	}
+	if !e.step.RecvStep(p, op) {
+		return false
+	}
+	if d := e.delay(); d > 0 {
+		op.Mid = 1
+		p.SleepStep(d)
+		return false
+	}
+	return true
 }
 
 // RecvMsg forwards the inner receive, injecting latency on delivery with

@@ -12,6 +12,13 @@
 // the calling *sim.Proc, so the virtual-time behavior of a job using this
 // backend is bit-identical to an engine calling mpi.Rank directly — the
 // property the golden determinism suite pins.
+//
+// An Endpoint's two lanes also have step forms (Stepper): Send and RecvMsg,
+// and their one-sided twins, as ops a stackless proc advances a step at a
+// time (SendOp, RecvOp), over the rank's mpi.SendOp and mpi.RecvOp. The
+// blocking calls are those ops driven by Step and Await, so a caller on
+// either form takes the same slots of the schedule. A middleware forwards
+// the forms by implementing them too (Steps).
 package simmpi
 
 import (
@@ -181,10 +188,117 @@ func (e *Endpoint) Alltoallv(p transport.Proc, sendBuf []byte, sendCounts []int,
 	return e.g.comm.Alltoallv(proc(p), e.rank, sendBuf, sendCounts, recvBuf, recvCounts)
 }
 
+// Stepper is an endpoint with step forms of its lanes' sends and receives.
+// Each advances its op on p and reports whether the op is complete; if it
+// is not, it has registered p's next wake, after which the caller calls it
+// again with the same op. A step-form send or receive cannot fail.
+type Stepper interface {
+	SendStep(p *sim.Proc, op *SendOp) bool
+	RecvStep(p *sim.Proc, op *RecvOp) bool
+}
+
+// Steps returns tr's step forms, nil when it has none: an Endpoint has
+// them, and a middleware that forwards them (faults) has them when what it
+// wraps has. A transport that only embeds another hides them.
+func Steps(tr transport.Transport) Stepper {
+	if s, ok := tr.(interface{ Steps() Stepper }); ok {
+		return s.Steps()
+	}
+	return nil
+}
+
+// Steps returns the endpoint itself: it has the step forms.
+func (e *Endpoint) Steps() Stepper { return e }
+
+// SendOp is one step-form send (SendStep) in progress: a frame (Msg,
+// whose buffer the transport owns from the op's first step) to its
+// job-local node, on the point-to-point lane or the one-sided one, then
+// whatever a middleware queued behind it (Then), each put on the wire once
+// the one before it is. Dst and Msg are the frame being sent: the op's
+// own, until a queued one's turn.
+type SendOp struct {
+	Dst      int
+	Msg      []byte
+	OneSided bool
+	// Mid is a middleware's own progress through the op; the endpoint
+	// never reads it.
+	Mid  uint8
+	wire mpi.SendOp
+	then *SendOp
+}
+
+// Then queues a send of msg to dstNode, on the op's lane, behind the op's
+// own frame and whatever was queued before it. Call it before the op's
+// first step.
+func (op *SendOp) Then(dstNode int, msg []byte) {
+	for ; op.then != nil; op = op.then {
+	}
+	op.then = &SendOp{Dst: dstNode, Msg: msg}
+}
+
+// RecvOp is one step-form receive (RecvStep) of the next frame on a lane,
+// reused from one frame to the next (Take).
+type RecvOp struct {
+	OneSided bool
+	started  bool
+	// Mid is a middleware's own progress through the op; the endpoint
+	// never reads it.
+	Mid  uint8
+	wire mpi.RecvOp
+}
+
+// Take returns the frame a completed op received, whose buffer now belongs
+// to the caller, and readies the op for the next receive.
+func (op *RecvOp) Take() []byte {
+	_, msg, _ := op.wire.Result()
+	op.started, op.Mid = false, 0
+	return msg
+}
+
+// Drop takes the op's receive off the rank's posted list unless it has
+// completed: what a proc that ends with the op unfinished must do.
+func (op *RecvOp) Drop() {
+	if op.started {
+		op.wire.Drop()
+	}
+}
+
+// tag returns the group's tag for a lane.
+func (g *Group) tag(oneSided bool) int {
+	if oneSided {
+		return g.osTag
+	}
+	return g.p2pTag
+}
+
+// SendStep is the step form of Send and SendOneSided: each frame of op
+// goes out as mpi's SendMsgStep.
+func (e *Endpoint) SendStep(p *sim.Proc, op *SendOp) bool {
+	for e.rank.SendMsgStep(p, &op.wire, op.Msg, e.g.placement[op.Dst], e.g.tag(op.OneSided)) {
+		next := op.then
+		if next == nil {
+			return true
+		}
+		op.Dst, op.Msg, op.wire, op.then = next.Dst, next.Msg, mpi.SendOp{}, next.then
+	}
+	return false
+}
+
+// RecvStep is the step form of RecvMsg and RecvOneSided: mpi's RecvMsgOp
+// from any source on the lane's tag.
+func (e *Endpoint) RecvStep(p *sim.Proc, op *RecvOp) bool {
+	if !op.started {
+		op.wire = e.rank.RecvMsgOp(mpi.AnySource, e.g.tag(op.OneSided))
+		op.started = true
+	}
+	return op.wire.Step(p)
+}
+
 // Close does nothing and wakes no one: a simulated endpoint has no state of
 // its own to shut, and a proc blocked in its RecvMsg or RecvOneSided ends
 // when the simulator kills it — with its tenant's proc group (sim.Group)
 // when a Runtime retires or cancels the job, with everything else when the
-// run ends — unposting its receive from the rank as it unwinds. The world
-// underneath is shared and outlives every tenant.
+// run ends — unposting its receive from the rank as it unwinds, or, a
+// stackless receiver, through its RecvOp's Drop. The world underneath is
+// shared and outlives every tenant.
 func (e *Endpoint) Close() error { return nil }
