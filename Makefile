@@ -59,9 +59,11 @@ race:
 
 # Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
 # every lane layout, starting from the committed corpus
-# (internal/core/testdata/fuzz). (The corpus itself replays in `test`.)
+# (internal/core/testdata/fuzz), and ten at the trace decoder behind
+# loadgen.LoadTrace. (The corpora themselves replay in `test`.)
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUnpackFrame -fuzztime 10s
+	$(GO) test ./internal/loadgen -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s
 
 # Bench smoke: every benchmark runs exactly once so they can't bit-rot.
 bench:
@@ -164,8 +166,13 @@ flows:
 # dcgn-tx, lane receiver, ack and reply helpers, sendrecv join and timer
 # (4750); mpi's send and receive as ops (827); simmpi's and faults' step
 # forms (151, 264); sim's argument drop hook and worker count (1349).
-LOC_CEILINGS = internal/core:4750:41 internal/transport:60:0 internal/transport/faults:264:0 \
-	internal/transport/simmpi:151:2 internal/transport/live:351:2 internal/obs:602:0 \
+# Then lowered by one form per lane call: the step forms are the
+# transport's only sends and receives, so the blocking lane calls, the
+# step-form discovery and faults' second bodies go (core 4740, faults 196,
+# simmpi 109; transport rises to 99 and live to 367 with the ops and forms
+# they now carry), and a bad cluster shape is an error (core 34 panics).
+LOC_CEILINGS = internal/core:4740:34 internal/transport:99:0 internal/transport/faults:196:0 \
+	internal/transport/simmpi:109:2 internal/transport/live:367:2 internal/obs:602:0 \
 	internal/sim:1349:19 internal/fabric:436:16 internal/mpi:827:18 \
 	internal/pcie:58:1 internal/device:279:7 internal/gas:118:3 internal/apps:2006:39 \
 	cmd/dcgn-mandel:118:0

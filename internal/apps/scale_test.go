@@ -9,7 +9,6 @@ import (
 	"dcgn/internal/fabric"
 	"dcgn/internal/sim"
 	"dcgn/internal/transport"
-	"dcgn/internal/transport/simmpi"
 )
 
 // runScale runs ScaleFanout on nodes nodes with the given shard count and
@@ -102,8 +101,9 @@ func TestScaleFanoutDigestsNontrivial(t *testing.T) {
 // simsOf makes cfg's transports record the simulators their sends run on,
 // so that a test can read the engine's self-counters (sim.Stats) after the
 // run: the simulated transport's Proc is the calling *sim.Proc. The spy
-// forwards the transport's step forms, so the engine runs on the hosts it
-// runs on unwrapped.
+// only embeds the transport and overrides its send, so it forwards every
+// form, and the engine runs on the hosts it runs on unwrapped — which
+// TestEngineResumeBudget's zero-resume list checks.
 func simsOf(cfg *core.Config) func() sim.Stats {
 	var mu sync.Mutex // shards send from threads of their own
 	sims := map[*sim.Sim]bool{}
@@ -124,26 +124,9 @@ type simSeer struct {
 	saw func(*sim.Sim)
 }
 
-func (t simSeer) Send(p transport.Proc, dstNode int, msg []byte) error {
+func (t simSeer) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) {
 	t.saw(p.(*sim.Proc).Sim())
-	return t.Transport.Send(p, dstNode, msg)
-}
-
-func (t simSeer) Steps() simmpi.Stepper {
-	if st := simmpi.Steps(t.Transport); st != nil {
-		return stepSeer{st, t.saw}
-	}
-	return nil
-}
-
-type stepSeer struct {
-	simmpi.Stepper
-	saw func(*sim.Sim)
-}
-
-func (t stepSeer) SendStep(p *sim.Proc, op *simmpi.SendOp) bool {
-	t.saw(p.Sim())
-	return t.Stepper.SendStep(p, op)
+	return t.Transport.SendStep(p, op)
 }
 
 // TestEngineResumeBudget is the engine's switch tripwire: the proc resumes

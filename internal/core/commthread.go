@@ -91,12 +91,11 @@ type nodeState struct {
 }
 
 // start spawns the node's communication thread and the two-sided lane's
-// receiver daemon — stackless when the transport has step forms; both run
-// for the life of the application. (The one-sided lane's receiver comes up
-// with the lane, in osRequire.)
+// stackless receiver daemon; both run for the life of the application.
+// (The one-sided lane's receiver comes up with the lane, in osRequire.)
 func (ns *nodeState) start() {
 	ns.rt.SpawnDaemonID("comm", ns.node, ns.runCommThread)
-	ns.rt.SpawnStep("mpi-recv", ns.node, &ns.wire, true, ns.wire.stackless())
+	ns.rt.SpawnStep("mpi-recv", ns.node, &ns.wire, true, true)
 }
 
 // dataHdr is the header length of a two-sided data frame: where its
@@ -140,27 +139,6 @@ func (ns *nodeState) runCommThread(p transport.Proc) {
 			ns.handleInbound(p, msg.in)
 		}
 	}
-}
-
-// twoSidedEnd is the node as the two-sided lane's laneEnd: frames move over
-// the transport's Send/RecvMsg, and an arrival is funneled to the comm
-// thread, which returns the wire buffer to the pool once it has delivered
-// the payload — or hands it to the GPU receive that adopts it.
-type twoSidedEnd nodeState
-
-func (e *twoSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
-	return e.tr.Send(p, dstNode, msg)
-}
-
-func (e *twoSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.tr.RecvMsg(p) }
-
-// deliver charges the relay cost, then posts f to the intake.
-func (e *twoSidedEnd) deliver(p transport.Proc, f frame, again bool) bool {
-	if !again && !sleepStep(p, e.jit, e.job.cfg.Params.RemoteRelayCost) {
-		return false
-	}
-	e.intake.postInbound(&inbound{src: f.src, dst: f.dst, data: f.payload, backing: f.backing, traceID: f.traceID, spanID: f.spanID})
-	return true
 }
 
 // handleRequest routes one local request.

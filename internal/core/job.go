@@ -26,6 +26,9 @@ import (
 type Job struct {
 	cfg  Config
 	rmap RankMap
+	// shapeErr is what is wrong with the configured cluster shape, which
+	// checkRunnable reports; the rank map is empty when it is set.
+	shapeErr error
 
 	// engineEnv is the host's half of the running engine — substrate,
 	// endpoints, pool, clock, wire totals — installed by start: all of a
@@ -33,6 +36,10 @@ type Job struct {
 	// one a Runtime serves every job on.
 	engineEnv
 	nodes []*nodeState
+	// stackful hosts every simulated step machine on a stackful proc that
+	// awaits each wake in place: the host a transport whose forms block in
+	// place needs, set only by tests that compare the two hosts.
+	stackful bool
 
 	cpuKernel func(*CPUCtx)
 
@@ -114,10 +121,23 @@ func (gs *GPUSetup) RegisterTrigger(srcSlot, dst, winID, offset int, ptr device.
 	return len(gt.persist) - 1
 }
 
-// NewJob creates a job for the given cluster configuration.
+// NewJob creates a job for the given cluster configuration. A nonsensical
+// cluster shape — no nodes, a PerNode list of the wrong length, a negative
+// count or shard count, a node with no ranks — is not refused here but
+// reported by Job.Run and Runtime.Submit.
 func NewJob(cfg Config) *Job {
-	cfg.validate()
-	return &Job{cfg: cfg, rmap: NewRankMap(cfg.nodeSpecs())}
+	j := &Job{cfg: cfg}
+	if j.shapeErr = j.cfg.validate(); j.shapeErr != nil {
+		return j
+	}
+	specs := j.cfg.nodeSpecs()
+	for i, s := range specs {
+		if j.shapeErr = s.validate(i); j.shapeErr != nil {
+			return j
+		}
+	}
+	j.rmap = NewRankMap(specs)
+	return j
 }
 
 // Config returns the job configuration.
@@ -314,6 +334,9 @@ func (j *Job) Run() (Report, error) {
 // fail, so no host ever has half-started daemons to unwind. Job.Run and
 // Runtime.Submit both start here.
 func (j *Job) checkRunnable() error {
+	if j.shapeErr != nil {
+		return j.shapeErr
+	}
 	if j.cpuKernel == nil && j.gpuKernel == nil {
 		return fmt.Errorf("dcgn: no kernels installed")
 	}
@@ -383,6 +406,9 @@ func (j *Job) newNodeState(n int) *nodeState {
 		s, jit = j.hosts[n].Sim(), j.hosts[n].Jitter()
 		jit.Seed(j.cfg.JitterFrac, j.cfg.JitterSeed, n)
 		rtv = simRT{s: s} // a 1:1 veneer: no allocation, no behavior of its own
+		if j.stackful {
+			rtv = stackfulRT{simRT{s: s}}
+		}
 	}
 	ns := &nodeState{
 		job:    j,
@@ -396,7 +422,7 @@ func (j *Job) newNodeState(n int) *nodeState {
 	ns.wrapTransport(j.endpoints[n])
 	ns.obsOn = j.trace != nil || j.metrics != nil
 	ns.flowsOn = j.cfg.Flows && j.trace != nil
-	ns.wire.init(ns, (*twoSidedEnd)(ns), false)
+	ns.wire.init(ns, false)
 	ns.coll = newCollAccum(ns)
 	if s != nil {
 		// The device model — PCIe bus, devices, their monitors — exists only

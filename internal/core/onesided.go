@@ -121,25 +121,6 @@ type osState struct {
 	gets      map[uint32]*osGet
 }
 
-// oneSidedEnd is the one-sided engine as its lane's laneEnd: frames move
-// over the transport's one-sided lane, and the sink daemon applies an
-// arrival straight into its window — the progress engine's intake/matcher
-// layers never see this traffic.
-type oneSidedEnd osState
-
-func (e *oneSidedEnd) send(p transport.Proc, dstNode int, msg []byte) error {
-	return e.ns.tr.SendOneSided(p, dstNode, msg)
-}
-
-func (e *oneSidedEnd) recv(p transport.Proc) ([]byte, error) { return e.ns.tr.RecvOneSided(p) }
-
-// deliver dispatches f in place: the one-sided receiver is hosted on a
-// stackful proc, because a window apply blocks in device writes.
-func (e *oneSidedEnd) deliver(p transport.Proc, f frame, _ bool) bool {
-	e.ns.osDispatch(p, &f)
-	return true
-}
-
 // osRequire returns the node's one-sided engine, bringing it up — state,
 // lane and sink daemon — on the node's first one-sided call. Every entry
 // point passes through here, origins included: acks and replies come back
@@ -152,7 +133,7 @@ func (ns *nodeState) osRequire() *osState {
 			windows: make(map[osWinKey]*osWindow),
 			gets:    make(map[uint32]*osGet),
 		}
-		ns.osw.lane.init(ns, (*oneSidedEnd)(ns.osw), true)
+		ns.osw.lane.init(ns, true)
 		ns.rt.SpawnStep("os-recv", ns.node, &ns.osw.lane, true, false)
 	})
 	return ns.osw
@@ -519,7 +500,7 @@ func (ns *nodeState) osServe(p transport.Proc, f *frame) {
 			})
 		}
 	}
-	ns.rt.SpawnStep("os-rep", ns.node, &osReply{ns: ns, dst: ns.job.rmap.Node(f.src), f: rep}, false, ns.osw.lane.stackless())
+	ns.rt.SpawnStep("os-rep", ns.node, &osReply{ns: ns, dst: ns.job.rmap.Node(f.src), f: rep}, false, true)
 }
 
 // osReply is an os-rep helper: the reply frame of a served request, sent

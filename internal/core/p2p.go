@@ -101,7 +101,7 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 		}
 		// The lane owns msg from here: the wire buffer is not ours again.
 		ns.wire.startTx(&tx.tx, dstNode, seq, msg, sentAt)
-		ns.rt.SpawnStep("dcgn-tx", ns.node, tx, false, ns.wire.stackless())
+		ns.rt.SpawnStep("dcgn-tx", ns.node, tx, false, true)
 		return
 	}
 	// Local destination: match a posted receive (FIFO).

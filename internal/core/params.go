@@ -20,6 +20,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"dcgn/internal/device"
@@ -155,8 +157,12 @@ type Config struct {
 	Transport transport.Config
 
 	// WrapTransport, when set, wraps each node's transport endpoint before
-	// the progress engine uses it. It exists for tests: fault injection
-	// (failing collectives, dropping sends) and instrumentation.
+	// the progress engine uses it: a test's instrumentation or targeted
+	// failure. A wrapper that embeds the transport forwards every call it
+	// does not override, step forms included, so the engine's senders and
+	// receivers run on the hosts they run on unwrapped; an override of
+	// SendStep or RecvStep is a step form too and must not block on the
+	// simulator.
 	WrapTransport func(transport.Transport) transport.Transport
 
 	// Faults installs the deterministic fault-injection middleware
@@ -250,30 +256,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// validate panics on nonsensical configurations.
-func (c *Config) validate() {
-	if c.Nodes <= 0 {
-		panic("core: need at least one node")
+// validate fills in the configuration's defaults and reports the first
+// thing wrong with its cluster shape as a whole, nil when there is none;
+// NewJob checks each node's shape (NodeSpec.validate) after it.
+func (c *Config) validate() error {
+	uniform := len(c.PerNode) == 0
+	if uniform && c.GPUs > 0 && c.SlotsPerGPU == 0 {
+		c.SlotsPerGPU = 1 // paper: "each DPM has at least one slot"
 	}
-	if len(c.PerNode) > 0 && len(c.PerNode) != c.Nodes {
-		panic("core: PerNode length must equal Nodes")
-	}
-	if len(c.PerNode) == 0 {
-		if c.CPUKernels < 0 || c.GPUs < 0 || c.SlotsPerGPU < 0 {
-			panic("core: negative resource count")
-		}
-		if c.GPUs > 0 && c.SlotsPerGPU == 0 {
-			c.SlotsPerGPU = 1 // paper: "each DPM has at least one slot"
-		}
-		if c.CPUKernels+c.GPUs*c.SlotsPerGPU == 0 {
-			panic("core: node contributes no ranks")
-		}
+	var err error
+	switch {
+	case c.Nodes <= 0:
+		err = errors.New("dcgn: need at least one node")
+	case !uniform && len(c.PerNode) != c.Nodes:
+		err = fmt.Errorf("dcgn: PerNode has %d nodes, Nodes is %d", len(c.PerNode), c.Nodes)
+	case uniform && (c.CPUKernels < 0 || c.GPUs < 0 || c.SlotsPerGPU < 0):
+		err = errors.New("dcgn: negative resource count")
+	case uniform && c.CPUKernels+c.GPUs*c.SlotsPerGPU == 0:
+		err = errors.New("dcgn: node contributes no ranks")
+	case c.Shards < 0:
+		err = errors.New("dcgn: negative shard count")
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 120 * time.Microsecond
-	}
-	if c.Shards < 0 {
-		panic("core: negative shard count")
 	}
 	if c.Shards > c.Nodes {
 		c.Shards = c.Nodes
@@ -308,6 +313,7 @@ func (c *Config) validate() {
 	if c.Flows {
 		c.Trace = true
 	}
+	return err
 }
 
 // nodeSpecs expands the configuration into per-node shapes.

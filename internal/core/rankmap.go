@@ -19,17 +19,18 @@ type NodeSpec struct {
 // ranks returns how many virtual ranks the node owns.
 func (s NodeSpec) ranks() int { return s.CPUKernels + s.GPUs*s.SlotsPerGPU }
 
-// validate panics on nonsensical node shapes.
-func (s NodeSpec) validate(node int) {
-	if s.CPUKernels < 0 || s.GPUs < 0 || s.SlotsPerGPU < 0 {
-		panic(fmt.Sprintf("core: node %d has negative resource counts", node))
+// validate reports what is nonsensical about a node's shape, nil when
+// nothing is.
+func (s NodeSpec) validate(node int) error {
+	switch {
+	case s.CPUKernels < 0 || s.GPUs < 0 || s.SlotsPerGPU < 0:
+		return fmt.Errorf("dcgn: node %d has negative resource counts", node)
+	case s.GPUs > 0 && s.SlotsPerGPU == 0:
+		return fmt.Errorf("dcgn: node %d has GPUs but zero slots (each DPM has at least one slot)", node)
+	case s.ranks() == 0:
+		return fmt.Errorf("dcgn: node %d contributes no ranks", node)
 	}
-	if s.GPUs > 0 && s.SlotsPerGPU == 0 {
-		panic(fmt.Sprintf("core: node %d has GPUs but zero slots (each DPM has at least one slot)", node))
-	}
-	if s.ranks() == 0 {
-		panic(fmt.Sprintf("core: node %d contributes no ranks", node))
-	}
+	return nil
 }
 
 // RankMap implements the paper's rank-assignment rule (§3.2.3): every node
@@ -44,7 +45,9 @@ type RankMap struct {
 	total int
 }
 
-// NewRankMap builds the assignment for the given per-node shapes.
+// NewRankMap builds the assignment for the given per-node shapes; it
+// panics on a shape that is nonsensical (NewJob reports those as an error
+// from Job.Run and Runtime.Submit instead).
 func NewRankMap(specs []NodeSpec) RankMap {
 	if len(specs) == 0 {
 		panic("core: rank map needs at least one node")
@@ -52,7 +55,9 @@ func NewRankMap(specs []NodeSpec) RankMap {
 	m := RankMap{specs: append([]NodeSpec(nil), specs...)}
 	m.base = make([]int, len(specs))
 	for i, s := range specs {
-		s.validate(i)
+		if err := s.validate(i); err != nil {
+			panic(err)
+		}
 		m.base[i] = m.total
 		m.total += s.ranks()
 	}

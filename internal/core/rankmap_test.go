@@ -2,8 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"dcgn/internal/transport"
 )
 
 func TestRankMapPaperExample(t *testing.T) {
@@ -202,5 +205,46 @@ func TestPackPeersProperty(t *testing.T) {
 	d, s := unpackPeers(packPeers(5, AnySource))
 	if d != 5 || s != AnySource {
 		t.Fatalf("AnySource pack: (%d,%d)", d, s)
+	}
+}
+
+// TestBadShapeIsAnError: NewJob refuses no cluster shape; a nonsensical
+// one — each of Config's five rejections and NodeSpec's through PerNode —
+// comes back as an error from Job.Run and from Runtime.Submit alike, with
+// nothing started.
+func TestBadShapeIsAnError(t *testing.T) {
+	base := func(mod func(*Config)) Config {
+		cfg := cpuOnlyConfig(2, 1)
+		mod(&cfg)
+		return cfg
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no nodes", base(func(c *Config) { c.Nodes = 0 }), "at least one node"},
+		{"PerNode length", base(func(c *Config) { c.PerNode = []NodeSpec{{CPUKernels: 1}} }), "PerNode has 1 nodes"},
+		{"negative count", base(func(c *Config) { c.CPUKernels = -1 }), "negative resource count"},
+		{"no ranks", base(func(c *Config) { c.CPUKernels = 0 }), "contributes no ranks"},
+		{"negative shards", base(func(c *Config) { c.Shards = -1 }), "negative shard count"},
+		{"node negative count", base(func(c *Config) { c.PerNode = []NodeSpec{{CPUKernels: 1}, {GPUs: -1, CPUKernels: 1}} }), "node 1 has negative"},
+		{"node no ranks", base(func(c *Config) { c.PerNode = []NodeSpec{{CPUKernels: 1}, {}} }), "node 1 contributes no ranks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := NewJob(tc.cfg)
+			job.SetCPUKernel(func(*CPUCtx) { t.Error("a kernel ran") })
+			if _, err := job.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Job.Run: %v, want an error about %q", err, tc.want)
+			}
+			r, err := NewRuntime(runtimeConfig(transport.BackendSim, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if _, err := r.Submit(job, SubmitOpts{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Runtime.Submit: %v, want an error about %q", err, tc.want)
+			}
+		})
 	}
 }

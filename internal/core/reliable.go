@@ -7,19 +7,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dcgn/internal/sim"
 	"dcgn/internal/transport"
-	"dcgn/internal/transport/simmpi"
 )
 
 // The wire lane. A node talks to its peers over two frame streams, the two
-// lanes of transport.Transport: the two-sided lane (Send/RecvMsg, feeding
-// the comm thread's intake) and, once the node has made a one-sided call,
-// the one-sided lane (feeding the window sink). Below the point where a
+// lanes of transport.Transport: the two-sided lane (feeding the comm
+// thread's intake) and, once the node has made a one-sided call, the
+// one-sided lane (feeding the window sink). Below the point where a
 // received frame is handed on, the two are the same machine, so there is
 // one relLane type and a node makes it once per lane, differing only in
-// the frame layout and in the transport functions and the deliver step of
-// its laneEnd.
+// the frame layout, the lane flag of its transport ops and where deliver
+// hands an arrival.
 //
 // With Config.Reliability on, a lane numbers every frame per (sender node,
 // receiver node), the receiver acknowledges every data frame and
@@ -73,43 +71,23 @@ type relStats struct {
 	badFrames    int64
 }
 
-// laneEnd is what differs between a node's two frame streams: the
-// transport calls that move a packed frame — the blocking ones, for a host
-// without the transport's step forms — and the step that takes an in-order
-// data frame (and its backing buffer) from the receiver. Both
-// implementations (twoSidedEnd, oneSidedEnd) are pointer conversions of
-// state the node has anyway, so a lane costs no allocation of its own.
-type laneEnd interface {
-	send(p transport.Proc, dstNode int, msg []byte) error
-	recv(p transport.Proc) ([]byte, error)
-	// deliver hands f on as a step form: it reports whether f is handed
-	// on, and otherwise has registered p's next wake, after which the
-	// receiver calls it again with again set.
-	deliver(p transport.Proc, f frame, again bool) bool
-}
-
 // relLane is one node's end of one frame stream. Its receiver and every
-// frame it sends are step machines, each written once (step and txFrame):
-// with the transport's step forms a simulated sender or receiver is a
-// stackless proc, and without them — the live backend, a
-// Config.WrapTransport hook that hides them — each form blocks in place.
+// frame it sends are step machines, each written once (step and txFrame)
+// over the transport's step forms: a simulated sender or receiver is a
+// stackless proc, and on the live backend each form blocks in place.
 type relLane struct {
 	ns       *nodeState
-	end      laneEnd
 	layout   layout
 	oneSided bool
 	// seq is the lane's sequencing state under Config.Reliability; nil
 	// otherwise.
 	seq *relSeq
-	// steps are the transport's step forms (simmpi.Steps), nil when it has
-	// none.
-	steps simmpi.Stepper
 	// The receiver's state between its steps: the transport receive in
 	// flight, and the arrived frame being delivered (rxMsg, from node
 	// rxSrc), whose deliver has registered a wake when rxAgain is set. The
 	// frame is kept packed and decoded again when the receiver wakes, so
 	// that every node's lane holds a slice, not a decoded frame.
-	rx      simmpi.RecvOp
+	rx      transport.RecvOp
 	rxMsg   []byte
 	rxSrc   int
 	rxAgain bool
@@ -131,11 +109,11 @@ type relSeq struct {
 	held   []map[uint64]frame // per src node: out-of-order frames parked
 }
 
-func (l *relLane) init(ns *nodeState, end laneEnd, oneSided bool) {
+func (l *relLane) init(ns *nodeState, oneSided bool) {
 	cfg := &ns.job.cfg
 	*l = relLane{
-		ns: ns, end: end, layout: laneLayout(oneSided, cfg.Reliability.Enabled, ns.flowsOn), oneSided: oneSided,
-		steps: simmpi.Steps(ns.tr), rx: simmpi.RecvOp{OneSided: oneSided},
+		ns: ns, layout: laneLayout(oneSided, cfg.Reliability.Enabled, ns.flowsOn), oneSided: oneSided,
+		rx: transport.RecvOp{OneSided: oneSided},
 	}
 	if cfg.Reliability.Enabled {
 		l.seq = &relSeq{
@@ -178,32 +156,6 @@ func relBackoff(r Reliability, attempt int) time.Duration {
 	return d
 }
 
-// stackless reports whether the lane's senders and receiver can be
-// stackless procs: whether the transport has step forms.
-func (l *relLane) stackless() bool { return l.steps != nil }
-
-// sendStep puts op on the wire as a step form: the transport's step form
-// on a simulated proc when it has them, else the blocking send, in place.
-func (l *relLane) sendStep(h transport.Proc, op *simmpi.SendOp) (bool, error) {
-	if sp, ok := h.(*sim.Proc); ok && l.steps != nil {
-		return l.steps.SendStep(sp, op), nil
-	}
-	return true, l.end.send(h, op.Dst, op.Msg)
-}
-
-// recvStep receives the lane's next frame as a step form, as sendStep
-// sends; done is false while the receive waits for a wake.
-func (l *relLane) recvStep(h transport.Proc) (msg []byte, err error, done bool) {
-	if sp, ok := h.(*sim.Proc); ok && l.steps != nil {
-		if !l.steps.RecvStep(sp, &l.rx) {
-			return nil, nil, false
-		}
-		return l.rx.Take(), nil, true
-	}
-	msg, err = l.end.recv(h)
-	return msg, err, true
-}
-
 // txFrame is one frame on its way out through a lane, as a step machine:
 // the state of transmit. An unreliable lane hands the frame itself to the
 // transport. A reliable one keeps it until the frame is acknowledged,
@@ -215,7 +167,7 @@ func (l *relLane) recvStep(h transport.Proc) (msg []byte, err error, done bool) 
 // wire.
 type txFrame struct {
 	l      *relLane
-	op     simmpi.SendOp
+	op     transport.SendOp
 	sentAt *time.Duration
 	w      *relWaiter
 	err    error
@@ -233,7 +185,7 @@ const (
 // startTx readies t to transmit the packed frame msg, numbered seq, to
 // dstNode; the lane owns msg from here, and a reliable one registers it.
 func (l *relLane) startTx(t *txFrame, dstNode int, seq uint64, msg []byte, sentAt *time.Duration) {
-	*t = txFrame{l: l, op: simmpi.SendOp{Dst: dstNode, Msg: msg, OneSided: l.oneSided}, sentAt: sentAt}
+	*t = txFrame{l: l, op: transport.SendOp{Dst: dstNode, Msg: msg, OneSided: l.oneSided}, sentAt: sentAt}
 	if s := l.seq; s != nil {
 		t.w = &relWaiter{ev: l.ns.rt.NewEventID("rel-wait", int(seq)), key: relKey{dstNode, seq}, msg: msg}
 		s.mu.Lock()
@@ -266,11 +218,11 @@ func (t *txFrame) step(h transport.Proc) bool {
 		case txAttempt:
 			t.phase = txSend
 			if w := t.w; w != nil {
-				t.op = simmpi.SendOp{Dst: w.key.node, Msg: ns.job.pool.Get(len(w.msg)), OneSided: l.oneSided}
+				t.op = transport.SendOp{Dst: w.key.node, Msg: ns.job.pool.Get(len(w.msg)), OneSided: l.oneSided}
 				copy(t.op.Msg, w.msg)
 			}
 		case txSend:
-			done, err := l.sendStep(h, &t.op)
+			done, err := ns.tr.SendStep(h, &t.op)
 			if !done {
 				return false
 			}
@@ -352,13 +304,13 @@ func (t *txFrame) Drop() {
 // relAck is a rel-ack helper: one ack frame on its way to its peer.
 type relAck struct {
 	l  *relLane
-	op simmpi.SendOp
+	op transport.SendOp
 }
 
 // step sends the ack. Best-effort: a dropped or post-close ack is recovered
 // by the sender's retransmission, which the receiver will re-ack.
 func (a *relAck) step(h transport.Proc) bool {
-	done, _ := a.l.sendStep(h, &a.op)
+	done, _ := a.l.ns.tr.SendStep(h, &a.op)
 	return done
 }
 
@@ -371,7 +323,7 @@ func (l *relLane) sendAck(peerNode int, seq uint64) {
 	ns := l.ns
 	ack := packFrame(ns.job.pool, l.layout, &frame{kind: kindAck, src: ns.node, seq: seq})
 	atomic.AddInt64(&ns.rel.acksSent, 1)
-	ns.rt.SpawnStep("rel-ack", ns.node, &relAck{l: l, op: simmpi.SendOp{Dst: peerNode, Msg: ack, OneSided: l.oneSided}}, false, l.stackless())
+	ns.rt.SpawnStep("rel-ack", ns.node, &relAck{l: l, op: transport.SendOp{Dst: peerNode, Msg: ack, OneSided: l.oneSided}}, false, true)
 }
 
 // admit takes one arrived frame on a reliable lane and reports whether it
@@ -451,10 +403,11 @@ func (l *relLane) step(h transport.Proc) bool {
 		if l.rxMsg != nil {
 			f, _ = unpackFrame(l.layout, l.rxMsg) // it decoded when it arrived
 		} else {
-			msg, err, done := l.recvStep(h)
+			done, err := l.ns.tr.RecvStep(h, &l.rx)
 			if !done {
 				return false
 			}
+			msg := l.rx.Take()
 			if err != nil {
 				if errors.Is(err, transport.ErrClosed) {
 					l.releaseHeld()
@@ -478,7 +431,7 @@ func (l *relLane) step(h transport.Proc) bool {
 			}
 			l.rxMsg = msg
 		}
-		if !l.end.deliver(h, f, l.rxAgain) {
+		if !l.deliver(h, f, l.rxAgain) {
 			l.rxAgain = true
 			return false
 		}
@@ -492,6 +445,29 @@ func (l *relLane) step(h transport.Proc) bool {
 			}
 		}
 	}
+}
+
+// deliver hands the in-order data frame f (and its backing buffer) on as a
+// step form: it reports whether f is handed on, and otherwise has
+// registered h's next wake, after which the receiver calls it again with
+// again set. A two-sided arrival is charged the relay cost, then funneled
+// to the comm thread, which returns the wire buffer to the pool once it has
+// delivered the payload — or hands it to the GPU receive that adopts it.
+// A one-sided one is dispatched in place, straight into its window (the
+// intake/matcher layers never see this traffic): the one-sided receiver is
+// hosted on a stackful proc, because a window apply blocks in device
+// writes.
+func (l *relLane) deliver(h transport.Proc, f frame, again bool) bool {
+	ns := l.ns
+	if l.oneSided {
+		ns.osDispatch(h, &f)
+		return true
+	}
+	if !again && !sleepStep(h, ns.jit, ns.job.cfg.Params.RemoteRelayCost) {
+		return false
+	}
+	ns.intake.postInbound(&inbound{src: f.src, dst: f.dst, data: f.payload, backing: f.backing, traceID: f.traceID, spanID: f.spanID})
+	return true
 }
 
 // Drop takes back the receive a killed receiver leaves posted

@@ -305,11 +305,11 @@ type corruptingTransport struct {
 	done *atomic.Bool
 }
 
-func (c corruptingTransport) Send(p transport.Proc, dstNode int, msg []byte) error {
-	if binary.LittleEndian.Uint64(msg[16:]) > 0 && c.done.CompareAndSwap(false, true) {
+func (c corruptingTransport) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) {
+	if msg := op.Msg; !op.OneSided && binary.LittleEndian.Uint64(msg[16:]) > 0 && c.done.CompareAndSwap(false, true) {
 		binary.LittleEndian.PutUint64(msg[16:], uint64(len(msg))) // longer than what follows the header
 	}
-	return c.Transport.Send(p, dstNode, msg)
+	return c.Transport.SendStep(p, op)
 }
 
 // badFrameJob sends one 4 KiB message from rank 0 to rank 1 on another

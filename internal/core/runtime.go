@@ -27,8 +27,8 @@ type rt interface {
 	// daemon, which does not keep the run alive, when daemon is set. On the
 	// simulated backend it is a stackless proc when stackless is set (every
 	// wake s registers is a step form), else a stackful proc that awaits
-	// each wake in place: the host for a machine that must block in a call
-	// with no step form. On the live backend it is a goroutine, on which
+	// each wake in place: the host for a machine that must block in the
+	// middle of a step. On the live backend it is a goroutine, on which
 	// every form has blocked already.
 	SpawnStep(prefix string, id int, s stepper, daemon, stackless bool)
 	// NewQueue creates an unbounded FIFO work queue.
@@ -92,6 +92,14 @@ type commQueue interface {
 // simRT is the simulated substrate: a thin 1:1 veneer over sim.Sim.
 type simRT struct {
 	s *sim.Sim
+}
+
+// stackfulRT is simRT hosting every step machine on a stackful proc
+// (Job.stackful).
+type stackfulRT struct{ simRT }
+
+func (r stackfulRT) SpawnStep(prefix string, id int, s stepper, daemon, _ bool) {
+	r.simRT.SpawnStep(prefix, id, s, daemon, false)
 }
 
 func (r simRT) Now() time.Duration { return r.s.Now() }

@@ -12,10 +12,29 @@ import (
 	"dcgn/internal/transport/simmpi"
 )
 
-// hideSteps is a Config.WrapTransport middleware that only embeds the
-// transport: it hides the step forms, so every lane sender and receiver
-// is hosted on a stackful proc that blocks in each form.
-type hideSteps struct{ transport.Transport }
+// blockInPlace is a Config.WrapTransport middleware whose forms drive the
+// inner op to its end in place and report it done — the live backend's
+// contract, run deterministically under the simulator. Its job hosts every
+// step machine on a stackful proc (Job.stackful), which such forms need.
+type blockInPlace struct{ transport.Transport }
+
+func (b blockInPlace) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) {
+	for {
+		if done, err := b.Transport.SendStep(p, op); done {
+			return true, err
+		}
+		p.(*sim.Proc).Await()
+	}
+}
+
+func (b blockInPlace) RecvStep(p transport.Proc, op *transport.RecvOp) (bool, error) {
+	for {
+		if done, err := b.Transport.RecvStep(p, op); done {
+			return true, err
+		}
+		p.(*sim.Proc).Await()
+	}
+}
 
 // stepHostJob is one cell of TestStepHostsAgree: two nodes on two shards
 // exchanging size-byte messages between CPU ranks or GPU slots — a
@@ -109,8 +128,8 @@ func laneKinds(j *Job) map[string]sim.KindStats {
 // TestStepHostsAgree runs every lane step machine — dcgn-tx, the lane
 // receivers, rel-ack, os-rep, the retransmit timer and the sendrecv join —
 // on both of its simulated hosts: stackless procs, and stackful ones that
-// block in each form because a Config.WrapTransport hook hides the
-// transport's step forms. One body on two hosts is one schedule: the
+// block in each form because a Config.WrapTransport hook's forms block in
+// place (blockInPlace). One body on two hosts is one schedule: the
 // Reports, traces and critical paths included, must be reflect.DeepEqual,
 // across reliability, faults, eager and rendezvous sizes, CPU and GPU
 // endpoints and flows. Each job runs on two shards, so under the race
@@ -127,7 +146,8 @@ func TestStepHostsAgree(t *testing.T) {
 						t.Run(name, func(t *testing.T) {
 							stackless := stepHostJob(t, gpu, reliable, faulty, flows, size)
 							blocking := stepHostJob(t, gpu, reliable, faulty, flows, size)
-							blocking.cfg.WrapTransport = func(tr transport.Transport) transport.Transport { return hideSteps{tr} }
+							blocking.cfg.WrapTransport = func(tr transport.Transport) transport.Transport { return blockInPlace{tr} }
+							blocking.stackful = true
 							want, err := stackless.Run()
 							if err != nil {
 								t.Fatal(err)
@@ -167,7 +187,7 @@ func TestStacklessReceiverUnpostsOnKill(t *testing.T) {
 			sub := newSubstrate(1, cfg.Net, cfg.MPI, 1, 0)
 			s := sub.loop.Shard(0).Sim()
 			rank := sub.world.Rank(0)
-			lane := &relLane{steps: simmpi.Steps(simmpi.WorldGroup(sub.world).Endpoint(0)), rx: simmpi.RecvOp{}}
+			lane := &relLane{ns: &nodeState{tr: simmpi.WorldGroup(sub.world).Endpoint(0)}}
 			g := s.NewGroup(func() {})
 			s.InGroup(g, func() { s.SpawnStepDaemon("mpi-recv", 0, stepArg, lane) })
 			s.Spawn("killer", func(p *sim.Proc) {

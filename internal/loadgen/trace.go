@@ -72,20 +72,31 @@ func LoadTrace(path string) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	var t Trace
-	if err := json.Unmarshal(raw, &t); err != nil {
+	t, err := parseTrace(raw)
+	if err != nil {
 		return nil, fmt.Errorf("loadgen: trace %s: %w", path, err)
 	}
-	if t.Schema != TraceSchema {
-		return nil, fmt.Errorf("loadgen: trace %s: schema %q, want %q", path, t.Schema, TraceSchema)
+	return t, nil
+}
+
+// parseTrace decodes and validates a trace file's bytes: the schema tag,
+// arrivals in time order from the run's start, and every job shape
+// runnable.
+func parseTrace(raw []byte) (*Trace, error) {
+	var t Trace
+	if err := json.Unmarshal(raw, &t); err != nil {
+		return nil, err
 	}
-	var last int64 = -1
+	if t.Schema != TraceSchema {
+		return nil, fmt.Errorf("schema %q, want %q", t.Schema, TraceSchema)
+	}
+	var last int64
 	for i, a := range t.Arrivals {
 		if a.AtNs < last {
-			return nil, fmt.Errorf("loadgen: trace %s: arrival %d out of time order", path, i)
+			return nil, fmt.Errorf("arrival %d out of time order", i)
 		}
 		if a.Nodes < 2 || a.Fanout < 1 || a.Iters < 1 || a.Size < 1 {
-			return nil, fmt.Errorf("loadgen: trace %s: arrival %d has a degenerate job shape", path, i)
+			return nil, fmt.Errorf("arrival %d has a degenerate job shape", i)
 		}
 		last = a.AtNs
 	}

@@ -20,8 +20,8 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 		p.Await()
 	}
 	req := &Request{}
-	if op.sr != nil {
-		req.done = op.sr.done
+	if sr, ok := op.Req.(*sendReq); ok {
+		req.done = sr.done
 	}
 	return req
 }
@@ -29,11 +29,14 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 // SendOp is the progress of a send driven as a step machine — Send and
 // SendMsg drive one with Proc.Await, and a stackless proc steps one itself
 // (SendMsgStep). The zero value is a send not yet started; the message and
-// its destination are the caller's, passed to every step.
+// its destination are the caller's, passed to every step. Its fields are
+// the op's own, exported only for its layout: a transport keeps it in its
+// send op as a transport.WireState, which has the same one.
 type SendOp struct {
-	phase uint8
-	// sr is a rendezvous send's request, once its RTS is built.
-	sr *sendReq
+	Phase uint8
+	// Req is a rendezvous send's request (a *sendReq), once its RTS is
+	// built.
+	Req any
 }
 
 // The phases of a SendOp.
@@ -62,7 +65,7 @@ func (r *Rank) SendMsgStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int) bo
 // completes — for a rendezvous, on injection, before the receiver has the
 // data; an owned one puts buf itself on the wire.
 func (r *Rank) sendStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int, owned, wait bool) bool {
-	switch op.phase {
+	switch op.Phase {
 	case sendCall:
 		if dst < 0 || dst >= len(r.w.ranks) {
 			panic(fmt.Sprintf("mpi: send to bad rank %d", dst))
@@ -70,7 +73,7 @@ func (r *Rank) sendStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int, owned
 		if tag < 0 {
 			panic("mpi: negative user tag")
 		}
-		op.phase = sendPost
+		op.Phase = sendPost
 		p.SleepStep(r.jit.Scale(r.w.cfg.CallOverhead))
 		return false
 	case sendPost:
@@ -91,14 +94,14 @@ func (r *Rank) sendStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int, owned
 		r.pendingSends[seq] = sr
 		rts := &envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
 		sr.pkt = nd.SendStep(p, r.w.nodeOf[dst], headerBytes, rts)
-		op.sr, op.phase = sr, sendRTS
+		op.Req, op.Phase = sr, sendRTS
 		return false
 	case sendRTS:
-		r.w.net.Node(r.node).Sent(p, op.sr.pkt)
-		op.sr.pkt = nil
-		op.phase = sendWait
+		sr := op.Req.(*sendReq)
+		r.w.net.Node(r.node).Sent(p, sr.pkt)
+		sr.pkt, op.Phase = nil, sendWait
 	}
-	return !wait || op.sr.done.WaitStep(p)
+	return !wait || op.Req.(*sendReq).done.WaitStep(p)
 }
 
 // Irecv starts a nonblocking receive into buf from rank src (or AnySource)

@@ -19,10 +19,12 @@
 // node computes identically because every node executes the same sequence
 // of node-level collectives.
 //
-// Over a transport with step forms (simmpi.Steps) the middleware forwards
-// them (Steps, SendStep, RecvStep), drawing each decision at the point its
-// blocking call draws it, so a stackless sender or receiver meets the same
-// faults as a blocking one.
+// Each lane has one send and one receive, the transport's step forms: a
+// send draws its decisions on its first step and queues a duplicate and a
+// flushed frame behind its own (transport.SendOp.Then); a receive's
+// injected delay is a SleepStep on the simulator and a wall-clock sleep on
+// the live backend, so a sender or receiver meets the same faults on every
+// host.
 package faults
 
 import (
@@ -34,10 +36,12 @@ import (
 	"dcgn/internal/bufpool"
 	"dcgn/internal/sim"
 	"dcgn/internal/transport"
-	"dcgn/internal/transport/simmpi"
 )
 
-// Config holds the fault probabilities. The zero value injects nothing.
+// Config holds the fault probabilities: what a test that wants a faulty
+// wire — dropping, duplicating, reordering or delaying sends, failing
+// collectives — sets (core.Config.Faults) instead of writing a transport
+// wrapper of its own. The zero value injects nothing.
 // All probabilities are in [0, 1] and evaluated independently per message
 // (Drop, Dup, Reorder on the send path; Delay on the receive path) or per
 // node-level collective call (CollFail).
@@ -104,8 +108,6 @@ type Endpoint struct {
 	heldOSDst int
 	collCalls uint64
 	stats     transport.FaultStats
-	// step is the inner transport's step forms, nil when it has none.
-	step simmpi.Stepper
 }
 
 // New wraps inner with fault injection for the given node, whose frames
@@ -119,7 +121,6 @@ func New(inner transport.Transport, cfg Config, node int, pool *bufpool.Pool) *E
 		node:  node,
 		pool:  pool,
 		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(node)<<17 ^ 0x5bd1e995)),
-		step:  simmpi.Steps(inner),
 	}
 }
 
@@ -133,83 +134,53 @@ func (e *Endpoint) FaultStats() transport.FaultStats {
 // roll draws one Bernoulli decision; callers hold e.mu.
 func (e *Endpoint) roll(p float64) bool { return p > 0 && e.rng.Float64() < p }
 
-// survivors are what is left of one message once its fault decisions are
-// drawn: the message itself unless it was dropped or held back, then its
-// duplicate, then the lane's held message flushed behind it; nil slices are
-// sends that do not happen.
-type survivors struct {
-	msg, twin, flush []byte
-	flushDst         int
-}
-
-// draw makes msg's drop/dup/reorder decisions. Fault decisions apply to
-// the primary message only; a flushed (previously held) message and the
-// duplicate are sent as-is, so at most one message is ever parked per lane
-// (held/heldDst point at the lane's slot in the endpoint, guarded by mu).
-// The duplicate and the flushed message are pooled copies, for the inner
-// transport to own.
-func (e *Endpoint) draw(dstNode int, msg []byte, held *[]byte, heldDst *int) (sv survivors) {
+// draw makes the drop/dup/reorder decisions of op's frame and reports
+// whether it goes out. Fault decisions apply to the primary frame only; a
+// flushed (previously held) message and the duplicate are sent as-is,
+// queued behind it (SendOp.Then), so at most one message is ever parked per
+// lane — each lane has a held-message slot of its own in the endpoint,
+// guarded by mu, so the two reorder independently (a parked put can never
+// block a wire send's flush). The duplicate and the flushed message are
+// pooled copies, for the inner transport to own.
+func (e *Endpoint) draw(op *transport.SendOp) bool {
+	held, heldDst := &e.held, &e.heldDst
+	if op.OneSided {
+		held, heldDst = &e.heldOS, &e.heldOSDst
+	}
 	e.mu.Lock()
 	if e.roll(e.cfg.Drop) {
 		e.stats.Drops++
 		e.mu.Unlock()
-		e.pool.Put(msg)
-		return sv // "sent" into the void; reliability retransmits
+		e.pool.Put(op.Msg)
+		return false // "sent" into the void; reliability retransmits
 	}
 	dup := e.roll(e.cfg.Dup)
 	if dup {
 		e.stats.Dups++
 	}
 	if *held == nil && e.roll(e.cfg.Reorder) {
-		// Park a private copy and release msg; the copy rides out with the
-		// endpoint's next send. It is a plain allocation, deliberately
-		// outside the job's buffer pool: held messages are fabric state, not
-		// engine staging, and one the endpoint dies holding must not count
-		// as a pooled buffer never released.
+		// Park a private copy and release the frame; the copy rides out
+		// with the endpoint's next send. It is a plain allocation,
+		// deliberately outside the job's buffer pool: held messages are
+		// fabric state, not engine staging, and one the endpoint dies
+		// holding must not count as a pooled buffer never released.
 		e.stats.Reorders++
-		*held = append([]byte(nil), msg...)
-		*heldDst = dstNode
+		*held = append([]byte(nil), op.Msg...)
+		*heldDst = op.Dst
 		e.mu.Unlock()
-		e.pool.Put(msg)
-		return sv
+		e.pool.Put(op.Msg)
+		return false
 	}
-	flush := *held
-	sv.flushDst = *heldDst
+	flush, flushDst := *held, *heldDst
 	*held = nil
 	e.mu.Unlock()
-	sv.msg = msg
 	if dup {
-		sv.twin = e.pooled(msg)
+		op.Then(op.Dst, e.pooled(op.Msg))
 	}
 	if flush != nil {
-		sv.flush = e.pooled(flush)
+		op.Then(flushDst, e.pooled(flush))
 	}
-	return sv
-}
-
-// sendFaulty applies drop/dup/reorder to msg, then forwards the survivors
-// through send, which owns each buffer it is given, and releases the ones
-// a failed send leaves unsent.
-func (e *Endpoint) sendFaulty(p transport.Proc, dstNode int, msg []byte, held *[]byte, heldDst *int, send func(transport.Proc, int, []byte) error) error {
-	sv := e.draw(dstNode, msg, held, heldDst)
-	if sv.msg == nil {
-		return nil
-	}
-	if err := send(p, dstNode, sv.msg); err != nil {
-		e.pool.Put(sv.twin)
-		e.pool.Put(sv.flush)
-		return err
-	}
-	if sv.twin != nil {
-		if err := send(p, dstNode, sv.twin); err != nil {
-			e.pool.Put(sv.flush)
-			return err
-		}
-	}
-	if sv.flush != nil {
-		return send(p, sv.flushDst, sv.flush)
-	}
-	return nil
+	return true
 }
 
 // pooled returns a copy of msg in a buffer from the job's pool, for the
@@ -218,31 +189,6 @@ func (e *Endpoint) pooled(msg []byte) []byte {
 	cp := e.pool.Get(len(msg))
 	copy(cp, msg)
 	return cp
-}
-
-// Send applies drop/dup/reorder to msg, then forwards the survivors to
-// the inner transport.
-func (e *Endpoint) Send(p transport.Proc, dstNode int, msg []byte) error {
-	return e.sendFaulty(p, dstNode, msg, &e.held, &e.heldDst, e.inner.Send)
-}
-
-// SendOneSided applies the same drop/dup/reorder machinery to one-sided
-// frames, with a held-message slot of its own so the two lanes reorder
-// independently (a parked put can never block a wire send's flush).
-func (e *Endpoint) SendOneSided(p transport.Proc, dstNode int, frame []byte) error {
-	return e.sendFaulty(p, dstNode, frame, &e.heldOS, &e.heldOSDst, e.inner.SendOneSided)
-}
-
-// recvFaulty injects latency on a successfully received message with
-// probability Config.Delay.
-func (e *Endpoint) recvFaulty(p transport.Proc, msg []byte, err error) ([]byte, error) {
-	if err != nil {
-		return msg, err
-	}
-	if d := e.delay(); d > 0 {
-		sleepFor(p, d)
-	}
-	return msg, nil
 }
 
 // delay draws the latency injected on one received message: zero, or with
@@ -257,81 +203,42 @@ func (e *Endpoint) delay() time.Duration {
 	return time.Duration(1 + e.rng.Int63n(int64(e.cfg.maxDelay())))
 }
 
-// Steps returns the endpoint's step forms when the transport it wraps has
-// them (simmpi.Steps), nil otherwise.
-func (e *Endpoint) Steps() simmpi.Stepper {
-	if e.step == nil {
-		return nil
-	}
-	return e
-}
-
-// SendStep is the step form of Send and SendOneSided: it draws op's fault
-// decisions on its first step, queues the duplicate and any flushed message
-// behind op's own frame, and forwards the op; a dropped or held-back frame
+// SendStep draws op's fault decisions on its first step (draw), then
+// forwards the op to the inner transport; a dropped or held-back frame
 // completes the op at once.
-func (e *Endpoint) SendStep(p *sim.Proc, op *simmpi.SendOp) bool {
+func (e *Endpoint) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) {
 	if op.Mid == 0 {
 		op.Mid = 1
-		held, heldDst := &e.held, &e.heldDst
-		if op.OneSided {
-			held, heldDst = &e.heldOS, &e.heldOSDst
-		}
-		sv := e.draw(op.Dst, op.Msg, held, heldDst)
-		if sv.msg == nil {
-			return true
-		}
-		if sv.twin != nil {
-			op.Then(op.Dst, sv.twin)
-		}
-		if sv.flush != nil {
-			op.Then(sv.flushDst, sv.flush)
+		if !e.draw(op) {
+			return true, nil
 		}
 	}
-	return e.step.SendStep(p, op)
+	return e.inner.SendStep(p, op)
 }
 
-// RecvStep is the step form of RecvMsg and RecvOneSided: the inner
-// receive, then the injected latency, if one is drawn, as p's next wake.
-func (e *Endpoint) RecvStep(p *sim.Proc, op *simmpi.RecvOp) bool {
+// RecvStep forwards the inner receive, then injects latency on delivery
+// with probability Config.Delay: virtual time on the simulator, as p's
+// next wake, and real time on the live backend, whose WallProc sleeps are
+// deliberate no-ops because modeled costs there are replaced by real
+// execution time — an injected delay is real time.
+func (e *Endpoint) RecvStep(p transport.Proc, op *transport.RecvOp) (bool, error) {
 	if op.Mid != 0 {
-		return true // the delay is over
+		return true, nil // the delay is over
 	}
-	if !e.step.RecvStep(p, op) {
-		return false
+	if done, err := e.inner.RecvStep(p, op); !done || err != nil {
+		return done, err
 	}
-	if d := e.delay(); d > 0 {
+	d := e.delay()
+	if d == 0 {
+		return true, nil
+	}
+	if sp, ok := p.(*sim.Proc); ok {
 		op.Mid = 1
-		p.SleepStep(d)
-		return false
+		sp.SleepStep(d)
+		return false, nil
 	}
-	return true
-}
-
-// RecvMsg forwards the inner receive, injecting latency on delivery with
-// probability Config.Delay.
-func (e *Endpoint) RecvMsg(p transport.Proc) ([]byte, error) {
-	msg, err := e.inner.RecvMsg(p)
-	return e.recvFaulty(p, msg, err)
-}
-
-// RecvOneSided forwards the inner one-sided receive, injecting latency on
-// delivery with probability Config.Delay.
-func (e *Endpoint) RecvOneSided(p transport.Proc) ([]byte, error) {
-	frame, err := e.inner.RecvOneSided(p)
-	return e.recvFaulty(p, frame, err)
-}
-
-// sleepFor charges an injected delay on whatever clock the backend runs:
-// virtual time on the simulator, real time on the live backend (whose
-// WallProc sleeps are deliberate no-ops, because modeled costs there are
-// replaced by real execution time — an injected delay is real time).
-func sleepFor(p transport.Proc, d time.Duration) {
-	if _, wall := p.(*transport.WallProc); wall {
-		time.Sleep(d)
-		return
-	}
-	p.Sleep(d)
+	time.Sleep(d)
+	return true, nil
 }
 
 // failCollective decides — identically on every node — whether the

@@ -6,13 +6,15 @@ import (
 	"time"
 
 	"dcgn/internal/bufpool"
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 )
 
 var wall = &transport.WallProc{Epoch: time.Now()}
 
-// recorder is a loopback Transport that records every message Send
-// forwards to it, in order. Like any transport it owns what it is sent:
+// recorder is a loopback Transport that records every frame a send
+// forwards to it, in order, on either lane; its forms complete in place,
+// as the live backend's do. Like any transport it owns what it is sent:
 // it keeps a copy and releases the buffer to pool.
 type recorder struct {
 	pool *bufpool.Pool
@@ -20,18 +22,19 @@ type recorder struct {
 	dsts []int
 }
 
-func (r *recorder) Send(_ transport.Proc, dstNode int, msg []byte) error {
-	r.sent = append(r.sent, append([]byte(nil), msg...))
-	r.dsts = append(r.dsts, dstNode)
-	r.pool.Put(msg)
-	return nil
+func (r *recorder) SendStep(_ transport.Proc, op *transport.SendOp) (bool, error) {
+	for more := true; more; more = op.Next() {
+		r.sent = append(r.sent, append([]byte(nil), op.Msg...))
+		r.dsts = append(r.dsts, op.Dst)
+		r.pool.Put(op.Msg)
+	}
+	return true, nil
 }
-func (r *recorder) RecvMsg(transport.Proc) ([]byte, error) { return []byte("inbound"), nil }
-func (r *recorder) SendOneSided(p transport.Proc, dstNode int, frame []byte) error {
-	return r.Send(p, dstNode, frame)
+func (r *recorder) RecvStep(_ transport.Proc, op *transport.RecvOp) (bool, error) {
+	op.Msg = []byte("inbound")
+	return true, nil
 }
-func (r *recorder) RecvOneSided(p transport.Proc) ([]byte, error) { return r.RecvMsg(p) }
-func (r *recorder) Barrier(transport.Proc) error                  { return nil }
+func (r *recorder) Barrier(transport.Proc) error { return nil }
 func (r *recorder) Bcast(transport.Proc, []byte, int) error {
 	return nil
 }
@@ -57,13 +60,37 @@ func pooled(pool *bufpool.Pool, s string) []byte {
 
 func msgN(n int) string { return string([]byte{byte(n), byte(n >> 8)}) }
 
+// send drives a SendStep of msg to dstNode on a lane to its end on p: a
+// step, then, on a simulated proc, its wake.
+func send(p transport.Proc, tr transport.Transport, dstNode int, msg []byte, oneSided bool) error {
+	op := &transport.SendOp{Dst: dstNode, Msg: msg, OneSided: oneSided}
+	for {
+		if done, err := tr.SendStep(p, op); done {
+			return err
+		}
+		p.(*sim.Proc).Await()
+	}
+}
+
+// recv drives a RecvStep of a lane's next frame to its end on p, as send
+// drives a send.
+func recv(p transport.Proc, tr transport.Transport, oneSided bool) ([]byte, error) {
+	op := &transport.RecvOp{OneSided: oneSided}
+	for {
+		if done, err := tr.RecvStep(p, op); done {
+			return op.Take(), err
+		}
+		p.(*sim.Proc).Await()
+	}
+}
+
 // driveSends pushes n distinct messages through a fresh endpoint and
 // returns what the inner transport saw plus the fault stats.
 func driveSends(t *testing.T, cfg Config, node, n int) (*recorder, transport.FaultStats) {
 	t.Helper()
 	ep, rec := newEndpoint(cfg, node)
 	for i := 0; i < n; i++ {
-		if err := ep.Send(wall, i%4, pooled(rec.pool, msgN(i))); err != nil {
+		if err := send(wall, ep, i%4, pooled(rec.pool, msgN(i)), false); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -132,11 +159,7 @@ func TestOwnershipKeepsPoolBalanced(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		ep, rec := newEndpoint(Config{Seed: seed, Drop: 0.2, Dup: 0.2, Reorder: 0.2}, 2)
 		for i := 0; i < 1000; i++ {
-			send := ep.Send
-			if i%3 == 0 {
-				send = ep.SendOneSided
-			}
-			if err := send(wall, i%4, pooled(rec.pool, msgN(i))); err != nil {
+			if err := send(wall, ep, i%4, pooled(rec.pool, msgN(i)), i%3 == 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,12 +199,12 @@ func TestReorderHoldsAndFlushes(t *testing.T) {
 func TestReorderHeldCopyIsPrivate(t *testing.T) {
 	ep, rec := newEndpoint(Config{Seed: 1, Reorder: 1}, 0)
 	msg := pooled(rec.pool, "original")
-	if err := ep.Send(wall, 1, msg); err != nil { // parked
+	if err := send(wall, ep, 1, msg, false); err != nil { // parked
 		t.Fatal(err)
 	}
 	// The parked message went back to the pool, whose next user rewrites it.
 	copy(rec.pool.Get(len(msg)), "clobber!")
-	if err := ep.Send(wall, 1, pooled(rec.pool, "second")); err != nil { // flushes the held copy
+	if err := send(wall, ep, 1, pooled(rec.pool, "second"), false); err != nil { // flushes the held copy
 		t.Fatal(err)
 	}
 	if len(rec.sent) != 2 || string(rec.sent[1]) != "original" {
@@ -191,7 +214,7 @@ func TestReorderHeldCopyIsPrivate(t *testing.T) {
 
 func TestCloseDropsHeldMessage(t *testing.T) {
 	ep, rec := newEndpoint(Config{Seed: 1, Reorder: 1}, 0)
-	if err := ep.Send(wall, 1, pooled(rec.pool, "doomed")); err != nil {
+	if err := send(wall, ep, 1, pooled(rec.pool, "doomed"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := ep.Close(); err != nil {
@@ -240,11 +263,33 @@ func TestCollectiveFailuresClusterConsistent(t *testing.T) {
 func TestDelayCountsOnRecv(t *testing.T) {
 	ep, _ := newEndpoint(Config{Seed: 3, Delay: 1, MaxDelay: time.Microsecond}, 0)
 	for i := 0; i < 10; i++ {
-		if _, err := ep.RecvMsg(wall); err != nil {
+		if _, err := recv(wall, ep, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s := ep.FaultStats(); s.Delays != 10 {
 		t.Fatalf("Delays=%d after 10 certain delays", s.Delays)
+	}
+}
+
+// TestDelayIsAWakeOnTheSimulator: on a simulated proc an injected delay is
+// the receive's next wake, charged in virtual time, and the frame is
+// handed over once it has passed.
+func TestDelayIsAWakeOnTheSimulator(t *testing.T) {
+	ep, _ := newEndpoint(Config{Seed: 3, Delay: 1, MaxDelay: time.Millisecond}, 0)
+	s := sim.New()
+	s.Spawn("rx", func(p *sim.Proc) {
+		if msg, err := recv(p, ep, true); err != nil || string(msg) != "inbound" {
+			t.Errorf("received %q, %v", msg, err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() <= 0 || s.Now() > time.Millisecond {
+		t.Fatalf("receive ended at %v, want inside (0, 1ms]", s.Now())
+	}
+	if st := ep.FaultStats(); st.Delays != 1 {
+		t.Fatalf("Delays=%d, want 1", st.Delays)
 	}
 }

@@ -1,8 +1,11 @@
 // Package live is the goroutine/channel transport backend: real
 // concurrency on the wall clock, with no dependency on internal/sim. Each
 // node's endpoint delivers framed wire messages through a buffered Go
-// channel, and node-level collectives rendezvous through a shared
-// coordinator guarded by a mutex and condition variable.
+// channel per lane, and node-level collectives rendezvous through a shared
+// coordinator guarded by a mutex and condition variable. The lanes' step
+// forms block in place — a send until its frames are queued, a receive
+// until a frame arrives or the group closes — and report themselves done,
+// so one step is the whole call.
 //
 // The backend exists to prove the progress-engine/transport seam is real
 // (the same matching, ordering and collective semantics run unchanged on
@@ -143,11 +146,11 @@ type Group struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	// mu and senders serialize Close against in-flight Sends: a Send holds
+	// mu and senders serialize Close against in-flight sends: a send holds
 	// a read lock while it commits its buffer and registers in senders, so
 	// Close can take the write lock (barrier: no sender is between its
 	// closed-check and its registration), then wait for registered senders
-	// to finish before draining the channels. Without this, a Send whose
+	// to finish before draining the channels. Without this, a send whose
 	// select committed after Close's drain pass stranded a pooled buffer
 	// in the channel forever.
 	mu      sync.RWMutex
@@ -182,9 +185,9 @@ func (g *Group) Close() error {
 	g.closeOnce.Do(func() {
 		close(g.closed)
 		g.coll.wakeAll()
-		// Barrier: after this Lock/Unlock no Send can still be between its
+		// Barrier: after this Lock/Unlock no send can still be between its
 		// closed-check and its senders registration, so senders.Wait sees
-		// every in-flight Send, and the drain below sees every buffer they
+		// every in-flight send, and the drain below sees every buffer they
 		// committed.
 		g.mu.Lock()
 		g.mu.Unlock() //nolint:staticcheck // empty critical section is the barrier
@@ -282,8 +285,43 @@ func (e *Endpoint) recvOn(ch chan []byte) ([]byte, error) {
 	}
 }
 
-// Send delivers msg to dstNode's inbound channel, taking ownership of it
-// as every transport does: the receiver's RecvMsg returns the same buffer.
+// lane returns the index of op's lane in Endpoint.lanes.
+func lane(os bool) int {
+	if os {
+		return oneSided
+	}
+	return wire
+}
+
+// SendStep delivers each frame of op itself to its node's inbound channel
+// of op's lane, blocking in place, and reports the send done. Once one
+// fails, the frames behind it go back to the pool unsent.
+func (e *Endpoint) SendStep(_ transport.Proc, op *transport.SendOp) (bool, error) {
+	var err error
+	for more := true; more; more = op.Next() {
+		if err == nil {
+			err = e.sendOn(op.Dst, op.Msg, lane(op.OneSided))
+		} else {
+			e.g.pool.Put(op.Msg)
+		}
+	}
+	return true, err
+}
+
+// RecvStep blocks in place for the next inbound frame on op's lane and
+// reports the receive done; after Close it is done with
+// transport.ErrClosed.
+func (e *Endpoint) RecvStep(_ transport.Proc, op *transport.RecvOp) (bool, error) {
+	msg, err := e.recvOn(e.lanes[lane(op.OneSided)])
+	op.Msg = msg
+	return true, err
+}
+
+// Send and RecvMsg are the blocking two-sided calls for a caller that
+// drives an endpoint directly rather than through the Transport interface
+// (the repository benchmark's transport ladder).
+
+// Send delivers msg to dstNode's inbound channel and takes ownership of it.
 func (e *Endpoint) Send(_ transport.Proc, dstNode int, msg []byte) error {
 	return e.sendOn(dstNode, msg, wire)
 }
@@ -292,18 +330,6 @@ func (e *Endpoint) Send(_ transport.Proc, dstNode int, msg []byte) error {
 // is the caller's to release. After Close it returns transport.ErrClosed.
 func (e *Endpoint) RecvMsg(_ transport.Proc) ([]byte, error) {
 	return e.recvOn(e.lanes[wire])
-}
-
-// SendOneSided delivers one framed one-sided message to dstNode's
-// one-sided channel, taking ownership of it as Send does.
-func (e *Endpoint) SendOneSided(_ transport.Proc, dstNode int, frame []byte) error {
-	return e.sendOn(dstNode, frame, oneSided)
-}
-
-// RecvOneSided blocks for the next inbound one-sided frame; the returned
-// buffer is the caller's to release.
-func (e *Endpoint) RecvOneSided(_ transport.Proc) ([]byte, error) {
-	return e.recvOn(e.lanes[oneSided])
 }
 
 // Barrier blocks until every node in the group has entered the barrier.

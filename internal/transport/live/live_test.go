@@ -14,14 +14,39 @@ import (
 
 var wall = &transport.WallProc{Epoch: time.Now()}
 
+// sendOp drives op's SendStep: a live form blocks in place, so one step is
+// the whole send.
+func sendOp(ep *Endpoint, op *transport.SendOp) error {
+	done, err := ep.SendStep(wall, op)
+	if !done {
+		panic("live: a send step came back undone")
+	}
+	return err
+}
+
+// send drives a send of msg to dstNode on a lane.
+func send(ep *Endpoint, dstNode int, msg []byte, oneSided bool) error {
+	return sendOp(ep, &transport.SendOp{Dst: dstNode, Msg: msg, OneSided: oneSided})
+}
+
+// recv drives a receive of a lane's next frame, which one step is.
+func recv(ep *Endpoint, oneSided bool) ([]byte, error) {
+	op := &transport.RecvOp{OneSided: oneSided}
+	done, err := ep.RecvStep(wall, op)
+	if !done {
+		panic("live: a receive step came back undone")
+	}
+	return op.Take(), err
+}
+
 func TestSendRecvRoundtrip(t *testing.T) {
 	c := New(2, nil)
 	defer c.Close()
 	msg := []byte("hello over the wire")
-	if err := c.Node(0).Send(wall, 1, msg); err != nil {
+	if err := send(c.Node(0), 1, msg, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Node(1).RecvMsg(wall)
+	got, err := recv(c.Node(1), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,16 +67,17 @@ func pooled(pool *bufpool.Pool, s string) []byte {
 
 // TestSendTakesOwnership pins the seam's contract: the receiver gets the
 // very buffer the sender handed over (no copy in between), and whichever
-// way a send ends — delivered and released, failed, or drained by Close —
-// the pool sees it released exactly once.
+// way a send ends — delivered and released, failed with a frame queued
+// behind it, or drained by Close — the pool sees each frame released
+// exactly once.
 func TestSendTakesOwnership(t *testing.T) {
 	pool := bufpool.New()
 	c := New(2, pool)
 	msg := pooled(pool, "hand me over")
-	if err := c.Node(0).Send(wall, 1, msg); err != nil {
+	if err := send(c.Node(0), 1, msg, false); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Node(1).RecvMsg(wall)
+	got, err := recv(c.Node(1), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,25 +85,27 @@ func TestSendTakesOwnership(t *testing.T) {
 		t.Fatalf("receiver got %q at %p, sender handed over %p", got, &got[0], &msg[0])
 	}
 	pool.Put(got)
-	if err := c.Node(0).SendOneSided(wall, 5, pooled(pool, "bad node")); err == nil {
+	bad := &transport.SendOp{Dst: 5, Msg: pooled(pool, "bad node"), OneSided: true}
+	bad.Then(1, pooled(pool, "queued behind it"))
+	if err := sendOp(c.Node(0), bad); err == nil {
 		t.Fatal("send to out-of-range node succeeded")
 	}
-	if err := c.Node(1).Send(wall, 0, pooled(pool, "never received")); err != nil {
+	if err := send(c.Node(1), 0, pooled(pool, "never received"), false); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if err := c.Node(1).Send(wall, 0, pooled(pool, "after close")); !errors.Is(err, transport.ErrClosed) {
+	if err := send(c.Node(1), 0, pooled(pool, "after close"), false); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
-	if a, r := pool.Acquires(), pool.Releases(); a != 4 || r != 4 {
-		t.Fatalf("%d acquires vs %d releases, want 4 of each", a, r)
+	if a, r := pool.Acquires(), pool.Releases(); a != 5 || r != 5 {
+		t.Fatalf("%d acquires vs %d releases, want 5 of each", a, r)
 	}
 }
 
 func TestSendBadNode(t *testing.T) {
 	c := New(2, nil)
 	defer c.Close()
-	if err := c.Node(0).Send(wall, 7, []byte("x")); err == nil {
+	if err := send(c.Node(0), 7, []byte("x"), false); err == nil {
 		t.Fatal("send to out-of-range node succeeded")
 	}
 }
@@ -86,7 +114,7 @@ func TestCloseUnblocksReceiver(t *testing.T) {
 	c := New(1, nil)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Node(0).RecvMsg(wall)
+		_, err := recv(c.Node(0), false)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -135,7 +163,7 @@ func TestCloseSendRaceLeakGuard(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for k := 0; k < 8; k++ {
-					if err := c.Node(s%2).Send(wall, (s+1)%2, pooled(pool, "race payload")); err != nil {
+					if err := send(c.Node(s%2), (s+1)%2, pooled(pool, "race payload"), s%3 == 0); err != nil {
 						return // closed under us: expected
 					}
 				}
@@ -314,5 +342,25 @@ func TestCollectiveRendezvousReuse(t *testing.T) {
 				t.Fatalf("round %d node %d got %q", round, i, b)
 			}
 		}
+	}
+}
+
+// TestBlockingCallsRideTheTwoSidedLane: Send and RecvMsg, the calls for a
+// caller outside the Transport interface, move frames on the lane a
+// two-sided SendStep and RecvStep use.
+func TestBlockingCallsRideTheTwoSidedLane(t *testing.T) {
+	c := New(2, nil)
+	defer c.Close()
+	if err := c.Node(0).Send(wall, 1, []byte("blocking")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := recv(c.Node(1), false); err != nil || string(got) != "blocking" {
+		t.Fatalf("step receive got %q, %v", got, err)
+	}
+	if err := send(c.Node(1), 0, []byte("step"), false); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Node(0).RecvMsg(wall); err != nil || string(got) != "step" {
+		t.Fatalf("blocking receive got %q, %v", got, err)
 	}
 }

@@ -13,12 +13,13 @@
 // backend is bit-identical to an engine calling mpi.Rank directly — the
 // property the golden determinism suite pins.
 //
-// An Endpoint's two lanes also have step forms (Stepper): Send and RecvMsg,
-// and their one-sided twins, as ops a stackless proc advances a step at a
-// time (SendOp, RecvOp), over the rank's mpi.SendOp and mpi.RecvOp. The
-// blocking calls are those ops driven by Step and Await, so a caller on
-// either form takes the same slots of the schedule. A middleware forwards
-// the forms by implementing them too (Steps).
+// An Endpoint's lanes are the transport's step forms over the rank's own:
+// SendStep is mpi's SendMsgStep, its progress kept in the caller's
+// transport.SendOp, and RecvStep an mpi.RecvOp the endpoint holds for the
+// lane's one receiver. A stackless proc advances either a step at a time;
+// a stackful caller drives it with Proc.Await, which is what mpi's
+// blocking calls are, so both take the same slots of the schedule. A
+// step-form send or receive never fails.
 package simmpi
 
 import (
@@ -35,7 +36,7 @@ const dcgnTag = 770001
 
 // osTag is the MPI tag carrying the one-sided lane: put/get/ack frames
 // demultiplexed by the one-sided header. A distinct tag keeps the lane
-// out of the two-sided RecvMsg stream, so one-sided traffic can never
+// out of the two-sided lane's stream, so one-sided traffic can never
 // perturb comm-thread matching order (FIFO independence).
 const osTag = 770002
 
@@ -114,6 +115,9 @@ func (g *Group) Endpoint(local int) *Endpoint { return &g.eps[local] }
 type Endpoint struct {
 	g    *Group
 	rank *mpi.Rank
+	// rx is each lane's receive (two-sided, one-sided), reused from one
+	// frame to the next by the lane's one receiver.
+	rx [2]mpi.RecvOp
 }
 
 // proc recovers the simulated proc a transport call runs under.
@@ -125,42 +129,61 @@ func proc(p transport.Proc) *sim.Proc {
 	return sp
 }
 
-// send transmits one frame to job-local dstNode on the given tag, handing
-// the frame itself to the underlying MPI (a take-ownership send: no eager
-// copy, no rendezvous snapshot); the receiving endpoint's recv hands the
-// same buffer on.
-func (e *Endpoint) send(p transport.Proc, dstNode, tag int, frame []byte) error {
-	return e.rank.SendMsg(proc(p), frame, e.g.placement[dstNode], tag)
+// lane returns the endpoint's receive of a lane and the group's tag for it.
+func (e *Endpoint) lane(oneSided bool) (*mpi.RecvOp, int) {
+	if oneSided {
+		return &e.rx[1], e.g.osTag
+	}
+	return &e.rx[0], e.g.p2pTag
 }
 
-// recv blocks for the next inbound frame on the given tag, taking
-// ownership of the underlying MPI's pooled staging buffer (zero-copy
-// relay).
-func (e *Endpoint) recv(p transport.Proc, tag int) ([]byte, error) {
-	_, frame, err := e.rank.RecvMsg(proc(p), mpi.AnySource, tag)
-	return frame, err
+// SendStep puts each frame of op on the wire to its job-local node as
+// mpi's SendMsgStep on the lane's tag, handing the frame itself to the
+// underlying MPI (a take-ownership send: no eager copy, no rendezvous
+// snapshot); the receiving endpoint's RecvStep hands the same buffer on.
+func (e *Endpoint) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) {
+	sp := proc(p)
+	_, tag := e.lane(op.OneSided)
+	for e.rank.SendMsgStep(sp, (*mpi.SendOp)(&op.Wire), op.Msg, e.g.placement[op.Dst], tag) {
+		if !op.Next() {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
-// Send transmits one framed wire message to dstNode on the group's
-// point-to-point tag.
+// RecvStep receives the lane's next frame from any source as an
+// mpi.RecvMsgOp, taking ownership of the underlying MPI's pooled staging
+// buffer (zero-copy relay). The two lanes' receives run concurrently on
+// the same rank: they are disjoint by tag.
+func (e *Endpoint) RecvStep(p transport.Proc, op *transport.RecvOp) (bool, error) {
+	rx, tag := e.lane(op.OneSided)
+	if op.Posted == nil {
+		*rx = e.rank.RecvMsgOp(mpi.AnySource, tag)
+		op.Posted = rx
+	}
+	if !rx.Step(proc(p)) {
+		return false, nil
+	}
+	_, op.Msg, _ = rx.Result()
+	return true, nil
+}
+
+// Send and RecvMsg are the blocking two-sided calls for a caller that
+// drives an endpoint directly rather than through the Transport interface
+// (the repository benchmark's transport ladder): mpi's own blocking calls
+// on the point-to-point tag. RecvMsg is that lane's receiver.
+
+// Send transmits msg to dstNode and takes ownership of it.
 func (e *Endpoint) Send(p transport.Proc, dstNode int, msg []byte) error {
-	return e.send(p, dstNode, e.g.p2pTag, msg)
+	return e.rank.SendMsg(proc(p), msg, e.g.placement[dstNode], e.g.p2pTag)
 }
 
-// RecvMsg blocks for the next inbound wire message on the group's
-// point-to-point tag.
-func (e *Endpoint) RecvMsg(p transport.Proc) ([]byte, error) { return e.recv(p, e.g.p2pTag) }
-
-// SendOneSided transmits one framed one-sided message to dstNode on the
-// group's one-sided tag.
-func (e *Endpoint) SendOneSided(p transport.Proc, dstNode int, frame []byte) error {
-	return e.send(p, dstNode, e.g.osTag, frame)
+// RecvMsg blocks for the next inbound frame and hands its buffer over.
+func (e *Endpoint) RecvMsg(p transport.Proc) ([]byte, error) {
+	_, msg, err := e.rank.RecvMsg(proc(p), mpi.AnySource, e.g.p2pTag)
+	return msg, err
 }
-
-// RecvOneSided blocks for the next inbound one-sided frame. It runs
-// concurrently with RecvMsg on the same rank: the two posted receives are
-// disjoint by tag.
-func (e *Endpoint) RecvOneSided(p transport.Proc) ([]byte, error) { return e.recv(p, e.g.osTag) }
 
 // Barrier runs the group-wide node-level barrier.
 func (e *Endpoint) Barrier(p transport.Proc) error {
@@ -188,117 +211,10 @@ func (e *Endpoint) Alltoallv(p transport.Proc, sendBuf []byte, sendCounts []int,
 	return e.g.comm.Alltoallv(proc(p), e.rank, sendBuf, sendCounts, recvBuf, recvCounts)
 }
 
-// Stepper is an endpoint with step forms of its lanes' sends and receives.
-// Each advances its op on p and reports whether the op is complete; if it
-// is not, it has registered p's next wake, after which the caller calls it
-// again with the same op. A step-form send or receive cannot fail.
-type Stepper interface {
-	SendStep(p *sim.Proc, op *SendOp) bool
-	RecvStep(p *sim.Proc, op *RecvOp) bool
-}
-
-// Steps returns tr's step forms, nil when it has none: an Endpoint has
-// them, and a middleware that forwards them (faults) has them when what it
-// wraps has. A transport that only embeds another hides them.
-func Steps(tr transport.Transport) Stepper {
-	if s, ok := tr.(interface{ Steps() Stepper }); ok {
-		return s.Steps()
-	}
-	return nil
-}
-
-// Steps returns the endpoint itself: it has the step forms.
-func (e *Endpoint) Steps() Stepper { return e }
-
-// SendOp is one step-form send (SendStep) in progress: a frame (Msg,
-// whose buffer the transport owns from the op's first step) to its
-// job-local node, on the point-to-point lane or the one-sided one, then
-// whatever a middleware queued behind it (Then), each put on the wire once
-// the one before it is. Dst and Msg are the frame being sent: the op's
-// own, until a queued one's turn.
-type SendOp struct {
-	Dst      int
-	Msg      []byte
-	OneSided bool
-	// Mid is a middleware's own progress through the op; the endpoint
-	// never reads it.
-	Mid  uint8
-	wire mpi.SendOp
-	then *SendOp
-}
-
-// Then queues a send of msg to dstNode, on the op's lane, behind the op's
-// own frame and whatever was queued before it. Call it before the op's
-// first step.
-func (op *SendOp) Then(dstNode int, msg []byte) {
-	for ; op.then != nil; op = op.then {
-	}
-	op.then = &SendOp{Dst: dstNode, Msg: msg}
-}
-
-// RecvOp is one step-form receive (RecvStep) of the next frame on a lane,
-// reused from one frame to the next (Take).
-type RecvOp struct {
-	OneSided bool
-	started  bool
-	// Mid is a middleware's own progress through the op; the endpoint
-	// never reads it.
-	Mid  uint8
-	wire mpi.RecvOp
-}
-
-// Take returns the frame a completed op received, whose buffer now belongs
-// to the caller, and readies the op for the next receive.
-func (op *RecvOp) Take() []byte {
-	_, msg, _ := op.wire.Result()
-	op.started, op.Mid = false, 0
-	return msg
-}
-
-// Drop takes the op's receive off the rank's posted list unless it has
-// completed: what a proc that ends with the op unfinished must do.
-func (op *RecvOp) Drop() {
-	if op.started {
-		op.wire.Drop()
-	}
-}
-
-// tag returns the group's tag for a lane.
-func (g *Group) tag(oneSided bool) int {
-	if oneSided {
-		return g.osTag
-	}
-	return g.p2pTag
-}
-
-// SendStep is the step form of Send and SendOneSided: each frame of op
-// goes out as mpi's SendMsgStep.
-func (e *Endpoint) SendStep(p *sim.Proc, op *SendOp) bool {
-	for e.rank.SendMsgStep(p, &op.wire, op.Msg, e.g.placement[op.Dst], e.g.tag(op.OneSided)) {
-		next := op.then
-		if next == nil {
-			return true
-		}
-		op.Dst, op.Msg, op.wire, op.then = next.Dst, next.Msg, mpi.SendOp{}, next.then
-	}
-	return false
-}
-
-// RecvStep is the step form of RecvMsg and RecvOneSided: mpi's RecvMsgOp
-// from any source on the lane's tag.
-func (e *Endpoint) RecvStep(p *sim.Proc, op *RecvOp) bool {
-	if !op.started {
-		op.wire = e.rank.RecvMsgOp(mpi.AnySource, e.g.tag(op.OneSided))
-		op.started = true
-	}
-	return op.wire.Step(p)
-}
-
 // Close does nothing and wakes no one: a simulated endpoint has no state of
-// its own to shut, and a proc blocked in its RecvMsg or RecvOneSided ends
-// when the simulator kills it — with its tenant's proc group (sim.Group)
-// when a Runtime retires or cancels the job, with everything else when the
-// run ends — unposting its receive from the rank as it unwinds, or, a
-// stackless receiver, through its RecvOp's Drop. The world underneath is
-// shared and outlives every tenant.
+// its own to shut, and a proc waiting in a RecvStep ends when the simulator
+// kills it — with its tenant's proc group (sim.Group) when a Runtime
+// retires or cancels the job, with everything else when the run ends —
+// unposting its receive from the rank through its RecvOp's Drop. The world
+// underneath is shared and outlives every tenant.
 func (e *Endpoint) Close() error { return nil }

@@ -46,7 +46,7 @@ func runScript(t *testing.T, s *sim.Sim, w *mpi.World, eps []transport.Transport
 	for n, ep := range eps {
 		s.Spawn("node", func(p *sim.Proc) {
 			h := fnv.New64a()
-			recv := func(msg []byte, err error) {
+			got := func(msg []byte, err error) {
 				if err != nil {
 					t.Errorf("node %d: %v", n, err)
 				}
@@ -56,15 +56,15 @@ func runScript(t *testing.T, s *sim.Sim, w *mpi.World, eps []transport.Transport
 			peer := n ^ 1
 			for _, size := range sizes {
 				if n < peer {
-					check(t, ep.Send(p, peer, payload(n, size)))
-					recv(ep.RecvMsg(p))
-					check(t, ep.SendOneSided(p, peer, payload(n, size+1)))
-					recv(ep.RecvOneSided(p))
+					check(t, send(p, ep, peer, payload(n, size), false))
+					got(recv(p, ep, false))
+					check(t, send(p, ep, peer, payload(n, size+1), true))
+					got(recv(p, ep, true))
 				} else {
-					recv(ep.RecvMsg(p))
-					check(t, ep.Send(p, peer, payload(n, size)))
-					recv(ep.RecvOneSided(p))
-					check(t, ep.SendOneSided(p, peer, payload(n, size+1)))
+					got(recv(p, ep, false))
+					check(t, send(p, ep, peer, payload(n, size), false))
+					got(recv(p, ep, true))
+					check(t, send(p, ep, peer, payload(n, size+1), true))
 				}
 			}
 			check(t, ep.Barrier(p))
@@ -83,6 +83,29 @@ func runScript(t *testing.T, s *sim.Sim, w *mpi.World, eps []transport.Transport
 		t.Fatal(err)
 	}
 	return s.Now(), digests
+}
+
+// send drives a SendStep of msg to dstNode on a lane to its end on p.
+func send(p *sim.Proc, tr transport.Transport, dstNode int, msg []byte, oneSided bool) error {
+	op := &transport.SendOp{Dst: dstNode, Msg: msg, OneSided: oneSided}
+	for {
+		if done, err := tr.SendStep(p, op); done {
+			return err
+		}
+		p.Await()
+	}
+}
+
+// recv drives a RecvStep of a lane's next frame to its end on p.
+func recv(p *sim.Proc, tr transport.Transport, oneSided bool) ([]byte, error) {
+	op := &transport.RecvOp{OneSided: oneSided}
+	defer op.Drop()
+	for {
+		if done, err := tr.RecvStep(p, op); done {
+			return op.Take(), err
+		}
+		p.Await()
+	}
 }
 
 func check(t *testing.T, err error) {
@@ -142,33 +165,55 @@ func TestGroupsCarryOnlyTheirOwnFrames(t *testing.T) {
 		tx, rx := tn.g.Endpoint(0), tn.g.Endpoint(1)
 		s.Spawn("tx", func(p *sim.Proc) {
 			for i, size := range tn.frames {
-				if i%2 == 0 {
-					check(t, tx.Send(p, 1, make([]byte, size)))
-				} else {
-					check(t, tx.SendOneSided(p, 1, make([]byte, size)))
-				}
+				check(t, send(p, tx, 1, make([]byte, size), i%2 == 1))
 			}
 		})
 		s.Spawn("rx", func(p *sim.Proc) {
 			for i, size := range tn.frames {
-				recv := rx.RecvMsg
-				if i%2 == 1 {
-					recv = rx.RecvOneSided
-				}
-				msg, err := recv(p)
+				msg, err := recv(p, rx, i%2 == 1)
 				if err != nil || len(msg) != size {
 					t.Errorf("frame %d: %d bytes, err %v; want %d", i, len(msg), err, size)
 				}
 				w.Pool().Put(msg)
 			}
-			check(t, rx.Send(p, 0, make([]byte, 5)))
+			check(t, send(p, rx, 0, make([]byte, 5), false))
 		})
 		s.Spawn("ack", func(p *sim.Proc) {
-			msg, err := tx.RecvMsg(p)
+			msg, err := recv(p, tx, false)
 			check(t, err)
 			w.Pool().Put(msg)
 		})
 	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBlockingCallsRideTheTwoSidedLane: Send and RecvMsg, the calls for a
+// caller outside the Transport interface, move frames on the tag a
+// two-sided SendStep and RecvStep use, eager and rendezvous alike.
+func TestBlockingCallsRideTheTwoSidedLane(t *testing.T) {
+	s, w := testWorld(2)
+	a, b := New(w.Rank(0)), New(w.Rank(1))
+	sizes := []int{16, 20 << 10}
+	s.Spawn("a", func(p *sim.Proc) {
+		for _, size := range sizes {
+			check(t, a.Send(p, 1, payload(0, size)))
+			msg, err := a.RecvMsg(p)
+			if err != nil || len(msg) != size+1 {
+				t.Errorf("blocking receive: %d bytes, %v; want %d", len(msg), err, size+1)
+			}
+		}
+	})
+	s.Spawn("b", func(p *sim.Proc) {
+		for _, size := range sizes {
+			msg, err := recv(p, b, false)
+			if err != nil || len(msg) != size {
+				t.Errorf("step receive: %d bytes, %v; want %d", len(msg), err, size)
+			}
+			check(t, send(p, b, 0, payload(1, size+1), false))
+		}
+	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

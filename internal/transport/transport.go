@@ -5,18 +5,24 @@
 // The paper's design (§3.2.2) has the communication thread own "the
 // underlying communication library" — MPI in the original. Everything the
 // engine needs from that library is node-level, and it is one interface,
-// Transport, with two lanes:
+// Transport, with two lanes and one send and one receive that serve both:
 //
-//   - the two-sided lane (Send/RecvMsg) and the node-level collectives
-//     serve the comm thread: send one framed wire message to a peer node,
-//     block for the next inbound one, run a collective once every resident
-//     rank has joined;
-//   - the one-sided lane (SendOneSided/RecvOneSided) models an RDMA-capable
-//     NIC: frames posted here never enter the comm thread's intake→matcher
-//     path at either end — the origin posts from the producing thread (a
-//     CPU kernel or a GPU-triggered NIC daemon) and the target's sink
-//     daemon applies them straight into registered windows. Every transport
-//     carries it; an engine that never registers a window never calls it.
+//   - the two-sided lane and the node-level collectives serve the comm
+//     thread: send one framed wire message to a peer node, wait for the
+//     next inbound one, run a collective once every resident rank has
+//     joined;
+//   - the one-sided lane models an RDMA-capable NIC: frames posted here
+//     never enter the comm thread's intake→matcher path at either end — the
+//     origin posts from the producing thread (a CPU kernel or a
+//     GPU-triggered NIC daemon) and the target's sink daemon applies them
+//     straight into registered windows. Every transport carries it; an
+//     engine that never registers a window never uses it.
+//
+// The send and the receive have one form each, a step form (SendStep,
+// RecvStep over a SendOp or RecvOp naming the lane): on the simulator a
+// step that is not done has registered the calling proc's next wake, so a
+// sender or receiver can be a stackless proc; on the live backend every
+// step blocks in place and reports itself done.
 //
 // The matching/ordering semantics live once in internal/core and backends
 // are interchangeable:
@@ -88,34 +94,30 @@ type Proc interface {
 // of the progress engine. One Transport instance serves one node; its
 // methods are called by that node's communication thread and helpers.
 //
-// Send and RecvMsg carry opaque framed wire messages (internal/core's
-// header + payload), and both take ownership. msg comes from the job's
-// buffer pool and belongs to the transport once Send is called: it is the
-// buffer the receiving endpoint's RecvMsg returns, and on every path
-// exactly one party releases it to the pool — the receiver once it has
-// delivered it, or the transport when it drops the message, is closed or
-// fails the send. SendOneSided and RecvOneSided mirror them exactly on the
-// one-sided lane, whose frames never mix with the RecvMsg stream.
+// SendStep and RecvStep carry opaque framed wire messages (internal/core's
+// header + payload) on either lane, and both take ownership. A frame comes
+// from the job's buffer pool and belongs to the transport from the send's
+// first step: it is the buffer the receiving endpoint's RecvStep hands
+// over, and on every path exactly one party releases it to the pool — the
+// receiver once it has delivered it, or the transport when it drops the
+// frame, is closed or fails the send. Each lane has one receiver per
+// endpoint, and its frames never mix with the other lane's.
 //
 // The collectives are node-level (one call per node, every node
 // participating), mirroring the paper's "one MPI collective per node once
 // all resident ranks have joined" pattern (§3.2.3).
 type Transport interface {
-	// Send transmits one framed wire message to dstNode, taking ownership
-	// of msg, and blocks until the message is queued or delivered.
-	Send(p Proc, dstNode int, msg []byte) error
-	// RecvMsg blocks until the next inbound wire message arrives and
-	// transfers ownership of its buffer to the caller. After Close it
-	// returns ErrClosed (live backend; see Close).
-	RecvMsg(p Proc) ([]byte, error)
-	// SendOneSided transmits one framed one-sided message (a put, get or
-	// atomic descriptor, or an ack of one) to dstNode's one-sided lane,
-	// taking ownership of frame as Send does.
-	SendOneSided(p Proc, dstNode int, frame []byte) error
-	// RecvOneSided blocks until the next inbound one-sided frame arrives
-	// and transfers ownership of its buffer to the caller. After Close it
-	// returns ErrClosed.
-	RecvOneSided(p Proc) ([]byte, error)
+	// SendStep advances op, a send of one or more frames, on p and reports
+	// whether it is done; if it is not, it has registered p's next wake,
+	// after which the caller calls it again with the same op. A send that
+	// fails is done, with the error; every frame it had not put on the wire
+	// has gone back to the pool.
+	SendStep(p Proc, op *SendOp) (done bool, err error)
+	// RecvStep advances op, a receive of the next frame on its lane, as
+	// SendStep advances a send. Once it is done without error, op.Take
+	// hands over the frame. After Close it is done with ErrClosed (live
+	// backend; see Close).
+	RecvStep(p Proc, op *RecvOp) (done bool, err error)
 	// Barrier blocks until every node has entered the barrier.
 	Barrier(p Proc) error
 	// Bcast broadcasts buf from rootNode; every node passes an
@@ -138,6 +140,85 @@ type Transport interface {
 	// blocked in it are killed by the simulator, with their tenant's proc
 	// group or at the end of the run.
 	Close() error
+}
+
+// SendOp is one send (SendStep) in progress: a frame (Msg, whose buffer
+// the transport owns from the op's first step) to its job-local node, on
+// the two-sided lane or the one-sided one, then whatever a middleware
+// queued behind it (Then), each put on the wire once the one before it is.
+// Dst and Msg are the frame being sent: the op's own, until a queued one's
+// turn (Next).
+type SendOp struct {
+	Dst      int
+	Msg      []byte
+	OneSided bool
+	// Mid is a middleware's own progress through the op; a backend never
+	// reads it.
+	Mid uint8
+	// Wire is the backend's own progress through the frame being sent,
+	// which the caller never reads: it rides in the op so that a send
+	// allocates nothing of its own.
+	Wire WireState
+	then *SendOp
+}
+
+// WireState is a backend's progress through one frame: a phase and, once
+// the frame needs one, the backend's request for it. simmpi's is
+// internal/mpi's send step machine, which has this layout.
+type WireState struct {
+	Phase uint8
+	Req   any
+}
+
+// Then queues a send of msg to dstNode, on the op's lane, behind the op's
+// own frame and whatever was queued before it. Call it before the op's
+// first step reaches the backend.
+func (op *SendOp) Then(dstNode int, msg []byte) {
+	for ; op.then != nil; op = op.then {
+	}
+	op.then = &SendOp{Dst: dstNode, Msg: msg}
+}
+
+// Next moves op on to the frame queued behind the one it has just sent,
+// reporting false when there is none: what a backend calls once a frame is
+// on the wire.
+func (op *SendOp) Next() bool {
+	next := op.then
+	if next == nil {
+		return false
+	}
+	op.Dst, op.Msg, op.Wire, op.then = next.Dst, next.Msg, WireState{}, next.then
+	return true
+}
+
+// RecvOp is one receive (RecvStep) of the next frame on a lane, reused
+// from one frame to the next (Take).
+type RecvOp struct {
+	OneSided bool
+	// Mid is a middleware's own progress through the op; a backend never
+	// reads it.
+	Mid uint8
+	// Msg is the frame a done receive was handed, until Take.
+	Msg []byte
+	// Posted is the backend's receive in flight, which Drop takes back;
+	// nil before the op's first step and on a backend whose steps block.
+	Posted interface{ Drop() }
+}
+
+// Take returns the frame a done op received, whose buffer now belongs to
+// the caller, and readies the op for the next receive.
+func (op *RecvOp) Take() []byte {
+	msg := op.Msg
+	op.Msg, op.Mid, op.Posted = nil, 0, nil
+	return msg
+}
+
+// Drop takes the op's receive back from the backend unless it is done:
+// what a proc that ends with the op unfinished must do.
+func (op *RecvOp) Drop() {
+	if op.Posted != nil {
+		op.Posted.Drop()
+	}
 }
 
 // FaultStats counts the faults a fault-injection middleware has inflicted
