@@ -12,7 +12,7 @@ CHECK = $(PYTHON) scripts/ci_check.py
 
 GATES = build vet fmt lintdoc loc test race fuzz-smoke bench benchmark-smoke loadgen trace-export flows benchmark-gate
 
-.PHONY: $(GATES) ci virtual-diff
+.PHONY: $(GATES) ci virtual-diff allocprof
 
 build:
 	$(GO) build ./...
@@ -50,12 +50,17 @@ test:
 # catch state one of them touches outside the baton. The lane's step
 # machines (dcgn-tx, the receivers, the reliability helpers) run three more
 # times on one thread and on four, on both of their hosts and two shards:
-# a stackless step runs on whichever stack holds its shard's baton.
+# a stackless step runs on whichever stack holds its shard's baton. The
+# recycled control objects cross shards with the messages they carry — a
+# packet or an envelope ends its life on the receiving node's free list —
+# so the sharded exchange and the recycling tripwire run three more times
+# on one thread and on four too.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestGoldenShardInvariant' .
 	$(GO) test -race -count=5 -cpu 1,4 ./internal/sim
 	$(GO) test -race -count=3 -cpu 1,4 -run 'TestStepHostsAgree' ./internal/core
+	$(GO) test -race -count=3 -cpu 1,4 -run 'TestScaleFanoutShardInvariance|TestEngineResumeBudget' ./internal/apps
 
 # Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
 # every lane layout, starting from the committed corpus
@@ -94,6 +99,16 @@ benchmark-gate:
 # per op, phase shares) that reads differently here is printed. ~4 min.
 virtual-diff:
 	@$(CHECK) virtual-diff BENCHMARK.json $(BASE) $(OUT)/virtual-diff
+
+# Not a gate: where scale_sharded's heap allocations come from, by site.
+# BenchmarkScaleFanout (internal/apps: ScaleFanout on 1 024 nodes of a k=16
+# fat-tree, four shards) runs five times on one thread with every 512th
+# byte sampled, and pprof prints the allocation sites by object count; the
+# benchmark's own allocs/msg is the line above the table.
+allocprof:
+	$(GO) test ./internal/apps -run '^$$' -bench '^BenchmarkScaleFanout$$' -benchtime 5x -cpu 1 \
+		-memprofile $(OUT)/allocprof.mem -memprofilerate 512 -o $(OUT)/allocprof.test
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=40 $(OUT)/allocprof.test $(OUT)/allocprof.mem
 
 # Loadgen gate: a seeded Poisson run on the sim backend diffed for
 # byte-identical SLO reports, the chat preset on the live backend, and a
@@ -171,9 +186,19 @@ flows:
 # step-form discovery and faults' second bodies go (core 4740, faults 196,
 # simmpi 109; transport rises to 99 and live to 367 with the ops and forms
 # they now carry), and a bad cluster shape is an error (core 34 panics).
-LOC_CEILINGS = internal/core:4740:34 internal/transport:99:0 internal/transport/faults:196:0 \
+# Then raised for recycling a message's control objects: sim keeps the
+# per-owner free list (FreeList, its counts in Stats) and recycles
+# stackless procs at a natural end (1433); fabric recycles packets and
+# refuses one given back to the wrong node (448, one panic more); mpi
+# recycles envelopes and keeps its receives' and sends' events inside them
+# (842); core does both for inbound messages, dcgn-tx helpers (their lists
+# kept per substrate node, so a Runtime's tenants share them) and
+# requests, makes its matching maps on first use, and turns a peer or root
+# rank outside the job into ErrBadRank instead of a comm-thread panic
+# (4827).
+LOC_CEILINGS = internal/core:4827:34 internal/transport:99:0 internal/transport/faults:196:0 \
 	internal/transport/simmpi:109:2 internal/transport/live:367:2 internal/obs:602:0 \
-	internal/sim:1349:19 internal/fabric:436:16 internal/mpi:827:18 \
+	internal/sim:1433:19 internal/fabric:448:17 internal/mpi:842:18 \
 	internal/pcie:58:1 internal/device:279:7 internal/gas:118:3 internal/apps:2006:39 \
 	cmd/dcgn-mandel:118:0
 loc:

@@ -102,7 +102,7 @@ func BenchmarkAblationTreeDispersal(b *testing.B) {
 var highFanoutRows = []struct {
 	inflight    int
 	allocBudget float64
-}{{64, 1031}, {512, 4314}, {4096, 30166}}
+}{{64, 894}, {512, 2570}, {4096, 15540}}
 
 // BenchmarkHighFanoutMatching stresses the comm thread's matching index
 // at ROADMAP scale: one sink rank posts thousands of nonblocking receives
@@ -158,21 +158,21 @@ var engineLanes = []struct {
 	{"sim-gpu-1MB", 2 * laneIters, gpuLane(laneLarge), 0},
 	// The no-fault overhead of the seq/ack wire format: one ack frame and
 	// one retransmit timer per message.
-	{"sim-reliable", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Reliability.Enabled = true }), 7386},
+	{"sim-reliable", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Reliability.Enabled = true }), 1557},
 	// Spans plus metrics: the ring buffers are set up once and each
 	// histogram on its first observation, so tracing costs a fixed number
 	// of allocations per run, not per request.
-	{"sim-traced", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 2360},
+	{"sim-traced", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics = true, true }), 617},
 	// Causal flow tracing on top: the ID counters live in the trace sink
 	// and the 16 header bytes come from the same pools.
-	{"sim-flows", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 2853},
+	{"sim-flows", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Trace, c.Metrics, c.Flows = true, true, true }), 1108},
 	// One shard per node: an outbox merge at every barrier, and a second
 	// goroutine only for the windows in which both nodes have work — most
 	// of a ping-pong's have one busy shard, which the coordinator runs on
 	// its own goroutine, as it does every window of the rows above.
 	{"sim-sharded", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Shards = 2 }), 0},
-	{"sim-onesided", 2 * laneIters, oneSidedLane, 2662},
-	{"sim-triggered", laneIters, triggeredLane, 1553},
+	{"sim-onesided", 2 * laneIters, oneSidedLane, 951},
+	{"sim-triggered", laneIters, triggeredLane, 804},
 }
 
 // twoSidedLane is the Send/Recv ping-pong of size-byte messages between two
@@ -326,27 +326,52 @@ func BenchmarkEnginePingPong(b *testing.B) {
 	}
 }
 
+// scaleFanoutAllocsPerMsg is TestEngineAllocBudget's budget for its
+// ScaleFanout row, by the rule of the rows above: the 18 885 allocations a
+// run measured, plus 20% plus 16, over its 2 048 messages.
+const scaleFanoutAllocsPerMsg = 11.07
+
 // TestEngineAllocBudget is the allocation tripwire for the request paths
 // no BENCHMARK.json workload exercises: each budgeted lane's ping-pong and
 // each high-fanout population must stay inside its allocation budget. The
 // 20% margin rides out run-to-run and Go-version noise, so what fails is
 // growth of that order — a goroutine or a handful of allocations per
 // request — not one allocation per message; a workload's 5% allocs_per_op
-// bound is the tighter gate once it covers the lane.
+// bound is the tighter gate once it covers the lane. One row is a
+// workload's path at a size `go test` runs: scale_sharded's exchange, whose
+// per-message control objects are recycled (sim.FreeList), so that a
+// regression to allocating them — some ten per message — fails here
+// before it reaches the benchmark.
 func TestEngineAllocBudget(t *testing.T) {
-	check := func(name string, budget float64, run func()) {
-		if allocs := testing.AllocsPerRun(3, run); allocs > budget {
-			t.Errorf("%s: %.0f allocs per run, budget %.0f", name, allocs, budget)
+	// per divides a run's allocations: 1 for a budget per run, the
+	// messages it moves for one per message.
+	check := func(name string, budget float64, run func(), per float64) {
+		if allocs := testing.AllocsPerRun(3, run) / per; allocs > budget {
+			t.Errorf("%s: %.2f allocs, budget %.2f", name, allocs, budget)
 		}
 	}
 	for _, lane := range engineLanes {
 		if lane.allocBudget > 0 {
-			check(lane.name, lane.allocBudget, func() { lane.run(t) })
+			check(lane.name+" per run", lane.allocBudget, func() { lane.run(t) }, 1)
 		}
 	}
 	for _, row := range highFanoutRows {
-		check(fmt.Sprintf("highfanout/inflight%d", row.inflight), row.allocBudget, func() { highFanout(t, row.inflight) })
+		check(fmt.Sprintf("highfanout/inflight%d per run", row.inflight), row.allocBudget, func() { highFanout(t, row.inflight) }, 1)
 	}
+	// scale_sharded's exchange on 64 nodes and two shards, budgeted per
+	// message: every per-message control object the engine makes — procs,
+	// completion events, packets, envelopes, inbound messages, dcgn-tx
+	// helpers — comes from its owner's free list, so what is left is the
+	// kernel's own buffers and requests and the job's set-up.
+	const nodes, rounds, fanout = 64, 4, 4
+	cfg := core.DefaultConfig()
+	cfg.Nodes, cfg.Shards, cfg.MPI.TreeCollectives = nodes, 2, true
+	msgs := float64(nodes * rounds * 2 * fanout)
+	check("scalefanout/64x2 per message", scaleFanoutAllocsPerMsg, func() {
+		if _, _, err := apps.ScaleFanout(cfg, rounds, fanout); err != nil {
+			t.Fatal(err)
+		}
+	}, msgs)
 }
 
 func sizeName(n int) string {

@@ -207,6 +207,10 @@ const DevNull = device.Null
 // buffer.
 var ErrTruncate = core.ErrTruncate
 
+// ErrBadRank is reported by a call that names a peer or root rank outside
+// the job.
+var ErrBadRank = core.ErrBadRank
+
 // ErrUnacked is reported when the reliability layer exhausts its
 // retransmit budget without an acknowledgement.
 var ErrUnacked = core.ErrUnacked

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -81,6 +82,30 @@ func TestScaleFanoutShardInvariance(t *testing.T) {
 	}
 }
 
+// BenchmarkScaleFanout is the engine under the repository benchmark's
+// scale_sharded workload: ScaleFanout on 1 024 CPU-only nodes of a k=16
+// fat-tree, four shards, tree collectives, four rounds at fan-out four.
+// Besides ns/op it reports the messages a run moves and the heap
+// allocations per message; `make allocprof` profiles it by allocation
+// site.
+func BenchmarkScaleFanout(b *testing.B) {
+	const nodes, rounds, fanout = 1024, 4, 4
+	cfg := core.DefaultConfig()
+	cfg.Nodes, cfg.Shards, cfg.MPI.TreeCollectives = nodes, 4, true
+	cfg.Net.Topology = fabric.NewFatTree(16, 300*time.Nanosecond)
+	msgs := float64(nodes * rounds * 2 * fanout)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ScaleFanout(cfg, rounds, fanout); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(msgs, "msgs/op")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/msgs, "allocs/msg")
+}
+
 // TestScaleFanoutDigestsNontrivial guards against the digest pipeline
 // degenerating (all-zero or all-equal vectors would make the CI diff
 // vacuous).
@@ -140,7 +165,10 @@ func (t simSeer) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) 
 // GPU-to-GPU message adds the rendezvous and GPU helpers that the 8-byte
 // exchange never spawns, and a reliable exchange the ack helpers and the
 // retransmit timers. Resume counts are deterministic, so the budget is the
-// measured figure, rounded up.
+// measured figure, rounded up. It is also the recycling tripwire: the
+// per-message control objects — stackless procs, packets, envelopes,
+// inbound messages, dcgn-tx helpers — come mostly from free lists, and
+// each run gives back every object it was handed (sim.Recycled).
 func TestEngineResumeBudget(t *testing.T) {
 	const nodes, rounds, fanout, budget = 64, 3, 3, 7.9
 	cfg := core.DefaultConfig()
@@ -151,13 +179,22 @@ func TestEngineResumeBudget(t *testing.T) {
 	}
 	st := stats()
 	msgs := float64(nodes * rounds * 2 * fanout)
-	t.Logf("%.2f resumes, %.2f steps, %.2f spawns per message; %d workers; peak timer heap %d",
-		float64(st.Resumes)/msgs, float64(st.Steps)/msgs, float64(st.Spawns)/msgs, st.Workers, st.PeakTimers)
+	t.Logf("%.2f resumes, %.2f steps, %.2f spawns per message; %d workers; peak timer heap %d; recycled %+v",
+		float64(st.Resumes)/msgs, float64(st.Steps)/msgs, float64(st.Spawns)/msgs, st.Workers, st.PeakTimers, st.Recycled)
 	if per := float64(st.Resumes) / msgs; per > budget {
 		t.Errorf("%.2f resumes per message, budget %.1f", per, budget)
 	}
 	if st.Workers != 2*nodes {
 		t.Errorf("%d coroutine workers started, want %d: a comm thread and a CPU kernel per node", st.Workers, 2*nodes)
+	}
+	// Every per-message control object comes from its owner's free list
+	// and goes back to one, so at most a third of them are ever allocated
+	// (a node's first few, before any came back).
+	recycled := []string{"proc", "packet", "envelope", "inbound", "remote-send"}
+	for _, kind := range recycled {
+		if r := st.Recycled[kind]; r.Gets == 0 || 3*r.Fresh > r.Gets {
+			t.Errorf("%s: %d handed out, %d of them allocated: not recycled", kind, r.Gets, r.Fresh)
+		}
 	}
 	gpu := core.DefaultConfig()
 	gpuStats := simsOf(&gpu)
@@ -180,6 +217,15 @@ func TestEngineResumeBudget(t *testing.T) {
 	for _, kind := range []string{"wire", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done", "dcgn-tx", "mpi-recv", "rel-ack", "timer"} {
 		if st.Kinds[kind].Steps == 0 {
 			t.Errorf("%s: no steps taken; the workload no longer exercises it", kind)
+		}
+	}
+	// Conservation: once a run is over, each object handed out has been
+	// given back — to a list, or to the garbage collector when something
+	// may still point at it — in all three runs, the 1 MB rendezvous and
+	// the reliable exchange included; for procs that is every proc done.
+	for _, kind := range recycled {
+		if r := st.Recycled[kind]; r.Held() != 0 {
+			t.Errorf("%s: %d handed out, %d given back: %d still held after the runs", kind, r.Gets, r.Puts, r.Held())
 		}
 	}
 }

@@ -58,6 +58,15 @@ type nodeState struct {
 	index  *matchIndex
 	coll   *collAccum
 
+	// txs and ins are the host node's lists of spare dcgn-tx helpers and
+	// inbound messages: taken by the comm thread and the lane receiver,
+	// given back by the helper as it ends and by the comm thread once an
+	// inbound's payload is delivered, all on the node's simulator. Nil on
+	// the live backend, where those are goroutines of their own: a nil
+	// list recycles nothing.
+	txs *sim.FreeList[remoteSend]
+	ins *sim.FreeList[inbound]
+
 	// wire is the two-sided frame lane (reliable.go): handleSend transmits
 	// on it and its receiver daemon feeds the intake. rel counts the
 	// reliability traffic of this lane and the one-sided one.

@@ -423,3 +423,51 @@ func TestUnknownBackendRejected(t *testing.T) {
 		t.Fatalf("want unknown-backend error, got %v", err)
 	}
 }
+
+// TestConformanceBadRankIsAnError: a call that names a rank outside the job
+// — a send's destination, a receive's source, either side of a sendrecv, a
+// collective's root — returns ErrBadRank on both backends, instead of
+// taking down the comm thread (and, on the live backend, the process), and
+// the job goes on: the message sent after the bad calls arrives.
+func TestConformanceBadRankIsAnError(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, backend string) {
+		job := NewJob(backendConfig(backend, 2, 1))
+		buf := make([]byte, 8)
+		job.SetCPUKernel(func(c *CPUCtx) {
+			if c.Rank() == 1 {
+				if st, err := c.Recv(0, buf); err != nil || st.Bytes != len(buf) {
+					t.Errorf("good receive after the bad calls: %+v, %v", st, err)
+				}
+				return
+			}
+			n := c.Size()
+			for _, call := range []struct {
+				name string
+				do   func() error
+			}{
+				{"send", func() error { return c.Send(9999, buf) }},
+				{"send-negative", func() error { return c.Send(AnySource, buf) }},
+				{"isend", func() error { _, err := c.ISend(n, buf).Wait(c); return err }},
+				{"recv", func() error { _, err := c.Recv(n, buf); return err }},
+				{"irecv", func() error { _, err := c.IRecv(-7, buf).Wait(c); return err }},
+				{"sendrecv-dst", func() error { _, err := c.SendRecv(9999, buf, 1, buf); return err }},
+				{"sendrecv-src", func() error { _, err := c.SendRecv(1, buf, 9999, buf); return err }},
+				{"sendrecv-any-dst", func() error { _, err := c.SendRecv(AnySource, buf, 1, buf); return err }},
+				{"bcast-root", func() error { return c.Bcast(n, buf) }},
+				{"gather-root", func() error { return c.Gather(-2, buf, nil) }},
+				{"scatter-root", func() error { return c.Scatter(9999, nil, buf) }},
+				{"sendrecv-replace", func() error { _, err := c.SendRecvReplace(9999, 1, buf); return err }},
+			} {
+				if err := call.do(); !errors.Is(err, ErrBadRank) {
+					t.Errorf("%s: error %v, want ErrBadRank", call.name, err)
+				}
+			}
+			if err := c.Send(1, buf); err != nil {
+				t.Errorf("good send after the bad calls: %v", err)
+			}
+		})
+		if _, err := job.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

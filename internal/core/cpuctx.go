@@ -157,17 +157,15 @@ func (c *CPUCtx) IRecv(src int, buf []byte) *AsyncOp {
 
 // post charges the enqueue cost and hands one request to the comm thread's
 // queue without waiting for it; done is named event:rank. peer2 is the
-// receive side of a combined send/receive and zero otherwise.
+// receive side of a combined send/receive and zero otherwise. A request
+// that names a rank outside the job is completed with ErrBadRank instead,
+// at once and at no cost.
 func (c *CPUCtx) post(event string, op opKind, peer, peer2 int, buf, recvBuf []byte) *request {
-	req := &request{
-		op:      op,
-		rank:    c.rank,
-		peer:    peer,
-		peer2:   peer2,
-		buf:     buf,
-		recvBuf: recvBuf,
-		done:    c.ns.rt.NewEventID(event, c.rank),
-		ns:      c.ns,
+	req := c.ns.newRequest(event, c.rank)
+	req.op, req.rank, req.peer, req.peer2, req.buf, req.recvBuf = op, c.rank, peer, peer2, buf, recvBuf
+	if err := c.job.rmap.checkPeers(op, peer, peer2); err != nil {
+		req.complete(0, 0, err)
+		return req
 	}
 	c.ns.charge(c.tp, c.job.cfg.Params.EnqueueCost)
 	c.job.trace.record(c.ns.rt, req)

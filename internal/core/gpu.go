@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -44,6 +45,7 @@ const (
 const (
 	mbOK uint32 = iota
 	mbTrunc
+	mbBadRank
 )
 
 // hostStage is the monitor-side state machine for one slot. The paper
@@ -280,6 +282,9 @@ func (gt *gpuThread) claim(p *sim.Proc, ss *slotState, mb []byte, n int) {
 func (gt *gpuThread) relay(p *sim.Proc, ss *slotState) *request {
 	req := gt.buildRequest(p, ss)
 	ss.req = req
+	if req.done.Fired() {
+		return req // it named a rank outside the job
+	}
 	gt.ns.charge(p, gt.ns.job.cfg.Params.EnqueueCost)
 	gt.ns.job.trace.record(gt.ns.rt, req)
 	gt.ns.intake.postRequest(req)
@@ -295,13 +300,15 @@ func (gt *gpuThread) relay(p *sim.Proc, ss *slotState) *request {
 func (gt *gpuThread) buildRequest(p *sim.Proc, ss *slotState) *request {
 	bus := gt.payloadBus()
 	pool := gt.ns.job.pool
-	peer := int(ss.peerRaw)
-	req := &request{
-		op:   ss.op,
-		rank: ss.rank,
-		done: gt.ns.rt.NewEventID("gpu-req", ss.rank),
-		ns:   gt.ns,
-		gpu:  true,
+	peer, peer2 := int(ss.peerRaw), 0
+	if ss.op == opSendrecv {
+		peer, peer2 = unpackPeers(ss.peerRaw)
+	}
+	req := gt.ns.newRequest("gpu-req", ss.rank)
+	req.op, req.rank, req.gpu = ss.op, ss.rank, true
+	if err := gt.ns.job.rmap.checkPeers(ss.op, peer, peer2); err != nil {
+		req.complete(0, 0, err)
+		return req
 	}
 	switch ss.op {
 	case opSend:
@@ -311,7 +318,7 @@ func (gt *gpuThread) buildRequest(p *sim.Proc, ss *slotState) *request {
 		req.peer = peer
 		req.buf = pool.Get(ss.size)
 	case opSendrecv:
-		req.peer, req.peer2 = unpackPeers(ss.peerRaw)
+		req.peer, req.peer2 = peer, peer2
 		gt.stageSend(p, req, ss.ptr, ss.size)
 		req.recvBuf = pool.Get(ss.size2)
 	case opBarrier:
@@ -365,8 +372,41 @@ func (gt *gpuThread) stageSend(p *sim.Proc, req *request, ptr device.Ptr, n int)
 // the done flag, and releases the spinning block (Fig. 2 step 7).
 func (gt *gpuThread) writeBack(p *sim.Proc, ss *slotState, mb []byte) {
 	le := binary.LittleEndian
-	bus := gt.payloadBus()
 	req := ss.req
+	errCode := mbOK
+	switch {
+	case errors.Is(req.err, ErrBadRank):
+		errCode = mbBadRank // nothing was staged, and nothing arrived
+	case req.err == ErrTruncate:
+		errCode = mbTrunc
+		fallthrough
+	case req.err == nil:
+		gt.copyBack(p, ss, req)
+	default:
+		panic(fmt.Sprintf("dcgn: GPU request failed: %v", req.err))
+	}
+	le.PutUint32(mb[mbResN:], uint32(req.status.Bytes))
+	le.PutUint32(mb[mbResSrc:], uint32(int32(req.status.Source)))
+	le.PutUint32(mb[mbErr:], errCode)
+	le.PutUint32(mb[mbStatus:], mbDone)
+	gt.ns.bus.Ctl(p, 20)
+	// The host staging buffers are done once results are back on the
+	// device: the lifecycle span (if any) was recorded inside complete(),
+	// before this write-back ran, so nothing reads them after the pool
+	// reclaims the storage. A sendFrame buffer is the wire's, not ours.
+	if !req.sendFrame {
+		gt.ns.job.pool.Put(req.buf)
+	}
+	gt.ns.job.pool.Put(req.recvBuf)
+	ss.req = nil
+	ss.stage = stageIdle
+	ss.wake.Fire()
+}
+
+// copyBack copies a completed request's results host -> device: what it
+// received, or the collective's output.
+func (gt *gpuThread) copyBack(p *sim.Proc, ss *slotState, req *request) {
+	bus := gt.payloadBus()
 	switch ss.op {
 	case opRecv, opSendrecv:
 		ptr, in := ss.ptr, req.buf
@@ -390,28 +430,6 @@ func (gt *gpuThread) writeBack(p *sim.Proc, ss *slotState, mb []byte) {
 	case opAlltoall:
 		gt.dev.CopyIn(p, bus, ss.ptr2, req.recvBuf)
 	}
-	errCode := mbOK
-	if req.err == ErrTruncate {
-		errCode = mbTrunc
-	} else if req.err != nil {
-		panic(fmt.Sprintf("dcgn: GPU request failed: %v", req.err))
-	}
-	le.PutUint32(mb[mbResN:], uint32(req.status.Bytes))
-	le.PutUint32(mb[mbResSrc:], uint32(int32(req.status.Source)))
-	le.PutUint32(mb[mbErr:], errCode)
-	le.PutUint32(mb[mbStatus:], mbDone)
-	gt.ns.bus.Ctl(p, 20)
-	// The host staging buffers are done once results are back on the
-	// device: the lifecycle span (if any) was recorded inside complete(),
-	// before this write-back ran, so nothing reads them after the pool
-	// reclaims the storage. A sendFrame buffer is the wire's, not ours.
-	if !req.sendFrame {
-		gt.ns.job.pool.Put(req.buf)
-	}
-	gt.ns.job.pool.Put(req.recvBuf)
-	ss.req = nil
-	ss.stage = stageIdle
-	ss.wake.Fire()
 }
 
 // directBus is the GPUDirect payload path: DMA setup collapses to doorbell

@@ -158,8 +158,11 @@ func (g *GPUCtx) postRaw(slot int, op opKind, peer int64, ptr device.Ptr, n int,
 		Bytes:  int(le.Uint32(mb[mbResN:])),
 	}
 	var err error
-	if le.Uint32(mb[mbErr:]) == mbTrunc {
+	switch le.Uint32(mb[mbErr:]) {
+	case mbTrunc:
 		err = ErrTruncate
+	case mbBadRank:
+		err = ErrBadRank
 	}
 	le.PutUint32(mb[mbStatus:], mbIdle)
 	return st, err

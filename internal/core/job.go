@@ -402,8 +402,10 @@ func (j *Job) newNodeState(n int) *nodeState {
 	rtv := j.rt
 	var s *sim.Sim
 	var jit *sim.Jitter
+	var h *hostNode
 	if j.hosts != nil {
-		s, jit = j.hosts[n].Sim(), j.hosts[n].Jitter()
+		h = j.hosts[n]
+		s, jit = h.Sim(), h.Jitter()
 		jit.Seed(j.cfg.JitterFrac, j.cfg.JitterSeed, n)
 		rtv = simRT{s: s} // a 1:1 veneer: no allocation, no behavior of its own
 		if j.stackful {
@@ -418,6 +420,9 @@ func (j *Job) newNodeState(n int) *nodeState {
 		jit:    jit,
 		intake: newIntake(rtv.NewQueue(fmt.Sprintf("commq:%d", n))),
 		index:  newMatchIndex(),
+	}
+	if h != nil {
+		ns.txs, ns.ins = &h.txs, &h.ins
 	}
 	ns.wrapTransport(j.endpoints[n])
 	ns.obsOn = j.trace != nil || j.metrics != nil

@@ -753,3 +753,49 @@ func TestTraceRecordsRequestLifecycles(t *testing.T) {
 		t.Fatalf("trace rendering missing content:\n%s", sb.String())
 	}
 }
+
+// TestGPUBadRankIsAnError: a device call that names a rank outside the job
+// comes back from its mailbox with ErrBadRank — it never reaches the comm
+// thread, and nothing is staged for it — and the slot is free for the next
+// call, whose message arrives.
+func TestGPUBadRankIsAnError(t *testing.T) {
+	job := NewJob(gpuConfig(2, 0, 1, 1))
+	const n = 64
+	job.SetGPUSetup(func(s *GPUSetup) { s.Args["buf"] = s.Dev.Mem().MustAlloc(n) })
+	job.SetGPUKernel(1, 8, func(g *GPUCtx) {
+		if g.Block().Idx != 0 {
+			return
+		}
+		ptr := g.Arg("buf").(device.Ptr)
+		if g.Rank(0) == 1 {
+			if st, err := g.Recv(0, 0, ptr, n); err != nil || st.Bytes != n {
+				t.Errorf("good receive after the bad calls: %+v, %v", st, err)
+			}
+			return
+		}
+		for _, call := range []struct {
+			name string
+			do   func() error
+		}{
+			{"send", func() error { return g.Send(0, 9999, ptr, n) }},
+			{"recv", func() error { _, err := g.Recv(0, g.Size(), ptr, n); return err }},
+			{"sendrecv-src", func() error { _, err := g.SendRecv(0, 1, ptr, n, 9999, ptr, n); return err }},
+			{"sendrecv-dst", func() error { _, err := g.SendRecv(0, -3, ptr, n, 1, ptr, n); return err }},
+			{"bcast-root", func() error { return g.Bcast(0, 9999, ptr, n) }},
+		} {
+			if err := call.do(); !errors.Is(err, ErrBadRank) {
+				t.Errorf("%s: error %v, want ErrBadRank", call.name, err)
+			}
+		}
+		if err := g.Send(0, 1, ptr, n); err != nil {
+			t.Errorf("good send after the bad calls: %v", err)
+		}
+	})
+	rep, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PoolAcquires != rep.PoolReleases {
+		t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
+	}
+}

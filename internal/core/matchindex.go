@@ -28,13 +28,25 @@ type pairKey struct{ src, dst int }
 // ring is a slice-backed FIFO. Vacated slots are zeroed so popped entries
 // don't leak through the retained backing array, and the backing slice is
 // compacted once the dead prefix dominates, keeping push/pop amortized
-// O(1) with memory proportional to the live population.
+// O(1) with memory proportional to the live population. Until it holds two
+// entries at once, its backing is one, inside the ring: a per-pair FIFO
+// rarely holds more, and then costs one allocation, not two.
 type ring[T any] struct {
 	items []T
 	head  int
+	one   [1]T
 }
 
-func (q *ring[T]) push(v T) { q.items = append(q.items, v) }
+func (q *ring[T]) push(v T) {
+	if q.items == nil {
+		q.items = q.one[:0]
+	}
+	inline := cap(q.items) == 1
+	q.items = append(q.items, v)
+	if inline && cap(q.items) > 1 {
+		q.one = [1]T{} // moved out: the slot must not pin what it held
+	}
+}
 
 func (q *ring[T]) peek() (T, bool) {
 	var zero T
@@ -79,7 +91,8 @@ func (q *ring[T]) len() int {
 // messages — in two FIFOs at once, per (src, dst) pair and per dst. The
 // entry is shared; whichever queue hands it out first flips a tombstone the
 // other queue skips lazily. No method of T is called, so the instantiations
-// cost what the hand-written copies did.
+// cost what the hand-written copies did. The zero value is empty; its maps
+// are made on first use.
 type twoIndex[T any] struct {
 	byPair map[pairKey]*ring[*parked[T]]
 	byDst  map[int]*ring[*parked[T]]
@@ -92,16 +105,16 @@ type parked[T any] struct {
 	taken bool
 }
 
-func newTwoIndex[T any]() twoIndex[T] {
-	return twoIndex[T]{byPair: make(map[pairKey]*ring[*parked[T]]), byDst: make(map[int]*ring[*parked[T]])}
-}
-
-// queueOf returns m's FIFO for k, creating it on first use.
-func queueOf[K comparable, T any](m map[K]*ring[T], k K) *ring[T] {
-	q := m[k]
+// queueOf returns *m's FIFO for k, creating it, and *m, on first use: a
+// node that never parks a kind of entry makes no map for it.
+func queueOf[K comparable, T any](m *map[K]*ring[T], k K) *ring[T] {
+	if *m == nil {
+		*m = make(map[K]*ring[T])
+	}
+	q := (*m)[k]
 	if q == nil {
 		q = &ring[T]{}
-		m[k] = q
+		(*m)[k] = q
 	}
 	return q
 }
@@ -109,8 +122,8 @@ func queueOf[K comparable, T any](m map[K]*ring[T], k K) *ring[T] {
 // add parks v, sent by src for dst.
 func (ix *twoIndex[T]) add(src, dst int, v T) {
 	e := &parked[T]{v: v}
-	queueOf(ix.byPair, pairKey{src: src, dst: dst}).push(e)
-	queueOf(ix.byDst, dst).push(e)
+	queueOf(&ix.byPair, pairKey{src: src, dst: dst}).push(e)
+	queueOf(&ix.byDst, dst).push(e)
 	ix.n++
 }
 
@@ -163,14 +176,7 @@ type matchIndex struct {
 	peak atomic.Int64
 }
 
-func newMatchIndex() *matchIndex {
-	return &matchIndex{
-		sends:       newTwoIndex[*request](),
-		unexp:       newTwoIndex[*inbound](),
-		recvsByPair: make(map[pairKey]*ring[recvEntry]),
-		recvsAny:    make(map[int]*ring[recvEntry]),
-	}
-}
+func newMatchIndex() *matchIndex { return &matchIndex{} }
 
 // depth is the total number of live pending entries (sends + recvs +
 // unexpected inbound), the per-node queue depth reported in traces.
@@ -203,9 +209,9 @@ func (mi *matchIndex) addRecv(req *request) {
 	mi.seq++
 	e := recvEntry{req: req, seq: mi.seq}
 	if req.peer == AnySource {
-		queueOf(mi.recvsAny, req.rank).push(e)
+		queueOf(&mi.recvsAny, req.rank).push(e)
 	} else {
-		queueOf(mi.recvsByPair, pairKey{src: req.peer, dst: req.rank}).push(e)
+		queueOf(&mi.recvsByPair, pairKey{src: req.peer, dst: req.rank}).push(e)
 	}
 	mi.recvs++
 	mi.note()

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"dcgn/internal/obs"
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 )
 
@@ -21,11 +22,11 @@ func (ns *nodeState) handleSendrecv(p transport.Proc, req *request) {
 	j := &sendrecvJoin{parent: req}
 	j.send = request{
 		op: opSend, rank: req.rank, peer: req.peer, buf: req.buf,
-		done: rt.NewEventID("srv-send", req.rank), ns: ns, gpu: req.gpu, sendFrame: req.sendFrame,
+		done: rt.EventIn(&j.evs[0], "srv-send", req.rank), ns: ns, gpu: req.gpu, sendFrame: req.sendFrame,
 	}
 	j.recv = request{
 		op: opRecv, rank: req.rank, peer: req.peer2, buf: req.recvBuf,
-		done: rt.NewEventID("srv-recv", req.rank), ns: ns, gpu: req.gpu,
+		done: rt.EventIn(&j.evs[1], "srv-recv", req.rank), ns: ns, gpu: req.gpu,
 	}
 	if ns.flowsOn {
 		// The outgoing half carries the parent exchange's flow context; the
@@ -41,10 +42,12 @@ func (ns *nodeState) handleSendrecv(p transport.Proc, req *request) {
 
 // sendrecvJoin is a combined exchange's dcgn-sendrecv-join helper, a
 // stackless proc on the simulated backend: the parent request and its two
-// halves, which it waits for before completing the parent.
+// halves, which it waits for before completing the parent, with their
+// completion events on the simulated backend.
 type sendrecvJoin struct {
 	parent     *request
 	send, recv request
+	evs        [2]sim.Event
 }
 
 func (j *sendrecvJoin) step(h transport.Proc) bool {
@@ -94,7 +97,8 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 		} else {
 			msg = packFrame(ns.job.pool, ns.wire.layout, f)
 		}
-		tx := &remoteSend{req: req}
+		tx := ns.txs.Get()
+		tx.req = req
 		var sentAt *time.Duration
 		if ns.obsOn {
 			sentAt = &req.wireSentAt
@@ -114,7 +118,8 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 }
 
 // remoteSend is a remote send's dcgn-tx helper: the relay charge, the
-// frame's transmit, the notify charge, then the request's completion.
+// frame's transmit, the notify charge, then the request's completion, after
+// which the helper goes back to its node's list (nodeState.txs).
 type remoteSend struct {
 	req   *request
 	tx    txFrame
@@ -151,12 +156,17 @@ func (x *remoteSend) step(h transport.Proc) bool {
 		}
 	}
 	req.complete(req.rank, len(req.payload()), x.tx.err)
+	ns.txs.Put(x)
 	return true
 }
 
 // Drop ends a transmit the helper was killed in the middle of
-// (sim.Dropper).
-func (x *remoteSend) Drop() { x.tx.Drop() }
+// (sim.Dropper). The helper itself is left to the garbage collector: a
+// stale wake may still name its proc.
+func (x *remoteSend) Drop() {
+	x.tx.Drop()
+	x.req.ns.txs.Drop()
+}
 
 // handleRecv matches a posted receive against pending local sends, then
 // against unexpected inbound messages; otherwise it is queued.
@@ -281,6 +291,7 @@ func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request
 	}
 	ns.charge(p, ns.job.cfg.Params.NotifyCost)
 	recv.complete(in.src, n, err)
+	ns.ins.Put(in)
 }
 
 // chargeMemcpy charges the comm thread for one staging copy.

@@ -1,12 +1,41 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
 
 // AnySource matches any sending rank in Recv.
 const AnySource = -1
+
+// ErrBadRank is reported by a call that names a peer or root rank outside
+// the job. The request fails as it is built, before it reaches the
+// communication thread.
+var ErrBadRank = errors.New("dcgn: rank out of range")
+
+// checkPeers returns an error wrapping ErrBadRank if a request of kind op
+// names a rank outside [0, Total()): a send's destination, a collective's
+// root, a receive's source (which may be AnySource), or a sendrecv's
+// destination (peer) and source (peer2).
+func (m RankMap) checkPeers(op opKind, peer, peer2 int) error {
+	in := func(r int, anySource bool) bool { return r >= 0 && r < m.total || anySource && r == AnySource }
+	bad, ok := peer, true
+	switch op {
+	case opSend, opBcast, opGather, opScatter:
+		ok = in(peer, false)
+	case opRecv:
+		ok = in(peer, true)
+	case opSendrecv:
+		if ok = in(peer, false); ok {
+			bad, ok = peer2, in(peer2, true)
+		}
+	}
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("%w: %v names rank %d, the job has [0,%d)", ErrBadRank, op, bad, m.total)
+}
 
 // NodeSpec describes one node's contribution of ranks: Cn CPU-kernel
 // threads and Gn devices with Sn slots each (paper §3.2.3).

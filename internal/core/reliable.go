@@ -466,7 +466,9 @@ func (l *relLane) deliver(h transport.Proc, f frame, again bool) bool {
 	if !again && !sleepStep(h, ns.jit, ns.job.cfg.Params.RemoteRelayCost) {
 		return false
 	}
-	ns.intake.postInbound(&inbound{src: f.src, dst: f.dst, data: f.payload, backing: f.backing, traceID: f.traceID, spanID: f.spanID})
+	in := ns.ins.Get()
+	*in = inbound{src: f.src, dst: f.dst, data: f.payload, backing: f.backing, traceID: f.traceID, spanID: f.spanID}
+	ns.intake.postInbound(in)
 	return true
 }
 

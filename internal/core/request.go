@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"dcgn/internal/sim"
 )
 
 // CommStatus is DCGN's receive status (the paper's dcgn::CommStatus).
@@ -123,6 +125,26 @@ type request struct {
 	traceID  uint64
 	spanID   uint64
 	parentID uint64
+}
+
+// simRequest is a request on the simulated backend, whose completion
+// event lives in the same allocation (rt.EventIn): the event lives exactly
+// as long as the request. It stays out of request itself, which the live
+// backend allocates too, with a completion of its own.
+type simRequest struct {
+	request
+	ev sim.Event
+}
+
+// newRequest returns a request of ns's, completed by an event named
+// prefix:id.
+func (ns *nodeState) newRequest(prefix string, id int) *request {
+	if ns.sim == nil {
+		return &request{ns: ns, done: ns.rt.NewEventID(prefix, id)}
+	}
+	r := new(simRequest)
+	r.ns, r.done = ns, ns.rt.EventIn(&r.ev, prefix, id)
+	return &r.request
 }
 
 // complete finishes a request and wakes its issuer. Traced requests record

@@ -18,6 +18,11 @@ type rt interface {
 	// NewEventID creates an unfired completion with a lazily-formatted
 	// "prefix:id" diagnostic name.
 	NewEventID(prefix string, id int) completion
+	// EventIn is NewEventID for a completion that lives exactly as long as
+	// its owner: on the simulated backend the event is made in ev, storage
+	// the owner embeds, and costs no allocation of its own; the live
+	// backend leaves ev alone.
+	EventIn(ev *sim.Event, prefix string, id int) completion
 	// Spawn starts a thread that keeps the run alive until it returns.
 	Spawn(name string, fn func(p transport.Proc))
 	// SpawnDaemonID starts a thread that does not keep the run alive (the
@@ -106,6 +111,11 @@ func (r simRT) Now() time.Duration { return r.s.Now() }
 
 func (r simRT) NewEventID(prefix string, id int) completion {
 	return (*simEvent)(r.s.NewEventID(prefix, id))
+}
+
+func (r simRT) EventIn(ev *sim.Event, prefix string, id int) completion {
+	r.s.InitEventID(ev, prefix, id)
+	return (*simEvent)(ev)
 }
 
 func (r simRT) Spawn(name string, fn func(transport.Proc)) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 )
 
@@ -30,6 +31,10 @@ func (r *liveRT) Now() time.Duration { return r.proc.Now() }
 
 func (r *liveRT) NewEventID(string, int) completion {
 	return &liveEvent{ch: make(chan struct{})}
+}
+
+func (r *liveRT) EventIn(_ *sim.Event, prefix string, id int) completion {
+	return r.NewEventID(prefix, id)
 }
 
 func (r *liveRT) go1(wg *sync.WaitGroup, fn func(transport.Proc)) {

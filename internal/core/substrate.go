@@ -24,9 +24,10 @@ type engineEnv struct {
 	rt rt
 	// hosts maps node -> the substrate node it is placed on, which knows the
 	// simulator that owns it (its shard's, so everything a node spawns stays
-	// on its shard) and the node's noise stream. Nil on the live backend,
-	// which has no device model and no modeled time to perturb.
-	hosts []*fabric.Node
+	// on its shard) and the node's noise stream, and keeps the engine's free
+	// lists. Nil on the live backend, which has no device model and no
+	// modeled time to perturb.
+	hosts []*hostNode
 	// endpoints holds each node's raw transport endpoint, in job-local node
 	// space, before the configured middlewares wrap it.
 	endpoints []transport.Transport
@@ -50,6 +51,17 @@ type engineEnv struct {
 	wire wireTotals
 }
 
+// hostNode is a substrate node as the engines placed on it see it: the
+// fabric node and the free lists of the engine's per-message objects, which
+// outlive any one job on the node (a Runtime's tenants come and go on one
+// simulator, under one baton) and are touched only under the baton of the
+// node's simulator.
+type hostNode struct {
+	*fabric.Node
+	txs sim.FreeList[remoteSend]
+	ins sim.FreeList[inbound]
+}
+
 // wireTotals meters inter-node traffic: packets and bytes carried so far.
 type wireTotals interface {
 	Totals() (packets int, bytes int64)
@@ -64,10 +76,14 @@ type substrate struct {
 	// nodes lists every node, in order: the placement of a job that has the
 	// cluster to itself, and the node of each underlying MPI rank.
 	nodes []int
+	hosts []hostNode
 	net   *fabric.Network
 	pool  *bufpool.Pool
 	world *mpi.World
 }
+
+// spareNodeObjects caps each of a node's lists of spare objects.
+const spareNodeObjects = 128
 
 // newSubstrate builds a simulated cluster of the given shape: one fabric,
 // one MPI world with a rank per node, one pool, over one sharded simulator.
@@ -80,7 +96,7 @@ type substrate struct {
 // exception: each node carries its own stream (fabric.Node.Jitter), which
 // the job running on the node seeds and only that node's procs draw from.
 func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int, maxTime time.Duration) *substrate {
-	sub := &substrate{pool: bufpool.New(), nodes: make([]int, nodes), loop: sim.NewSharded(max(shards, 1))}
+	sub := &substrate{pool: bufpool.New(), nodes: make([]int, nodes), hosts: make([]hostNode, nodes), loop: sim.NewSharded(max(shards, 1))}
 	sub.loop.SetMaxTime(maxTime)
 	// Topology-aware node -> shard partition: whole locality groups
 	// (fat-tree pods, dragonfly groups) go to one shard, so intra-group
@@ -96,6 +112,10 @@ func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int
 	sub.loop.SetLookahead(sub.net.Lookahead())
 	for n := range sub.nodes {
 		sub.nodes[n] = n
+		h := &sub.hosts[n]
+		h.Node = sub.net.Node(n)
+		h.txs.Init(h.Sim(), "remote-send", spareNodeObjects)
+		h.ins.Init(h.Sim(), "inbound", spareNodeObjects)
 	}
 	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
 	sub.world = mpi.NewWorld(nil, sub.net, sub.nodes, mpiCfg)
@@ -138,10 +158,10 @@ func (m *wireMeter) Totals() (packets int, bytes int64) {
 // now. Job.Run passes the world group, every node, the substrate's own pool
 // and epoch zero; a Runtime its tenant's.
 func (sub *substrate) env(g *simmpi.Group, placement []int, pool *bufpool.Pool, epoch time.Duration) engineEnv {
-	env := engineEnv{hosts: make([]*fabric.Node, len(placement)), endpoints: make([]transport.Transport, len(placement)),
+	env := engineEnv{hosts: make([]*hostNode, len(placement)), endpoints: make([]transport.Transport, len(placement)),
 		pool: pool, clock: sub.loop, epoch: epoch, wire: sub.meter(placement)}
 	for n, w := range placement {
-		env.hosts[n], env.endpoints[n] = sub.net.Node(w), g.Endpoint(n)
+		env.hosts[n], env.endpoints[n] = &sub.hosts[w], g.Endpoint(n)
 	}
 	return env
 }

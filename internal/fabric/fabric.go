@@ -125,7 +125,7 @@ func checkConfig(n int, cfg Config) {
 }
 
 func newNode(net *Network, id int, s *sim.Sim) *Node {
-	return &Node{
+	nd := &Node{
 		net:     net,
 		id:      id,
 		s:       s,
@@ -133,7 +133,12 @@ func newNode(net *Network, id int, s *sim.Sim) *Node {
 		recvNIC: s.NewResource(fmt.Sprintf("nic-rx%d", id), 1),
 		Inbox:   sim.NewQueue[*Packet](s, fmt.Sprintf("inbox%d", id)),
 	}
+	nd.spare.Init(s, "packet", sparePackets)
+	return nd
 }
+
+// sparePackets caps a node's list of spare packets.
+const sparePackets = 128
 
 // latency returns the one-way wire latency between two distinct nodes.
 func (n *Network) latency(src, dst int) time.Duration {
@@ -194,6 +199,10 @@ type Node struct {
 	// pkts/bytes count inter-node traffic from this node (see Totals).
 	pkts  int
 	bytes int64
+	// spare holds packets for this node's sends: the ones that ended their
+	// lives here, given back by whoever drained them from the Inbox
+	// (Release).
+	spare sim.FreeList[Packet]
 }
 
 // Sim returns the simulator owning this node's endpoint state: the one
@@ -257,7 +266,21 @@ func (nd *Node) packet(dst, size int, payload any) *Packet {
 	if dst < 0 || dst >= len(nd.net.nodes) {
 		panic(fmt.Sprintf("fabric: bad destination node %d", dst))
 	}
-	return &Packet{Src: nd.id, Dst: dst, Size: size, Payload: payload, net: nd.net}
+	pkt := nd.spare.Get()
+	*pkt = Packet{Src: nd.id, Dst: dst, Size: size, Payload: payload, net: nd.net}
+	return pkt
+}
+
+// Release gives back a packet its consumer has taken from nd's Inbox and is
+// done with, for one of nd's own sends to reuse. It is cleared at once, and
+// must not be used after: a consumer that keeps what a packet carries takes
+// its Payload out first. A packet that is not released is left to the
+// garbage collector.
+func (nd *Node) Release(pkt *Packet) {
+	if pkt.Dst != nd.id {
+		panic(fmt.Sprintf("fabric: node %d releasing a packet for node %d", nd.id, pkt.Dst))
+	}
+	nd.spare.Put(pkt)
 }
 
 // charge registers p's wake for the end of pkt's outbound cost: the

@@ -154,6 +154,7 @@ func NewWorld(_ *sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World 
 			sendPrefix:   "isend:" + strconv.Itoa(id),
 			recvPrefix:   "irecv:" + strconv.Itoa(id),
 		})
+		w.ranks[id].envs.Init(w.ranks[id].sim, "envelope", spareEnvelopes)
 	}
 	members := make([]int, len(w.ranks))
 	for i := range members {
@@ -217,7 +218,16 @@ type Rank struct {
 	// per-message Isend/Irecv calls format nothing.
 	sendPrefix string
 	recvPrefix string
+
+	// envs holds spare envelopes. A rank takes the envelopes it sends from
+	// its own list, and the rank an envelope is addressed to gives it back
+	// to its list once the envelope is handled: an envelope ends its life
+	// on the receiving rank's node, under that node's simulator's baton.
+	envs sim.FreeList[envelope]
 }
+
+// spareEnvelopes caps a rank's list of spare envelopes.
+const spareEnvelopes = 128
 
 // ID returns the rank number.
 func (r *Rank) ID() int { return r.id }
@@ -260,12 +270,13 @@ type envelope struct {
 	data []byte // eager or rendezvous-data payload
 }
 
-// recvReq is a posted receive.
+// recvReq is a posted receive. done lives in it: a receive is completed
+// once.
 type recvReq struct {
 	buf  []byte
 	src  int
 	tag  int
-	done *sim.Event
+	done sim.Event
 	stat Status
 	err  error
 	// take marks a take-ownership receive (RecvMsg): instead of copying
@@ -275,16 +286,17 @@ type recvReq struct {
 }
 
 // sendReq is a rendezvous send awaiting its CTS, from rank from; data is
-// what goes on the wire. pkt is the packet being sent for it — its RTS
-// while the sender pays the RTS's outbound cost, then its data once the
-// mpi-rndv-data helper has started sending it.
+// what goes on the wire. pkt is the packet being sent for it while its
+// outbound cost is paid — its RTS by the sender, then its data by the
+// mpi-rndv-data helper — and nil once the packet is on its way, which the
+// receiving node recycles. done lives in it, as it completes the send once.
 type sendReq struct {
 	from *Rank
 	data []byte
 	dst  int
 	tag  int
 	seq  uint64
-	done *sim.Event
+	done sim.Event
 	pkt  *fabric.Packet
 }
 
@@ -346,16 +358,16 @@ func (r *Rank) takeUnexpected(rr *recvReq) *envelope {
 }
 
 // deliver completes a matched receive from an eager or data envelope on
-// the receiving rank. Copy path: the payload is copied into the posted
-// buffer and the staging slice goes back to the receiver's staging pool
-// (the acquiring sender's pool too — traffic never crosses tenants). Take
-// path (RecvMsg): ownership of the staging slice transfers to the
-// receiver — the zero-copy wire relay.
+// the receiving rank, and gives the envelope back. Copy path: the payload
+// is copied into the posted buffer and the staging slice goes back to the
+// receiver's staging pool (the acquiring sender's pool too — traffic never
+// crosses tenants). Take path (RecvMsg): ownership of the staging slice
+// transfers to the receiver — the zero-copy wire relay.
 func (r *Rank) deliver(rr *recvReq, env *envelope) {
 	if rr.take {
 		rr.buf = env.data
 		rr.stat = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
-		env.data = nil
+		r.envs.Put(env)
 		rr.done.Fire()
 		return
 	}
@@ -366,8 +378,8 @@ func (r *Rank) deliver(rr *recvReq, env *envelope) {
 	}
 	copy(rr.buf[:n], env.data[:n])
 	r.stagingPool().Put(env.data)
-	env.data = nil
 	rr.stat = Status{Source: env.src, Tag: env.tag, Count: n}
+	r.envs.Put(env)
 	rr.done.Fire()
 }
 
@@ -400,6 +412,7 @@ func (e *engine) step(p *sim.Proc) {
 		if !ok {
 			panic("mpi: foreign packet in inbox")
 		}
+		e.nd.Release(e.in)
 		e.in = nil
 		if e.cts = e.handle(p, env); e.cts != nil {
 			return
@@ -422,7 +435,8 @@ func (e *engine) handle(p *sim.Proc, env *envelope) *fabric.Packet {
 	case kindRTS:
 		if rr := r.takePosted(env); rr != nil {
 			r.bound[env.seq] = rr
-			return e.nd.SendStep(p, w.nodeOf[env.src], headerBytes, cts(env))
+			c := r.cts(env)
+			return e.nd.SendStep(p, w.nodeOf[c.dst], headerBytes, c)
 		}
 		r.unexpected = append(r.unexpected, env)
 	case kindCTS:
@@ -431,6 +445,7 @@ func (e *engine) handle(p *sim.Proc, env *envelope) *fabric.Packet {
 			panic(fmt.Sprintf("mpi: CTS for unknown send seq %d at rank %d", env.seq, r.id))
 		}
 		delete(r.pendingSends, env.seq)
+		r.envs.Put(env)
 		// Transmit the bulk data on a helper so the engine keeps making
 		// progress for other ranks on this node.
 		e.nd.Sim().SpawnStep("mpi-rndv-data", r.id, sendRndvData, sr)
@@ -454,14 +469,20 @@ func sendRndvData(h *sim.Proc) {
 	nd := r.w.net.Node(r.node)
 	if h.Woken() {
 		nd.Sent(h, sr.pkt)
+		sr.pkt = nil
 		sr.done.Fire()
 		return
 	}
-	data := &envelope{kind: kindData, src: r.id, dst: sr.dst, tag: sr.tag, seq: sr.seq, size: len(sr.data), data: sr.data}
+	data := r.envs.Get()
+	*data = envelope{kind: kindData, src: r.id, dst: sr.dst, tag: sr.tag, seq: sr.seq, size: len(sr.data), data: sr.data}
 	sr.pkt = nd.SendStep(h, r.w.nodeOf[sr.dst], headerBytes+len(sr.data), data)
 }
 
-// cts returns the clear-to-send answering a matched rendezvous's RTS.
-func cts(rts *envelope) *envelope {
-	return &envelope{kind: kindCTS, src: rts.dst, dst: rts.src, tag: rts.tag, seq: rts.seq}
+// cts returns the clear-to-send answering a matched rendezvous's RTS, and
+// gives the RTS back: r is the rank it was addressed to.
+func (r *Rank) cts(rts *envelope) *envelope {
+	c := r.envs.Get()
+	*c = envelope{kind: kindCTS, src: rts.dst, dst: rts.src, tag: rts.tag, seq: rts.seq}
+	r.envs.Put(rts)
+	return c
 }

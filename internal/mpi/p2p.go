@@ -21,7 +21,7 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 	}
 	req := &Request{}
 	if sr, ok := op.Req.(*sendReq); ok {
-		req.done = sr.done
+		req.done = &sr.done
 	}
 	return req
 }
@@ -86,13 +86,16 @@ func (r *Rank) sendStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int, owned
 		}
 		nd := r.w.net.Node(r.node)
 		if len(buf) <= r.w.cfg.EagerLimit {
-			env := &envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data}
+			env := r.envs.Get()
+			*env = envelope{kind: kindEager, src: r.id, dst: dst, tag: tag, seq: seq, size: len(data), data: data}
 			nd.Inject("mpi-eager", r.id, r.w.nodeOf[dst], headerBytes+len(data), env)
 			return true
 		}
-		sr := &sendReq{from: r, data: data, dst: dst, tag: tag, seq: seq, done: r.sim.NewEventID(r.sendPrefix, dst)}
+		sr := &sendReq{from: r, data: data, dst: dst, tag: tag, seq: seq}
+		r.sim.InitEventID(&sr.done, r.sendPrefix, dst)
 		r.pendingSends[seq] = sr
-		rts := &envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
+		rts := r.envs.Get()
+		*rts = envelope{kind: kindRTS, src: r.id, dst: dst, tag: tag, seq: seq, size: len(buf)}
 		sr.pkt = nd.SendStep(p, r.w.nodeOf[dst], headerBytes, rts)
 		op.Req, op.Phase = sr, sendRTS
 		return false
@@ -160,7 +163,7 @@ func (op *RecvOp) step(p *sim.Proc, wait bool) bool {
 		p.SleepStep(r.jit.Scale(r.w.cfg.CallOverhead))
 		return false
 	case recvPost:
-		rr.done = r.sim.NewEventID(r.recvPrefix, rr.src)
+		r.sim.InitEventID(&rr.done, r.recvPrefix, rr.src)
 		op.phase = recvWait
 		env := r.takeUnexpected(rr)
 		switch {
@@ -170,7 +173,8 @@ func (op *RecvOp) step(p *sim.Proc, wait bool) bool {
 			r.deliver(rr, env)
 		case env.kind == kindRTS:
 			r.bound[env.seq] = rr
-			op.cts = r.w.net.Node(r.node).SendStep(p, r.w.nodeOf[env.src], headerBytes, cts(env))
+			c := r.cts(env)
+			op.cts = r.w.net.Node(r.node).SendStep(p, r.w.nodeOf[c.dst], headerBytes, c)
 			op.phase = recvCTS
 			return false
 		default:
@@ -194,8 +198,8 @@ func (op *RecvOp) Result() (Status, []byte, error) { return op.rr.stat, op.rr.bu
 // later frame to land in.
 func (op *RecvOp) Drop() {
 	rr := &op.rr
-	if rr.done == nil || rr.done.Fired() {
-		return
+	if op.phase < recvCTS || rr.done.Fired() {
+		return // not posted yet, or complete
 	}
 	if i := slices.Index(op.r.posted, rr); i >= 0 {
 		op.r.posted = slices.Delete(op.r.posted, i, i+1)

@@ -24,7 +24,17 @@ func (s *Sim) NewEvent(name string) *Event {
 // name. Per-request completion events are created by the million; the
 // label is only rendered if a deadlock report or trace needs it.
 func (s *Sim) NewEventID(prefix string, id int) *Event {
-	return &Event{s: s, ident: ident{name: prefix, id: id}}
+	e := new(Event)
+	s.InitEventID(e, prefix, id)
+	return e
+}
+
+// InitEventID is NewEventID into storage the caller owns: it makes *e an
+// unfired Event. An event that lives exactly as long as the request it
+// completes is a field of that request, and costs no allocation of its own.
+// Nothing may wait on *e when it is made again.
+func (s *Sim) InitEventID(e *Event, prefix string, id int) {
+	*e = Event{s: s, ident: ident{name: prefix, id: id}}
 }
 
 // Name returns the event's name.

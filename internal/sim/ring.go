@@ -34,8 +34,11 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
+// grow doubles the buffer, from eight slots: most wait lists and queues
+// hold a few entries, and reaching eight a slot at a time would take four
+// allocations.
 func (r *ring[T]) grow() {
-	buf := make([]T, max(1, 2*len(r.buf)))
+	buf := make([]T, max(8, 2*len(r.buf)))
 	n := copy(buf, r.buf[r.head:])
 	copy(buf[n:], r.buf[:r.head])
 	r.buf, r.head = buf, 0

@@ -42,7 +42,11 @@
 // to scan. Kill and shutdown give back what a stackless proc holds (a
 // Resource unit in service or granted, and what its argument holds, a
 // Dropper), as a stackful proc's unwinding does, and a panic in a step is
-// its own proc's failure. Stats counts both kinds' turns.
+// its own proc's failure. Stats counts both kinds' turns. A stackless proc
+// that ends at a natural end — a step that registered no wake — is on no
+// timer or waiter list, so its Proc goes back to the Sim's free list
+// (FreeList) for the next spawn; a killed one, which a stale wake may
+// still name, is left to the garbage collector.
 //
 // One body, two hosts: a layer above that must run one body on either kind
 // writes it once, as a step function over step forms. Stackless, each form
@@ -167,6 +171,13 @@ const (
 
 // Proc is a simulated process (a cooperative green thread). A Proc handle is
 // also the capability through which the process calls blocking primitives.
+//
+// A handle a spawn returns (Spawn, SpawnID, SpawnDaemon, SpawnDaemonID)
+// stays the handle of its proc for good: once the proc is done, Kill
+// through it does nothing. The *Proc a stackless proc's step is handed is
+// valid only during that proc's steps: SpawnStep returns no handle, and a
+// stackless proc that ends at a natural end is recycled for a later spawn
+// on the same Sim. A proc that is killed or panics is never recycled.
 type Proc struct {
 	sim   *Sim
 	ident ident
@@ -282,12 +293,24 @@ type Sim struct {
 	// finished.
 	spawns, resumes, steps, workers uint64
 	kinds                           map[string]*KindStats
+
+	// spare holds the procs that ended at a natural end of a stackless
+	// step, for the next spawn; recycled counts the traffic of every free
+	// list kept under this Sim's baton, by kind (FreeList.Init).
+	spare    FreeList[Proc]
+	recycled map[string]*Recycled
 }
+
+// spareProcs caps a Sim's list of spare procs. It is large because the list
+// has one owner and no fan-in: a proc goes back to the Sim it ran on, and a
+// shard may have thousands of per-message helpers in flight at once.
+const spareProcs = 1 << 14
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	s := &Sim{kinds: map[string]*KindStats{}}
+	s := &Sim{kinds: map[string]*KindStats{}, recycled: map[string]*Recycled{}}
 	s.procs.prev, s.procs.next = &s.procs, &s.procs
+	s.spare.Init(s, "proc", spareProcs)
 	return s
 }
 
@@ -336,13 +359,20 @@ func (s *Sim) SpawnDaemonID(prefix string, id int, fn func(p *Proc), arg any) *P
 // blocking form would, and returns; a step that returns without registering
 // one ends the proc. Woken tells the first step from later ones. A step
 // must not call a blocking primitive.
-func (s *Sim) SpawnStep(prefix string, id int, step func(p *Proc), arg any) *Proc {
-	return s.spawn(ident{name: prefix, id: id}, step, arg, false, true)
+//
+// It returns no handle. A stackless proc that ends at a natural end — a
+// step that registered no wake — cannot be on any timer or waiter list,
+// so its Proc is recycled at once for a later spawn on the same Sim; the
+// *Proc its step was handed is valid only during its steps, and a step
+// must not keep it anywhere it outlives the proc. A stackless proc that is
+// killed or panics is never recycled: a stale wake may still name it.
+func (s *Sim) SpawnStep(prefix string, id int, step func(p *Proc), arg any) {
+	s.spawn(ident{name: prefix, id: id}, step, arg, false, true)
 }
 
 // SpawnStepDaemon is SpawnStep for a daemon.
-func (s *Sim) SpawnStepDaemon(prefix string, id int, step func(p *Proc), arg any) *Proc {
-	return s.spawn(ident{name: prefix, id: id}, step, arg, true, true)
+func (s *Sim) SpawnStepDaemon(prefix string, id int, step func(p *Proc), arg any) {
+	s.spawn(ident{name: prefix, id: id}, step, arg, true, true)
 }
 
 // Dropper is implemented by a proc's argument that holds something outside
@@ -356,7 +386,8 @@ type Dropper interface{ Drop() }
 
 func (s *Sim) spawn(name ident, fn func(p *Proc), arg any, daemon, stackless bool) *Proc {
 	s.spawns++
-	p := &Proc{
+	p := s.spare.Get()
+	*p = Proc{
 		sim:       s,
 		ident:     name,
 		fn:        fn,
@@ -395,7 +426,7 @@ func (p *Proc) exec() (killed bool) {
 		if r != nil && !killed && s.failure == nil {
 			s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
 		}
-		p.finish()
+		p.finish(false)
 		if r == nil && !returned {
 			// runtime.Goexit — a t.Fatal inside a proc — is taking this
 			// coroutine with it, and iter.Pull would re-raise it on the loop
@@ -424,7 +455,7 @@ func (s *Sim) step(p *Proc) {
 				s.failure = &PanicError{Proc: p.Name(), Value: r, Stack: string(debug.Stack())}
 			}
 			p.drop()
-			p.finish()
+			p.finish(false)
 		}
 	}()
 	if !p.proceed() {
@@ -435,7 +466,7 @@ func (s *Sim) step(p *Proc) {
 	p.fn(p)
 	if p.state == stateRunning {
 		p.returned()
-		p.finish()
+		p.finish(true)
 	}
 }
 
@@ -493,8 +524,11 @@ func (g *Group) Kill() {
 // under the baton: on p's worker as its last act, or on the loop goroutine
 // when a proc that never started is killed. Its links are cleared so that a
 // handle someone still holds to a finished Proc does not pin its old
-// neighbours, its body, its argument or its worker.
-func (p *Proc) finish() {
+// neighbours, its body, its argument or its worker. With reuse — the
+// natural end of a stackless proc, which nothing can name any more — p
+// goes back to the Sim's spare procs; otherwise a stale timer or waiter
+// entry may still point at p, and it is left to the garbage collector.
+func (p *Proc) finish(reuse bool) {
 	p.state = stateDone
 	p.prev.next, p.next.prev = p.next, p.prev
 	p.prev, p.next = nil, nil
@@ -511,6 +545,11 @@ func (p *Proc) finish() {
 	} else {
 		t := p.tally()
 		s.kinds[p.kind()] = &t
+	}
+	if reuse {
+		s.spare.Put(p)
+	} else {
+		s.spare.Drop()
 	}
 }
 
@@ -551,13 +590,22 @@ type Stats struct {
 	// Kinds splits the counts by proc kind, a proc's name up to its first
 	// ':' ("wire", "mpi-engine", "cpu-kern").
 	Kinds map[string]KindStats
+	// Recycled counts the traffic of the free lists kept under the
+	// simulation's baton (FreeList), by the kind of object: "proc" for its
+	// own procs — every spawn is a Get and every finished proc a Put, so
+	// Held is Unfinished — and whatever kinds the layers above keep lists
+	// of.
+	Recycled map[string]Recycled
 }
 
 // Stats returns the simulation's self-counters so far.
 func (s *Sim) Stats() Stats {
-	st := Stats{Spawns: s.spawns, Resumes: s.resumes, Steps: s.steps, Workers: s.workers, PeakTimers: s.timers.peak, Kinds: map[string]KindStats{}}
+	st := Stats{Spawns: s.spawns, Resumes: s.resumes, Steps: s.steps, Workers: s.workers, PeakTimers: s.timers.peak, Kinds: map[string]KindStats{}, Recycled: map[string]Recycled{}}
 	for name, k := range s.kinds {
 		st.Kinds[name] = *k
+	}
+	for kind, r := range s.recycled {
+		st.Recycled[kind] = *r
 	}
 	for p := s.procs.next; p != &s.procs; p = p.next {
 		st.Kinds[p.kind()] = st.Kinds[p.kind()].add(p.tally())
@@ -577,6 +625,13 @@ func (st *Stats) Add(o Stats) {
 	}
 	for name, k := range o.Kinds {
 		st.Kinds[name] = st.Kinds[name].add(k)
+	}
+	if st.Recycled == nil {
+		st.Recycled = map[string]Recycled{}
+	}
+	for kind, r := range o.Recycled {
+		t := st.Recycled[kind]
+		st.Recycled[kind] = Recycled{t.Gets + r.Gets, t.Puts + r.Puts, t.Fresh + r.Fresh}
 	}
 }
 
@@ -806,7 +861,7 @@ func (s *Sim) Kill(p *Proc) {
 func (s *Sim) unwind(p *Proc) {
 	p.drop()
 	if p.w == nil {
-		p.finish()
+		p.finish(false)
 		return
 	}
 	s.killing = true

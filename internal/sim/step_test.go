@@ -159,20 +159,21 @@ func TestStacklessKill(t *testing.T) {
 	}{
 		{"waiting", func(w *world, g *Group) int {
 			w.s.SpawnDaemon("holder", func(p *Proc) { w.res.Use(p, 2*d) })
-			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, d) }, nil) })
+			w.s.InGroup(g, func() { w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.victim = p; w.res.UseStep(p, d) }, nil) })
 			return 1
 		}, nil},
 		{"granted", func(w *world, g *Group) int {
-			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, d) }, nil) })
+			w.s.InGroup(g, func() { w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.victim = p; w.res.UseStep(p, d) }, nil) })
 			return 0 // the trigger's own Use grants the victim its unit
 		}, nil},
 		{"held", func(w *world, g *Group) int {
-			w.s.InGroup(g, func() { w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.res.UseStep(p, 4*d) }, nil) })
+			w.s.InGroup(g, func() { w.s.SpawnStepDaemon("victim", 0, func(p *Proc) { w.victim = p; w.res.UseStep(p, 4*d) }, nil) })
 			return 1
 		}, nil},
 		{"queue", func(w *world, g *Group) int {
 			w.s.InGroup(g, func() {
-				w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) {
+				w.s.SpawnStepDaemon("victim", 0, func(p *Proc) {
+					w.victim = p
 					var v int
 					if w.q.GetStep(p, &v) {
 						t.Errorf("victim got %d", v)
@@ -188,7 +189,8 @@ func TestStacklessKill(t *testing.T) {
 		}},
 		{"event", func(w *world, g *Group) int {
 			w.s.InGroup(g, func() {
-				w.victim = w.s.SpawnStepDaemon("victim", 0, func(p *Proc) {
+				w.s.SpawnStepDaemon("victim", 0, func(p *Proc) {
+					w.victim = p
 					if p.Woken() {
 						t.Error("killed victim took another step")
 					}
@@ -317,8 +319,9 @@ func TestDeadlockListsStacklessProcs(t *testing.T) {
 
 // TestStats: the self-counters count spawns, resumes of stackful procs and
 // steps of stackless ones, by kind too, the workers started (one for each
-// shard's stackful sleeper) and the timer heap's peak; a Sharded sums its
-// shards'.
+// shard's stackful sleeper), the timer heap's peak and the procs' free-list
+// traffic (every spawn a get, every finished proc a put); a Sharded sums
+// its shards'.
 func TestStats(t *testing.T) {
 	sc := NewSharded(2)
 	sc.SetLookahead(time.Microsecond)
@@ -337,7 +340,8 @@ func TestStats(t *testing.T) {
 	}
 	st := sc.Stats()
 	want := Stats{Spawns: 6, Resumes: 6, Steps: 6, Workers: 2, PeakTimers: 3, Kinds: map[string]KindStats{
-		"sleeper": {Spawns: 2, Resumes: 6}, "stepper": {Spawns: 2, Steps: 4}, "daemon": {Spawns: 2, Steps: 2}}}
+		"sleeper": {Spawns: 2, Resumes: 6}, "stepper": {Spawns: 2, Steps: 4}, "daemon": {Spawns: 2, Steps: 2}},
+		Recycled: map[string]Recycled{"proc": {Gets: 6, Puts: 6, Fresh: 6}}}
 	if fmt.Sprint(st) != fmt.Sprint(want) {
 		t.Errorf("stats %+v, want %+v", st, want)
 	}

@@ -9,11 +9,14 @@ package dcgn_test
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"dcgn/internal/core"
 	"dcgn/internal/device"
+	"dcgn/internal/sim"
+	"dcgn/internal/transport"
 )
 
 // twoNodeCPUCfg is a 2-node, CPU-only cluster (3 kernels per node).
@@ -21,6 +24,46 @@ func twoNodeCPUCfg() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 2, 3, 0, 0
 	return cfg
+}
+
+// recycledOf makes cfg's transports tell which simulators their nodes run
+// on, and returns the check that every free list kept under those
+// simulators' batons balances once the run is over: each object handed out
+// was given back (sim.Recycled.Held is zero), the control objects' twin of
+// PoolAcquires == PoolReleases. The spy only embeds the transport, so the
+// engine runs on the hosts it runs on unwrapped; every node's lane receiver
+// posts its receive on its first step, so every node is seen.
+func recycledOf(cfg *core.Config) func(t *testing.T) {
+	var mu sync.Mutex // shards receive from threads of their own
+	sims := map[*sim.Sim]bool{}
+	cfg.WrapTransport = func(tr transport.Transport) transport.Transport {
+		return simSpy{tr, func(s *sim.Sim) { mu.Lock(); sims[s] = true; mu.Unlock() }}
+	}
+	return func(t *testing.T) {
+		t.Helper()
+		var st sim.Stats
+		for s := range sims {
+			st.Add(s.Stats())
+		}
+		if st.Recycled["proc"].Gets == 0 {
+			t.Fatal("no simulator seen; the recycling check is vacuous")
+		}
+		for kind, r := range st.Recycled {
+			if r.Held() != 0 {
+				t.Errorf("%s: %d handed out, %d given back: %d still held after the run", kind, r.Gets, r.Puts, r.Held())
+			}
+		}
+	}
+}
+
+type simSpy struct {
+	transport.Transport
+	saw func(*sim.Sim)
+}
+
+func (t simSpy) RecvStep(p transport.Proc, op *transport.RecvOp) (bool, error) {
+	t.saw(p.(*sim.Proc).Sim())
+	return t.Transport.RecvStep(p, op)
 }
 
 // pattern fills a deterministic per-message byte pattern so a payload
@@ -44,6 +87,7 @@ func TestWirePayloadSurvivesStagingReuse(t *testing.T) {
 	for _, size := range []int{512, 16 << 10} {
 		cfg := core.DefaultConfig()
 		cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 2, 1, 0, 0
+		balanced := recycledOf(&cfg)
 		job := core.NewJob(cfg)
 		var kernErr error
 		job.SetCPUKernel(func(c *core.CPUCtx) {
@@ -85,6 +129,7 @@ func TestWirePayloadSurvivesStagingReuse(t *testing.T) {
 			t.Errorf("size %d: pool leak: %d acquires vs %d releases",
 				size, rep.PoolAcquires, rep.PoolReleases)
 		}
+		balanced(t)
 	}
 }
 
@@ -96,6 +141,7 @@ func TestGPURecvTruncation(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 1, 1, 1, 1
 	payload := pattern(16, 0xC3)
+	balanced := recycledOf(&cfg)
 
 	job := core.NewJob(cfg)
 	var sendErr, recvErr error
@@ -134,6 +180,7 @@ func TestGPURecvTruncation(t *testing.T) {
 	if rep.PoolAcquires != rep.PoolReleases {
 		t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
 	}
+	balanced(t)
 }
 
 // TestPoolLeakGuardMixedWorkload exercises every pooled staging path in one
@@ -142,6 +189,7 @@ func TestGPURecvTruncation(t *testing.T) {
 // asserts the job pool balances to zero outstanding buffers.
 func TestPoolLeakGuardMixedWorkload(t *testing.T) {
 	cfg := twoNodeCPUCfg()
+	balanced := recycledOf(&cfg)
 	job := core.NewJob(cfg)
 	var kernErr error
 	fail := func(err error) {
@@ -228,6 +276,7 @@ func TestPoolLeakGuardMixedWorkload(t *testing.T) {
 		t.Errorf("pool leak: %d acquires vs %d releases (outstanding %d)",
 			rep.PoolAcquires, rep.PoolReleases, int64(rep.PoolAcquires)-int64(rep.PoolReleases))
 	}
+	balanced(t)
 }
 
 // TestPoolLeakGuardGPUTraffic runs GPU-sourced cross-node traffic so the
@@ -237,6 +286,7 @@ func TestPoolLeakGuardGPUTraffic(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.CPUKernels, cfg.GPUs, cfg.SlotsPerGPU = 2, 0, 1, 1
 	payload := pattern(1024, 0x7E)
+	balanced := recycledOf(&cfg)
 
 	job := core.NewJob(cfg)
 	var recvErr error
@@ -276,4 +326,5 @@ func TestPoolLeakGuardGPUTraffic(t *testing.T) {
 	if rep.PoolAcquires != rep.PoolReleases {
 		t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
 	}
+	balanced(t)
 }
