@@ -64,11 +64,14 @@ race:
 
 # Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
 # every lane layout, starting from the committed corpus
-# (internal/core/testdata/fuzz), and ten at the trace decoder behind
-# loadgen.LoadTrace. (The corpora themselves replay in `test`.)
+# (internal/core/testdata/fuzz), ten at the trace decoder behind
+# loadgen.LoadTrace, and ten at the collective op, run on both backends
+# (internal/transport/testdata/fuzz). (The corpora themselves replay in
+# `test`.)
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUnpackFrame -fuzztime 10s
 	$(GO) test ./internal/loadgen -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s
+	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzCollOp -fuzztime 10s
 
 # Bench smoke: every benchmark runs exactly once so they can't bit-rot.
 bench:
@@ -196,9 +199,20 @@ flows:
 # requests, makes its matching maps on first use, and turns a peer or root
 # rank outside the job into ErrBadRank instead of a comm-thread panic
 # (4827).
-LOC_CEILINGS = internal/core:4827:34 internal/transport:99:0 internal/transport/faults:196:0 \
-	internal/transport/simmpi:109:2 internal/transport/live:367:2 internal/obs:602:0 \
-	internal/sim:1433:19 internal/fabric:448:17 internal/mpi:842:18 \
+# Then moved by one collective call: the transport's five collective methods
+# are one Collective over a CollOp, checked in one place (CollOp.Check), so
+# the transport package holds the op and its check (173) while faults wraps
+# one call (172), simmpi switches once (111) and live's per-kind closures
+# and argument copies go (299); core stages the op inside its group, shares
+# one completion tail and lets the check reject a missing root buffer
+# (4790, three panics fewer: 31). Then raised for retiring a finished
+# tenant's traffic: mpi purges a retired communicator's context and tags
+# from its ranks' unexpected queues and drops their late arrivals (887),
+# fabric asks before the RX NIC charges (452), simmpi and core retire a
+# tenant's group (114, 4796).
+LOC_CEILINGS = internal/core:4796:31 internal/transport:173:0 internal/transport/faults:172:0 \
+	internal/transport/simmpi:114:2 internal/transport/live:299:2 internal/obs:602:0 \
+	internal/sim:1433:19 internal/fabric:452:17 internal/mpi:887:18 \
 	internal/pcie:58:1 internal/device:279:7 internal/gas:118:3 internal/apps:2006:39 \
 	cmd/dcgn-mandel:118:0
 loc:

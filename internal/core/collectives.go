@@ -23,14 +23,14 @@ const collRetries = 16
 // schedule (charged as comm-thread time; the comm thread already blocks
 // for the duration of a collective). Non-transient errors surface
 // immediately.
-func (ns *nodeState) collCall(p transport.Proc, call func() error) error {
+func (ns *nodeState) collCall(p transport.Proc, op *transport.CollOp) error {
 	var err error
 	for attempt := 0; attempt <= collRetries; attempt++ {
 		if attempt > 0 {
 			atomic.AddInt64(&ns.collRetried, 1)
 			ns.charge(p, relBackoff(ns.job.cfg.Reliability, attempt-1))
 		}
-		if err = call(); err == nil || !errors.Is(err, transport.ErrTransient) {
+		if err = ns.tr.Collective(p, op); err == nil || !errors.Is(err, transport.ErrTransient) {
 			return err
 		}
 	}
@@ -50,6 +50,8 @@ type collGroup struct {
 	// keeps accumulating so late ranks don't hang, and fails every member
 	// once complete.
 	err error
+	// op is the node-level call the group makes once complete.
+	op transport.CollOp
 }
 
 // collAccum is the progress engine's collective-accumulation layer, owned
@@ -101,6 +103,10 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 				req.op, ns.node, req.rank, n, g.size)
 		}
 	}
+	if req.op == opAlltoall && len(req.recvBuf) != len(req.buf) && g.err == nil {
+		g.err = fmt.Errorf("dcgn: alltoall on node %d: rank %d passes %d bytes to send and %d to receive",
+			ns.node, req.rank, len(req.buf), len(req.recvBuf))
+	}
 	g.members = append(g.members, req)
 	if len(g.members) < ns.localRanks() {
 		return
@@ -111,12 +117,12 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 	}
 	slices.SortFunc(g.members, func(a, b *request) int { return a.rank - b.rank })
 	if g.err != nil {
-		ns.failCollective(g, g.err)
+		ns.collDone(p, g, 0, g.err)
 		return
 	}
 	switch req.op {
-	case opBarrier:
-		ns.execBarrier(p, g)
+	case opBarrier: // the group's zero op is a barrier
+		ns.collDone(p, g, 0, ns.collCall(p, &g.op))
 	case opBcast:
 		ns.execBcast(p, g)
 	case opGather:
@@ -128,6 +134,23 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 	}
 }
 
+// collDone is every collective's tail: with err, each member fails with
+// it; otherwise each is notified, its completion reporting n bytes.
+func (ns *nodeState) collDone(p transport.Proc, g *collGroup, n int, err error) {
+	for _, m := range g.members {
+		if err != nil {
+			m.complete(g.root, 0, err)
+			continue
+		}
+		ns.charge(p, ns.job.cfg.Params.NotifyCost)
+		m.complete(g.root, n, nil)
+	}
+}
+
+// The exec functions stage a complete group's node-level call in g.op, make
+// it (collCall), disperse its results locally once it succeeds, and end in
+// collDone.
+
 // execAlltoall implements the paper's general pattern for all-to-all: the
 // node concatenates its residents' contributions, one vector all-to-all
 // runs per node (Alltoallv, since node populations may differ), and
@@ -137,7 +160,7 @@ func (ns *nodeState) execAlltoall(p transport.Proc, g *collGroup) {
 	total := rm.Total()
 	local := len(g.members)
 	if g.size%total != 0 {
-		ns.failCollective(g, fmt.Errorf("dcgn: alltoall buffer %d not divisible by %d ranks", g.size, total))
+		ns.collDone(p, g, 0, fmt.Errorf("dcgn: alltoall buffer %d not divisible by %d ranks", g.size, total))
 		return
 	}
 	chunk := g.size / total
@@ -162,13 +185,12 @@ func (ns *nodeState) execAlltoall(p transport.Proc, g *collGroup) {
 		}
 	}
 	recvBuf := ns.job.pool.Get(local * total * chunk)
-	err := ns.collCall(p, func() error {
-		return ns.tr.Alltoallv(p, sendBuf, sendCounts, recvBuf, recvCounts)
-	})
+	g.op = transport.CollOp{Kind: transport.Alltoallv, Send: sendBuf, Counts: sendCounts, Recv: recvBuf, RecvCounts: recvCounts}
+	err := ns.collCall(p, &g.op)
 	ns.job.pool.Put(scratch)
 	if err != nil {
 		ns.job.pool.Put(recvBuf)
-		ns.failCollective(g, err)
+		ns.collDone(p, g, 0, err)
 		return
 	}
 	// Disperse: the block from node i is laid out a-major (node i's local
@@ -187,10 +209,7 @@ func (ns *nodeState) execAlltoall(p transport.Proc, g *collGroup) {
 		displ += recvCounts[i]
 	}
 	ns.job.pool.Put(recvBuf)
-	for _, m := range g.members {
-		ns.charge(p, ns.job.cfg.Params.NotifyCost)
-		m.complete(0, chunk, nil)
-	}
+	ns.collDone(p, g, chunk, nil)
 }
 
 // collPayloadLen returns the per-rank payload size of a collective request.
@@ -208,24 +227,11 @@ func collPayloadLen(req *request) int {
 	return 0
 }
 
-// execBarrier runs the node-level barrier and releases all local ranks.
-func (ns *nodeState) execBarrier(p transport.Proc, g *collGroup) {
-	if err := ns.collCall(p, func() error { return ns.tr.Barrier(p) }); err != nil {
-		ns.failCollective(g, err)
-		return
-	}
-	for _, m := range g.members {
-		ns.charge(p, ns.job.cfg.Params.NotifyCost)
-		m.complete(0, 0, nil)
-	}
-}
-
 // execBcast runs the node-level broadcast using the root's buffer if the
 // root is resident, otherwise the first arrival's buffer (the paper picks
 // one "at random"; first arrival keeps runs deterministic), then copies
 // into all other local buffers.
 func (ns *nodeState) execBcast(p transport.Proc, g *collGroup) {
-	rootNode := ns.job.rmap.Node(g.root)
 	chosen := g.members[0]
 	for _, m := range g.members {
 		if m.rank == g.root {
@@ -233,28 +239,24 @@ func (ns *nodeState) execBcast(p transport.Proc, g *collGroup) {
 			break
 		}
 	}
-	if err := ns.collCall(p, func() error { return ns.tr.Bcast(p, chosen.buf, rootNode) }); err != nil {
-		ns.failCollective(g, err)
-		return
+	g.op = transport.CollOp{Kind: transport.Bcast, Root: ns.job.rmap.Node(g.root), Send: chosen.buf}
+	err := ns.collCall(p, &g.op)
+	if err == nil {
+		ns.disperse(p, g, func(m *request) {
+			if m != chosen {
+				copy(m.buf, chosen.buf)
+			}
+		})
 	}
-	ns.disperse(p, g, func(m *request) {
-		if m != chosen {
-			copy(m.buf, chosen.buf)
-		}
-	})
-	for _, m := range g.members {
-		ns.charge(p, ns.job.cfg.Params.NotifyCost)
-		m.complete(g.root, len(m.buf), nil)
-	}
+	ns.collDone(p, g, g.size, err)
 }
 
 // execGather concatenates local contributions in rank order, runs the
 // vector gather (per-node counts differ only in heterogeneous setups, but
 // the vector variant is what the paper prescribes), and hands the root its
-// assembled buffer.
+// assembled buffer. A resident root without a large enough destination is
+// the call's error (CollOp.Check).
 func (ns *nodeState) execGather(p transport.Proc, g *collGroup) {
-	rm := ns.job.rmap
-	rootNode := rm.Node(g.root)
 	chunk := g.size
 	nodeBuf := ns.job.pool.Get(ns.localRanks() * chunk)
 	defer ns.job.pool.Put(nodeBuf)
@@ -262,26 +264,13 @@ func (ns *nodeState) execGather(p transport.Proc, g *collGroup) {
 		ns.chargeMemcpy(p, chunk)
 		copy(nodeBuf[i*chunk:], m.buf)
 	}
-	counts := ns.job.nodeCounts(chunk)
-	var rootDst []byte
+	g.op = transport.CollOp{Kind: transport.Gatherv, Root: ns.job.rmap.Node(g.root), Send: nodeBuf, Counts: ns.job.nodeCounts(chunk)}
 	for _, m := range g.members {
 		if m.rank == g.root {
-			rootDst = m.recvBuf
+			g.op.Recv = m.recvBuf
 		}
 	}
-	if rootNode == ns.node && rootDst == nil {
-		panic("dcgn: gather root resident but no destination buffer")
-	}
-	if err := ns.collCall(p, func() error {
-		return ns.tr.Gatherv(p, nodeBuf, rootDst, counts, rootNode)
-	}); err != nil {
-		ns.failCollective(g, err)
-		return
-	}
-	for _, m := range g.members {
-		ns.charge(p, ns.job.cfg.Params.NotifyCost)
-		m.complete(g.root, chunk, nil)
-	}
+	ns.collDone(p, g, chunk, ns.collCall(p, &g.op))
 }
 
 // nodeCounts returns every node's byte count in a gather or scatter of
@@ -301,37 +290,27 @@ func (j *Job) nodeCounts(chunk int) []int {
 }
 
 // execScatter runs the vector scatter from the root's buffer and disperses
-// per-rank chunks locally.
+// per-rank chunks locally. A resident root without a large enough source is
+// the call's error (CollOp.Check).
 func (ns *nodeState) execScatter(p transport.Proc, g *collGroup) {
-	rm := ns.job.rmap
-	rootNode := rm.Node(g.root)
 	chunk := g.size
-	counts := ns.job.nodeCounts(chunk)
-	var rootSrc []byte
+	g.op = transport.CollOp{Kind: transport.Scatterv, Root: ns.job.rmap.Node(g.root), Counts: ns.job.nodeCounts(chunk)}
 	for _, m := range g.members {
 		if m.rank == g.root {
-			rootSrc = m.buf
+			g.op.Send = m.buf
 		}
-	}
-	if rootNode == ns.node && rootSrc == nil {
-		panic("dcgn: scatter root resident but no source buffer")
 	}
 	nodeBuf := ns.job.pool.Get(ns.localRanks() * chunk)
 	defer ns.job.pool.Put(nodeBuf)
-	if err := ns.collCall(p, func() error {
-		return ns.tr.Scatterv(p, rootSrc, counts, nodeBuf, rootNode)
-	}); err != nil {
-		ns.failCollective(g, err)
-		return
+	g.op.Recv = nodeBuf
+	err := ns.collCall(p, &g.op)
+	if err == nil {
+		ns.disperse(p, g, func(m *request) {
+			i := sort.Search(len(g.members), func(j int) bool { return g.members[j].rank >= m.rank })
+			copy(m.recvBuf, nodeBuf[i*chunk:(i+1)*chunk])
+		})
 	}
-	ns.disperse(p, g, func(m *request) {
-		i := sort.Search(len(g.members), func(j int) bool { return g.members[j].rank >= m.rank })
-		copy(m.recvBuf, nodeBuf[i*chunk:(i+1)*chunk])
-	})
-	for _, m := range g.members {
-		ns.charge(p, ns.job.cfg.Params.NotifyCost)
-		m.complete(g.root, chunk, nil)
-	}
+	ns.collDone(p, g, chunk, err)
 }
 
 // disperse performs the local result copies for a collective, charging
@@ -363,11 +342,4 @@ func collPayloadOf(g *collGroup) int {
 		return 0
 	}
 	return g.size
-}
-
-// failCollective propagates a collective error to every member.
-func (ns *nodeState) failCollective(g *collGroup, err error) {
-	for _, m := range g.members {
-		m.complete(g.root, 0, err)
-	}
 }

@@ -70,11 +70,11 @@ type faultyTransport struct {
 
 var errInjected = errors.New("injected transport fault")
 
-func (f *faultyTransport) Bcast(p transport.Proc, buf []byte, rootNode int) error {
-	if f.failBcast {
+func (f *faultyTransport) Collective(p transport.Proc, op *transport.CollOp) error {
+	if f.failBcast && op.Kind == transport.Bcast {
 		return errInjected
 	}
-	return f.Transport.Bcast(p, buf, rootNode)
+	return f.Transport.Collective(p, op)
 }
 
 // TestCollectiveTransportErrorSurfaces injects a failure into the

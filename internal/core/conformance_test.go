@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 )
 
@@ -235,6 +237,82 @@ func TestConformanceCollectives(t *testing.T) {
 		}
 		if len(gathered) != total {
 			t.Fatalf("only %d ranks completed", len(gathered))
+		}
+	})
+}
+
+// TestConformanceBadCollectiveBuffer: a malformed collective buffer is an
+// error for the rank that passed it, never a panic. On one node with two
+// ranks the whole node's collective fails, so every rank gets the error. On
+// two nodes of one rank each the backends differ by design: the simulated
+// node that fails its check does not join (transport.Collective), so its
+// peer may finish or be left blocked, which ends the run in a deadlock;
+// the live rendezvous fails every node's round, except where the bad
+// buffer fails its node's group before the transport call (AllToAll), which
+// leaves the peer to the watchdog.
+func TestConformanceBadCollectiveBuffer(t *testing.T) {
+	const chunk = 8
+	cases := []struct {
+		name string
+		call func(c *CPUCtx) error // rank 0 passes the bad buffer
+	}{
+		{"gather-short-root-recv", func(c *CPUCtx) error {
+			recv := make([]byte, chunk*c.Size())
+			if c.Rank() == 0 {
+				recv = recv[:4]
+			}
+			return c.Gather(0, make([]byte, chunk), recv)
+		}},
+		{"scatter-short-root-send", func(c *CPUCtx) error {
+			send := make([]byte, chunk*c.Size())
+			if c.Rank() == 0 {
+				send = send[:4]
+			}
+			return c.Scatter(0, send, make([]byte, chunk))
+		}},
+		{"gather-nil-root-recv", func(c *CPUCtx) error {
+			return c.Gather(0, make([]byte, chunk), nil)
+		}},
+		{"alltoall-unequal", func(c *CPUCtx) error {
+			recv := make([]byte, chunk*c.Size())
+			if c.Rank() == 0 {
+				recv = recv[:chunk]
+			}
+			return c.AllToAll(make([]byte, chunk*c.Size()), recv)
+		}},
+	}
+	forEachBackend(t, func(t *testing.T, backend string) {
+		for _, tc := range cases {
+			for _, shape := range []struct{ nodes, cpus int }{{1, 2}, {2, 1}} {
+				t.Run(fmt.Sprintf("%s/%dx%d", tc.name, shape.nodes, shape.cpus), func(t *testing.T) {
+					cfg := backendConfig(backend, shape.nodes, shape.cpus)
+					if backend == transport.BackendLive {
+						cfg.MaxVirtualTime = time.Second
+					}
+					job := NewJob(cfg)
+					var mu sync.Mutex
+					errs := map[int]error{}
+					job.SetCPUKernel(func(c *CPUCtx) {
+						err := tc.call(c)
+						mu.Lock()
+						errs[c.Rank()] = err
+						mu.Unlock()
+					})
+					_, runErr := job.Run()
+					var pe *sim.PanicError
+					if errors.As(runErr, &pe) || runErr != nil && strings.Contains(runErr.Error(), "panic") {
+						t.Fatalf("run panicked: %v", runErr)
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					if errs[0] == nil {
+						t.Fatalf("rank 0 passed the bad buffer and got no error (run: %v)", runErr)
+					}
+					if shape.nodes == 1 && (errs[1] == nil || runErr != nil) {
+						t.Fatalf("one node: rank 1 error %v, run error %v; want an error and a clean run", errs[1], runErr)
+					}
+				})
+			}
 		}
 	})
 }

@@ -115,11 +115,9 @@ func (c *CPUCtx) Scatter(root int, send, recv []byte) error {
 // AllToAll exchanges chunk j of this rank's send buffer into position
 // Rank() of rank j's recv buffer; both buffers are Size()*chunk bytes with
 // chunks packed in rank order. Implemented with the paper's general
-// collective pattern (§3.2.3).
+// collective pattern (§3.2.3). Buffers of unequal length fail the
+// collective on every rank of this node.
 func (c *CPUCtx) AllToAll(send, recv []byte) error {
-	if len(send) != len(recv) {
-		panic("dcgn: AllToAll buffers must have equal length")
-	}
 	req := c.relay(opAlltoall, 0, send, recv)
 	return req.err
 }

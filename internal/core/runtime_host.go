@@ -278,6 +278,8 @@ type rtJob struct {
 	// simulator keeps the count whose zero is completion and the handles
 	// Cancel kills.
 	group *sim.Group
+	// wire is the job's simulated-MPI group, retired with the job.
+	wire *simmpi.Group
 
 	partKey string
 
@@ -759,8 +761,9 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 // simulated job's procs, the only other references, are dead or about to
 // be killed with its group, and a canceled live job's goroutines still
 // unwinding reach the engine through their own references, never through
-// c); leave the queue or free the nodes; admit successors; resolve the
-// handle; notify.
+// c); leave the queue; retire a simulated job's MPI group, so nothing it
+// left in flight reaches its nodes' next job; free the nodes; admit
+// successors; resolve the handle; notify.
 func (r *Runtime) retire(c *rtJob, state JobState, rep Report, err error) {
 	r.tenants[c.Tenant].active--
 	c.State, c.report, c.err = state, rep, err
@@ -771,6 +774,11 @@ func (r *Runtime) retire(c *rtJob, state JobState, rep Report, err error) {
 	}
 	c.job = nil
 	r.dequeueLocked(c)
+	if c.wire != nil {
+		// What the job left in flight must not reach its nodes' next job.
+		c.wire.Retire(r.sched.Counter("late_frames_dropped"))
+		c.wire = nil
+	}
 	for _, n := range c.placement {
 		r.free[n] = true
 	}
@@ -987,7 +995,8 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 		r.retire(c, JobDone, rep, nil)
 		s.Inject(c.group.Kill)
 	})
+	c.wire = simmpi.NewGroup(r.sub.world, c.placement, c.ID)
 	s.InGroup(c.group, func() {
-		c.job.start(r.sub.env(simmpi.NewGroup(r.sub.world, c.placement, c.ID), c.placement, pool, c.StartedAt))
+		c.job.start(r.sub.env(c.wire, c.placement, pool, c.StartedAt))
 	})
 }

@@ -409,6 +409,77 @@ func TestRuntimeSimLossyTenant(t *testing.T) {
 	}
 }
 
+// TestRuntimeSimLateFramesDie: a jittered successor takes the nodes of a
+// tenant that has just retired. Whatever the predecessor left on the wire
+// belongs to a tag band no live group rides, so it must die before its NIC
+// charges or draws anything from the successor's noise stream: the
+// successor reports as it does alone, no message is left on an unexpected
+// queue, and the runtime counts what it dropped. TestRuntimeSimLossyTenant's
+// lossy predecessor (reliable, so it waits for every ack) ends with nothing
+// in flight; puts no one waits for leave frames on the wire.
+func TestRuntimeSimLateFramesDie(t *testing.T) {
+	const sim = transport.BackendSim
+	successor := func() *Job {
+		cfg := backendConfig(sim, 2, 1)
+		cfg.JitterFrac, cfg.JitterSeed = 0.25, 11
+		job := NewJob(cfg)
+		job.SetCPUKernel(pingPongJob(sim, 6).cpuKernel)
+		return job
+	}
+	want, err := successor().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pred := range []struct {
+		name string
+		job  *Job
+		late bool // leaves frames on the wire
+	}{
+		{"lossy", lossyJob(sim), false},
+		{"puts-in-flight", putsInFlightJob(t, backendConfig(sim, 2, 1)), true},
+	} {
+		t.Run(pred.name, func(t *testing.T) {
+			r, err := NewRuntime(runtimeConfig(sim, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			first, err := r.Submit(pred.job, SubmitOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, err := r.Submit(successor(), SubmitOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := first.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := next.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Status().StartedAt != first.Status().FinishedAt {
+				t.Fatalf("successor started at %v, not when its predecessor retired (%v)", next.Status().StartedAt, first.Status().FinishedAt)
+			}
+			if n := r.SchedSnapshot().Counters["late_frames_dropped"]; (n > 0) != pred.late {
+				t.Errorf("%d late frames dropped", n)
+			}
+			for n := 0; n < 2; n++ {
+				if q := r.sub.world.Rank(n).Unexpected(); q != 0 {
+					t.Errorf("rank %d: %d messages left on its unexpected queue", n, q)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("jittered successor reports differently from its solo run:\n%+v\n%+v", got, want)
+			}
+		})
+	}
+}
+
 // TestRuntimeSimReliabilityIsolation runs two reliable-wire tenants
 // concurrently: sequence spaces must not collide, so neither job sees
 // duplicate frames or stray acks — each matches a solo reliable run.

@@ -83,7 +83,15 @@ type Network struct {
 	// shardOf maps node id → shard index in a sharded network (all zero for
 	// a plain single-Sim network).
 	shardOf []int
+	// late, once set (DropLate), claims the packets of finished traffic.
+	late func(payload any) bool
 }
+
+// DropLate installs late, asked about every packet that arrives off the
+// wire before its destination's RX NIC charges or draws anything: a packet
+// it claims (and whose payload it has disposed of) goes no further. Install
+// it between events, on a network of one shard.
+func (net *Network) DropLate(late func(payload any) bool) { net.late = late }
 
 // New creates a network of n nodes.
 func New(s *sim.Sim, n int, cfg Config) *Network {
@@ -318,7 +326,7 @@ func (nd *Node) Sent(p *sim.Proc, pkt *Packet) {
 // latency for an intra-node packet — not jittered, so that constant flight
 // times preserve per-sender packet order (MPI non-overtaking) — and after
 // holding the destination's RX NIC for the receive overhead for one that
-// arrived off the wire.
+// arrived off the wire, unless DropLate's hook claims it first.
 func deliver(d *sim.Proc) {
 	pkt := d.Arg().(*Packet)
 	net, to := pkt.net, pkt.net.nodes[pkt.Dst]
@@ -327,6 +335,8 @@ func deliver(d *sim.Proc) {
 		to.Inbox.Put(pkt)
 	case pkt.Src == pkt.Dst:
 		d.SleepStep(net.cfg.ShmLat)
+	case net.late != nil && net.late(pkt.Payload):
+		to.Release(pkt)
 	default:
 		to.recvNIC.UseStep(d, to.jit.Scale(net.cfg.RecvOverhead))
 	}

@@ -79,3 +79,57 @@ func (c *Comm) Translate(commRank int) int {
 	}
 	return c.members[commRank]
 }
+
+// Retire ends the traffic of a job that has finished on the world: the
+// communicator's collectives and its point-to-point tags. What of it waits
+// on a member's unexpected queue is dropped now, and what is still on the
+// wire is dropped on arrival, before the receiving NIC charges or draws
+// anything from the noise stream of the node's next job (World.late);
+// dropped counts both. Neither the context nor the tags may carry traffic
+// again. Call it between events, on a world of one shard.
+func (c *Comm) Retire(dropped interface{ Add(int64) }, tags ...int) {
+	w := c.w
+	if w.retired == nil {
+		w.retired = make(map[int]bool)
+		w.net.DropLate(w.late)
+	}
+	w.retired[-1-c.id], w.dropped = true, dropped
+	for _, tag := range tags {
+		w.retired[tag] = true
+	}
+	for _, m := range c.members {
+		r := w.ranks[m]
+		kept := r.unexpected[:0]
+		for _, env := range r.unexpected {
+			if !w.late(env) {
+				kept = append(kept, env)
+			}
+		}
+		clear(r.unexpected[len(kept):])
+		r.unexpected = kept
+	}
+}
+
+// late drops an envelope of retired traffic, reporting whether it did: its
+// payload is left to the collector (the pool it came from is the finished
+// job's) and whatever awaited it on its rank is forgotten.
+func (w *World) late(payload any) bool {
+	env := payload.(*envelope)
+	key := env.tag
+	if key >= collTagBase {
+		key = -1 - (key-collTagBase)>>12
+	}
+	if !w.retired[key] {
+		return false
+	}
+	r := w.ranks[env.dst]
+	switch env.kind {
+	case kindCTS:
+		delete(r.pendingSends, env.seq)
+	case kindData:
+		delete(r.bound, env.seq)
+	}
+	r.envs.Put(env)
+	w.dropped.Add(1)
+	return true
+}

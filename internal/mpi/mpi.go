@@ -120,6 +120,12 @@ type World struct {
 	commMu     sync.Mutex
 	world      *Comm
 	nextCommID int
+
+	// retired holds the point-to-point tags and the communicator contexts
+	// (as -1-id) whose traffic has ended (Comm.Retire), and dropped counts
+	// the messages of theirs dropped.
+	retired map[int]bool
+	dropped interface{ Add(int64) }
 }
 
 // NewWorld creates a world with len(nodeOf) ranks; rank i runs on fabric
@@ -238,6 +244,10 @@ func (r *Rank) World() *World { return r.w }
 // Posted returns how many receives wait on the rank's posted list — what
 // every inbound message is matched against, oldest first.
 func (r *Rank) Posted() int { return len(r.posted) }
+
+// Unexpected returns how many arrived messages wait on the rank's
+// unexpected queue for a receive to match them.
+func (r *Rank) Unexpected() int { return len(r.unexpected) }
 
 // stagingPool returns the pool this rank's staging buffers come from: the
 // per-rank override when set (multi-tenant worlds), else the world pool.

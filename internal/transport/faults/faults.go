@@ -274,44 +274,12 @@ func collRoundProb(seed int64, round uint64) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// Barrier runs the inner barrier unless this round is failed.
-func (e *Endpoint) Barrier(p transport.Proc) error {
+// Collective runs the inner collective unless this round is failed.
+func (e *Endpoint) Collective(p transport.Proc, op *transport.CollOp) error {
 	if err := e.failCollective(); err != nil {
 		return err
 	}
-	return e.inner.Barrier(p)
-}
-
-// Bcast runs the inner broadcast unless this round is failed.
-func (e *Endpoint) Bcast(p transport.Proc, buf []byte, rootNode int) error {
-	if err := e.failCollective(); err != nil {
-		return err
-	}
-	return e.inner.Bcast(p, buf, rootNode)
-}
-
-// Gatherv runs the inner gather unless this round is failed.
-func (e *Endpoint) Gatherv(p transport.Proc, sendBuf, recvBuf []byte, counts []int, rootNode int) error {
-	if err := e.failCollective(); err != nil {
-		return err
-	}
-	return e.inner.Gatherv(p, sendBuf, recvBuf, counts, rootNode)
-}
-
-// Scatterv runs the inner scatter unless this round is failed.
-func (e *Endpoint) Scatterv(p transport.Proc, sendBuf []byte, counts []int, recvBuf []byte, rootNode int) error {
-	if err := e.failCollective(); err != nil {
-		return err
-	}
-	return e.inner.Scatterv(p, sendBuf, counts, recvBuf, rootNode)
-}
-
-// Alltoallv runs the inner all-to-all unless this round is failed.
-func (e *Endpoint) Alltoallv(p transport.Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error {
-	if err := e.failCollective(); err != nil {
-		return err
-	}
-	return e.inner.Alltoallv(p, sendBuf, sendCounts, recvBuf, recvCounts)
+	return e.inner.Collective(p, op)
 }
 
 // Close drops any held messages and closes the inner transport.

@@ -20,6 +20,8 @@ type recorder struct {
 	pool *bufpool.Pool
 	sent [][]byte
 	dsts []int
+	// colls counts the collectives forwarded to it.
+	colls int
 }
 
 func (r *recorder) SendStep(_ transport.Proc, op *transport.SendOp) (bool, error) {
@@ -34,16 +36,11 @@ func (r *recorder) RecvStep(_ transport.Proc, op *transport.RecvOp) (bool, error
 	op.Msg = []byte("inbound")
 	return true, nil
 }
-func (r *recorder) Barrier(transport.Proc) error { return nil }
-func (r *recorder) Bcast(transport.Proc, []byte, int) error {
+func (r *recorder) Collective(transport.Proc, *transport.CollOp) error {
+	r.colls++
 	return nil
 }
-func (r *recorder) Gatherv(transport.Proc, []byte, []byte, []int, int) error { return nil }
-func (r *recorder) Scatterv(transport.Proc, []byte, []int, []byte, int) error {
-	return nil
-}
-func (r *recorder) Alltoallv(transport.Proc, []byte, []int, []byte, []int) error { return nil }
-func (r *recorder) Close() error                                                 { return nil }
+func (r *recorder) Close() error { return nil }
 
 // newEndpoint wraps a fresh recorder for node, both on one fresh pool.
 func newEndpoint(cfg Config, node int) (*Endpoint, *recorder) {
@@ -230,14 +227,15 @@ func TestCollectiveFailuresClusterConsistent(t *testing.T) {
 	// collective verdicts must agree exactly.
 	cfg := Config{Seed: 99, CollFail: 0.3}
 	eps := make([]*Endpoint, 3)
+	recs := make([]*recorder, 3)
 	for i, node := range []int{0, 1, 5} {
-		eps[i], _ = newEndpoint(cfg, node)
+		eps[i], recs[i] = newEndpoint(cfg, node)
 	}
 	failed := 0
 	for round := 0; round < 200; round++ {
 		verdicts := make([]bool, len(eps))
 		for i, ep := range eps {
-			err := ep.Barrier(wall)
+			err := ep.Collective(wall, &transport.CollOp{Kind: transport.Barrier})
 			verdicts[i] = err != nil
 			if err != nil && !errors.Is(err, transport.ErrTransient) {
 				t.Fatalf("round %d node %d: injected error is not ErrTransient: %v", round, i, err)
@@ -257,6 +255,11 @@ func TestCollectiveFailuresClusterConsistent(t *testing.T) {
 	}
 	if s := eps[0].FaultStats(); s.CollFails != int64(failed) {
 		t.Fatalf("CollFails=%d, observed %d", s.CollFails, failed)
+	}
+	for i, rec := range recs {
+		if rec.colls != 200-failed {
+			t.Fatalf("node %d: %d collectives reached the inner transport, want the %d unfailed", i, rec.colls, 200-failed)
+		}
 	}
 }
 

@@ -332,120 +332,15 @@ func (e *Endpoint) RecvMsg(_ transport.Proc) ([]byte, error) {
 	return e.recvOn(e.lanes[wire])
 }
 
-// Barrier blocks until every node in the group has entered the barrier.
-func (e *Endpoint) Barrier(_ transport.Proc) error {
-	return e.g.coll.run(e.node, &collArgs{op: "barrier"}, func([]*collArgs) error { return nil })
-}
-
-// Bcast broadcasts buf from rootNode to every group node's equal-length
-// buffer.
-func (e *Endpoint) Bcast(_ transport.Proc, buf []byte, rootNode int) error {
-	return e.g.coll.run(e.node, &collArgs{op: "bcast", root: rootNode, buf: buf}, func(args []*collArgs) error {
-		if rootNode < 0 || rootNode >= len(args) {
-			return fmt.Errorf("live: bcast root %d out of range", rootNode)
-		}
-		src := args[rootNode].buf
-		for i, a := range args {
-			if len(a.buf) != len(src) {
-				return fmt.Errorf("live: bcast buffer length mismatch: node %d has %d, root has %d", i, len(a.buf), len(src))
-			}
-			if i != rootNode {
-				copy(a.buf, src)
-			}
-		}
-		return nil
-	})
-}
-
-// Gatherv concatenates each group node's sendBuf into rootNode's recvBuf
-// in node order.
-func (e *Endpoint) Gatherv(_ transport.Proc, sendBuf, recvBuf []byte, counts []int, rootNode int) error {
-	return e.g.coll.run(e.node, &collArgs{op: "gatherv", root: rootNode, buf: sendBuf, buf2: recvBuf, counts: counts}, func(args []*collArgs) error {
-		counts := args[rootNode].counts
-		if len(counts) != len(args) {
-			return fmt.Errorf("live: gatherv counts length %d != %d nodes", len(counts), len(args))
-		}
-		dst := args[rootNode].buf2
-		off := 0
-		for i, a := range args {
-			if len(a.buf) != counts[i] {
-				return fmt.Errorf("live: gatherv node %d contributes %d bytes, counts say %d", i, len(a.buf), counts[i])
-			}
-			if off+counts[i] > len(dst) {
-				return fmt.Errorf("live: gatherv root buffer too small (%d bytes)", len(dst))
-			}
-			copy(dst[off:], a.buf)
-			off += counts[i]
-		}
-		return nil
-	})
-}
-
-// Scatterv splits rootNode's sendBuf by counts and delivers each group
-// node its chunk.
-func (e *Endpoint) Scatterv(_ transport.Proc, sendBuf []byte, counts []int, recvBuf []byte, rootNode int) error {
-	return e.g.coll.run(e.node, &collArgs{op: "scatterv", root: rootNode, buf: recvBuf, buf2: sendBuf, counts: counts}, func(args []*collArgs) error {
-		counts := args[rootNode].counts
-		if len(counts) != len(args) {
-			return fmt.Errorf("live: scatterv counts length %d != %d nodes", len(counts), len(args))
-		}
-		src := args[rootNode].buf2
-		off := 0
-		for i, a := range args {
-			if len(a.buf) != counts[i] {
-				return fmt.Errorf("live: scatterv node %d expects %d bytes, counts say %d", i, len(a.buf), counts[i])
-			}
-			if off+counts[i] > len(src) {
-				return fmt.Errorf("live: scatterv root buffer too small (%d bytes)", len(src))
-			}
-			copy(a.buf, src[off:off+counts[i]])
-			off += counts[i]
-		}
-		return nil
-	})
-}
-
-// Alltoallv exchanges variable-size segments: group node i's segment j
-// lands in node j's receive segment i.
-func (e *Endpoint) Alltoallv(_ transport.Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error {
-	return e.g.coll.run(e.node, &collArgs{op: "alltoallv", buf: sendBuf, buf2: recvBuf, counts: sendCounts, counts2: recvCounts}, func(args []*collArgs) error {
-		n := len(args)
-		for i, a := range args {
-			if len(a.counts) != n || len(a.counts2) != n {
-				return fmt.Errorf("live: alltoallv node %d counts length != %d nodes", i, n)
-			}
-		}
-		for i, src := range args {
-			sendOff := 0
-			for j := 0; j < n; j++ {
-				seg := src.counts[j]
-				if seg != args[j].counts2[i] {
-					return fmt.Errorf("live: alltoallv count mismatch: node %d sends %d to node %d, which expects %d", i, seg, j, args[j].counts2[i])
-				}
-				recvOff := 0
-				for k := 0; k < i; k++ {
-					recvOff += args[j].counts2[k]
-				}
-				copy(args[j].buf2[recvOff:recvOff+seg], src.buf[sendOff:sendOff+seg])
-				sendOff += seg
-			}
-		}
-		return nil
-	})
+// Collective joins the group's collective rendezvous with op: the last
+// node to arrive checks every node's op and moves the round's bytes for
+// all of them (combine).
+func (e *Endpoint) Collective(_ transport.Proc, op *transport.CollOp) error {
+	return e.g.coll.run(e.node, op)
 }
 
 // Close shuts down the tenant group this endpoint belongs to.
 func (e *Endpoint) Close() error { return e.g.Close() }
-
-// collArgs is one node's contribution to a collective round.
-type collArgs struct {
-	op      string
-	root    int
-	buf     []byte
-	buf2    []byte
-	counts  []int
-	counts2 []int
-}
 
 // collRound is the group-wide collective rendezvous: each node arrives
 // with its arguments, the last arrival performs the data movement for the
@@ -462,14 +357,14 @@ type collRound struct {
 	n       int
 	gen     uint64
 	arrived int
-	args    []*collArgs
+	ops     []*transport.CollOp
 	err     error
 }
 
 func (cr *collRound) init(g *Group, n int) {
 	cr.g = g
 	cr.n = n
-	cr.args = make([]*collArgs, n)
+	cr.ops = make([]*transport.CollOp, n)
 	cr.cond = sync.NewCond(&cr.mu)
 }
 
@@ -482,28 +377,22 @@ func (cr *collRound) wakeAll() {
 
 // run joins the current round on behalf of node, performing combine once
 // all nodes have arrived.
-func (cr *collRound) run(node int, a *collArgs, combine func(args []*collArgs) error) error {
+func (cr *collRound) run(node int, op *transport.CollOp) error {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	if cr.g.isClosed() {
 		return transport.ErrClosed
 	}
 	myGen := cr.gen
-	cr.args[node] = a
+	cr.ops[node] = op
 	cr.arrived++
 	if cr.arrived == cr.n {
-		err := cr.checkOps()
-		if err == nil {
-			err = combine(cr.args)
-		}
-		cr.err = err
+		cr.err = combine(cr.ops)
 		cr.gen++
 		cr.arrived = 0
-		for i := range cr.args {
-			cr.args[i] = nil
-		}
+		clear(cr.ops)
 		cr.cond.Broadcast()
-		return err
+		return cr.err
 	}
 	for cr.gen == myGen && !cr.g.isClosed() {
 		cr.cond.Wait()
@@ -514,17 +403,47 @@ func (cr *collRound) run(node int, a *collArgs, combine func(args []*collArgs) e
 	return cr.err
 }
 
-// checkOps verifies every participant joined the same collective with the
-// same root — the cross-node analogue of the comm thread's local
-// accumulator checks.
-func (cr *collRound) checkOps() error {
-	first := cr.args[0]
-	for i, a := range cr.args[1:] {
-		if a.op != first.op {
-			return fmt.Errorf("live: collective mismatch: node 0 in %s, node %d in %s", first.op, i+1, a.op)
+// combine checks every node's op (CollOp.Check) and that they agree —
+// one kind and root, and what only the rendezvous sees: equal Bcast
+// lengths and matching Alltoallv counts — then moves the round's bytes.
+func combine(ops []*transport.CollOp) error {
+	first, n := ops[0], len(ops)
+	for i, op := range ops {
+		if err := op.Check(n, i); err != nil {
+			return err
 		}
-		if a.root != first.root {
-			return fmt.Errorf("live: %s root mismatch: node 0 says %d, node %d says %d", first.op, first.root, i+1, a.root)
+		if op.Kind != first.Kind || op.Root != first.Root {
+			return fmt.Errorf("live: collective mismatch: node 0 in %v from %d, node %d in %v from %d", first.Kind, first.Root, i, op.Kind, op.Root)
+		}
+	}
+	root, off := ops[first.Root], 0
+	for i, op := range ops {
+		switch op.Kind {
+		case transport.Bcast:
+			if len(op.Send) != len(root.Send) {
+				return fmt.Errorf("live: bcast buffer length mismatch: node %d has %d, root has %d", i, len(op.Send), len(root.Send))
+			}
+			copy(op.Send, root.Send)
+		case transport.Gatherv:
+			copy(root.Recv[off:off+root.Counts[i]], op.Send)
+			off += root.Counts[i]
+		case transport.Scatterv:
+			copy(op.Recv, root.Send[off:off+root.Counts[i]])
+			off += root.Counts[i]
+		case transport.Alltoallv:
+			sendOff := 0
+			for j, dst := range ops {
+				seg := op.Counts[j]
+				if seg != dst.RecvCounts[i] {
+					return fmt.Errorf("live: alltoallv count mismatch: node %d sends %d to node %d, which expects %d", i, seg, j, dst.RecvCounts[i])
+				}
+				recvOff := 0
+				for _, c := range dst.RecvCounts[:i] {
+					recvOff += c
+				}
+				copy(dst.Recv[recvOff:recvOff+seg], op.Send[sendOff:sendOff+seg])
+				sendOff += seg
+			}
 		}
 	}
 	return nil

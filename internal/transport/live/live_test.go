@@ -133,7 +133,7 @@ func TestCloseUnblocksCollective(t *testing.T) {
 	c := New(2, nil)
 	done := make(chan error, 1)
 	go func() {
-		done <- c.Node(0).Barrier(wall) // node 1 never joins
+		done <- c.Node(0).Collective(wall, &transport.CollOp{}) // node 1 never joins
 	}()
 	time.Sleep(10 * time.Millisecond)
 	c.Close()
@@ -200,112 +200,14 @@ func runColl(c *Cluster, n int, fn func(node int) error) []error {
 	return errs
 }
 
-func TestBcast(t *testing.T) {
-	const nodes = 3
-	c := New(nodes, nil)
-	defer c.Close()
-	bufs := make([][]byte, nodes)
-	for i := range bufs {
-		bufs[i] = make([]byte, 8)
-	}
-	copy(bufs[1], "rootdata")
-	for i, err := range runColl(c, nodes, func(n int) error {
-		return c.Node(n).Bcast(wall, bufs[n], 1)
-	}) {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	for i, b := range bufs {
-		if !bytes.Equal(b, []byte("rootdata")) {
-			t.Fatalf("node %d got %q", i, b)
-		}
-	}
-}
-
-func TestGathervScatterv(t *testing.T) {
-	const nodes = 3
-	c := New(nodes, nil)
-	defer c.Close()
-	counts := []int{2, 3, 4}
-
-	// Gatherv: node i contributes counts[i] bytes of value 'a'+i.
-	root := make([]byte, 9)
-	for i, err := range runColl(c, nodes, func(n int) error {
-		send := bytes.Repeat([]byte{byte('a' + n)}, counts[n])
-		var recv []byte
-		if n == 2 {
-			recv = root
-		}
-		return c.Node(n).Gatherv(wall, send, recv, counts, 2)
-	}) {
-		if err != nil {
-			t.Fatalf("gatherv node %d: %v", i, err)
-		}
-	}
-	if string(root) != "aabbbcccc" {
-		t.Fatalf("gatherv assembled %q", root)
-	}
-
-	// Scatterv: split the assembled buffer back out from node 2.
-	parts := make([][]byte, nodes)
-	for i := range parts {
-		parts[i] = make([]byte, counts[i])
-	}
-	for i, err := range runColl(c, nodes, func(n int) error {
-		var send []byte
-		if n == 2 {
-			send = root
-		}
-		return c.Node(n).Scatterv(wall, send, counts, parts[n], 2)
-	}) {
-		if err != nil {
-			t.Fatalf("scatterv node %d: %v", i, err)
-		}
-	}
-	for i, p := range parts {
-		want := bytes.Repeat([]byte{byte('a' + i)}, counts[i])
-		if !bytes.Equal(p, want) {
-			t.Fatalf("scatterv node %d got %q", i, p)
-		}
-	}
-}
-
-func TestAlltoallv(t *testing.T) {
-	const nodes = 2
-	c := New(nodes, nil)
-	defer c.Close()
-	// Node i sends (i+1) bytes of value 10*i+j to node j.
-	sendCounts := [][]int{{1, 1}, {2, 2}}
-	recvCounts := [][]int{{1, 2}, {1, 2}}
-	sends := [][]byte{
-		{0, 1},           // node 0: one byte to each
-		{10, 10, 11, 11}, // node 1: two bytes to each
-	}
-	recvs := [][]byte{make([]byte, 3), make([]byte, 3)}
-	for i, err := range runColl(c, nodes, func(n int) error {
-		return c.Node(n).Alltoallv(wall, sends[n], sendCounts[n], recvs[n], recvCounts[n])
-	}) {
-		if err != nil {
-			t.Fatalf("alltoallv node %d: %v", i, err)
-		}
-	}
-	if !bytes.Equal(recvs[0], []byte{0, 10, 10}) {
-		t.Fatalf("node 0 received %v", recvs[0])
-	}
-	if !bytes.Equal(recvs[1], []byte{1, 11, 11}) {
-		t.Fatalf("node 1 received %v", recvs[1])
-	}
-}
-
 func TestCollectiveOpMismatch(t *testing.T) {
 	c := New(2, nil)
 	defer c.Close()
 	errs := runColl(c, 2, func(n int) error {
 		if n == 0 {
-			return c.Node(0).Barrier(wall)
+			return c.Node(0).Collective(wall, &transport.CollOp{Kind: transport.Barrier})
 		}
-		return c.Node(1).Bcast(wall, make([]byte, 4), 0)
+		return c.Node(1).Collective(wall, &transport.CollOp{Kind: transport.Bcast, Send: make([]byte, 4)})
 	})
 	for i, err := range errs {
 		if err == nil {
@@ -327,10 +229,10 @@ func TestCollectiveRendezvousReuse(t *testing.T) {
 		copy(buf[round%nodes], fmt.Sprintf("r%03d", round))
 		root := round % nodes
 		for i, err := range runColl(c, nodes, func(n int) error {
-			if err := c.Node(n).Barrier(wall); err != nil {
+			if err := c.Node(n).Collective(wall, &transport.CollOp{Kind: transport.Barrier}); err != nil {
 				return err
 			}
-			return c.Node(n).Bcast(wall, buf[n], root)
+			return c.Node(n).Collective(wall, &transport.CollOp{Kind: transport.Bcast, Root: root, Send: buf[n]})
 		}) {
 			if err != nil {
 				t.Fatalf("round %d node %d: %v", round, i, err)

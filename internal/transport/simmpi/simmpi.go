@@ -105,6 +105,14 @@ func newGroup(w *mpi.World, comm *mpi.Comm, placement []int, tenant int) *Group 
 // group.
 func New(rank *mpi.Rank) *Endpoint { return WorldGroup(rank.World()).Endpoint(rank.ID()) }
 
+// Retire ends the group's traffic once its job has finished: its tag band
+// and collective context are purged from its ranks' unexpected queues, and
+// a frame of theirs still on the wire dies on arrival (mpi.Comm.Retire),
+// counted by dropped. The group carries nothing after.
+func (g *Group) Retire(dropped interface{ Add(int64) }) {
+	g.comm.Retire(dropped, g.p2pTag, g.osTag)
+}
+
 // Endpoint returns the job-local node's transport endpoint.
 func (g *Group) Endpoint(local int) *Endpoint { return &g.eps[local] }
 
@@ -185,30 +193,26 @@ func (e *Endpoint) RecvMsg(p transport.Proc) ([]byte, error) {
 	return msg, err
 }
 
-// Barrier runs the group-wide node-level barrier.
-func (e *Endpoint) Barrier(p transport.Proc) error {
-	e.g.comm.Barrier(proc(p), e.rank)
-	return nil
-}
-
-// Bcast runs the group-wide broadcast from rootNode.
-func (e *Endpoint) Bcast(p transport.Proc, buf []byte, rootNode int) error {
-	return e.g.comm.Bcast(proc(p), e.rank, buf, rootNode)
-}
-
-// Gatherv runs the group-wide vector gather to rootNode.
-func (e *Endpoint) Gatherv(p transport.Proc, sendBuf, recvBuf []byte, counts []int, rootNode int) error {
-	return e.g.comm.Gatherv(proc(p), e.rank, sendBuf, recvBuf, counts, rootNode)
-}
-
-// Scatterv runs the group-wide vector scatter from rootNode.
-func (e *Endpoint) Scatterv(p transport.Proc, sendBuf []byte, counts []int, recvBuf []byte, rootNode int) error {
-	return e.g.comm.Scatterv(proc(p), e.rank, sendBuf, counts, recvBuf, rootNode)
-}
-
-// Alltoallv runs the group-wide vector all-to-all.
-func (e *Endpoint) Alltoallv(p transport.Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error {
-	return e.g.comm.Alltoallv(proc(p), e.rank, sendBuf, sendCounts, recvBuf, recvCounts)
+// Collective runs op on the group communicator once it passes Check: one
+// switch onto mpi.Comm's collectives, which charge the call's costs. A
+// node whose op fails Check returns its error without joining.
+func (e *Endpoint) Collective(p transport.Proc, op *transport.CollOp) error {
+	c, sp := e.g.comm, proc(p)
+	if err := op.Check(c.Size(), c.RankOf(e.rank)); err != nil {
+		return err
+	}
+	switch op.Kind {
+	case transport.Barrier:
+		c.Barrier(sp, e.rank)
+		return nil
+	case transport.Bcast:
+		return c.Bcast(sp, e.rank, op.Send, op.Root)
+	case transport.Gatherv:
+		return c.Gatherv(sp, e.rank, op.Send, op.Recv, op.Counts, op.Root)
+	case transport.Scatterv:
+		return c.Scatterv(sp, e.rank, op.Send, op.Counts, op.Recv, op.Root)
+	}
+	return c.Alltoallv(sp, e.rank, op.Send, op.Counts, op.Recv, op.RecvCounts)
 }
 
 // Close does nothing and wakes no one: a simulated endpoint has no state of

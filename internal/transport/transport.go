@@ -5,11 +5,13 @@
 // The paper's design (§3.2.2) has the communication thread own "the
 // underlying communication library" — MPI in the original. Everything the
 // engine needs from that library is node-level, and it is one interface,
-// Transport, with two lanes and one send and one receive that serve both:
+// Transport: one send, one receive, one collective. The send and the
+// receive serve two lanes:
 //
-//   - the two-sided lane and the node-level collectives serve the comm
+//   - the two-sided lane and the node-level collective serve the comm
 //     thread: send one framed wire message to a peer node, wait for the
-//     next inbound one, run a collective once every resident rank has
+//     next inbound one, run a collective (a CollOp: barrier, broadcast,
+//     vector gather, scatter or all-to-all) once every resident rank has
 //     joined;
 //   - the one-sided lane models an RDMA-capable NIC: frames posted here
 //     never enter the comm thread's intake→matcher path at either end — the
@@ -22,7 +24,9 @@
 // RecvStep over a SendOp or RecvOp naming the lane): on the simulator a
 // step that is not done has registered the calling proc's next wake, so a
 // sender or receiver can be a stackless proc; on the live backend every
-// step blocks in place and reports itself done.
+// step blocks in place and reports itself done. The collective has one
+// form too, Collective over a CollOp, and one argument check
+// (CollOp.Check) that every backend runs before it moves a byte.
 //
 // The matching/ordering semantics live once in internal/core and backends
 // are interchangeable:
@@ -40,6 +44,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"time"
 )
 
@@ -103,9 +108,10 @@ type Proc interface {
 // frame, is closed or fails the send. Each lane has one receiver per
 // endpoint, and its frames never mix with the other lane's.
 //
-// The collectives are node-level (one call per node, every node
-// participating), mirroring the paper's "one MPI collective per node once
-// all resident ranks have joined" pattern (§3.2.3).
+// Collective is node-level (one call per node, every node participating),
+// mirroring the paper's "one MPI collective per node once all resident
+// ranks have joined" pattern (§3.2.3). So a transport is one send, one
+// receive, one collective and Close.
 type Transport interface {
 	// SendStep advances op, a send of one or more frames, on p and reports
 	// whether it is done; if it is not, it has registered p's next wake,
@@ -118,21 +124,12 @@ type Transport interface {
 	// hands over the frame. After Close it is done with ErrClosed (live
 	// backend; see Close).
 	RecvStep(p Proc, op *RecvOp) (done bool, err error)
-	// Barrier blocks until every node has entered the barrier.
-	Barrier(p Proc) error
-	// Bcast broadcasts buf from rootNode; every node passes an
-	// equal-length buffer.
-	Bcast(p Proc, buf []byte, rootNode int) error
-	// Gatherv concatenates each node's sendBuf (len counts[node]) into
-	// rootNode's recvBuf in node order; recvBuf may be nil elsewhere.
-	Gatherv(p Proc, sendBuf, recvBuf []byte, counts []int, rootNode int) error
-	// Scatterv splits rootNode's sendBuf by counts and delivers chunk
-	// counts[node] into each node's recvBuf; sendBuf may be nil elsewhere.
-	Scatterv(p Proc, sendBuf []byte, counts []int, recvBuf []byte, rootNode int) error
-	// Alltoallv exchanges variable-size segments: node i's sendBuf segment
-	// j (length sendCounts[j]) lands in node j's recvBuf segment i (length
-	// recvCounts[i]), with segments packed in node order.
-	Alltoallv(p Proc, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error
+	// Collective runs this node's part in op, a node-level collective that
+	// every node of the group joins with an op of the same kind and root.
+	// An op that fails op.Check(nodes, node) is an error and moves no
+	// bytes; on the simulator its node does not join, so the others may
+	// wait for it, and on the live backend the whole round fails with it.
+	Collective(p Proc, op *CollOp) error
 	// Close shuts the endpoint down; it is idempotent. On the live backend
 	// it wakes blocked receivers and collective participants with
 	// ErrClosed, which is how a run is torn down. A simulated endpoint's
@@ -219,6 +216,117 @@ func (op *RecvOp) Drop() {
 	if op.Posted != nil {
 		op.Posted.Drop()
 	}
+}
+
+// CollKind names a node-level collective.
+type CollKind uint8
+
+// The node-level collectives, the kinds of a CollOp.
+const (
+	// Barrier returns once every node has entered it.
+	Barrier CollKind = iota
+	// Bcast copies the root's Send into every other node's Send, of equal
+	// length.
+	Bcast
+	// Gatherv concatenates each node's Send (Counts[node] bytes) into the
+	// root's Recv in node order.
+	Gatherv
+	// Scatterv splits the root's Send by Counts and delivers chunk
+	// Counts[node] into each node's Recv.
+	Scatterv
+	// Alltoallv exchanges variable-size segments: node i's Send segment j
+	// (Counts[j] bytes) lands in node j's Recv segment i (RecvCounts[i]
+	// bytes), with segments packed in node order.
+	Alltoallv
+)
+
+var collNames = [...]string{"barrier", "bcast", "gatherv", "scatterv", "alltoallv"}
+
+// String returns the kind's name.
+func (k CollKind) String() string {
+	if int(k) < len(collNames) {
+		return collNames[k]
+	}
+	return fmt.Sprintf("CollKind(%d)", k)
+}
+
+// CollOp is one node's part in a node-level collective (Collective): its
+// kind, the root node (0 for Barrier and Alltoallv) and the buffers and
+// per-node byte counts the kind reads. A buffer the kind does not read at
+// this node may be nil: Recv away from a Gatherv's root, Send away from a
+// Scatterv's.
+type CollOp struct {
+	Kind       CollKind
+	Root       int
+	Send       []byte
+	Recv       []byte
+	Counts     []int
+	RecvCounts []int
+}
+
+// Check reports whether op is a well-formed part for node of a group of
+// nodes: a known kind, a root inside the group, counts for every node,
+// none negative, and buffers that hold what the counts say — this node's
+// own Gatherv contribution and Scatterv chunk exactly, a root's and an
+// Alltoallv's packed buffers at least. Whether the nodes' ops agree with
+// each other (one kind and root, equal Bcast lengths, matching Alltoallv
+// counts) it cannot see.
+func (op *CollOp) Check(nodes, node int) error {
+	switch {
+	case op.Kind > Alltoallv:
+		return fmt.Errorf("transport: unknown collective %v", op.Kind)
+	case node < 0 || node >= nodes:
+		return fmt.Errorf("transport: %v on node %d of %d", op.Kind, node, nodes)
+	case op.Root < 0 || op.Root >= nodes:
+		return fmt.Errorf("transport: %v root %d outside %d nodes", op.Kind, op.Root, nodes)
+	}
+	var send, recv int // the bytes Send and Recv must hold at least
+	switch op.Kind {
+	case Gatherv, Scatterv:
+		total, err := sumCounts(op.Counts, nodes)
+		if err != nil {
+			return fmt.Errorf("transport: %v %w", op.Kind, err)
+		}
+		own, root := len(op.Send), &recv
+		if op.Kind == Scatterv {
+			own, root = len(op.Recv), &send
+		}
+		if own != op.Counts[node] {
+			return fmt.Errorf("transport: %v node %d passes %d bytes, counts say %d", op.Kind, node, own, op.Counts[node])
+		}
+		if node == op.Root {
+			*root = total
+		}
+	case Alltoallv:
+		var err error
+		if send, err = sumCounts(op.Counts, nodes); err == nil {
+			recv, err = sumCounts(op.RecvCounts, nodes)
+		}
+		if err != nil {
+			return fmt.Errorf("transport: alltoallv %w", err)
+		}
+	}
+	if len(op.Send) < send || len(op.Recv) < recv {
+		return fmt.Errorf("transport: %v node %d buffers hold %d and %d bytes, counts need %d and %d",
+			op.Kind, node, len(op.Send), len(op.Recv), send, recv)
+	}
+	return nil
+}
+
+// sumCounts returns the sum of per-node counts, one for each of nodes and
+// none negative.
+func sumCounts(counts []int, nodes int) (int, error) {
+	if len(counts) != nodes {
+		return 0, fmt.Errorf("has %d counts for %d nodes", len(counts), nodes)
+	}
+	sum := 0
+	for n, c := range counts {
+		if c < 0 {
+			return 0, fmt.Errorf("count %d of node %d is negative", c, n)
+		}
+		sum += c
+	}
+	return sum, nil
 }
 
 // FaultStats counts the faults a fault-injection middleware has inflicted
