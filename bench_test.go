@@ -372,7 +372,20 @@ func TestEngineAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, msgs)
+	// paper_eval's run, the paper's 65 cells, budgeted per run: what
+	// paper_eval's allocs_per_op counts, 65 times over, at a size `go test`
+	// runs.
+	check("evaluate per run", evaluateAllocs, func() {
+		if _, err := apps.Evaluate(); err != nil {
+			t.Fatal(err)
+		}
+	}, 1)
 }
+
+// evaluateAllocs is TestEngineAllocBudget's budget for one apps.Evaluate,
+// by the rule of the rows above: the 53 727 allocations a run measured,
+// plus 20% plus 16.
+const evaluateAllocs = 64489
 
 func sizeName(n int) string {
 	switch {

@@ -69,7 +69,7 @@ func TestCannonDCGNSurvivesLossyWire(t *testing.T) {
 func TestNBodyDCGNSurvivesLossyWire(t *testing.T) {
 	// N-body's wire traffic is all collectives (per-step GPU broadcasts),
 	// so its lossy run injects transient collective failures rather than
-	// point-to-point drops; the retry loop (collCall) must cover them.
+	// point-to-point drops; the retry loop (collAccum.call) must cover them.
 	nc := NBodyConfig{Bodies: 128, Steps: 3, FlopsPerInteraction: 20, NBodyEff: 0.2, RealMath: true}
 	cfg := dcgnConfig(2, 0, 2)
 	cfg.Faults = faults.Config{Seed: 59, Drop: 0.12, CollFail: 0.25}

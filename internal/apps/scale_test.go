@@ -156,21 +156,24 @@ func (t simSeer) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) 
 
 // TestEngineResumeBudget is the engine's switch tripwire: the proc resumes
 // (coroutine switches) a small fixed ScaleFanout costs per message must stay
-// inside their budget, and the per-message helpers, the MPI progress engine
-// and the lane's sender and receiver — wire and shared-memory delivery,
-// eager injection, rendezvous data, the progress daemon, the GPU
-// completion helper, dcgn-tx and mpi-recv — run as stackless steps, never
-// resumed. What still has a stack is one comm thread and one CPU kernel per
-// node: the run starts exactly that many coroutine workers. A 1 MB
-// GPU-to-GPU message adds the rendezvous and GPU helpers that the 8-byte
-// exchange never spawns, and a reliable exchange the ack helpers and the
-// retransmit timers. Resume counts are deterministic, so the budget is the
-// measured figure, rounded up. It is also the recycling tripwire: the
-// per-message control objects — stackless procs, packets, envelopes,
-// inbound messages, dcgn-tx helpers — come mostly from free lists, and
-// each run gives back every object it was handed (sim.Recycled).
+// inside their budget, and every engine and device-model daemon and helper
+// — wire and shared-memory delivery, eager injection, rendezvous data, the
+// progress daemon, the comm thread, the GPU monitor, doorbell and NIC
+// daemons, the write-back and completion helpers, the device dispatcher,
+// dcgn-tx and both lanes' receivers — runs as stackless steps, never
+// resumed. What still has a stack is user code: one CPU kernel per node,
+// so the run starts exactly that many coroutine workers, and its resumes
+// are the kernels'. A 1 MB GPU-to-GPU message adds the rendezvous, GPU
+// and dispatch helpers that the 8-byte exchange never spawns, a doorbell
+// GPU the signal daemons, a triggered put the NIC daemon and the one-sided
+// receiver, and a reliable exchange the ack helpers and the retransmit
+// timers. Resume counts are deterministic, so the budget is the measured
+// figure, rounded up. It is also the recycling tripwire: the per-message
+// control objects — stackless procs, packets, envelopes, inbound
+// messages, dcgn-tx helpers — come mostly from free lists, and each run
+// gives back every object it was handed (sim.Recycled).
 func TestEngineResumeBudget(t *testing.T) {
-	const nodes, rounds, fanout, budget = 64, 3, 3, 7.9
+	const nodes, rounds, fanout, budget = 64, 3, 3, 3.2
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.Shards, cfg.MPI.TreeCollectives = nodes, 2, true
 	stats := simsOf(&cfg)
@@ -184,8 +187,11 @@ func TestEngineResumeBudget(t *testing.T) {
 	if per := float64(st.Resumes) / msgs; per > budget {
 		t.Errorf("%.2f resumes per message, budget %.1f", per, budget)
 	}
-	if st.Workers != 2*nodes {
-		t.Errorf("%d coroutine workers started, want %d: a comm thread and a CPU kernel per node", st.Workers, 2*nodes)
+	if k := st.Kinds["cpu-kern"]; k.Resumes != st.Resumes {
+		t.Errorf("%d of %d resumes are CPU kernels': something else has a stack", k.Resumes, st.Resumes)
+	}
+	if st.Workers != nodes {
+		t.Errorf("%d coroutine workers started, want %d: a CPU kernel per node", st.Workers, nodes)
 	}
 	// Every per-message control object comes from its owner's free list
 	// and goes back to one, so at most a third of them are ever allocated
@@ -202,6 +208,19 @@ func TestEngineResumeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Add(gpuStats())
+	sig := core.DefaultConfig()
+	sig.FutureHW.DeviceSignal = true
+	sigStats := simsOf(&sig)
+	if _, _, err := DCGNSendOneWayReport(sig, EPGPU, EPGPU, 64); err != nil {
+		t.Fatal(err)
+	}
+	st.Add(sigStats())
+	trig := core.DefaultConfig()
+	trigStats := simsOf(&trig)
+	if _, _, err := DCGNTriggeredOneWay(trig, 4096); err != nil {
+		t.Fatal(err)
+	}
+	st.Add(trigStats())
 	rel := core.DefaultConfig()
 	rel.Nodes, rel.Reliability.Enabled = 8, true
 	relStats := simsOf(&rel)
@@ -209,12 +228,14 @@ func TestEngineResumeBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Add(relStats())
-	for _, kind := range []string{"wire", "shm-deliver", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done", "dcgn-tx", "mpi-recv", "rel-ack", "timer"} {
+	for _, kind := range []string{"wire", "shm-deliver", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done", "dcgn-tx", "mpi-recv", "rel-ack", "timer",
+		"comm", "gpu-mon", "gpu-sig", "gpu-sig-wb", "gpu-nic", "os-recv", "dispatch"} {
 		if k := st.Kinds[kind]; k.Resumes != 0 {
 			t.Errorf("%s: %d resumes, want none: it runs as stackless steps", kind, k.Resumes)
 		}
 	}
-	for _, kind := range []string{"wire", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done", "dcgn-tx", "mpi-recv", "rel-ack", "timer"} {
+	for _, kind := range []string{"wire", "mpi-eager", "mpi-rndv-data", "mpi-engine", "gpu-done", "dcgn-tx", "mpi-recv", "rel-ack", "timer",
+		"comm", "gpu-mon", "gpu-sig", "gpu-sig-wb", "gpu-nic", "os-recv", "dispatch"} {
 		if st.Kinds[kind].Steps == 0 {
 			t.Errorf("%s: no steps taken; the workload no longer exercises it", kind)
 		}

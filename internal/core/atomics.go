@@ -81,52 +81,28 @@ func (w *osWindow) hostWindow() {
 	}
 }
 
-// atomicApply combines vals — little-endian int64 operands, as the frame
-// carries them — element-wise into the window starting at offset, clipping
-// to whole elements inside the window. The read-modify-write runs under the
-// window lock so concurrent atomics never lose updates. Reports whether the
-// span was clipped.
-func (ns *nodeState) atomicApply(p transport.Proc, w *osWindow, offset int, op AtomicOp, vals []byte) (clipped bool) {
-	w.hostWindow()
-	n := len(vals) / 8
-	if offset < 0 || offset >= w.size {
-		return true
-	}
-	if avail := (w.size - offset) / 8; n > avail {
-		n = avail
-		clipped = true
-	}
-	ns.chargeMemcpy(p, 8*n)
+// accumulate combines vals — little-endian int64 operands, as the frame
+// carries them, already clipped to whole elements inside the window —
+// element-wise into the window starting at offset. The read-modify-write
+// runs under the window lock so concurrent atomics never lose updates.
+func (w *osWindow) accumulate(offset int, op AtomicOp, vals []byte) {
 	le := binary.LittleEndian
 	w.mu.Lock()
-	for i := 0; i < 8*n; i += 8 {
+	for i := 0; i < len(vals); i += 8 {
 		old := int64(le.Uint64(w.host[offset+i:]))
 		le.PutUint64(w.host[offset+i:], uint64(op.apply(old, int64(le.Uint64(vals[i:])))))
 	}
 	w.mu.Unlock()
-	return clipped
 }
 
-// atomicFetch atomically reads the int64 at offset, stores op(old,
-// operand) back, and returns the prior value in a pooled 8-byte buffer, as
-// the reply frame carries it. A slot that does not fit the window is
-// clipped: nothing is applied and there is no prior value.
-func (ns *nodeState) atomicFetch(p transport.Proc, w *osWindow, offset int, op AtomicOp, operand []byte) (prior []byte, clipped bool) {
-	w.hostWindow()
-	if len(operand) < 8 {
-		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: fetch-and-op frame without operand", ns.node))
-	}
-	if offset < 0 || offset+8 > w.size {
-		return nil, true
-	}
-	ns.chargeMemcpy(p, 8)
-	prior = ns.job.pool.Get(8)
+// fetchAndOp atomically reads the int64 at offset into prior and stores
+// op(old, operand) back.
+func (w *osWindow) fetchAndOp(offset int, op AtomicOp, prior, operand []byte) {
 	le := binary.LittleEndian
 	w.mu.Lock()
 	copy(prior, w.host[offset:offset+8])
 	le.PutUint64(w.host[offset:], uint64(op.apply(int64(le.Uint64(prior)), int64(le.Uint64(operand)))))
 	w.mu.Unlock()
-	return prior, false
 }
 
 // osAccumFrom is the origin side of an accumulate on behalf of srcRank:

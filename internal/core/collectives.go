@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -17,25 +16,6 @@ import (
 // (every node's middleware fails the same round — see internal/transport/
 // faults), so all nodes retry in lockstep and the rendezvous stays intact.
 const collRetries = 16
-
-// collCall runs one node-level collective transport call, retrying
-// transient injected failures with the reliability layer's backoff
-// schedule (charged as comm-thread time; the comm thread already blocks
-// for the duration of a collective). Non-transient errors surface
-// immediately.
-func (ns *nodeState) collCall(p transport.Proc, op *transport.CollOp) error {
-	var err error
-	for attempt := 0; attempt <= collRetries; attempt++ {
-		if attempt > 0 {
-			atomic.AddInt64(&ns.collRetried, 1)
-			ns.charge(p, relBackoff(ns.job.cfg.Reliability, attempt-1))
-		}
-		if err = ns.tr.Collective(p, op); err == nil || !errors.Is(err, transport.ErrTransient) {
-			return err
-		}
-	}
-	return err
-}
 
 // collGroup gathers local arrivals for one in-progress collective.
 type collGroup struct {
@@ -50,8 +30,6 @@ type collGroup struct {
 	// keeps accumulating so late ranks don't hang, and fails every member
 	// once complete.
 	err error
-	// op is the node-level call the group makes once complete.
-	op transport.CollOp
 }
 
 // collAccum is the progress engine's collective-accumulation layer, owned
@@ -61,6 +39,30 @@ type collGroup struct {
 type collAccum struct {
 	ns     *nodeState
 	groups map[opKind]*collGroup
+	// ex is the execution of a complete group, made by the node's first:
+	// a job that makes no collective pays nothing for it.
+	ex *collExec
+}
+
+// collExec is the execution of one complete group at a time, a step form
+// of the comm thread (step): the group, the cursor, and the node-level op,
+// which keeps the transport's own progress (CollOp.Wire) from one
+// collective to the next.
+type collExec struct {
+	ns      *nodeState
+	g       *collGroup // the complete group being executed
+	op      transport.CollOp
+	phase   uint8
+	i       int  // the phase's loop cursor
+	charged bool // the charge of the cursor's copy or notify is made
+	attempt int
+	err     error
+	n       int      // the byte count each member's completion reports
+	chosen  *request // a broadcast's source buffer
+	// bufs are the pool buffers the execution has staged, each released
+	// once the execution is done with it (or by drop): a node buffer or an
+	// all-to-all's send staging, and an all-to-all's receive staging.
+	bufs [2][]byte
 }
 
 func newCollAccum(ns *nodeState) *collAccum {
@@ -78,11 +80,18 @@ func (ca *collAccum) pending() int {
 }
 
 // add accumulates arrivals; once every resident rank has initiated the
-// collective, the underlying transport collective runs and results are
-// dispersed locally (paper §3.2.3). Arrivals that disagree on the root or
-// payload size poison the group rather than panicking or hanging: the
-// group still waits for all residents (so nobody blocks forever on a
-// missing member), then every member completes with the mismatch error.
+// collective, it readies the group's execution (step): the underlying
+// transport collective runs and results are dispersed locally (paper
+// §3.2.3). Arrivals that disagree on the root or payload size poison the
+// group rather than panicking or hanging: the group still waits for all
+// residents (so nobody blocks forever on a missing member), then joins the
+// node-level round all the same with a well-shaped op — the first
+// arrival's root and size over zeroed pool scratch (poisonOp) — so the
+// other nodes' members complete, reading zeros for this node's block, and
+// only this node's members fail, with the mismatch error. A complete group
+// whose op fails CollOp.Check (a root buffer too short for the counts) is
+// poisoned the same way, so on every backend only the node that passed the
+// bad buffer fails.
 func (ca *collAccum) add(p transport.Proc, req *request) {
 	ns := ca.ns
 	g := ca.groups[req.op]
@@ -116,100 +125,379 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 		m.observe(histKey{kind: histCollWait, op: req.op}, int64(p.Now()-g.firstAt))
 	}
 	slices.SortFunc(g.members, func(a, b *request) int { return a.rank - b.rank })
-	if g.err != nil {
-		ns.collDone(p, g, 0, g.err)
-		return
+	if ca.ex == nil {
+		ca.ex = &collExec{ns: ns}
 	}
-	switch req.op {
-	case opBarrier: // the group's zero op is a barrier
-		ns.collDone(p, g, 0, ns.collCall(p, &g.op))
-	case opBcast:
-		ns.execBcast(p, g)
-	case opGather:
-		ns.execGather(p, g)
-	case opScatter:
-		ns.execScatter(p, g)
-	case opAlltoall:
-		ns.execAlltoall(p, g)
-	}
+	ca.ex.g, ca.ex.phase = g, ceStage
 }
 
-// collDone is every collective's tail: with err, each member fails with
-// it; otherwise each is notified, its completion reporting n bytes.
-func (ns *nodeState) collDone(p transport.Proc, g *collGroup, n int, err error) {
-	for _, m := range g.members {
-		if err != nil {
-			m.complete(g.root, 0, err)
-			continue
+// The phases of a group's execution.
+const (
+	ceIdle     uint8 = iota // no group is complete: the arrival is done
+	ceStage                 // stage the node-level op (charged copies)
+	ceCall                  // make it, retrying transient failures
+	ceDisperse              // disperse its results locally
+	ceDone                  // notify the members (collDone)
+)
+
+// step advances the execution of the complete group, if there is one, and
+// reports whether it is done: the comm thread's step form for a collective
+// arrival.
+func (ca *collAccum) step(h transport.Proc) bool { return ca.ex == nil || ca.ex.step(h) }
+
+// step advances the execution of the complete group, if there is one, and
+// reports whether it is done. Each op kind stages its node-level call in
+// ex.op (stage), makes it (call), disperses its results locally once it
+// succeeds (disperse), and ends in collDone.
+func (ex *collExec) step(h transport.Proc) bool {
+	ns, g := ex.ns, ex.g
+	for {
+		switch ex.phase {
+		case ceIdle:
+			return true
+		case ceStage:
+			if g.err == nil && !ex.stage(h) {
+				return false
+			}
+			if ex.phase != ceStage {
+				continue // the group failed before any op could be staged
+			}
+			if g.err == nil {
+				// An op the transport would refuse poisons the group too:
+				// the node joins the round all the same.
+				if err := ex.op.Check(ns.job.rmap.Nodes(), ns.node); err != nil {
+					g.err = err
+					ex.release()
+					ex.op = transport.CollOp{Wire: ex.op.Wire}
+				}
+			}
+			if g.err != nil {
+				ex.poisonOp()
+			}
+			ex.phase, ex.i = ceCall, 0
+		case ceCall:
+			if !ex.call(h) {
+				return false
+			}
+			ex.phase, ex.i = ceDisperse, 0
+			if g.err != nil {
+				ex.err, ex.phase = g.err, ceDone
+			}
+		case ceDisperse:
+			if !ex.disperse(h) {
+				return false
+			}
+			ex.phase, ex.i = ceDone, 0
+		case ceDone:
+			if !ex.collDone(h) {
+				return false
+			}
+			ex.release()
+			ex.end()
+			return true
 		}
-		ns.charge(p, ns.job.cfg.Params.NotifyCost)
-		m.complete(g.root, n, nil)
 	}
 }
 
-// The exec functions stage a complete group's node-level call in g.op, make
-// it (collCall), disperse its results locally once it succeeds, and end in
-// collDone.
+// fail ends the execution before its call with err: every member fails
+// with it.
+func (ex *collExec) fail(err error) {
+	ex.release()
+	ex.err, ex.n = err, 0
+	ex.phase, ex.i = ceDone, 0
+}
 
-// execAlltoall implements the paper's general pattern for all-to-all: the
-// node concatenates its residents' contributions, one vector all-to-all
-// runs per node (Alltoallv, since node populations may differ), and
-// per-rank chunks are dispersed locally.
-func (ns *nodeState) execAlltoall(p transport.Proc, g *collGroup) {
+// end readies the accumulator for the next complete group; the op keeps
+// the transport's progress for the next call.
+func (ex *collExec) end() {
+	ex.g, ex.chosen, ex.err, ex.n, ex.attempt = nil, nil, nil, 0, 0
+	ex.phase, ex.i, ex.charged = ceIdle, 0, false
+	ex.op = transport.CollOp{Wire: ex.op.Wire}
+}
+
+// release gives the staged pool buffers back.
+func (ex *collExec) release() {
+	ex.releaseBuf(0)
+	ex.releaseBuf(1)
+}
+
+// releaseBuf gives staged pool buffer i back.
+func (ex *collExec) releaseBuf(i int) {
+	if b := ex.bufs[i]; b != nil {
+		ex.ns.job.pool.Put(b)
+		ex.bufs[i] = nil
+	}
+}
+
+// drop gives back what an execution its comm thread was killed in holds:
+// the transport's posted receives and the staged buffers.
+func (ex *collExec) drop() {
+	ex.op.Drop()
+	ex.release()
+}
+
+// chargeStep charges d once for the cursor's copy or notify, as a step
+// form: it reports false when it has registered h's wake, and true when the
+// charge is made — on the next step, or at once on the live backend.
+func (ex *collExec) chargeStep(h transport.Proc, d time.Duration) bool {
+	if ex.charged {
+		ex.charged = false
+		return true
+	}
+	if sleepStep(h, ex.ns.jit, d) {
+		return true
+	}
+	ex.charged = true
+	return false
+}
+
+// call makes the node-level collective, retrying transient injected
+// failures with the reliability layer's backoff schedule (charged as
+// comm-thread time; the comm thread is busy for the duration of a
+// collective). Non-transient errors surface immediately; either way the
+// outcome is ex.err. An all-to-all's send staging goes back once the call
+// is over, and its receive staging too if the call failed.
+func (ex *collExec) call(h transport.Proc) bool {
+	ns := ex.ns
+	for {
+		if ex.i == 1 { // a retry's backoff is to be charged
+			if !ex.chargeStep(h, relBackoff(ns.job.cfg.Reliability, ex.attempt-1)) {
+				return false
+			}
+			ex.i = 0
+		}
+		done, err := ns.tr.CollectiveStep(h, &ex.op)
+		if !done {
+			return false
+		}
+		ex.err = err
+		if err == nil || !errors.Is(err, transport.ErrTransient) || ex.attempt == collRetries {
+			break
+		}
+		ex.attempt, ex.i = ex.attempt+1, 1
+		atomic.AddInt64(&ns.collRetried, 1)
+	}
+	if ex.op.Kind == transport.Alltoallv && ex.g.err == nil {
+		ex.releaseBuf(0)
+		if ex.err != nil {
+			ex.releaseBuf(1)
+		}
+	}
+	return true
+}
+
+// stage builds the complete group's node-level op in ex.op, charging a
+// copy for each contribution it packs.
+func (ex *collExec) stage(h transport.Proc) bool {
+	ns, g := ex.ns, ex.g
 	rm := ns.job.rmap
-	total := rm.Total()
-	local := len(g.members)
-	if g.size%total != 0 {
-		ns.collDone(p, g, 0, fmt.Errorf("dcgn: alltoall buffer %d not divisible by %d ranks", g.size, total))
-		return
-	}
-	chunk := g.size / total
-	nodes := rm.Nodes()
-
-	// Node send buffer: for each destination node j, each local member a
-	// contributes its chunks addressed to node j's ranks (a-major order).
-	sendCounts := make([]int, nodes)
-	recvCounts := make([]int, nodes)
-	for j := 0; j < nodes; j++ {
-		sendCounts[j] = local * rm.PerNode(j) * chunk
-		recvCounts[j] = rm.PerNode(j) * local * chunk
-	}
-	scratch := ns.job.pool.Get(local * total * chunk)
-	sendBuf := scratch[:0]
-	for j := 0; j < nodes; j++ {
-		base := rm.Base(j) * chunk
-		span := rm.PerNode(j) * chunk
+	switch g.members[0].op {
+	case opBarrier:
+		ex.op.Kind = transport.Barrier
+	case opBcast:
+		// The root's buffer if the root is resident, otherwise the first
+		// arrival's (the paper picks one "at random"; first arrival keeps
+		// runs deterministic).
+		ex.chosen = g.members[0]
 		for _, m := range g.members {
-			ns.chargeMemcpy(p, span)
-			sendBuf = append(sendBuf, m.buf[base:base+span]...)
-		}
-	}
-	recvBuf := ns.job.pool.Get(local * total * chunk)
-	g.op = transport.CollOp{Kind: transport.Alltoallv, Send: sendBuf, Counts: sendCounts, Recv: recvBuf, RecvCounts: recvCounts}
-	err := ns.collCall(p, &g.op)
-	ns.job.pool.Put(scratch)
-	if err != nil {
-		ns.job.pool.Put(recvBuf)
-		ns.collDone(p, g, 0, err)
-		return
-	}
-	// Disperse: the block from node i is laid out a-major (node i's local
-	// ranks), b-minor (our members); member lb's chunk from global rank a
-	// sits at displ(i) + (la*local + lb)*chunk.
-	displ := 0
-	for i := 0; i < nodes; i++ {
-		for la := 0; la < rm.PerNode(i); la++ {
-			a := rm.Base(i) + la
-			for lb, m := range g.members {
-				src := recvBuf[displ+(la*local+lb)*chunk:]
-				ns.chargeMemcpy(p, chunk)
-				copy(m.recvBuf[a*chunk:(a+1)*chunk], src[:chunk])
+			if m.rank == g.root {
+				ex.chosen = m
+				break
 			}
 		}
-		displ += recvCounts[i]
+		ex.op.Kind, ex.op.Root, ex.op.Send = transport.Bcast, rm.Node(g.root), ex.chosen.buf
+		ex.n = g.size
+	case opGather:
+		// Local contributions concatenated in rank order; the root, if
+		// resident, is handed the assembled buffer. A resident root without
+		// a large enough destination is the call's error (CollOp.Check).
+		chunk := g.size
+		if ex.i == 0 && !ex.charged {
+			ex.bufs[0] = ns.job.pool.Get(ns.localRanks() * chunk)
+		}
+		for ; ex.i < len(g.members); ex.i++ {
+			if chunk > 0 && !ex.chargeStep(h, ns.memcpyTime(chunk)) {
+				return false
+			}
+			copy(ex.bufs[0][ex.i*chunk:], g.members[ex.i].buf)
+		}
+		ex.op.Kind, ex.op.Root, ex.op.Send, ex.op.Counts = transport.Gatherv, rm.Node(g.root), ex.bufs[0], ns.job.nodeCounts(chunk)
+		for _, m := range g.members {
+			if m.rank == g.root {
+				ex.op.Recv = m.recvBuf
+			}
+		}
+		ex.n = chunk
+	case opScatter:
+		// The vector scatter from the root's buffer into a node buffer the
+		// members' chunks are dispersed from. A resident root without a
+		// large enough source is the call's error (CollOp.Check).
+		chunk := g.size
+		ex.op.Kind, ex.op.Root, ex.op.Counts = transport.Scatterv, rm.Node(g.root), ns.job.nodeCounts(chunk)
+		for _, m := range g.members {
+			if m.rank == g.root {
+				ex.op.Send = m.buf
+			}
+		}
+		ex.bufs[0] = ns.job.pool.Get(ns.localRanks() * chunk)
+		ex.op.Recv = ex.bufs[0]
+		ex.n = chunk
+	case opAlltoall:
+		return ex.stageAlltoall(h)
 	}
-	ns.job.pool.Put(recvBuf)
-	ns.collDone(p, g, chunk, nil)
+	return true
+}
+
+// stageAlltoall implements the paper's general pattern for all-to-all: the
+// node concatenates its residents' contributions, one vector all-to-all
+// runs per node (Alltoallv, since node populations may differ), and
+// per-rank chunks are dispersed locally. Node send buffer: for each
+// destination node j, each local member a contributes its chunks addressed
+// to node j's ranks (a-major order); ex.i counts the (node, member) copies
+// made.
+func (ex *collExec) stageAlltoall(h transport.Proc) bool {
+	ns, g := ex.ns, ex.g
+	rm := ns.job.rmap
+	total, local, nodes := rm.Total(), len(g.members), rm.Nodes()
+	if ex.op.Kind != transport.Alltoallv {
+		if g.size%total != 0 {
+			ex.fail(fmt.Errorf("dcgn: alltoall buffer %d not divisible by %d ranks", g.size, total))
+			return true
+		}
+		chunk := g.size / total
+		ex.alltoallOp(chunk)
+		ex.bufs[0] = ns.job.pool.Get(local * total * chunk)
+		ex.op.Send = ex.bufs[0][:0]
+		ex.n = chunk
+	}
+	chunk := ex.n
+	for ; ex.i < nodes*local; ex.i++ {
+		j, m := ex.i/local, g.members[ex.i%local]
+		base := rm.Base(j) * chunk
+		span := rm.PerNode(j) * chunk
+		if span > 0 && !ex.chargeStep(h, ns.memcpyTime(span)) {
+			return false
+		}
+		ex.op.Send = append(ex.op.Send, m.buf[base:base+span]...)
+	}
+	ex.bufs[1] = ns.job.pool.Get(local * total * chunk)
+	ex.op.Recv = ex.bufs[1]
+	return true
+}
+
+// poisonOp stages the node-level op of a poisoned group: the kind of its
+// members, the root and per-rank size of its first arrival, and zeroed
+// pool scratch for every buffer, so the node takes its part in the round
+// and moves only zeros.
+func (ex *collExec) poisonOp() {
+	ns, g := ex.ns, ex.g
+	rm := ns.job.rmap
+	size, local, total := max(g.size, 0), len(g.members), rm.Total()
+	zeroed := func(i, n int) []byte {
+		b := ns.job.pool.Get(n)
+		clear(b)
+		ex.bufs[i] = b
+		return b
+	}
+	root := rm.Node(g.root)
+	switch g.members[0].op {
+	case opBarrier:
+		ex.op.Kind = transport.Barrier
+	case opBcast:
+		ex.op.Kind, ex.op.Root, ex.op.Send = transport.Bcast, root, zeroed(0, size)
+	case opGather:
+		ex.op.Kind, ex.op.Root, ex.op.Counts = transport.Gatherv, root, ns.job.nodeCounts(size)
+		ex.op.Send = zeroed(0, local*size)
+		if root == ns.node {
+			ex.op.Recv = zeroed(1, total*size)
+		}
+	case opScatter:
+		ex.op.Kind, ex.op.Root, ex.op.Counts = transport.Scatterv, root, ns.job.nodeCounts(size)
+		ex.op.Recv = zeroed(0, local*size)
+		if root == ns.node {
+			ex.op.Send = zeroed(1, total*size)
+		}
+	case opAlltoall:
+		chunk := size / total
+		ex.alltoallOp(chunk)
+		ex.op.Send, ex.op.Recv = zeroed(0, local*total*chunk), zeroed(1, local*total*chunk)
+	}
+}
+
+// alltoallOp makes ex.op the node's all-to-all of chunk bytes per rank
+// pair: to and from node j, its ranks' chunks for and from each member.
+func (ex *collExec) alltoallOp(chunk int) {
+	rm, local := ex.ns.job.rmap, len(ex.g.members)
+	ex.op.Kind, ex.op.Counts, ex.op.RecvCounts = transport.Alltoallv, make([]int, rm.Nodes()), make([]int, rm.Nodes())
+	for j := range ex.op.Counts {
+		ex.op.Counts[j] = local * rm.PerNode(j) * chunk
+		ex.op.RecvCounts[j] = rm.PerNode(j) * local * chunk
+	}
+}
+
+// disperse performs the local result copies of a successful collective:
+// a broadcast's and a scatter's charged as one dispersal — sequential
+// memcpys (the paper's implementation) or the proposed tree-dispersal time
+// (its "future optimization", for the ablation bench) — and an
+// all-to-all's chunk by chunk.
+func (ex *collExec) disperse(h transport.Proc) bool {
+	ns, g := ex.ns, ex.g
+	if ex.err != nil {
+		return true
+	}
+	switch g.members[0].op {
+	case opBcast, opScatter:
+		if k := len(g.members) - 1; k > 0 {
+			per := ns.memcpyTime(collPayloadOf(g))
+			if ns.job.cfg.Params.TreeDispersal {
+				per *= time.Duration(int(math.Ceil(math.Log2(float64(k + 1)))))
+			} else {
+				per *= time.Duration(k)
+			}
+			if !ex.chargeStep(h, per) {
+				return false
+			}
+		}
+		for i, m := range g.members {
+			if g.members[0].op == opScatter {
+				copy(m.recvBuf, ex.bufs[0][i*ex.n:(i+1)*ex.n])
+			} else if m != ex.chosen {
+				copy(m.buf, ex.chosen.buf)
+			}
+		}
+	case opAlltoall:
+		// The block from node i is laid out a-major (node i's local ranks),
+		// b-minor (our members): member lb's chunk from global rank a sits
+		// at (a*local + lb)*chunk, a running over the job's ranks.
+		chunk, local := ex.n, len(g.members)
+		for ; ex.i < ns.job.rmap.Total()*local; ex.i++ {
+			a, m := ex.i/local, g.members[ex.i%local]
+			if chunk > 0 && !ex.chargeStep(h, ns.memcpyTime(chunk)) {
+				return false
+			}
+			copy(m.recvBuf[a*chunk:(a+1)*chunk], ex.bufs[1][ex.i*chunk:])
+		}
+		ex.releaseBuf(1)
+	}
+	return true
+}
+
+// collDone is every collective's tail: with an error, each member fails
+// with it; otherwise each is notified, its completion reporting ex.n bytes.
+func (ex *collExec) collDone(h transport.Proc) bool {
+	g := ex.g
+	for ; ex.i < len(g.members); ex.i++ {
+		m := g.members[ex.i]
+		if ex.err != nil {
+			m.complete(g.root, 0, ex.err)
+			continue
+		}
+		if !ex.chargeStep(h, ex.ns.job.cfg.Params.NotifyCost) {
+			return false
+		}
+		m.complete(g.root, ex.n, nil)
+	}
+	return true
 }
 
 // collPayloadLen returns the per-rank payload size of a collective request.
@@ -227,52 +515,6 @@ func collPayloadLen(req *request) int {
 	return 0
 }
 
-// execBcast runs the node-level broadcast using the root's buffer if the
-// root is resident, otherwise the first arrival's buffer (the paper picks
-// one "at random"; first arrival keeps runs deterministic), then copies
-// into all other local buffers.
-func (ns *nodeState) execBcast(p transport.Proc, g *collGroup) {
-	chosen := g.members[0]
-	for _, m := range g.members {
-		if m.rank == g.root {
-			chosen = m
-			break
-		}
-	}
-	g.op = transport.CollOp{Kind: transport.Bcast, Root: ns.job.rmap.Node(g.root), Send: chosen.buf}
-	err := ns.collCall(p, &g.op)
-	if err == nil {
-		ns.disperse(p, g, func(m *request) {
-			if m != chosen {
-				copy(m.buf, chosen.buf)
-			}
-		})
-	}
-	ns.collDone(p, g, g.size, err)
-}
-
-// execGather concatenates local contributions in rank order, runs the
-// vector gather (per-node counts differ only in heterogeneous setups, but
-// the vector variant is what the paper prescribes), and hands the root its
-// assembled buffer. A resident root without a large enough destination is
-// the call's error (CollOp.Check).
-func (ns *nodeState) execGather(p transport.Proc, g *collGroup) {
-	chunk := g.size
-	nodeBuf := ns.job.pool.Get(ns.localRanks() * chunk)
-	defer ns.job.pool.Put(nodeBuf)
-	for i, m := range g.members {
-		ns.chargeMemcpy(p, chunk)
-		copy(nodeBuf[i*chunk:], m.buf)
-	}
-	g.op = transport.CollOp{Kind: transport.Gatherv, Root: ns.job.rmap.Node(g.root), Send: nodeBuf, Counts: ns.job.nodeCounts(chunk)}
-	for _, m := range g.members {
-		if m.rank == g.root {
-			g.op.Recv = m.recvBuf
-		}
-	}
-	ns.collDone(p, g, chunk, ns.collCall(p, &g.op))
-}
-
 // nodeCounts returns every node's byte count in a gather or scatter of
 // chunk bytes per rank. Every node of the job shares the slice and only
 // reads it; it is rebuilt only when the chunk size changes.
@@ -287,53 +529,6 @@ func (j *Job) nodeCounts(chunk int) []int {
 		j.counts, j.countsChunk = counts, chunk
 	}
 	return j.counts
-}
-
-// execScatter runs the vector scatter from the root's buffer and disperses
-// per-rank chunks locally. A resident root without a large enough source is
-// the call's error (CollOp.Check).
-func (ns *nodeState) execScatter(p transport.Proc, g *collGroup) {
-	chunk := g.size
-	g.op = transport.CollOp{Kind: transport.Scatterv, Root: ns.job.rmap.Node(g.root), Counts: ns.job.nodeCounts(chunk)}
-	for _, m := range g.members {
-		if m.rank == g.root {
-			g.op.Send = m.buf
-		}
-	}
-	nodeBuf := ns.job.pool.Get(ns.localRanks() * chunk)
-	defer ns.job.pool.Put(nodeBuf)
-	g.op.Recv = nodeBuf
-	err := ns.collCall(p, &g.op)
-	if err == nil {
-		ns.disperse(p, g, func(m *request) {
-			i := sort.Search(len(g.members), func(j int) bool { return g.members[j].rank >= m.rank })
-			copy(m.recvBuf, nodeBuf[i*chunk:(i+1)*chunk])
-		})
-	}
-	ns.collDone(p, g, chunk, err)
-}
-
-// disperse performs the local result copies for a collective, charging
-// either sequential memcpys (the paper's implementation) or the proposed
-// tree-dispersal time (its "future optimization", for the ablation bench).
-func (ns *nodeState) disperse(p transport.Proc, g *collGroup, cp func(m *request)) {
-	k := len(g.members) - 1 // copies needed
-	if k <= 0 {
-		for _, m := range g.members {
-			cp(m)
-		}
-		return
-	}
-	per := time.Duration(float64(collPayloadOf(g)) / ns.job.cfg.Params.LocalMemcpyBW * 1e9)
-	if ns.job.cfg.Params.TreeDispersal {
-		rounds := int(math.Ceil(math.Log2(float64(k + 1))))
-		ns.charge(p, time.Duration(rounds)*per)
-	} else {
-		ns.charge(p, time.Duration(k)*per)
-	}
-	for _, m := range g.members {
-		cp(m)
-	}
 }
 
 // collPayloadOf returns the dispersal copy size for a group.

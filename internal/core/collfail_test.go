@@ -70,11 +70,11 @@ type faultyTransport struct {
 
 var errInjected = errors.New("injected transport fault")
 
-func (f *faultyTransport) Collective(p transport.Proc, op *transport.CollOp) error {
+func (f *faultyTransport) CollectiveStep(p transport.Proc, op *transport.CollOp) (bool, error) {
 	if f.failBcast && op.Kind == transport.Bcast {
-		return errInjected
+		return true, errInjected
 	}
-	return f.Transport.Collective(p, op)
+	return f.Transport.CollectiveStep(p, op)
 }
 
 // TestCollectiveTransportErrorSurfaces injects a failure into the

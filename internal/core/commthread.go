@@ -31,9 +31,9 @@ var ErrTruncate = errors.New("dcgn: message truncated (recv buffer too small)")
 //   - tr (internal/transport) carries framed wire messages and node-level
 //     collectives to the other nodes.
 //
-// The communication thread (runCommThread) is the only goroutine that
-// touches index, coll and tr — the paper's "exactly one communication
-// thread per node owns the underlying MPI library".
+// The communication thread (commThread) is the only thread that touches
+// index, coll and tr — the paper's "exactly one communication thread per
+// node owns the underlying MPI library".
 type nodeState struct {
 	job  *Job
 	node int
@@ -57,6 +57,7 @@ type nodeState struct {
 	intake *intake
 	index  *matchIndex
 	coll   *collAccum
+	comm   commThread
 
 	// txs and ins are the host node's lists of spare dcgn-tx helpers and
 	// inbound messages: taken by the comm thread and the lane receiver,
@@ -90,7 +91,8 @@ type nodeState struct {
 	// Stats.
 	requestsHandled int
 	// collRetried counts node-level collective calls re-executed after a
-	// transient transport failure (collCall); read atomically by Job.report.
+	// transient transport failure (collAccum.call); read atomically by
+	// Job.report.
 	collRetried int64
 	// osPuts / osGets count origin-side one-sided operations, osTriggered
 	// NIC-fired device descriptors and osTruncated target-side clipped
@@ -100,10 +102,12 @@ type nodeState struct {
 }
 
 // start spawns the node's communication thread and the two-sided lane's
-// stackless receiver daemon; both run for the life of the application.
-// (The one-sided lane's receiver comes up with the lane, in osRequire.)
+// receiver daemon, stackless procs both, which run for the life of the
+// application. (The one-sided lane's receiver comes up with the lane, in
+// osRequire.)
 func (ns *nodeState) start() {
-	ns.rt.SpawnDaemonID("comm", ns.node, ns.runCommThread)
+	ns.comm.ns = ns
+	ns.rt.SpawnStep("comm", ns.node, &ns.comm, true, true)
 	ns.rt.SpawnStep("mpi-recv", ns.node, &ns.wire, true, true)
 }
 
@@ -121,48 +125,115 @@ func (ns *nodeState) charge(p transport.Proc, d time.Duration) {
 	}
 }
 
-// runCommThread is the progress engine's event loop: it drains the intake
-// stream and routes each event to the matching layer (point-to-point),
-// the collective accumulator, or the transport (remote relays). All
-// engine state is confined to this thread.
-func (ns *nodeState) runCommThread(p transport.Proc) {
+// commThread is the progress engine's event loop, a step machine
+// (rt.SpawnStep): it takes each event off the intake stream, charges its
+// dispatch and routes it to the matching layer (point-to-point), the
+// collective accumulator, or the transport (remote relays). A handler that
+// charges modeled time is a step form too, resumed where its cursor stands
+// — a delivery's (dl), a combined exchange's halves (at, join), a
+// collective's (coll's exec) — so the thread owns no stack. All engine
+// state is confined to this thread.
+type commThread struct {
+	ns    *nodeState
+	msg   commMsg
+	phase uint8
+	dl    delivery
+	at    uint8
+	join  *sendrecvJoin
+}
+
+// The phases of a commThread.
+const (
+	ctNext     uint8 = iota // take the next event
+	ctGot                   // an event has arrived, its dispatch to charge
+	ctDispatch              // its dispatch is charged
+	ctHandle                // its handler is under way
+)
+
+func (ct *commThread) step(h transport.Proc) bool {
+	ns := ct.ns
 	for {
-		msg, ok := ns.intake.next(p)
-		if !ok {
-			return // intake shut down (live backend teardown)
-		}
-		if ns.obsOn {
-			if msg.req != nil {
-				msg.req.dequeuedAt = p.Now()
+		switch ct.phase {
+		case ctNext:
+			got, ok := ns.intake.q.GetStep(h, &ct.msg)
+			if !ok {
+				return true // intake shut down (live backend teardown)
 			}
-			if m := ns.job.metrics; m != nil {
-				m.observe(histKey{kind: histIntakeDepth}, int64(ns.intake.depth()))
+			ct.phase = ctGot
+			if !got {
+				return false
 			}
-		}
-		ns.charge(p, ns.job.cfg.Params.DispatchCost)
-		ns.requestsHandled++
-		switch {
-		case msg.req != nil:
-			ns.handleRequest(p, msg.req)
-		case msg.in != nil:
-			ns.handleInbound(p, msg.in)
+			fallthrough
+		case ctGot:
+			ns.intake.took()
+			if ns.obsOn {
+				if ct.msg.req != nil {
+					ct.msg.req.dequeuedAt = h.Now()
+				}
+				if m := ns.job.metrics; m != nil {
+					m.observe(histKey{kind: histIntakeDepth}, int64(ns.intake.depth()))
+				}
+			}
+			ct.phase = ctDispatch
+			if !sleepStep(h, ns.jit, ns.job.cfg.Params.DispatchCost) {
+				return false
+			}
+			fallthrough
+		case ctDispatch:
+			ns.requestsHandled++
+			ct.phase = ctHandle
+			ct.route(h)
+			fallthrough
+		case ctHandle:
+			if !ct.handle(h) {
+				return false
+			}
+			ct.phase, ct.msg = ctNext, commMsg{}
 		}
 	}
 }
 
-// handleRequest routes one local request.
-func (ns *nodeState) handleRequest(p transport.Proc, req *request) {
-	switch req.op {
+// route makes the synchronous part of the event's handling — matching,
+// accumulating, relaying — and readies the cursor of the part that charges
+// time, which handle steps.
+func (ct *commThread) route(h transport.Proc) {
+	ns := ct.ns
+	if in := ct.msg.in; in != nil {
+		ns.handleInbound(h, &ct.dl, in)
+		return
+	}
+	switch req := ct.msg.req; req.op {
 	case opSend:
-		ns.handleSend(p, req)
+		ns.handleSend(h, &ct.dl, req)
 	case opRecv:
-		ns.handleRecv(p, req)
+		ns.handleRecv(h, &ct.dl, req)
 	case opSendrecv:
-		ns.handleSendrecv(p, req)
+		// handle starts the exchange: both halves are its own.
 	case opBarrier, opBcast, opGather, opScatter, opAlltoall:
-		ns.coll.add(p, req)
+		ns.coll.add(h, req)
 	default:
 		panic(fmt.Sprintf("dcgn: unknown op %v", req.op))
+	}
+}
+
+// handle steps what route readied and reports whether the event is done.
+func (ct *commThread) handle(h transport.Proc) bool {
+	if req := ct.msg.req; req != nil {
+		switch req.op {
+		case opSendrecv:
+			return ct.ns.handleSendrecv(h, ct, req)
+		case opBarrier, opBcast, opGather, opScatter, opAlltoall:
+			return ct.ns.coll.step(h)
+		}
+	}
+	return ct.dl.step(h)
+}
+
+// Drop gives back what a killed comm thread holds (sim.Dropper): the
+// receives its collective has posted and the pool buffers it has staged.
+func (ct *commThread) Drop() {
+	if ex := ct.ns.coll.ex; ex != nil {
+		ex.drop()
 	}
 }
 

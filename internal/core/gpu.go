@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dcgn/internal/device"
-	"dcgn/internal/pcie"
 	"dcgn/internal/sim"
 )
 
@@ -64,6 +63,7 @@ const (
 
 // slotState is the host-side bookkeeping for one device slot.
 type slotState struct {
+	gt   *gpuThread
 	rank int
 	mb   device.Ptr
 
@@ -75,6 +75,14 @@ type slotState struct {
 	size, size2 int
 	req         *request
 	doneReady   bool
+	// at is where the slot's service stands between the bus transfers it
+	// waits on (claimStep, relayStep, writeBackStep), and xptr/xbuf/xfer
+	// the one payload transfer the service has in flight: device memory at
+	// xptr to or from the host bytes xbuf.
+	at   uint8
+	xptr device.Ptr
+	xbuf []byte
+	xfer bool
 	// wake is fired when the done-flag write lands in device memory; the
 	// spinning device block observes it then. (Timing-equivalent stand-in
 	// for the device's spin loop on the status word.)
@@ -115,6 +123,7 @@ func newGPUThread(ns *nodeState, index int, dev *device.Device) *gpuThread {
 	rm := ns.job.rmap
 	for s := 0; s < rm.Spec(ns.node).SlotsPerGPU; s++ {
 		gt.slots = append(gt.slots, &slotState{
+			gt:   gt,
 			rank: rm.GPURank(ns.node, index, s),
 			mb:   dev.Mem().MustAlloc(mailboxBytes),
 		})
@@ -122,36 +131,79 @@ func newGPUThread(ns *nodeState, index int, dev *device.Device) *gpuThread {
 	return gt
 }
 
-// startMonitor spawns the polling daemon. Monitors of different GPUs are
-// staggered, and every monitor gets a (seeded) random initial phase: on a
-// real cluster the polling threads of different nodes are never
-// phase-aligned, which is why multi-node GPU-only barriers in Table 1 are
-// slower than single-node ones — some node's arrival always just missed a
-// poll tick.
+// startMonitor spawns the polling daemon, a stackless proc (gpuMon).
+// Monitors of different GPUs are staggered, and every monitor gets a
+// (seeded) random initial phase: on a real cluster the polling threads of
+// different nodes are never phase-aligned, which is why multi-node GPU-only
+// barriers in Table 1 are slower than single-node ones — some node's
+// arrival always just missed a poll tick.
 func (gt *gpuThread) startMonitor() {
 	cfg := gt.ns.job.cfg
 	if cfg.FutureHW.DeviceSignal {
 		// Future hardware (§7): the device signals the CPU, so the
-		// GPU-kernel thread blocks on a doorbell instead of polling.
+		// GPU-kernel thread waits on a doorbell instead of polling.
 		gt.doorbell = sim.NewQueue[*slotState](gt.ns.sim, fmt.Sprintf("doorbell:%d.%d", gt.ns.node, gt.index))
-		gt.ns.sim.SpawnDaemon(fmt.Sprintf("gpu-sig:%d.%d", gt.ns.node, gt.index), func(p *sim.Proc) {
-			for {
-				ss := gt.doorbell.Get(p)
-				gt.serviceSignaled(p, ss)
-			}
-		})
+		gt.ns.sim.SpawnStepDaemon(fmt.Sprintf("gpu-sig:%d.%d", gt.ns.node, gt.index), sim.NoID, sigStep, &gpuSig{gt: gt})
 		return
 	}
 	nodeGPUs := gt.ns.job.rmap.Spec(gt.ns.node).GPUs
 	offset := cfg.PollInterval * time.Duration(gt.index) / time.Duration(max(1, nodeGPUs))
 	offset += time.Duration(gt.monitorPhase(int64(cfg.PollInterval)))
-	gt.ns.sim.SpawnDaemon(fmt.Sprintf("gpu-mon:%d.%d", gt.ns.node, gt.index), func(p *sim.Proc) {
-		p.Sleep(offset)
-		for {
-			gt.ns.charge(p, cfg.PollInterval)
-			gt.poll(p)
+	gt.ns.sim.SpawnStepDaemon(fmt.Sprintf("gpu-mon:%d.%d", gt.ns.node, gt.index), sim.NoID, monStep, &gpuMon{gt: gt, offset: offset})
+}
+
+// gpuMon is a GPU's polling monitor: after its initial phase offset it
+// polls every PollInterval — a control read of the whole mailbox region,
+// then one stage of progress per active slot (advance), slot after slot.
+type gpuMon struct {
+	gt     *gpuThread
+	offset time.Duration
+	phase  uint8
+	slot   int  // the slot being advanced
+	hit    bool // whether this poll has progressed a slot
+}
+
+// The phases of a gpuMon.
+const (
+	monStart uint8 = iota // sleep the initial phase offset
+	monTick               // sleep one poll interval
+	monPoll               // read the mailbox region
+	monSlots              // the read has landed: advance slot m.slot
+)
+
+// monStep is the step of a gpu-mon daemon (Proc.Arg is its gpuMon).
+func monStep(p *sim.Proc) {
+	m := p.Arg().(*gpuMon)
+	gt := m.gt
+	for {
+		switch m.phase {
+		case monStart:
+			m.phase = monTick
+			p.SleepStep(m.offset)
+			return
+		case monTick:
+			m.phase = monPoll
+			sleepStep(p, gt.ns.jit, gt.ns.job.cfg.PollInterval)
+			return
+		case monPoll:
+			gt.polls.Store(gt.polls.Load() + 1)
+			m.phase, m.slot, m.hit = monSlots, 0, false
+			gt.ns.bus.CtlStep(p, len(gt.slots)*mailboxBytes)
+			return
+		case monSlots:
+			for ; m.slot < len(gt.slots); m.slot++ {
+				hit, done := gt.advance(p, gt.slots[m.slot])
+				m.hit = m.hit || hit
+				if !done {
+					return
+				}
+			}
+			if m.hit {
+				gt.hits.Store(gt.hits.Load() + 1)
+			}
+			m.phase = monTick
 		}
-	})
+	}
 }
 
 // monitorPhase returns the monitor's random initial phase in [0, span): the
@@ -172,84 +224,106 @@ func (gt *gpuThread) monitorPhase(span int64) int64 {
 	return j.phases.Int63n(span)
 }
 
-// payloadBus returns the bus interface used for payload staging: the
-// normal DMA path, or the GPUDirect path with doorbell-cheap setup.
-func (gt *gpuThread) payloadBus() device.BusLike {
-	if gt.ns.job.cfg.FutureHW.GPUDirect {
-		return directBus{gt.ns.bus}
+// xferStep starts an n-byte payload transfer as a step form: device ->
+// host when up, else host -> device, on the normal DMA path or, with
+// GPUDirect, the doorbell-cheap direct one.
+func (gt *gpuThread) xferStep(p *sim.Proc, up bool, n int) {
+	bus := gt.ns.bus
+	switch {
+	case gt.ns.job.cfg.FutureHW.GPUDirect:
+		bus.DirectStep(p, n)
+	case up:
+		bus.UpStep(p, n)
+	default:
+		bus.DownStep(p, n)
 	}
-	return gt.ns.bus
 }
 
-// serviceSignaled services one doorbell-announced request end to end:
-// claim, stage, relay, and (on a helper) immediate completion write-back —
-// no poll-tick alignment anywhere.
-func (gt *gpuThread) serviceSignaled(p *sim.Proc, ss *slotState) {
-	mb := gt.dev.Bytes(ss.mb, mailboxBytes)
-	if binary.LittleEndian.Uint32(mb[mbStatus:]) != mbPosted {
-		panic("dcgn: doorbell rung without posted request")
-	}
-	gt.claim(p, ss, mb, 4+mailboxBytes) // one transaction: claim + descriptor read
-	gt.signals.Store(gt.signals.Load() + 1)
-	req := gt.relay(p, ss)
-	gt.ns.sim.SpawnID("gpu-sig-wb", ss.rank, func(h *sim.Proc) {
-		req.done.Wait(h)
-		gt.writeBack(h, ss, mb)
-	}, nil)
+// gpuSig is a GPU's doorbell daemon (FutureHW.DeviceSignal): it services
+// each doorbell-announced request end to end — claim, stage, relay, and
+// (on a gpu-sig-wb helper) immediate completion write-back, with no
+// poll-tick alignment anywhere.
+type gpuSig struct {
+	gt      *gpuThread
+	ss      *slotState
+	claimed bool
 }
 
-// poll performs one polling round: a control read of the whole mailbox
-// region, then one stage of progress per active slot.
-func (gt *gpuThread) poll(p *sim.Proc) {
-	gt.polls.Store(gt.polls.Load() + 1)
-	gt.ns.bus.Ctl(p, len(gt.slots)*mailboxBytes)
-	hit := false
-	for _, ss := range gt.slots {
-		if gt.advance(p, ss) {
-			hit = true
+// sigStep is the step of a gpu-sig daemon (Proc.Arg is its gpuSig).
+func sigStep(p *sim.Proc) {
+	g := p.Arg().(*gpuSig)
+	gt := g.gt
+	for {
+		if g.ss == nil && !gt.doorbell.GetStep(p, &g.ss) {
+			return
 		}
-	}
-	if hit {
-		gt.hits.Store(gt.hits.Load() + 1)
+		ss := g.ss
+		if !g.claimed {
+			if ss.at == 0 && binary.LittleEndian.Uint32(gt.dev.Bytes(ss.mb, mailboxBytes)[mbStatus:]) != mbPosted {
+				panic("dcgn: doorbell rung without posted request")
+			}
+			if !gt.claimStep(p, ss, 4+mailboxBytes) { // one transaction: claim + descriptor read
+				return
+			}
+			g.claimed = true
+			gt.signals.Store(gt.signals.Load() + 1)
+		}
+		if !gt.relayStep(p, ss) {
+			return
+		}
+		gt.ns.sim.SpawnStep("gpu-sig-wb", ss.rank, sigWriteBack, ss)
+		g.ss, g.claimed = nil, false
 	}
 }
 
-// advance moves one slot's state machine one stage. It reports whether any
-// work was done.
-func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) bool {
-	le := binary.LittleEndian
-	mb := gt.dev.Bytes(ss.mb, mailboxBytes)
+// sigWriteBack is the step of a gpu-sig-wb helper (Proc.Arg is the slot):
+// the completion write-back once the relayed request is done.
+func sigWriteBack(h *sim.Proc) {
+	ss := h.Arg().(*slotState)
+	if (*sim.Event)(ss.req.done.(*simEvent)).WaitStep(h) {
+		ss.gt.writeBackStep(h, ss)
+	}
+}
+
+// advance moves one slot's state machine one stage as a step form: it
+// reports whether the stage does work (hit), and whether it is done; if it
+// is not, it has registered p's next wake, after which the monitor calls
+// it again.
+func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) (hit, done bool) {
 	switch ss.stage {
 	case stageIdle:
-		if le.Uint32(mb[mbStatus:]) != mbPosted {
-			return false
+		if ss.at == 0 && binary.LittleEndian.Uint32(gt.dev.Bytes(ss.mb, mailboxBytes)[mbStatus:]) != mbPosted {
+			return false, true
 		}
 		// Stage 1: discovery. Claim the request and capture the
 		// descriptor (it travelled with the poll read).
-		gt.claim(p, ss, mb, 4)
+		if !gt.claimStep(p, ss, 4) {
+			return true, false
+		}
 		ss.stage = stageDiscovered
-		return true
+		return true, true
 
 	case stageDiscovered:
 		// Stage 2: stage outbound payloads device -> host (Fig. 2 step 1)
 		// and relay the request to the comm thread.
 		ss.doneReady = false
-		gt.relay(p, ss)
+		if !gt.relayStep(p, ss) {
+			return true, false
+		}
 		// A tiny stackless helper marks the slot ready for its completion
 		// stage; the write-back itself happens on a poll tick (stage 3).
 		gt.ns.sim.SpawnStep("gpu-done", ss.rank, markDone, ss)
 		ss.stage = stageRelayed
-		return true
+		return true, true
 
 	case stageRelayed:
 		if !ss.doneReady {
-			return false
+			return false, true
 		}
 		// Stage 3: completion write-back.
-		gt.writeBack(p, ss, mb)
-		return true
+		return true, gt.writeBackStep(p, ss)
 	}
-	return false
+	return false, true
 }
 
 // markDone is the step of a slot's gpu-done helper (Proc.Arg is the slot):
@@ -260,45 +334,88 @@ func markDone(h *sim.Proc) {
 	ss.doneReady = (*sim.Event)(ss.req.done.(*simEvent)).WaitStep(h)
 }
 
-// claim takes a posted request for the host: the claimed flag is written in
-// an n-byte control transaction, and the descriptor fields — which travelled
-// with it, or with the poll read before it — are captured into the slot
-// state.
-func (gt *gpuThread) claim(p *sim.Proc, ss *slotState, mb []byte, n int) {
+// The points a slot's service stands at (slotState.at) while it waits on
+// the bus or a charge; 0 is between services.
+const (
+	atClaim    uint8 = iota + 1 // the claim's control write is landing
+	atStage                     // the outbound payload is crossing the bus
+	atEnqueue                   // the enqueue cost is being charged
+	atCopyBack                  // the results are crossing the bus
+	atFlag                      // the done flag's control write is landing
+)
+
+// claimStep takes a posted request for the host as a step form: the claimed
+// flag is written in an n-byte control transaction, and once it has landed
+// the descriptor fields — which travelled with it, or with the poll read
+// before it — are captured into the slot state.
+func (gt *gpuThread) claimStep(p *sim.Proc, ss *slotState, n int) bool {
 	le := binary.LittleEndian
-	le.PutUint32(mb[mbStatus:], mbClaimed)
-	gt.ns.bus.Ctl(p, n)
+	mb := gt.dev.Bytes(ss.mb, mailboxBytes)
+	if ss.at == 0 {
+		le.PutUint32(mb[mbStatus:], mbClaimed)
+		ss.at = atClaim
+		gt.ns.bus.CtlStep(p, n)
+		return false
+	}
+	ss.at = 0
 	ss.op = opKind(le.Uint32(mb[mbOp:]))
 	ss.peerRaw = int64(le.Uint64(mb[mbPeer:]))
 	ss.ptr = device.Ptr(le.Uint64(mb[mbPtr:]))
 	ss.size = int(le.Uint64(mb[mbSize:]))
 	ss.ptr2 = device.Ptr(le.Uint64(mb[mbPtr2:]))
 	ss.size2 = int(le.Uint64(mb[mbSize2:]))
+	return true
 }
 
-// relay hands a claimed request to the comm thread: outbound payloads staged
-// device -> host (buildRequest), the enqueue charged, the request recorded
-// and posted.
-func (gt *gpuThread) relay(p *sim.Proc, ss *slotState) *request {
-	req := gt.buildRequest(p, ss)
-	ss.req = req
-	if req.done.Fired() {
-		return req // it named a rank outside the job
+// relayStep hands a claimed request to the comm thread as a step form:
+// outbound payloads staged device -> host (buildRequest), the enqueue
+// charged, the request recorded and posted.
+func (gt *gpuThread) relayStep(p *sim.Proc, ss *slotState) bool {
+	switch ss.at {
+	case 0:
+		ss.req = gt.buildRequest(ss)
+		if ss.req.done.Fired() {
+			return true // it named a rank outside the job
+		}
+		if ss.xfer {
+			ss.at = atStage
+			gt.xferStep(p, true, len(ss.xbuf))
+			return false
+		}
+		fallthrough
+	case atStage:
+		if ss.xfer {
+			copy(ss.xbuf, gt.dev.Bytes(ss.xptr, len(ss.xbuf)))
+			ss.xbuf, ss.xfer = nil, false
+			gt.stageRecv(ss)
+		}
+		ss.at = atEnqueue
+		if !sleepStep(p, gt.ns.jit, gt.ns.job.cfg.Params.EnqueueCost) {
+			return false
+		}
 	}
-	gt.ns.charge(p, gt.ns.job.cfg.Params.EnqueueCost)
-	gt.ns.job.trace.record(gt.ns.rt, req)
-	gt.ns.intake.postRequest(req)
-	return req
+	ss.at = 0
+	gt.ns.job.trace.record(gt.ns.rt, ss.req)
+	gt.ns.intake.postRequest(ss.req)
+	return true
 }
 
-// buildRequest stages outbound payloads device -> host (Fig. 2 step 1) and
-// creates the comm-thread request for a parsed descriptor. Host staging
-// buffers come from the job pool; writeBack returns them once results have
-// been copied back to device memory. Pooled buffers are never zeroed, so
-// receive-side staging may carry stale bytes — writeBack only copies the
-// delivered prefix, exactly as the device would only see DMA'd bytes.
-func (gt *gpuThread) buildRequest(p *sim.Proc, ss *slotState) *request {
-	bus := gt.payloadBus()
+// queueXfer queues the slot's one payload transfer: the n bytes of device
+// memory at ptr to or from the host bytes buf.
+func (ss *slotState) queueXfer(ptr device.Ptr, buf []byte) {
+	ss.xptr, ss.xbuf, ss.xfer = ptr, buf, true
+}
+
+// buildRequest creates the comm-thread request for a parsed descriptor and
+// queues the staging of its outbound payload device -> host (Fig. 2 step
+// 1), which relayStep makes; the receive staging of an op that stages a
+// payload too is taken once the payload is off the device (stageRecv).
+// Host staging buffers come from the job pool; writeBackStep returns them
+// once results have been copied back to device memory. Pooled buffers are
+// never zeroed, so receive-side staging may carry stale bytes —
+// writeBackStep only copies the delivered prefix, exactly as the device
+// would only see DMA'd bytes.
+func (gt *gpuThread) buildRequest(ss *slotState) *request {
 	pool := gt.ns.job.pool
 	peer, peer2 := int(ss.peerRaw), 0
 	if ss.op == opSendrecv {
@@ -313,87 +430,113 @@ func (gt *gpuThread) buildRequest(p *sim.Proc, ss *slotState) *request {
 	switch ss.op {
 	case opSend:
 		req.peer = peer
-		gt.stageSend(p, req, ss.ptr, ss.size)
+		gt.stageSend(ss, req)
 	case opRecv:
 		req.peer = peer
 		req.buf = pool.Get(ss.size)
 	case opSendrecv:
 		req.peer, req.peer2 = peer, peer2
-		gt.stageSend(p, req, ss.ptr, ss.size)
-		req.recvBuf = pool.Get(ss.size2)
+		gt.stageSend(ss, req)
 	case opBarrier:
 		req.peer = peer
 	case opBcast:
 		req.peer = peer
 		req.buf = pool.Get(ss.size)
 		if ss.rank == peer { // this slot is the broadcast root
-			gt.dev.CopyOut(p, bus, ss.ptr, req.buf)
+			ss.queueXfer(ss.ptr, req.buf)
 		}
 	case opGather:
 		req.peer = peer
 		req.buf = pool.Get(ss.size)
-		gt.dev.CopyOut(p, bus, ss.ptr, req.buf)
-		if ss.rank == peer {
-			req.recvBuf = pool.Get(ss.size2)
-		}
+		ss.queueXfer(ss.ptr, req.buf)
 	case opScatter:
 		req.peer = peer
 		req.recvBuf = pool.Get(ss.size)
 		if ss.rank == peer {
 			req.buf = pool.Get(ss.size2)
-			gt.dev.CopyOut(p, bus, ss.ptr2, req.buf)
+			ss.queueXfer(ss.ptr2, req.buf)
 		}
 	case opAlltoall:
 		req.buf = pool.Get(ss.size)
-		gt.dev.CopyOut(p, bus, ss.ptr, req.buf)
-		req.recvBuf = pool.Get(ss.size2)
+		ss.queueXfer(ss.ptr, req.buf)
 	default:
 		panic(fmt.Sprintf("dcgn: bad mailbox op %d on rank %d", ss.op, ss.rank))
 	}
 	return req
 }
 
-// stageSend copies the n outbound bytes at ptr device -> host into req.buf
-// (Fig. 2 step 1). For a peer on another node that staging buffer is the
-// wire frame itself: the payload lands behind room for the data header,
-// which handleSend writes in place, so no host copy comes between the PCIe
-// transfer and the wire.
-func (gt *gpuThread) stageSend(p *sim.Proc, req *request, ptr device.Ptr, n int) {
+// stageRecv takes the receive staging of a request whose outbound payload
+// is off the device: a combined exchange's, a gather root's, an
+// all-to-all's.
+func (gt *gpuThread) stageRecv(ss *slotState) {
+	switch req := ss.req; {
+	case ss.op == opSendrecv, ss.op == opAlltoall, ss.op == opGather && ss.rank == req.peer:
+		req.recvBuf = gt.ns.job.pool.Get(ss.size2)
+	}
+}
+
+// stageSend queues the staging of the slot's outbound bytes device -> host
+// into req.buf (Fig. 2 step 1). For a peer on another node that staging
+// buffer is the wire frame itself: the payload lands behind room for the
+// data header, which handleSend writes in place, so no host copy comes
+// between the PCIe transfer and the wire.
+func (gt *gpuThread) stageSend(ss *slotState, req *request) {
 	req.sendFrame = gt.ns.job.rmap.Node(req.peer) != gt.ns.node
 	off := 0
 	if req.sendFrame {
 		off = gt.ns.dataHdr()
 	}
-	req.buf = gt.ns.job.pool.Get(off + n)
-	gt.dev.CopyOut(p, gt.payloadBus(), ptr, req.buf[off:])
+	req.buf = gt.ns.job.pool.Get(off + ss.size)
+	ss.queueXfer(ss.ptr, req.buf[off:])
 }
 
-// writeBack copies inbound payloads host -> device, writes result words and
-// the done flag, and releases the spinning block (Fig. 2 step 7).
-func (gt *gpuThread) writeBack(p *sim.Proc, ss *slotState, mb []byte) {
+// writeBackStep copies inbound payloads host -> device, writes result words
+// and the done flag, and releases the spinning block (Fig. 2 step 7), as a
+// step form.
+func (gt *gpuThread) writeBackStep(p *sim.Proc, ss *slotState) bool {
 	le := binary.LittleEndian
 	req := ss.req
-	errCode := mbOK
-	switch {
-	case errors.Is(req.err, ErrBadRank):
-		errCode = mbBadRank // nothing was staged, and nothing arrived
-	case req.err == ErrTruncate:
-		errCode = mbTrunc
+	mb := gt.dev.Bytes(ss.mb, mailboxBytes)
+	switch ss.at {
+	case 0:
+		switch {
+		case errors.Is(req.err, ErrBadRank):
+			// nothing was staged, and nothing arrived
+		case req.err == ErrTruncate, req.err == nil:
+			if gt.results(ss, req) {
+				ss.at = atCopyBack
+				gt.xferStep(p, false, len(ss.xbuf))
+				return false
+			}
+		default:
+			panic(fmt.Sprintf("dcgn: GPU request failed: %v", req.err))
+		}
 		fallthrough
-	case req.err == nil:
-		gt.copyBack(p, ss, req)
-	default:
-		panic(fmt.Sprintf("dcgn: GPU request failed: %v", req.err))
+	case atCopyBack:
+		if ss.xfer {
+			copy(gt.dev.Bytes(ss.xptr, len(ss.xbuf)), ss.xbuf)
+			ss.xbuf, ss.xfer = nil, false
+		}
+		errCode := mbOK
+		switch {
+		case errors.Is(req.err, ErrBadRank):
+			errCode = mbBadRank
+		case req.err == ErrTruncate:
+			errCode = mbTrunc
+		}
+		le.PutUint32(mb[mbResN:], uint32(req.status.Bytes))
+		le.PutUint32(mb[mbResSrc:], uint32(int32(req.status.Source)))
+		le.PutUint32(mb[mbErr:], errCode)
+		le.PutUint32(mb[mbStatus:], mbDone)
+		ss.at = atFlag
+		gt.ns.bus.CtlStep(p, 20)
+		return false
 	}
-	le.PutUint32(mb[mbResN:], uint32(req.status.Bytes))
-	le.PutUint32(mb[mbResSrc:], uint32(int32(req.status.Source)))
-	le.PutUint32(mb[mbErr:], errCode)
-	le.PutUint32(mb[mbStatus:], mbDone)
-	gt.ns.bus.Ctl(p, 20)
 	// The host staging buffers are done once results are back on the
 	// device: the lifecycle span (if any) was recorded inside complete(),
 	// before this write-back ran, so nothing reads them after the pool
 	// reclaims the storage. A sendFrame buffer is the wire's, not ours.
+	ss.at = 0
 	if !req.sendFrame {
 		gt.ns.job.pool.Put(req.buf)
 	}
@@ -401,12 +544,13 @@ func (gt *gpuThread) writeBack(p *sim.Proc, ss *slotState, mb []byte) {
 	ss.req = nil
 	ss.stage = stageIdle
 	ss.wake.Fire()
+	return true
 }
 
-// copyBack copies a completed request's results host -> device: what it
-// received, or the collective's output.
-func (gt *gpuThread) copyBack(p *sim.Proc, ss *slotState, req *request) {
-	bus := gt.payloadBus()
+// results queues the copy of a completed request's results host -> device
+// — what it received, or the collective's output — and reports whether
+// there is one.
+func (gt *gpuThread) results(ss *slotState, req *request) bool {
 	switch ss.op {
 	case opRecv, opSendrecv:
 		ptr, in := ss.ptr, req.buf
@@ -416,27 +560,23 @@ func (gt *gpuThread) copyBack(p *sim.Proc, ss *slotState, req *request) {
 		if req.recvFrame {
 			in = req.recvBuf[gt.ns.dataHdr():]
 		}
-		gt.dev.CopyIn(p, bus, ptr, in[:req.status.Bytes])
+		ss.queueXfer(ptr, in[:req.status.Bytes])
 	case opBcast:
-		if ss.rank != req.peer {
-			gt.dev.CopyIn(p, bus, ss.ptr, req.buf)
-		}
-	case opGather:
 		if ss.rank == req.peer {
-			gt.dev.CopyIn(p, bus, ss.ptr2, req.recvBuf)
+			return false
 		}
+		ss.queueXfer(ss.ptr, req.buf)
+	case opGather:
+		if ss.rank != req.peer {
+			return false
+		}
+		ss.queueXfer(ss.ptr2, req.recvBuf)
 	case opScatter:
-		gt.dev.CopyIn(p, bus, ss.ptr, req.recvBuf)
+		ss.queueXfer(ss.ptr, req.recvBuf)
 	case opAlltoall:
-		gt.dev.CopyIn(p, bus, ss.ptr2, req.recvBuf)
+		ss.queueXfer(ss.ptr2, req.recvBuf)
+	default:
+		return false
 	}
+	return true
 }
-
-// directBus is the GPUDirect payload path: DMA setup collapses to doorbell
-// cost because buffers are pinned and the device pushes/pulls directly.
-type directBus struct {
-	bus *pcie.Bus
-}
-
-func (d directBus) Down(p *sim.Proc, n int) { d.bus.Direct(p, n) }
-func (d directBus) Up(p *sim.Proc, n int)   { d.bus.Direct(p, n) }

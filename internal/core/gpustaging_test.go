@@ -14,7 +14,7 @@ import (
 // A GPU's remote traffic crosses the host only in its modeled copies: a
 // send's device -> host staging buffer is the wire frame (gpu.go
 // stageSend), and a receive adopts the arrived frame instead of copying it
-// into its staging (deliverInbound), so writeBack's host -> device copy
+// into its staging (deliverInbound), so writeBackStep's host -> device copy
 // reads the frame. These tests pin what that must leave as it was — the
 // bytes, the Status, the error — and what it changes: the pool buffers one
 // message costs.

@@ -8,6 +8,7 @@ import (
 
 	"dcgn/internal/device"
 	"dcgn/internal/sim"
+	"dcgn/internal/transport"
 )
 
 // GPU-triggered one-sided operations: the device kernel enqueues a put
@@ -118,73 +119,151 @@ func (gt *gpuThread) requireNIC() {
 		gt.trig = append(gt.trig, &trigSlot{idx: i, mb: gt.dev.Mem().MustAlloc(trigDescBytes)})
 	}
 	gt.trigQ = sim.NewQueue[*trigToken](gt.ns.sim, fmt.Sprintf("nic-db:%d.%d", gt.ns.node, gt.index))
-	gt.ns.sim.SpawnDaemon(fmt.Sprintf("gpu-nic:%d.%d", gt.ns.node, gt.index), func(p *sim.Proc) {
-		for {
-			tk := gt.trigQ.Get(p)
-			gt.fireTriggered(p, tk)
-		}
-	})
+	gt.ns.rt.SpawnStep(fmt.Sprintf("gpu-nic:%d.%d", gt.ns.node, gt.index), sim.NoID, &gpuNIC{gt: gt}, true, true)
 }
 
-// fireTriggered services one doorbell ring end to end: descriptor fetch
-// (dynamic only), payload staging off the device, the one-sided put
-// itself, and completion signaling back to the kernel.
-func (gt *gpuThread) fireTriggered(p *sim.Proc, tk *trigToken) {
+// gpuNIC is a device's NIC daemon, a step machine the node's substrate
+// hosts (it sends on the transport): it services each doorbell ring end to
+// end — descriptor fetch (dynamic only), payload staging off the device,
+// the one-sided put itself, and completion signaling back to the kernel.
+type gpuNIC struct {
+	gt    *gpuThread
+	tk    *trigToken
+	phase uint8
+	// f is the put being fired, of size payload bytes at ptr on the device.
+	f    frame
+	ptr  device.Ptr
+	size int
+	// tx is a put to another node on its way, t the target side of one to
+	// this node.
+	tx txFrame
+	t  osTargetOp
+}
+
+// The phases of a gpuNIC.
+const (
+	nicNext     uint8 = iota // take the next doorbell ring
+	nicGot                   // a ring is in hand
+	nicFetch                 // a dynamic descriptor's fetch has landed
+	nicDoorbell              // the doorbell cost is charged
+	nicStage                 // the payload is off the device
+	nicSend                  // the put is on its way to another node
+	nicApply                 // the put is applying on this node
+	nicClear                 // the posted flag's clear has landed
+)
+
+// step advances the daemon to its next wake; it never ends.
+func (n *gpuNIC) step(h transport.Proc) bool {
+	p := h.(*sim.Proc)
+	gt := n.gt
 	ns := gt.ns
-	params := ns.job.cfg.Params
 	le := binary.LittleEndian
-
-	var srcRank, dstRank, winID, offset, size int
-	var ptr device.Ptr
-	if tk.pp != nil {
-		pp := tk.pp
-		srcRank, dstRank, winID, offset, ptr, size = pp.srcRank, pp.dstRank, pp.winID, pp.offset, pp.ptr, pp.size
-	} else {
-		ss := tk.ss
-		// The NIC fetches the descriptor over PCIe — the dynamic path's
-		// first (of two) control trips.
-		ns.bus.Ctl(p, trigDescBytes)
-		desc := gt.dev.Bytes(ss.mb, trigDescBytes)
-		if le.Uint32(desc[tdStatus:]) != 1 {
-			panic("dcgn: triggered doorbell rung without posted descriptor")
+	for {
+		switch n.phase {
+		case nicNext:
+			n.phase = nicGot
+			if !gt.trigQ.GetStep(p, &n.tk) {
+				return false
+			}
+			fallthrough
+		case nicGot:
+			if pp := n.tk.pp; pp != nil {
+				n.f = frame{kind: kindPut, src: pp.srcRank, dst: pp.dstRank, os: osAddr{win: pp.winID, offset: pp.offset}}
+				n.ptr, n.size = pp.ptr, pp.size
+				n.phase = nicDoorbell
+				sleepStep(p, ns.jit, ns.job.cfg.Params.DoorbellCost)
+				return false
+			}
+			// The NIC fetches the descriptor over PCIe — the dynamic path's
+			// first (of two) control trips.
+			n.phase = nicFetch
+			ns.bus.CtlStep(p, trigDescBytes)
+			return false
+		case nicFetch:
+			desc := gt.dev.Bytes(n.tk.ss.mb, trigDescBytes)
+			if le.Uint32(desc[tdStatus:]) != 1 {
+				panic("dcgn: triggered doorbell rung without posted descriptor")
+			}
+			n.f = frame{
+				kind: kindPut, src: int(int32(le.Uint32(desc[tdSrc:]))), dst: int(int32(le.Uint32(desc[tdDst:]))),
+				os: osAddr{win: int(le.Uint32(desc[tdWin:])), offset: int(int64(le.Uint64(desc[tdOffset:])))},
+			}
+			n.ptr, n.size = device.Ptr(le.Uint64(desc[tdPtr:])), int(le.Uint64(desc[tdSize:]))
+			n.phase = nicDoorbell
+			sleepStep(p, ns.jit, ns.job.cfg.Params.DoorbellCost)
+			return false
+		case nicDoorbell:
+			ns.osTriggered.Add(1)
+			if m := ns.job.metrics; m != nil {
+				if lat := int64(p.Now() - n.tk.firedAt); lat >= 0 {
+					m.observe(histKey{kind: histTrigFire}, lat)
+				}
+			}
+			n.f.payload = ns.job.pool.Get(n.size)
+			n.phase = nicStage
+			gt.xferStep(p, true, len(n.f.payload))
+			return false
+		case nicStage:
+			copy(n.f.payload, gt.dev.Bytes(n.ptr, len(n.f.payload)))
+			if dstNode := ns.job.rmap.Node(n.f.dst); dstNode != ns.node {
+				n.f.os.postedNs = int64(p.Now())
+				msg := ns.osPack(dstNode, &n.f)
+				ns.osw.lane.startTx(&n.tx, dstNode, n.f.seq, msg, nil)
+				n.phase = nicSend
+			} else {
+				n.t, n.phase = osTargetOp{}, nicApply
+			}
+		case nicSend:
+			if !n.tx.step(p) {
+				return false
+			}
+			if err := n.tx.err; err != nil {
+				panic(fmt.Sprintf("dcgn: triggered put from rank %d to rank %d: %v", n.f.src, n.f.dst, err))
+			}
+			if !n.fired(p) {
+				return false
+			}
+		case nicApply:
+			if !ns.osTargetStep(p, &n.t, &n.f) {
+				return false
+			}
+			n.t.w.arrive(n.t.clipped)
+			if !n.fired(p) {
+				return false
+			}
+		case nicClear:
+			ss := n.tk.ss
+			ss.busy = false
+			ss.done.Fire()
+			n.tk, n.phase = nil, nicNext
 		}
-		srcRank = int(int32(le.Uint32(desc[tdSrc:])))
-		dstRank = int(int32(le.Uint32(desc[tdDst:])))
-		winID = int(le.Uint32(desc[tdWin:]))
-		offset = int(int64(le.Uint64(desc[tdOffset:])))
-		ptr = device.Ptr(le.Uint64(desc[tdPtr:]))
-		size = int(le.Uint64(desc[tdSize:]))
 	}
+}
 
-	ns.charge(p, params.DoorbellCost)
-	ns.osTriggered.Add(1)
-	if m := ns.job.metrics; m != nil {
-		if lat := int64(p.Now() - tk.firedAt); lat >= 0 {
-			m.observe(histKey{kind: histTrigFire}, lat)
-		}
+// fired completes a fire once its put is delivered: a persistent
+// descriptor counts it; a dynamic one clears the posted flag on the device
+// — the second (and last) control trip, whose wake it registers and
+// reports false for — which releases a waiting TriggerFence once it lands.
+func (n *gpuNIC) fired(p *sim.Proc) bool {
+	ns := n.gt.ns
+	ns.job.pool.Put(n.f.payload)
+	n.f = frame{}
+	if pp := n.tk.pp; pp != nil {
+		pp.completeOne()
+		n.tk, n.phase = nil, nicNext
+		return true
 	}
+	binary.LittleEndian.PutUint32(n.gt.dev.Bytes(n.tk.ss.mb, trigDescBytes)[tdStatus:], 0)
+	n.phase = nicClear
+	ns.bus.CtlStep(p, 4)
+	return false
+}
 
-	payload := ns.job.pool.Get(size)
-	gt.dev.CopyOut(p, gt.payloadBus(), ptr, payload)
-
-	f := &frame{kind: kindPut, src: srcRank, dst: dstRank, payload: payload, os: osAddr{win: winID, offset: offset}}
-	if _, err := ns.osDeliver(p, f); err != nil {
-		panic(fmt.Sprintf("dcgn: triggered put from rank %d to rank %d: %v", srcRank, dstRank, err))
+// Drop ends a put its daemon was killed sending (sim.Dropper).
+func (n *gpuNIC) Drop() {
+	if n.phase == nicSend {
+		n.tx.Drop()
 	}
-	ns.job.pool.Put(payload)
-
-	if tk.pp != nil {
-		tk.pp.completeOne()
-		return
-	}
-	// Dynamic completion: clear the posted flag on the device — the second
-	// (and last) control trip — and release a waiting TriggerFence.
-	ss := tk.ss
-	desc := gt.dev.Bytes(ss.mb, trigDescBytes)
-	le.PutUint32(desc[tdStatus:], 0)
-	ns.bus.Ctl(p, 4)
-	ss.busy = false
-	ss.done.Fire()
 }
 
 // --- Device-side triggered API ------------------------------------------

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"dcgn/internal/transport"
-)
+import "sync/atomic"
 
 // intake is layer 1 of the progress engine: it normalizes every event
 // source — CPU-kernel requests, GPU-monitor requests and inbound wire
@@ -42,15 +38,9 @@ func (in *intake) postInbound(ib *inbound) {
 	in.q.Put(commMsg{in: ib})
 }
 
-// next hands the comm thread the oldest event, blocking while the stream
-// is empty; ok=false means the intake was shut down.
-func (in *intake) next(p transport.Proc) (commMsg, bool) {
-	m, ok := in.q.Get(p)
-	if ok {
-		in.inflight.Add(-1)
-	}
-	return m, ok
-}
+// took counts an event the comm thread has taken off the stream
+// (commQueue.GetStep), at once or at the wake the step registered.
+func (in *intake) took() { in.inflight.Add(-1) }
 
 // depth reports the number of posted-but-unhandled events. It is counted
 // at the intake, not with Queue.Len: a queue may hand an event straight

@@ -109,6 +109,7 @@ type osGet struct {
 type osState struct {
 	ns   *nodeState
 	lane relLane
+	sink osSink
 
 	// mu guards the window registry (registration is rare; lookups copy
 	// the pointer out).
@@ -134,7 +135,7 @@ func (ns *nodeState) osRequire() *osState {
 			gets:    make(map[uint32]*osGet),
 		}
 		ns.osw.lane.init(ns, true)
-		ns.rt.SpawnStep("os-recv", ns.node, &ns.osw.lane, true, false)
+		ns.rt.SpawnStep("os-recv", ns.node, &ns.osw.lane, true, true)
 	})
 	return ns.osw
 }
@@ -213,51 +214,17 @@ func (ns *nodeState) waitWindow(p transport.Proc, rank, id int, target int) {
 	ow.ev.Wait(p)
 }
 
-// writeWindow applies payload at offset, clipping to the window, and
-// charges the apply cost on p: a host memcpy for host windows, a PCIe
-// payload transfer for device windows. Reports whether the write was
-// clipped.
-func (ns *nodeState) writeWindow(p transport.Proc, w *osWindow, offset int, payload []byte) bool {
-	n := len(payload)
-	clipped := false
-	if offset >= w.size {
-		return true
-	}
-	if offset+n > w.size {
-		n = w.size - offset
-		clipped = true
-	}
-	if w.host != nil {
-		copy(w.host[offset:offset+n], payload[:n])
-		ns.chargeMemcpy(p, n)
-	} else {
-		w.gt.dev.CopyIn(p.(*sim.Proc), w.gt.payloadBus(), w.ptr+device.Ptr(offset), payload[:n])
-	}
-	return clipped
-}
-
-// readWindow copies up to want bytes at offset out of the window into a
-// pooled buffer, clipping to the window bounds.
-func (ns *nodeState) readWindow(p transport.Proc, w *osWindow, offset, want int) ([]byte, bool) {
-	n := want
-	clipped := false
-	if offset >= w.size {
-		n = 0
-		clipped = true
-	} else if offset+n > w.size {
-		n = w.size - offset
-		clipped = true
-	}
-	buf := ns.job.pool.Get(n)
-	if n > 0 {
-		if w.host != nil {
-			copy(buf, w.host[offset:offset+n])
-			ns.chargeMemcpy(p, n)
-		} else {
-			w.gt.dev.CopyOut(p.(*sim.Proc), w.gt.payloadBus(), w.ptr+device.Ptr(offset), buf)
-		}
-	}
-	return buf, clipped
+// osTargetOp is the target side of one one-sided operation in progress,
+// osTarget as a step form (osTargetStep): the window, the reply a request
+// kind returns, whether the operation was clipped, and the bytes (or
+// int64 elements, for an accumulate) it applies — -1 when it lies outside
+// the window and applies nothing.
+type osTargetOp struct {
+	at      uint8
+	w       *osWindow
+	reply   []byte
+	clipped bool
+	n       int
 }
 
 // osTarget is the target side of every one-sided operation, run by the
@@ -271,27 +238,131 @@ func (ns *nodeState) readWindow(p transport.Proc, w *osWindow, offset, want int)
 // of the apply: a WinWait released by arrive may end the run. A fetch-and-op
 // that applied has nothing between its update and its arrival, so it
 // arrives here; a get never arrives, and its clipping is the origin's
-// ErrTruncate, not a truncation of the window's.
+// ErrTruncate, not a truncation of the window's. It is osTargetStep driven
+// in place.
 func (ns *nodeState) osTarget(p transport.Proc, f *frame) (w *osWindow, reply []byte, clipped bool) {
-	w = ns.osw.window(f.dst, f.os.win)
-	ns.charge(p, ns.job.cfg.Params.OneSidedApplyCost)
-	switch f.kind {
-	case kindPut:
-		clipped = ns.writeWindow(p, w, f.os.offset, f.payload)
-	case kindAccum:
-		clipped = ns.atomicApply(p, w, f.os.offset, AtomicOp(f.os.aux), f.payload)
-	case kindGetReq:
-		reply, clipped = ns.readWindow(p, w, f.os.offset, int(f.os.aux))
-		return w, reply, clipped
-	case kindFetchReq:
-		if reply, clipped = ns.atomicFetch(p, w, f.os.offset, AtomicOp(f.os.aux), f.payload); !clipped {
-			w.arrive(false)
+	var t osTargetOp
+	for !ns.osTargetStep(p, &t, f) {
+		await(p)
+	}
+	return t.w, t.reply, t.clipped
+}
+
+// osTargetStep advances the target side of f as a step form: the apply
+// cost, then the operation's charged copy — a host memcpy for host windows,
+// a PCIe payload transfer for device windows — on either side of which it
+// touches the window. On the live backend, where charges are nothing, one
+// step is all of it.
+func (ns *nodeState) osTargetStep(p transport.Proc, t *osTargetOp, f *frame) bool {
+	if t.at == 0 {
+		t.w = ns.osw.window(f.dst, f.os.win)
+		t.at = 1
+		if !sleepStep(p, ns.jit, ns.job.cfg.Params.OneSidedApplyCost) {
+			return false
 		}
 	}
-	if clipped {
+	if t.at == 1 {
+		t.at = 2
+		if !ns.osTargetStart(p, t, f) {
+			return false
+		}
+	}
+	ns.osTargetEnd(t, f)
+	if t.clipped && f.kind != kindGetReq {
 		ns.osTruncated.Add(1)
 	}
-	return w, reply, clipped
+	return true
+}
+
+// osTargetStart clips f's span to the window and starts its charged copy,
+// reporting false when that registered p's wake: a host put copies before
+// its charge, everything else after it (osTargetEnd).
+func (ns *nodeState) osTargetStart(p transport.Proc, t *osTargetOp, f *frame) bool {
+	w, off := t.w, f.os.offset
+	switch f.kind {
+	case kindPut:
+		n := len(f.payload)
+		if off >= w.size {
+			t.n, t.clipped = -1, true
+			return true
+		}
+		if off+n > w.size {
+			n, t.clipped = w.size-off, true
+		}
+		t.n = n
+		if w.host == nil {
+			w.gt.xferStep(p.(*sim.Proc), false, n)
+			return false
+		}
+		copy(w.host[off:off+n], f.payload[:n])
+		return n == 0 || sleepStep(p, ns.jit, ns.memcpyTime(n))
+	case kindAccum:
+		w.hostWindow()
+		n := len(f.payload) / 8
+		if off < 0 || off >= w.size {
+			t.n, t.clipped = -1, true
+			return true
+		}
+		if avail := (w.size - off) / 8; n > avail {
+			n, t.clipped = avail, true
+		}
+		t.n = n
+		return n == 0 || sleepStep(p, ns.jit, ns.memcpyTime(8*n))
+	case kindGetReq:
+		n := int(f.os.aux)
+		if off >= w.size {
+			n, t.clipped = 0, true
+		} else if off+n > w.size {
+			n, t.clipped = w.size-off, true
+		}
+		t.n, t.reply = n, ns.job.pool.Get(n)
+		if n == 0 {
+			return true
+		}
+		if w.host == nil {
+			w.gt.xferStep(p.(*sim.Proc), true, n)
+			return false
+		}
+		copy(t.reply, w.host[off:off+n])
+		return sleepStep(p, ns.jit, ns.memcpyTime(n))
+	case kindFetchReq:
+		w.hostWindow()
+		if len(f.payload) < 8 {
+			panic(fmt.Sprintf("dcgn: one-sided sink on node %d: fetch-and-op frame without operand", ns.node))
+		}
+		if off < 0 || off+8 > w.size {
+			t.n, t.clipped = -1, true
+			return true
+		}
+		t.n = 8
+		return sleepStep(p, ns.jit, ns.memcpyTime(8))
+	}
+	return true
+}
+
+// osTargetEnd finishes f's operation on the window once its copy is
+// charged: a device window's transfer lands, an atomic applies.
+func (ns *nodeState) osTargetEnd(t *osTargetOp, f *frame) {
+	w, off := t.w, f.os.offset
+	if t.n < 0 {
+		return
+	}
+	switch f.kind {
+	case kindPut:
+		if w.host == nil {
+			copy(w.gt.dev.Bytes(w.ptr+device.Ptr(off), t.n), f.payload[:t.n])
+		}
+	case kindAccum:
+		w.accumulate(off, AtomicOp(f.os.aux), f.payload[:8*t.n])
+	case kindGetReq:
+		if t.n > 0 && w.host == nil {
+			copy(t.reply, w.gt.dev.Bytes(w.ptr+device.Ptr(off), t.n))
+		}
+	case kindFetchReq:
+		t.reply = ns.job.pool.Get(8)
+		w.fetchAndOp(off, AtomicOp(f.os.aux), t.reply, f.payload)
+		w.arrive(false)
+	}
 }
 
 // osDeliver is the origin side of a put-class operation (put, accumulate,
@@ -423,37 +494,58 @@ func (ns *nodeState) osPack(dstNode int, f *frame) []byte {
 	return packFrame(ns.job.pool, lane.layout, f)
 }
 
-// osDispatch hands one in-order data-class frame to the sink's step for its
-// class and releases its backing buffer.
-func (ns *nodeState) osDispatch(p transport.Proc, f *frame) {
+// osSink is the one-sided lane's sink: the frame in hand's dispatch in
+// progress — when it started (for its flow span) and its target side.
+type osSink struct {
+	started bool
+	post    time.Duration
+	t       osTargetOp
+}
+
+// osDispatchStep hands one in-order data-class frame to the sink's step for
+// its class and, once it is handled, releases its backing buffer: a step
+// form of the lane's receiver, which calls it again with the same frame
+// after the wake it registered.
+func (ns *nodeState) osDispatchStep(p transport.Proc, f *frame) bool {
+	s := &ns.osw.sink
+	if !s.started {
+		s.started = true
+		if ns.flowsOn {
+			s.post = p.Now()
+		}
+	}
 	switch f.kind {
 	case kindPut, kindAccum:
-		ns.osApply(p, f)
+		if !ns.osTargetStep(p, &s.t, f) {
+			return false
+		}
+		ns.osApplied(p, f, s)
 	case kindGetReq, kindFetchReq:
-		ns.osServe(p, f)
+		if !ns.osTargetStep(p, &s.t, f) {
+			return false
+		}
+		ns.osServed(p, f, s)
 	case kindGetRep, kindFetchRep:
 		ns.osResolve(p, f)
 	default:
 		panic(fmt.Sprintf("dcgn: one-sided sink on node %d: unexpected frame kind %d", ns.node, f.kind))
 	}
 	ns.job.pool.Put(f.backing)
+	*s = osSink{}
+	return true
 }
 
-// osApply lands one put-class frame in its target window and counts the
-// remote completion.
-func (ns *nodeState) osApply(p transport.Proc, f *frame) {
-	var post time.Duration
-	if ns.flowsOn {
-		post = p.Now()
-	}
-	w, _, clipped := ns.osTarget(p, f)
+// osApplied counts the remote completion of a put-class frame the sink has
+// landed in its target window.
+func (ns *nodeState) osApplied(p transport.Proc, f *frame, s *osSink) {
+	w, clipped := s.t.w, s.t.clipped
 	ns.observeRemoteComplete(p, f)
 	if f.kind == kindPut && ns.flowsOn && f.spanID != 0 {
 		// Target-side apply span, parented on the origin put's span so the
 		// stitched flow crosses the wire.
 		ns.recordFlowSpan(obs.Span{
 			Op: "put-apply", Node: ns.node, Rank: f.dst, Peer: f.src, Bytes: len(f.payload),
-			Failed: clipped, Post: post, Done: p.Now(),
+			Failed: clipped, Post: s.post, Done: p.Now(),
 			TraceID: f.traceID, SpanID: ns.job.trace.newSpanID(f.dst), ParentID: f.spanID,
 		})
 	}
@@ -470,15 +562,11 @@ func (ns *nodeState) observeRemoteComplete(p transport.Proc, f *frame) {
 	}
 }
 
-// osServe serves one request-class frame and answers it with the next kind
-// up (kindGetRep, kindFetchRep) under the requester's token, from a spawned
-// helper so the sink daemon never blocks in a transport send.
-func (ns *nodeState) osServe(p transport.Proc, f *frame) {
-	var post time.Duration
-	if ns.flowsOn {
-		post = p.Now()
-	}
-	_, reply, clipped := ns.osTarget(p, f)
+// osServed answers a request-class frame the sink has served with the next
+// kind up (kindGetRep, kindFetchRep) under the requester's token, from a
+// spawned helper so the sink daemon never blocks in a transport send.
+func (ns *nodeState) osServed(p transport.Proc, f *frame, s *osSink) {
+	reply, clipped := s.t.reply, s.t.clipped
 	rep := frame{
 		kind: f.kind + 1, src: f.dst, dst: f.src, payload: reply,
 		os: osAddr{win: f.os.win, token: f.os.token, postedNs: f.os.postedNs},
@@ -495,7 +583,7 @@ func (ns *nodeState) osServe(p transport.Proc, f *frame) {
 		if f.kind == kindGetReq {
 			ns.recordFlowSpan(obs.Span{
 				Op: "get-serve", Node: ns.node, Rank: f.dst, Peer: f.src, Bytes: len(reply),
-				Failed: clipped, Post: post, Done: p.Now(),
+				Failed: clipped, Post: s.post, Done: p.Now(),
 				TraceID: f.traceID, SpanID: rep.spanID, ParentID: f.spanID,
 			})
 		}

@@ -650,8 +650,8 @@ func TestTriggeredOriginOnlyDevice(t *testing.T) {
 // into a GPU slot's window, gets it back, and over-runs the window's end by
 // 8 bytes. No mailbox transaction happens on the device — its kernel only
 // watches the window's last byte for the final put — so every bus transfer
-// before teardown is the lane's, through the device arms of writeWindow and
-// readWindow.
+// before teardown is the lane's, through the device arms of osTargetStep's
+// put and get.
 func TestOneSidedDeviceWindow(t *testing.T) {
 	const size = 64
 	cfg := gpuConfig(2, 0, 0, 0)

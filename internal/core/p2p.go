@@ -13,31 +13,47 @@ import (
 // the transport. All matching state lives in ns.index (the matcher).
 
 // handleSendrecv splits a combined exchange into its send and receive
-// halves and completes the parent when both finish (sendrecvJoin). The
-// split happens inside the comm thread, so a GPU-sourced exchange costs a
-// single mailbox round trip — the optimization §5.1 credits for Cannon's
-// performance.
-func (ns *nodeState) handleSendrecv(p transport.Proc, req *request) {
+// halves, handles the receive half and then the send half, and completes
+// the parent when both finish (sendrecvJoin), as a step form of the comm
+// thread (ct.at counts the halves handled). The split happens inside the
+// comm thread, so a GPU-sourced exchange costs a single mailbox round trip
+// — the optimization §5.1 credits for Cannon's performance.
+func (ns *nodeState) handleSendrecv(h transport.Proc, ct *commThread, req *request) bool {
 	rt := ns.rt
-	j := &sendrecvJoin{parent: req}
-	j.send = request{
-		op: opSend, rank: req.rank, peer: req.peer, buf: req.buf,
-		done: rt.EventIn(&j.evs[0], "srv-send", req.rank), ns: ns, gpu: req.gpu, sendFrame: req.sendFrame,
+	if ct.at == 0 {
+		j := &sendrecvJoin{parent: req}
+		j.send = request{
+			op: opSend, rank: req.rank, peer: req.peer, buf: req.buf,
+			done: rt.EventIn(&j.evs[0], "srv-send", req.rank), ns: ns, gpu: req.gpu, sendFrame: req.sendFrame,
+		}
+		j.recv = request{
+			op: opRecv, rank: req.rank, peer: req.peer2, buf: req.recvBuf,
+			done: rt.EventIn(&j.evs[1], "srv-recv", req.rank), ns: ns, gpu: req.gpu,
+		}
+		if ns.flowsOn {
+			// The outgoing half carries the parent exchange's flow context; the
+			// parent itself inherits whatever flow the matched inbound half
+			// joins it to (copied back in the join).
+			j.send.traceID = req.traceID
+			j.send.spanID = req.spanID
+		}
+		ct.join, ct.at = j, 1
+		ns.handleRecv(h, &ct.dl, &j.recv)
 	}
-	j.recv = request{
-		op: opRecv, rank: req.rank, peer: req.peer2, buf: req.recvBuf,
-		done: rt.EventIn(&j.evs[1], "srv-recv", req.rank), ns: ns, gpu: req.gpu,
+	j := ct.join
+	if ct.at == 1 {
+		if !ct.dl.step(h) {
+			return false
+		}
+		ct.at = 2
+		ns.handleSend(h, &ct.dl, &j.send)
 	}
-	if ns.flowsOn {
-		// The outgoing half carries the parent exchange's flow context; the
-		// parent itself inherits whatever flow the matched inbound half
-		// joins it to (copied back in the join).
-		j.send.traceID = req.traceID
-		j.send.spanID = req.spanID
+	if !ct.dl.step(h) {
+		return false
 	}
-	ns.handleRecv(p, &j.recv)
-	ns.handleSend(p, &j.send)
 	rt.SpawnStep("dcgn-sendrecv-join", req.rank, j, false, true)
+	ct.join, ct.at = nil, 0
+	return true
 }
 
 // sendrecvJoin is a combined exchange's dcgn-sendrecv-join helper, a
@@ -74,8 +90,9 @@ func (j *sendrecvJoin) step(h transport.Proc) bool {
 }
 
 // handleSend matches a local-destination send against posted receives or
-// relays a remote-destination send over the transport.
-func (ns *nodeState) handleSend(p transport.Proc, req *request) {
+// relays a remote-destination send over the transport. A match readies dl
+// to deliver it, which the caller steps.
+func (ns *nodeState) handleSend(p transport.Proc, dl *delivery, req *request) {
 	ns.observe(p, req)
 	dstNode := ns.job.rmap.Node(req.peer)
 	if dstNode != ns.node {
@@ -111,7 +128,7 @@ func (ns *nodeState) handleSend(p transport.Proc, req *request) {
 	// Local destination: match a posted receive (FIFO).
 	if rr := ns.index.takeRecvFor(req.rank, req.peer); rr != nil {
 		ns.matched(p, req, rr)
-		ns.deliverLocal(p, req, rr)
+		*dl = delivery{ns: ns, send: req, recv: rr}
 		return
 	}
 	ns.index.addSend(req)
@@ -180,29 +197,29 @@ func (x *remoteSend) Drop() {
 // timing, not program order. Preferring the local pool keeps the comm
 // thread's cheap memcpy path hot and is pinned cross-backend by
 // TestConformanceAnySourceLocalVsWire.
-func (ns *nodeState) handleRecv(p transport.Proc, req *request) {
+func (ns *nodeState) handleRecv(p transport.Proc, dl *delivery, req *request) {
 	ns.observe(p, req)
 	if req.peer == AnySource || ns.job.rmap.Node(req.peer) == ns.node {
 		// Potential local sender.
 		if sr := ns.index.sends.take(req.peer, req.rank); sr != nil {
 			ns.matched(p, req, sr)
-			ns.deliverLocal(p, sr, req)
+			*dl = delivery{ns: ns, send: sr, recv: req}
 			return
 		}
 	}
 	if in := ns.index.unexp.take(req.peer, req.rank); in != nil {
 		ns.matched(p, req, nil)
-		ns.deliverInbound(p, in, req, true)
+		*dl = delivery{ns: ns, in: in, recv: req, unexpected: true}
 		return
 	}
 	ns.index.addRecv(req)
 }
 
 // handleInbound matches a wire message against posted receives.
-func (ns *nodeState) handleInbound(p transport.Proc, in *inbound) {
+func (ns *nodeState) handleInbound(p transport.Proc, dl *delivery, in *inbound) {
 	if rr := ns.index.takeRecvFor(in.src, in.dst); rr != nil {
 		ns.matched(p, nil, rr)
-		ns.deliverInbound(p, in, rr, false)
+		*dl = delivery{ns: ns, in: in, recv: rr}
 		return
 	}
 	ns.index.addUnexpected(in)
@@ -232,6 +249,42 @@ func (ns *nodeState) matched(p transport.Proc, a, b *request) {
 	}
 }
 
+// delivery is a matched pair's delivery in progress on the comm thread, a
+// step form (step) whose cursor lives in the comm thread: a local send
+// matched with a receive (deliverLocal), or an inbound wire message
+// (deliverInbound). The zero delivery has nothing to deliver.
+type delivery struct {
+	ns         *nodeState
+	send, recv *request
+	in         *inbound
+	// unexpected marks an inbound that sat in the unexpected queue, which
+	// pays a staging copy.
+	unexpected bool
+	at         uint8
+	// n and err are the delivered byte count and the receive's error.
+	n   int
+	err error
+}
+
+// step advances the delivery and reports whether it is done; if it is
+// not, it has registered h's next wake.
+func (dl *delivery) step(h transport.Proc) bool {
+	switch {
+	case dl.recv == nil:
+		return true
+	case dl.in != nil:
+		return dl.deliverInbound(h)
+	}
+	return dl.deliverLocal(h)
+}
+
+// The points a delivery stands at.
+const (
+	dlCopy    uint8 = iota + 1 // the staging copy is charged
+	dlNotify                   // the (first) notify is charged
+	dlNotify2                  // a local pair's second notify is charged
+)
+
 // deliverLocal completes a matched local send/recv pair: the comm thread
 // performs the memcpy itself instead of using MPI (paper §6.2).
 //
@@ -240,24 +293,42 @@ func (ns *nodeState) matched(p transport.Proc, a, b *request) {
 // already buffered the frame by then), so a locally-matched send must not
 // either — the same program observes the same error semantics whichever
 // node its peer landed on. Pinned by TestConformanceTruncation.
-func (ns *nodeState) deliverLocal(p transport.Proc, send, recv *request) {
-	n := len(send.buf)
-	var err error
-	if n > len(recv.buf) {
-		n = len(recv.buf)
-		err = ErrTruncate
+func (dl *delivery) deliverLocal(h transport.Proc) bool {
+	ns, send, recv := dl.ns, dl.send, dl.recv
+	notify := ns.job.cfg.Params.NotifyCost
+	switch dl.at {
+	case 0:
+		dl.n = len(send.buf)
+		if dl.n > len(recv.buf) {
+			dl.n, dl.err = len(recv.buf), ErrTruncate
+		}
+		dl.at = dlCopy
+		if dl.n > 0 && !sleepStep(h, ns.jit, ns.memcpyTime(dl.n)) {
+			return false
+		}
+		fallthrough
+	case dlCopy:
+		copy(recv.buf[:dl.n], send.buf[:dl.n])
+		if ns.flowsOn && send.spanID != 0 {
+			// Stitch: the matched receive joins the send's flow.
+			recv.traceID = send.traceID
+			recv.parentID = send.spanID
+		}
+		dl.at = dlNotify
+		if !sleepStep(h, ns.jit, notify) {
+			return false
+		}
+		fallthrough
+	case dlNotify:
+		send.complete(send.rank, len(send.buf), nil)
+		dl.at = dlNotify2
+		if !sleepStep(h, ns.jit, notify) {
+			return false
+		}
 	}
-	ns.chargeMemcpy(p, n)
-	copy(recv.buf[:n], send.buf[:n])
-	if ns.flowsOn && send.spanID != 0 {
-		// Stitch: the matched receive joins the send's flow.
-		recv.traceID = send.traceID
-		recv.parentID = send.spanID
-	}
-	ns.charge(p, ns.job.cfg.Params.NotifyCost)
-	send.complete(send.rank, len(send.buf), nil)
-	ns.charge(p, ns.job.cfg.Params.NotifyCost)
-	recv.complete(send.rank, n, err)
+	recv.complete(send.rank, dl.n, dl.err)
+	*dl = delivery{}
+	return true
 }
 
 // deliverInbound completes a posted receive with a wire payload. A
@@ -266,38 +337,45 @@ func (ns *nodeState) deliverLocal(p transport.Proc, send, recv *request) {
 // unexpected queue pay the memcpy. On the host, a CPU receive copies the
 // payload into its buffer; a GPU receive, whose buffer is only staging on
 // the way to the device, adopts the frame instead (recvFrame), and
-// writeBack copies its payload in.
-func (ns *nodeState) deliverInbound(p transport.Proc, in *inbound, recv *request, wasUnexpected bool) {
-	n := len(in.data)
-	var err error
-	if n > len(recv.buf) {
-		n = len(recv.buf)
-		err = ErrTruncate
+// writeBackStep copies its payload in.
+func (dl *delivery) deliverInbound(h transport.Proc) bool {
+	ns, in, recv := dl.ns, dl.in, dl.recv
+	switch dl.at {
+	case 0:
+		dl.n = len(in.data)
+		if dl.n > len(recv.buf) {
+			dl.n, dl.err = len(recv.buf), ErrTruncate
+		}
+		dl.at = dlCopy
+		if dl.unexpected && dl.n > 0 && !sleepStep(h, ns.jit, ns.memcpyTime(dl.n)) {
+			return false
+		}
+		fallthrough
+	case dlCopy:
+		if recv.gpu {
+			recv.recvBuf, recv.recvFrame = in.backing, true
+		} else {
+			copy(recv.buf[:dl.n], in.data[:dl.n])
+			ns.job.pool.Put(in.backing)
+		}
+		in.backing, in.data = nil, nil
+		if ns.flowsOn && in.spanID != 0 {
+			// Stitch: the receive joins the flow carried in the wire header.
+			recv.traceID = in.traceID
+			recv.parentID = in.spanID
+		}
+		dl.at = dlNotify
+		if !sleepStep(h, ns.jit, ns.job.cfg.Params.NotifyCost) {
+			return false
+		}
 	}
-	if wasUnexpected {
-		ns.chargeMemcpy(p, n)
-	}
-	if recv.gpu {
-		recv.recvBuf, recv.recvFrame = in.backing, true
-	} else {
-		copy(recv.buf[:n], in.data[:n])
-		ns.job.pool.Put(in.backing)
-	}
-	in.backing, in.data = nil, nil
-	if ns.flowsOn && in.spanID != 0 {
-		// Stitch: the receive joins the flow carried in the wire header.
-		recv.traceID = in.traceID
-		recv.parentID = in.spanID
-	}
-	ns.charge(p, ns.job.cfg.Params.NotifyCost)
-	recv.complete(in.src, n, err)
+	recv.complete(in.src, dl.n, dl.err)
 	ns.ins.Put(in)
+	*dl = delivery{}
+	return true
 }
 
-// chargeMemcpy charges the comm thread for one staging copy.
-func (ns *nodeState) chargeMemcpy(p transport.Proc, n int) {
-	if n == 0 {
-		return
-	}
-	ns.charge(p, time.Duration(float64(n)/ns.job.cfg.Params.LocalMemcpyBW*1e9))
+// memcpyTime is the modeled time of an n-byte host copy.
+func (ns *nodeState) memcpyTime(n int) time.Duration {
+	return time.Duration(float64(n) / ns.job.cfg.Params.LocalMemcpyBW * 1e9)
 }

@@ -454,14 +454,11 @@ func (l *relLane) step(h transport.Proc) bool {
 // to the comm thread, which returns the wire buffer to the pool once it has
 // delivered the payload — or hands it to the GPU receive that adopts it.
 // A one-sided one is dispatched in place, straight into its window (the
-// intake/matcher layers never see this traffic): the one-sided receiver is
-// hosted on a stackful proc, because a window apply blocks in device
-// writes.
+// intake/matcher layers never see this traffic), by the sink's step form.
 func (l *relLane) deliver(h transport.Proc, f frame, again bool) bool {
 	ns := l.ns
 	if l.oneSided {
-		ns.osDispatch(h, &f)
-		return true
+		return ns.osDispatchStep(h, &f)
 	}
 	if !again && !sleepStep(h, ns.jit, ns.job.cfg.Params.RemoteRelayCost) {
 		return false

@@ -257,7 +257,7 @@ func TestReliableUnackedSurfaces(t *testing.T) {
 
 // TestCollectivesSurviveTransientFaults runs every collective repeatedly
 // under injected cluster-consistent transient failures; the bounded retry
-// in collCall must absorb all of them.
+// in collAccum.call must absorb all of them.
 func TestCollectivesSurviveTransientFaults(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, backend string) {
 		cfg := backendConfig(backend, 2, 2)

@@ -98,7 +98,7 @@ type request struct {
 	// (buildRequest): handleSend writes the header in place and hands it to
 	// the wire, after which only its length is the request's. With
 	// recvFrame, recvBuf is an arrived frame a GPU receive adopted instead
-	// of copying its payload into buf (deliverInbound), and writeBack copies
+	// of copying its payload into buf (deliverInbound), and writeBackStep copies
 	// from it and releases it. They sit in padding: request must not grow.
 	sendFrame, recvFrame bool
 

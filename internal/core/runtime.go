@@ -25,9 +25,6 @@ type rt interface {
 	EventIn(ev *sim.Event, prefix string, id int) completion
 	// Spawn starts a thread that keeps the run alive until it returns.
 	Spawn(name string, fn func(p transport.Proc))
-	// SpawnDaemonID starts a thread that does not keep the run alive (the
-	// comm thread), with a lazily-formatted "prefix:id" name.
-	SpawnDaemonID(prefix string, id int, fn func(p transport.Proc))
 	// SpawnStep starts a thread running s, a step machine, to its end — a
 	// daemon, which does not keep the run alive, when daemon is set. On the
 	// simulated backend it is a stackless proc when stackless is set (every
@@ -86,12 +83,16 @@ type completion interface {
 }
 
 // commQueue is the unbounded FIFO feeding a comm thread: Put never
-// blocks, Get blocks while empty. ok=false from Get means the queue was
-// shut down and the event loop should exit (never happens on the
-// simulated backend, whose daemons are torn down by the simulator).
+// blocks, and GetStep is the one way to take an event, a step form: it
+// moves the oldest event to *m and reports got, or, on a simulated proc
+// with the queue empty, registers p's wake for the next Put, which stores
+// its event in *m. On the live backend it blocks while the queue is empty.
+// ok=false means the queue was shut down and the event loop should exit
+// (never on the simulated backend, whose daemons are torn down by the
+// simulator).
 type commQueue interface {
 	Put(m commMsg)
-	Get(p transport.Proc) (m commMsg, ok bool)
+	GetStep(p transport.Proc, m *commMsg) (got, ok bool)
 }
 
 // simRT is the simulated substrate: a thin 1:1 veneer over sim.Sim.
@@ -120,10 +121,6 @@ func (r simRT) EventIn(ev *sim.Event, prefix string, id int) completion {
 
 func (r simRT) Spawn(name string, fn func(transport.Proc)) {
 	r.s.Spawn(name, func(p *sim.Proc) { fn(p) })
-}
-
-func (r simRT) SpawnDaemonID(prefix string, id int, fn func(transport.Proc)) {
-	r.s.SpawnDaemonID(prefix, id, func(p *sim.Proc) { fn(p) }, nil)
 }
 
 // SpawnStep hosts s as the proc's argument — so a machine that holds a
@@ -205,6 +202,6 @@ type simQueue struct {
 }
 
 func (s *simQueue) Put(m commMsg) { s.q.Put(m) }
-func (s *simQueue) Get(p transport.Proc) (commMsg, bool) {
-	return s.q.Get(p.(*sim.Proc)), true
+func (s *simQueue) GetStep(p transport.Proc, m *commMsg) (bool, bool) {
+	return s.q.GetStep(p.(*sim.Proc), m), true
 }

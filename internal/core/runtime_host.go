@@ -677,6 +677,23 @@ func (r *Runtime) chargeTenantLocked(c *rtJob) {
 // statusLocked snapshots one job.
 func (r *Runtime) statusLocked(c *rtJob) JobStatus { return c.JobStatus }
 
+// MatchQueues returns how many receives wait posted on the simulated
+// substrate's MPI ranks, and how many arrived messages wait there
+// unmatched: what a retired tenant must not leave behind (mpi.Comm.Retire,
+// its receivers' sim.Dropper). Zero on the live backend. Sim context only —
+// an OnJobDone callback — or after Run.
+func (r *Runtime) MatchQueues() (posted, unexpected int) {
+	if r.sub == nil {
+		return 0, 0
+	}
+	for i := 0; i < r.sub.world.Size(); i++ {
+		rank := r.sub.world.Rank(i)
+		posted += rank.Posted()
+		unexpected += rank.Unexpected()
+	}
+	return posted, unexpected
+}
+
 // List snapshots every submission, in submit order.
 func (r *Runtime) List() []JobStatus {
 	r.mu.Lock()

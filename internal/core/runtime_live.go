@@ -46,9 +46,6 @@ func (r *liveRT) go1(wg *sync.WaitGroup, fn func(transport.Proc)) {
 }
 
 func (r *liveRT) Spawn(_ string, fn func(transport.Proc)) { r.go1(&r.workers, fn) }
-func (r *liveRT) SpawnDaemonID(_ string, _ int, fn func(transport.Proc)) {
-	r.go1(&r.daemons, fn)
-}
 
 // SpawnStep runs s on a goroutine, where every form blocks in place: one
 // step is the whole machine. It starts the goroutine itself rather than
@@ -105,8 +102,9 @@ func (e *liveEvent) WaitStep(transport.Proc) bool {
 	return true
 }
 
-// liveQueue is an unbounded multi-producer FIFO with shutdown: Get blocks
-// while empty and returns ok=false once the queue is closed and drained.
+// liveQueue is an unbounded multi-producer FIFO with shutdown: GetStep
+// blocks while empty and returns ok=false once the queue is closed and
+// drained.
 type liveQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -126,23 +124,25 @@ func (q *liveQueue) Put(m commMsg) {
 	q.cond.Signal()
 }
 
-func (q *liveQueue) Get(transport.Proc) (commMsg, bool) {
+// GetStep blocks while the queue is empty, so it always has an event for
+// *m unless the queue is closed and drained.
+func (q *liveQueue) GetStep(_ transport.Proc, m *commMsg) (got, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head >= len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
 	if q.head >= len(q.items) {
-		return commMsg{}, false
+		return true, false
 	}
-	m := q.items[q.head]
+	*m = q.items[q.head]
 	q.items[q.head] = commMsg{}
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	return m, true
+	return true, true
 }
 
 // close shuts the queue down, waking blocked getters.

@@ -444,6 +444,7 @@ func TestRuntimeSimLateFramesDie(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
+			r.SetOnJobDone(func(st JobStatus) { checkMatchQueues(t, r, st) })
 			first, err := r.Submit(pred.job, SubmitOpts{})
 			if err != nil {
 				t.Fatal(err)
@@ -468,10 +469,8 @@ func TestRuntimeSimLateFramesDie(t *testing.T) {
 			if n := r.SchedSnapshot().Counters["late_frames_dropped"]; (n > 0) != pred.late {
 				t.Errorf("%d late frames dropped", n)
 			}
-			for n := 0; n < 2; n++ {
-				if q := r.sub.world.Rank(n).Unexpected(); q != 0 {
-					t.Errorf("rank %d: %d messages left on its unexpected queue", n, q)
-				}
+			if posted, unexp := r.MatchQueues(); posted+unexp != 0 {
+				t.Errorf("idle runtime: %d receives posted and %d messages unexpected on its ranks", posted, unexp)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("jittered successor reports differently from its solo run:\n%+v\n%+v", got, want)
@@ -479,6 +478,30 @@ func TestRuntimeSimLateFramesDie(t *testing.T) {
 		})
 	}
 }
+
+// checkMatchQueues is ROADMAP item 7's retirement invariant, checked from
+// the OnJobDone callback of job done: what waits on the substrate's MPI
+// matching queues — posted receives and unexpected messages — is bounded
+// by the nodes of the jobs that may still hold any: the running ones and
+// the one retiring, whose receivers go with its proc group at the next
+// event boundary.
+func checkMatchQueues(t *testing.T, r *Runtime, done JobStatus) {
+	t.Helper()
+	nodes := done.Nodes
+	for _, st := range r.List() {
+		if st.State == JobRunning {
+			nodes += st.Nodes
+		}
+	}
+	posted, unexp := r.MatchQueues()
+	if bound := matchQueuesPerNode * nodes; posted+unexp > bound {
+		t.Errorf("%d receives posted and %d messages unexpected with %d nodes' jobs live: bound %d", posted, unexp, nodes, bound)
+	}
+}
+
+// matchQueuesPerNode bounds what one node of a live job keeps on the
+// matching queues: a posted receive per lane (two-sided, one-sided).
+const matchQueuesPerNode = 2
 
 // TestRuntimeSimReliabilityIsolation runs two reliable-wire tenants
 // concurrently: sequence spaces must not collide, so neither job sees

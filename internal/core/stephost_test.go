@@ -36,6 +36,10 @@ func (b blockInPlace) RecvStep(p transport.Proc, op *transport.RecvOp) (bool, er
 	}
 }
 
+func (b blockInPlace) CollectiveStep(p transport.Proc, op *transport.CollOp) (bool, error) {
+	return true, transport.Collective(p, b.Transport, op)
+}
+
 // stepHostJob is one cell of TestStepHostsAgree: two nodes on two shards
 // exchanging size-byte messages between CPU ranks or GPU slots — a
 // ping-pong, then a combined exchange — and, between CPU ranks, a one-sided
@@ -125,17 +129,52 @@ func laneKinds(j *Job) map[string]sim.KindStats {
 	return st.Kinds
 }
 
-// TestStepHostsAgree runs every lane step machine — dcgn-tx, the lane
-// receivers, rel-ack, os-rep, the retransmit timer and the sendrecv join —
-// on both of its simulated hosts: stackless procs, and stackful ones that
-// block in each form because a Config.WrapTransport hook's forms block in
-// place (blockInPlace). One body on two hosts is one schedule: the
-// Reports, traces and critical paths included, must be reflect.DeepEqual,
-// across reliability, faults, eager and rendezvous sizes, CPU and GPU
-// endpoints and flows. Each job runs on two shards, so under the race
-// detector (make race) the bodies run on two threads; PoolHits, a
-// host-side count of which shard's thread reached the shared pool first,
-// is set apart.
+// hostsAgree runs two copies of the job mk makes, one on stackless procs
+// and one whose step machines are hosted on stackful procs that block in
+// each form (blockInPlace, Job.stackful), and checks they report alike;
+// the kinds named must run as steps on the first host and be resumed on
+// the second. PoolHits, a host-side count of which shard's thread reached
+// the shared pool first, is set apart.
+func hostsAgree(t *testing.T, mk func() *Job, kinds ...string) {
+	t.Helper()
+	stackless, blocking := mk(), mk()
+	blocking.cfg.WrapTransport = func(tr transport.Transport) transport.Transport { return blockInPlace{tr} }
+	blocking.stackful = true
+	want, err := stackless.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := blocking.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.PoolHits = want.PoolHits
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("blocking host reports differently:\n%+v\nstackless host:\n%+v", got, want)
+	}
+	for _, kind := range kinds {
+		if k := laneKinds(stackless)[kind]; k.Resumes != 0 || k.Steps == 0 {
+			t.Errorf("stackless host: %s %+v, want steps and no resumes", kind, k)
+		}
+		if k := laneKinds(blocking)[kind]; k.Resumes == 0 || k.Steps != 0 {
+			t.Errorf("blocking host: %s %+v, want resumes and no steps", kind, k)
+		}
+	}
+}
+
+// TestStepHostsAgree runs every step machine the engine hosts — dcgn-tx,
+// the lane receivers, the comm thread and its collectives, rel-ack,
+// os-rep, the retransmit timer and the sendrecv join — on both of its
+// simulated hosts: stackless procs, and stackful ones that block in each
+// form because a Config.WrapTransport hook's forms block in place
+// (blockInPlace). One body on two hosts is one schedule: the Reports,
+// traces and critical paths included, must be reflect.DeepEqual, across
+// reliability, faults, eager and rendezvous sizes, CPU and GPU endpoints
+// and flows; and so for every collective kind, flat and tree, for the
+// device-model daemons (a GPU's doorbell, its NIC's triggered put), which
+// are stackless on both, and for a one-sided put. Each job runs on two
+// shards, so under the race detector (make race) the bodies run on two
+// threads.
 func TestStepHostsAgree(t *testing.T) {
 	for _, reliable := range []bool{false, true} {
 		for _, faulty := range []bool{false, true} {
@@ -144,36 +183,102 @@ func TestStepHostsAgree(t *testing.T) {
 					for _, flows := range []bool{false, true} {
 						name := fmt.Sprintf("reliable=%t/faults=%t/%dB/gpu=%t/flows=%t", reliable, faulty, size, gpu, flows)
 						t.Run(name, func(t *testing.T) {
-							stackless := stepHostJob(t, gpu, reliable, faulty, flows, size)
-							blocking := stepHostJob(t, gpu, reliable, faulty, flows, size)
-							blocking.cfg.WrapTransport = func(tr transport.Transport) transport.Transport { return blockInPlace{tr} }
-							blocking.stackful = true
-							want, err := stackless.Run()
-							if err != nil {
-								t.Fatal(err)
-							}
-							got, err := blocking.Run()
-							if err != nil {
-								t.Fatal(err)
-							}
-							got.PoolHits = want.PoolHits
-							if !reflect.DeepEqual(got, want) {
-								t.Errorf("blocking host reports differently:\n%+v\nstackless host:\n%+v", got, want)
-							}
-							for _, kind := range []string{"dcgn-tx", "mpi-recv"} {
-								if k := laneKinds(stackless)[kind]; k.Resumes != 0 || k.Steps == 0 {
-									t.Errorf("stackless host: %s %+v, want steps and no resumes", kind, k)
-								}
-								if k := laneKinds(blocking)[kind]; k.Resumes == 0 || k.Steps != 0 {
-									t.Errorf("blocking host: %s %+v, want resumes and no steps", kind, k)
-								}
-							}
+							hostsAgree(t, func() *Job { return stepHostJob(t, gpu, reliable, faulty, flows, size) }, "dcgn-tx", "mpi-recv", "comm")
 						})
 					}
 				}
 			}
 		}
 	}
+	for _, tree := range []bool{false, true} {
+		t.Run(fmt.Sprintf("collectives/tree=%t", tree), func(t *testing.T) {
+			hostsAgree(t, func() *Job { return collHostJob(t, tree) }, "comm")
+		})
+	}
+	t.Run("gpu-signal", func(t *testing.T) {
+		hostsAgree(t, func() *Job {
+			job := stepHostJob(t, true, false, false, false, 64)
+			job.cfg.FutureHW.DeviceSignal = true
+			return job
+		}, "comm", "dcgn-tx")
+	})
+	t.Run("triggered-put", func(t *testing.T) {
+		hostsAgree(t, func() *Job { return putHostJob(t, true) }, "os-recv", "gpu-nic")
+	})
+	t.Run("onesided-put", func(t *testing.T) {
+		hostsAgree(t, func() *Job { return putHostJob(t, false) }, "os-recv")
+	})
+}
+
+// collHostJob is TestStepHostsAgree's collectives cell: three nodes of two
+// CPU ranks each run every collective kind — with a broadcast past the
+// tree broadcast's scatter–allgather switch — on flat or tree MPI
+// collectives.
+func collHostJob(t *testing.T, tree bool) *Job {
+	cfg := cpuOnlyConfig(3, 2)
+	cfg.Shards, cfg.MPI.TreeCollectives = 2, tree
+	job := NewJob(cfg)
+	job.SetCPUKernel(func(c *CPUCtx) {
+		const chunk = 24
+		n := c.Size()
+		c.Barrier()
+		for _, size := range []int{64, 20 << 10} {
+			buf := pattern(size, byte(c.Rank()))
+			check(t, c.Bcast(1, buf))
+		}
+		var all []byte
+		if c.Rank() == 2 {
+			all = make([]byte, n*chunk)
+		}
+		check(t, c.Gather(2, pattern(chunk, byte(c.Rank())), all))
+		check(t, c.Scatter(2, all, make([]byte, chunk)))
+		check(t, c.AllToAll(pattern(n*chunk, byte(c.Rank())), make([]byte, n*chunk)))
+	})
+	return job
+}
+
+// putHostJob is TestStepHostsAgree's one-sided cell: puts into a CPU
+// window on the other node, made by a CPU rank or fired by a GPU's NIC
+// from its descriptor ring (triggered).
+func putHostJob(t *testing.T, triggered bool) *Job {
+	const size, puts = 256, 3
+	cfg := cpuOnlyConfig(2, 1)
+	if triggered {
+		cfg = gpuConfig(2, 1, 1, 1)
+	}
+	cfg.Shards = 2
+	job := NewJob(cfg)
+	rm := job.Ranks()
+	dst := rm.CPURank(1, 0)
+	job.SetCPUKernel(func(c *CPUCtx) {
+		if c.Rank() == dst {
+			c.RegisterWindow(0, make([]byte, puts*size))
+		}
+		if !triggered {
+			c.Barrier()
+			if c.Rank() != dst {
+				for i := 0; i < puts; i++ {
+					check(t, c.Put(dst, 0, i*size, pattern(size, byte(i))))
+				}
+			}
+		}
+		if c.Rank() == dst {
+			c.WinWait(0, puts)
+		}
+	})
+	if triggered {
+		job.SetGPUSetup(func(s *GPUSetup) { s.Args["buf"] = s.Dev.Mem().MustAlloc(size) })
+		job.SetGPUKernel(1, 4, func(g *GPUCtx) {
+			if g.Block().Idx != 0 || g.Rank(0) != rm.GPURank(0, 0, 0) {
+				return
+			}
+			for i := 0; i < puts; i++ {
+				g.TriggerPut(0, 0, dst, 0, i*size, g.Arg("buf").(device.Ptr), size)
+				g.TriggerFence(0)
+			}
+		})
+	}
+	return job
 }
 
 // TestStacklessReceiverUnpostsOnKill: a node's stackless lane receiver,

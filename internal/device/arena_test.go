@@ -190,7 +190,7 @@ func TestArenaHostCost(t *testing.T) {
 	}
 	d := New(s, cfg)
 	if got := []string{d.gridName, d.gridDoneName, d.dispatchName, d.blockPrefix}; !slices.Equal(got,
-		[]string{"gpu0:grid", "gpu0:grid-done", "gpu0:dispatch", "gpu0:b"}) {
+		[]string{"gpu0:grid", "gpu0:grid-done", "dispatch:gpu0", "gpu0:b"}) {
 		t.Errorf("device labels %q", got)
 	}
 }

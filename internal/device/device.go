@@ -99,8 +99,10 @@ func New(s *sim.Sim, cfg Config) *Device {
 	d := &Device{s: s, cfg: cfg}
 	d.mem.init(cfg.MemBytes)
 	// Every label is a slice of one string, one allocation for all five:
-	// name:grid-done (name:grid is its prefix), name:dispatch, name:b, sm:name.
-	l, n := cfg.Name+":grid-done"+cfg.Name+":dispatch"+cfg.Name+":bsm:"+cfg.Name, len(cfg.Name)
+	// name:grid-done (name:grid is its prefix), dispatch:name, name:b,
+	// sm:name. A dispatcher's kind is "dispatch" (sim.Stats.Kinds), a
+	// block's the device's name.
+	l, n := cfg.Name+":grid-done"+"dispatch:"+cfg.Name+cfg.Name+":bsm:"+cfg.Name, len(cfg.Name)
 	d.gridDoneName, d.gridName = l[:n+10], l[:n+5]
 	d.dispatchName, d.blockPrefix = l[n+10:2*n+19], l[2*n+19:3*n+21]
 	d.smSlots = s.NewSemaphore(l[3*n+21:], cfg.SMs*cfg.BlocksPerSM)
@@ -133,10 +135,20 @@ func (d *Device) perBlockFLOPS(blockDim int) float64 {
 // Kernel is device code: it runs once per block as a SIMD group.
 type Kernel func(b *Block)
 
-// Launch represents an in-flight kernel grid.
+// Launch represents an in-flight kernel grid, and its dispatcher: a
+// stackless proc (dispatch) that issues the grid's blocks in hardware
+// order as SM slots free up, then fires done once the last has retired.
 type Launch struct {
 	wg   *sim.WaitGroup
-	done *sim.Event
+	done sim.Event
+
+	dev      *Device
+	k        Kernel
+	order    []int
+	next     int // the next block of order to issue
+	granted  bool
+	blockDim int
+	flops    float64
 }
 
 // Wait blocks p until every block of the launch has retired, mirroring
@@ -158,35 +170,51 @@ func (d *Device) Launch(p *sim.Proc, gridDim, blockDim int, k Kernel) *Launch {
 	p.Sleep(d.Jit.Scale(d.cfg.LaunchLat))
 
 	l := &Launch{
-		wg:   d.s.NewWaitGroup(d.gridName, gridDim),
-		done: d.s.NewEvent(d.gridDoneName),
+		wg:       d.s.NewWaitGroup(d.gridName, gridDim),
+		dev:      d,
+		k:        k,
+		order:    d.blockOrder(gridDim),
+		blockDim: blockDim,
+		flops:    d.perBlockFLOPS(blockDim),
 	}
-	order := d.blockOrder(gridDim)
-	flops := d.perBlockFLOPS(blockDim)
-	d.s.Spawn(d.dispatchName, func(disp *sim.Proc) {
-		for _, idx := range order {
-			d.smSlots.Acquire(disp, 1) // wait for a free SM slot; non-preemptive
-			blockIdx := idx
-			d.s.SpawnID(d.blockPrefix, blockIdx, func(bp *sim.Proc) {
-				defer func() {
-					d.smSlots.Release(1)
-					l.wg.Done()
-				}()
-				b := &Block{
-					p:       bp,
-					dev:     d,
-					Idx:     blockIdx,
-					Dim:     blockDim,
-					GridDim: gridDim,
-					flops:   flops,
-				}
-				k(b)
-			}, nil)
-		}
-		l.wg.Wait(disp)
-		l.done.Fire()
-	})
+	d.s.InitEventID(&l.done, d.gridDoneName, sim.NoID)
+	d.s.SpawnStep(d.dispatchName, sim.NoID, dispatch, l)
 	return l
+}
+
+// dispatch is the step of a launch's dispatcher (Proc.Arg is the launch):
+// each block waits for a free SM slot — non-preemptive, FIFO behind earlier
+// launches — and is spawned once it has one; then the dispatcher waits for
+// the grid to retire.
+func dispatch(disp *sim.Proc) {
+	l := disp.Arg().(*Launch)
+	d := l.dev
+	for ; l.next < len(l.order); l.next++ {
+		if !l.granted && !d.smSlots.AcquireStep(disp, 1) {
+			l.granted = true // Release grants the slot before the next step
+			return
+		}
+		l.granted = false
+		blockIdx := l.order[l.next]
+		d.s.SpawnID(d.blockPrefix, blockIdx, func(bp *sim.Proc) {
+			defer func() {
+				d.smSlots.Release(1)
+				l.wg.Done()
+			}()
+			b := &Block{
+				p:       bp,
+				dev:     d,
+				Idx:     blockIdx,
+				Dim:     l.blockDim,
+				GridDim: len(l.order),
+				flops:   l.flops,
+			}
+			l.k(b)
+		}, nil)
+	}
+	if l.wg.WaitStep(disp) {
+		l.done.Fire()
+	}
 }
 
 // blockOrder returns the hardware block issue order.

@@ -138,7 +138,7 @@ func TestNonPreemptiveSchedulingDeadlock(t *testing.T) {
 		t.Fatalf("expected deadlock, got %v", err)
 	}
 	// Every label New slices from one string names what it should.
-	for _, want := range []string{`gpu0:b:1: event "flag"`, `gpu0:dispatch: semaphore "sm:gpu0"`, `event "gpu0:grid-done"`} {
+	for _, want := range []string{`gpu0:b:1: event "flag"`, `dispatch:gpu0: semaphore "sm:gpu0"`, `event "gpu0:grid-done"`} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("deadlock report %q lacks %q", err, want)
 		}

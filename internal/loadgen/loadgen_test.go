@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dcgn/internal/core"
 	"dcgn/internal/obs/flow"
 )
 
@@ -405,3 +406,55 @@ func BenchmarkLoadgenArrivals(b *testing.B) {
 		}
 	}
 }
+
+// TestSimRetirementsLeaveNoMatchState is ROADMAP item 7's retirement
+// invariant on a seeded chat run: after every retirement, what waits on
+// the substrate's MPI matching queues — posted receives and unexpected
+// messages — is bounded by the nodes of the jobs still live (the running
+// ones and the one retiring, whose receivers go with its proc group at the
+// next event boundary), and nothing waits once the runtime is idle.
+func TestSimRetirementsLeaveNoMatchState(t *testing.T) {
+	spec := Spec{Backend: "sim", Seed: 3, Rate: 400, Duration: 200 * time.Millisecond, Preset: "chat"}
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := newRuntime(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	retired, worst := 0, 0.0
+	rt.SetOnJobDone(func(done core.JobStatus) {
+		retired++
+		nodes := done.Nodes
+		for _, st := range rt.List() {
+			if st.State == core.JobRunning {
+				nodes += st.Nodes
+			}
+		}
+		posted, unexp := rt.MatchQueues()
+		worst = max(worst, float64(posted+unexp)/float64(nodes))
+		if bound := matchQueuesPerNode * nodes; posted+unexp > bound {
+			t.Errorf("retirement %d: %d receives posted and %d messages unexpected with %d nodes' jobs live: bound %d", retired, posted, unexp, nodes, bound)
+		}
+	})
+	for _, a := range GenArrivals(spec) {
+		if _, err := rt.SubmitAt(BuildJob(spec.Backend, a, false), submitOpts(a), a.At()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if retired < 50 {
+		t.Fatalf("only %d jobs retired", retired)
+	}
+	if posted, unexp := rt.MatchQueues(); posted+unexp != 0 {
+		t.Errorf("idle runtime: %d receives posted and %d messages unexpected", posted, unexp)
+	}
+	t.Logf("%d retirements, at most %.2f queued per live node", retired, worst)
+}
+
+// matchQueuesPerNode bounds what one node of a live job keeps on the
+// matching queues: a posted receive per lane (two-sided, one-sided).
+const matchQueuesPerNode = 2

@@ -73,33 +73,48 @@ func (b *Bus) xferTime(n int) time.Duration {
 // Down charges a host-to-device DMA of n bytes, blocking p for queueing plus
 // transfer time.
 func (b *Bus) Down(p *sim.Proc, n int) {
+	b.DownStep(p, n)
+	p.Await()
+}
+
+// DownStep is Down's step form: it registers p's wake for the end of the
+// transfer (Resource.UseStep).
+func (b *Bus) DownStep(p *sim.Proc, n int) {
 	b.Transfers++
 	b.BytesDown += int64(n)
-	b.res.Use(p, b.Jit.Scale(b.xferTime(n)))
+	b.res.UseStep(p, b.Jit.Scale(b.xferTime(n)))
 }
 
 // Up charges a device-to-host DMA of n bytes.
 func (b *Bus) Up(p *sim.Proc, n int) {
-	b.Transfers++
-	b.BytesUp += int64(n)
-	b.res.Use(p, b.Jit.Scale(b.xferTime(n)))
+	b.UpStep(p, n)
+	p.Await()
 }
 
-// Ctl charges a small control transaction (poll read / flag write) of n
-// bytes; n only matters if it exceeds a cache line's worth of data.
-func (b *Bus) Ctl(p *sim.Proc, n int) {
+// UpStep is Up's step form.
+func (b *Bus) UpStep(p *sim.Proc, n int) {
+	b.Transfers++
+	b.BytesUp += int64(n)
+	b.res.UseStep(p, b.Jit.Scale(b.xferTime(n)))
+}
+
+// CtlStep charges a small control transaction (poll read / flag write) of
+// n bytes as a step form; n only matters if it exceeds a cache line's worth
+// of data. Only the GPU-kernel thread's daemons make one, stackless.
+func (b *Bus) CtlStep(p *sim.Proc, n int) {
 	b.CtlOps++
 	d := b.cfg.CtlLat
 	if n > 64 {
 		d += time.Duration(float64(n) / b.cfg.BW * 1e9)
 	}
-	b.res.Use(p, b.Jit.Scale(d))
+	b.res.UseStep(p, b.Jit.Scale(d))
 }
 
-// Direct charges a GPUDirect-style transfer: the device pushes/pulls n
-// bytes to a peer PCIe device (NIC) from pinned buffers — full bandwidth,
-// doorbell-level setup latency instead of a host-driven DMA program.
-func (b *Bus) Direct(p *sim.Proc, n int) {
+// DirectStep charges a GPUDirect-style transfer as a step form: the device
+// pushes/pulls n bytes to a peer PCIe device (NIC) from pinned buffers —
+// full bandwidth, doorbell-level setup latency instead of a host-driven DMA
+// program.
+func (b *Bus) DirectStep(p *sim.Proc, n int) {
 	b.Transfers++
-	b.res.Use(p, b.Jit.Scale(b.cfg.CtlLat+time.Duration(float64(n)/b.cfg.BW*1e9)))
+	b.res.UseStep(p, b.Jit.Scale(b.cfg.CtlLat+time.Duration(float64(n)/b.cfg.BW*1e9)))
 }

@@ -56,11 +56,13 @@ func TestCtlTransactionCheap(t *testing.T) {
 	s := sim.New()
 	b := New(s, "n0", testCfg())
 	s.Spawn("poller", func(p *sim.Proc) {
-		b.Ctl(p, 16) // small: pure CtlLat
+		b.CtlStep(p, 16) // small: pure CtlLat
+		p.Await()
 		if got, want := p.Now(), 2*time.Microsecond; got != want {
 			t.Errorf("small ctl: %v, want %v", got, want)
 		}
-		b.Ctl(p, 1064) // 64B free + 1064B/1GBps ≈ adds bandwidth term
+		b.CtlStep(p, 1064) // 64B free + 1064B/1GBps ≈ adds bandwidth term
+		p.Await()
 		if p.Now() <= 4*time.Microsecond {
 			t.Errorf("large ctl did not pay bandwidth: %v", p.Now())
 		}
@@ -91,7 +93,8 @@ func TestDirectTransferCheaperThanDMA(t *testing.T) {
 		b.Down(p, 4096) // 10us setup + 4.096us
 		dma := p.Now() - start
 		start = p.Now()
-		b.Direct(p, 4096) // 2us doorbell + 4.096us
+		b.DirectStep(p, 4096) // 2us doorbell + 4.096us
+		p.Await()
 		direct := p.Now() - start
 		if direct >= dma {
 			t.Errorf("GPUDirect transfer (%v) should beat host DMA (%v)", direct, dma)

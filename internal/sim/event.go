@@ -121,11 +121,19 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 
 // Wait blocks p until the count reaches zero.
 func (w *WaitGroup) Wait(p *Proc) {
+	if !w.WaitStep(p) {
+		p.await()
+	}
+}
+
+// WaitStep is Wait's non-parking form: it reports whether the count is
+// zero, and registers p's wake for when it reaches zero if not.
+func (w *WaitGroup) WaitStep(p *Proc) bool {
 	p.checkCurrent("WaitGroup.Wait")
 	if w.count == 0 {
-		return
+		return true
 	}
 	w.waiters = append(w.waiters, p)
 	p.block(parkWaitGroup, w, int64(w.count))
-	p.await()
+	return false
 }

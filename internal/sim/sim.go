@@ -137,6 +137,10 @@ type ident struct {
 // noID is the id of a fixed name.
 const noID = math.MinInt
 
+// NoID is the id that names a proc by its prefix alone: SpawnStep and
+// SpawnStepDaemon with it name the proc prefix, as Spawn names it name.
+const NoID = noID
+
 func (d *ident) String() string {
 	if d.id != noID {
 		d.name += ":" + strconv.Itoa(d.id)
@@ -657,9 +661,10 @@ func (p *Proc) block(kind parkKind, obj labeler, arg int64) {
 }
 
 // Await parks the calling stackful proc until the wake it registered with
-// a step form (SleepStep, Resource.UseStep, Queue.GetStep, Event.WaitStep)
-// has come, and returns at once if it registered none: each blocking
-// primitive is its step form followed by Await.
+// a step form (SleepStep, Resource.UseStep, Queue.GetStep, Event.WaitStep,
+// Semaphore.AcquireStep, WaitGroup.WaitStep) has come, and returns at once
+// if it registered none: each blocking primitive is its step form followed
+// by Await.
 func (p *Proc) Await() {
 	p.checkCurrent("Await")
 	p.await()

@@ -30,17 +30,26 @@ func (sem *Semaphore) label() string { return sem.name }
 // ordering: a large request at the head of the queue blocks later smaller
 // ones (no starvation).
 func (sem *Semaphore) Acquire(p *Proc, n int) {
+	if !sem.AcquireStep(p, n) {
+		p.await()
+	}
+}
+
+// AcquireStep is Acquire's non-parking form: it reports whether p has the
+// n permits at once, and otherwise queues p for them, FIFO behind earlier
+// acquires; Release grants them before p's next turn.
+func (sem *Semaphore) AcquireStep(p *Proc, n int) bool {
 	p.checkCurrent("Semaphore.Acquire")
 	if n <= 0 {
 		panic("sim: Acquire of non-positive permits")
 	}
 	if sem.waiters.len() == 0 && sem.avail >= n {
 		sem.avail -= n
-		return
+		return true
 	}
 	sem.waiters.push(semWaiter{p: p, n: n})
 	p.block(parkSemaphore, sem, int64(n))
-	p.await()
+	return false
 }
 
 // Release returns n permits and wakes as many queued waiters as now fit. A

@@ -170,7 +170,7 @@ func runSim(t *testing.T, ops []*transport.CollOp, tree bool) result {
 	for i := range res.outs {
 		res.outs[i] = blocked
 		s.Spawn("node", func(p *sim.Proc) {
-			res.errs[i] = g.Endpoint(i).Collective(p, res.ops[i])
+			res.errs[i] = transport.Collective(p, g.Endpoint(i), res.ops[i])
 			res.outs[i] = ok
 			if res.errs[i] != nil {
 				res.outs[i] = failed
@@ -202,7 +202,7 @@ func runLive(t *testing.T, ops []*transport.CollOp) result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res.errs[i] = c.Node(i).Collective(wall, res.ops[i])
+			res.errs[i] = transport.Collective(wall, c.Node(i), res.ops[i])
 		}()
 	}
 	done := make(chan struct{})
@@ -220,7 +220,12 @@ func runLive(t *testing.T, ops []*transport.CollOp) result {
 	return res
 }
 
-// checkAll runs ops on every backend and holds each to the rules above.
+// checkAll runs ops on every backend and holds each to the rules above. A
+// broadcast whose lengths disagree passes every node's Check: the live
+// rendezvous fails the round, and on the simulator no node hangs, every
+// node whose buffer differs in length from the root's fails, and a node
+// that succeeds holds the root's bytes — except a node with an empty
+// buffer, which has nothing to hold.
 func checkAll(t *testing.T, ops []*transport.CollOp) {
 	t.Helper()
 	bad := make([]bool, len(ops))
@@ -228,6 +233,15 @@ func checkAll(t *testing.T, ops []*transport.CollOp) {
 	for i, op := range ops {
 		bad[i] = op.Check(len(ops), i) != nil
 		anyBad = anyBad || bad[i]
+	}
+	checked := !anyBad // every op passes Check
+	var rootSend []byte
+	if checked && ops[0].Kind == transport.Bcast {
+		rootSend = slices.Clone(ops[ops[0].Root].Send)
+		for i, op := range ops {
+			bad[i] = len(op.Send) != len(rootSend)
+			anyBad = anyBad || bad[i]
+		}
 	}
 	ref := ops // live moves no byte of a failed round
 	if !anyBad {
@@ -239,10 +253,14 @@ func checkAll(t *testing.T, ops []*transport.CollOp) {
 			switch {
 			case !anyBad && o != ok:
 				t.Fatalf("%s node %d: %v (%v) on a well-formed set", name, i, o, r.errs[i])
-			case bad[i] && o != failed:
-				t.Fatalf("%s node %d: %v on an op that fails Check", name, i, o)
+			case bad[i] && o != failed && (!checked || len(ops[i].Send) > 0):
+				t.Fatalf("%s node %d: %v on a malformed op", name, i, o)
 			case anyBad && name == "live" && o != failed:
 				t.Fatalf("live node %d: %v in a round with a malformed op", i, o)
+			case anyBad && checked && o == blocked:
+				t.Fatalf("%s node %d: blocked in a broadcast of mismatched lengths", name, i)
+			case anyBad && checked && o == ok && name != "live" && len(ops[i].Send) > 0 && !bytes.Equal(r.ops[i].Send, rootSend):
+				t.Fatalf("%s node %d: succeeded holding %v, the root sent %v", name, i, r.ops[i].Send, rootSend)
 			}
 		}
 		if anyBad && name != "live" {
@@ -303,6 +321,8 @@ func TestCollOpMalformed(t *testing.T) {
 				op.Counts = []int{8, -8}
 			}
 		}},
+		{"bcast/short-root", transport.Bcast, func(ops []*transport.CollOp) { ops[1].Send = make([]byte, 9) }},
+		{"bcast/short-member", transport.Bcast, func(ops []*transport.CollOp) { ops[1].Send = ops[1].Send[:4] }},
 		{"bcast/root-outside", transport.Bcast, func(ops []*transport.CollOp) {
 			for _, op := range ops {
 				op.Root = 2
@@ -318,21 +338,29 @@ func TestCollOpMalformed(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ops := makeOps(c.kind, 2, 0, eight)
 			c.bad(ops)
-			if ops[0].Check(2, 0) == nil && ops[1].Check(2, 1) == nil {
+			if ops[0].Check(2, 0) == nil && ops[1].Check(2, 1) == nil && c.kind != transport.Bcast {
 				t.Fatal("the malformed op passes Check")
 			}
 			checkAll(t, ops)
 		})
 	}
+	// A member with a short buffer inside a broadcast tree forwards what it
+	// holds, so its subtree is not left waiting: node 2 is node 3's parent
+	// when node 0 roots four nodes.
+	t.Run("bcast/short-inner-member", func(t *testing.T) {
+		ops := makeOps(transport.Bcast, 4, 0, eight)
+		ops[2].Send = ops[2].Send[:4]
+		checkAll(t, ops)
+	})
 }
 
 // FuzzCollOp decodes its input into one cluster-wide collective — 1 to 4
 // nodes, a kind (or one past the last), a root and agreeing per-node
 // counts — then lengthens, shortens or drops some buffers. Check must
 // never panic; a set that passes it must leave the reference's buffers on
-// every backend, and one that does not must neither panic nor hang. Its
-// seeds are under testdata/fuzz/FuzzCollOp. Broadcast lengths are never changed: a cross-node length mismatch passes
-// every node's Check and is only caught on the live backend.
+// every backend, and one that does not must neither panic nor hang; a
+// broadcast whose lengths disagree is held to checkAll's rules for it. Its
+// seeds are under testdata/fuzz/FuzzCollOp.
 func FuzzCollOp(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -351,7 +379,7 @@ func FuzzCollOp(f *testing.F) {
 			counts[i] = next() % 40
 		}
 		ops := makeOps(kind, nodes, root, func(i, j int) int { return counts[i*nodes+j] })
-		for len(data) >= 2 && kind != transport.Bcast {
+		for len(data) >= 2 {
 			b, d := next(), next()%9-4
 			op := ops[(b>>2)%nodes]
 			buf := &op.Send

@@ -274,12 +274,20 @@ func collRoundProb(seed int64, round uint64) float64 {
 	return float64(z>>11) / float64(1<<53)
 }
 
-// Collective runs the inner collective unless this round is failed.
-func (e *Endpoint) Collective(p transport.Proc, op *transport.CollOp) error {
-	if err := e.failCollective(); err != nil {
-		return err
+// CollectiveStep runs the inner collective unless this round is failed,
+// which its first step decides (op.Mid).
+func (e *Endpoint) CollectiveStep(p transport.Proc, op *transport.CollOp) (bool, error) {
+	if op.Mid == 0 {
+		if err := e.failCollective(); err != nil {
+			return true, err
+		}
+		op.Mid = 1
 	}
-	return e.inner.Collective(p, op)
+	done, err := e.inner.CollectiveStep(p, op)
+	if done {
+		op.Mid = 0
+	}
+	return done, err
 }
 
 // Close drops any held messages and closes the inner transport.

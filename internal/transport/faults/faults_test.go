@@ -36,9 +36,9 @@ func (r *recorder) RecvStep(_ transport.Proc, op *transport.RecvOp) (bool, error
 	op.Msg = []byte("inbound")
 	return true, nil
 }
-func (r *recorder) Collective(transport.Proc, *transport.CollOp) error {
+func (r *recorder) CollectiveStep(transport.Proc, *transport.CollOp) (bool, error) {
 	r.colls++
-	return nil
+	return true, nil
 }
 func (r *recorder) Close() error { return nil }
 
@@ -235,7 +235,7 @@ func TestCollectiveFailuresClusterConsistent(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		verdicts := make([]bool, len(eps))
 		for i, ep := range eps {
-			err := ep.Collective(wall, &transport.CollOp{Kind: transport.Barrier})
+			err := transport.Collective(wall, ep, &transport.CollOp{Kind: transport.Barrier})
 			verdicts[i] = err != nil
 			if err != nil && !errors.Is(err, transport.ErrTransient) {
 				t.Fatalf("round %d node %d: injected error is not ErrTransient: %v", round, i, err)

@@ -332,11 +332,11 @@ func (e *Endpoint) RecvMsg(_ transport.Proc) ([]byte, error) {
 	return e.recvOn(e.lanes[wire])
 }
 
-// Collective joins the group's collective rendezvous with op: the last
-// node to arrive checks every node's op and moves the round's bytes for
-// all of them (combine).
-func (e *Endpoint) Collective(_ transport.Proc, op *transport.CollOp) error {
-	return e.g.coll.run(e.node, op)
+// CollectiveStep joins the group's collective rendezvous with op, blocking
+// until the round is over: the last node to arrive checks every node's op
+// and moves the round's bytes for all of them (combine).
+func (e *Endpoint) CollectiveStep(_ transport.Proc, op *transport.CollOp) (bool, error) {
+	return true, e.g.coll.run(e.node, op)
 }
 
 // Close shuts down the tenant group this endpoint belongs to.
@@ -405,7 +405,8 @@ func (cr *collRound) run(node int, op *transport.CollOp) error {
 
 // combine checks every node's op (CollOp.Check) and that they agree —
 // one kind and root, and what only the rendezvous sees: equal Bcast
-// lengths and matching Alltoallv counts — then moves the round's bytes.
+// lengths and matching Alltoallv counts — then moves the round's bytes; a
+// round that fails moves none.
 func combine(ops []*transport.CollOp) error {
 	first, n := ops[0], len(ops)
 	for i, op := range ops {
@@ -416,13 +417,25 @@ func combine(ops []*transport.CollOp) error {
 			return fmt.Errorf("live: collective mismatch: node 0 in %v from %d, node %d in %v from %d", first.Kind, first.Root, i, op.Kind, op.Root)
 		}
 	}
-	root, off := ops[first.Root], 0
+	root := ops[first.Root]
 	for i, op := range ops {
 		switch op.Kind {
 		case transport.Bcast:
 			if len(op.Send) != len(root.Send) {
 				return fmt.Errorf("live: bcast buffer length mismatch: node %d has %d, root has %d", i, len(op.Send), len(root.Send))
 			}
+		case transport.Alltoallv:
+			for j, dst := range ops {
+				if op.Counts[j] != dst.RecvCounts[i] {
+					return fmt.Errorf("live: alltoallv count mismatch: node %d sends %d to node %d, which expects %d", i, op.Counts[j], j, dst.RecvCounts[i])
+				}
+			}
+		}
+	}
+	off := 0
+	for i, op := range ops {
+		switch op.Kind {
+		case transport.Bcast:
 			copy(op.Send, root.Send)
 		case transport.Gatherv:
 			copy(root.Recv[off:off+root.Counts[i]], op.Send)
@@ -434,9 +447,6 @@ func combine(ops []*transport.CollOp) error {
 			sendOff := 0
 			for j, dst := range ops {
 				seg := op.Counts[j]
-				if seg != dst.RecvCounts[i] {
-					return fmt.Errorf("live: alltoallv count mismatch: node %d sends %d to node %d, which expects %d", i, seg, j, dst.RecvCounts[i])
-				}
 				recvOff := 0
 				for _, c := range dst.RecvCounts[:i] {
 					recvOff += c

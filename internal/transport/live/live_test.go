@@ -133,7 +133,7 @@ func TestCloseUnblocksCollective(t *testing.T) {
 	c := New(2, nil)
 	done := make(chan error, 1)
 	go func() {
-		done <- c.Node(0).Collective(wall, &transport.CollOp{}) // node 1 never joins
+		done <- transport.Collective(wall, c.Node(0), &transport.CollOp{}) // node 1 never joins
 	}()
 	time.Sleep(10 * time.Millisecond)
 	c.Close()
@@ -205,9 +205,9 @@ func TestCollectiveOpMismatch(t *testing.T) {
 	defer c.Close()
 	errs := runColl(c, 2, func(n int) error {
 		if n == 0 {
-			return c.Node(0).Collective(wall, &transport.CollOp{Kind: transport.Barrier})
+			return transport.Collective(wall, c.Node(0), &transport.CollOp{Kind: transport.Barrier})
 		}
-		return c.Node(1).Collective(wall, &transport.CollOp{Kind: transport.Bcast, Send: make([]byte, 4)})
+		return transport.Collective(wall, c.Node(1), &transport.CollOp{Kind: transport.Bcast, Send: make([]byte, 4)})
 	})
 	for i, err := range errs {
 		if err == nil {
@@ -229,10 +229,10 @@ func TestCollectiveRendezvousReuse(t *testing.T) {
 		copy(buf[round%nodes], fmt.Sprintf("r%03d", round))
 		root := round % nodes
 		for i, err := range runColl(c, nodes, func(n int) error {
-			if err := c.Node(n).Collective(wall, &transport.CollOp{Kind: transport.Barrier}); err != nil {
+			if err := transport.Collective(wall, c.Node(n), &transport.CollOp{Kind: transport.Barrier}); err != nil {
 				return err
 			}
-			return c.Node(n).Collective(wall, &transport.CollOp{Kind: transport.Bcast, Root: root, Send: buf[n]})
+			return transport.Collective(wall, c.Node(n), &transport.CollOp{Kind: transport.Bcast, Root: root, Send: buf[n]})
 		}) {
 			if err != nil {
 				t.Fatalf("round %d node %d: %v", round, i, err)

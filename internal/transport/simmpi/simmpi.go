@@ -19,7 +19,8 @@
 // lane's one receiver. A stackless proc advances either a step at a time;
 // a stackful caller drives it with Proc.Await, which is what mpi's
 // blocking calls are, so both take the same slots of the schedule. A
-// step-form send or receive never fails.
+// step-form send or receive never fails. The collective is the same kind
+// of step form, mpi's collective machine.
 package simmpi
 
 import (
@@ -193,26 +194,25 @@ func (e *Endpoint) RecvMsg(p transport.Proc) ([]byte, error) {
 	return msg, err
 }
 
-// Collective runs op on the group communicator once it passes Check: one
-// switch onto mpi.Comm's collectives, which charge the call's costs. A
+// CollectiveStep runs op on the group communicator once it passes Check:
+// mpi's collective step machine (mpi.Coll), which charges the call's costs
+// and which the op keeps as its Wire from one collective to the next. A
 // node whose op fails Check returns its error without joining.
-func (e *Endpoint) Collective(p transport.Proc, op *transport.CollOp) error {
-	c, sp := e.g.comm, proc(p)
-	if err := op.Check(c.Size(), c.RankOf(e.rank)); err != nil {
-		return err
+func (e *Endpoint) CollectiveStep(p transport.Proc, op *transport.CollOp) (bool, error) {
+	m, _ := op.Wire.(*mpi.Coll)
+	if m == nil || !m.Started() {
+		c := e.g.comm
+		if err := op.Check(c.Size(), c.RankOf(e.rank)); err != nil {
+			return true, err
+		}
+		if m == nil {
+			m = new(mpi.Coll)
+			op.Wire = m
+		}
+		// transport.CollKind and mpi.CollKind name the kinds in one order.
+		m.Start(c, e.rank, mpi.CollKind(op.Kind), op.Root, op.Send, op.Recv, op.Counts, op.RecvCounts)
 	}
-	switch op.Kind {
-	case transport.Barrier:
-		c.Barrier(sp, e.rank)
-		return nil
-	case transport.Bcast:
-		return c.Bcast(sp, e.rank, op.Send, op.Root)
-	case transport.Gatherv:
-		return c.Gatherv(sp, e.rank, op.Send, op.Recv, op.Counts, op.Root)
-	case transport.Scatterv:
-		return c.Scatterv(sp, e.rank, op.Send, op.Counts, op.Recv, op.Root)
-	}
-	return c.Alltoallv(sp, e.rank, op.Send, op.Counts, op.Recv, op.RecvCounts)
+	return m.Step(proc(p))
 }
 
 // Close does nothing and wakes no one: a simulated endpoint has no state of

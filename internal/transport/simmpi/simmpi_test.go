@@ -67,14 +67,14 @@ func runScript(t *testing.T, s *sim.Sim, w *mpi.World, eps []transport.Transport
 					check(t, send(p, ep, peer, payload(n, size+1), true))
 				}
 			}
-			check(t, ep.Collective(p, &transport.CollOp{Kind: transport.Barrier}))
+			check(t, transport.Collective(p, ep, &transport.CollOp{Kind: transport.Barrier}))
 			var all []byte
 			if n == 0 {
 				for _, c := range counts {
 					all = append(all, make([]byte, c)...)
 				}
 			}
-			check(t, ep.Collective(p, &transport.CollOp{Kind: transport.Gatherv, Send: payload(n, counts[n]), Recv: all, Counts: counts}))
+			check(t, transport.Collective(p, ep, &transport.CollOp{Kind: transport.Gatherv, Send: payload(n, counts[n]), Recv: all, Counts: counts}))
 			h.Write(all)
 			digests[n] = h.Sum64()
 		})

@@ -24,9 +24,10 @@
 // RecvStep over a SendOp or RecvOp naming the lane): on the simulator a
 // step that is not done has registered the calling proc's next wake, so a
 // sender or receiver can be a stackless proc; on the live backend every
-// step blocks in place and reports itself done. The collective has one
-// form too, Collective over a CollOp, and one argument check
-// (CollOp.Check) that every backend runs before it moves a byte.
+// step blocks in place and reports itself done. The collective has the
+// same one form, CollectiveStep over a CollOp, and one argument check
+// (CollOp.Check) that every backend runs before it moves a byte; Collective
+// drives it to its end for a caller that may block.
 //
 // The matching/ordering semantics live once in internal/core and backends
 // are interchangeable:
@@ -111,7 +112,7 @@ type Proc interface {
 // Collective is node-level (one call per node, every node participating),
 // mirroring the paper's "one MPI collective per node once all resident
 // ranks have joined" pattern (§3.2.3). So a transport is one send, one
-// receive, one collective and Close.
+// receive, one collective and Close, each of the three a step form.
 type Transport interface {
 	// SendStep advances op, a send of one or more frames, on p and reports
 	// whether it is done; if it is not, it has registered p's next wake,
@@ -124,12 +125,14 @@ type Transport interface {
 	// hands over the frame. After Close it is done with ErrClosed (live
 	// backend; see Close).
 	RecvStep(p Proc, op *RecvOp) (done bool, err error)
-	// Collective runs this node's part in op, a node-level collective that
-	// every node of the group joins with an op of the same kind and root.
-	// An op that fails op.Check(nodes, node) is an error and moves no
-	// bytes; on the simulator its node does not join, so the others may
+	// CollectiveStep advances op, this node's part in a node-level
+	// collective that every node of the group joins with an op of the same
+	// kind and root, as SendStep advances a send: once it is done, with the
+	// collective's error, the op may be reused for the next one. An op that
+	// fails op.Check(nodes, node) is done at once with the error and moves
+	// no bytes; on the simulator its node does not join, so the others may
 	// wait for it, and on the live backend the whole round fails with it.
-	Collective(p Proc, op *CollOp) error
+	CollectiveStep(p Proc, op *CollOp) (done bool, err error)
 	// Close shuts the endpoint down; it is idempotent. On the live backend
 	// it wakes blocked receivers and collective participants with
 	// ErrClosed, which is how a run is torn down. A simulated endpoint's
@@ -262,6 +265,34 @@ type CollOp struct {
 	Recv       []byte
 	Counts     []int
 	RecvCounts []int
+	// Mid is a middleware's own progress through the op; a backend never
+	// reads it.
+	Mid uint8
+	// Wire is the backend's own progress through the op, which the caller
+	// never reads: nil before its first step and on a backend whose steps
+	// block. It stays with the op, so a caller that reuses one op for its
+	// collectives allocates it once.
+	Wire interface{ Drop() }
+}
+
+// Drop takes back what the backend has posted for an unfinished op: what a
+// proc that ends in the middle of a collective must do.
+func (op *CollOp) Drop() {
+	if op.Wire != nil {
+		op.Wire.Drop()
+	}
+}
+
+// Collective drives op to its end on p (CollectiveStep, each wake awaited
+// in place) and returns its error: the blocking form, for a caller that
+// may block — a simulated stackful proc, or any live one.
+func Collective(p Proc, t Transport, op *CollOp) error {
+	for {
+		if done, err := t.CollectiveStep(p, op); done {
+			return err
+		}
+		p.(interface{ Await() }).Await()
+	}
 }
 
 // Check reports whether op is a well-formed part for node of a group of

@@ -280,7 +280,7 @@ func TestPoolLeakGuardMixedWorkload(t *testing.T) {
 }
 
 // TestPoolLeakGuardGPUTraffic runs GPU-sourced cross-node traffic so the
-// device staging buffers (buildRequest/writeBack) and the GPU collective
+// device staging buffers (buildRequest/writeBackStep) and the GPU collective
 // path flow through the leak check too.
 func TestPoolLeakGuardGPUTraffic(t *testing.T) {
 	cfg := core.DefaultConfig()
