@@ -170,7 +170,8 @@ func (t simSeer) SendStep(p transport.Proc, op *transport.SendOp) (bool, error) 
 // timers. Resume counts are deterministic, so the budget is the measured
 // figure, rounded up. It is also the recycling tripwire: the per-message
 // control objects — stackless procs, packets, envelopes, inbound
-// messages, dcgn-tx helpers — come mostly from free lists, and each run
+// messages, dcgn-tx helpers, and a blocking call's sendrecv join, matching
+// entries and rendezvous send — come mostly from free lists, and each run
 // gives back every object it was handed (sim.Recycled).
 func TestEngineResumeBudget(t *testing.T) {
 	const nodes, rounds, fanout, budget = 64, 3, 3, 3.2
@@ -240,13 +241,56 @@ func TestEngineResumeBudget(t *testing.T) {
 			t.Errorf("%s: no steps taken; the workload no longer exercises it", kind)
 		}
 	}
+	// A blocking call's control objects — the sendrecv join, the matching
+	// index's entries, the rendezvous send — come from their owners' lists
+	// too: an exchange twice as long hands out more of each and allocates
+	// not one more, as many as were ever in flight at once.
+	short, long := exchangeStats(t, 4), exchangeStats(t, 8)
+	st.Add(long)
+	for _, kind := range []string{"sendrecv-join", "match-entry", "send-req"} {
+		s, l := short.Recycled[kind], long.Recycled[kind]
+		t.Logf("%s: 4 rounds %+v, 8 rounds %+v", kind, s, l)
+		if s.Gets == 0 || l.Gets <= s.Gets || l.Fresh != s.Fresh {
+			t.Errorf("%s: %d handed out, %d allocated over 4 rounds, %d and %d over 8: not bounded by what is in flight", kind, s.Gets, s.Fresh, l.Gets, l.Fresh)
+		}
+	}
+	recycled = append(recycled, "sendrecv-join", "match-entry", "send-req")
 	// Conservation: once a run is over, each object handed out has been
 	// given back — to a list, or to the garbage collector when something
-	// may still point at it — in all three runs, the 1 MB rendezvous and
+	// may still point at it — in all the runs, the 1 MB rendezvous and
 	// the reliable exchange included; for procs that is every proc done.
 	for _, kind := range recycled {
 		if r := st.Recycled[kind]; r.Held() != 0 {
 			t.Errorf("%s: %d handed out, %d given back: %d still held after the runs", kind, r.Gets, r.Puts, r.Held())
 		}
 	}
+}
+
+// exchangeStats runs rounds of a ring-shift SendRecv exchange on four
+// nodes of two CPU ranks, and returns the simulators' counters: each rank
+// sends to the rank d up and receives from the rank d down, alternately
+// 64 B and 64 KiB (an eager and a rendezvous send), with d cycling through
+// 1, 2 and 5: some exchanges stay on a node, where one side's half parks
+// in the matching index until the other's arrives, and the rest cross the
+// wire, where a frame that arrives first parks as unexpected.
+func exchangeStats(t *testing.T, rounds int) sim.Stats {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.GPUs, cfg.SlotsPerGPU = 0, 0
+	stats := simsOf(&cfg)
+	job := core.NewJob(cfg)
+	job.SetCPUKernel(func(c *core.CPUCtx) {
+		n, me := c.Size(), c.Rank()
+		for r := 0; r < rounds; r++ {
+			d := []int{1, 2, 5}[r%3]
+			size := 64 << (10 * (r % 2))
+			if _, err := c.SendRecv((me+d)%n, make([]byte, size), (me-d+n)%n, make([]byte, size)); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if _, err := job.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return stats()
 }

@@ -39,6 +39,9 @@ type collGroup struct {
 type collAccum struct {
 	ns     *nodeState
 	groups map[opKind]*collGroup
+	// spare is the last executed group, members slice and all, which the
+	// next collective to start reuses: a node executes one group at a time.
+	spare *collGroup
 	// ex is the execution of a complete group, made by the node's first:
 	// a job that makes no collective pays nothing for it.
 	ex *collExec
@@ -96,7 +99,11 @@ func (ca *collAccum) add(p transport.Proc, req *request) {
 	ns := ca.ns
 	g := ca.groups[req.op]
 	if g == nil {
-		g = &collGroup{root: req.peer, size: -1, firstAt: p.Now(), members: make([]*request, 0, ns.localRanks())}
+		g, ca.spare = ca.spare, nil
+		if g == nil {
+			g = &collGroup{members: make([]*request, 0, ns.localRanks())}
+		}
+		g.root, g.size, g.firstAt = req.peer, -1, p.Now()
 		ca.groups[req.op] = g
 	}
 	if req.peer != g.root && g.err == nil {
@@ -207,9 +214,13 @@ func (ex *collExec) fail(err error) {
 	ex.phase, ex.i = ceDone, 0
 }
 
-// end readies the accumulator for the next complete group; the op keeps
-// the transport's progress for the next call.
+// end readies the accumulator for the next complete group, keeping this
+// one for reuse; the op keeps the transport's progress for the next call.
 func (ex *collExec) end() {
+	g := ex.g
+	clear(g.members)
+	g.members, g.err = g.members[:0], nil
+	ex.ns.coll.spare = g
 	ex.g, ex.chosen, ex.err, ex.n, ex.attempt = nil, nil, nil, 0, 0
 	ex.phase, ex.i, ex.charged = ceIdle, 0, false
 	ex.op = transport.CollOp{Wire: ex.op.Wire}

@@ -59,14 +59,15 @@ type nodeState struct {
 	coll   *collAccum
 	comm   commThread
 
-	// txs and ins are the host node's lists of spare dcgn-tx helpers and
-	// inbound messages: taken by the comm thread and the lane receiver,
-	// given back by the helper as it ends and by the comm thread once an
-	// inbound's payload is delivered, all on the node's simulator. Nil on
-	// the live backend, where those are goroutines of their own: a nil
-	// list recycles nothing.
-	txs *sim.FreeList[remoteSend]
-	ins *sim.FreeList[inbound]
+	// txs, ins and joins are the host node's lists of spare dcgn-tx
+	// helpers, inbound messages and sendrecv joins: taken by the comm thread
+	// and the lane receiver, given back by a helper as it ends and by the
+	// comm thread once an inbound's payload is delivered, all on the node's
+	// simulator. Nil on the live backend, where those are goroutines of
+	// their own: a nil list recycles nothing.
+	txs   *sim.FreeList[remoteSend]
+	ins   *sim.FreeList[inbound]
+	joins *sim.FreeList[sendrecvJoin]
 
 	// wire is the two-sided frame lane (reliable.go): handleSend transmits
 	// on it and its receiver daemon feeds the intake. rel counts the
@@ -137,9 +138,13 @@ type commThread struct {
 	ns    *nodeState
 	msg   commMsg
 	phase uint8
-	dl    delivery
-	at    uint8
-	join  *sendrecvJoin
+	// op is the kind of the request being handled, zero for an inbound
+	// message: handle reads it here, because the request itself may have
+	// completed, and been made again by its issuer, before its handling is.
+	op   opKind
+	dl   delivery
+	at   uint8
+	join *sendrecvJoin
 }
 
 // The phases of a commThread.
@@ -188,7 +193,7 @@ func (ct *commThread) step(h transport.Proc) bool {
 			if !ct.handle(h) {
 				return false
 			}
-			ct.phase, ct.msg = ctNext, commMsg{}
+			ct.phase, ct.msg, ct.op = ctNext, commMsg{}, 0
 		}
 	}
 }
@@ -202,7 +207,9 @@ func (ct *commThread) route(h transport.Proc) {
 		ns.handleInbound(h, &ct.dl, in)
 		return
 	}
-	switch req := ct.msg.req; req.op {
+	req := ct.msg.req
+	ct.op = req.op
+	switch req.op {
 	case opSend:
 		ns.handleSend(h, &ct.dl, req)
 	case opRecv:
@@ -218,13 +225,11 @@ func (ct *commThread) route(h transport.Proc) {
 
 // handle steps what route readied and reports whether the event is done.
 func (ct *commThread) handle(h transport.Proc) bool {
-	if req := ct.msg.req; req != nil {
-		switch req.op {
-		case opSendrecv:
-			return ct.ns.handleSendrecv(h, ct, req)
-		case opBarrier, opBcast, opGather, opScatter, opAlltoall:
-			return ct.ns.coll.step(h)
-		}
+	switch ct.op {
+	case opSendrecv:
+		return ct.ns.handleSendrecv(h, ct, ct.msg.req)
+	case opBarrier, opBcast, opGather, opScatter, opAlltoall:
+		return ct.ns.coll.step(h)
 	}
 	return ct.dl.step(h)
 }

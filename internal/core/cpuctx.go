@@ -19,6 +19,10 @@ type CPUCtx struct {
 	ns   *nodeState
 	tp   transport.Proc
 	rank int
+	// req is the request of every blocking call, made again for each: the
+	// kernel thread makes one call at a time and the call ends with its
+	// request's life.
+	req simRequest
 }
 
 // Rank returns this kernel thread's virtual rank (dcgn::getRank).
@@ -48,14 +52,14 @@ func (c *CPUCtx) Compute(d time.Duration) { c.ns.charge(c.tp, d) }
 // reports completion (local: matched+copied; remote: underlying MPI send
 // complete).
 func (c *CPUCtx) Send(dst int, buf []byte) error {
-	req := c.relay(opSend, dst, buf, nil)
+	req := c.relay(opSend, dst, 0, buf, nil)
 	return req.err
 }
 
 // Recv receives into buf from rank src (or AnySource) and reports the
 // delivery status.
 func (c *CPUCtx) Recv(src int, buf []byte) (CommStatus, error) {
-	req := c.relay(opRecv, src, buf, nil)
+	req := c.relay(opRecv, src, 0, buf, nil)
 	return req.status, req.err
 }
 
@@ -63,8 +67,7 @@ func (c *CPUCtx) Recv(src int, buf []byte) (CommStatus, error) {
 // AnySource) into recvBuf as one combined request — the exchange primitive
 // Cannon's algorithm rotates chunks with (§5.1).
 func (c *CPUCtx) SendRecv(dst int, sendBuf []byte, src int, recvBuf []byte) (CommStatus, error) {
-	req := c.post("cpu-req", opSendrecv, dst, src, sendBuf, recvBuf)
-	req.done.Wait(c.tp)
+	req := c.relay(opSendrecv, dst, src, sendBuf, recvBuf)
 	return req.status, req.err
 }
 
@@ -82,7 +85,7 @@ func (c *CPUCtx) SendRecvReplace(dst, src int, buf []byte) (CommStatus, error) {
 
 // Barrier blocks until every rank in the job has entered the barrier.
 func (c *CPUCtx) Barrier() {
-	req := c.relay(opBarrier, 0, nil, nil)
+	req := c.relay(opBarrier, 0, 0, nil, nil)
 	if req.err != nil {
 		panic(fmt.Sprintf("dcgn: barrier: %v", req.err))
 	}
@@ -92,7 +95,7 @@ func (c *CPUCtx) Barrier() {
 // the root and receives it elsewhere. All ranks must pass equal-length
 // buffers.
 func (c *CPUCtx) Bcast(root int, buf []byte) error {
-	req := c.relay(opBcast, root, buf, nil)
+	req := c.relay(opBcast, root, 0, buf, nil)
 	return req.err
 }
 
@@ -100,7 +103,7 @@ func (c *CPUCtx) Bcast(root int, buf []byte) error {
 // recv receives Size()*len(send) bytes in rank order (recv may be nil
 // elsewhere).
 func (c *CPUCtx) Gather(root int, send, recv []byte) error {
-	req := c.relay(opGather, root, send, recv)
+	req := c.relay(opGather, root, 0, send, recv)
 	return req.err
 }
 
@@ -108,7 +111,7 @@ func (c *CPUCtx) Gather(root int, send, recv []byte) error {
 // rank root; at the root, send supplies Size()*len(recv) bytes in rank
 // order (send may be nil elsewhere).
 func (c *CPUCtx) Scatter(root int, send, recv []byte) error {
-	req := c.relay(opScatter, root, send, recv)
+	req := c.relay(opScatter, root, 0, send, recv)
 	return req.err
 }
 
@@ -118,7 +121,7 @@ func (c *CPUCtx) Scatter(root int, send, recv []byte) error {
 // collective pattern (§3.2.3). Buffers of unequal length fail the
 // collective on every rank of this node.
 func (c *CPUCtx) AllToAll(send, recv []byte) error {
-	req := c.relay(opAlltoall, 0, send, recv)
+	req := c.relay(opAlltoall, 0, 0, send, recv)
 	return req.err
 }
 
@@ -145,21 +148,20 @@ func (a *AsyncOp) Test() (CommStatus, bool) {
 // ISend starts a nonblocking send. The buffer must not be modified until
 // Wait reports completion.
 func (c *CPUCtx) ISend(dst int, buf []byte) *AsyncOp {
-	return (*AsyncOp)(c.post("cpu-areq", opSend, dst, 0, buf, nil))
+	return (*AsyncOp)(c.post(c.ns.newRequest("cpu-areq", c.rank), opSend, dst, 0, buf, nil))
 }
 
 // IRecv starts a nonblocking receive into buf from src (or AnySource).
 func (c *CPUCtx) IRecv(src int, buf []byte) *AsyncOp {
-	return (*AsyncOp)(c.post("cpu-areq", opRecv, src, 0, buf, nil))
+	return (*AsyncOp)(c.post(c.ns.newRequest("cpu-areq", c.rank), opRecv, src, 0, buf, nil))
 }
 
-// post charges the enqueue cost and hands one request to the comm thread's
-// queue without waiting for it; done is named event:rank. peer2 is the
-// receive side of a combined send/receive and zero otherwise. A request
-// that names a rank outside the job is completed with ErrBadRank instead,
-// at once and at no cost.
-func (c *CPUCtx) post(event string, op opKind, peer, peer2 int, buf, recvBuf []byte) *request {
-	req := c.ns.newRequest(event, c.rank)
+// post charges the enqueue cost and hands req, filled in, to the comm
+// thread's queue without waiting for it. peer2 is the receive side of a
+// combined send/receive and zero otherwise. A request that names a rank
+// outside the job is completed with ErrBadRank instead, at once and at no
+// cost.
+func (c *CPUCtx) post(req *request, op opKind, peer, peer2 int, buf, recvBuf []byte) *request {
 	req.op, req.rank, req.peer, req.peer2, req.buf, req.recvBuf = op, c.rank, peer, peer2, buf, recvBuf
 	if err := c.job.rmap.checkPeers(op, peer, peer2); err != nil {
 		req.complete(0, 0, err)
@@ -171,10 +173,10 @@ func (c *CPUCtx) post(event string, op opKind, peer, peer2 int, buf, recvBuf []b
 	return req
 }
 
-// relay posts one request into the comm thread's queue and blocks on its
-// completion event.
-func (c *CPUCtx) relay(op opKind, peer int, buf, recvBuf []byte) *request {
-	req := c.post("cpu-req", op, peer, 0, buf, recvBuf)
+// relay posts the kernel's one blocking request into the comm thread's
+// queue and blocks on its completion event.
+func (c *CPUCtx) relay(op opKind, peer, peer2 int, buf, recvBuf []byte) *request {
+	req := c.post(c.req.reset(c.ns, "cpu-req", c.rank), op, peer, peer2, buf, recvBuf)
 	req.done.Wait(c.tp)
 	return req
 }

@@ -73,8 +73,10 @@ type slotState struct {
 	peerRaw     int64
 	ptr, ptr2   device.Ptr
 	size, size2 int
-	req         *request
-	doneReady   bool
+	// req is the request the slot's one outstanding operation relays, made
+	// again for each (buildRequest).
+	req       simRequest
+	doneReady bool
 	// at is where the slot's service stands between the bus transfers it
 	// waits on (claimStep, relayStep, writeBackStep), and xptr/xbuf/xfer
 	// the one payload transfer the service has in flight: device memory at
@@ -85,8 +87,9 @@ type slotState struct {
 	xfer bool
 	// wake is fired when the done-flag write lands in device memory; the
 	// spinning device block observes it then. (Timing-equivalent stand-in
-	// for the device's spin loop on the status word.)
-	wake completion
+	// for the device's spin loop on the status word.) Made again for each
+	// operation, as req is.
+	wake sim.Event
 }
 
 // gpuThread is one GPU-kernel thread (paper §3.2.2): it owns one device,
@@ -280,7 +283,7 @@ func sigStep(p *sim.Proc) {
 // the completion write-back once the relayed request is done.
 func sigWriteBack(h *sim.Proc) {
 	ss := h.Arg().(*slotState)
-	if (*sim.Event)(ss.req.done.(*simEvent)).WaitStep(h) {
+	if ss.req.ev.WaitStep(h) {
 		ss.gt.writeBackStep(h, ss)
 	}
 }
@@ -331,7 +334,7 @@ func (gt *gpuThread) advance(p *sim.Proc, ss *slotState) (hit, done bool) {
 // it relayed is done.
 func markDone(h *sim.Proc) {
 	ss := h.Arg().(*slotState)
-	ss.doneReady = (*sim.Event)(ss.req.done.(*simEvent)).WaitStep(h)
+	ss.doneReady = ss.req.ev.WaitStep(h)
 }
 
 // The points a slot's service stands at (slotState.at) while it waits on
@@ -373,8 +376,7 @@ func (gt *gpuThread) claimStep(p *sim.Proc, ss *slotState, n int) bool {
 func (gt *gpuThread) relayStep(p *sim.Proc, ss *slotState) bool {
 	switch ss.at {
 	case 0:
-		ss.req = gt.buildRequest(ss)
-		if ss.req.done.Fired() {
+		if gt.buildRequest(ss).done.Fired() {
 			return true // it named a rank outside the job
 		}
 		if ss.xfer {
@@ -395,8 +397,8 @@ func (gt *gpuThread) relayStep(p *sim.Proc, ss *slotState) bool {
 		}
 	}
 	ss.at = 0
-	gt.ns.job.trace.record(gt.ns.rt, ss.req)
-	gt.ns.intake.postRequest(ss.req)
+	gt.ns.job.trace.record(gt.ns.rt, &ss.req.request)
+	gt.ns.intake.postRequest(&ss.req.request)
 	return true
 }
 
@@ -406,7 +408,7 @@ func (ss *slotState) queueXfer(ptr device.Ptr, buf []byte) {
 	ss.xptr, ss.xbuf, ss.xfer = ptr, buf, true
 }
 
-// buildRequest creates the comm-thread request for a parsed descriptor and
+// buildRequest makes the slot's request for a parsed descriptor and
 // queues the staging of its outbound payload device -> host (Fig. 2 step
 // 1), which relayStep makes; the receive staging of an op that stages a
 // payload too is taken once the payload is off the device (stageRecv).
@@ -421,7 +423,7 @@ func (gt *gpuThread) buildRequest(ss *slotState) *request {
 	if ss.op == opSendrecv {
 		peer, peer2 = unpackPeers(ss.peerRaw)
 	}
-	req := gt.ns.newRequest("gpu-req", ss.rank)
+	req := ss.req.reset(gt.ns, "gpu-req", ss.rank)
 	req.op, req.rank, req.gpu = ss.op, ss.rank, true
 	if err := gt.ns.job.rmap.checkPeers(ss.op, peer, peer2); err != nil {
 		req.complete(0, 0, err)
@@ -469,7 +471,7 @@ func (gt *gpuThread) buildRequest(ss *slotState) *request {
 // is off the device: a combined exchange's, a gather root's, an
 // all-to-all's.
 func (gt *gpuThread) stageRecv(ss *slotState) {
-	switch req := ss.req; {
+	switch req := &ss.req; {
 	case ss.op == opSendrecv, ss.op == opAlltoall, ss.op == opGather && ss.rank == req.peer:
 		req.recvBuf = gt.ns.job.pool.Get(ss.size2)
 	}
@@ -495,7 +497,7 @@ func (gt *gpuThread) stageSend(ss *slotState, req *request) {
 // step form.
 func (gt *gpuThread) writeBackStep(p *sim.Proc, ss *slotState) bool {
 	le := binary.LittleEndian
-	req := ss.req
+	req := &ss.req.request
 	mb := gt.dev.Bytes(ss.mb, mailboxBytes)
 	switch ss.at {
 	case 0:
@@ -541,7 +543,7 @@ func (gt *gpuThread) writeBackStep(p *sim.Proc, ss *slotState) bool {
 		gt.ns.job.pool.Put(req.buf)
 	}
 	gt.ns.job.pool.Put(req.recvBuf)
-	ss.req = nil
+	req.buf, req.recvBuf = nil, nil // the pool's again: the idle slot must not pin them
 	ss.stage = stageIdle
 	ss.wake.Fire()
 	return true

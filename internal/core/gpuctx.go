@@ -140,7 +140,7 @@ func (g *GPUCtx) postRaw(slot int, op opKind, peer int64, ptr device.Ptr, n int,
 	le.PutUint64(mb[mbSize:], uint64(n))
 	le.PutUint64(mb[mbPtr2:], uint64(ptr2))
 	le.PutUint64(mb[mbSize2:], uint64(n2))
-	ss.wake = g.gt.ns.rt.NewEventID("slot-wake", ss.rank)
+	g.gt.ns.sim.InitEventID(&ss.wake, "slot-wake", ss.rank)
 	le.PutUint32(mb[mbStatus:], mbPosted)
 	if g.gt.doorbell != nil {
 		// Future hardware: the device signals the CPU (§7) instead of

@@ -58,7 +58,8 @@ type trigSlot struct {
 	idx  int
 	mb   device.Ptr
 	busy bool
-	done completion
+	// done is the entry's operation's completion, made again for each.
+	done sim.Event
 }
 
 // osPersist is one registered persistent triggered put: the NIC holds the
@@ -293,7 +294,7 @@ func (g *GPUCtx) TriggerPut(ring, srcSlot, dst, winID, offset int, ptr device.Pt
 	le.PutUint64(desc[tdPtr:], uint64(ptr))
 	le.PutUint64(desc[tdSize:], uint64(n))
 	ss.busy = true
-	ss.done = gt.ns.rt.NewEventID("trig-done", srcRank)
+	gt.ns.sim.InitEventID(&ss.done, "trig-done", srcRank)
 	le.PutUint32(desc[tdStatus:], 1)
 	gt.trigQ.Put(&trigToken{ss: ss, firedAt: g.b.Proc().Now()})
 }

@@ -422,7 +422,8 @@ func (j *Job) newNodeState(n int) *nodeState {
 		index:  newMatchIndex(),
 	}
 	if h != nil {
-		ns.txs, ns.ins = &h.txs, &h.ins
+		ns.txs, ns.ins, ns.joins = &h.txs, &h.ins, &h.joins
+		ns.index.sends.free, ns.index.unexp.free = &h.sends, &h.unexp
 	}
 	ns.wrapTransport(j.endpoints[n])
 	ns.obsOn = j.trace != nil || j.metrics != nil

@@ -1,6 +1,10 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"dcgn/internal/sim"
+)
 
 // matchIndex is the comm thread's indexed matching structure. DCGN has no
 // tags: matching is FIFO per (source, destination) pair with AnySource
@@ -18,9 +22,9 @@ import "sync/atomic"
 //     specific-source and an AnySource receive racing for one message.
 //   - unexpected inbound messages are a second twoIndex.
 //
-// Every queue pops each tombstone at most once and the ring compacts
-// itself, so all operations are amortized O(1) and matched requests are
-// never pinned by a retained backing array.
+// Every queue pops each tombstone once and the ring compacts itself, so
+// all operations are amortized O(1) and matched requests are never pinned
+// by a retained backing array.
 
 // pairKey identifies one (source rank, destination rank) FIFO channel.
 type pairKey struct{ src, dst int }
@@ -89,20 +93,29 @@ func (q *ring[T]) len() int {
 
 // twoIndex parks values of one kind — pending sends, unexpected inbound
 // messages — in two FIFOs at once, per (src, dst) pair and per dst. The
-// entry is shared; whichever queue hands it out first flips a tombstone the
-// other queue skips lazily. No method of T is called, so the instantiations
-// cost what the hand-written copies did. The zero value is empty; its maps
-// are made on first use.
+// entry is shared; whichever queue hands it out flips a tombstone, and
+// after every take both of the entry's queues drop the tombstones at their
+// heads (trim): a queue's head is always a live entry, so a take needs no
+// skipping, a queue holds nothing older than its oldest live entry, and an
+// index whose entries are all taken holds none. No method of T is called,
+// so the instantiations cost what the hand-written copies did. The zero
+// value is empty; its maps are made on first use.
 type twoIndex[T any] struct {
 	byPair map[pairKey]*ring[*parked[T]]
 	byDst  map[int]*ring[*parked[T]]
 	n      int // live entries
+	// free is the host node's list the entries come from and go back to
+	// once both their queues have dropped them; nil recycles nothing.
+	free *sim.FreeList[parked[T]]
 }
 
-// parked is one twoIndex entry; taken is the lazy-deletion tombstone.
+// parked is one twoIndex entry, parked for dst by src: taken is the
+// lazy-deletion tombstone and refs counts the queues that still hold it.
 type parked[T any] struct {
 	v     T
+	src   int
 	taken bool
+	refs  uint8
 }
 
 // queueOf returns *m's FIFO for k, creating it, and *m, on first use: a
@@ -121,7 +134,8 @@ func queueOf[K comparable, T any](m *map[K]*ring[T], k K) *ring[T] {
 
 // add parks v, sent by src for dst.
 func (ix *twoIndex[T]) add(src, dst int, v T) {
-	e := &parked[T]{v: v}
+	e := ix.free.Get()
+	e.v, e.src, e.refs = v, src, 2
 	queueOf(&ix.byPair, pairKey{src: src, dst: dst}).push(e)
 	queueOf(&ix.byDst, dst).push(e)
 	ix.n++
@@ -134,17 +148,29 @@ func (ix *twoIndex[T]) take(src, dst int) (v T) {
 	if src != AnySource {
 		q = ix.byPair[pairKey{src: src, dst: dst}]
 	}
+	e, ok := q.peek()
+	if !ok {
+		return v
+	}
+	v, e.taken = e.v, true
+	ix.n--
+	ix.trim(ix.byPair[pairKey{src: e.src, dst: dst}])
+	ix.trim(ix.byDst[dst])
+	return v
+}
+
+// trim drops the taken entries at q's head, recycling each that its other
+// queue has dropped already.
+func (ix *twoIndex[T]) trim(q *ring[*parked[T]]) {
 	for {
-		e, ok := q.pop()
-		if !ok {
-			return v
+		e, ok := q.peek()
+		if !ok || !e.taken {
+			return
 		}
-		if e.taken {
-			continue // already taken through the sibling queue
+		q.pop()
+		if e.refs--; e.refs == 0 {
+			ix.free.Put(e)
 		}
-		e.taken = true
-		ix.n--
-		return e.v
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 func (ns *nodeState) handleSendrecv(h transport.Proc, ct *commThread, req *request) bool {
 	rt := ns.rt
 	if ct.at == 0 {
-		j := &sendrecvJoin{parent: req}
+		j := ns.joins.Get()
+		j.parent = req
 		j.send = request{
 			op: opSend, rank: req.rank, peer: req.peer, buf: req.buf,
 			done: rt.EventIn(&j.evs[0], "srv-send", req.rank), ns: ns, gpu: req.gpu, sendFrame: req.sendFrame,
@@ -59,7 +60,8 @@ func (ns *nodeState) handleSendrecv(h transport.Proc, ct *commThread, req *reque
 // sendrecvJoin is a combined exchange's dcgn-sendrecv-join helper, a
 // stackless proc on the simulated backend: the parent request and its two
 // halves, which it waits for before completing the parent, with their
-// completion events on the simulated backend.
+// completion events on the simulated backend. It comes from its node's
+// list (nodeState.joins) and goes back to it at the end of its last step.
 type sendrecvJoin struct {
 	parent     *request
 	send, recv request
@@ -85,9 +87,15 @@ func (j *sendrecvJoin) step(h transport.Proc) bool {
 		recv.ns.job.pool.Put(req.recvBuf)
 		req.recvBuf, req.recvFrame = recv.recvBuf, true
 	}
+	ns := recv.ns
 	req.complete(recv.status.Source, recv.status.Bytes, err)
+	ns.joins.Put(j)
 	return true
 }
+
+// Drop ends a join whose helper was killed waiting (sim.Dropper): a stale
+// wake may still name its events, so it is left to the garbage collector.
+func (j *sendrecvJoin) Drop() { j.recv.ns.joins.Drop() }
 
 // handleSend matches a local-destination send against posted receives or
 // relays a remote-destination send over the transport. A match readies dl
@@ -261,9 +269,11 @@ type delivery struct {
 	// pays a staging copy.
 	unexpected bool
 	at         uint8
-	// n and err are the delivered byte count and the receive's error.
+	// n and err are the delivered byte count and the receive's error, and
+	// src the sending rank the receive reports.
 	n   int
 	err error
+	src int
 }
 
 // step advances the delivery and reports whether it is done; if it is
@@ -298,7 +308,7 @@ func (dl *delivery) deliverLocal(h transport.Proc) bool {
 	notify := ns.job.cfg.Params.NotifyCost
 	switch dl.at {
 	case 0:
-		dl.n = len(send.buf)
+		dl.n, dl.src = len(send.buf), send.rank
 		if dl.n > len(recv.buf) {
 			dl.n, dl.err = len(recv.buf), ErrTruncate
 		}
@@ -320,13 +330,15 @@ func (dl *delivery) deliverLocal(h transport.Proc) bool {
 		}
 		fallthrough
 	case dlNotify:
+		// The send's issuer may make its request again once it completes:
+		// the receive's source was read before (dl.src).
 		send.complete(send.rank, len(send.buf), nil)
 		dl.at = dlNotify2
 		if !sleepStep(h, ns.jit, notify) {
 			return false
 		}
 	}
-	recv.complete(send.rank, dl.n, dl.err)
+	recv.complete(dl.src, dl.n, dl.err)
 	*dl = delivery{}
 	return true
 }

@@ -127,30 +127,46 @@ type request struct {
 	parentID uint64
 }
 
-// simRequest is a request on the simulated backend, whose completion
-// event lives in the same allocation (rt.EventIn): the event lives exactly
-// as long as the request. It stays out of request itself, which the live
-// backend allocates too, with a completion of its own.
+// simRequest is a request with room for its completion event: on the
+// simulated backend the event is made in ev (rt.EventIn), so it lives
+// exactly as long as the request and costs no allocation of its own. It
+// stays out of request itself, which the live backend allocates too, with
+// a completion of its own. A blocking call's request lives in the object
+// that makes the call — a CPU kernel's CPUCtx, a device slot's slotState —
+// and is made again for each call (reset); only an AsyncOp, which its user
+// keeps, is allocated (newRequest).
 type simRequest struct {
 	request
 	ev sim.Event
 }
 
-// newRequest returns a request of ns's, completed by an event named
-// prefix:id.
+// reset makes r a fresh request of ns's, completed by an event named
+// prefix:id. The request's last use must be over: its completion fired
+// and was waited for, and nothing touches a request once complete fires
+// it, so nothing else still holds it.
+func (r *simRequest) reset(ns *nodeState, prefix string, id int) *request {
+	r.request = request{ns: ns}
+	r.done = ns.rt.EventIn(&r.ev, prefix, id)
+	return &r.request
+}
+
+// newRequest returns a request of ns's that its issuer keeps (an
+// AsyncOp), completed by an event named prefix:id.
 func (ns *nodeState) newRequest(prefix string, id int) *request {
 	if ns.sim == nil {
 		return &request{ns: ns, done: ns.rt.NewEventID(prefix, id)}
 	}
-	r := new(simRequest)
-	r.ns, r.done = ns, ns.rt.EventIn(&r.ev, prefix, id)
-	return &r.request
+	return new(simRequest).reset(ns, prefix, id)
 }
 
 // complete finishes a request and wakes its issuer. Traced requests record
 // their lifecycle span here, before the issuer is released — a struct copy
 // into the node's ring, on whichever proc or goroutine completed the
-// request, replacing the old one-daemon-per-record design.
+// request, replacing the old one-daemon-per-record design. complete is the
+// completer's last touch of r: its issuer may make it again for its next
+// call (simRequest.reset) as soon as it wakes, on the live backend while
+// the completer runs on, so whatever the completer still needs from r it
+// reads before.
 func (r *request) complete(src, n int, err error) {
 	r.status = CommStatus{Source: src, Bytes: n}
 	r.err = err

@@ -58,8 +58,12 @@ type engineEnv struct {
 // node's simulator.
 type hostNode struct {
 	*fabric.Node
-	txs sim.FreeList[remoteSend]
-	ins sim.FreeList[inbound]
+	txs   sim.FreeList[remoteSend]
+	ins   sim.FreeList[inbound]
+	joins sim.FreeList[sendrecvJoin]
+	// sends and unexp are the matching index's entries (matchIndex).
+	sends sim.FreeList[parked[*request]]
+	unexp sim.FreeList[parked[*inbound]]
 }
 
 // wireTotals meters inter-node traffic: packets and bytes carried so far.
@@ -116,6 +120,9 @@ func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int
 		h.Node = sub.net.Node(n)
 		h.txs.Init(h.Sim(), "remote-send", spareNodeObjects)
 		h.ins.Init(h.Sim(), "inbound", spareNodeObjects)
+		h.joins.Init(h.Sim(), "sendrecv-join", spareNodeObjects)
+		h.sends.Init(h.Sim(), "match-entry", spareNodeObjects)
+		h.unexp.Init(h.Sim(), "match-entry", spareNodeObjects)
 	}
 	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
 	sub.world = mpi.NewWorld(nil, sub.net, sub.nodes, mpiCfg)

@@ -104,25 +104,6 @@ func (c *Comm) Gatherv(p *sim.Proc, r *Rank, sendBuf, recvBuf []byte, counts []i
 	return m.run(p)
 }
 
-// Scatterv distributes variable-sized chunks from the root member. With
-// Config.TreeCollectives it runs as a binomial tree (see treeScatterv);
-// otherwise the root posts a flat fan-out of n-1 sends.
-func (c *Comm) Scatterv(p *sim.Proc, r *Rank, sendBuf []byte, counts []int, recvBuf []byte, root int) error {
-	var m Coll
-	m.Start(c, r, CollScatterv, root, sendBuf, recvBuf, counts, nil)
-	return m.run(p)
-}
-
-// Alltoallv is the variable-size all-to-all: member i sends
-// sendCounts[j] bytes to member j (packed contiguously in member order in
-// sendBuf) and receives recvCounts[j] bytes from member j (packed in
-// recvBuf). Pairwise exchange, n-1 steps.
-func (c *Comm) Alltoallv(p *sim.Proc, r *Rank, sendBuf []byte, sendCounts []int, recvBuf []byte, recvCounts []int) error {
-	var m Coll
-	m.Start(c, r, CollAlltoallv, 0, sendBuf, recvBuf, sendCounts, recvCounts)
-	return m.run(p)
-}
-
 // run drives m to its end on p, dropping what it has posted if p unwinds
 // first.
 func (m *Coll) run(p *sim.Proc) error {
@@ -161,6 +142,9 @@ type Coll struct {
 	mask  int
 	got   int
 	err   error
+	// lens is a scatter–allgather broadcast's byte count of each chunk it
+	// holds: what arrived of it, which is what it forwards.
+	lens []int
 
 	sop     SendOp
 	rop     RecvOp
@@ -434,6 +418,16 @@ func (m *Coll) noteLength(err error, want int) {
 // opBcast tag space with the step index in the tag's 6-bit round field
 // (mod 64): each ring neighbor pair exchanges exactly one message per step,
 // in step order, so per-sender non-overtaking delivery makes the wrap safe.
+//
+// Each member splits the payload by its own buffer's length, so when
+// lengths disagree the chunks it expects are not the root's. Every hop
+// therefore forwards exactly what arrived (lens), and nothing of a
+// truncated arrival or of a scatter block of another length: a chunk
+// reaches a member whole, as the root cut it, or empty. A member whose
+// length differs from the root's splits some chunk differently, receives
+// that chunk (its own in the scatter, every other in the ring), and sees
+// the mismatch; a member that sees none holds the root's bytes. Well-formed
+// runs forward every chunk whole, as before.
 func (m *Coll) largeBcast(p *sim.Proc) bool {
 	c, buf := m.c, m.buf
 	n, me := c.Size(), c.RankOf(m.r)
@@ -447,10 +441,11 @@ func (m *Coll) largeBcast(p *sim.Proc) bool {
 				counts[i]++
 			}
 		}
-		m.counts, m.displs = counts, displacements(counts)
+		m.counts, m.displs, m.lens = counts, displacements(counts), make([]int, n)
 		m.send = nil
 		if me == m.root {
 			m.send = buf
+			copy(m.lens, counts)
 		}
 		m.recv = buf[m.displs[me] : m.displs[me]+counts[me]]
 		m.pc = lbScatter
@@ -468,6 +463,9 @@ func (m *Coll) largeBcast(p *sim.Proc) bool {
 			m.r.stagingPool().Put(m.scratch)
 			m.scratch = nil
 		}
+		if me != m.root {
+			m.lens[me] = min(m.got, m.counts[me])
+		}
 		m.next()
 		m.pc, m.i = lbRing, 0
 	}
@@ -480,10 +478,13 @@ func (m *Coll) largeBcast(p *sim.Proc) bool {
 		tag := c.collTag(CollBcast, m.i&63)
 		var err error
 		if !m.hopAt(p, 0, max(counts[si], counts[ri])) ||
-			!m.sendrecvAt(p, 1, buf[displs[si]:displs[si]+counts[si]], right, tag, buf[displs[ri]:displs[ri]+counts[ri]], left, tag, &err) {
+			!m.sendrecvAt(p, 1, buf[displs[si]:displs[si]+m.lens[si]], right, tag, buf[displs[ri]:displs[ri]+counts[ri]], left, tag, &err) {
 			return false
 		}
 		m.noteLength(err, counts[ri])
+		if m.lens[ri] = m.stat.Count; err != nil {
+			m.lens[ri] = 0 // nothing of a truncated arrival
+		}
 		m.next()
 	}
 	return true
@@ -573,6 +574,9 @@ func (m *Coll) scatterv(p *sim.Proc) bool {
 			return false
 		}
 		m.noteLength(err, counts[me])
+		if m.got = m.stat.Count; err != nil {
+			m.got = 0 // nothing of a truncated arrival
+		}
 		return true
 	}
 	if m.pc == 1 {
@@ -599,7 +603,7 @@ func (m *Coll) scatterv(p *sim.Proc) bool {
 		m.pc, m.i = 3, 0
 	}
 	for ; m.i < n; m.i++ {
-		if sr, ok := m.sends[m.i].Req.(*sendReq); ok && !sr.done.WaitStep(p) {
+		if m.sends[m.i].Req != nil && !r.sendDone(p, &m.sends[m.i]) {
 			return false // a send reports no error
 		}
 		m.sends[m.i] = SendOp{}
@@ -679,8 +683,9 @@ func (m *Coll) treeGatherv(p *sim.Proc) bool {
 // treeScatterv is the binomial-tree scatter: the root packs all chunks in
 // virtual-rank order and each member forwards its children's subtree
 // blocks level by level, bounding the root's fan-out to log2(n) sends. A
-// member whose block arrives short or long forwards it all the same and
-// returns the mismatch.
+// member whose block arrives short or long returns the mismatch, and since
+// its own counts then say nothing of whose bytes are whose, it keeps none
+// and forwards none: each child still gets its message, an empty one.
 func (m *Coll) treeScatterv(p *sim.Proc) bool {
 	c, r, counts, root := m.c, m.r, m.counts, m.root
 	n, me := c.Size(), c.RankOf(r)
@@ -696,6 +701,7 @@ func (m *Coll) treeScatterv(p *sim.Proc) bool {
 		}
 		m.pc = 2
 		if vr == 0 {
+			m.got = myBytes
 			displs := displacements(counts)
 			off := 0
 			for v := 0; v < n; v++ {
@@ -712,6 +718,9 @@ func (m *Coll) treeScatterv(p *sim.Proc) bool {
 			return false
 		}
 		m.noteLength(err, myBytes)
+		if m.got = myBytes; err != nil || m.stat.Count != myBytes {
+			m.got = 0 // a block of another length says nothing of whose bytes are whose
+		}
 		m.next()
 		m.pc = 3
 	}
@@ -725,12 +734,18 @@ func (m *Coll) treeScatterv(p *sim.Proc) bool {
 		}
 		off := vrankBytes(counts, root, vr, child)
 		nb := vrankBytes(counts, root, child, min(child+m.mask, n))
-		if !m.hopAt(p, 0, nb) || !m.sendAt(p, 1, m.scratch[off:off+nb], c.Translate((child+root)%n), c.collTag(CollScatterv, bits.Len(uint(m.mask))-1)) {
+		blk := m.scratch[off : off+nb]
+		if m.got == 0 {
+			blk = nil // forward nothing of a mismatched block
+		}
+		if !m.hopAt(p, 0, nb) || !m.sendAt(p, 1, blk, c.Translate((child+root)%n), c.collTag(CollScatterv, bits.Len(uint(m.mask))-1)) {
 			return false
 		}
 		m.next()
 	}
-	copy(m.recv[:counts[me]], m.scratch[:counts[me]])
+	if m.got > 0 {
+		copy(m.recv[:counts[me]], m.scratch)
+	}
 	return true
 }
 

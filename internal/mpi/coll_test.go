@@ -87,7 +87,7 @@ func TestGatherScatterRoundtrip(t *testing.T) {
 		for i := range counts {
 			counts[i] = chunk
 		}
-		if err := r.World().Comm().Scatterv(p, r, gathered, counts, back, root); err != nil {
+		if err := coll(p, r.World().Comm(), r, CollScatterv, root, gathered, back, counts, nil); err != nil {
 			t.Error(err)
 		}
 		if !bytes.Equal(back, mine) {
@@ -124,7 +124,7 @@ func TestGathervScattervVariableSizes(t *testing.T) {
 			}
 		}
 		back := make([]byte, counts[r.ID()])
-		if err := r.World().Comm().Scatterv(p, r, gathered, counts, back, 0); err != nil {
+		if err := coll(p, r.World().Comm(), r, CollScatterv, 0, gathered, back, counts, nil); err != nil {
 			t.Error(err)
 		}
 		if !bytes.Equal(back, mine) {
@@ -179,7 +179,7 @@ func TestAlltoallvVariableSizes(t *testing.T) {
 			sendBuf = append(sendBuf, fill(size(me, j), byte(me*10+j))...)
 		}
 		recvBuf := make([]byte, totalR)
-		if err := r.World().Comm().Alltoallv(p, r, sendBuf, sendCounts, recvBuf, recvCounts); err != nil {
+		if err := coll(p, r.World().Comm(), r, CollAlltoallv, 0, sendBuf, recvBuf, sendCounts, recvCounts); err != nil {
 			t.Error(err)
 		}
 		off := 0

@@ -68,7 +68,7 @@ func TestSubCommCollectivesIsolated(t *testing.T) {
 			counts := []int{64, 64, 64}
 			out := slices.Concat(fill(64, byte(10*me)), fill(64, byte(10*me+1)), fill(64, byte(10*me+2)))
 			in := make([]byte, 3*64)
-			if err := sub.Alltoallv(p, r, out, counts, in, counts); err != nil {
+			if err := coll(p, sub, r, CollAlltoallv, 0, out, in, counts, counts); err != nil {
 				t.Error(err)
 			}
 			for i := 0; i < 3; i++ {

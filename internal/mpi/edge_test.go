@@ -87,13 +87,16 @@ func TestManyOutstandingIrecvsSameSource(t *testing.T) {
 		switch r.ID() {
 		case 0:
 			bufs := make([][]byte, n)
-			reqs := make([]*Request, n)
-			for i := range reqs {
+			ops := make([]*RecvOp, n)
+			for i := range ops {
 				bufs[i] = make([]byte, 4)
-				reqs[i] = r.Irecv(p, bufs[i], 1, 0)
+				ops[i] = irecv(p, r, bufs[i], 1, 0)
 			}
-			if _, err := WaitAll(p, reqs...); err != nil {
-				t.Error(err)
+			for _, op := range ops {
+				r.await(p, op)
+				if _, _, err := op.Result(); err != nil {
+					t.Error(err)
+				}
 			}
 			for i, b := range bufs {
 				if b[0] != byte(i) {

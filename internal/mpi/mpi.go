@@ -8,12 +8,14 @@
 //   - point-to-point with (source, tag) matching including wildcards and an
 //     eager/rendezvous protocol split: Send, SendMsg and RecvMsg
 //     (take-ownership) and their step forms SendMsgStep and RecvMsgOp,
-//     Recv, Isend, Irecv, Request.Wait, WaitAll, Sendrecv, SendrecvReplace;
+//     Recv, Isend, Request.Wait, WaitAll, Sendrecv, SendrecvReplace;
 //   - collectives on a communicator (Comm): Barrier (dissemination), Bcast
-//     (binomial tree; scatter + ring allgather for large payloads), Gather,
-//     Gatherv and Scatterv (flat or binomial tree), Alltoallv (pairwise
-//     exchange), with Rank.Barrier/Bcast/Gather as the world-communicator
-//     shorthands the baselines call;
+//     (binomial tree; scatter + ring allgather for large payloads), Gather
+//     and Gatherv (flat or binomial tree), with Rank.Barrier/Bcast/Gather
+//     as the world-communicator shorthands the baselines call, and Coll,
+//     the one collective step machine they drive, which a transport steps
+//     for those and for Scatterv (flat or binomial tree) and Alltoallv
+//     (pairwise exchange);
 //   - communicators: the world's (World.Comm) and one per explicit member
 //     set (World.NewGroupComm), each a collective tag context of its own.
 //
@@ -161,6 +163,7 @@ func NewWorld(_ *sim.Sim, net *fabric.Network, nodeOf []int, cfg Config) *World 
 			recvPrefix:   "irecv:" + strconv.Itoa(id),
 		})
 		w.ranks[id].envs.Init(w.ranks[id].sim, "envelope", spareEnvelopes)
+		w.ranks[id].sends.Init(w.ranks[id].sim, "send-req", spareSendReqs)
 	}
 	members := make([]int, len(w.ranks))
 	for i := range members {
@@ -221,7 +224,7 @@ type Rank struct {
 	nextSeq      uint64
 
 	// sendPrefix/recvPrefix are precomputed lazy-event-name prefixes so
-	// per-message Isend/Irecv calls format nothing.
+	// per-message sends and receives format nothing.
 	sendPrefix string
 	recvPrefix string
 
@@ -230,10 +233,18 @@ type Rank struct {
 	// to its list once the envelope is handled: an envelope ends its life
 	// on the receiving rank's node, under that node's simulator's baton.
 	envs sim.FreeList[envelope]
+	// sends holds spare rendezvous sends. A rank takes its sends from its
+	// own list and gives each back once its waiter has seen it complete
+	// (sendDone); a send an Isend caller keeps is never given back.
+	sends sim.FreeList[sendReq]
 }
 
-// spareEnvelopes caps a rank's list of spare envelopes.
-const spareEnvelopes = 128
+// spareEnvelopes and spareSendReqs cap a rank's lists of spare envelopes
+// and rendezvous sends.
+const (
+	spareEnvelopes = 128
+	spareSendReqs  = 16
+)
 
 // ID returns the rank number.
 func (r *Rank) ID() int { return r.id }
@@ -300,6 +311,7 @@ type recvReq struct {
 // outbound cost is paid — its RTS by the sender, then its data by the
 // mpi-rndv-data helper — and nil once the packet is on its way, which the
 // receiving node recycles. done lives in it, as it completes the send once.
+// It comes from its rank's list (Rank.sends).
 type sendReq struct {
 	from *Rank
 	data []byte
@@ -310,24 +322,18 @@ type sendReq struct {
 	pkt  *fabric.Packet
 }
 
-// Request is a handle to a nonblocking operation: a receive's rr, or a
-// send's completion event, nil for an eager send (complete once its payload
-// is buffered). A send reports a zero Status and no error.
+// Request is a handle to a nonblocking send (Isend): its completion event,
+// nil for an eager send (complete once its payload is buffered). A send
+// reports no status and no error.
 type Request struct {
 	done *sim.Event
-	rr   *recvReq
 }
 
-// Wait blocks p until the operation completes and returns its status.
-func (req *Request) Wait(p *sim.Proc) (Status, error) {
-	if req.rr != nil {
-		req.rr.done.Wait(p)
-		return req.rr.stat, req.rr.err
-	}
+// Wait blocks p until the send completes.
+func (req *Request) Wait(p *sim.Proc) {
 	if req.done != nil {
 		req.done.Wait(p)
 	}
-	return Status{}, nil
 }
 
 // matches reports whether a posted receive accepts an envelope.

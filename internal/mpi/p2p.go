@@ -21,7 +21,10 @@ func (r *Rank) Isend(p *sim.Proc, buf []byte, dst, tag int) *Request {
 	}
 	req := &Request{}
 	if sr, ok := op.Req.(*sendReq); ok {
+		// The caller keeps the send: its life is over for the rank's list,
+		// which never hands it out again.
 		req.done = &sr.done
+		r.sends.Drop()
 	}
 	return req
 }
@@ -91,7 +94,8 @@ func (r *Rank) sendStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int, owned
 			nd.Inject("mpi-eager", r.id, r.w.nodeOf[dst], headerBytes+len(data), env)
 			return true
 		}
-		sr := &sendReq{from: r, data: data, dst: dst, tag: tag, seq: seq}
+		sr := r.sends.Get()
+		sr.from, sr.data, sr.dst, sr.tag, sr.seq = r, data, dst, tag, seq
 		r.sim.InitEventID(&sr.done, r.sendPrefix, dst)
 		r.pendingSends[seq] = sr
 		rts := r.envs.Get()
@@ -104,17 +108,20 @@ func (r *Rank) sendStep(p *sim.Proc, op *SendOp, buf []byte, dst, tag int, owned
 		r.w.net.Node(r.node).Sent(p, sr.pkt)
 		sr.pkt, op.Phase = nil, sendWait
 	}
-	return !wait || op.Req.(*sendReq).done.WaitStep(p)
+	return !wait || r.sendDone(p, op)
 }
 
-// Irecv starts a nonblocking receive into buf from rank src (or AnySource)
-// with the given tag (or AnyTag).
-func (r *Rank) Irecv(p *sim.Proc, buf []byte, src, tag int) *Request {
-	op := &RecvOp{r: r, rr: recvReq{buf: buf, src: src, tag: tag}}
-	for !op.step(p, false) {
-		p.Await()
+// sendDone reports whether op's rendezvous send is complete, and gives its
+// request back to the rank's list if so: nothing names it any more once
+// its waiter has seen it done. If it is not, it has registered p's wake.
+func (r *Rank) sendDone(p *sim.Proc, op *SendOp) bool {
+	sr := op.Req.(*sendReq)
+	if !sr.done.WaitStep(p) {
+		return false
 	}
-	return &Request{rr: &op.rr}
+	op.Req = nil
+	r.sends.Put(sr)
+	return true
 }
 
 // RecvOp is a receive in progress as a step machine — Recv and RecvMsg are
@@ -151,7 +158,7 @@ func (r *Rank) RecvMsgOp(src, tag int) RecvOp {
 func (op *RecvOp) Step(p *sim.Proc) bool { return op.step(p, true) }
 
 // step is Step, stopping once the receive is posted when wait is false
-// (Irecv, Sendrecv).
+// (Sendrecv, and the collectives' sendrecv).
 func (op *RecvOp) step(p *sim.Proc, wait bool) bool {
 	r, rr := op.r, &op.rr
 	switch op.phase {

@@ -81,7 +81,7 @@ func TestTreeScatterv(t *testing.T) {
 					send = src
 				}
 				recv := make([]byte, counts[r.ID()])
-				if err := r.World().Comm().Scatterv(p, r, send, counts, recv, root); err != nil {
+				if err := coll(p, r.World().Comm(), r, CollScatterv, root, send, recv, counts, nil); err != nil {
 					t.Errorf("n=%d root=%d rank=%d: %v", n, root, r.ID(), err)
 				}
 				results[r.ID()] = recv

@@ -352,6 +352,22 @@ func TestCollOpMalformed(t *testing.T) {
 		ops[2].Send = ops[2].Send[:4]
 		checkAll(t, ops)
 	})
+	// Past the scatter–allgather switch (Config.TreeCollectives, more than
+	// 8 KiB): the chunks a member expects follow its own buffer's length,
+	// so a root three bytes short of its members, or an inner member three
+	// bytes short of the root, must not leave a member of another length
+	// succeeding on bytes that are not the root's.
+	large := func(int, int) int { return 9000 }
+	t.Run("bcast/large-short-root", func(t *testing.T) {
+		ops := makeOps(transport.Bcast, 4, 0, large)
+		ops[0].Send = ops[0].Send[:8997]
+		checkAll(t, ops)
+	})
+	t.Run("bcast/large-short-member", func(t *testing.T) {
+		ops := makeOps(transport.Bcast, 4, 0, large)
+		ops[2].Send = ops[2].Send[:8997]
+		checkAll(t, ops)
+	})
 }
 
 // FuzzCollOp decodes its input into one cluster-wide collective — 1 to 4

@@ -34,17 +34,10 @@ func twoNodeCPUCfg() core.Config {
 // engine runs on the hosts it runs on unwrapped; every node's lane receiver
 // posts its receive on its first step, so every node is seen.
 func recycledOf(cfg *core.Config) func(t *testing.T) {
-	var mu sync.Mutex // shards receive from threads of their own
-	sims := map[*sim.Sim]bool{}
-	cfg.WrapTransport = func(tr transport.Transport) transport.Transport {
-		return simSpy{tr, func(s *sim.Sim) { mu.Lock(); sims[s] = true; mu.Unlock() }}
-	}
+	stats := statsOf(cfg)
 	return func(t *testing.T) {
 		t.Helper()
-		var st sim.Stats
-		for s := range sims {
-			st.Add(s.Stats())
-		}
+		st := stats()
 		if st.Recycled["proc"].Gets == 0 {
 			t.Fatal("no simulator seen; the recycling check is vacuous")
 		}
@@ -53,6 +46,23 @@ func recycledOf(cfg *core.Config) func(t *testing.T) {
 				t.Errorf("%s: %d handed out, %d given back: %d still held after the run", kind, r.Gets, r.Puts, r.Held())
 			}
 		}
+	}
+}
+
+// statsOf makes cfg's transports tell which simulators their nodes run on,
+// and returns what those simulators count once the run is over.
+func statsOf(cfg *core.Config) func() sim.Stats {
+	var mu sync.Mutex // shards receive from threads of their own
+	sims := map[*sim.Sim]bool{}
+	cfg.WrapTransport = func(tr transport.Transport) transport.Transport {
+		return simSpy{tr, func(s *sim.Sim) { mu.Lock(); sims[s] = true; mu.Unlock() }}
+	}
+	return func() sim.Stats {
+		var st sim.Stats
+		for s := range sims {
+			st.Add(s.Stats())
+		}
+		return st
 	}
 }
 
@@ -327,4 +337,78 @@ func TestPoolLeakGuardGPUTraffic(t *testing.T) {
 		t.Errorf("pool leak: %d acquires vs %d releases", rep.PoolAcquires, rep.PoolReleases)
 	}
 	balanced(t)
+}
+
+// TestBlockingCallsAllocateNoControlObjects runs the same SendRecv exchange
+// — CPU ranks and GPU slots, on one node and across two, eager and
+// rendezvous — for 6 rounds and for 12. A blocking call's request lives in
+// its caller (CPUCtx, the GPU slot), and every other control object comes
+// from its owner's free list and goes back to it: each run gives every
+// object back, and the longer one, which hands out more sendrecv joins,
+// matching entries and rendezvous sends, allocates exactly as many of each
+// as the shorter — what was ever in flight at once.
+func TestBlockingCallsAllocateNoControlObjects(t *testing.T) {
+	run := func(rounds int) sim.Stats {
+		cfg := core.DefaultConfig()
+		cfg.Nodes = 2 // 2 CPU ranks and 2 GPU slots a node: ranks 0-3 on node 0
+		stats := statsOf(&cfg)
+		job := core.NewJob(cfg)
+		size := func(r int) int { return 64 << (10 * (r % 2)) } // 64 B, 64 KiB
+		partners := func(me, n, r int) (dst, src int) {
+			d := 1 + r%3
+			return (me + d) % n, (me - d + n) % n
+		}
+		var mu sync.Mutex
+		var kernErr error
+		fail := func(err error) {
+			if err != nil {
+				mu.Lock()
+				kernErr = errors.Join(kernErr, err)
+				mu.Unlock()
+			}
+		}
+		job.SetCPUKernel(func(c *core.CPUCtx) {
+			for r := 0; r < rounds; r++ {
+				dst, src := partners(c.Rank(), c.Size(), r)
+				_, err := c.SendRecv(dst, make([]byte, size(r)), src, make([]byte, size(r)))
+				fail(err)
+			}
+		})
+		job.SetGPUSetup(func(gs *core.GPUSetup) {
+			gs.Args["send"] = gs.Dev.Mem().MustAlloc(64 << 10)
+			gs.Args["recv"] = gs.Dev.Mem().MustAlloc(64 << 10)
+		})
+		job.SetGPUKernel(1, 1, func(g *core.GPUCtx) {
+			send, recv := g.Arg("send").(device.Ptr), g.Arg("recv").(device.Ptr)
+			for r := 0; r < rounds; r++ {
+				dst, src := partners(g.Rank(0), g.Size(), r)
+				_, err := g.SendRecv(0, dst, send, size(r), src, recv, size(r))
+				fail(err)
+			}
+		})
+		rep, err := job.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kernErr != nil {
+			t.Fatal(kernErr)
+		}
+		if rep.PoolAcquires != rep.PoolReleases {
+			t.Errorf("%d rounds: pool leak: %d acquires vs %d releases", rounds, rep.PoolAcquires, rep.PoolReleases)
+		}
+		st := stats()
+		for kind, r := range st.Recycled {
+			if r.Held() != 0 {
+				t.Errorf("%d rounds: %s: %d handed out, %d given back: %d still held after the run", rounds, kind, r.Gets, r.Puts, r.Held())
+			}
+		}
+		return st
+	}
+	short, long := run(6), run(12)
+	for _, kind := range []string{"sendrecv-join", "match-entry", "send-req"} {
+		s, l := short.Recycled[kind], long.Recycled[kind]
+		if s.Gets == 0 || l.Gets <= s.Gets || l.Fresh != s.Fresh {
+			t.Errorf("%s: %d handed out, %d allocated over 6 rounds, %d and %d over 12: not bounded by what is in flight", kind, s.Gets, s.Fresh, l.Gets, l.Fresh)
+		}
+	}
 }
