@@ -14,6 +14,7 @@ package dcgn_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -175,7 +176,7 @@ var engineLanes = []struct {
 	// its own goroutine, as it does every window of the rows above.
 	{"sim-sharded", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Shards = 2 }), 749},
 	{"sim-onesided", 2 * laneIters, oneSidedLane, 892},
-	{"sim-triggered", laneIters, triggeredLane, 502},
+	{"sim-triggered", laneIters, triggeredLane, 425},
 }
 
 // twoSidedLane is the Send/Recv ping-pong of size-byte messages between two
@@ -376,11 +377,21 @@ func TestEngineAllocBudget(t *testing.T) {
 	// paper_eval's run, the paper's 65 cells, budgeted per run: what
 	// paper_eval's allocs_per_op counts, 65 times over, at a size `go test`
 	// runs.
-	check("evaluate per run", evaluateAllocs, func() {
+	evaluate := func() {
 		if _, err := apps.Evaluate(); err != nil {
 			t.Fatal(err)
 		}
-	}, 1)
+	}
+	check("evaluate per run", evaluateAllocs, evaluate, 1)
+	// And its bytes, which the count does not see: a 1 MiB frame back in a
+	// 2 MiB class, or device blocks backed before anything touches them.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	evaluate()
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > evaluateMB {
+		t.Errorf("evaluate per run: %.1f MB allocated, budget %.1f MB", mb, evaluateMB)
+	}
 }
 
 // evaluateAllocs is TestEngineAllocBudget's budget for one apps.Evaluate:
@@ -388,6 +399,10 @@ func TestEngineAllocBudget(t *testing.T) {
 // allocs_per_op bound — 20% would let one engine daemon per node go back to
 // a coroutine worker unseen.
 const evaluateAllocs = 49213
+
+// evaluateMB is its byte budget: the 152.9 MB one run allocated (Go 1.24,
+// linux/amd64), plus 6%, paper_eval's alloc_kb_per_op bound.
+const evaluateMB = 162.1
 
 func sizeName(n int) string {
 	switch {

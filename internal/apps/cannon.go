@@ -91,13 +91,13 @@ func cannonInputs(cc CannonConfig, q int) func(r, c int) (aChunk, bChunk []byte)
 	}
 }
 
+// chunkFLOPs is the flop count of one n x n chunk multiply-add.
+func chunkFLOPs(n int) float64 { return 2 * float64(n) * float64(n) * float64(n) }
+
 // chunkMultiplyAdd performs cChunk += aChunk x bChunk over n x n float32
-// chunks and returns the flop count charged.
-func chunkMultiplyAdd(n int, aChunk, bChunk, cChunk []byte, realMath bool) float64 {
-	flops := 2 * float64(n) * float64(n) * float64(n)
-	if !realMath {
-		return flops
-	}
+// chunks. Only a RealMath run calls it: without it no kernel takes the
+// chunks' bytes, so C, which nothing copies in, is never backed.
+func chunkMultiplyAdd(n int, aChunk, bChunk, cChunk []byte) {
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
 			av := getF32(aChunk[4*(i*n+k):])
@@ -110,7 +110,6 @@ func chunkMultiplyAdd(n int, aChunk, bChunk, cChunk []byte, realMath bool) float
 			}
 		}
 	}
-	return flops
 }
 
 // cannonVerify checks assembled C chunks against a direct multiply.
@@ -192,11 +191,11 @@ func CannonDCGN(cfg core.Config, cc CannonConfig) (CannonResult, error) {
 			start = g.Block().Proc().Now()
 		}
 		for stage := 0; stage < q; stage++ {
-			flops := chunkMultiplyAdd(n,
-				g.Block().Bytes(aPtr, chunkBytes),
-				g.Block().Bytes(bPtr, chunkBytes),
-				g.Block().Bytes(cPtr, chunkBytes), cc.RealMath)
-			g.Block().ChargeTime(cc.matmulTime(flops, gflops))
+			if cc.RealMath {
+				b := g.Block()
+				chunkMultiplyAdd(n, b.Bytes(aPtr, chunkBytes), b.Bytes(bPtr, chunkBytes), b.Bytes(cPtr, chunkBytes))
+			}
+			g.Block().ChargeTime(cc.matmulTime(chunkFLOPs(n), gflops))
 			if stage == q-1 {
 				break
 			}
@@ -270,10 +269,10 @@ func CannonGAS(cfg gas.Config, cc CannonConfig) (CannonResult, error) {
 		}
 		for stage := 0; stage < q; stage++ {
 			w.LaunchSync(1, 8, func(b *device.Block) {
-				flops := chunkMultiplyAdd(n,
-					b.Bytes(aPtr, chunkBytes), b.Bytes(bPtr, chunkBytes),
-					b.Bytes(cPtr, chunkBytes), cc.RealMath)
-				b.ChargeTime(cc.matmulTime(flops, gflops))
+				if cc.RealMath {
+					chunkMultiplyAdd(n, b.Bytes(aPtr, chunkBytes), b.Bytes(bPtr, chunkBytes), b.Bytes(cPtr, chunkBytes))
+				}
+				b.ChargeTime(cc.matmulTime(chunkFLOPs(n), gflops))
 			})
 			if stage == q-1 {
 				break
@@ -314,8 +313,7 @@ func MatmulSingleGPU(cfg gas.Config, cc CannonConfig) (CannonResult, error) {
 	_, err := gas.Run(cfg, func(w *gas.Worker) {
 		start = w.P.Now()
 		w.LaunchSync(1, 8, func(b *device.Block) {
-			flops := 2 * float64(cc.N) * float64(cc.N) * float64(cc.N)
-			b.ChargeTime(cc.matmulTime(flops, gflops))
+			b.ChargeTime(cc.matmulTime(chunkFLOPs(cc.N), gflops))
 		})
 		end = w.P.Now()
 	})
@@ -334,10 +332,9 @@ func cannonResult(cc CannonConfig, q, targets int, start time.Duration, ends map
 		}
 	}
 	elapsed := last - start
-	flops := 2 * float64(cc.N) * float64(cc.N) * float64(cc.N)
 	res := CannonResult{Elapsed: elapsed, Targets: targets}
 	if elapsed > 0 {
-		res.GFLOPS = flops / elapsed.Seconds() / 1e9
+		res.GFLOPS = chunkFLOPs(cc.N) / elapsed.Seconds() / 1e9
 	}
 	if cc.RealMath && len(cChunks) == targets {
 		res.Verified = cannonVerify(cc, q, cChunks)

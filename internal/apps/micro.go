@@ -67,16 +67,15 @@ func DCGNSendOneWayReport(cfg core.Config, src, dst Endpoint, size int) (time.Du
 	}
 
 	job.SetCPUKernel(func(c *core.CPUCtx) {
-		buf := make([]byte, size)
 		switch c.Rank() {
 		case srcRank:
 			c.Compute(warmup)
 			tStart = c.Now()
-			if err := c.Send(dstRank, buf); err != nil {
+			if err := c.Send(dstRank, make([]byte, size)); err != nil {
 				panic(err)
 			}
 		case dstRank:
-			if _, err := c.Recv(srcRank, buf); err != nil {
+			if _, err := c.Recv(srcRank, make([]byte, size)); err != nil {
 				panic(err)
 			}
 			tEnd = c.Now()

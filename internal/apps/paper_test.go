@@ -298,3 +298,16 @@ func residualsMarkdown(p Paper) string {
 	fmt.Fprintf(&m, "\nMean |residual| (`model_err_pct`): **%.2f %%**.\n", p.ModelErrPct)
 	return m.String()
 }
+
+// BenchmarkEvaluate runs the paper's evaluation, all 65 cells, once per
+// iteration: what paper_eval times, at the size `go test` runs. Its B/op is
+// the bytes one run allocates (TestEngineAllocBudget's evaluateMB holds
+// them); `make allocprof` prints where they come from.
+func BenchmarkEvaluate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Evaluate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -17,18 +17,34 @@
 //     fully overwrites the prefix it asked for. This is deliberate — the
 //     golden determinism suite checksums results, so a consumer that ever
 //     read stale bytes would fail loudly.
+//   - Header room. A class of 128 KiB and up holds 2^k + headerRoom bytes,
+//     so a power-of-two payload plus a wire-frame header (at most 88 bytes)
+//     fits its payload's class: a 1 MiB message's frame takes 1 MiB + 128,
+//     not 2 MiB. Smaller classes are exact powers of two: there the
+//     allocator would round 2^k + 128 up by 12 to 25 % (its size classes,
+//     or a whole 8 KiB page), which every message that is not a power of
+//     two would pay.
 package bufpool
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 const (
 	// minClassBits is the smallest class (64 B) — below that, slack from
 	// rounding up dominates and the allocator's size classes are fine.
 	minClassBits = 6
-	// maxClassBits caps pooled buffers at 128 MB. Larger requests fall
-	// through to the allocator and are not pooled.
+	// maxClassBits caps pooled buffers at 128 MB (plus header room).
+	// Larger requests fall through to the allocator and are not pooled.
 	maxClassBits = 27
 	numClasses   = maxClassBits - minClassBits + 1
+	// roomClassBits is the smallest class with header room, and headerRoom
+	// the room: the largest frame header (88 bytes), rounded up.
+	roomClassBits = 17
+	headerRoom    = 128
+	// maxPooled is the largest pooled request, the top class's capacity.
+	maxPooled = 1<<maxClassBits + headerRoom
 )
 
 // Pool is a size-classed free list of byte buffers. The zero value is not
@@ -45,31 +61,40 @@ type Pool struct {
 // New creates an empty pool.
 func New() *Pool { return &Pool{} }
 
+// classCap returns class c's capacity.
+func classCap(c int) int {
+	n := 1 << (minClassBits + c)
+	if c >= roomClassBits-minClassBits {
+		n += headerRoom
+	}
+	return n
+}
+
 // classFor returns the smallest class index whose capacity holds n bytes,
 // or -1 if n is too large to pool.
 func classFor(n int) int {
-	if n > 1<<maxClassBits {
+	switch {
+	case n > maxPooled:
 		return -1
+	case n <= 1<<minClassBits:
+		return 0
+	case n <= 1<<(roomClassBits-1):
+		return bits.Len(uint(n-1)) - minClassBits
 	}
-	c := 0
-	for 1<<(minClassBits+c) < n {
-		c++
-	}
-	return c
+	return max(bits.Len(uint(n-headerRoom-1)), roomClassBits) - minClassBits
 }
 
 // classOf returns the class index whose capacity is exactly cap(b), or -1
 // if the buffer did not come from this pool's size classes.
 func classOf(b []byte) int {
 	c := cap(b)
-	if c < 1<<minClassBits || c > 1<<maxClassBits || c&(c-1) != 0 {
+	if c < 1<<minClassBits || c > maxPooled {
 		return -1
 	}
-	idx := 0
-	for 1<<(minClassBits+idx) < c {
-		idx++
+	if idx := classFor(c); classCap(idx) == c {
+		return idx
 	}
-	return idx
+	return -1
 }
 
 // Get returns a buffer with len n and capacity of n's size class. The
@@ -100,7 +125,7 @@ func (p *Pool) Get(n int) []byte {
 		return b[:n]
 	}
 	p.mu.Unlock()
-	return make([]byte, n, 1<<(minClassBits+cls))
+	return make([]byte, n, classCap(cls))
 }
 
 // Put returns a buffer to the pool. nil and zero-capacity buffers are

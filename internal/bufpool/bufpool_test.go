@@ -1,10 +1,13 @@
 package bufpool
 
 import (
+	"math/bits"
 	"sync"
 	"testing"
 )
 
+// TestClassSizing pins the class table: powers of two below 128 KiB,
+// 2^k + 128 from there up to the 128 MB top class.
 func TestClassSizing(t *testing.T) {
 	p := New()
 	cases := []struct{ n, wantCap int }{
@@ -13,8 +16,16 @@ func TestClassSizing(t *testing.T) {
 		{65, 128},
 		{1000, 1024},
 		{4096, 4096},
-		{64 << 20, 64 << 20},
-		{(64 << 20) + 24, 128 << 20},
+		{4096 + 24, 8192},
+		{64 << 10, 64 << 10},
+		{64<<10 + 1, 128<<10 + 128},
+		{128 << 10, 128<<10 + 128},
+		{128<<10 + 128, 128<<10 + 128},
+		{128<<10 + 129, 256<<10 + 128},
+		{64 << 20, 64<<20 + 128},
+		{(64 << 20) + 24, 64<<20 + 128},
+		{(64 << 20) + 129, 128<<20 + 128},
+		{128<<20 + 128, 128<<20 + 128},
 	}
 	for _, c := range cases {
 		b := p.Get(c.n)
@@ -22,6 +33,36 @@ func TestClassSizing(t *testing.T) {
 			t.Errorf("Get(%d): len %d cap %d, want len %d cap %d", c.n, len(b), cap(b), c.n, c.wantCap)
 		}
 		p.Put(b)
+	}
+}
+
+// A power-of-two payload of 128 KiB to 64 MiB plus the largest frame
+// header (88 bytes) lands in the payload's own class; every class below
+// 128 KiB is the power of two it always was; and every class is its own
+// capacity's class.
+func TestClassHeaderRoom(t *testing.T) {
+	const maxHeader = 88
+	for k := roomClassBits; k <= 26; k++ {
+		n := 1 << k
+		if got, want := classFor(n+maxHeader), classFor(n); got != want {
+			t.Errorf("2^%d + %d bytes: class %d, the payload's is %d", k, maxHeader, got, want)
+		}
+		if c := classCap(classFor(n)); c != n+headerRoom {
+			t.Errorf("2^%d bytes: class capacity %d, want %d", k, c, n+headerRoom)
+		}
+	}
+	for n := 1; n <= 1<<(roomClassBits-1); n++ {
+		if c, want := classCap(classFor(n)), max(64, 1<<bits.Len(uint(n-1))); c != want {
+			t.Fatalf("%d bytes: class capacity %d, want %d", n, c, want)
+		}
+	}
+	for c := 0; c < numClasses; c++ {
+		if got := classOf(make([]byte, 0, classCap(c))); got != c {
+			t.Errorf("classOf(cap %d) = %d, want %d", classCap(c), got, c)
+		}
+		if got := classOf(make([]byte, 0, classCap(c)-1)); got != -1 {
+			t.Errorf("classOf(cap %d) = %d, want -1", classCap(c)-1, got)
+		}
 	}
 }
 
@@ -61,7 +102,7 @@ func TestReuse(t *testing.T) {
 
 func TestOversizeFallsThrough(t *testing.T) {
 	p := New()
-	n := (128 << 20) + 1
+	n := maxPooled + 1
 	b := p.Get(n)
 	if len(b) != n {
 		t.Fatalf("len = %d, want %d", len(b), n)
@@ -80,15 +121,17 @@ func TestOversizeFallsThrough(t *testing.T) {
 
 func TestForeignCapacityDropped(t *testing.T) {
 	p := New()
-	p.Put(make([]byte, 100)) // cap 100 is not a size class
-	if p.Releases() != 1 {
-		t.Fatalf("releases = %d, want 1", p.Releases())
+	p.Put(make([]byte, 100))  // cap 100 is not a size class
+	p.Put(make([]byte, 4096)) // nor, with header room, is 4096
+	if p.Releases() != 2 {
+		t.Fatalf("releases = %d, want 2", p.Releases())
 	}
-	b := p.Get(100)
+	b, b2 := p.Get(100), p.Get(128<<10)
 	if p.Hits() != 0 {
 		t.Fatal("foreign-capacity buffer was pooled")
 	}
 	p.Put(b)
+	p.Put(b2)
 }
 
 // TestConcurrent exercises the pool from many goroutines at once; run

@@ -135,7 +135,9 @@ type frame struct {
 }
 
 // packFrame builds header+payload for f in a pooled buffer, which the
-// sender hands to its lane's transmit.
+// sender hands to its lane's transmit. No header outgrows bufpool's header
+// room, so the frame of a power-of-two payload of 128 KiB or more is 128
+// bytes over it, not twice it.
 func packFrame(pool *bufpool.Pool, l layout, f *frame) []byte {
 	hdr := l.hdrLen(f.kind)
 	msg := pool.Get(hdr + len(f.payload))

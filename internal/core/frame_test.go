@@ -99,12 +99,24 @@ func TestFrameLengths(t *testing.T) {
 		{one, false, false, kindFetchRep, 72},
 	}
 	pool := bufpool.New()
+	// A 1 MiB payload's frame takes bufpool's header-room class, 128 bytes
+	// more than the payload, whatever its header. Acks carry no payload.
+	big := make([]byte, 1<<20)
 	for _, r := range rows {
 		fl := frameLane{r.oneSided, r.reliable, r.flows}
 		f := sampleFrame(fl, r.kind, nil)
 		if got := len(packFrame(pool, fl.layout(), &f)); got != r.want {
 			t.Errorf("%+v kind %d: %d header bytes on the wire, want %d", fl, r.kind, got, r.want)
 		}
+		if r.kind == kindAck {
+			continue
+		}
+		f = sampleFrame(fl, r.kind, big)
+		msg := packFrame(pool, fl.layout(), &f)
+		if cap(msg) != len(big)+128 {
+			t.Errorf("%+v kind %d: a 1 MiB payload's frame takes %d bytes", fl, r.kind, cap(msg))
+		}
+		pool.Put(msg)
 	}
 }
 

@@ -387,7 +387,7 @@ func (gt *gpuThread) relayStep(p *sim.Proc, ss *slotState) bool {
 		fallthrough
 	case atStage:
 		if ss.xfer {
-			copy(ss.xbuf, gt.dev.Bytes(ss.xptr, len(ss.xbuf)))
+			gt.dev.Mem().Read(ss.xptr, ss.xbuf)
 			ss.xbuf, ss.xfer = nil, false
 			gt.stageRecv(ss)
 		}
@@ -481,7 +481,8 @@ func (gt *gpuThread) stageRecv(ss *slotState) {
 // into req.buf (Fig. 2 step 1). For a peer on another node that staging
 // buffer is the wire frame itself: the payload lands behind room for the
 // data header, which handleSend writes in place, so no host copy comes
-// between the PCIe transfer and the wire.
+// between the PCIe transfer and the wire. bufpool's header-room classes
+// hold the header: a 1 MiB send stages in 1 MiB + 128 bytes, not 2 MiB.
 func (gt *gpuThread) stageSend(ss *slotState, req *request) {
 	req.sendFrame = gt.ns.job.rmap.Node(req.peer) != gt.ns.node
 	off := 0

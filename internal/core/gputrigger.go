@@ -58,25 +58,26 @@ type trigSlot struct {
 	idx  int
 	mb   device.Ptr
 	busy bool
-	// done is the entry's operation's completion, made again for each.
+	// done is the entry's operation's completion, and tk its doorbell ring:
+	// both made again for each.
 	done sim.Event
+	tk   trigToken
 }
 
 // osPersist is one registered persistent triggered put: the NIC holds the
 // descriptor host-side, so a fire is a bare doorbell — no descriptor
 // fetch, no PCIe control trip. Completion is counted, with TriggerDrain
 // as the fence; one draining block per descriptor at a time (same
-// single-driver convention as mailbox slots).
+// single-driver convention as mailbox slots), so the fence lives in fenceEv.
 type osPersist struct {
 	srcRank, dstRank, winID, offset int
 	ptr                             device.Ptr
 	size                            int
 
-	mu        sync.Mutex
-	fired     int64
-	completed int64
-	fence     completion
-	fenceAt   int64
+	mu                        sync.Mutex
+	fired, completed, fenceAt int64
+	fence                     completion
+	fenceEv                   sim.Event
 }
 
 // completeOne counts one finished fire and releases a drain fence whose
@@ -97,7 +98,8 @@ func (pp *osPersist) completeOne() {
 
 // trigToken is one doorbell ring: either a dynamic ring entry (ss) or a
 // persistent descriptor (pp). firedAt timestamps the device-side enqueue
-// for the enqueue→fire histogram.
+// for the enqueue→fire histogram. A ring entry's lives in its trigSlot; a
+// persistent fire's is its own, since fires of one descriptor queue up.
 type trigToken struct {
 	ss      *trigSlot
 	pp      *osPersist
@@ -205,7 +207,7 @@ func (n *gpuNIC) step(h transport.Proc) bool {
 			gt.xferStep(p, true, len(n.f.payload))
 			return false
 		case nicStage:
-			copy(n.f.payload, gt.dev.Bytes(n.ptr, len(n.f.payload)))
+			gt.dev.Mem().Read(n.ptr, n.f.payload)
 			if dstNode := ns.job.rmap.Node(n.f.dst); dstNode != ns.node {
 				n.f.os.postedNs = int64(p.Now())
 				msg := ns.osPack(dstNode, &n.f)
@@ -293,10 +295,10 @@ func (g *GPUCtx) TriggerPut(ring, srcSlot, dst, winID, offset int, ptr device.Pt
 	le.PutUint64(desc[tdOffset:], uint64(int64(offset)))
 	le.PutUint64(desc[tdPtr:], uint64(ptr))
 	le.PutUint64(desc[tdSize:], uint64(n))
-	ss.busy = true
 	gt.ns.sim.InitEventID(&ss.done, "trig-done", srcRank)
+	ss.busy, ss.tk = true, trigToken{ss: ss, firedAt: g.b.Proc().Now()}
 	le.PutUint32(desc[tdStatus:], 1)
-	gt.trigQ.Put(&trigToken{ss: ss, firedAt: g.b.Proc().Now()})
+	gt.trigQ.Put(&ss.tk)
 }
 
 // TriggerFence blocks the calling block until the triggered operation in
@@ -337,9 +339,8 @@ func (g *GPUCtx) TriggerDrain(pid int) {
 		pp.mu.Unlock()
 		return
 	}
-	pp.fence = gt.ns.rt.NewEventID("trig-drain", pp.srcRank)
-	pp.fenceAt = pp.fired
-	ev := pp.fence
+	ev := gt.ns.rt.EventIn(&pp.fenceEv, "trig-drain", pp.srcRank)
+	pp.fence, pp.fenceAt = ev, pp.fired
 	pp.mu.Unlock()
 	ev.Wait(g.b.Proc())
 }

@@ -356,7 +356,7 @@ func (ns *nodeState) osTargetEnd(t *osTargetOp, f *frame) {
 		w.accumulate(off, AtomicOp(f.os.aux), f.payload[:8*t.n])
 	case kindGetReq:
 		if t.n > 0 && w.host == nil {
-			copy(t.reply, w.gt.dev.Bytes(w.ptr+device.Ptr(off), t.n))
+			w.gt.dev.Mem().Read(w.ptr+device.Ptr(off), t.reply[:t.n])
 		}
 	case kindFetchReq:
 		t.reply = ns.job.pool.Get(8)

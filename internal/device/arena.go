@@ -33,18 +33,21 @@ type span struct {
 	len int64
 }
 
-// block is one live allocation: its base offset and its host backing, as
-// long as the allocation's rounded size.
+// block is one live allocation: its base offset, its rounded size and its
+// host backing, as long as size once made and nil until the first access.
 type block struct {
-	off  int64
-	data []byte
+	off, size int64
+	data      []byte
 }
 
 // Arena is a first-fit allocator over a device address space. Only what is
-// allocated has host backing, so an arena costs the host what its program
-// allocates, whatever its size. Every allocation gets fresh zeroed backing
-// (memory handed out again reads zero) that never moves once handed out.
-// All methods are called from simulated procs only, so no locking is needed.
+// touched has host backing: an allocation's fresh zeroed backing is made on
+// its first Bytes, not at Alloc, so an arena costs the host what its
+// program reads and writes, whatever its size and however much it
+// allocates. Backing never moves once made, so slices of one allocation
+// alias, and memory handed out again reads zero. All methods are called
+// from simulated procs only (Bytes too writes arena state), so no locking
+// is needed.
 type Arena struct {
 	free   []span  // sorted by offset, coalesced
 	blocks []block // live allocations, sorted by offset
@@ -106,7 +109,7 @@ func (a *Arena) Alloc(n int) (Ptr, error) {
 			} else {
 				a.free[i] = span{off: s.off + need, len: s.len - need}
 			}
-			a.blocks = slices.Insert(a.blocks, a.find(s.off)+1, block{off: s.off, data: a.backing(need)})
+			a.blocks = slices.Insert(a.blocks, a.find(s.off)+1, block{off: s.off, size: need})
 			return Ptr(s.off), nil
 		}
 	}
@@ -136,9 +139,9 @@ func (a *Arena) MustAlloc(n int) Ptr {
 	return p
 }
 
-// Free releases an allocation made by Alloc, backing and all. Freeing Null
-// is a no-op; freeing an unknown pointer panics (it indicates memory
-// corruption in the simulated program).
+// Free releases an allocation made by Alloc, backing and all (an untouched
+// one has none). Freeing Null is a no-op; freeing an unknown pointer panics
+// (it indicates memory corruption in the simulated program).
 func (a *Arena) Free(p Ptr) {
 	if p == Null {
 		return
@@ -147,7 +150,7 @@ func (a *Arena) Free(p Ptr) {
 	if i < 0 || a.blocks[i].off != int64(p) {
 		panic(fmt.Sprintf("device: free of unallocated pointer %#x", int64(p)))
 	}
-	s := span{off: int64(p), len: int64(len(a.blocks[i].data))}
+	s := span{off: int64(p), len: a.blocks[i].size}
 	a.blocks = slices.Delete(a.blocks, i, i+1)
 	// Insert sorted and coalesce with neighbours.
 	j := sort.Search(len(a.free), func(j int) bool { return a.free[j].off > s.off })
@@ -185,13 +188,35 @@ func (a *Arena) find(off int64) int {
 	return lo - 1
 }
 
-// Bytes returns the n-byte slice of device memory at p. An access that is
+// Bytes returns the n-byte slice of device memory at p, backing its
+// allocation if this is the allocation's first access. An access that is
 // not within one live allocation panics like a device segfault would.
 func (a *Arena) Bytes(p Ptr, n int) []byte {
+	b, lo := a.access(p, n)
+	if b.data == nil {
+		b.data = a.backing(b.size)
+	}
+	return b.data[lo : lo+int64(n)]
+}
+
+// Read copies the len(dst) bytes of device memory at p into dst: a read
+// that, unlike Bytes, leaves an allocation never touched unbacked and
+// zeroes dst. It faults as Bytes does.
+func (a *Arena) Read(p Ptr, dst []byte) {
+	if b, lo := a.access(p, len(dst)); b.data != nil {
+		copy(dst, b.data[lo:])
+	} else {
+		clear(dst)
+	}
+}
+
+// access returns the live allocation that holds the n bytes at p and p's
+// offset into it, or faults.
+func (a *Arena) access(p Ptr, n int) (*block, int64) {
 	if i := a.find(int64(p)); i >= 0 && n >= 0 {
-		b := a.blocks[i]
-		if lo := int64(p) - b.off; lo+int64(n) <= int64(len(b.data)) {
-			return b.data[lo : lo+int64(n)]
+		b := &a.blocks[i]
+		if lo := int64(p) - b.off; lo+int64(n) <= b.size {
+			return b, lo
 		}
 	}
 	panic(fmt.Sprintf("device: invalid memory access ptr=%#x len=%d", int64(p), n))

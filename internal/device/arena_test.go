@@ -195,6 +195,66 @@ func TestArenaHostCost(t *testing.T) {
 	}
 }
 
+// hostBytes returns the host bytes f allocates.
+func hostBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A block is backed on its first Bytes, not at Alloc: one never touched
+// costs the host nothing, reads zero through CopyOut without being backed,
+// and frees like any other; once backed it stays put, so its slices alias.
+func TestArenaBacksOnFirstTouch(t *testing.T) {
+	const n, small = 1 << 20, 4 << 10
+	cfg := testCfg()
+	cfg.MemBytes = 4 * n
+	d := New(sim.New(), cfg)
+	a := d.Mem()
+	var p Ptr
+	if got := hostBytes(func() { p = a.MustAlloc(n) }); got >= small {
+		t.Fatalf("Alloc(1 MiB): %d host bytes before any access", got)
+	}
+	dst := make([]byte, n)
+	for i := range dst {
+		dst[i] = 0xAB
+	}
+	if got := hostBytes(func() { d.CopyOut(nil, &fakeBus{}, p, dst) }); got >= small {
+		t.Fatalf("CopyOut of an untouched block: %d host bytes", got)
+	}
+	if i := slices.IndexFunc(dst, func(b byte) bool { return b != 0 }); i >= 0 {
+		t.Fatalf("CopyOut of an untouched block: byte %d reads %#x", i, dst[i])
+	}
+	var x, y []byte
+	if got := hostBytes(func() { x = a.Bytes(p, n) }); got < n {
+		t.Fatalf("first Bytes: %d host bytes, want the block's %d", got, n)
+	}
+	if got := hostBytes(func() { y = a.Bytes(p+allocAlign, 8) }); got >= small {
+		t.Fatalf("second Bytes backed again: %d host bytes", got)
+	}
+	x[allocAlign] = 7
+	if y[0] != 7 {
+		t.Fatal("two slices of one block do not alias")
+	}
+	d.CopyOut(nil, &fakeBus{}, p+allocAlign, dst[:1])
+	if dst[0] != 7 {
+		t.Fatalf("CopyOut of a touched block reads %d, want 7", dst[0])
+	}
+
+	q := a.MustAlloc(n)
+	free := a.FreeBytes()
+	a.Free(q) // never touched
+	if a.FreeBytes() != free+n || a.LiveAllocs() != 1 {
+		t.Fatalf("Free of an untouched block: %d free bytes, %d live", a.FreeBytes(), a.LiveAllocs())
+	}
+	mustFault(t, "access to a freed untouched block", func() { a.Bytes(q, 1) })
+	mustFault(t, "CopyOut past an untouched block", func() {
+		d.CopyOut(nil, &fakeBus{}, a.MustAlloc(100), make([]byte, allocAlign+1))
+	})
+}
+
 func TestArenaZeroSizeAllocRejected(t *testing.T) {
 	a := NewArena(1 << 12)
 	if _, err := a.Alloc(0); err == nil {

@@ -52,8 +52,9 @@ type Config struct {
 
 // DefaultConfig models a 2008-era NVIDIA G92: 16 SMs, 8 cores each,
 // ~500 GFLOPS peak. Its 64 MB MemBytes is a model number (the address space
-// allocations may fail against), not a host cost: the host backs only what
-// is allocated, so a job that needs the G92's full 512 MB asks for it.
+// allocations may fail against), not a host cost: the host backs an
+// allocation only once something touches it, so a job that needs the G92's
+// full 512 MB asks for it.
 func DefaultConfig(name string) Config {
 	return Config{
 		Name:        name,
@@ -278,8 +279,9 @@ func (d *Device) CopyIn(p *sim.Proc, bus BusLike, ptr Ptr, src []byte) {
 }
 
 // CopyOut copies device memory at ptr into host bytes over the bus
-// (cudaMemcpy device-to-host).
+// (cudaMemcpy device-to-host). Memory never touched reads zero and stays
+// unbacked.
 func (d *Device) CopyOut(p *sim.Proc, bus BusLike, ptr Ptr, dst []byte) {
 	bus.Up(p, len(dst))
-	copy(dst, d.Bytes(ptr, len(dst)))
+	d.mem.Read(ptr, dst)
 }

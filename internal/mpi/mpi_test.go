@@ -302,19 +302,72 @@ func TestSendrecvNoDeadlock(t *testing.T) {
 	})
 }
 
+// SendrecvReplace exchanges in place at an eager and a rendezvous size,
+// finishes when a Sendrecv into a second buffer does, and gives back every
+// staging buffer it takes.
 func TestSendrecvReplace(t *testing.T) {
+	for _, n := range []int{100, 64_000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			var ends [2]time.Duration
+			for i, replace := range []bool{true, false} {
+				s := sim.New()
+				w := testWorld(s, 2, 2)
+				runRanks(t, w, func(p *sim.Proc, r *Rank) {
+					other := 1 - r.ID()
+					buf := fill(n, byte(10+r.ID()))
+					var st Status
+					var err error
+					if replace {
+						st, err = r.SendrecvReplace(p, buf, other, 0, other, 0)
+					} else {
+						in := make([]byte, n)
+						st, err = r.Sendrecv(p, buf, other, 0, in, other, 0)
+						buf = in
+					}
+					if err != nil || st.Count != n || st.Source != other {
+						t.Errorf("rank %d: status %+v, err %v", r.ID(), st, err)
+					}
+					if !bytes.Equal(buf, fill(n, byte(10+other))) {
+						t.Error("replace exchange corrupted")
+					}
+					ends[i] = max(ends[i], p.Now())
+				})
+				if out := w.Pool().Outstanding(); out != 0 {
+					t.Errorf("%d staging buffers outstanding", out)
+				}
+			}
+			if ends[0] != ends[1] {
+				t.Errorf("SendrecvReplace ends at %v, Sendrecv at %v", ends[0], ends[1])
+			}
+		})
+	}
+}
+
+// A message longer than the buffer is ErrTruncate and leaves the buffer as
+// it was; a shorter one replaces only its own prefix.
+func TestSendrecvReplaceTruncate(t *testing.T) {
 	s := sim.New()
 	w := testWorld(s, 2, 2)
 	runRanks(t, w, func(p *sim.Proc, r *Rank) {
 		other := 1 - r.ID()
-		buf := fill(64_000, byte(10+r.ID()))
-		if _, err := r.SendrecvReplace(p, buf, other, 0, other, 0); err != nil {
-			t.Error(err)
-		}
-		if !bytes.Equal(buf, fill(64_000, byte(10+other))) {
-			t.Error("replace exchange corrupted")
+		n := []int{100, 10}[r.ID()]
+		buf := fill(n, byte(10+r.ID()))
+		st, err := r.SendrecvReplace(p, buf, other, 0, other, 0)
+		switch r.ID() {
+		case 0:
+			want := append(fill(10, 11), fill(100, 10)[10:]...)
+			if err != nil || st.Count != 10 || !bytes.Equal(buf, want) {
+				t.Errorf("short message: count %d, err %v, buf %v", st.Count, err, buf)
+			}
+		case 1:
+			if err != ErrTruncate || st.Count != 10 || !bytes.Equal(buf, fill(10, 11)) {
+				t.Errorf("long message: count %d, err %v, buf %v", st.Count, err, buf)
+			}
 		}
 	})
+	if out := w.Pool().Outstanding(); out != 0 {
+		t.Errorf("%d staging buffers outstanding", out)
+	}
 }
 
 func TestSelfSendEager(t *testing.T) {

@@ -266,23 +266,35 @@ func (r *Rank) RecvMsg(p *sim.Proc, src, tag int) (Status, []byte, error) {
 // the deadlock-free exchange primitive.
 func (r *Rank) Sendrecv(p *sim.Proc, sendBuf []byte, dst, sendTag int, recvBuf []byte, src, recvTag int) (Status, error) {
 	op := RecvOp{r: r, rr: recvReq{buf: recvBuf, src: src, tag: recvTag}}
-	for !op.step(p, false) {
-		p.Await()
-	}
-	r.Send(p, sendBuf, dst, sendTag)
-	r.await(p, &op)
+	r.sendrecv(p, &op, sendBuf, dst, sendTag)
 	return op.rr.stat, op.rr.err
 }
 
-// SendrecvReplace exchanges buf with a partner in place, the primitive
-// Cannon's algorithm rotates matrix chunks with (paper §4).
-func (r *Rank) SendrecvReplace(p *sim.Proc, buf []byte, dst, sendTag, src, recvTag int) (Status, error) {
-	tmp := r.stagingPool().Get(len(buf))
-	defer r.stagingPool().Put(tmp)
-	st, err := r.Sendrecv(p, buf, dst, sendTag, tmp, src, recvTag)
-	if err != nil {
-		return st, err
+// sendrecv posts the receive op, sends buf to dst with tag and waits for
+// the receive.
+func (r *Rank) sendrecv(p *sim.Proc, op *RecvOp, buf []byte, dst, tag int) {
+	for !op.step(p, false) {
+		p.Await()
 	}
-	copy(buf, tmp[:st.Count])
+	r.Send(p, buf, dst, tag)
+	r.await(p, op)
+}
+
+// SendrecvReplace exchanges buf with a partner in place, the primitive
+// Cannon's algorithm rotates matrix chunks with (paper §4). It is Sendrecv
+// with a take-ownership receive (RecvMsg): the send stages its copy of buf,
+// the arrived payload is copied into buf once the exchange is over, and no
+// second buffer is needed. Modeled costs and timing are Sendrecv's. A
+// message longer than buf reports ErrTruncate and leaves buf unchanged.
+func (r *Rank) SendrecvReplace(p *sim.Proc, buf []byte, dst, sendTag, src, recvTag int) (Status, error) {
+	op := r.RecvMsgOp(src, recvTag)
+	r.sendrecv(p, &op, buf, dst, sendTag)
+	st, data, _ := op.Result() // a take-ownership receive reports no error
+	defer r.stagingPool().Put(data)
+	if len(data) > len(buf) {
+		st.Count = len(buf)
+		return st, ErrTruncate
+	}
+	copy(buf, data)
 	return st, nil
 }
