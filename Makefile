@@ -73,13 +73,15 @@ race:
 # Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
 # every lane layout, starting from the committed corpus
 # (internal/core/testdata/fuzz), ten at the trace decoder behind
-# loadgen.LoadTrace, and ten at the collective op, run on both backends
-# (internal/transport/testdata/fuzz). (The corpora themselves replay in
-# `test`.)
+# loadgen.LoadTrace, ten at the collective op, run on both backends
+# (internal/transport/testdata/fuzz), and ten at the simulator's event
+# queue, checked against a sorted reference (internal/sim/testdata/fuzz).
+# (The corpora themselves replay in `test`.)
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzUnpackFrame -fuzztime 10s
 	$(GO) test ./internal/loadgen -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzCollOp -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s
 
 # Bench smoke: every benchmark runs exactly once so they can't bit-rot.
 bench:
@@ -107,7 +109,8 @@ benchmark-gate:
 # Not a gate: what a change to internal/core or below moved in virtual time.
 # Every workload's traced pass once on this tree and twice on BASE; each
 # metric the two parent runs agree on to the last bit (virtual times, counts
-# per op, phase shares) that reads differently here is printed. ~4 min.
+# per op, phase shares) that reads differently here is printed, and the host
+# buffer pool's counts on a line of their own. ~4 min.
 virtual-diff:
 	@$(CHECK) virtual-diff BENCHMARK.json $(BASE) $(OUT)/virtual-diff
 
@@ -247,9 +250,15 @@ flows:
 # take-ownership receive, so it stages no second buffer and a truncated
 # message leaves the buffer as it was (1197); apps computes a Cannon chunk
 # only under RealMath (1997).
+# Then raised by an event queue shaped to its traffic: sim keeps timers in
+# FIFO delay lanes whose heads share the 4-ary heap (the lane table, and a
+# push and a pop that go to a lane or put its next timer in the heap) and
+# arrivals as 24-byte keys over a slab of records (1526); core makes the
+# one-sided and reliability waits' events in their waiters, and gives the
+# lines back (5323).
 LOC_CEILINGS = internal/core:5323:31 internal/transport:188:0 internal/transport/faults:179:0 \
 	internal/transport/simmpi:111:2 internal/transport/live:307:2 internal/obs:602:0 \
-	internal/sim:1444:19 internal/fabric:452:17 internal/mpi:1197:17 \
+	internal/sim:1526:19 internal/fabric:452:17 internal/mpi:1197:17 \
 	internal/pcie:66:1 internal/device:311:7 internal/gas:118:3 internal/apps:1997:38 \
 	cmd/dcgn-mandel:118:0
 loc:

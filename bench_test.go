@@ -162,7 +162,7 @@ var engineLanes = []struct {
 	{"sim-gpu-1MB", 2 * laneIters, gpuLane(laneLarge), 370},
 	// The no-fault overhead of the seq/ack wire format: one ack frame and
 	// one retransmit timer per message.
-	{"sim-reliable", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Reliability.Enabled = true }), 1216},
+	{"sim-reliable", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Reliability.Enabled = true }), 1071},
 	// Spans plus metrics: the ring buffers are set up once and each
 	// histogram on its first observation, so tracing costs a fixed number
 	// of allocations per run, not per request.
@@ -175,7 +175,7 @@ var engineLanes = []struct {
 	// of a ping-pong's have one busy shard, which the coordinator runs on
 	// its own goroutine, as it does every window of the rows above.
 	{"sim-sharded", 2 * laneIters, twoSidedLane(lanePayload, func(c *dcgn.Config) { c.Shards = 2 }), 749},
-	{"sim-onesided", 2 * laneIters, oneSidedLane, 892},
+	{"sim-onesided", 2 * laneIters, oneSidedLane, 739},
 	{"sim-triggered", laneIters, triggeredLane, 425},
 }
 

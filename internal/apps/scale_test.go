@@ -183,7 +183,7 @@ func TestEngineResumeBudget(t *testing.T) {
 	}
 	st := stats()
 	msgs := float64(nodes * rounds * 2 * fanout)
-	t.Logf("%.2f resumes, %.2f steps, %.2f spawns per message; %d workers; peak timer heap %d; recycled %+v",
+	t.Logf("%.2f resumes, %.2f steps, %.2f spawns per message; %d workers; at most %d timers pending; recycled %+v",
 		float64(st.Resumes)/msgs, float64(st.Steps)/msgs, float64(st.Spawns)/msgs, st.Workers, st.PeakTimers, st.Recycled)
 	if per := float64(st.Resumes) / msgs; per > budget {
 		t.Errorf("%.2f resumes per message, budget %.1f", per, budget)

@@ -62,10 +62,13 @@ type osWinKey struct {
 	id   int
 }
 
-// osWaiter is one WinWait blocked on an arrival threshold.
+// osWaiter is one WinWait blocked on an arrival threshold. On the
+// simulated backend ev is made in evs (rt.EventIn), so a wait allocates
+// the waiter alone.
 type osWaiter struct {
 	target int64
 	ev     completion
+	evs    sim.Event
 }
 
 // osWindow is one registered one-sided window: host memory for CPU ranks,
@@ -94,12 +97,13 @@ type WinStats struct {
 }
 
 // osGet is an origin-side pending get or fetch-and-op awaiting its reply
-// frame.
+// frame; on the simulated backend done is made in ev (rt.EventIn).
 type osGet struct {
 	dst    []byte
 	status CommStatus
 	err    error
 	done   completion
+	ev     sim.Event
 }
 
 // osState is one node's one-sided engine: the lane its frames travel on
@@ -129,11 +133,7 @@ type osState struct {
 // backend, hence the Once.
 func (ns *nodeState) osRequire() *osState {
 	ns.osOnce.Do(func() {
-		ns.osw = &osState{
-			ns:      ns,
-			windows: make(map[osWinKey]*osWindow),
-			gets:    make(map[uint32]*osGet),
-		}
+		ns.osw = &osState{ns: ns, windows: make(map[osWinKey]*osWindow), gets: make(map[uint32]*osGet)}
 		ns.osw.lane.init(ns, true)
 		ns.rt.SpawnStep("os-recv", ns.node, &ns.osw.lane, true, true)
 	})
@@ -189,9 +189,7 @@ func (w *osWindow) arrive(clipped bool) {
 			keep = append(keep, ow)
 		}
 	}
-	for i := len(keep); i < len(w.waiters); i++ {
-		w.waiters[i] = nil
-	}
+	clear(w.waiters[len(keep):])
 	w.waiters = keep
 	w.mu.Unlock()
 	for _, ev := range fire {
@@ -208,7 +206,8 @@ func (ns *nodeState) waitWindow(p transport.Proc, rank, id int, target int) {
 		w.mu.Unlock()
 		return
 	}
-	ow := &osWaiter{target: int64(target), ev: ns.rt.NewEventID("os-win", rank)}
+	ow := &osWaiter{target: int64(target)}
+	ow.ev = ns.rt.EventIn(&ow.evs, "os-win", rank)
 	w.waiters = append(w.waiters, ow)
 	w.mu.Unlock()
 	ow.ev.Wait(p)
@@ -399,7 +398,8 @@ func (ns *nodeState) osRequest(p transport.Proc, f *frame, dst []byte) (st CommS
 		return st, 0, err
 	}
 	osw := ns.osw
-	g := &osGet{dst: dst, done: ns.rt.NewEventID("os-req", f.src)}
+	g := &osGet{dst: dst}
+	g.done = ns.rt.EventIn(&g.ev, "os-req", f.src)
 	osw.getMu.Lock()
 	osw.nextToken++
 	f.os.token = osw.nextToken

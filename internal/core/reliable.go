@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dcgn/internal/sim"
 	"dcgn/internal/transport"
 )
 
@@ -47,11 +48,13 @@ type relKey struct {
 // (msg, which the lane keeps until the frame is acknowledged or given up
 // on), its key, the attempt the sender is on and the cancel of that
 // attempt's retransmit timer. ev is the completion the sender currently
-// waits on (re-created per retry); the ack path and the retransmit timer
-// both fire it, and acked — read and written only under relSeq.mu —
-// disambiguates which happened.
+// waits on (made again per retry, in evs on the simulated backend:
+// rt.EventIn); the ack path and the retransmit timer both fire it, and
+// acked — read and written only under relSeq.mu — disambiguates which
+// happened.
 type relWaiter struct {
 	ev      completion
+	evs     sim.Event
 	acked   bool
 	key     relKey
 	msg     []byte
@@ -187,7 +190,8 @@ const (
 func (l *relLane) startTx(t *txFrame, dstNode int, seq uint64, msg []byte, sentAt *time.Duration) {
 	*t = txFrame{l: l, op: transport.SendOp{Dst: dstNode, Msg: msg, OneSided: l.oneSided}, sentAt: sentAt}
 	if s := l.seq; s != nil {
-		t.w = &relWaiter{ev: l.ns.rt.NewEventID("rel-wait", int(seq)), key: relKey{dstNode, seq}, msg: msg}
+		t.w = &relWaiter{key: relKey{dstNode, seq}, msg: msg}
+		t.w.ev = l.ns.rt.EventIn(&t.w.evs, "rel-wait", int(seq))
 		s.mu.Lock()
 		s.waiters[t.w.key] = t.w
 		s.mu.Unlock()
@@ -255,9 +259,11 @@ func (t *txFrame) step(h transport.Proc) bool {
 			s.mu.Lock()
 			acked := w.acked
 			if !acked && w.attempt < cfg.MaxRetries {
-				// Timed out: re-arm with a fresh completion (the old one is
-				// spent) and go around for a retransmission.
-				w.ev = ns.rt.NewEventID("rel-wait", int(w.key.seq))
+				// Timed out: re-arm with a fresh completion and go around
+				// for a retransmission. The spent one's storage is safe to
+				// make again: the timer that fired it has ended, and the ack
+				// path fires only the w.ev it reads under this lock.
+				w.ev = ns.rt.EventIn(&w.evs, "rel-wait", int(w.key.seq))
 			}
 			s.mu.Unlock()
 			if acked {

@@ -25,7 +25,7 @@ func TestStaleHandleCannotReachARecycledProc(t *testing.T) {
 				t.Error("the killed victim took another step")
 			}
 			victim = p
-			p.SleepStep(d) // outlives the kill, on the timer heap
+			p.SleepStep(d) // outlives the kill, on the timer queue
 		}, nil)
 	})
 	held := func(when string) {

@@ -137,7 +137,7 @@ func (sc *Sharded) Now() time.Duration {
 }
 
 // Stats returns the self-counters of every shard's simulator, summed; the
-// peak timer-heap depth is the deepest of any shard's.
+// peak of pending timers is the largest of any shard's.
 func (sc *Sharded) Stats() Stats {
 	var st Stats
 	for _, sh := range sc.shards {
@@ -171,21 +171,26 @@ func (sh *Shard) Sim() *Sim { return sh.sim }
 // own arrival heap instead of the outbox; the heap's (at, src, seq) order
 // makes delivery identical either way.
 func (s *Sim) PostArrival(at time.Duration, dst *Sim, src int, seq uint64, prefix string, fn func(p *Proc), arg any) {
-	s.post(arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: fn, arg: arg})
+	s.post(&arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: fn, arg: arg})
 }
 
 // PostStep is PostArrival for an arrival proc that is stackless, with step
 // as its step (see SpawnStep).
 func (s *Sim) PostStep(at time.Duration, dst *Sim, src int, seq uint64, prefix string, step func(p *Proc), arg any) {
-	s.post(arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: step, arg: arg, stackless: true})
+	s.post(&arrival{at: int64(at), src: src, seq: seq, dst: dst, name: ident{name: prefix, id: src}, fn: step, arg: arg, stackless: true})
 }
 
-func (s *Sim) post(a arrival) {
+// post files a: in s's own arrival heap, or in its shard's outbox for the
+// barrier. It refuses an arrival in the past, and a source id (a node id)
+// wider than the heap's 32-bit key, in one check; a cross-shard arrival
+// must also lie at or past the window's edge, which is beyond now.
+func (s *Sim) post(a *arrival) {
+	if a.at < s.now || a.src != int(int32(a.src)) {
+		panic(fmt.Sprintf("sim: arrival at %v from source %d: before current time %v, or a source id wider than 32 bits",
+			time.Duration(a.at), a.src, time.Duration(s.now)))
+	}
 	dst := a.dst
 	if dst == s {
-		if a.at < s.now {
-			panic(fmt.Sprintf("sim: arrival at %v before current time %v", time.Duration(a.at), time.Duration(s.now)))
-		}
 		s.arrivals.push(a)
 		return
 	}
@@ -197,7 +202,7 @@ func (s *Sim) post(a arrival) {
 		panic(fmt.Sprintf("sim: arrival at %v inside current window ending %v: cross-shard latency below lookahead",
 			time.Duration(a.at), time.Duration(s.horizon)))
 	}
-	sh.outbox = append(sh.outbox, a)
+	sh.outbox = append(sh.outbox, *a)
 }
 
 // PostArrival is Sim.PostArrival from this shard's simulator to shard
@@ -259,9 +264,10 @@ func (sc *Sharded) Run() error {
 	}()
 	for {
 		for _, sh := range sc.shards {
-			for _, a := range sh.outbox {
-				a.dst.arrivals.push(a)
+			for i := range sh.outbox {
+				sh.outbox[i].dst.arrivals.push(&sh.outbox[i])
 			}
+			clear(sh.outbox)
 			sh.outbox = sh.outbox[:0]
 			sh.sim.drainInjected()
 		}
@@ -348,77 +354,4 @@ func (sc *Sharded) deadlockError() error {
 	}
 	sort.Strings(blocked)
 	return &DeadlockError{Time: time.Duration(at), Blocked: blocked}
-}
-
-// arrivalHeap is a binary min-heap of arrivals ordered by (at, src, seq),
-// mirroring timerHeap's hold-and-shift implementation. The two stay two on
-// purpose: one heap[T interface{ before(T) bool }] saves 53 lines and keeps
-// every golden, but the comparison no longer inlines — sim.timer_ns 305 ->
-// 333 and p2p_small ops_per_s -2.4 %, behind in 6 of 6 alternating pairs
-// (measured for PR 23).
-type arrivalHeap struct {
-	as []arrival
-}
-
-func (h *arrivalHeap) len() int { return len(h.as) }
-
-// arrivalLess orders arrivals by delivery time, then source id, then
-// per-source sequence — the cross-shard determinism key.
-func arrivalLess(a, b arrival) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-func (h *arrivalHeap) push(a arrival) {
-	if h.as == nil {
-		h.as = make([]arrival, 0, 64)
-	}
-	h.as = append(h.as, a)
-	i := len(h.as) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		pa := h.as[parent]
-		if arrivalLess(pa, a) {
-			break
-		}
-		h.as[i] = pa
-		i = parent
-	}
-	h.as[i] = a
-}
-
-func (h *arrivalHeap) peek() arrival { return h.as[0] }
-
-func (h *arrivalHeap) pop() arrival {
-	top := h.as[0]
-	last := len(h.as) - 1
-	a := h.as[last]
-	h.as = h.as[:last]
-	if last == 0 {
-		return top
-	}
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := -1
-		sa := a
-		if l < len(h.as) && arrivalLess(h.as[l], sa) {
-			smallest, sa = l, h.as[l]
-		}
-		if r < len(h.as) && arrivalLess(h.as[r], sa) {
-			smallest, sa = r, h.as[r]
-		}
-		if smallest < 0 {
-			break
-		}
-		h.as[i] = sa
-		i = smallest
-	}
-	h.as[i] = a
-	return top
 }

@@ -35,7 +35,7 @@
 // and a step that registers none ends its proc. Each blocking primitive is
 // its non-parking form followed by Await, so the two kinds make the same
 // state changes in the same order: a stackless proc takes, slot for slot,
-// the timer-heap (at, seq) and ready-queue places the same body would take
+// the timer-queue (at, seq) and ready-queue places the same body would take
 // on a stack, and converting a proc changes no schedule. What differs is
 // the bill: a stackless turn costs a function call where a stackful one
 // costs a coroutine switch each way and keeps a goroutine stack for the GC
@@ -64,6 +64,18 @@
 // the same instant. Procs on different nodes interact only through arrivals
 // (PostArrival), so a schedule does not depend on how many Sims the nodes
 // are spread over.
+//
+// The event queue (queue.go) is shaped to that traffic. Timers wait in
+// delay lanes: the timers pushed with one delay are pushed in (at, seq)
+// order — each is due at now+d with a larger seq than the last, and now
+// never goes back — so a FIFO per delay is sorted already, and only each
+// lane's head sits in a 4-ary heap, beside the timers whose delay found
+// its lane slot taken. The heap's least entry is then the least timer of
+// all, and the pop order is exactly (at, seq), as it was when every timer
+// sat in the heap; what changes is the heap's depth, a few dozen where a
+// 1 024-node run's was ~750, because its charges come in a handful of
+// fixed delays. Arrivals sit in a binary heap of (at, src, seq) keys over
+// a slab of their records.
 //
 // A Group (NewGroup) is a set of procs that ends together — one tenant of a
 // shared simulation. A proc is a member for life, by one rule: it was
@@ -238,12 +250,13 @@ func (p *Proc) Woken() bool { return p.turns > 1 }
 
 // Sim is a deterministic discrete-event scheduler.
 type Sim struct {
-	now    int64 // virtual time in nanoseconds since simulation start
-	seq    uint64
-	ready  ring[*Proc]
-	timers timerHeap
-	// arrivals holds the cross-node deliveries posted to this Sim
-	// (PostArrival), ordered by (at, src, seq).
+	now   int64 // virtual time in nanoseconds since simulation start
+	seq   uint64
+	ready ring[*Proc]
+	// timers and arrivals are the event queue (queue.go): the procs' wakes
+	// in (at, seq) order, and the cross-node deliveries posted to this Sim
+	// (PostArrival) in (at, src, seq) order.
+	timers   timerQueue
 	arrivals arrivalHeap
 	// shard is this Sim's place in a sharded simulation: where arrivals for
 	// other shards' Sims wait for the window barrier. Nil for a plain Sim.
@@ -359,7 +372,7 @@ func (s *Sim) SpawnDaemonID(prefix string, id int, fn func(p *Proc), arg any) *P
 // time the proc takes it — when it starts, and after every wake it
 // registers. A step registers its next wake with the non-parking form of a
 // primitive (Proc.SleepStep, Resource.UseStep, Queue.GetStep,
-// Event.WaitStep), which takes the timer-heap and ready-queue slots the
+// Event.WaitStep), which takes the timer-queue and ready-queue slots the
 // blocking form would, and returns; a step that returns without registering
 // one ends the proc. Woken tells the first step from later ones. A step
 // must not call a blocking primitive.
@@ -589,7 +602,8 @@ type Stats struct {
 	// Workers counts the coroutine workers started: the goroutine stacks
 	// the run has had for the garbage collector to scan.
 	Workers uint64
-	// PeakTimers is the deepest the timer heap has been.
+	// PeakTimers is the most timers that have been pending at once, those
+	// waiting in the timer queue's delay lanes included.
 	PeakTimers int
 	// Kinds splits the counts by proc kind, a proc's name up to its first
 	// ':' ("wire", "mpi-engine", "cpu-kern").
@@ -788,13 +802,13 @@ func (p *Proc) SleepStep(d time.Duration) {
 }
 
 // timer pushes p's wake d from now (a negative d is zero) onto the timer
-// heap and returns its instant.
+// queue and returns its instant.
 func (p *Proc) timer(d time.Duration) int64 {
 	s := p.sim
 	s.seq++
-	at := s.now + max(int64(d), 0)
-	s.timers.push(timer{at: at, seq: s.seq, p: p})
-	return at
+	d = max(d, 0)
+	s.timers.push(s.now, int64(d), s.seq, p)
+	return s.now + int64(d)
 }
 
 // hold starts p's service of d on a unit of sem that p has been given.
@@ -877,16 +891,9 @@ func (s *Sim) unwind(p *Proc) {
 const never = math.MaxInt64
 
 // pendingAt returns when the earliest timer and the earliest arrival are
-// due, never for an empty heap.
+// due, never for an empty queue.
 func (s *Sim) pendingAt() (timerAt, arrivalAt int64) {
-	timerAt, arrivalAt = never, never
-	if s.timers.len() > 0 {
-		timerAt = s.timers.peek().at
-	}
-	if s.arrivals.len() > 0 {
-		arrivalAt = s.arrivals.peek().at
-	}
-	return timerAt, arrivalAt
+	return s.timers.nextAt(), s.arrivals.nextAt()
 }
 
 // nextEventAt returns the earliest virtual time at which s has work (a
@@ -945,10 +952,10 @@ func (s *Sim) pickNext() *Proc {
 		}
 		s.now = at
 		if aAt <= tAt {
-			a := s.arrivals.pop()
-			s.spawn(a.name, a.fn, a.arg, false, a.stackless).arrival = true
+			name, fn, arg, stackless := s.arrivals.pop()
+			s.spawn(name, fn, arg, false, stackless).arrival = true
 		} else {
-			s.unblock(s.timers.pop().p)
+			s.unblock(s.timers.pop())
 		}
 	}
 	return nil
@@ -1124,92 +1131,4 @@ type PanicError struct {
 // Error names the panicking proc and the panic value.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: proc %q panicked: %v", e.Proc, e.Value)
-}
-
-// timer is a pending wakeup.
-type timer struct {
-	at  int64
-	seq uint64
-	p   *Proc
-}
-
-// timerHeap is a 4-ary min-heap ordered by (at, seq), with hold-and-shift
-// sifts: a moving timer is written once, at its final slot. Four children
-// per node halve the depth of a binary heap, and a pop, which compares all
-// of a node's children, touches one cache line of them per level. peak is
-// the largest size it has had.
-type timerHeap struct {
-	ts   []timer
-	peak int
-}
-
-// timerBefore orders timers by due time, then by the sequence number they
-// were pushed with: a total order, so any heap shape pops the same sequence.
-func timerBefore(a, b timer) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
-
-func (h *timerHeap) len() int { return len(h.ts) }
-
-func (h *timerHeap) push(t timer) {
-	if h.ts == nil {
-		h.ts = make([]timer, 0, 64)
-	}
-	h.ts = append(h.ts, t)
-	ts := h.ts
-	i := len(ts) - 1
-	h.peak = max(h.peak, i+1)
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !timerBefore(t, ts[parent]) {
-			break
-		}
-		ts[i] = ts[parent]
-		i = parent
-	}
-	ts[i] = t
-}
-
-func (h *timerHeap) peek() timer { return h.ts[0] }
-
-// pop moves the displaced tail timer straight to its final slot, comparing
-// the four children of a full node without a loop.
-func (h *timerHeap) pop() timer {
-	ts := h.ts
-	top, n := ts[0], len(ts)-1
-	t := ts[n]
-	ts = ts[:n]
-	h.ts = ts
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for c := 1; c < n; c = 4*i + 1 {
-		m := c // the least child
-		if c+3 < n {
-			cs := ts[c : c+4 : c+4]
-			k := 0
-			if timerBefore(cs[1], cs[k]) {
-				k = 1
-			}
-			if timerBefore(cs[2], cs[k]) {
-				k = 2
-			}
-			if timerBefore(cs[3], cs[k]) {
-				k = 3
-			}
-			m = c + k
-		} else {
-			for j := c + 1; j < n; j++ {
-				if timerBefore(ts[j], ts[m]) {
-					m = j
-				}
-			}
-		}
-		if !timerBefore(ts[m], t) {
-			break
-		}
-		ts[i] = ts[m]
-		i = m
-	}
-	ts[i] = t
-	return top
 }

@@ -319,7 +319,7 @@ func TestDeadlockListsStacklessProcs(t *testing.T) {
 
 // TestStats: the self-counters count spawns, resumes of stackful procs and
 // steps of stackless ones, by kind too, the workers started (one for each
-// shard's stackful sleeper), the timer heap's peak and the procs' free-list
+// shard's stackful sleeper), the most timers pending at once and the procs' free-list
 // traffic (every spawn a get, every finished proc a put); a Sharded sums
 // its shards'.
 func TestStats(t *testing.T) {
@@ -344,69 +344,5 @@ func TestStats(t *testing.T) {
 		Recycled: map[string]Recycled{"proc": {Gets: 6, Puts: 6, Fresh: 6}}}
 	if fmt.Sprint(st) != fmt.Sprint(want) {
 		t.Errorf("stats %+v, want %+v", st, want)
-	}
-}
-
-// TestTimerHeapOrder: random pushes and pops, with many timers due at the
-// same instant, pop in (at, seq) order: each pop is the first timer of a
-// sort of those pending.
-func TestTimerHeapOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	byAtSeq := func(a, b timer) int {
-		if timerBefore(a, b) {
-			return -1
-		}
-		return 1
-	}
-	for trial := 0; trial < 200; trial++ {
-		var h timerHeap
-		var pending []timer
-		seq, now := uint64(0), int64(0)
-		for op := 0; op < 600; op++ {
-			if h.len() == 0 || (op < 500 && rng.Intn(3) > 0) {
-				seq++
-				tm := timer{at: now + int64(rng.Intn(4)), seq: seq}
-				h.push(tm)
-				pending = append(pending, tm)
-				continue
-			}
-			slices.SortFunc(pending, byAtSeq)
-			got, want := h.pop(), pending[0]
-			pending = pending[1:]
-			if got != want {
-				t.Fatalf("trial %d op %d: popped (%d, %d), want (%d, %d)", trial, op, got.at, got.seq, want.at, want.seq)
-			}
-			now = got.at
-		}
-		if h.len() != len(pending) {
-			t.Fatalf("trial %d: heap holds %d timers, want %d", trial, h.len(), len(pending))
-		}
-	}
-}
-
-// BenchmarkTimerHeap times a pop and a push at a steady depth: 16, about
-// what the small workloads hold, and 1 500, about what a 1 024-node
-// exchange holds on one shard.
-func BenchmarkTimerHeap(b *testing.B) {
-	for _, depth := range []int{16, 1500} {
-		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			var h timerHeap
-			seq := uint64(0)
-			for i := 0; i < depth; i++ {
-				seq++
-				h.push(timer{at: int64(rng.Intn(1000)), seq: seq})
-			}
-			delays := make([]int64, 1024)
-			for i := range delays {
-				delays[i] = int64(rng.Intn(1000))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tm := h.pop()
-				seq++
-				h.push(timer{at: tm.at + delays[i&1023], seq: seq})
-			}
-		})
 	}
 }
