@@ -243,18 +243,19 @@ func TestEngineResumeBudget(t *testing.T) {
 	}
 	// A blocking call's control objects — the sendrecv join, the matching
 	// index's entries, the rendezvous send — come from their owners' lists
-	// too: an exchange twice as long hands out more of each and allocates
-	// not one more, as many as were ever in flight at once.
+	// too, as does an AsyncOp, given back at its Wait: an exchange twice as
+	// long hands out more of each and allocates not one more, as many as
+	// were ever in flight at once.
 	short, long := exchangeStats(t, 4), exchangeStats(t, 8)
 	st.Add(long)
-	for _, kind := range []string{"sendrecv-join", "match-entry", "send-req"} {
+	for _, kind := range []string{"sendrecv-join", "match-entry", "send-req", "async-op"} {
 		s, l := short.Recycled[kind], long.Recycled[kind]
 		t.Logf("%s: 4 rounds %+v, 8 rounds %+v", kind, s, l)
 		if s.Gets == 0 || l.Gets <= s.Gets || l.Fresh != s.Fresh {
 			t.Errorf("%s: %d handed out, %d allocated over 4 rounds, %d and %d over 8: not bounded by what is in flight", kind, s.Gets, s.Fresh, l.Gets, l.Fresh)
 		}
 	}
-	recycled = append(recycled, "sendrecv-join", "match-entry", "send-req")
+	recycled = append(recycled, "sendrecv-join", "match-entry", "send-req", "async-op")
 	// Conservation: once a run is over, each object handed out has been
 	// given back — to a list, or to the garbage collector when something
 	// may still point at it — in all the runs, the 1 MB rendezvous and
@@ -266,13 +267,14 @@ func TestEngineResumeBudget(t *testing.T) {
 	}
 }
 
-// exchangeStats runs rounds of a ring-shift SendRecv exchange on four
-// nodes of two CPU ranks, and returns the simulators' counters: each rank
-// sends to the rank d up and receives from the rank d down, alternately
-// 64 B and 64 KiB (an eager and a rendezvous send), with d cycling through
-// 1, 2 and 5: some exchanges stay on a node, where one side's half parks
-// in the matching index until the other's arrives, and the rest cross the
-// wire, where a frame that arrives first parks as unexpected.
+// exchangeStats runs rounds of a ring-shift exchange on four nodes of two
+// CPU ranks, and returns the simulators' counters: each rank sends to the
+// rank d up and receives from the rank d down, alternately 64 B and 64 KiB
+// (an eager and a rendezvous send), with d cycling through 1, 2 and 5,
+// then the same the other way round with an IRecv and an ISend, waited
+// for: some exchanges stay on a node, where one side's half parks in the
+// matching index until the other's arrives, and the rest cross the wire,
+// where a frame that arrives first parks as unexpected.
 func exchangeStats(t *testing.T, rounds int) sim.Stats {
 	t.Helper()
 	cfg := core.DefaultConfig()
@@ -284,8 +286,16 @@ func exchangeStats(t *testing.T, rounds int) sim.Stats {
 		for r := 0; r < rounds; r++ {
 			d := []int{1, 2, 5}[r%3]
 			size := 64 << (10 * (r % 2))
-			if _, err := c.SendRecv((me+d)%n, make([]byte, size), (me-d+n)%n, make([]byte, size)); err != nil {
+			up, down := (me+d)%n, (me-d+n)%n
+			if _, err := c.SendRecv(up, make([]byte, size), down, make([]byte, size)); err != nil {
 				t.Error(err)
+			}
+			recv := c.IRecv(up, make([]byte, size))
+			send := c.ISend(down, make([]byte, size))
+			for _, op := range []*core.AsyncOp{recv, send} {
+				if _, err := op.Wait(c); err != nil {
+					t.Error(err)
+				}
 			}
 		}
 	})

@@ -23,6 +23,9 @@ type CPUCtx struct {
 	// kernel thread makes one call at a time and the call ends with its
 	// request's life.
 	req simRequest
+	// ops holds the kernel's spent AsyncOps: ISend and IRecv take one, its
+	// Wait gives it back.
+	ops sim.FreeList[simRequest]
 }
 
 // Rank returns this kernel thread's virtual rank (dcgn::getRank).
@@ -128,16 +131,24 @@ func (c *CPUCtx) AllToAll(send, recv []byte) error {
 // AsyncOp is a handle to a nonblocking DCGN operation started with ISend
 // or IRecv (the "asynchronous sends and receives" §5.1 mentions users
 // would otherwise manage manually). It is the request itself, so starting
-// one allocates no handle.
-type AsyncOp request
+// one allocates no handle. Like an MPI request, it is spent once Wait
+// returns: Wait gives it back to its kernel, whose next ISend or IRecv may
+// return it again, so nothing may use it after. An op that is never
+// waited for is left to the garbage collector.
+type AsyncOp simRequest
 
-// Wait blocks until the operation completes.
+// Wait blocks until the operation completes, reports its status and ends
+// the op's life.
 func (a *AsyncOp) Wait(c *CPUCtx) (CommStatus, error) {
 	a.done.Wait(c.tp)
-	return a.status, a.err
+	st, err := a.status, a.err
+	c.ops.Put((*simRequest)(a))
+	return st, err
 }
 
-// Test reports whether the operation has completed, without blocking.
+// Test reports whether the operation has completed, without blocking. It
+// does not end the op's life: an op Test found complete is still waited
+// for, and spent by that Wait.
 func (a *AsyncOp) Test() (CommStatus, bool) {
 	if !a.done.Fired() {
 		return CommStatus{}, false
@@ -146,14 +157,19 @@ func (a *AsyncOp) Test() (CommStatus, bool) {
 }
 
 // ISend starts a nonblocking send. The buffer must not be modified until
-// Wait reports completion.
+// Wait reports completion; the op is spent once Wait returns.
 func (c *CPUCtx) ISend(dst int, buf []byte) *AsyncOp {
-	return (*AsyncOp)(c.post(c.ns.newRequest("cpu-areq", c.rank), opSend, dst, 0, buf, nil))
+	a := c.ops.Get()
+	c.post(a.reset(c.ns, "cpu-areq", c.rank), opSend, dst, 0, buf, nil)
+	return (*AsyncOp)(a)
 }
 
-// IRecv starts a nonblocking receive into buf from src (or AnySource).
+// IRecv starts a nonblocking receive into buf from src (or AnySource);
+// the op is spent once Wait returns.
 func (c *CPUCtx) IRecv(src int, buf []byte) *AsyncOp {
-	return (*AsyncOp)(c.post(c.ns.newRequest("cpu-areq", c.rank), opRecv, src, 0, buf, nil))
+	a := c.ops.Get()
+	c.post(a.reset(c.ns, "cpu-areq", c.rank), opRecv, src, 0, buf, nil)
+	return (*AsyncOp)(a)
 }
 
 // post charges the enqueue cost and hands req, filled in, to the comm

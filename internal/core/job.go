@@ -430,9 +430,9 @@ func (j *Job) newNodeState(n int) *nodeState {
 	ns.flowsOn = j.cfg.Flows && j.trace != nil
 	ns.wire.init(ns, false)
 	ns.coll = newCollAccum(ns)
-	if s != nil {
+	if s != nil && j.rmap.Spec(n).GPUs > 0 {
 		// The device model — PCIe bus, devices, their monitors — exists only
-		// in virtual time.
+		// in virtual time, and only on a node with devices.
 		ns.bus = pcie.New(s, fmt.Sprintf("n%d", n), j.cfg.Bus)
 		ns.bus.Jit = jit
 		for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
@@ -507,7 +507,11 @@ func (j *Job) spawnCPUKernels() {
 			ns := j.nodes[n]
 			rank := j.rmap.CPURank(n, c)
 			ns.rt.Spawn(fmt.Sprintf("cpu-kern:%d.%d", n, c), func(p transport.Proc) {
-				j.cpuKernel(&CPUCtx{job: j, ns: ns, tp: p, rank: rank})
+				c := &CPUCtx{job: j, ns: ns, tp: p, rank: rank}
+				if ns.sim != nil {
+					c.ops.Init(ns.sim, "async-op", 64)
+				}
+				j.cpuKernel(c)
 			})
 		}
 	}

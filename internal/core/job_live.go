@@ -76,13 +76,10 @@ func (j *Job) runLive(endpoints []transport.Transport, pool *bufpool.Pool, wire 
 		// requests) may be blocked for good; report what is safely readable.
 		return Report{Elapsed: rt.Now()}, runErr
 	}
+	// The daemons include the helpers they spawned — a last ack for a
+	// duplicate frame that arrived after the kernels finished releases
+	// pooled staging — so once they are done the pool counters are final.
 	rt.daemons.Wait()
-	// A daemon can spawn one last helper on its way out — an ack for a
-	// duplicate frame that arrived after the kernels finished. The helper
-	// releases pooled staging the daemon acquired, so wait for workers
-	// again (no daemon is left to add more) before snapshotting the pool
-	// counters, or the report reads acquires > releases.
-	rt.workers.Wait()
 
 	return j.report(), nil
 }

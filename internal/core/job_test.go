@@ -670,6 +670,40 @@ func TestAsyncTest(t *testing.T) {
 	}
 }
 
+// TestAsyncTestThenWait: an op polled with Test until it completes is
+// still spent by its Wait, which reports what Test saw and gives the op
+// back to its kernel, so the next IRecv takes it again instead of a new
+// one.
+func TestAsyncTestThenWait(t *testing.T) {
+	const rounds = 3
+	job := NewJob(cpuOnlyConfig(2, 1))
+	job.SetCPUKernel(func(c *CPUCtx) {
+		for i := 0; i < rounds; i++ {
+			if c.Rank() == 1 {
+				c.Compute(time.Millisecond)
+				c.Send(0, pattern(8+i, byte(i)))
+				continue
+			}
+			buf := make([]byte, 16)
+			op := c.IRecv(1, buf)
+			tested, done := op.Test()
+			for ; !done; tested, done = op.Test() {
+				c.Compute(100 * time.Microsecond)
+			}
+			st, err := op.Wait(c)
+			if err != nil || st != tested || st.Bytes != 8+i || !bytes.Equal(buf[:st.Bytes], pattern(8+i, byte(i))) {
+				t.Errorf("round %d: Wait %+v %v, Test saw %+v", i, st, err, tested)
+			}
+		}
+	})
+	if _, err := job.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r := jobStats(job).Recycled["async-op"]; r.Gets != rounds || r.Fresh != 1 || r.Held() != 0 {
+		t.Errorf("async-op %+v: want %d handed out, one allocated, none held", r, rounds)
+	}
+}
+
 // TestAsyncLocalBothDirections: two local ranks exchange with nonblocking
 // ops — the pattern that deadlocks with blocking sends works with ISend.
 func TestAsyncLocalBothDirections(t *testing.T) {

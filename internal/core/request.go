@@ -133,8 +133,8 @@ type request struct {
 // stays out of request itself, which the live backend allocates too, with
 // a completion of its own. A blocking call's request lives in the object
 // that makes the call — a CPU kernel's CPUCtx, a device slot's slotState —
-// and is made again for each call (reset); only an AsyncOp, which its user
-// keeps, is allocated (newRequest).
+// and is made again for each call (reset); an AsyncOp comes from its
+// kernel's free list (CPUCtx.ops) and goes back to it at its Wait.
 type simRequest struct {
 	request
 	ev sim.Event
@@ -148,15 +148,6 @@ func (r *simRequest) reset(ns *nodeState, prefix string, id int) *request {
 	r.request = request{ns: ns}
 	r.done = ns.rt.EventIn(&r.ev, prefix, id)
 	return &r.request
-}
-
-// newRequest returns a request of ns's that its issuer keeps (an
-// AsyncOp), completed by an event named prefix:id.
-func (ns *nodeState) newRequest(prefix string, id int) *request {
-	if ns.sim == nil {
-		return &request{ns: ns, done: ns.rt.NewEventID(prefix, id)}
-	}
-	return new(simRequest).reset(ns, prefix, id)
 }
 
 // complete finishes a request and wakes its issuer. Traced requests record

@@ -31,7 +31,8 @@ type rt interface {
 	// wake s registers is a step form), else a stackful proc that awaits
 	// each wake in place: the host for a machine that must block in the
 	// middle of a step. On the live backend it is a goroutine, on which
-	// every form has blocked already.
+	// every form has blocked already, and the run's teardown waits for it
+	// with the daemons that spawned it.
 	SpawnStep(prefix string, id int, s stepper, daemon, stackless bool)
 	// NewQueue creates an unbounded FIFO work queue.
 	NewQueue(name string) commQueue

@@ -9,16 +9,19 @@ import (
 )
 
 // liveRT is the live substrate: goroutines, closable events and
-// mutex-guarded queues on the wall clock. Every spawned thread — workers
-// and daemons alike — is tracked in one WaitGroup; daemons are written to
-// terminate once their queue or transport is closed, so runLive can wait
-// for a fully quiescent engine before assembling the report.
+// mutex-guarded queues on the wall clock. Every spawned thread is tracked
+// in one of two WaitGroups; daemons are written to terminate once their
+// queue or transport is closed, so runLive can wait for a fully quiescent
+// engine before assembling the report.
 type liveRT struct {
 	proc *transport.WallProc
-	// workers tracks application-driven threads (kernels and the helpers
-	// their requests spawn): when it drains, the run is done. daemons
-	// tracks service threads (comm threads, receivers, trace collectors),
-	// which are unwound by closing their queues and transports afterwards.
+	// workers tracks the kernels: when it drains, the run is done. daemons
+	// tracks everything else — the service threads (comm threads,
+	// receivers), which are unwound by closing their queues and transports
+	// afterwards, and the helpers they spawn (dcgn-tx, sendrecv joins, acks,
+	// one-sided replies). A helper is counted with its spawner so that its
+	// Add always finds the count above zero: a receiver can ack a frame
+	// after the kernels have ended, when workers may already be in Wait.
 	workers sync.WaitGroup
 	daemons sync.WaitGroup
 }
@@ -37,27 +40,23 @@ func (r *liveRT) EventIn(_ *sim.Event, prefix string, id int) completion {
 	return r.NewEventID(prefix, id)
 }
 
-func (r *liveRT) go1(wg *sync.WaitGroup, fn func(transport.Proc)) {
-	wg.Add(1)
+// Spawn starts a kernel.
+func (r *liveRT) Spawn(_ string, fn func(transport.Proc)) {
+	r.workers.Add(1)
 	go func() {
-		defer wg.Done()
+		defer r.workers.Done()
 		fn(r.proc)
 	}()
 }
 
-func (r *liveRT) Spawn(_ string, fn func(transport.Proc)) { r.go1(&r.workers, fn) }
-
 // SpawnStep runs s on a goroutine, where every form blocks in place: one
-// step is the whole machine. It starts the goroutine itself rather than
-// through go1, which would wrap s in a second closure per message.
-func (r *liveRT) SpawnStep(_ string, _ int, s stepper, daemon, _ bool) {
-	wg := &r.workers
-	if daemon {
-		wg = &r.daemons
-	}
-	wg.Add(1)
+// step is the whole machine. Every step machine on live is a daemon or a
+// helper a daemon spawns, so it is counted in daemons either way. It does
+// not go through Spawn, which would wrap s in a second closure per message.
+func (r *liveRT) SpawnStep(_ string, _ int, s stepper, _, _ bool) {
+	r.daemons.Add(1)
 	go func() {
-		defer wg.Done()
+		defer r.daemons.Done()
 		s.step(r.proc)
 	}()
 }

@@ -117,7 +117,10 @@ func check(t *testing.T, err error) {
 
 // laneKinds sums a finished job's proc counts over its nodes' simulators,
 // for the lane procs whose host the test is about.
-func laneKinds(j *Job) map[string]sim.KindStats {
+func laneKinds(j *Job) map[string]sim.KindStats { return jobStats(j).Kinds }
+
+// jobStats sums a finished job's counters over its nodes' simulators.
+func jobStats(j *Job) sim.Stats {
 	seen := map[*sim.Sim]bool{}
 	var st sim.Stats
 	for _, ns := range j.nodes {
@@ -126,7 +129,7 @@ func laneKinds(j *Job) map[string]sim.KindStats {
 			st.Add(ns.sim.Stats())
 		}
 	}
-	return st.Kinds
+	return st
 }
 
 // hostsAgree runs two copies of the job mk makes, one on stackless procs
