@@ -115,10 +115,6 @@ func check(t *testing.T, err error) {
 	}
 }
 
-// laneKinds sums a finished job's proc counts over its nodes' simulators,
-// for the lane procs whose host the test is about.
-func laneKinds(j *Job) map[string]sim.KindStats { return jobStats(j).Kinds }
-
 // jobStats sums a finished job's counters over its nodes' simulators.
 func jobStats(j *Job) sim.Stats {
 	seen := map[*sim.Sim]bool{}
@@ -156,10 +152,10 @@ func hostsAgree(t *testing.T, mk func() *Job, kinds ...string) {
 		t.Errorf("blocking host reports differently:\n%+v\nstackless host:\n%+v", got, want)
 	}
 	for _, kind := range kinds {
-		if k := laneKinds(stackless)[kind]; k.Resumes != 0 || k.Steps == 0 {
+		if k := jobStats(stackless).Kinds[kind]; k.Resumes != 0 || k.Steps == 0 {
 			t.Errorf("stackless host: %s %+v, want steps and no resumes", kind, k)
 		}
-		if k := laneKinds(blocking)[kind]; k.Resumes == 0 || k.Steps != 0 {
+		if k := jobStats(blocking).Kinds[kind]; k.Resumes == 0 || k.Steps != 0 {
 			t.Errorf("blocking host: %s %+v, want resumes and no steps", kind, k)
 		}
 	}
