@@ -63,7 +63,11 @@ test:
 # it would race the kernel's next call. The AsyncOp tests run with it: an
 # AsyncOp is given back to its kernel at Wait and made again for the next
 # ISend or IRecv the same way, so a completer that touched it late would
-# corrupt the kernel's next op.
+# corrupt the kernel's next op. The engine-reuse test runs three more times
+# on one thread and on four: a tenant starts on the node engines its nodes'
+# previous tenants left, reset by the kernel coroutine or step that brings
+# the tenant up, so a reset that missed what a dead tenant's goroutine still
+# touches, or state shared between two tenants of one engine, shows there.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestGoldenShardInvariant' .
@@ -72,6 +76,7 @@ race:
 	$(GO) test -race -count=3 -cpu 1,4 -run 'TestScaleFanoutShardInvariance|TestEngineResumeBudget' ./internal/apps
 	$(GO) test -race -count=3 -cpu 1,4 -run 'TestCollOpConformance' ./internal/transport
 	$(GO) test -race -count=3 -cpu 1,4 -run 'TestConformance|TestAsync' ./internal/core
+	$(GO) test -race -count=3 -cpu 1,4 -run 'TestRuntimeSimEngineReuse' ./internal/core
 
 # Fuzz smoke: ten seconds of arbitrary bytes at the one frame decoder, over
 # every lane layout, starting from the committed corpus
@@ -263,9 +268,17 @@ flows:
 # list, which deletes the one allocating request constructor, and by
 # counting every live step machine with the daemons, which deletes the
 # second wait for workers (5322).
-LOC_CEILINGS = internal/core:5322:31 internal/transport:188:0 internal/transport/faults:179:0 \
+# Then raised by recycling each node's progress engine between a Runtime's
+# tenants: core resets a taken engine and empties the storage it keeps
+# (intake, matching index, collective accumulator, reliable lane tables),
+# gives the engines back after a tenant's kill, spawns a CPU kernel with
+# its CPUCtx as the proc's argument, and guards the metrics' view of the
+# engines with a mutex (5393); sim counts free-list kinds in an array
+# instead of a map, sizes a dry list's blocks by what it has made, and
+# gains FreeList.Keep and Queue.Reset (1580).
+LOC_CEILINGS = internal/core:5393:31 internal/transport:188:0 internal/transport/faults:179:0 \
 	internal/transport/simmpi:111:2 internal/transport/live:307:2 internal/obs:602:0 \
-	internal/sim:1526:19 internal/fabric:452:17 internal/mpi:1197:17 \
+	internal/sim:1580:19 internal/fabric:452:17 internal/mpi:1197:17 \
 	internal/pcie:66:1 internal/device:311:7 internal/gas:118:3 internal/apps:1997:38 \
 	cmd/dcgn-mandel:118:0
 loc:

@@ -22,6 +22,8 @@ import (
 	"dcgn/internal/apps"
 	"dcgn/internal/core"
 	"dcgn/internal/gas"
+	"dcgn/internal/loadgen"
+	"dcgn/internal/transport"
 )
 
 func gasCfg(nodes, cpus, gpus int) gas.Config {
@@ -374,6 +376,11 @@ func TestEngineAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, msgs)
+	// serve_sim's path, budgeted per job: each job's set-up on the
+	// Runtime's shared substrate, where a tenant starts on the node engines
+	// its nodes' previous tenants left.
+	tr := chatTrace(t)
+	check("runtime-sim per job", runtimeSimJobAllocs, func() { serveChat(t, tr) }, float64(len(tr.Arrivals)))
 	// paper_eval's run, the paper's 65 cells, budgeted per run: what
 	// paper_eval's allocs_per_op counts, 65 times over, at a size `go test`
 	// runs.
@@ -393,6 +400,45 @@ func TestEngineAllocBudget(t *testing.T) {
 		t.Errorf("evaluate per run: %.1f MB allocated, budget %.1f MB", mb, evaluateMB)
 	}
 }
+
+// chatTrace is serve_sim's offered traffic at a size `go test` runs:
+// loadgen's chat jobs, seed 1, 5 000 a second for 40 ms of virtual time,
+// on 8 nodes.
+func chatTrace(tb testing.TB) *loadgen.Trace {
+	tr, err := loadgen.RecordTrace(loadgen.Spec{Backend: transport.BackendSim, Seed: 1, Rate: 5000, Duration: 40 * time.Millisecond,
+		Arrival: loadgen.ArrivalPoisson, Preset: "chat", Nodes: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// serveChat runs tr on a simulated Runtime, every job at its arrival.
+func serveChat(tb testing.TB, tr *loadgen.Trace) {
+	r, err := core.NewRuntime(core.RuntimeConfig{Nodes: tr.Nodes, Transport: transport.Config{Backend: transport.BackendSim}, MaxQueue: len(tr.Arrivals)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer r.Close()
+	for _, a := range tr.Arrivals {
+		if _, err := r.SubmitAt(loadgen.BuildJob(transport.BackendSim, a, false), core.SubmitOpts{Tenant: a.Class, Weight: a.Weight}, a.At()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := r.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	for _, st := range r.List() {
+		if st.State != core.JobDone {
+			tb.Fatalf("job %d: %v", st.ID, st.State)
+		}
+	}
+}
+
+// runtimeSimJobAllocs is TestEngineAllocBudget's budget for serveChat, by
+// the rule of the rows above: the 12 289 allocations a run of its 227 jobs
+// measured, plus 20% plus 16, over the jobs.
+const runtimeSimJobAllocs = 65.04
 
 // evaluateAllocs is TestEngineAllocBudget's budget for one apps.Evaluate:
 // the 46 869 allocations a run measured, plus 5%, paper_eval's own

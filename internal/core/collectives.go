@@ -72,6 +72,14 @@ func newCollAccum(ns *nodeState) *collAccum {
 	return &collAccum{ns: ns, groups: make(map[opKind]*collGroup)}
 }
 
+// reset empties ca for a recycled engine's next tenant, keeping its map:
+// the groups it was accumulating, its spare group and its execution, whose
+// op kept the transport progress of a dead tenant's group, are dropped.
+func (ca *collAccum) reset() {
+	clear(ca.groups)
+	*ca = collAccum{ns: ca.ns, groups: ca.groups}
+}
+
 // pending reports how many collective requests are parked waiting for the
 // rest of their group.
 func (ca *collAccum) pending() int {

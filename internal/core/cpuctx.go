@@ -28,6 +28,16 @@ type CPUCtx struct {
 	ops sim.FreeList[simRequest]
 }
 
+// run is the kernel thread's body on tp: the job's CPU kernel, with an
+// AsyncOp list kept under the node's simulator on the simulated backend.
+func (c *CPUCtx) run(tp transport.Proc) {
+	c.tp = tp
+	if c.ns.sim != nil {
+		c.ops.Init(c.ns.sim, "async-op", 64)
+	}
+	c.job.cpuKernel(c)
+}
+
 // Rank returns this kernel thread's virtual rank (dcgn::getRank).
 func (c *CPUCtx) Rank() int { return c.rank }
 

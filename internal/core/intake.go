@@ -23,6 +23,14 @@ type intake struct {
 
 func newIntake(q commQueue) *intake { return &intake{q: q} }
 
+// reset empties a recycled engine's stream for its next tenant, as node n:
+// the queue's events and the dead comm thread's wait are dropped, and the
+// counters start again.
+func (in *intake) reset(n int) {
+	in.q.(*simQueue).q.Reset("commq", n)
+	*in = intake{q: in.q}
+}
+
 // postRequest funnels one local request (CPU kernel or GPU monitor) into
 // the stream.
 func (in *intake) postRequest(req *request) {

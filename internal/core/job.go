@@ -326,7 +326,11 @@ func (j *Job) Run() (Report, error) {
 	sub := newSubstrate(j.cfg.Nodes, j.cfg.Net, j.cfg.MPI, j.cfg.Shards, j.cfg.MaxVirtualTime)
 	j.start(sub.env(simmpi.WorldGroup(sub.world), sub.nodes, sub.pool, 0))
 	err := sub.loop.Run()
-	return j.report(), err
+	rep := j.report()
+	for _, h := range j.hosts {
+		h.engines.Drop() // the job keeps its engines; the substrate ends here
+	}
+	return rep, err
 }
 
 // checkRunnable validates the job's kernels and shape against its backend,
@@ -387,59 +391,49 @@ func (j *Job) start(env engineEnv) {
 		j.nodes[n] = j.newNodeState(n)
 	}
 	if j.metrics != nil {
-		j.metrics.nodes.Store(&j.nodes)
+		j.metrics.setNodes(j.nodes)
 	}
 	j.spawnCPUKernels()
 	j.spawnGPUKernels()
 }
 
-// newNodeState constructs and starts one node's progress engine on the
-// job's substrate. On the simulated one it also makes the substrate node's
-// noise stream this job's: seeded from (JitterFrac, JitterSeed, n), so the
-// draws depend on the job and its node and on nothing about the host, and
-// whatever the node's previous tenant had seeded ends here.
+// newNodeState brings one node's progress engine up on the job's
+// substrate. On the simulated one the engine comes from its host node's
+// list (hostNode.engines) — one a previous tenant left, or a new one — and
+// the node's noise stream becomes this job's: seeded from (JitterFrac,
+// JitterSeed, n), so the draws depend on the job and its node and on
+// nothing about the host, and whatever the node's previous tenant had
+// seeded ends here.
 func (j *Job) newNodeState(n int) *nodeState {
-	rtv := j.rt
-	var s *sim.Sim
-	var jit *sim.Jitter
+	var ns *nodeState
 	var h *hostNode
-	if j.hosts != nil {
+	rtv := j.rt
+	if j.hosts == nil {
+		ns = new(nodeState)
+	} else {
 		h = j.hosts[n]
-		s, jit = h.Sim(), h.Jitter()
-		jit.Seed(j.cfg.JitterFrac, j.cfg.JitterSeed, n)
-		rtv = simRT{s: s} // a 1:1 veneer: no allocation, no behavior of its own
+		h.Jitter().Seed(j.cfg.JitterFrac, j.cfg.JitterSeed, n)
+		rtv = simRT{s: h.Sim()} // a 1:1 veneer: no allocation, no behavior of its own
 		if j.stackful {
-			rtv = stackfulRT{simRT{s: s}}
+			rtv = stackfulRT{simRT{s: h.Sim()}}
 		}
+		ns = h.engines.Get()
 	}
-	ns := &nodeState{
-		job:    j,
-		node:   n,
-		rt:     rtv,
-		sim:    s,
-		jit:    jit,
-		intake: newIntake(rtv.NewQueue(fmt.Sprintf("commq:%d", n))),
-		index:  newMatchIndex(),
-	}
-	if h != nil {
-		ns.txs, ns.ins, ns.joins = &h.txs, &h.ins, &h.joins
-		ns.index.sends.free, ns.index.unexp.free = &h.sends, &h.unexp
-	}
+	ns.reset(j, n, rtv, h)
 	ns.wrapTransport(j.endpoints[n])
 	ns.obsOn = j.trace != nil || j.metrics != nil
 	ns.flowsOn = j.cfg.Flows && j.trace != nil
 	ns.wire.init(ns, false)
-	ns.coll = newCollAccum(ns)
-	if s != nil && j.rmap.Spec(n).GPUs > 0 {
+	if s := ns.sim; s != nil && j.rmap.Spec(n).GPUs > 0 {
 		// The device model — PCIe bus, devices, their monitors — exists only
 		// in virtual time, and only on a node with devices.
 		ns.bus = pcie.New(s, fmt.Sprintf("n%d", n), j.cfg.Bus)
-		ns.bus.Jit = jit
+		ns.bus.Jit = ns.jit
 		for g := 0; g < j.rmap.Spec(n).GPUs; g++ {
 			devCfg := j.cfg.Device
 			devCfg.Name = fmt.Sprintf("gpu%d.%d", n, g)
 			dev := device.New(s, devCfg)
-			dev.Jit = jit
+			dev.Jit = ns.jit
 			ns.devs = append(ns.devs, dev)
 			ns.gpus = append(ns.gpus, newGPUThread(ns, g, dev))
 		}
@@ -449,6 +443,43 @@ func (j *Job) newNodeState(n int) *nodeState {
 		gt.startMonitor()
 	}
 	return ns
+}
+
+// reset makes ns the engine of j's node n on rtv, hosted by h (nil on the
+// live backend), holding exactly what a fresh build holds. An engine a
+// previous tenant left keeps only storage, each piece emptied: its intake
+// queue, its matching index's maps and FIFOs, its collective
+// accumulator's map and its reliable lane's tables (relLane.init).
+func (ns *nodeState) reset(j *Job, n int, rtv rt, h *hostNode) {
+	in, index, coll, seq := ns.intake, ns.index, ns.coll, ns.wire.seq
+	*ns = nodeState{job: j, node: n, rt: rtv, intake: in, index: index, coll: coll}
+	ns.wire.seq = seq
+	if in == nil {
+		ns.intake, ns.index, ns.coll = newIntake(rtv.NewQueue("commq", n)), newMatchIndex(), newCollAccum(ns)
+	} else {
+		in.reset(n)
+		index.reset()
+		coll.reset()
+	}
+	if h != nil {
+		ns.sim, ns.jit = h.Sim(), h.Jitter()
+		ns.txs, ns.ins, ns.joins = &h.txs, &h.ins, &h.joins
+		ns.index.sends.free, ns.index.unexp.free = &h.sends, &h.unexp
+	}
+}
+
+// releaseEngines gives the job's node engines back to their host nodes for
+// their next tenants, once the job's procs are dead: a Runtime calls it
+// only after killing its tenant's group. The job and its metrics forget
+// the engines, so that a later read of either cannot see those tenants.
+func (j *Job) releaseEngines() {
+	if j.metrics != nil {
+		j.metrics.setNodes(nil)
+	}
+	for n, ns := range j.nodes {
+		j.hosts[n].engines.Keep(ns)
+	}
+	j.nodes = nil
 }
 
 // spawnGPUKernels starts the per-device setup/launch/wait/teardown threads
@@ -505,14 +536,7 @@ func (j *Job) spawnCPUKernels() {
 	for n := 0; n < j.cfg.Nodes; n++ {
 		for c := 0; c < j.rmap.Spec(n).CPUKernels; c++ {
 			ns := j.nodes[n]
-			rank := j.rmap.CPURank(n, c)
-			ns.rt.Spawn(fmt.Sprintf("cpu-kern:%d.%d", n, c), func(p transport.Proc) {
-				c := &CPUCtx{job: j, ns: ns, tp: p, rank: rank}
-				if ns.sim != nil {
-					c.ops.Init(ns.sim, "async-op", 64)
-				}
-				j.cpuKernel(c)
-			})
+			ns.rt.SpawnKernel(&CPUCtx{job: j, ns: ns, rank: j.rmap.CPURank(n, c)})
 		}
 	}
 }

@@ -52,6 +52,12 @@ func (q *ring[T]) push(v T) {
 	}
 }
 
+// reset empties q, keeping its backing.
+func (q *ring[T]) reset() {
+	clear(q.items)
+	q.items, q.head = q.items[:0], 0
+}
+
 func (q *ring[T]) peek() (T, bool) {
 	var zero T
 	if q == nil || q.head >= len(q.items) {
@@ -159,6 +165,22 @@ func (ix *twoIndex[T]) take(src, dst int) (v T) {
 	return v
 }
 
+// reset empties the index, keeping its maps and FIFOs. The entries it
+// held are left to the garbage collector: what they point at was a dead
+// tenant's.
+func (ix *twoIndex[T]) reset() {
+	emptyAll(ix.byPair)
+	emptyAll(ix.byDst)
+	ix.n = 0
+}
+
+// emptyAll empties every FIFO of m, keeping each.
+func emptyAll[K comparable, T any](m map[K]*ring[T]) {
+	for _, q := range m {
+		q.reset()
+	}
+}
+
 // trim drops the taken entries at q's head, recycling each that its other
 // queue has dropped already.
 func (ix *twoIndex[T]) trim(q *ring[*parked[T]]) {
@@ -203,6 +225,17 @@ type matchIndex struct {
 }
 
 func newMatchIndex() *matchIndex { return &matchIndex{} }
+
+// reset empties mi for a recycled engine's next tenant, keeping its maps
+// and FIFOs.
+func (mi *matchIndex) reset() {
+	mi.sends.reset()
+	mi.unexp.reset()
+	emptyAll(mi.recvsByPair)
+	emptyAll(mi.recvsAny)
+	mi.seq, mi.recvs = 0, 0
+	mi.peak.Store(0)
+}
 
 // depth is the total number of live pending entries (sends + recvs +
 // unexpected inbound), the per-node queue depth reported in traces.

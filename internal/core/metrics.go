@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"dcgn/internal/obs"
@@ -68,8 +69,18 @@ type jobMetrics struct {
 	// goroutines can observe concurrently without a lock.
 	hists atomic.Pointer[histEntry]
 	// nodes is the job's engine, published by Job.start once every node is
-	// built, so snapshot may read its counts from the HTTP goroutine.
-	nodes atomic.Pointer[[]*nodeState]
+	// built, so snapshot may read its counts from the HTTP goroutine, and
+	// withdrawn by Job.releaseEngines: nodesMu keeps a snapshot from
+	// reading an engine that has gone on to its next tenant.
+	nodesMu sync.Mutex
+	nodes   []*nodeState
+}
+
+// setNodes publishes (or, nil, withdraws) the job's engine.
+func (m *jobMetrics) setNodes(nodes []*nodeState) {
+	m.nodesMu.Lock()
+	m.nodes = nodes
+	m.nodesMu.Unlock()
 }
 
 // histEntry is one histogram of jobMetrics.hists.
@@ -116,19 +127,19 @@ func (m *jobMetrics) snapshot() obs.Snapshot {
 			s.Counters[name] += v
 		}
 	}
-	if nodes := m.nodes.Load(); nodes != nil {
-		for _, ns := range *nodes {
-			count("onesided_puts", ns.osPuts.Load())
-			count("onesided_gets", ns.osGets.Load())
-			count("onesided_triggered", ns.osTriggered.Load())
-			if peak := ns.index.peak.Load(); peak > s.Gauges["peak_depth/layer=match"] {
-				s.Gauges["peak_depth/layer=match"] = peak
-			}
-			for _, gt := range ns.gpus {
-				count("gpu_polls", gt.polls.Load())
-				count("gpu_poll_hits", gt.hits.Load())
-				count("gpu_doorbell_services", gt.signals.Load())
-			}
+	m.nodesMu.Lock()
+	defer m.nodesMu.Unlock()
+	for _, ns := range m.nodes {
+		count("onesided_puts", ns.osPuts.Load())
+		count("onesided_gets", ns.osGets.Load())
+		count("onesided_triggered", ns.osTriggered.Load())
+		if peak := ns.index.peak.Load(); peak > s.Gauges["peak_depth/layer=match"] {
+			s.Gauges["peak_depth/layer=match"] = peak
+		}
+		for _, gt := range ns.gpus {
+			count("gpu_polls", gt.polls.Load())
+			count("gpu_poll_hits", gt.hits.Load())
+			count("gpu_doorbell_services", gt.signals.Load())
 		}
 	}
 	return s

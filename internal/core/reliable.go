@@ -112,20 +112,35 @@ type relSeq struct {
 	held   []map[uint64]frame // per src node: out-of-order frames parked
 }
 
+// init makes l ns's lane, reusing the tables of the one a recycled engine
+// held (nodeState.reset).
 func (l *relLane) init(ns *nodeState, oneSided bool) {
 	cfg := &ns.job.cfg
+	seq := l.seq
 	*l = relLane{
 		ns: ns, layout: laneLayout(oneSided, cfg.Reliability.Enabled, ns.flowsOn), oneSided: oneSided,
 		rx: transport.RecvOp{OneSided: oneSided},
 	}
 	if cfg.Reliability.Enabled {
-		l.seq = &relSeq{
-			nextTx:  make([]uint64, cfg.Nodes),
-			waiters: make(map[relKey]*relWaiter),
-			nextRx:  make([]uint64, cfg.Nodes),
-			held:    make([]map[uint64]frame, cfg.Nodes),
+		if seq == nil {
+			seq = &relSeq{waiters: make(map[relKey]*relWaiter)}
 		}
+		clear(seq.waiters)
+		seq.nextTx, seq.nextRx = zeroed(seq.nextTx, cfg.Nodes), zeroed(seq.nextRx, cfg.Nodes)
+		seq.held = zeroed(seq.held, cfg.Nodes)
+		l.seq = seq
 	}
+}
+
+// zeroed returns n zero values in s's backing, or in a new one when s's is
+// too short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // assignSeq takes the next sequence number towards dstNode. A sender calls

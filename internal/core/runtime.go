@@ -23,8 +23,10 @@ type rt interface {
 	// the owner embeds, and costs no allocation of its own; the live
 	// backend leaves ev alone.
 	EventIn(ev *sim.Event, prefix string, id int) completion
-	// Spawn starts a thread that keeps the run alive until it returns.
-	Spawn(name string, fn func(p transport.Proc))
+	// SpawnKernel starts c's CPU-kernel thread, which keeps the run alive
+	// until the kernel returns; on the simulated backend a proc named
+	// "cpu-kern:<rank>" when something asks, with c as its argument.
+	SpawnKernel(c *CPUCtx)
 	// SpawnStep starts a thread running s, a step machine, to its end — a
 	// daemon, which does not keep the run alive, when daemon is set. On the
 	// simulated backend it is a stackless proc when stackless is set (every
@@ -34,8 +36,9 @@ type rt interface {
 	// every form has blocked already, and the run's teardown waits for it
 	// with the daemons that spawned it.
 	SpawnStep(prefix string, id int, s stepper, daemon, stackless bool)
-	// NewQueue creates an unbounded FIFO work queue.
-	NewQueue(name string) commQueue
+	// NewQueue creates an unbounded FIFO work queue, named "prefix:id" on
+	// the simulated backend when something asks.
+	NewQueue(prefix string, id int) commQueue
 	// After schedules fn to run once d of substrate time has elapsed,
 	// returning a cancel function; fn must not block. Cancel is
 	// best-effort: it guarantees fn will not run if it has not started, and
@@ -120,9 +123,11 @@ func (r simRT) EventIn(ev *sim.Event, prefix string, id int) completion {
 	return (*simEvent)(ev)
 }
 
-func (r simRT) Spawn(name string, fn func(transport.Proc)) {
-	r.s.Spawn(name, func(p *sim.Proc) { fn(p) })
-}
+// SpawnKernel hosts the kernel as the proc's argument: no closure.
+func (r simRT) SpawnKernel(c *CPUCtx) { r.s.SpawnID("cpu-kern", c.rank, kernelArg, c) }
+
+// kernelArg is the body of a CPU-kernel proc, running the kernel it carries.
+func kernelArg(p *sim.Proc) { p.Arg().(*CPUCtx).run(p) }
 
 // SpawnStep hosts s as the proc's argument — so a machine that holds a
 // posted receive is told when the proc is killed (sim.Dropper) — and
@@ -152,8 +157,8 @@ func driveArg(p *sim.Proc) {
 	}
 }
 
-func (r simRT) NewQueue(name string) commQueue {
-	return &simQueue{q: sim.NewQueue[commMsg](r.s, name)}
+func (r simRT) NewQueue(prefix string, id int) commQueue {
+	return &simQueue{q: sim.NewQueueID[commMsg](r.s, prefix, id)}
 }
 
 // After runs fn on a stackless daemon proc after d of virtual time.

@@ -762,6 +762,7 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 	}
 	c.group.Kill()
 	rep := c.job.report()
+	c.job.releaseEngines()
 	r.mu.Lock()
 	r.retire(c, JobCanceled, rep, ErrJobCanceled)
 }
@@ -1005,12 +1006,17 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 	// nodes free up and successors are admitted, all at that instant. What
 	// is left of the job — parked daemons, monitors still polling — is
 	// killed at the next event boundary, which is as soon as a proc can ask:
-	// Kill needs the scheduler's context.
+	// Kill needs the scheduler's context. Only then, with nothing of the job
+	// left to run on them, do its node engines go back for later tenants.
 	c.group = s.NewGroup(func() {
-		rep := c.job.report()
+		job := c.job
+		rep := job.report()
 		r.mu.Lock()
 		r.retire(c, JobDone, rep, nil)
-		s.Inject(c.group.Kill)
+		s.Inject(func() {
+			c.group.Kill()
+			job.releaseEngines()
+		})
 	})
 	c.wire = simmpi.NewGroup(r.sub.world, c.placement, c.ID)
 	s.InGroup(c.group, func() {

@@ -40,12 +40,12 @@ func (r *liveRT) EventIn(_ *sim.Event, prefix string, id int) completion {
 	return r.NewEventID(prefix, id)
 }
 
-// Spawn starts a kernel.
-func (r *liveRT) Spawn(_ string, fn func(transport.Proc)) {
+// SpawnKernel starts a kernel.
+func (r *liveRT) SpawnKernel(c *CPUCtx) {
 	r.workers.Add(1)
 	go func() {
 		defer r.workers.Done()
-		fn(r.proc)
+		c.run(r.proc)
 	}()
 }
 
@@ -61,7 +61,7 @@ func (r *liveRT) SpawnStep(_ string, _ int, s stepper, _, _ bool) {
 	}()
 }
 
-func (r *liveRT) NewQueue(string) commQueue {
+func (r *liveRT) NewQueue(string, int) commQueue {
 	q := &liveQueue{}
 	q.cond = sync.NewCond(&q.mu)
 	return q

@@ -723,14 +723,21 @@ func gpuPingPongJob(t *testing.T, reps int) *Job {
 	return job
 }
 
-// jobPolls sums the monitor poll ticks of a job's devices, read off the
-// engine itself rather than a Report: it keeps counting for as long as the
-// monitors live.
-func jobPolls(j *Job) (polls int) {
+// jobGPUs returns a running job's GPU threads. Their poll ticks, read off
+// the threads rather than a Report, go on counting for as long as the
+// monitors live, and they stay readable once a retired job has given its
+// node engines back (Job.releaseEngines).
+func jobGPUs(j *Job) (gts []*gpuThread) {
 	for _, ns := range j.nodes {
-		for _, gt := range ns.gpus {
-			polls += int(gt.polls.Load())
-		}
+		gts = append(gts, ns.gpus...)
+	}
+	return gts
+}
+
+// gpuPolls sums the monitor poll ticks of gts.
+func gpuPolls(gts []*gpuThread) (polls int) {
+	for _, gt := range gts {
+		polls += int(gt.polls.Load())
 	}
 	return polls
 }
@@ -783,8 +790,9 @@ func TestRuntimeSimRetiredTenantLeavesNothing(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	// retired holds the polls of each retired GPU tenant as first read one
 	// retirement after its own — by when the kill injected at its completion
-	// has run — and -1 until then.
-	retired := map[int]int{}
+	// has run — and -1 until then; gpus its GPU threads, taken at its
+	// retirement.
+	retired, gpus := map[int]int{}, map[int][]*gpuThread{}
 	done, polled := 0, 0
 	r.SetOnJobDone(func(st JobStatus) { // sim context: one proc at a time
 		done++
@@ -801,15 +809,15 @@ func TestRuntimeSimRetiredTenantLeavesNothing(t *testing.T) {
 				done, procs, goroutines, posted, maxProcs, maxProcs, maxPosted)
 		}
 		for id, was := range retired {
-			now := jobPolls(jobs[id])
+			now := gpuPolls(gpus[id])
 			if was >= 0 && now != was {
 				t.Errorf("tenant %d retired, yet its monitors went on polling: %d -> %d", id, was, now)
 			}
 			retired[id] = now
 			polled = max(polled, now)
 		}
-		if len(jobs[st.ID].nodes[0].gpus) > 0 {
-			retired[st.ID] = -1
+		if gts := jobGPUs(jobs[st.ID]); len(gts) > 0 {
+			retired[st.ID], gpus[st.ID] = -1, gts
 		}
 	})
 	if err := r.Run(); err != nil {

@@ -106,18 +106,20 @@ func TestRuntimeSimCancelRunning(t *testing.T) {
 		var cancelErr error
 		var out outcome
 		pollsAtCancel, pollsAfter := 0, 0
+		var gpuThreads []*gpuThread
 		r.SetOnJobDone(func(st JobStatus) {
 			switch {
 			case st.ID == quick.ID() && withVictims:
+				gpuThreads = jobGPUs(gpuJob)
 				cancelErr = errors.Join(r.Cancel(victim.ID()), r.Cancel(gpu.ID()))
 			case withVictims && st.ID == gpu.ID():
-				pollsAtCancel = jobPolls(gpuJob)
+				pollsAtCancel = gpuPolls(gpuThreads)
 			case st.ID == bystander.ID():
 				out.procs = r.sub.loop.Shard(0).Sim().Unfinished()
 				if !withVictims {
 					return
 				}
-				pollsAfter = jobPolls(gpuJob)
+				pollsAfter = gpuPolls(gpuThreads)
 				// All eight nodes, the victims' among them.
 				job := NewJob(backendConfig(transport.BackendSim, 8, 1))
 				job.SetCPUKernel(func(c *CPUCtx) {

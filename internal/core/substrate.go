@@ -52,10 +52,10 @@ type engineEnv struct {
 }
 
 // hostNode is a substrate node as the engines placed on it see it: the
-// fabric node and the free lists of the engine's per-message objects, which
-// outlive any one job on the node (a Runtime's tenants come and go on one
-// simulator, under one baton) and are touched only under the baton of the
-// node's simulator.
+// fabric node and the free lists of the engine's per-message objects and of
+// the engines themselves, which outlive any one job on the node (a
+// Runtime's tenants come and go on one simulator, under one baton) and are
+// touched only under the baton of the node's simulator.
 type hostNode struct {
 	*fabric.Node
 	txs   sim.FreeList[remoteSend]
@@ -64,6 +64,13 @@ type hostNode struct {
 	// sends and unexp are the matching index's entries (matchIndex).
 	sends sim.FreeList[parked[*request]]
 	unexp sim.FreeList[parked[*inbound]]
+	// engines holds the node's spare progress engine: a tenant takes one at
+	// its start (Job.newNodeState), and a Runtime gives it back once the
+	// tenant's group is killed, never at its retirement, when its comm
+	// thread and receiver still wait on the engine's queue. Two engines a
+	// node are enough: the tenant's, and the one its predecessor held until
+	// that was killed.
+	engines sim.FreeList[nodeState]
 }
 
 // wireTotals meters inter-node traffic: packets and bytes carried so far.
@@ -123,6 +130,7 @@ func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int
 		h.joins.Init(h.Sim(), "sendrecv-join", spareNodeObjects)
 		h.sends.Init(h.Sim(), "match-entry", spareNodeObjects)
 		h.unexp.Init(h.Sim(), "match-entry", spareNodeObjects)
+		h.engines.Init(h.Sim(), "node-engine", 2)
 	}
 	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
 	sub.world = mpi.NewWorld(nil, sub.net, sub.nodes, mpiCfg)

@@ -135,7 +135,7 @@ func (c *Chan[T]) tryRecvInternal() (v T, ok bool, done bool) {
 // proc killed while parked in Get is skipped by the next Put.
 type Queue[T any] struct {
 	s     *Sim
-	name  string
+	name  ident
 	items ring[T]
 	recvq ring[*chanWaiter[T]]
 	// spare holds the waiters of Gets that have returned, for the next Get
@@ -146,13 +146,34 @@ type Queue[T any] struct {
 
 // NewQueue creates an empty unbounded queue.
 func NewQueue[T any](s *Sim, name string) *Queue[T] {
-	return &Queue[T]{s: s, name: name}
+	return &Queue[T]{s: s, name: ident{name: name, id: noID}}
+}
+
+// NewQueueID is NewQueue with a lazily-formatted "prefix:id" name.
+func NewQueueID[T any](s *Sim, prefix string, id int) *Queue[T] {
+	return &Queue[T]{s: s, name: ident{name: prefix, id: id}}
+}
+
+// Reset empties q for a new life under the lazily-formatted name
+// "prefix:id", keeping its storage: its items are dropped, and so are the
+// waiters parked on it, whose procs must all have been killed — a queue
+// whose consumers died with their owner, which reuses it.
+func (q *Queue[T]) Reset(prefix string, id int) {
+	for q.items.len() > 0 {
+		q.items.pop()
+	}
+	for q.recvq.len() > 0 {
+		w := q.recvq.pop()
+		*w = chanWaiter[T]{}
+		q.spare = append(q.spare, w)
+	}
+	q.name = ident{name: prefix, id: id}
 }
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return q.items.len() }
 
-func (q *Queue[T]) label() string { return q.name }
+func (q *Queue[T]) label() string { return q.name.String() }
 
 // Put appends v. It never blocks and may be called from any running Proc.
 func (q *Queue[T]) Put(v T) {

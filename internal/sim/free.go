@@ -1,5 +1,7 @@
 package sim
 
+import "unsafe"
+
 // FreeList is a capped LIFO of spare objects of one kind, kept by the one
 // owner that recycles them — a simulator for its stackless procs, a fabric
 // node for its packets, a rank for its envelopes — and touched only under
@@ -18,14 +20,18 @@ package sim
 type FreeList[T any] struct {
 	spare []*T
 	// slab is the unused rest of the block the list last allocated, and
-	// slabN that block's length: a list that runs dry allocates its next
-	// objects in blocks of two, four, then eight, so that a short life (a
-	// small job's node) does not pay for eight.
-	slab  []T
-	slabN int
-	max   int
-	c     *Recycled
+	// made how many objects its blocks have held so far (Get sizes the
+	// next).
+	slab []T
+	made int
+	max  int
+	c    *Recycled
 }
+
+// bigObject is the size from which a list's blocks grow by what it has
+// made rather than by twice that: an AsyncOp, a sendrecv join, a node
+// engine.
+const bigObject = 256
 
 // Recycled counts one kind's traffic through its free lists. Gets counts the
 // objects handed out and Fresh those among them that had to be allocated;
@@ -40,17 +46,11 @@ func (r Recycled) Held() uint64 { return r.Gets - r.Puts }
 // Init makes l a list of kind on s, counted in s.Stats().Recycled[kind],
 // that keeps at most max spare objects.
 func (l *FreeList[T]) Init(s *Sim, kind string, max int) {
-	l.max = max
-	c := s.recycled[kind]
-	if c == nil {
-		c = new(Recycled)
-		s.recycled[kind] = c
-	}
-	l.c = c
+	l.max, l.c = max, s.recycledKind(kind)
 }
 
-// Get returns a cleared object: a spare one, or a new one when there is
-// none.
+// Get returns a spare object — cleared, or as Keep left it — or a new one
+// when there is none.
 func (l *FreeList[T]) Get() *T {
 	if l == nil || l.c == nil {
 		return new(T)
@@ -64,8 +64,20 @@ func (l *FreeList[T]) Get() *T {
 	}
 	l.c.Fresh++
 	if len(l.slab) == 0 {
-		l.slabN = min(max(2*l.slabN, 2), 8)
-		l.slab = make([]T, l.slabN)
+		// A dry list allocates its next block: twice as many objects as it
+		// has made so far, or as many for objects of bigObject bytes or
+		// more, whose unused rest would cost more than the allocation it
+		// saves — two at first, at most eight, and at most half the spares
+		// the list may keep, so that a short life (a small job's node) does
+		// not pay for eight, and a list that keeps two (a node's engines)
+		// allocates one at a time.
+		var zero T
+		n := l.made
+		if unsafe.Sizeof(zero) < bigObject {
+			n *= 2
+		}
+		n = min(max(n, 2), 8, max(l.max/2, 1))
+		l.slab, l.made = make([]T, n), l.made+n
 	}
 	x := &l.slab[0]
 	l.slab = l.slab[1:]
@@ -86,6 +98,20 @@ func (l *FreeList[T]) Put(x *T) {
 		// Most lists hold a handful: start at eight, not one.
 		l.spare = append(make([]*T, 0, min(l.max, 8)), x)
 	case len(l.spare) < l.max:
+		l.spare = append(l.spare, x)
+	}
+}
+
+// Keep is Put for an owner that resets each object Get hands it itself,
+// keeping storage it reuses from one life to the next (maps, slice
+// backing, objects x points to): x is not cleared, and is kept for the
+// next Get if the list has room. Nothing may use x after.
+func (l *FreeList[T]) Keep(x *T) {
+	if l == nil || l.c == nil {
+		return
+	}
+	l.c.Puts++
+	if len(l.spare) < l.max {
 		l.spare = append(l.spare, x)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -108,5 +109,151 @@ func TestFreeList(t *testing.T) {
 	none.Drop()
 	if none.Get() == x {
 		t.Error("the nil list recycled an object")
+	}
+}
+
+// TestFreeListBlocks: a dry list allocates a block of twice what it has
+// made for small objects (2, 4, 8, 8…) and of what it has made for objects
+// of bigObject bytes or more (2, 2, 4, 8…), never more than half the
+// spares it may keep: six small objects take two allocations, six big ones
+// three and sixteen big ones four (sixteen objects, not 22), and a list
+// that keeps two allocates one object at a time.
+func TestFreeListBlocks(t *testing.T) {
+	type small struct{ v [8]byte }
+	type big struct{ v [bigObject]byte }
+	s := New()
+	for _, c := range []struct {
+		name string
+		get  func()
+		want float64
+	}{
+		{name: "6 small", want: 2, get: func() {
+			var l FreeList[small]
+			l.Init(s, "small", 64)
+			for range 6 {
+				l.Get()
+			}
+		}},
+		{name: "6 big", want: 3, get: func() {
+			var l FreeList[big]
+			l.Init(s, "big", 64)
+			for range 6 {
+				l.Get()
+			}
+		}},
+		{name: "16 big", want: 4, get: func() {
+			var l FreeList[big]
+			l.Init(s, "big", 64)
+			for range 16 {
+				l.Get()
+			}
+		}},
+		{name: "3 big, cap 2", want: 3, get: func() {
+			var l FreeList[big]
+			l.Init(s, "big", 2)
+			for range 3 {
+				l.Get()
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(1, c.get); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFreeListKeep: Keep gives an object back as it is, for the owner to
+// reset when it takes it again, within the list's cap, and counts it as
+// Put does.
+func TestFreeListKeep(t *testing.T) {
+	type obj struct{ v int }
+	s := New()
+	var l FreeList[obj]
+	l.Init(s, "obj", 1)
+	a, b := l.Get(), l.Get()
+	a.v, b.v = 1, 2
+	l.Keep(a)
+	l.Keep(b) // over the cap: counted, not kept
+	if x := l.Get(); x != a || x.v != 1 {
+		t.Errorf("Get returned %p (v=%d), want a (%p) as it was kept", x, x.v, a)
+	}
+	if r := s.Stats().Recycled["obj"]; r != (Recycled{Gets: 3, Puts: 2, Fresh: 2}) {
+		t.Errorf("counts %+v, want 3 gets, 2 puts, 2 fresh", r)
+	}
+}
+
+// TestRecycledKinds: a simulator counts every kind apart, those past the
+// ones it keeps in place too, and a second list of a kind adds to the
+// first's counts.
+func TestRecycledKinds(t *testing.T) {
+	s := New() // "proc" is its first kind
+	lists := make([]FreeList[int], recycledKinds+3)
+	for i := range lists {
+		lists[i].Init(s, fmt.Sprintf("k%d", i), 8)
+		for range i + 1 {
+			lists[i].Get()
+		}
+	}
+	var again FreeList[int]
+	again.Init(s, "k0", 8)
+	again.Get()
+	rec := s.Stats().Recycled
+	if len(rec) != len(lists)+1 {
+		t.Errorf("%d kinds counted, want %d", len(rec), len(lists)+1)
+	}
+	for i := range lists {
+		want := uint64(i + 1)
+		if i == 0 {
+			want++
+		}
+		if r := rec[fmt.Sprintf("k%d", i)]; r.Gets != want || r.Fresh != want {
+			t.Errorf("k%d: %+v, want %d handed out, all fresh", i, r, want)
+		}
+	}
+}
+
+// TestQueueReset: a queue is reset for a new life — the waiter of a
+// consumer killed parked on it and its items gone, its name the new one —
+// and serves a new consumer as a new queue would, on the waiter the dead
+// one left.
+func TestQueueReset(t *testing.T) {
+	s := New()
+	q := NewQueueID[int](s, "q", 0)
+	g := s.NewGroup(func() {})
+	s.InGroup(g, func() {
+		s.SpawnStepDaemon("dead", 0, func(p *Proc) {
+			var v int
+			q.GetStep(p, &v)
+		}, nil)
+	})
+	var got []int
+	s.Spawn("driver", func(p *Proc) {
+		p.Yield() // the dead consumer parks on the queue
+		s.Inject(g.Kill)
+		p.Yield()
+		q.Reset("q", 1)
+		if q.recvq.len() != 0 || len(q.spare) != 1 || q.label() != "q:1" {
+			t.Errorf("after Reset: %d waiters, %d spare, name %q; want 0, 1, q:1", q.recvq.len(), len(q.spare), q.label())
+		}
+		q.Put(7) // nobody waits: it stays queued
+		q.Reset("q", 2)
+		if q.Len() != 0 {
+			t.Errorf("after Reset: %d items, want 0", q.Len())
+		}
+		s.Spawn("consumer", func(c *Proc) {
+			got = append(got, q.Get(c), q.Get(c))
+		})
+		p.Yield() // the consumer parks on the spare waiter
+		if len(q.spare) != 0 {
+			t.Error("the new consumer did not park on the dead one's waiter")
+		}
+		q.Put(1)
+		q.Put(2)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("the consumer got %v, want [1 2]", got)
 	}
 }

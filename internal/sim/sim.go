@@ -313,9 +313,46 @@ type Sim struct {
 
 	// spare holds the procs that ended at a natural end of a stackless
 	// step, for the next spawn; recycled counts the traffic of every free
-	// list kept under this Sim's baton, by kind (FreeList.Init).
-	spare    FreeList[Proc]
-	recycled map[string]*Recycled
+	// list kept under this Sim's baton, by kind (FreeList.Init), the first
+	// kinds in place and the rest, if any, one allocation each.
+	spare     FreeList[Proc]
+	recycled  [recycledKinds]kindCount
+	nrecycled int
+	more      []*kindCount
+}
+
+// kindCount is one kind's counts in Sim.recycled.
+type kindCount struct {
+	kind string
+	Recycled
+}
+
+// recycledKinds is how many kinds of free list a Sim counts in place: the
+// ten the layers above keep (procs, packets, envelopes, rendezvous sends,
+// AsyncOps, dcgn-tx helpers, inbound messages, sendrecv joins, matching
+// entries, node engines) and room to spare.
+const recycledKinds = 12
+
+// recycledKind returns the counts of kind, registering it on first use.
+func (s *Sim) recycledKind(kind string) *Recycled {
+	for i := range s.nrecycled {
+		if s.recycled[i].kind == kind {
+			return &s.recycled[i].Recycled
+		}
+	}
+	for _, k := range s.more {
+		if k.kind == kind {
+			return &k.Recycled
+		}
+	}
+	if s.nrecycled < recycledKinds {
+		s.recycled[s.nrecycled].kind = kind
+		s.nrecycled++
+		return &s.recycled[s.nrecycled-1].Recycled
+	}
+	k := &kindCount{kind: kind}
+	s.more = append(s.more, k)
+	return &k.Recycled
 }
 
 // spareProcs caps a Sim's list of spare procs. It is large because the list
@@ -325,7 +362,7 @@ const spareProcs = 1 << 14
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	s := &Sim{kinds: map[string]*KindStats{}, recycled: map[string]*Recycled{}}
+	s := &Sim{kinds: map[string]*KindStats{}}
 	s.procs.prev, s.procs.next = &s.procs, &s.procs
 	s.spare.Init(s, "proc", spareProcs)
 	return s
@@ -622,8 +659,11 @@ func (s *Sim) Stats() Stats {
 	for name, k := range s.kinds {
 		st.Kinds[name] = *k
 	}
-	for kind, r := range s.recycled {
-		st.Recycled[kind] = *r
+	for _, k := range s.recycled[:s.nrecycled] {
+		st.Recycled[k.kind] = k.Recycled
+	}
+	for _, k := range s.more {
+		st.Recycled[k.kind] = k.Recycled
 	}
 	for p := s.procs.next; p != &s.procs; p = p.next {
 		st.Kinds[p.kind()] = st.Kinds[p.kind()].add(p.tally())
