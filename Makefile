@@ -47,7 +47,11 @@ test:
 # kernel runs five more times on one thread and on four: its procs run on
 # coroutines that whichever goroutine runs a window resumes, a different one
 # from window to window on several shards, and this is the cheap place to
-# catch state one of them touches outside the baton. The lane's step
+# catch state one of them touches outside the baton. That line runs the
+# killed-proc reuse test (TestKilledStacklessProcReused) with the rest: a
+# stackless proc killed on an Event's or a Queue's waiters is unlinked and
+# handed to the next spawn at once, so a wake left on a list would step a
+# stranger's proc on whichever stack holds the baton. The lane's step
 # machines (dcgn-tx, the receivers, the reliability helpers) run three more
 # times on one thread and on four, on both of their hosts and two shards:
 # a stackless step runs on whichever stack holds its shard's baton. The
@@ -129,7 +133,11 @@ virtual-diff:
 # benchmark's own allocs/msg is the line above the table. Then where
 # paper_eval's bytes come from: BenchmarkEvaluate (apps.Evaluate, the
 # paper's 65 cells) runs five times the same way, and pprof prints its
-# sites by bytes allocated; its B/op is the line above that table.
+# sites by bytes allocated; its B/op is the line above that table. Then
+# serve_sim's per-job sites by bytes: the root BenchmarkServeChat (one
+# 227-job chat batch on an 8-node simulated Runtime) runs ten times the same
+# way, so the profile holds eleven batches, 2 497 jobs; its B/job and
+# allocs/job are the line above the third table.
 allocprof:
 	$(GO) test ./internal/apps -run '^$$' -bench '^BenchmarkScaleFanout$$' -benchtime 5x -cpu 1 \
 		-memprofile $(OUT)/allocprof.mem -memprofilerate 512 -o $(OUT)/allocprof.test
@@ -137,6 +145,9 @@ allocprof:
 	$(GO) test ./internal/apps -run '^$$' -bench '^BenchmarkEvaluate$$' -benchtime 5x -cpu 1 \
 		-memprofile $(OUT)/allocprof-eval.mem -memprofilerate 512 -o $(OUT)/allocprof.test
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 $(OUT)/allocprof.test $(OUT)/allocprof-eval.mem
+	$(GO) test . -run '^$$' -bench '^BenchmarkServeChat$$' -benchtime 10x -cpu 1 \
+		-memprofile $(OUT)/allocprof-serve.mem -memprofilerate 512 -o $(OUT)/allocprof-serve.test
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=40 $(OUT)/allocprof-serve.test $(OUT)/allocprof-serve.mem
 
 # Loadgen gate: a seeded Poisson run on the sim backend diffed for
 # byte-identical SLO reports, the chat preset on the live backend, and a
@@ -276,9 +287,9 @@ flows:
 # engines with a mutex (5393); sim counts free-list kinds in an array
 # instead of a map, sizes a dry list's blocks by what it has made, and
 # gains FreeList.Keep and Queue.Reset (1580).
-LOC_CEILINGS = internal/core:5393:31 internal/transport:188:0 internal/transport/faults:179:0 \
-	internal/transport/simmpi:111:2 internal/transport/live:307:2 internal/obs:602:0 \
-	internal/sim:1580:19 internal/fabric:452:17 internal/mpi:1197:17 \
+LOC_CEILINGS = internal/core:5464:31 internal/transport:188:0 internal/transport/faults:179:0 \
+	internal/transport/simmpi:120:2 internal/transport/live:307:2 internal/obs:602:0 \
+	internal/sim:1641:19 internal/fabric:452:17 internal/mpi:1243:18 \
 	internal/pcie:66:1 internal/device:311:7 internal/gas:118:3 internal/apps:1997:38 \
 	cmd/dcgn-mandel:118:0
 loc:

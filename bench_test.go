@@ -377,10 +377,16 @@ func TestEngineAllocBudget(t *testing.T) {
 		}
 	}, msgs)
 	// serve_sim's path, budgeted per job: each job's set-up on the
-	// Runtime's shared substrate, where a tenant starts on the node engines
-	// its nodes' previous tenants left.
+	// Runtime's shared substrate, where a tenant starts on what its nodes'
+	// previous tenants left — engines, kernel contexts — and on the group,
+	// pool and metrics a finished tenant gave back. And its bytes, which
+	// weigh a 576-byte pool like an 8-byte name.
 	tr := chatTrace(t)
-	check("runtime-sim per job", runtimeSimJobAllocs, func() { serveChat(t, tr) }, float64(len(tr.Arrivals)))
+	serve := func() { serveChat(t, tr) }
+	check("runtime-sim per job", runtimeSimJobAllocs, serve, float64(len(tr.Arrivals)))
+	if kb := allocatedBytes(serve) / float64(len(tr.Arrivals)) / 1e3; kb > runtimeSimJobKB {
+		t.Errorf("runtime-sim per job: %.2f kB allocated, budget %.2f kB", kb, runtimeSimJobKB)
+	}
 	// paper_eval's run, the paper's 65 cells, budgeted per run: what
 	// paper_eval's allocs_per_op counts, 65 times over, at a size `go test`
 	// runs.
@@ -392,13 +398,18 @@ func TestEngineAllocBudget(t *testing.T) {
 	check("evaluate per run", evaluateAllocs, evaluate, 1)
 	// And its bytes, which the count does not see: a 1 MiB frame back in a
 	// 2 MiB class, or device blocks backed before anything touches them.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	evaluate()
-	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > evaluateMB {
+	if mb := allocatedBytes(evaluate) / 1e6; mb > evaluateMB {
 		t.Errorf("evaluate per run: %.1f MB allocated, budget %.1f MB", mb, evaluateMB)
 	}
+}
+
+// allocatedBytes returns the heap bytes one call of run allocates.
+func allocatedBytes(run func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 // chatTrace is serve_sim's offered traffic at a size `go test` runs:
@@ -411,6 +422,25 @@ func chatTrace(tb testing.TB) *loadgen.Trace {
 		tb.Fatal(err)
 	}
 	return tr
+}
+
+// BenchmarkServeChat is serve_sim's path at a size `go test` runs: one
+// serveChat batch an iteration, its allocations and bytes reported per job
+// (allocs/job, B/job). `make allocprof` reads its allocation sites.
+func BenchmarkServeChat(b *testing.B) {
+	tr := chatTrace(b)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		serveChat(b, tr)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	jobs := float64(b.N * len(tr.Arrivals))
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/jobs, "allocs/job")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/jobs, "B/job")
 }
 
 // serveChat runs tr on a simulated Runtime, every job at its arrival.
@@ -436,15 +466,20 @@ func serveChat(tb testing.TB, tr *loadgen.Trace) {
 }
 
 // runtimeSimJobAllocs is TestEngineAllocBudget's budget for serveChat, by
-// the rule of the rows above: the 12 289 allocations a run of its 227 jobs
+// the rule of the rows above: the 8 739 allocations a run of its 227 jobs
 // measured, plus 20% plus 16, over the jobs.
-const runtimeSimJobAllocs = 65.04
+const runtimeSimJobAllocs = 46.27
+
+// runtimeSimJobKB is its byte budget per job: the 1 858 664 bytes a run
+// allocated (Go 1.24, linux/amd64), plus 6%, serve_sim's alloc_kb_per_op
+// bound, over the jobs.
+const runtimeSimJobKB = 8.68
 
 // evaluateAllocs is TestEngineAllocBudget's budget for one apps.Evaluate:
-// the 46 869 allocations a run measured, plus 5%, paper_eval's own
+// the 43 214 allocations a run measured, plus 5%, paper_eval's own
 // allocs_per_op bound — 20% would let one engine daemon per node go back to
 // a coroutine worker unseen.
-const evaluateAllocs = 49213
+const evaluateAllocs = 45375
 
 // evaluateMB is its byte budget: the 152.9 MB one run allocated (Go 1.24,
 // linux/amd64), plus 6%, paper_eval's alloc_kb_per_op bound.

@@ -61,6 +61,20 @@ type Pool struct {
 // New creates an empty pool.
 func New() *Pool { return &Pool{} }
 
+// Reset makes p what New returns — nothing cached, every count zero —
+// keeping only the storage of its size classes' lists: a host that gives a
+// finished job's pool to the next job gives it no buffer and no count of
+// the last one's.
+func (p *Pool) Reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c, l := range p.free {
+		clear(l)
+		p.free[c] = l[:0]
+	}
+	p.acquires, p.releases, p.hits = 0, 0, 0
+}
+
 // classCap returns class c's capacity.
 func classCap(c int) int {
 	n := 1 << (minClassBits + c)

@@ -68,6 +68,9 @@ type nodeState struct {
 	txs   *sim.FreeList[remoteSend]
 	ins   *sim.FreeList[inbound]
 	joins *sim.FreeList[sendrecvJoin]
+	// kernels lists the contexts of the node's CPU kernels, linked through
+	// CPUCtx.next, for the host to take back once the job is over.
+	kernels *CPUCtx
 
 	// wire is the two-sided frame lane (reliable.go): handleSend transmits
 	// on it and its receiver daemon feeds the intake. rel counts the

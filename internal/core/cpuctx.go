@@ -14,6 +14,10 @@ import (
 // the thread-safe work queue and blocks until completion — CPU kernels
 // never touch MPI directly (paper §3.2.4: "developers are not allowed to
 // directly call MPI functions").
+//
+// A CPUCtx is spent when its kernel returns: a simulated Runtime gives it,
+// with its spent AsyncOps, to a later tenant's kernel on the same node, so
+// nothing may use it after.
 type CPUCtx struct {
 	job  *Job
 	ns   *nodeState
@@ -26,6 +30,8 @@ type CPUCtx struct {
 	// ops holds the kernel's spent AsyncOps: ISend and IRecv take one, its
 	// Wait gives it back.
 	ops sim.FreeList[simRequest]
+	// next links the node's kernel contexts (nodeState.kernels).
+	next *CPUCtx
 }
 
 // run is the kernel thread's body on tp: the job's CPU kernel, with an

@@ -74,7 +74,7 @@ func (d *debugServer) addr() string {
 // /debug/dcgn and the stitched flows at /debug/dcgn/flows.
 func (j *Job) debugMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("/debug/dcgn", obs.DebugHandler(j.metrics.snapshot))
+	mux.Handle("/debug/dcgn", obs.DebugHandler(j.metricsSnapshot))
 	mux.Handle("/debug/dcgn/flows", j.flowsHandler())
 	return mux
 }

@@ -147,11 +147,21 @@ func TestRuntimeSimEngineReuse(t *testing.T) {
 	if victimTaken == 0 {
 		t.Error("no tenant took over the canceled victim's engines")
 	}
-	st := r.sub.loop.Shard(0).Sim().Stats().Recycled["node-engine"]
+	rec := r.sub.loop.Shard(0).Sim().Stats().Recycled
+	st := rec["node-engine"]
 	t.Logf("node engines: %+v", st)
 	if st.Gets <= st.Fresh || st.Fresh > 2*nodes || st.Held() != 0 {
 		t.Errorf("node engines: %d taken, %d made, %d held at the end; want more taken than made, at most %d made, none held",
 			st.Gets, st.Fresh, st.Held(), 2*nodes)
+	}
+	// The rest of a tenant's shell comes and goes with its engines: its
+	// kernels' contexts, its transport group, its pool and its metrics.
+	for _, kind := range []string{"cpu-ctx", "tenant-group", "job-pool", "job-metrics"} {
+		st := rec[kind]
+		t.Logf("%s: %+v", kind, st)
+		if st.Gets <= st.Fresh || st.Held() != 0 {
+			t.Errorf("%s: %d taken, %d made, %d held at the end; want more taken than made, none held", kind, st.Gets, st.Fresh, st.Held())
+		}
 	}
 }
 

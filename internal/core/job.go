@@ -313,7 +313,7 @@ func (j *Job) Run() (Report, error) {
 	if err := j.checkRunnable(); err != nil {
 		return Report{}, err
 	}
-	j.setupObs()
+	j.setupObs(nil)
 	if err := j.debug.serve(j.cfg.DebugAddr, j.debugMux); err != nil {
 		return Report{}, err
 	}
@@ -370,15 +370,20 @@ func (j *Job) checkRunnable() error {
 	return nil
 }
 
-// setupObs creates the job's trace sink and metrics as configured.
-func (j *Job) setupObs() {
+// setupObs creates the job's trace sink and takes its metrics from
+// metrics (a nil list makes a new set), as configured.
+func (j *Job) setupObs(metrics *sim.FreeList[jobMetrics]) {
 	if j.cfg.Trace {
 		j.trace = newTraceSink(j.cfg.Nodes, j.rmap.Total(), j.cfg.TraceCap, j.cfg.Flows)
 	}
 	if j.cfg.Metrics {
-		j.metrics = &jobMetrics{}
+		j.metrics = metrics.Get()
 	}
 }
+
+// metricsSnapshot snapshots the job's metrics: empty once a Runtime has
+// given them to another job.
+func (j *Job) metricsSnapshot() obs.Snapshot { return j.metrics.snapshot(j) }
 
 // start brings the job's engine up on env: every node's progress engine,
 // then the CPU-kernel threads, then the GPU-kernel threads — in that spawn
@@ -391,7 +396,7 @@ func (j *Job) start(env engineEnv) {
 		j.nodes[n] = j.newNodeState(n)
 	}
 	if j.metrics != nil {
-		j.metrics.setNodes(j.nodes)
+		j.metrics.bind(j, j.nodes)
 	}
 	j.spawnCPUKernels()
 	j.spawnGPUKernels()
@@ -468,16 +473,20 @@ func (ns *nodeState) reset(j *Job, n int, rtv rt, h *hostNode) {
 	}
 }
 
-// releaseEngines gives the job's node engines back to their host nodes for
-// their next tenants, once the job's procs are dead: a Runtime calls it
-// only after killing its tenant's group. The job and its metrics forget
-// the engines, so that a later read of either cannot see those tenants.
+// releaseEngines gives the job's node engines and kernel contexts back to
+// their host nodes for their next tenants, once the job's procs are dead:
+// a Runtime's release calls it only after killing its tenant's group. The
+// job forgets the engines, so that a later read of it cannot see those
+// tenants.
 func (j *Job) releaseEngines() {
-	if j.metrics != nil {
-		j.metrics.setNodes(nil)
-	}
 	for n, ns := range j.nodes {
-		j.hosts[n].engines.Keep(ns)
+		h := j.hosts[n]
+		for c := ns.kernels; c != nil; {
+			next := c.next
+			h.ctxs.Keep(c)
+			c = next
+		}
+		h.engines.Keep(ns)
 	}
 	j.nodes = nil
 }
@@ -528,15 +537,24 @@ func (ns *nodeState) wrapTransport(tr transport.Transport) {
 }
 
 // spawnCPUKernels starts one thread per CPU-kernel rank on the job's
-// substrate (simulated procs or live goroutines).
+// substrate (simulated procs or live goroutines), each on a kernel context
+// from its host node's list — one a previous tenant's kernel left on a
+// simulated Runtime, else a new one — linked into its node's kernels.
 func (j *Job) spawnCPUKernels() {
 	if j.cpuKernel == nil {
 		return
 	}
 	for n := 0; n < j.cfg.Nodes; n++ {
+		var ctxs *sim.FreeList[CPUCtx]
+		if j.hosts != nil {
+			ctxs = j.hosts[n].ctxs
+		}
+		ns := j.nodes[n]
 		for c := 0; c < j.rmap.Spec(n).CPUKernels; c++ {
-			ns := j.nodes[n]
-			ns.rt.SpawnKernel(&CPUCtx{job: j, ns: ns, rank: j.rmap.CPURank(n, c)})
+			ctx := ctxs.Get()
+			*ctx = CPUCtx{job: j, ns: ns, rank: j.rmap.CPURank(n, c), ops: ctx.ops, next: ns.kernels}
+			ns.kernels = ctx
+			ns.rt.SpawnKernel(ctx)
 		}
 	}
 }
@@ -555,7 +573,7 @@ func (j *Job) report() Report {
 		}
 	}
 	if j.metrics != nil {
-		snap := j.metrics.snapshot()
+		snap := j.metrics.snapshot(j)
 		rep.Counters, rep.Gauges, rep.Histograms = snap.Counters, snap.Gauges, snap.Histograms
 	}
 	rep.Nodes = make([]NodeStats, 0, len(j.nodes))

@@ -60,32 +60,49 @@ func (k histKey) name() string {
 // jobMetrics is a job's metric instruments (Config.Metrics), one set
 // shared by all its nodes. It holds only the distributions; the counts the
 // engine keeps anyway (GPU polls, one-sided operations, the matching
-// index's peak) are read from the engine by snapshot, which is also the
-// only place a name is built.
+// index's peak) are read from the engine by snapshot. A simulated
+// Runtime's tenants take theirs from the substrate's list, a set a
+// finished tenant left (withdraw).
 type jobMetrics struct {
 	// hists lists the histograms observed so far, newest first. An entry
 	// is created by the first observation of its key and published with
 	// one compare-and-swap, so nodes on different shards or live
 	// goroutines can observe concurrently without a lock.
 	hists atomic.Pointer[histEntry]
-	// nodes is the job's engine, published by Job.start once every node is
-	// built, so snapshot may read its counts from the HTTP goroutine, and
-	// withdrawn by Job.releaseEngines: nodesMu keeps a snapshot from
-	// reading an engine that has gone on to its next tenant.
-	nodesMu sync.Mutex
-	nodes   []*nodeState
+	// owner is the job the metrics belong to and nodes its engine, bound
+	// by Job.start once every node is built, so that snapshot may read the
+	// counts from the HTTP goroutine, and withdrawn before the metrics go
+	// to another job: mu keeps a snapshot of a finished job — its Runtime
+	// partition, read late — from reading its successor's.
+	mu    sync.Mutex
+	owner *Job
+	nodes []*nodeState
 }
 
-// setNodes publishes (or, nil, withdraws) the job's engine.
-func (m *jobMetrics) setNodes(nodes []*nodeState) {
-	m.nodesMu.Lock()
-	m.nodes = nodes
-	m.nodesMu.Unlock()
+// bind makes the metrics job j's, over its engine.
+func (m *jobMetrics) bind(j *Job, nodes []*nodeState) {
+	m.mu.Lock()
+	m.owner, m.nodes = j, nodes
+	m.mu.Unlock()
 }
 
-// histEntry is one histogram of jobMetrics.hists.
+// withdraw takes the metrics from their job and zeroes every histogram,
+// keeping the entries: what a new job's metrics hold, with the storage,
+// names included, of the keys earlier jobs observed.
+func (m *jobMetrics) withdraw() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.owner, m.nodes = nil, nil
+	for e := m.hists.Load(); e != nil; e = e.next {
+		e.h = obs.Histogram{}
+	}
+}
+
+// histEntry is one histogram of jobMetrics.hists and its instrument name,
+// built with the entry.
 type histEntry struct {
 	key  histKey
+	name string
 	h    obs.Histogram
 	next *histEntry
 }
@@ -100,26 +117,32 @@ func (m *jobMetrics) observe(k histKey, v int64) {
 				return
 			}
 		}
-		if e := (&histEntry{key: k, next: head}); m.hists.CompareAndSwap(head, e) {
+		if e := (&histEntry{key: k, name: k.name(), next: head}); m.hists.CompareAndSwap(head, e) {
 			e.h.Observe(v)
 			return
 		}
 	}
 }
 
-// snapshot names every instrument that was observed at least once, and
-// every engine count that is nonzero. Report's Counters, Gauges and
-// Histograms, the job's /debug/dcgn and a Runtime tenant's partition all
-// come from here; mid-run it reads only atomics.
-func (m *jobMetrics) snapshot() obs.Snapshot {
+// snapshot names every instrument of j's that was observed at least once,
+// and every engine count that is nonzero; it is empty unless the metrics
+// are bound to j. Report's Counters, Gauges and Histograms, the job's
+// /debug/dcgn and a Runtime tenant's partition all come from here; mid-run
+// it reads only atomics.
+func (m *jobMetrics) snapshot(j *Job) obs.Snapshot {
 	s := obs.Snapshot{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]obs.HistogramSnapshot),
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.owner != j {
+		return s
+	}
 	for e := m.hists.Load(); e != nil; e = e.next {
 		if h := e.h.Snapshot(); h.Count > 0 {
-			s.Histograms[e.key.name()] = h
+			s.Histograms[e.name] = h
 		}
 	}
 	count := func(name string, v int64) {
@@ -127,8 +150,6 @@ func (m *jobMetrics) snapshot() obs.Snapshot {
 			s.Counters[name] += v
 		}
 	}
-	m.nodesMu.Lock()
-	defer m.nodesMu.Unlock()
 	for _, ns := range m.nodes {
 		count("onesided_puts", ns.osPuts.Load())
 		count("onesided_gets", ns.osGets.Load())

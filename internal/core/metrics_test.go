@@ -184,9 +184,9 @@ func TestJobMetricsConcurrentObserve(t *testing.T) {
 			}
 		}()
 	}
-	m.snapshot()
+	m.snapshot(nil)
 	wg.Wait()
-	snap := m.snapshot()
+	snap := m.snapshot(nil)
 	if len(snap.Histograms) != len(keys) {
 		t.Fatalf("%d histograms, want %d: %v", len(snap.Histograms), len(keys), histNames(Report{Histograms: snap.Histograms}))
 	}

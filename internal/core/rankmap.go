@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // AnySource matches any sending rank in Recv.
@@ -70,7 +69,9 @@ func (s NodeSpec) validate(node int) error {
 // heterogeneous.
 type RankMap struct {
 	specs []NodeSpec
-	base  []int // starting global rank of each node
+	// base holds each node's starting global rank and, after those, each
+	// rank's node (Node): one allocation, and no field a Job pays for.
+	base  []int
 	total int
 }
 
@@ -82,13 +83,20 @@ func NewRankMap(specs []NodeSpec) RankMap {
 		panic("core: rank map needs at least one node")
 	}
 	m := RankMap{specs: append([]NodeSpec(nil), specs...)}
-	m.base = make([]int, len(specs))
 	for i, s := range specs {
 		if err := s.validate(i); err != nil {
 			panic(err)
 		}
-		m.base[i] = m.total
 		m.total += s.ranks()
+	}
+	m.base = make([]int, len(specs)+m.total)
+	r := 0
+	for i, s := range specs {
+		m.base[i] = r
+		for range s.ranks() {
+			m.base[len(specs)+r] = i
+			r++
+		}
 	}
 	return m
 }
@@ -120,7 +128,7 @@ func (m RankMap) Total() int { return m.total }
 // Node returns the node owning a rank.
 func (m RankMap) Node(rank int) int {
 	m.check(rank)
-	return sort.SearchInts(m.base, rank+1) - 1 // the last node based at or below rank
+	return m.base[len(m.specs)+rank]
 }
 
 // Local returns the rank's index within its node.

@@ -761,10 +761,11 @@ func (r *Runtime) cancelSimJobNow(c *rtJob) {
 		return
 	}
 	c.group.Kill()
-	rep := c.job.report()
-	c.job.releaseEngines()
+	job, wire := c.job, c.wire
+	rep := job.report()
 	r.mu.Lock()
 	r.retire(c, JobCanceled, rep, ErrJobCanceled)
+	r.sub.release(job, wire)
 }
 
 // retire is the one terminal transition: every way a job can end — done,
@@ -882,11 +883,16 @@ func (r *Runtime) admitLocked() {
 		c.StartedAt = r.now()
 		r.schedAdmittedLocked(c)
 		// The job's metrics are a tenant partition of the runtime's debug
-		// view, dropped again after the final Report snapshot.
-		c.job.setupObs()
-		if m := c.job.metrics; m != nil {
+		// view, dropped again after the final Report snapshot. A simulated
+		// tenant takes them from the substrate's list.
+		var metrics *sim.FreeList[jobMetrics]
+		if r.sub != nil {
+			metrics = &r.sub.tenants.metrics
+		}
+		c.job.setupObs(metrics)
+		if c.job.metrics != nil {
 			c.partKey = fmt.Sprintf("%s/job-%d", c.Tenant, c.ID)
-			r.obsParts.Add(c.partKey, m.snapshot)
+			r.obsParts.Add(c.partKey, c.job.metricsSnapshot)
 		}
 		// The placement step is all the backends differ in.
 		if r.backend() == transport.BackendLive {
@@ -938,6 +944,7 @@ func (r *Runtime) Run() error {
 	}
 	r.ran = true
 	r.sub = newSubstrate(r.cfg.Nodes, r.cfg.Net, r.cfg.MPI, 1, r.cfg.MaxVirtualTime)
+	r.sub.tenantLists()
 	// One arrivals proc walks the SubmitAt schedule in arrival order,
 	// schedule order breaking ties. It is non-daemon, so the batch stays
 	// alive through gaps in the schedule, and it sleeps before every
@@ -990,9 +997,11 @@ func (r *Runtime) Run() error {
 // tenant transport group in its own tag band over its placement, a meter
 // over its nodes' fabric counters, and — around the bring-up, so that every
 // proc it spawns and every proc those spawn is a member — a proc group
-// whose going idle is the job's completion.
+// whose going idle is the job's completion. The pool and the group, like
+// the node engines, kernel contexts and metrics, come from the
+// substrate's lists: what a finished tenant gave back, made again.
 func (r *Runtime) startSimJobLocked(c *rtJob) {
-	pool := bufpool.New()
+	pool := r.sub.tenants.pools.Get()
 	// Exclusive node ownership makes the pool retarget safe: the previous
 	// tenant of these ranks has quiesced (its group went idle or was
 	// killed), so no staging acquired from the old pool is still in flight.
@@ -1007,7 +1016,10 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 	// is left of the job — parked daemons, monitors still polling — is
 	// killed at the next event boundary, which is as soon as a proc can ask:
 	// Kill needs the scheduler's context. Only then, with nothing of the job
-	// left to run on them, do its node engines go back for later tenants.
+	// left to run on them, does what it took go back for later tenants.
+	wire := r.sub.tenants.groups.Get()
+	wire.Reset(r.sub.world, c.placement, c.ID)
+	c.wire = wire
 	c.group = s.NewGroup(func() {
 		job := c.job
 		rep := job.report()
@@ -1015,10 +1027,9 @@ func (r *Runtime) startSimJobLocked(c *rtJob) {
 		r.retire(c, JobDone, rep, nil)
 		s.Inject(func() {
 			c.group.Kill()
-			job.releaseEngines()
+			r.sub.release(job, wire)
 		})
 	})
-	c.wire = simmpi.NewGroup(r.sub.world, c.placement, c.ID)
 	s.InGroup(c.group, func() {
 		c.job.start(r.sub.env(c.wire, c.placement, pool, c.StartedAt))
 	})

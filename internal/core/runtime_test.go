@@ -479,6 +479,45 @@ func TestRuntimeSimLateFramesDie(t *testing.T) {
 	}
 }
 
+// TestRuntimeSimRetiredTrafficBounded streams 1 000 tenants through a
+// 4-node simulated runtime: what its MPI world keeps to tell retired
+// traffic from live (a context and two tags a tenant) is bounded by the
+// tenants running, not the tenants run, at every retirement and at the end.
+func TestRuntimeSimRetiredTrafficBounded(t *testing.T) {
+	const tenants, keysPerTenant = 1000, 3
+	rc := runtimeConfig(transport.BackendSim, 4)
+	rc.MaxQueue = tenants
+	r, err := NewRuntime(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for range tenants {
+		if _, err := r.Submit(pingPongJob(transport.BackendSim, 1), SubmitOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retired := 0
+	r.SetOnJobDone(func(JobStatus) { // sim context, after the job's keys went
+		retired++
+		running := 0
+		for _, st := range r.List() {
+			if st.State == JobRunning {
+				running++
+			}
+		}
+		if keys := r.sub.world.LiveKeys(); keys != keysPerTenant*running {
+			t.Errorf("retirement %d: the world keeps %d traffic keys with %d tenants running, want %d", retired, keys, running, keysPerTenant*running)
+		}
+	})
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if retired != tenants || r.sub.world.LiveKeys() != 0 {
+		t.Errorf("%d tenants retired, %d traffic keys kept at the end; want %d and none", retired, r.sub.world.LiveKeys(), tenants)
+	}
+}
+
 // checkMatchQueues is ROADMAP item 7's retirement invariant, checked from
 // the OnJobDone callback of job done: what waits on the substrate's MPI
 // matching queues — posted receives and unexpected messages — is bounded

@@ -69,8 +69,12 @@ type hostNode struct {
 	// tenant's group is killed, never at its retirement, when its comm
 	// thread and receiver still wait on the engine's queue. Two engines a
 	// node are enough: the tenant's, and the one its predecessor held until
-	// that was killed.
+	// that was killed. ctxs holds its spare kernel contexts, which come and
+	// go with the engines; it is nil but on a Runtime's substrate
+	// (tenantLists), so a substrate built for one job pays a pointer for
+	// it, not the list.
 	engines sim.FreeList[nodeState]
+	ctxs    *sim.FreeList[CPUCtx]
 }
 
 // wireTotals meters inter-node traffic: packets and bytes carried so far.
@@ -91,6 +95,17 @@ type substrate struct {
 	net   *fabric.Network
 	pool  *bufpool.Pool
 	world *mpi.World
+	// tenants is nil but on a Runtime's substrate (tenantLists).
+	tenants *tenantSpares
+}
+
+// tenantSpares hold what a Runtime's finished tenants left of their
+// transport groups, buffer pools and metrics, for the next tenants'
+// bring-up (substrate.release).
+type tenantSpares struct {
+	groups  sim.FreeList[simmpi.Group]
+	pools   sim.FreeList[bufpool.Pool]
+	metrics sim.FreeList[jobMetrics]
 }
 
 // spareNodeObjects caps each of a node's lists of spare objects.
@@ -135,6 +150,46 @@ func newSubstrate(nodes int, netCfg fabric.Config, mpiCfg mpi.Config, shards int
 	mpiCfg.Pool = sub.pool // one pool across layers, so leak accounting is exact
 	sub.world = mpi.NewWorld(nil, sub.net, sub.nodes, mpiCfg)
 	return sub
+}
+
+// spareKernels caps a node's list of spare kernel contexts.
+const spareKernels = 8
+
+// tenantLists makes the substrate a Runtime's, whose tenants come and go:
+// each node keeps its kernel contexts, and the substrate the tenants'
+// groups, pools and metrics — as many as two tenants a node could hold,
+// the running one and the one its kill is still to give back. A substrate
+// Job.Run builds for one job keeps none, and builds each fresh.
+func (sub *substrate) tenantLists() {
+	ctxs := make([]sim.FreeList[CPUCtx], len(sub.hosts))
+	for n := range sub.hosts {
+		h := &sub.hosts[n]
+		h.ctxs = &ctxs[n]
+		h.ctxs.Init(h.Sim(), "cpu-ctx", spareKernels)
+	}
+	t, s, spare := new(tenantSpares), sub.loop.Shard(0).Sim(), 2*len(sub.hosts)
+	t.groups.Init(s, "tenant-group", spare)
+	t.pools.Init(s, "job-pool", spare)
+	t.metrics.Init(s, "job-metrics", spare)
+	sub.tenants = t
+}
+
+// release gives back what a Runtime tenant's bring-up took from the
+// substrate — its node engines and kernel contexts, metrics, pool and
+// transport group g — once its group has been killed and it has retired:
+// none of its procs is left to run, and none of its traffic to match. The
+// metrics are withdrawn from the job, so that a late read of it cannot see
+// the tenant they go to next, and the pool is emptied, so that the next
+// one starts with nothing cached and no counts.
+func (sub *substrate) release(j *Job, g *simmpi.Group) {
+	j.releaseEngines()
+	if m := j.metrics; m != nil {
+		m.withdraw()
+		sub.tenants.metrics.Keep(m)
+	}
+	j.pool.Reset()
+	sub.tenants.pools.Keep(j.pool)
+	sub.tenants.groups.Keep(g)
 }
 
 // wireMeter is a job's wire totals: what the fabric's per-node counters show

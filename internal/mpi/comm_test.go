@@ -112,3 +112,42 @@ func TestGroupCommContextsAreFresh(t *testing.T) {
 		t.Errorf("rank 1 holds %d unexpected frames, want the first communicator's one", n)
 	}
 }
+
+// TestRenewedCommIsFresh: a retired group communicator renewed for the
+// next job is the one NewGroupComm would build — the next context and the
+// new tags, live — while its old context and tags stay retired, so a frame
+// its last job left on the wire still dies on arrival. Only the traffic of
+// the communicators not retired is kept.
+func TestRenewedCommIsFresh(t *testing.T) {
+	s := sim.New()
+	w := testWorld(s, 4, 2)
+	const bandA, bandB, bandC = 100, 116, 132
+	c := w.NewGroupComm([]int{0, 1}, bandA)
+	other := w.NewGroupComm([]int{2, 3}, bandB)
+	oldColl := c.collTag(CollBcast, 0)
+	var dropped countAdder
+	c.Retire(&dropped)
+	c.Renew([]int{1, 2, 3}, bandC)
+	if c.id == other.id || c.collTag(CollBcast, 0) == oldColl {
+		t.Fatalf("renewed context %d: not fresh (other %d, old tag %d)", c.id, other.id, oldColl)
+	}
+	if c.Size() != 3 || c.Translate(0) != 1 || c.RankOf(w.Rank(3)) != 2 {
+		t.Errorf("renewed members %v, want [1 2 3]", c.members)
+	}
+	for _, tc := range []struct {
+		tag     int
+		retired bool
+	}{{oldColl, true}, {bandA, true}, {c.collTag(CollBcast, 0), false}, {bandC, false}, {other.collTag(CollBcast, 0), false}, {bandB, false}} {
+		if got := w.retired(tc.tag); got != tc.retired {
+			t.Errorf("tag %d: retired %v, want %v", tc.tag, got, tc.retired)
+		}
+	}
+	if n := w.LiveKeys(); n != 4 {
+		t.Errorf("%d traffic keys kept for two live communicators of one tag each, want 4", n)
+	}
+}
+
+// countAdder counts what is added to it.
+type countAdder struct{ n int64 }
+
+func (a *countAdder) Add(d int64) { a.n += d }

@@ -17,7 +17,10 @@
 //     for those and for Scatterv (flat or binomial tree) and Alltoallv
 //     (pairwise exchange);
 //   - communicators: the world's (World.Comm) and one per explicit member
-//     set (World.NewGroupComm), each a collective tag context of its own.
+//     set (World.NewGroupComm, renewed for a later job by Comm.Renew), each
+//     a collective tag context of its own, retired with its job's tags
+//     (Comm.Retire) — World.LiveKeys counts what a world keeps of those not
+//     retired.
 //
 // No communicator is derived by a collective exchange, nothing is reduced
 // and payloads are bytes: nothing above asks for more.
@@ -117,17 +120,26 @@ type World struct {
 
 	// Communicator bookkeeping (see comm.go): the world communicator, built
 	// by NewWorld and read-only after, and the last context id handed out.
-	// commMu guards the counter: NewGroupComm is a host-side call that a
-	// Runtime makes from whichever goroutine admits a tenant.
+	// commMu guards the counter and the live keys below: NewGroupComm is
+	// a host-side call that a Runtime makes from whichever goroutine admits
+	// a tenant.
 	commMu     sync.Mutex
 	world      *Comm
 	nextCommID int
 
-	// retired holds the point-to-point tags and the communicator contexts
-	// (as -1-id) whose traffic has ended (Comm.Retire), and dropped counts
-	// the messages of theirs dropped.
-	retired map[int]bool
-	dropped interface{ Add(int64) }
+	// live holds the traffic keys of the group communicators not yet
+	// retired: each one's context (as -1-id) and its point-to-point tags.
+	// Every other context up to nextCommID, and every other tag in [tagLo,
+	// tagHi], the span of the tags group communicators have had, is retired
+	// (Comm.Retire, World.retired). So what a long-lived world keeps is
+	// bounded by the communicators running, not the ones that ran. Written
+	// under commMu and read, as late is, between events; dropped counts the
+	// messages of retired traffic dropped once Retire has installed late
+	// (lateOn).
+	live         map[int]struct{}
+	tagLo, tagHi int
+	lateOn       bool
+	dropped      interface{ Add(int64) }
 }
 
 // NewWorld creates a world with len(nodeOf) ranks; rank i runs on fabric

@@ -132,15 +132,16 @@ func (c *Chan[T]) tryRecvInternal() (v T, ok bool, done bool) {
 
 // Queue is an unbounded FIFO: Put never blocks, Get blocks while empty.
 // It is the work-queue primitive the DCGN threads communicate through. A
-// proc killed while parked in Get is skipped by the next Put.
+// proc killed while parked in Get leaves the queue's waiters: a stackless
+// one at once, a stackful one when the next Put skips it.
 type Queue[T any] struct {
 	s     *Sim
 	name  ident
 	items ring[T]
 	recvq ring[*chanWaiter[T]]
 	// spare holds the waiters of Gets that have returned, for the next Get
-	// that has to park. A killed proc's waiter is never among them: it may
-	// still sit in recvq.
+	// that has to park. A killed stackful proc's waiter is never among
+	// them: it may still sit in recvq.
 	spare []*chanWaiter[T]
 }
 
@@ -168,6 +169,20 @@ func (q *Queue[T]) Reset(prefix string, id int) {
 		q.spare = append(q.spare, w)
 	}
 	q.name = ident{name: prefix, id: id}
+}
+
+// unwait takes killed p's waiter off the queue, keeping the others in
+// order, and reports whether it was there.
+func (q *Queue[T]) unwait(p *Proc) bool {
+	for i := range q.recvq.len() {
+		if w := q.recvq.at(i); w.p == p {
+			q.recvq.removeAt(i)
+			*w = chanWaiter[T]{}
+			q.spare = append(q.spare, w)
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of queued items.

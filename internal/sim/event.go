@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Event is a one-shot broadcast signal. Procs that Wait before Fire block;
 // Fire wakes all of them, and any later Wait returns immediately. The zero
@@ -83,6 +86,24 @@ func (e *Event) WaitStep(p *Proc) bool {
 		e.waiters = append(e.waiters, p)
 	}
 	p.block(parkEvent, e, 0)
+	return false
+}
+
+// unwait takes killed p off the event's waiters, keeping the others in
+// order, and reports whether it was there.
+func (e *Event) unwait(p *Proc) bool {
+	if e.first == p {
+		e.first = nil
+		if len(e.waiters) > 0 {
+			e.first = e.waiters[0]
+			e.waiters = slices.Delete(e.waiters, 0, 1)
+		}
+		return true
+	}
+	if i := slices.Index(e.waiters, p); i >= 0 {
+		e.waiters = slices.Delete(e.waiters, i, i+1)
+		return true
+	}
 	return false
 }
 

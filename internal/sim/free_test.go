@@ -187,7 +187,7 @@ func TestFreeListKeep(t *testing.T) {
 // first's counts.
 func TestRecycledKinds(t *testing.T) {
 	s := New() // "proc" is its first kind
-	lists := make([]FreeList[int], recycledKinds+3)
+	lists := make([]FreeList[int], kindsInPlace+3)
 	for i := range lists {
 		lists[i].Init(s, fmt.Sprintf("k%d", i), 8)
 		for range i + 1 {

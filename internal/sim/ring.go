@@ -34,6 +34,21 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
+// at returns the i-th oldest element; i must be below len.
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// removeAt removes the i-th oldest element, moving the newer ones up a
+// slot; i must be below len.
+func (r *ring[T]) removeAt(i int) {
+	m := len(r.buf) - 1
+	for ; i < r.n-1; i++ {
+		r.buf[(r.head+i)&m] = r.buf[(r.head+i+1)&m]
+	}
+	var zero T
+	r.buf[(r.head+r.n-1)&m] = zero
+	r.n--
+}
+
 // grow doubles the buffer, from eight slots: most wait lists and queues
 // hold a few entries, and reaching eight a slot at a time would take four
 // allocations.

@@ -45,8 +45,11 @@
 // its own proc's failure. Stats counts both kinds' turns. A stackless proc
 // that ends at a natural end — a step that registered no wake — is on no
 // timer or waiter list, so its Proc goes back to the Sim's free list
-// (FreeList) for the next spawn; a killed one, which a stale wake may
-// still name, is left to the garbage collector.
+// (FreeList) for the next spawn. So does one killed while it waits on an
+// Event or a Queue: Kill takes it off that one waiter list, the only place
+// that names it. One killed while asleep in the timer queue, ready to run
+// or waiting on anything else may still be named by a stale wake, and is
+// left to the garbage collector.
 //
 // One body, two hosts: a layer above that must run one body on either kind
 // writes it once, as a step function over step forms. Stackless, each form
@@ -192,8 +195,9 @@ const (
 // stays the handle of its proc for good: once the proc is done, Kill
 // through it does nothing. The *Proc a stackless proc's step is handed is
 // valid only during that proc's steps: SpawnStep returns no handle, and a
-// stackless proc that ends at a natural end is recycled for a later spawn
-// on the same Sim. A proc that is killed or panics is never recycled.
+// stackless proc that ends at a natural end, or is killed waiting on an
+// Event or a Queue, is recycled for a later spawn on the same Sim. A
+// stackful proc, and one that panics, is never recycled.
 type Proc struct {
 	sim   *Sim
 	ident ident
@@ -309,51 +313,92 @@ type Sim struct {
 	// reports, and kinds their split by proc kind for the procs that have
 	// finished.
 	spawns, resumes, steps, workers uint64
-	kinds                           map[string]*KindStats
+	kinds                           kindTable[KindStats]
 
 	// spare holds the procs that ended at a natural end of a stackless
 	// step, for the next spawn; recycled counts the traffic of every free
-	// list kept under this Sim's baton, by kind (FreeList.Init), the first
-	// kinds in place and the rest, if any, one allocation each.
-	spare     FreeList[Proc]
-	recycled  [recycledKinds]kindCount
-	nrecycled int
-	more      []*kindCount
+	// list kept under this Sim's baton, by kind (FreeList.Init).
+	spare    FreeList[Proc]
+	recycled kindTable[Recycled]
 }
 
-// kindCount is one kind's counts in Sim.recycled.
-type kindCount struct {
+// kindsInPlace is how many kinds a Sim counts in place, of free lists and
+// of procs alike: the fourteen lists the layers above keep (procs, packets,
+// envelopes, rendezvous sends, AsyncOps, dcgn-tx helpers, inbound messages,
+// sendrecv joins, matching entries, node engines, kernel contexts, tenant
+// groups, job pools, job metrics), the dozen or so proc kinds a run spawns,
+// and room to spare.
+const kindsInPlace = 16
+
+// kindTable keeps a T for each kind: the first kindsInPlace kinds in the
+// table itself, found by a string compare — a length test and, for the
+// same literal, a pointer one — and the rest, if any, one allocation each.
+type kindTable[T any] struct {
+	first [kindsInPlace]kinded[T]
+	n     int
+	more  []*kinded[T]
+}
+
+// kinded is one kind's T in a kindTable.
+type kinded[T any] struct {
 	kind string
-	Recycled
+	v    T
 }
 
-// recycledKinds is how many kinds of free list a Sim counts in place: the
-// ten the layers above keep (procs, packets, envelopes, rendezvous sends,
-// AsyncOps, dcgn-tx helpers, inbound messages, sendrecv joins, matching
-// entries, node engines) and room to spare.
-const recycledKinds = 12
+// find returns kind's T, nil before its first get.
+func (t *kindTable[T]) find(kind string) *T {
+	for i := range t.n {
+		if t.first[i].kind == kind {
+			return &t.first[i].v
+		}
+	}
+	for _, k := range t.more {
+		if k.kind == kind {
+			return &k.v
+		}
+	}
+	return nil
+}
+
+// get returns kind's T, registering a zero one on first use.
+func (t *kindTable[T]) get(kind string) *T {
+	if v := t.find(kind); v != nil {
+		return v
+	}
+	if t.n < len(t.first) {
+		t.first[t.n].kind = kind
+		t.n++
+		return &t.first[t.n-1].v
+	}
+	k := &kinded[T]{kind: kind}
+	t.more = append(t.more, k)
+	return &k.v
+}
+
+// each calls f with every kind and its T, in registration order.
+func (t *kindTable[T]) each(f func(kind string, v T)) {
+	for _, k := range t.first[:t.n] {
+		f(k.kind, k.v)
+	}
+	for _, k := range t.more {
+		f(k.kind, k.v)
+	}
+}
+
+// kindOf returns the counts of the kind of a proc spawned as name: its name
+// up to the first ':'. A kind, or the prefix a lazily formatted name holds
+// until it is read, is found as it is, with nothing cut or hashed; only a
+// formatted name ("gpu-kern:0.1") is cut first.
+func (s *Sim) kindOf(name string) *KindStats {
+	if k := s.kinds.find(name); k != nil {
+		return k
+	}
+	kind, _, _ := strings.Cut(name, ":")
+	return s.kinds.get(kind)
+}
 
 // recycledKind returns the counts of kind, registering it on first use.
-func (s *Sim) recycledKind(kind string) *Recycled {
-	for i := range s.nrecycled {
-		if s.recycled[i].kind == kind {
-			return &s.recycled[i].Recycled
-		}
-	}
-	for _, k := range s.more {
-		if k.kind == kind {
-			return &k.Recycled
-		}
-	}
-	if s.nrecycled < recycledKinds {
-		s.recycled[s.nrecycled].kind = kind
-		s.nrecycled++
-		return &s.recycled[s.nrecycled-1].Recycled
-	}
-	k := &kindCount{kind: kind}
-	s.more = append(s.more, k)
-	return &k.Recycled
-}
+func (s *Sim) recycledKind(kind string) *Recycled { return s.recycled.get(kind) }
 
 // spareProcs caps a Sim's list of spare procs. It is large because the list
 // has one owner and no fan-in: a proc goes back to the Sim it ran on, and a
@@ -362,7 +407,7 @@ const spareProcs = 1 << 14
 
 // New creates an empty simulation with the virtual clock at zero.
 func New() *Sim {
-	s := &Sim{kinds: map[string]*KindStats{}}
+	s := new(Sim)
 	s.procs.prev, s.procs.next = &s.procs, &s.procs
 	s.spare.Init(s, "proc", spareProcs)
 	return s
@@ -576,12 +621,13 @@ func (g *Group) Kill() {
 // finish marks p done, unlinks it from the Sim's ring of unfinished procs
 // and settles its place in the live count and the idle instant. It runs
 // under the baton: on p's worker as its last act, or on the loop goroutine
-// when a proc that never started is killed. Its links are cleared so that a
-// handle someone still holds to a finished Proc does not pin its old
-// neighbours, its body, its argument or its worker. With reuse — the
-// natural end of a stackless proc, which nothing can name any more — p
-// goes back to the Sim's spare procs; otherwise a stale timer or waiter
-// entry may still point at p, and it is left to the garbage collector.
+// when a stackless proc, or one that never started, is killed. Its links
+// are cleared so that a handle someone still holds to a finished Proc does
+// not pin its old neighbours, its body, its argument or its worker. With
+// reuse — a stackless proc that nothing can name any more: at its natural
+// end, or killed and taken off its waiter list (unwait) — p goes back to
+// the Sim's spare procs; otherwise a stale timer or waiter entry may still
+// point at p, and it is left to the garbage collector.
 func (p *Proc) finish(reuse bool) {
 	p.state = stateDone
 	p.prev.next, p.next.prev = p.next, p.prev
@@ -594,12 +640,8 @@ func (p *Proc) finish(reuse bool) {
 			s.idleAt = s.now
 		}
 	}
-	if k := s.kinds[p.kind()]; k != nil {
-		*k = k.add(p.tally())
-	} else {
-		t := p.tally()
-		s.kinds[p.kind()] = &t
-	}
+	k := s.kindOf(p.ident.name)
+	*k = k.add(p.tally())
 	if reuse {
 		s.spare.Put(p)
 	} else {
@@ -656,15 +698,8 @@ type Stats struct {
 // Stats returns the simulation's self-counters so far.
 func (s *Sim) Stats() Stats {
 	st := Stats{Spawns: s.spawns, Resumes: s.resumes, Steps: s.steps, Workers: s.workers, PeakTimers: s.timers.peak, Kinds: map[string]KindStats{}, Recycled: map[string]Recycled{}}
-	for name, k := range s.kinds {
-		st.Kinds[name] = *k
-	}
-	for _, k := range s.recycled[:s.nrecycled] {
-		st.Recycled[k.kind] = k.Recycled
-	}
-	for _, k := range s.more {
-		st.Recycled[k.kind] = k.Recycled
-	}
+	s.kinds.each(func(kind string, k KindStats) { st.Kinds[kind] = k })
+	s.recycled.each(func(kind string, r Recycled) { st.Recycled[kind] = r })
 	for p := s.procs.next; p != &s.procs; p = p.next {
 		st.Kinds[p.kind()] = st.Kinds[p.kind()].add(p.tally())
 	}
@@ -915,16 +950,33 @@ func (s *Sim) Kill(p *Proc) {
 
 // unwind finishes a proc that is not running, on the loop goroutine: what
 // it holds goes back first (drop); a stackless proc, or one that never
-// started, has no frames and is simply marked done; a parked one is resumed
-// to run its defers and yields back as its worker goes idle.
+// started, has no frames and is simply marked done — and a stackless one
+// still blocked is recycled if it can be taken off its waiter list, unless
+// the run is over (shutdown), when no spawn is left to take it; a parked
+// one is resumed to run its defers and yields back as its worker goes
+// idle.
 func (s *Sim) unwind(p *Proc) {
 	p.drop()
 	if p.w == nil {
-		p.finish(false)
+		p.finish(p.stackless && p.state == stateBlocked && !s.stopped && p.unwait())
 		return
 	}
 	s.killing = true
 	p.w.resume()
+}
+
+// unwaiter is a primitive whose waiter list a killed proc can be taken off.
+type unwaiter interface{ unwait(p *Proc) bool }
+
+// unwait takes blocked p off the one list that names it, if that list is
+// an Event's or a Queue's waiters, and reports whether it did. A proc on
+// the timer queue, or on any other primitive's list, is left where it is.
+func (p *Proc) unwait() bool {
+	switch p.blockKind {
+	case parkEvent, parkQueueGet:
+		return p.blockObj.(unwaiter).unwait(p)
+	}
+	return false
 }
 
 // never is the due time of an event that does not exist.

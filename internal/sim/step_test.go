@@ -226,8 +226,8 @@ func TestStacklessKill(t *testing.T) {
 						panic("end of run")
 					}
 					p.Yield() // the thunk runs here
-					if w.victim.state != stateDone || s.Unfinished() != unfinished-1 {
-						t.Fatalf("victim done %v, %d procs unfinished, want %d: the kill did not take it", w.victim.state == stateDone, s.Unfinished(), unfinished-1)
+					if !gone(w.victim) || s.Unfinished() != unfinished-1 {
+						t.Fatalf("victim gone %v, %d procs unfinished, want %d: the kill did not take it", gone(w.victim), s.Unfinished(), unfinished-1)
 					}
 					p.Sleep(4 * d) // past every hold the setup started
 					start := p.Now()
@@ -248,14 +248,98 @@ func TestStacklessKill(t *testing.T) {
 				} else if err != nil {
 					t.Fatal(err)
 				}
-				if w.victim.state != stateDone || s.Unfinished() != 0 {
-					t.Errorf("after the run: victim done %v, %d procs unfinished", w.victim.state == stateDone, s.Unfinished())
+				if !gone(w.victim) || s.Unfinished() != 0 {
+					t.Errorf("after the run: victim gone %v, %d procs unfinished", gone(w.victim), s.Unfinished())
 				}
 				if w.res.sem.avail != 1 || w.res.sem.waiters.len() != 0 {
 					t.Errorf("resource avail %d with %d waiters after the run, want the unit back", w.res.sem.avail, w.res.sem.waiters.len())
 				}
 			})
 		}
+	}
+}
+
+// gone reports whether a killed proc has ended: it is done, or, killed
+// waiting on an Event or a Queue, it is back on its Sim's spare procs,
+// cleared.
+func gone(p *Proc) bool { return p.state == stateDone || p.sim == nil }
+
+// TestKilledStacklessProcReused: a stackless proc killed while it waits on
+// an Event or a Queue is taken off that waiter list, keeping the waiter
+// behind it in place, and its Proc goes to the next spawn, which firing the
+// old event or putting to the old queue does not wake. One killed asleep
+// on the timer queue is not reused, and its stale timer wakes nothing.
+func TestKilledStacklessProcReused(t *testing.T) {
+	const d = time.Microsecond
+	cases := []struct {
+		name string
+		// wait registers the victim's wake; poke is what would have woken it.
+		wait   func(p *Proc, ev *Event, q *Queue[int])
+		poke   func(ev *Event, q *Queue[int])
+		reused bool
+	}{
+		{"event", func(p *Proc, ev *Event, _ *Queue[int]) { ev.WaitStep(p) }, func(ev *Event, _ *Queue[int]) { ev.Fire() }, true},
+		{"queue", func(p *Proc, _ *Event, q *Queue[int]) {
+			var v int
+			q.GetStep(p, &v)
+		}, func(_ *Event, q *Queue[int]) { q.Put(7) }, true},
+		{"asleep", func(p *Proc, _ *Event, _ *Queue[int]) { p.SleepStep(3 * d) }, func(*Event, *Queue[int]) {}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			ev, q := s.NewEvent("ev"), NewQueue[int](s, "inbox")
+			var victim, next *Proc
+			nextSteps, otherGot := 0, -1
+			s.SpawnStepDaemon("victim", 0, func(p *Proc) {
+				if p.Woken() {
+					t.Error("killed victim took another step")
+				}
+				victim = p
+				tc.wait(p, ev, q)
+			}, nil)
+			// other waits behind the victim, and is woken by the poke.
+			s.Spawn("other", func(p *Proc) {
+				switch tc.name {
+				case "event":
+					ev.Wait(p)
+					otherGot = 0
+				case "queue":
+					otherGot = q.Get(p)
+				}
+			})
+			s.Spawn("trigger", func(p *Proc) {
+				p.Sleep(d)
+				s.Inject(func() { s.Kill(victim) })
+				p.Yield() // the thunk runs here
+				s.SpawnStepDaemon("next", 0, func(p *Proc) {
+					nextSteps++
+					next = p
+					s.NewEvent("never").WaitStep(p)
+				}, nil)
+				p.Yield() // next takes its first step
+				tc.poke(ev, q)
+				p.Sleep(4 * d) // past the asleep victim's stale timer
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := next == victim; got != tc.reused {
+				t.Errorf("the next spawn took the killed proc: %v, want %v", got, tc.reused)
+			}
+			if nextSteps != 1 {
+				t.Errorf("next took %d steps, want 1: a wake meant for the killed proc reached it", nextSteps)
+			}
+			if tc.name == "queue" && (otherGot != 7 || q.Len() != 0) {
+				t.Errorf("the waiter behind the victim got %d with %d items left, want the 7", otherGot, q.Len())
+			}
+			if tc.name == "event" && otherGot != 0 {
+				t.Error("the waiter behind the victim was not woken by the fire")
+			}
+			if k := s.Stats().Kinds["victim"]; k.Spawns != 1 || k.Steps != 1 {
+				t.Errorf("victim's kind counts %+v, want one spawn and one step", k)
+			}
+		})
 	}
 }
 

@@ -25,6 +25,7 @@ package simmpi
 
 import (
 	"fmt"
+	"slices"
 
 	"dcgn/internal/mpi"
 	"dcgn/internal/sim"
@@ -69,11 +70,13 @@ type Group struct {
 // WorldGroup is the group of a job that owns the whole world: tenant 0 on
 // the world communicator, every node on the rank of the same number.
 func WorldGroup(w *mpi.World) *Group {
-	placement := make([]int, w.Size())
-	for n := range placement {
-		placement[n] = n
+	g := &Group{comm: w.Comm(), placement: make([]int, w.Size())}
+	for n := range g.placement {
+		g.placement[n] = n
 	}
-	return newGroup(w, w.Comm(), placement, 0)
+	g.setBand(0)
+	g.setEndpoints(w)
+	return g
 }
 
 // NewGroup builds tenant id's group over the given placement (strictly
@@ -82,24 +85,41 @@ func WorldGroup(w *mpi.World) *Group {
 // identity placement moves the same bytes at the same virtual times as
 // WorldGroup (TestWorldGroupMatchesTenantZero).
 func NewGroup(w *mpi.World, placement []int, tenant int) *Group {
+	g := new(Group)
+	g.Reset(w, placement, tenant)
+	return g
+}
+
+// Reset makes g the group NewGroup(w, placement, tenant) builds, on g's
+// storage: a group whose job has retired (Retire) and whose procs are gone
+// takes the next tenant on, its communicator renewed in a fresh context
+// (mpi.Comm.Renew), its tags the new tenant's band and its endpoints,
+// their receives included, made again.
+func (g *Group) Reset(w *mpi.World, placement []int, tenant int) {
 	if tenant < 0 {
 		panic("simmpi: negative tenant id")
 	}
-	return newGroup(w, w.NewGroupComm(placement), append([]int(nil), placement...), tenant)
+	g.placement = append(g.placement[:0], placement...)
+	g.setBand(tenant)
+	if g.comm == nil {
+		g.comm = w.NewGroupComm(g.placement, g.p2pTag, g.osTag)
+	} else {
+		g.comm.Renew(g.placement, g.p2pTag, g.osTag)
+	}
+	g.setEndpoints(w)
 }
 
-func newGroup(w *mpi.World, comm *mpi.Comm, placement []int, tenant int) *Group {
-	g := &Group{
-		comm:      comm,
-		placement: placement,
-		p2pTag:    dcgnTag + tenant*tenantTagStride,
-		osTag:     osTag + tenant*tenantTagStride,
-		eps:       make([]Endpoint, len(placement)),
-	}
-	for n, rank := range placement {
+// setBand gives g tenant's tags.
+func (g *Group) setBand(tenant int) {
+	g.p2pTag, g.osTag = dcgnTag+tenant*tenantTagStride, osTag+tenant*tenantTagStride
+}
+
+// setEndpoints makes g's endpoints, one per placed node, new.
+func (g *Group) setEndpoints(w *mpi.World) {
+	g.eps = slices.Grow(g.eps[:0], len(g.placement))[:len(g.placement)]
+	for n, rank := range g.placement {
 		g.eps[n] = Endpoint{g: g, rank: w.Rank(rank)}
 	}
-	return g
 }
 
 // New wraps one underlying MPI rank as its node's endpoint in the world
@@ -110,9 +130,7 @@ func New(rank *mpi.Rank) *Endpoint { return WorldGroup(rank.World()).Endpoint(ra
 // and collective context are purged from its ranks' unexpected queues, and
 // a frame of theirs still on the wire dies on arrival (mpi.Comm.Retire),
 // counted by dropped. The group carries nothing after.
-func (g *Group) Retire(dropped interface{ Add(int64) }) {
-	g.comm.Retire(dropped, g.p2pTag, g.osTag)
-}
+func (g *Group) Retire(dropped interface{ Add(int64) }) { g.comm.Retire(dropped) }
 
 // Endpoint returns the job-local node's transport endpoint.
 func (g *Group) Endpoint(local int) *Endpoint { return &g.eps[local] }
